@@ -34,6 +34,11 @@ echo "== perf smoke: train-step fast path under catastrophic-regression bound ==
 # container core; 20 ms only trips on an order-of-magnitude slip.
 cargo run --release -p xt-bench --bin trainstep -- --gate 20
 
+echo "== benchmark smoke: every xt-perf workload builds, runs and checks its outputs =="
+# Release only: the quick `dqn_replay` and `ppo_sync_2m` blocks are #[ignore]d
+# in debug (40 s and 7 s unoptimised); here all four run in a few seconds.
+cargo test --release -q -p xt-perf
+
 echo "== replay smoke: store-resident plane is trajectory-identical to the in-learner path =="
 # Seeded differential: one DQN over the legacy in-learner buffer and one over
 # the xt-replay store-resident plane consume the identical rollout stream and

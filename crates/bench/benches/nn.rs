@@ -13,7 +13,7 @@ use xingtian_comm::pool::shared_pool;
 fn bench_mlp(c: &mut Criterion) {
     let mut group = c.benchmark_group("mlp");
     group.sample_size(20);
-    for (obs_dim, batch) in [(128usize, 32usize), (1024, 32), (1024, 500)] {
+    for (obs_dim, batch) in [(128usize, 32usize), (1024, 32), (1024, 500), (512, 1), (1024, 1)] {
         let net = Mlp::new(&[obs_dim, 64, 64, 9], Activation::Tanh, 0);
         let x = Matrix::ones(batch, obs_dim);
         group.bench_with_input(

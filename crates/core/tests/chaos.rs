@@ -47,15 +47,19 @@ fn kill_and_partition_two_machine_deployment() {
         .with_rollout_len(25)
         .with_goal_steps(u64::MAX) // duration-bounded: chaos timeline fits in the window
         .with_max_seconds(2.5)
+        // Paced steps put the timeline in the plan's hands, not the host's:
+        // the victim's 400th step falls at 0.2–0.3 s and its detection before
+        // the partition opens at 0.6 s, and the event volume is a function of
+        // the step rate (8 explorers × 2 k steps/s) instead of how fast `act` is.
+        .with_step_latency_us(500)
         .with_seed(7);
     let supervision = SupervisionConfig::with_heartbeat_interval_ms(15);
     let plan = FaultPlan::seeded(7)
         .with_kill(ProcessId::explorer(VICTIM), KillTrigger::AfterSteps(400))
         .isolating_machine(1, 2, 600_000_000, 1_200_000_000)
         .with_rule(RouteRule::any().on_kind(MessageKind::Rollout).dropping(0.05));
-    // The event ring drops oldest; 2.5 s of rollout/heartbeat/params traffic
-    // emits ~1<<16 lifecycle events, so a ring that small can evict the
-    // mid-run ProcessDown events asserted below. Size it to hold the run.
+    // The event ring drops oldest, so it must hold the whole run for the
+    // mid-run ProcessDown events asserted below to still be in it.
     let telemetry = xt_telemetry::Telemetry::with_capacity(1 << 18);
 
     let (report, recovery) =
@@ -95,6 +99,8 @@ fn kill_and_partition_two_machine_deployment() {
     // The detector published its events into telemetry too.
     assert!(telemetry.counter("fault.process_down").get() >= 2);
     assert!(telemetry.counter("fault.process_up").get() >= 2);
+    // The ring is evidence only if it evicted nothing.
+    assert_eq!(telemetry.dropped_events(), 0, "event ring too small for the run");
     let events = telemetry.events();
     assert!(events.iter().any(|e| e.kind == xt_telemetry::EventKind::ProcessDown));
     assert!(events.iter().any(|e| e.kind == xt_telemetry::EventKind::ProcessUp));
@@ -335,6 +341,11 @@ fn chaos_smoke_kill_one_explorer_virtual_clock() {
         .with_rollout_len(25)
         .with_goal_steps(5_000)
         .with_max_seconds(30.0)
+        // Paced steps order the run by the plan: the victim's 500th step falls
+        // at 0.5 s with ~2 000 steps consumed, and the other 3 000 take the
+        // survivors 0.75 s more — fifteen detector timeouts (50 ms), so the
+        // respawn cannot lose a race against the goal however fast `act` is.
+        .with_step_latency_us(1_000)
         .with_seed(42);
     config.cluster.virtual_time = true;
     let supervision = SupervisionConfig::with_heartbeat_interval_ms(10);

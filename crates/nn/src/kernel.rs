@@ -18,11 +18,19 @@
 //! is still cache-hot, and [`act_grad_mul`] folds the activation derivative
 //! into the backpropagated delta in place.
 //!
+//! On x86-64 CPUs with AVX2+FMA (detected once per process) the forward
+//! orientation runs explicit fused-multiply-add tiles for every `(m, n)` —
+//! 4-row tiles, masked column tails and a row-streaming GEMV for batch-1
+//! inference — with bias, ReLU and an 8-lane [`crate::ops::tanh`] applied in
+//! registers; the portable microkernels are the implementation everywhere
+//! else and the differential reference in the tests.
+//!
 //! Every kernel writes its full output (no read-modify-write), takes plain
 //! slices, and allocates nothing — scratch space (the `gemm_nt` pack panel)
 //! is caller-owned so steady-state training performs zero heap allocations.
 
 use crate::mlp::Activation;
+use crate::ops;
 
 /// Register-tile height: rows of `A` (or columns of `Aᵀ`) per microkernel.
 pub const MR: usize = 4;
@@ -31,64 +39,225 @@ pub const MR: usize = 4;
 /// AVX2 and NEON-class machines with room for the `B` row and broadcast.
 pub const NR: usize = 16;
 
-/// Explicit AVX2+FMA microkernels, used when the CPU supports them.
+/// Explicit AVX2+FMA kernels, used when the CPU supports them.
 ///
 /// The portable microkernels below compile against the x86-64 baseline
 /// (SSE2, no FMA), so autovectorization leaves most of a modern core idle.
-/// These variants express the same `MR × NR` register tile directly with
-/// 256-bit fused multiply-adds: 8 independent accumulators (4 rows × 2
-/// vectors), one broadcast and two `B`-row loads per reduction step. The
-/// choice is made once per process via CPUID (`is_x86_feature_detected!`
-/// caches its answer), so every machine runs one kernel consistently and
-/// training stays bitwise reproducible across runs and worker counts.
+/// Here one register tile, [`tile_nn`], is written directly with 256-bit
+/// fused multiply-adds and instantiated at every shape the forward pass
+/// needs, so no `(m, n)` falls back to the portable code:
+///
+/// * `4 × 16`, unmasked — full tiles (8 accumulators, one broadcast per row
+///   and two `B`-row loads per reduction step);
+/// * `4 × 1..=16`, last vector masked — the `n mod 16` column tail of a
+///   4-row block (the 9-wide policy head, the 1-wide value head);
+/// * `1 × 1..=64`, last vector masked — row streaming for rows that do not
+///   fill a 4-row block (all of batch-1 inference, the `m mod 4` tail):
+///   one broadcast of `x[t]` feeds up to eight accumulators from 64
+///   *contiguous* columns of `W`, so `W` is read once, sequentially, with
+///   eight independent FMA chains.
+///
+/// Every output element, in every instantiation, is the same chain
+/// `acc = fma(x[t], w[t][j], acc)` for `t = 0..k` from zero, then `+ bias`,
+/// then the activation — all lane-wise — so **a row's output does not depend
+/// on the batch it is evaluated in**. The choice of this module is made once
+/// per process via CPUID (`is_x86_feature_detected!` caches its answer), so
+/// every machine runs one kernel consistently and training stays bitwise
+/// reproducible across runs and worker counts.
 #[cfg(target_arch = "x86_64")]
 mod fma {
-    use super::{MR, NR};
+    use super::{Activation, MR, NR};
+    use crate::ops::tanh_poly::{ALPHA, BETA, CLAMP, TINY};
     use std::arch::x86_64::*;
 
-    /// Whether the AVX2+FMA microkernels may be called on this CPU.
+    /// f32 lanes per 256-bit vector.
+    const LANES: usize = 8;
+    /// Columns one row-streaming pass covers: eight accumulators.
+    const ROW_COLS: usize = 8 * LANES;
+
+    /// Whether the AVX2+FMA kernels may be called on this CPU.
     #[inline]
     pub fn available() -> bool {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
     }
 
-    /// FMA twin of [`super::micro_nn_full`].
+    /// A mask enabling the first `lanes` (1..=8) lanes of a vector.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn lane_mask(lanes: usize) -> __m256i {
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes as i32), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
+    }
+
+    /// Eight lanes of [`crate::ops::tanh`]: the same operations in the same
+    /// order, so each lane holds the bits the scalar function returns.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn tanh8(x: __m256) -> __m256 {
+        // `min`/`max` return their second operand when either is NaN, so with
+        // `x` second a NaN lane passes through the clamp.
+        let c = _mm256_max_ps(_mm256_set1_ps(-CLAMP), _mm256_min_ps(_mm256_set1_ps(CLAMP), x));
+        let c2 = _mm256_mul_ps(c, c);
+        let horner = |coeffs: &[f32]| {
+            let (&top, rest) = coeffs.split_last().expect("non-empty polynomial");
+            rest.iter().rev().fold(_mm256_set1_ps(top), |p, &a| _mm256_fmadd_ps(c2, p, _mm256_set1_ps(a)))
+        };
+        let p = _mm256_mul_ps(c, horner(&ALPHA));
+        let q = horner(&BETA);
+        let abs_x = _mm256_andnot_ps(_mm256_set1_ps(-0.0), x);
+        let tiny = _mm256_cmp_ps::<_CMP_LT_OQ>(abs_x, _mm256_set1_ps(TINY));
+        _mm256_blendv_ps(_mm256_div_ps(p, q), x, tiny)
+    }
+
+    /// `out = act(a × b + bias)` on an `R`-row tile of `cols` columns held in
+    /// `R × NV` vector accumulators, `(NV − 1) · 8 < cols ≤ NV · 8`. With
+    /// `MASKED`, the last vector of each row is loaded and stored under a lane
+    /// mask, so nothing beyond column `cols` of `b`, `bias` or `out` is
+    /// touched; without it `cols` must be `NV · 8`.
     ///
     /// # Safety
     ///
     /// Caller must ensure AVX2+FMA are available (see [`available`]).
     /// Shape bounds are asserted.
+    #[allow(clippy::too_many_arguments)] // mirrors the BLAS microkernel signature
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn micro_nn(
+    pub unsafe fn tile_nn<const R: usize, const NV: usize, const MASKED: bool>(
         k: usize,
+        cols: usize,
         a: &[f32],
         lda: usize,
         b: &[f32],
         ldb: usize,
+        bias: Option<&[f32]>,
+        act: Option<Activation>,
         out: &mut [f32],
         ldc: usize,
     ) {
-        assert!(a.len() >= (MR - 1) * lda + k, "fma nn a slice too short");
-        assert!(k == 0 || b.len() >= (k - 1) * ldb + NR, "fma nn b slice too short");
-        assert!(out.len() >= (MR - 1) * ldc + NR, "fma nn out slice too short");
+        assert!(cols <= NV * LANES && cols + LANES > NV * LANES, "fma tile width outside its vectors");
+        assert!(MASKED || cols == NV * LANES, "fma unmasked tile must be full");
+        assert!(a.len() >= (R - 1) * lda + k, "fma nn a slice too short");
+        assert!(k == 0 || b.len() >= (k - 1) * ldb + cols, "fma nn b slice too short");
+        assert!(bias.is_none_or(|bias| bias.len() >= cols), "fma nn bias slice too short");
+        assert!(out.len() >= (R - 1) * ldc + cols, "fma nn out slice too short");
+        // SAFETY: the asserts above bound every access below: row `r` of `a`
+        // is read at `r * lda + t` for `t < k`; row `t` of `b`, `bias`, and
+        // row `r` of `out` are touched at columns `< cols` only — full
+        // vectors end at `(NV - 1) * 8 < cols`, and the last vector is either
+        // full (`cols == NV * 8`) or masked to its first `cols - (NV - 1) * 8`
+        // lanes, and masked-off lanes are never accessed.
         unsafe {
+            let mask = lane_mask(cols - (NV - 1) * LANES);
+            let load = |p: *const f32, v: usize| {
+                if MASKED && v == NV - 1 {
+                    _mm256_maskload_ps(p.add(v * LANES), mask)
+                } else {
+                    _mm256_loadu_ps(p.add(v * LANES))
+                }
+            };
             let ap = a.as_ptr();
             let mut bp = b.as_ptr();
-            let mut acc = [[_mm256_setzero_ps(); 2]; MR];
+            let mut acc = [[_mm256_setzero_ps(); NV]; R];
             for t in 0..k {
-                let b0 = _mm256_loadu_ps(bp);
-                let b1 = _mm256_loadu_ps(bp.add(8));
+                let mut brow = [_mm256_setzero_ps(); NV];
+                for (v, bv) in brow.iter_mut().enumerate() {
+                    *bv = load(bp, v);
+                }
                 for (r, accr) in acc.iter_mut().enumerate() {
                     let x = _mm256_set1_ps(*ap.add(r * lda + t));
-                    accr[0] = _mm256_fmadd_ps(x, b0, accr[0]);
-                    accr[1] = _mm256_fmadd_ps(x, b1, accr[1]);
+                    for (accv, &bv) in accr.iter_mut().zip(&brow) {
+                        *accv = _mm256_fmadd_ps(x, bv, *accv);
+                    }
                 }
                 bp = bp.add(ldb);
             }
             let op = out.as_mut_ptr();
-            for (r, accr) in acc.iter().enumerate() {
-                _mm256_storeu_ps(op.add(r * ldc), accr[0]);
-                _mm256_storeu_ps(op.add(r * ldc + 8), accr[1]);
+            for v in 0..NV {
+                let bias_v = bias.map(|bias| load(bias.as_ptr(), v));
+                for (r, accr) in acc.iter().enumerate() {
+                    let mut y = accr[v];
+                    if let Some(bias_v) = bias_v {
+                        y = _mm256_add_ps(y, bias_v);
+                    }
+                    y = match act {
+                        // Operand order keeps `f32::max`'s NaN → 0 of the portable path.
+                        Some(Activation::Relu) => _mm256_max_ps(y, _mm256_setzero_ps()),
+                        Some(Activation::Tanh) => tanh8(y),
+                        None => y,
+                    };
+                    let dst = op.add(r * ldc + v * LANES);
+                    if MASKED && v == NV - 1 {
+                        _mm256_maskstore_ps(dst, mask, y);
+                    } else {
+                        _mm256_storeu_ps(dst, y);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The fused forward layer of [`super::gemm_bias_act`]: 4-row blocks in
+    /// 16-column tiles with a masked column tail, then the remaining rows one
+    /// at a time through the row-streaming tiles.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2+FMA are available (see [`available`]). A slice
+    /// shorter than the `m/k/n` shape implies panics.
+    #[allow(clippy::too_many_arguments)] // mirrors the BLAS layer-op signature
+    pub unsafe fn gemm_bias_act(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        w: &[f32],
+        bias: Option<&[f32]>,
+        act: Option<Activation>,
+        out: &mut [f32],
+    ) {
+        // The tile of `R` rows and `NV` vectors whose top-left output element
+        // is `(i, j)`.
+        macro_rules! tile {
+            ($r:expr, $nv:expr, $masked:expr, $i:expr, $j:expr, $cols:expr) => {
+                // SAFETY: AVX2+FMA are this function's own precondition.
+                unsafe {
+                    tile_nn::<$r, $nv, $masked>(
+                        k,
+                        $cols,
+                        &a[$i * k..],
+                        k,
+                        &w[$j..],
+                        n,
+                        bias.map(|bias| &bias[$j..]),
+                        act,
+                        &mut out[$i * n + $j..],
+                        n,
+                    )
+                }
+            };
+        }
+        let blocked = m - m % MR;
+        for i in (0..blocked).step_by(MR) {
+            for j in (0..n).step_by(NR) {
+                let cols = NR.min(n - j);
+                match cols.div_ceil(LANES) {
+                    2 if cols == NR => tile!(MR, 2, false, i, j, cols),
+                    2 => tile!(MR, 2, true, i, j, cols),
+                    _ => tile!(MR, 1, true, i, j, cols),
+                }
+            }
+        }
+        for i in blocked..m {
+            for j in (0..n).step_by(ROW_COLS) {
+                let cols = ROW_COLS.min(n - j);
+                match cols.div_ceil(LANES) {
+                    1 => tile!(1, 1, true, i, j, cols),
+                    2 => tile!(1, 2, true, i, j, cols),
+                    3 => tile!(1, 3, true, i, j, cols),
+                    4 => tile!(1, 4, true, i, j, cols),
+                    5 => tile!(1, 5, true, i, j, cols),
+                    6 => tile!(1, 6, true, i, j, cols),
+                    7 => tile!(1, 7, true, i, j, cols),
+                    _ => tile!(1, 8, true, i, j, cols),
+                }
             }
         }
     }
@@ -166,7 +335,7 @@ fn micro_nn_sel(
     if use_fma {
         // SAFETY: `use_fma` is only true when `fma::available()` reported
         // AVX2+FMA support.
-        unsafe { fma::micro_nn(k, a, lda, b, ldb, out, ldc) };
+        unsafe { fma::tile_nn::<MR, 2, false>(k, NR, a, lda, b, ldb, None, None, out, ldc) };
         return;
     }
     let _ = use_fma;
@@ -209,7 +378,14 @@ pub fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
 
 /// `out = act(a × w + bias)` — the fused forward layer. `bias` (length `n`)
 /// and `act` are applied to each output tile immediately after it is
-/// computed, while it is still in cache; pass `None` for a plain GEMM.
+/// computed, while it is still in registers or cache; pass `None` for a
+/// plain GEMM.
+///
+/// Row `i` of `out` depends on row `i` of `a` only, **bit for bit**: on an
+/// AVX2+FMA CPU every element is the same fused chain whichever tile shape
+/// computes it (see the `fma` module), and on the portable path the full and
+/// edge microkernels accumulate in the same order. A policy therefore
+/// answers a request identically alone and in any batch.
 ///
 /// # Panics
 ///
@@ -231,14 +407,35 @@ pub fn gemm_bias_act(
     if let Some(bias) = bias {
         assert_eq!(bias.len(), n, "bias length mismatch");
     }
-    let use_fma = fma_available();
+    #[cfg(target_arch = "x86_64")]
+    if fma::available() {
+        // SAFETY: AVX2+FMA support was just detected.
+        unsafe { fma::gemm_bias_act(m, k, n, a, w, bias, act, out) };
+        return;
+    }
+    gemm_bias_act_portable(m, k, n, a, w, bias, act, out);
+}
+
+/// [`gemm_bias_act`] over the portable microkernels: the implementation on
+/// CPUs without AVX2+FMA, and the differential reference on those with.
+#[allow(clippy::too_many_arguments)] // mirrors the BLAS layer-op signature
+fn gemm_bias_act_portable(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    w: &[f32],
+    bias: Option<&[f32]>,
+    act: Option<Activation>,
+    out: &mut [f32],
+) {
     for ib in (0..m).step_by(MR) {
         let mr = MR.min(m - ib);
         for jb in (0..n).step_by(NR) {
             let nr = NR.min(n - jb);
             let tile = &mut out[ib * n + jb..];
             if mr == MR && nr == NR {
-                micro_nn_sel(use_fma, k, &a[ib * k..], k, &w[jb..], n, tile, n);
+                micro_nn_full(k, &a[ib * k..], k, &w[jb..], n, tile, n);
             } else {
                 micro_nn_edge(k, mr, nr, &a[ib * k..], k, &w[jb..], n, tile, n);
             }
@@ -464,7 +661,7 @@ fn finish_tile(
             }
             Some(Activation::Tanh) => {
                 for v in row.iter_mut() {
-                    *v = v.tanh();
+                    *v = ops::tanh(*v);
                 }
             }
             None => {}
@@ -634,29 +831,97 @@ mod tests {
         }
     }
 
+    /// `act(a × w + bias)` by the naive kernel and the scalar activations.
+    fn naive_layer(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        w: &[f32],
+        bias: &[f32],
+        act: Option<Activation>,
+    ) -> Vec<f32> {
+        let mut out = naive::nn(m, k, n, a, w);
+        for row in out.chunks_mut(n) {
+            for (v, &b) in row.iter_mut().zip(bias) {
+                *v = act.map_or(*v + b, |act| act.apply(*v + b));
+            }
+        }
+        out
+    }
+
+    /// Both implementations of the fused layer against the naive one: the
+    /// dispatching entry point, and the portable microkernels called directly
+    /// — on a CPU with AVX2+FMA nothing else would run them.
     #[test]
     fn fused_bias_act_matches_separate_passes() {
+        type Layer = fn(usize, usize, usize, &[f32], &[f32], Option<&[f32]>, Option<Activation>, &mut [f32]);
+        let layers: [(&str, Layer); 2] = [("fused", gemm_bias_act), ("portable", gemm_bias_act_portable)];
         let mut rng = StdRng::seed_from_u64(4);
-        for act in [None, Some(Activation::Relu), Some(Activation::Tanh)] {
-            let (m, k, n) = (7, 33, 19);
+        for (what, layer) in layers {
+            for act in [None, Some(Activation::Relu), Some(Activation::Tanh)] {
+                for (m, k, n) in shapes() {
+                    let a = rand_vec(&mut rng, m * k);
+                    let w = rand_vec(&mut rng, k * n);
+                    let bias = rand_vec(&mut rng, n);
+                    let mut out = vec![f32::NAN; m * n];
+                    layer(m, k, n, &a, &w, Some(&bias), act, &mut out);
+                    assert_close(&out, &naive_layer(m, k, n, &a, &w, &bias, act), what);
+                }
+            }
+        }
+    }
+
+    /// The row-invariance contract on the portable path (`tests/props.rs`
+    /// checks it through `Mlp` on whichever path this CPU selects).
+    #[test]
+    fn portable_rows_do_not_depend_on_their_batch() {
+        let mut rng = StdRng::seed_from_u64(8);
+        for (m, k, n) in shapes() {
             let a = rand_vec(&mut rng, m * k);
             let w = rand_vec(&mut rng, k * n);
             let bias = rand_vec(&mut rng, n);
-            let mut fused = vec![0.0f32; m * n];
-            gemm_bias_act(m, k, n, &a, &w, Some(&bias), act, &mut fused);
-            let mut separate = naive::nn(m, k, n, &a, &w);
-            for i in 0..m {
-                for j in 0..n {
-                    let v = separate[i * n + j] + bias[j];
-                    separate[i * n + j] = match act {
-                        Some(Activation::Relu) => v.max(0.0),
-                        Some(Activation::Tanh) => v.tanh(),
-                        None => v,
-                    };
-                }
+            let act = Some(Activation::Tanh);
+            let mut batched = vec![f32::NAN; m * n];
+            gemm_bias_act_portable(m, k, n, &a, &w, Some(&bias), act, &mut batched);
+            for (row, got) in a.chunks(k).zip(batched.chunks(n)) {
+                let mut alone = vec![f32::NAN; n];
+                gemm_bias_act_portable(1, k, n, row, &w, Some(&bias), act, &mut alone);
+                assert!(got.iter().zip(&alone).all(|(g, w)| g.to_bits() == w.to_bits()), "({m},{k},{n})");
             }
-            assert_close(&fused, &separate, "fused");
         }
+    }
+
+    /// Nothing outside the `m × n` output may be written, whichever tile
+    /// covers the ragged edge (the FMA tiles store under a lane mask).
+    #[test]
+    fn ragged_edges_leave_the_rest_of_out_untouched() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for (m, k, n) in shapes() {
+            let a = rand_vec(&mut rng, m * k);
+            let w = rand_vec(&mut rng, k * n);
+            let mut out = vec![7.5f32; m * n + 2 * NR];
+            gemm_nn(m, k, n, &a, &w, &mut out);
+            assert!(out[m * n..].iter().all(|&v| v == 7.5), "({m},{k},{n}) wrote past its output");
+        }
+    }
+
+    /// The epilogue's 8-lane tanh and [`ops::tanh`] are one function: with
+    /// `k = 1` and `a = [1]` the layer is `tanh(w[j])` lane by lane (`−0` is
+    /// absent: `0 + 1 · −0 = +0`, no accumulator chain can produce it).
+    #[test]
+    fn epilogue_tanh_lanes_equal_scalar_tanh_bitwise() {
+        let mut xs: Vec<f32> = (0..200_000).map(|i| -12.0 + i as f32 * (24.0 / 200_000.0)).collect();
+        xs.extend([0.0, f32::MIN_POSITIVE, -f32::MIN_POSITIVE, 1e-40, -1e-40]);
+        xs.extend([f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 3.9e-4, 4.1e-4, 7.9988, 8.0]);
+        let n = xs.len();
+        let mut out = vec![0.0f32; n];
+        gemm_bias_act(1, 1, n, &[1.0], &xs, None, Some(Activation::Tanh), &mut out);
+        for (&x, &y) in xs.iter().zip(&out) {
+            let want = Activation::Tanh.apply(x);
+            assert_eq!(y.to_bits(), want.to_bits(), "tanh({x}): lane {y} vs scalar {want}");
+        }
+        assert!(out[n - 5].is_nan(), "NaN must propagate through the epilogue");
     }
 
     #[test]

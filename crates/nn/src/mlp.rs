@@ -6,6 +6,7 @@
 //! body), and hot-swapping weights on explorers (`set_params`).
 
 use crate::kernel;
+use crate::ops;
 use crate::tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,7 +26,7 @@ impl Activation {
     pub fn apply(self, v: f32) -> f32 {
         match self {
             Activation::Relu => v.max(0.0),
-            Activation::Tanh => v.tanh(),
+            Activation::Tanh => ops::tanh(v),
         }
     }
 

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use tinynn::optim::{clip_global_norm, Adam, Sgd};
-use tinynn::{Activation, Matrix, Mlp};
+use tinynn::{Activation, Matrix, Mlp, Workspace};
 
 fn arb_sizes() -> impl Strategy<Value = Vec<usize>> {
     (1usize..6, 1usize..8, 1usize..8, 1usize..5)
@@ -81,6 +81,32 @@ proptest! {
         rhs.add_assign(&mb.matmul(&mc));
         for (x, y) in lhs.as_slice().iter().zip(rhs.as_slice()) {
             prop_assert!((x - y).abs() < 1e-3, "{x} vs {y}");
+        }
+    }
+}
+
+/// A row's output is a function of that row alone: evaluated inside any
+/// batch it has the bits it has evaluated by itself, at every batch size
+/// around the 4-row tile and every layer width around the 8-lane vector and
+/// 16- and 64-column tiles — so batching requests never changes an answer.
+#[test]
+fn forward_rows_do_not_depend_on_their_batch() {
+    let mut ws = Workspace::new();
+    for activation in [Activation::Relu, Activation::Tanh] {
+        for k in [4usize, 512, 1024] {
+            for n in [1usize, 9, 16, 17, 64, 65] {
+                let net = Mlp::new(&[k, n, n], activation, (k * 131 + n) as u64);
+                let x: Vec<f32> = (0..9 * k).map(|i| ((i * 37 % 101) as f32 - 50.0) / 25.0).collect();
+                let alone: Vec<Vec<f32>> =
+                    x.chunks(k).map(|row| net.forward_ws(row, 1, &mut ws).to_vec()).collect();
+                for m in 1..=9 {
+                    let batched = net.forward_ws(&x[..m * k], m, &mut ws);
+                    for (r, (got, want)) in batched.chunks(n).zip(&alone).enumerate() {
+                        let same = got.iter().zip(want).all(|(g, w)| g.to_bits() == w.to_bits());
+                        assert!(same, "{activation:?} k={k} n={n}: row {r} of a {m}-row batch differs from the row alone");
+                    }
+                }
+            }
         }
     }
 }

@@ -195,6 +195,32 @@ mod tests {
         assert_eq!(p.mlp.params(), reference.params(), "set_params overwrites the init seed");
     }
 
+    /// What the micro-batcher relies on: a request's logits do not depend on
+    /// which other requests happened to share its flush.
+    #[test]
+    fn a_request_gets_the_same_logits_alone_and_co_batched() {
+        let sizes = [24, 32, 32, 9];
+        let policy = Policy { version: 1, mlp: Mlp::new(&sizes, Activation::Relu, 5) };
+        let obs: Vec<f32> = (0..8 * sizes[0]).map(|i| ((i * 29 % 97) as f32 - 48.0) / 24.0).collect();
+        let mut ws = tinynn::Workspace::new();
+        let request = &obs[..sizes[0]];
+        let alone: Vec<u32> =
+            policy.mlp.forward_ws(request, 1, &mut ws).iter().map(|v| v.to_bits()).collect();
+        for others in 1..=7 {
+            let rows = 1 + others;
+            // The request leads the batch, then trails it.
+            let leading = &obs[..rows * sizes[0]];
+            let logits = policy.mlp.forward_ws(leading, rows, &mut ws);
+            let got: Vec<u32> = logits[..9].iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, alone, "leading a batch of {rows}");
+            let mut trailing = obs[sizes[0]..rows * sizes[0]].to_vec();
+            trailing.extend_from_slice(request);
+            let logits = policy.mlp.forward_ws(&trailing, rows, &mut ws);
+            let got: Vec<u32> = logits[others * 9..].iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, alone, "trailing a batch of {rows}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "does not fit policy shape")]
     fn shape_mismatch_refuses_to_serve() {
