@@ -138,8 +138,9 @@ pub struct DeploymentConfig {
     /// Where DQN's replay buffer lives (ignored by on-policy algorithms).
     #[serde(default)]
     pub replay: ReplayPlacement,
-    /// Number of learner shards. 1 runs the classic single-learner process;
-    /// more than 1 splits the learner across shards that each own a slice
+    /// Number of learner shards. 1 is the classic single learner (the same
+    /// process, with no peers to exchange gradients with); more than 1
+    /// splits the learner across shards that each own a slice
     /// of the explorer pool (via the relaxed assignment table) and exchange
     /// gradients per [`AllreduceMode`]. All shards run on `learner_machine`.
     #[serde(default = "default_learner_shards")]

@@ -2,9 +2,9 @@
 //!
 //! The controller is algorithm-agnostic (paper §3.2.2): it watches the stats
 //! stream from workhorse threads, and when the training goal is achieved —
-//! the learner has consumed enough rollout steps, or the wall-clock cap is
-//! hit — it broadcasts a shutdown command to every process and the deployment
-//! winds down.
+//! the learner has consumed enough rollout steps, the wall-clock cap is hit,
+//! or the deployment tells it to give up — it broadcasts a shutdown command
+//! to every process and the deployment winds down.
 
 use crate::messages::{ControlCommand, StatsMsg};
 use bytes::Bytes;
@@ -23,8 +23,7 @@ pub struct ControllerProcess {
     pub max_duration: Duration,
     /// Explorer count (for the shutdown broadcast).
     pub num_explorers: u32,
-    /// Learner-shard count (for the shutdown broadcast; the classic
-    /// deployments pass 1).
+    /// Learner-shard count (for the shutdown broadcast).
     pub num_learner_shards: u32,
 }
 
@@ -37,7 +36,8 @@ pub struct ControllerOutcome {
     pub explorer_steps: u64,
     /// Episode returns collected from explorer stats, in arrival order.
     pub episode_returns: Vec<f32>,
-    /// True if the run ended by reaching the step goal (false = deadline).
+    /// True if the run ended by reaching the step goal (false = deadline or
+    /// an early shutdown).
     pub goal_reached: bool,
 }
 
@@ -63,6 +63,14 @@ impl ControllerProcess {
             let Some(msg) = self.endpoint.recv_timeout(Duration::from_millis(50)) else {
                 continue;
             };
+            // The deployment giving up on the run (a process it could not
+            // replace died) ends it like the deadline does: broadcast below.
+            if msg.header.kind == MessageKind::Control
+                && matches!(ControlCommand::from_bytes(&msg.body), Ok(ControlCommand::Shutdown))
+            {
+                goal_reached = false;
+                break;
+            }
             if msg.header.kind != MessageKind::Stats {
                 continue;
             }

@@ -1,32 +1,26 @@
-//! Builds and runs a complete XingTian deployment.
+//! The pieces every deployment is built from, and the plain entry points.
 //!
-//! Mirrors the paper's launch sequence (§3.2.2): create a broker per machine,
+//! The paper's launch sequence (§3.2.2) — create a broker per machine,
 //! connect the broker fabric, start the learner, the explorers, and the
-//! center controller, then run until the controller broadcasts shutdown.
-//! "Processes" are threads here (see DESIGN.md §2 on the substitution), but
-//! the communication between them flows exclusively through the asynchronous
-//! channel, never through shared state.
+//! center controller, then run until the controller broadcasts shutdown — is
+//! built in exactly one place, [`Deployment::run_supervised`]
+//! ([`crate::supervisor`]). [`Deployment::run`] is that graph under a policy
+//! with nothing to supervise. "Processes" are threads here (see DESIGN.md §2
+//! on the substitution), but the communication between them flows
+//! exclusively through the asynchronous channel, never through shared state.
 
-use crate::assignment::AssignmentTable;
 use crate::config::{AlgorithmSpec, DeploymentConfig, ReplayPlacement};
-use crate::controller::{ControllerOutcome, ControllerProcess};
-use crate::explorer::{ExplorerOutcome, ExplorerProcess, RolloutRoute};
-use crate::learner::{LearnerOutcome, LearnerProcess};
-use crate::shard::LearnerShardProcess;
-use crate::stats::{ReplayReport, RunReport};
+use crate::stats::RunReport;
+use crate::supervisor::SupervisionConfig;
 use gymlite::{AtariGame, CartPole, Environment, SynthAtari};
-use netsim::Cluster;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use xt_replay::{ReplayConfig, ReplayPlane, StoreResidentBackend};
-use xingtian_algos::api::{Agent, Algorithm, SyncMode};
+use xingtian_algos::api::{Agent, Algorithm};
 use xingtian_algos::{
     A2cAgent, A2cAlgorithm, DqnAgent, DqnAlgorithm, ImpalaAgent, ImpalaAlgorithm, PpoAgent,
     PpoAlgorithm, ReinforceAgent, ReinforceAlgorithm,
 };
-use xingtian_comm::{connect_brokers, Broker};
-use xingtian_message::ProcessId;
+use xt_fault::FaultPlan;
+use xt_replay::{ReplayConfig, ReplayPlane, StoreResidentBackend};
 
 /// Error launching or validating a deployment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,6 +90,53 @@ pub fn build_env(
     Ok(Box::new(SynthAtari::with_config(cfg, seed)))
 }
 
+/// `spec` with the environment's dimensions and the deployment-wide counts
+/// filled in (each algorithm's config takes the subset it has fields for).
+fn sized_spec(
+    spec: &AlgorithmSpec,
+    obs_dim: usize,
+    num_actions: usize,
+    num_explorers: u32,
+    rollout_len: usize,
+    seed: u64,
+) -> AlgorithmSpec {
+    let mut spec = spec.clone();
+    match &mut spec {
+        AlgorithmSpec::Dqn(c) => {
+            c.obs_dim = obs_dim;
+            c.num_actions = num_actions;
+            c.num_explorers = num_explorers;
+            c.seed = seed;
+        }
+        AlgorithmSpec::Ppo(c) => {
+            c.obs_dim = obs_dim;
+            c.num_actions = num_actions;
+            c.num_explorers = num_explorers;
+            c.rollout_len = rollout_len;
+            c.seed = seed;
+        }
+        AlgorithmSpec::Impala(c) => {
+            c.obs_dim = obs_dim;
+            c.num_actions = num_actions;
+            c.seed = seed;
+        }
+        AlgorithmSpec::A2c(c) => {
+            c.obs_dim = obs_dim;
+            c.num_actions = num_actions;
+            c.num_explorers = num_explorers;
+            c.rollout_len = rollout_len;
+            c.seed = seed;
+        }
+        AlgorithmSpec::Reinforce(c) => {
+            c.obs_dim = obs_dim;
+            c.num_actions = num_actions;
+            c.num_explorers = num_explorers;
+            c.seed = seed;
+        }
+    }
+    spec
+}
+
 /// Fills environment dimensions and deployment-wide counts into the
 /// algorithm spec, returning the learner-side algorithm.
 pub fn build_algorithm(
@@ -106,49 +147,7 @@ pub fn build_algorithm(
     rollout_len: usize,
     seed: u64,
 ) -> Box<dyn Algorithm> {
-    match spec {
-        AlgorithmSpec::Dqn(c) => {
-            let mut c = c.clone();
-            c.obs_dim = obs_dim;
-            c.num_actions = num_actions;
-            c.num_explorers = num_explorers;
-            c.seed = seed;
-            Box::new(DqnAlgorithm::new(c))
-        }
-        AlgorithmSpec::Ppo(c) => {
-            let mut c = c.clone();
-            c.obs_dim = obs_dim;
-            c.num_actions = num_actions;
-            c.num_explorers = num_explorers;
-            c.rollout_len = rollout_len;
-            c.seed = seed;
-            Box::new(PpoAlgorithm::new(c))
-        }
-        AlgorithmSpec::Impala(c) => {
-            let mut c = c.clone();
-            c.obs_dim = obs_dim;
-            c.num_actions = num_actions;
-            c.seed = seed;
-            Box::new(ImpalaAlgorithm::new(c))
-        }
-        AlgorithmSpec::A2c(c) => {
-            let mut c = c.clone();
-            c.obs_dim = obs_dim;
-            c.num_actions = num_actions;
-            c.num_explorers = num_explorers;
-            c.rollout_len = rollout_len;
-            c.seed = seed;
-            Box::new(A2cAlgorithm::new(c))
-        }
-        AlgorithmSpec::Reinforce(c) => {
-            let mut c = c.clone();
-            c.obs_dim = obs_dim;
-            c.num_actions = num_actions;
-            c.num_explorers = num_explorers;
-            c.seed = seed;
-            Box::new(ReinforceAlgorithm::new(c))
-        }
-    }
+    build_algorithm_with_replay(spec, obs_dim, num_actions, num_explorers, rollout_len, seed, None)
 }
 
 /// Builds the store-resident replay plane when `config` asks for one
@@ -171,9 +170,9 @@ pub fn build_replay_plane(
 }
 
 /// Like [`build_algorithm`], but wires DQN onto the store-resident replay
-/// `plane` when one exists. Used by both the plain deployment and the
-/// supervisor's learner-restore path (the rebuilt learner must keep sampling
-/// the plane that survived its death).
+/// `plane` when one exists — at first spawn and on every learner restore
+/// (the rebuilt learner must keep sampling the plane that survived its
+/// death).
 pub fn build_algorithm_with_replay(
     spec: &AlgorithmSpec,
     obs_dim: usize,
@@ -183,18 +182,19 @@ pub fn build_algorithm_with_replay(
     seed: u64,
     plane: Option<&Arc<ReplayPlane>>,
 ) -> Box<dyn Algorithm> {
-    if let (AlgorithmSpec::Dqn(c), Some(plane)) = (spec, plane) {
-        let mut c = c.clone();
-        c.obs_dim = obs_dim;
-        c.num_actions = num_actions;
-        c.num_explorers = num_explorers;
-        c.seed = seed;
-        return Box::new(DqnAlgorithm::with_backend(
-            c,
-            Box::new(StoreResidentBackend::new(plane.clone())),
-        ));
+    match sized_spec(spec, obs_dim, num_actions, num_explorers, rollout_len, seed) {
+        AlgorithmSpec::Dqn(c) => match plane {
+            Some(plane) => Box::new(DqnAlgorithm::with_backend(
+                c,
+                Box::new(StoreResidentBackend::new(plane.clone())),
+            )),
+            None => Box::new(DqnAlgorithm::new(c)),
+        },
+        AlgorithmSpec::Ppo(c) => Box::new(PpoAlgorithm::new(c)),
+        AlgorithmSpec::Impala(c) => Box::new(ImpalaAlgorithm::new(c)),
+        AlgorithmSpec::A2c(c) => Box::new(A2cAlgorithm::new(c)),
+        AlgorithmSpec::Reinforce(c) => Box::new(ReinforceAlgorithm::new(c)),
     }
-    build_algorithm(spec, obs_dim, num_actions, num_explorers, rollout_len, seed)
 }
 
 /// Builds the explorer-side agent matching `spec`.
@@ -207,48 +207,13 @@ pub fn build_agent(
     seed: u64,
     explorer_index: u32,
 ) -> Box<dyn Agent> {
-    match spec {
-        AlgorithmSpec::Dqn(c) => {
-            let mut c = c.clone();
-            c.obs_dim = obs_dim;
-            c.num_actions = num_actions;
-            c.num_explorers = num_explorers;
-            c.seed = seed;
-            Box::new(DqnAgent::new(c, u64::from(explorer_index)))
-        }
-        AlgorithmSpec::Ppo(c) => {
-            let mut c = c.clone();
-            c.obs_dim = obs_dim;
-            c.num_actions = num_actions;
-            c.num_explorers = num_explorers;
-            c.rollout_len = rollout_len;
-            c.seed = seed;
-            Box::new(PpoAgent::new(c, u64::from(explorer_index)))
-        }
-        AlgorithmSpec::Impala(c) => {
-            let mut c = c.clone();
-            c.obs_dim = obs_dim;
-            c.num_actions = num_actions;
-            c.seed = seed;
-            Box::new(ImpalaAgent::new(c, u64::from(explorer_index)))
-        }
-        AlgorithmSpec::A2c(c) => {
-            let mut c = c.clone();
-            c.obs_dim = obs_dim;
-            c.num_actions = num_actions;
-            c.num_explorers = num_explorers;
-            c.rollout_len = rollout_len;
-            c.seed = seed;
-            Box::new(A2cAgent::new(c, u64::from(explorer_index)))
-        }
-        AlgorithmSpec::Reinforce(c) => {
-            let mut c = c.clone();
-            c.obs_dim = obs_dim;
-            c.num_actions = num_actions;
-            c.num_explorers = num_explorers;
-            c.seed = seed;
-            Box::new(ReinforceAgent::new(c, u64::from(explorer_index)))
-        }
+    let index = u64::from(explorer_index);
+    match sized_spec(spec, obs_dim, num_actions, num_explorers, rollout_len, seed) {
+        AlgorithmSpec::Dqn(c) => Box::new(DqnAgent::new(c, index)),
+        AlgorithmSpec::Ppo(c) => Box::new(PpoAgent::new(c, index)),
+        AlgorithmSpec::Impala(c) => Box::new(ImpalaAgent::new(c, index)),
+        AlgorithmSpec::A2c(c) => Box::new(A2cAgent::new(c, index)),
+        AlgorithmSpec::Reinforce(c) => Box::new(ReinforceAgent::new(c, index)),
     }
 }
 
@@ -262,7 +227,7 @@ impl Deployment {
     /// # Errors
     ///
     /// Returns [`DeployError`] if the configuration is inconsistent or names
-    /// an unknown environment.
+    /// an unknown environment, or if a process died during the run.
     pub fn run(config: DeploymentConfig) -> Result<RunReport, DeployError> {
         Deployment::run_with_telemetry(config, xt_telemetry::Telemetry::disabled())
     }
@@ -275,292 +240,23 @@ impl Deployment {
     /// the cluster clock:
     /// `Telemetry::with_time_source(cap, cluster.time_source())`.
     ///
+    /// This is [`Deployment::run_supervised`] with nothing to supervise: the
+    /// [`SupervisionConfig::unsupervised`] policy, no faults, and any process
+    /// death an error instead of a line in the recovery report.
+    ///
     /// # Errors
     ///
     /// Returns [`DeployError`] if the configuration is inconsistent or names
-    /// an unknown environment.
+    /// an unknown environment, or if a process died during the run.
     pub fn run_with_telemetry(
         config: DeploymentConfig,
         telemetry: xt_telemetry::Telemetry,
     ) -> Result<RunReport, DeployError> {
-        config.validate().map_err(DeployError)?;
-        let probe = build_env(&config.env, 0, config.obs_dim_override, config.step_latency_us)
-            .map_err(DeployError)?;
-        let obs_dim = probe.observation_dim();
-        let num_actions = probe.num_actions();
-        drop(probe);
-        let num_explorers = config.total_explorers();
-
-        let cluster = Cluster::new(config.cluster.clone());
-        let brokers: Vec<Broker> = (0..cluster.len())
-            .map(|m| {
-                Broker::with_telemetry(m, cluster.clone(), config.comm.clone(), telemetry.clone())
-            })
-            .collect();
-
-        // Connect the fabric first: endpoints registered afterwards propagate
-        // their routes to every peer broker live, so deployments can grow
-        // (or restart processes) without re-running a table merge.
-        connect_brokers(&brokers);
-        let shards = config.learner_shards as u32;
-        let mut learner_eps: Vec<_> = (0..shards.max(1))
-            .map(|s| brokers[config.learner_machine].endpoint(ProcessId::learner(s)))
-            .collect();
-        let controller_ep = brokers[config.learner_machine].endpoint(ProcessId::controller(0));
-        let explorer_eps: Vec<_> = (0..num_explorers)
-            .map(|i| brokers[config.explorer_machine(i)].endpoint(ProcessId::explorer(i)))
-            .collect();
-
-        // Store-resident replay: a shard service on the learner's machine owns
-        // ingestion; its endpoint is registered before the explorers start so
-        // their very first rollout has a route.
-        let plane = build_replay_plane(&config, obs_dim, &telemetry);
-        let replay_service = match &plane {
-            Some(plane) => {
-                let ep = brokers[config.learner_machine].endpoint(ProcessId::replay(0));
-                let stop = Arc::new(AtomicBool::new(false));
-                let (plane, stop2) = (plane.clone(), stop.clone());
-                let handle = spawn_process("xt-replay-0".into(), move || {
-                    xt_replay::run_replay_service(ep, plane, ProcessId::learner(0), stop2)
-                })?;
-                Some((stop, handle))
-            }
-            None => None,
-        };
-        // Explorer→learner routing (the relaxed assignment dependency):
-        // rollouts follow the live table with sharded learners, so a
-        // rebalance or shard respawn redirects the next batch; the classic
-        // destinations stay resolved once.
-        let table = Arc::new(AssignmentTable::contiguous(num_explorers, shards.max(1)));
-        let route = if plane.is_some() {
-            RolloutRoute::Fixed(ProcessId::replay(0))
-        } else if shards > 1 {
-            RolloutRoute::Assigned(table.clone())
-        } else {
-            RolloutRoute::Fixed(ProcessId::learner(0))
-        };
-
-        let build_checkpointer = |subdir: Option<String>| -> Result<_, DeployError> {
-            match &config.checkpoint {
-                Some(ckpt_config) => {
-                    let mut ckpt_config = ckpt_config.clone();
-                    if let Some(sub) = subdir {
-                        ckpt_config.dir = ckpt_config.dir.join(sub);
-                    }
-                    crate::checkpoint::Checkpointer::new(ckpt_config)
-                        .map(Some)
-                        .map_err(|e| DeployError(format!("cannot set up checkpoints: {e}")))
-                }
-                None => Ok(None),
-            }
-        };
-        let start = Instant::now();
-        let rollout_latency_src = learner_eps[0].delivery_stats_arc();
-        let param_compression = config.comm.param_compression;
-        let sync;
-        let algo_name;
-        let mut learner_thread = None;
-        let mut shard_threads = Vec::new();
-        if shards > 1 {
-            // One algorithm replica per shard, all built from the same seed
-            // (identical initial parameters — the sync allreduce requires
-            // it), each sized to the explorer slice it owns.
-            let mut first: Option<(SyncMode, String)> = None;
-            for (s, endpoint) in learner_eps.drain(..).enumerate() {
-                let s = s as u32;
-                let owned = table.owned(s).len() as u32;
-                let mut algorithm = build_algorithm(
-                    &config.algorithm,
-                    obs_dim,
-                    num_actions,
-                    owned,
-                    config.rollout_len,
-                    config.seed,
-                );
-                if let Some(params) = &config.initial_params {
-                    algorithm.load_params(params);
-                }
-                if first.is_none() {
-                    first = Some((algorithm.sync_mode(), algorithm.name().to_string()));
-                }
-                let checkpointer = build_checkpointer(Some(format!("shard{s}")))?;
-                let (table, mode) = (table.clone(), config.allreduce);
-                let handle = spawn_process(format!("xt-learner-{s}"), move || {
-                    LearnerShardProcess {
-                        shard: s,
-                        endpoint,
-                        algorithm,
-                        table,
-                        mode,
-                        checkpointer,
-                        probe: None,
-                        param_compression,
-                    }
-                    .run()
-                })?;
-                shard_threads.push(handle);
-            }
-            let (s, n) = first.expect("at least one shard");
-            sync = s;
-            algo_name = n;
-        } else {
-            let mut algorithm = build_algorithm_with_replay(
-                &config.algorithm,
-                obs_dim,
-                num_actions,
-                num_explorers,
-                config.rollout_len,
-                config.seed,
-                plane.as_ref(),
-            );
-            if let Some(params) = &config.initial_params {
-                algorithm.load_params(params);
-            }
-            sync = algorithm.sync_mode();
-            algo_name = algorithm.name().to_string();
-            let checkpointer = build_checkpointer(None)?;
-            let endpoint = learner_eps.pop().expect("one learner endpoint");
-            learner_thread = Some(spawn_process("xt-learner".into(), move || {
-                LearnerProcess {
-                    endpoint,
-                    algorithm,
-                    checkpointer,
-                    probe: None,
-                    param_compression,
-                }
-                .run()
-            })?);
-        }
-
-        let mut explorer_threads = Vec::new();
-        for (i, endpoint) in explorer_eps.into_iter().enumerate() {
-            let i = i as u32;
-            let env = build_env(
-                &config.env,
-                config.seed.wrapping_mul(1000).wrapping_add(u64::from(i)),
-                config.obs_dim_override,
-                config.step_latency_us,
-            )
-            .map_err(DeployError)?;
-            let agent = build_agent(
-                &config.algorithm,
-                obs_dim,
-                num_actions,
-                num_explorers,
-                config.rollout_len,
-                config.seed,
-                i,
-            );
-            let rollout_len = config.rollout_len;
-            let route = route.clone();
-            let handle = spawn_process(format!("xt-explorer-{i}"), move || {
-                ExplorerProcess {
-                    index: i,
-                    endpoint,
-                    env,
-                    agent,
-                    rollout_len,
-                    route,
-                    sync,
-                    probe: None,
-                }
-                .run()
-            })?;
-            explorer_threads.push(handle);
-        }
-
-        let controller = ControllerProcess {
-            endpoint: controller_ep,
-            goal_steps: config.goal_steps,
-            max_duration: Duration::from_secs_f64(config.max_seconds),
-            num_explorers,
-            num_learner_shards: shards.max(1),
-        };
-        let controller_outcome: ControllerOutcome = controller.run();
-
-        // Join the learner side: the single classic learner, or every shard.
-        // The aggregate outcome sums work across shards; the report's
-        // timeline/wait views are shard 0's (one representative stream).
-        let mut learner_shard_params: Vec<Vec<f32>> = Vec::new();
-        let learner_outcome: LearnerOutcome = if let Some(t) = learner_thread {
-            t.join().map_err(|_| DeployError("learner thread panicked".into()))?
-        } else {
-            let mut outcomes: Vec<LearnerOutcome> = Vec::new();
-            for t in shard_threads {
-                outcomes.push(
-                    t.join().map_err(|_| DeployError("learner shard thread panicked".into()))?,
-                );
-            }
-            learner_shard_params = outcomes.iter().map(|o| o.final_params.clone()).collect();
-            let mut agg = outcomes.remove(0);
-            for o in outcomes {
-                agg.steps_consumed += o.steps_consumed;
-                agg.train_sessions += o.train_sessions;
-                agg.train_time += o.train_time;
-            }
-            agg
-        };
-        let mut explorer_outcomes: Vec<ExplorerOutcome> = Vec::new();
-        for t in explorer_threads {
-            explorer_outcomes
-                .push(t.join().map_err(|_| DeployError("explorer thread panicked".into()))?);
-        }
-        let wall_time = start.elapsed();
-        // The replay service stops after the producers and the consumer: every
-        // rollout already in the channel still gets ingested, and the plane's
-        // integrity audit runs on the final state.
-        let replay = match replay_service {
-            Some((stop, handle)) => {
-                stop.store(true, Ordering::Release);
-                let outcome = handle
-                    .join()
-                    .map_err(|_| DeployError("replay service thread panicked".into()))?;
-                let integrity =
-                    plane.as_ref().expect("replay service implies a plane").integrity();
-                Some(ReplayReport {
-                    batches_ingested: outcome.batches_ingested,
-                    steps_ingested: outcome.steps_ingested,
-                    sample_requests: outcome.sample_requests,
-                    resident: integrity.resident,
-                    dangling_slots: integrity.dangling_slots,
-                })
-            }
-            None => None,
-        };
-        for b in &brokers {
-            b.shutdown();
-        }
-        let dropped_messages: u64 = brokers.iter().map(Broker::dropped).sum();
-
-        // Episode returns: authoritative from explorer trackers (the
-        // controller's copy may miss in-flight tails at shutdown).
-        let mut episode_returns = Vec::new();
-        for o in &explorer_outcomes {
-            episode_returns.extend_from_slice(o.tracker.returns());
-        }
-        let _ = controller_outcome;
-
-        let mean_train_time = if learner_outcome.train_sessions > 0 {
-            learner_outcome.train_time / learner_outcome.train_sessions as u32
-        } else {
-            Duration::ZERO
-        };
-        Ok(RunReport {
-            algorithm: algo_name,
-            env: config.env.clone(),
-            steps_consumed: learner_outcome.steps_consumed,
-            wall_time,
-            timeline: learner_outcome.timeline,
-            learner_wait: learner_outcome.wait_stats,
-            rollout_latency: rollout_latency_src,
-            episode_returns,
-            train_sessions: learner_outcome.train_sessions,
-            mean_train_time,
-            final_params: learner_outcome.final_params,
-            learner_shard_params,
-            replay,
-            dropped_messages,
-        })
+        let plan = FaultPlan::seeded(config.seed);
+        let (report, recovery) =
+            Deployment::run_supervised(config, SupervisionConfig::unsupervised(), plan, telemetry)?;
+        recovery.undegraded()?;
+        Ok(report)
     }
 }
 

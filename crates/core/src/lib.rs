@@ -15,19 +15,26 @@
 //!
 //! * [`config`] — deployment description (machines, explorer placement,
 //!   algorithm, goals);
-//! * [`explorer`] / [`learner`] — the two workhorse processes;
+//! * [`explorer`] / [`learner`] — the two workhorse processes. There is one
+//!   learner process for every shard count: the classic learner is the
+//!   one-shard case with no peers to exchange gradients with ([`shard`] holds
+//!   the lockstep rounds peers run under the sync allreduce);
 //! * [`controller`] — the center controller: statistics collection and
 //!   goal-driven shutdown (paper §3.2.2);
-//! * [`deployment`] — builds brokers and processes, runs to completion, and
-//!   returns a [`stats::RunReport`];
+//! * [`deployment`] — the environment/algorithm/agent builders and the plain
+//!   entry points [`Deployment::run`] / [`Deployment::run_with_telemetry`],
+//!   which return a [`stats::RunReport`];
 //! * [`dummy`] — the paper's dummy DRL algorithm (§5.1) for measuring raw
 //!   data-transmission efficiency;
 //! * [`pbt`] — population-based training on top of isolated broker sets
 //!   (paper §4.3);
 //! * [`checkpoint`] — periodic DNN checkpoints for fault tolerance (paper
 //!   §4.2);
-//! * [`supervisor`] — heartbeat-driven failure detection and supervised
-//!   recovery (respawn, checkpoint restore) under injected faults.
+//! * [`supervisor`] — the one process graph: [`Deployment::run_supervised`]
+//!   builds brokers and processes, supervises them (heartbeat-driven failure
+//!   detection, respawn, checkpoint restore, injected faults) and joins them.
+//!   The plain entry points are this graph under
+//!   [`SupervisionConfig::unsupervised`]: zero budgets, no heartbeats.
 //!
 //! # Examples
 //!

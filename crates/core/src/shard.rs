@@ -1,181 +1,48 @@
-//! The sharded learner process: one of N learner shards cooperating on a
-//! single model.
+//! Lockstep gradient exchange between peer learner shards.
 //!
-//! Each shard owns a slice of the explorer population through the relaxed
-//! [`AssignmentTable`] (rollouts follow the table, not a destination frozen
-//! at deployment build), trains on its locally received data, and exchanges
-//! gradients with its peer shards over the ordinary comm channel
-//! (`MessageKind::Gradient`). Two exchange disciplines exist, selected by
-//! [`AllreduceMode`]:
+//! The sync half of [`LearnerProcess`] (see [`crate::learner`] for the
+//! process itself and the relaxed discipline), entered only for
+//! [`crate::config::AllreduceMode::Sync`] **with peers**: lockstep rounds
+//! through [`GradExchange`]. The round's global batch is split into
+//! [`GRAD_SLOTS`] fixed slots, every shard computes raw gradients for its
+//! owned slots (scaled by the *global* row count, with the loss contribution
+//! carried as one trailing element), the slot blobs are allgathered, folded
+//! flat in slot order, and exactly one optimizer step applies the fold. The
+//! same float additions happen in the same order on every shard and for every
+//! legal shard count, so the same seed yields bit-identical parameters for 1,
+//! 2, and 4 shards. A shard that rejoins after a crash announces itself by
+//! sending slot blobs for an old round; any peer answers with a full
+//! parameter snapshot (`MessageKind::Parameters`, shard→shard) that the
+//! rejoiner adopts via [`GradExchange::fast_forward`].
 //!
-//! * **Sync** — lockstep rounds through [`GradExchange`]: the round's global
-//!   batch is split into [`GRAD_SLOTS`] fixed slots, every shard computes raw
-//!   gradients for its owned slots (scaled by the *global* row count, with
-//!   the loss contribution carried as one trailing element), the slot blobs
-//!   are allgathered, folded flat in slot order, and exactly one optimizer
-//!   step applies the fold. The same float additions happen in the same
-//!   order on every shard and for every legal shard count, so the same seed
-//!   yields bit-identical parameters for 1, 2, and 4 shards. A shard that
-//!   rejoins after a crash announces itself by sending slot blobs for an old
-//!   round; any peer answers with a full parameter snapshot
-//!   (`MessageKind::Parameters`, shard→shard) that the rejoiner adopts via
-//!   [`GradExchange::fast_forward`].
-//!
-//! * **Relaxed** — each shard trains independently with
-//!   [`Algorithm::try_train`] and gossips parameter *deltas* to its peers
-//!   through the LAPG [`LazyGradGate`] (uploads only when the compensated
-//!   delta beats the adaptive threshold — `comm.grad_skips` counts the
-//!   saved sends). A receiving shard applies a delta only while the sender's
-//!   version is within [`MAX_SKEW`] of its own; anything staler is shed
-//!   (`learn.grad_shed`), trading determinism for never stalling the ring.
-//!
-//! In both modes the shard broadcasts fresh parameters to the explorers it
-//! *currently* owns per the assignment table — a rebalanced or re-owned
-//! explorer simply starts receiving from its new shard (the broadcaster's
-//! per-explorer delta bookkeeping falls back to full-f32 for first contact).
+//! As in the relaxed discipline, the shard broadcasts fresh parameters to the
+//! explorers it *currently* owns per the assignment table — a rebalanced or
+//! re-owned explorer simply starts receiving from its new shard (the
+//! broadcaster's per-explorer delta bookkeeping falls back to full-f32 for
+//! first contact).
 
-use crate::allreduce::{within_skew, GradExchange, GRAD_SLOTS};
-use crate::assignment::AssignmentTable;
-use crate::checkpoint::Checkpointer;
-use crate::config::AllreduceMode;
-use crate::learner::LearnerOutcome;
-use crate::messages::{ControlCommand, ParamAck, StatsMsg};
+use crate::allreduce::{GradExchange, GRAD_SLOTS};
+use crate::learner::{LearnerProcess, LearnerRun};
+use crate::messages::{ControlCommand, ParamAck};
 use crate::parameters::ParamBroadcaster;
-use crate::stats::ThroughputTimeline;
 use bytes::Bytes;
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xingtian_algos::api::Algorithm;
 use xingtian_algos::payload::{BatchDecoder, ParamBlob, RolloutStep};
-use xingtian_algos::{GradBlob, LazyGradConfig, LazyGradGate};
-use xingtian_comm::{Endpoint, ParamCompression, TransmissionStats};
+use xingtian_algos::GradBlob;
 use xingtian_message::codec::{Decode, Encode};
-use xingtian_message::{Header, Message, MessageKind, ProcessId, ProcessRole};
-
-/// Maximum parameter-version distance a relaxed-mode delta may carry before
-/// the receiving shard sheds it instead of applying it.
-pub const MAX_SKEW: u64 = 8;
+use xingtian_message::{Message, MessageKind, ProcessId, ProcessRole};
 
 /// How long a sync-mode shard blocks per wait slice while its peers finish
 /// their slots. Short enough that round completion is checked promptly,
 /// long enough not to spin.
 const SYNC_POLL: Duration = Duration::from_millis(2);
 
-/// One learner shard (`ProcessId::learner(shard)`).
-pub struct LearnerShardProcess {
-    /// This shard's index in the learner group.
-    pub shard: u32,
-    /// Communication endpoint (`ProcessId::learner(shard)`).
-    pub endpoint: Endpoint,
-    /// The algorithm replica this shard trains.
-    pub algorithm: Box<dyn Algorithm>,
-    /// Live explorer→shard ownership, shared with the explorers' routing.
-    pub table: Arc<AssignmentTable>,
-    /// Gradient-exchange discipline.
-    pub mode: AllreduceMode,
-    /// Optional periodic checkpointing (pointed at this shard's own
-    /// subdirectory by the deployment).
-    pub checkpointer: Option<Checkpointer>,
-    /// Fault-injection kill switch, pulsed once per completed session.
-    pub probe: Option<xt_fault::ProcessProbe>,
-    /// Parameter-broadcast encoding toward owned explorers.
-    pub param_compression: ParamCompression,
-}
-
-/// Per-run mutable state shared by both exchange disciplines.
-struct ShardRun {
-    timeline: ThroughputTimeline,
-    wait_stats: TransmissionStats,
-    steps_consumed: u64,
-    train_sessions: u64,
-    train_time: Duration,
-    waited: Duration,
-}
-
-impl LearnerShardProcess {
-    /// Runs the shard until the controller broadcasts shutdown.
-    pub fn run(mut self) -> LearnerOutcome {
-        self.algorithm.attach_telemetry(self.endpoint.telemetry());
-        let run = ShardRun {
-            timeline: ThroughputTimeline::new(),
-            wait_stats: TransmissionStats::new(),
-            steps_consumed: 0,
-            train_sessions: 0,
-            train_time: Duration::ZERO,
-            waited: Duration::ZERO,
-        };
-        let run = match self.mode {
-            AllreduceMode::Sync => self.run_sync(run),
-            AllreduceMode::Relaxed => self.run_relaxed(run),
-        };
-        let final_params = self.algorithm.param_blob().params;
-        LearnerOutcome {
-            steps_consumed: run.steps_consumed,
-            timeline: run.timeline,
-            wait_stats: run.wait_stats,
-            train_sessions: run.train_sessions,
-            train_time: run.train_time,
-            final_params,
-        }
-    }
-
-    /// Post-session bookkeeping shared by both modes: timeline, wait, the
-    /// checkpoint→probe ordering, the parameter broadcast to currently owned
-    /// explorers, and the stats report to the controller.
-    fn finish_session(
-        &mut self,
-        run: &mut ShardRun,
-        broadcaster: &mut ParamBroadcaster,
-        steps_consumed: usize,
-        notify: bool,
-    ) {
-        run.train_sessions += 1;
-        run.steps_consumed += steps_consumed as u64;
-        run.timeline.record(steps_consumed as u64);
-        run.wait_stats.record(run.waited);
-        run.waited = Duration::ZERO;
-        if let Some(ckpt) = &mut self.checkpointer {
-            ckpt.on_session(&self.algorithm.param_blob());
-        }
-        // Chaos hook after the checkpoint hook, as in the classic learner: a
-        // shard killed on session N has persisted what the policy promised.
-        if let Some(probe) = &self.probe {
-            probe.pulse();
-        }
-        if notify {
-            // Broadcast to whatever the table says we own *right now* — the
-            // algorithm's notify indices reflect the deployment-wide explorer
-            // count, not this shard's live slice.
-            let owned = self.table.owned(self.shard);
-            if !owned.is_empty() {
-                let blob = self.algorithm.param_blob();
-                let enc = broadcaster.encode(&blob, &owned);
-                let dst: Vec<ProcessId> = owned.iter().map(|&e| ProcessId::explorer(e)).collect();
-                let mut header = Header::new(self.endpoint.pid(), dst, MessageKind::Parameters)
-                    .with_param_version(enc.version);
-                header.compression = enc.compression;
-                self.endpoint.send(Message::new(header, enc.body));
-            }
-        }
-        let stats = StatsMsg {
-            source: StatsMsg::LEARNER,
-            steps: steps_consumed as u64,
-            episode_returns: Vec::new(),
-        };
-        self.endpoint.send_to(
-            vec![ProcessId::controller(0)],
-            MessageKind::Stats,
-            Bytes::from(stats.to_bytes()),
-        );
-    }
-
-    // ---------------------------------------------------------------- sync
-
-    fn run_sync(&mut self, mut run: ShardRun) -> ShardRun {
+impl LearnerProcess {
+    /// Runs lockstep rounds with `peers` (non-empty: a round with nobody to
+    /// be in step with is the train-on-arrival loop's job) until shutdown.
+    pub(crate) fn run_sync(&mut self, run: &mut LearnerRun, peers: &[ProcessId]) {
         let shards = self.table.shards();
-        let peers: Vec<ProcessId> =
-            (0..shards).filter(|&p| p != self.shard).map(ProcessId::learner).collect();
         let telemetry = self.endpoint.telemetry();
         let wait_hist = telemetry.histogram("learner.wait_ns");
         let train_hist = telemetry.histogram("learn.train_ns");
@@ -195,15 +62,8 @@ impl LearnerShardProcess {
         // their current round's slot blobs (the originals died with our old
         // endpoint). The sentinel slot index keeps `ingest` from mistaking
         // the hello for a gradient.
-        if !peers.is_empty() {
-            let hello =
-                GradBlob { worker: u32::MAX, version: exchange.round(), grad: Vec::new() };
-            self.endpoint.send_to(
-                peers.clone(),
-                MessageKind::Gradient,
-                Bytes::from(hello.to_bytes()),
-            );
-        }
+        let hello = GradBlob { worker: u32::MAX, version: exchange.round(), grad: Vec::new() };
+        self.endpoint.send_to(peers.to_vec(), MessageKind::Gradient, Bytes::from(hello.to_bytes()));
         let global_rows = {
             let sync = self.algorithm.sharded_sync().expect(
                 "sync allreduce requires a ShardedSync algorithm (checked by config validation)",
@@ -279,18 +139,16 @@ impl LearnerShardProcess {
                         // fold reduces it bit-identically alongside the
                         // gradient.
                         grad.push(loss);
-                        if !peers.is_empty() {
-                            let blob = exchange.blob_for(slot, grad.clone());
-                            self.endpoint.send_to(
-                                peers.clone(),
-                                MessageKind::Gradient,
-                                Bytes::from(blob.to_bytes()),
-                            );
-                        }
+                        let blob = exchange.blob_for(slot, grad.clone());
+                        self.endpoint.send_to(
+                            peers.to_vec(),
+                            MessageKind::Gradient,
+                            Bytes::from(blob.to_bytes()),
+                        );
                         exchange.offer_local(slot, std::mem::take(&mut grad));
                     }
                     let dt = t_compute.elapsed();
-                    run.train_time += dt;
+                    run.outcome.train_time += dt;
                     train_hist.record_duration(dt);
                     round_open = Some((exchange.round(), Instant::now()));
                     progressed = true;
@@ -310,17 +168,16 @@ impl LearnerShardProcess {
                         .expect("checked above")
                         .apply_reduced_grad(&folded, global_rows, loss);
                     let dt = t_apply.elapsed();
-                    run.train_time += dt;
+                    run.outcome.train_time += dt;
                     train_hist.record_duration(dt);
                     wait_hist.record_duration(run.waited);
                     sessions_counter.inc();
                     rounds_counter.inc();
-                    let notify = !report.notify.is_empty();
                     // Report only this shard's share of the round: every
                     // shard applies the same global batch, so reporting the
                     // full count S times would make goal semantics (and the
                     // controller's step sum) depend on the shard count.
-                    self.finish_session(&mut run, &mut broadcaster, local_rows, notify);
+                    self.finish_session(run, &mut broadcaster, local_rows, report.notify);
                     round_open = None;
                     progressed = true;
                 }
@@ -354,16 +211,15 @@ impl LearnerShardProcess {
                 // Bookkeeping only: the controller and the explorers are
                 // already shutting down, so no broadcast and no stats send.
                 let _ = report;
-                run.train_sessions += 1;
-                run.steps_consumed += local_rows as u64;
-                run.timeline.record(local_rows as u64);
+                run.outcome.train_sessions += 1;
+                run.outcome.steps_consumed += local_rows as u64;
+                run.outcome.timeline.record(local_rows as u64);
                 if let Some(ckpt) = &mut self.checkpointer {
                     ckpt.on_session(&self.algorithm.param_blob());
                 }
             }
         }
         exchange.abandon();
-        run
     }
 
     /// Processes one sync-mode message. Returns `true` on shutdown.
@@ -430,158 +286,6 @@ impl LearnerShardProcess {
                         if blob.version > exchange.round() {
                             self.algorithm.adopt_params(&blob.params, blob.version);
                             exchange.fast_forward(blob.version);
-                        }
-                    }
-                }
-                false
-            }
-            MessageKind::ParamAck => {
-                if let Ok(ack) = ParamAck::from_bytes(&msg.body) {
-                    broadcaster.on_ack(&ack);
-                }
-                false
-            }
-            MessageKind::Control => {
-                matches!(ControlCommand::from_bytes(&msg.body), Ok(ControlCommand::Shutdown))
-            }
-            _ => false,
-        }
-    }
-
-    // ------------------------------------------------------------- relaxed
-
-    fn run_relaxed(&mut self, mut run: ShardRun) -> ShardRun {
-        let shards = self.table.shards();
-        let peers: Vec<ProcessId> =
-            (0..shards).filter(|&p| p != self.shard).map(ProcessId::learner).collect();
-        let telemetry = self.endpoint.telemetry();
-        let wait_hist = telemetry.histogram("learner.wait_ns");
-        let train_hist = telemetry.histogram("learn.train_ns");
-        let decode_hist = telemetry.histogram("learn.decode_ns");
-        let sessions_counter = telemetry.counter("learner.train_sessions");
-        let shed_counter = telemetry.counter("learn.grad_shed");
-        let applied_counter = telemetry.counter("learn.grad_applied");
-        let mut decoder = BatchDecoder::new();
-        let mut broadcaster = ParamBroadcaster::new(self.param_compression, telemetry);
-        let mut gate = LazyGradGate::with_telemetry(LazyGradConfig::default(), telemetry);
-        // Parameters at the previous offer, the baseline the next delta is
-        // measured against. Peer deltas are folded into it on apply so the
-        // gossip does not echo back what a peer just sent us.
-        let mut prev = self.algorithm.param_blob().params;
-        gate.observe_params(&prev);
-
-        'outer: loop {
-            let t0 = Instant::now();
-            let Some(msg) = self.endpoint.recv() else { break };
-            run.waited += t0.elapsed();
-            if self.on_relaxed_message(
-                msg,
-                &mut decoder,
-                &decode_hist,
-                &mut broadcaster,
-                &mut prev,
-                &shed_counter,
-                &applied_counter,
-            ) {
-                break;
-            }
-            while let Some(extra) = self.endpoint.try_recv() {
-                if self.on_relaxed_message(
-                    extra,
-                    &mut decoder,
-                    &decode_hist,
-                    &mut broadcaster,
-                    &mut prev,
-                    &shed_counter,
-                    &applied_counter,
-                ) {
-                    break 'outer;
-                }
-            }
-            while let Some(report) = {
-                let t = Instant::now();
-                let r = self.algorithm.try_train();
-                if r.is_some() {
-                    let dt = t.elapsed();
-                    run.train_time += dt;
-                    train_hist.record_duration(dt);
-                }
-                r
-            } {
-                wait_hist.record_duration(run.waited);
-                sessions_counter.inc();
-                // Offer this session's parameter movement to the LAPG gate;
-                // accepted deltas gossip to every peer shard.
-                let blob = self.algorithm.param_blob();
-                gate.observe_params(&blob.params);
-                if prev.len() == blob.params.len() {
-                    let delta: Vec<f32> =
-                        blob.params.iter().zip(&prev).map(|(n, p)| n - p).collect();
-                    if let Some(up) = gate.offer(&delta) {
-                        if !peers.is_empty() {
-                            let gb =
-                                GradBlob { worker: self.shard, version: blob.version, grad: up };
-                            self.endpoint.send_to(
-                                peers.clone(),
-                                MessageKind::Gradient,
-                                Bytes::from(gb.to_bytes()),
-                            );
-                        }
-                    }
-                }
-                prev = blob.params;
-                let notify = !report.notify.is_empty();
-                self.finish_session(&mut run, &mut broadcaster, report.steps_consumed, notify);
-            }
-            while let Some(spent) = self.algorithm.take_spent() {
-                decoder.recycle(spent);
-            }
-        }
-        run
-    }
-
-    /// Processes one relaxed-mode message. Returns `true` on shutdown.
-    #[allow(clippy::too_many_arguments)]
-    fn on_relaxed_message(
-        &mut self,
-        msg: Message,
-        decoder: &mut BatchDecoder,
-        decode_hist: &xt_telemetry::HistogramHandle,
-        broadcaster: &mut ParamBroadcaster,
-        prev: &mut [f32],
-        shed_counter: &xt_telemetry::CounterHandle,
-        applied_counter: &xt_telemetry::CounterHandle,
-    ) -> bool {
-        match msg.header.kind {
-            MessageKind::Rollout => {
-                let t0 = Instant::now();
-                if let Ok(batch) = decoder.decode(&msg.body) {
-                    self.algorithm.on_rollout(batch);
-                }
-                decode_hist.record_duration(t0.elapsed());
-                false
-            }
-            MessageKind::Gradient => {
-                if let Ok(blob) = GradBlob::from_bytes(&msg.body) {
-                    if !within_skew(self.algorithm.version(), blob.version, MAX_SKEW) {
-                        // Too stale (or too far ahead): shed. The sender's
-                        // gate residual keeps the mass for its next offer.
-                        shed_counter.inc();
-                    } else {
-                        let mut params = self.algorithm.param_blob().params;
-                        if params.len() == blob.grad.len() {
-                            for (p, d) in params.iter_mut().zip(&blob.grad) {
-                                *p += d;
-                            }
-                            self.algorithm.load_params(&params);
-                            // Fold the peer delta into the offer baseline so
-                            // our next delta is our own movement only.
-                            if prev.len() == blob.grad.len() {
-                                for (p, d) in prev.iter_mut().zip(&blob.grad) {
-                                    *p += d;
-                                }
-                            }
-                            applied_counter.inc();
                         }
                     }
                 }

@@ -1,11 +1,18 @@
-//! Supervised deployments: failure detection and process recovery.
+//! The deployment graph and its supervisor: spawn, failure detection,
+//! process recovery, join.
 //!
-//! [`Deployment::run`] assumes every process survives to shutdown; a single
-//! explorer panic aborts the whole run. This module adds the fault-tolerance
-//! layer the paper attributes to the framework (§4.2): a supervisor thread
-//! owns every workhorse `JoinHandle`, a broker-level heartbeat stream feeds
-//! an [`xt_fault::FailureDetector`], and dead processes are respawned onto
-//! fresh endpoints whose routes propagate live through the broker fabric.
+//! [`Deployment::run_supervised`] is the one place the training plane is
+//! built — the paper's launch sequence (§3.2.2: brokers, fabric, learner,
+//! explorers, controller, run until the controller broadcasts shutdown) —
+//! and it carries the fault-tolerance layer the paper attributes to the
+//! framework (§4.2): the calling thread owns every workhorse `JoinHandle`, a
+//! broker-level heartbeat stream feeds an [`xt_fault::FailureDetector`], and
+//! dead processes are respawned onto fresh endpoints whose routes propagate
+//! live through the broker fabric. What a given run gets of that is set by
+//! the values of its [`SupervisionConfig`], not by a second code path: a zero
+//! budget never respawns, a zero heartbeat period creates no beacons, monitor
+//! endpoints or detector ([`SupervisionConfig::unsupervised`], which is
+//! [`Deployment::run`]).
 //!
 //! Division of authority, deliberately split:
 //!
@@ -15,41 +22,45 @@
 //! * the **supervisor** respawns only on proof of death: a `JoinHandle` that
 //!   joins with `Err` (the thread panicked and fully unwound, so its endpoint
 //!   is deregistered). Respawning a merely-partitioned process would register
-//!   a duplicate endpoint and corrupt routing. The respawn itself additionally
-//!   waits for the detector to confirm the death, so recovery provably flows
-//!   injection → detection → recovery and telemetry always shows the
-//!   `ProcessDown` before the respawned process's `ProcessUp`.
+//!   a duplicate endpoint and corrupt routing. With a detector, the respawn
+//!   itself additionally waits for it to confirm the death, so recovery
+//!   provably flows injection → detection → recovery and telemetry always
+//!   shows the `ProcessDown` before the respawned process's `ProcessUp`.
 //!
 //! Recovery paths:
 //!
 //! * **Explorer death** — respawn with a fresh endpoint (same `ProcessId`,
 //!   new generation seed). Registration re-propagates the route to every
 //!   peer broker, so cross-machine senders recover automatically. Budget
-//!   exhausted → degrade: training continues on the survivors.
+//!   exhausted → degrade: training continues on the survivors and the
+//!   explorer is listed in [`RecoveryReport::degraded_explorers`].
 //! * **Learner death** — rebuild the algorithm, restore parameters from the
 //!   newest restorable checkpoint ([`crate::checkpoint::load_latest`] falls
 //!   back through versioned files), respawn. Rollouts buffered for the dead
 //!   incarnation are consumed by the new one; batches staler than the
 //!   restored parameters are ordinary off-policy data, and spent batches are
-//!   shed through `Algorithm::take_spent` recycling as usual.
+//!   shed through `Algorithm::take_spent` recycling as usual. Budget
+//!   exhausted → the run is wound down and returns the error.
 
 use crate::assignment::AssignmentTable;
-use crate::checkpoint::load_latest;
+use crate::checkpoint::{load_latest, CheckpointConfig, Checkpointer};
 use crate::config::DeploymentConfig;
-use crate::controller::{ControllerOutcome, ControllerProcess};
+use crate::controller::ControllerProcess;
 use crate::deployment::{
-    build_agent, build_algorithm, build_algorithm_with_replay, build_env, build_replay_plane,
-    spawn_process, DeployError,
+    build_agent, build_algorithm_with_replay, build_env, build_replay_plane, spawn_process,
+    DeployError,
 };
 use crate::elastic::{ElasticConfig, ElasticController, ElasticDecision};
 use crate::explorer::{ExplorerOutcome, ExplorerProcess, RolloutRoute};
 use crate::learner::{LearnerOutcome, LearnerProcess};
-use crate::shard::LearnerShardProcess;
+use crate::messages::ControlCommand;
 use crate::stats::{ReplayReport, RunReport};
 use crate::Deployment;
 use bytes::Bytes;
 use netsim::Cluster;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -66,7 +77,9 @@ pub const MONITOR: ProcessId = ProcessId { role: ProcessRole::Broker, index: u32
 /// Supervision policy for [`Deployment::run_supervised`].
 #[derive(Debug, Clone)]
 pub struct SupervisionConfig {
-    /// Heartbeat beacon period for every endpoint (milliseconds).
+    /// Heartbeat beacon period for every endpoint (milliseconds). Zero means
+    /// no beacons: no monitor endpoints are registered, no failure detector
+    /// runs, and a respawn waits only for proof of death.
     pub heartbeat_interval_ms: u64,
     /// Failure-detector tuning. Defaults match `heartbeat_interval_ms`.
     pub detector: DetectorConfig,
@@ -76,7 +89,8 @@ pub struct SupervisionConfig {
     /// How many times the learner may be restored from checkpoint.
     pub max_learner_restores: u32,
     /// Supervisor poll period (milliseconds): heartbeat drain, detector
-    /// sweep, and join-handle reaping happen once per tick.
+    /// sweep, and join-handle reaping happen once per tick (the controller
+    /// ending the run is noticed at once, not at a tick).
     pub poll_interval_ms: u64,
     /// Monitor heartbeat-sink shards. Every beacon hashes onto one of this
     /// many monitor endpoints (stable per sender, so inter-arrival stays
@@ -109,6 +123,19 @@ impl SupervisionConfig {
         }
     }
 
+    /// The policy with nothing to supervise — what [`Deployment::run`] runs
+    /// under. No beacons, no respawn or restore budget, no elastic pool: an
+    /// explorer death degrades the run ([`RecoveryReport::degraded_explorers`])
+    /// and a learner death ends it, reported within a poll period.
+    pub fn unsupervised() -> Self {
+        SupervisionConfig {
+            heartbeat_interval_ms: 0,
+            max_respawns_per_explorer: 0,
+            max_learner_restores: 0,
+            ..SupervisionConfig::default()
+        }
+    }
+
     /// Shards the monitor heartbeat sink (builder style; clamped to ≥ 1).
     pub fn with_monitor_shards(mut self, shards: u32) -> Self {
         self.monitor_shards = shards.max(1);
@@ -128,6 +155,10 @@ pub struct RecoveryReport {
     /// Indices of explorers that were respawned, in respawn order (an index
     /// appears once per respawn).
     pub explorer_respawns: Vec<u32>,
+    /// Indices of explorers that died and were *not* replaced — out of
+    /// respawn budget, unspawnable, or panicked during shutdown. Training
+    /// carried on without them.
+    pub degraded_explorers: Vec<u32>,
     /// How many times a learner (any shard) was restored from checkpoint.
     pub learner_restores: u32,
     /// Restore count per learner shard, in shard order (length 1 for the
@@ -137,8 +168,9 @@ pub struct RecoveryReport {
     pub restored_param_version: Option<u64>,
     /// Liveness transitions the failure detector published, in order.
     pub transitions: Vec<LivenessTransition>,
-    /// Processes still considered down when the run ended (degraded
-    /// explorers, or partitioned processes whose beats never resumed).
+    /// Processes the failure detector still considered down when the run
+    /// ended (degraded explorers, or partitioned processes whose beats never
+    /// resumed). Always empty without a detector.
     pub down_at_exit: Vec<ProcessId>,
     /// Objects left in the brokers' stores after every process exited —
     /// anything nonzero is a leak.
@@ -158,6 +190,20 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
+    /// The failure signal of a run that promised no recovery
+    /// ([`Deployment::run`]): an explorer that died is an error, not a
+    /// degradation to carry on from.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeployError`] naming the degraded explorers, if any.
+    pub fn undegraded(&self) -> Result<(), DeployError> {
+        if self.degraded_explorers.is_empty() {
+            return Ok(());
+        }
+        Err(DeployError::new(format!("explorer threads panicked: {:?}", self.degraded_explorers)))
+    }
+
     /// The liveness transitions of learner shards only.
     pub fn learner_transitions(&self) -> Vec<LivenessTransition> {
         self.transitions.iter().filter(|t| t.pid.role == ProcessRole::Learner).copied().collect()
@@ -169,13 +215,16 @@ impl RecoveryReport {
     }
 }
 
-/// Handles and bookkeeping for one supervised explorer slot.
-struct ExplorerSlot {
-    handle: Option<JoinHandle<ExplorerOutcome>>,
+/// Handle and bookkeeping for one supervised process slot: an explorer, or a
+/// learner shard (the classic deployment is the one-shard case).
+struct Slot<T> {
+    handle: Option<JoinHandle<T>>,
+    /// Times the slot was respawned (for a learner: restored).
     respawns: u32,
-    /// Outcomes of every finished incarnation (episode stats accumulate
-    /// across respawns).
-    outcomes: Vec<ExplorerOutcome>,
+    /// Outcomes of every finished incarnation, oldest first (episode stats
+    /// and learner work accumulate across respawns; a learner's final
+    /// parameters and timeline come from the last).
+    outcomes: Vec<T>,
     /// Death is proven (joined `Err`) but the respawn waits for the failure
     /// detector to publish the matching `ProcessDown` first.
     awaiting_detection: bool,
@@ -184,20 +233,34 @@ struct ExplorerSlot {
     retired: bool,
 }
 
-/// Handles and bookkeeping for one supervised learner shard (the classic
-/// deployment is the one-shard case).
-struct LearnerSlot {
-    handle: Option<JoinHandle<LearnerOutcome>>,
-    restores: u32,
-    awaiting_detection: bool,
-    /// Outcome of the most recent finished incarnation (final parameters and
-    /// timeline come from here).
-    last_outcome: Option<LearnerOutcome>,
+impl<T> Slot<T> {
+    fn new(handle: JoinHandle<T>) -> Self {
+        Slot {
+            handle: Some(handle),
+            respawns: 0,
+            outcomes: Vec::new(),
+            awaiting_detection: false,
+            retired: false,
+        }
+    }
+
+    /// Joins the slot's thread — if it has finished, or unconditionally when
+    /// `wait` — keeping a normal exit's outcome. `Some(Err(()))` proves the
+    /// thread panicked and fully unwound: its endpoint is deregistered, so
+    /// the same `ProcessId` can re-register safely.
+    fn join(&mut self, wait: bool) -> Option<Result<(), ()>> {
+        let handle = self.handle.take_if(|h| wait || h.is_finished())?;
+        Some(handle.join().map(|outcome| self.outcomes.push(outcome)).map_err(drop))
+    }
 }
 
 impl Deployment {
-    /// Runs `config` under supervision: heartbeat-driven failure detection,
-    /// panic recovery with respawn, and fault injection from `plan`.
+    /// Builds the deployment graph for `config` — brokers, fabric, replay
+    /// service, learner shards, explorers, controller — and runs it under
+    /// `supervision`: failure detection, panic recovery with respawn, and
+    /// fault injection from `plan`. This is the only code that spawns and
+    /// joins the training-plane processes; [`Deployment::run`] calls it with
+    /// [`SupervisionConfig::unsupervised`] and an empty plan.
     ///
     /// Pass [`FaultPlan::seeded`] with no faults for plain supervised
     /// operation, or a populated plan for a chaos run — the plan's link
@@ -208,7 +271,8 @@ impl Deployment {
     /// # Errors
     ///
     /// Returns [`DeployError`] if the configuration is invalid, a process
-    /// cannot be (re)spawned, or the controller itself dies.
+    /// cannot be (re)spawned, a learner dies past its restore budget, or the
+    /// controller itself dies.
     pub fn run_supervised(
         config: DeploymentConfig,
         supervision: SupervisionConfig,
@@ -222,53 +286,61 @@ impl Deployment {
         let num_actions = dims.num_actions();
         drop(dims);
         let num_explorers = config.total_explorers();
+        let shards = config.learner_shards as u32;
 
         let cluster = Cluster::new(config.cluster.clone());
-        let comm = config
-            .comm
-            .clone()
-            .with_heartbeat(supervision.heartbeat_interval_ms, MONITOR)
-            .with_monitor_shards(supervision.monitor_shards);
+        // A zero beacon period is the field's degenerate value: no beacons,
+        // hence no monitor to address them to and no detector to feed.
+        let mut comm = config.comm.clone();
+        if supervision.heartbeat_interval_ms > 0 {
+            comm = comm
+                .with_heartbeat(supervision.heartbeat_interval_ms, MONITOR)
+                .with_monitor_shards(supervision.monitor_shards);
+        }
         let brokers: Vec<Broker> = (0..cluster.len())
             .map(|m| Broker::with_telemetry(m, cluster.clone(), comm.clone(), telemetry.clone()))
             .collect();
+        // Connect the fabric first: endpoints registered afterwards propagate
+        // their routes to every peer broker live, so deployments can grow
+        // (or restart processes) without re-running a table merge.
         connect_brokers(&brokers);
-
-        // Every monitor-shard endpoint must exist before any beaconing
-        // endpoint: the very first heartbeat fires at endpoint spawn and
-        // needs a route. Beacons hash onto shards per sender pid.
-        let monitor_eps: Vec<Endpoint> = comm
-            .heartbeat
-            .expect("heartbeat configured above")
-            .monitor_pids()
-            .into_iter()
-            .map(|pid| brokers[config.learner_machine].endpoint(pid))
-            .collect();
-        let drain_monitors = |detector: &FailureDetector| {
-            for ep in &monitor_eps {
-                while let Some(msg) = ep.try_recv() {
-                    detector.observe_message(&msg.header);
-                }
+        let learner_broker = &brokers[config.learner_machine];
+        // Elastic explorers have indices beyond the configured placement
+        // table; they round-robin over the cluster's machines instead.
+        let machine_of = |i: u32| -> usize {
+            if i < num_explorers {
+                config.explorer_machine(i)
+            } else {
+                i as usize % cluster.len()
             }
         };
-        plan.install(&cluster, &brokers);
 
-        let shards = config.learner_shards as u32;
-        let detector = FailureDetector::new(supervision.detector, telemetry.clone());
-        detector.watch_many(
-            (0..shards.max(1))
-                .map(ProcessId::learner)
-                .chain((0..num_explorers).map(ProcessId::explorer)),
-        );
-
+        // Every endpoint a process can address is registered before that
+        // process is spawned, or its first message is an unknown-destination
+        // drop. Monitor shards come first of all: each beaconing endpoint's
+        // first heartbeat fires at endpoint creation (beacons hash onto
+        // shards per sender pid). Then the controller (every process reports
+        // stats to it), the replay service, the learner shards (which greet
+        // their peers at startup), and the explorers. Threads start in the
+        // paper's order — (replay service,) learners, explorers, controller —
+        // and only the replay service, which speaks when spoken to, starts
+        // before the registrations are complete.
+        let start = Instant::now();
+        let monitor_eps: Vec<Endpoint> = comm
+            .heartbeat
+            .iter()
+            .flat_map(|hb| hb.monitor_pids())
+            .map(|pid| learner_broker.endpoint(pid))
+            .collect();
+        let controller_ep = learner_broker.endpoint(ProcessId::controller(0));
         // Store-resident replay: the shard service lives beside the learner's
         // broker and outlives learner incarnations — experience survives a
-        // learner crash. Its endpoint beacons like every other, so the
-        // detector auto-registers it on the first heartbeat.
+        // learner crash. Its endpoint beacons like every other, so a detector
+        // auto-registers it on the first heartbeat.
         let plane = build_replay_plane(&config, obs_dim, &telemetry);
         let replay_service = match &plane {
             Some(plane) => {
-                let ep = brokers[config.learner_machine].endpoint(ProcessId::replay(0));
+                let ep = learner_broker.endpoint(ProcessId::replay(0));
                 let stop = Arc::new(AtomicBool::new(false));
                 let (plane, stop2) = (plane.clone(), stop.clone());
                 let handle = spawn_process("xt-replay-0".into(), move || {
@@ -278,10 +350,55 @@ impl Deployment {
             }
             None => None,
         };
+        let learner_eps: Vec<Endpoint> =
+            (0..shards).map(|s| learner_broker.endpoint(ProcessId::learner(s))).collect();
+        let explorer_eps: Vec<Endpoint> = (0..num_explorers)
+            .map(|i| brokers[machine_of(i)].endpoint(ProcessId::explorer(i)))
+            .collect();
+        plan.install(&cluster, &brokers);
+
+        // The detector exists exactly when something beacons to it. Without
+        // one there is nothing to drain, sweep, or forget, and proof of death
+        // (a join that returned `Err`) is all a respawn waits for.
+        let detector = (!monitor_eps.is_empty())
+            .then(|| FailureDetector::new(supervision.detector, telemetry.clone()));
+        if let Some(detector) = &detector {
+            detector.watch_many(
+                (0..shards)
+                    .map(ProcessId::learner)
+                    .chain((0..num_explorers).map(ProcessId::explorer)),
+            );
+        }
+        let drain_monitors = || {
+            let Some(detector) = &detector else { return };
+            for ep in &monitor_eps {
+                while let Some(msg) = ep.try_recv() {
+                    detector.observe_message(&msg.header);
+                }
+            }
+        };
+        let forget = |pid: ProcessId| {
+            if let Some(detector) = &detector {
+                detector.forget(pid);
+            }
+        };
+        let death_published = |pid: ProcessId| {
+            detector.as_ref().is_none_or(|d| d.liveness(pid) == Some(xt_fault::Liveness::Down))
+        };
+        // The supervisor's own voice on the channel: monitor shard 0 when it
+        // exists, otherwise an endpoint registered for the one send (closing
+        // it flushes the send buffer).
+        let send_shutdown = |dst: Vec<ProcessId>| {
+            let body = Bytes::from(ControlCommand::Shutdown.to_bytes());
+            match monitor_eps.first() {
+                Some(ep) => ep.send_to(dst, MessageKind::Control, body),
+                None => learner_broker.endpoint(MONITOR).send_to(dst, MessageKind::Control, body),
+            };
+        };
         // Rollouts follow the live assignment table when learners are
         // sharded: the destination is resolved per batch, so a rebalance or
         // a shard respawn redirects traffic without restarting explorers.
-        let table = Arc::new(AssignmentTable::contiguous(num_explorers, shards.max(1)));
+        let table = Arc::new(AssignmentTable::contiguous(num_explorers, shards));
         let route = if plane.is_some() {
             RolloutRoute::Fixed(ProcessId::replay(0))
         } else if shards > 1 {
@@ -290,82 +407,73 @@ impl Deployment {
             RolloutRoute::Fixed(ProcessId::learner(0))
         };
 
-        // Algorithm replica for one learner shard. Sharded replicas are all
-        // seeded identically (the sync allreduce requires identical initial
-        // parameters) and sized to the explorer slice they own.
+        // Algorithm replica for one learner shard, at first spawn and on
+        // every restore. Replicas are all seeded identically (the sync
+        // allreduce requires identical initial parameters) and sized to the
+        // explorer slice the shard owns at build — the whole pool for one
+        // shard. A restored learner re-attaches to the surviving replay
+        // plane: everything ingested before the crash is still sampleable
+        // the moment the restore completes.
+        let slice_sizes: Vec<u32> = (0..shards).map(|s| table.owned(s).len() as u32).collect();
         let build_shard_algorithm = |shard: u32| -> Box<dyn xingtian_algos::api::Algorithm> {
-            let mut algorithm = if shards > 1 {
-                build_algorithm(
-                    &config.algorithm,
-                    obs_dim,
-                    num_actions,
-                    table.owned(shard).len() as u32,
-                    config.rollout_len,
-                    config.seed,
-                )
-            } else {
-                build_algorithm_with_replay(
-                    &config.algorithm,
-                    obs_dim,
-                    num_actions,
-                    num_explorers,
-                    config.rollout_len,
-                    config.seed,
-                    plane.as_ref(),
-                )
-            };
+            let mut algorithm = build_algorithm_with_replay(
+                &config.algorithm,
+                obs_dim,
+                num_actions,
+                slice_sizes[shard as usize],
+                config.rollout_len,
+                config.seed,
+                plane.as_ref(),
+            );
             if let Some(params) = &config.initial_params {
                 algorithm.load_params(params);
             }
             algorithm
         };
-        let mut initial_algorithms: Vec<Box<dyn xingtian_algos::api::Algorithm>> =
-            (0..shards.max(1)).map(build_shard_algorithm).collect();
-        let sync = initial_algorithms[0].sync_mode();
-        let algo_name = initial_algorithms[0].name().to_string();
-        let start = Instant::now();
-
+        // One learner checkpoints into the configured directory itself; peer
+        // shards each own a `shard{s}` sub-directory of it.
+        let checkpoint_dir = |base: &Path, shard: u32| -> PathBuf {
+            if shards > 1 {
+                base.join(format!("shard{shard}"))
+            } else {
+                base.to_path_buf()
+            }
+        };
         let spawn_learner = |shard: u32,
                              algorithm: Box<dyn xingtian_algos::api::Algorithm>,
                              endpoint: Endpoint,
                              probe: Option<xt_fault::ProcessProbe>|
          -> Result<JoinHandle<LearnerOutcome>, DeployError> {
-            let ckpt_config = config.checkpoint.clone().map(|mut c| {
-                if shards > 1 {
-                    c.dir = c.dir.join(format!("shard{shard}"));
+            let checkpointer = match &config.checkpoint {
+                Some(c) => {
+                    let c = CheckpointConfig { dir: checkpoint_dir(&c.dir, shard), ..c.clone() };
+                    Some(
+                        Checkpointer::new(c).map_err(|e| {
+                            DeployError::new(format!("cannot set up checkpoints: {e}"))
+                        })?,
+                    )
                 }
-                c
-            });
-            let checkpointer = match ckpt_config {
-                Some(c) => Some(
-                    crate::checkpoint::Checkpointer::new(c)
-                        .map_err(|e| DeployError::new(format!("cannot set up checkpoints: {e}")))?,
-                ),
                 None => None,
             };
+            let (table, mode) = (table.clone(), config.allreduce);
             let param_compression = config.comm.param_compression;
-            if shards > 1 {
-                let (table, mode) = (table.clone(), config.allreduce);
-                spawn_process(format!("xt-learner-{shard}"), move || {
-                    LearnerShardProcess {
-                        shard,
-                        endpoint,
-                        algorithm,
-                        table,
-                        mode,
-                        checkpointer,
-                        probe,
-                        param_compression,
-                    }
-                    .run()
-                })
-            } else {
-                spawn_process("xt-learner".into(), move || {
-                    LearnerProcess { endpoint, algorithm, checkpointer, probe, param_compression }
-                        .run()
-                })
-            }
+            spawn_process(format!("xt-learner-{shard}"), move || {
+                LearnerProcess {
+                    shard,
+                    endpoint,
+                    algorithm,
+                    table,
+                    mode,
+                    checkpointer,
+                    probe,
+                    param_compression,
+                }
+                .run()
+            })
         };
+        let algorithms: Vec<_> = (0..shards).map(build_shard_algorithm).collect();
+        let sync = algorithms[0].sync_mode();
+        let algo_name = algorithms[0].name().to_string();
         let spawn_explorer = |i: u32,
                               generation: u32,
                               endpoint: Endpoint,
@@ -406,68 +514,39 @@ impl Deployment {
             })
         };
 
-        let mut learner_slots: Vec<LearnerSlot> = Vec::with_capacity(shards.max(1) as usize);
-        let mut rollout_latency_src = None;
-        for (s, algorithm) in initial_algorithms.drain(..).enumerate() {
-            let s = s as u32;
-            let endpoint = brokers[config.learner_machine].endpoint(ProcessId::learner(s));
-            if s == 0 {
-                rollout_latency_src = Some(endpoint.delivery_stats_arc());
-            }
+        let mut rollout_latency_src = learner_eps[0].delivery_stats_arc();
+        let mut learner_slots: Vec<Slot<LearnerOutcome>> = Vec::with_capacity(shards as usize);
+        for ((s, algorithm), endpoint) in (0..shards).zip(algorithms).zip(learner_eps) {
             let probe = Some(plan.probe_for(ProcessId::learner(s), Some(cluster.time_source())));
-            learner_slots.push(LearnerSlot {
-                handle: Some(spawn_learner(s, algorithm, endpoint, probe)?),
-                restores: 0,
-                awaiting_detection: false,
-                last_outcome: None,
-            });
+            learner_slots.push(Slot::new(spawn_learner(s, algorithm, endpoint, probe)?));
         }
-        let mut rollout_latency_src = rollout_latency_src.expect("at least one learner shard");
-
-        // Elastic explorers have indices beyond the configured placement
-        // table; they round-robin over the cluster's machines instead.
-        let machine_of = |i: u32| -> usize {
-            if i < num_explorers {
-                config.explorer_machine(i)
-            } else {
-                i as usize % cluster.len()
-            }
-        };
-
-        let mut slots: Vec<ExplorerSlot> = Vec::with_capacity(num_explorers as usize);
-        for i in 0..num_explorers {
-            let endpoint = brokers[machine_of(i)].endpoint(ProcessId::explorer(i));
+        let mut slots: Vec<Slot<ExplorerOutcome>> = Vec::with_capacity(num_explorers as usize);
+        for (i, endpoint) in (0..num_explorers).zip(explorer_eps) {
             let probe = Some(plan.probe_for(ProcessId::explorer(i), Some(cluster.time_source())));
-            slots.push(ExplorerSlot {
-                handle: Some(spawn_explorer(i, 0, endpoint, probe)?),
-                respawns: 0,
-                outcomes: Vec::new(),
-                awaiting_detection: false,
-                retired: false,
-            });
+            slots.push(Slot::new(spawn_explorer(i, 0, endpoint, probe)?));
         }
-
-        let controller_ep = brokers[config.learner_machine].endpoint(ProcessId::controller(0));
+        // The controller thread drops `controller_done` when it returns (or
+        // unwinds), which is what the supervision loop below waits on.
+        let (controller_done, controller_exit) = std::sync::mpsc::channel::<()>();
         let controller_handle = spawn_process("xt-controller".into(), move || {
+            let _done = controller_done;
             ControllerProcess {
                 endpoint: controller_ep,
                 goal_steps: config.goal_steps,
                 max_duration: Duration::from_secs_f64(config.max_seconds),
                 num_explorers,
-                num_learner_shards: shards.max(1),
+                num_learner_shards: shards,
             }
             .run()
         })?;
 
-        // Learner-incarnation accumulators (summed across shards and
-        // restores; the timeline and final parameters come from each slot's
-        // last incarnation).
-        let mut steps_consumed = 0u64;
-        let mut train_sessions = 0u64;
-        let mut train_time = Duration::ZERO;
         let mut explorer_respawns: Vec<u32> = Vec::new();
+        let mut degraded_explorers: Vec<u32> = Vec::new();
         let mut learner_restores = 0u32;
         let mut restored_param_version: Option<u64> = None;
+        // A death the policy cannot absorb: supervision stops, the graph is
+        // wound down and joined as usual, and this is what the run returns.
+        let mut fatal: Option<DeployError> = None;
 
         // Elastic pool state: the controller tracks intent; `slots` beyond
         // `num_explorers` are the elastic incarnations it materialized.
@@ -485,46 +564,40 @@ impl Deployment {
 
         // ---- Supervision loop -------------------------------------------
         let poll = Duration::from_millis(supervision.poll_interval_ms.max(1));
-        loop {
+        'supervise: loop {
             // 1. Feed the detector: drain every monitor shard, sweep for
             // silence.
-            drain_monitors(&detector);
-            for &pid in &retired_pids {
-                detector.forget(pid);
+            drain_monitors();
+            if let Some(detector) = &detector {
+                for &pid in &retired_pids {
+                    detector.forget(pid);
+                }
+                detector.sweep();
             }
-            detector.sweep();
 
-            // 2. Reap dead explorers. `Err` from join proves the thread
-            // panicked and unwound — its endpoint is deregistered, so the
-            // same ProcessId can re-register safely. The respawn itself is
-            // deferred until the detector publishes the death.
+            // 2. Reap dead explorers. The respawn of a proven death is
+            // deferred until the detector (if any) publishes it. A zero
+            // budget never respawns: the explorer is recorded as degraded
+            // and training continues on the survivors.
             for (i, slot) in slots.iter_mut().enumerate() {
                 let i_u32 = i as u32;
                 let pid = ProcessId::explorer(i_u32);
-                if slot.handle.as_ref().is_some_and(std::thread::JoinHandle::is_finished) {
-                    let handle = slot.handle.take().expect("finished handle present");
-                    match handle.join() {
-                        Ok(outcome) => {
-                            // Normal exit (shutdown reached it): keep the stats.
-                            detector.forget(pid);
-                            slot.outcomes.push(outcome);
-                        }
-                        Err(_)
-                            if !slot.retired
-                                && slot.respawns < supervision.max_respawns_per_explorer =>
-                        {
-                            slot.awaiting_detection = true;
-                        }
-                        Err(_) => {
-                            eprintln!(
-                                "supervisor: explorer {i_u32} out of respawn budget, degrading"
-                            );
-                        }
+                match slot.join(false) {
+                    // Normal exit (shutdown reached it).
+                    Some(Ok(())) => forget(pid),
+                    Some(Err(()))
+                        if !slot.retired
+                            && slot.respawns < supervision.max_respawns_per_explorer =>
+                    {
+                        slot.awaiting_detection = true;
                     }
+                    Some(Err(())) => {
+                        eprintln!("supervisor: explorer {i_u32} out of respawn budget, degrading");
+                        degraded_explorers.push(i_u32);
+                    }
+                    None => {}
                 }
-                if slot.awaiting_detection
-                    && detector.liveness(pid) == Some(xt_fault::Liveness::Down)
-                {
+                if slot.awaiting_detection && death_published(pid) {
                     slot.awaiting_detection = false;
                     slot.respawns += 1;
                     let generation = slot.respawns;
@@ -538,59 +611,44 @@ impl Deployment {
                             eprintln!(
                                 "supervisor: cannot respawn explorer {i_u32} (degrading): {e}"
                             );
+                            degraded_explorers.push(i_u32);
                         }
                     }
                 }
             }
 
-            // 3. Reap dead learner shards: once the detector confirms a
-            // death, restore that shard from its own checkpoint directory
-            // and respawn it. Surviving shards keep training meanwhile; the
+            // 3. Reap dead learner shards: once the death is published,
+            // restore that shard from its own checkpoint directory and
+            // respawn it. Surviving shards keep training meanwhile; the
             // rejoiner re-enters the gradient exchange on its first send
             // (sync mode adopts a peer snapshot, relaxed mode just resumes
             // gossip within the skew bound).
             for (s, slot) in learner_slots.iter_mut().enumerate() {
                 let s_u32 = s as u32;
                 let pid = ProcessId::learner(s_u32);
-                if slot.handle.as_ref().is_some_and(JoinHandle::is_finished) {
-                    let handle = slot.handle.take().expect("finished handle present");
-                    match handle.join() {
-                        Ok(outcome) => {
-                            detector.forget(pid);
-                            steps_consumed += outcome.steps_consumed;
-                            train_sessions += outcome.train_sessions;
-                            train_time += outcome.train_time;
-                            slot.last_outcome = Some(outcome);
-                        }
-                        Err(_) if slot.restores < supervision.max_learner_restores => {
-                            slot.awaiting_detection = true;
-                        }
-                        Err(_) => {
-                            return Err(DeployError::new(format!(
-                                "learner shard {s_u32} died and is out of restore budget"
-                            )));
-                        }
+                match slot.join(false) {
+                    Some(Ok(())) => forget(pid),
+                    Some(Err(())) if slot.respawns < supervision.max_learner_restores => {
+                        slot.awaiting_detection = true;
                     }
+                    Some(Err(())) => {
+                        fatal = Some(DeployError::new(format!(
+                            "learner shard {s_u32} died and is out of restore budget"
+                        )));
+                        break 'supervise;
+                    }
+                    None => {}
                 }
-                if slot.awaiting_detection
-                    && detector.liveness(pid) == Some(xt_fault::Liveness::Down)
-                {
+                if slot.awaiting_detection && death_published(pid) {
                     slot.awaiting_detection = false;
-                    slot.restores += 1;
+                    slot.respawns += 1;
                     learner_restores += 1;
-                    // The rebuilt learner re-attaches to the surviving replay
-                    // plane (classic path): everything ingested before the
-                    // crash is still sampleable the moment the restore
-                    // completes.
                     let mut algorithm = build_shard_algorithm(s_u32);
-                    let ckpt_dir = config.checkpoint.as_ref().map(|c| {
-                        if shards > 1 {
-                            c.dir.join(format!("shard{s_u32}"))
-                        } else {
-                            c.dir.clone()
-                        }
-                    });
-                    match ckpt_dir.map(|d| load_latest(&d)) {
+                    let restored = config
+                        .checkpoint
+                        .as_ref()
+                        .map(|c| load_latest(checkpoint_dir(&c.dir, s_u32)));
+                    match restored {
                         Some(Ok(blob)) => {
                             restored_param_version = Some(blob.version);
                             algorithm.adopt_params(&blob.params, blob.version);
@@ -608,11 +666,17 @@ impl Deployment {
                             );
                         }
                     }
-                    let endpoint = brokers[config.learner_machine].endpoint(pid);
+                    let endpoint = learner_broker.endpoint(pid);
                     if s_u32 == 0 {
                         rollout_latency_src = endpoint.delivery_stats_arc();
                     }
-                    slot.handle = Some(spawn_learner(s_u32, algorithm, endpoint, None)?);
+                    match spawn_learner(s_u32, algorithm, endpoint, None) {
+                        Ok(h) => slot.handle = Some(h),
+                        Err(e) => {
+                            fatal = Some(e);
+                            break 'supervise;
+                        }
+                    }
                 }
             }
 
@@ -635,21 +699,17 @@ impl Deployment {
                             // and its first heartbeat must find the detector
                             // already watching.
                             table.register(i);
-                            detector.watch(pid);
+                            if let Some(detector) = &detector {
+                                detector.watch(pid);
+                            }
                             let endpoint = brokers[machine_of(i)].endpoint(pid);
                             match spawn_explorer(i, 0, endpoint, None) {
                                 Ok(h) => {
                                     elastic_spawns += 1;
-                                    slots.push(ExplorerSlot {
-                                        handle: Some(h),
-                                        respawns: 0,
-                                        outcomes: Vec::new(),
-                                        awaiting_detection: false,
-                                        retired: false,
-                                    });
+                                    slots.push(Slot::new(h));
                                 }
                                 Err(e) => {
-                                    detector.forget(pid);
+                                    forget(pid);
                                     eprintln!("supervisor: cannot grow explorer pool: {e}");
                                 }
                             }
@@ -673,96 +733,100 @@ impl Deployment {
                             elastic_retires += 1;
                             remaining -= 1;
                             retired_pids.push(ProcessId::explorer(i as u32));
-                            monitor_eps[0].send_to(
-                                vec![ProcessId::explorer(i as u32)],
-                                MessageKind::Control,
-                                Bytes::from(crate::messages::ControlCommand::Shutdown.to_bytes()),
-                            );
+                            send_shutdown(vec![ProcessId::explorer(i as u32)]);
                         }
                     }
                     ElasticDecision::Hold => {}
                 }
             }
 
-            // 5. The controller ending the run ends supervision.
-            if controller_handle.is_finished() {
+            // 5. The controller ending the run ends supervision — at the
+            // instant it returns, not at the next tick: the wait is on the
+            // channel its thread drops.
+            if controller_exit.recv_timeout(poll) != Err(RecvTimeoutError::Timeout) {
                 break;
             }
-            std::thread::sleep(poll);
         }
 
-        let controller_outcome: ControllerOutcome = controller_handle
-            .join()
-            .map_err(|_| DeployError::new("controller thread panicked"))?;
-        detector.forget(ProcessId::controller(0));
+        // Giving up is the controller's broadcast too: told to shut down, it
+        // stops waiting for the goal and winds every process down.
+        if fatal.is_some() {
+            send_shutdown(vec![ProcessId::controller(0)]);
+        }
+        let controller_died = controller_handle.join().is_err();
+        if controller_died {
+            fatal.get_or_insert(DeployError::new("controller thread panicked"));
+        }
+        forget(ProcessId::controller(0));
 
-        // A process respawned *after* the controller broadcast shutdown never
-        // saw the command; one more broadcast from the monitor endpoint
-        // guarantees every live process gets it (shutdown is idempotent).
-        // The broadcast covers the *peak* pool: elastic explorers have
-        // indices beyond the count the controller knew about.
-        let mut dst: Vec<ProcessId> = (0..slots.len() as u32).map(ProcessId::explorer).collect();
-        dst.extend((0..shards.max(1)).map(ProcessId::learner));
-        monitor_eps[0].send_to(
-            dst,
-            MessageKind::Control,
-            Bytes::from(crate::messages::ControlCommand::Shutdown.to_bytes()),
-        );
+        // A process spawned *after* the controller broadcast shutdown never
+        // saw the command — and elastic explorers have indices beyond the
+        // count the controller knew about — so when anything was spawned
+        // late (or the controller died before its broadcast), one more
+        // broadcast over the *peak* pool guarantees every live process gets
+        // it (shutdown is idempotent). Otherwise nobody is left to tell.
+        let late_spawns = explorer_respawns.len() as u32 + learner_restores + elastic_spawns;
+        if controller_died || late_spawns > 0 {
+            let mut dst: Vec<ProcessId> =
+                (0..slots.len() as u32).map(ProcessId::explorer).collect();
+            dst.extend((0..shards).map(ProcessId::learner));
+            send_shutdown(dst);
+        }
 
         // Final joins. Post-shutdown panics are possible (a probe can fire on
         // the last pulse before the command is handled) — they degrade, never
         // respawn.
         for (s, slot) in learner_slots.iter_mut().enumerate() {
-            if let Some(handle) = slot.handle.take() {
-                match handle.join() {
-                    Ok(outcome) => {
-                        steps_consumed += outcome.steps_consumed;
-                        train_sessions += outcome.train_sessions;
-                        train_time += outcome.train_time;
-                        slot.last_outcome = Some(outcome);
-                    }
-                    Err(_) => {
-                        return Err(DeployError::new(format!(
-                            "learner shard {s} panicked during shutdown"
-                        )));
-                    }
-                }
+            if slot.join(true) == Some(Err(())) {
+                fatal.get_or_insert(DeployError::new(format!(
+                    "learner shard {s} panicked during shutdown"
+                )));
             }
         }
         for (i, slot) in slots.iter_mut().enumerate() {
-            if let Some(handle) = slot.handle.take() {
-                match handle.join() {
-                    Ok(outcome) => slot.outcomes.push(outcome),
-                    Err(_) => {
-                        eprintln!("supervisor: explorer {i} panicked during shutdown");
-                    }
-                }
+            if slot.join(true) == Some(Err(())) {
+                eprintln!("supervisor: explorer {i} panicked during shutdown");
+                degraded_explorers.push(i as u32);
             }
         }
+        let wall_time = start.elapsed();
 
         // The replay service stops only after every producer and consumer has
         // joined: rollouts still in the channel get ingested, and the plane's
         // torn-write audit runs on the final state.
-        let replay_summary = match replay_service {
+        let replay = match replay_service {
             Some((stop, handle)) => {
                 stop.store(true, Ordering::Release);
-                let outcome = handle
-                    .join()
-                    .map_err(|_| DeployError::new("replay service thread panicked"))?;
-                detector.forget(ProcessId::replay(0));
-                let integrity =
-                    plane.as_ref().expect("replay service implies a plane").integrity();
-                Some((outcome, integrity))
+                let joined = handle.join();
+                forget(ProcessId::replay(0));
+                match joined {
+                    Ok(outcome) => {
+                        let integrity =
+                            plane.as_ref().expect("replay service implies a plane").integrity();
+                        Some(ReplayReport {
+                            batches_ingested: outcome.batches_ingested,
+                            steps_ingested: outcome.steps_ingested,
+                            sample_requests: outcome.sample_requests,
+                            resident: integrity.resident,
+                            dangling_slots: integrity.dangling_slots,
+                        })
+                    }
+                    Err(_) => {
+                        fatal.get_or_insert(DeployError::new("replay service thread panicked"));
+                        None
+                    }
+                }
             }
             None => None,
         };
 
         // Everything has exited; the stores should drain to empty as routers
-        // finish in-flight work. Give them a bounded moment before declaring
-        // leftovers a leak.
+        // finish in-flight work. The first look comes before any sleep (a
+        // quiet run is already empty); leftovers get a bounded moment before
+        // they are declared a leak.
         let drain_deadline = Instant::now() + Duration::from_secs(2);
         let leaked_objects = loop {
-            drain_monitors(&detector);
+            drain_monitors();
             let remaining: usize = brokers.iter().map(|b| b.store().len()).sum();
             if remaining == 0 || Instant::now() >= drain_deadline {
                 break remaining;
@@ -770,56 +834,68 @@ impl Deployment {
             std::thread::sleep(Duration::from_millis(2));
         };
         for &pid in &retired_pids {
-            detector.forget(pid);
+            forget(pid);
         }
-        let down_at_exit = detector.down();
-        let transitions = detector.transitions();
+        let down_at_exit = detector.as_ref().map_or_else(Vec::new, FailureDetector::down);
+        let transitions = detector.as_ref().map_or_else(Vec::new, FailureDetector::transitions);
         for ep in &monitor_eps {
             ep.close();
         }
-        let wall_time = start.elapsed();
         for b in &brokers {
             b.shutdown();
         }
+        if let Some(e) = fatal {
+            return Err(e);
+        }
         let dropped_messages: u64 = brokers.iter().map(Broker::dropped).sum();
 
+        // Episode returns: authoritative from explorer trackers (the
+        // controller's copy may miss in-flight tails at shutdown).
         let mut episode_returns = Vec::new();
         for slot in &slots {
             for o in &slot.outcomes {
                 episode_returns.extend_from_slice(o.tracker.returns());
             }
         }
-        let _ = controller_outcome;
 
-        let dangling_replay_slots =
-            replay_summary.as_ref().map_or(0, |(_, integrity)| integrity.dangling_slots);
-        let replay = replay_summary.map(|(outcome, integrity)| ReplayReport {
-            batches_ingested: outcome.batches_ingested,
-            steps_ingested: outcome.steps_ingested,
-            sample_requests: outcome.sample_requests,
-            resident: integrity.resident,
-            dangling_slots: integrity.dangling_slots,
-        });
-
+        // The aggregate sums work across shards and incarnations; the
+        // report's timeline/wait views and final parameters are those of
+        // shard 0's last incarnation (one representative stream).
+        let incarnations = || learner_slots.iter().flat_map(|s| &s.outcomes);
+        let steps_consumed: u64 = incarnations().map(|o| o.steps_consumed).sum();
+        let train_sessions: u64 = incarnations().map(|o| o.train_sessions).sum();
+        let train_time: Duration = incarnations().map(|o| o.train_time).sum();
         let learner_shard_params: Vec<Vec<f32>> = if shards > 1 {
             learner_slots
                 .iter()
-                .map(|s| {
-                    s.last_outcome.as_ref().map(|o| o.final_params.clone()).unwrap_or_default()
-                })
+                .map(|s| s.outcomes.last().map(|o| o.final_params.clone()).unwrap_or_default())
                 .collect()
         } else {
             Vec::new()
         };
-        let learner_shard_restores: Vec<u32> = learner_slots.iter().map(|s| s.restores).collect();
+        let learner_shard_restores: Vec<u32> = learner_slots.iter().map(|s| s.respawns).collect();
         let last = learner_slots[0]
-            .last_outcome
-            .take()
+            .outcomes
+            .pop()
             .ok_or_else(|| DeployError::new("no learner incarnation completed"))?;
         let mean_train_time = if train_sessions > 0 {
             train_time / train_sessions as u32
         } else {
             Duration::ZERO
+        };
+        let recovery = RecoveryReport {
+            explorer_respawns,
+            degraded_explorers,
+            learner_restores,
+            learner_shard_restores,
+            restored_param_version,
+            transitions,
+            down_at_exit,
+            leaked_objects,
+            dangling_replay_slots: replay.as_ref().map_or(0, |r| r.dangling_slots),
+            elastic_spawns,
+            elastic_retires,
+            peak_explorer_pool,
         };
         let report = RunReport {
             algorithm: algo_name,
@@ -836,19 +912,6 @@ impl Deployment {
             learner_shard_params,
             replay,
             dropped_messages,
-        };
-        let recovery = RecoveryReport {
-            explorer_respawns,
-            learner_restores,
-            learner_shard_restores,
-            restored_param_version,
-            transitions,
-            down_at_exit,
-            leaked_objects,
-            dangling_replay_slots,
-            elastic_spawns,
-            elastic_retires,
-            peak_explorer_pool,
         };
         Ok((report, recovery))
     }

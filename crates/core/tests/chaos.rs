@@ -168,6 +168,121 @@ fn supervised_run_without_faults_is_quiet() {
     assert!(recovery.transitions.is_empty(), "transitions: {:?}", recovery.transitions);
     assert!(recovery.down_at_exit.is_empty());
     assert_eq!(recovery.leaked_objects, 0);
+    assert_eq!(report.dropped_messages, 0, "a quiet run drops nothing");
+}
+
+/// Every endpoint a process can address is registered before that process
+/// is spawned, so a fault-free run drops nothing — however early its first
+/// message goes out. Store-resident DQN with 4-step rollouts and unpaced
+/// steps sends its first `Stats` to the controller within microseconds of
+/// the explorer thread starting; when the controller's endpoint was
+/// registered after the explorers were spawned, that message could find no
+/// route and count as an unknown-destination drop. The wide observation and
+/// the four explorers are what make the old ordering lose the race often
+/// (about three deployments in four here, one in thirteen at 512 wide); the
+/// thin network and the tiny goal keep 64 deployments to a few seconds.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "64 deployments of a 4096-wide DQN: seconds optimised, many minutes not; ci.sh runs it in release"
+)]
+fn fault_free_supervised_runs_drop_nothing() {
+    for seed in 0..64 {
+        let mut dqn = xingtian_algos::DqnConfig::new(0, 0);
+        dqn.hidden = vec![32];
+        dqn.buffer_capacity = 1_024;
+        dqn.warmup_steps = 64;
+        dqn.train_every_inserts = 8;
+        dqn.batch_size = 32;
+        let config = DeploymentConfig::atari("BeamRider", AlgorithmSpec::Dqn(dqn), 4)
+            .with_obs_dim(4_096)
+            .with_rollout_len(4)
+            .with_step_latency_us(0)
+            .with_goal_steps(128)
+            .with_max_seconds(30.0)
+            .with_seed(seed)
+            .with_store_resident_replay();
+        let (report, recovery) = Deployment::run_supervised(
+            config,
+            SupervisionConfig::default(),
+            FaultPlan::seeded(seed),
+            xt_telemetry::Telemetry::disabled(),
+        )
+        .expect("supervised run completes");
+
+        assert!(report.steps_consumed >= 128, "run {seed}: consumed {}", report.steps_consumed);
+        assert_eq!(report.dropped_messages, 0, "run {seed}: a fault-free run dropped a message");
+        assert_eq!(recovery.leaked_objects, 0, "run {seed}: object store leak");
+        assert!(
+            recovery.transitions.is_empty(),
+            "run {seed}: liveness transitions in a quiet run: {:?}",
+            recovery.transitions
+        );
+    }
+}
+
+/// Zero respawn budget, no beacons: an explorer that dies is not replaced.
+/// The run reaches its goal on the survivors, the report names the explorer
+/// it lost, and the mapping `Deployment::run` applies turns that into the
+/// error a plain run has always returned for a dead explorer.
+#[test]
+fn unsupervised_explorer_death_degrades_and_fails_a_plain_run() {
+    const VICTIM: u32 = 1;
+    let config = DeploymentConfig::cartpole(AlgorithmSpec::impala(), 3)
+        .with_rollout_len(25)
+        .with_goal_steps(4_000)
+        .with_max_seconds(60.0)
+        .with_seed(5);
+    let plan = FaultPlan::seeded(5)
+        .with_kill(ProcessId::explorer(VICTIM), KillTrigger::AfterSteps(300));
+
+    let (report, recovery) = Deployment::run_supervised(
+        config,
+        SupervisionConfig::unsupervised(),
+        plan,
+        xt_telemetry::Telemetry::disabled(),
+    )
+    .expect("the run survives an explorer");
+
+    assert!(report.steps_consumed >= 4_000, "consumed {}", report.steps_consumed);
+    assert_eq!(recovery.degraded_explorers, vec![VICTIM]);
+    assert!(recovery.explorer_respawns.is_empty(), "a zero budget never respawns");
+    assert_eq!(recovery.learner_restores, 0);
+    // No beacons, so no detector: nothing to publish, nobody "down".
+    assert!(recovery.transitions.is_empty());
+    assert!(recovery.down_at_exit.is_empty());
+    assert_eq!(recovery.leaked_objects, 0, "object store leak");
+    let err = recovery.undegraded().expect_err("a plain run reports the dead explorer");
+    assert!(err.to_string().contains("[1]"), "error names the explorer: {err}");
+}
+
+/// Zero restore budget: a learner death ends the run, and the error comes
+/// back within a few poll periods — the graph is wound down at once, not
+/// when the controller's deadline (30 s here) finally expires.
+#[test]
+fn unsupervised_learner_death_is_reported_promptly() {
+    let config = DeploymentConfig::cartpole(AlgorithmSpec::impala(), 2)
+        .with_rollout_len(25)
+        .with_goal_steps(u64::MAX)
+        .with_max_seconds(30.0)
+        .with_seed(9);
+    let plan = FaultPlan::seeded(9).with_kill(ProcessId::learner(0), KillTrigger::AfterSteps(3));
+
+    let start = std::time::Instant::now();
+    let err = Deployment::run_supervised(
+        config,
+        SupervisionConfig::unsupervised(),
+        plan,
+        xt_telemetry::Telemetry::disabled(),
+    )
+    .expect_err("a learner death with no restore budget fails the run");
+
+    assert!(err.to_string().contains("out of restore budget"), "{err}");
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "reported after {:?}, not promptly",
+        start.elapsed()
+    );
 }
 
 /// Store-resident replay under chaos: a DQN deployment whose replay lives in

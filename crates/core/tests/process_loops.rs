@@ -6,12 +6,14 @@ use netsim::Cluster;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use xingtian::assignment::AssignmentTable;
+use xingtian::config::AllreduceMode;
 use xingtian::controller::ControllerProcess;
 use xingtian::explorer::{ExplorerProcess, RolloutRoute, MAX_INFLIGHT_BATCHES};
 use xingtian::learner::LearnerProcess;
 use xingtian::messages::ControlCommand;
 use xingtian_algos::api::{ActionSelection, Agent, Algorithm, SyncMode, TrainReport};
-use xingtian_algos::payload::{ParamBlob, RolloutBatch};
+use xingtian_algos::payload::{ParamBlob, RolloutBatch, RolloutStep};
 use xingtian_comm::{Broker, CommConfig};
 use xingtian_message::codec::Encode;
 use xingtian_message::{MessageKind, ProcessId};
@@ -43,15 +45,26 @@ struct CountingAlgorithm {
     version: u64,
     consumed: Arc<AtomicUsize>,
     sync: SyncMode,
+    /// Batches received so far, and how many of them had been received when
+    /// the first session trained (`usize::MAX` until one does).
+    received: usize,
+    received_at_first_train: Arc<AtomicUsize>,
 }
 
 impl Algorithm for CountingAlgorithm {
     fn on_rollout(&mut self, batch: RolloutBatch) {
+        self.received += 1;
         self.queued.push(batch);
     }
 
     fn try_train(&mut self) -> Option<TrainReport> {
         let batch = self.queued.pop()?;
+        let _ = self.received_at_first_train.compare_exchange(
+            usize::MAX,
+            self.received,
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        );
         self.version += 1;
         self.consumed.fetch_add(batch.len(), Ordering::Relaxed);
         Some(TrainReport {
@@ -90,13 +103,18 @@ fn explorer_learner_pair_round_trips_until_shutdown() {
     let consumed = Arc::new(AtomicUsize::new(0));
 
     let learner = LearnerProcess {
+        shard: 0,
         endpoint: learner_ep,
         algorithm: Box::new(CountingAlgorithm {
             queued: Vec::new(),
             version: 0,
             consumed: Arc::clone(&consumed),
             sync: SyncMode::OffPolicy,
+            received: 0,
+            received_at_first_train: Arc::new(AtomicUsize::new(usize::MAX)),
         }),
+        table: Arc::new(AssignmentTable::contiguous(1, 1)),
+        mode: AllreduceMode::Sync, // the config default: no peers, so no lockstep rounds
         checkpointer: None,
         probe: None,
         param_compression: xingtian_comm::ParamCompression::default(),
@@ -132,6 +150,90 @@ fn explorer_learner_pair_round_trips_until_shutdown() {
     assert_eq!(learner_outcome.steps_consumed as usize, consumed.load(Ordering::Relaxed));
     assert!(explorer_outcome.batches_sent >= 20, "25-step batches toward a 500-step goal");
     assert!(explorer_outcome.tracker.total_steps() >= 500);
+    broker.shutdown();
+}
+
+/// PR 9's livelock fix holds for every train-on-arrival learner, peer shards
+/// included: a pass decodes a bounded burst and then trains, so sessions
+/// advance while the inbox is never empty. The inbox here is pre-filled
+/// deeper than the run can drain before its first session — the standing
+/// backlog of a producer that outruns the drain — with the shutdown command
+/// queued behind it. An unbounded drain decodes the whole backlog, meets the
+/// shutdown inside the drain, and exits having trained nothing.
+#[test]
+fn relaxed_shard_trains_while_its_inbox_is_never_empty() {
+    const BACKLOG: usize = 512;
+    // An unbounded receive buffer, so the whole backlog is staged locally
+    // (the default keeps all but 8 in the ID queue, and a drain that outruns
+    // the receiver thread would see a momentarily empty buffer).
+    let comm = CommConfig { endpoint_recv_capacity: None, ..CommConfig::default() };
+    let broker = Broker::new(0, Cluster::single(), comm);
+    let learner_ep = broker.endpoint(ProcessId::learner(0));
+    // Everything the shard addresses has a route: its gossip peer, the
+    // controller it reports to, the explorer it owns.
+    let _peer_ep = broker.endpoint(ProcessId::learner(1));
+    let _controller_ep = broker.endpoint(ProcessId::controller(0));
+    let producer_ep = broker.endpoint(ProcessId::explorer(0));
+
+    let step = RolloutStep {
+        observation: vec![0.0; 4],
+        action: 0,
+        reward: 1.0,
+        done: false,
+        behavior_logits: Vec::new(),
+        value: 0.0,
+        next_observation: None,
+    };
+    let batch = RolloutBatch { explorer: 0, param_version: 0, steps: vec![step], bootstrap_observation: Vec::new() };
+    let body = Bytes::from(batch.to_bytes());
+    for _ in 0..BACKLOG {
+        producer_ep.send_to(vec![ProcessId::learner(0)], MessageKind::Rollout, body.clone());
+    }
+    producer_ep.send_to(
+        vec![ProcessId::learner(0)],
+        MessageKind::Control,
+        Bytes::from(ControlCommand::Shutdown.to_bytes()),
+    );
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while learner_ep.pending() < BACKLOG + 1 {
+        assert!(std::time::Instant::now() < deadline, "backlog never staged");
+        std::thread::yield_now();
+    }
+
+    let consumed = Arc::new(AtomicUsize::new(0));
+    let received_at_first_train = Arc::new(AtomicUsize::new(usize::MAX));
+    let outcome = LearnerProcess {
+        shard: 0,
+        endpoint: learner_ep,
+        algorithm: Box::new(CountingAlgorithm {
+            queued: Vec::new(),
+            version: 0,
+            consumed: Arc::clone(&consumed),
+            sync: SyncMode::OffPolicy,
+            received: 0,
+            received_at_first_train: Arc::clone(&received_at_first_train),
+        }),
+        table: Arc::new(AssignmentTable::contiguous(2, 2)),
+        mode: AllreduceMode::Relaxed,
+        checkpointer: None,
+        probe: None,
+        param_compression: xingtian_comm::ParamCompression::default(),
+    }
+    .run();
+
+    // One blocking receive plus a 16-message burst, then the first session —
+    // with the rest of the backlog still waiting.
+    let first = received_at_first_train.load(Ordering::Relaxed);
+    assert!(first <= 17, "first session only after {first} of {BACKLOG} messages were drained");
+    // Every pass trained what it decoded; only the burst that met the
+    // shutdown command went untrained.
+    assert!(
+        outcome.train_sessions as usize >= BACKLOG - 17,
+        "trained {} sessions over a {BACKLOG}-message backlog",
+        outcome.train_sessions
+    );
+    assert_eq!(outcome.steps_consumed as usize, consumed.load(Ordering::Relaxed));
+    drop(producer_ep);
     broker.shutdown();
 }
 
