@@ -8,16 +8,10 @@
 //! epoch surrogate — a useful ablation of how much the communication layer
 //! contributes independent of the optimizer sophistication.
 
-use crate::api::{ActionSelection, Agent, Algorithm, SyncMode, TrainReport};
-use crate::gae::{gae_into, normalize, GaeInput};
-use crate::par::{ParGrad, Shard};
+use crate::actor_critic::{ActorCritic, Activations, GaeStage, SoftmaxAgent, Spec};
+use crate::api::{Algorithm, SyncMode, TrainReport};
 use crate::payload::{ParamBlob, RolloutBatch};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use tinynn::ops::{row_stats, sample_categorical, softmax_row_into};
-use tinynn::optim::{clip_global_norm, Adam};
-use tinynn::{Activation, Mlp, Workspace};
 use xingtian_comm::pool::{shared_pool, WorkPool};
 
 /// A2C hyperparameters.
@@ -68,18 +62,17 @@ impl A2cConfig {
         }
     }
 
-    fn policy_sizes(&self) -> Vec<usize> {
-        let mut s = vec![self.obs_dim];
-        s.extend_from_slice(&self.hidden);
-        s.push(self.num_actions);
-        s
-    }
-
-    fn value_sizes(&self) -> Vec<usize> {
-        let mut s = vec![self.obs_dim];
-        s.extend_from_slice(&self.hidden);
-        s.push(1);
-        s
+    fn spec(&self) -> Spec<'_> {
+        Spec {
+            obs_dim: self.obs_dim,
+            num_actions: self.num_actions,
+            hidden: &self.hidden,
+            seed: self.seed,
+            lr: self.lr,
+            entropy_coef: self.entropy_coef,
+            value_coef: Some(self.value_coef),
+            max_grad_norm: self.max_grad_norm,
+        }
     }
 }
 
@@ -87,19 +80,11 @@ impl A2cConfig {
 #[derive(Debug)]
 pub struct A2cAlgorithm {
     config: A2cConfig,
-    policy: Mlp,
-    value: Mlp,
-    opt_policy: Adam,
-    opt_value: Adam,
+    core: ActorCritic,
     staged: Vec<RolloutBatch>,
     staged_steps: usize,
     spent: Vec<RolloutBatch>,
-    version: u64,
-    pool: Option<&'static WorkPool>,
-    par: ParGrad,
-    ws: Workspace,
-    pgrads: Vec<f32>,
-    vgrads: Vec<f32>,
+    stage: GaeStage,
 }
 
 impl A2cAlgorithm {
@@ -112,25 +97,14 @@ impl A2cAlgorithm {
     /// Like [`A2cAlgorithm::new`] but with an explicit worker pool; `None`
     /// computes every shard on the calling thread (bitwise-identical result).
     pub fn with_pool(config: A2cConfig, pool: Option<&'static WorkPool>) -> Self {
-        let policy = Mlp::new(&config.policy_sizes(), Activation::Tanh, config.seed);
-        let value = Mlp::new(&config.value_sizes(), Activation::Tanh, config.seed ^ 0xF00D);
-        let opt_policy = Adam::new(policy.num_params(), config.lr);
-        let opt_value = Adam::new(value.num_params(), config.lr);
+        let core = ActorCritic::new(config.spec(), pool);
         A2cAlgorithm {
             config,
-            policy,
-            value,
-            opt_policy,
-            opt_value,
+            core,
             staged: Vec::new(),
             staged_steps: 0,
             spent: Vec::new(),
-            version: 0,
-            pool,
-            par: ParGrad::new(),
-            ws: Workspace::new(),
-            pgrads: Vec::new(),
-            vgrads: Vec::new(),
+            stage: GaeStage::default(),
         }
     }
 
@@ -141,7 +115,7 @@ impl A2cAlgorithm {
 
 impl Algorithm for A2cAlgorithm {
     fn on_rollout(&mut self, batch: RolloutBatch) {
-        if batch.param_version != self.version {
+        if batch.param_version != self.core.version() {
             // On-policy: stale rollouts are unusable, but their storage is
             // recyclable.
             self.spent.push(batch);
@@ -155,141 +129,30 @@ impl Algorithm for A2cAlgorithm {
         if self.staged_steps < self.iteration_batch() {
             return None;
         }
-        let staged = std::mem::take(&mut self.staged);
-        let steps_consumed = self.staged_steps;
-        self.staged_steps = 0;
-
-        // Assemble the iteration batch with per-segment GAE (written straight
-        // into the iteration tail, no per-segment vectors).
-        let mut obs_data: Vec<f32> = Vec::new();
-        let mut actions: Vec<u32> = Vec::new();
-        let mut advantages: Vec<f32> = Vec::new();
-        let mut returns: Vec<f32> = Vec::new();
-        let mut seg: (Vec<f32>, Vec<f32>, Vec<bool>) = (Vec::new(), Vec::new(), Vec::new());
-        for b in &staged {
-            seg.0.clear();
-            seg.1.clear();
-            seg.2.clear();
-            for s in &b.steps {
-                seg.0.push(s.reward);
-                seg.1.push(s.value);
-                seg.2.push(s.done);
-            }
-            let bootstrap_value = if b.bootstrap_observation.is_empty() {
-                0.0
-            } else {
-                self.value.forward_ws(&b.bootstrap_observation, 1, &mut self.ws)[0]
-            };
-            let off = advantages.len();
-            advantages.resize(off + b.steps.len(), 0.0);
-            returns.resize(off + b.steps.len(), 0.0);
-            gae_into(
-                &GaeInput {
-                    rewards: &seg.0,
-                    values: &seg.1,
-                    dones: &seg.2,
-                    bootstrap_value,
-                    gamma: self.config.gamma,
-                    lambda: self.config.lambda,
-                },
-                &mut advantages[off..],
-                &mut returns[off..],
-            );
-            for s in &b.steps {
-                obs_data.extend_from_slice(&s.observation);
-                actions.push(s.action);
-            }
-        }
-        normalize(&mut advantages);
+        let steps_consumed = std::mem::take(&mut self.staged_steps);
+        let Self { config, core, staged, spent, stage, .. } = self;
+        let n = stage.fill(staged, core, config.gamma, config.lambda);
         // Everything needed has been copied out; the batches' step storage
         // goes back to the framework for decode recycling.
-        self.spent.extend(staged);
-        let n = actions.len();
+        spent.append(staged);
 
-        // Single vanilla policy-gradient step, sharded over the pool:
-        // -Â log π(a|s) − c_e H, with deterministic gradient reduction.
-        let Self { config, policy, value, opt_policy, opt_value, par, pool, pgrads, vgrads, .. } =
-            self;
-        let dim = config.obs_dim;
-        let na = config.num_actions;
-        let ec = config.entropy_coef;
-        let inv_n = 1.0 / n as f32;
-        let obs: &[f32] = &obs_data;
-        let actions: &[u32] = &actions;
-        let advantages: &[f32] = &advantages;
-        let returns: &[f32] = &returns;
+        // Single vanilla policy-gradient step, -Â log π(a|s) − c_e H, then
+        // the critic regression to the GAE returns.
+        let GaeStage { obs, actions, advantages, returns, .. } = &*stage;
+        let loss = core.step(
+            obs,
+            n,
+            Activations::Fresh,
+            |i| actions[i] as usize,
+            |i, log_prob| (advantages[i] * log_prob, advantages[i]),
+            |i| returns[i],
+        );
 
-        pgrads.resize(policy.num_params(), 0.0);
-        let pnet: &Mlp = policy;
-        let policy_loss = par.run(*pool, n, &mut [], 0, Some(pgrads), |rows, _out, shard, grads| {
-            let x = &obs[rows.start * dim..rows.end * dim];
-            let rn = rows.len();
-            let Shard { ws_a, scratch, .. } = shard;
-            if scratch.len() < rn * na {
-                scratch.resize(rn * na, 0.0);
-            }
-            let dlogits = &mut scratch[..rn * na];
-            let mut loss = 0.0f32;
-            {
-                let logits = pnet.forward_ws(x, rn, ws_a);
-                for (row, i) in rows.enumerate() {
-                    let zrow = &logits[row * na..(row + 1) * na];
-                    let stats = row_stats(zrow);
-                    let log_z = stats.log_z();
-                    let h = stats.entropy();
-                    let inv_sum = 1.0 / stats.sum;
-                    let a = actions[i] as usize;
-                    let adv = advantages[i];
-                    loss -= adv * (zrow[a] - log_z) * inv_n;
-                    loss -= ec * h * inv_n;
-                    let drow = &mut dlogits[row * na..(row + 1) * na];
-                    for (j, (d, &z)) in drow.iter_mut().zip(zrow).enumerate() {
-                        let p = (z - stats.max).exp() * inv_sum;
-                        let indicator = if j == a { 1.0 } else { 0.0 };
-                        let g = -adv * (indicator - p) + ec * p * ((z - log_z) + h);
-                        *d = g * inv_n;
-                    }
-                }
-            }
-            pnet.backward_ws(x, rn, dlogits, ws_a, grads);
-            loss
-        });
-        clip_global_norm(pgrads, config.max_grad_norm);
-        opt_policy.step(policy.params_mut(), pgrads);
-
-        // Critic regression to the GAE returns.
-        vgrads.resize(value.num_params(), 0.0);
-        let vnet: &Mlp = value;
-        let vc = config.value_coef;
-        let vloss = par.run(*pool, n, &mut [], 0, Some(vgrads), |rows, _out, shard, grads| {
-            let x = &obs[rows.start * dim..rows.end * dim];
-            let rn = rows.len();
-            let Shard { ws_a, scratch, .. } = shard;
-            if scratch.len() < rn {
-                scratch.resize(rn, 0.0);
-            }
-            let dv = &mut scratch[..rn];
-            let mut loss = 0.0f32;
-            {
-                let v = vnet.forward_ws(x, rn, ws_a);
-                for (row, i) in rows.enumerate() {
-                    let d = v[row] - returns[i];
-                    loss += d * d * inv_n;
-                    dv[row] = vc * 2.0 * d * inv_n;
-                }
-            }
-            vnet.backward_ws(x, rn, dv, ws_a, grads);
-            loss
-        });
-        clip_global_norm(vgrads, config.max_grad_norm);
-        opt_value.step(value.params_mut(), vgrads);
-
-        self.version += 1;
         Some(TrainReport {
             steps_consumed,
-            loss: policy_loss + vc * vloss,
-            version: self.version,
-            notify: (0..self.config.num_explorers).collect(),
+            loss,
+            version: core.advance_version(),
+            notify: (0..config.num_explorers).collect(),
         })
     }
 
@@ -298,25 +161,19 @@ impl Algorithm for A2cAlgorithm {
     }
 
     fn param_blob(&self) -> ParamBlob {
-        let mut params = self.policy.params().to_vec();
-        params.extend_from_slice(self.value.params());
-        ParamBlob { version: self.version, params }
+        self.core.param_blob()
     }
 
     fn load_params(&mut self, params: &[f32]) {
-        let np = self.policy.num_params();
-        assert_eq!(params.len(), np + self.value.num_params(), "parameter count mismatch");
-        self.policy.set_params(&params[..np]);
-        self.value.set_params(&params[np..]);
+        self.core.load_params(params);
     }
 
     fn version(&self) -> u64 {
-        self.version
+        self.core.version()
     }
 
     fn adopt_params(&mut self, params: &[f32], version: u64) {
-        self.load_params(params);
-        self.version = version;
+        self.core.adopt_params(params, version);
     }
 
     fn sync_mode(&self) -> SyncMode {
@@ -328,63 +185,19 @@ impl Algorithm for A2cAlgorithm {
     }
 }
 
-/// Explorer-side A2C agent: samples the softmax policy, records logits and
-/// value estimates for the learner's GAE.
-#[derive(Debug)]
-pub struct A2cAgent {
-    policy: Mlp,
-    value: Mlp,
-    version: u64,
-    rng: StdRng,
-    ws: Workspace,
-    probs: Vec<f32>,
-}
-
-impl A2cAgent {
-    /// Creates the explorer state for `config`.
-    pub fn new(config: A2cConfig, explorer_seed: u64) -> Self {
-        let policy = Mlp::new(&config.policy_sizes(), Activation::Tanh, config.seed);
-        let value = Mlp::new(&config.value_sizes(), Activation::Tanh, config.seed ^ 0xF00D);
-        let rng = StdRng::seed_from_u64(explorer_seed.wrapping_mul(0xA2C).wrapping_add(3));
-        A2cAgent { policy, value, version: 0, rng, ws: Workspace::new(), probs: Vec::new() }
-    }
-}
-
-impl Agent for A2cAgent {
-    fn act(&mut self, observation: &[f32]) -> ActionSelection {
-        let logits: Vec<f32> = self.policy.forward_ws(observation, 1, &mut self.ws).to_vec();
-        if self.probs.len() < logits.len() {
-            self.probs.resize(logits.len(), 0.0);
-        }
-        let probs = &mut self.probs[..logits.len()];
-        softmax_row_into(&logits, probs);
-        let action = sample_categorical(probs, self.rng.gen::<f32>());
-        let value = self.value.forward_ws(observation, 1, &mut self.ws)[0];
-        ActionSelection { action, logits, value }
-    }
-
-    fn apply_params(&mut self, blob: &ParamBlob) {
-        if blob.version <= self.version {
-            return;
-        }
-        let np = self.policy.num_params();
-        assert_eq!(blob.params.len(), np + self.value.num_params(), "parameter blob size mismatch");
-        self.policy.set_params(&blob.params[..np]);
-        self.value.set_params(&blob.params[np..]);
-        self.version = blob.version;
-    }
-
-    fn param_version(&self) -> u64 {
-        self.version
+impl SoftmaxAgent {
+    /// Explorer-side A2C agent: samples the softmax policy, records logits
+    /// and value estimates for the learner's GAE.
+    pub fn a2c(config: &A2cConfig, explorer_seed: u64) -> Self {
+        SoftmaxAgent::new(config.spec(), explorer_seed.wrapping_mul(0xA2C).wrapping_add(3))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor_critic::tests::action_prob;
     use crate::payload::RolloutStep;
-    use tinynn::ops::softmax;
-    use tinynn::Matrix;
 
     fn tiny_config() -> A2cConfig {
         let mut c = A2cConfig::new(3, 2);
@@ -438,28 +251,16 @@ mod tests {
         c.gamma = 0.0;
         c.lambda = 0.0;
         let mut alg = A2cAlgorithm::new(c);
-        let obs = Matrix::from_vec(1, 3, vec![0.1, -0.3, 0.5]);
-        let before = softmax(&alg.policy.forward(&obs)).get(0, 1);
+        let obs = [0.1, -0.3, 0.5];
+        let before = action_prob(&alg.core, &obs, 1);
         for _ in 0..40 {
             let v = alg.version();
             alg.on_rollout(rollout(0, v, 1, 8));
             alg.on_rollout(rollout(1, v, 1, 8));
             alg.try_train().unwrap();
         }
-        let after = softmax(&alg.policy.forward(&obs)).get(0, 1);
+        let after = action_prob(&alg.core, &obs, 1);
         assert!(after > before + 0.1, "P(a=1) should rise: {before} -> {after}");
-    }
-
-    #[test]
-    fn agent_and_learner_share_parameter_layout() {
-        let c = tiny_config();
-        let alg = A2cAlgorithm::new(c.clone());
-        let mut agent = A2cAgent::new(c, 1);
-        let mut blob = alg.param_blob();
-        blob.version = 1;
-        agent.apply_params(&blob);
-        assert_eq!(agent.param_version(), 1);
-        assert_eq!(agent.policy.params(), alg.policy.params());
     }
 
     #[test]

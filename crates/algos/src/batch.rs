@@ -1,56 +1,7 @@
-//! Helpers for turning rollout batches into training tensors.
+//! Helpers for turning rollout batches into training arrays.
 
 use crate::payload::RolloutStep;
 use tinynn::ops::row_stats;
-use tinynn::Matrix;
-
-/// Stacks the observations of `steps` into a `(len, obs_dim)` matrix.
-///
-/// # Panics
-///
-/// Panics if `steps` is empty or observations differ in length.
-pub fn observation_matrix(steps: &[&RolloutStep]) -> Matrix {
-    assert!(!steps.is_empty(), "cannot stack an empty batch");
-    let dim = steps[0].observation.len();
-    let mut data = Vec::with_capacity(steps.len() * dim);
-    for s in steps {
-        assert_eq!(s.observation.len(), dim, "ragged observations");
-        data.extend_from_slice(&s.observation);
-    }
-    Matrix::from_vec(steps.len(), dim, data)
-}
-
-/// Stacks the *next* observations (for DQN targets). Terminal steps without a
-/// next observation contribute zeros (their target is masked anyway).
-pub fn next_observation_matrix(steps: &[&RolloutStep]) -> Matrix {
-    assert!(!steps.is_empty(), "cannot stack an empty batch");
-    let dim = steps[0].observation.len();
-    let mut data = Vec::with_capacity(steps.len() * dim);
-    for s in steps {
-        match &s.next_observation {
-            Some(o) => {
-                assert_eq!(o.len(), dim, "ragged next observations");
-                data.extend_from_slice(o);
-            }
-            None => data.extend(std::iter::repeat_n(0.0, dim)),
-        }
-    }
-    Matrix::from_vec(steps.len(), dim, data)
-}
-
-/// Log-probability of each step's taken action under its recorded behavior
-/// logits.
-///
-/// # Panics
-///
-/// Panics if any step lacks behavior logits.
-pub fn behavior_log_probs(steps: &[&RolloutStep]) -> Vec<f32> {
-    let mut out = Vec::with_capacity(steps.len());
-    for s in steps {
-        out.push(behavior_log_prob(s));
-    }
-    out
-}
 
 /// Appends one log-probability per step to `out` — the allocation-free
 /// staging path (no per-step matrices, one fused [`row_stats`] pass each).
@@ -61,31 +12,12 @@ pub fn behavior_log_probs(steps: &[&RolloutStep]) -> Vec<f32> {
 pub fn behavior_log_probs_into(steps: &[RolloutStep], out: &mut Vec<f32>) {
     out.reserve(steps.len());
     for s in steps {
-        out.push(behavior_log_prob(s));
+        assert!(
+            !s.behavior_logits.is_empty(),
+            "behavior logits required (actor-critic rollouts record them)"
+        );
+        out.push(s.behavior_logits[s.action as usize] - row_stats(&s.behavior_logits).log_z());
     }
-}
-
-fn behavior_log_prob(s: &RolloutStep) -> f32 {
-    assert!(
-        !s.behavior_logits.is_empty(),
-        "behavior logits required (actor-critic rollouts record them)"
-    );
-    s.behavior_logits[s.action as usize] - row_stats(&s.behavior_logits).log_z()
-}
-
-/// Log-probability of each taken action under `logits` (one row per step).
-///
-/// One fused pass per row — the full log-softmax matrix is never
-/// materialized.
-pub fn taken_log_probs(logits: &Matrix, actions: &[u32]) -> Vec<f32> {
-    actions
-        .iter()
-        .enumerate()
-        .map(|(i, &a)| {
-            let row = logits.row(i);
-            row[a as usize] - row_stats(row).log_z()
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -105,55 +37,14 @@ mod tests {
     }
 
     #[test]
-    fn observation_matrix_stacks_rows() {
-        let a = step(vec![1.0, 2.0], 0, vec![0.0, 0.0]);
-        let b = step(vec![3.0, 4.0], 1, vec![0.0, 0.0]);
-        let m = observation_matrix(&[&a, &b]);
-        assert_eq!(m.shape(), (2, 2));
-        assert_eq!(m.row(1), &[3.0, 4.0]);
-    }
-
-    #[test]
-    fn behavior_log_probs_match_log_softmax() {
-        let s = step(vec![0.0], 1, vec![1.0, 3.0]);
-        let lp = behavior_log_probs(&[&s])[0];
-        // log softmax of [1,3] at index 1 = -ln(1 + e^{-2}).
-        let expect = -(1.0f32 + (-2.0f32).exp()).ln();
-        assert!((lp - expect).abs() < 1e-5);
-    }
-
-    #[test]
-    fn behavior_log_probs_into_appends_without_matrices() {
-        let a = step(vec![0.0], 1, vec![1.0, 3.0]);
-        let b = step(vec![0.0], 0, vec![-0.5, 0.25]);
-        let steps = vec![a, b];
-        let refs: Vec<&_> = steps.iter().collect();
-        let expect = behavior_log_probs(&refs);
+    fn behavior_log_probs_into_appends_the_log_softmax_of_the_taken_action() {
+        let steps = vec![step(vec![0.0], 1, vec![1.0, 3.0]), step(vec![0.0], 0, vec![-0.5, 0.25])];
         let mut out = vec![7.0f32]; // pre-existing content is preserved
         behavior_log_probs_into(&steps, &mut out);
         assert_eq!(out[0], 7.0);
-        assert_eq!(&out[1..], &expect[..]);
-    }
-
-    #[test]
-    fn taken_log_probs_match_row_log_softmax() {
-        let logits = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, -1.0, 0.0, 0.5]);
-        let lp = taken_log_probs(&logits, &[2, 0]);
-        let ls = tinynn::ops::log_softmax(&logits);
-        assert!((lp[0] - ls.get(0, 2)).abs() < 1e-6);
-        assert!((lp[1] - ls.get(1, 0)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn missing_next_observation_is_zero_padded() {
-        let s = step(vec![1.0, 1.0], 0, vec![]);
-        let m = next_observation_matrix(&[&s]);
-        assert_eq!(m.row(0), &[0.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty batch")]
-    fn empty_batch_panics() {
-        let _ = observation_matrix(&[]);
+        // log softmax of [1, 3] at index 1 = -ln(1 + e^{-2}); of
+        // [-0.5, 0.25] at index 0 = -ln(1 + e^{0.75}).
+        assert!((out[1] + (1.0f32 + (-2.0f32).exp()).ln()).abs() < 1e-5);
+        assert!((out[2] + (1.0f32 + 0.75f32.exp()).ln()).abs() < 1e-5);
     }
 }

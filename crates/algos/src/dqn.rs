@@ -649,7 +649,6 @@ impl Agent for DqnAgent {
 mod tests {
     use super::*;
     use crate::payload::RolloutStep;
-    use tinynn::Matrix;
 
     fn tiny_config() -> DqnConfig {
         let mut c = DqnConfig::new(4, 2);
@@ -740,8 +739,8 @@ mod tests {
             last_loss = alg.try_train().unwrap().loss;
         }
         assert!(last_loss < 0.01, "loss should approach 0, got {last_loss}");
-        let q = alg.q.forward(&Matrix::from_vec(1, 4, vec![0.1, 0.2, 0.3, 0.4]));
-        assert!((q.get(0, 1) - 1.0).abs() < 0.15, "Q(s,1) ≈ 1, got {}", q.get(0, 1));
+        let q = alg.q.forward_ws(&[0.1, 0.2, 0.3, 0.4], 1, &mut Workspace::new())[1];
+        assert!((q - 1.0).abs() < 0.15, "Q(s,1) ≈ 1, got {q}");
     }
 
     #[test]
@@ -914,8 +913,8 @@ mod tests {
         c.epsilon_start = 0.0;
         c.epsilon_end = 0.0;
         let mut agent = DqnAgent::new(c, 0);
-        let sel = agent.act(&[0.1, 0.2, 0.3, 0.4]);
-        let x = Matrix::from_vec(1, 4, vec![0.1, 0.2, 0.3, 0.4]);
-        assert_eq!(sel.action, argmax(agent.q.forward(&x).row(0)));
+        let x = [0.1, 0.2, 0.3, 0.4];
+        let sel = agent.act(&x);
+        assert_eq!(sel.action, argmax(agent.q.forward_ws(&x, 1, &mut Workspace::new())));
     }
 }

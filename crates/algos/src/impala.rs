@@ -7,18 +7,13 @@
 //! parameters — the asynchrony XingTian's aggressive push exploits for its
 //! +70.71% throughput headline (paper Fig. 8).
 
-use crate::api::{ActionSelection, Agent, Algorithm, SyncMode, TrainReport};
+use crate::actor_critic::{ActorCritic, Activations, SoftmaxAgent, Spec};
+use crate::api::{Algorithm, SyncMode, TrainReport};
 use crate::batch::behavior_log_probs_into;
-use crate::par::{ParGrad, Shard};
 use crate::payload::{ParamBlob, RolloutBatch};
 use crate::vtrace::{vtrace_into, VtraceInput};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use tinynn::ops::{row_stats, sample_categorical, softmax_row_into};
-use tinynn::optim::{clip_global_norm, Adam};
-use tinynn::{Activation, Mlp, Workspace};
 use xingtian_comm::pool::{shared_pool, WorkPool};
 
 /// IMPALA hyperparameters.
@@ -72,18 +67,17 @@ impl ImpalaConfig {
         }
     }
 
-    fn policy_sizes(&self) -> Vec<usize> {
-        let mut s = vec![self.obs_dim];
-        s.extend_from_slice(&self.hidden);
-        s.push(self.num_actions);
-        s
-    }
-
-    fn value_sizes(&self) -> Vec<usize> {
-        let mut s = vec![self.obs_dim];
-        s.extend_from_slice(&self.hidden);
-        s.push(1);
-        s
+    fn spec(&self) -> Spec<'_> {
+        Spec {
+            obs_dim: self.obs_dim,
+            num_actions: self.num_actions,
+            hidden: &self.hidden,
+            seed: self.seed,
+            lr: self.lr,
+            entropy_coef: self.entropy_coef,
+            value_coef: Some(self.value_coef),
+            max_grad_norm: self.max_grad_norm,
+        }
     }
 }
 
@@ -91,22 +85,18 @@ impl ImpalaConfig {
 #[derive(Debug)]
 pub struct ImpalaAlgorithm {
     config: ImpalaConfig,
-    policy: Mlp,
-    value: Mlp,
-    opt_policy: Adam,
-    opt_value: Adam,
+    core: ActorCritic,
     queue: VecDeque<RolloutBatch>,
     dropped_batches: u64,
     spent: Vec<RolloutBatch>,
-    version: u64,
-    pool: Option<&'static WorkPool>,
-    par: ParGrad,
-    ws: Workspace,
-    pgrads: Vec<f32>,
-    vgrads: Vec<f32>,
-    // Persistent staging buffers (SoA view of the current batch plus the
-    // V-trace intermediates) — allocation-free after warmup.
-    obs_buf: Vec<f32>,
+    staging: Staging,
+}
+
+/// Persistent staging buffers (SoA view of the current batch plus the
+/// V-trace intermediates) — allocation-free after warmup.
+#[derive(Debug, Default)]
+struct Staging {
+    obs: Vec<f32>,
     actions: Vec<u32>,
     rewards: Vec<f32>,
     dones: Vec<bool>,
@@ -128,35 +118,14 @@ impl ImpalaAlgorithm {
     /// Like [`ImpalaAlgorithm::new`] but with an explicit worker pool; `None`
     /// computes every shard on the calling thread (bitwise-identical result).
     pub fn with_pool(config: ImpalaConfig, pool: Option<&'static WorkPool>) -> Self {
-        let policy = Mlp::new(&config.policy_sizes(), Activation::Tanh, config.seed);
-        let value = Mlp::new(&config.value_sizes(), Activation::Tanh, config.seed ^ 0xF00D);
-        let opt_policy = Adam::new(policy.num_params(), config.lr);
-        let opt_value = Adam::new(value.num_params(), config.lr);
+        let core = ActorCritic::new(config.spec(), pool);
         ImpalaAlgorithm {
             config,
-            policy,
-            value,
-            opt_policy,
-            opt_value,
+            core,
             queue: VecDeque::new(),
             dropped_batches: 0,
             spent: Vec::new(),
-            version: 0,
-            pool,
-            par: ParGrad::new(),
-            ws: Workspace::new(),
-            pgrads: Vec::new(),
-            vgrads: Vec::new(),
-            obs_buf: Vec::new(),
-            actions: Vec::new(),
-            rewards: Vec::new(),
-            dones: Vec::new(),
-            behavior_lp: Vec::new(),
-            values: Vec::new(),
-            target_lp: Vec::new(),
-            vs: Vec::new(),
-            pg_adv: Vec::new(),
-            fwd_out: Vec::new(),
+            staging: Staging::default(),
         }
     }
 
@@ -189,87 +158,40 @@ impl Algorithm for ImpalaAlgorithm {
     fn try_train(&mut self) -> Option<TrainReport> {
         let batch = self.queue.pop_front()?;
         let n = batch.len();
-        let Self {
-            config,
-            policy,
-            value,
-            opt_policy,
-            opt_value,
-            par,
-            pool,
-            ws,
-            pgrads,
-            vgrads,
-            obs_buf,
-            actions,
-            rewards,
-            dones,
-            behavior_lp,
-            values,
-            target_lp,
-            vs,
-            pg_adv,
-            fwd_out,
-            ..
-        } = self;
-        let dim = config.obs_dim;
-        let na = config.num_actions;
-        let ec = config.entropy_coef;
-        let vc = config.value_coef;
-        let inv_n = 1.0 / n as f32;
+        let Self { config, core, staging, .. } = self;
+        let Staging { obs, actions, rewards, dones, behavior_lp, values, target_lp, vs, pg_adv, fwd_out } =
+            staging;
 
         // Stage the batch as SoA buffers (reused across training steps).
-        obs_buf.clear();
+        obs.clear();
         actions.clear();
         rewards.clear();
         dones.clear();
         behavior_lp.clear();
         for s in &batch.steps {
-            assert_eq!(s.observation.len(), dim, "ragged observations");
-            obs_buf.extend_from_slice(&s.observation);
+            assert_eq!(s.observation.len(), config.obs_dim, "ragged observations");
+            obs.extend_from_slice(&s.observation);
             actions.push(s.action);
             rewards.push(s.reward);
             dones.push(s.done);
         }
         behavior_log_probs_into(&batch.steps, behavior_lp);
-        let obs: &[f32] = obs_buf;
         let actions: &[u32] = actions;
-        let pnet: &Mlp = policy;
-        let vnet: &Mlp = value;
 
-        // Phase 1 (parallel): forward both nets per shard, caching the
-        // activations in the shard workspaces for the backward phases. Each
-        // row emits [V(s_t), log π(a_t|s_t)] — the inputs V-trace needs.
-        // Values come from the *current* value net (V-trace requirement).
+        // Phase 1 (parallel): forward both nets, keeping the activations for
+        // the backward phase. Each row emits [V(s_t), log π(a_t|s_t)] — the
+        // inputs V-trace needs. Values come from the *current* value net
+        // (V-trace requirement).
         if fwd_out.len() < n * 2 {
             fwd_out.resize(n * 2, 0.0);
         }
-        par.run(*pool, n, &mut fwd_out[..n * 2], 2, None, |rows, out_rows, shard, _grads| {
-            let x = &obs[rows.start * dim..rows.end * dim];
-            let rn = rows.len();
-            let Shard { ws_a, ws_b, .. } = shard;
-            let v = vnet.forward_ws(x, rn, ws_b);
-            let logits = pnet.forward_ws(x, rn, ws_a);
-            for (row, i) in rows.enumerate() {
-                let zrow = &logits[row * na..(row + 1) * na];
-                out_rows[row * 2] = v[row];
-                out_rows[row * 2 + 1] = zrow[actions[i] as usize] - row_stats(zrow).log_z();
-            }
-            0.0
-        });
+        core.evaluate(obs, n, |i| actions[i] as usize, &mut fwd_out[..n * 2]);
         values.resize(n, 0.0);
         target_lp.resize(n, 0.0);
         for i in 0..n {
             values[i] = fwd_out[i * 2];
             target_lp[i] = fwd_out[i * 2 + 1];
         }
-        let bootstrap_value = if batch.bootstrap_observation.is_empty() {
-            0.0
-        } else {
-            // The learner-level workspace: shard workspaces must keep their
-            // phase-1 activations alive for the backward phases.
-            vnet.forward_ws(&batch.bootstrap_observation, 1, ws)[0]
-        };
 
         // Phase 2 (sequential): the V-trace recursion is a global backward
         // scan over the batch — inherently serial, one allocation-free pass.
@@ -282,7 +204,7 @@ impl Algorithm for ImpalaAlgorithm {
                 rewards,
                 values,
                 dones,
-                bootstrap_value,
+                bootstrap_value: core.bootstrap_value(&batch.bootstrap_observation),
                 gamma: config.gamma,
                 rho_bar: config.rho_bar,
                 c_bar: config.c_bar,
@@ -290,82 +212,26 @@ impl Algorithm for ImpalaAlgorithm {
             vs,
             pg_adv,
         );
-        let target_lp: &[f32] = target_lp;
-        let pg_adv: &[f32] = pg_adv;
-        let vs: &[f32] = vs;
+        let (pg_adv, vs): (&[f32], &[f32]) = (pg_adv, vs);
 
-        // Phase 3 (parallel): policy backward over the phase-1 activations.
-        pgrads.resize(policy.num_params(), 0.0);
-        let policy_loss = par.run(*pool, n, &mut [], 0, Some(pgrads), |rows, _out, shard, grads| {
-            let x = &obs[rows.start * dim..rows.end * dim];
-            let rn = rows.len();
-            let Shard { ws_a, scratch, .. } = shard;
-            if scratch.len() < rn * na {
-                scratch.resize(rn * na, 0.0);
-            }
-            let dlogits = &mut scratch[..rn * na];
-            let mut loss = 0.0f32;
-            {
-                let logits = pnet.cached_output(ws_a, rn);
-                for (row, i) in rows.enumerate() {
-                    let zrow = &logits[row * na..(row + 1) * na];
-                    let stats = row_stats(zrow);
-                    let log_z = stats.log_z();
-                    let h = stats.entropy();
-                    let inv_sum = 1.0 / stats.sum;
-                    let a = actions[i] as usize;
-                    let adv = pg_adv[i];
-                    loss -= adv * target_lp[i] * inv_n;
-                    loss -= ec * h * inv_n;
-                    let drow = &mut dlogits[row * na..(row + 1) * na];
-                    for (j, (d, &z)) in drow.iter_mut().zip(zrow).enumerate() {
-                        let p = (z - stats.max).exp() * inv_sum;
-                        let indicator = if j == a { 1.0 } else { 0.0 };
-                        // d/dlogits of -(adv · log π(a|s)): -adv (δ_aj − p_j),
-                        // plus the entropy-bonus gradient as in PPO.
-                        let g = -adv * (indicator - p) + ec * p * ((z - log_z) + h);
-                        *d = g * inv_n;
-                    }
-                }
-            }
-            pnet.backward_ws(x, rn, dlogits, ws_a, grads);
-            loss
-        });
-        clip_global_norm(pgrads, config.max_grad_norm);
-        opt_policy.step(policy.params_mut(), pgrads);
+        // Phase 3 (parallel): policy gradient on the V-trace advantage and
+        // critic regression to the V-trace targets, both back-propagated over
+        // the phase-1 activations.
+        let loss = core.step(
+            obs,
+            n,
+            Activations::Cached,
+            |i| actions[i] as usize,
+            |i, log_prob| (pg_adv[i] * log_prob, pg_adv[i]),
+            |i| vs[i],
+        );
 
-        // Phase 4 (parallel): critic regression to the V-trace targets, also
-        // over the phase-1 activations.
-        vgrads.resize(value.num_params(), 0.0);
-        let vloss = par.run(*pool, n, &mut [], 0, Some(vgrads), |rows, _out, shard, grads| {
-            let x = &obs[rows.start * dim..rows.end * dim];
-            let rn = rows.len();
-            let Shard { ws_b, scratch, .. } = shard;
-            if scratch.len() < rn {
-                scratch.resize(rn, 0.0);
-            }
-            let dv = &mut scratch[..rn];
-            let mut loss = 0.0f32;
-            {
-                let v = vnet.cached_output(ws_b, rn);
-                for (row, i) in rows.enumerate() {
-                    let d = v[row] - vs[i];
-                    loss += d * d * inv_n;
-                    dv[row] = vc * 2.0 * d * inv_n;
-                }
-            }
-            vnet.backward_ws(x, rn, dv, ws_b, grads);
-            loss
-        });
-        clip_global_norm(vgrads, config.max_grad_norm);
-        opt_value.step(value.params_mut(), vgrads);
-
-        self.version += 1;
+        let version = core.advance_version();
         // Paper: "sends updated DNN parameters exactly to the explorers it
         // gets rollouts from".
         let notify = vec![batch.explorer];
         self.spent.push(batch);
-        Some(TrainReport { steps_consumed: n, loss: policy_loss + vc * vloss, version: self.version, notify })
+        Some(TrainReport { steps_consumed: n, loss, version, notify })
     }
 
     fn take_spent(&mut self) -> Option<RolloutBatch> {
@@ -373,25 +239,19 @@ impl Algorithm for ImpalaAlgorithm {
     }
 
     fn param_blob(&self) -> ParamBlob {
-        let mut params = self.policy.params().to_vec();
-        params.extend_from_slice(self.value.params());
-        ParamBlob { version: self.version, params }
+        self.core.param_blob()
     }
 
     fn load_params(&mut self, params: &[f32]) {
-        let np = self.policy.num_params();
-        assert_eq!(params.len(), np + self.value.num_params(), "parameter count mismatch");
-        self.policy.set_params(&params[..np]);
-        self.value.set_params(&params[np..]);
+        self.core.load_params(params);
     }
 
     fn version(&self) -> u64 {
-        self.version
+        self.core.version()
     }
 
     fn adopt_params(&mut self, params: &[f32], version: u64) {
-        self.load_params(params);
-        self.version = version;
+        self.core.adopt_params(params, version);
     }
 
     fn sync_mode(&self) -> SyncMode {
@@ -403,63 +263,19 @@ impl Algorithm for ImpalaAlgorithm {
     }
 }
 
-/// Explorer-side IMPALA agent: samples the softmax policy, records behavior
-/// logits for V-trace.
-#[derive(Debug)]
-pub struct ImpalaAgent {
-    policy: Mlp,
-    value: Mlp,
-    version: u64,
-    rng: StdRng,
-    ws: Workspace,
-    probs: Vec<f32>,
-}
-
-impl ImpalaAgent {
-    /// Creates the explorer state for `config`.
-    pub fn new(config: ImpalaConfig, explorer_seed: u64) -> Self {
-        let policy = Mlp::new(&config.policy_sizes(), Activation::Tanh, config.seed);
-        let value = Mlp::new(&config.value_sizes(), Activation::Tanh, config.seed ^ 0xF00D);
-        let rng = StdRng::seed_from_u64(explorer_seed.wrapping_mul(0xC0FFEE).wrapping_add(13));
-        ImpalaAgent { policy, value, version: 0, rng, ws: Workspace::new(), probs: Vec::new() }
-    }
-}
-
-impl Agent for ImpalaAgent {
-    fn act(&mut self, observation: &[f32]) -> ActionSelection {
-        let logits: Vec<f32> = self.policy.forward_ws(observation, 1, &mut self.ws).to_vec();
-        if self.probs.len() < logits.len() {
-            self.probs.resize(logits.len(), 0.0);
-        }
-        let probs = &mut self.probs[..logits.len()];
-        softmax_row_into(&logits, probs);
-        let action = sample_categorical(probs, self.rng.gen::<f32>());
-        let value = self.value.forward_ws(observation, 1, &mut self.ws)[0];
-        ActionSelection { action, logits, value }
-    }
-
-    fn apply_params(&mut self, blob: &ParamBlob) {
-        if blob.version <= self.version {
-            return;
-        }
-        let np = self.policy.num_params();
-        assert_eq!(blob.params.len(), np + self.value.num_params(), "parameter blob size mismatch");
-        self.policy.set_params(&blob.params[..np]);
-        self.value.set_params(&blob.params[np..]);
-        self.version = blob.version;
-    }
-
-    fn param_version(&self) -> u64 {
-        self.version
+impl SoftmaxAgent {
+    /// Explorer-side IMPALA agent: samples the softmax policy, records
+    /// behavior logits for V-trace.
+    pub fn impala(config: &ImpalaConfig, explorer_seed: u64) -> Self {
+        SoftmaxAgent::new(config.spec(), explorer_seed.wrapping_mul(0xC0FFEE).wrapping_add(13))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor_critic::tests::action_prob;
     use crate::payload::RolloutStep;
-    use tinynn::ops::softmax;
-    use tinynn::Matrix;
 
     fn tiny_config() -> ImpalaConfig {
         let mut c = ImpalaConfig::new(3, 2);
@@ -526,25 +342,14 @@ mod tests {
         let mut c = tiny_config();
         c.gamma = 0.0;
         let mut alg = ImpalaAlgorithm::new(c);
-        let obs = Matrix::from_vec(1, 3, vec![0.3, 0.1, -0.2]);
-        let before = softmax(&alg.policy.forward(&obs)).get(0, 1);
+        let obs = [0.3, 0.1, -0.2];
+        let before = action_prob(&alg.core, &obs, 1);
         for _ in 0..60 {
             alg.on_rollout(rollout(0, 1, 32));
             alg.try_train().unwrap();
         }
-        let after = softmax(&alg.policy.forward(&obs)).get(0, 1);
+        let after = action_prob(&alg.core, &obs, 1);
         assert!(after > before + 0.1, "P(a=1) should rise: {before} -> {after}");
-    }
-
-    #[test]
-    fn agent_param_round_trip() {
-        let alg = ImpalaAlgorithm::new(tiny_config());
-        let mut agent = ImpalaAgent::new(tiny_config(), 2);
-        let mut blob = alg.param_blob();
-        blob.version = 1;
-        agent.apply_params(&blob);
-        assert_eq!(agent.param_version(), 1);
-        assert_eq!(agent.policy.params(), alg.policy.params());
     }
 
     #[test]

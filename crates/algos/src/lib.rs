@@ -16,6 +16,14 @@
 //! * **REINFORCE** (policy-based, on-policy) — [`reinforce`], episodic
 //!   Monte-Carlo policy gradient with a moving-average baseline.
 //!
+//! The last four are one family — a softmax policy, optionally a critic, a
+//! policy-gradient step, a critic regression — and share one core,
+//! [`actor_critic`]: the networks and optimizers, the `[policy | value]`
+//! parameter layout, the pool-sharded training step, GAE staging, and the one
+//! explorer-side [`SoftmaxAgent`]. Each algorithm module keeps its config, its
+//! rollout bookkeeping, and the one per-row surrogate expression it
+//! contributes.
+//!
 //! DQN additionally supports Double-DQN targets and prioritized replay
 //! (`DqnConfig::double` / `DqnConfig::prioritized`), rounding out the zoo the
 //! paper describes.
@@ -28,6 +36,7 @@
 //! XingTian channel or a baseline framework — can move them.
 
 pub mod a2c;
+pub mod actor_critic;
 pub mod api;
 pub mod batch;
 pub mod dqn;
@@ -43,14 +52,15 @@ pub mod sample;
 pub mod sumtree;
 pub mod vtrace;
 
-pub use a2c::{A2cAgent, A2cAlgorithm, A2cConfig};
+pub use a2c::{A2cAlgorithm, A2cConfig};
+pub use actor_critic::SoftmaxAgent;
 pub use api::{ActionSelection, Agent, Algorithm, ShardedSync, SyncMode, TrainReport};
 pub use dqn::{DqnAgent, DqnAlgorithm, DqnConfig};
-pub use impala::{ImpalaAgent, ImpalaAlgorithm, ImpalaConfig};
+pub use impala::{ImpalaAlgorithm, ImpalaConfig};
 pub use lazy::{GradBlob, LazyGradConfig, LazyGradGate};
 pub use par::{ParGrad, Shard};
 pub use payload::{BatchDecoder, ParamBlob, RolloutBatch, RolloutStep};
-pub use ppo::{PpoAgent, PpoAlgorithm, PpoConfig};
-pub use reinforce::{ReinforceAgent, ReinforceAlgorithm, ReinforceConfig};
+pub use ppo::{PpoAlgorithm, PpoConfig};
+pub use reinforce::{ReinforceAlgorithm, ReinforceConfig};
 pub use replay::{PrioritizedReplay, ReplayBuffer, SamplePick};
 pub use sample::{InLearnerReplay, ReplayBackend, SampleSink};

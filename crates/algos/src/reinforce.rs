@@ -8,16 +8,13 @@
 //! returns-to-go, subtracts a scalar moving-average baseline, and takes one
 //! policy-gradient step per collected batch of episodes.
 
-use crate::api::{ActionSelection, Agent, Algorithm, SyncMode, TrainReport};
-use crate::batch::taken_log_probs;
+use crate::actor_critic::{ActorCritic, Activations, SoftmaxAgent, Spec};
+use crate::api::{Algorithm, SyncMode, TrainReport};
+use crate::gae::normalize;
 use crate::payload::{ParamBlob, RolloutBatch, RolloutStep};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use tinynn::ops::{log_softmax, sample_categorical, softmax};
-use tinynn::optim::{clip_global_norm, Adam};
-use tinynn::{Activation, Matrix, Mlp};
+use xingtian_comm::pool::{shared_pool, WorkPool};
 
 /// REINFORCE hyperparameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -64,48 +61,59 @@ impl ReinforceConfig {
         }
     }
 
-    fn policy_sizes(&self) -> Vec<usize> {
-        let mut s = vec![self.obs_dim];
-        s.extend_from_slice(&self.hidden);
-        s.push(self.num_actions);
-        s
+    fn spec(&self) -> Spec<'_> {
+        Spec {
+            obs_dim: self.obs_dim,
+            num_actions: self.num_actions,
+            hidden: &self.hidden,
+            seed: self.seed,
+            lr: self.lr,
+            entropy_coef: self.entropy_coef,
+            value_coef: None,
+            max_grad_norm: self.max_grad_norm,
+        }
     }
-}
-
-/// One completed episode assembled from rollout steps.
-#[derive(Debug, Clone)]
-struct Episode {
-    steps: Vec<RolloutStep>,
 }
 
 /// Learner-side REINFORCE.
 #[derive(Debug)]
 pub struct ReinforceAlgorithm {
     config: ReinforceConfig,
-    policy: Mlp,
-    opt: Adam,
+    core: ActorCritic,
     /// Partial episodes keyed by explorer index (episodes can span batches).
     partial: HashMap<u32, Vec<RolloutStep>>,
-    complete: Vec<Episode>,
+    /// Completed episodes, oldest first.
+    complete: Vec<Vec<RolloutStep>>,
     baseline: f32,
     baseline_initialized: bool,
-    version: u64,
+    // Persistent session buffers.
+    obs: Vec<f32>,
+    actions: Vec<u32>,
+    advantages: Vec<f32>,
 }
 
 impl ReinforceAlgorithm {
-    /// Creates the learner state for `config`.
+    /// Creates the learner state for `config`, sharding the policy-gradient
+    /// step over the process-wide worker pool.
     pub fn new(config: ReinforceConfig) -> Self {
-        let policy = Mlp::new(&config.policy_sizes(), Activation::Tanh, config.seed);
-        let opt = Adam::new(policy.num_params(), config.lr);
+        Self::with_pool(config, Some(shared_pool()))
+    }
+
+    /// Like [`ReinforceAlgorithm::new`] but with an explicit worker pool;
+    /// `None` computes every shard on the calling thread (bitwise-identical
+    /// result).
+    pub fn with_pool(config: ReinforceConfig, pool: Option<&'static WorkPool>) -> Self {
+        let core = ActorCritic::new(config.spec(), pool);
         ReinforceAlgorithm {
             config,
-            policy,
-            opt,
+            core,
             partial: HashMap::new(),
             complete: Vec::new(),
             baseline: 0.0,
             baseline_initialized: false,
-            version: 0,
+            obs: Vec::new(),
+            actions: Vec::new(),
+            advantages: Vec::new(),
         }
     }
 
@@ -127,7 +135,7 @@ impl Algorithm for ReinforceAlgorithm {
             let done = step.done;
             partial.push(step);
             if done {
-                self.complete.push(Episode { steps: std::mem::take(partial) });
+                self.complete.push(std::mem::take(partial));
             }
         }
     }
@@ -136,99 +144,77 @@ impl Algorithm for ReinforceAlgorithm {
         if self.complete.len() < self.config.episodes_per_train {
             return None;
         }
-        let episodes: Vec<Episode> =
-            self.complete.drain(..self.config.episodes_per_train).collect();
+        let Self { config, core, complete, baseline, baseline_initialized, obs, actions, advantages, .. } =
+            self;
 
         // Monte-Carlo returns-to-go per episode, with a scalar moving-average
         // baseline over episode returns.
-        let mut obs_data: Vec<f32> = Vec::new();
-        let mut actions: Vec<u32> = Vec::new();
-        let mut advantages: Vec<f32> = Vec::new();
-        let mut steps_consumed = 0usize;
-        for ep in &episodes {
-            steps_consumed += ep.steps.len();
+        obs.clear();
+        actions.clear();
+        advantages.clear();
+        for ep in complete.drain(..config.episodes_per_train) {
+            let off = advantages.len();
+            advantages.resize(off + ep.len(), 0.0);
+            let rtg = &mut advantages[off..];
             let mut g = 0.0f32;
-            let mut rtg = vec![0.0f32; ep.steps.len()];
-            for (i, s) in ep.steps.iter().enumerate().rev() {
-                g = s.reward + self.config.gamma * g;
-                rtg[i] = g;
+            for (r, s) in rtg.iter_mut().zip(&ep).rev() {
+                g = s.reward + config.gamma * g;
+                *r = g;
             }
             let episode_return = rtg.first().copied().unwrap_or(0.0);
-            if self.baseline_initialized {
-                self.baseline = self.config.baseline_decay * self.baseline
-                    + (1.0 - self.config.baseline_decay) * episode_return;
+            if *baseline_initialized {
+                *baseline =
+                    config.baseline_decay * *baseline + (1.0 - config.baseline_decay) * episode_return;
             } else {
-                self.baseline = episode_return;
-                self.baseline_initialized = true;
+                *baseline = episode_return;
+                *baseline_initialized = true;
             }
-            for (s, r) in ep.steps.iter().zip(&rtg) {
-                obs_data.extend_from_slice(&s.observation);
+            for (r, s) in rtg.iter_mut().zip(&ep) {
+                assert_eq!(s.observation.len(), config.obs_dim, "ragged observations");
+                obs.extend_from_slice(&s.observation);
                 actions.push(s.action);
-                advantages.push(r - self.baseline);
+                *r -= *baseline;
             }
         }
         // Whiten the advantages across the batch: the scalar baseline centers
         // episode-level return differences, but within an episode the
         // return-to-go declines toward the end, which would systematically
         // penalize late-episode actions without this normalization.
-        crate::gae::normalize(&mut advantages);
-        let n = actions.len();
-        let obs = Matrix::from_vec(n, self.config.obs_dim, obs_data);
+        normalize(advantages);
+        let steps_consumed = actions.len();
 
-        let (logits, cache) = self.policy.forward_cached(&obs);
-        let probs = softmax(&logits);
-        let logs = log_softmax(&logits);
-        let target_lp = taken_log_probs(&logits, &actions);
-        let mut dlogits = Matrix::zeros(n, self.config.num_actions);
-        let mut loss = 0.0f32;
-        for i in 0..n {
-            let a = actions[i] as usize;
-            let adv = advantages[i];
-            loss -= adv * target_lp[i] / n as f32;
-            let mut h = 0.0f32;
-            for j in 0..self.config.num_actions {
-                let p = probs.get(i, j);
-                if p > 0.0 {
-                    h -= p * logs.get(i, j);
-                }
-            }
-            for j in 0..self.config.num_actions {
-                let p = probs.get(i, j);
-                let indicator = if j == a { 1.0 } else { 0.0 };
-                let mut g = -adv * (indicator - p);
-                g += self.config.entropy_coef * p * (logs.get(i, j) + h);
-                dlogits.set(i, j, g / n as f32);
-            }
-            loss -= self.config.entropy_coef * h / n as f32;
-        }
-        let mut grads = self.policy.backward_cached(&obs, &cache, &dlogits);
-        clip_global_norm(&mut grads, self.config.max_grad_norm);
-        self.opt.step(self.policy.params_mut(), &grads);
+        // -Â log π(a|s) − c_e H: the vanilla policy gradient, no critic.
+        let (actions, advantages): (&[u32], &[f32]) = (actions, advantages);
+        let loss = core.policy_step(
+            obs,
+            steps_consumed,
+            Activations::Fresh,
+            |i| actions[i] as usize,
+            |i, log_prob| (advantages[i] * log_prob, advantages[i]),
+        );
 
-        self.version += 1;
         Some(TrainReport {
             steps_consumed,
             loss,
-            version: self.version,
-            notify: (0..self.config.num_explorers).collect(),
+            version: core.advance_version(),
+            notify: (0..config.num_explorers).collect(),
         })
     }
 
     fn param_blob(&self) -> ParamBlob {
-        ParamBlob { version: self.version, params: self.policy.params().to_vec() }
+        self.core.param_blob()
     }
 
     fn load_params(&mut self, params: &[f32]) {
-        self.policy.set_params(params);
+        self.core.load_params(params);
     }
 
     fn version(&self) -> u64 {
-        self.version
+        self.core.version()
     }
 
     fn adopt_params(&mut self, params: &[f32], version: u64) {
-        self.load_params(params);
-        self.version = version;
+        self.core.adopt_params(params, version);
     }
 
     fn sync_mode(&self) -> SyncMode {
@@ -243,47 +229,18 @@ impl Algorithm for ReinforceAlgorithm {
     }
 }
 
-/// Explorer-side REINFORCE agent: samples the softmax policy.
-#[derive(Debug)]
-pub struct ReinforceAgent {
-    policy: Mlp,
-    version: u64,
-    rng: StdRng,
-}
-
-impl ReinforceAgent {
-    /// Creates the explorer state for `config`.
-    pub fn new(config: ReinforceConfig, explorer_seed: u64) -> Self {
-        let policy = Mlp::new(&config.policy_sizes(), Activation::Tanh, config.seed);
-        let rng = StdRng::seed_from_u64(explorer_seed.wrapping_mul(0x4E1F).wrapping_add(11));
-        ReinforceAgent { policy, version: 0, rng }
-    }
-}
-
-impl Agent for ReinforceAgent {
-    fn act(&mut self, observation: &[f32]) -> ActionSelection {
-        let x = Matrix::from_vec(1, observation.len(), observation.to_vec());
-        let logits = self.policy.forward(&x);
-        let probs = softmax(&logits);
-        let action = sample_categorical(probs.row(0), self.rng.gen::<f32>());
-        ActionSelection { action, logits: logits.row(0).to_vec(), value: 0.0 }
-    }
-
-    fn apply_params(&mut self, blob: &ParamBlob) {
-        if blob.version > self.version {
-            self.policy.set_params(&blob.params);
-            self.version = blob.version;
-        }
-    }
-
-    fn param_version(&self) -> u64 {
-        self.version
+impl SoftmaxAgent {
+    /// Explorer-side REINFORCE agent: samples the softmax policy; there is no
+    /// critic, so the recorded value estimate is `0.0`.
+    pub fn reinforce(config: &ReinforceConfig, explorer_seed: u64) -> Self {
+        SoftmaxAgent::new(config.spec(), explorer_seed.wrapping_mul(0x4E1F).wrapping_add(11))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor_critic::tests::action_prob;
 
     fn tiny_config() -> ReinforceConfig {
         let mut c = ReinforceConfig::new(2, 2);
@@ -352,28 +309,14 @@ mod tests {
     #[test]
     fn training_shifts_policy_toward_rewarded_action() {
         let mut alg = ReinforceAlgorithm::new(tiny_config());
-        let obs = Matrix::from_vec(1, 2, vec![0.4, -0.2]);
-        let before = softmax(&alg.policy.forward(&obs)).get(0, 1);
+        let obs = [0.4, -0.2];
+        let before = action_prob(&alg.core, &obs, 1);
         for _ in 0..60 {
             alg.on_rollout(episode_batch(0, 1, 8, true));
             alg.on_rollout(episode_batch(1, 1, 8, true));
             alg.try_train().unwrap();
         }
-        let after = softmax(&alg.policy.forward(&obs)).get(0, 1);
+        let after = action_prob(&alg.core, &obs, 1);
         assert!(after > before + 0.1, "P(a=1) should rise: {before} -> {after}");
-    }
-
-    #[test]
-    fn agent_applies_only_newer_params() {
-        let c = tiny_config();
-        let alg = ReinforceAlgorithm::new(c.clone());
-        let mut agent = ReinforceAgent::new(c, 0);
-        let mut blob = alg.param_blob();
-        blob.version = 3;
-        agent.apply_params(&blob);
-        assert_eq!(agent.param_version(), 3);
-        blob.version = 2;
-        agent.apply_params(&blob);
-        assert_eq!(agent.param_version(), 3);
     }
 }

@@ -3,6 +3,11 @@
 //! serially on the caller, on a single worker, or spread over many workers.
 //! The fixed-shard-order reduction in `ParGrad` is what makes this hold — a
 //! first-come-first-served sum would reassociate floating-point adds.
+//!
+//! The same parameters are also pinned *across commits*: a refactor of the
+//! shared policy-gradient core must leave A2C, PPO and IMPALA bit-identical,
+//! so their digests are recorded here and asserted on the kernels they were
+//! recorded on.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -10,6 +15,7 @@ use xingtian_algos::api::Algorithm;
 use xingtian_algos::payload::{RolloutBatch, RolloutStep};
 use xingtian_algos::{
     A2cAlgorithm, A2cConfig, ImpalaAlgorithm, ImpalaConfig, PpoAlgorithm, PpoConfig,
+    ReinforceAlgorithm, ReinforceConfig,
 };
 use xingtian_comm::pool::WorkPool;
 
@@ -42,6 +48,26 @@ fn bits(params: &[f32]) -> Vec<u32> {
     params.iter().map(|p| p.to_bits()).collect()
 }
 
+/// Runs `sessions` training sessions, each fed `explorers` rollouts of
+/// `steps` steps at the current version from a per-session seeded stream, and
+/// returns the resulting parameter bits.
+fn trained_bits(mut alg: impl Algorithm, sessions: u64, seed: u64, explorers: u32, steps: usize) -> Vec<u32> {
+    for iter in 0..sessions {
+        let v = alg.version();
+        let mut rng = StdRng::seed_from_u64(seed + iter);
+        for e in 0..explorers {
+            alg.on_rollout(RolloutBatch {
+                explorer: e,
+                param_version: v,
+                steps: make_steps(&mut rng, steps),
+                bootstrap_observation: bootstrap(&mut rng),
+            });
+        }
+        alg.try_train().expect("a full session is staged");
+    }
+    bits(&alg.param_blob().params)
+}
+
 /// Two training iterations of PPO (320-step batch → 5 gradient shards).
 fn ppo_params(pool: Option<&'static WorkPool>) -> Vec<u32> {
     let mut c = PpoConfig::new(DIM, NA);
@@ -50,21 +76,7 @@ fn ppo_params(pool: Option<&'static WorkPool>) -> Vec<u32> {
     c.rollout_len = 160;
     c.minibatch = 96;
     c.epochs = 2;
-    let mut alg = PpoAlgorithm::with_pool(c.clone(), pool);
-    for iter in 0..2u64 {
-        let v = alg.version();
-        let mut rng = StdRng::seed_from_u64(100 + iter);
-        for e in 0..c.num_explorers {
-            alg.on_rollout(RolloutBatch {
-                explorer: e,
-                param_version: v,
-                steps: make_steps(&mut rng, c.rollout_len),
-                bootstrap_observation: bootstrap(&mut rng),
-            });
-        }
-        alg.try_train().expect("iteration batch complete");
-    }
-    bits(&alg.param_blob().params)
+    trained_bits(PpoAlgorithm::with_pool(c, pool), 2, 100, 2, 160)
 }
 
 fn a2c_params(pool: Option<&'static WorkPool>) -> Vec<u32> {
@@ -72,61 +84,68 @@ fn a2c_params(pool: Option<&'static WorkPool>) -> Vec<u32> {
     c.hidden = vec![32];
     c.num_explorers = 2;
     c.rollout_len = 160;
-    let mut alg = A2cAlgorithm::with_pool(c.clone(), pool);
-    for iter in 0..2u64 {
-        let v = alg.version();
-        let mut rng = StdRng::seed_from_u64(300 + iter);
-        for e in 0..c.num_explorers {
-            alg.on_rollout(RolloutBatch {
-                explorer: e,
-                param_version: v,
-                steps: make_steps(&mut rng, c.rollout_len),
-                bootstrap_observation: bootstrap(&mut rng),
-            });
-        }
-        alg.try_train().expect("iteration batch complete");
-    }
-    bits(&alg.param_blob().params)
+    trained_bits(A2cAlgorithm::with_pool(c, pool), 2, 300, 2, 160)
 }
 
 fn impala_params(pool: Option<&'static WorkPool>) -> Vec<u32> {
     let mut c = ImpalaConfig::new(DIM, NA);
     c.hidden = vec![32];
-    let mut alg = ImpalaAlgorithm::with_pool(c, pool);
-    for iter in 0..3u64 {
-        let mut rng = StdRng::seed_from_u64(500 + iter);
-        alg.on_rollout(RolloutBatch {
-            explorer: 0,
-            param_version: 0,
-            steps: make_steps(&mut rng, 320),
-            bootstrap_observation: bootstrap(&mut rng),
-        });
-        alg.try_train().expect("one batch is enough");
-    }
-    bits(&alg.param_blob().params)
+    trained_bits(ImpalaAlgorithm::with_pool(c, pool), 3, 500, 1, 320)
+}
+
+/// Two REINFORCE sessions of 14 episodes × 23 steps (`done` every 23rd step;
+/// 322 rows → 5 shards).
+fn reinforce_params(pool: Option<&'static WorkPool>) -> Vec<u32> {
+    let mut c = ReinforceConfig::new(DIM, NA);
+    c.hidden = vec![32];
+    c.episodes_per_train = 14;
+    trained_bits(ReinforceAlgorithm::with_pool(c, pool), 2, 700, 1, 322)
+}
+
+/// FNV-1a-64 over the little-endian parameter bits.
+fn digest(bits: &[u32]) -> u64 {
+    bits.iter().flat_map(|w| w.to_le_bytes()).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[test]
-fn ppo_training_is_bitwise_deterministic_across_worker_counts() {
-    let reference = ppo_params(None);
-    for workers in [1, 2, 5] {
-        assert_eq!(ppo_params(Some(leaked_pool(workers))), reference, "workers = {workers}");
+fn parameters_match_the_digests_pinned_at_pr15() {
+    // Recorded by running these same functions at commit c164c6a (before the
+    // shared actor-critic core existed) on an AVX2+FMA host, debug and
+    // release alike.
+    let got = [
+        ("ppo", digest(&ppo_params(None)), 0x482f_c84f_e9ed_7ecb_u64),
+        ("a2c", digest(&a2c_params(None)), 0x3116_dbb6_d49e_d326),
+        ("impala", digest(&impala_params(None)), 0x4f27_7673_bd95_e2a5),
+    ];
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+        for (name, digest, pinned) in got {
+            assert_eq!(digest, pinned, "{name}: {digest:016x} != pinned {pinned:016x}");
+        }
+        return;
+    }
+    // The portable kernels round differently by design: nothing to compare.
+    for (name, digest, _) in got {
+        println!("{name} {digest:016x} (no AVX2+FMA: pinned digests not checked)");
     }
 }
 
 #[test]
-fn a2c_training_is_bitwise_deterministic_across_worker_counts() {
-    let reference = a2c_params(None);
-    for workers in [1, 2, 5] {
-        assert_eq!(a2c_params(Some(leaked_pool(workers))), reference, "workers = {workers}");
-    }
-}
-
-#[test]
-fn impala_training_is_bitwise_deterministic_across_worker_counts() {
-    let reference = impala_params(None);
-    for workers in [1, 2, 5] {
-        assert_eq!(impala_params(Some(leaked_pool(workers))), reference, "workers = {workers}");
+fn training_is_bitwise_deterministic_across_worker_counts() {
+    type Params = fn(Option<&'static WorkPool>) -> Vec<u32>;
+    let cases: [(&str, Params); 4] = [
+        ("ppo", ppo_params),
+        ("a2c", a2c_params),
+        ("impala", impala_params),
+        ("reinforce", reinforce_params),
+    ];
+    for (name, params) in cases {
+        let reference = params(None);
+        for workers in [1, 2, 5] {
+            assert_eq!(params(Some(leaked_pool(workers))), reference, "{name}, workers = {workers}");
+        }
     }
 }
 

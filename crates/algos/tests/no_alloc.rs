@@ -2,7 +2,9 @@
 //! allocator wraps `System`; after a few warm-up sessions grow every
 //! persistent buffer to its steady-state size, one more uniform-replay DQN
 //! session — and one raw forward/backward/Adam step — must record zero
-//! allocations.
+//! allocations, and one more A2C iteration, PPO iteration and IMPALA step on
+//! the serial path must each allocate nothing but the report's `notify`
+//! vector.
 //!
 //! This file holds a single `#[test]` on purpose: the allocator counter is
 //! process-global, and a second test running on another thread would bleed
@@ -14,7 +16,10 @@ use tinynn::optim::Adam;
 use tinynn::{Activation, Mlp, Workspace};
 use xingtian_algos::api::Algorithm;
 use xingtian_algos::payload::{RolloutBatch, RolloutStep};
-use xingtian_algos::{DqnAlgorithm, DqnConfig};
+use xingtian_algos::{
+    A2cAlgorithm, A2cConfig, DqnAlgorithm, DqnConfig, ImpalaAlgorithm, ImpalaConfig, PpoAlgorithm,
+    PpoConfig,
+};
 
 struct CountingAlloc;
 
@@ -84,6 +89,32 @@ fn dqn_rollout(n: usize) -> RolloutBatch {
     }
 }
 
+/// 160 actor-critic steps (logits and values recorded) from `explorer`.
+fn actor_critic_rollout(explorer: u32, param_version: u64) -> RolloutBatch {
+    let mut batch = dqn_rollout(160);
+    batch.explorer = explorer;
+    batch.param_version = param_version;
+    for (i, s) in batch.steps.iter_mut().enumerate() {
+        s.behavior_logits = vec![0.1 * (i % 3) as f32, -0.2];
+        s.value = 0.05 * (i % 7) as f32;
+        s.next_observation = None;
+    }
+    batch
+}
+
+/// Feeds `alg` one iteration of two 160-step rollouts (320 rows → 5 gradient
+/// shards) and returns the allocations its training session made. Spent
+/// batches are handed back first, as the learner loop does.
+fn session_allocs(alg: &mut dyn Algorithm) -> u64 {
+    while alg.take_spent().is_some() {}
+    for explorer in 0..2 {
+        alg.on_rollout(actor_critic_rollout(explorer, alg.version()));
+    }
+    count_allocs(|| {
+        alg.try_train().expect("a full iteration is staged");
+    })
+}
+
 #[test]
 fn warmed_train_step_makes_zero_heap_allocations() {
     // --- Phase A: full DQN uniform-replay training session -----------------
@@ -141,4 +172,29 @@ fn warmed_train_step_makes_zero_heap_allocations() {
         opt.step(net.params_mut(), &grads);
     });
     assert_eq!(allocs, 0, "raw workspace train step allocated {allocs} times");
+
+    // --- Phase C: the shared actor-critic step, serial path ----------------
+    let mut a2c = A2cConfig::new(DIM, NA);
+    a2c.num_explorers = 2;
+    a2c.rollout_len = 160;
+    let mut ppo = PpoConfig::new(DIM, NA);
+    ppo.num_explorers = 2;
+    ppo.rollout_len = 160;
+    let algorithms: [Box<dyn Algorithm>; 3] = [
+        Box::new(A2cAlgorithm::with_pool(a2c, None)),
+        Box::new(PpoAlgorithm::with_pool(ppo, None)),
+        // Trains one queued batch per session; the surplus stays queued.
+        Box::new(ImpalaAlgorithm::with_pool(ImpalaConfig::new(DIM, NA), None)),
+    ];
+    for mut alg in algorithms {
+        for _ in 0..2 {
+            session_allocs(alg.as_mut());
+        }
+        let allocs = session_allocs(alg.as_mut());
+        assert!(
+            allocs <= 1,
+            "warmed {} session allocated {allocs} times (only `TrainReport.notify` may)",
+            alg.name()
+        );
+    }
 }

@@ -1,12 +1,11 @@
-//! Microbenchmarks of the DNN substrate: the forward/backward passes that
-//! constitute the "training time" column of Table 1, on both the legacy
-//! `Matrix` compat path and the workspace fast path (tiled FMA kernels, zero
-//! steady-state allocations), plus the full fused train step the learner
-//! actually runs.
+//! Microbenchmarks of the DNN substrate: the workspace forward/backward
+//! passes that constitute the "training time" column of Table 1 (tiled FMA
+//! kernels, zero steady-state allocations), plus the full fused train step
+//! the learner actually runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tinynn::optim::Adam;
-use tinynn::{Activation, Matrix, Mlp, Workspace};
+use tinynn::{Activation, Mlp, Workspace};
 use xingtian_algos::par::{ParGrad, Shard};
 use xingtian_comm::pool::shared_pool;
 
@@ -15,21 +14,6 @@ fn bench_mlp(c: &mut Criterion) {
     group.sample_size(20);
     for (obs_dim, batch) in [(128usize, 32usize), (1024, 32), (1024, 500), (512, 1), (1024, 1)] {
         let net = Mlp::new(&[obs_dim, 64, 64, 9], Activation::Tanh, 0);
-        let x = Matrix::ones(batch, obs_dim);
-        group.bench_with_input(
-            BenchmarkId::new("forward", format!("{obs_dim}x{batch}")),
-            &x,
-            |b, x| b.iter(|| net.forward(x)),
-        );
-        let dout = Matrix::ones(batch, 9);
-        group.bench_with_input(
-            BenchmarkId::new("backward", format!("{obs_dim}x{batch}")),
-            &x,
-            |b, x| b.iter(|| net.backward(x, &dout)),
-        );
-
-        // The same passes on the workspace fast path: persistent activations,
-        // no per-call allocation.
         let mut ws = Workspace::new();
         let mut grads = vec![0.0f32; net.num_params()];
         let xs = vec![1.0f32; batch * obs_dim];

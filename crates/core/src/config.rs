@@ -364,6 +364,23 @@ impl DeploymentConfig {
         if self.rollout_len == 0 {
             return Err("rollout_len must be positive".into());
         }
+        // Algorithm configs arrive through serde unchecked, and a zero here
+        // panics or livelocks the learner thread mid-run: `chunks(0)`; a
+        // training gate that never closes; a session over zero rows; a queue
+        // that sheds every batch on arrival.
+        let zero = match &self.algorithm {
+            AlgorithmSpec::Dqn(c) if c.train_every_inserts == 0 => Some("DqnConfig.train_every_inserts"),
+            AlgorithmSpec::Dqn(c) if c.batch_size == 0 => Some("DqnConfig.batch_size"),
+            AlgorithmSpec::Ppo(c) if c.minibatch == 0 => Some("PpoConfig.minibatch"),
+            AlgorithmSpec::Impala(c) if c.max_queue == 0 => Some("ImpalaConfig.max_queue"),
+            AlgorithmSpec::Reinforce(c) if c.episodes_per_train == 0 => {
+                Some("ReinforceConfig.episodes_per_train")
+            }
+            _ => None,
+        };
+        if let Some(field) = zero {
+            return Err(format!("{field} must be positive"));
+        }
         if self.replay == ReplayPlacement::StoreResident
             && !matches!(self.algorithm, AlgorithmSpec::Dqn(_))
         {
@@ -451,6 +468,30 @@ mod tests {
         let mut c2 = DeploymentConfig::cartpole(AlgorithmSpec::ppo(), 0);
         c2.explorers_per_machine = vec![0];
         assert!(c2.validate().is_err());
+    }
+
+    #[test]
+    fn zero_hyperparameters_that_would_wedge_the_learner_are_rejected() {
+        let mut dqn_every = DqnConfig::new(0, 0);
+        dqn_every.train_every_inserts = 0;
+        let mut dqn_batch = DqnConfig::new(0, 0);
+        dqn_batch.batch_size = 0;
+        let mut ppo = PpoConfig::new(0, 0);
+        ppo.minibatch = 0;
+        let mut impala = ImpalaConfig::new(0, 0);
+        impala.max_queue = 0;
+        let mut reinforce = ReinforceConfig::new(0, 0);
+        reinforce.episodes_per_train = 0;
+        for (spec, field) in [
+            (AlgorithmSpec::Dqn(dqn_every), "DqnConfig.train_every_inserts"),
+            (AlgorithmSpec::Dqn(dqn_batch), "DqnConfig.batch_size"),
+            (AlgorithmSpec::Ppo(ppo), "PpoConfig.minibatch"),
+            (AlgorithmSpec::Impala(impala), "ImpalaConfig.max_queue"),
+            (AlgorithmSpec::Reinforce(reinforce), "ReinforceConfig.episodes_per_train"),
+        ] {
+            let err = DeploymentConfig::cartpole(spec, 2).validate().expect_err(field);
+            assert!(err.contains(field), "{field}: {err}");
+        }
     }
 
     #[test]

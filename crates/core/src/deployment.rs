@@ -16,8 +16,8 @@ use gymlite::{AtariGame, CartPole, Environment, SynthAtari};
 use std::sync::Arc;
 use xingtian_algos::api::{Agent, Algorithm};
 use xingtian_algos::{
-    A2cAgent, A2cAlgorithm, DqnAgent, DqnAlgorithm, ImpalaAgent, ImpalaAlgorithm, PpoAgent,
-    PpoAlgorithm, ReinforceAgent, ReinforceAlgorithm,
+    A2cAlgorithm, DqnAgent, DqnAlgorithm, ImpalaAlgorithm, PpoAlgorithm, ReinforceAlgorithm,
+    SoftmaxAgent,
 };
 use xt_fault::FaultPlan;
 use xt_replay::{ReplayConfig, ReplayPlane, StoreResidentBackend};
@@ -210,10 +210,10 @@ pub fn build_agent(
     let index = u64::from(explorer_index);
     match sized_spec(spec, obs_dim, num_actions, num_explorers, rollout_len, seed) {
         AlgorithmSpec::Dqn(c) => Box::new(DqnAgent::new(c, index)),
-        AlgorithmSpec::Ppo(c) => Box::new(PpoAgent::new(c, index)),
-        AlgorithmSpec::Impala(c) => Box::new(ImpalaAgent::new(c, index)),
-        AlgorithmSpec::A2c(c) => Box::new(A2cAgent::new(c, index)),
-        AlgorithmSpec::Reinforce(c) => Box::new(ReinforceAgent::new(c, index)),
+        AlgorithmSpec::Ppo(c) => Box::new(SoftmaxAgent::ppo(&c, index)),
+        AlgorithmSpec::Impala(c) => Box::new(SoftmaxAgent::impala(&c, index)),
+        AlgorithmSpec::A2c(c) => Box::new(SoftmaxAgent::a2c(&c, index)),
+        AlgorithmSpec::Reinforce(c) => Box::new(SoftmaxAgent::reinforce(&c, index)),
     }
 }
 

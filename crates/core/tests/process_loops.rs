@@ -5,7 +5,7 @@ use bytes::Bytes;
 use netsim::Cluster;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use xingtian::assignment::AssignmentTable;
 use xingtian::config::AllreduceMode;
 use xingtian::controller::ControllerProcess;
@@ -266,10 +266,14 @@ fn on_policy_explorer_waits_for_fresh_parameters() {
     // Fresh parameters release the gate for exactly one more batch.
     let blob = ParamBlob { version: 1, params: vec![0.0; 4] };
     learner_ep.send_to(vec![ProcessId::explorer(0)], MessageKind::Parameters, Bytes::from(blob.to_bytes()));
-    assert!(
-        learner_ep.recv_timeout(Duration::from_secs(10)).is_some(),
-        "gate released by the broadcast"
-    );
+    // The explorer's `ParamAck` arrives on this endpoint too: only a rollout
+    // shows the gate opened (and must be in hand before the shutdown below,
+    // which could otherwise overtake the second batch).
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let released =
+        std::iter::from_fn(|| learner_ep.recv_timeout(deadline.saturating_duration_since(Instant::now())))
+            .any(|m| m.header.kind == MessageKind::Rollout);
+    assert!(released, "gate released by the broadcast");
 
     // Shutdown ends the explorer even while it is gated.
     learner_ep.send_to(

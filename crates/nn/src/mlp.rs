@@ -7,7 +7,6 @@
 
 use crate::kernel;
 use crate::ops;
-use crate::tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -65,16 +64,7 @@ pub struct Mlp {
     params: Vec<f32>,
 }
 
-/// Intermediate activations retained by [`Mlp::forward_cached`] for use in
-/// [`Mlp::backward_cached`].
-#[derive(Debug, Clone)]
-pub struct ForwardCache {
-    /// Activated output of every layer, `activations[i]` being the output of
-    /// layer `i` (the last entry is the network output).
-    activations: Vec<Matrix>,
-}
-
-/// Reusable scratch arena for the allocation-free training path.
+/// Reusable scratch arena that makes the forward/backward passes allocation-free.
 ///
 /// One workspace serves one network at a time (per-layer buffers are resized
 /// by [`Mlp::forward_ws`]); after the first pass at a given batch size every
@@ -213,34 +203,6 @@ impl Mlp {
         kernel::gemm_bias_act(batch, l.input, l.output, x, self.w(l), Some(self.b(l)), act, out);
     }
 
-    /// Inference pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != self.input_dim()`.
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        self.forward_cached(x).0
-    }
-
-    /// Forward pass retaining per-layer activations for a later backward pass.
-    ///
-    /// This is the compatibility path that allocates the cache; hot loops
-    /// should use [`Mlp::forward_ws`] with a reused [`Workspace`] instead.
-    pub fn forward_cached(&self, x: &Matrix) -> (Matrix, ForwardCache) {
-        assert_eq!(x.cols(), self.input_dim(), "input width mismatch");
-        let batch = x.rows();
-        let mut activations = Vec::with_capacity(self.layout.len());
-        for (idx, l) in self.layout.iter().enumerate() {
-            let is_last = idx == self.layout.len() - 1;
-            let input: &Matrix = if idx == 0 { x } else { &activations[idx - 1] };
-            let mut y = Matrix::zeros(batch, l.output);
-            self.layer_forward_into(l, batch, input.as_slice(), !is_last, y.as_mut_slice());
-            activations.push(y);
-        }
-        let out = activations.last().expect("at least one layer").clone();
-        (out, ForwardCache { activations })
-    }
-
     /// Allocation-free forward pass: runs the network over `batch` rows of
     /// `x` (flat row-major, `batch × input_dim`), caching activations in
     /// `ws`, and returns the output slice (`batch × output_dim`).
@@ -292,45 +254,6 @@ impl Mlp {
         assert_eq!(dout.len(), batch * self.output_dim(), "dout shape mismatch");
         assert_eq!(grads.len(), self.params.len(), "grads length mismatch");
         let Workspace { acts, acts_len, delta_a, delta_b, pack } = ws;
-        self.backward_core(x, batch, acts, acts_len, dout, delta_a, delta_b, pack, grads);
-    }
-
-    /// Backpropagates `dout` (gradient of the loss w.r.t. the network output)
-    /// through the cached pass, returning flat parameter gradients aligned
-    /// with [`Mlp::params`].
-    ///
-    /// This is the compatibility path that allocates its scratch; hot loops
-    /// should use [`Mlp::backward_ws`] with a reused [`Workspace`] instead.
-    pub fn backward_cached(&self, x: &Matrix, cache: &ForwardCache, dout: &Matrix) -> Vec<f32> {
-        assert_eq!(dout.shape(), (x.rows(), self.output_dim()), "dout shape mismatch");
-        let batch = x.rows();
-        let mut ws = Workspace::new();
-        ws.ensure(self, batch);
-        for (buf, m) in ws.acts.iter_mut().zip(&cache.activations) {
-            buf[..m.as_slice().len()].copy_from_slice(m.as_slice());
-        }
-        let mut grads = vec![0.0f32; self.params.len()];
-        self.backward_ws(x.as_slice(), batch, dout.as_slice(), &mut ws, &mut grads);
-        grads
-    }
-
-    /// Shared backward-pass engine: `acts[i][..acts_len[i]]` is the activated
-    /// output of layer `i` for this batch. Every layer's gradient region in
-    /// `grads` is fully overwritten, so `grads` needs no zeroing by the
-    /// caller.
-    #[allow(clippy::too_many_arguments)] // internal engine behind two public wrappers
-    fn backward_core(
-        &self,
-        x: &[f32],
-        batch: usize,
-        acts: &[Vec<f32>],
-        acts_len: &[usize],
-        dout: &[f32],
-        delta_a: &mut [f32],
-        delta_b: &mut [f32],
-        pack: &mut Vec<f32>,
-        grads: &mut [f32],
-    ) {
         let last = self.layout.len() - 1;
         // Ping-pong: `cur` holds this layer's delta, `next` receives dX.
         let mut cur = delta_a;
@@ -356,12 +279,6 @@ impl Mlp {
             }
         }
     }
-
-    /// Convenience: forward + backward in one call.
-    pub fn backward(&self, x: &Matrix, dout: &Matrix) -> Vec<f32> {
-        let (_, cache) = self.forward_cached(x);
-        self.backward_cached(x, &cache, dout)
-    }
 }
 
 #[cfg(test)]
@@ -370,17 +287,19 @@ mod tests {
 
     fn finite_diff_check(activation: Activation) {
         let mut net = Mlp::new(&[3, 5, 2], activation, 42);
-        let x = Matrix::from_vec(2, 3, vec![0.5, -0.2, 0.1, -0.7, 0.3, 0.9]);
+        let mut ws = Workspace::new();
+        let x = [0.5, -0.2, 0.1, -0.7, 0.3, 0.9];
         // Loss = sum of outputs, so dL/dout = ones.
-        let dout = Matrix::ones(2, 2);
-        let grads = net.backward(&x, &dout);
+        let mut grads = vec![0.0f32; net.num_params()];
+        net.forward_ws(&x, 2, &mut ws);
+        net.backward_ws(&x, 2, &[1.0; 4], &mut ws, &mut grads);
         let eps = 1e-3f32;
         for i in (0..net.num_params()).step_by(7) {
             let orig = net.params()[i];
             net.params_mut()[i] = orig + eps;
-            let up: f32 = net.forward(&x).as_slice().iter().sum();
+            let up: f32 = net.forward_ws(&x, 2, &mut ws).iter().sum();
             net.params_mut()[i] = orig - eps;
-            let down: f32 = net.forward(&x).as_slice().iter().sum();
+            let down: f32 = net.forward_ws(&x, 2, &mut ws).iter().sum();
             net.params_mut()[i] = orig;
             let numeric = (up - down) / (2.0 * eps);
             assert!(
@@ -408,18 +327,20 @@ mod tests {
         assert_ne!(net.params(), other.params());
         other.set_params(net.params());
         assert_eq!(net.params(), other.params());
-        let x = Matrix::ones(1, 4);
-        assert_eq!(net.forward(&x), other.forward(&x));
+        let (mut ws_a, mut ws_b) = (Workspace::new(), Workspace::new());
+        assert_eq!(net.forward_ws(&[1.0; 4], 1, &mut ws_a), other.forward_ws(&[1.0; 4], 1, &mut ws_b));
     }
 
     #[test]
     fn output_shape_and_determinism() {
         let net = Mlp::new(&[4, 16, 16, 3], Activation::Tanh, 9);
-        let x = Matrix::ones(5, 4);
-        let y1 = net.forward(&x);
-        let y2 = net.forward(&x);
-        assert_eq!(y1.shape(), (5, 3));
+        let x = [1.0f32; 5 * 4];
+        let mut ws = Workspace::new();
+        let y1 = net.forward_ws(&x, 5, &mut ws).to_vec();
+        let y2 = net.forward_ws(&x, 5, &mut ws);
+        assert_eq!(y1.len(), 5 * 3);
         assert_eq!(y1, y2);
+        assert_eq!(net.cached_output(&ws, 5), y1);
     }
 
     #[test]
@@ -431,29 +352,28 @@ mod tests {
 
     #[test]
     fn training_reduces_loss_on_regression() {
-        use crate::ops::mse;
         use crate::optim::Adam;
         // Fit y = [x0 + x1, x0 - x1] on random points.
         let mut rng = StdRng::seed_from_u64(3);
         let mut net = Mlp::new(&[2, 32, 2], Activation::Tanh, 5);
         let mut opt = Adam::new(net.num_params(), 1e-2);
+        let mut ws = Workspace::new();
+        let mut grads = vec![0.0f32; net.num_params()];
+        let mut dout = [0.0f32; 32];
         let mut first_loss = None;
         let mut last_loss = 0.0;
         for _ in 0..300 {
-            let xs: Vec<f32> = (0..16).flat_map(|_| {
-                let a: f32 = rng.gen_range(-1.0..1.0);
-                let b: f32 = rng.gen_range(-1.0..1.0);
-                vec![a, b]
-            }).collect();
-            let x = Matrix::from_vec(16, 2, xs);
-            let mut t = Matrix::zeros(16, 2);
-            for r in 0..16 {
-                t.set(r, 0, x.get(r, 0) + x.get(r, 1));
-                t.set(r, 1, x.get(r, 0) - x.get(r, 1));
+            let x: Vec<f32> = (0..32).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let t: Vec<f32> = x.chunks(2).flat_map(|r| [r[0] + r[1], r[0] - r[1]]).collect();
+            // Mean squared error and its gradient w.r.t. the outputs.
+            let out = net.forward_ws(&x, 16, &mut ws);
+            let mut loss = 0.0;
+            for ((g, &p), &t) in dout.iter_mut().zip(out).zip(&t) {
+                let d = p - t;
+                loss += d * d / 32.0;
+                *g = 2.0 * d / 32.0;
             }
-            let (out, cache) = net.forward_cached(&x);
-            let (loss, dout) = mse(&out, &t);
-            let grads = net.backward_cached(&x, &cache, &dout);
+            net.backward_ws(&x, 16, &dout, &mut ws, &mut grads);
             opt.step(net.params_mut(), &grads);
             first_loss.get_or_insert(loss);
             last_loss = loss;
@@ -475,6 +395,6 @@ mod tests {
     #[should_panic(expected = "input width mismatch")]
     fn wrong_input_width_panics() {
         let net = Mlp::new(&[4, 2], Activation::Relu, 0);
-        let _ = net.forward(&Matrix::ones(1, 3));
+        let _ = net.forward_ws(&[1.0; 3], 1, &mut Workspace::new());
     }
 }

@@ -1,8 +1,6 @@
 //! Numerical helpers shared by the DRL algorithms: softmax family, entropy,
 //! and stable log/exp utilities.
 
-use crate::tensor::Matrix;
-
 /// Fused per-row softmax statistics: everything the softmax family needs
 /// from one logits row, computed in a single exp pass (plus the max scan).
 ///
@@ -112,74 +110,6 @@ pub fn softmax_row_into(row: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Numerically stable softmax applied row-wise.
-pub fn softmax(logits: &Matrix) -> Matrix {
-    let mut out = logits.clone();
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        let s = row_stats(row);
-        let inv = 1.0 / s.sum;
-        for v in row.iter_mut() {
-            *v = (*v - s.max).exp() * inv;
-        }
-    }
-    out
-}
-
-/// Numerically stable log-softmax applied row-wise.
-pub fn log_softmax(logits: &Matrix) -> Matrix {
-    let mut out = logits.clone();
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        let log_z = row_stats(row).log_z();
-        for v in row.iter_mut() {
-            *v -= log_z;
-        }
-    }
-    out
-}
-
-/// Entropy of each row's categorical distribution given its logits.
-///
-/// One fused pass per row via [`row_stats`] — no probability or log-prob
-/// matrices are materialized.
-pub fn entropy(logits: &Matrix) -> Vec<f32> {
-    (0..logits.rows()).map(|r| row_stats(logits.row(r)).entropy()).collect()
-}
-
-/// Mean squared error between predictions and targets, plus the gradient of
-/// the mean w.r.t. predictions.
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn mse(pred: &Matrix, target: &Matrix) -> (f32, Matrix) {
-    assert_eq!(pred.shape(), target.shape(), "mse shape mismatch");
-    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
-    let loss = mse_into(pred.as_slice(), target.as_slice(), grad.as_mut_slice());
-    (loss, grad)
-}
-
-/// Allocation-free [`mse`]: writes the gradient into caller-owned `grad`
-/// (fully overwritten) and returns the mean loss.
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-pub fn mse_into(pred: &[f32], target: &[f32], grad: &mut [f32]) -> f32 {
-    assert_eq!(pred.len(), target.len(), "mse shape mismatch");
-    assert_eq!(pred.len(), grad.len(), "mse grad length mismatch");
-    let n = pred.len() as f32;
-    let scale = 2.0 / n;
-    let mut loss = 0.0;
-    for ((g, &p), &t) in grad.iter_mut().zip(pred).zip(target) {
-        let d = p - t;
-        loss += d * d;
-        *g = scale * d;
-    }
-    loss / n
-}
-
 /// Samples an index from a categorical distribution given probabilities.
 ///
 /// `u` must be a uniform random number in `[0, 1)`. The threshold is
@@ -244,50 +174,35 @@ mod tests {
         assert!(tanh(-f32::NAN).is_nan());
     }
 
+    fn softmax(row: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0; row.len()];
+        softmax_row_into(row, &mut out);
+        out
+    }
+
     #[test]
     fn softmax_rows_sum_to_one() {
-        let m = Matrix::from_vec(2, 3, vec![1., 2., 3., -1., 0., 1.]);
-        let s = softmax(&m);
-        for r in 0..2 {
-            let sum: f32 = s.row(r).iter().sum();
+        for row in [[1., 2., 3.], [-1., 0., 1.]] {
+            let sum: f32 = softmax(&row).iter().sum();
             assert!((sum - 1.0).abs() < 1e-6);
         }
     }
 
     #[test]
     fn softmax_is_shift_invariant() {
-        let a = softmax(&Matrix::from_vec(1, 3, vec![1., 2., 3.]));
-        let b = softmax(&Matrix::from_vec(1, 3, vec![1001., 1002., 1003.]));
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+        let a = softmax(&[1., 2., 3.]);
+        let b = softmax(&[1001., 1002., 1003.]);
+        for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-5);
         }
     }
 
     #[test]
-    fn log_softmax_matches_log_of_softmax() {
-        let m = Matrix::from_vec(1, 4, vec![0.5, -1.0, 2.0, 0.0]);
-        let ls = log_softmax(&m);
-        let s = softmax(&m);
-        for (a, b) in ls.as_slice().iter().zip(s.as_slice()) {
-            assert!((a - b.ln()).abs() < 1e-5);
-        }
-    }
-
-    #[test]
     fn entropy_is_max_for_uniform() {
-        let uniform = entropy(&Matrix::from_vec(1, 4, vec![0.0; 4]))[0];
-        let peaked = entropy(&Matrix::from_vec(1, 4, vec![10.0, 0.0, 0.0, 0.0]))[0];
+        let uniform = row_stats(&[0.0; 4]).entropy();
+        let peaked = row_stats(&[10.0, 0.0, 0.0, 0.0]).entropy();
         assert!((uniform - (4.0f32).ln()).abs() < 1e-5);
         assert!(peaked < uniform);
-    }
-
-    #[test]
-    fn mse_and_gradient() {
-        let pred = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-        let target = Matrix::from_vec(1, 2, vec![0.0, 2.0]);
-        let (loss, grad) = mse(&pred, &target);
-        assert!((loss - 0.5).abs() < 1e-6);
-        assert_eq!(grad.as_slice(), &[1.0, 0.0]);
     }
 
     #[test]
@@ -320,36 +235,13 @@ mod tests {
 
     #[test]
     fn row_stats_matches_materialized_softmax() {
-        let m = Matrix::from_vec(1, 4, vec![0.5, -1.0, 2.0, 0.3]);
-        let s = row_stats(m.row(0));
-        let probs = softmax(&m);
-        let logs = log_softmax(&m);
-        let naive_entropy: f32 =
-            probs.row(0).iter().zip(logs.row(0)).map(|(&p, &lp)| -p * lp).sum();
+        let row = [0.5, -1.0, 2.0, 0.3];
+        let s = row_stats(&row);
+        let probs = softmax(&row);
+        let naive_entropy: f32 = probs.iter().map(|&p| -p * p.ln()).sum();
         assert!((s.entropy() - naive_entropy).abs() < 1e-5);
-        for (&z, &lp) in m.row(0).iter().zip(logs.row(0)) {
-            assert!((z - s.log_z() - lp).abs() < 1e-5);
+        for (&z, &p) in row.iter().zip(&probs) {
+            assert!((z - s.log_z() - p.ln()).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn softmax_row_into_matches_softmax() {
-        let m = Matrix::from_vec(1, 4, vec![1.0, -2.0, 0.5, 3.0]);
-        let mut out = vec![0.0; 4];
-        softmax_row_into(m.row(0), &mut out);
-        for (a, b) in out.iter().zip(softmax(&m).row(0)) {
-            assert!((a - b).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn mse_into_matches_mse() {
-        let pred = Matrix::from_vec(2, 2, vec![1.0, 2.0, -1.0, 0.5]);
-        let target = Matrix::from_vec(2, 2, vec![0.0, 2.0, 1.0, 0.5]);
-        let (loss, grad) = mse(&pred, &target);
-        let mut grad2 = vec![f32::NAN; 4];
-        let loss2 = mse_into(pred.as_slice(), target.as_slice(), &mut grad2);
-        assert_eq!(loss, loss2);
-        assert_eq!(grad.as_slice(), &grad2[..]);
     }
 }

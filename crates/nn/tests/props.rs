@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use tinynn::optim::{clip_global_norm, Adam, Sgd};
-use tinynn::{Activation, Matrix, Mlp, Workspace};
+use tinynn::kernel::gemm_nn;
+use tinynn::{Activation, Mlp, Workspace};
 
 fn arb_sizes() -> impl Strategy<Value = Vec<usize>> {
     (1usize..6, 1usize..8, 1usize..8, 1usize..5)
@@ -15,8 +16,10 @@ proptest! {
     #[test]
     fn forward_is_deterministic(sizes in arb_sizes(), seed in any::<u64>()) {
         let net = Mlp::new(&sizes, Activation::Tanh, seed);
-        let x = Matrix::ones(3, sizes[0]);
-        prop_assert_eq!(net.forward(&x), net.forward(&x));
+        let x = vec![1.0f32; 3 * sizes[0]];
+        let mut ws = Workspace::new();
+        let first = net.forward_ws(&x, 3, &mut ws).to_vec();
+        prop_assert_eq!(&first[..], net.forward_ws(&x, 3, &mut ws));
     }
 
     #[test]
@@ -24,8 +27,9 @@ proptest! {
         let a = Mlp::new(&sizes, Activation::Relu, s1);
         let mut b = Mlp::new(&sizes, Activation::Relu, s2);
         b.set_params(a.params());
-        let x = Matrix::ones(2, sizes[0]);
-        prop_assert_eq!(a.forward(&x), b.forward(&x));
+        let x = vec![1.0f32; 2 * sizes[0]];
+        let (mut ws_a, mut ws_b) = (Workspace::new(), Workspace::new());
+        prop_assert_eq!(a.forward_ws(&x, 2, &mut ws_a), b.forward_ws(&x, 2, &mut ws_b));
     }
 
     #[test]
@@ -33,13 +37,15 @@ proptest! {
         // Loss = sum of outputs; stepping against the gradient must not
         // increase it (for a small enough step).
         let mut net = Mlp::new(&sizes, Activation::Tanh, seed);
-        let x = Matrix::ones(4, sizes[0]);
-        let before: f32 = net.forward(&x).as_slice().iter().sum();
-        let dout = Matrix::ones(4, *sizes.last().unwrap());
-        let grads = net.backward(&x, &dout);
+        let x = vec![1.0f32; 4 * sizes[0]];
+        let mut ws = Workspace::new();
+        let before: f32 = net.forward_ws(&x, 4, &mut ws).iter().sum();
+        let dout = vec![1.0f32; 4 * sizes[3]];
+        let mut grads = vec![0.0f32; net.num_params()];
+        net.backward_ws(&x, 4, &dout, &mut ws, &mut grads);
         let mut opt = Sgd::new(net.num_params(), 1e-4);
         opt.step(net.params_mut(), &grads);
-        let after: f32 = net.forward(&x).as_slice().iter().sum();
+        let after: f32 = net.forward_ws(&x, 4, &mut ws).iter().sum();
         prop_assert!(after <= before + 1e-4, "loss rose: {before} -> {after}");
     }
 
@@ -71,15 +77,15 @@ proptest! {
         c in proptest::collection::vec(-2.0f32..2.0, 6),
     ) {
         // (A + B) C == AC + BC for 2x3 * 3x2 matrices.
-        let ma = Matrix::from_vec(2, 3, a);
-        let mb = Matrix::from_vec(2, 3, b);
-        let mc = Matrix::from_vec(3, 2, c);
-        let mut sum = ma.clone();
-        sum.add_assign(&mb);
-        let lhs = sum.matmul(&mc);
-        let mut rhs = ma.matmul(&mc);
-        rhs.add_assign(&mb.matmul(&mc));
-        for (x, y) in lhs.as_slice().iter().zip(rhs.as_slice()) {
+        let product = |lhs: &[f32]| {
+            let mut out = [0.0f32; 4];
+            gemm_nn(2, 3, 2, lhs, &c, &mut out);
+            out
+        };
+        let sum: Vec<f32> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
+        let (ac, bc) = (product(&a), product(&b));
+        for (i, x) in product(&sum).iter().enumerate() {
+            let y = ac[i] + bc[i];
             prop_assert!((x - y).abs() < 1e-3, "{x} vs {y}");
         }
     }
