@@ -29,9 +29,10 @@ cargo bench -p xt-bench --bench telemetry -- --test
 echo "== release smoke: lz4/chunk differential round-trip tests =="
 cargo test --release -q -p xingtian-message --test differential
 
-echo "== release smoke: pinned parameter digests and the allocation bound on the optimised kernels =="
-# A2C/PPO/IMPALA must stay bit-identical to the digests pinned in
-# determinism.rs, and the warmed training steps must stay allocation-free,
+echo "== release smoke: pinned A2C/PPO/IMPALA/DQN parameter digests and the allocation bound on the optimised kernels =="
+# A2C/PPO/IMPALA and uniform/prioritized/double DQN must stay bit-identical
+# to the digests pinned in determinism.rs, and the warmed training steps (DQN
+# under uniform and prioritized replay included) must stay allocation-free,
 # on the release kernels the deployments actually run.
 cargo test --release -q -p xingtian-algos --test determinism --test no_alloc
 
@@ -40,11 +41,12 @@ echo "== benchmark smoke: every xt-perf workload builds, runs and checks its out
 # in debug (40 s and 7 s unoptimised); here all four run in a few seconds.
 cargo test --release -q -p xt-perf
 
-echo "== replay smoke: store-resident plane is trajectory-identical to the in-learner path =="
-# Seeded differential: one DQN over the legacy in-learner buffer and one over
-# the xt-replay store-resident plane consume the identical rollout stream and
-# must produce bit-identical losses, versions, and final parameters (uniform
-# and prioritized), plus an end-to-end store-resident deployment smoke.
+echo "== replay placement: the one replay store trains identically whoever ingests =="
+# Seeded differential over one implementation: a DQN that ingests into its
+# private store and a sampling-only DQN whose shared store is ingested
+# service-style consume the identical rollout stream and must produce
+# bit-identical losses, versions, and final parameters (uniform and
+# prioritized), plus an end-to-end store-resident deployment smoke.
 cargo test --release -q -p xingtian --test replay_differential
 
 echo "== param-plane smoke: delta chain bit-lossless, quantized error-bounded, goldens decode =="

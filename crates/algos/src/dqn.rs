@@ -4,23 +4,25 @@
 //! rollout steps; the learner maintains the replay buffer, performs a training
 //! session every `train_every_inserts` new steps once `warmup_steps` have been
 //! collected, and broadcasts parameters every `broadcast_every` sessions.
-//! In XingTian the replay buffer lives inside the learner's trainer thread, so
-//! sampling is a local operation (§3.2.1); the baselines host the same buffer
-//! behind an RPC boundary instead.
+//! In XingTian the replay store lives inside the learner's trainer thread, so
+//! sampling is a local operation (§3.2.1); the baselines host the same store
+//! behind an RPC boundary instead, and the store-resident placement shares it
+//! with a replay service that ingests in the learner's stead.
 //!
 //! The training step runs on the allocation-free workspace path: sampled
 //! transitions are gathered into a persistent [`TrainBufs`] staging arena
 //! (structure-of-arrays), targets and gradients are computed in reused
-//! buffers, and after warmup a uniform-replay session performs zero heap
-//! allocations.
+//! buffers, and after warmup a session — uniform or prioritized — performs
+//! zero heap allocations.
 
 use crate::api::{ActionSelection, Agent, Algorithm, ShardedSync, SyncMode, TrainReport};
 use crate::par::{ParGrad, Shard};
 use crate::payload::{ParamBlob, RolloutBatch, RolloutStep};
-use crate::sample::{InLearnerReplay, ReplayBackend, SampleSink};
+use crate::replay::{PlanePick, ReplayConfig, ReplayPlane, SampleSink, StepSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Instant;
 use tinynn::ops::argmax;
 use tinynn::optim::Adam;
@@ -106,7 +108,7 @@ impl DqnConfig {
 
 /// Persistent staging arena for the training step. All buffers grow once to
 /// the batch high-water mark and are reused for every subsequent session, so
-/// a warmed-up uniform-replay session touches the heap zero times.
+/// a warmed-up session touches the heap zero times.
 #[derive(Debug, Default)]
 struct TrainBufs {
     /// Flat `(n, obs_dim)` gather of sampled observations.
@@ -150,7 +152,7 @@ impl TrainBufs {
     }
 
     /// Appends one transition given as raw slices (the [`SampleSink`] path:
-    /// replay backends gather sampled transitions straight into the arena).
+    /// the replay store gathers sampled transitions straight into the arena).
     fn stage_parts(
         &mut self,
         observation: &[f32],
@@ -173,37 +175,6 @@ impl TrainBufs {
         self.rewards.push(reward);
         self.dones.push(done);
     }
-}
-
-/// Points a [`SampleSink`] at a `Vec<RolloutStep>`: the sharded-sync path
-/// materializes each gradient-slot minibatch as steps so the slot data can
-/// travel to peers (and so tests can inject identical slot data across shard
-/// counts).
-struct StepSink<'a> {
-    steps: &'a mut Vec<RolloutStep>,
-}
-
-impl SampleSink for StepSink<'_> {
-    fn push_transition(
-        &mut self,
-        observation: &[f32],
-        next_observation: Option<&[f32]>,
-        action: u32,
-        reward: f32,
-        done: bool,
-    ) {
-        self.steps.push(RolloutStep {
-            observation: observation.to_vec(),
-            action,
-            reward,
-            done,
-            behavior_logits: Vec::new(),
-            value: 0.0,
-            next_observation: next_observation.map(|o| o.to_vec()),
-        });
-    }
-
-    fn push_weight(&mut self, _weight: f32) {}
 }
 
 /// Points a [`SampleSink`] at the staging arena: every sampled transition
@@ -260,14 +231,18 @@ fn bellman_targets(config: &DqnConfig, q: &Mlp, target: &Mlp, bufs: &mut TrainBu
     }
 }
 
-/// Learner-side DQN: replay backend (in-learner or store-resident), online
-/// and target Q networks.
+/// Learner-side DQN: the replay store, online and target Q networks.
 pub struct DqnAlgorithm {
     config: DqnConfig,
     q: Mlp,
     target: Mlp,
     opt: Adam,
-    backend: Box<dyn ReplayBackend>,
+    /// Private to this learner, which then ingests from `on_rollout`
+    /// ([`DqnAlgorithm::new`]), or shared with the replay service that
+    /// ingests in its stead ([`DqnAlgorithm::with_plane`]).
+    plane: Arc<ReplayPlane>,
+    /// Identities of the last prioritized sample, for re-prioritization.
+    picks: Vec<PlanePick>,
     bufs: TrainBufs,
     /// Inserts already spent on training sessions (the credit gate: a session
     /// runs while `total_inserted - inserts_consumed >= train_every_inserts`).
@@ -275,7 +250,7 @@ pub struct DqnAlgorithm {
     sessions: u64,
     version: u64,
     rng: StdRng,
-    /// Batches the backend copied out of, queued for decode-pool recycling.
+    /// Batches the store copied out of, queued for decode-pool recycling.
     spent: Vec<RolloutBatch>,
     /// `learn.sample_ns`: time to gather a sampled minibatch into the arena.
     sample_hist: HistogramHandle,
@@ -284,24 +259,26 @@ pub struct DqnAlgorithm {
 }
 
 impl DqnAlgorithm {
-    /// Creates the learner state for `config` with the classic in-learner
-    /// replay placement (paper §3.2.1).
+    /// Creates the learner state for `config` with the paper's in-learner
+    /// replay placement (§3.2.1): a private store this learner ingests into.
     pub fn new(config: DqnConfig) -> Self {
-        let backend: Box<dyn ReplayBackend> = match config.prioritized {
-            Some((alpha, _)) => Box::new(InLearnerReplay::prioritized(config.buffer_capacity, alpha)),
-            None => Box::new(InLearnerReplay::uniform(config.buffer_capacity)),
+        let rc = ReplayConfig {
+            capacity: config.buffer_capacity,
+            obs_dim: config.obs_dim,
+            prioritized: config.prioritized.map(|(alpha, _)| alpha),
         };
-        DqnAlgorithm::with_backend(config, backend)
+        let plane = Arc::new(ReplayPlane::new(rc, &xt_telemetry::Telemetry::disabled()));
+        DqnAlgorithm::with_plane(config, plane)
     }
 
-    /// Creates the learner state for `config` over an externally provided
-    /// replay backend (the xt-replay store-resident plane). The backend's
-    /// sampling mode must match `config.prioritized`.
-    pub fn with_backend(config: DqnConfig, backend: Box<dyn ReplayBackend>) -> Self {
+    /// Creates the learner state for `config` sampling a shared `plane` —
+    /// the store-resident placement, where a replay service ingests. The
+    /// plane's sampling mode must match `config.prioritized`.
+    pub fn with_plane(config: DqnConfig, plane: Arc<ReplayPlane>) -> Self {
         assert_eq!(
-            backend.prioritized(),
+            plane.prioritized(),
             config.prioritized.is_some(),
-            "replay backend sampling mode must match DqnConfig::prioritized"
+            "replay plane sampling mode must match DqnConfig::prioritized"
         );
         let q = Mlp::new(&config.q_sizes(), Activation::Relu, config.seed);
         let target = q.clone();
@@ -312,7 +289,8 @@ impl DqnAlgorithm {
             q,
             target,
             opt,
-            backend,
+            plane,
+            picks: Vec::new(),
             bufs: TrainBufs::default(),
             inserts_consumed: 0,
             sessions: 0,
@@ -324,14 +302,9 @@ impl DqnAlgorithm {
         }
     }
 
-    /// Resident transitions in the replay backend.
+    /// Resident transitions in the replay store.
     pub fn replay_len(&self) -> usize {
-        self.backend.len()
-    }
-
-    /// Where this learner's replay lives ("in-learner" / "store-resident").
-    pub fn replay_placement(&self) -> &'static str {
-        self.backend.placement()
+        self.plane.len()
     }
 
     /// Training sessions completed.
@@ -341,8 +314,8 @@ impl DqnAlgorithm {
 
     /// Runs one training session on an externally-sampled batch.
     ///
-    /// XingTian samples from the in-learner replay buffer (via
-    /// [`Algorithm::try_train`]); baseline frameworks that host the buffer in
+    /// XingTian samples the replay store locally (via
+    /// [`Algorithm::try_train`]); baseline frameworks that host the store in
     /// a separate replay actor (as RLLib does) sample remotely and hand the
     /// batch to this method, so both run byte-identical update math.
     pub fn train_on_steps(&mut self, sampled: &[RolloutStep]) -> TrainReport {
@@ -402,19 +375,17 @@ impl DqnAlgorithm {
 
 impl Algorithm for DqnAlgorithm {
     fn on_rollout(&mut self, batch: RolloutBatch) {
-        // The backend applies DQN's eligibility filter (full transitions
-        // only). A copying backend (the store-resident plane) hands the batch
-        // back for recycling; the in-learner backend keeps the step storage.
-        if let Some(spent) = self.backend.ingest(batch) {
-            self.spent.push(spent);
-        }
+        // The store copies the usable transitions out (full, well-formed
+        // ones only); the step storage goes back for recycling.
+        self.plane.ingest_batch(&batch);
+        self.spent.push(batch);
     }
 
     fn try_train(&mut self) -> Option<TrainReport> {
-        let total_inserted = self.backend.total_inserted();
+        let total_inserted = self.plane.total_inserted();
         if total_inserted < self.config.warmup_steps
             || total_inserted - self.inserts_consumed < self.config.train_every_inserts
-            || self.backend.len() < self.config.batch_size
+            || self.plane.len() < self.config.batch_size
         {
             return None;
         }
@@ -429,25 +400,24 @@ impl Algorithm for DqnAlgorithm {
         // Gather the sampled minibatch straight into the staging arena — one
         // copy from resident storage, no intermediate batch.
         let t_sample = Instant::now();
-        let prioritized = {
-            let DqnAlgorithm { config, backend, bufs, rng, .. } = self;
+        let prioritized = self.plane.prioritized();
+        {
+            let DqnAlgorithm { config, plane, picks, bufs, rng, .. } = self;
             bufs.clear();
             bufs.weights.clear();
             let mut sink = StageSink { bufs, dim: config.obs_dim };
-            if backend.prioritized() {
-                backend.sample_prioritized(n, beta, rng, &mut sink);
-                true
+            if prioritized {
+                plane.sample_prioritized(n, beta, rng, &mut sink, picks);
             } else {
-                backend.sample_uniform(n, rng, &mut sink);
-                false
+                plane.sample_uniform(n, rng, &mut sink);
             }
-        };
+        }
         self.sample_hist.record_duration(t_sample.elapsed());
         let report = self.train_staged(n, prioritized);
         if prioritized {
             // Re-prioritize by the fresh TD errors (wraparound-stale picks
-            // are skipped by the backend).
-            self.backend.update_priorities(&self.bufs.td);
+            // are skipped by the store).
+            self.plane.update_priorities(&self.picks, &self.bufs.td);
         }
         Some(report)
     }
@@ -458,6 +428,11 @@ impl Algorithm for DqnAlgorithm {
 
     fn attach_telemetry(&mut self, telemetry: &xt_telemetry::Telemetry) {
         self.sample_hist = telemetry.histogram("learn.sample_ns");
+        // A private plane predates this telemetry; a shared one (never
+        // uniquely held) was registered by the deployment that built it.
+        if let Some(plane) = Arc::get_mut(&mut self.plane) {
+            plane.attach_telemetry(telemetry);
+        }
     }
 
     fn param_blob(&self) -> ParamBlob {
@@ -497,10 +472,10 @@ impl ShardedSync for DqnAlgorithm {
     }
 
     fn take_round_credit(&mut self) -> bool {
-        let total_inserted = self.backend.total_inserted();
+        let total_inserted = self.plane.total_inserted();
         if total_inserted < self.config.warmup_steps
             || total_inserted - self.inserts_consumed < self.config.train_every_inserts
-            || self.backend.len() < self.config.batch_size
+            || self.plane.len() < self.config.batch_size
         {
             return false;
         }
@@ -510,12 +485,10 @@ impl ShardedSync for DqnAlgorithm {
 
     fn sample_slot(&mut self, out: &mut Vec<RolloutStep>) {
         out.clear();
-        let DqnAlgorithm { config, backend, rng, .. } = self;
-        let mut sink = StepSink { steps: out };
         // Slot sampling is uniform: prioritized weights depend on each
         // shard's private TD history and would break slot interchangeability
         // (DeploymentConfig::validate rejects prioritized + sync shards).
-        backend.sample_uniform(config.batch_size, rng, &mut sink);
+        self.plane.sample_uniform(self.config.batch_size, &mut self.rng, &mut StepSink(out));
     }
 
     fn grad_on_steps(
@@ -694,6 +667,25 @@ mod tests {
     }
 
     #[test]
+    fn ragged_rollout_is_rejected_at_ingest_not_at_sample_time() {
+        // A wrong-length observation used to sit in the buffer until a
+        // training session sampled it and panicked ("ragged observations").
+        let mut alg = DqnAlgorithm::new(tiny_config());
+        let telemetry = xt_telemetry::Telemetry::enabled();
+        alg.attach_telemetry(&telemetry);
+        let mut ragged = batch(48);
+        ragged.steps[3].observation.pop();
+        ragged.steps[5].next_observation = Some(vec![0.0; 9]);
+        alg.on_rollout(ragged);
+        assert_eq!(alg.replay_len(), 46, "the two ragged steps never land");
+        assert_eq!(telemetry.counter("replay.rejected").get(), 2, "and the learner's telemetry says so");
+        for _ in 0..11 {
+            assert!(alg.try_train().is_some());
+        }
+        assert_eq!(alg.take_spent().map(|b| b.len()), Some(48), "storage comes back for recycling");
+    }
+
+    #[test]
     fn train_every_inserts_gates_sessions() {
         let mut alg = DqnAlgorithm::new(tiny_config());
         alg.on_rollout(batch(48));
@@ -735,7 +727,7 @@ mod tests {
         }
         let mut last_loss = f32::MAX;
         for _ in 0..200 {
-            alg.inserts_consumed = alg.backend.total_inserted() - 4; // keep the gate open
+            alg.inserts_consumed = alg.plane.total_inserted() - 4; // keep the gate open
             last_loss = alg.try_train().unwrap().loss;
         }
         assert!(last_loss < 0.01, "loss should approach 0, got {last_loss}");
@@ -762,7 +754,7 @@ mod tests {
         }
         let mut last = f32::MAX;
         for _ in 0..200 {
-            alg.inserts_consumed = alg.backend.total_inserted() - 4;
+            alg.inserts_consumed = alg.plane.total_inserted() - 4;
             last = alg.try_train().unwrap().loss;
         }
         assert!(last < 0.05, "Double DQN converges on the toy target, got {last}");
@@ -784,7 +776,7 @@ mod tests {
         }
         let mut last = f32::MAX;
         for _ in 0..150 {
-            alg.inserts_consumed = alg.backend.total_inserted() - 4;
+            alg.inserts_consumed = alg.plane.total_inserted() - 4;
             last = alg.try_train().unwrap().loss;
         }
         assert!(last.is_finite());

@@ -5,8 +5,8 @@
 //! [`gymlite`]; this crate provides the other three for the three evaluated
 //! algorithms:
 //!
-//! * **DQN** (value-based, off-policy) — [`dqn`], with uniform and prioritized
-//!   [`replay`] buffers;
+//! * **DQN** (value-based, off-policy) — [`dqn`], sampling the one [`replay`]
+//!   store uniformly or by priority;
 //! * **PPO** (actor-critic, on-policy) — [`ppo`], with [`gae`]
 //!   generalized-advantage estimation and the clipped surrogate objective;
 //! * **IMPALA** (actor-critic, off-policy) — [`impala`], with [`vtrace`]
@@ -48,7 +48,6 @@ pub mod payload;
 pub mod ppo;
 pub mod reinforce;
 pub mod replay;
-pub mod sample;
 pub mod sumtree;
 pub mod vtrace;
 
@@ -62,5 +61,4 @@ pub use par::{ParGrad, Shard};
 pub use payload::{BatchDecoder, ParamBlob, RolloutBatch, RolloutStep};
 pub use ppo::{PpoAlgorithm, PpoConfig};
 pub use reinforce::{ReinforceAlgorithm, ReinforceConfig};
-pub use replay::{PrioritizedReplay, ReplayBuffer, SamplePick};
-pub use sample::{InLearnerReplay, ReplayBackend, SampleSink};
+pub use replay::{PlanePick, ReplayConfig, ReplayIntegrity, ReplayPlane, SampleSink, StepSink};

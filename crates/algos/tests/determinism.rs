@@ -6,16 +6,17 @@
 //!
 //! The same parameters are also pinned *across commits*: a refactor of the
 //! shared policy-gradient core must leave A2C, PPO and IMPALA bit-identical,
-//! so their digests are recorded here and asserted on the kernels they were
-//! recorded on.
+//! and a refactor of the replay store must leave uniform, prioritized and
+//! double DQN bit-identical, so their digests are recorded here and asserted
+//! on the kernels they were recorded on.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xingtian_algos::api::Algorithm;
 use xingtian_algos::payload::{RolloutBatch, RolloutStep};
 use xingtian_algos::{
-    A2cAlgorithm, A2cConfig, ImpalaAlgorithm, ImpalaConfig, PpoAlgorithm, PpoConfig,
-    ReinforceAlgorithm, ReinforceConfig,
+    A2cAlgorithm, A2cConfig, DqnAlgorithm, DqnConfig, ImpalaAlgorithm, ImpalaConfig, PpoAlgorithm,
+    PpoConfig, ReinforceAlgorithm, ReinforceConfig,
 };
 use xingtian_comm::pool::WorkPool;
 
@@ -102,6 +103,37 @@ fn reinforce_params(pool: Option<&'static WorkPool>) -> Vec<u32> {
     trained_bits(ReinforceAlgorithm::with_pool(c, pool), 2, 700, 1, 322)
 }
 
+/// In-learner DQN over a 256-slot replay ring fed 12 rollouts of 64 steps —
+/// two wraparounds — training to credit exhaustion after each. Terminal steps
+/// keep no successor and every ninth other step is ineligible (no successor,
+/// not terminal), so the ingest filter is part of the pinned behaviour.
+fn dqn_params(prioritized: Option<(f64, f64)>, double: bool) -> Vec<u32> {
+    let mut c = DqnConfig::new(DIM, NA);
+    c.hidden = vec![32];
+    c.buffer_capacity = 256;
+    c.warmup_steps = 64;
+    c.train_every_inserts = 16;
+    c.batch_size = 16;
+    c.target_sync_every = 5;
+    c.prioritized = prioritized;
+    c.double = double;
+    let mut alg = DqnAlgorithm::new(c);
+    let mut rng = StdRng::seed_from_u64(900);
+    for _ in 0..12 {
+        let mut steps = make_steps(&mut rng, 64);
+        for (i, s) in steps.iter_mut().enumerate() {
+            if !s.done && i % 9 != 8 {
+                s.next_observation = Some(bootstrap(&mut rng));
+            }
+        }
+        alg.on_rollout(RolloutBatch { explorer: 0, param_version: 0, steps, bootstrap_observation: vec![] });
+        while alg.try_train().is_some() {}
+        while alg.take_spent().is_some() {}
+    }
+    assert!(alg.sessions() > 30, "a real training run");
+    bits(&alg.param_blob().params)
+}
+
 /// FNV-1a-64 over the little-endian parameter bits.
 fn digest(bits: &[u32]) -> u64 {
     bits.iter().flat_map(|w| w.to_le_bytes()).fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -109,16 +141,9 @@ fn digest(bits: &[u32]) -> u64 {
     })
 }
 
-#[test]
-fn parameters_match_the_digests_pinned_at_pr15() {
-    // Recorded by running these same functions at commit c164c6a (before the
-    // shared actor-critic core existed) on an AVX2+FMA host, debug and
-    // release alike.
-    let got = [
-        ("ppo", digest(&ppo_params(None)), 0x482f_c84f_e9ed_7ecb_u64),
-        ("a2c", digest(&a2c_params(None)), 0x3116_dbb6_d49e_d326),
-        ("impala", digest(&impala_params(None)), 0x4f27_7673_bd95_e2a5),
-    ];
+/// Asserts `(name, digest, pinned)` triples on the kernels the pins were
+/// recorded on (AVX2+FMA, debug and release alike).
+fn assert_pinned(got: &[(&str, u64, u64)]) {
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
         for (name, digest, pinned) in got {
@@ -130,6 +155,28 @@ fn parameters_match_the_digests_pinned_at_pr15() {
     for (name, digest, _) in got {
         println!("{name} {digest:016x} (no AVX2+FMA: pinned digests not checked)");
     }
+}
+
+#[test]
+fn parameters_match_the_digests_pinned_at_pr15() {
+    // Recorded by running these same functions at commit c164c6a (before the
+    // shared actor-critic core existed).
+    assert_pinned(&[
+        ("ppo", digest(&ppo_params(None)), 0x482f_c84f_e9ed_7ecb),
+        ("a2c", digest(&a2c_params(None)), 0x3116_dbb6_d49e_d326),
+        ("impala", digest(&impala_params(None)), 0x4f27_7673_bd95_e2a5),
+    ]);
+}
+
+#[test]
+fn dqn_parameters_match_the_digests_pinned_at_pr16() {
+    // Recorded by running `dqn_params` at commit 4db9aa2, where DQN sampled
+    // the AoS in-learner buffers the SoA store has since replaced.
+    assert_pinned(&[
+        ("dqn uniform", digest(&dqn_params(None, false)), 0xcce7_d33f_c9ea_1ea6),
+        ("dqn prioritized", digest(&dqn_params(Some((0.6, 0.4)), false)), 0x98d2_86ca_50d7_4a9a),
+        ("dqn double", digest(&dqn_params(None, true)), 0x2cd2_1be0_c438_e7d2),
+    ]);
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! The warmed-up training step must not touch the heap. A counting global
 //! allocator wraps `System`; after a few warm-up sessions grow every
-//! persistent buffer to its steady-state size, one more uniform-replay DQN
-//! session — and one raw forward/backward/Adam step — must record zero
-//! allocations, and one more A2C iteration, PPO iteration and IMPALA step on
-//! the serial path must each allocate nothing but the report's `notify`
-//! vector.
+//! persistent buffer to its steady-state size, one more DQN session —
+//! uniform or prioritized replay — and one raw forward/backward/Adam step
+//! must record zero allocations, and one more A2C iteration, PPO iteration
+//! and IMPALA step on the serial path must each allocate nothing but the
+//! report's `notify` vector.
 //!
 //! This file holds a single `#[test]` on purpose: the allocator counter is
 //! process-global, and a second test running on another thread would bleed
@@ -117,32 +117,35 @@ fn session_allocs(alg: &mut dyn Algorithm) -> u64 {
 
 #[test]
 fn warmed_train_step_makes_zero_heap_allocations() {
-    // --- Phase A: full DQN uniform-replay training session -----------------
-    let mut config = DqnConfig::new(DIM, NA);
-    config.hidden = vec![16];
-    config.warmup_steps = 64;
-    config.train_every_inserts = 4;
-    config.batch_size = 32;
-    config.double = true;
-    // Keep the session pure compute: no broadcast Vec, no target sync inside
-    // the measured window.
-    config.broadcast_every = 1_000_000;
-    config.target_sync_every = 1_000_000;
-    let mut alg = DqnAlgorithm::new(config);
+    // --- Phase A: full double-DQN training session, uniform and PER --------
+    for prioritized in [None, Some((0.6, 0.4))] {
+        let mut config = DqnConfig::new(DIM, NA);
+        config.hidden = vec![16];
+        config.warmup_steps = 64;
+        config.train_every_inserts = 4;
+        config.batch_size = 32;
+        config.double = true;
+        config.prioritized = prioritized;
+        // Keep the session pure compute: no broadcast Vec, no target sync
+        // inside the measured window.
+        config.broadcast_every = 1_000_000;
+        config.target_sync_every = 1_000_000;
+        let mut alg = DqnAlgorithm::new(config);
 
-    // 400 inserts → 100 training credits at train_every_inserts = 4.
-    alg.on_rollout(dqn_rollout(400));
+        // 400 inserts → 100 training credits at train_every_inserts = 4.
+        alg.on_rollout(dqn_rollout(400));
 
-    // Warm-up: grow the staging arena, workspaces, and index buffer to
-    // steady state.
-    for _ in 0..8 {
-        alg.try_train().expect("training credits available");
+        // Warm-up: grow the staging arena, workspaces, and the pick and draw
+        // scratch to steady state.
+        for _ in 0..8 {
+            alg.try_train().expect("training credits available");
+        }
+
+        let allocs = count_allocs(|| {
+            alg.try_train().expect("training credits available");
+        });
+        assert_eq!(allocs, 0, "warmed DQN session ({prioritized:?}) allocated {allocs} times");
     }
-
-    let allocs = count_allocs(|| {
-        alg.try_train().expect("training credits available");
-    });
-    assert_eq!(allocs, 0, "warmed DQN train session allocated {allocs} times");
 
     // --- Phase B: raw workspace forward/backward/optimizer step ------------
     let batch = 64;

@@ -4,20 +4,38 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xingtian_algos::gae::{gae, normalize, GaeInput};
-use xingtian_algos::payload::RolloutStep;
+use xingtian_algos::payload::{RolloutBatch, RolloutStep};
 use xingtian_algos::sumtree::SumTree;
 use xingtian_algos::vtrace::{vtrace, VtraceInput};
-use xingtian_algos::{PrioritizedReplay, ReplayBuffer};
+use xingtian_algos::{ReplayConfig, ReplayPlane, SampleSink, StepSink};
+use xt_telemetry::Telemetry;
 
-fn step(tag: f32) -> RolloutStep {
-    RolloutStep {
-        observation: vec![tag],
-        action: 0,
-        reward: tag,
-        done: false,
-        behavior_logits: vec![],
-        value: 0.0,
-        next_observation: None,
+/// `pushes` storable one-float transitions, one rollout batch each (so ring
+/// wraparound happens across ingest calls as well as inside one).
+fn ingest(plane: &ReplayPlane, pushes: usize) {
+    for i in 0..pushes {
+        let step = RolloutStep {
+            observation: vec![i as f32],
+            action: 0,
+            reward: i as f32,
+            done: true,
+            behavior_logits: vec![],
+            value: 0.0,
+            next_observation: None,
+        };
+        let batch = RolloutBatch { explorer: 0, param_version: 0, steps: vec![step], bootstrap_observation: vec![] };
+        assert_eq!(plane.ingest_batch(&batch), 1);
+    }
+}
+
+/// Keeps a prioritized sample's importance weights.
+#[derive(Default)]
+struct Weights(Vec<f32>);
+
+impl SampleSink for Weights {
+    fn push_transition(&mut self, _o: &[f32], _n: Option<&[f32]>, _a: u32, _r: f32, _d: bool) {}
+    fn push_weight(&mut self, weight: f32) {
+        self.0.push(weight);
     }
 }
 
@@ -131,13 +149,17 @@ proptest! {
 
     #[test]
     fn replay_never_exceeds_capacity(capacity in 1usize..64, pushes in 0usize..256) {
-        let mut b = ReplayBuffer::new(capacity);
-        for i in 0..pushes {
-            b.push(step(i as f32));
-        }
-        prop_assert!(b.len() <= capacity);
+        let b = ReplayPlane::new(ReplayConfig::uniform(capacity, 1), &Telemetry::disabled());
+        ingest(&b, pushes);
         prop_assert_eq!(b.len(), pushes.min(capacity));
         prop_assert_eq!(b.total_inserted(), pushes as u64);
+        prop_assert_eq!(b.integrity().dangling_slots, 0);
+        // Exactly the newest `len` transitions are resident.
+        if pushes > 0 {
+            let mut steps = Vec::new();
+            b.sample_uniform(32, &mut StdRng::seed_from_u64(0), &mut StepSink(&mut steps));
+            prop_assert!(steps.iter().all(|s| s.reward >= (pushes - b.len()) as f32));
+        }
     }
 
     #[test]
@@ -146,14 +168,15 @@ proptest! {
         pushes in 1usize..128,
         batch in 1usize..32,
     ) {
-        let mut b = PrioritizedReplay::new(capacity, 0.6);
-        for i in 0..pushes {
-            b.push(step(i as f32));
-        }
-        let mut rng = StdRng::seed_from_u64(0);
-        for pick in b.sample(batch, 0.4, &mut rng) {
+        let b = ReplayPlane::new(ReplayConfig::prioritized(capacity, 1, 0.6), &Telemetry::disabled());
+        ingest(&b, pushes);
+        let mut view = Weights::default();
+        let mut picks = Vec::new();
+        b.sample_prioritized(batch, 0.4, &mut StdRng::seed_from_u64(0), &mut view, &mut picks);
+        prop_assert_eq!((picks.len(), view.0.len()), (batch, batch));
+        for (pick, weight) in picks.iter().zip(&view.0) {
             prop_assert!(pick.slot < b.len());
-            prop_assert!((0.0..=1.0 + 1e-6).contains(&pick.weight));
+            prop_assert!((0.0..=1.0 + 1e-6).contains(weight));
             prop_assert!(pick.seq < pushes as u64);
         }
     }

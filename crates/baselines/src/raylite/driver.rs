@@ -12,13 +12,14 @@ use bytes::Bytes;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use gymlite::EpisodeTracker;
 use netsim::{Cluster, MachineId};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xingtian::config::{AlgorithmSpec, DeploymentConfig};
 use xingtian::deployment::{build_agent, build_algorithm, build_env};
 use xingtian::stats::{RunReport, ThroughputTimeline};
 use xingtian_algos::api::Algorithm;
 use xingtian_algos::payload::RolloutBatch;
-use xingtian_algos::{DqnAlgorithm, ReplayBuffer};
+use xingtian_algos::{DqnAlgorithm, ReplayConfig, ReplayPlane, StepSink};
 use xingtian_comm::TransmissionStats;
 use xingtian_message::codec::{Decode, Encode};
 use xt_telemetry::{EventKind, HistogramHandle, Telemetry};
@@ -325,26 +326,27 @@ fn run_replay_pipeline(driver: &mut Driver, config: xingtian_algos::DqnConfig) -
     }
     let (replay_tx, replay_rx) = unbounded::<ReplayRequest>();
     let (sample_tx, sample_rx) = unbounded::<Bytes>();
-    let capacity = config.buffer_capacity;
+    let store = ReplayConfig::uniform(config.buffer_capacity, config.obs_dim);
+    // The data lives with the actor; the driver reads only its counts (what
+    // `add_batch` futures would tell a Ray driver) to gate training.
+    let resident = Arc::new(ReplayPlane::new(store, &Telemetry::disabled()));
+    let buffer = Arc::clone(&resident);
     let seed = config.seed;
     let actor = std::thread::Builder::new()
         .name("ray-replay-actor".into())
         .spawn(move || {
             use rand::SeedableRng;
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xACC);
-            let mut buffer = ReplayBuffer::new(capacity);
             while let Ok(req) = replay_rx.recv() {
                 match req {
                     ReplayRequest::Insert(bytes) => {
                         if let Ok(batch) = RolloutBatch::from_bytes(&bytes) {
-                            for step in batch.steps {
-                                buffer.push(step);
-                            }
+                            buffer.ingest_batch(&batch);
                         }
                     }
                     ReplayRequest::Sample(n) => {
-                        let steps: Vec<_> =
-                            buffer.sample(n, &mut rng).into_iter().cloned().collect();
+                        let mut steps = Vec::with_capacity(n);
+                        buffer.sample_uniform(n, &mut rng, &mut StepSink(&mut steps));
                         let batch = RolloutBatch {
                             explorer: 0,
                             param_version: 0,
@@ -367,7 +369,6 @@ fn run_replay_pipeline(driver: &mut Driver, config: xingtian_algos::DqnConfig) -
     // fragment then funds `fragment / train_every_inserts` training sessions.
     let fragment = (config.train_every_inserts as usize * 8).max(config.batch_size);
     let sessions_per_fragment = fragment / config.train_every_inserts as usize;
-    let mut inserted = 0u64;
     let mut pending_weights: Option<Bytes> = None;
     // Keep one sampling task outstanding so generation pipelines with the
     // driver's replay/training work.
@@ -386,9 +387,10 @@ fn run_replay_pipeline(driver: &mut Driver, config: xingtian_algos::DqnConfig) -
         // Forward into the replay actor: another store copy + RPC hop.
         let staged = rpc::push(&driver.cluster, driver.learner_machine, driver.learner_machine, &bytes, &driver.costs);
         replay_tx.send(ReplayRequest::Insert(staged)).map_err(|_| "replay actor gone".to_string())?;
-        inserted += fragment as u64;
 
-        if inserted < config.warmup_steps {
+        // The learner's own gate (`try_train`), on what the actor accepted
+        // so far — the insert above may still be in flight.
+        if resident.total_inserted() < config.warmup_steps || resident.len() < config.batch_size {
             continue;
         }
         for _ in 0..sessions_per_fragment {

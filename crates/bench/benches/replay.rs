@@ -1,58 +1,70 @@
-//! Microbenchmarks of the replay buffers (DQN's in-learner buffer vs the
-//! baseline's replay actor share this code; these numbers are the "local
-//! sampling" side of Fig. 9(b)).
+//! Microbenchmarks of the replay store as a local buffer (DQN's in-learner
+//! placement and the baseline's replay actor share this code; these numbers
+//! are the "local sampling" side of Fig. 9(b)).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use xingtian_algos::payload::RolloutStep;
-use xingtian_algos::{PrioritizedReplay, ReplayBuffer};
+use xingtian_algos::payload::{RolloutBatch, RolloutStep};
+use xingtian_algos::{ReplayConfig, ReplayPlane, StepSink};
+use xt_telemetry::Telemetry;
 
-fn step(obs_dim: usize, i: usize) -> RolloutStep {
-    RolloutStep {
-        observation: vec![i as f32; obs_dim],
-        action: (i % 4) as u32,
-        reward: 0.5,
-        done: false,
-        behavior_logits: vec![],
-        value: 0.0,
-        next_observation: Some(vec![i as f32 + 1.0; obs_dim]),
+const OBS_DIM: usize = 64;
+
+fn batch(start: usize, len: usize) -> RolloutBatch {
+    let steps = (start..start + len)
+        .map(|i| RolloutStep {
+            observation: vec![i as f32; OBS_DIM],
+            action: (i % 4) as u32,
+            reward: 0.5,
+            done: false,
+            behavior_logits: vec![],
+            value: 0.0,
+            next_observation: Some(vec![i as f32 + 1.0; OBS_DIM]),
+        })
+        .collect();
+    RolloutBatch { explorer: 0, param_version: 0, steps, bootstrap_observation: vec![] }
+}
+
+/// A plane holding 50 000 transitions.
+fn filled(config: ReplayConfig) -> ReplayPlane {
+    let plane = ReplayPlane::new(config, &Telemetry::disabled());
+    for at in (0..50_000).step_by(200) {
+        plane.ingest_batch(&batch(at, 200));
     }
+    plane
 }
 
 fn bench_uniform(c: &mut Criterion) {
     let mut group = c.benchmark_group("replay_uniform");
-    let mut buffer = ReplayBuffer::new(100_000);
-    for i in 0..50_000 {
-        buffer.push(step(64, i));
-    }
+    let plane = filled(ReplayConfig::uniform(100_000, OBS_DIM));
     let mut rng = StdRng::seed_from_u64(0);
-    group.bench_function("push_64f", |b| {
-        let mut i = 0;
+    let one = batch(0, 1);
+    group.bench_function("push_64f", |b| b.iter(|| plane.ingest_batch(&one)));
+    // Materialized as steps: what a replay actor ships back to its trainer.
+    let mut steps = Vec::new();
+    group.bench_function("sample_32", |b| {
         b.iter(|| {
-            buffer.push(step(64, i));
-            i += 1;
+            steps.clear();
+            plane.sample_uniform(32, &mut rng, &mut StepSink(&mut steps));
         })
     });
-    group.bench_function("sample_32", |b| b.iter(|| buffer.sample(32, &mut rng)));
     group.finish();
 }
 
 fn bench_prioritized(c: &mut Criterion) {
     let mut group = c.benchmark_group("replay_prioritized");
-    let mut buffer = PrioritizedReplay::new(65_536, 0.6);
-    for i in 0..50_000 {
-        buffer.push(step(64, i));
-    }
+    let plane = filled(ReplayConfig::prioritized(65_536, OBS_DIM, 0.6));
     let mut rng = StdRng::seed_from_u64(0);
-    group.bench_function("sample_32_beta04", |b| b.iter(|| buffer.sample(32, 0.4, &mut rng)));
-    group.bench_function("update_priority", |b| {
-        let mut i = 0usize;
+    let (mut steps, mut picks) = (Vec::new(), Vec::new());
+    group.bench_function("sample_32_beta04", |b| {
         b.iter(|| {
-            buffer.set_slot_priority(i % 50_000, (i % 100) as f64 * 0.1 + 0.01);
-            i += 1;
+            steps.clear();
+            plane.sample_prioritized(32, 0.4, &mut rng, &mut StepSink(&mut steps), &mut picks);
         })
     });
+    let td: Vec<f32> = (0..32).map(|i| i as f32 * 0.1 + 0.01).collect();
+    group.bench_function("update_priorities_32", |b| b.iter(|| plane.update_priorities(&picks, &td)));
     group.finish();
 }
 

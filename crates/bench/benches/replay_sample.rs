@@ -1,16 +1,15 @@
-//! Microbenchmarks of the store-resident replay plane (`xt-replay`) against
-//! the legacy in-learner buffers: batch ingest, zero-copy gather sampling,
-//! and the kernel-bypass remote-sample RPC. These are the numbers behind the
-//! EXPERIMENTS.md replay-plane table.
+//! Microbenchmarks of the replay store as the store-resident placement uses
+//! it: batch ingest, gather sampling into a counting sink, and the
+//! kernel-bypass remote-sample RPC (`xt-replay`). These are the numbers
+//! behind the EXPERIMENTS.md replay-plane table.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use xingtian_algos::payload::{RolloutBatch, RolloutStep};
-use xingtian_algos::sample::SampleSink;
-use xingtian_algos::ReplayBuffer;
-use xt_replay::{ReplayConfig, ReplayPlane, RemoteSampler, SampleRequest, SampleView};
+use xingtian_algos::{ReplayConfig, ReplayPlane, SampleSink};
+use xt_replay::{RemoteSampler, SampleRequest, SampleView};
 
 const OBS_DIM: usize = 64;
 
@@ -83,14 +82,6 @@ fn bench_sample(c: &mut Criterion) {
     group.bench_function("plane_sample_32", |b| {
         b.iter(|| plane.sample_uniform(32, &mut rng, &mut sink))
     });
-
-    // The legacy path sampled the same 32 transitions out of the in-learner
-    // ring — the baseline the plane must stay comparable to.
-    let mut legacy = ReplayBuffer::new(100_000);
-    for i in 0..50_000 {
-        legacy.push(step(i));
-    }
-    group.bench_function("legacy_sample_32", |b| b.iter(|| legacy.sample(32, &mut rng)));
     group.finish();
 }
 

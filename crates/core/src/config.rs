@@ -64,17 +64,18 @@ impl AlgorithmSpec {
     }
 }
 
-/// Where DQN's experience replay lives.
+/// Who ingests into DQN's replay store (the store itself is the same
+/// `xingtian_algos::ReplayPlane` either way).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ReplayPlacement {
-    /// Inside the learner's trainer thread (classic XingTian, paper §3.2.1):
-    /// every rollout message is fetched, decoded, and re-inserted into the
-    /// buffer before sampling.
+    /// The learner's trainer thread (classic XingTian, paper §3.2.1): every
+    /// rollout message is fetched, decoded, and ingested into the learner's
+    /// private store before sampling.
     #[default]
     InLearner,
-    /// Inside the communication layer, beside the object store: a replay
-    /// shard service ingests rollouts once and the learner samples directly
-    /// from the shared plane (`xt-replay`).
+    /// The communication layer, beside the object store: a replay shard
+    /// service (`xt-replay`) ingests rollouts once into a shared store and
+    /// the learner only samples it.
     StoreResident,
 }
 
@@ -385,7 +386,7 @@ impl DeploymentConfig {
             && !matches!(self.algorithm, AlgorithmSpec::Dqn(_))
         {
             return Err(format!(
-                "store-resident replay requires DQN (got {})",
+                "store-resident replay requires DQN (got {}): only DQN has a replay buffer",
                 self.algorithm.name()
             ));
         }
@@ -429,7 +430,9 @@ impl DeploymentConfig {
                 }
             }
             if self.replay == ReplayPlacement::StoreResident {
-                return Err("store-resident replay supports a single learner shard".into());
+                return Err("store-resident replay supports a single learner shard: the \
+                            replay service owns one plane and notifies exactly learner 0"
+                    .into());
             }
         }
         Ok(())
@@ -500,7 +503,8 @@ mod tests {
         assert_eq!(ok.replay, ReplayPlacement::StoreResident);
         assert!(ok.validate().is_ok());
         let bad = DeploymentConfig::cartpole(AlgorithmSpec::ppo(), 2).with_store_resident_replay();
-        assert!(bad.validate().unwrap_err().contains("requires DQN"));
+        let err = bad.validate().unwrap_err();
+        assert!(err.contains("requires DQN") && err.contains("only DQN has a replay buffer"), "{err}");
     }
 
     #[test]
@@ -530,7 +534,8 @@ mod tests {
         let replayed = DeploymentConfig::cartpole(AlgorithmSpec::dqn(), 4)
             .with_learner_shards(2)
             .with_store_resident_replay();
-        assert!(replayed.validate().unwrap_err().contains("single learner shard"));
+        let err = replayed.validate().unwrap_err();
+        assert!(err.contains("single learner shard") && err.contains("notifies exactly learner 0"), "{err}");
     }
 
     #[test]

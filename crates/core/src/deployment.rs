@@ -17,10 +17,9 @@ use std::sync::Arc;
 use xingtian_algos::api::{Agent, Algorithm};
 use xingtian_algos::{
     A2cAlgorithm, DqnAgent, DqnAlgorithm, ImpalaAlgorithm, PpoAlgorithm, ReinforceAlgorithm,
-    SoftmaxAgent,
+    ReplayConfig, ReplayPlane, SoftmaxAgent,
 };
 use xt_fault::FaultPlan;
-use xt_replay::{ReplayConfig, ReplayPlane, StoreResidentBackend};
 
 /// Error launching or validating a deployment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,9 +149,10 @@ pub fn build_algorithm(
     build_algorithm_with_replay(spec, obs_dim, num_actions, num_explorers, rollout_len, seed, None)
 }
 
-/// Builds the store-resident replay plane when `config` asks for one
-/// (`None` for in-learner replay — validation guarantees StoreResident only
-/// occurs with DQN, whose buffer sizing it mirrors).
+/// Builds the shared replay plane when `config` places DQN's replay in the
+/// store (`None` for in-learner replay, where the learner owns a private
+/// one — validation guarantees StoreResident only occurs with DQN, whose
+/// buffer sizing it mirrors).
 pub fn build_replay_plane(
     config: &DeploymentConfig,
     obs_dim: usize,
@@ -169,10 +169,9 @@ pub fn build_replay_plane(
     Some(Arc::new(ReplayPlane::new(rc, telemetry)))
 }
 
-/// Like [`build_algorithm`], but wires DQN onto the store-resident replay
-/// `plane` when one exists — at first spawn and on every learner restore
-/// (the rebuilt learner must keep sampling the plane that survived its
-/// death).
+/// Like [`build_algorithm`], but hands DQN the shared replay `plane` when
+/// one exists — at first spawn and on every learner restore (the rebuilt
+/// learner must keep sampling the plane that survived its death).
 pub fn build_algorithm_with_replay(
     spec: &AlgorithmSpec,
     obs_dim: usize,
@@ -184,10 +183,7 @@ pub fn build_algorithm_with_replay(
 ) -> Box<dyn Algorithm> {
     match sized_spec(spec, obs_dim, num_actions, num_explorers, rollout_len, seed) {
         AlgorithmSpec::Dqn(c) => match plane {
-            Some(plane) => Box::new(DqnAlgorithm::with_backend(
-                c,
-                Box::new(StoreResidentBackend::new(plane.clone())),
-            )),
+            Some(plane) => Box::new(DqnAlgorithm::with_plane(c, plane.clone())),
             None => Box::new(DqnAlgorithm::new(c)),
         },
         AlgorithmSpec::Ppo(c) => Box::new(PpoAlgorithm::new(c)),

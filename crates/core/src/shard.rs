@@ -239,6 +239,11 @@ impl LearnerProcess {
                     self.algorithm.on_rollout(batch);
                 }
                 decode_hist.record_duration(t0.elapsed());
+                // Recycle the step storage of batches the algorithm is done
+                // with (DQN's store copies out at ingest, so that is at once).
+                while let Some(spent) = self.algorithm.take_spent() {
+                    decoder.recycle(spent);
+                }
                 false
             }
             MessageKind::Gradient => {

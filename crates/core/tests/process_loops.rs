@@ -12,7 +12,7 @@ use xingtian::controller::ControllerProcess;
 use xingtian::explorer::{ExplorerProcess, RolloutRoute, MAX_INFLIGHT_BATCHES};
 use xingtian::learner::LearnerProcess;
 use xingtian::messages::ControlCommand;
-use xingtian_algos::api::{ActionSelection, Agent, Algorithm, SyncMode, TrainReport};
+use xingtian_algos::api::{ActionSelection, Agent, Algorithm, ShardedSync, SyncMode, TrainReport};
 use xingtian_algos::payload::{ParamBlob, RolloutBatch, RolloutStep};
 use xingtian_comm::{Broker, CommConfig};
 use xingtian_message::codec::Encode;
@@ -233,6 +233,125 @@ fn relaxed_shard_trains_while_its_inbox_is_never_empty() {
         outcome.train_sessions
     );
     assert_eq!(outcome.steps_consumed as usize, consumed.load(Ordering::Relaxed));
+    drop(producer_ep);
+    broker.shutdown();
+}
+
+/// A lockstep algorithm that never has a round to open; `held` mirrors how
+/// many spent batches it is still holding for the loop to collect.
+struct HoardingSync {
+    spent: Vec<RolloutBatch>,
+    held: Arc<AtomicUsize>,
+}
+
+impl Algorithm for HoardingSync {
+    fn on_rollout(&mut self, batch: RolloutBatch) {
+        self.spent.push(batch);
+        self.held.store(self.spent.len(), Ordering::Relaxed);
+    }
+
+    fn try_train(&mut self) -> Option<TrainReport> {
+        None
+    }
+
+    fn take_spent(&mut self) -> Option<RolloutBatch> {
+        let batch = self.spent.pop();
+        self.held.store(self.spent.len(), Ordering::Relaxed);
+        batch
+    }
+
+    fn param_blob(&self) -> ParamBlob {
+        ParamBlob { version: 0, params: vec![0.5; 4] }
+    }
+
+    fn load_params(&mut self, _params: &[f32]) {}
+
+    fn version(&self) -> u64 {
+        0
+    }
+
+    fn sync_mode(&self) -> SyncMode {
+        SyncMode::OffPolicy
+    }
+
+    fn name(&self) -> &str {
+        "hoarding"
+    }
+
+    fn sharded_sync(&mut self) -> Option<&mut dyn ShardedSync> {
+        Some(self)
+    }
+}
+
+impl ShardedSync for HoardingSync {
+    fn slot_rows(&self) -> usize {
+        1
+    }
+
+    fn take_round_credit(&mut self) -> bool {
+        false
+    }
+
+    fn sample_slot(&mut self, _out: &mut Vec<RolloutStep>) {
+        unreachable!("no round ever opens")
+    }
+
+    fn grad_on_steps(&mut self, _steps: &[RolloutStep], _global_rows: usize, _out: &mut Vec<f32>) -> f32 {
+        unreachable!("no round ever opens")
+    }
+
+    fn apply_reduced_grad(&mut self, _grad: &[f32], _steps_represented: usize, _loss: f32) -> TrainReport {
+        unreachable!("no round ever opens")
+    }
+}
+
+/// Regression: the lockstep loop handed rollouts to the algorithm and never
+/// collected what it was done with, so an algorithm that sheds every batch
+/// through `take_spent` (DQN: its store copies out at ingest) kept every
+/// decoded rollout for the life of the shard.
+#[test]
+fn sync_shard_collects_spent_batches() {
+    const ROLLOUTS: usize = 64;
+    let comm = CommConfig { endpoint_recv_capacity: None, ..CommConfig::default() };
+    let broker = Broker::new(0, Cluster::single(), comm);
+    let learner_ep = broker.endpoint(ProcessId::learner(0));
+    let _peer_ep = broker.endpoint(ProcessId::learner(1));
+    let producer_ep = broker.endpoint(ProcessId::explorer(0));
+
+    let step = RolloutStep {
+        observation: vec![0.0; 4],
+        action: 0,
+        reward: 1.0,
+        done: false,
+        behavior_logits: Vec::new(),
+        value: 0.0,
+        next_observation: Some(vec![0.0; 4]),
+    };
+    let batch = RolloutBatch { explorer: 0, param_version: 0, steps: vec![step], bootstrap_observation: Vec::new() };
+    let body = Bytes::from(batch.to_bytes());
+    for _ in 0..ROLLOUTS {
+        producer_ep.send_to(vec![ProcessId::learner(0)], MessageKind::Rollout, body.clone());
+    }
+    producer_ep.send_to(
+        vec![ProcessId::learner(0)],
+        MessageKind::Control,
+        Bytes::from(ControlCommand::Shutdown.to_bytes()),
+    );
+
+    let held = Arc::new(AtomicUsize::new(usize::MAX));
+    LearnerProcess {
+        shard: 0,
+        endpoint: learner_ep,
+        algorithm: Box::new(HoardingSync { spent: Vec::new(), held: Arc::clone(&held) }),
+        table: Arc::new(AssignmentTable::contiguous(2, 2)),
+        mode: AllreduceMode::Sync,
+        checkpointer: None,
+        probe: None,
+        param_compression: xingtian_comm::ParamCompression::default(),
+    }
+    .run();
+
+    assert_eq!(held.load(Ordering::Relaxed), 0, "spent batches left with the algorithm at shutdown");
     drop(producer_ep);
     broker.shutdown();
 }

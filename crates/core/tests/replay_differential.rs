@@ -1,12 +1,13 @@
-//! Differential proof that moving DQN's replay into the communication layer
-//! changes *where* experience lives but not *what* gets trained: an
-//! in-learner DQN and a store-resident DQN fed the identical seeded rollout
-//! stream must produce bit-identical losses, versions, and final parameters.
+//! Differential proof that replay *placement* changes who calls ingest but
+//! not what gets trained: a DQN that ingests into its private store from
+//! `on_rollout` (the paper's in-learner placement) and a DQN that only samples
+//! a shared store a replay service ingests into (store-resident) must, fed
+//! the identical seeded rollout stream, produce bit-identical losses,
+//! versions, and final parameters.
 //!
-//! This is the guarantee that makes the replay plane a pure communication
-//! optimization — the sharded arenas plus ring/sum-tree indices are a
-//! re-indexing of the legacy buffers, so every RNG draw lands on the same
-//! transition.
+//! Both placements run the one `ReplayPlane`; what this holds fixed is that
+//! nothing about DQN depends on which thread fed it, or on whether the batch
+//! crossed the wire codec first.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,9 +15,9 @@ use std::sync::Arc;
 use xingtian::config::{AlgorithmSpec, DeploymentConfig};
 use xingtian::Deployment;
 use xingtian_algos::api::Algorithm;
-use xingtian_algos::payload::{RolloutBatch, RolloutStep};
-use xingtian_algos::{DqnAlgorithm, DqnConfig};
-use xt_replay::{ReplayConfig, ReplayPlane, StoreResidentBackend};
+use xingtian_algos::payload::{BatchDecoder, RolloutBatch, RolloutStep};
+use xingtian_algos::{DqnAlgorithm, DqnConfig, ReplayConfig, ReplayPlane};
+use xingtian_message::codec::Encode;
 
 const OBS_DIM: usize = 4;
 const NUM_ACTIONS: usize = 3;
@@ -60,7 +61,7 @@ fn small_config(prioritized: Option<(f64, f64)>) -> DqnConfig {
 /// lockstep, and asserts bitwise-identical trajectories.
 fn assert_placements_identical(prioritized: Option<(f64, f64)>) {
     let config = small_config(prioritized);
-    let mut legacy = DqnAlgorithm::new(config.clone());
+    let mut in_learner = DqnAlgorithm::new(config.clone());
 
     let telemetry = xt_telemetry::Telemetry::disabled();
     let rc = match prioritized {
@@ -68,17 +69,22 @@ fn assert_placements_identical(prioritized: Option<(f64, f64)>) {
         None => ReplayConfig::uniform(config.buffer_capacity, OBS_DIM),
     };
     let plane = Arc::new(ReplayPlane::new(rc, &telemetry));
-    let mut store =
-        DqnAlgorithm::with_backend(config, Box::new(StoreResidentBackend::new(plane.clone())));
+    let mut store = DqnAlgorithm::with_plane(config, plane.clone());
+    let mut decoder = BatchDecoder::new();
 
     let mut stream = StdRng::seed_from_u64(7);
     let mut sessions = 0u32;
     for round in 0..12 {
         let batch = make_batch(&mut stream, round % 2, 64);
-        legacy.on_rollout(batch.clone());
-        store.on_rollout(batch);
+        // Store-resident: the service decodes the batch off the wire, ingests
+        // it into the shared plane and recycles it; the learner never sees it.
+        let decoded = decoder.decode(&batch.to_bytes()).expect("round trip");
+        assert_eq!(plane.ingest_batch(&decoded), 64);
+        decoder.recycle(decoded);
+        // In-learner: the learner thread ingests.
+        in_learner.on_rollout(batch);
         loop {
-            let a = legacy.try_train();
+            let a = in_learner.try_train();
             let b = store.try_train();
             assert_eq!(
                 a.is_some(),
@@ -98,15 +104,14 @@ fn assert_placements_identical(prioritized: Option<(f64, f64)>) {
             );
             assert_eq!(a.notify, b.notify);
         }
-        // Recycle spent batches like the learner loop does (exercises the
-        // copying backend's hand-back path).
-        while legacy.take_spent().is_some() {}
-        while store.take_spent().is_some() {}
+        // Recycle spent batches like the learner loop does.
+        assert!(in_learner.take_spent().is_some(), "in-learner ingest hands the batch back");
+        assert!(store.take_spent().is_none(), "the sampling-only learner holds no batches");
     }
     assert!(sessions > 20, "expected a real training run, got {sessions} sessions");
     assert_eq!(plane.integrity().dangling_slots, 0);
 
-    let pa = legacy.param_blob();
+    let pa = in_learner.param_blob();
     let pb = store.param_blob();
     assert_eq!(pa.version, pb.version);
     assert_eq!(pa.params.len(), pb.params.len());

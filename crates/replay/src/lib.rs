@@ -7,32 +7,23 @@
 //! already resident on the learner's machine, inside the communication
 //! layer's sharded object store.
 //!
-//! This crate moves replay *into* the communication layer. A
-//! [`ReplayPlane`] lives beside the object store and owns both storage and
-//! sampling:
+//! This crate moves replay's *ingest* into the communication layer. The
+//! store itself — [`xingtian_algos::ReplayPlane`], the same SoA arenas, ring
+//! and sum tree an in-learner DQN owns privately — is shared between a shard
+//! service beside the object store and the learner:
 //!
-//! * rollout batches are ingested **once**, straight into per-shard
-//!   structure-of-arrays [`arena::TransitionArena`]s (decoded with the same
-//!   recycled-buffer [`xingtian_algos::BatchDecoder`] the learner used);
-//! * a uniform ring index and a prioritized sum-tree index live with the
-//!   data, so sampling is a gather from resident storage;
-//! * the learner's DQN samples through [`StoreResidentBackend`] — a single
-//!   copy from arena slots into its training buffers, with no intermediate
-//!   batch materialization;
+//! * [`run_replay_service`] ingests each rollout batch **once**, straight
+//!   off the wire (decoded with the same recycled-buffer
+//!   [`xingtian_algos::BatchDecoder`] the learner uses), and wakes the
+//!   learner with a payload-free notice;
+//! * the learner's DQN samples the shared plane directly — a single copy
+//!   from arena slots into its training buffers;
 //! * remote learners speak the [`wire::SampleRequest`] / [`wire::SampleView`]
 //!   protocol, optionally over netsim's kernel-bypass NIC fast path
 //!   ([`wire::RemoteSampler`]), skipping the broker hop entirely.
-//!
-//! The plane emits `replay.ingest_ns` / `replay.sample_ns` histograms and a
-//! `replay.occupancy` gauge so stage breakdowns show where replay time went.
 
-pub mod arena;
-pub mod backend;
-pub mod plane;
 pub mod service;
 pub mod wire;
 
-pub use backend::StoreResidentBackend;
-pub use plane::{PlanePick, ReplayConfig, ReplayIntegrity, ReplayPlane};
 pub use service::{run_replay_service, ReplayOutcome};
 pub use wire::{RemoteSampler, SampleRequest, SampleView};

@@ -10,13 +10,13 @@
 //! payload at all. Remote learners are served [`MessageKind::SampleRequest`]s
 //! directly from the plane.
 
-use crate::plane::ReplayPlane;
 use crate::wire::{answer, SampleRequest};
 use bytes::Bytes;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use xingtian_algos::payload::BatchDecoder;
+use xingtian_algos::ReplayPlane;
 use xingtian_comm::Endpoint;
 use xingtian_message::codec::{Decode, Encode};
 use xingtian_message::{MessageKind, ProcessId};
@@ -83,10 +83,10 @@ pub fn run_replay_service(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plane::ReplayConfig;
     use crate::wire::SampleView;
     use netsim::Cluster;
     use xingtian_algos::payload::{RolloutBatch, RolloutStep};
+    use xingtian_algos::ReplayConfig;
     use xingtian_comm::{Broker, CommConfig};
     use xt_telemetry::Telemetry;
 
@@ -116,23 +116,33 @@ mod tests {
         let explorer = broker.endpoint(ProcessId::explorer(0));
         let replay_ep = broker.endpoint(ProcessId::replay(0));
 
-        let plane = Arc::new(ReplayPlane::new(ReplayConfig::uniform(64, 1), &Telemetry::disabled()));
+        let telemetry = Telemetry::enabled();
+        let plane = Arc::new(ReplayPlane::new(ReplayConfig::uniform(64, 1), &telemetry));
         let stop = Arc::new(AtomicBool::new(false));
         let service = {
             let (plane, stop) = (plane.clone(), stop.clone());
             std::thread::spawn(move || run_replay_service(replay_ep, plane, ProcessId::learner(0), stop))
         };
 
-        // Explorer pushes a rollout to the replay shard, not the learner.
-        assert!(explorer.send_to(
-            vec![ProcessId::replay(0)],
-            MessageKind::Rollout,
-            Bytes::from(rollout(10).to_bytes())
-        ));
-        let notice = learner.recv().expect("learner woken by the shard");
-        assert_eq!(notice.header.kind, MessageKind::ReplayNotice);
-        assert_eq!(u32::from_le_bytes(notice.body[..4].try_into().unwrap()), 10);
-        assert_eq!(plane.total_inserted(), 10);
+        // Explorer pushes rollouts to the replay shard, not the learner. The
+        // first is ragged (regression: its observations reached the arena's
+        // dimension assert and panicked the ingester); the service must stay
+        // alive for the good one behind it.
+        let mut ragged = rollout(6);
+        ragged.steps[0].observation = vec![0.0; 3];
+        ragged.steps[1].next_observation = Some(Vec::new());
+        for (batch, landed) in [(ragged, 4), (rollout(10), 10)] {
+            assert!(explorer.send_to(
+                vec![ProcessId::replay(0)],
+                MessageKind::Rollout,
+                Bytes::from(batch.to_bytes())
+            ));
+            let notice = learner.recv().expect("learner woken by the shard");
+            assert_eq!(notice.header.kind, MessageKind::ReplayNotice);
+            assert_eq!(u32::from_le_bytes(notice.body[..4].try_into().unwrap()), landed);
+        }
+        assert_eq!(plane.total_inserted(), 14);
+        assert_eq!(telemetry.counter("replay.rejected").get(), 2);
 
         // The learner can request a sampled minibatch through the channel.
         let req = SampleRequest { n: 4, prioritized: false, beta: 0.0, seed: 11 };
@@ -144,8 +154,9 @@ mod tests {
         assert_eq!(view, answer(&plane, &req), "channel round trip is deterministic");
 
         stop.store(true, Ordering::Release);
-        let outcome = service.join().unwrap();
-        assert_eq!(outcome, ReplayOutcome { batches_ingested: 1, steps_ingested: 10, sample_requests: 1 });
+        let outcome = service.join().expect("service thread must not panic");
+        assert_eq!(outcome, ReplayOutcome { batches_ingested: 2, steps_ingested: 14, sample_requests: 1 });
+        assert_eq!(plane.integrity().dangling_slots, 0);
         learner.close();
         explorer.close();
         broker.shutdown();

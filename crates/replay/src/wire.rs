@@ -12,14 +12,13 @@
 //! without a broker hop, so a remote sample costs two bypass messages
 //! (request + view) instead of two kernel-stack broker deliveries.
 
-use crate::plane::{PlanePick, ReplayPlane};
 use netsim::{BypassPath, MachineId, RpcReceipt};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use xingtian_message::codec::{Decode, DecodeError, Encode, Reader};
 
-use xingtian_algos::SampleSink;
+use xingtian_algos::{ReplayPlane, SampleSink};
 
 /// A seeded request for one sampled minibatch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,8 +99,8 @@ impl SampleView {
     }
 
     /// Pushes the view's transitions (and weights, if any) into `sink` in the
-    /// order the shard sampled them — the same weight-then-transition per-pick
-    /// order every [`xingtian_algos::ReplayBackend`] uses.
+    /// order the shard sampled them — the plane's weight-then-transition
+    /// per-pick order.
     pub fn replay_into(&self, sink: &mut dyn SampleSink) {
         let dim = self.obs_dim as usize;
         for i in 0..self.len() {
@@ -185,8 +184,7 @@ pub fn answer(plane: &ReplayPlane, req: &SampleRequest) -> SampleView {
     let mut view = SampleView::with_obs_dim(plane.obs_dim());
     let mut rng = StdRng::seed_from_u64(req.seed);
     if req.prioritized {
-        let mut picks: Vec<PlanePick> = Vec::new();
-        plane.sample_prioritized(req.n as usize, f64::from(req.beta), &mut rng, &mut view, &mut picks);
+        plane.sample_prioritized(req.n as usize, f64::from(req.beta), &mut rng, &mut view, &mut Vec::new());
     } else {
         plane.sample_uniform(req.n as usize, &mut rng, &mut view);
     }
@@ -232,7 +230,7 @@ impl RemoteSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plane::ReplayConfig;
+    use xingtian_algos::ReplayConfig;
     use netsim::{Cluster, ClusterSpec};
     use xingtian_algos::payload::{RolloutBatch, RolloutStep};
     use xt_telemetry::Telemetry;

@@ -4,13 +4,13 @@
 //! cargo run --release --example replay_dqn
 //! ```
 //!
-//! Runs the same CartPole DQN deployment twice — once with the classic
-//! in-learner replay (every rollout is fetched, decoded, and re-inserted by
-//! the trainer thread before sampling) and once with the store-resident
-//! replay plane (`xt-replay`: the shard service beside the object store
-//! ingests each rollout exactly once and the learner samples straight from
-//! the shared arenas) — and prints the per-stage breakdown that shows where
-//! the fetch+decode+re-insert work went.
+//! Runs the same CartPole DQN deployment twice over the one replay store —
+//! once with the classic in-learner placement (every rollout is fetched,
+//! decoded, and ingested by the trainer thread before sampling) and once
+//! with the store-resident placement (`xt-replay`: the shard service beside
+//! the object store ingests each rollout exactly once and the learner only
+//! samples the shared arenas) — and prints the per-stage breakdown that
+//! shows where the fetch+decode+ingest work went.
 
 use std::time::Duration;
 use xingtian::config::{AlgorithmSpec, DeploymentConfig};
