@@ -89,14 +89,18 @@ echo "== chaos smoke: seeded kill-one-explorer run on the virtual clock =="
 # store leaks. Wall time is bounded by the controller deadline.
 cargo test --release -q -p xingtian --test chaos chaos_smoke_kill_one_explorer_virtual_clock
 
-echo "== graph smoke: the one process graph and the one learner loop =="
+echo "== graph smoke: the one process graph and the one learner loop, both disciplines =="
 # Deployment::run and Deployment::run_supervised are one graph (run is the
 # unsupervised policy: zero budgets, no heartbeats), so the perf smoke above
 # and the chaos smoke both exercise it. Here: the explorer/learner loops over
-# a real channel (bounded drain under a never-empty inbox included), and 64
+# a real channel (bounded drain under a never-empty inbox for the relaxed and
+# the lockstep discipline, and the lockstep farewell handshake under a slow
+# gradient channel), the sharded deployments (sync shards bit-identical at
+# exit, relaxed in the reward band — a single run, no retries), and 64
 # fault-free supervised deployments that must drop no message — endpoints
 # are registered before the processes that address them are spawned.
 cargo test --release -q -p xingtian --test process_loops
+cargo test --release -q -p xingtian --test multi_learner
 cargo test --release -q -p xingtian --test chaos fault_free_supervised_runs_drop_nothing
 
 echo "== serve smoke: hot swap under live traffic never drops a request =="

@@ -9,7 +9,7 @@
 //! every framework runs byte-identical algorithm logic and differs only in
 //! communication management.
 
-use crate::payload::{ParamBlob, RolloutBatch, RolloutStep};
+use crate::payload::{ParamBlob, RolloutBatch};
 
 /// How the learner and explorers synchronize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,15 +128,11 @@ pub trait ShardedSync {
     fn take_round_credit(&mut self) -> bool;
 
     /// Samples one slot minibatch of [`Self::slot_rows`] transitions from
-    /// local storage into `out` (cleared first).
-    fn sample_slot(&mut self, out: &mut Vec<RolloutStep>);
-
-    /// Computes the raw gradient of `steps` at the current parameters into
-    /// `out` (resized to the parameter count), every element scaled by
-    /// `1 / global_rows`, and returns the loss contribution at the same
-    /// scale. No optimizer state is touched.
-    fn grad_on_steps(&mut self, steps: &[RolloutStep], global_rows: usize, out: &mut Vec<f32>)
-        -> f32;
+    /// local storage and computes its raw gradient at the current parameters
+    /// into `out` (resized to the parameter count), every element scaled by
+    /// `1 / global_rows`; returns the loss contribution at the same scale.
+    /// No optimizer state is touched.
+    fn slot_grad(&mut self, global_rows: usize, out: &mut Vec<f32>) -> f32;
 
     /// Applies one optimizer step with the fully folded round gradient and
     /// advances the session/version bookkeeping. `steps_represented` is the

@@ -18,7 +18,7 @@
 use crate::api::{ActionSelection, Agent, Algorithm, ShardedSync, SyncMode, TrainReport};
 use crate::par::{ParGrad, Shard};
 use crate::payload::{ParamBlob, RolloutBatch, RolloutStep};
-use crate::replay::{PlanePick, ReplayConfig, ReplayPlane, SampleSink, StepSink};
+use crate::replay::{PlanePick, ReplayConfig, ReplayPlane, SampleSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -146,9 +146,12 @@ impl TrainBufs {
         self.dones.clear();
     }
 
-    /// Appends one transition to the staging arrays.
-    fn stage(&mut self, s: &RolloutStep, dim: usize) {
-        self.stage_parts(&s.observation, s.next_observation.as_deref(), s.action, s.reward, s.done, dim);
+    /// Replaces the staged transitions with `steps`.
+    fn stage_steps(&mut self, steps: &[RolloutStep], dim: usize) {
+        self.clear();
+        for s in steps {
+            self.stage_parts(&s.observation, s.next_observation.as_deref(), s.action, s.reward, s.done, dim);
+        }
     }
 
     /// Appends one transition given as raw slices (the [`SampleSink`] path:
@@ -320,11 +323,7 @@ impl DqnAlgorithm {
     /// batch to this method, so both run byte-identical update math.
     pub fn train_on_steps(&mut self, sampled: &[RolloutStep]) -> TrainReport {
         assert!(!sampled.is_empty(), "cannot stack an empty batch");
-        let dim = self.config.obs_dim;
-        self.bufs.clear();
-        for s in sampled {
-            self.bufs.stage(s, dim);
-        }
+        self.bufs.stage_steps(sampled, self.config.obs_dim);
         self.train_staged(sampled.len(), false)
     }
 
@@ -332,7 +331,7 @@ impl DqnAlgorithm {
     /// from `bufs.weights` when `weighted`. Leaves per-row |TD error| in
     /// `bufs.td` for re-prioritization. Allocation-free after warmup.
     fn train_staged(&mut self, n: usize, weighted: bool) -> TrainReport {
-        let DqnAlgorithm { config, q, target, opt, bufs, sessions, version, .. } = self;
+        let DqnAlgorithm { config, q, target, opt, bufs, .. } = self;
         bellman_targets(config, q, target, bufs, n);
         let TrainBufs { obs, actions, targets, dout, td, grads, weights, q_ws, .. } = bufs;
         let na = config.num_actions;
@@ -358,7 +357,31 @@ impl DqnAlgorithm {
         }
         q.backward_ws(obs, n, dout, q_ws, &mut grads[..nparams]);
         opt.step(q.params_mut(), &grads[..nparams]);
+        self.finish_update(n, loss)
+    }
 
+    /// Gathers a sampled minibatch of `batch_size` transitions straight into
+    /// the staging arena — one copy from resident storage, no intermediate
+    /// batch (`learn.sample_ns`).
+    fn stage_sample(&mut self, prioritized: bool) {
+        let t_sample = Instant::now();
+        let DqnAlgorithm { config, plane, picks, bufs, rng, .. } = self;
+        bufs.clear();
+        bufs.weights.clear();
+        let mut sink = StageSink { bufs, dim: config.obs_dim };
+        if prioritized {
+            let beta = config.prioritized.map_or(0.4, |(_, b)| b);
+            plane.sample_prioritized(config.batch_size, beta, rng, &mut sink, picks);
+        } else {
+            plane.sample_uniform(config.batch_size, rng, &mut sink);
+        }
+        self.sample_hist.record_duration(t_sample.elapsed());
+    }
+
+    /// Bookkeeping after an optimizer step, however its gradient was made:
+    /// session and version bump, target sync, and the broadcast schedule.
+    fn finish_update(&mut self, steps_consumed: usize, loss: f32) -> TrainReport {
+        let DqnAlgorithm { config, q, target, sessions, version, .. } = self;
         *sessions += 1;
         *version += 1;
         if sessions.is_multiple_of(config.target_sync_every) {
@@ -369,7 +392,63 @@ impl DqnAlgorithm {
         } else {
             Vec::new()
         };
-        TrainReport { steps_consumed: n, loss, version: *version, notify }
+        TrainReport { steps_consumed, loss, version: *version, notify }
+    }
+
+    /// Computes the raw gradient of `steps` at the current parameters into
+    /// `out` (resized to the parameter count), every element scaled by
+    /// `1 / global_rows`, and returns the loss contribution at the same
+    /// scale — [`ShardedSync::slot_grad`] on caller-chosen rows instead of
+    /// sampled ones, for harnesses that must hold slot data constant across
+    /// shard counts. No optimizer state is touched.
+    pub fn grad_on_steps(
+        &mut self,
+        steps: &[RolloutStep],
+        global_rows: usize,
+        out: &mut Vec<f32>,
+    ) -> f32 {
+        self.bufs.stage_steps(steps, self.config.obs_dim);
+        self.staged_grad(steps.len(), global_rows, out)
+    }
+
+    /// The slot gradient over the `n` staged transitions.
+    fn staged_grad(&mut self, n: usize, global_rows: usize, out: &mut Vec<f32>) -> f32 {
+        assert!(n > 0, "cannot take a gradient of an empty slot");
+        assert!(global_rows >= n, "global rows cover the slot");
+        let DqnAlgorithm { config, q, target, bufs, par, .. } = self;
+        bellman_targets(config, q, target, bufs, n);
+        let dim = config.obs_dim;
+        let na = config.num_actions;
+        let nparams = q.num_params();
+        out.resize(nparams, 0.0);
+        let obs = &bufs.obs;
+        let actions = &bufs.actions;
+        let targets = &bufs.targets;
+        let scale = 1.0 / global_rows as f32;
+        let q_ref: &Mlp = q;
+        // ParGrad's fixed-order reduction keeps the slot gradient bitwise
+        // stable for any worker count; the slot batch (≤ 64 rows) runs the
+        // single-shard short circuit, writing straight into `out`.
+        par.run(None, n, &mut [], 0, Some(&mut out[..nparams]), |rows, _o, shard, g| {
+            let m = rows.len();
+            let obs_rows = &obs[rows.start * dim..rows.end * dim];
+            let Shard { ws_a, scratch, .. } = shard;
+            if scratch.len() < m * na {
+                scratch.resize(m * na, 0.0);
+            }
+            let dout = &mut scratch[..m * na];
+            dout.fill(0.0);
+            let q_values = q_ref.forward_ws(obs_rows, m, ws_a);
+            let mut loss = 0.0f32;
+            for (j, i) in rows.clone().enumerate() {
+                let a = actions[i] as usize;
+                let diff = q_values[j * na + a] - targets[i];
+                loss += diff * diff * scale;
+                dout[j * na + a] = 2.0 * diff * scale;
+            }
+            q_ref.backward_ws(obs_rows, m, dout, ws_a, g);
+            loss
+        })
     }
 }
 
@@ -382,38 +461,12 @@ impl Algorithm for DqnAlgorithm {
     }
 
     fn try_train(&mut self) -> Option<TrainReport> {
-        let total_inserted = self.plane.total_inserted();
-        if total_inserted < self.config.warmup_steps
-            || total_inserted - self.inserts_consumed < self.config.train_every_inserts
-            || self.plane.len() < self.config.batch_size
-        {
+        if !self.take_round_credit() {
             return None;
         }
-        // Consume one training credit (paper: one session per
-        // `train_every_inserts` new steps). Arriving rollout batches can be
-        // larger than the gate, in which case several sessions run back to
-        // back — exactly what the paper's learner does when it catches up.
-        self.inserts_consumed += self.config.train_every_inserts;
-
-        let n = self.config.batch_size;
-        let beta = self.config.prioritized.map_or(0.4, |(_, b)| b);
-        // Gather the sampled minibatch straight into the staging arena — one
-        // copy from resident storage, no intermediate batch.
-        let t_sample = Instant::now();
         let prioritized = self.plane.prioritized();
-        {
-            let DqnAlgorithm { config, plane, picks, bufs, rng, .. } = self;
-            bufs.clear();
-            bufs.weights.clear();
-            let mut sink = StageSink { bufs, dim: config.obs_dim };
-            if prioritized {
-                plane.sample_prioritized(n, beta, rng, &mut sink, picks);
-            } else {
-                plane.sample_uniform(n, rng, &mut sink);
-            }
-        }
-        self.sample_hist.record_duration(t_sample.elapsed());
-        let report = self.train_staged(n, prioritized);
+        self.stage_sample(prioritized);
+        let report = self.train_staged(self.config.batch_size, prioritized);
         if prioritized {
             // Re-prioritize by the fresh TD errors (wraparound-stale picks
             // are skipped by the store).
@@ -471,6 +524,12 @@ impl ShardedSync for DqnAlgorithm {
         self.config.batch_size
     }
 
+    /// The one credit gate, `try_train`'s too (paper: one session per
+    /// `train_every_inserts` new steps): open once warmup is met, enough
+    /// fresh inserts arrived and a batch's worth is resident. Arriving rollout
+    /// batches can be larger than the gate, in which case several sessions
+    /// run back to back — exactly what the paper's learner does when it
+    /// catches up.
     fn take_round_credit(&mut self) -> bool {
         let total_inserted = self.plane.total_inserted();
         if total_inserted < self.config.warmup_steps
@@ -483,61 +542,12 @@ impl ShardedSync for DqnAlgorithm {
         true
     }
 
-    fn sample_slot(&mut self, out: &mut Vec<RolloutStep>) {
-        out.clear();
+    fn slot_grad(&mut self, global_rows: usize, out: &mut Vec<f32>) -> f32 {
         // Slot sampling is uniform: prioritized weights depend on each
         // shard's private TD history and would break slot interchangeability
         // (DeploymentConfig::validate rejects prioritized + sync shards).
-        self.plane.sample_uniform(self.config.batch_size, &mut self.rng, &mut StepSink(out));
-    }
-
-    fn grad_on_steps(
-        &mut self,
-        steps: &[RolloutStep],
-        global_rows: usize,
-        out: &mut Vec<f32>,
-    ) -> f32 {
-        let n = steps.len();
-        assert!(n > 0, "cannot take a gradient of an empty slot");
-        assert!(global_rows >= n, "global rows cover the slot");
-        let dim = self.config.obs_dim;
-        self.bufs.clear();
-        for s in steps {
-            self.bufs.stage(s, dim);
-        }
-        let DqnAlgorithm { config, q, target, bufs, par, .. } = self;
-        bellman_targets(config, q, target, bufs, n);
-        let na = config.num_actions;
-        let nparams = q.num_params();
-        out.resize(nparams, 0.0);
-        let obs = &bufs.obs;
-        let actions = &bufs.actions;
-        let targets = &bufs.targets;
-        let scale = 1.0 / global_rows as f32;
-        let q_ref: &Mlp = q;
-        // ParGrad's fixed-order reduction keeps the slot gradient bitwise
-        // stable for any worker count; the slot batch (≤ 64 rows) runs the
-        // single-shard short circuit, writing straight into `out`.
-        par.run(None, n, &mut [], 0, Some(&mut out[..nparams]), |rows, _o, shard, g| {
-            let m = rows.len();
-            let obs_rows = &obs[rows.start * dim..rows.end * dim];
-            let Shard { ws_a, scratch, .. } = shard;
-            if scratch.len() < m * na {
-                scratch.resize(m * na, 0.0);
-            }
-            let dout = &mut scratch[..m * na];
-            dout.fill(0.0);
-            let q_values = q_ref.forward_ws(obs_rows, m, ws_a);
-            let mut loss = 0.0f32;
-            for (j, i) in rows.clone().enumerate() {
-                let a = actions[i] as usize;
-                let diff = q_values[j * na + a] - targets[i];
-                loss += diff * diff * scale;
-                dout[j * na + a] = 2.0 * diff * scale;
-            }
-            q_ref.backward_ws(obs_rows, m, dout, ws_a, g);
-            loss
-        })
+        self.stage_sample(false);
+        self.staged_grad(self.config.batch_size, global_rows, out)
     }
 
     fn apply_reduced_grad(
@@ -546,20 +556,9 @@ impl ShardedSync for DqnAlgorithm {
         steps_represented: usize,
         loss: f32,
     ) -> TrainReport {
-        let DqnAlgorithm { config, q, target, opt, sessions, version, .. } = self;
-        assert_eq!(grad.len(), q.num_params(), "reduced gradient width");
-        opt.step(q.params_mut(), grad);
-        *sessions += 1;
-        *version += 1;
-        if sessions.is_multiple_of(config.target_sync_every) {
-            target.set_params(q.params());
-        }
-        let notify = if sessions.is_multiple_of(config.broadcast_every) {
-            (0..config.num_explorers).collect()
-        } else {
-            Vec::new()
-        };
-        TrainReport { steps_consumed: steps_represented, loss, version: *version, notify }
+        assert_eq!(grad.len(), self.q.num_params(), "reduced gradient width");
+        self.opt.step(self.q.params_mut(), grad);
+        self.finish_update(steps_represented, loss)
     }
 }
 
@@ -798,10 +797,7 @@ mod tests {
         assert_eq!(report.steps_consumed, 8);
         assert_eq!(report.version, 1);
         let mut b = DqnAlgorithm::new(c);
-        b.bufs.clear();
-        for s in &steps {
-            b.bufs.stage(s, 4);
-        }
+        b.bufs.stage_steps(&steps, 4);
         let r2 = b.train_staged(8, false);
         assert_eq!(report.loss, r2.loss);
         assert_eq!(a.q.params(), b.q.params(), "entry points share update math");
@@ -852,13 +848,11 @@ mod tests {
             assert!(alg.take_round_credit());
             let mut folded: Vec<f32> = Vec::new();
             let mut loss = 0.0f32;
-            let mut slot = Vec::new();
             let global = 4 * alg.slot_rows();
             for _ in 0..4 {
-                alg.sample_slot(&mut slot);
-                assert_eq!(slot.len(), alg.slot_rows());
                 let mut g = Vec::new();
-                loss += alg.grad_on_steps(&slot, global, &mut g);
+                loss += alg.slot_grad(global, &mut g);
+                assert_eq!(alg.bufs.actions.len(), alg.slot_rows(), "one slot's rows were staged");
                 if folded.is_empty() {
                     folded = g;
                 } else {

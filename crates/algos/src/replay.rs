@@ -43,8 +43,8 @@ pub trait SampleSink {
 }
 
 /// Points a [`SampleSink`] at a `Vec<RolloutStep>`, materializing each
-/// sampled transition as a step: sharded-sync gradient slots and the
-/// baselines' replay actor ship sampled minibatches as rollout batches.
+/// sampled transition as a step: the baselines' replay actor ships sampled
+/// minibatches as rollout batches.
 /// Importance weights are dropped.
 #[derive(Debug)]
 pub struct StepSink<'a>(pub &'a mut Vec<RolloutStep>);
@@ -313,11 +313,6 @@ impl ReplayPlane {
         self.sample_hist = telemetry.histogram("replay.sample_ns");
         self.occupancy = telemetry.gauge("replay.occupancy");
         self.rejected = telemetry.counter("replay.rejected");
-    }
-
-    /// Observation dimension every transition must match.
-    pub fn obs_dim(&self) -> usize {
-        self.obs_dim
     }
 
     /// True when the plane samples proportional to priority.

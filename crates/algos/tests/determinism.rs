@@ -7,8 +7,9 @@
 //! The same parameters are also pinned *across commits*: a refactor of the
 //! shared policy-gradient core must leave A2C, PPO and IMPALA bit-identical,
 //! and a refactor of the replay store must leave uniform, prioritized and
-//! double DQN bit-identical, so their digests are recorded here and asserted
-//! on the kernels they were recorded on.
+//! double DQN bit-identical — on the lockstep slot surface too — so their
+//! digests are recorded here and asserted on the kernels they were recorded
+//! on.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -134,6 +135,55 @@ fn dqn_params(prioritized: Option<(f64, f64)>, double: bool) -> Vec<u32> {
     bits(&alg.param_blob().params)
 }
 
+/// The same seeded DQN driven through the lockstep surface in one process:
+/// every round credit buys four sampled slot gradients, folded flat in slot
+/// order with the loss as the trailing element (what `GradExchange::reduce`
+/// does), and one optimizer step.
+fn dqn_lockstep_params() -> Vec<u32> {
+    let mut c = DqnConfig::new(DIM, NA);
+    c.hidden = vec![32];
+    c.buffer_capacity = 256;
+    c.warmup_steps = 64;
+    c.train_every_inserts = 16;
+    c.batch_size = 16;
+    c.target_sync_every = 5;
+    let mut alg = DqnAlgorithm::new(c);
+    let mut rng = StdRng::seed_from_u64(901);
+    let mut rounds = 0;
+    let mut grad = Vec::new();
+    for _ in 0..12 {
+        let mut steps = make_steps(&mut rng, 64);
+        for (i, s) in steps.iter_mut().enumerate() {
+            if !s.done && i % 9 != 8 {
+                s.next_observation = Some(bootstrap(&mut rng));
+            }
+        }
+        alg.on_rollout(RolloutBatch { explorer: 0, param_version: 0, steps, bootstrap_observation: vec![] });
+        let sync = alg.sharded_sync().expect("DQN is ShardedSync");
+        let global = 4 * sync.slot_rows();
+        while sync.take_round_credit() {
+            let mut folded: Vec<f32> = Vec::new();
+            for slot in 0..4 {
+                let loss = sync.slot_grad(global, &mut grad);
+                grad.push(loss);
+                if slot == 0 {
+                    folded.clone_from(&grad);
+                } else {
+                    for (a, g) in folded.iter_mut().zip(&grad) {
+                        *a += g;
+                    }
+                }
+            }
+            let loss = folded.pop().expect("trailing loss element");
+            sync.apply_reduced_grad(&folded, global, loss);
+            rounds += 1;
+        }
+        while alg.take_spent().is_some() {}
+    }
+    assert!(rounds >= 20, "a real lockstep run: {rounds} rounds");
+    bits(&alg.param_blob().params)
+}
+
 /// FNV-1a-64 over the little-endian parameter bits.
 fn digest(bits: &[u32]) -> u64 {
     bits.iter().flat_map(|w| w.to_le_bytes()).fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -177,6 +227,14 @@ fn dqn_parameters_match_the_digests_pinned_at_pr16() {
         ("dqn prioritized", digest(&dqn_params(Some((0.6, 0.4)), false)), 0x98d2_86ca_50d7_4a9a),
         ("dqn double", digest(&dqn_params(None, true)), 0x2cd2_1be0_c438_e7d2),
     ]);
+}
+
+#[test]
+fn dqn_lockstep_parameters_match_the_digest_pinned_at_pr17() {
+    // Recorded at commit a6539d4 by this same loop with the trait's old
+    // `sample_slot` + `grad_on_steps` pair (which materialised every sampled
+    // row as a `RolloutStep`) in place of `slot_grad`: 42 rounds.
+    assert_pinned(&[("dqn lockstep", digest(&dqn_lockstep_params()), 0x259d_64dc_9192_d55e)]);
 }
 
 #[test]

@@ -1,12 +1,14 @@
-//! Microbenchmarks of the replay store as a local buffer (DQN's in-learner
-//! placement and the baseline's replay actor share this code; these numbers
-//! are the "local sampling" side of Fig. 9(b)).
+//! Microbenchmarks of the one replay store: as a local buffer (DQN's
+//! in-learner placement and the baseline's replay actor share this code;
+//! these numbers are the "local sampling" side of Fig. 9(b)), and as the
+//! store-resident placement uses it — batch ingest and gather sampling into
+//! a counting sink (the EXPERIMENTS.md replay-plane table).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xingtian_algos::payload::{RolloutBatch, RolloutStep};
-use xingtian_algos::{ReplayConfig, ReplayPlane, StepSink};
+use xingtian_algos::{ReplayConfig, ReplayPlane, SampleSink, StepSink};
 use xt_telemetry::Telemetry;
 
 const OBS_DIM: usize = 64;
@@ -33,6 +35,42 @@ fn filled(config: ReplayConfig) -> ReplayPlane {
         plane.ingest_batch(&batch(at, 200));
     }
     plane
+}
+
+/// A sink that only counts, isolating gather cost from downstream use.
+#[derive(Default)]
+struct NullSink {
+    transitions: usize,
+}
+
+impl SampleSink for NullSink {
+    fn push_transition(
+        &mut self,
+        _observation: &[f32],
+        _next_observation: Option<&[f32]>,
+        _action: u32,
+        _reward: f32,
+        _done: bool,
+    ) {
+        self.transitions += 1;
+    }
+
+    fn push_weight(&mut self, _weight: f32) {}
+}
+
+fn bench_plane(c: &mut Criterion) {
+    let plane = filled(ReplayConfig::uniform(100_000, OBS_DIM));
+    let mut group = c.benchmark_group("replay_plane");
+    let b200 = batch(0, 200);
+    group.bench_function("ingest_200x64f", |b| b.iter(|| plane.ingest_batch(&b200)));
+    group.finish();
+    let mut group = c.benchmark_group("replay_sample");
+    let mut rng = StdRng::seed_from_u64(0);
+    let mut sink = NullSink::default();
+    group.bench_function("plane_sample_32", |b| {
+        b.iter(|| plane.sample_uniform(32, &mut rng, &mut sink))
+    });
+    group.finish();
 }
 
 fn bench_uniform(c: &mut Criterion) {
@@ -68,5 +106,5 @@ fn bench_prioritized(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_uniform, bench_prioritized);
+criterion_group!(benches, bench_plane, bench_uniform, bench_prioritized);
 criterion_main!(benches);

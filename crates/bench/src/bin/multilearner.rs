@@ -2,8 +2,8 @@
 //! throughput when the sync allreduce splits one round's fixed slot work
 //! across 1, 2, and 4 learner shards (DESIGN.md §10).
 //!
-//! Stage 1 drives the deterministic allreduce exactly the way a deployment
-//! does — `GradExchange` + `ShardedSync` (DQN) over real broker endpoints —
+//! Stage 1 drives the round a deployment's learner loop runs — `Lockstep` +
+//! DQN over real broker endpoints, fixed slot data in place of sampling —
 //! on a fanout-256 workload: every round is a 256-row global batch split
 //! into `GRAD_SLOTS` fixed 64-row slot minibatches, independent of the shard
 //! count. The driver is single-threaded (the container has one core), so
@@ -22,17 +22,16 @@
 //! the 1-shard aggregate throughput AND the relaxed stage skipped at least
 //! one gradient upload (the CI regression gate).
 
-use bytes::Bytes;
 use netsim::Cluster;
 use std::time::{Duration, Instant};
-use xingtian::allreduce::{GradExchange, GRAD_SLOTS};
+use xingtian::allreduce::GRAD_SLOTS;
 use xingtian::config::{AllreduceMode, AlgorithmSpec, DeploymentConfig};
+use xingtian::shard::Lockstep;
 use xingtian::Deployment;
 use xingtian_algos::api::Algorithm;
 use xingtian_algos::payload::RolloutStep;
-use xingtian_algos::{DqnAlgorithm, DqnConfig, GradBlob};
+use xingtian_algos::{DqnAlgorithm, DqnConfig};
 use xingtian_comm::{Broker, CommConfig};
-use xingtian_message::codec::{Decode, Encode};
 use xingtian_message::{MessageKind, ProcessId};
 use xt_bench::{fmt_dur, header};
 use xt_telemetry::Telemetry;
@@ -84,71 +83,55 @@ struct SyncOutcome {
     /// Sum over rounds of the slowest shard's busy time (compute + reduce +
     /// apply; receive *wait* excluded — the driver is single-threaded).
     makespan: Duration,
-    /// Mean collect-phase latency (drain + fold + optimizer step) per shard
-    /// per round, from the `learn.allreduce_ns` histogram.
+    /// Mean collect-phase latency (own slots announced → round folded) per
+    /// shard per round, from the `learn.allreduce_ns` histogram the round
+    /// itself records. The driver is single-threaded, so this spans the
+    /// later shards' compute phases.
     allreduce_ns: u64,
     /// Shard 0's final parameters, for the cross-shard-count bitwise check.
     params: Vec<f32>,
 }
 
-/// Runs `rounds` sync-allreduce rounds across `shards` learner replicas and
-/// measures what each shard was busy doing.
+/// Runs `rounds` sync-allreduce rounds across `shards` learner replicas —
+/// the learner loop's own round (`Lockstep::open_round` / `close_round`) on
+/// the fixed slot data — and measures what each shard was busy doing.
 fn measure_sync(shards: u32, rounds: u64) -> SyncOutcome {
     let cluster = Cluster::single();
     let telemetry = Telemetry::with_time_source(1 << 12, cluster.time_source());
     let broker = Broker::with_telemetry(0, cluster, CommConfig::default(), telemetry.clone());
     let eps: Vec<_> = (0..shards).map(|s| broker.endpoint(ProcessId::learner(s))).collect();
     let mut algs: Vec<DqnAlgorithm> = (0..shards).map(|_| shard_algorithm()).collect();
-    let mut exchanges: Vec<GradExchange> =
-        (0..shards).map(|s| GradExchange::new(s, shards)).collect();
+    let mut rings: Vec<Lockstep> =
+        (0..shards).map(|s| Lockstep::new(s, shards, SLOT_ROWS, 0, &telemetry)).collect();
     let slots: Vec<Vec<RolloutStep>> = (0..GRAD_SLOTS).map(slot_steps).collect();
-    let global_rows = SLOT_ROWS * GRAD_SLOTS;
-    let allreduce = telemetry.histogram("learn.allreduce_ns");
 
     let mut makespan = Duration::ZERO;
-    let mut grad = Vec::new();
     for round in 0..rounds {
         let mut busy = vec![Duration::ZERO; shards as usize];
         // Compute phase: every shard grades its own slots and allgathers.
         for s in 0..shards as usize {
             let t0 = Instant::now();
-            let sync = algs[s].sharded_sync().expect("DQN is ShardedSync");
-            for slot in exchanges[s].local_slots() {
-                grad.clear();
-                let loss = sync.grad_on_steps(&slots[slot], global_rows, &mut grad);
-                grad.push(loss);
-                let peers: Vec<ProcessId> = (0..shards)
-                    .filter(|&p| p != s as u32)
-                    .map(ProcessId::learner)
-                    .collect();
-                if !peers.is_empty() {
-                    let blob = exchanges[s].blob_for(slot, grad.clone());
-                    eps[s].send_to(peers, MessageKind::Gradient, Bytes::from(blob.to_bytes()));
-                }
-                exchanges[s].offer_local(slot, grad.clone());
-            }
+            let alg = &mut algs[s];
+            rings[s].open_round(&eps[s], |slot, rows, grad| {
+                alg.grad_on_steps(&slots[slot], rows, grad)
+            });
             busy[s] += t0.elapsed();
         }
-        // Collect phase: drain until the round closes, fold, one optimizer
-        // step. Receive *wait* is not busy time; fold and apply are.
+        // Collect phase: drain until the round closes (fold, one optimizer
+        // step). Receive *wait* is not busy time; fold and apply are.
         for s in 0..shards as usize {
-            let t_collect = Instant::now();
-            while !exchanges[s].ready() {
+            loop {
+                let t0 = Instant::now();
+                if rings[s].close_round(&mut algs[s]).is_some() {
+                    busy[s] += t0.elapsed();
+                    break;
+                }
                 let msg = eps[s]
                     .recv_timeout(Duration::from_secs(10))
                     .unwrap_or_else(|| panic!("shard {s} starved in round {round}"));
                 assert_eq!(msg.header.kind, MessageKind::Gradient);
-                exchanges[s].ingest(GradBlob::from_bytes(&msg.body).expect("decodable blob"));
+                rings[s].on_gradient(&msg, &eps[s], &algs[s]);
             }
-            let t0 = Instant::now();
-            let mut folded = exchanges[s].reduce().expect("ready round reduces");
-            let loss = folded.pop().expect("trailing loss element");
-            algs[s]
-                .sharded_sync()
-                .expect("DQN is ShardedSync")
-                .apply_reduced_grad(&folded, global_rows, loss);
-            busy[s] += t0.elapsed();
-            allreduce.record(t_collect.elapsed().as_nanos() as u64);
         }
         makespan += busy.iter().copied().max().unwrap_or_default();
     }
@@ -161,7 +144,11 @@ fn measure_sync(shards: u32, rounds: u64) -> SyncOutcome {
     }
     let out = SyncOutcome {
         makespan,
-        allreduce_ns: allreduce.histogram().map(|h| h.mean()).unwrap_or(0),
+        allreduce_ns: telemetry
+            .histogram("learn.allreduce_ns")
+            .histogram()
+            .map(|h| h.mean())
+            .unwrap_or(0),
         params: algs[0].param_blob().params,
     };
     drop(eps);

@@ -412,7 +412,6 @@ impl Broker {
             xingtian_message::MessageKind::Control
             | xingtian_message::MessageKind::Stats
             | xingtian_message::MessageKind::Heartbeat
-            | xingtian_message::MessageKind::SampleRequest
             | xingtian_message::MessageKind::ReplayNotice
             | xingtian_message::MessageKind::ParamAck
             | xingtian_message::MessageKind::Parameters

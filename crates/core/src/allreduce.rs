@@ -20,9 +20,8 @@
 //! [`GradExchange`] is the per-shard state machine for that allgather: it
 //! holds the current round's slot table, buffers gradients from peers that
 //! have already raced ahead to a future round, and drops stale duplicates.
-//! It is transport-agnostic (the shard process moves `GradBlob`s in and out
-//! of endpoints), which is what lets the determinism test drive it directly
-//! over real broker endpoints in the style of `tests/param_plane.rs`.
+//! It is transport-agnostic: [`crate::shard::Lockstep`] moves `GradBlob`s in
+//! and out of endpoints and owns the round around it.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -155,11 +154,6 @@ impl GradExchange {
         }
         self.round += 1;
         folded
-    }
-
-    /// Abandons the current round (shutdown mid-collect) and all buffers.
-    pub fn abandon(&mut self) {
-        self.rounds.clear();
     }
 
     /// Jumps the exchange to `round`, discarding anything buffered for

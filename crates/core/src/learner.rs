@@ -1,4 +1,4 @@
-//! The learner process: DNN training driven by rollout arrival.
+//! The learner process: DNN training driven by data arrival.
 //!
 //! The trainer thread pops complete messages from its local receive buffer —
 //! by the time it looks, the asynchronous channel has already moved rollouts
@@ -6,54 +6,46 @@
 //! the learner ever does is for data that has not been *produced* yet; that
 //! wait is measured and reported as the paper's "actual wait" (Figs. 8–10).
 //!
-//! One process serves every shard count. A learner is shard `shard` of the
-//! `table.shards()` the [`AssignmentTable`] spreads the explorer pool over;
-//! the classic single learner is shard 0 of 1 and has no peers. With peers
-//! the shards cooperate on one model by exchanging gradients over the
-//! ordinary comm channel (`MessageKind::Gradient`) in one of two disciplines
-//! selected by [`AllreduceMode`]:
+//! One process and one loop serve every shard count and both
+//! [`AllreduceMode`]s: block for a message, dispatch it and a bounded burst
+//! of what else has arrived through the one `on_message`, complete every
+//! session that is now possible, recycle spent batches. A learner is shard
+//! `shard` of the `table.shards()` the [`AssignmentTable`] spreads the
+//! explorer pool over; the classic single learner is shard 0 of 1. Peer
+//! shards add an exchange discipline over the ordinary comm channel
+//! (`MessageKind::Gradient`), a value chosen once in [`LearnerProcess::run`]
+//! that contributes only how a session is produced, what a peer's message
+//! means, and the startup and shutdown handshakes:
 //!
-//! * **Relaxed** — the train-on-arrival loop below, plus gossip: each shard
-//!   trains independently with [`Algorithm::try_train`] and offers its
-//!   parameter *deltas* to its peers through the LAPG [`LazyGradGate`]
-//!   (uploads only when the compensated delta beats the adaptive threshold —
-//!   `comm.grad_skips` counts the saved sends). A receiving shard applies a
-//!   delta only while the sender's version is within [`MAX_SKEW`] of its own;
-//!   anything staler is shed (`learn.grad_shed`), trading determinism for
-//!   never stalling the ring.
-//! * **Sync** — lockstep rounds, see [`crate::shard`].
-//!
-//! Without peers both modes are the same train-on-arrival loop with nothing
-//! to gossip: no gate, no delta, no `Gradient` traffic.
+//! * **alone** (no peers, either mode) — sessions come from
+//!   [`Algorithm::try_train`]; no gate, no delta, no `Gradient` traffic;
+//! * **relaxed** — the same, plus delta gossip ([`crate::gossip`]);
+//! * **sync** — a session is a lockstep round ([`crate::shard`]).
 
-use crate::allreduce::within_skew;
 use crate::assignment::AssignmentTable;
 use crate::checkpoint::Checkpointer;
 use crate::config::AllreduceMode;
+use crate::gossip::Gossip;
 use crate::messages::{ControlCommand, ParamAck, StatsMsg};
 use crate::parameters::ParamBroadcaster;
+use crate::shard::{Lockstep, DEAD_PEER_TIMEOUT};
 use crate::stats::ThroughputTimeline;
 use bytes::Bytes;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xingtian_algos::api::Algorithm;
-use xingtian_algos::payload::{BatchDecoder, ParamBlob};
-use xingtian_algos::{GradBlob, LazyGradConfig, LazyGradGate};
+use xingtian_algos::api::{Algorithm, ShardedSync};
+use xingtian_algos::payload::BatchDecoder;
 use xingtian_comm::{Endpoint, ParamCompression, TransmissionStats};
 use xingtian_message::codec::{Decode, Encode};
 use xingtian_message::{Header, Message, MessageKind, ProcessId};
 
-/// Maximum parameter-version distance a relaxed-mode delta may carry before
-/// the receiving shard sheds it instead of applying it.
-pub const MAX_SKEW: u64 = 8;
-
-/// How many already-arrived messages one pass decodes before it trains. At
-/// saturation every decoded rollout releases a store credit that un-blocks a
-/// backpressured explorer, whose next rollout lands before the buffer
-/// empties — an unbounded drain then decodes forever and never trains (a
-/// livelock that reads as multi-second zero-throughput stalls at 64+
-/// explorers). Sixteen messages per pass keeps the batch queue fed without
-/// starving training.
+/// How many already-arrived messages one pass decodes before it trains (or
+/// opens a lockstep round). At saturation every decoded rollout releases a
+/// store credit that un-blocks a backpressured explorer, whose next rollout
+/// lands before the buffer empties — an unbounded drain then decodes forever
+/// and never trains (a livelock that reads as multi-second zero-throughput
+/// stalls at 64+ explorers). Sixteen messages per pass keeps the batch queue
+/// fed without starving training.
 const DRAIN_PER_PASS: usize = 16;
 
 /// Configuration of one learner process (`ProcessId::learner(shard)`).
@@ -96,16 +88,15 @@ pub struct LearnerOutcome {
     pub final_params: Vec<f32>,
 }
 
-/// Per-run mutable state shared by both exchange disciplines.
+/// Per-run mutable state every discipline shares.
 pub(crate) struct LearnerRun {
     /// The outcome so far (`final_params` is filled in at exit).
-    pub(crate) outcome: LearnerOutcome,
+    outcome: LearnerOutcome,
     /// Wait accumulated since the last completed training session.
-    pub(crate) waited: Duration,
-}
-
-/// Where the train-on-arrival loop's incoming messages land.
-struct Intake {
+    waited: Duration,
+    wait_hist: xt_telemetry::HistogramHandle,
+    train_hist: xt_telemetry::HistogramHandle,
+    sessions_counter: xt_telemetry::CounterHandle,
     /// Rollout messages decode into recycled step storage: batches the
     /// algorithm has fully consumed flow back through `take_spent` and serve
     /// the next decode without reallocating.
@@ -117,31 +108,55 @@ struct Intake {
     /// Parameter-plane encoder: ring of delta bases, per-explorer sent
     /// versions, error feedback for the quantized modes.
     broadcaster: ParamBroadcaster,
-    gossip: Option<Gossip>,
 }
 
-/// Relaxed-mode delta gossip toward peer shards; exists only with peers.
-struct Gossip {
-    peers: Vec<ProcessId>,
-    gate: LazyGradGate,
-    /// Parameters at the previous offer, the baseline the next delta is
-    /// measured against. Peer deltas are folded into it on apply so the
-    /// gossip does not echo back what a peer just sent us.
-    prev: Vec<f32>,
-    shed_counter: xt_telemetry::CounterHandle,
-    applied_counter: xt_telemetry::CounterHandle,
+impl LearnerRun {
+    /// Accounts `dt` of training compute (`learn.train_ns`).
+    pub(crate) fn trained(&mut self, dt: Duration) {
+        self.outcome.train_time += dt;
+        self.train_hist.record_duration(dt);
+    }
+}
+
+/// How this learner exchanges gradients with its peer shards — all that
+/// differs between learners. Chosen once, from `(mode, peers)`.
+enum Discipline {
+    /// No peers (either mode): train on arrival, nothing to exchange.
+    Alone,
+    /// Relaxed: train on arrival, gossip parameter deltas.
+    Gossip(Gossip),
+    /// Sync: a session is a lockstep round.
+    Lockstep(Lockstep),
 }
 
 impl LearnerProcess {
-    /// Runs the learner until the controller broadcasts shutdown.
+    /// Runs the learner until the controller broadcasts shutdown: block for a
+    /// message, dispatch it and a bounded burst of what else has arrived,
+    /// complete every session the discipline can now produce, recycle.
     pub fn run(mut self) -> LearnerOutcome {
         // Give the algorithm the endpoint's telemetry so it can publish its
         // internal stage timings (e.g. DQN's `learn.sample_ns`).
         self.algorithm.attach_telemetry(self.endpoint.telemetry());
-        let peers: Vec<ProcessId> = (0..self.table.shards())
-            .filter(|&p| p != self.shard)
-            .map(ProcessId::learner)
-            .collect();
+        let telemetry = self.endpoint.telemetry().clone();
+        let shards = self.table.shards();
+        // Lockstep rounds need someone to be in step with (and a
+        // `ShardedSync` algorithm, which validation demands only of sharded
+        // deployments); `Sync` is the config default, so a lone learner of
+        // any algorithm trains on arrival.
+        let mut discipline = match self.mode {
+            _ if shards == 1 => Discipline::Alone,
+            AllreduceMode::Relaxed => {
+                let params = self.algorithm.param_blob().params;
+                Discipline::Gossip(Gossip::new(self.shard, shards, params, &telemetry))
+            }
+            AllreduceMode::Sync => {
+                let slot_rows = sync(self.algorithm.as_mut()).slot_rows();
+                let round = self.algorithm.version();
+                let lockstep = Lockstep::new(self.shard, shards, slot_rows, round, &telemetry);
+                lockstep.hello(&self.endpoint);
+                Discipline::Lockstep(lockstep)
+            }
+        };
         let mut run = LearnerRun {
             outcome: LearnerOutcome {
                 steps_consumed: 0,
@@ -152,31 +167,73 @@ impl LearnerProcess {
                 final_params: Vec::new(),
             },
             waited: Duration::ZERO,
+            wait_hist: telemetry.histogram("learner.wait_ns"),
+            train_hist: telemetry.histogram("learn.train_ns"),
+            sessions_counter: telemetry.counter("learner.train_sessions"),
+            decoder: BatchDecoder::new(),
+            decode_hist: telemetry.histogram("learn.decode_ns"),
+            broadcaster: ParamBroadcaster::new(self.param_compression, &telemetry),
         };
-        // Lockstep rounds need someone to be in step with (and a
-        // `ShardedSync` algorithm, which validation demands only of sharded
-        // deployments); `Sync` is the config default, so a lone learner of
-        // any algorithm lands in the train-on-arrival loop.
-        if self.mode == AllreduceMode::Sync && !peers.is_empty() {
-            self.run_sync(&mut run, &peers);
-        } else {
-            self.run_on_arrival(&mut run, peers);
+
+        let mut shutdown = false;
+        while !shutdown {
+            // Block for the next message, accounting the blocked time as
+            // wait. Everything that can advance a discipline is a message — a
+            // rollout grants credit, a peer blob completes a round, a
+            // snapshot fast-forwards it — so nothing below polls.
+            let t0 = Instant::now();
+            let Some(msg) = self.endpoint.recv() else { break };
+            run.waited += t0.elapsed();
+            shutdown = self.on_message(msg, &mut run, &mut discipline);
+            // Drain whatever else has already arrived — data already staged
+            // locally costs no wait — up to the per-pass bound.
+            for _ in 0..DRAIN_PER_PASS {
+                if shutdown {
+                    break;
+                }
+                let Some(extra) = self.endpoint.try_recv() else { break };
+                shutdown = self.on_message(extra, &mut run, &mut discipline);
+            }
+            // Complete every session that is now possible (none on shutdown:
+            // the controller has its goal, the explorers are leaving).
+            if !shutdown {
+                while let Some((steps, notify)) = self.next_session(&mut run, &mut discipline) {
+                    self.finish_session(&mut run, steps, notify);
+                }
+            }
+            // Recycle the step storage of batches the algorithm is done with.
+            while let Some(spent) = self.algorithm.take_spent() {
+                run.decoder.recycle(spent);
+            }
+        }
+        if let Discipline::Lockstep(lockstep) = &mut discipline {
+            self.leave_ring(&mut run, lockstep);
         }
         run.outcome.final_params = self.algorithm.param_blob().params;
         run.outcome
     }
 
-    /// Post-session bookkeeping shared by both loops: timeline, wait, the
-    /// checkpoint→probe ordering, the parameter broadcast, and the stats
-    /// report to the controller. `notify` is the session's
-    /// `TrainReport::notify`.
-    pub(crate) fn finish_session(
+    /// Produces the next training session if the discipline can: the steps
+    /// it consumed on this shard and the session's `TrainReport::notify`.
+    fn next_session(
         &mut self,
         run: &mut LearnerRun,
-        broadcaster: &mut ParamBroadcaster,
-        steps_consumed: usize,
-        notify: Vec<u32>,
-    ) {
+        discipline: &mut Discipline,
+    ) -> Option<(usize, Vec<u32>)> {
+        if let Discipline::Lockstep(lockstep) = discipline {
+            return lockstep.step(&self.endpoint, sync(self.algorithm.as_mut()), run);
+        }
+        let t = Instant::now();
+        let report = self.algorithm.try_train()?;
+        run.trained(t.elapsed());
+        if let Discipline::Gossip(gossip) = discipline {
+            gossip.offer(&self.endpoint, self.algorithm.param_blob());
+        }
+        Some((report.steps_consumed, report.notify))
+    }
+
+    /// A completed session's share of the outcome, and its checkpoint hook.
+    fn record_session(&mut self, run: &mut LearnerRun, steps_consumed: usize) {
         run.outcome.train_sessions += 1;
         run.outcome.steps_consumed += steps_consumed as u64;
         run.outcome.timeline.record(steps_consumed as u64);
@@ -185,6 +242,15 @@ impl LearnerProcess {
         if let Some(ckpt) = &mut self.checkpointer {
             ckpt.on_session(&self.algorithm.param_blob());
         }
+    }
+
+    /// Post-session bookkeeping: instruments, outcome, the checkpoint→probe
+    /// ordering, the parameter broadcast, and the stats report to the
+    /// controller. `notify` is the session's `TrainReport::notify`.
+    fn finish_session(&mut self, run: &mut LearnerRun, steps_consumed: usize, notify: Vec<u32>) {
+        run.wait_hist.record_duration(run.waited);
+        run.sessions_counter.inc();
+        self.record_session(run, steps_consumed);
         // Chaos hook, deliberately *after* the checkpoint hook: a learner
         // killed on session N has persisted everything the checkpoint policy
         // says it should, so recovery measures the policy, not the kill's
@@ -204,7 +270,7 @@ impl LearnerProcess {
         };
         if !notify.is_empty() {
             let blob = self.algorithm.param_blob();
-            let enc = broadcaster.encode(&blob, &notify);
+            let enc = run.broadcaster.encode(&blob, &notify);
             let dst: Vec<ProcessId> = notify.iter().map(|&e| ProcessId::explorer(e)).collect();
             let mut header = Header::new(self.endpoint.pid(), dst, MessageKind::Parameters)
                 .with_param_version(enc.version);
@@ -223,157 +289,66 @@ impl LearnerProcess {
         );
     }
 
-    /// The train-on-arrival loop: block for a message, decode a bounded
-    /// burst of what else has arrived, train while the algorithm has work.
-    fn run_on_arrival(&mut self, run: &mut LearnerRun, peers: Vec<ProcessId>) {
-        let telemetry = self.endpoint.telemetry();
-        let wait_hist = telemetry.histogram("learner.wait_ns");
-        let train_hist = telemetry.histogram("learn.train_ns");
-        let sessions_counter = telemetry.counter("learner.train_sessions");
-        let gossip = (!peers.is_empty()).then(|| {
-            let mut gate = LazyGradGate::with_telemetry(LazyGradConfig::default(), telemetry);
-            let prev = self.algorithm.param_blob().params;
-            gate.observe_params(&prev);
-            Gossip {
-                peers,
-                gate,
-                prev,
-                shed_counter: telemetry.counter("learn.grad_shed"),
-                applied_counter: telemetry.counter("learn.grad_applied"),
-            }
-        });
-        let mut intake = Intake {
-            decoder: BatchDecoder::new(),
-            decode_hist: telemetry.histogram("learn.decode_ns"),
-            broadcaster: ParamBroadcaster::new(self.param_compression, telemetry),
-            gossip,
-        };
-
-        'outer: loop {
-            // Block for the next message, accounting the blocked time as wait.
-            let t0 = Instant::now();
-            let Some(msg) = self.endpoint.recv() else { break };
-            run.waited += t0.elapsed();
-            if self.on_message(msg, &mut intake) {
-                break;
-            }
-            // Drain whatever else has already arrived — data already staged
-            // locally costs no wait — up to the per-pass bound.
-            for _ in 0..DRAIN_PER_PASS {
-                let Some(extra) = self.endpoint.try_recv() else { break };
-                if self.on_message(extra, &mut intake) {
-                    break 'outer;
-                }
-            }
-            // Train for as long as the algorithm has work.
-            while let Some(report) = {
-                let t = Instant::now();
-                let r = self.algorithm.try_train();
-                if r.is_some() {
-                    let dt = t.elapsed();
-                    run.outcome.train_time += dt;
-                    train_hist.record_duration(dt);
-                }
-                r
-            } {
-                wait_hist.record_duration(run.waited);
-                sessions_counter.inc();
-                if let Some(gossip) = &mut intake.gossip {
-                    gossip.offer(self.shard, &self.endpoint, self.algorithm.param_blob());
-                }
-                self.finish_session(
-                    run,
-                    &mut intake.broadcaster,
-                    report.steps_consumed,
-                    report.notify,
-                );
-            }
-            // Recycle the step storage of batches the algorithm is done with.
-            while let Some(spent) = self.algorithm.take_spent() {
-                intake.decoder.recycle(spent);
-            }
-        }
-    }
-
     /// Processes one incoming message. Returns `true` on shutdown.
-    fn on_message(&mut self, msg: Message, intake: &mut Intake) -> bool {
-        match msg.header.kind {
-            MessageKind::ParamAck => {
+    fn on_message(&mut self, msg: Message, run: &mut LearnerRun, discipline: &mut Discipline) -> bool {
+        match (msg.header.kind, discipline) {
+            (MessageKind::ParamAck, _) => {
                 if let Ok(ack) = ParamAck::from_bytes(&msg.body) {
-                    intake.broadcaster.on_ack(&ack);
+                    run.broadcaster.on_ack(&ack);
                 }
-                false
             }
-            MessageKind::Rollout => {
+            (MessageKind::Rollout, _) => {
                 let t0 = Instant::now();
-                if let Ok(batch) = intake.decoder.decode(&msg.body) {
+                if let Ok(batch) = run.decoder.decode(&msg.body) {
                     self.algorithm.on_rollout(batch);
                 }
-                intake.decode_hist.record_duration(t0.elapsed());
-                false
+                run.decode_hist.record_duration(t0.elapsed());
             }
-            MessageKind::Gradient => {
-                if let (Some(gossip), Ok(blob)) =
-                    (&mut intake.gossip, GradBlob::from_bytes(&msg.body))
-                {
-                    gossip.apply(self.algorithm.as_mut(), &blob);
-                }
-                false
+            (MessageKind::Gradient, Discipline::Gossip(gossip)) => {
+                gossip.on_gradient(&msg, self.algorithm.as_mut());
             }
-            // Store-resident replay: the shard ingested a batch on our
-            // behalf. Nothing to decode — falling through wakes the training
+            (MessageKind::Gradient, Discipline::Lockstep(lockstep)) => {
+                lockstep.on_gradient(&msg, &self.endpoint, self.algorithm.as_ref());
+            }
+            (MessageKind::Parameters, Discipline::Lockstep(lockstep)) => {
+                lockstep.on_snapshot(&msg, self.algorithm.as_mut());
+            }
+            (MessageKind::Control, _) => {
+                return ControlCommand::from_bytes(&msg.body) == Ok(ControlCommand::Shutdown);
+            }
+            // ReplayNotice (store-resident replay: the shard ingested a batch
+            // on our behalf) carries nothing to decode — receiving it woke the
             // loop, which samples straight from the shared plane.
-            MessageKind::ReplayNotice => false,
-            MessageKind::Control => {
-                matches!(ControlCommand::from_bytes(&msg.body), Ok(ControlCommand::Shutdown))
+            _ => {}
+        }
+        false
+    }
+
+    /// The lockstep shutdown handshake (see [`crate::shard`]): tell the peers
+    /// what this shard announced, then close the open round iff every peer
+    /// announced it too.
+    fn leave_ring(&mut self, run: &mut LearnerRun, lockstep: &mut Lockstep) {
+        lockstep.farewell(&self.endpoint);
+        while lockstep.awaits_peers() {
+            // Dead-peer fallback, never taken on the fault-free path: every
+            // live peer says farewell, and blobs a farewell vouches for are
+            // already submitted. Only a peer that died leaves us in silence.
+            let Some(msg) = self.endpoint.recv_timeout(DEAD_PEER_TIMEOUT) else { break };
+            if msg.header.kind == MessageKind::Gradient {
+                lockstep.on_gradient(&msg, &self.endpoint, self.algorithm.as_ref());
             }
-            _ => false,
+        }
+        // Bookkeeping only: the controller and the explorers are already
+        // shutting down, so no broadcast and no stats send.
+        if lockstep.close_round(sync(self.algorithm.as_mut())).is_some() {
+            self.record_session(run, lockstep.local_rows);
         }
     }
 }
 
-impl Gossip {
-    /// Offers the session's parameter movement to the LAPG gate; an accepted
-    /// delta gossips to every peer shard.
-    fn offer(&mut self, shard: u32, endpoint: &Endpoint, blob: ParamBlob) {
-        self.gate.observe_params(&blob.params);
-        if self.prev.len() == blob.params.len() {
-            let delta: Vec<f32> = blob.params.iter().zip(&self.prev).map(|(n, p)| n - p).collect();
-            if let Some(up) = self.gate.offer(&delta) {
-                let gb = GradBlob { worker: shard, version: blob.version, grad: up };
-                endpoint.send_to(
-                    self.peers.clone(),
-                    MessageKind::Gradient,
-                    Bytes::from(gb.to_bytes()),
-                );
-            }
-        }
-        self.prev = blob.params;
-    }
-
-    /// Applies a peer's delta while it is within the skew bound.
-    fn apply(&mut self, algorithm: &mut dyn Algorithm, blob: &GradBlob) {
-        if !within_skew(algorithm.version(), blob.version, MAX_SKEW) {
-            // Too stale (or too far ahead): shed. The sender's gate residual
-            // keeps the mass for its next offer.
-            self.shed_counter.inc();
-            return;
-        }
-        let mut params = algorithm.param_blob().params;
-        if params.len() != blob.grad.len() {
-            return;
-        }
-        for (p, d) in params.iter_mut().zip(&blob.grad) {
-            *p += d;
-        }
-        algorithm.load_params(&params);
-        // Fold the peer delta into the offer baseline so our next delta is
-        // our own movement only.
-        if self.prev.len() == blob.grad.len() {
-            for (p, d) in self.prev.iter_mut().zip(&blob.grad) {
-                *p += d;
-            }
-        }
-        self.applied_counter.inc();
-    }
+/// The lockstep surface of a sharded sync deployment's algorithm.
+fn sync(algorithm: &mut dyn Algorithm) -> &mut dyn ShardedSync {
+    algorithm
+        .sharded_sync()
+        .expect("sync allreduce requires a ShardedSync algorithm (checked by config validation)")
 }

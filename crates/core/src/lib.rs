@@ -15,10 +15,11 @@
 //!
 //! * [`config`] — deployment description (machines, explorer placement,
 //!   algorithm, goals);
-//! * [`explorer`] / [`learner`] — the two workhorse processes. There is one
-//!   learner process for every shard count: the classic learner is the
-//!   one-shard case with no peers to exchange gradients with ([`shard`] holds
-//!   the lockstep rounds peers run under the sync allreduce);
+//! * [`explorer`] / [`learner`] — the two workhorse processes. One learner
+//!   process and one learner loop serve every shard count and both allreduce
+//!   modes; peer shards only add an exchange discipline the loop advances —
+//!   [`gossip`] (relaxed parameter deltas) or [`shard`] (lockstep rounds over
+//!   [`allreduce`]'s slot exchange);
 //! * [`controller`] — the center controller: statistics collection and
 //!   goal-driven shutdown (paper §3.2.2);
 //! * [`deployment`] — the environment/algorithm/agent builders and the plain
@@ -59,6 +60,7 @@ pub mod deployment;
 pub mod dummy;
 pub mod elastic;
 pub mod explorer;
+pub mod gossip;
 pub mod learner;
 pub mod messages;
 pub mod parameters;

@@ -1,311 +1,229 @@
-//! Lockstep gradient exchange between peer learner shards.
+//! Lockstep gradient exchange between peer learner shards: the state the one
+//! learner loop ([`crate::learner`]) advances under
+//! [`crate::config::AllreduceMode::Sync`] **with peers**, and the round
+//! itself, written once — the loop, the determinism harness
+//! (`tests/multi_learner.rs`) and the `multilearner` bench all call
+//! [`Lockstep::open_round`] and [`Lockstep::close_round`].
 //!
-//! The sync half of [`LearnerProcess`] (see [`crate::learner`] for the
-//! process itself and the relaxed discipline), entered only for
-//! [`crate::config::AllreduceMode::Sync`] **with peers**: lockstep rounds
-//! through [`GradExchange`]. The round's global batch is split into
-//! [`GRAD_SLOTS`] fixed slots, every shard computes raw gradients for its
-//! owned slots (scaled by the *global* row count, with the loss contribution
-//! carried as one trailing element), the slot blobs are allgathered, folded
-//! flat in slot order, and exactly one optimizer step applies the fold. The
-//! same float additions happen in the same order on every shard and for every
-//! legal shard count, so the same seed yields bit-identical parameters for 1,
-//! 2, and 4 shards. A shard that rejoins after a crash announces itself by
-//! sending slot blobs for an old round; any peer answers with a full
-//! parameter snapshot (`MessageKind::Parameters`, shard→shard) that the
-//! rejoiner adopts via [`GradExchange::fast_forward`].
+//! The round's global batch is split into [`GRAD_SLOTS`] fixed slots, every
+//! shard computes raw gradients for its owned slots (scaled by the *global*
+//! row count, with the loss contribution carried as one trailing element),
+//! the slot blobs are allgathered, folded flat in slot order, and exactly one
+//! optimizer step applies the fold. The same float additions happen in the
+//! same order on every shard and for every legal shard count, so the same
+//! seed yields bit-identical parameters for 1, 2, and 4 shards.
 //!
-//! As in the relaxed discipline, the shard broadcasts fresh parameters to the
-//! explorers it *currently* owns per the assignment table — a rebalanced or
-//! re-owned explorer simply starts receiving from its new shard (the
-//! broadcaster's per-explorer delta bookkeeping falls back to full-f32 for
-//! first contact).
+//! Nothing here polls: a rollout grants the credit that opens a round, a peer
+//! blob completes it, a snapshot fast-forwards it — all messages, so the
+//! loop's blocking receive is the only wait. A shard that rejoins after a
+//! crash announces itself with a [`HELLO`] (or slot blobs for an old round);
+//! any peer answers with a full parameter snapshot (`MessageKind::Parameters`,
+//! shard→shard) that the rejoiner adopts via [`GradExchange::fast_forward`].
+//!
+//! Shutdown is symmetric without a wall clock: a round must close on every
+//! shard or on none, or the shards exit one optimizer step apart. On shutdown
+//! each shard sends its peers one [`FAREWELL`] carrying the first round it did
+//! *not* announce, and never announces again. A shard holding round `r` open
+//! closes it iff every peer's farewell exceeds `r` — the same predicate on
+//! every shard, since closing `r` earlier needed every shard's blobs too —
+//! waiting for those blobs as long as the channel takes (they are already
+//! submitted; the farewell only says *whether* to wait, because small messages
+//! overtake large bodies on the compression-offload path), and abandons it at
+//! once otherwise.
 
 use crate::allreduce::{GradExchange, GRAD_SLOTS};
-use crate::learner::{LearnerProcess, LearnerRun};
-use crate::messages::{ControlCommand, ParamAck};
-use crate::parameters::ParamBroadcaster;
+use crate::learner::LearnerRun;
 use bytes::Bytes;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-use xingtian_algos::payload::{BatchDecoder, ParamBlob, RolloutStep};
+use xingtian_algos::api::{Algorithm, ShardedSync, TrainReport};
+use xingtian_algos::payload::ParamBlob;
 use xingtian_algos::GradBlob;
+use xingtian_comm::Endpoint;
 use xingtian_message::codec::{Decode, Encode};
 use xingtian_message::{Message, MessageKind, ProcessId, ProcessRole};
+use xt_telemetry::{CounterHandle, HistogramHandle, Telemetry};
 
-/// How long a sync-mode shard blocks per wait slice while its peers finish
-/// their slots. Short enough that round completion is checked promptly,
-/// long enough not to spin.
-const SYNC_POLL: Duration = Duration::from_millis(2);
+/// Sentinel slot index of the startup announcement (`version` = the sender's
+/// round). Out of slot range, so `ingest` never mistakes it for a gradient.
+pub const HELLO: u32 = u32::MAX;
+/// Sentinel slot index of the shutdown announcement (`version` = the first
+/// round the sender did not announce).
+pub const FAREWELL: u32 = u32::MAX - 1;
 
-impl LearnerProcess {
-    /// Runs lockstep rounds with `peers` (non-empty: a round with nobody to
-    /// be in step with is the train-on-arrival loop's job) until shutdown.
-    pub(crate) fn run_sync(&mut self, run: &mut LearnerRun, peers: &[ProcessId]) {
-        let shards = self.table.shards();
-        let telemetry = self.endpoint.telemetry();
-        let wait_hist = telemetry.histogram("learner.wait_ns");
-        let train_hist = telemetry.histogram("learn.train_ns");
-        let decode_hist = telemetry.histogram("learn.decode_ns");
-        let allreduce_hist = telemetry.histogram("learn.allreduce_ns");
-        let sessions_counter = telemetry.counter("learner.train_sessions");
-        let rounds_counter = telemetry.counter(&format!("learn.shard{}.rounds", self.shard));
-        let mut decoder = BatchDecoder::new();
-        let mut broadcaster = ParamBroadcaster::new(self.param_compression, telemetry);
+/// How long a shard leaving the ring tolerates silence from peers it still
+/// needs a farewell or vouched-for blobs from. Only a dead peer is ever
+/// silent that long.
+pub(crate) const DEAD_PEER_TIMEOUT: Duration = Duration::from_secs(5);
 
-        let mut exchange = GradExchange::new(self.shard, shards);
-        exchange.fast_forward(self.algorithm.version());
-        // Announce ourselves to the ring. On a fresh start every shard is at
-        // round 0 and the answers are no-ops; a shard respawned by the
-        // supervisor instead learns the ring's real position — the peers
-        // answer with a parameter snapshot to adopt plus a retransmission of
-        // their current round's slot blobs (the originals died with our old
-        // endpoint). The sentinel slot index keeps `ingest` from mistaking
-        // the hello for a gradient.
-        let hello = GradBlob { worker: u32::MAX, version: exchange.round(), grad: Vec::new() };
-        self.endpoint.send_to(peers.to_vec(), MessageKind::Gradient, Bytes::from(hello.to_bytes()));
-        let global_rows = {
-            let sync = self.algorithm.sharded_sync().expect(
-                "sync allreduce requires a ShardedSync algorithm (checked by config validation)",
-            );
-            sync.slot_rows() * GRAD_SLOTS
-        };
-        // This shard's share of each round's global batch (for step
-        // accounting: the shards together consume `global_rows` per round).
-        let local_rows = global_rows / shards as usize;
-        // Round at which we last answered a given rejoining peer — one
-        // resync answer per (peer, round) is plenty.
-        let mut snapshot_sent: HashMap<u32, u64> = HashMap::new();
-        let mut steps: Vec<RolloutStep> = Vec::new();
-        let mut grad: Vec<f32> = Vec::new();
-        // Set while this shard has contributed its slots for the current
-        // round and is waiting on peers; holds the round number and the
-        // collect-phase start.
-        let mut round_open: Option<(u64, Instant)> = None;
-        // When the previous iteration made local progress, drain without
-        // blocking; otherwise block one poll slice for peer traffic.
-        let mut progressed = true;
+/// One shard's lockstep state.
+#[derive(Debug)]
+pub struct Lockstep {
+    exchange: GradExchange,
+    peers: Vec<ProcessId>,
+    /// Rows in a round's global batch (`slot_rows × GRAD_SLOTS`).
+    global_rows: usize,
+    /// This shard's share of them, for step accounting: every shard applies
+    /// the same global batch, so reporting the full count S times would make
+    /// goal semantics (and the controller's step sum) depend on the shard
+    /// count.
+    pub(crate) local_rows: usize,
+    /// Set while this shard has announced its slots for the current round and
+    /// is waiting on peers: the collect-phase start.
+    open: Option<Instant>,
+    /// Round at which we last answered a given rejoining peer.
+    snapshot_sent: HashMap<u32, u64>,
+    /// Peer shard → the first round it did not announce, once it has left.
+    farewells: HashMap<u32, u64>,
+    allreduce_hist: HistogramHandle,
+    rounds_counter: CounterHandle,
+}
 
-        'outer: loop {
-            if !progressed {
-                let t0 = Instant::now();
-                let msg = self.endpoint.recv_timeout(SYNC_POLL);
-                run.waited += t0.elapsed();
-                if let Some(msg) = msg {
-                    if self.on_sync_message(
-                        msg,
-                        &mut exchange,
-                        &mut decoder,
-                        &decode_hist,
-                        &mut broadcaster,
-                        &mut snapshot_sent,
-                    ) {
-                        break 'outer;
-                    }
-                }
-            }
-            while let Some(msg) = self.endpoint.try_recv() {
-                if self.on_sync_message(
-                    msg,
-                    &mut exchange,
-                    &mut decoder,
-                    &decode_hist,
-                    &mut broadcaster,
-                    &mut snapshot_sent,
-                ) {
-                    break 'outer;
-                }
-            }
-            progressed = false;
-
-            // A snapshot adoption fast-forwarded the exchange past a round we
-            // had opened: that round's local slots are gone, so re-arm the
-            // gate instead of waiting on a round that can never close.
-            if let Some((r, _)) = round_open {
-                if r != exchange.round() {
-                    round_open = None;
-                }
-            }
-
-            // Open the next round once the local gate has enough data.
-            if round_open.is_none() {
-                let sync = self.algorithm.sharded_sync().expect("checked above");
-                if sync.take_round_credit() {
-                    let t_compute = Instant::now();
-                    for slot in exchange.local_slots() {
-                        sync.sample_slot(&mut steps);
-                        let loss = sync.grad_on_steps(&steps, global_rows, &mut grad);
-                        // The loss rides as one trailing element, so the flat
-                        // fold reduces it bit-identically alongside the
-                        // gradient.
-                        grad.push(loss);
-                        let blob = exchange.blob_for(slot, grad.clone());
-                        self.endpoint.send_to(
-                            peers.to_vec(),
-                            MessageKind::Gradient,
-                            Bytes::from(blob.to_bytes()),
-                        );
-                        exchange.offer_local(slot, std::mem::take(&mut grad));
-                    }
-                    let dt = t_compute.elapsed();
-                    run.outcome.train_time += dt;
-                    train_hist.record_duration(dt);
-                    round_open = Some((exchange.round(), Instant::now()));
-                    progressed = true;
-                }
-            }
-
-            // Close the round once every slot (local and peer) is present.
-            if let Some((_, t_open)) = round_open {
-                if exchange.ready() {
-                    let mut folded = exchange.reduce().expect("ready round reduces");
-                    let loss = folded.pop().expect("trailing loss element");
-                    allreduce_hist.record_duration(t_open.elapsed());
-                    let t_apply = Instant::now();
-                    let report = self
-                        .algorithm
-                        .sharded_sync()
-                        .expect("checked above")
-                        .apply_reduced_grad(&folded, global_rows, loss);
-                    let dt = t_apply.elapsed();
-                    run.outcome.train_time += dt;
-                    train_hist.record_duration(dt);
-                    wait_hist.record_duration(run.waited);
-                    sessions_counter.inc();
-                    rounds_counter.inc();
-                    // Report only this shard's share of the round: every
-                    // shard applies the same global batch, so reporting the
-                    // full count S times would make goal semantics (and the
-                    // controller's step sum) depend on the shard count.
-                    self.finish_session(run, &mut broadcaster, local_rows, report.notify);
-                    round_open = None;
-                    progressed = true;
-                }
-            }
+impl Lockstep {
+    /// The state of `shard` of `shards`, whose first round is `round` (the
+    /// algorithm's parameter version).
+    pub fn new(shard: u32, shards: u32, slot_rows: usize, round: u64, telemetry: &Telemetry) -> Self {
+        let mut exchange = GradExchange::new(shard, shards);
+        exchange.fast_forward(round);
+        let global_rows = slot_rows * GRAD_SLOTS;
+        Lockstep {
+            exchange,
+            peers: (0..shards).filter(|&p| p != shard).map(ProcessId::learner).collect(),
+            global_rows,
+            local_rows: global_rows / shards as usize,
+            open: None,
+            snapshot_sent: HashMap::new(),
+            farewells: HashMap::new(),
+            allreduce_hist: telemetry.histogram("learn.allreduce_ns"),
+            rounds_counter: telemetry.counter(&format!("learn.shard{shard}.rounds")),
         }
-        // Symmetric shutdown: a round this shard has announced (blobs sent)
-        // must close on every shard or on none, or final parameters would
-        // differ by one optimizer step depending on who saw the shutdown
-        // first. A shard never announces after shutdown, so the peers' slot
-        // blobs for our open round are either already in flight (drain and
-        // close) or will never come (grace expires and nobody closes it).
-        if let Some((r, _)) = round_open {
-            let deadline = Instant::now() + Duration::from_millis(300);
-            while exchange.round() == r && !exchange.ready() && Instant::now() < deadline {
-                if let Some(msg) = self.endpoint.recv_timeout(SYNC_POLL) {
-                    if msg.header.kind == MessageKind::Gradient {
-                        if let Ok(blob) = GradBlob::from_bytes(&msg.body) {
-                            exchange.ingest(blob);
-                        }
-                    }
-                }
-            }
-            if exchange.ready() {
-                let mut folded = exchange.reduce().expect("ready round reduces");
-                let loss = folded.pop().expect("trailing loss element");
-                let report = self
-                    .algorithm
-                    .sharded_sync()
-                    .expect("checked above")
-                    .apply_reduced_grad(&folded, global_rows, loss);
-                // Bookkeeping only: the controller and the explorers are
-                // already shutting down, so no broadcast and no stats send.
-                let _ = report;
-                run.outcome.train_sessions += 1;
-                run.outcome.steps_consumed += local_rows as u64;
-                run.outcome.timeline.record(local_rows as u64);
-                if let Some(ckpt) = &mut self.checkpointer {
-                    ckpt.on_session(&self.algorithm.param_blob());
-                }
-            }
-        }
-        exchange.abandon();
     }
 
-    /// Processes one sync-mode message. Returns `true` on shutdown.
-    fn on_sync_message(
-        &mut self,
-        msg: Message,
-        exchange: &mut GradExchange,
-        decoder: &mut BatchDecoder,
-        decode_hist: &xt_telemetry::HistogramHandle,
-        broadcaster: &mut ParamBroadcaster,
-        snapshot_sent: &mut HashMap<u32, u64>,
-    ) -> bool {
-        match msg.header.kind {
-            MessageKind::Rollout => {
-                let t0 = Instant::now();
-                if let Ok(batch) = decoder.decode(&msg.body) {
-                    self.algorithm.on_rollout(batch);
-                }
-                decode_hist.record_duration(t0.elapsed());
-                // Recycle the step storage of batches the algorithm is done
-                // with (DQN's store copies out at ingest, so that is at once).
-                while let Some(spent) = self.algorithm.take_spent() {
-                    decoder.recycle(spent);
-                }
-                false
-            }
-            MessageKind::Gradient => {
-                if let Ok(blob) = GradBlob::from_bytes(&msg.body) {
-                    let src = msg.header.src;
-                    // A startup hello (sentinel slot) or a blob for a round
-                    // the ring already finished identifies a (re)joining peer
-                    // — in steady state every blob is needed to close its
-                    // round, so nothing arrives late. Answer with a full
-                    // parameter snapshot so it can adopt the ring's position,
-                    // plus a retransmission of our current round's slot blobs
-                    // (the originals may have died with its old endpoint).
-                    let resync = blob.worker as usize >= GRAD_SLOTS
-                        || blob.version < exchange.round();
-                    if resync && src.role == ProcessRole::Learner {
-                        let round = exchange.round();
-                        if snapshot_sent.get(&src.index) != Some(&round) {
-                            snapshot_sent.insert(src.index, round);
-                            let snap = self.algorithm.param_blob();
-                            self.endpoint.send_to(
-                                vec![src],
-                                MessageKind::Parameters,
-                                Bytes::from(snap.to_bytes()),
-                            );
-                            for local in exchange.local_blobs() {
-                                self.endpoint.send_to(
-                                    vec![src],
-                                    MessageKind::Gradient,
-                                    Bytes::from(local.to_bytes()),
-                                );
-                            }
-                        }
-                    }
-                    exchange.ingest(blob);
-                }
-                false
-            }
-            MessageKind::Parameters => {
-                // A peer's snapshot answering our stale slot blobs: adopt it
-                // and jump to the ring's round. (Explorer-bound broadcasts
-                // never target a learner, so any Parameters here is
-                // shard→shard.)
-                if msg.header.src.role == ProcessRole::Learner {
-                    if let Ok(blob) = ParamBlob::from_bytes(&msg.body) {
-                        if blob.version > exchange.round() {
-                            self.algorithm.adopt_params(&blob.params, blob.version);
-                            exchange.fast_forward(blob.version);
-                        }
-                    }
-                }
-                false
-            }
-            MessageKind::ParamAck => {
-                if let Ok(ack) = ParamAck::from_bytes(&msg.body) {
-                    broadcaster.on_ack(&ack);
-                }
-                false
-            }
-            MessageKind::Control => {
-                matches!(ControlCommand::from_bytes(&msg.body), Ok(ControlCommand::Shutdown))
-            }
-            _ => false,
+    fn tell_peers(&self, endpoint: &Endpoint, blob: &GradBlob) {
+        if !self.peers.is_empty() {
+            endpoint.send_to(self.peers.clone(), MessageKind::Gradient, Bytes::from(blob.to_bytes()));
         }
+    }
+
+    /// Announces this shard to the ring. On a fresh start every shard is at
+    /// the same round and the answers are no-ops; a shard respawned by the
+    /// supervisor instead learns the ring's real position — the peers answer
+    /// with a parameter snapshot to adopt plus a retransmission of their
+    /// current round's slot blobs (the originals died with our old endpoint).
+    pub(crate) fn hello(&self, endpoint: &Endpoint) {
+        let hello = GradBlob { worker: HELLO, version: self.exchange.round(), grad: Vec::new() };
+        self.tell_peers(endpoint, &hello);
+    }
+
+    /// The compute phase: grades every owned slot with
+    /// `slot_grad(slot, global_rows, out)` (the slot's raw gradient at
+    /// `1 / global_rows` scale into `out`, its loss contribution returned),
+    /// announces each to the peers and offers it to the local exchange.
+    pub fn open_round(
+        &mut self,
+        endpoint: &Endpoint,
+        mut slot_grad: impl FnMut(usize, usize, &mut Vec<f32>) -> f32,
+    ) {
+        for slot in self.exchange.local_slots() {
+            let mut grad = Vec::new();
+            let loss = slot_grad(slot, self.global_rows, &mut grad);
+            // The loss rides as one trailing element, so the flat fold
+            // reduces it bit-identically alongside the gradient.
+            grad.push(loss);
+            let blob = self.exchange.blob_for(slot, grad);
+            self.tell_peers(endpoint, &blob);
+            self.exchange.offer_local(slot, blob.grad);
+        }
+        self.open = Some(Instant::now());
+    }
+
+    /// The collect phase's end: once every slot (local and peer) is present,
+    /// folds them and takes exactly one optimizer step. `None` until then.
+    pub fn close_round(&mut self, sync: &mut dyn ShardedSync) -> Option<TrainReport> {
+        let mut folded = self.exchange.reduce()?;
+        let loss = folded.pop().expect("trailing loss element");
+        if let Some(t_open) = self.open.take() {
+            self.allreduce_hist.record_duration(t_open.elapsed());
+        }
+        self.rounds_counter.inc();
+        Some(sync.apply_reduced_grad(&folded, self.global_rows, loss))
+    }
+
+    /// The loop's session producer: opens the next round once the algorithm
+    /// grants a credit (never after a peer has left — no round can close
+    /// again), closes the open one once it is complete.
+    pub(crate) fn step(
+        &mut self,
+        endpoint: &Endpoint,
+        sync: &mut dyn ShardedSync,
+        run: &mut LearnerRun,
+    ) -> Option<(usize, Vec<u32>)> {
+        if self.open.is_none() && self.farewells.is_empty() && sync.take_round_credit() {
+            let t = Instant::now();
+            self.open_round(endpoint, |_, rows, out| sync.slot_grad(rows, out));
+            run.trained(t.elapsed());
+        }
+        let t = Instant::now();
+        let report = self.close_round(sync)?;
+        run.trained(t.elapsed());
+        Some((self.local_rows, report.notify))
+    }
+
+    /// A `Gradient` message: a peer's farewell, a (re)join announcement to
+    /// answer, or a slot blob.
+    pub fn on_gradient(&mut self, msg: &Message, endpoint: &Endpoint, algorithm: &dyn Algorithm) {
+        let Ok(blob) = GradBlob::from_bytes(&msg.body) else { return };
+        let src = msg.header.src;
+        if src.role == ProcessRole::Learner {
+            if blob.worker == FAREWELL {
+                self.farewells.insert(src.index, blob.version);
+                return;
+            }
+            // A hello or a blob for a round the ring already finished
+            // identifies a (re)joining peer — in steady state every blob is
+            // needed to close its round, so nothing arrives late. Answer as
+            // `hello` expects, once per (peer, round).
+            let round = self.exchange.round();
+            let rejoining = blob.worker as usize >= GRAD_SLOTS || blob.version < round;
+            if rejoining && self.snapshot_sent.insert(src.index, round) != Some(round) {
+                let snap = Bytes::from(algorithm.param_blob().to_bytes());
+                endpoint.send_to(vec![src], MessageKind::Parameters, snap);
+                for local in self.exchange.local_blobs() {
+                    let body = Bytes::from(local.to_bytes());
+                    endpoint.send_to(vec![src], MessageKind::Gradient, body);
+                }
+            }
+        }
+        self.exchange.ingest(blob);
+    }
+
+    /// A `Parameters` message. Explorer-bound broadcasts never target a
+    /// learner, so from a peer it is a snapshot answering our stale
+    /// announcement: adopt it and jump to the ring's round. A round we had
+    /// opened is gone with the jump, so the gate re-arms instead of waiting on
+    /// a round that can never close.
+    pub(crate) fn on_snapshot(&mut self, msg: &Message, algorithm: &mut dyn Algorithm) {
+        let Ok(blob) = ParamBlob::from_bytes(&msg.body) else { return };
+        if msg.header.src.role == ProcessRole::Learner && blob.version > self.exchange.round() {
+            algorithm.adopt_params(&blob.params, blob.version);
+            self.exchange.fast_forward(blob.version);
+            self.open = None;
+        }
+    }
+
+    /// Tells the peers, once, the first round this shard did not announce.
+    /// The caller never opens a round afterwards.
+    pub(crate) fn farewell(&self, endpoint: &Endpoint) {
+        let until = self.exchange.round() + u64::from(self.open.is_some());
+        self.tell_peers(endpoint, &GradBlob { worker: FAREWELL, version: until, grad: Vec::new() });
+    }
+
+    /// After the farewell: true while the open round may still close — it is
+    /// incomplete and no peer has said it never announced it.
+    pub(crate) fn awaits_peers(&self) -> bool {
+        let round = self.exchange.round();
+        self.open.is_some()
+            && !self.exchange.ready()
+            && self.farewells.values().all(|&until| until > round)
     }
 }

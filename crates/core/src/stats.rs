@@ -17,8 +17,6 @@ pub struct ReplayReport {
     pub batches_ingested: u64,
     /// Transitions ingested (post eligibility filter).
     pub steps_ingested: u64,
-    /// Sample requests answered over the channel.
-    pub sample_requests: u64,
     /// Transitions resident in the plane at shutdown.
     pub resident: usize,
     /// Arena slots whose write never completed — anything nonzero is a torn

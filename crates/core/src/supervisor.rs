@@ -806,7 +806,6 @@ impl Deployment {
                         Some(ReplayReport {
                             batches_ingested: outcome.batches_ingested,
                             steps_ingested: outcome.steps_ingested,
-                            sample_requests: outcome.sample_requests,
                             resident: integrity.resident,
                             dangling_slots: integrity.dangling_slots,
                         })

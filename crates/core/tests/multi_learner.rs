@@ -3,27 +3,26 @@
 //! The sync allreduce's core promise is PR 4's bitwise-determinism story
 //! extended across shard counts: the same seed and the same round data must
 //! produce bit-identical parameters whether 1, 2, or 4 shards split the
-//! work. That is proven here at the harness level — `GradExchange` +
-//! `ShardedSync` (DQN) driven over real broker endpoints with controlled
-//! slot data, in the style of `tests/param_plane.rs` — because an end-to-end
+//! work. That is proven here at the harness level — the learner loop's own
+//! lockstep round (`Lockstep` + DQN) driven over real broker endpoints with
+//! controlled slot data, in the style of `tests/param_plane.rs` — because an end-to-end
 //! deployment cannot hold replay contents constant across shard counts
 //! (each shard owns a different explorer slice). What a deployment *can*
 //! promise is that all shards of one sync run agree bitwise at exit, and
 //! that the opt-in relaxed mode stays in the same reward band as the classic
 //! single learner.
 
-use bytes::Bytes;
 use netsim::Cluster;
 use std::time::Duration;
-use xingtian::allreduce::{GradExchange, GRAD_SLOTS};
 use xingtian::config::{AllreduceMode, AlgorithmSpec, DeploymentConfig};
+use xingtian::shard::Lockstep;
 use xingtian::Deployment;
 use xingtian_algos::api::Algorithm;
 use xingtian_algos::payload::RolloutStep;
-use xingtian_algos::{DqnAlgorithm, DqnConfig, GradBlob};
+use xingtian_algos::{DqnAlgorithm, DqnConfig};
 use xingtian_comm::{Broker, CommConfig};
-use xingtian_message::codec::{Decode, Encode};
 use xingtian_message::{MessageKind, ProcessId};
+use xt_telemetry::Telemetry;
 
 const OBS_DIM: usize = 6;
 const N_ACTIONS: usize = 3;
@@ -72,52 +71,33 @@ fn shard_algorithm() -> DqnAlgorithm {
 }
 
 /// Runs `ROUNDS` sync-allreduce rounds across `shards` learner replicas over
-/// real broker endpoints and returns every replica's final parameters.
+/// real broker endpoints — the rounds a deployment's learner loop runs
+/// (`Lockstep::open_round` / `close_round`), graded on the controlled slot
+/// data instead of sampled slots — and returns every replica's final
+/// parameters.
 fn run_sync_harness(shards: u32) -> Vec<Vec<f32>> {
     let broker = Broker::new(0, Cluster::single(), CommConfig::default());
     let eps: Vec<_> = (0..shards).map(|s| broker.endpoint(ProcessId::learner(s))).collect();
     let mut algs: Vec<DqnAlgorithm> = (0..shards).map(|_| shard_algorithm()).collect();
-    let mut exchanges: Vec<GradExchange> =
-        (0..shards).map(|s| GradExchange::new(s, shards)).collect();
-    let global_rows = BATCH * GRAD_SLOTS;
+    let mut rings: Vec<Lockstep> = (0..shards)
+        .map(|s| Lockstep::new(s, shards, BATCH, 0, &Telemetry::disabled()))
+        .collect();
 
     for round in 0..ROUNDS {
-        // Compute phase: every shard grades its own slots on the controlled
-        // data and allgathers the blobs to its peers.
         for s in 0..shards as usize {
-            let sync = algs[s].sharded_sync().expect("DQN is ShardedSync");
-            for slot in exchanges[s].local_slots() {
-                let steps = slot_steps(round, slot);
-                let mut grad = Vec::new();
-                let loss = sync.grad_on_steps(&steps, global_rows, &mut grad);
-                grad.push(loss);
-                let peers: Vec<ProcessId> = (0..shards)
-                    .filter(|&p| p != s as u32)
-                    .map(ProcessId::learner)
-                    .collect();
-                if !peers.is_empty() {
-                    let blob = exchanges[s].blob_for(slot, grad.clone());
-                    eps[s].send_to(peers, MessageKind::Gradient, Bytes::from(blob.to_bytes()));
-                }
-                exchanges[s].offer_local(slot, grad);
-            }
+            let alg = &mut algs[s];
+            rings[s].open_round(&eps[s], |slot, rows, grad| {
+                alg.grad_on_steps(&slot_steps(round, slot), rows, grad)
+            });
         }
-        // Collect phase: drain endpoints until the round closes, then fold
-        // flat in slot order and take exactly one optimizer step.
         for s in 0..shards as usize {
-            while !exchanges[s].ready() {
+            while rings[s].close_round(&mut algs[s]).is_none() {
                 let msg = eps[s]
                     .recv_timeout(Duration::from_secs(10))
                     .unwrap_or_else(|| panic!("shard {s} starved in round {round}"));
                 assert_eq!(msg.header.kind, MessageKind::Gradient);
-                exchanges[s].ingest(GradBlob::from_bytes(&msg.body).expect("decodable blob"));
+                rings[s].on_gradient(&msg, &eps[s], &algs[s]);
             }
-            let mut folded = exchanges[s].reduce().expect("ready round reduces");
-            let loss = folded.pop().expect("trailing loss element");
-            algs[s]
-                .sharded_sync()
-                .expect("DQN is ShardedSync")
-                .apply_reduced_grad(&folded, global_rows, loss);
         }
     }
     let params: Vec<Vec<f32>> = algs.iter().map(|a| a.param_blob().params).collect();

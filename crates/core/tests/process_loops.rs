@@ -11,12 +11,15 @@ use xingtian::config::AllreduceMode;
 use xingtian::controller::ControllerProcess;
 use xingtian::explorer::{ExplorerProcess, RolloutRoute, MAX_INFLIGHT_BATCHES};
 use xingtian::learner::LearnerProcess;
+use xingtian::allreduce::GRAD_SLOTS;
 use xingtian::messages::ControlCommand;
+use xingtian::shard::FAREWELL;
 use xingtian_algos::api::{ActionSelection, Agent, Algorithm, ShardedSync, SyncMode, TrainReport};
 use xingtian_algos::payload::{ParamBlob, RolloutBatch, RolloutStep};
-use xingtian_comm::{Broker, CommConfig};
-use xingtian_message::codec::Encode;
-use xingtian_message::{MessageKind, ProcessId};
+use xingtian_algos::{DqnAlgorithm, DqnConfig, GradBlob};
+use xingtian_comm::{Broker, CommConfig, InjectDecision, RouteInjector};
+use xingtian_message::codec::{Decode, Encode};
+use xingtian_message::{Header, MessageKind, ProcessId};
 
 /// An agent that always picks action 0 and tracks applied parameter versions.
 struct ScriptedAgent {
@@ -92,6 +95,37 @@ impl Algorithm for CountingAlgorithm {
     fn name(&self) -> &str {
         "counting"
     }
+
+    fn sharded_sync(&mut self) -> Option<&mut dyn ShardedSync> {
+        Some(self)
+    }
+}
+
+/// The lockstep script: every received batch grants one round credit.
+impl ShardedSync for CountingAlgorithm {
+    fn slot_rows(&self) -> usize {
+        1
+    }
+
+    fn take_round_credit(&mut self) -> bool {
+        self.queued.pop().is_some()
+    }
+
+    fn slot_grad(&mut self, _global_rows: usize, out: &mut Vec<f32>) -> f32 {
+        let _ = self.received_at_first_train.compare_exchange(
+            usize::MAX,
+            self.received,
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        );
+        out.resize(4, 0.0);
+        0.0
+    }
+
+    fn apply_reduced_grad(&mut self, _grad: &[f32], steps_represented: usize, loss: f32) -> TrainReport {
+        self.version += 1;
+        TrainReport { steps_consumed: steps_represented, loss, version: self.version, notify: Vec::new() }
+    }
 }
 
 #[test]
@@ -153,15 +187,22 @@ fn explorer_learner_pair_round_trips_until_shutdown() {
     broker.shutdown();
 }
 
-/// PR 9's livelock fix holds for every train-on-arrival learner, peer shards
-/// included: a pass decodes a bounded burst and then trains, so sessions
-/// advance while the inbox is never empty. The inbox here is pre-filled
-/// deeper than the run can drain before its first session — the standing
-/// backlog of a producer that outruns the drain — with the shutdown command
-/// queued behind it. An unbounded drain decodes the whole backlog, meets the
-/// shutdown inside the drain, and exits having trained nothing.
+/// PR 9's livelock fix holds for every learner, peer shards of either
+/// discipline included: a pass decodes a bounded burst and then advances the
+/// discipline, so sessions (relaxed) and rounds (lockstep) start while the
+/// inbox is never empty. The inbox here is pre-filled deeper than the run can
+/// drain before its first session — the standing backlog of a producer that
+/// outruns the drain — with the shutdown command queued behind it. An
+/// unbounded drain decodes the whole backlog, meets the shutdown inside the
+/// drain, and exits having trained (or announced) nothing.
 #[test]
 fn relaxed_shard_trains_while_its_inbox_is_never_empty() {
+    for mode in [AllreduceMode::Relaxed, AllreduceMode::Sync] {
+        shard_under_a_never_empty_inbox(mode);
+    }
+}
+
+fn shard_under_a_never_empty_inbox(mode: AllreduceMode) {
     const BACKLOG: usize = 512;
     // An unbounded receive buffer, so the whole backlog is staged locally
     // (the default keeps all but 8 in the ID queue, and a drain that outruns
@@ -169,9 +210,9 @@ fn relaxed_shard_trains_while_its_inbox_is_never_empty() {
     let comm = CommConfig { endpoint_recv_capacity: None, ..CommConfig::default() };
     let broker = Broker::new(0, Cluster::single(), comm);
     let learner_ep = broker.endpoint(ProcessId::learner(0));
-    // Everything the shard addresses has a route: its gossip peer, the
-    // controller it reports to, the explorer it owns.
-    let _peer_ep = broker.endpoint(ProcessId::learner(1));
+    // Everything the shard addresses has a route: its peer, the controller
+    // it reports to, the explorer it owns.
+    let peer_ep = broker.endpoint(ProcessId::learner(1));
     let _controller_ep = broker.endpoint(ProcessId::controller(0));
     let producer_ep = broker.endpoint(ProcessId::explorer(0));
 
@@ -199,6 +240,11 @@ fn relaxed_shard_trains_while_its_inbox_is_never_empty() {
         assert!(std::time::Instant::now() < deadline, "backlog never staged");
         std::thread::yield_now();
     }
+    // Behind the shutdown, the peer's farewell: it never announced round 0,
+    // so a lockstep shard holding that round open abandons it at once
+    // instead of waiting out the dead-peer fallback.
+    let farewell = GradBlob { worker: FAREWELL, version: 0, grad: Vec::new() };
+    peer_ep.send_to(vec![ProcessId::learner(0)], MessageKind::Gradient, Bytes::from(farewell.to_bytes()));
 
     let consumed = Arc::new(AtomicUsize::new(0));
     let received_at_first_train = Arc::new(AtomicUsize::new(usize::MAX));
@@ -214,25 +260,37 @@ fn relaxed_shard_trains_while_its_inbox_is_never_empty() {
             received_at_first_train: Arc::clone(&received_at_first_train),
         }),
         table: Arc::new(AssignmentTable::contiguous(2, 2)),
-        mode: AllreduceMode::Relaxed,
+        mode,
         checkpointer: None,
         probe: None,
         param_compression: xingtian_comm::ParamCompression::default(),
     }
     .run();
 
-    // One blocking receive plus a 16-message burst, then the first session —
-    // with the rest of the backlog still waiting.
+    // One blocking receive plus a 16-message burst, then the first session
+    // (or the first round's slot gradients) — with the rest of the backlog
+    // still waiting.
     let first = received_at_first_train.load(Ordering::Relaxed);
-    assert!(first <= 17, "first session only after {first} of {BACKLOG} messages were drained");
-    // Every pass trained what it decoded; only the burst that met the
-    // shutdown command went untrained.
-    assert!(
-        outcome.train_sessions as usize >= BACKLOG - 17,
-        "trained {} sessions over a {BACKLOG}-message backlog",
-        outcome.train_sessions
-    );
-    assert_eq!(outcome.steps_consumed as usize, consumed.load(Ordering::Relaxed));
+    assert!(first <= 17, "{mode:?}: first session only after {first} of {BACKLOG} messages were drained");
+    if mode == AllreduceMode::Relaxed {
+        // Every pass trained what it decoded; only the burst that met the
+        // shutdown command went untrained.
+        assert!(
+            outcome.train_sessions as usize >= BACKLOG - 17,
+            "trained {} sessions over a {BACKLOG}-message backlog",
+            outcome.train_sessions
+        );
+        assert_eq!(outcome.steps_consumed as usize, consumed.load(Ordering::Relaxed));
+    } else {
+        // The round was announced: slot blobs, not just the hello and the
+        // farewell, reached the peer.
+        let announced = std::iter::from_fn(|| peer_ep.recv_timeout(Duration::from_secs(10)))
+            .take(3)
+            .filter_map(|m| GradBlob::from_bytes(&m.body).ok())
+            .filter(|b| (b.worker as usize) < GRAD_SLOTS && b.version == 0)
+            .count();
+        assert!(announced > 0, "the lockstep shard never announced its first round");
+    }
     drop(producer_ep);
     broker.shutdown();
 }
@@ -292,11 +350,7 @@ impl ShardedSync for HoardingSync {
         false
     }
 
-    fn sample_slot(&mut self, _out: &mut Vec<RolloutStep>) {
-        unreachable!("no round ever opens")
-    }
-
-    fn grad_on_steps(&mut self, _steps: &[RolloutStep], _global_rows: usize, _out: &mut Vec<f32>) -> f32 {
+    fn slot_grad(&mut self, _global_rows: usize, _out: &mut Vec<f32>) -> f32 {
         unreachable!("no round ever opens")
     }
 
@@ -353,6 +407,89 @@ fn sync_shard_collects_spent_batches() {
 
     assert_eq!(held.load(Ordering::Relaxed), 0, "spent batches left with the algorithm at shutdown");
     drop(producer_ep);
+    broker.shutdown();
+}
+
+/// Delays every `Gradient` delivery to learner shard 1.
+#[derive(Debug)]
+struct SlowGradientsToShardOne(Duration);
+
+impl RouteInjector for SlowGradientsToShardOne {
+    fn decide(&self, header: &Header, dst: ProcessId) -> InjectDecision {
+        if header.kind == MessageKind::Gradient && dst == ProcessId::learner(1) {
+            InjectDecision::Delay(self.0)
+        } else {
+            InjectDecision::Deliver
+        }
+    }
+}
+
+/// ROADMAP 8a: a round closes on every shard or on none, decided by messages
+/// and not by a clock. Shard 0 closes round 0 at once; shard 1's copies of
+/// shard 0's blobs are still in a slow channel when both read the shutdown.
+/// A wall-clock grace shorter than the channel (the old 300 ms) abandons the
+/// round on shard 1 only, and the shards exit one optimizer step apart.
+#[test]
+fn sync_shards_leave_the_ring_together_when_gradients_are_slow() {
+    let broker = Broker::new(0, Cluster::single(), CommConfig::default());
+    broker.set_injector(Arc::new(SlowGradientsToShardOne(Duration::from_millis(900))));
+    let controller_ep = broker.endpoint(ProcessId::controller(0));
+    let producer_ep = broker.endpoint(ProcessId::explorer(0));
+    // Exactly one round credit per shard: one 40-step rollout meets the
+    // warmup and the insert gate once.
+    let mut config = DqnConfig::new(4, 2);
+    config.hidden = vec![16];
+    config.warmup_steps = 40;
+    config.train_every_inserts = 40;
+    config.batch_size = 8;
+    let initial = DqnAlgorithm::new(config.clone()).param_blob().params;
+    let table = Arc::new(AssignmentTable::contiguous(2, 2));
+    let shards: Vec<_> = (0..2)
+        .map(|shard| {
+            let learner = LearnerProcess {
+                shard,
+                endpoint: broker.endpoint(ProcessId::learner(shard)),
+                algorithm: Box::new(DqnAlgorithm::new(config.clone())),
+                table: Arc::clone(&table),
+                mode: AllreduceMode::Sync,
+                checkpointer: None,
+                probe: None,
+                param_compression: xingtian_comm::ParamCompression::default(),
+            };
+            std::thread::spawn(move || learner.run())
+        })
+        .collect();
+
+    let step = |i: usize| RolloutStep {
+        observation: vec![i as f32 * 0.01; 4],
+        action: (i % 2) as u32,
+        reward: 1.0,
+        done: false,
+        behavior_logits: Vec::new(),
+        value: 0.0,
+        next_observation: Some(vec![i as f32 * 0.01 + 0.005; 4]),
+    };
+    let batch = RolloutBatch {
+        explorer: 0,
+        param_version: 0,
+        steps: (0..40).map(step).collect(),
+        bootstrap_observation: Vec::new(),
+    };
+    let learners = vec![ProcessId::learner(0), ProcessId::learner(1)];
+    producer_ep.send_to(learners.clone(), MessageKind::Rollout, Bytes::from(batch.to_bytes()));
+    // Shard 0's session report: it has closed round 0 (shard 1's blobs are
+    // not delayed). Shard 1 cannot have — its copies of shard 0's are.
+    let stats = controller_ep.recv_timeout(Duration::from_secs(10)).expect("shard 0 closes round 0");
+    assert_eq!((stats.header.kind, stats.header.src), (MessageKind::Stats, ProcessId::learner(0)));
+    producer_ep.send_to(learners, MessageKind::Control, Bytes::from(ControlCommand::Shutdown.to_bytes()));
+
+    let outcomes: Vec<_> = shards.into_iter().map(|t| t.join().unwrap()).collect();
+    assert_eq!(outcomes[0].train_sessions, 1);
+    assert_eq!(outcomes[1].train_sessions, 1, "shard 1 abandoned the round shard 0 closed");
+    assert_ne!(outcomes[0].final_params, initial, "the round moved the parameters");
+    let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&outcomes[0].final_params), bits(&outcomes[1].final_params));
+    drop((controller_ep, producer_ep));
     broker.shutdown();
 }
 

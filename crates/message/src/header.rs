@@ -113,13 +113,6 @@ pub enum MessageKind {
     /// deployment's failure detector. Tiny and control-plane prioritized:
     /// a backpressured data plane must never delay liveness evidence.
     Heartbeat,
-    /// A learner asking a replay shard for a sampled minibatch (xt-replay).
-    /// Tiny and control-plane prioritized: a sample request must not queue
-    /// behind the rollout stream it is meant to replace.
-    SampleRequest,
-    /// A replay shard's answer to a [`MessageKind::SampleRequest`]: a gathered
-    /// minibatch view ready to feed a training step.
-    SampleView,
     /// A replay shard telling the learner that new transitions were ingested,
     /// so its event-driven training loop wakes without polling. Carries only
     /// the insert count.

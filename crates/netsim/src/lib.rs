@@ -27,14 +27,12 @@
 //! assert!(receipt.duration.as_secs_f64() > 0.0);
 //! ```
 
-pub mod bypass;
 pub mod clock;
 pub mod cluster;
 pub mod faults;
 pub mod nic;
 pub mod stats;
 
-pub use bypass::{BypassPath, RpcReceipt, BYPASS_LATENCY_SECS};
 pub use clock::{Clock, ClockMode};
 pub use cluster::{Cluster, ClusterSpec, MachineId, TransferReceipt};
 pub use faults::{LinkCondition, LinkDown, LinkFault, LinkFaultKind, LinkFaultSchedule};

@@ -17,13 +17,8 @@
 //!   [`xingtian_algos::BatchDecoder`] the learner uses), and wakes the
 //!   learner with a payload-free notice;
 //! * the learner's DQN samples the shared plane directly — a single copy
-//!   from arena slots into its training buffers;
-//! * remote learners speak the [`wire::SampleRequest`] / [`wire::SampleView`]
-//!   protocol, optionally over netsim's kernel-bypass NIC fast path
-//!   ([`wire::RemoteSampler`]), skipping the broker hop entirely.
+//!   from arena slots into its training buffers.
 
 pub mod service;
-pub mod wire;
 
 pub use service::{run_replay_service, ReplayOutcome};
-pub use wire::{RemoteSampler, SampleRequest, SampleView};

@@ -7,10 +7,8 @@
 //! and only decode the batch ever gets. It then nudges the learner with a
 //! tiny control-plane [`MessageKind::ReplayNotice`] carrying the insert
 //! count, so the learner's training loop wakes without receiving any rollout
-//! payload at all. Remote learners are served [`MessageKind::SampleRequest`]s
-//! directly from the plane.
+//! payload at all.
 
-use crate::wire::{answer, SampleRequest};
 use bytes::Bytes;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -18,7 +16,6 @@ use std::time::Duration;
 use xingtian_algos::payload::BatchDecoder;
 use xingtian_algos::ReplayPlane;
 use xingtian_comm::Endpoint;
-use xingtian_message::codec::{Decode, Encode};
 use xingtian_message::{MessageKind, ProcessId};
 
 /// What the service reports when it stops.
@@ -28,8 +25,6 @@ pub struct ReplayOutcome {
     pub batches_ingested: u64,
     /// Transitions ingested (post eligibility filter).
     pub steps_ingested: u64,
-    /// Sample requests answered.
-    pub sample_requests: u64,
 }
 
 /// Runs a replay shard until `stop` is raised or a `Control` message arrives.
@@ -65,12 +60,6 @@ pub fn run_replay_service(
                 let count = (inserted as u32).to_le_bytes();
                 endpoint.send_to(vec![notify], MessageKind::ReplayNotice, Bytes::copy_from_slice(&count));
             }
-            MessageKind::SampleRequest => {
-                let Ok(req) = SampleRequest::from_bytes(&msg.body) else { continue };
-                let view = answer(&plane, &req);
-                endpoint.send_to(vec![msg.header.src], MessageKind::SampleView, Bytes::from(view.to_bytes()));
-                outcome.sample_requests += 1;
-            }
             // Any control message means the deployment is coming down.
             MessageKind::Control => break,
             _ => {}
@@ -83,11 +72,11 @@ pub fn run_replay_service(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::SampleView;
     use netsim::Cluster;
     use xingtian_algos::payload::{RolloutBatch, RolloutStep};
     use xingtian_algos::ReplayConfig;
     use xingtian_comm::{Broker, CommConfig};
+    use xingtian_message::codec::Encode;
     use xt_telemetry::Telemetry;
 
     fn rollout(n: usize) -> RolloutBatch {
@@ -110,7 +99,7 @@ mod tests {
     }
 
     #[test]
-    fn service_ingests_notifies_and_answers() {
+    fn service_ingests_and_notifies() {
         let broker = Broker::new(0, Cluster::single(), CommConfig::default());
         let learner = broker.endpoint(ProcessId::learner(0));
         let explorer = broker.endpoint(ProcessId::explorer(0));
@@ -144,18 +133,9 @@ mod tests {
         assert_eq!(plane.total_inserted(), 14);
         assert_eq!(telemetry.counter("replay.rejected").get(), 2);
 
-        // The learner can request a sampled minibatch through the channel.
-        let req = SampleRequest { n: 4, prioritized: false, beta: 0.0, seed: 11 };
-        assert!(learner.send_to(vec![ProcessId::replay(0)], MessageKind::SampleRequest, Bytes::from(req.to_bytes())));
-        let resp = learner.recv().expect("sample view delivered");
-        assert_eq!(resp.header.kind, MessageKind::SampleView);
-        let view = SampleView::from_bytes(&resp.body).unwrap();
-        assert_eq!(view.len(), 4);
-        assert_eq!(view, answer(&plane, &req), "channel round trip is deterministic");
-
         stop.store(true, Ordering::Release);
         let outcome = service.join().expect("service thread must not panic");
-        assert_eq!(outcome, ReplayOutcome { batches_ingested: 2, steps_ingested: 14, sample_requests: 1 });
+        assert_eq!(outcome, ReplayOutcome { batches_ingested: 2, steps_ingested: 14 });
         assert_eq!(plane.integrity().dangling_slots, 0);
         learner.close();
         explorer.close();

@@ -86,10 +86,7 @@ fn summarize(label: &str, report: &RunReport, telemetry: &xt_telemetry::Telemetr
     match &report.replay {
         Some(r) => {
             println!("replay plane (store-resident):");
-            println!(
-                "  ingested {} batches / {} transitions, answered {} sample requests",
-                r.batches_ingested, r.steps_ingested, r.sample_requests
-            );
+            println!("  ingested {} batches / {} transitions", r.batches_ingested, r.steps_ingested);
             println!(
                 "  resident at exit: {} transitions, dangling slots: {}",
                 r.resident, r.dangling_slots
