@@ -29,6 +29,12 @@ cargo bench -p xt-bench --bench telemetry -- --test
 echo "== release smoke: lz4/chunk differential round-trip tests =="
 cargo test --release -q -p xingtian-message --test differential
 
+echo "== release smoke: the one publish cell's reclamation hammer on the optimised build =="
+# 4 readers x 500 publishes over SnapshotCell: no torn or reclaimed snapshot
+# is ever observed, versions only move forward, and the next quiescent
+# publish prunes retention to 1 — on the build whose reordering matters.
+cargo test --release -q -p xingtian-comm snapshot
+
 echo "== release smoke: pinned A2C/PPO/IMPALA/DQN parameter digests and the allocation bound on the optimised kernels =="
 # A2C/PPO/IMPALA and uniform/prioritized/double DQN must stay bit-identical
 # to the digests pinned in determinism.rs, and the warmed training steps (DQN
@@ -103,12 +109,18 @@ cargo test --release -q -p xingtian --test process_loops
 cargo test --release -q -p xingtian --test multi_learner
 cargo test --release -q -p xingtian --test chaos fault_free_supervised_runs_drop_nothing
 
-echo "== serve smoke: hot swap under live traffic never drops a request =="
-# Two-replica fleet under pinned open-loop load while a publisher walks the
-# fleet through five quantized delta versions: every request answered or
-# explicitly shed, >= 2 versions observed by clients mid-flight, fleet
-# converged to the final version, zero respawns.
-cargo test --release -q -p xt-serve --test hot_swap
+echo "== serve smoke: hot swap under live traffic, fleet supervision, swap determinism =="
+# hot_swap: two-replica fleet under pinned open-loop load while a publisher
+# walks the fleet through five quantized delta versions — every request
+# answered or explicitly shed, >= 2 versions observed by clients mid-flight,
+# fleet converged to the final version, zero respawns. fleet: sheds, drain,
+# respawn from checkpoint, and a parameter sink that dies alone comes back
+# and rejoins the delta chain. determinism: checkpoint boot == delta hot swap,
+# bit for bit. --lib carries the staggered-publish case (it reads replica
+# weights, which the public surface does not expose): a rolling swap under
+# DeltaQuantizedI8 leaves both replicas bit-identical at every version, and
+# bit-identical to a fanned-out swap of the same versions.
+cargo test --release -q -p xt-serve --lib --test hot_swap --test fleet --test determinism
 
 echo "== serve gate: 4-replica fleet >= 50k inferences/s with e2e p99 < 2 ms =="
 # Best-of-5 trials: the correctness contract (zero drops, swaps landed,

@@ -23,7 +23,7 @@ use xingtian::{Deployment, ParamBroadcaster, ParamReceiver};
 use xingtian_algos::payload::ParamBlob;
 use xingtian_algos::DqnConfig;
 use xingtian_comm::{connect_brokers, Broker, CommConfig, ParamCompression};
-use xingtian_message::{Header, Message, MessageKind, ProcessId};
+use xingtian_message::ProcessId;
 use xt_bench::{fmt_size, header};
 use xt_telemetry::Telemetry;
 
@@ -84,11 +84,7 @@ fn measure_wire(mode: ParamCompression, fanout: usize, rounds: u64) -> WireOutco
     for version in 1..=rounds {
         drift(&mut params, version, 1e-3);
         let blob = ParamBlob { version, params: params.clone() };
-        let enc = tx.encode(&blob, &dst_ids);
-        let mut h = Header::new(learner.pid(), dst_pids.clone(), MessageKind::Parameters)
-            .with_param_version(enc.version);
-        h.compression = enc.compression;
-        assert!(learner.send(Message::new(h, enc.body)));
+        assert!(tx.encode(&blob, &dst_ids).send(&learner, dst_pids.clone()));
         for (i, e) in explorers.iter().enumerate() {
             let msg = e.recv().expect("broadcast delivered");
             if i == fanout - 1 {

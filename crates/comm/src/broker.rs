@@ -298,7 +298,7 @@ impl Broker {
                 *delay_thread = Some(handle);
             }
         }
-        self.shared.table.injector.update(|_| (Some(Arc::clone(&injector)), ()));
+        self.shared.table.injector.publish(Some(injector));
     }
 
     /// Tallies of injected faults executed by this broker.
@@ -334,13 +334,8 @@ impl Broker {
         Endpoint::spawn(pid, self.clone(), id_rx)
     }
 
-    /// Removes the ID queue of `pid`; its receiver thread is woken with a
-    /// close sentinel and exits.
-    pub(crate) fn remove_endpoint(&self, pid: ProcessId) {
-        self.shared.table.remove_id_queue(pid);
-    }
-
-    /// Force-closes the endpoint of local process `pid` from the broker side:
+    /// Closes the endpoint of local process `pid` (what [`Endpoint::close`]
+    /// does, and how supervision closes one from the broker side):
     /// its ID queue is removed, the receiver thread drains (settling store
     /// credits of undelivered messages) and closes the receive buffer on its
     /// way out, so a workhorse blocked in `recv`/`recv_timeout` observes the
@@ -897,6 +892,23 @@ mod tests {
             .map(|s| telemetry.counter(&format!("comm.router.{s}.bursts")).get())
             .sum();
         assert!(bursts > 0, "shards recorded their drain bursts");
+    }
+
+    #[test]
+    fn registration_churn_does_not_grow_snapshot_retention() {
+        // 1 024 registrations then 1 024 closes publish thousands of routing
+        // snapshots; with nobody mid-borrow each publish frees its
+        // predecessor, so the cells hold the published snapshot and no more
+        // (a retain-forever history would hold 1 025 / 3 073 of them).
+        let broker = Broker::new(0, Cluster::single(), CommConfig::default());
+        let eps: Vec<_> = (0..1024).map(|i| broker.endpoint(ProcessId::explorer(i))).collect();
+        assert_eq!(broker.shared.table.routes.retained(), 1);
+        assert_eq!(broker.shared.table.id_queues.retained(), 1);
+        drop(eps);
+        assert_eq!(broker.shared.table.routes.retained(), 1);
+        assert_eq!(broker.shared.table.id_queues.retained(), 1);
+        assert!(broker.shared.table.id_queues.load().is_empty(), "every queue deregistered");
+        broker.shutdown();
     }
 
     #[test]

@@ -325,7 +325,7 @@ impl Endpoint {
     /// joined. Idempotent.
     pub fn close(&self) {
         self.send_buf.close();
-        self.broker.remove_endpoint(self.pid);
+        self.broker.close_endpoint(self.pid);
         // Close the receive buffer *before* joining: a receiver thread
         // blocked pushing into a full bounded buffer unblocks on closure.
         self.recv_buf.close();

@@ -15,7 +15,7 @@
 //! [`RouteInjector`] on top of a deterministic plan. With no injector
 //! installed the hot path pays one lock-free snapshot load and nothing else.
 
-use crate::router::{IdQueueMsg, RoutingTable};
+use crate::router::{push_one, RoutingTable};
 use crate::store::ObjectStore;
 use crossbeam_channel::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
@@ -112,25 +112,9 @@ pub(crate) fn run_delay_line(
     }
 }
 
+/// Same delivery and failed-delivery accounting as the router's final hop.
 fn deliver_now(store: &ObjectStore, table: &RoutingTable, d: DelayedDelivery) {
-    let queues = table.id_queues.load();
-    let delivered = queues
-        .get(&d.dst)
-        .map(|q| q.send(IdQueueMsg::Deliver(Arc::clone(&d.header))).is_ok())
-        .unwrap_or(false);
-    if !delivered {
-        // Same accounting as the router's failed-delivery path: a delivery
-        // flushed at a destination that already deregistered (graceful exit
-        // or elastic retirement) is a discard, not a drop.
-        if table.departed.lock().contains(&d.dst) {
-            table.departed_discards.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        } else {
-            table.add_dropped(1);
-        }
-        if let Some(id) = d.header.object_id {
-            store.drop_credit(id);
-        }
-    }
+    table.id_queues.with(|queues| push_one(store, table, queues, &d.header, d.dst));
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@
 //!
 //! The control plane is built for fan-out: the object store is lock-striped
 //! with per-entry atomic fetch credits, the routing tables are read-mostly
-//! [`snapshot::SnapshotCell`] snapshots loaded without locks on every message,
+//! [`snapshot::SnapshotCell`] snapshots borrowed without locks on every message,
 //! broadcasts enqueue one shared `Arc<Header>` per destination, and the router
 //! drains its queue in batches, grouping remote traffic per machine per burst.
 //!
@@ -37,8 +37,9 @@
 //!   and fabric links to peer brokers over a [`netsim::Cluster`].
 //! * [`Endpoint`] — what an explorer/learner process holds: its buffers plus
 //!   the sender/receiver monitoring threads.
-//! * [`SnapshotCell`] — the lock-free-read snapshot primitive behind the
-//!   routing tables.
+//! * [`SnapshotCell`] — the one lock-free-read publish cell (epoch
+//!   reclamation): the routing tables here, the hot-swapped policy in
+//!   `xt-serve`.
 //!
 //! # Examples
 //!

@@ -33,7 +33,7 @@ use crate::store::ObjectStore;
 use crossbeam_channel::{Receiver, Sender, TryRecvError};
 use netsim::MachineId;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -45,8 +45,8 @@ pub(crate) enum IdQueueMsg {
     /// A delivered header whose object id refers to the local store.
     Deliver(Arc<Header>),
     /// Endpoint teardown: the receiver thread must exit now. (ID-queue
-    /// senders live inside retained routing snapshots, so a receiver cannot
-    /// rely on sender-drop for its shutdown signal.)
+    /// senders live inside routing snapshots a reader may still pin, so a
+    /// receiver cannot rely on sender-drop for a prompt shutdown signal.)
     Close,
 }
 
@@ -110,8 +110,8 @@ pub struct RoutingTable {
     /// batch and nothing else.
     pub(crate) injector: SnapshotCell<Option<Arc<dyn RouteInjector>>>,
     /// Feed into the broker's delay-line thread. Lives here (not in a
-    /// snapshot) so shutdown can take it out and actually disconnect the
-    /// thread — snapshot history would retain the sender forever.
+    /// snapshot) so shutdown can take it out and disconnect the thread at
+    /// that instant, not whenever the last snapshot naming it is pruned.
     pub(crate) delay_tx: Mutex<Option<Sender<DelayedDelivery>>>,
     /// Injected-fault tallies (drops / extra duplicates / delays executed).
     pub(crate) injected_dropped: AtomicU64,
@@ -122,7 +122,7 @@ pub struct RoutingTable {
 impl RoutingTable {
     /// Splits a destination list into local destinations and per-remote-
     /// machine groups from the point of view of machine `here`, borrowing one
-    /// routing snapshot (no locks, no refcount traffic). Unroutable
+    /// routing snapshot (no locks). Unroutable
     /// destinations are tallied in the plan; the caller decides whether that
     /// counts as a drop.
     pub fn split(&self, here: MachineId, dst: &[ProcessId]) -> SplitPlan {
@@ -145,33 +145,23 @@ impl RoutingTable {
     /// Registers `pid` as living on `machine` (publishes a new routes
     /// snapshot).
     pub(crate) fn add_route(&self, pid: ProcessId, machine: MachineId) {
-        self.routes.update(|routes| {
-            let mut next = routes.clone();
-            next.insert(pid, machine);
-            (next, ())
-        });
+        self.routes.modify(|routes| routes.insert(pid, machine));
     }
 
     /// Bulk route merge (publishes one snapshot for the whole batch).
     pub(crate) fn add_routes(&self, entries: &HashMap<ProcessId, MachineId>) {
-        self.routes.update(|routes| {
-            let mut next = routes.clone();
-            next.extend(entries.iter().map(|(&p, &m)| (p, m)));
-            (next, ())
-        });
+        self.routes.modify(|routes| routes.extend(entries.iter().map(|(&p, &m)| (p, m))));
     }
 
     /// Registers the ID queue of local process `pid`. Returns `false` (and
     /// registers nothing) if `pid` already has a queue.
     pub(crate) fn add_id_queue(&self, pid: ProcessId, tx: Sender<IdQueueMsg>) -> bool {
-        let added = self.id_queues.update(|queues| {
-            if queues.contains_key(&pid) {
-                (queues.clone(), false)
-            } else {
-                let mut next = queues.clone();
-                next.insert(pid, tx);
-                (next, true)
+        let added = self.id_queues.modify(|queues| match queues.entry(pid) {
+            Entry::Vacant(slot) => {
+                slot.insert(tx);
+                true
             }
+            Entry::Occupied(_) => false,
         });
         if added {
             // A respawned process is live again: its failures count once more.
@@ -184,14 +174,9 @@ impl RoutingTable {
     /// sentinel.
     pub(crate) fn remove_id_queue(&self, pid: ProcessId) {
         self.departed.lock().insert(pid);
-        self.id_queues.update(|queues| {
-            if let Some(tx) = queues.get(&pid) {
+        self.id_queues.modify(|queues| {
+            if let Some(tx) = queues.remove(&pid) {
                 let _ = tx.send(IdQueueMsg::Close);
-                let mut next = queues.clone();
-                next.remove(&pid);
-                (next, ())
-            } else {
-                (queues.clone(), ())
             }
         });
     }
@@ -252,8 +237,7 @@ pub(crate) fn deliver_local(
     }
     let object_id = store.insert(body, dst.len());
     header.object_id = Some(object_id);
-    let queues = table.id_queues.load();
-    push_headers(store, table, &queues, &Arc::new(header), dst);
+    table.id_queues.with(|queues| push_headers(store, table, queues, &Arc::new(header), dst));
 }
 
 /// Pushes `header` (whose object id already refers to `store`) into the ID
@@ -269,57 +253,58 @@ pub(crate) fn push_headers(
     header: &Arc<Header>,
     dst: &[ProcessId],
 ) {
-    let injector = table.injector.load();
-    for &d in dst {
-        match injector.as_deref().map_or(InjectDecision::Deliver, |i| i.decide(header, d)) {
-            InjectDecision::Deliver => push_one(store, table, queues, header, d),
-            InjectDecision::Drop => {
-                table.injected_dropped.fetch_add(1, Ordering::Relaxed);
-                // Same settlement as an organic drop: burn the destination's
-                // fetch credit so the entry cannot leak.
-                if let Some(id) = header.object_id {
-                    store.drop_credit(id);
+    table.injector.with(|injector| {
+        for &d in dst {
+            match injector.as_deref().map_or(InjectDecision::Deliver, |i| i.decide(header, d)) {
+                InjectDecision::Deliver => push_one(store, table, queues, header, d),
+                InjectDecision::Drop => {
+                    table.injected_dropped.fetch_add(1, Ordering::Relaxed);
+                    // Same settlement as an organic drop: burn the destination's
+                    // fetch credit so the entry cannot leak.
+                    if let Some(id) = header.object_id {
+                        store.drop_credit(id);
+                    }
                 }
-            }
-            InjectDecision::Duplicate(n) => {
-                // Mint the extra credits *before* enqueuing any copy: each
-                // copy spends one credit at fetch time. If the credits cannot
-                // be minted (entry already spent), fall back to one delivery.
-                let extra = header
-                    .object_id
-                    .map_or(0, |id| if store.add_credit(id, n as usize) { n } else { 0 });
-                table.injected_duplicated.fetch_add(extra as u64, Ordering::Relaxed);
-                for _ in 0..=extra {
-                    push_one(store, table, queues, header, d);
+                InjectDecision::Duplicate(n) => {
+                    // Mint the extra credits *before* enqueuing any copy: each
+                    // copy spends one credit at fetch time. If the credits cannot
+                    // be minted (entry already spent), fall back to one delivery.
+                    let extra = header
+                        .object_id
+                        .map_or(0, |id| if store.add_credit(id, n as usize) { n } else { 0 });
+                    table.injected_duplicated.fetch_add(extra as u64, Ordering::Relaxed);
+                    for _ in 0..=extra {
+                        push_one(store, table, queues, header, d);
+                    }
                 }
-            }
-            InjectDecision::Delay(delay) => {
-                let parked = {
-                    let guard = table.delay_tx.lock();
-                    guard.as_ref().is_some_and(|tx| {
-                        tx.send(DelayedDelivery {
-                            header: Arc::clone(header),
-                            dst: d,
-                            deliver_at: Instant::now() + delay,
+                InjectDecision::Delay(delay) => {
+                    let parked = {
+                        let guard = table.delay_tx.lock();
+                        guard.as_ref().is_some_and(|tx| {
+                            tx.send(DelayedDelivery {
+                                header: Arc::clone(header),
+                                dst: d,
+                                deliver_at: Instant::now() + delay,
+                            })
+                            .is_ok()
                         })
-                        .is_ok()
-                    })
-                };
-                if parked {
-                    table.injected_delayed.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    // No delay line (or it's gone): deliver immediately
-                    // rather than lose the message.
-                    push_one(store, table, queues, header, d);
+                    };
+                    if parked {
+                        table.injected_delayed.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        // No delay line (or it's gone): deliver immediately
+                        // rather than lose the message.
+                        push_one(store, table, queues, header, d);
+                    }
                 }
             }
         }
-    }
+    });
 }
 
 /// Delivers one header to one destination queue, settling the store credit if
 /// the destination is unreachable.
-fn push_one(
+pub(crate) fn push_one(
     store: &ObjectStore,
     table: &RoutingTable,
     queues: &HashMap<ProcessId, Sender<IdQueueMsg>>,
@@ -408,45 +393,46 @@ pub(crate) fn run_router(
         let delivers =
             batch.iter().filter(|c| matches!(c, RouterCmd::Deliver(_))).count() as i64;
         queue_depth.add(-delivers);
-        // One ID-queue snapshot per burst.
-        let queues = table.id_queues.load();
+        // One ID-queue snapshot per burst, borrowed for the local pushes.
         let mut shutdown = false;
-        for cmd in batch.drain(..) {
-            let delivery = match cmd {
-                RouterCmd::Deliver(d) => d,
-                RouterCmd::Shutdown => {
-                    // Keep draining: FIFO guarantees every message submitted
-                    // before shutdown precedes the sentinel, and racing
-                    // stragglers behind it still have store credits to settle.
-                    shutdown = true;
-                    continue;
+        table.id_queues.with(|queues| {
+            for cmd in batch.drain(..) {
+                let delivery = match cmd {
+                    RouterCmd::Deliver(d) => d,
+                    RouterCmd::Shutdown => {
+                        // Keep draining: FIFO guarantees every message submitted
+                        // before shutdown precedes the sentinel, and racing
+                        // stragglers behind it still have store credits to settle.
+                        shutdown = true;
+                        continue;
+                    }
+                };
+                let Delivery { header, local, remote } = delivery;
+                telemetry.emit(
+                    xt_telemetry::EventKind::Routed,
+                    header.id,
+                    (local.len() + remote.len()) as u64,
+                );
+                routed_messages.inc();
+                // Local destinations: hand the object id straight to their ID
+                // queues (one Arc clone each).
+                push_headers(&store, &table, queues, &header, &local);
+                // Remote machines: spend one credit per machine and group the
+                // envelope under its uplink; the whole burst flushes below.
+                for (machine, dst) in remote {
+                    let Some(id) = header.object_id else {
+                        table.add_dropped(dst.len() as u64);
+                        continue;
+                    };
+                    let Some(body) = store.fetch(id) else {
+                        table.add_dropped(dst.len() as u64);
+                        continue;
+                    };
+                    let envelope = RemoteEnvelope { header: (*header).clone(), body, dst };
+                    per_machine.entry(machine).or_default().push(envelope);
                 }
-            };
-            let Delivery { header, local, remote } = delivery;
-            telemetry.emit(
-                xt_telemetry::EventKind::Routed,
-                header.id,
-                (local.len() + remote.len()) as u64,
-            );
-            routed_messages.inc();
-            // Local destinations: hand the object id straight to their ID
-            // queues (one Arc clone each).
-            push_headers(&store, &table, &queues, &header, &local);
-            // Remote machines: spend one credit per machine and group the
-            // envelope under its uplink; the whole burst flushes below.
-            for (machine, dst) in remote {
-                let Some(id) = header.object_id else {
-                    table.add_dropped(dst.len() as u64);
-                    continue;
-                };
-                let Some(body) = store.fetch(id) else {
-                    table.add_dropped(dst.len() as u64);
-                    continue;
-                };
-                let envelope = RemoteEnvelope { header: (*header).clone(), body, dst };
-                per_machine.entry(machine).or_default().push(envelope);
             }
-        }
+        });
         // Flush remote groups: one uplink lookup per machine per burst. The
         // uplink thread pays the NIC cost so routing of subsequent local
         // traffic is never blocked behind a slow link.

@@ -42,7 +42,7 @@ impl std::error::Error for DeployError {}
 /// Spawns a named process thread, turning OS-level spawn failure (thread
 /// limits, exhausted stacks) into a [`DeployError`] the caller can surface
 /// instead of a panic that takes the whole deployment down.
-pub(crate) fn spawn_process<T: Send + 'static>(
+pub fn spawn_process<T: Send + 'static>(
     name: String,
     f: impl FnOnce() -> T + Send + 'static,
 ) -> Result<std::thread::JoinHandle<T>, DeployError> {

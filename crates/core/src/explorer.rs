@@ -9,8 +9,8 @@
 //! environment step.
 
 use crate::assignment::AssignmentTable;
-use crate::messages::{ControlCommand, ParamAck, StatsMsg};
-use crate::parameters::{IngestOutcome, ParamReceiver};
+use crate::messages::{ControlCommand, StatsMsg};
+use crate::parameters::ParamReceiver;
 use bytes::Bytes;
 use std::sync::Arc;
 use gymlite::{Environment, EpisodeTracker};
@@ -18,7 +18,7 @@ use xingtian_algos::api::{Agent, SyncMode};
 use xingtian_algos::payload::{RolloutBatch, RolloutStep};
 use xingtian_comm::Endpoint;
 use xingtian_message::codec::{Decode, Encode};
-use xingtian_message::{Header, MessageKind, ProcessId};
+use xingtian_message::{Message, MessageKind, ProcessId};
 
 /// How many rollout batches an explorer may have staged in its send buffer
 /// before it pauses generation (source-side flow control).
@@ -103,7 +103,7 @@ impl ExplorerProcess {
             // React to everything that has already arrived (parameters,
             // control commands) without blocking.
             while let Some(msg) = self.endpoint.try_recv() {
-                if self.handle_message(&msg.header, &msg.body, &mut params) {
+                if self.handle_message(&msg, &mut params) {
                     return ExplorerOutcome { tracker, batches_sent };
                 }
             }
@@ -153,7 +153,7 @@ impl ExplorerProcess {
                 }
                 while self.endpoint.send_backlog() >= MAX_INFLIGHT_BATCHES {
                     while let Some(msg) = self.endpoint.try_recv() {
-                        if self.handle_message(&msg.header, &msg.body, &mut params) {
+                        if self.handle_message(&msg, &mut params) {
                             return ExplorerOutcome { tracker, batches_sent };
                         }
                     }
@@ -193,7 +193,7 @@ impl ExplorerProcess {
                         let Some(msg) = self.endpoint.recv() else {
                             return ExplorerOutcome { tracker, batches_sent };
                         };
-                        if self.handle_message(&msg.header, &msg.body, &mut params) {
+                        if self.handle_message(&msg, &mut params) {
                             return ExplorerOutcome { tracker, batches_sent };
                         }
                         if self.agent.param_version() > sent_version {
@@ -206,31 +206,17 @@ impl ExplorerProcess {
     }
 
     /// Processes one incoming message. Returns `true` on shutdown.
-    fn handle_message(&mut self, header: &Header, body: &Bytes, params: &mut ParamReceiver) -> bool {
-        match header.kind {
+    fn handle_message(&mut self, msg: &Message, params: &mut ParamReceiver) -> bool {
+        match msg.header.kind {
             MessageKind::Parameters => {
-                match params.ingest(header.compression, body) {
-                    IngestOutcome::Applied(version) => {
-                        self.agent.apply_params(params.blob());
-                        self.ack(header.src, version, true);
-                    }
-                    IngestOutcome::Stale => {}
-                    // Undecodable against what we hold (respawn lost the
-                    // base, corrupt frame): report our actual version so the
-                    // learner rebases and resends full.
-                    IngestOutcome::Rejected { held } => self.ack(header.src, held, false),
-                }
+                let agent = &mut self.agent;
+                params.on_parameters(&self.endpoint, self.index, msg, |blob| agent.apply_params(blob));
                 false
             }
             MessageKind::Control => {
-                matches!(ControlCommand::from_bytes(body), Ok(ControlCommand::Shutdown))
+                matches!(ControlCommand::from_bytes(&msg.body), Ok(ControlCommand::Shutdown))
             }
             _ => false,
         }
-    }
-
-    fn ack(&self, to: ProcessId, version: u64, applied: bool) {
-        let ack = ParamAck { explorer: self.index, version, applied };
-        self.endpoint.send_to(vec![to], MessageKind::ParamAck, Bytes::from(ack.to_bytes()));
     }
 }

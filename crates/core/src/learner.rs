@@ -37,7 +37,7 @@ use xingtian_algos::api::{Algorithm, ShardedSync};
 use xingtian_algos::payload::BatchDecoder;
 use xingtian_comm::{Endpoint, ParamCompression, TransmissionStats};
 use xingtian_message::codec::{Decode, Encode};
-use xingtian_message::{Header, Message, MessageKind, ProcessId};
+use xingtian_message::{Message, MessageKind, ProcessId};
 
 /// How many already-arrived messages one pass decodes before it trains (or
 /// opens a lockstep round). At saturation every decoded rollout releases a
@@ -270,12 +270,8 @@ impl LearnerProcess {
         };
         if !notify.is_empty() {
             let blob = self.algorithm.param_blob();
-            let enc = run.broadcaster.encode(&blob, &notify);
-            let dst: Vec<ProcessId> = notify.iter().map(|&e| ProcessId::explorer(e)).collect();
-            let mut header = Header::new(self.endpoint.pid(), dst, MessageKind::Parameters)
-                .with_param_version(enc.version);
-            header.compression = enc.compression;
-            self.endpoint.send(Message::new(header, enc.body));
+            let dst = notify.iter().map(|&e| ProcessId::explorer(e)).collect();
+            run.broadcaster.encode(&blob, &notify).send(&self.endpoint, dst);
         }
         let stats = StatsMsg {
             source: StatsMsg::LEARNER,

@@ -29,14 +29,25 @@
 //! [`ParamReceiver`] is the explorer half: it holds the single current
 //! reconstruction and applies frames *in place* into recycled buffers
 //! (nothing is allocated per broadcast once warm).
+//!
+//! The hand-off over a channel is written once, for the learner, explorers
+//! and the serving fleet alike: [`EncodedBroadcast::send`] is the publish
+//! half (the one place a `Parameters` header is stamped),
+//! [`ParamReceiver::on_parameters`] the subscribe half (ingest, consume, ack
+//! or nack). A version is encoded **once**: a quantized encode consumes the
+//! previous one's error-feedback residual and reconstructs differently, and
+//! error feedback is only unbiased while the sender's model of each receiver
+//! is exact — so a sender with several destination groups (a rolling fleet
+//! swap) sends one frame to each, and a repeated encode of a version replaces
+//! its ring entry rather than shadow it.
 
 use crate::messages::ParamAck;
 use bytes::Bytes;
 use std::collections::{HashMap, VecDeque};
 use xingtian_algos::payload::ParamBlob;
-use xingtian_comm::ParamCompression;
+use xingtian_comm::{Endpoint, ParamCompression};
 use xingtian_message::codec::{decode_f32s_into, Decode, Encode, Reader};
-use xingtian_message::{param, CompressionKind};
+use xingtian_message::{param, CompressionKind, Header, Message, MessageKind, ProcessId};
 use xt_telemetry::{CounterHandle, Telemetry};
 
 /// Recent parameter versions the learner keeps as candidate delta bases.
@@ -56,6 +67,18 @@ pub struct EncodedBroadcast {
     pub compression: CompressionKind,
     /// The parameter version carried.
     pub version: u64,
+}
+
+impl EncodedBroadcast {
+    /// The publish half of the hand-off: sends this frame from `endpoint` to
+    /// `dst` as one `Parameters` message (callable once per destination
+    /// group; the body is shared). Returns whether the endpoint accepted it.
+    pub fn send(&self, endpoint: &Endpoint, dst: Vec<ProcessId>) -> bool {
+        let mut header = Header::new(endpoint.pid(), dst, MessageKind::Parameters)
+            .with_param_version(self.version);
+        header.compression = self.compression;
+        endpoint.send(Message::new(header, self.body.clone()))
+    }
 }
 
 /// Learner-side encoder state for the parameter plane. See the module docs.
@@ -160,11 +183,27 @@ impl ParamBroadcaster {
         self.ring.iter().position(|(v, _)| *v == first)
     }
 
+    /// One entry per version: a repeated encode replaces what it ringed.
     fn push_ring(&mut self, version: u64, recon: Vec<f32>) {
+        self.ring.retain(|(v, _)| *v != version);
         self.ring.push_back((version, recon));
         while self.ring.len() > RING_DEPTH {
             self.ring.pop_front();
         }
+    }
+
+    /// Rings `recon` — what a receiver of this delta/quantized frame holds —
+    /// and wraps the frame.
+    fn ringed(
+        &mut self,
+        version: u64,
+        recon: Vec<f32>,
+        body: Vec<u8>,
+        compression: CompressionKind,
+    ) -> EncodedBroadcast {
+        self.push_ring(version, recon);
+        self.delta_sends.inc();
+        EncodedBroadcast { body: Bytes::from(body), compression, version }
     }
 
     /// Full-f32 fallback: exact, so the error accumulator resets.
@@ -189,13 +228,7 @@ impl ParamBroadcaster {
         if body.len() >= blob.encoded_size() {
             return self.full(blob);
         }
-        self.push_ring(blob.version, blob.params.clone());
-        self.delta_sends.inc();
-        EncodedBroadcast {
-            body: Bytes::from(body),
-            compression: CompressionKind::DeltaF32,
-            version: blob.version,
-        }
+        self.ringed(blob.version, blob.params.clone(), body, CompressionKind::DeltaF32)
     }
 
     fn encode_quant(&mut self, blob: &ParamBlob) -> EncodedBroadcast {
@@ -211,13 +244,7 @@ impl ParamBroadcaster {
         for ((e, v), r) in self.err.iter_mut().zip(&values).zip(&recon) {
             *e = v - r;
         }
-        self.push_ring(blob.version, recon);
-        self.delta_sends.inc();
-        EncodedBroadcast {
-            body: Bytes::from(body),
-            compression: CompressionKind::QuantizedI8,
-            version: blob.version,
-        }
+        self.ringed(blob.version, recon, body, CompressionKind::QuantizedI8)
     }
 
     fn encode_delta_quant(&mut self, blob: &ParamBlob, base: Option<usize>) -> EncodedBroadcast {
@@ -239,13 +266,7 @@ impl ParamBroadcaster {
         for ((e, v), r) in self.err.iter_mut().zip(&values).zip(&recon) {
             *e = v - r;
         }
-        self.push_ring(blob.version, recon);
-        self.delta_sends.inc();
-        EncodedBroadcast {
-            body: Bytes::from(body),
-            compression: CompressionKind::DeltaQuantizedI8,
-            version: blob.version,
-        }
+        self.ringed(blob.version, recon, body, CompressionKind::DeltaQuantizedI8)
     }
 }
 
@@ -299,6 +320,31 @@ impl ParamReceiver {
     /// The current reconstruction, ready for `Agent::apply_params`.
     pub fn blob(&self) -> &ParamBlob {
         &self.blob
+    }
+
+    /// The subscribe half of the hand-off, for the receiver its sender knows
+    /// as `id`: ingests the `Parameters` message `msg`. Applied ⇒ `consume`
+    /// gets the new reconstruction and the sender an ack; undecodable against
+    /// what is held (a respawn lost the base, a corrupt frame) ⇒ a nack with
+    /// the held version, so the sender rebases and resends full; stale ⇒
+    /// nothing.
+    pub fn on_parameters(
+        &mut self,
+        endpoint: &Endpoint,
+        id: u32,
+        msg: &Message,
+        consume: impl FnOnce(&ParamBlob),
+    ) {
+        let (version, applied) = match self.ingest(msg.header.compression, &msg.body) {
+            IngestOutcome::Applied(version) => {
+                consume(&self.blob);
+                (version, true)
+            }
+            IngestOutcome::Rejected { held } => (held, false),
+            IngestOutcome::Stale => return,
+        };
+        let ack = ParamAck { explorer: id, version, applied };
+        endpoint.send_to(vec![msg.header.src], MessageKind::ParamAck, Bytes::from(ack.to_bytes()));
     }
 
     /// Applies one `Parameters` body (full blob or param-plane frame,
@@ -538,6 +584,23 @@ mod tests {
         // rounds; with it the reconstruction stays within a couple of
         // quantization steps of the truth.
         assert!(max_err < 5e-4, "reconstruction drifted: max err {max_err}");
+    }
+
+    #[test]
+    fn a_version_encoded_twice_is_ringed_once() {
+        let t = Telemetry::disabled();
+        let mut tx = ParamBroadcaster::new(ParamCompression::DeltaQuantizedI8, &t);
+        let b1 = blob(1, 1024, 23);
+        tx.encode(&b1, &[0, 1]);
+        // The same version to two destination groups: the second encode
+        // consumes the first's residual and reconstructs differently. The
+        // ring must not keep both under one version, where `common_base`
+        // would hand every destination the first.
+        let b2 = drift(&b1, 1e-3);
+        assert_eq!(tx.encode(&b2, &[0]).compression, CompressionKind::DeltaQuantizedI8);
+        assert_eq!(tx.encode(&b2, &[1]).compression, CompressionKind::DeltaQuantizedI8);
+        assert_eq!(tx.ring.iter().filter(|(v, _)| *v == 2).count(), 1);
+        assert_eq!(tx.ring.len(), 2, "one entry per version");
     }
 
     #[test]

@@ -215,26 +215,42 @@ impl RecoveryReport {
     }
 }
 
-/// Handle and bookkeeping for one supervised process slot: an explorer, or a
-/// learner shard (the classic deployment is the one-shard case).
-struct Slot<T> {
+/// Handle and bookkeeping for one supervised thread slot — an explorer, a
+/// learner shard (the classic deployment is the one-shard case), a serving
+/// replica's loop or parameter sink — and the one reap/respawn state machine
+/// ([`Slot::reap`]) their supervisors run.
+pub struct Slot<T> {
     handle: Option<JoinHandle<T>>,
     /// Times the slot was respawned (for a learner: restored).
     respawns: u32,
     /// Outcomes of every finished incarnation, oldest first (episode stats
     /// and learner work accumulate across respawns; a learner's final
     /// parameters and timeline come from the last).
-    outcomes: Vec<T>,
-    /// Death is proven (joined `Err`) but the respawn waits for the failure
-    /// detector to publish the matching `ProcessDown` first.
+    pub outcomes: Vec<T>,
+    /// Death is proven but the respawn waits for the failure detector to
+    /// publish the matching `ProcessDown` first.
     awaiting_detection: bool,
-    /// The elastic controller retired this explorer: a targeted shutdown is
-    /// in flight and the slot must not be respawned.
+    /// A targeted shutdown is in flight: the slot must not be respawned.
     retired: bool,
 }
 
+/// What one [`Slot::reap`] tick found.
+#[derive(Debug)]
+pub enum Reap {
+    /// No transition: running, awaiting the detector, or gone since earlier.
+    Unchanged,
+    /// The thread returned normally and stays down (shutdown reached it).
+    Left,
+    /// Died within budget, death published: the caller owes
+    /// [`Slot::restart`] incarnation number `generation` (1 = first respawn).
+    Respawn { generation: u32 },
+    /// Died out of budget, or retired. Reported once.
+    Exhausted,
+}
+
 impl<T> Slot<T> {
-    fn new(handle: JoinHandle<T>) -> Self {
+    /// A slot running its first incarnation.
+    pub fn new(handle: JoinHandle<T>) -> Self {
         Slot {
             handle: Some(handle),
             respawns: 0,
@@ -248,9 +264,43 @@ impl<T> Slot<T> {
     /// `wait` — keeping a normal exit's outcome. `Some(Err(()))` proves the
     /// thread panicked and fully unwound: its endpoint is deregistered, so
     /// the same `ProcessId` can re-register safely.
-    fn join(&mut self, wait: bool) -> Option<Result<(), ()>> {
+    pub fn join(&mut self, wait: bool) -> Option<Result<(), ()>> {
         let handle = self.handle.take_if(|h| wait || h.is_finished())?;
         Some(handle.join().map(|outcome| self.outcomes.push(outcome)).map_err(drop))
+    }
+
+    /// One supervision tick. Joins the thread if it finished: a panic is
+    /// proof of death, and so is a return whose outcome `died` says was not
+    /// an orderly exit. A death within `budget` waits until
+    /// `death_published` (the detector announced it, so telemetry shows the
+    /// `ProcessDown` before the next `ProcessUp`), then asks for the respawn.
+    /// A zero budget never respawns.
+    pub fn reap(
+        &mut self,
+        budget: u32,
+        died: impl FnOnce(&T) -> bool,
+        death_published: impl FnOnce() -> bool,
+    ) -> Reap {
+        if let Some(joined) = self.join(false) {
+            if joined.is_ok() && !self.outcomes.last().is_some_and(died) {
+                return Reap::Left;
+            }
+            if self.retired || self.respawns >= budget {
+                return Reap::Exhausted;
+            }
+            self.awaiting_detection = true;
+        }
+        if self.awaiting_detection && death_published() {
+            self.awaiting_detection = false;
+            self.respawns += 1;
+            return Reap::Respawn { generation: self.respawns };
+        }
+        Reap::Unchanged
+    }
+
+    /// Installs the incarnation a [`Reap::Respawn`] asked for.
+    pub fn restart(&mut self, handle: JoinHandle<T>) {
+        self.handle = Some(handle);
     }
 }
 
@@ -582,36 +632,28 @@ impl Deployment {
             for (i, slot) in slots.iter_mut().enumerate() {
                 let i_u32 = i as u32;
                 let pid = ProcessId::explorer(i_u32);
-                match slot.join(false) {
+                let budget = supervision.max_respawns_per_explorer;
+                match slot.reap(budget, |_| false, || death_published(pid)) {
+                    Reap::Unchanged => {}
                     // Normal exit (shutdown reached it).
-                    Some(Ok(())) => forget(pid),
-                    Some(Err(()))
-                        if !slot.retired
-                            && slot.respawns < supervision.max_respawns_per_explorer =>
-                    {
-                        slot.awaiting_detection = true;
-                    }
-                    Some(Err(())) => {
+                    Reap::Left => forget(pid),
+                    Reap::Exhausted => {
                         eprintln!("supervisor: explorer {i_u32} out of respawn budget, degrading");
                         degraded_explorers.push(i_u32);
                     }
-                    None => {}
-                }
-                if slot.awaiting_detection && death_published(pid) {
-                    slot.awaiting_detection = false;
-                    slot.respawns += 1;
-                    let generation = slot.respawns;
-                    let endpoint = brokers[machine_of(i_u32)].endpoint(pid);
-                    match spawn_explorer(i_u32, generation, endpoint, None) {
-                        Ok(h) => {
-                            explorer_respawns.push(i_u32);
-                            slot.handle = Some(h);
-                        }
-                        Err(e) => {
-                            eprintln!(
-                                "supervisor: cannot respawn explorer {i_u32} (degrading): {e}"
-                            );
-                            degraded_explorers.push(i_u32);
+                    Reap::Respawn { generation } => {
+                        let endpoint = brokers[machine_of(i_u32)].endpoint(pid);
+                        match spawn_explorer(i_u32, generation, endpoint, None) {
+                            Ok(h) => {
+                                explorer_respawns.push(i_u32);
+                                slot.restart(h);
+                            }
+                            Err(e) => {
+                                eprintln!(
+                                    "supervisor: cannot respawn explorer {i_u32} (degrading): {e}"
+                                );
+                                degraded_explorers.push(i_u32);
+                            }
                         }
                     }
                 }
@@ -626,56 +668,51 @@ impl Deployment {
             for (s, slot) in learner_slots.iter_mut().enumerate() {
                 let s_u32 = s as u32;
                 let pid = ProcessId::learner(s_u32);
-                match slot.join(false) {
-                    Some(Ok(())) => forget(pid),
-                    Some(Err(())) if slot.respawns < supervision.max_learner_restores => {
-                        slot.awaiting_detection = true;
+                let budget = supervision.max_learner_restores;
+                match slot.reap(budget, |_| false, || death_published(pid)) {
+                    Reap::Unchanged => continue,
+                    Reap::Left => {
+                        forget(pid);
+                        continue;
                     }
-                    Some(Err(())) => {
+                    Reap::Exhausted => {
                         fatal = Some(DeployError::new(format!(
                             "learner shard {s_u32} died and is out of restore budget"
                         )));
                         break 'supervise;
                     }
-                    None => {}
+                    Reap::Respawn { .. } => learner_restores += 1,
                 }
-                if slot.awaiting_detection && death_published(pid) {
-                    slot.awaiting_detection = false;
-                    slot.respawns += 1;
-                    learner_restores += 1;
-                    let mut algorithm = build_shard_algorithm(s_u32);
-                    let restored = config
-                        .checkpoint
-                        .as_ref()
-                        .map(|c| load_latest(checkpoint_dir(&c.dir, s_u32)));
-                    match restored {
-                        Some(Ok(blob)) => {
-                            restored_param_version = Some(blob.version);
-                            algorithm.adopt_params(&blob.params, blob.version);
-                        }
-                        Some(Err(e)) => {
-                            eprintln!(
-                                "supervisor: learner shard {s_u32} restarting from scratch \
-                                 (no restorable checkpoint: {e})"
-                            );
-                        }
-                        None => {
-                            eprintln!(
-                                "supervisor: learner shard {s_u32} restarting from scratch \
-                                 (checkpointing disabled)"
-                            );
-                        }
+                let mut algorithm = build_shard_algorithm(s_u32);
+                let restored =
+                    config.checkpoint.as_ref().map(|c| load_latest(checkpoint_dir(&c.dir, s_u32)));
+                match restored {
+                    Some(Ok(blob)) => {
+                        restored_param_version = Some(blob.version);
+                        algorithm.adopt_params(&blob.params, blob.version);
                     }
-                    let endpoint = learner_broker.endpoint(pid);
-                    if s_u32 == 0 {
-                        rollout_latency_src = endpoint.delivery_stats_arc();
+                    Some(Err(e)) => {
+                        eprintln!(
+                            "supervisor: learner shard {s_u32} restarting from scratch \
+                             (no restorable checkpoint: {e})"
+                        );
                     }
-                    match spawn_learner(s_u32, algorithm, endpoint, None) {
-                        Ok(h) => slot.handle = Some(h),
-                        Err(e) => {
-                            fatal = Some(e);
-                            break 'supervise;
-                        }
+                    None => {
+                        eprintln!(
+                            "supervisor: learner shard {s_u32} restarting from scratch \
+                             (checkpointing disabled)"
+                        );
+                    }
+                }
+                let endpoint = learner_broker.endpoint(pid);
+                if s_u32 == 0 {
+                    rollout_latency_src = endpoint.delivery_stats_arc();
+                }
+                match spawn_learner(s_u32, algorithm, endpoint, None) {
+                    Ok(h) => slot.restart(h),
+                    Err(e) => {
+                        fatal = Some(e);
+                        break 'supervise;
                     }
                 }
             }

@@ -9,12 +9,12 @@ use netsim::Cluster;
 use std::time::Duration;
 use xingtian::config::{AlgorithmSpec, DeploymentConfig};
 use xingtian::messages::ParamAck;
-use xingtian::{Deployment, IngestOutcome, ParamBroadcaster, ParamReceiver};
+use xingtian::{Deployment, ParamBroadcaster, ParamReceiver};
 use xingtian_algos::payload::ParamBlob;
 use xingtian_algos::{DqnConfig, GradBlob, LazyGradConfig, LazyGradGate};
 use xingtian_comm::{Broker, CommConfig, Endpoint, ParamCompression};
 use xingtian_message::codec::{Decode, Encode};
-use xingtian_message::{CompressionKind, Header, Message, MessageKind, ProcessId};
+use xingtian_message::{CompressionKind, MessageKind, ProcessId};
 
 const N_PARAMS: usize = 8192;
 
@@ -48,26 +48,14 @@ fn broadcast_round(
 ) -> CompressionKind {
     let dst: Vec<u32> = (0..explorers.len() as u32).collect();
     let enc = tx.encode(blob, &dst);
-    let kind = enc.compression;
-    let pids: Vec<ProcessId> = dst.iter().map(|&e| ProcessId::explorer(e)).collect();
-    let mut header = Header::new(learner.pid(), pids, MessageKind::Parameters)
-        .with_param_version(enc.version);
-    header.compression = enc.compression;
-    assert!(learner.send(Message::new(header, enc.body)));
+    assert!(enc.send(learner, dst.iter().map(|&e| ProcessId::explorer(e)).collect()));
 
     for (i, (ep, rx)) in explorers.iter_mut().enumerate() {
         let msg = ep
             .recv_timeout(Duration::from_secs(10))
             .unwrap_or_else(|| panic!("explorer {i} missed v{}", blob.version));
         assert_eq!(msg.header.kind, MessageKind::Parameters);
-        let ack = match rx.ingest(msg.header.compression, &msg.body) {
-            IngestOutcome::Applied(v) => ParamAck { explorer: i as u32, version: v, applied: true },
-            IngestOutcome::Stale => continue,
-            IngestOutcome::Rejected { held } => {
-                ParamAck { explorer: i as u32, version: held, applied: false }
-            }
-        };
-        ep.send_to(vec![learner.pid()], MessageKind::ParamAck, Bytes::from(ack.to_bytes()));
+        rx.on_parameters(ep, i as u32, &msg, |_| {});
     }
     // Fold whatever acks have arrived back into the broadcaster (the real
     // learner does this opportunistically between training sessions too).
@@ -76,7 +64,7 @@ fn broadcast_round(
             tx.on_ack(&ParamAck::from_bytes(&msg.body).expect("well-formed ack"));
         }
     }
-    kind
+    enc.compression
 }
 
 #[test]

@@ -6,16 +6,21 @@
 //! assignment ([`xingtian_comm::pid_hash`]), so a client sticks to one
 //! replica and the fleet spreads load without coordination.
 //!
-//! Supervision follows the training plane's supervisor idiom: [`poll`]
-//! notices serve loops that exited dirty (endpoint death), reloads the
-//! latest checkpoint (falling back to the dead replica's last in-memory
-//! policy), and respawns. [`shutdown`] broadcasts `Shutdown` to every
+//! Supervision is the training plane's: a replica's serve loop and its
+//! parameter sink are each a [`xingtian::supervisor::Slot`], and [`poll`]
+//! runs the supervisor's reap/respawn state machine ([`Slot::reap`]) over
+//! both — unbounded budget, no detector to wait for. A serve loop that
+//! exited dirty (endpoint death) comes back on the latest checkpoint, else
+//! on the replica's in-memory policy; a sink that died, alone or not, comes
+//! back seeded with the policy being served, so the delta chain resumes
+//! after at most one nack. [`shutdown`] broadcasts `Shutdown` to every
 //! replica and sink, which drain their in-flight requests before exiting.
 //!
 //! [`ParamPublisher`] is the learner-side attachment point: it wraps a
 //! [`ParamBroadcaster`] addressing the fleet's parameter sinks, so a live
 //! training loop (or a bench thread standing in for one) hot-swaps the
-//! whole fleet with the same delta/quantized frames explorers receive.
+//! whole fleet with the same delta/quantized frames explorers receive — one
+//! frame per version, which a rolling swap sends N times.
 //!
 //! [`poll`]: ServeFleet::poll
 //! [`shutdown`]: ServeFleet::shutdown
@@ -26,14 +31,16 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use xingtian::checkpoint::load_latest;
+use xingtian::deployment::spawn_process;
 use xingtian::messages::{ControlCommand, ParamAck};
+use xingtian::supervisor::{Reap, Slot};
 use xingtian::ParamBroadcaster;
 use xingtian_algos::ParamBlob;
-use xingtian_comm::{pid_hash, Broker, Endpoint, ParamCompression};
+use xingtian_comm::{pid_hash, Broker, Endpoint, ParamCompression, SnapshotCell};
 use xingtian_message::codec::{Decode, Encode};
-use xingtian_message::{Header, Message, MessageKind, ProcessId};
+use xingtian_message::{MessageKind, ProcessId};
 
-use crate::policy::{Policy, PolicyCell};
+use crate::policy::Policy;
 use crate::replica::{run_param_sink, ReplicaOutcome, ServeReplica};
 use crate::{ServeConfig, CLIENT_OFFSET, PARAM_SINK_OFFSET};
 
@@ -52,26 +59,22 @@ pub struct FleetReport {
     pub served_rows: u64,
     /// Requests answered with explicit `Shed` replies.
     pub sheds: u64,
-    /// Serve loops respawned after dirty deaths.
+    /// Serve loops and parameter sinks respawned after dirty deaths.
     pub respawns: u64,
 }
 
-struct ReplicaSlot {
-    index: u32,
-    cell: Arc<PolicyCell>,
-    serve: Option<JoinHandle<ReplicaOutcome>>,
-    sink: Option<JoinHandle<()>>,
-    /// Outcomes of serve loops that already exited (deaths before shutdown).
-    banked: ReplicaOutcome,
+struct Replica {
+    cell: Arc<SnapshotCell<Policy>>,
+    serve: Slot<ReplicaOutcome>,
+    sink: Slot<()>,
 }
 
 /// A running fleet of serving replicas. See the module docs.
 pub struct ServeFleet {
     broker: Broker,
     config: ServeConfig,
-    sizes: Vec<usize>,
     control: Endpoint,
-    slots: Vec<ReplicaSlot>,
+    replicas: Vec<Replica>,
     respawns: u64,
 }
 
@@ -80,15 +83,22 @@ impl ServeFleet {
     pub fn start(broker: &Broker, config: ServeConfig, initial: &ParamBlob) -> Self {
         config.validate();
         let sizes = config.sizes();
-        let slots = (0..config.replicas as u32)
-            .map(|i| spawn_slot(broker, &config, &sizes, i, initial))
+        let replicas = (0..config.replicas as u32)
+            .map(|index| {
+                let cell = Arc::new(SnapshotCell::new(Policy::from_blob(&sizes, initial)));
+                let sink = spawn_sink(broker, &sizes, index, Arc::clone(&cell), initial.clone());
+                Replica {
+                    serve: Slot::new(spawn_serve(broker, &config, index, Arc::clone(&cell))),
+                    sink: Slot::new(sink),
+                    cell,
+                }
+            })
             .collect();
         ServeFleet {
             broker: broker.clone(),
             config,
-            sizes,
             control: broker.endpoint(ProcessId::controller(FLEET_CONTROL)),
-            slots,
+            replicas,
             respawns: 0,
         }
     }
@@ -96,62 +106,43 @@ impl ServeFleet {
     /// The replica `client` should address: consistent-hash assignment, so
     /// each client sticks to one replica and load spreads uniformly.
     pub fn replica_for(&self, client: ProcessId) -> ProcessId {
-        ProcessId::server((pid_hash(client) % self.slots.len() as u64) as u32)
+        ProcessId::server((pid_hash(client) % self.replicas.len() as u64) as u32)
     }
 
     /// Number of replicas.
     pub fn replicas(&self) -> usize {
-        self.slots.len()
+        self.replicas.len()
     }
 
     /// Parameter version each replica currently serves (test/ops probe).
     pub fn versions(&self) -> Vec<u64> {
-        self.slots.iter().map(|s| s.cell.version()).collect()
+        self.replicas.iter().map(|r| r.cell.with(|p| p.version)).collect()
     }
 
-    /// Supervision tick: respawns serve loops that died dirty, reloading
+    /// Supervision tick: respawns serve loops that died dirty — reloading
     /// the latest checkpoint when one is configured and readable, else the
-    /// dead replica's last in-memory policy. Returns respawns performed.
+    /// replica's in-memory policy — and sinks that died (a sink returns only
+    /// on shutdown, which consumes the fleet, so one found finished here is
+    /// dead), seeded with the policy being served. Returns respawns performed.
     pub fn poll(&mut self) -> u64 {
         let mut respawned = 0;
-        for slot in &mut self.slots {
-            let finished = slot.serve.as_ref().is_some_and(|h| h.is_finished());
-            if !finished {
-                continue;
+        for (index, r) in (0..).zip(&mut self.replicas) {
+            if let Reap::Respawn { .. } = r.serve.reap(u32::MAX, |o| !o.clean, || true) {
+                let checkpoint =
+                    self.config.checkpoint_dir.as_ref().and_then(|dir| load_latest(dir).ok());
+                if let Some(blob) = checkpoint.filter(|b| b.version != r.cell.with(|p| p.version)) {
+                    r.cell.publish(Policy::from_blob(&self.config.sizes(), &blob));
+                }
+                let cell = Arc::clone(&r.cell);
+                r.serve.restart(spawn_serve(&self.broker, &self.config, index, cell));
+                respawned += 1;
             }
-            let outcome =
-                slot.serve.take().expect("checked above").join().unwrap_or_default();
-            bank(&mut slot.banked, &outcome);
-            if outcome.clean {
-                continue; // orderly exit: do not resurrect
+            if let Reap::Respawn { .. } = r.sink.reap(u32::MAX, |()| true, || true) {
+                let (cell, seed) = (Arc::clone(&r.cell), r.cell.load().to_blob());
+                let sizes = self.config.sizes();
+                r.sink.restart(spawn_sink(&self.broker, &sizes, index, cell, seed));
+                respawned += 1;
             }
-            let blob = self
-                .config
-                .checkpoint_dir
-                .as_ref()
-                .and_then(|dir| load_latest(dir).ok())
-                .unwrap_or_else(|| slot.cell.load().to_blob());
-            if blob.version != slot.cell.version() {
-                slot.cell.publish(Arc::new(Policy::from_blob(&self.sizes, &blob)));
-            }
-            slot.serve = Some(spawn_serve(
-                &self.broker,
-                &self.config,
-                slot.index,
-                Arc::clone(&slot.cell),
-            ));
-            // The sink thread dies with its own endpoint; give it back too.
-            if slot.sink.as_ref().is_some_and(|h| h.is_finished()) {
-                let _ = slot.sink.take().expect("checked above").join();
-                slot.sink = Some(spawn_sink(
-                    &self.broker,
-                    &self.sizes,
-                    slot.index,
-                    Arc::clone(&slot.cell),
-                    blob,
-                ));
-            }
-            respawned += 1;
         }
         self.respawns += respawned;
         respawned
@@ -161,56 +152,22 @@ impl ServeFleet {
     /// requests, and reports the fleet's lifetime totals.
     pub fn shutdown(mut self) -> FleetReport {
         let body = Bytes::from(ControlCommand::Shutdown.to_bytes());
-        for slot in &self.slots {
-            self.control.send_to(
-                vec![ProcessId::server(slot.index)],
-                MessageKind::Control,
-                body.clone(),
-            );
-            self.control.send_to(
-                vec![ProcessId::server(PARAM_SINK_OFFSET + slot.index)],
-                MessageKind::Control,
-                body.clone(),
-            );
-        }
+        let dst = (0..self.replicas.len() as u32)
+            .flat_map(|i| [ProcessId::server(i), ProcessId::server(PARAM_SINK_OFFSET + i)])
+            .collect();
+        self.control.send_to(dst, MessageKind::Control, body);
         let mut report = FleetReport { respawns: self.respawns, ..FleetReport::default() };
-        for slot in &mut self.slots {
-            if let Some(h) = slot.serve.take() {
-                let outcome = h.join().unwrap_or_default();
-                bank(&mut slot.banked, &outcome);
+        for r in &mut self.replicas {
+            r.serve.join(true);
+            r.sink.join(true);
+            for outcome in &r.serve.outcomes {
+                report.served_requests += outcome.served_requests;
+                report.served_rows += outcome.served_rows;
+                report.sheds += outcome.sheds;
             }
-            if let Some(h) = slot.sink.take() {
-                let _ = h.join();
-            }
-            report.served_requests += slot.banked.served_requests;
-            report.served_rows += slot.banked.served_rows;
-            report.sheds += slot.banked.sheds;
         }
         self.control.close();
         report
-    }
-}
-
-fn bank(into: &mut ReplicaOutcome, outcome: &ReplicaOutcome) {
-    into.served_requests += outcome.served_requests;
-    into.served_rows += outcome.served_rows;
-    into.sheds += outcome.sheds;
-}
-
-fn spawn_slot(
-    broker: &Broker,
-    config: &ServeConfig,
-    sizes: &[usize],
-    index: u32,
-    blob: &ParamBlob,
-) -> ReplicaSlot {
-    let cell = Arc::new(PolicyCell::new(Arc::new(Policy::from_blob(sizes, blob))));
-    ReplicaSlot {
-        index,
-        cell: Arc::clone(&cell),
-        serve: Some(spawn_serve(broker, config, index, Arc::clone(&cell))),
-        sink: Some(spawn_sink(broker, sizes, index, cell, blob.clone())),
-        banked: ReplicaOutcome::default(),
     }
 }
 
@@ -218,34 +175,27 @@ fn spawn_serve(
     broker: &Broker,
     config: &ServeConfig,
     index: u32,
-    cell: Arc<PolicyCell>,
+    cell: Arc<SnapshotCell<Policy>>,
 ) -> JoinHandle<ReplicaOutcome> {
-    let replica = ServeReplica {
-        index,
-        endpoint: broker.endpoint(ProcessId::server(index)),
-        cell,
-        config: config.clone(),
-    };
-    std::thread::Builder::new()
-        .name(format!("serve-{index}"))
-        .spawn(move || replica.run())
-        .expect("spawn serve thread")
+    let endpoint = broker.endpoint(ProcessId::server(index));
+    let replica = ServeReplica { endpoint, cell, config: config.clone() };
+    spawn_process(format!("serve-{index}"), move || replica.run()).expect("spawn serve thread")
 }
 
 fn spawn_sink(
     broker: &Broker,
     sizes: &[usize],
     index: u32,
-    cell: Arc<PolicyCell>,
+    cell: Arc<SnapshotCell<Policy>>,
     seed: ParamBlob,
 ) -> JoinHandle<()> {
     let sink_index = PARAM_SINK_OFFSET + index;
     let endpoint = broker.endpoint(ProcessId::server(sink_index));
     let sizes = sizes.to_vec();
-    std::thread::Builder::new()
-        .name(format!("serve-sink-{index}"))
-        .spawn(move || run_param_sink(endpoint, cell, sizes, sink_index, seed))
-        .expect("spawn sink thread")
+    spawn_process(format!("serve-sink-{index}"), move || {
+        run_param_sink(endpoint, cell, sizes, sink_index, seed)
+    })
+    .expect("spawn sink thread")
 }
 
 /// Learner-side attachment: broadcasts parameter versions to every replica's
@@ -288,32 +238,25 @@ impl ParamPublisher {
     /// core-starved hosts a simultaneous fleet-wide swap is exactly the
     /// kind of thundering herd that blows the inference tail latency.
     ///
+    /// Either way the version is encoded **once** and every sink is sent
+    /// that frame, so every replica reconstructs the same weights and the
+    /// encoder's model of what they hold stays exact.
+    ///
     /// [`publish`]: ParamPublisher::publish
     pub fn publish_staggered(&mut self, blob: &ParamBlob, gap: Duration) -> u64 {
         self.pump_acks();
-        if gap.is_zero() {
-            let enc = self.broadcaster.encode(blob, &self.sinks);
-            let dst: Vec<ProcessId> =
-                self.sinks.iter().map(|&s| ProcessId::server(s)).collect();
-            self.send_parameters(dst, enc);
-            return blob.version;
-        }
-        for (i, &sink) in self.sinks.clone().iter().enumerate() {
+        let frame = self.broadcaster.encode(blob, &self.sinks);
+        // One message to everyone, or one message per sink `gap` apart.
+        let sinks = self.sinks.clone();
+        let group = if gap.is_zero() { sinks.len().max(1) } else { 1 };
+        for (i, dst) in sinks.chunks(group).enumerate() {
             if i > 0 {
                 std::thread::sleep(gap);
                 self.pump_acks();
             }
-            let enc = self.broadcaster.encode(blob, &[sink]);
-            self.send_parameters(vec![ProcessId::server(sink)], enc);
+            frame.send(&self.endpoint, dst.iter().map(|&s| ProcessId::server(s)).collect());
         }
         blob.version
-    }
-
-    fn send_parameters(&self, dst: Vec<ProcessId>, enc: xingtian::EncodedBroadcast) {
-        let mut header = Header::new(self.endpoint.pid(), dst, MessageKind::Parameters)
-            .with_param_version(enc.version);
-        header.compression = enc.compression;
-        self.endpoint.send(Message::new(header, enc.body));
     }
 
     /// Drains ack/nack replies into the broadcaster. Returns acks folded.
@@ -348,5 +291,65 @@ impl ParamPublisher {
     /// Closes the publisher's endpoint.
     pub fn close(self) {
         self.endpoint.close();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netsim::Cluster;
+    use tinynn::{Activation, Mlp};
+    use xingtian_comm::CommConfig;
+    use xt_telemetry::Telemetry;
+
+    const SIZES: [usize; 4] = [4, 32, 32, 2];
+    const LAST: u64 = 7;
+
+    /// Walks a 2-replica fleet v2..=LAST with `DeltaQuantizedI8` frames sent
+    /// `gap` apart; returns each replica's parameter bits at every version.
+    fn walk(gap: Duration) -> Vec<[Vec<u32>; 2]> {
+        let telemetry = Telemetry::enabled();
+        let broker =
+            Broker::with_telemetry(0, Cluster::single(), CommConfig::default(), telemetry.clone());
+        let params = Mlp::new(&SIZES, Activation::Relu, 1).params().to_vec();
+        let mut blob = ParamBlob { version: 1, params };
+        let config = ServeConfig::new(2, SIZES[0], SIZES[3]).with_hidden(SIZES[1..3].to_vec());
+        let fleet = ServeFleet::start(&broker, config, &blob);
+        let mut publisher = ParamPublisher::new(&broker, 2, ParamCompression::DeltaQuantizedI8);
+        let mut seen = Vec::new();
+        for version in 2..=LAST {
+            blob.version = version;
+            for (i, p) in blob.params.iter_mut().enumerate() {
+                *p += 1e-3 * (((i as u64 * 31 + version * 17) % 13) as f32 - 6.0);
+            }
+            publisher.publish_staggered(&blob, gap);
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while fleet.versions() != vec![version; 2] {
+                assert!(std::time::Instant::now() < deadline, "fleet never reached v{version}");
+                publisher.pump_acks();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            seen.push([0, 1].map(|r: usize| {
+                let policy = fleet.replicas[r].cell.load();
+                policy.mlp.params().iter().map(|p| p.to_bits()).collect()
+            }));
+        }
+        assert!(
+            telemetry.counter("param.delta_sends").get() >= LAST - 2,
+            "the walk must ride quantized deltas, not full sends"
+        );
+        fleet.shutdown();
+        publisher.close();
+        broker.shutdown();
+        seen
+    }
+
+    #[test]
+    fn a_rolling_swap_gives_every_replica_the_same_weights() {
+        let rolling = walk(Duration::from_millis(2));
+        for (i, [a, b]) in rolling.iter().enumerate() {
+            assert!(a == b, "replicas differ at v{}", i + 2);
+        }
+        assert!(rolling == walk(Duration::ZERO), "a rolling swap and a fanned-out one must agree");
     }
 }

@@ -10,13 +10,15 @@
 //!   rows or `max_wait_us`, then answers the whole batch with **one** fused
 //!   `Mlp::forward_ws` pass, amortizing per-query inference cost exactly as
 //!   vectorized environment stepping does on the training side.
-//! * [`PolicyCell`] — a lock-free double-buffered policy slot (AtomicPtr
-//!   Arc swap, the `SnapshotCell` idiom with bounded reclamation) so a live
-//!   learner's delta/quantized parameter broadcasts hot-swap weights
-//!   mid-traffic without ever stalling an inference pass.
+//! * [`Policy`] in an [`xingtian_comm::SnapshotCell`] — the comm fabric's
+//!   lock-free publish cell is the hot-swap slot, so a live learner's
+//!   delta/quantized parameter broadcasts (ingested through the parameter
+//!   plane's shared subscriber, as explorers do) swap weights mid-traffic
+//!   without ever stalling an inference pass.
 //! * [`ServeFleet`] — N replicas behind the consistent-hash router
-//!   ([`xingtian_comm::pid_hash`]) with supervisor-style respawn from the
-//!   latest checkpoint and drain-on-shutdown.
+//!   ([`xingtian_comm::pid_hash`]) under the training plane's `Slot`
+//!   reap/respawn state machine: serve loops respawn from the latest
+//!   checkpoint, sinks from the policy being served; drain-on-shutdown.
 //! * Graceful degradation — replicas bound their admission queue and answer
 //!   excess load with explicit `Shed` replies ([`InferReply::shed`]) instead
 //!   of unbounded latency; a well-formed request is *never* silently dropped.
@@ -35,7 +37,7 @@ pub mod replica;
 
 pub use client::ServeClient;
 pub use fleet::{FleetReport, ParamPublisher, ServeFleet};
-pub use policy::{Policy, PolicyCell};
+pub use policy::Policy;
 pub use replica::{ReplicaOutcome, ServeReplica};
 
 /// Index offset separating a replica's parameter-sink endpoint

@@ -12,7 +12,7 @@
 //! * the **parameter sink** (`ProcessId::server(PARAM_SINK_OFFSET + i)`) —
 //!   a [`ParamReceiver`] ingesting live learner broadcasts (full, delta, or
 //!   quantized frames). Every applied version is rebuilt into a fresh
-//!   [`Policy`] and published through the replica's [`PolicyCell`], so the
+//!   [`Policy`] and published through the replica's `SnapshotCell<Policy>`, so the
 //!   serve loop picks up new weights at its next batch without ever
 //!   blocking on the swap. Acks/nacks flow back so the broadcaster's
 //!   delta-base bookkeeping self-heals (a sink joining mid-chain converges
@@ -25,14 +25,15 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use tinynn::Workspace;
-use xingtian::messages::{ControlCommand, ParamAck};
-use xingtian::{IngestOutcome, ParamReceiver};
+use xingtian::messages::ControlCommand;
+use xingtian::ParamReceiver;
 use xingtian_algos::ParamBlob;
-use xingtian_comm::Endpoint;
+use xingtian_comm::{Endpoint, SnapshotCell};
 use xingtian_message::codec::{Decode, Encode};
 use xingtian_message::{InferReply, InferRequest, Message, MessageKind, ProcessId};
+use xt_telemetry::{CounterHandle, HistogramHandle};
 
-use crate::policy::{Policy, PolicyCell};
+use crate::policy::Policy;
 use crate::ServeConfig;
 
 /// What a serve loop did before it stopped.
@@ -52,12 +53,10 @@ pub struct ReplicaOutcome {
 /// One serving replica's inference loop. Constructed by the fleet; `run`
 /// consumes it on its own thread.
 pub struct ServeReplica {
-    /// Replica index (== the inference endpoint's `ProcessId::server` index).
-    pub index: u32,
-    /// The inference endpoint.
+    /// The inference endpoint (`ProcessId::server(i)` for replica `i`).
     pub endpoint: Endpoint,
     /// The hot-swappable policy shared with this replica's parameter sink.
-    pub cell: Arc<PolicyCell>,
+    pub cell: Arc<SnapshotCell<Policy>>,
     /// Fleet configuration (batching bounds, shed watermark, debug hooks).
     pub config: ServeConfig,
 }
@@ -69,51 +68,55 @@ struct Staged {
     enqueued: Instant,
 }
 
+/// Per-run mutable state of one serve loop: its instruments, the batching
+/// window, the forward workspace, and the outcome so far.
+struct ServeRun {
+    requests: CounterHandle,
+    served: CounterHandle,
+    sheds: CounterHandle,
+    malformed: CounterHandle,
+    batch_size: HistogramHandle,
+    queue_us: HistogramHandle,
+    infer_us: HistogramHandle,
+    ws: Workspace,
+    /// The window: requests admitted since the last flush, and the rows
+    /// they ask for.
+    staged: Vec<Staged>,
+    rows: usize,
+    batch_obs: Vec<f32>,
+    out: ReplicaOutcome,
+}
+
 impl ServeReplica {
     /// Runs the serve loop until shutdown or endpoint death.
     pub fn run(self) -> ReplicaOutcome {
-        let tel = self.endpoint.telemetry().clone();
-        let requests = tel.counter("serve.requests");
-        let served = tel.counter("serve.served");
-        let sheds = tel.counter("serve.sheds");
-        let malformed = tel.counter("serve.malformed");
-        let batch_size = tel.histogram("serve.batch_size");
-        let queue_us = tel.histogram("serve.queue_us");
-        let infer_us = tel.histogram("serve.infer_us");
-
-        let mut ws = Workspace::new();
-        let mut staged: Vec<Staged> = Vec::with_capacity(self.config.max_batch);
-        let mut batch_obs: Vec<f32> = Vec::with_capacity(self.config.max_batch * self.config.obs_dim);
-        let mut out = ReplicaOutcome::default();
+        let tel = self.endpoint.telemetry();
+        let max_batch = self.config.max_batch;
+        let mut run = ServeRun {
+            requests: tel.counter("serve.requests"),
+            served: tel.counter("serve.served"),
+            sheds: tel.counter("serve.sheds"),
+            malformed: tel.counter("serve.malformed"),
+            batch_size: tel.histogram("serve.batch_size"),
+            queue_us: tel.histogram("serve.queue_us"),
+            infer_us: tel.histogram("serve.infer_us"),
+            ws: Workspace::new(),
+            staged: Vec::with_capacity(max_batch),
+            rows: 0,
+            batch_obs: Vec::with_capacity(max_batch * self.config.obs_dim),
+            out: ReplicaOutcome::default(),
+        };
 
         loop {
             let Some(first) = self.endpoint.recv() else {
-                return out; // endpoint closed: dirty death, fleet respawns
+                return run.out; // endpoint closed: dirty death, fleet respawns
             };
-            let mut shutdown = false;
-            match first.header.kind {
-                MessageKind::Control => shutdown = is_shutdown(&first),
-                MessageKind::InferRequest => {
-                    requests.add(1);
-                    match InferRequest::from_bytes(&first.body) {
-                        Ok(req) => staged.push(Staged {
-                            reply_to: first.header.src,
-                            request: req,
-                            enqueued: first.header.created_at,
-                        }),
-                        // A malformed body carries no id to answer; count it
-                        // loudly instead of pretending it was served.
-                        Err(_) => malformed.add(1),
-                    }
-                }
-                _ => {}
-            }
+            let mut shutdown = self.admit(&mut run, &first, false);
 
             // Batching window: wait up to max_wait_us for the batch to fill.
-            if !staged.is_empty() {
+            if !run.staged.is_empty() {
                 let deadline = Instant::now() + Duration::from_micros(self.config.max_wait_us);
-                let mut rows: usize = staged.iter().map(|s| s.request.rows as usize).sum();
-                while rows < self.config.max_batch && !shutdown {
+                while run.rows < max_batch && !shutdown {
                     let now = Instant::now();
                     if now >= deadline {
                         break;
@@ -121,27 +124,10 @@ impl ServeReplica {
                     let Some(msg) = self.endpoint.recv_timeout(deadline - now) else {
                         break; // window elapsed (or endpoint closed; recv picks that up)
                     };
-                    match msg.header.kind {
-                        MessageKind::Control => shutdown = is_shutdown(&msg),
-                        MessageKind::InferRequest => {
-                            requests.add(1);
-                            match InferRequest::from_bytes(&msg.body) {
-                                Ok(req) => {
-                                    rows += req.rows as usize;
-                                    staged.push(Staged {
-                                        reply_to: msg.header.src,
-                                        request: req,
-                                        enqueued: msg.header.created_at,
-                                    });
-                                }
-                                Err(_) => malformed.add(1),
-                            }
-                        }
-                        _ => {}
-                    }
+                    shutdown = self.admit(&mut run, &msg, false);
                 }
 
-                self.flush(&mut staged, &mut batch_obs, &mut ws, &mut out, &served, &queue_us, &infer_us, &batch_size);
+                self.flush(&mut run);
 
                 // Graceful degradation: a backlog deeper than the watermark
                 // after a full-speed batch means we are past capacity —
@@ -149,21 +135,7 @@ impl ServeReplica {
                 // stays bounded.
                 while self.endpoint.pending() > self.config.shed_watermark {
                     let Some(msg) = self.endpoint.try_recv() else { break };
-                    match msg.header.kind {
-                        MessageKind::Control => shutdown = is_shutdown(&msg),
-                        MessageKind::InferRequest => {
-                            requests.add(1);
-                            match InferRequest::from_bytes(&msg.body) {
-                                Ok(req) => {
-                                    self.shed(msg.header.src, &req);
-                                    sheds.add(1);
-                                    out.sheds += 1;
-                                }
-                                Err(_) => malformed.add(1),
-                            }
-                        }
-                        _ => {}
-                    }
+                    shutdown |= self.admit(&mut run, &msg, true);
                 }
             }
 
@@ -171,42 +143,55 @@ impl ServeReplica {
                 // Drain: everything already accepted gets served, in
                 // max_batch-sized passes, before the replica leaves.
                 while let Some(msg) = self.endpoint.try_recv() {
-                    if msg.header.kind == MessageKind::InferRequest {
-                        requests.add(1);
-                        match InferRequest::from_bytes(&msg.body) {
-                            Ok(req) => staged.push(Staged {
-                                reply_to: msg.header.src,
-                                request: req,
-                                enqueued: msg.header.created_at,
-                            }),
-                            Err(_) => malformed.add(1),
-                        }
-                    }
-                    let rows: usize = staged.iter().map(|s| s.request.rows as usize).sum();
-                    if rows >= self.config.max_batch {
-                        self.flush(&mut staged, &mut batch_obs, &mut ws, &mut out, &served, &queue_us, &infer_us, &batch_size);
+                    self.admit(&mut run, &msg, false);
+                    if run.rows >= max_batch {
+                        self.flush(&mut run);
                     }
                 }
-                self.flush(&mut staged, &mut batch_obs, &mut ws, &mut out, &served, &queue_us, &infer_us, &batch_size);
-                out.clean = true;
-                return out;
+                self.flush(&mut run);
+                run.out.clean = true;
+                return run.out;
             }
         }
     }
 
+    /// Admits one message — the only place the loop decodes one. A
+    /// well-formed `InferRequest` joins the window, or with `shed` is
+    /// answered at once with an explicit shed reply; anything else but the
+    /// shutdown command is ignored. Returns `true` for the shutdown command.
+    fn admit(&self, run: &mut ServeRun, msg: &Message, shed: bool) -> bool {
+        match msg.header.kind {
+            MessageKind::Control => return is_shutdown(msg),
+            MessageKind::InferRequest => {
+                run.requests.add(1);
+                match InferRequest::from_bytes(&msg.body) {
+                    Ok(request) if shed => {
+                        self.shed(msg.header.src, &request);
+                        run.sheds.add(1);
+                        run.out.sheds += 1;
+                    }
+                    Ok(request) => {
+                        run.rows += request.rows as usize;
+                        run.staged.push(Staged {
+                            reply_to: msg.header.src,
+                            request,
+                            enqueued: msg.header.created_at,
+                        });
+                    }
+                    // A malformed body carries no id to answer; count it
+                    // loudly instead of pretending it was served.
+                    Err(_) => run.malformed.add(1),
+                }
+            }
+            _ => {}
+        }
+        false
+    }
+
     /// Answers every staged request with one fused forward pass.
-    #[allow(clippy::too_many_arguments)]
-    fn flush(
-        &self,
-        staged: &mut Vec<Staged>,
-        batch_obs: &mut Vec<f32>,
-        ws: &mut Workspace,
-        out: &mut ReplicaOutcome,
-        served: &xt_telemetry::CounterHandle,
-        queue_us: &xt_telemetry::HistogramHandle,
-        infer_us: &xt_telemetry::HistogramHandle,
-        batch_size: &xt_telemetry::HistogramHandle,
-    ) {
+    fn flush(&self, run: &mut ServeRun) {
+        run.rows = 0;
+        let ServeRun { staged, batch_obs, ws, out, .. } = run;
         if staged.is_empty() {
             return;
         }
@@ -231,27 +216,23 @@ impl ServeReplica {
             staged.clear();
             return;
         }
-        batch_size.record(rows as u64);
+        run.batch_size.record(rows as u64);
 
         let t0 = Instant::now();
         let (version, actions) = self.cell.with(|policy| {
             let q = policy.mlp.forward_ws(batch_obs, rows, ws);
-            let num_actions = self.config.num_actions;
-            let mut actions = Vec::with_capacity(rows);
-            for r in 0..rows {
-                actions.push(argmax(&q[r * num_actions..(r + 1) * num_actions]));
-            }
+            let actions: Vec<u32> = q.chunks(self.config.num_actions).map(argmax).collect();
             (policy.version, actions)
         });
         if self.config.debug_infer_delay_us > 0 {
             std::thread::sleep(Duration::from_micros(self.config.debug_infer_delay_us));
         }
-        infer_us.record_duration(t0.elapsed());
+        run.infer_us.record_duration(t0.elapsed());
 
         let mut offset = 0usize;
         for s in staged.drain(..) {
             let n = s.request.rows as usize;
-            queue_us.record_duration(s.enqueued.elapsed());
+            run.queue_us.record_duration(s.enqueued.elapsed());
             let reply = InferReply {
                 request_id: s.request.request_id,
                 param_version: version,
@@ -266,7 +247,7 @@ impl ServeReplica {
             );
             out.served_requests += 1;
             out.served_rows += n as u64;
-            served.add(1);
+            run.served.add(1);
         }
     }
 
@@ -298,12 +279,12 @@ fn is_shutdown(msg: &Message) -> bool {
     matches!(ControlCommand::from_bytes(&msg.body), Ok(ControlCommand::Shutdown))
 }
 
-/// The parameter-sink loop: ingest learner broadcasts, rebuild the policy,
-/// publish it through the cell, ack/nack so the sender's delta bookkeeping
-/// converges. Runs until shutdown or endpoint death.
+/// The parameter-sink loop: the subscribe half of the parameter hand-off
+/// ([`ParamReceiver::on_parameters`]) whose consumer rebuilds the policy and
+/// publishes it through the cell. Runs until shutdown or endpoint death.
 pub(crate) fn run_param_sink(
     endpoint: Endpoint,
-    cell: Arc<PolicyCell>,
+    cell: Arc<SnapshotCell<Policy>>,
     sizes: Vec<usize>,
     sink_index: u32,
     seed: ParamBlob,
@@ -317,28 +298,18 @@ pub(crate) fn run_param_sink(
     }
     while let Some(msg) = endpoint.recv() {
         match msg.header.kind {
-            MessageKind::Parameters => match receiver.ingest(msg.header.compression, &msg.body) {
-                IngestOutcome::Applied(version) => {
-                    // Rebuild off the hot path; the serve loop sees the new
-                    // weights at its next batch via the lock-free cell.
-                    cell.publish(Arc::new(Policy::from_blob(&sizes, receiver.blob())));
+            MessageKind::Parameters => {
+                // Rebuild off the hot path; the serve loop sees the new
+                // weights at its next batch via the lock-free cell.
+                receiver.on_parameters(&endpoint, sink_index, &msg, |blob| {
+                    cell.publish(Policy::from_blob(&sizes, blob));
                     swaps.add(1);
-                    send_ack(&endpoint, msg.header.src, sink_index, version, true);
-                }
-                IngestOutcome::Rejected { held } => {
-                    send_ack(&endpoint, msg.header.src, sink_index, held, false);
-                }
-                IngestOutcome::Stale => {}
-            },
+                });
+            }
             MessageKind::Control if is_shutdown(&msg) => return,
             _ => {}
         }
     }
-}
-
-fn send_ack(endpoint: &Endpoint, to: ProcessId, sink: u32, version: u64, applied: bool) {
-    let ack = ParamAck { explorer: sink, version, applied };
-    endpoint.send_to(vec![to], MessageKind::ParamAck, Bytes::from(ack.to_bytes()));
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@ use netsim::Cluster;
 use tinynn::{Activation, Mlp};
 use xingtian::checkpoint::{CheckpointConfig, Checkpointer};
 use xingtian_algos::ParamBlob;
-use xingtian_comm::{Broker, CommConfig};
+use xingtian_comm::{Broker, CommConfig, ParamCompression};
 use xingtian_message::ProcessId;
-use xt_serve::{ServeClient, ServeConfig, ServeFleet};
+use xt_serve::{ParamPublisher, ServeClient, ServeConfig, ServeFleet, PARAM_SINK_OFFSET};
 
 const OBS_DIM: usize = 4;
 const ACTIONS: usize = 2;
@@ -123,6 +123,47 @@ fn dead_replica_respawns_from_latest_checkpoint() {
     assert_eq!(report.respawns, 1);
     broker.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Publishes `blob` and waits for the one-replica fleet to serve it.
+fn swap_lands(publisher: &mut ParamPublisher, fleet: &ServeFleet, blob: &ParamBlob) -> bool {
+    publisher.publish(blob);
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while fleet.versions() != vec![blob.version] && Instant::now() < deadline {
+        publisher.pump_acks();
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    fleet.versions() == vec![blob.version]
+}
+
+#[test]
+fn a_sink_that_dies_alone_respawns_and_rejoins_the_chain() {
+    let broker = Broker::new(0, Cluster::single(), CommConfig::default());
+    let mut fleet = ServeFleet::start(&broker, config(), &blob(1, 1));
+    let mut publisher = ParamPublisher::new(&broker, 1, ParamCompression::DeltaF32);
+    assert!(swap_lands(&mut publisher, &fleet, &blob(2, 2)), "the chain works before the death");
+
+    // Kill the parameter sink's endpoint; the serve loop lives on. Without
+    // a respawn the replica would serve v2 forever and every later frame
+    // would be an unknown-destination drop.
+    broker.close_endpoint(ProcessId::server(PARAM_SINK_OFFSET));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while fleet.poll() == 0 {
+        assert!(Instant::now() < deadline, "supervisor never respawned the sink");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    // The new sink holds the policy the replica serves, so the chain
+    // resumes; at worst one nack rebases the publisher to a full send.
+    let landed = swap_lands(&mut publisher, &fleet, &blob(3, 3))
+        || swap_lands(&mut publisher, &fleet, &blob(4, 4));
+    assert!(landed, "a newer version must land on the respawned sink");
+    assert!(publisher.nacked() <= 1, "rejoining costs at most one nack");
+
+    let report = fleet.shutdown();
+    assert_eq!(report.respawns, 1);
+    publisher.close();
+    broker.shutdown();
 }
 
 #[test]
