@@ -35,6 +35,14 @@ echo "== release smoke: the one publish cell's reclamation hammer on the optimis
 # publish prunes retention to 1 — on the build whose reordering matters.
 cargo test --release -q -p xingtian-comm snapshot
 
+echo "== release smoke: the channel's lane, settlement and head-of-line tests on the optimised build =="
+# One admission: a Control passes a full store from either machine, and
+# Parameters stay out of data occupancy at 2 MiB as at 64 KiB; one settlement:
+# an undecodable body is a counted drop; 100 smalls overtake a 32 MiB blob.
+# Then the lane x path x size table property over a 2-machine fabric.
+cargo test --release -q -p xingtian-comm --test integration
+cargo test --release -q --test channel_props
+
 echo "== release smoke: pinned A2C/PPO/IMPALA/DQN parameter digests and the allocation bound on the optimised kernels =="
 # A2C/PPO/IMPALA and uniform/prioritized/double DQN must stay bit-identical
 # to the digests pinned in determinism.rs, and the warmed training steps (DQN

@@ -10,20 +10,18 @@
 //! # Control-plane fast path
 //!
 //! [`Broker::submit`] is lock-free: it resolves the destination split from a
-//! routing snapshot, inserts the body into the sharded store, and enqueues a
-//! [`RouterCmd`] on a channel sender it holds directly — no per-message mutex
-//! anywhere on the submit path. Shutdown is signalled with an explicit
+//! routing snapshot and hands the message to its machine's `Hub::dispatch`
+//! (the one admission into the sharded store, then a [`RouterCmd`] on a
+//! channel sender the broker holds directly) — no per-message mutex anywhere
+//! on the submit path. Shutdown is signalled with an explicit
 //! [`RouterCmd::Shutdown`] sentinel instead of tearing the sender out from
 //! under concurrent submitters.
 
 use crate::endpoint::Endpoint;
-use crate::inject::{run_delay_line, InjectionStats, RouteInjector};
-use crate::router::{
-    deliver_local, run_router, shard_for, Delivery, RemoteEnvelope, RouterCmd, RoutingTable,
-    SplitPlan,
-};
+use crate::inject::{InjectionStats, RouteInjector};
+use crate::router::{Hub, RemoteEnvelope, RouterCmd, SplitPlan, Uplinks};
 use crate::store::ObjectStore;
-use crate::{CommConfig, Compression, HeartbeatConfig};
+use crate::{CommConfig, Compression};
 use crossbeam_channel::{unbounded, Sender};
 use netsim::{Cluster, MachineId};
 use parking_lot::Mutex;
@@ -51,47 +49,28 @@ pub(crate) struct BrokerShared {
     pub(crate) machine: MachineId,
     pub(crate) cluster: Cluster,
     pub(crate) config: CommConfig,
-    pub(crate) store: Arc<ObjectStore>,
-    pub(crate) table: Arc<RoutingTable>,
-    pub(crate) telemetry: Telemetry,
+    /// This machine's store, routing table and counters.
+    pub(crate) hub: Arc<Hub>,
     /// One command sender per router shard, held directly (not behind a
     /// mutex): `submit` hashes the destination to a shard and sends
     /// lock-free; shutdown sends every shard the `RouterCmd::Shutdown`
     /// sentinel instead of tearing senders out from under submitters.
     router_txs: Vec<Sender<RouterCmd>>,
-    /// Broker-wide routing backlog: deliveries submitted but not yet taken
-    /// off a shard queue. Observable back-pressure before it becomes drops.
-    queue_depth: xt_telemetry::GaugeHandle,
     /// Set first thing in `shutdown`; `submit` refuses new messages once set.
     closed: AtomicBool,
     offload_tx: Mutex<Option<Sender<OffloadJob>>>,
-    uplinks: Arc<Mutex<HashMap<MachineId, Sender<Vec<RemoteEnvelope>>>>>,
-    /// Routing tables of connected peer brokers, so routes registered after
-    /// the fabric exists still propagate (holding tables, not peer `Broker`s,
-    /// avoids reference cycles between mutually-connected brokers).
-    peers: Mutex<HashMap<MachineId, Arc<RoutingTable>>>,
-    /// Bytes entering the store per [`CompressionKind`], indexed by
-    /// discriminant. Pre-created handles so `submit` never touches the
-    /// metrics registry lock.
-    wire_bytes: [xt_telemetry::CounterHandle; CompressionKind::ALL.len()],
-    /// Stored size of every `Parameters` broadcast body — the direct
-    /// observable for the parameter plane's savings.
-    broadcast_bytes: xt_telemetry::HistogramHandle,
+    uplinks: Arc<Uplinks>,
+    /// Hubs of connected peer brokers: routes registered after the fabric
+    /// exists still propagate into their tables, and this machine's uplink
+    /// threads deliver into them (holding hubs, not peer `Broker`s, avoids
+    /// reference cycles between mutually-connected brokers).
+    peers: Mutex<HashMap<MachineId, Arc<Hub>>>,
     router_threads: Mutex<Vec<JoinHandle<()>>>,
     offload_thread: Mutex<Option<JoinHandle<()>>>,
     /// Delay-line thread, spawned lazily by the first [`Broker::set_injector`].
     delay_thread: Mutex<Option<JoinHandle<()>>>,
     /// Uplink forwarder threads (populated by [`connect_brokers`]).
     threads: Mutex<Vec<JoinHandle<()>>>,
-}
-
-/// Pieces of a peer broker an uplink thread needs to deliver remotely-received
-/// messages. Holding these (rather than the peer `Broker` itself) avoids
-/// reference cycles between mutually-connected brokers.
-#[derive(Debug, Clone)]
-struct RemoteDelivery {
-    store: Arc<ObjectStore>,
-    table: Arc<RoutingTable>,
 }
 
 /// A per-machine communication hub.
@@ -130,55 +109,41 @@ impl Broker {
     ) -> Self {
         assert!(machine < cluster.len(), "machine {machine} out of range");
         let shards = config.router_shards.max(1);
-        let store = Arc::new(ObjectStore::with_capacity(
-            config.store_capacity.unwrap_or(crate::store::DEFAULT_CAPACITY),
-        ));
-        let table = Arc::new(RoutingTable::default());
-        let uplinks: Arc<Mutex<HashMap<MachineId, Sender<Vec<RemoteEnvelope>>>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-        let queue_depth = telemetry.gauge("comm.router_queue_depth");
+        let capacity = config.store_capacity.unwrap_or(crate::store::DEFAULT_CAPACITY);
+        let hub = Arc::new(Hub::new(capacity, telemetry));
+        let uplinks: Arc<Uplinks> = Arc::default();
         // One router thread per shard, each draining its own command queue in
-        // bursts. All shards share the routing table, store, and uplink map
-        // (each still groups remote envelopes per machine per burst), so the
-        // only thing sharding changes is which thread a delivery drains on.
+        // bursts. All shards share the hub and the uplink map (each still
+        // groups remote envelopes per machine per burst), so the only thing
+        // sharding changes is which thread a delivery drains on.
         let mut router_txs = Vec::with_capacity(shards);
         let mut router_threads = Vec::with_capacity(shards);
         for s in 0..shards {
             let (comm_tx, comm_rx) = unbounded();
             router_txs.push(comm_tx);
-            let store = Arc::clone(&store);
-            let table = Arc::clone(&table);
-            let uplinks = Arc::clone(&uplinks);
-            let telemetry = telemetry.clone();
-            let queue_depth = queue_depth.clone();
+            let (hub, uplinks) = (Arc::clone(&hub), Arc::clone(&uplinks));
             let handle = std::thread::Builder::new()
                 .name(format!("xt-router-m{machine}-s{s}"))
-                .spawn(move || run_router(s, comm_rx, store, table, uplinks, telemetry, queue_depth))
+                .spawn(move || hub.run_router(s, comm_rx, &uplinks))
                 .expect("spawn router thread");
             router_threads.push(handle);
         }
         // Compression offload thread: large bodies are chunk-compressed here
         // (fanning across the shared worker pool) instead of inside the
-        // sender thread that submitted them. It holds its own `comm_tx`
-        // clone; shutdown closes the offload queue and joins this thread
-        // before sending the router its shutdown sentinel, so every offloaded
-        // message still reaches the router.
+        // sender thread that submitted them, then dispatched exactly as
+        // `submit` dispatches an inline body. It holds its own clones of the
+        // shard senders; shutdown closes the offload queue and joins this
+        // thread before sending the routers their shutdown sentinels, so
+        // every offloaded message still reaches its router.
         let (offload_tx, offload_rx) = unbounded::<OffloadJob>();
-        let wire_bytes = CompressionKind::ALL
-            .map(|k| telemetry.counter(&format!("comm.bytes_on_wire.{}", k.name())));
-        let broadcast_bytes = telemetry.histogram("comm.broadcast_bytes");
         let offload = {
-            let store = Arc::clone(&store);
+            let hub = Arc::clone(&hub);
             let router_txs = router_txs.clone();
-            let queue_depth = queue_depth.clone();
-            let telemetry = telemetry.clone();
-            let wire_bytes = wire_bytes.clone();
-            let broadcast_bytes = broadcast_bytes.clone();
             std::thread::Builder::new()
                 .name(format!("xt-compress-m{machine}"))
                 .spawn(move || {
-                    let compress_ns = telemetry.histogram("comm.compress_ns");
-                    let compress_ratio = telemetry.histogram("comm.compress_ratio");
+                    let compress_ns = hub.telemetry.histogram("comm.compress_ns");
+                    let compress_ratio = hub.telemetry.histogram("comm.compress_ratio");
                     let pool = crate::pool::shared_pool();
                     while let Ok(OffloadJob { mut header, body, plan }) = offload_rx.recv() {
                         let raw_len = body.len();
@@ -193,25 +158,7 @@ impl Broker {
                         };
                         // Stored-vs-raw size in percent (100 = incompressible).
                         compress_ratio.record((body.len() * 100 / raw_len.max(1)) as u64);
-                        let stored_len = body.len() as u64;
-                        wire_bytes[header.compression.discriminant() as usize].add(stored_len);
-                        if header.kind == xingtian_message::MessageKind::Parameters {
-                            broadcast_bytes.record(stored_len);
-                        }
-                        header.object_id = Some(store.insert(body, plan.fanout()));
-                        telemetry.emit(EventKind::StoreInserted, header.id, stored_len);
-                        // Same shard choice as `submit`: hash of the original
-                        // destination list, so an offloaded message stays
-                        // FIFO with same-path messages for its destination.
-                        let shard = shard_for(&header.dst, router_txs.len());
-                        let delivery = Delivery {
-                            header: Arc::new(header),
-                            local: plan.local,
-                            remote: plan.remote,
-                        };
-                        queue_depth.add(1);
-                        if router_txs[shard].send(RouterCmd::Deliver(delivery)).is_err() {
-                            queue_depth.add(-1);
+                        if !hub.dispatch(&router_txs, header, body, plan) {
                             break; // router gone: broker is shutting down
                         }
                     }
@@ -223,14 +170,9 @@ impl Broker {
                 machine,
                 cluster,
                 config,
-                store,
-                table,
-                telemetry,
+                hub,
                 router_txs,
-                queue_depth,
                 closed: AtomicBool::new(false),
-                wire_bytes,
-                broadcast_bytes,
                 offload_tx: Mutex::new(Some(offload_tx)),
                 uplinks,
                 peers: Mutex::new(HashMap::new()),
@@ -244,7 +186,7 @@ impl Broker {
 
     /// The telemetry handle this broker reports into (disabled by default).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.shared.telemetry
+        &self.shared.hub.telemetry
     }
 
     /// The machine this broker runs on.
@@ -260,21 +202,22 @@ impl Broker {
     /// The broker's shared-memory object store (exposed for inspection in
     /// tests and memory-overhead experiments).
     pub fn store(&self) -> &ObjectStore {
-        &self.shared.store
+        &self.shared.hub.store
     }
 
-    /// Messages dropped by the router (unknown destination or closed queue).
+    /// Messages the channel lost: no route, a closed queue that never
+    /// deregistered, a severed link, or a body the final hop could not fetch
+    /// or decompress.
     pub fn dropped(&self) -> u64 {
-        self.shared.table.dropped()
+        self.shared.hub.table.dropped()
     }
 
     /// Messages discarded because their destination had already deregistered
     /// (graceful exit or elastic retirement): credits settled, nothing
     /// leaked, not a routing failure.
     pub fn departed_discards(&self) -> u64 {
-        self.shared.table.departed_discards()
+        self.shared.hub.table.departed_discards()
     }
-
 
     /// Installs (or replaces) the fault-injection policy consulted on every
     /// final-hop delivery of this broker — local destinations of local
@@ -287,23 +230,21 @@ impl Broker {
             let mut delay_thread = self.shared.delay_thread.lock();
             if delay_thread.is_none() {
                 let (tx, rx) = unbounded();
-                *self.shared.table.delay_tx.lock() = Some(tx);
-                let store = Arc::clone(&self.shared.store);
-                let table = Arc::clone(&self.shared.table);
-                let machine = self.shared.machine;
+                *self.shared.hub.table.delay_tx.lock() = Some(tx);
+                let hub = Arc::clone(&self.shared.hub);
                 let handle = std::thread::Builder::new()
-                    .name(format!("xt-delay-m{machine}"))
-                    .spawn(move || run_delay_line(rx, store, table))
+                    .name(format!("xt-delay-m{}", self.shared.machine))
+                    .spawn(move || hub.run_delay_line(rx))
                     .expect("spawn delay-line thread");
                 *delay_thread = Some(handle);
             }
         }
-        self.shared.table.injector.publish(Some(injector));
+        self.shared.hub.table.injector.publish(Some(injector));
     }
 
     /// Tallies of injected faults executed by this broker.
     pub fn injection_stats(&self) -> InjectionStats {
-        self.shared.table.injection_stats()
+        self.shared.hub.table.injection_stats()
     }
 
     /// Registers that `pid` lives on `machine`, propagating the route to
@@ -312,9 +253,9 @@ impl Broker {
     /// Called automatically by [`Broker::endpoint`] for local processes and
     /// by [`connect_brokers`] when fabrics are established.
     pub fn register_route(&self, pid: ProcessId, machine: MachineId) {
-        self.shared.table.add_route(pid, machine);
+        self.shared.hub.table.add_route(pid, machine);
         for peer in self.shared.peers.lock().values() {
-            peer.add_route(pid, machine);
+            peer.table.add_route(pid, machine);
         }
     }
 
@@ -327,7 +268,7 @@ impl Broker {
     pub fn endpoint(&self, pid: ProcessId) -> Endpoint {
         let (id_tx, id_rx) = unbounded();
         assert!(
-            self.shared.table.add_id_queue(pid, id_tx),
+            self.shared.hub.table.add_id_queue(pid, id_tx),
             "endpoint for {pid} already exists"
         );
         self.register_route(pid, self.shared.machine);
@@ -343,28 +284,30 @@ impl Broker {
     /// a process that is gone or wedged. Safe to call for pids with no
     /// endpoint (no-op).
     pub fn close_endpoint(&self, pid: ProcessId) {
-        self.shared.table.remove_id_queue(pid);
+        self.shared.hub.table.remove_id_queue(pid);
     }
 
     /// Accepts a message from a local sender thread: splits its destinations
-    /// against the routing snapshot (once — the router reuses the plan),
-    /// compresses the body per config, stores it with the correct fan-out,
-    /// and enqueues the delivery for the router. Returns `false` if the
+    /// against the routing snapshot (once — the router reuses the plan), and
+    /// dispatches the body — admitted on its kind's lane with the plan's
+    /// fan-out, delivery enqueued for the router. Returns `false` if the
     /// broker is shut down or the message has no routable destination.
     ///
     /// Bodies above the compression threshold are handed to the broker's
-    /// offload thread and compressed there (chunk-parallel), so this returns
-    /// as soon as the job is enqueued — the calling sender thread is never
-    /// blocked behind a multi-MB compression. Messages that take the offload
-    /// path may be stored after smaller messages submitted later; per-sender
-    /// FIFO is preserved among same-path messages.
+    /// offload thread, compressed there (chunk-parallel) and dispatched from
+    /// it the same way, so this returns as soon as the job is enqueued — the
+    /// calling sender thread is never blocked behind a multi-MB compression.
+    /// Messages that take the offload path may be stored after smaller
+    /// messages submitted later; per-sender FIFO is preserved among
+    /// same-path messages.
     pub fn submit(&self, msg: Message) -> bool {
         if self.shared.closed.load(Ordering::Acquire) {
             return false;
         }
-        let Message { mut header, body } = msg;
-        let plan = self.shared.table.split(self.shared.machine, &header.dst);
-        self.shared.table.add_dropped(plan.unknown as u64);
+        let Message { header, body } = msg;
+        let hub = &self.shared.hub;
+        let plan = hub.table.split(self.shared.machine, &header.dst);
+        hub.table.add_dropped(plan.unknown as u64);
         if plan.fanout() == 0 {
             return false;
         }
@@ -383,50 +326,7 @@ impl Broker {
                 }
             }
         }
-        // Control-plane traffic (lifecycle commands, statistics) bypasses the
-        // segment's capacity gate: it must flow even when the data plane is
-        // fully back-pressured, or a stalled learner could never be shut down.
-        // ParamAcks ride the priority lane too: delta-base bookkeeping going
-        // stale behind a backed-up data plane would force full-f32 fallbacks
-        // exactly when the wire is busiest. So do Parameters themselves: the
-        // learner is the data plane's drain, and a learner blocked admitting
-        // its own broadcast into a rollout-saturated store can never fetch
-        // again — a self-deadlock where capacity waits on the only process
-        // that frees capacity. Their in-flight volume is bounded by the
-        // learner's own training pace, not by explorer fan-in, so the bypass
-        // cannot run away. Inference traffic (InferRequest/InferReply) is
-        // latency-SLO bound: a millisecond-budget query must never queue
-        // behind a back-pressured rollout stream, and serving replicas bound
-        // their own admission with explicit sheds, so the lane stays finite.
-        let stored_len = body.len() as u64;
-        self.shared.wire_bytes[header.compression.discriminant() as usize].add(stored_len);
-        if header.kind == xingtian_message::MessageKind::Parameters {
-            self.shared.broadcast_bytes.record(stored_len);
-        }
-        let object_id = match header.kind {
-            xingtian_message::MessageKind::Control
-            | xingtian_message::MessageKind::Stats
-            | xingtian_message::MessageKind::Heartbeat
-            | xingtian_message::MessageKind::ReplayNotice
-            | xingtian_message::MessageKind::ParamAck
-            | xingtian_message::MessageKind::Parameters
-            | xingtian_message::MessageKind::InferRequest
-            | xingtian_message::MessageKind::InferReply => {
-                self.shared.store.insert_priority(body, plan.fanout())
-            }
-            _ => self.shared.store.insert(body, plan.fanout()),
-        };
-        header.object_id = Some(object_id);
-        self.shared.telemetry.emit(EventKind::StoreInserted, header.id, stored_len);
-        let shard = shard_for(&header.dst, self.shared.router_txs.len());
-        let delivery =
-            Delivery { header: Arc::new(header), local: plan.local, remote: plan.remote };
-        self.shared.queue_depth.add(1);
-        let sent = self.shared.router_txs[shard].send(RouterCmd::Deliver(delivery)).is_ok();
-        if !sent {
-            self.shared.queue_depth.add(-1);
-        }
-        sent
+        hub.dispatch(&self.shared.router_txs, header, body, plan)
     }
 
     /// Number of router shards this broker runs.
@@ -437,23 +337,15 @@ impl Broker {
     /// Deliveries submitted but not yet drained by a router shard (0 when
     /// telemetry is disabled). The `comm.router_queue_depth` gauge.
     pub fn router_queue_depth(&self) -> i64 {
-        self.shared.queue_depth.get()
+        self.shared.hub.queue_depth.get()
     }
 
-    pub(crate) fn store_arc(&self) -> Arc<ObjectStore> {
-        Arc::clone(&self.shared.store)
+    pub(crate) fn hub(&self) -> Arc<Hub> {
+        Arc::clone(&self.shared.hub)
     }
 
-    pub(crate) fn endpoint_recv_capacity(&self) -> Option<usize> {
-        self.shared.config.endpoint_recv_capacity
-    }
-
-    pub(crate) fn heartbeat_config(&self) -> Option<HeartbeatConfig> {
-        self.shared.config.heartbeat
-    }
-
-    pub(crate) fn track_thread(&self, handle: JoinHandle<()>) {
-        self.shared.threads.lock().push(handle);
+    pub(crate) fn config(&self) -> &CommConfig {
+        &self.shared.config
     }
 
     /// Shuts the broker down: closes the offload queue and joins the offload
@@ -485,7 +377,7 @@ impl Broker {
         // which flushes everything still parked before exiting (no stranded
         // store credits). Uplink threads that outlive it fall back to
         // immediate delivery.
-        self.shared.table.delay_tx.lock().take();
+        self.shared.hub.table.delay_tx.lock().take();
         if let Some(h) = self.shared.delay_thread.lock().take() {
             let _ = h.join();
         }
@@ -521,19 +413,19 @@ pub fn connect_brokers(brokers: &[Broker]) {
     // Merge routing tables: every broker learns every process location.
     let mut merged: HashMap<ProcessId, MachineId> = HashMap::new();
     for b in brokers {
-        for (&pid, &m) in b.shared.table.routes.load().iter() {
+        for (&pid, &m) in b.shared.hub.table.routes.load().iter() {
             merged.insert(pid, m);
         }
     }
     for b in brokers {
-        b.shared.table.add_routes(&merged);
+        b.shared.hub.table.add_routes(&merged);
     }
     // Remember peers so later route registrations propagate.
     for a in brokers {
         let mut peers = a.shared.peers.lock();
         for b in brokers {
             if a.shared.machine != b.shared.machine {
-                peers.insert(b.shared.machine, Arc::clone(&b.shared.table));
+                peers.insert(b.shared.machine, Arc::clone(&b.shared.hub));
             }
         }
     }
@@ -556,14 +448,9 @@ pub fn connect_brokers(brokers: &[Broker]) {
             let cluster = a.shared.cluster.clone();
             let from = a.shared.machine;
             let to = b.shared.machine;
-            let delivery = RemoteDelivery {
-                store: Arc::clone(&b.shared.store),
-                table: Arc::clone(&b.shared.table),
-            };
-            let telemetry = a.shared.telemetry.clone();
-            let uplink_bytes = telemetry.counter("comm.uplink_bytes");
-            let link_drops = telemetry.counter("comm.link_drops");
-            let src_table = Arc::clone(&a.shared.table);
+            let (src, peer) = (Arc::clone(&a.shared.hub), Arc::clone(&b.shared.hub));
+            let uplink_bytes = src.telemetry.counter("comm.uplink_bytes");
+            let link_drops = src.telemetry.counter("comm.link_drops");
             let handle = std::thread::Builder::new()
                 .name(format!("xt-uplink-m{from}-m{to}"))
                 .spawn(move || {
@@ -601,8 +488,9 @@ pub fn connect_brokers(brokers: &[Broker]) {
                             batch.push(pending.pop_front().expect("front checked"));
                         }
                         // Pay the NIC cost once for the whole batch; each body
-                        // then re-enters the normal local delivery path on the
-                        // far side. A partitioned link loses the batch on the
+                        // then arrives at the far hub, through the same
+                        // admission and final hop as local traffic there. A
+                        // partitioned link loses the batch on the
                         // wire: the machine's store credits were already spent
                         // by the router's fetches, so nothing leaks — every
                         // destination behind the severed link counts as
@@ -612,7 +500,7 @@ pub fn connect_brokers(brokers: &[Broker]) {
                             Err(_down) => {
                                 let n_dst: u64 =
                                     batch.iter().map(|e| e.dst.len() as u64).sum();
-                                src_table.add_dropped(n_dst);
+                                src.table.add_dropped(n_dst);
                                 link_drops.add(batch.len() as u64);
                                 continue;
                             }
@@ -625,25 +513,20 @@ pub fn connect_brokers(brokers: &[Broker]) {
                             // clock. Coalesced envelopes share the batch's
                             // wire window.
                             let id = envelope.header.id;
-                            telemetry.emit_at(
+                            src.telemetry.emit_at(
                                 EventKind::NicTxStart,
                                 id,
                                 envelope.body.len() as u64,
                                 receipt.start_nanos,
                             );
-                            telemetry.emit_at(EventKind::NicTxEnd, id, to as u64, receipt.end_nanos);
-                            deliver_local(
-                                &delivery.store,
-                                &delivery.table,
-                                envelope.header,
-                                envelope.body,
-                                &envelope.dst,
-                            );
+                            src.telemetry
+                                .emit_at(EventKind::NicTxEnd, id, to as u64, receipt.end_nanos);
+                            peer.arrive(envelope);
                         }
                     }
                 })
                 .expect("spawn uplink thread");
-            a.track_thread(handle);
+            a.shared.threads.lock().push(handle);
         }
     }
 }
@@ -674,6 +557,28 @@ mod tests {
         let _learner = broker.endpoint(ProcessId::learner(0));
         broker.shutdown();
         assert!(!broker.submit(rollout_msg(b"late")), "closed broker refuses messages");
+    }
+
+    #[test]
+    fn submit_that_loses_the_race_with_router_shutdown_settles_its_body() {
+        // The routers are gone but `closed` is not set yet — the window a
+        // concurrent `shutdown` leaves open. The body is already admitted by
+        // the time the shard refuses the delivery, so the refusal must settle
+        // every credit or the object stays resident forever.
+        let telemetry = Telemetry::with_capacity(1 << 8);
+        let broker =
+            Broker::with_telemetry(0, Cluster::single(), CommConfig::default(), telemetry);
+        let _learner = broker.endpoint(ProcessId::learner(0));
+        for tx in &broker.shared.router_txs {
+            tx.send(RouterCmd::Shutdown).unwrap();
+        }
+        for h in broker.shared.router_threads.lock().drain(..) {
+            h.join().unwrap();
+        }
+        assert!(!broker.submit(rollout_msg(b"raced")), "a refused message reports false");
+        assert!(broker.store().is_empty(), "refused body settled, not leaked");
+        assert_eq!(broker.router_queue_depth(), 0);
+        broker.shutdown();
     }
 
     #[test]
@@ -849,7 +754,7 @@ mod tests {
         let mut shard_hit = [false; 4];
         for i in 0..n {
             let dst = vec![ProcessId::explorer(i)];
-            shard_hit[shard_for(&dst, 4)] = true;
+            shard_hit[crate::router::shard_for(&dst, 4)] = true;
             let h = Header::new(ProcessId::learner(0), dst, MessageKind::Dummy);
             // Submit directly (no sender thread) so the deliveries are
             // guaranteed to be in shard queues when shutdown lands.
@@ -902,12 +807,12 @@ mod tests {
         // (a retain-forever history would hold 1 025 / 3 073 of them).
         let broker = Broker::new(0, Cluster::single(), CommConfig::default());
         let eps: Vec<_> = (0..1024).map(|i| broker.endpoint(ProcessId::explorer(i))).collect();
-        assert_eq!(broker.shared.table.routes.retained(), 1);
-        assert_eq!(broker.shared.table.id_queues.retained(), 1);
+        assert_eq!(broker.shared.hub.table.routes.retained(), 1);
+        assert_eq!(broker.shared.hub.table.id_queues.retained(), 1);
         drop(eps);
-        assert_eq!(broker.shared.table.routes.retained(), 1);
-        assert_eq!(broker.shared.table.id_queues.retained(), 1);
-        assert!(broker.shared.table.id_queues.load().is_empty(), "every queue deregistered");
+        assert_eq!(broker.shared.hub.table.routes.retained(), 1);
+        assert_eq!(broker.shared.hub.table.id_queues.retained(), 1);
+        assert!(broker.shared.hub.table.id_queues.load().is_empty(), "every queue deregistered");
         broker.shutdown();
     }
 

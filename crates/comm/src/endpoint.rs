@@ -53,7 +53,7 @@ impl Endpoint {
         // able to stall the data plane.
         let recv_buf = Arc::new(match pid.role {
             xingtian_message::ProcessRole::Explorer | xingtian_message::ProcessRole::Learner => {
-                match broker.endpoint_recv_capacity() {
+                match broker.config().endpoint_recv_capacity {
                     Some(cap) => Buffer::with_capacity(cap),
                     None => Buffer::new(),
                 }
@@ -75,47 +75,42 @@ impl Endpoint {
         {
             let send_buf = Arc::clone(&send_buf);
             let broker = broker.clone();
-            let heartbeat = broker.heartbeat_config().filter(|_| pid.role != xingtian_message::ProcessRole::Broker);
+            let heartbeat = broker.config().heartbeat.filter(|_| pid.role != xingtian_message::ProcessRole::Broker);
             let handle = std::thread::Builder::new()
                 .name(format!("xt-send-{pid}"))
-                .spawn(move || match heartbeat {
-                    None => {
-                        while let Some(msg) = send_buf.pop() {
-                            let _ = broker.submit(msg);
-                        }
-                    }
-                    Some(hb) => {
-                        // With a sharded monitor this endpoint always beacons
-                        // to the same shard (stable pid hash), so that inbox's
-                        // inter-arrival statistics describe this process.
-                        let monitor = hb.monitor_for(pid);
-                        let beat = |seq: u64| {
-                            let header = Header::new(pid, vec![monitor], MessageKind::Heartbeat)
-                                .with_seq(seq);
-                            broker.submit(Message::new(header, Body::new()))
-                        };
-                        let interval = hb.interval();
-                        let mut seq = 0u64;
-                        // Announce liveness immediately so the detector can
-                        // baseline this endpoint before the first interval.
-                        let _ = beat(seq);
-                        let mut last_beat = std::time::Instant::now();
-                        loop {
-                            match send_buf.pop_timeout(interval) {
-                                Some(msg) => {
-                                    let _ = broker.submit(msg);
-                                }
-                                // `pop_timeout` returns None on both timeout
-                                // and closed-and-drained; only the latter
-                                // ends the beacon.
-                                None if send_buf.is_closed() && send_buf.is_empty() => break,
-                                None => {}
-                            }
-                            if last_beat.elapsed() >= interval {
+                .spawn(move || {
+                    // With a sharded monitor this endpoint always beacons to
+                    // the same shard (stable pid hash), so that inbox's
+                    // inter-arrival statistics describe this process.
+                    let beacon = heartbeat.map(|hb| (hb.monitor_for(pid), hb.interval()));
+                    let mut seq = 0u64;
+                    // Never beaten yet: the first beat is due at once, so the
+                    // detector can baseline this endpoint before the first
+                    // interval.
+                    let mut last_beat: Option<std::time::Instant> = None;
+                    loop {
+                        if let Some((monitor, interval)) = beacon {
+                            if last_beat.is_none_or(|t| t.elapsed() >= interval) {
+                                let header = Header::new(pid, vec![monitor], MessageKind::Heartbeat)
+                                    .with_seq(seq);
+                                let _ = broker.submit(Message::new(header, Body::new()));
                                 seq += 1;
-                                let _ = beat(seq);
-                                last_beat = std::time::Instant::now();
+                                last_beat = Some(std::time::Instant::now());
                             }
+                        }
+                        let popped = match beacon {
+                            Some((_, interval)) => send_buf.pop_timeout(interval),
+                            None => send_buf.pop(),
+                        };
+                        match popped {
+                            Some(msg) => {
+                                let _ = broker.submit(msg);
+                            }
+                            // `pop_timeout` returns None on both timeout and
+                            // closed-and-drained (`pop` only on the latter);
+                            // only the latter ends the thread and its beacon.
+                            None if send_buf.is_closed() && send_buf.is_empty() => break,
+                            None => {}
                         }
                     }
                 })
@@ -126,7 +121,9 @@ impl Endpoint {
         // Receiver monitoring thread: ID queue -> object store -> receive buffer.
         {
             let recv_buf = Arc::clone(&recv_buf);
-            let store = Arc::clone(&broker_store(&broker));
+            // The receiver thread holds only the hub, not the broker, so a
+            // broker is never kept alive by one of its own tracked threads.
+            let hub = broker.hub();
             let delivery_stats = Arc::clone(&delivery_stats);
             let bytes_received = Arc::clone(&bytes_received);
             let messages_received = Arc::clone(&messages_received);
@@ -136,18 +133,6 @@ impl Endpoint {
             let handle = std::thread::Builder::new()
                 .name(format!("xt-recv-{pid}"))
                 .spawn(move || {
-                    // On exit, burn the store credits of anything still queued
-                    // for this endpoint so a departed consumer cannot leave
-                    // the shared segment full (and senders blocked) forever.
-                    let drain = |id_rx: &Receiver<IdQueueMsg>, store: &crate::store::ObjectStore| {
-                        while let Ok(msg) = id_rx.try_recv() {
-                            if let IdQueueMsg::Deliver(h) = msg {
-                                if let Some(id) = h.object_id {
-                                    let _ = store.drop_credit(id);
-                                }
-                            }
-                        }
-                    };
                     while let Ok(msg) = id_rx.recv() {
                         // The queue delivers shared headers (one Arc per
                         // destination, not one deep copy); this endpoint takes
@@ -158,8 +143,14 @@ impl Endpoint {
                         };
                         let mut header = (*shared).clone();
                         drop(shared);
-                        let Some(id) = header.object_id else { continue };
-                        let Some(body) = store.fetch(id) else { continue };
+                        // A header this thread cannot turn into a message is a
+                        // drop at the last hop, counted like any other. (Its
+                        // credit needs no settling: there was no object, or
+                        // the fetch spent it.)
+                        let Some(body) = header.object_id.and_then(|id| hub.store.fetch(id)) else {
+                            hub.table.add_dropped(1);
+                            continue;
+                        };
                         // Move the body into this process's local buffer.
                         // The store hands out shared views of the segment, so
                         // this is zero-copy for uncompressed bodies — the
@@ -190,7 +181,10 @@ impl Endpoint {
                                     header.compression = CompressionKind::None;
                                     raw
                                 }
-                                Err(_) => continue, // corrupt body: drop
+                                Err(_) => {
+                                    hub.table.add_dropped(1); // corrupt body
+                                    continue;
+                                }
                             }
                         } else {
                             body
@@ -204,7 +198,14 @@ impl Endpoint {
                             break; // receive buffer closed: stop delivering
                         }
                     }
-                    drain(&id_rx, &store);
+                    // On exit, settle the store credits of anything still queued
+                    // for this endpoint so a departed consumer cannot leave
+                    // the shared segment full (and senders blocked) forever.
+                    while let Ok(msg) = id_rx.try_recv() {
+                        if let IdQueueMsg::Deliver(h) = msg {
+                            hub.settle(&h);
+                        }
+                    }
                     // The receiver thread is the only producer into recv_buf:
                     // once it exits, nothing will ever arrive again, so close
                     // the buffer. A workhorse blocked in `recv`/`recv_timeout`
@@ -340,12 +341,6 @@ impl Drop for Endpoint {
     fn drop(&mut self) {
         self.close();
     }
-}
-
-fn broker_store(broker: &Broker) -> Arc<crate::store::ObjectStore> {
-    // The receiver thread holds only the store, not the broker, so a broker
-    // is never kept alive by one of its own tracked threads.
-    broker.store_arc()
 }
 
 #[cfg(test)]

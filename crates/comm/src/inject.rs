@@ -3,10 +3,11 @@
 //! The router consults an installed [`RouteInjector`] exactly once per
 //! *(message, destination)* pair, at the message's final-hop broker: local
 //! destinations at the source broker, remote destinations at the broker of
-//! the machine that hosts them (the uplink's `deliver_local`). The injector
+//! the machine that hosts them (the uplink's `Hub::arrive`). The injector
 //! returns an [`InjectDecision`] and the router executes it with the same
-//! credit discipline as organic failures — a dropped delivery burns the
-//! destination's store fetch credit, a duplicated delivery mints the extra
+//! credit discipline as organic failures — a dropped delivery spends the
+//! destination's store fetch credit through the same `Hub::settle` an
+//! unreachable destination does, a duplicated delivery mints the extra
 //! credits before the copies are enqueued, and a delayed delivery parks the
 //! header on the broker's delay line without holding up the router thread.
 //!
@@ -15,8 +16,7 @@
 //! [`RouteInjector`] on top of a deterministic plan. With no injector
 //! installed the hot path pays one lock-free snapshot load and nothing else.
 
-use crate::router::{push_one, RoutingTable};
-use crate::store::ObjectStore;
+use crate::router::Hub;
 use crossbeam_channel::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -65,56 +65,50 @@ pub(crate) struct DelayedDelivery {
     pub(crate) deliver_at: Instant,
 }
 
-/// Runs a broker's delay line: parks delayed deliveries until they come due,
-/// then pushes them into the destination ID queue *without* re-consulting the
-/// injector (a delayed message is not re-dropped or re-delayed). When the
-/// broker shuts the line down (sender dropped), everything still pending is
-/// flushed immediately so no store credit is ever stranded.
-pub(crate) fn run_delay_line(
-    rx: Receiver<DelayedDelivery>,
-    store: Arc<ObjectStore>,
-    table: Arc<RoutingTable>,
-) {
-    let mut pending: Vec<DelayedDelivery> = Vec::new();
-    loop {
-        let next_due = pending.iter().map(|d| d.deliver_at).min();
-        let incoming = match next_due {
-            Some(due) => {
-                match rx.recv_timeout(due.saturating_duration_since(Instant::now())) {
+impl Hub {
+    /// Runs a broker's delay line: parks delayed deliveries until they come due,
+    /// then pushes them into the destination ID queue *without* re-consulting the
+    /// injector (a delayed message is not re-dropped or re-delayed) but with the
+    /// router's own failed-delivery accounting. When the broker shuts the line
+    /// down (sender dropped), everything still pending is flushed immediately so
+    /// no store credit is ever stranded.
+    pub(crate) fn run_delay_line(&self, rx: Receiver<DelayedDelivery>) {
+        let deliver_now = |d: DelayedDelivery| {
+            self.table.id_queues.with(|queues| self.push_one(queues, &d.header, d.dst))
+        };
+        let mut pending: Vec<DelayedDelivery> = Vec::new();
+        loop {
+            let next_due = pending.iter().map(|d| d.deliver_at).min();
+            let incoming = match next_due {
+                Some(due) => {
+                    match rx.recv_timeout(due.saturating_duration_since(Instant::now())) {
+                        Ok(d) => Some(d),
+                        Err(RecvTimeoutError::Timeout) => None,
+                        Err(RecvTimeoutError::Disconnected) => break,
+                    }
+                }
+                None => match rx.recv() {
                     Ok(d) => Some(d),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break,
+                    Err(_) => break,
+                },
+            };
+            pending.extend(incoming);
+            let now = Instant::now();
+            let mut i = 0;
+            while i < pending.len() {
+                if pending[i].deliver_at <= now {
+                    deliver_now(pending.swap_remove(i));
+                } else {
+                    i += 1;
                 }
             }
-            None => match rx.recv() {
-                Ok(d) => Some(d),
-                Err(_) => break,
-            },
-        };
-        pending.extend(incoming);
-        let now = Instant::now();
-        let mut i = 0;
-        while i < pending.len() {
-            if pending[i].deliver_at <= now {
-                let d = pending.swap_remove(i);
-                deliver_now(&store, &table, d);
-            } else {
-                i += 1;
-            }
         }
+        // Shutdown flush: release everything still parked.
+        while let Ok(d) = rx.try_recv() {
+            pending.push(d);
+        }
+        pending.into_iter().for_each(deliver_now);
     }
-    // Shutdown flush: release everything still parked.
-    while let Ok(d) = rx.try_recv() {
-        pending.push(d);
-    }
-    for d in pending {
-        deliver_now(&store, &table, d);
-    }
-}
-
-/// Same delivery and failed-delivery accounting as the router's final hop.
-fn deliver_now(store: &ObjectStore, table: &RoutingTable, d: DelayedDelivery) {
-    table.id_queues.with(|queues| push_one(store, table, queues, &d.header, d.dst));
 }
 
 #[cfg(test)]

@@ -29,6 +29,15 @@
 //! broadcasts enqueue one shared `Arc<Header>` per destination, and the router
 //! drains its queue in batches, grouping remote traffic per machine per burst.
 //!
+//! Each mechanism on that path is written once, as a method of the
+//! per-machine hub in [`router`]: one admission into the store, which picks
+//! the priority or the capacity-gated lane from
+//! [`xingtian_message::MessageKind::priority_lane`] whether the body was
+//! submitted inline, came out of the compression offload thread or arrived
+//! from another machine; one settlement of a fetch credit nobody will spend;
+//! and every message the channel loses, at any hop, is counted in
+//! [`Broker::dropped`].
+//!
 //! The public surface:
 //!
 //! * [`Buffer`] — intra-process send/receive staging.
@@ -267,13 +276,6 @@ impl CommConfig {
     /// Sets the object-store segment capacity in bytes (builder style).
     pub fn with_store_capacity(mut self, bytes: usize) -> Self {
         self.store_capacity = Some(bytes);
-        self
-    }
-
-    /// Sets the transport compression threshold in bytes (builder style) —
-    /// bodies larger than this are LZ4-chunked when entering the store.
-    pub fn with_compress_threshold(mut self, threshold: usize) -> Self {
-        self.compression = Compression::Threshold(threshold);
         self
     }
 

@@ -9,10 +9,10 @@
 //!
 //! Only *leaf* chunk jobs ever enter the pool; the orchestrating thread
 //! (offload or receiver) never blocks inside a pool slot. Instead it
-//! participates in the partition itself — every `(workers + 1)`-th chunk is
-//! processed inline by the caller — so a pool saturated by another message
-//! can delay a caller but never deadlock it, and on a single-core machine
-//! the caller simply does all the work itself.
+//! participates in the partition itself ([`WorkPool::run_scoped`]: every
+//! `(workers + 1)`-th job runs inline on the caller) — so a pool saturated by
+//! another message can delay a caller but never deadlock it, and on a
+//! single-core machine the caller simply does all the work itself.
 
 use bytes::Bytes;
 use crossbeam_channel::{unbounded, Receiver, Sender};
@@ -66,9 +66,10 @@ impl WorkPool {
 
     /// Runs a batch of borrowing jobs to completion across the pool, with
     /// the calling thread participating: every `(workers + 1)`-th job runs
-    /// inline on the caller (same stride discipline as the chunk codecs), so
-    /// a saturated pool degrades to caller-does-everything rather than
-    /// deadlock.
+    /// inline on the caller, so a saturated pool degrades to
+    /// caller-does-everything rather than deadlock. This is the one fan-out:
+    /// the chunk codecs below and `xingtian_algos`' gradient shards both run
+    /// through it.
     ///
     /// Unlike [`WorkPool::submit`]'s fire-and-forget jobs, these closures may
     /// borrow from the caller's stack (`'scope`): the method blocks until
@@ -142,38 +143,18 @@ pub fn compress_chunked_parallel(pool: &WorkPool, body: &Bytes) -> Vec<u8> {
     if spans.len() <= 1 {
         return chunk::compress_chunked(body);
     }
-    let stride = pool.workers() + 1;
-    let (res_tx, res_rx) = unbounded::<(usize, Vec<u8>)>();
-    let mut offloaded = 0usize;
-    for (idx, span) in spans.iter().enumerate() {
-        if idx % stride == 0 {
-            continue; // caller's share
-        }
-        // A `Bytes` clone shares the buffer (no copy); the worker indexes the
-        // span itself. `lz4::compress` reuses the worker's thread-local
-        // context, so steady-state jobs allocate only their output.
-        let body = body.clone();
-        let span = span.clone();
-        let res_tx = res_tx.clone();
-        offloaded += 1;
-        pool.submit(Box::new(move || {
-            let _ = res_tx.send((idx, lz4::compress(&body[span])));
-        }));
-    }
+    // One job per chunk, each borrowing its span and filling its own slot.
+    // `lz4::compress` reuses the running thread's context, so steady-state
+    // jobs allocate only their output.
     let mut frames: Vec<Option<Vec<u8>>> = vec![None; spans.len()];
-    let mut ctx = lz4::CompressContext::new();
-    for (idx, span) in spans.iter().enumerate() {
-        if idx % stride == 0 {
-            frames[idx] = Some(ctx.compress(&body[span.clone()]));
-        }
-    }
-    for _ in 0..offloaded {
-        let (idx, frame) = res_rx.recv().expect("lz4 worker delivered its frame");
-        frames[idx] = Some(frame);
-    }
+    let jobs = frames.iter_mut().zip(&spans).map(|(slot, span)| {
+        let chunk = &body[span.clone()];
+        Box::new(move || *slot = Some(lz4::compress(chunk))) as Box<dyn FnOnce() + Send + '_>
+    });
+    pool.run_scoped(jobs.collect());
     let mut builder = ChunkedBuilder::new(body.len());
-    for (idx, span) in spans.iter().enumerate() {
-        builder.push_chunk(&body[span.clone()], frames[idx].as_deref());
+    for (span, frame) in spans.iter().zip(&frames) {
+        builder.push_chunk(&body[span.clone()], frame.as_deref());
     }
     builder.finish()
 }
@@ -193,53 +174,25 @@ pub fn compress_chunked_parallel(pool: &WorkPool, body: &Bytes) -> Vec<u8> {
 /// error returns, so no worker is left writing into freed state.
 pub fn decompress_chunked_parallel(pool: &WorkPool, body: &Bytes) -> Result<Vec<u8>, ChunkError> {
     let parsed = chunk::parse_chunked(body)?;
-    let compressed_idx: Vec<usize> = (0..parsed.chunks.len())
-        .filter(|&i| parsed.chunks[i].compressed)
-        .collect();
-    if compressed_idx.len() <= 1 {
+    if parsed.chunks.iter().filter(|c| c.compressed).count() <= 1 {
         return chunk::decompress_chunked(body);
     }
-    let stride = pool.workers() + 1;
-    let (res_tx, res_rx) = unbounded::<(usize, Result<Vec<u8>, ChunkError>)>();
-    let mut offloaded = 0usize;
-    for (j, &idx) in compressed_idx.iter().enumerate() {
-        if j % stride == 0 {
-            continue; // caller's share
-        }
-        let body = body.clone();
-        let payload = parsed.chunks[idx].payload.clone();
-        let uncompressed_len = parsed.chunks[idx].uncompressed_len;
-        let res_tx = res_tx.clone();
-        offloaded += 1;
-        pool.submit(Box::new(move || {
-            let result =
-                lz4::decompress_sized(&body[payload], uncompressed_len).map_err(ChunkError::from);
-            let _ = res_tx.send((idx, result));
-        }));
-    }
-    let mut decoded: Vec<Option<Vec<u8>>> = vec![None; parsed.chunks.len()];
-    let mut first_err: Option<ChunkError> = None;
-    for (j, &idx) in compressed_idx.iter().enumerate() {
-        if j % stride == 0 {
-            match lz4::decompress_sized(
-                &body[parsed.chunks[idx].payload.clone()],
-                parsed.chunks[idx].uncompressed_len,
-            ) {
-                Ok(buf) => decoded[idx] = Some(buf),
-                Err(e) => first_err = first_err.or(Some(ChunkError::from(e))),
-            }
-        }
-    }
-    for _ in 0..offloaded {
-        let (idx, result) = res_rx.recv().expect("lz4 worker delivered its result");
-        match result {
-            Ok(buf) => decoded[idx] = Some(buf),
-            Err(e) => first_err = first_err.or(Some(e)),
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
+    // One job per compressed chunk, each borrowing its payload and filling
+    // its own slot; raw-stored chunks keep `None`.
+    let mut results: Vec<Option<Result<Vec<u8>, ChunkError>>> =
+        parsed.chunks.iter().map(|_| None).collect();
+    let compressed = results.iter_mut().zip(&parsed.chunks).filter(|(_, c)| c.compressed);
+    let jobs = compressed.map(|(slot, c)| {
+        let payload = &body[c.payload.clone()];
+        Box::new(move || {
+            let raw = lz4::decompress_sized(payload, c.uncompressed_len);
+            *slot = Some(raw.map_err(ChunkError::from));
+        }) as Box<dyn FnOnce() + Send + '_>
+    });
+    pool.run_scoped(jobs.collect());
+    // Every job has finished; the lowest-indexed failing chunk decides.
+    let decoded: Vec<Option<Vec<u8>>> =
+        results.into_iter().map(Option::transpose).collect::<Result<_, _>>()?;
     // Assemble: every chunk covers a disjoint span and the spans sum to
     // total_len (validated by parse_chunked + decompress_sized), so each
     // output byte is written exactly once.

@@ -1,4 +1,4 @@
-//! The algorithm-agnostic router.
+//! The algorithm-agnostic router, and the per-machine state it routes over.
 //!
 //! The router is the thread inside every broker that watches the shared
 //! communicator's header queue and dispatches each message to its
@@ -7,14 +7,22 @@
 //! forwarded once per machine over the inter-broker fabric. The router never
 //! inspects or interprets bodies — it is *algorithm agnostic* (paper §3.2.1).
 //!
+//! A [`Hub`] is one machine's object store, routing table and counters, and
+//! what happens to a message at a machine is each one method of it:
+//! [`Hub::admit`] is the only way a body enters the store (the lane comes
+//! from [`MessageKind::priority_lane`] on every path), [`Hub::dispatch`] the
+//! source side, [`Hub::arrive`] the far side of an uplink, and
+//! [`Hub::settle`] the only way a fetch credit is given back for a header
+//! nobody will consume.
+//!
 //! # Control-plane fast path
 //!
 //! Three properties keep the per-message cost flat as fan-out grows:
 //!
 //! * **Snapshot routing.** `routes` and `id_queues` are [`SnapshotCell`]
-//!   snapshots: [`RoutingTable::split`] and [`push_headers`] take zero locks
-//!   per message; the rare writers (endpoint registration, fabric merges) pay
-//!   the copy instead.
+//!   snapshots: [`RoutingTable::split`] and [`Hub::push_headers`] take zero
+//!   locks per message; the rare writers (endpoint registration, fabric
+//!   merges) pay the copy instead.
 //! * **Split once.** The sender thread computes the local/remote split and
 //!   ships the resulting [`Delivery`] plan to the router, so the destination
 //!   list is resolved exactly once per message and store fetch credits always
@@ -30,14 +38,15 @@
 use crate::inject::{DelayedDelivery, InjectDecision, InjectionStats, RouteInjector};
 use crate::snapshot::SnapshotCell;
 use crate::store::ObjectStore;
-use crossbeam_channel::{Receiver, Sender, TryRecvError};
+use crossbeam_channel::{Receiver, SendError, Sender, TryRecvError};
 use netsim::MachineId;
 use parking_lot::Mutex;
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use xingtian_message::{Header, ProcessId};
+use xingtian_message::{CompressionKind, Header, MessageKind, ProcessId};
+use xt_telemetry::{EventKind, Telemetry};
 
 /// What flows through a per-process ID queue.
 #[derive(Debug)]
@@ -63,8 +72,7 @@ pub(crate) enum RouterCmd {
 #[derive(Debug)]
 pub(crate) struct Delivery {
     pub(crate) header: Arc<Header>,
-    pub(crate) local: Vec<ProcessId>,
-    pub(crate) remote: Vec<(MachineId, Vec<ProcessId>)>,
+    pub(crate) plan: SplitPlan,
 }
 
 /// The local/remote partition of a destination list.
@@ -85,7 +93,6 @@ impl SplitPlan {
         self.local.len() + self.remote.len()
     }
 }
-
 /// Routing state shared between a broker, its router thread, and (after
 /// [`crate::connect_brokers`]) peer brokers that propagate route updates.
 #[derive(Debug, Default)]
@@ -215,7 +222,7 @@ impl RoutingTable {
 #[derive(Debug)]
 pub struct RemoteEnvelope {
     /// Header as produced by the source (object id refers to the *source*
-    /// store and is re-assigned on delivery).
+    /// store and is re-assigned on arrival).
     pub header: Header,
     /// The (possibly compressed) body bytes.
     pub body: bytes::Bytes,
@@ -223,112 +230,276 @@ pub struct RemoteEnvelope {
     pub dst: Vec<ProcessId>,
 }
 
-/// Delivers headers into local ID queues, re-homing the body into the local
-/// store when it arrives from a remote machine.
-pub(crate) fn deliver_local(
-    store: &ObjectStore,
-    table: &RoutingTable,
-    mut header: Header,
-    body: bytes::Bytes,
-    dst: &[ProcessId],
-) {
-    if dst.is_empty() {
-        return;
-    }
-    let object_id = store.insert(body, dst.len());
-    header.object_id = Some(object_id);
-    table.id_queues.with(|queues| push_headers(store, table, queues, &Arc::new(header), dst));
+/// The feeds into a machine's uplink threads, one per connected peer.
+pub(crate) type Uplinks = Mutex<HashMap<MachineId, Sender<Vec<RemoteEnvelope>>>>;
+
+/// One machine's half of the channel: its object store, its routing table and
+/// the counters every hop reports into. Shared by the broker, its router,
+/// offload, delay-line and receiver threads, and the uplink threads of peers
+/// delivering into this machine; it owns no thread handle and no command
+/// sender, so none of those threads keeps itself or a broker alive through it.
+#[derive(Debug)]
+pub(crate) struct Hub {
+    pub(crate) store: ObjectStore,
+    pub(crate) table: RoutingTable,
+    pub(crate) telemetry: Telemetry,
+    /// Broker-wide routing backlog: deliveries dispatched but not yet taken
+    /// off a shard queue. Observable back-pressure before it becomes drops.
+    pub(crate) queue_depth: xt_telemetry::GaugeHandle,
+    /// Bytes entering the store at their source per [`CompressionKind`],
+    /// indexed by discriminant. Pre-created handles so `dispatch` never
+    /// touches the metrics registry lock.
+    wire_bytes: [xt_telemetry::CounterHandle; CompressionKind::ALL.len()],
+    /// Stored size of every `Parameters` broadcast body — the direct
+    /// observable for the parameter plane's savings.
+    broadcast_bytes: xt_telemetry::HistogramHandle,
 }
 
-/// Pushes `header` (whose object id already refers to `store`) into the ID
-/// queue of every process in `dst`, using a pre-loaded queue snapshot.
-/// Reclaims store credits for unroutable destinations and closed queues.
-/// This is the final hop of every delivery, local or remote — the one place
-/// an installed [`RouteInjector`] is consulted (exactly once per
-/// (message, destination) pair).
-pub(crate) fn push_headers(
-    store: &ObjectStore,
-    table: &RoutingTable,
-    queues: &HashMap<ProcessId, Sender<IdQueueMsg>>,
-    header: &Arc<Header>,
-    dst: &[ProcessId],
-) {
-    table.injector.with(|injector| {
-        for &d in dst {
-            match injector.as_deref().map_or(InjectDecision::Deliver, |i| i.decide(header, d)) {
-                InjectDecision::Deliver => push_one(store, table, queues, header, d),
-                InjectDecision::Drop => {
-                    table.injected_dropped.fetch_add(1, Ordering::Relaxed);
-                    // Same settlement as an organic drop: burn the destination's
-                    // fetch credit so the entry cannot leak.
-                    if let Some(id) = header.object_id {
-                        store.drop_credit(id);
+impl Hub {
+    pub(crate) fn new(store_capacity: usize, telemetry: Telemetry) -> Self {
+        Hub {
+            store: ObjectStore::with_capacity(store_capacity),
+            table: RoutingTable::default(),
+            queue_depth: telemetry.gauge("comm.router_queue_depth"),
+            wire_bytes: CompressionKind::ALL
+                .map(|k| telemetry.counter(&format!("comm.bytes_on_wire.{}", k.name()))),
+            broadcast_bytes: telemetry.histogram("comm.broadcast_bytes"),
+            telemetry,
+        }
+    }
+
+    /// The one admission into this machine's store: the lane comes from the
+    /// message's kind, whichever path brought the body here. Data kinds wait
+    /// at the capacity gate — on remote arrival too, which is the cross-machine
+    /// back-pressure a finite shared segment gives; priority kinds never do.
+    pub(crate) fn admit(&self, header: &mut Header, body: bytes::Bytes, fanout: usize) {
+        header.object_id = Some(if header.kind.priority_lane() {
+            self.store.insert_priority(body, fanout)
+        } else {
+            self.store.insert(body, fanout)
+        });
+    }
+
+    /// The one settlement: spends the fetch credit of one destination that
+    /// will never consume `header`, so the store entry cannot leak. Whether
+    /// that is also a *drop* is the caller's to count.
+    pub(crate) fn settle(&self, header: &Header) {
+        if let Some(id) = header.object_id {
+            self.store.drop_credit(id);
+        }
+    }
+
+    /// Source side, for a body in its stored form (inline from `submit`, or
+    /// out of the offload thread): counts it, admits it, and hands the
+    /// delivery to its router shard — the hash of the original destination
+    /// list, so both callers keep a destination's same-path messages FIFO.
+    /// Returns `false`, every credit of the plan settled, if that shard is
+    /// gone (a broker shutting down refuses; it does not tally a drop).
+    pub(crate) fn dispatch(
+        &self,
+        router_txs: &[Sender<RouterCmd>],
+        mut header: Header,
+        body: bytes::Bytes,
+        plan: SplitPlan,
+    ) -> bool {
+        let stored_len = body.len() as u64;
+        self.wire_bytes[header.compression.discriminant() as usize].add(stored_len);
+        if header.kind == MessageKind::Parameters {
+            self.broadcast_bytes.record(stored_len);
+        }
+        self.admit(&mut header, body, plan.fanout());
+        self.telemetry.emit(EventKind::StoreInserted, header.id, stored_len);
+        let shard = shard_for(&header.dst, router_txs.len());
+        let delivery = Delivery { header: Arc::new(header), plan };
+        self.queue_depth.add(1);
+        let Err(SendError(refused)) = router_txs[shard].send(RouterCmd::Deliver(delivery)) else {
+            return true;
+        };
+        self.queue_depth.add(-1);
+        if let RouterCmd::Deliver(Delivery { header, plan }) = refused {
+            (0..plan.fanout()).for_each(|_| self.settle(&header));
+        }
+        false
+    }
+
+    /// Far side of an uplink: re-homes a body that crossed the wire into this
+    /// machine's store and pushes its header to the destinations here.
+    pub(crate) fn arrive(&self, RemoteEnvelope { mut header, body, dst }: RemoteEnvelope) {
+        if dst.is_empty() {
+            return;
+        }
+        self.admit(&mut header, body, dst.len());
+        self.table.id_queues.with(|queues| self.push_headers(queues, &Arc::new(header), &dst));
+    }
+
+    /// Pushes `header` (whose object id already refers to this store) into
+    /// the ID queue of every process in `dst`, using a pre-loaded queue
+    /// snapshot. This is the final hop of every delivery, local or remote —
+    /// the one place an installed [`RouteInjector`] is consulted (exactly
+    /// once per (message, destination) pair).
+    pub(crate) fn push_headers(
+        &self,
+        queues: &HashMap<ProcessId, Sender<IdQueueMsg>>,
+        header: &Arc<Header>,
+        dst: &[ProcessId],
+    ) {
+        let table = &self.table;
+        table.injector.with(|injector| {
+            for &d in dst {
+                match injector.as_deref().map_or(InjectDecision::Deliver, |i| i.decide(header, d)) {
+                    InjectDecision::Deliver => self.push_one(queues, header, d),
+                    InjectDecision::Drop => {
+                        table.injected_dropped.fetch_add(1, Ordering::Relaxed);
+                        self.settle(header);
                     }
-                }
-                InjectDecision::Duplicate(n) => {
-                    // Mint the extra credits *before* enqueuing any copy: each
-                    // copy spends one credit at fetch time. If the credits cannot
-                    // be minted (entry already spent), fall back to one delivery.
-                    let extra = header
-                        .object_id
-                        .map_or(0, |id| if store.add_credit(id, n as usize) { n } else { 0 });
-                    table.injected_duplicated.fetch_add(extra as u64, Ordering::Relaxed);
-                    for _ in 0..=extra {
-                        push_one(store, table, queues, header, d);
+                    InjectDecision::Duplicate(n) => {
+                        // Mint the extra credits *before* enqueuing any copy: each
+                        // copy spends one credit at fetch time. If the credits cannot
+                        // be minted (entry already spent), fall back to one delivery.
+                        let minted =
+                            header.object_id.is_some_and(|id| self.store.add_credit(id, n as usize));
+                        let extra = if minted { n } else { 0 };
+                        table.injected_duplicated.fetch_add(extra as u64, Ordering::Relaxed);
+                        for _ in 0..=extra {
+                            self.push_one(queues, header, d);
+                        }
                     }
-                }
-                InjectDecision::Delay(delay) => {
-                    let parked = {
-                        let guard = table.delay_tx.lock();
-                        guard.as_ref().is_some_and(|tx| {
-                            tx.send(DelayedDelivery {
-                                header: Arc::clone(header),
-                                dst: d,
-                                deliver_at: Instant::now() + delay,
+                    InjectDecision::Delay(delay) => {
+                        let parked = {
+                            let guard = table.delay_tx.lock();
+                            guard.as_ref().is_some_and(|tx| {
+                                tx.send(DelayedDelivery {
+                                    header: Arc::clone(header),
+                                    dst: d,
+                                    deliver_at: Instant::now() + delay,
+                                })
+                                .is_ok()
                             })
-                            .is_ok()
-                        })
-                    };
-                    if parked {
-                        table.injected_delayed.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        // No delay line (or it's gone): deliver immediately
-                        // rather than lose the message.
-                        push_one(store, table, queues, header, d);
+                        };
+                        if parked {
+                            table.injected_delayed.fetch_add(1, Ordering::Relaxed);
+                        } else {
+                            // No delay line (or it's gone): deliver immediately
+                            // rather than lose the message.
+                            self.push_one(queues, header, d);
+                        }
                     }
                 }
             }
-        }
-    });
-}
+        });
+    }
 
-/// Delivers one header to one destination queue, settling the store credit if
-/// the destination is unreachable.
-pub(crate) fn push_one(
-    store: &ObjectStore,
-    table: &RoutingTable,
-    queues: &HashMap<ProcessId, Sender<IdQueueMsg>>,
-    header: &Arc<Header>,
-    d: ProcessId,
-) {
-    let delivered = queues
-        .get(&d)
-        .map(|q| q.send(IdQueueMsg::Deliver(Arc::clone(header))).is_ok())
-        .unwrap_or(false);
-    if !delivered {
-        // A destination that deregistered its queue (retired explorer,
-        // process that finished during coordinated shutdown) discards the
-        // message without counting it as a drop; only a destination that was
-        // never here — a genuine routing error — counts.
-        if table.departed.lock().contains(&d) {
-            table.departed_discards.fetch_add(1, Ordering::Relaxed);
-        } else {
-            table.add_dropped(1);
+    /// Delivers one header to one destination queue, settling the store credit if
+    /// the destination is unreachable.
+    pub(crate) fn push_one(
+        &self,
+        queues: &HashMap<ProcessId, Sender<IdQueueMsg>>,
+        header: &Arc<Header>,
+        d: ProcessId,
+    ) {
+        let delivered = queues
+            .get(&d)
+            .map(|q| q.send(IdQueueMsg::Deliver(Arc::clone(header))).is_ok())
+            .unwrap_or(false);
+        if !delivered {
+            // A destination that deregistered its queue (retired explorer,
+            // process that finished during coordinated shutdown) discards the
+            // message without counting it as a drop; only a destination that was
+            // never here — a genuine routing error — counts.
+            if self.table.departed.lock().contains(&d) {
+                self.table.departed_discards.fetch_add(1, Ordering::Relaxed);
+            } else {
+                self.table.add_dropped(1);
+            }
+            self.settle(header);
         }
-        // Burn the fetch credit this destination would have used so the
-        // store entry does not leak.
-        if let Some(id) = header.object_id {
-            store.drop_credit(id);
+    }
+
+    /// Runs one router-shard loop until it receives [`RouterCmd::Shutdown`] or
+    /// every command sender disconnects. `shard` names the per-shard burst
+    /// counter (`comm.router.{shard}.bursts`); the broker-wide backlog gauge is
+    /// decremented here for every command taken off a shard queue.
+    pub(crate) fn run_router(&self, shard: usize, comm_rx: Receiver<RouterCmd>, uplinks: &Uplinks) {
+        let routed_messages = self.telemetry.counter("comm.routed_messages");
+        let bursts = self.telemetry.counter(&format!("comm.router.{shard}.bursts"));
+        // Busy time (burst processing, blocking recv excluded) — the scale gate
+        // reads this to compute what wall clock would be with one core per shard.
+        let busy_ns = self.telemetry.counter(&format!("comm.router.{shard}.busy_ns"));
+        let mut batch: Vec<RouterCmd> = Vec::with_capacity(DRAIN_BATCH);
+        let mut per_machine: HashMap<MachineId, Vec<RemoteEnvelope>> = HashMap::new();
+        loop {
+            // Block for the first command, then opportunistically drain a burst.
+            match comm_rx.recv() {
+                Ok(cmd) => batch.push(cmd),
+                Err(_) => return,
+            }
+            loop {
+                if batch.len() >= DRAIN_BATCH {
+                    break;
+                }
+                match comm_rx.try_recv() {
+                    Ok(cmd) => batch.push(cmd),
+                    Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
+                }
+            }
+            bursts.inc();
+            let burst_start = std::time::Instant::now();
+            // The gauge counts deliveries only (the shutdown sentinel was never
+            // counted in), so the broker-wide depth returns to zero at drain.
+            let delivers =
+                batch.iter().filter(|c| matches!(c, RouterCmd::Deliver(_))).count() as i64;
+            self.queue_depth.add(-delivers);
+            // One ID-queue snapshot per burst, borrowed for the local pushes.
+            let mut shutdown = false;
+            self.table.id_queues.with(|queues| {
+                for cmd in batch.drain(..) {
+                    let Delivery { header, plan } = match cmd {
+                        RouterCmd::Deliver(d) => d,
+                        RouterCmd::Shutdown => {
+                            // Keep draining: FIFO guarantees every message submitted
+                            // before shutdown precedes the sentinel, and racing
+                            // stragglers behind it still have store credits to settle.
+                            shutdown = true;
+                            continue;
+                        }
+                    };
+                    self.telemetry.emit(EventKind::Routed, header.id, plan.fanout() as u64);
+                    routed_messages.inc();
+                    // Local destinations: hand the object id straight to their ID
+                    // queues (one Arc clone each).
+                    self.push_headers(queues, &header, &plan.local);
+                    // Remote machines: the router is each group's consumer — its
+                    // fetch spends the machine's credit, so a group that cannot be
+                    // forwarded has nothing left to settle, only drops to count.
+                    // Envelopes group under their uplink; the burst flushes below.
+                    for (machine, dst) in plan.remote {
+                        match header.object_id.and_then(|id| self.store.fetch(id)) {
+                            Some(body) => per_machine.entry(machine).or_default().push(
+                                RemoteEnvelope { header: (*header).clone(), body, dst },
+                            ),
+                            None => self.table.add_dropped(dst.len() as u64),
+                        }
+                    }
+                }
+            });
+            // Flush remote groups: one uplink lookup per machine per burst. The
+            // uplink thread pays the NIC cost so routing of subsequent local
+            // traffic is never blocked behind a slow link.
+            if !per_machine.is_empty() {
+                let uplinks = uplinks.lock();
+                for (machine, envelopes) in per_machine.drain() {
+                    let n_dst: u64 = envelopes.iter().map(|e| e.dst.len() as u64).sum();
+                    let sent =
+                        uplinks.get(&machine).map(|tx| tx.send(envelopes).is_ok()).unwrap_or(false);
+                    if !sent {
+                        self.table.add_dropped(n_dst);
+                    }
+                }
+            }
+            busy_ns.add(burst_start.elapsed().as_nanos() as u64);
+            if shutdown {
+                return;
+            }
         }
     }
 }
@@ -351,115 +522,14 @@ pub(crate) fn shard_for(dst: &[ProcessId], shards: usize) -> usize {
     (crate::pid_hash(first) % shards as u64) as usize
 }
 
-/// Runs one router-shard loop until it receives [`RouterCmd::Shutdown`] or
-/// every command sender disconnects. `shard` names the per-shard burst
-/// counter (`comm.router.{shard}.bursts`); `queue_depth` is the broker-wide
-/// backlog gauge, decremented here for every command taken off a shard queue.
-pub(crate) fn run_router(
-    shard: usize,
-    comm_rx: Receiver<RouterCmd>,
-    store: Arc<ObjectStore>,
-    table: Arc<RoutingTable>,
-    uplinks: Arc<Mutex<HashMap<MachineId, Sender<Vec<RemoteEnvelope>>>>>,
-    telemetry: xt_telemetry::Telemetry,
-    queue_depth: xt_telemetry::GaugeHandle,
-) {
-    let routed_messages = telemetry.counter("comm.routed_messages");
-    let bursts = telemetry.counter(&format!("comm.router.{shard}.bursts"));
-    // Busy time (burst processing, blocking recv excluded) — the scale gate
-    // reads this to compute what wall clock would be with one core per shard.
-    let busy_ns = telemetry.counter(&format!("comm.router.{shard}.busy_ns"));
-    let mut batch: Vec<RouterCmd> = Vec::with_capacity(DRAIN_BATCH);
-    let mut per_machine: HashMap<MachineId, Vec<RemoteEnvelope>> = HashMap::new();
-    loop {
-        // Block for the first command, then opportunistically drain a burst.
-        match comm_rx.recv() {
-            Ok(cmd) => batch.push(cmd),
-            Err(_) => return,
-        }
-        loop {
-            if batch.len() >= DRAIN_BATCH {
-                break;
-            }
-            match comm_rx.try_recv() {
-                Ok(cmd) => batch.push(cmd),
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-            }
-        }
-        bursts.inc();
-        let burst_start = std::time::Instant::now();
-        // The gauge counts deliveries only (the shutdown sentinel was never
-        // counted in), so the broker-wide depth returns to zero at drain.
-        let delivers =
-            batch.iter().filter(|c| matches!(c, RouterCmd::Deliver(_))).count() as i64;
-        queue_depth.add(-delivers);
-        // One ID-queue snapshot per burst, borrowed for the local pushes.
-        let mut shutdown = false;
-        table.id_queues.with(|queues| {
-            for cmd in batch.drain(..) {
-                let delivery = match cmd {
-                    RouterCmd::Deliver(d) => d,
-                    RouterCmd::Shutdown => {
-                        // Keep draining: FIFO guarantees every message submitted
-                        // before shutdown precedes the sentinel, and racing
-                        // stragglers behind it still have store credits to settle.
-                        shutdown = true;
-                        continue;
-                    }
-                };
-                let Delivery { header, local, remote } = delivery;
-                telemetry.emit(
-                    xt_telemetry::EventKind::Routed,
-                    header.id,
-                    (local.len() + remote.len()) as u64,
-                );
-                routed_messages.inc();
-                // Local destinations: hand the object id straight to their ID
-                // queues (one Arc clone each).
-                push_headers(&store, &table, queues, &header, &local);
-                // Remote machines: spend one credit per machine and group the
-                // envelope under its uplink; the whole burst flushes below.
-                for (machine, dst) in remote {
-                    let Some(id) = header.object_id else {
-                        table.add_dropped(dst.len() as u64);
-                        continue;
-                    };
-                    let Some(body) = store.fetch(id) else {
-                        table.add_dropped(dst.len() as u64);
-                        continue;
-                    };
-                    let envelope = RemoteEnvelope { header: (*header).clone(), body, dst };
-                    per_machine.entry(machine).or_default().push(envelope);
-                }
-            }
-        });
-        // Flush remote groups: one uplink lookup per machine per burst. The
-        // uplink thread pays the NIC cost so routing of subsequent local
-        // traffic is never blocked behind a slow link.
-        if !per_machine.is_empty() {
-            let uplinks = uplinks.lock();
-            for (machine, envelopes) in per_machine.drain() {
-                let n_dst: u64 = envelopes.iter().map(|e| e.dst.len() as u64).sum();
-                let sent = uplinks.get(&machine).map(|tx| tx.send(envelopes).is_ok()).unwrap_or(false);
-                if !sent {
-                    // The per-machine credits were already spent by the
-                    // fetches above, so nothing leaks in the store; every
-                    // destination on the dead uplink counts as dropped.
-                    table.add_dropped(n_dst);
-                }
-            }
-        }
-        busy_ns.add(burst_start.elapsed().as_nanos() as u64);
-        if shutdown {
-            return;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crossbeam_channel::unbounded;
+
+    fn hub() -> Hub {
+        Hub::new(crate::store::DEFAULT_CAPACITY, Telemetry::disabled())
+    }
 
     #[test]
     fn split_partitions_by_machine() {
@@ -490,39 +560,31 @@ mod tests {
 
     #[test]
     fn push_headers_reclaims_credits_for_closed_queues() {
-        let store = ObjectStore::new();
-        let table = RoutingTable::default();
+        let hub = hub();
         let (tx, rx) = unbounded();
         drop(rx); // queue closed
-        assert!(table.add_id_queue(ProcessId::learner(0), tx));
-        let id = store.insert(bytes::Bytes::from_static(b"x"), 1);
-        let mut header = Header::new(
-            ProcessId::explorer(0),
-            vec![ProcessId::learner(0)],
-            xingtian_message::MessageKind::Rollout,
-        );
+        assert!(hub.table.add_id_queue(ProcessId::learner(0), tx));
+        let id = hub.store.insert(bytes::Bytes::from_static(b"x"), 1);
+        let mut header =
+            Header::new(ProcessId::explorer(0), vec![ProcessId::learner(0)], MessageKind::Rollout);
         header.object_id = Some(id);
-        let queues = table.id_queues.load();
-        push_headers(&store, &table, &queues, &Arc::new(header), &[ProcessId::learner(0)]);
-        assert_eq!(table.dropped(), 1);
-        assert!(store.is_empty(), "credit reclaimed; no leak");
+        let queues = hub.table.id_queues.load();
+        hub.push_headers(&queues, &Arc::new(header), &[ProcessId::learner(0)]);
+        assert_eq!(hub.table.dropped(), 1);
+        assert!(hub.store.is_empty(), "credit reclaimed; no leak");
     }
 
     #[test]
     fn push_headers_reclaims_credits_for_unregistered_destinations() {
-        let store = ObjectStore::new();
-        let table = RoutingTable::default();
-        let id = store.insert(bytes::Bytes::from_static(b"y"), 1);
-        let mut header = Header::new(
-            ProcessId::explorer(0),
-            vec![ProcessId::learner(3)],
-            xingtian_message::MessageKind::Rollout,
-        );
+        let hub = hub();
+        let id = hub.store.insert(bytes::Bytes::from_static(b"y"), 1);
+        let mut header =
+            Header::new(ProcessId::explorer(0), vec![ProcessId::learner(3)], MessageKind::Rollout);
         header.object_id = Some(id);
-        let queues = table.id_queues.load();
-        push_headers(&store, &table, &queues, &Arc::new(header), &[ProcessId::learner(3)]);
-        assert_eq!(table.dropped(), 1);
-        assert!(store.is_empty(), "credit reclaimed; no leak");
+        let queues = hub.table.id_queues.load();
+        hub.push_headers(&queues, &Arc::new(header), &[ProcessId::learner(3)]);
+        assert_eq!(hub.table.dropped(), 1);
+        assert!(hub.store.is_empty(), "credit reclaimed; no leak");
     }
 
     #[test]
@@ -530,37 +592,30 @@ mod tests {
         // A remote group whose uplink is gone (disconnected or never built)
         // must spend the machine's store credit and count every destination
         // behind it as dropped — no store leak either way.
-        let store = Arc::new(ObjectStore::new());
-        let table = Arc::new(RoutingTable::default());
+        let hub = hub();
         let (dead_tx, dead_rx) = unbounded::<Vec<RemoteEnvelope>>();
         drop(dead_rx); // uplink thread gone
-        let uplinks = Arc::new(Mutex::new(HashMap::from([(1, dead_tx)])));
+        let uplinks = Mutex::new(HashMap::from([(1, dead_tx)]));
         let (tx, rx) = unbounded();
         // Machine 1: closed uplink. Machine 2: no uplink registered at all.
         let mut header = Header::new(
             ProcessId::learner(0),
             vec![ProcessId::explorer(0), ProcessId::explorer(1)],
-            xingtian_message::MessageKind::Parameters,
+            MessageKind::Parameters,
         );
-        header.object_id = Some(store.insert(bytes::Bytes::from_static(b"w"), 2));
+        header.object_id = Some(hub.store.insert(bytes::Bytes::from_static(b"w"), 2));
         tx.send(RouterCmd::Deliver(Delivery {
             header: Arc::new(header),
-            local: Vec::new(),
-            remote: vec![(1, vec![ProcessId::explorer(0)]), (2, vec![ProcessId::explorer(1)])],
+            plan: SplitPlan {
+                remote: vec![(1, vec![ProcessId::explorer(0)]), (2, vec![ProcessId::explorer(1)])],
+                ..SplitPlan::default()
+            },
         }))
         .unwrap();
         tx.send(RouterCmd::Shutdown).unwrap();
-        run_router(
-            0,
-            rx,
-            Arc::clone(&store),
-            Arc::clone(&table),
-            uplinks,
-            xt_telemetry::Telemetry::disabled(),
-            xt_telemetry::GaugeHandle::default(),
-        );
-        assert_eq!(table.dropped(), 2, "one drop per unreachable destination");
-        assert!(store.is_empty(), "both machine credits settled; no leak");
+        hub.run_router(0, rx, &uplinks);
+        assert_eq!(hub.table.dropped(), 2, "one drop per unreachable destination");
+        assert!(hub.store.is_empty(), "both machine credits settled; no leak");
     }
 
     #[test]
@@ -585,21 +640,19 @@ mod tests {
     fn broadcast_enqueues_shared_header() {
         // The O(n) broadcast property: every ID queue receives a clone of the
         // *same* header allocation.
-        let store = ObjectStore::new();
-        let table = RoutingTable::default();
+        let hub = hub();
         let mut rxs = Vec::new();
         for i in 0..4 {
             let (tx, rx) = unbounded();
-            assert!(table.add_id_queue(ProcessId::explorer(i), tx));
+            assert!(hub.table.add_id_queue(ProcessId::explorer(i), tx));
             rxs.push(rx);
         }
         let dst: Vec<ProcessId> = (0..4).map(ProcessId::explorer).collect();
-        let mut header =
-            Header::new(ProcessId::learner(0), dst.clone(), xingtian_message::MessageKind::Parameters);
-        header.object_id = Some(store.insert(bytes::Bytes::from_static(b"w"), 4));
+        let mut header = Header::new(ProcessId::learner(0), dst.clone(), MessageKind::Parameters);
+        header.object_id = Some(hub.store.insert(bytes::Bytes::from_static(b"w"), 4));
         let header = Arc::new(header);
-        let queues = table.id_queues.load();
-        push_headers(&store, &table, &queues, &header, &dst);
+        let queues = hub.table.id_queues.load();
+        hub.push_headers(&queues, &header, &dst);
         for rx in &rxs {
             match rx.try_recv().expect("delivered") {
                 IdQueueMsg::Deliver(h) => {
@@ -608,6 +661,6 @@ mod tests {
                 IdQueueMsg::Close => panic!("unexpected close"),
             }
         }
-        assert_eq!(table.dropped(), 0);
+        assert_eq!(hub.table.dropped(), 0);
     }
 }

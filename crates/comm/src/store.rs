@@ -308,11 +308,13 @@ impl ObjectStore {
     /// Fraction of capacity occupied by *gate-admitted* (data-plane) bodies.
     ///
     /// Priority-lane bodies — lifecycle commands, statistics, parameter
-    /// broadcasts — bypass the capacity wait, so they never back-pressure a
-    /// producer; excluding them makes this the clean congestion signal: it
-    /// only rises when data-plane producers are genuinely outrunning
-    /// consumers. The elastic supervisor polls this, not [`occupancy`]
-    /// (whose transient control-plane spikes would mask the drain).
+    /// broadcasts: the kinds `MessageKind::priority_lane` names, at any size
+    /// and on every path in — bypass the capacity wait, so they never
+    /// back-pressure a producer; excluding them makes this the clean
+    /// congestion signal: it only rises when data-plane producers are
+    /// genuinely outrunning consumers. The elastic supervisor polls this, not
+    /// [`occupancy`] (whose transient control-plane spikes would mask the
+    /// drain).
     ///
     /// [`occupancy`]: ObjectStore::occupancy
     pub fn data_occupancy(&self) -> f64 {

@@ -3,9 +3,9 @@
 
 use bytes::Bytes;
 use netsim::{Cluster, ClusterSpec};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use xingtian_comm::{connect_brokers, Broker, CommConfig, Compression};
-use xingtian_message::{MessageKind, ProcessId};
+use xingtian_message::{CompressionKind, Header, Message, MessageKind, ProcessId};
 
 fn compressible_payload(len: usize) -> Bytes {
     // Small dynamic range of f32-like words: LZ4 compresses this heavily.
@@ -15,6 +15,31 @@ fn compressible_payload(len: usize) -> Bytes {
     }
     v.resize(len, 0);
     Bytes::from(v)
+}
+
+fn incompressible_payload(len: usize) -> Bytes {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut v = Vec::with_capacity(len + 8);
+    while v.len() < len {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        v.extend_from_slice(&state.to_le_bytes());
+    }
+    v.truncate(len);
+    Bytes::from(v)
+}
+
+/// Polls `cond` until it holds or `secs` pass; returns whether it held.
+fn eventually(secs: u64, cond: impl Fn() -> bool) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    while !cond() {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    true
 }
 
 #[test]
@@ -238,4 +263,104 @@ fn broadcast_to_256_explorers_across_two_machines_drops_nothing() {
     drop(explorers);
     b0.shutdown();
     b1.shutdown();
+}
+
+#[test]
+fn control_passes_a_full_store_from_either_machine() {
+    // The lane is a property of the message, not of the path it took: with
+    // machine 1's store held full by a learner that never receives, a
+    // `Control` for another machine-1 process is delivered at once whether it
+    // was submitted on machine 1 or arrived over the uplink from machine 0
+    // (where remote arrival used to wait at the capacity gate behind the
+    // rollouts, parking the whole uplink).
+    let cluster =
+        Cluster::new(ClusterSpec::default().machines(2).nic_bandwidth(1e9).latency_secs(0.0));
+    let config = CommConfig { endpoint_recv_capacity: Some(1), ..CommConfig::default() }
+        .with_store_capacity(4096);
+    let b0 = Broker::new(0, cluster.clone(), config.clone());
+    let b1 = Broker::new(1, cluster, config);
+    let learner = b1.endpoint(ProcessId::learner(0));
+    let explorer = b1.endpoint(ProcessId::explorer(0));
+    let watcher = b1.endpoint(ProcessId::controller(9));
+    let near = b1.endpoint(ProcessId::controller(1));
+    let far = b0.endpoint(ProcessId::controller(0));
+    connect_brokers(&[b0.clone(), b1.clone()]);
+
+    // One rollout lands in the learner's 1-slot receive buffer, one is held
+    // by its receiver thread, one fills the store, one parks the explorer's
+    // sender thread at the gate, two wait in its send buffer.
+    for i in 0..6u8 {
+        explorer.send_to(vec![ProcessId::learner(0)], MessageKind::Rollout, Bytes::from(vec![i; 4000]));
+    }
+    let full = eventually(10, || b1.store().live_bytes() == 4000 && explorer.send_backlog() == 2);
+
+    near.send_to(vec![watcher.pid()], MessageKind::Control, Bytes::from(vec![1u8; 200]));
+    let from_near = watcher.recv_timeout(Duration::from_secs(2));
+    far.send_to(vec![watcher.pid()], MessageKind::Control, Bytes::from(vec![2u8; 200]));
+    let from_far = watcher.recv_timeout(Duration::from_secs(2));
+    let data_share = b1.store().data_occupancy();
+
+    // Unwedge before asserting: closing an endpoint joins its sender thread,
+    // which here is parked on the full store until the learner drains it.
+    for i in 0..6u8 {
+        let m = learner.recv_timeout(Duration::from_secs(10)).expect("rollout drains");
+        assert_eq!(m.body[0], i, "rollouts stay FIFO through the back-pressure");
+    }
+    assert!(full, "the rollouts filled machine 1's store");
+    assert_eq!(from_near.expect("local control passes the full store").body[0], 1);
+    assert_eq!(from_far.expect("remote control passes the full store").body[0], 2);
+    assert!(data_share <= 4000.0 / 4096.0, "control bytes are not data occupancy: {data_share}");
+    drop((learner, explorer, watcher, near, far));
+    b0.shutdown();
+    b1.shutdown();
+    assert_eq!(b0.dropped() + b1.dropped(), 0);
+    assert!(b0.store().is_empty() && b1.store().is_empty());
+}
+
+#[test]
+fn parameters_of_any_size_stay_out_of_data_occupancy() {
+    // A broadcast body above the compression threshold detours through the
+    // offload thread; it must come out on the same priority lane a small one
+    // takes inline, or paper-scale parameter traffic pins the elastic
+    // supervisor's congestion signal and queues behind data-plane capacity.
+    for len in [2 << 20, 64 << 10] {
+        let config = CommConfig { endpoint_recv_capacity: Some(1), ..CommConfig::default() };
+        let broker = Broker::new(0, Cluster::single(), config);
+        let learner = broker.endpoint(ProcessId::learner(0));
+        let explorer = broker.endpoint(ProcessId::explorer(0));
+        let body = incompressible_payload(len);
+        for _ in 0..4 {
+            learner.send_to(vec![ProcessId::explorer(0)], MessageKind::Parameters, body.clone());
+        }
+        // The explorer is not receiving: one body sits in its receive buffer,
+        // one with its receiver thread, two stay resident in the store.
+        assert!(eventually(20, || broker.store().len() == 2), "two bodies resident ({len} B)");
+        assert_eq!(broker.store().live_bytes(), 2 * len);
+        assert_eq!(broker.store().data_occupancy(), 0.0, "{len}-byte parameters on the data lane");
+        for _ in 0..4 {
+            assert_eq!(explorer.recv_timeout(Duration::from_secs(10)).expect("delivered").body, body);
+        }
+        drop((learner, explorer));
+        broker.shutdown();
+        assert!(broker.store().is_empty());
+    }
+}
+
+#[test]
+fn an_undecodable_body_is_a_counted_drop() {
+    // The receiver thread is the last hop: a body it cannot decompress never
+    // reaches the workhorse, so it must show up in `dropped()` like a message
+    // lost anywhere else, with its store credit spent.
+    let broker = Broker::new(0, Cluster::single(), CommConfig::default());
+    let learner = broker.endpoint(ProcessId::learner(0));
+    let mut header =
+        Header::new(ProcessId::explorer(0), vec![ProcessId::learner(0)], MessageKind::Rollout);
+    header.compression = CompressionKind::Lz4Chunked;
+    assert!(broker.submit(Message::new(header, Bytes::from_static(b"not a chunk container"))));
+    assert!(eventually(10, || broker.dropped() == 1), "dropped = {}", broker.dropped());
+    assert!(learner.recv_timeout(Duration::from_millis(50)).is_none(), "nothing to deliver");
+    assert!(broker.store().is_empty(), "the fetch spent the credit");
+    drop(learner);
+    broker.shutdown();
+    assert_eq!(broker.dropped(), 1);
 }

@@ -226,13 +226,6 @@ impl DeploymentConfig {
         self
     }
 
-    /// Sets the transport compression threshold in bytes (builder style):
-    /// bodies larger than this are LZ4-chunked when entering the store.
-    pub fn with_compress_threshold(mut self, threshold: usize) -> Self {
-        self.comm = self.comm.with_compress_threshold(threshold);
-        self
-    }
-
     /// Sets the wall-clock cap (builder style).
     pub fn with_max_seconds(mut self, secs: f64) -> Self {
         self.max_seconds = secs;

@@ -9,7 +9,6 @@
 //! throughput once all rounds complete. Parameter traffic is omitted, exactly
 //! as in the paper.
 
-use crate::config::DeploymentConfig;
 use bytes::Bytes;
 use netsim::{Cluster, ClusterSpec};
 use std::time::{Duration, Instant};
@@ -151,19 +150,6 @@ pub fn run_dummy(config: DummyConfig) -> DummyResult {
     }
 
     DummyResult { total_bytes, elapsed, round_latencies }
-}
-
-/// Convenience: derives a [`DummyConfig`] from a deployment config (same
-/// cluster and placement), used by benches that sweep both.
-pub fn dummy_from_deployment(d: &DeploymentConfig, message_size: usize, rounds: usize) -> DummyConfig {
-    DummyConfig {
-        cluster: d.cluster.clone(),
-        explorers_per_machine: d.explorers_per_machine.clone(),
-        learner_machine: d.learner_machine,
-        message_size,
-        rounds,
-        comm: CommConfig::uncompressed(),
-    }
 }
 
 #[cfg(test)]

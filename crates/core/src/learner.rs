@@ -26,7 +26,7 @@ use crate::assignment::AssignmentTable;
 use crate::checkpoint::Checkpointer;
 use crate::config::AllreduceMode;
 use crate::gossip::Gossip;
-use crate::messages::{ControlCommand, ParamAck, StatsMsg};
+use crate::messages::{ControlCommand, StatsMsg};
 use crate::parameters::ParamBroadcaster;
 use crate::shard::{Lockstep, DEAD_PEER_TIMEOUT};
 use crate::stats::ThroughputTimeline;
@@ -289,9 +289,7 @@ impl LearnerProcess {
     fn on_message(&mut self, msg: Message, run: &mut LearnerRun, discipline: &mut Discipline) -> bool {
         match (msg.header.kind, discipline) {
             (MessageKind::ParamAck, _) => {
-                if let Ok(ack) = ParamAck::from_bytes(&msg.body) {
-                    run.broadcaster.on_ack(&ack);
-                }
+                run.broadcaster.on_ack_message(&msg);
             }
             (MessageKind::Rollout, _) => {
                 let t0 = Instant::now();

@@ -170,6 +170,14 @@ impl ParamBroadcaster {
         }
     }
 
+    /// Decodes a `ParamAck` message and folds it ([`Self::on_ack`]); a
+    /// malformed body folds nothing. Returns what was folded.
+    pub fn on_ack_message(&mut self, msg: &Message) -> Option<ParamAck> {
+        let ack = ParamAck::from_bytes(&msg.body).ok()?;
+        self.on_ack(&ack);
+        Some(ack)
+    }
+
     /// The delta base usable for *all* of `dst`: every destination was last
     /// sent the same version and the ring still holds its reconstruction.
     /// (`min` over unequal versions would be wrong — a receiver holding a

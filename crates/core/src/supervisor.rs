@@ -208,11 +208,6 @@ impl RecoveryReport {
     pub fn learner_transitions(&self) -> Vec<LivenessTransition> {
         self.transitions.iter().filter(|t| t.pid.role == ProcessRole::Learner).copied().collect()
     }
-
-    /// The liveness transitions of explorers only.
-    pub fn explorer_transitions(&self) -> Vec<LivenessTransition> {
-        self.transitions.iter().filter(|t| t.pid.role == ProcessRole::Explorer).copied().collect()
-    }
 }
 
 /// Handle and bookkeeping for one supervised thread slot — an explorer, a

@@ -209,12 +209,6 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Adds a scheduled link fault (builder style).
-    pub fn with_link_fault(mut self, fault: LinkFault) -> Self {
-        self.links = self.links.with(fault);
-        self
-    }
-
     /// Adds a scheduled link fault in both directions (builder style).
     pub fn with_symmetric_link_fault(mut self, fault: LinkFault) -> Self {
         self.links = self.links.with_symmetric(fault);

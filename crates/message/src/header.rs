@@ -134,6 +134,48 @@ pub enum MessageKind {
     InferReply,
 }
 
+impl MessageKind {
+    /// Whether bodies of this kind enter an object store on the *priority
+    /// lane* — admitted without waiting for the segment's capacity gate and
+    /// excluded from its data-plane occupancy — on every path into every
+    /// machine's store (inline submit, compression offload, remote arrival).
+    ///
+    /// The match is exhaustive on purpose: a new kind must choose its lane to
+    /// compile. Everything on the priority lane must be bounded by something
+    /// other than the gate it bypasses; each arm says what.
+    pub const fn priority_lane(self) -> bool {
+        match self {
+            // Data plane: bulky, produced at explorer fan-in rate. Waiting at
+            // the gate *is* the channel's back-pressure on these.
+            MessageKind::Rollout | MessageKind::Dummy | MessageKind::Gradient => false,
+            // Lifecycle commands and statistics must flow even when the data
+            // plane is fully back-pressured, or a stalled learner could never
+            // be shut down. Tiny, and paced by the controller.
+            MessageKind::Control | MessageKind::Stats => true,
+            // A backpressured data plane must never delay liveness evidence.
+            // Empty bodies, one per endpoint per interval.
+            MessageKind::Heartbeat => true,
+            // The learner's wake-up from a replay shard; carries a count.
+            MessageKind::ReplayNotice => true,
+            // Delta-base bookkeeping going stale behind a backed-up data
+            // plane would force full-f32 fallbacks exactly when the wire is
+            // busiest. One small ack per applied broadcast.
+            MessageKind::ParamAck => true,
+            // The learner is the data plane's drain: blocked admitting its
+            // own broadcast into a rollout-saturated store it could never
+            // fetch again — capacity waiting on the only process that frees
+            // capacity. In-flight volume is bounded by the learner's own
+            // training pace, not by explorer fan-in, so it cannot run away.
+            MessageKind::Parameters => true,
+            // Latency-SLO bound: a millisecond-budget query must never queue
+            // behind a back-pressured rollout stream. Serving replicas bound
+            // their own admission with explicit sheds, so the lane stays
+            // finite.
+            MessageKind::InferRequest | MessageKind::InferReply => true,
+        }
+    }
+}
+
 /// How a message body stored in the object store is compressed.
 ///
 /// Replaces the old `compressed: bool` header flag so receivers can tell a
@@ -362,6 +404,27 @@ mod tests {
         assert!(h.targets(ProcessId::explorer(2)));
         assert!(!h.targets(ProcessId::explorer(1)));
         assert!(!h.targets(ProcessId::learner(0)));
+    }
+
+    #[test]
+    fn every_kind_has_its_lane() {
+        use MessageKind::*;
+        let lanes = [
+            (Rollout, false),
+            (Parameters, true),
+            (Stats, true),
+            (Control, true),
+            (Dummy, false),
+            (Heartbeat, true),
+            (ReplayNotice, true),
+            (ParamAck, true),
+            (Gradient, false),
+            (InferRequest, true),
+            (InferReply, true),
+        ];
+        for (kind, priority) in lanes {
+            assert_eq!(kind.priority_lane(), priority, "{kind:?}");
+        }
     }
 
     #[test]

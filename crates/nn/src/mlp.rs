@@ -28,20 +28,6 @@ impl Activation {
             Activation::Tanh => ops::tanh(v),
         }
     }
-
-    /// Derivative expressed in terms of the *activated* output `a`.
-    pub fn grad_from_output(self, a: f32) -> f32 {
-        match self {
-            Activation::Relu => {
-                if a > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Activation::Tanh => 1.0 - a * a,
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy)]

@@ -60,11 +60,6 @@ impl ServeClient {
         }
     }
 
-    /// The replica this client addresses.
-    pub fn target(&self) -> ProcessId {
-        self.target
-    }
-
     /// Overrides the hash-assigned replica (tests pin specific replicas).
     pub fn set_target(&mut self, target: ProcessId) {
         self.target = target;

@@ -32,12 +32,12 @@ use std::time::Duration;
 use bytes::Bytes;
 use xingtian::checkpoint::load_latest;
 use xingtian::deployment::spawn_process;
-use xingtian::messages::{ControlCommand, ParamAck};
+use xingtian::messages::ControlCommand;
 use xingtian::supervisor::{Reap, Slot};
 use xingtian::ParamBroadcaster;
 use xingtian_algos::ParamBlob;
 use xingtian_comm::{pid_hash, Broker, Endpoint, ParamCompression, SnapshotCell};
-use xingtian_message::codec::{Decode, Encode};
+use xingtian_message::codec::Encode;
 use xingtian_message::{MessageKind, ProcessId};
 
 use crate::policy::Policy;
@@ -263,16 +263,16 @@ impl ParamPublisher {
     pub fn pump_acks(&mut self) -> usize {
         let mut n = 0;
         while let Some(msg) = self.endpoint.try_recv() {
-            if msg.header.kind == MessageKind::ParamAck {
-                if let Ok(ack) = ParamAck::from_bytes(&msg.body) {
-                    if ack.applied {
-                        self.acked += 1;
-                    } else {
-                        self.nacked += 1;
-                    }
-                    self.broadcaster.on_ack(&ack);
-                    n += 1;
+            if msg.header.kind != MessageKind::ParamAck {
+                continue;
+            }
+            if let Some(ack) = self.broadcaster.on_ack_message(&msg) {
+                if ack.applied {
+                    self.acked += 1;
+                } else {
+                    self.nacked += 1;
                 }
+                n += 1;
             }
         }
         n

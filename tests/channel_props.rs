@@ -6,9 +6,9 @@ use bytes::Bytes;
 use netsim::{Cluster, ClusterSpec};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use xingtian_comm::{connect_brokers, Broker, CommConfig};
-use xingtian_message::{MessageKind, ProcessId};
+use xingtian_message::{Header, Message, MessageKind, ProcessId};
 
 #[derive(Debug, Clone)]
 struct Traffic {
@@ -23,6 +23,35 @@ fn traffic_strategy() -> impl Strategy<Value = Traffic> {
     (1usize..=3, 1usize..=5, 1usize..=8).prop_map(|(machines, explorers, messages_per_explorer)| {
         Traffic { machines, explorers, messages_per_explorer }
     })
+}
+
+/// Every kind, data plane first; [`MessageKind::priority_lane`] says which is which.
+const KINDS: [MessageKind; 11] = [
+    MessageKind::Rollout,
+    MessageKind::Dummy,
+    MessageKind::Gradient,
+    MessageKind::Control,
+    MessageKind::Stats,
+    MessageKind::Heartbeat,
+    MessageKind::ParamAck,
+    MessageKind::Parameters,
+    MessageKind::ReplayNotice,
+    MessageKind::InferRequest,
+    MessageKind::InferReply,
+];
+
+/// Incompressible, so a body is stored at its own length on either path.
+fn noise(len: usize) -> Bytes {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut v = Vec::with_capacity(len + 8);
+    while v.len() < len {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        v.extend_from_slice(&state.to_le_bytes());
+    }
+    v.truncate(len);
+    Bytes::from(v)
 }
 
 proptest! {
@@ -103,5 +132,99 @@ proptest! {
         drop(eps);
         drop(learner);
         broker.shutdown();
+    }
+
+    #[test]
+    fn a_message_keeps_its_lane_on_every_path(
+        // (kind, 2 MiB body instead of 64 B, sent from machine 1, to the other machine)
+        script in proptest::collection::vec(
+            (0usize..11, any::<bool>(), any::<bool>(), any::<bool>()),
+            1usize..13,
+        ),
+    ) {
+        // Lane x path x size: small bodies are admitted inline, 2 MiB ones by
+        // the compression offload thread, remote ones once more on arrival.
+        // Receivers hold back, so what is resident — and on which lane the
+        // store booked it — can be read off exactly.
+        let cluster = Cluster::new(
+            ClusterSpec::default().machines(2).nic_bandwidth(1e12).latency_secs(0.0),
+        );
+        let config = CommConfig { endpoint_recv_capacity: Some(1), ..CommConfig::default() };
+        let brokers: Vec<Broker> =
+            (0..2).map(|m| Broker::new(m, cluster.clone(), config.clone())).collect();
+        let senders: Vec<_> =
+            (0..2).map(|m| brokers[m].endpoint(ProcessId::controller(m as u32))).collect();
+        let receivers: Vec<_> =
+            (0..2).map(|m| brokers[m].endpoint(ProcessId::learner(m as u32))).collect();
+        connect_brokers(&brokers);
+
+        let bodies = [noise(64), noise(2 << 20)];
+        let mut inserts = [0u64; 2];
+        let mut bound_for = [0usize; 2];
+        for (seq, &(kind, big, from, remote)) in script.iter().enumerate() {
+            let (from, to) = (from as usize, from as usize ^ remote as usize);
+            let header = Header::new(senders[from].pid(), vec![receivers[to].pid()], KINDS[kind])
+                .with_seq(seq as u64);
+            prop_assert!(senders[from].send(Message::new(header, bodies[big as usize].clone())));
+            inserts[from] += 1;
+            inserts[to] += remote as u64;
+            bound_for[to] += 1;
+        }
+        // Quiescence: every body admitted wherever it has to be, and each
+        // receiver holding its two (one in the 1-slot receive buffer, one in
+        // its receiver thread's hand) with the rest resident behind them.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while (0..2).any(|m| {
+            let store = brokers[m].store();
+            store.inserted() != inserts[m] || store.len() != bound_for[m].saturating_sub(2)
+        }) {
+            prop_assert!(Instant::now() < deadline, "channel never went quiet");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let booked: Vec<(usize, f64)> = brokers
+            .iter()
+            .map(|b| (b.store().live_bytes(), b.store().data_occupancy() * b.store().capacity() as f64))
+            .collect();
+
+        let mut seen = vec![0usize; script.len()];
+        for (m, receiver) in receivers.iter().enumerate() {
+            let mut last: HashMap<(ProcessId, bool), u64> = HashMap::new();
+            let (mut resident, mut resident_data) = (0usize, 0usize);
+            for rank in 0..bound_for[m] {
+                let msg = receiver.recv_timeout(Duration::from_secs(10));
+                prop_assert!(msg.is_some(), "machine {m} starved at {rank}/{}", bound_for[m]);
+                let msg = msg.unwrap();
+                let seq = msg.header.seq as usize;
+                let (kind, big, from, remote) = script[seq];
+                prop_assert_eq!(msg.header.kind, KINDS[kind]);
+                prop_assert_eq!(&msg.body, &bodies[big as usize]);
+                prop_assert_eq!(from as usize ^ remote as usize, m, "delivered to the wrong machine");
+                seen[seq] += 1;
+                // FIFO per (src, dst) within a size class (the offload path
+                // may reorder a sender's large and small bodies).
+                if let Some(prev) = last.insert((msg.header.src, big), msg.header.seq) {
+                    prop_assert!(prev < msg.header.seq, "order violated: {prev} before {seq}");
+                }
+                // The first two had already left the store at quiescence.
+                if rank >= 2 {
+                    resident += msg.body.len();
+                    if !KINDS[kind].priority_lane() {
+                        resident_data += msg.body.len();
+                    }
+                }
+            }
+            prop_assert!(receiver.try_recv().is_none(), "no duplicates");
+            prop_assert_eq!(booked[m].0, resident, "resident bytes on machine {}", m);
+            prop_assert_eq!(booked[m].1, resident_data as f64, "data-lane bytes on machine {}", m);
+        }
+        prop_assert!(seen.iter().all(|&n| n == 1), "each message exactly once: {seen:?}");
+
+        drop(senders);
+        drop(receivers);
+        for b in &brokers {
+            b.shutdown();
+            prop_assert_eq!(b.dropped(), 0);
+            prop_assert!(b.store().is_empty(), "object store leaked");
+        }
     }
 }
