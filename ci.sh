@@ -35,6 +35,17 @@ echo "== release smoke: the one publish cell's reclamation hammer on the optimis
 # publish prunes retention to 1 — on the build whose reordering matters.
 cargo test --release -q -p xingtian-comm snapshot
 
+echo "== release smoke: no lost wake-up in the queues every hop hands off through =="
+# The stand-in `parking_lot::Condvar` skips the futex wake when it counts no
+# waiter, and the stand-in channel, the store's gate and `Buffer` all sleep on
+# it; a suppressed wake that was needed is a reordering bug, and debug builds
+# hide those. 4 producers x 4 consumers over `bounded(1)`, `unbounded` and a
+# one-message `Buffer`, exact multiset received, a watchdog that fails the run
+# instead of hanging it; plus disconnect and `close()` waking every blocked
+# thread.
+cargo test --release -q -p parking_lot -p crossbeam-channel
+cargo test --release -q -p xingtian-comm buffer
+
 echo "== release smoke: the channel's lane, settlement and head-of-line tests on the optimised build =="
 # One admission: a Control passes a full store from either machine, and
 # Parameters stay out of data occupancy at 2 MiB as at 64 KiB; one settlement:

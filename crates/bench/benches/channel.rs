@@ -43,7 +43,7 @@ fn bench_store(c: &mut Criterion) {
 
 /// Messages sent back-to-back before draining, so the router sees a burst
 /// (the regime the batched drain targets) while bounded receive buffers
-/// (default capacity 8) never fill.
+/// (16 MiB by default) never fill.
 const BURST: usize = 4;
 
 /// Broadcast fan-out on one machine: one learner pushes a parameter message

@@ -15,7 +15,7 @@
 //! instant data are ready — the paper's aggressive-push behavior.
 
 use crate::broker::Broker;
-use crate::buffer::Buffer;
+use crate::buffer::{Buffer, PopError};
 use crate::router::IdQueueMsg;
 use crate::stats::TransmissionStats;
 use crossbeam_channel::Receiver;
@@ -46,18 +46,16 @@ pub struct Endpoint {
 impl Endpoint {
     pub(crate) fn spawn(pid: ProcessId, broker: Broker, id_rx: Receiver<IdQueueMsg>) -> Self {
         let send_buf = Arc::new(Buffer::new());
-        // Workhorse endpoints get bounded receive buffers so that a stalled
-        // consumer backpressures the whole channel (receiver thread blocks →
-        // object store fills → senders block) instead of buffering without
-        // bound. Control-plane endpoints stay unbounded: stats must never be
-        // able to stall the data plane.
-        let recv_buf = Arc::new(match pid.role {
-            xingtian_message::ProcessRole::Explorer | xingtian_message::ProcessRole::Learner => {
-                match broker.config().endpoint_recv_capacity {
-                    Some(cap) => Buffer::with_capacity(cap),
-                    None => Buffer::new(),
-                }
-            }
+        // Workhorse endpoints get byte-bounded receive buffers so that a
+        // stalled consumer backpressures the whole channel (receiver thread
+        // blocks → object store fills → senders block) instead of buffering
+        // without bound. Control-plane endpoints stay unbounded: stats must
+        // never be able to stall the data plane.
+        let recv_buf = Arc::new(match (pid.role, broker.config().endpoint_recv_bytes) {
+            (
+                xingtian_message::ProcessRole::Explorer | xingtian_message::ProcessRole::Learner,
+                Some(bytes),
+            ) => Buffer::with_budget(bytes),
             _ => Buffer::new(),
         });
         let delivery_stats = Arc::new(TransmissionStats::new());
@@ -100,17 +98,17 @@ impl Endpoint {
                         }
                         let popped = match beacon {
                             Some((_, interval)) => send_buf.pop_timeout(interval),
-                            None => send_buf.pop(),
+                            None => send_buf.pop().ok_or(PopError::Closed),
                         };
                         match popped {
-                            Some(msg) => {
+                            Ok(msg) => {
                                 let _ = broker.submit(msg);
                             }
-                            // `pop_timeout` returns None on both timeout and
-                            // closed-and-drained (`pop` only on the latter);
-                            // only the latter ends the thread and its beacon.
-                            None if send_buf.is_closed() && send_buf.is_empty() => break,
-                            None => {}
+                            // Closed and drained — one read under the
+                            // buffer's lock — ends the thread and its beacon;
+                            // a timeout only means a beat is due.
+                            Err(PopError::Closed) => break,
+                            Err(PopError::TimedOut) => {}
                         }
                     }
                 })
@@ -189,8 +187,10 @@ impl Endpoint {
                         } else {
                             body
                         };
-                        delivery_stats.record(header.created_at.elapsed());
-                        delivery_hist.record_duration(header.created_at.elapsed());
+                        // One clock read, so the two instruments agree.
+                        let in_flight = header.created_at.elapsed();
+                        delivery_stats.record(in_flight);
+                        delivery_hist.record_duration(in_flight);
                         telemetry.emit(EventKind::Fetched, header.id, body.len() as u64);
                         bytes_received.fetch_add(body.len() as u64, Ordering::Relaxed);
                         messages_received.fetch_add(1, Ordering::Relaxed);
@@ -269,7 +269,7 @@ impl Endpoint {
 
     /// Receive with a timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Message> {
-        self.consumed(self.recv_buf.pop_timeout(timeout))
+        self.consumed(self.recv_buf.pop_timeout(timeout).ok())
     }
 
     #[inline]

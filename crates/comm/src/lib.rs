@@ -81,7 +81,7 @@ pub mod stats;
 pub mod store;
 
 pub use broker::{connect_brokers, Broker};
-pub use buffer::Buffer;
+pub use buffer::{Buffer, PopError};
 pub use endpoint::Endpoint;
 pub use inject::{InjectDecision, InjectionStats, RouteInjector};
 pub use pool::WorkPool;
@@ -198,11 +198,12 @@ pub fn pid_hash(pid: ProcessId) -> u64 {
 pub struct CommConfig {
     /// Body compression policy (paper §4.1).
     pub compression: Compression,
-    /// Receive-buffer capacity (in messages) for workhorse endpoints
-    /// (explorers and the learner). Bounded buffers let a stalled consumer
-    /// backpressure the channel end to end; `None` restores unbounded
-    /// buffers. Control-plane endpoints are always unbounded.
-    pub endpoint_recv_capacity: Option<usize>,
+    /// Receive-buffer budget in bytes ([`Buffer::with_budget`]; the default,
+    /// 16 MiB, holds eight 2 MB rollouts) for workhorse endpoints (explorers
+    /// and the learner). Bounded buffers let a stalled consumer backpressure
+    /// the channel end to end; `Some(1)` means one message at a time, `None`
+    /// restores unbounded buffers. Control-plane endpoints are always unbounded.
+    pub endpoint_recv_bytes: Option<usize>,
     /// Endpoint liveness beacons (off by default: heartbeats to an
     /// unregistered monitor would tally as routing drops).
     pub heartbeat: Option<HeartbeatConfig>,
@@ -234,7 +235,7 @@ impl Default for CommConfig {
     fn default() -> Self {
         CommConfig {
             compression: Compression::default(),
-            endpoint_recv_capacity: Some(8),
+            endpoint_recv_bytes: Some(16 << 20),
             heartbeat: None,
             param_compression: ParamCompression::default(),
             router_shards: 1,

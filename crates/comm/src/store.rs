@@ -551,6 +551,31 @@ mod tests {
     }
 
     #[test]
+    fn a_release_wakes_every_inserter_parked_at_the_gate() {
+        // `space` skips the wake when it counts no waiter, so the count has
+        // to be right: two inserters park behind a full store, the one fetch
+        // that empties it lets both through.
+        let s = Arc::new(ObjectStore::with_capacity(100));
+        let held = s.insert(Bytes::from(vec![0u8; 80]), 1);
+        let parked: Vec<_> = (0..2)
+            .map(|_| {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || s.insert(Bytes::from(vec![1u8; 40]), 1))
+            })
+            .collect();
+        while s.space.waiters() < 2 {
+            std::thread::yield_now();
+        }
+        assert_eq!(s.live_bytes(), 80, "nothing admitted past the gate");
+        assert!(s.fetch(held).is_some());
+        for t in parked {
+            assert!(s.fetch(t.join().unwrap()).is_some());
+        }
+        assert_eq!(s.space.waiters(), 0);
+        assert!(s.is_empty());
+    }
+
+    #[test]
     fn oversized_object_admitted_alone() {
         let s = ObjectStore::with_capacity(100);
         // Larger than the whole segment: must not deadlock, admitted alone.

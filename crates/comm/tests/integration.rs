@@ -275,7 +275,7 @@ fn control_passes_a_full_store_from_either_machine() {
     // rollouts, parking the whole uplink).
     let cluster =
         Cluster::new(ClusterSpec::default().machines(2).nic_bandwidth(1e9).latency_secs(0.0));
-    let config = CommConfig { endpoint_recv_capacity: Some(1), ..CommConfig::default() }
+    let config = CommConfig { endpoint_recv_bytes: Some(1), ..CommConfig::default() }
         .with_store_capacity(4096);
     let b0 = Broker::new(0, cluster.clone(), config.clone());
     let b1 = Broker::new(1, cluster, config);
@@ -286,7 +286,7 @@ fn control_passes_a_full_store_from_either_machine() {
     let far = b0.endpoint(ProcessId::controller(0));
     connect_brokers(&[b0.clone(), b1.clone()]);
 
-    // One rollout lands in the learner's 1-slot receive buffer, one is held
+    // One rollout lands in the learner's one-message receive buffer, one is held
     // by its receiver thread, one fills the store, one parks the explorer's
     // sender thread at the gate, two wait in its send buffer.
     for i in 0..6u8 {
@@ -324,7 +324,7 @@ fn parameters_of_any_size_stay_out_of_data_occupancy() {
     // takes inline, or paper-scale parameter traffic pins the elastic
     // supervisor's congestion signal and queues behind data-plane capacity.
     for len in [2 << 20, 64 << 10] {
-        let config = CommConfig { endpoint_recv_capacity: Some(1), ..CommConfig::default() };
+        let config = CommConfig { endpoint_recv_bytes: Some(1), ..CommConfig::default() };
         let broker = Broker::new(0, Cluster::single(), config);
         let learner = broker.endpoint(ProcessId::learner(0));
         let explorer = broker.endpoint(ProcessId::explorer(0));

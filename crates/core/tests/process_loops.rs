@@ -207,7 +207,7 @@ fn shard_under_a_never_empty_inbox(mode: AllreduceMode) {
     // An unbounded receive buffer, so the whole backlog is staged locally
     // (the default keeps all but 8 in the ID queue, and a drain that outruns
     // the receiver thread would see a momentarily empty buffer).
-    let comm = CommConfig { endpoint_recv_capacity: None, ..CommConfig::default() };
+    let comm = CommConfig { endpoint_recv_bytes: None, ..CommConfig::default() };
     let broker = Broker::new(0, Cluster::single(), comm);
     let learner_ep = broker.endpoint(ProcessId::learner(0));
     // Everything the shard addresses has a route: its peer, the controller
@@ -366,7 +366,7 @@ impl ShardedSync for HoardingSync {
 #[test]
 fn sync_shard_collects_spent_batches() {
     const ROLLOUTS: usize = 64;
-    let comm = CommConfig { endpoint_recv_capacity: None, ..CommConfig::default() };
+    let comm = CommConfig { endpoint_recv_bytes: None, ..CommConfig::default() };
     let broker = Broker::new(0, Cluster::single(), comm);
     let learner_ep = broker.endpoint(ProcessId::learner(0));
     let _peer_ep = broker.endpoint(ProcessId::learner(1));
@@ -582,9 +582,9 @@ fn explorer_flow_control_caps_the_send_backlog() {
     // explorer can shut down cleanly.
     drop(learner_ep);
     let outcome = explorer_thread.join().unwrap();
-    // The store admits ~9 × 14 MiB bodies, the learner's bounded receive
-    // buffer 8 more, the send-side gate 4; allow slack for in-hand messages.
-    let ceiling = (128 / 14) + 8 + MAX_INFLIGHT_BATCHES as u64 + 4;
+    // The store admits ~9 × 14 MiB bodies, the learner's 16 MiB receive
+    // buffer one more, the send-side gate 4; allow slack for in-hand messages.
+    let ceiling = (128 / 14) + 1 + MAX_INFLIGHT_BATCHES as u64 + 4;
     assert!(
         outcome.batches_sent <= ceiling,
         "explorer ran ahead: {} batches (ceiling {ceiling})",

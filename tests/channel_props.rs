@@ -7,7 +7,7 @@ use netsim::{Cluster, ClusterSpec};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-use xingtian_comm::{connect_brokers, Broker, CommConfig};
+use xingtian_comm::{connect_brokers, Broker, CommConfig, Compression};
 use xingtian_message::{Header, Message, MessageKind, ProcessId};
 
 #[derive(Debug, Clone)]
@@ -149,7 +149,7 @@ proptest! {
         let cluster = Cluster::new(
             ClusterSpec::default().machines(2).nic_bandwidth(1e12).latency_secs(0.0),
         );
-        let config = CommConfig { endpoint_recv_capacity: Some(1), ..CommConfig::default() };
+        let config = CommConfig { endpoint_recv_bytes: Some(1), ..CommConfig::default() };
         let brokers: Vec<Broker> =
             (0..2).map(|m| Broker::new(m, cluster.clone(), config.clone())).collect();
         let senders: Vec<_> =
@@ -171,7 +171,7 @@ proptest! {
             bound_for[to] += 1;
         }
         // Quiescence: every body admitted wherever it has to be, and each
-        // receiver holding its two (one in the 1-slot receive buffer, one in
+        // receiver holding its two (one in the one-message receive buffer, one in
         // its receiver thread's hand) with the rest resident behind them.
         let deadline = Instant::now() + Duration::from_secs(30);
         while (0..2).any(|m| {
@@ -225,6 +225,88 @@ proptest! {
             b.shutdown();
             prop_assert_eq!(b.dropped(), 0);
             prop_assert!(b.store().is_empty(), "object store leaked");
+        }
+    }
+}
+
+/// Back-pressure is measured in bytes: body size x receive budget, every cell.
+/// With the consumer stalled the receive buffer holds `max(budget, one
+/// message)` and no more, the store's data lane then fills, and the senders
+/// stop in `insert`; once the consumer resumes, everything drains in
+/// per-sender FIFO and nothing is dropped, discarded or left behind.
+#[test]
+fn a_stalled_consumer_backpressures_in_bytes_through_the_store() {
+    let default_budget = CommConfig::default().endpoint_recv_bytes.expect("bounded by default");
+    for len in [64usize, 64 << 10, 2 << 20] {
+        for budget in [1usize, 256 << 10, default_budget] {
+            let cell = format!("{len} B bodies, {budget} B budget");
+            // What one staged message counts, and what then fits where.
+            let unit = len + std::mem::size_of::<Message>();
+            let buffered = (budget / unit).max(1);
+            let resident = 3;
+            let config = CommConfig {
+                compression: Compression::Off,
+                endpoint_recv_bytes: Some(budget),
+                ..CommConfig::default()
+            }
+            .with_store_capacity(resident * len + len / 2);
+            let broker = Broker::new(0, Cluster::single(), config);
+            // The learner is declared last, so it is dropped first: a failed
+            // assertion below then releases the stalled senders instead of
+            // hanging the unwind on joining them.
+            let explorers: Vec<_> = (0..2).map(|i| broker.endpoint(ProcessId::explorer(i))).collect();
+            let learner = broker.endpoint(ProcessId::learner(0));
+
+            // The receive buffer, the receiver thread's hand and the store
+            // absorb this many; four more have nowhere to go.
+            let absorbed = buffered + 1 + resident;
+            let per_sender = (absorbed + 4).div_ceil(2);
+            let total = 2 * per_sender;
+            let pattern = noise(len);
+            for seq in 0..per_sender {
+                for (e, explorer) in explorers.iter().enumerate() {
+                    let mut body = pattern.to_vec();
+                    body[0] = e as u8;
+                    body[1..9].copy_from_slice(&(seq as u64).to_le_bytes());
+                    assert!(explorer.send_to(vec![learner.pid()], MessageKind::Rollout, body.into()));
+                }
+            }
+
+            let store = broker.store();
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while store.inserted() != absorbed as u64 || learner.pending() != buffered {
+                assert!(learner.pending() * unit <= budget.max(unit), "{cell}: receive buffer over budget");
+                assert!(Instant::now() < deadline, "{cell}: never filled ({} inserted)", store.inserted());
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // Full and stuck: the data lane has no room for one more body,
+            // and senders that still hold messages (each sender thread has at
+            // most one in hand, the rest staged) insert nothing.
+            std::thread::sleep(Duration::from_millis(50));
+            assert_eq!(store.inserted(), absorbed as u64, "{cell}: a sender got past a full store");
+            let held_back: usize = explorers.iter().map(|e| e.send_backlog()).sum();
+            assert!(held_back >= total - absorbed - explorers.len(), "{cell}: {held_back} held back");
+            assert_eq!(learner.pending(), buffered, "{cell}: receive buffer over budget");
+            assert_eq!(store.len(), resident, "{cell}");
+            assert_eq!(store.data_occupancy() * store.capacity() as f64, (resident * len) as f64, "{cell}");
+            assert!(store.live_bytes() + len > store.capacity(), "{cell}: data lane not full");
+
+            let mut next = [0u64; 2];
+            for got in 0..total {
+                let msg = learner
+                    .recv_timeout(Duration::from_secs(30))
+                    .unwrap_or_else(|| panic!("{cell}: starved at {got}/{total}"));
+                let (e, seq) = (msg.body[0] as usize, u64::from_le_bytes(msg.body[1..9].try_into().unwrap()));
+                assert_eq!(seq, next[e], "{cell}: explorer {e} out of order");
+                next[e] += 1;
+                assert_eq!(msg.body[9..], pattern[9..], "{cell}: body corrupted");
+            }
+            assert!(learner.try_recv().is_none(), "{cell}: duplicate");
+            assert!(store.is_empty(), "{cell}: object store leaked");
+            drop(explorers);
+            drop(learner);
+            broker.shutdown();
+            assert_eq!((broker.dropped(), broker.departed_discards()), (0, 0), "{cell}");
         }
     }
 }
