@@ -95,11 +95,13 @@ echo "== multi-learner gate: fanout-256 sync allreduce shard scaling =="
 cargo run --release -p xt-bench --bin multilearner -- --gate 1.6
 
 echo "== scale gate: fanout-1024 sharded router-fabric throughput =="
-# The sharded comm fabric must deliver >= 2x the single-router busy-makespan
-# throughput at 4 shards on a fanout-1024 point-to-point stream (ideal ~4x),
-# with zero drops, an empty object store, and a drained router-backlog gauge
-# asserted inside every run (EXPERIMENTS.md, fabric sharding).
-cargo run --release -p xt-bench --bin routerscale -- --gate 2
+# The sharded comm fabric must deliver >= 1.6x the single-router throughput at
+# 4 shards on a fanout-1024 point-to-point stream (ideal ~4x), each shard
+# charged its router thread's CPU time (/proc schedstat), with zero drops, an
+# empty object store, and a drained router-backlog gauge asserted inside every
+# run. Bound 1.6: the parent of PR 25 read 2.46-3.87x on 12 runs and 2.05-3.15x
+# on 9 more, so no parent run fails it (EXPERIMENTS.md, PR 25).
+cargo run --release -p xt-bench --bin routerscale -- --gate 1.6
 
 echo "== elastic smoke: pool grows under induced store backpressure, drains after =="
 # Windowed delay rule parks rollout deliveries so their store credits pin the

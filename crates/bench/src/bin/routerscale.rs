@@ -3,19 +3,20 @@
 //!
 //! One broker hosts 1024 destination endpoints; a single source blasts
 //! point-to-point rollouts round-robin across all of them, so consistent
-//! hashing spreads the stream over every router shard. The container has one
-//! core, so shard threads timeshare and wall clock cannot scale; instead each
-//! shard's drain loop self-reports *busy time* (`comm.router.{n}.busy_ns`,
-//! blocking recv excluded) and a run's makespan is the busiest shard — what
-//! wall clock would be with one core per shard, the same idiom the
-//! multilearner gate uses. Every run must finish with zero drops, an empty
+//! hashing spreads the stream over every router shard. Shard threads share
+//! the host's cores with 1 024 receiver threads, so wall clock cannot scale;
+//! instead each shard is charged the CPU time its `xt-router-m0-s{n}` thread
+//! ran (the kernel's per-thread `schedstat`, read before shutdown joins it)
+//! and a run's makespan is the busiest shard — what wall clock would be with
+//! one core per shard, the same idiom the multilearner gate uses. CPU time,
+//! unlike a wall-clock busy interval, does not grow when the receivers the
+//! router wakes preempt it. Every run must finish with zero drops, an empty
 //! object store, and the broker-wide `comm.router_queue_depth` gauge back at
 //! zero.
 //!
 //! `--gate <ratio>` exits nonzero unless the widest fabric (4 shards)
-//! delivers at least `ratio`x the single-router busy-makespan throughput
-//! (the CI regression gate; ideal is ~4x, so 2x only trips on a real
-//! regression or a badly skewed shard assignment).
+//! delivers at least `ratio`x the single-router CPU-makespan throughput
+//! (the CI regression gate; ideal is ~4x, see ci.sh for the bound).
 
 use bytes::Bytes;
 use netsim::Cluster;
@@ -29,8 +30,8 @@ const N_DST: u32 = 1024;
 const BODY: &[u8] = &[7u8; 64];
 
 struct RunStats {
-    /// Busy nanoseconds per shard, from `comm.router.{n}.busy_ns`.
-    per_shard_busy_ns: Vec<u64>,
+    /// CPU nanoseconds per shard's router thread.
+    per_shard_cpu_ns: Vec<u64>,
     /// The busiest shard: wall clock with one core per shard.
     makespan_ns: u64,
     deliveries: u64,
@@ -74,6 +75,7 @@ fn measure(shards: usize, rounds: u32) -> RunStats {
     }
     drop(src);
     drop(dsts);
+    let per_shard_cpu_ns = router_cpu_ns(shards);
     broker.shutdown();
 
     assert_eq!(broker.dropped(), 0, "fanout run must not drop ({shards} shards)");
@@ -83,20 +85,39 @@ fn measure(shards: usize, rounds: u32) -> RunStats {
         0,
         "router backlog must drain to zero ({shards} shards)"
     );
-    let per_shard_busy_ns: Vec<u64> = (0..shards)
-        .map(|s| {
-            assert!(
-                telemetry.counter(&format!("comm.router.{s}.bursts")).get() > 0,
-                "shard {s}/{shards} never drained a burst"
-            );
-            telemetry.counter(&format!("comm.router.{s}.busy_ns")).get()
-        })
-        .collect();
+    for s in 0..shards {
+        assert!(
+            telemetry.counter(&format!("comm.router.{s}.bursts")).get() > 0,
+            "shard {s}/{shards} never drained a burst"
+        );
+    }
     RunStats {
-        makespan_ns: per_shard_busy_ns.iter().copied().max().unwrap_or(0),
-        per_shard_busy_ns,
+        makespan_ns: per_shard_cpu_ns.iter().copied().max().unwrap_or(0),
+        per_shard_cpu_ns,
         deliveries: u64::from(rounds) * u64::from(N_DST),
     }
+}
+
+/// CPU time each live `xt-router-m0-s{n}` thread of this process has run,
+/// indexed by shard: the first field of `/proc/self/task/<tid>/schedstat`
+/// (nanoseconds on the CPU). The previous run's routers were joined at its
+/// shutdown, so only this broker's shards carry the name.
+fn router_cpu_ns(shards: usize) -> Vec<u64> {
+    let mut cpu_ns = vec![None; shards];
+    for task in std::fs::read_dir("/proc/self/task").expect("read /proc/self/task") {
+        let dir = task.expect("task entry").path();
+        let Ok(name) = std::fs::read_to_string(dir.join("comm")) else { continue };
+        let Some(shard) = name.trim_end().strip_prefix("xt-router-m0-s") else { continue };
+        let shard: usize = shard.parse().expect("router thread name ends in its shard");
+        let stat = std::fs::read_to_string(dir.join("schedstat")).expect("per-thread schedstat");
+        let ns = stat.split_whitespace().next().and_then(|v| v.parse().ok());
+        cpu_ns[shard] = Some(ns.expect("schedstat starts with CPU nanoseconds"));
+    }
+    cpu_ns
+        .into_iter()
+        .enumerate()
+        .map(|(s, ns)| ns.unwrap_or_else(|| panic!("no live thread for router shard {s}")))
+        .collect()
 }
 
 fn main() {
@@ -126,8 +147,8 @@ fn main() {
         u64::from(rounds) * u64::from(N_DST)
     ));
     println!(
-        "{:>7} {:>12} {:>13} {:>13} {:>8}  per-shard busy ms",
-        "shards", "busy ms", "makespan ms", "msgs/s", "speedup"
+        "{:>7} {:>12} {:>13} {:>13} {:>8}  per-shard CPU ms",
+        "shards", "CPU ms", "makespan ms", "msgs/s", "speedup"
     );
 
     let mut ratio_at_4 = 0.0;
@@ -141,16 +162,16 @@ fn main() {
         if shards == 4 {
             ratio_at_4 = speedup;
         }
-        let busy_total: u64 = run.per_shard_busy_ns.iter().sum();
+        let cpu_total: u64 = run.per_shard_cpu_ns.iter().sum();
         let split: Vec<String> = run
-            .per_shard_busy_ns
+            .per_shard_cpu_ns
             .iter()
             .map(|ns| format!("{:.1}", *ns as f64 / 1e6))
             .collect();
         println!(
             "{:>7} {:>12.1} {:>13.1} {:>13.0} {:>7.2}x  [{}]",
             shards,
-            busy_total as f64 / 1e6,
+            cpu_total as f64 / 1e6,
             run.makespan_ns as f64 / 1e6,
             run.throughput(),
             speedup,

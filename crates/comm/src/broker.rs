@@ -59,6 +59,8 @@ pub(crate) struct BrokerShared {
     /// Set first thing in `shutdown`; `submit` refuses new messages once set.
     closed: AtomicBool,
     offload_tx: Mutex<Option<Sender<OffloadJob>>>,
+    /// Over-threshold bodies the compressibility probe sent raw, inline.
+    compress_skipped: xt_telemetry::CounterHandle,
     uplinks: Arc<Uplinks>,
     /// Hubs of connected peer brokers: routes registered after the fabric
     /// exists still propagate into their tables, and this machine's uplink
@@ -128,13 +130,14 @@ impl Broker {
                 .expect("spawn router thread");
             router_threads.push(handle);
         }
-        // Compression offload thread: large bodies are chunk-compressed here
-        // (fanning across the shared worker pool) instead of inside the
-        // sender thread that submitted them, then dispatched exactly as
-        // `submit` dispatches an inline body. It holds its own clones of the
-        // shard senders; shutdown closes the offload queue and joins this
-        // thread before sending the routers their shutdown sentinels, so
-        // every offloaded message still reaches its router.
+        // Compression offload thread: large bodies that passed the probe are
+        // chunk-compressed here (fanning across the shared worker pool)
+        // instead of inside the sender thread that submitted them, then
+        // dispatched exactly as `submit` dispatches an inline body. It holds
+        // its own clones of the shard senders; shutdown closes the offload
+        // queue and joins this thread before sending the routers their
+        // shutdown sentinels, so every offloaded message still reaches its
+        // router.
         let (offload_tx, offload_rx) = unbounded::<OffloadJob>();
         let offload = {
             let hub = Arc::clone(&hub);
@@ -165,6 +168,7 @@ impl Broker {
                 })
                 .expect("spawn compression offload thread")
         };
+        let compress_skipped = hub.telemetry.counter("comm.compress_skipped");
         Broker {
             shared: Arc::new(BrokerShared {
                 machine,
@@ -174,6 +178,7 @@ impl Broker {
                 router_txs,
                 closed: AtomicBool::new(false),
                 offload_tx: Mutex::new(Some(offload_tx)),
+                compress_skipped,
                 uplinks,
                 peers: Mutex::new(HashMap::new()),
                 router_threads: Mutex::new(router_threads),
@@ -293,13 +298,15 @@ impl Broker {
     /// fan-out, delivery enqueued for the router. Returns `false` if the
     /// broker is shut down or the message has no routable destination.
     ///
-    /// Bodies above the compression threshold are handed to the broker's
-    /// offload thread, compressed there (chunk-parallel) and dispatched from
-    /// it the same way, so this returns as soon as the job is enqueued — the
-    /// calling sender thread is never blocked behind a multi-MB compression.
-    /// Messages that take the offload path may be stored after smaller
-    /// messages submitted later; per-sender FIFO is preserved among
-    /// same-path messages.
+    /// Bodies that pass [`xingtian_message::should_compress`] — over the
+    /// threshold, and a 64 KiB head that LZ4 shrinks — are handed to the
+    /// broker's offload thread, compressed there (chunk-parallel) and
+    /// dispatched from it the same way, so this returns as soon as the job is
+    /// enqueued — the calling sender thread is never blocked behind a
+    /// multi-MB compression, only behind the probe. Messages that take the
+    /// offload path may be stored after smaller messages submitted later; a
+    /// body that fails the probe is dispatched inline like a small one, so
+    /// per-sender FIFO holds for it.
     pub fn submit(&self, msg: Message) -> bool {
         if self.shared.closed.load(Ordering::Acquire) {
             return false;
@@ -318,11 +325,14 @@ impl Broker {
         if header.compression == CompressionKind::None {
             if let Compression::Threshold(t) = self.shared.config.compression {
                 if body.len() > t {
-                    let guard = self.shared.offload_tx.lock();
-                    return match guard.as_ref() {
-                        Some(tx) => tx.send(OffloadJob { header, body, plan }).is_ok(),
-                        None => false,
-                    };
+                    if xingtian_message::should_compress(&body, t) {
+                        let guard = self.shared.offload_tx.lock();
+                        return match guard.as_ref() {
+                            Some(tx) => tx.send(OffloadJob { header, body, plan }).is_ok(),
+                            None => false,
+                        };
+                    }
+                    self.shared.compress_skipped.inc();
                 }
             }
         }
@@ -557,6 +567,48 @@ mod tests {
         let _learner = broker.endpoint(ProcessId::learner(0));
         broker.shutdown();
         assert!(!broker.submit(rollout_msg(b"late")), "closed broker refuses messages");
+    }
+
+    #[test]
+    fn submit_and_compress_body_make_the_same_decision() {
+        // Both call `xingtian_message::should_compress`, so what `submit`
+        // stores is what `compress_body_with_threshold` returns, kind and
+        // length, and every over-threshold body sent raw is counted skipped.
+        let telemetry = Telemetry::with_capacity(1 << 8);
+        let broker =
+            Broker::with_telemetry(0, Cluster::single(), CommConfig::default(), telemetry.clone());
+        let learner = broker.endpoint(ProcessId::learner(0));
+        let t = xingtian_message::COMPRESSION_THRESHOLD;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let random: Vec<u8> = (0..2 * t)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        let mut random_head = random[..xingtian_message::COMPRESSION_PROBE_BYTES].to_vec();
+        random_head.resize(2 * t, 0);
+        let raw = telemetry.counter("comm.bytes_on_wire.none");
+        let lz4 = telemetry.counter("comm.bytes_on_wire.lz4_chunked");
+        for body in [random, vec![0u8; 2 * t], random_head, vec![0u8; t]] {
+            let body = Bytes::from(body);
+            let (stored, kind) = xingtian_message::compress_body_with_threshold(body.clone(), t);
+            let before = (raw.get(), lz4.get());
+            let h = Header::new(ProcessId::explorer(0), vec![learner.pid()], MessageKind::Rollout);
+            assert!(broker.submit(Message::new(h, body.clone())));
+            assert!(learner.recv().expect("delivered").body == body, "arrives intact");
+            let on_wire = (raw.get() - before.0, lz4.get() - before.1);
+            let len = stored.len() as u64;
+            match kind {
+                CompressionKind::None => assert_eq!(on_wire, (len, 0)),
+                _ => assert_eq!((kind, on_wire), (CompressionKind::Lz4Chunked, (0, len))),
+            }
+        }
+        assert_eq!(telemetry.counter("comm.compress_skipped").get(), 2, "random, random head");
+        drop(learner);
+        broker.shutdown();
     }
 
     #[test]

@@ -422,9 +422,6 @@ impl Hub {
     pub(crate) fn run_router(&self, shard: usize, comm_rx: Receiver<RouterCmd>, uplinks: &Uplinks) {
         let routed_messages = self.telemetry.counter("comm.routed_messages");
         let bursts = self.telemetry.counter(&format!("comm.router.{shard}.bursts"));
-        // Busy time (burst processing, blocking recv excluded) — the scale gate
-        // reads this to compute what wall clock would be with one core per shard.
-        let busy_ns = self.telemetry.counter(&format!("comm.router.{shard}.busy_ns"));
         let mut batch: Vec<RouterCmd> = Vec::with_capacity(DRAIN_BATCH);
         let mut per_machine: HashMap<MachineId, Vec<RemoteEnvelope>> = HashMap::new();
         loop {
@@ -443,7 +440,6 @@ impl Hub {
                 }
             }
             bursts.inc();
-            let burst_start = std::time::Instant::now();
             // The gauge counts deliveries only (the shutdown sentinel was never
             // counted in), so the broker-wide depth returns to zero at drain.
             let delivers =
@@ -496,7 +492,6 @@ impl Hub {
                     }
                 }
             }
-            busy_ns.add(burst_start.elapsed().as_nanos() as u64);
             if shutdown {
                 return;
             }

@@ -6,6 +6,7 @@ use netsim::{Cluster, ClusterSpec};
 use std::time::{Duration, Instant};
 use xingtian_comm::{connect_brokers, Broker, CommConfig, Compression};
 use xingtian_message::{CompressionKind, Header, Message, MessageKind, ProcessId};
+use xt_telemetry::Telemetry;
 
 fn compressible_payload(len: usize) -> Bytes {
     // Small dynamic range of f32-like words: LZ4 compresses this heavily.
@@ -168,6 +169,79 @@ fn large_blob_compression_does_not_stall_small_messages() {
     broker.shutdown();
 }
 
+/// One explorer sends `body` as a `Rollout`, then 100 one-byte rollouts, to a
+/// learner on the last of `machines` machines; returns the 101 messages in
+/// arrival order and the deployment's telemetry. Zero drops and empty stores
+/// are asserted once every broker is shut down.
+fn body_then_smalls(machines: usize, body: &Bytes) -> (Vec<Message>, Telemetry) {
+    let cluster = Cluster::new(
+        ClusterSpec::default().machines(machines).nic_bandwidth(1e9).latency_secs(0.0),
+    );
+    let telemetry = Telemetry::with_time_source(1 << 12, cluster.time_source());
+    let brokers: Vec<_> = (0..machines)
+        .map(|m| Broker::with_telemetry(m, cluster.clone(), CommConfig::default(), telemetry.clone()))
+        .collect();
+    let explorer = brokers[0].endpoint(ProcessId::explorer(0));
+    let learner = brokers[machines - 1].endpoint(ProcessId::learner(0));
+    connect_brokers(&brokers);
+    explorer.send_to(vec![learner.pid()], MessageKind::Rollout, body.clone());
+    for i in 0..100u8 {
+        explorer.send_to(vec![learner.pid()], MessageKind::Rollout, Bytes::from(vec![i]));
+    }
+    let got = (0..101)
+        .map(|_| learner.recv_timeout(Duration::from_secs(30)).expect("all messages delivered"))
+        .collect();
+    drop((explorer, learner));
+    for b in &brokers {
+        b.shutdown();
+        assert_eq!(b.dropped(), 0, "machine {}", b.machine());
+        assert!(b.store().is_empty(), "machine {}", b.machine());
+    }
+    (got, telemetry)
+}
+
+#[test]
+fn an_incompressible_body_keeps_its_place_ahead_of_later_smalls() {
+    // Over the threshold, but LZ4 cannot shrink its first 64 KiB: the probe
+    // sends it raw and inline, like a small body, so it stays in per-sender
+    // FIFO with the smalls behind it instead of detouring through the
+    // offload thread, where they would overtake it.
+    let body = incompressible_payload(2 << 20);
+    for machines in [1, 2] {
+        let (got, telemetry) = body_then_smalls(machines, &body);
+        let rank = got.iter().position(|m| m.body.len() > 1);
+        assert_eq!(rank, Some(0), "the body arrives first ({machines} machines)");
+        assert!(got[0].body == body, "the body arrives intact ({machines} machines)");
+        assert_eq!(got[0].header.compression, CompressionKind::None);
+        for (i, m) in got[1..].iter().enumerate() {
+            assert_eq!(&m.body[..], &[i as u8], "smalls in order ({machines} machines)");
+        }
+        assert_eq!(telemetry.counter("comm.bytes_on_wire.lz4_chunked").get(), 0);
+        assert_eq!(telemetry.counter("comm.bytes_on_wire.none").get(), body.len() as u64 + 100);
+        assert_eq!(telemetry.counter("comm.compress_skipped").get(), 1);
+    }
+}
+
+#[test]
+fn a_compressible_body_still_travels_lz4_chunked() {
+    // The probe passes, so the body takes the offload thread and the full
+    // pass as before: the stored container is the serial encoder's, byte for
+    // byte, and it decodes to the original.
+    let body = compressible_payload(2 << 20);
+    let container_len = xingtian_message::chunk::compress_chunked(&body).len() as u64;
+    assert!(container_len < body.len() as u64 / 4);
+    for machines in [1, 2] {
+        let (got, telemetry) = body_then_smalls(machines, &body);
+        let (big, smalls): (Vec<_>, Vec<_>) = got.iter().partition(|m| m.body.len() > 1);
+        assert_eq!(big.len(), 1);
+        assert_eq!(big[0].body, body, "the body arrives intact ({machines} machines)");
+        assert!(smalls.iter().enumerate().all(|(i, m)| m.body[..] == [i as u8]));
+        assert_eq!(telemetry.counter("comm.bytes_on_wire.lz4_chunked").get(), container_len);
+        assert_eq!(telemetry.counter("comm.bytes_on_wire.none").get(), 100);
+        assert_eq!(telemetry.counter("comm.compress_skipped").get(), 0);
+    }
+}
+
 #[test]
 fn chunk_parallel_channel_matches_serial_decode() {
     // Differential check at the channel level: a body large enough for many
@@ -319,23 +393,32 @@ fn control_passes_a_full_store_from_either_machine() {
 
 #[test]
 fn parameters_of_any_size_stay_out_of_data_occupancy() {
-    // A broadcast body above the compression threshold detours through the
-    // offload thread; it must come out on the same priority lane a small one
-    // takes inline, or paper-scale parameter traffic pins the elastic
-    // supervisor's congestion signal and queues behind data-plane capacity.
-    for len in [2 << 20, 64 << 10] {
+    // A compressible broadcast body above the compression threshold detours
+    // through the offload thread, an incompressible one is sent inline; both
+    // must come out on the same priority lane a small one takes, or
+    // paper-scale parameter traffic pins the elastic supervisor's congestion
+    // signal and queues behind data-plane capacity.
+    for (body, offloaded) in [
+        (compressible_payload(2 << 20), true),
+        (incompressible_payload(2 << 20), false),
+        (incompressible_payload(64 << 10), false),
+    ] {
+        let len = body.len();
+        let stored = xingtian_message::compress_body(body.clone()).0.len();
+        assert_eq!(stored < len, offloaded, "{len} B stored as {stored} B");
         let config = CommConfig { endpoint_recv_bytes: Some(1), ..CommConfig::default() };
         let broker = Broker::new(0, Cluster::single(), config);
         let learner = broker.endpoint(ProcessId::learner(0));
         let explorer = broker.endpoint(ProcessId::explorer(0));
-        let body = incompressible_payload(len);
         for _ in 0..4 {
             learner.send_to(vec![ProcessId::explorer(0)], MessageKind::Parameters, body.clone());
         }
         // The explorer is not receiving: one body sits in its receive buffer,
-        // one with its receiver thread, two stay resident in the store.
-        assert!(eventually(20, || broker.store().len() == 2), "two bodies resident ({len} B)");
-        assert_eq!(broker.store().live_bytes(), 2 * len);
+        // one with its receiver thread, two stay resident in the store. Two
+        // can also be resident for a moment before the fourth is inserted.
+        let settled = || broker.store().inserted() == 4 && broker.store().len() == 2;
+        assert!(eventually(20, settled), "two bodies resident ({len} B)");
+        assert_eq!(broker.store().live_bytes(), 2 * stored);
         assert_eq!(broker.store().data_occupancy(), 0.0, "{len}-byte parameters on the data lane");
         for _ in 0..4 {
             assert_eq!(explorer.recv_timeout(Duration::from_secs(10)).expect("delivered").body, body);

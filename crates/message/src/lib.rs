@@ -43,16 +43,37 @@ pub use serve::{InferReply, InferRequest};
 
 use bytes::Bytes;
 
-/// Compress `body` if it exceeds `threshold` bytes.
+/// How much of a body's head [`should_compress`] runs LZ4 on before paying
+/// for the full pass.
+pub const COMPRESSION_PROBE_BYTES: usize = 64 * 1024;
+
+/// The one transport-compression decision: `body` is over `threshold` *and*
+/// LZ4 of its first [`COMPRESSION_PROBE_BYTES`] (on this thread's cached
+/// [`lz4::CompressContext`]) comes out smaller than those bytes — the
+/// container's own "keep it only if smaller" rule, applied to a sample.
 ///
-/// Bodies above the threshold are encoded as a chunked LZ4 container
-/// ([`chunk`]) so they can be (de)compressed in parallel and decoded with an
-/// exact pre-sized allocation. Returns the (possibly compressed) body and the
+/// The probe reads only the head: a body whose head is incompressible and
+/// whose tail is not ships raw. That is the trade for never paying a full
+/// pass on bodies that cannot shrink (encoded `f32` observations, random or
+/// already-compressed bytes).
+pub fn should_compress(body: &[u8], threshold: usize) -> bool {
+    if body.len() <= threshold {
+        return false;
+    }
+    let head = &body[..body.len().min(COMPRESSION_PROBE_BYTES)];
+    lz4::compress(head).len() < head.len()
+}
+
+/// Compress `body` if [`should_compress`] says so.
+///
+/// Such bodies are encoded as a chunked LZ4 container ([`chunk`]) so they can
+/// be (de)compressed in parallel and decoded with an exact pre-sized
+/// allocation. Returns the (possibly compressed) body and the
 /// [`CompressionKind`] to record in the header. Mirrors the paper's default
 /// policy of compressing message bodies larger than 1 MiB when they enter the
 /// shared-memory object store (§4.1).
 pub fn compress_body_with_threshold(body: Bytes, threshold: usize) -> (Bytes, CompressionKind) {
-    if body.len() > threshold {
+    if should_compress(&body, threshold) {
         let compressed = chunk::compress_chunked(&body);
         // Only keep the compressed form if it actually saved space; incompressible
         // payloads (already-compressed or random data) are sent verbatim.
@@ -123,21 +144,85 @@ mod tests {
         assert_eq!(restored, body);
     }
 
-    #[test]
-    fn incompressible_body_is_left_alone() {
-        // A pseudo-random payload larger than the threshold should be kept verbatim.
+    const MIB: usize = 1024 * 1024;
+
+    fn random_bytes(len: usize) -> Vec<u8> {
         let mut state = 0x9e3779b97f4a7c15u64;
-        let body: Vec<u8> = (0..2 * 1024 * 1024)
+        (0..len)
             .map(|_| {
                 state ^= state << 13;
                 state ^= state >> 7;
                 state ^= state << 17;
                 (state & 0xff) as u8
             })
-            .collect();
-        let body = Bytes::from(body);
+            .collect()
+    }
+
+    #[test]
+    fn incompressible_body_is_left_alone() {
+        // A pseudo-random payload larger than the threshold should be kept verbatim.
+        let body = Bytes::from(random_bytes(2 * MIB));
+        assert!(!should_compress(&body, COMPRESSION_THRESHOLD), "the probe rejects it");
         let (out, kind) = compress_body(body.clone());
         assert_eq!(kind, CompressionKind::None);
         assert_eq!(out, body);
+    }
+
+    #[test]
+    fn zeros_pass_the_probe() {
+        let body = vec![0u8; 2 * MIB];
+        assert!(should_compress(&body, COMPRESSION_THRESHOLD));
+        assert_eq!(compress_body(Bytes::from(body)).1, CompressionKind::Lz4Chunked);
+    }
+
+    #[test]
+    fn encoded_texture_latent_rollout_fails_the_probe() {
+        // What `synth_atari` emits: a fixed texture in [-1, 1] modulating a
+        // 16-dim latent that moves every step, 84x84 f32 per observation,
+        // codec-encoded step after step. Ratio ~1.00 under full LZ4.
+        use codec::Encode;
+        let (obs_dim, latent_dim) = (84 * 84, 16);
+        let texture: Vec<f32> = (0..obs_dim as u64)
+            .map(|i| {
+                let h = i.wrapping_mul(0x9e3779b97f4a7c15) ^ 7;
+                ((h >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
+            })
+            .collect();
+        let noise = random_bytes(1 << 16);
+        let mut body = Vec::new();
+        for step in 0..40 {
+            let latent: Vec<f32> = (0..latent_dim)
+                .map(|j| noise[(step * latent_dim + j) % noise.len()] as f32 / 127.5 - 1.0)
+                .collect();
+            let obs: Vec<f32> = (0..obs_dim).map(|i| texture[i] * latent[i % latent_dim]).collect();
+            obs.encode(&mut body);
+            (step as u8).encode(&mut body);
+        }
+        assert!(body.len() > COMPRESSION_THRESHOLD, "{} bytes", body.len());
+        assert!(!should_compress(&body, COMPRESSION_THRESHOLD));
+        let body = Bytes::from(body);
+        assert_eq!(compress_body(body.clone()), (body, CompressionKind::None));
+    }
+
+    #[test]
+    fn only_the_head_is_sampled() {
+        // The documented trade-off: a random first 64 KiB followed by 2 MiB
+        // of zeros ships raw, although the full pass would shrink it ~30x.
+        let mut body = random_bytes(COMPRESSION_PROBE_BYTES);
+        body.resize(COMPRESSION_PROBE_BYTES + 2 * MIB, 0);
+        assert!(chunk::compress_chunked(&body).len() < body.len() / 8);
+        assert!(!should_compress(&body, COMPRESSION_THRESHOLD));
+        assert_eq!(compress_body(Bytes::from(body)).1, CompressionKind::None);
+    }
+
+    #[test]
+    fn a_body_at_or_under_the_threshold_is_never_compressed() {
+        for len in [0, 1, COMPRESSION_PROBE_BYTES, COMPRESSION_THRESHOLD - 1, COMPRESSION_THRESHOLD]
+        {
+            let body = Bytes::from(vec![0u8; len]);
+            assert!(!should_compress(&body, COMPRESSION_THRESHOLD), "{len} bytes");
+            assert_eq!(compress_body(body.clone()), (body, CompressionKind::None), "{len} bytes");
+        }
+        assert!(should_compress(&vec![0u8; COMPRESSION_THRESHOLD + 1], COMPRESSION_THRESHOLD));
     }
 }

@@ -253,7 +253,7 @@ thread_local! {
 ///
 /// The empty input compresses to a single zero token byte. The output is not
 /// guaranteed to be smaller than the input (e.g. for random data); callers that
-/// care should compare lengths, as [`crate::compress_body`] does.
+/// care should compare lengths, as [`crate::should_compress`] does.
 pub fn compress(input: &[u8]) -> Vec<u8> {
     TLS_CTX.with(|ctx| ctx.borrow_mut().compress(input))
 }

@@ -54,6 +54,12 @@ fn noise(len: usize) -> Bytes {
     Bytes::from(v)
 }
 
+/// Compressible: 4 KiB of noise over and over, which LZ4's window shrinks,
+/// so over the threshold it passes the probe and is stored as a container.
+fn repeated_noise(len: usize) -> Bytes {
+    Bytes::from(noise(4096).iter().copied().cycle().take(len).collect::<Vec<u8>>())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -136,16 +142,17 @@ proptest! {
 
     #[test]
     fn a_message_keeps_its_lane_on_every_path(
-        // (kind, 2 MiB body instead of 64 B, sent from machine 1, to the other machine)
+        // (kind, body class, sent from machine 1, to the other machine)
         script in proptest::collection::vec(
-            (0usize..11, any::<bool>(), any::<bool>(), any::<bool>()),
+            (0usize..11, 0usize..3, any::<bool>(), any::<bool>()),
             1usize..13,
         ),
     ) {
-        // Lane x path x size: small bodies are admitted inline, 2 MiB ones by
-        // the compression offload thread, remote ones once more on arrival.
-        // Receivers hold back, so what is resident — and on which lane the
-        // store booked it — can be read off exactly.
+        // Lane x path x size: 64 B and incompressible 2 MiB bodies are
+        // admitted inline, compressible 2 MiB ones by the compression offload
+        // thread, remote ones once more on arrival. Receivers hold back, so
+        // what is resident — and on which lane the store booked it — can be
+        // read off exactly.
         let cluster = Cluster::new(
             ClusterSpec::default().machines(2).nic_bandwidth(1e12).latency_secs(0.0),
         );
@@ -158,14 +165,21 @@ proptest! {
             (0..2).map(|m| brokers[m].endpoint(ProcessId::learner(m as u32))).collect();
         connect_brokers(&brokers);
 
-        let bodies = [noise(64), noise(2 << 20)];
+        // Each class is stored in the form `compress_body` gives it, on either
+        // machine: only the offloaded one as a smaller container.
+        const OFFLOADED: usize = 2;
+        let bodies = [noise(64), noise(2 << 20), repeated_noise(2 << 20)];
+        let stored: Vec<usize> =
+            bodies.iter().map(|b| xingtian_message::compress_body(b.clone()).0.len()).collect();
+        prop_assert_eq!(&stored[..OFFLOADED], &[64, 2 << 20]);
+        prop_assert!(stored[OFFLOADED] < bodies[OFFLOADED].len() / 4);
         let mut inserts = [0u64; 2];
         let mut bound_for = [0usize; 2];
-        for (seq, &(kind, big, from, remote)) in script.iter().enumerate() {
+        for (seq, &(kind, class, from, remote)) in script.iter().enumerate() {
             let (from, to) = (from as usize, from as usize ^ remote as usize);
             let header = Header::new(senders[from].pid(), vec![receivers[to].pid()], KINDS[kind])
                 .with_seq(seq as u64);
-            prop_assert!(senders[from].send(Message::new(header, bodies[big as usize].clone())));
+            prop_assert!(senders[from].send(Message::new(header, bodies[class].clone())));
             inserts[from] += 1;
             inserts[to] += remote as u64;
             bound_for[to] += 1;
@@ -195,21 +209,23 @@ proptest! {
                 prop_assert!(msg.is_some(), "machine {m} starved at {rank}/{}", bound_for[m]);
                 let msg = msg.unwrap();
                 let seq = msg.header.seq as usize;
-                let (kind, big, from, remote) = script[seq];
+                let (kind, class, from, remote) = script[seq];
                 prop_assert_eq!(msg.header.kind, KINDS[kind]);
-                prop_assert_eq!(&msg.body, &bodies[big as usize]);
+                prop_assert_eq!(&msg.body, &bodies[class]);
                 prop_assert_eq!(from as usize ^ remote as usize, m, "delivered to the wrong machine");
                 seen[seq] += 1;
-                // FIFO per (src, dst) within a size class (the offload path
-                // may reorder a sender's large and small bodies).
-                if let Some(prev) = last.insert((msg.header.src, big), msg.header.seq) {
+                // FIFO per (src, dst) among inline bodies of any size, and
+                // among offloaded ones (the offload path may reorder a
+                // sender's offloaded and inline bodies).
+                let offloaded = class == OFFLOADED;
+                if let Some(prev) = last.insert((msg.header.src, offloaded), msg.header.seq) {
                     prop_assert!(prev < msg.header.seq, "order violated: {prev} before {seq}");
                 }
                 // The first two had already left the store at quiescence.
                 if rank >= 2 {
-                    resident += msg.body.len();
+                    resident += stored[class];
                     if !KINDS[kind].priority_lane() {
-                        resident_data += msg.body.len();
+                        resident_data += stored[class];
                     }
                 }
             }
