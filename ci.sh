@@ -58,8 +58,11 @@ echo "== release smoke: pinned A2C/PPO/IMPALA/DQN parameter digests and the allo
 # A2C/PPO/IMPALA and uniform/prioritized/double DQN must stay bit-identical
 # to the digests pinned in determinism.rs, and the warmed training steps (DQN
 # under uniform and prioritized replay included) must stay allocation-free,
-# on the release kernels the deployments actually run.
+# on the release kernels the deployments actually run. The kernels' own
+# suite runs there too: the AVX2/AVX-512 bitwise differential in every
+# orientation, row invariance and the tanh-epilogue bit test.
 cargo test --release -q -p xingtian-algos --test determinism --test no_alloc
+cargo test --release -q -p tinynn
 
 echo "== benchmark smoke: every xt-perf workload builds, runs and checks its outputs =="
 # Release only: the quick `dqn_replay` and `ppo_sync_2m` blocks are #[ignore]d

@@ -233,11 +233,7 @@ impl ActorCritic {
         let loss = par.run(*pool, n, &mut [], 0, Some(pgrads), |rows, _out, shard, grads| {
             let x = &obs[rows.start * dim..rows.end * dim];
             let rn = rows.len();
-            let Shard { ws_a, scratch, .. } = shard;
-            if scratch.len() < rn * na {
-                scratch.resize(rn * na, 0.0);
-            }
-            let dlogits = &mut scratch[..rn * na];
+            let (ws_a, _, dlogits) = shard.scratch_for(rn * na);
             if activations == Activations::Fresh {
                 pnet.forward_ws(x, rn, ws_a);
             }
@@ -286,7 +282,7 @@ impl ActorCritic {
         let loss = par.run(*pool, n, &mut [], 0, Some(vgrads), |rows, _out, shard, grads| {
             let x = &obs[rows.start * dim..rows.end * dim];
             let rn = rows.len();
-            let Shard { ws_a, ws_b, scratch } = shard;
+            let (ws_a, ws_b, dv) = shard.scratch_for(rn);
             // A cached value forward lives in `ws_b` (`ws_a` holds the
             // policy's); a fresh one reuses the workspace the policy step
             // just finished with.
@@ -297,10 +293,6 @@ impl ActorCritic {
                 }
                 Activations::Cached => ws_b,
             };
-            if scratch.len() < rn {
-                scratch.resize(rn, 0.0);
-            }
-            let dv = &mut scratch[..rn];
             let v = vnet.cached_output(ws, rn);
             let mut loss = 0.0f32;
             for (row, i) in rows.enumerate() {
@@ -405,14 +397,17 @@ impl GaeStage {
 }
 
 /// Explorer-side agent of every softmax-policy algorithm: samples the
-/// policy, and records the logits and (with a critic) the value estimate the
-/// learner needs for GAE or V-trace. Built by the per-algorithm constructors
+/// policy, and records the logits and, where GAE reads it, the critic's
+/// value estimate. Built by the per-algorithm constructors
 /// ([`SoftmaxAgent::ppo`], [`SoftmaxAgent::impala`], [`SoftmaxAgent::a2c`],
-/// [`SoftmaxAgent::reinforce`]), which differ only in how they mix the
-/// explorer seed into the sampling RNG.
+/// [`SoftmaxAgent::reinforce`]), which differ in how they mix the explorer
+/// seed into the sampling RNG and in whether the value is recorded.
 #[derive(Debug)]
 pub struct SoftmaxAgent {
     nets: Nets,
+    /// Whether `act` evaluates the critic. Always installs the full
+    /// `[policy | value]` layout either way.
+    records_value: bool,
     version: u64,
     rng: StdRng,
     ws: Workspace,
@@ -420,14 +415,25 @@ pub struct SoftmaxAgent {
 }
 
 impl SoftmaxAgent {
+    /// An agent that records the critic's estimate of every state it acts
+    /// in, when the spec has a critic.
     pub(crate) fn new(spec: Spec<'_>, rng_seed: u64) -> Self {
         SoftmaxAgent {
             nets: Nets::new(spec),
+            records_value: spec.value_coef.is_some(),
             version: 0,
             rng: StdRng::seed_from_u64(rng_seed),
             ws: Workspace::new(),
             probs: vec![0.0; spec.num_actions],
         }
+    }
+
+    /// This agent with `value: 0.0` in every selection, for an algorithm
+    /// whose learner recomputes values itself (IMPALA's V-trace evaluates
+    /// the current critic): the critic forward per step would be read by
+    /// nothing.
+    pub(crate) fn without_value_estimates(self) -> Self {
+        SoftmaxAgent { records_value: false, ..self }
     }
 }
 
@@ -438,9 +444,10 @@ impl Agent for SoftmaxAgent {
         let logits: Vec<f32> = self.nets.policy.forward_ws(observation, 1, &mut self.ws).to_vec();
         softmax_row_into(&logits, &mut self.probs);
         let action = sample_categorical(&self.probs, self.rng.gen::<f32>());
-        let value = match &self.nets.value {
-            Some(value) => value.forward_ws(observation, 1, &mut self.ws)[0],
-            None => 0.0,
+        let value = if self.records_value {
+            self.nets.critic().forward_ws(observation, 1, &mut self.ws)[0]
+        } else {
+            0.0
         };
         ActionSelection { action, logits, value }
     }
@@ -584,6 +591,35 @@ pub(crate) mod tests {
             assert_eq!(sel.logits.len(), SPEC.num_actions);
             assert!(sel.action < SPEC.num_actions);
             assert_eq!(sel.value != 0.0, value_coef.is_some(), "a value estimate exactly with a critic");
+        }
+    }
+
+    /// Only GAE reads an explorer's value estimate. IMPALA's agent acts and
+    /// logs exactly like a critic-evaluating agent with its seed and records
+    /// 0; PPO's and A2C's record the critic's estimate, bit for bit.
+    #[test]
+    fn agents_evaluate_the_critic_only_where_gae_reads_it() {
+        let observations = [[0.1, 0.2, 0.3], [-0.4, 0.5, 0.0], [0.9, -0.8, 0.7]];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let impala = ImpalaConfig::new(3, 4);
+        let mut skipping = SoftmaxAgent::impala(&impala, 1);
+        let mut evaluating = SoftmaxAgent::impala(&impala, 1);
+        evaluating.records_value = true;
+        for obs in &observations {
+            let (skipped, evaluated) = (skipping.act(obs), evaluating.act(obs));
+            assert_eq!(skipped.action, evaluated.action);
+            assert_eq!(bits(&skipped.logits), bits(&evaluated.logits));
+            assert_eq!(skipped.value.to_bits(), 0.0f32.to_bits(), "IMPALA records no value");
+            assert_ne!(evaluated.value, 0.0, "the critic was evaluated");
+        }
+        let (ppo, a2c) = (PpoConfig::new(3, 4), A2cConfig::new(3, 4));
+        for (name, mut agent) in [("ppo", SoftmaxAgent::ppo(&ppo, 1)), ("a2c", SoftmaxAgent::a2c(&a2c, 1))] {
+            for obs in &observations {
+                let critic = agent.nets.critic().forward_ws(obs, 1, &mut Workspace::new())[0];
+                let value = agent.act(obs).value;
+                assert_eq!(value.to_bits(), critic.to_bits(), "{name} records the critic's estimate");
+                assert_ne!(value, 0.0, "{name}");
+            }
         }
     }
 

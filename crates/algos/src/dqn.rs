@@ -16,7 +16,7 @@
 //! zero heap allocations.
 
 use crate::api::{ActionSelection, Agent, Algorithm, ShardedSync, SyncMode, TrainReport};
-use crate::par::{ParGrad, Shard};
+use crate::par::ParGrad;
 use crate::payload::{ParamBlob, RolloutBatch, RolloutStep};
 use crate::replay::{PlanePick, ReplayConfig, ReplayPlane, SampleSink};
 use rand::rngs::StdRng;
@@ -432,11 +432,7 @@ impl DqnAlgorithm {
         par.run(None, n, &mut [], 0, Some(&mut out[..nparams]), |rows, _o, shard, g| {
             let m = rows.len();
             let obs_rows = &obs[rows.start * dim..rows.end * dim];
-            let Shard { ws_a, scratch, .. } = shard;
-            if scratch.len() < m * na {
-                scratch.resize(m * na, 0.0);
-            }
-            let dout = &mut scratch[..m * na];
+            let (ws_a, _, dout) = shard.scratch_for(m * na);
             dout.fill(0.0);
             let q_values = q_ref.forward_ws(obs_rows, m, ws_a);
             let mut loss = 0.0f32;

@@ -265,9 +265,12 @@ impl Algorithm for ImpalaAlgorithm {
 
 impl SoftmaxAgent {
     /// Explorer-side IMPALA agent: samples the softmax policy, records
-    /// behavior logits for V-trace.
+    /// behavior logits for V-trace. It installs the critic's parameters but
+    /// records `value: 0.0`: V-trace re-evaluates every value under the
+    /// learner's current critic, so nothing reads the explorer's estimate.
     pub fn impala(config: &ImpalaConfig, explorer_seed: u64) -> Self {
-        SoftmaxAgent::new(config.spec(), explorer_seed.wrapping_mul(0xC0FFEE).wrapping_add(13))
+        let rng_seed = explorer_seed.wrapping_mul(0xC0FFEE).wrapping_add(13);
+        SoftmaxAgent::new(config.spec(), rng_seed).without_value_estimates()
     }
 }
 

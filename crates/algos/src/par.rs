@@ -51,13 +51,14 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Returns `&mut scratch[..len]`, growing the buffer if needed (no-op
-    /// after warmup).
-    pub fn scratch_for(&mut self, len: usize) -> &mut [f32] {
+    /// Splits the shard into `(ws_a, ws_b, &mut scratch[..len])`, growing
+    /// the scratch buffer if needed (no-op after warmup), so a closure can
+    /// forward into a workspace and write its loss gradient beside it.
+    pub fn scratch_for(&mut self, len: usize) -> (&mut Workspace, &mut Workspace, &mut [f32]) {
         if self.scratch.len() < len {
             self.scratch.resize(len, 0.0);
         }
-        &mut self.scratch[..len]
+        (&mut self.ws_a, &mut self.ws_b, &mut self.scratch[..len])
     }
 }
 

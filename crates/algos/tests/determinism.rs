@@ -10,6 +10,14 @@
 //! double DQN bit-identical — on the lockstep slot surface too — so their
 //! digests are recorded here and asserted on the kernels they were recorded
 //! on.
+//!
+//! Every digest was re-pinned once, for one reason: the x86 kernels' backward
+//! edges joined the FMA tile family. The `gemm_tn` column tails (the 3-wide
+//! heads here), the ragged `gemm_nt` panels and the rows past the last 4-row
+//! block (the 6-wide input here) moved from the portable multiply-then-add to
+//! the fused chain `acc = fma(a, b, acc)`, which rounds once per step instead
+//! of twice. The forward pass already ran that chain, so only training bits
+//! moved. The AVX2 and AVX-512 instantiations produce these same digests.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -192,7 +200,8 @@ fn digest(bits: &[u32]) -> u64 {
 }
 
 /// Asserts `(name, digest, pinned)` triples on the kernels the pins were
-/// recorded on (AVX2+FMA, debug and release alike).
+/// recorded on (the FMA tile family, AVX2 and AVX-512 alike, debug and
+/// release alike).
 fn assert_pinned(got: &[(&str, u64, u64)]) {
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
@@ -208,33 +217,37 @@ fn assert_pinned(got: &[(&str, u64, u64)]) {
 }
 
 #[test]
-fn parameters_match_the_digests_pinned_at_pr15() {
-    // Recorded by running these same functions at commit c164c6a (before the
-    // shared actor-critic core existed).
+fn parameters_match_their_pinned_digests() {
+    // These functions were first pinned at commit c164c6a, before the shared
+    // actor-critic core existed, and held bit for bit through it; re-pinned
+    // when the backward edges joined the FMA tile family (see the top of
+    // this file and `tinynn::kernel`).
     assert_pinned(&[
-        ("ppo", digest(&ppo_params(None)), 0x482f_c84f_e9ed_7ecb),
-        ("a2c", digest(&a2c_params(None)), 0x3116_dbb6_d49e_d326),
-        ("impala", digest(&impala_params(None)), 0x4f27_7673_bd95_e2a5),
+        ("ppo", digest(&ppo_params(None)), 0x5493_1a31_c8c9_07f3),
+        ("a2c", digest(&a2c_params(None)), 0xb563_64d6_7d77_aad8),
+        ("impala", digest(&impala_params(None)), 0x02d8_9a47_640e_0eab),
     ]);
 }
 
 #[test]
-fn dqn_parameters_match_the_digests_pinned_at_pr16() {
-    // Recorded by running `dqn_params` at commit 4db9aa2, where DQN sampled
-    // the AoS in-learner buffers the SoA store has since replaced.
+fn dqn_parameters_match_their_pinned_digests() {
+    // First pinned at commit 4db9aa2, where DQN sampled the AoS in-learner
+    // buffers the SoA store has since replaced, and held through that
+    // change; re-pinned when the backward edges joined the FMA tile family.
     assert_pinned(&[
-        ("dqn uniform", digest(&dqn_params(None, false)), 0xcce7_d33f_c9ea_1ea6),
-        ("dqn prioritized", digest(&dqn_params(Some((0.6, 0.4)), false)), 0x98d2_86ca_50d7_4a9a),
-        ("dqn double", digest(&dqn_params(None, true)), 0x2cd2_1be0_c438_e7d2),
+        ("dqn uniform", digest(&dqn_params(None, false)), 0x35f5_3b7d_1cb1_6568),
+        ("dqn prioritized", digest(&dqn_params(Some((0.6, 0.4)), false)), 0x6451_5461_5a90_491c),
+        ("dqn double", digest(&dqn_params(None, true)), 0x1839_5554_1e2f_a30c),
     ]);
 }
 
 #[test]
-fn dqn_lockstep_parameters_match_the_digest_pinned_at_pr17() {
-    // Recorded at commit a6539d4 by this same loop with the trait's old
+fn dqn_lockstep_parameters_match_their_pinned_digest() {
+    // First pinned at commit a6539d4 by this same loop with the trait's old
     // `sample_slot` + `grad_on_steps` pair (which materialised every sampled
-    // row as a `RolloutStep`) in place of `slot_grad`: 42 rounds.
-    assert_pinned(&[("dqn lockstep", digest(&dqn_lockstep_params()), 0x259d_64dc_9192_d55e)]);
+    // row as a `RolloutStep`) in place of `slot_grad`: 42 rounds. Re-pinned
+    // when the backward edges joined the FMA tile family.
+    assert_pinned(&[("dqn lockstep", digest(&dqn_lockstep_params()), 0xd855_e05e_238a_8b9d)]);
 }
 
 #[test]

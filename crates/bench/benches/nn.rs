@@ -6,23 +6,41 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tinynn::optim::Adam;
 use tinynn::{Activation, Mlp, Workspace};
-use xingtian_algos::par::{ParGrad, Shard};
+use xingtian_algos::par::ParGrad;
 use xingtian_comm::pool::shared_pool;
 
 fn bench_mlp(c: &mut Criterion) {
     let mut group = c.benchmark_group("mlp");
     group.sample_size(20);
-    for (obs_dim, batch) in [(128usize, 32usize), (1024, 32), (1024, 500), (512, 1), (1024, 1)] {
-        let net = Mlp::new(&[obs_dim, 64, 64, 9], Activation::Tanh, 0);
+    // The policy net at Table-1 shapes, batch-1 inference and the IMPALA
+    // workload's 71-row gradient shard and 500-row batch; then its value net,
+    // whose 1-wide head is a masked-tail tile in every orientation.
+    let shapes = [
+        (128usize, 9usize, 32usize),
+        (1024, 9, 32),
+        (1024, 9, 500),
+        (512, 9, 1),
+        (1024, 9, 1),
+        (512, 9, 71),
+        (512, 9, 500),
+        (512, 1, 71),
+        (512, 1, 500),
+    ];
+    for (obs_dim, outputs, batch) in shapes {
+        let net = Mlp::new(&[obs_dim, 64, 64, outputs], Activation::Tanh, 0);
         let mut ws = Workspace::new();
         let mut grads = vec![0.0f32; net.num_params()];
         let xs = vec![1.0f32; batch * obs_dim];
-        let douts = vec![1.0f32; batch * 9];
+        let douts = vec![1.0f32; batch * outputs];
+        let label = match outputs {
+            1 => format!("value_{obs_dim}x{batch}"),
+            _ => format!("{obs_dim}x{batch}"),
+        };
         net.forward_ws(&xs, batch, &mut ws);
-        group.bench_function(BenchmarkId::new("forward_ws", format!("{obs_dim}x{batch}")), |b| {
+        group.bench_function(BenchmarkId::new("forward_ws", &label), |b| {
             b.iter(|| net.forward_ws(&xs, batch, &mut ws).len())
         });
-        group.bench_function(BenchmarkId::new("backward_ws", format!("{obs_dim}x{batch}")), |b| {
+        group.bench_function(BenchmarkId::new("backward_ws", &label), |b| {
             b.iter(|| {
                 net.forward_ws(&xs, batch, &mut ws);
                 net.backward_ws(&xs, batch, &douts, &mut ws, &mut grads);
@@ -55,18 +73,15 @@ fn bench_train_step(c: &mut Criterion) {
                         let bsz = rows.len();
                         let xs = &x[rows.start * obs..rows.end * obs];
                         let ts = &target[rows.start * actions..rows.end * actions];
-                        let Shard { ws_a, scratch, .. } = shard;
+                        let (ws_a, _, scratch) = shard.scratch_for(bsz * actions);
                         let out = pnet.forward_ws(xs, bsz, ws_a);
-                        if scratch.len() < bsz * actions {
-                            scratch.resize(bsz * actions, 0.0);
-                        }
                         let mut loss = 0.0f32;
                         for i in 0..bsz * actions {
                             let d = out[i] - ts[i];
                             loss += d * d * scale;
                             scratch[i] = 2.0 * d * scale;
                         }
-                        pnet.backward_ws(xs, bsz, &scratch[..bsz * actions], ws_a, g);
+                        pnet.backward_ws(xs, bsz, scratch, ws_a, g);
                         loss
                     });
                 opt.step(net.params_mut(), &grads);

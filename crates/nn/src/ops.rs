@@ -35,9 +35,10 @@ impl RowStats {
 /// `Q` of degree 3 in `x²`, every Horner step a fused multiply-add, one divide.
 /// Max |error| against the exact function is 2.9e-7 over all finite `f32`.
 ///
-/// [`tanh`] evaluates it on one value; the AVX2+FMA epilogue of
-/// [`crate::kernel::gemm_bias_act`] evaluates the same operations on eight
-/// lanes, so both return the same bits for the same input.
+/// [`tanh`] evaluates it on one value; the FMA epilogue of
+/// [`crate::kernel::gemm_bias_act`] evaluates the same operations on 8
+/// (AVX2) or 16 (AVX-512) lanes, so all return the same bits for the same
+/// input.
 pub(crate) mod tanh_poly {
     /// Numerator coefficients of `x¹, x³, …, x¹³`.
     pub const ALPHA: [f32; 7] = [
