@@ -49,8 +49,12 @@ cargo test --release -q -p xingtian-comm buffer
 echo "== release smoke: the channel's lane, settlement and head-of-line tests on the optimised build =="
 # One admission: a Control passes a full store from either machine, and
 # Parameters stay out of data occupancy at 2 MiB as at 64 KiB; one settlement:
-# an undecodable body is a counted drop; 100 smalls overtake a 32 MiB blob.
-# Then the lane x path x size table property over a 2-machine fabric.
+# an undecodable body is a counted drop; FIFO for every size: a 2 MiB body,
+# compressible or not, arrives ahead of the 100 smalls sent after it; beacons
+# survive the gate and a pass: a sender parked at a full store or inside
+# three 32 MiB compression passes still beats with no gap of 4 intervals.
+# Then the lane x path x size table property over a 2-machine fabric, with
+# per-(src,dst) FIFO across all three size classes.
 cargo test --release -q -p xingtian-comm --test integration
 cargo test --release -q --test channel_props
 

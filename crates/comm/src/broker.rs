@@ -19,30 +19,20 @@
 
 use crate::endpoint::Endpoint;
 use crate::inject::{InjectionStats, RouteInjector};
-use crate::router::{Hub, RemoteEnvelope, RouterCmd, SplitPlan, Uplinks};
+use crate::pool::{compress_chunked_parallel, shared_pool};
+use crate::router::{Hub, RemoteEnvelope, RouterCmd, Uplinks};
 use crate::store::ObjectStore;
-use crate::{CommConfig, Compression};
-use crossbeam_channel::{unbounded, Sender};
+use crate::{CommConfig, Compression, HeartbeatConfig};
+use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use netsim::{Cluster, MachineId};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
-use xingtian_message::{Body, CompressionKind, Header, Message, ProcessId};
+use std::time::Instant;
+use xingtian_message::{Body, CompressionKind, Header, Message, MessageKind, ProcessId, ProcessRole};
 use xt_telemetry::{EventKind, Telemetry};
-
-/// A large body handed to the broker's compression offload thread: the
-/// sender thread returns the moment this is enqueued, so one 40 MB parameter
-/// blob no longer head-of-line blocks every message queued behind it. The
-/// split plan was computed at submission, so offloaded messages spend the
-/// same credits they were admitted with.
-#[derive(Debug)]
-struct OffloadJob {
-    header: Header,
-    body: Body,
-    plan: SplitPlan,
-}
 
 #[derive(Debug)]
 pub(crate) struct BrokerShared {
@@ -58,9 +48,11 @@ pub(crate) struct BrokerShared {
     router_txs: Vec<Sender<RouterCmd>>,
     /// Set first thing in `shutdown`; `submit` refuses new messages once set.
     closed: AtomicBool,
-    offload_tx: Mutex<Option<Sender<OffloadJob>>>,
-    /// Over-threshold bodies the compressibility probe sent raw, inline.
+    /// Over-threshold bodies the compressibility probe sent raw.
     compress_skipped: xt_telemetry::CounterHandle,
+    /// Full compression passes: time, and stored size in percent of raw.
+    compress_ns: xt_telemetry::HistogramHandle,
+    compress_ratio: xt_telemetry::HistogramHandle,
     uplinks: Arc<Uplinks>,
     /// Hubs of connected peer brokers: routes registered after the fabric
     /// exists still propagate into their tables, and this machine's uplink
@@ -68,7 +60,9 @@ pub(crate) struct BrokerShared {
     /// reference cycles between mutually-connected brokers).
     peers: Mutex<HashMap<MachineId, Arc<Hub>>>,
     router_threads: Mutex<Vec<JoinHandle<()>>>,
-    offload_thread: Mutex<Option<JoinHandle<()>>>,
+    /// The liveness beacon (only with `CommConfig::heartbeat`): dropping the
+    /// sender stops the thread at once.
+    beacon: Mutex<Option<(Sender<()>, JoinHandle<()>)>>,
     /// Delay-line thread, spawned lazily by the first [`Broker::set_injector`].
     delay_thread: Mutex<Option<JoinHandle<()>>>,
     /// Uplink forwarder threads (populated by [`connect_brokers`]).
@@ -130,63 +124,35 @@ impl Broker {
                 .expect("spawn router thread");
             router_threads.push(handle);
         }
-        // Compression offload thread: large bodies that passed the probe are
-        // chunk-compressed here (fanning across the shared worker pool)
-        // instead of inside the sender thread that submitted them, then
-        // dispatched exactly as `submit` dispatches an inline body. It holds
-        // its own clones of the shard senders; shutdown closes the offload
-        // queue and joins this thread before sending the routers their
-        // shutdown sentinels, so every offloaded message still reaches its
-        // router.
-        let (offload_tx, offload_rx) = unbounded::<OffloadJob>();
-        let offload = {
-            let hub = Arc::clone(&hub);
-            let router_txs = router_txs.clone();
-            std::thread::Builder::new()
-                .name(format!("xt-compress-m{machine}"))
-                .spawn(move || {
-                    let compress_ns = hub.telemetry.histogram("comm.compress_ns");
-                    let compress_ratio = hub.telemetry.histogram("comm.compress_ratio");
-                    let pool = crate::pool::shared_pool();
-                    while let Ok(OffloadJob { mut header, body, plan }) = offload_rx.recv() {
-                        let raw_len = body.len();
-                        let start = std::time::Instant::now();
-                        let container = crate::pool::compress_chunked_parallel(pool, &body);
-                        compress_ns.record_duration(start.elapsed());
-                        let body = if container.len() < raw_len {
-                            header.compression = CompressionKind::Lz4Chunked;
-                            Body::from(container)
-                        } else {
-                            body
-                        };
-                        // Stored-vs-raw size in percent (100 = incompressible).
-                        compress_ratio.record((body.len() * 100 / raw_len.max(1)) as u64);
-                        if !hub.dispatch(&router_txs, header, body, plan) {
-                            break; // router gone: broker is shutting down
-                        }
-                    }
-                })
-                .expect("spawn compression offload thread")
-        };
-        let compress_skipped = hub.telemetry.counter("comm.compress_skipped");
-        Broker {
+        let broker = Broker {
             shared: Arc::new(BrokerShared {
                 machine,
                 cluster,
                 config,
+                compress_skipped: hub.telemetry.counter("comm.compress_skipped"),
+                compress_ns: hub.telemetry.histogram("comm.compress_ns"),
+                compress_ratio: hub.telemetry.histogram("comm.compress_ratio"),
                 hub,
                 router_txs,
                 closed: AtomicBool::new(false),
-                offload_tx: Mutex::new(Some(offload_tx)),
-                compress_skipped,
                 uplinks,
                 peers: Mutex::new(HashMap::new()),
                 router_threads: Mutex::new(router_threads),
-                offload_thread: Mutex::new(Some(offload)),
+                beacon: Mutex::new(None),
                 delay_thread: Mutex::new(None),
                 threads: Mutex::new(Vec::new()),
             }),
+        };
+        if let Some(hb) = broker.shared.config.heartbeat {
+            let (stop_tx, stop_rx) = unbounded();
+            let shared = Arc::downgrade(&broker.shared);
+            let handle = std::thread::Builder::new()
+                .name(format!("xt-beacon-m{machine}"))
+                .spawn(move || run_beacon(shared, hb, stop_rx))
+                .expect("spawn beacon thread");
+            *broker.shared.beacon.lock() = Some((stop_tx, handle));
         }
+        broker
     }
 
     /// The telemetry handle this broker reports into (disabled by default).
@@ -292,51 +258,53 @@ impl Broker {
         self.shared.hub.table.remove_id_queue(pid);
     }
 
-    /// Accepts a message from a local sender thread: splits its destinations
-    /// against the routing snapshot (once — the router reuses the plan), and
-    /// dispatches the body — admitted on its kind's lane with the plan's
-    /// fan-out, delivery enqueued for the router. Returns `false` if the
-    /// broker is shut down or the message has no routable destination.
+    /// Accepts a message on the calling (sender) thread: splits its
+    /// destinations against the routing snapshot (once — the router reuses
+    /// the plan), compresses the body if it passes
+    /// [`xingtian_message::should_compress`], and dispatches it — admitted on
+    /// its kind's lane with the plan's fan-out, delivery enqueued for the
+    /// router. Returns `false` if the broker is shut down or the message has
+    /// no routable destination.
     ///
-    /// Bodies that pass [`xingtian_message::should_compress`] — over the
-    /// threshold, and a 64 KiB head that LZ4 shrinks — are handed to the
-    /// broker's offload thread, compressed there (chunk-parallel) and
-    /// dispatched from it the same way, so this returns as soon as the job is
-    /// enqueued — the calling sender thread is never blocked behind a
-    /// multi-MB compression, only behind the probe. Messages that take the
-    /// offload path may be stored after smaller messages submitted later; a
-    /// body that fails the probe is dispatched inline like a small one, so
-    /// per-sender FIFO holds for it.
+    /// The full pass is chunk-parallel over the shared worker pool, with the
+    /// caller taking its share, and the container is kept only if it is
+    /// smaller. It delays only this sender's later messages, which
+    /// per-(src,dst) FIFO holds behind it anyway.
     pub fn submit(&self, msg: Message) -> bool {
         if self.shared.closed.load(Ordering::Acquire) {
             return false;
         }
-        let Message { header, body } = msg;
-        let hub = &self.shared.hub;
-        let plan = hub.table.split(self.shared.machine, &header.dst);
-        hub.table.add_dropped(plan.unknown as u64);
+        let Message { mut header, mut body } = msg;
+        let shared = &*self.shared;
+        let plan = shared.hub.table.split(shared.machine, &header.dst);
+        shared.hub.table.add_dropped(plan.unknown as u64);
         if plan.fanout() == 0 {
             return false;
         }
         // Pre-encoded bodies (parameter-plane frames) carry their kind in the
         // header already: re-compressing a delta/quantized frame would only
         // burn CPU on near-incompressible bytes, so only kind-`None` bodies
-        // are eligible for the transport-compression offload.
-        if header.compression == CompressionKind::None {
-            if let Compression::Threshold(t) = self.shared.config.compression {
-                if body.len() > t {
-                    if xingtian_message::should_compress(&body, t) {
-                        let guard = self.shared.offload_tx.lock();
-                        return match guard.as_ref() {
-                            Some(tx) => tx.send(OffloadJob { header, body, plan }).is_ok(),
-                            None => false,
-                        };
-                    }
-                    self.shared.compress_skipped.inc();
+        // are eligible for transport compression.
+        let threshold = match shared.config.compression {
+            Compression::Threshold(t) if header.compression == CompressionKind::None => t,
+            _ => usize::MAX,
+        };
+        if body.len() > threshold {
+            if xingtian_message::should_compress(&body, threshold) {
+                let raw_len = body.len();
+                let start = Instant::now();
+                let container = compress_chunked_parallel(shared_pool(), &body);
+                shared.compress_ns.record_duration(start.elapsed());
+                if container.len() < raw_len {
+                    header.compression = CompressionKind::Lz4Chunked;
+                    body = Body::from(container);
                 }
+                shared.compress_ratio.record((body.len() * 100 / raw_len) as u64);
+            } else {
+                shared.compress_skipped.inc();
             }
         }
-        hub.dispatch(&self.shared.router_txs, header, body, plan)
+        shared.hub.dispatch(&shared.router_txs, header, body, plan)
     }
 
     /// Number of router shards this broker runs.
@@ -358,18 +326,15 @@ impl Broker {
         &self.shared.config
     }
 
-    /// Shuts the broker down: closes the offload queue and joins the offload
-    /// thread, sends *every* router shard its drain-then-exit sentinel and
-    /// joins them all, then closes all uplinks and joins the uplink threads.
-    /// In-flight messages already routed to ID queues remain fetchable by
-    /// receivers. Idempotent.
+    /// Shuts the broker down: stops the beacon, sends *every* router shard
+    /// its drain-then-exit sentinel and joins them all, then closes all
+    /// uplinks and joins the uplink threads. In-flight messages already
+    /// routed to ID queues remain fetchable by receivers. Idempotent.
     pub fn shutdown(&self) {
         self.shared.closed.store(true, Ordering::Release);
-        // Offload first: it feeds the routers, and joining it guarantees every
-        // offloaded delivery precedes the shutdown sentinels in the queues.
-        self.shared.offload_tx.lock().take();
-        if let Some(h) = self.shared.offload_thread.lock().take() {
-            let _ = h.join();
+        if let Some((stop, handle)) = self.shared.beacon.lock().take() {
+            drop(stop);
+            let _ = handle.join();
         }
         // Symmetric drain: each shard gets its own sentinel and drains its own
         // queue before exiting. Sentinels go out to all shards before any
@@ -396,6 +361,33 @@ impl Broker {
         let threads: Vec<_> = self.shared.threads.lock().drain(..).collect();
         for t in threads {
             let _ = t.join();
+        }
+    }
+}
+
+/// The broker's liveness beacon: each interval, one `Heartbeat` for every
+/// local endpoint that is not itself a monitor (`Broker` role) to its monitor
+/// shard, submitted like any message. An endpoint's beats stop when its ID
+/// queue is removed — its close, or its drop while a workhorse unwinds — and
+/// nothing its sender thread waits on, a full store or a compression pass,
+/// can delay them. Holds the broker weakly, the rule `Hub` follows; returns
+/// when `stop`'s sender is dropped or the broker is gone.
+fn run_beacon(shared: Weak<BrokerShared>, hb: HeartbeatConfig, stop: Receiver<()>) {
+    let mut due = Instant::now();
+    for seq in 0.. {
+        due = (due + hb.interval()).max(Instant::now());
+        let left = due.saturating_duration_since(Instant::now());
+        if stop.recv_timeout(left) != Err(RecvTimeoutError::Timeout) {
+            return;
+        }
+        let Some(shared) = shared.upgrade() else { return };
+        let beaconing: Vec<ProcessId> = shared.hub.table.id_queues.with(|queues| {
+            queues.keys().copied().filter(|pid| pid.role != ProcessRole::Broker).collect()
+        });
+        let broker = Broker { shared };
+        for pid in beaconing {
+            let header = Header::new(pid, vec![hb.monitor_for(pid)], MessageKind::Heartbeat);
+            broker.submit(Message::new(header.with_seq(seq), Body::new()));
         }
     }
 }

@@ -23,15 +23,6 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 use xingtian_message::Message;
 
-/// Why [`Buffer::pop_timeout`] returned no message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PopError {
-    /// The buffer stayed empty (and open) for the whole timeout.
-    TimedOut,
-    /// The buffer is closed and has drained: nothing will ever arrive.
-    Closed,
-}
-
 #[derive(Debug, Default)]
 struct Queue {
     messages: VecDeque<Message>,
@@ -101,17 +92,17 @@ impl Buffer {
         Some(msg)
     }
 
-    fn pop_until(&self, deadline: Option<Instant>) -> Result<Message, PopError> {
+    fn pop_until(&self, deadline: Option<Instant>) -> Option<Message> {
         let mut q = self.queue.lock();
         loop {
             if let Some(msg) = self.take(&mut q) {
-                return Ok(msg);
+                return Some(msg);
             }
             if q.closed {
-                return Err(PopError::Closed);
+                return None;
             }
             match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
-                Some(left) if left.is_zero() => return Err(PopError::TimedOut),
+                Some(left) if left.is_zero() => return None,
                 Some(left) => drop(self.not_empty.wait_for(&mut q, left)),
                 None => self.not_empty.wait(&mut q),
             }
@@ -123,7 +114,7 @@ impl Buffer {
     /// Returns `None` only after [`Buffer::close`] and once the queue has
     /// drained.
     pub fn pop(&self) -> Option<Message> {
-        self.pop_until(None).ok()
+        self.pop_until(None)
     }
 
     /// Non-blocking pop.
@@ -131,10 +122,9 @@ impl Buffer {
         self.take(&mut self.queue.lock())
     }
 
-    /// Blocks up to `timeout` for a message, and says which of the two
-    /// reasons for coming back without one applies — read under the same lock
-    /// as the queue, so a racing push cannot fall between them.
-    pub fn pop_timeout(&self, timeout: Duration) -> Result<Message, PopError> {
+    /// Blocks up to `timeout` for a message; `None` if none arrived in time
+    /// or the buffer is closed and drained.
+    pub fn pop_timeout(&self, timeout: Duration) -> Option<Message> {
         self.pop_until(Some(Instant::now() + timeout))
     }
 
@@ -229,13 +219,13 @@ mod tests {
     }
 
     #[test]
-    fn pop_timeout_tells_timeout_from_closed_and_drained() {
+    fn pop_timeout_drains_staged_messages_before_reporting_close() {
         let b = Buffer::new();
-        assert_eq!(b.pop_timeout(Duration::from_millis(10)).unwrap_err(), PopError::TimedOut);
+        assert!(b.pop_timeout(Duration::from_millis(10)).is_none());
         b.push(msg(1));
         b.close();
         assert_eq!(b.pop_timeout(Duration::from_secs(5)).unwrap().body[0], 1, "staged drains first");
-        assert_eq!(b.pop_timeout(Duration::from_secs(5)).unwrap_err(), PopError::Closed);
+        assert!(b.pop_timeout(Duration::from_secs(5)).is_none());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! instant data are ready — the paper's aggressive-push behavior.
 
 use crate::broker::Broker;
-use crate::buffer::{Buffer, PopError};
+use crate::buffer::Buffer;
 use crate::router::IdQueueMsg;
 use crate::stats::TransmissionStats;
 use crossbeam_channel::Receiver;
@@ -65,51 +65,16 @@ impl Endpoint {
 
         let mut threads = Vec::with_capacity(2);
 
-        // Sender monitoring thread: send buffer -> broker. With heartbeats
-        // enabled it doubles as the endpoint's liveness beacon: the thread is
-        // joined when the endpoint closes (including the implicit close when
-        // a panicking workhorse drops its endpoint during unwind), so the
-        // beacon stops for exactly the process deaths a detector must see.
+        // Sender monitoring thread: send buffer -> broker, until the buffer
+        // is closed and drained.
         {
             let send_buf = Arc::clone(&send_buf);
             let broker = broker.clone();
-            let heartbeat = broker.config().heartbeat.filter(|_| pid.role != xingtian_message::ProcessRole::Broker);
             let handle = std::thread::Builder::new()
                 .name(format!("xt-send-{pid}"))
                 .spawn(move || {
-                    // With a sharded monitor this endpoint always beacons to
-                    // the same shard (stable pid hash), so that inbox's
-                    // inter-arrival statistics describe this process.
-                    let beacon = heartbeat.map(|hb| (hb.monitor_for(pid), hb.interval()));
-                    let mut seq = 0u64;
-                    // Never beaten yet: the first beat is due at once, so the
-                    // detector can baseline this endpoint before the first
-                    // interval.
-                    let mut last_beat: Option<std::time::Instant> = None;
-                    loop {
-                        if let Some((monitor, interval)) = beacon {
-                            if last_beat.is_none_or(|t| t.elapsed() >= interval) {
-                                let header = Header::new(pid, vec![monitor], MessageKind::Heartbeat)
-                                    .with_seq(seq);
-                                let _ = broker.submit(Message::new(header, Body::new()));
-                                seq += 1;
-                                last_beat = Some(std::time::Instant::now());
-                            }
-                        }
-                        let popped = match beacon {
-                            Some((_, interval)) => send_buf.pop_timeout(interval),
-                            None => send_buf.pop().ok_or(PopError::Closed),
-                        };
-                        match popped {
-                            Ok(msg) => {
-                                let _ = broker.submit(msg);
-                            }
-                            // Closed and drained — one read under the
-                            // buffer's lock — ends the thread and its beacon;
-                            // a timeout only means a beat is due.
-                            Err(PopError::Closed) => break,
-                            Err(PopError::TimedOut) => {}
-                        }
+                    while let Some(msg) = send_buf.pop() {
+                        broker.submit(msg);
                     }
                 })
                 .expect("spawn sender thread");
@@ -269,7 +234,7 @@ impl Endpoint {
 
     /// Receive with a timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Message> {
-        self.consumed(self.recv_buf.pop_timeout(timeout).ok())
+        self.consumed(self.recv_buf.pop_timeout(timeout))
     }
 
     #[inline]

@@ -33,10 +33,9 @@
 //! per-machine hub in [`router`]: one admission into the store, which picks
 //! the priority or the capacity-gated lane from
 //! [`xingtian_message::MessageKind::priority_lane`] whether the body was
-//! submitted inline, came out of the compression offload thread or arrived
-//! from another machine; one settlement of a fetch credit nobody will spend;
-//! and every message the channel loses, at any hop, is counted in
-//! [`Broker::dropped`].
+//! submitted on this machine or arrived from another one; one settlement of
+//! a fetch credit nobody will spend; and every message the channel loses, at
+//! any hop, is counted in [`Broker::dropped`].
 //!
 //! The public surface:
 //!
@@ -81,7 +80,7 @@ pub mod stats;
 pub mod store;
 
 pub use broker::{connect_brokers, Broker};
-pub use buffer::{Buffer, PopError};
+pub use buffer::Buffer;
 pub use endpoint::Endpoint;
 pub use inject::{InjectDecision, InjectionStats, RouteInjector};
 pub use pool::WorkPool;
@@ -130,12 +129,13 @@ pub enum ParamCompression {
 
 /// Liveness-beacon configuration for the endpoints of a broker.
 ///
-/// When set, every endpoint's sender thread emits a [`xingtian_message::MessageKind::Heartbeat`]
-/// message to `monitor` at least every `interval_ms` milliseconds, starting
-/// with one immediate beat at spawn. Heartbeats ride the ordinary channel
-/// (store → router → uplink), so they stop flowing for exactly the failures a
-/// detector should see: a dead process (its endpoint is gone), a closed
-/// endpoint, or a severed link between the process and the monitor's machine.
+/// When set, one beacon thread per broker sends `monitor` a
+/// [`xingtian_message::MessageKind::Heartbeat`] every `interval_ms` for each
+/// local endpoint not in the `Broker` role, the first within one interval of
+/// its registration. Heartbeats ride the ordinary channel (store → router →
+/// uplink), so they stop for exactly the failures a detector should see — a
+/// dead process (its endpoint is gone), a closed endpoint, a severed link to
+/// the monitor's machine — never for a sender compressing or back-pressured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HeartbeatConfig {
     /// Beacon period in milliseconds.

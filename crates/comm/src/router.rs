@@ -235,7 +235,7 @@ pub(crate) type Uplinks = Mutex<HashMap<MachineId, Sender<Vec<RemoteEnvelope>>>>
 
 /// One machine's half of the channel: its object store, its routing table and
 /// the counters every hop reports into. Shared by the broker, its router,
-/// offload, delay-line and receiver threads, and the uplink threads of peers
+/// delay-line and receiver threads, and the uplink threads of peers
 /// delivering into this machine; it owns no thread handle and no command
 /// sender, so none of those threads keeps itself or a broker alive through it.
 #[derive(Debug)]
@@ -289,10 +289,10 @@ impl Hub {
         }
     }
 
-    /// Source side, for a body in its stored form (inline from `submit`, or
-    /// out of the offload thread): counts it, admits it, and hands the
-    /// delivery to its router shard — the hash of the original destination
-    /// list, so both callers keep a destination's same-path messages FIFO.
+    /// Source side, for a body in its stored form (from `submit`, after any
+    /// compression): counts it, admits it, and hands the delivery to its
+    /// router shard — the hash of the destination list, so a sender's
+    /// messages to one destination stay FIFO.
     /// Returns `false`, every credit of the plan settled, if that shard is
     /// gone (a broker shutting down refuses; it does not tally a drop).
     pub(crate) fn dispatch(

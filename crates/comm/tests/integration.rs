@@ -1,10 +1,11 @@
 //! Channel integration tests: compression over the simulated NIC, fabric
-//! reconfiguration, and memory accounting under broadcast fan-out.
+//! reconfiguration, memory accounting under broadcast fan-out, and liveness
+//! beacons that no sender thread can hold up.
 
 use bytes::Bytes;
 use netsim::{Cluster, ClusterSpec};
 use std::time::{Duration, Instant};
-use xingtian_comm::{connect_brokers, Broker, CommConfig, Compression};
+use xingtian_comm::{connect_brokers, Broker, CommConfig, Compression, Endpoint};
 use xingtian_message::{CompressionKind, Header, Message, MessageKind, ProcessId};
 use xt_telemetry::Telemetry;
 
@@ -126,49 +127,6 @@ fn broadcast_keeps_one_resident_copy() {
     broker.shutdown();
 }
 
-#[test]
-fn large_blob_compression_does_not_stall_small_messages() {
-    // A >1 MiB body used to be LZ4-compressed inline by the sender thread,
-    // head-of-line blocking every message queued behind it. With the
-    // compression offload thread, the large body detours through the broker's
-    // offload queue while small messages flow straight to the store — so the
-    // 100 small messages sent *after* the blob must overtake it.
-    let broker = Broker::new(0, Cluster::single(), CommConfig::default());
-    let explorer = broker.endpoint(ProcessId::explorer(0));
-    let learner = broker.endpoint(ProcessId::learner(0));
-
-    let blob = compressible_payload(32 * 1024 * 1024);
-    explorer.send_to(vec![ProcessId::learner(0)], MessageKind::Parameters, blob.clone());
-    for i in 0..100u8 {
-        explorer.send_to(vec![ProcessId::learner(0)], MessageKind::Rollout, Bytes::from(vec![i]));
-    }
-
-    let mut blob_rank = None;
-    let mut smalls = 0usize;
-    for rank in 0..101usize {
-        let m = learner.recv_timeout(Duration::from_secs(60)).expect("all messages delivered");
-        match m.header.kind {
-            MessageKind::Parameters => {
-                assert_eq!(m.body, blob, "blob survives the offload round trip");
-                blob_rank = Some(rank);
-            }
-            _ => smalls += 1,
-        }
-    }
-    assert_eq!(smalls, 100);
-    let blob_rank = blob_rank.expect("blob delivered");
-    // The blob takes tens of milliseconds to compress; the smalls take
-    // microseconds each to submit. At least half of them must be delivered
-    // ahead of it (pre-offload, the blob was always delivered at rank 0).
-    assert!(
-        blob_rank >= 50,
-        "large blob delivered at rank {blob_rank}; small messages were stalled behind its compression"
-    );
-    drop(explorer);
-    drop(learner);
-    broker.shutdown();
-}
-
 /// One explorer sends `body` as a `Rollout`, then 100 one-byte rollouts, to a
 /// learner on the last of `machines` machines; returns the 101 messages in
 /// arrival order and the deployment's telemetry. Zero drops and empty stores
@@ -201,44 +159,31 @@ fn body_then_smalls(machines: usize, body: &Bytes) -> (Vec<Message>, Telemetry) 
 }
 
 #[test]
-fn an_incompressible_body_keeps_its_place_ahead_of_later_smalls() {
-    // Over the threshold, but LZ4 cannot shrink its first 64 KiB: the probe
-    // sends it raw and inline, like a small body, so it stays in per-sender
-    // FIFO with the smalls behind it instead of detouring through the
-    // offload thread, where they would overtake it.
-    let body = incompressible_payload(2 << 20);
-    for machines in [1, 2] {
-        let (got, telemetry) = body_then_smalls(machines, &body);
-        let rank = got.iter().position(|m| m.body.len() > 1);
-        assert_eq!(rank, Some(0), "the body arrives first ({machines} machines)");
-        assert!(got[0].body == body, "the body arrives intact ({machines} machines)");
-        assert_eq!(got[0].header.compression, CompressionKind::None);
-        for (i, m) in got[1..].iter().enumerate() {
-            assert_eq!(&m.body[..], &[i as u8], "smalls in order ({machines} machines)");
+fn a_large_body_keeps_its_place_ahead_of_later_smalls() {
+    // Per-(src,dst) FIFO for every size: an over-threshold body is compressed
+    // (or, failing the probe, left raw) on the sender thread that submits it,
+    // so the 100 smalls sent after it arrive after it, on one machine or
+    // across the wire, and the counters book exactly one of the two forms.
+    for compresses in [false, true] {
+        let body = if compresses { compressible_payload(2 << 20) } else { incompressible_payload(2 << 20) };
+        let container_len = xingtian_message::chunk::compress_chunked(&body).len() as u64;
+        assert_eq!(container_len < body.len() as u64 / 4, compresses);
+        // (comm.bytes_on_wire.none, comm.bytes_on_wire.lz4_chunked)
+        let on_wire = if compresses { (100, container_len) } else { (body.len() as u64 + 100, 0) };
+        for machines in [1, 2] {
+            let (got, telemetry) = body_then_smalls(machines, &body);
+            let case = format!("compressible: {compresses}, {machines} machines");
+            let rank = got.iter().position(|m| m.body.len() > 1);
+            assert_eq!(rank, Some(0), "the body arrives first ({case})");
+            assert!(got[0].body == body, "the body arrives intact ({case})");
+            assert_eq!(got[0].header.compression, CompressionKind::None, "{case}");
+            for (i, m) in got[1..].iter().enumerate() {
+                assert_eq!(&m.body[..], &[i as u8], "smalls in order ({case})");
+            }
+            let bytes = |kind: &str| telemetry.counter(&format!("comm.bytes_on_wire.{kind}")).get();
+            assert_eq!((bytes("none"), bytes("lz4_chunked")), on_wire, "{case}");
+            assert_eq!(telemetry.counter("comm.compress_skipped").get(), u64::from(!compresses), "{case}");
         }
-        assert_eq!(telemetry.counter("comm.bytes_on_wire.lz4_chunked").get(), 0);
-        assert_eq!(telemetry.counter("comm.bytes_on_wire.none").get(), body.len() as u64 + 100);
-        assert_eq!(telemetry.counter("comm.compress_skipped").get(), 1);
-    }
-}
-
-#[test]
-fn a_compressible_body_still_travels_lz4_chunked() {
-    // The probe passes, so the body takes the offload thread and the full
-    // pass as before: the stored container is the serial encoder's, byte for
-    // byte, and it decodes to the original.
-    let body = compressible_payload(2 << 20);
-    let container_len = xingtian_message::chunk::compress_chunked(&body).len() as u64;
-    assert!(container_len < body.len() as u64 / 4);
-    for machines in [1, 2] {
-        let (got, telemetry) = body_then_smalls(machines, &body);
-        let (big, smalls): (Vec<_>, Vec<_>) = got.iter().partition(|m| m.body.len() > 1);
-        assert_eq!(big.len(), 1);
-        assert_eq!(big[0].body, body, "the body arrives intact ({machines} machines)");
-        assert!(smalls.iter().enumerate().all(|(i, m)| m.body[..] == [i as u8]));
-        assert_eq!(telemetry.counter("comm.bytes_on_wire.lz4_chunked").get(), container_len);
-        assert_eq!(telemetry.counter("comm.bytes_on_wire.none").get(), 100);
-        assert_eq!(telemetry.counter("comm.compress_skipped").get(), 0);
     }
 }
 
@@ -393,19 +338,19 @@ fn control_passes_a_full_store_from_either_machine() {
 
 #[test]
 fn parameters_of_any_size_stay_out_of_data_occupancy() {
-    // A compressible broadcast body above the compression threshold detours
-    // through the offload thread, an incompressible one is sent inline; both
-    // must come out on the same priority lane a small one takes, or
-    // paper-scale parameter traffic pins the elastic supervisor's congestion
-    // signal and queues behind data-plane capacity.
-    for (body, offloaded) in [
+    // A compressible broadcast body above the compression threshold is
+    // stored as a container, an incompressible one raw; both must come out on
+    // the same priority lane a small one takes, or paper-scale parameter
+    // traffic pins the elastic supervisor's congestion signal and queues
+    // behind data-plane capacity.
+    for (body, compressed) in [
         (compressible_payload(2 << 20), true),
         (incompressible_payload(2 << 20), false),
         (incompressible_payload(64 << 10), false),
     ] {
         let len = body.len();
         let stored = xingtian_message::compress_body(body.clone()).0.len();
-        assert_eq!(stored < len, offloaded, "{len} B stored as {stored} B");
+        assert_eq!(stored < len, compressed, "{len} B stored as {stored} B");
         let config = CommConfig { endpoint_recv_bytes: Some(1), ..CommConfig::default() };
         let broker = Broker::new(0, Cluster::single(), config);
         let learner = broker.endpoint(ProcessId::learner(0));
@@ -446,4 +391,104 @@ fn an_undecodable_body_is_a_counted_drop() {
     drop(learner);
     broker.shutdown();
     assert_eq!(broker.dropped(), 1);
+}
+
+/// Beacon period of the liveness tests; a detector gives a process about six
+/// of these before it declares it down.
+const BEAT: Duration = Duration::from_millis(15);
+
+/// Over at least 600 ms and until `done()` holds, the longest `monitor` went
+/// without a heartbeat from `pid` — window start to first beat, beat to beat,
+/// last beat to window end — and the number of beats.
+fn largest_beat_gap(monitor: &Endpoint, pid: ProcessId, done: impl Fn() -> bool) -> (Duration, usize) {
+    while monitor.try_recv().is_some() {}
+    let start = Instant::now();
+    let (mut last, mut gap, mut beats) = (start, Duration::ZERO, 0);
+    while start.elapsed() < Duration::from_millis(600) || !done() {
+        let Some(m) = monitor.recv_timeout(Duration::from_millis(1)) else { continue };
+        if m.header.kind == MessageKind::Heartbeat && m.header.src == pid {
+            gap = gap.max(last.elapsed());
+            last = Instant::now();
+            beats += 1;
+        }
+    }
+    (gap.max(last.elapsed()), beats)
+}
+
+#[test]
+fn a_sender_parked_at_a_full_store_keeps_beating() {
+    // The explorer's sender thread is parked in the store's capacity gate
+    // behind a learner that is not receiving: it is live and back-pressured,
+    // and its beats must keep coming, or the detector declares it down.
+    let monitor = ProcessId::broker(0);
+    let config = CommConfig { endpoint_recv_bytes: Some(1), ..CommConfig::default() }
+        .with_store_capacity(4096)
+        .with_heartbeat(BEAT.as_millis() as u64, monitor);
+    let broker = Broker::new(0, Cluster::single(), config);
+    let mon = broker.endpoint(monitor);
+    let learner = broker.endpoint(ProcessId::learner(0));
+    let explorer = broker.endpoint(ProcessId::explorer(0));
+    // As in `control_passes_a_full_store_from_either_machine`: the fourth
+    // rollout parks the sender thread at the gate, two wait behind it.
+    for i in 0..6u8 {
+        explorer.send_to(vec![learner.pid()], MessageKind::Rollout, Bytes::from(vec![i; 4000]));
+    }
+    let parked = eventually(10, || broker.store().live_bytes() == 4000 && explorer.send_backlog() == 2);
+    let (gap, beats) = largest_beat_gap(&mon, explorer.pid(), || true);
+    let still_parked = explorer.send_backlog() == 2;
+    for i in 0..6u8 {
+        let m = learner.recv_timeout(Duration::from_secs(10)).expect("rollout drains");
+        assert_eq!(m.body[0], i);
+    }
+    assert!(parked && still_parked, "the sender thread sat at the gate for the whole window");
+    assert!(gap < 4 * BEAT, "{beats} beats in 600 ms, largest gap {gap:?}");
+    drop((explorer, learner, mon));
+    broker.shutdown();
+    assert_eq!(broker.dropped(), 0);
+}
+
+/// Passes the compressibility probe, but LZ4 takes long over it and saves
+/// under a third: a slow full pass on the sender thread.
+fn slow_to_compress(len: usize) -> Bytes {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let v = (0..len)
+        .map(|i| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            ((i % 84) / 8) as u8 + (state & 3) as u8
+        })
+        .collect::<Vec<u8>>();
+    Bytes::from(v)
+}
+
+#[test]
+fn a_sender_inside_a_compression_pass_keeps_beating() {
+    const PASSES: usize = 3;
+    let body = slow_to_compress(32 << 20);
+    assert!(xingtian_message::should_compress(&body, xingtian_message::COMPRESSION_THRESHOLD));
+    let monitor = ProcessId::broker(0);
+    let telemetry = Telemetry::with_capacity(1 << 8);
+    let config = CommConfig::default().with_heartbeat(BEAT.as_millis() as u64, monitor);
+    let broker = Broker::with_telemetry(0, Cluster::single(), config, telemetry.clone());
+    let mon = broker.endpoint(monitor);
+    let learner = broker.endpoint(ProcessId::learner(0));
+    let explorer = broker.endpoint(ProcessId::explorer(0));
+    let (gap, beats) = std::thread::scope(|s| {
+        let intact = || learner.recv_timeout(Duration::from_secs(60)).is_some_and(|m| m.body == body);
+        let received = s.spawn(move || (0..PASSES).all(|_| intact()));
+        for _ in 0..PASSES {
+            explorer.send_to(vec![learner.pid()], MessageKind::Rollout, body.clone());
+        }
+        let gap = largest_beat_gap(&mon, explorer.pid(), || received.is_finished());
+        assert!(received.join().unwrap(), "every body arrives intact");
+        gap
+    });
+    let passes = telemetry.histogram("comm.compress_ns");
+    let pass_ms = passes.histogram().map_or(0, |h| h.sum()) / 1_000_000;
+    assert_eq!(passes.histogram().map(|h| h.count()), Some(PASSES as u64), "full passes");
+    assert!(gap < 4 * BEAT, "{beats} beats across {pass_ms} ms of passes, largest gap {gap:?}");
+    drop((explorer, learner, mon));
+    broker.shutdown();
+    assert_eq!(broker.dropped(), 0);
 }

@@ -27,9 +27,11 @@
 //! closes it iff every peer's farewell exceeds `r` — the same predicate on
 //! every shard, since closing `r` earlier needed every shard's blobs too —
 //! waiting for those blobs as long as the channel takes (they are already
-//! submitted; the farewell only says *whether* to wait, because small messages
-//! overtake large bodies on the compression-offload path), and abandons it at
-//! once otherwise.
+//! submitted), and abandons it at once otherwise. The farewell says only
+//! *whether* to wait, not that the stream has ended: the channel orders a
+//! sender's messages per destination list, and the blobs a shard resends to
+//! a rejoiner travel unicast while its farewell goes to every peer, which on
+//! a sharded router is another queue.
 
 use crate::allreduce::{GradExchange, GRAD_SLOTS};
 use crate::learner::LearnerRun;

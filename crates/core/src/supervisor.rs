@@ -362,11 +362,12 @@ impl Deployment {
 
         // Every endpoint a process can address is registered before that
         // process is spawned, or its first message is an unknown-destination
-        // drop. Monitor shards come first of all: each beaconing endpoint's
-        // first heartbeat fires at endpoint creation (beacons hash onto
-        // shards per sender pid). Then the controller (every process reports
-        // stats to it), the replay service, the learner shards (which greet
-        // their peers at startup), and the explorers. Threads start in the
+        // drop. Monitor shards come first of all: the broker's beacon beats
+        // for every endpoint it finds registered, within one interval of its
+        // creation (beacons hash onto shards per sender pid). Then the
+        // controller (every process reports stats to it), the replay
+        // service, the learner shards (which greet their peers at startup),
+        // and the explorers. Threads start in the
         // paper's order — (replay service,) learners, explorers, controller —
         // and only the replay service, which speaks when spoken to, starts
         // before the registrations are complete.

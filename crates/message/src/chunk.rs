@@ -1,9 +1,8 @@
 //! Chunked compression container: splits large bodies into independently
 //! compressed LZ4 frames.
 //!
-//! The legacy path compressed a whole >1 MiB body as one LZ4 block inside the
-//! sender thread, head-of-line blocking every queued message behind it, and
-//! forced each receiver to decompress the body on a single core. This
+//! The legacy path compressed a whole >1 MiB body as one LZ4 block on one
+//! core, and forced each receiver to decompress it on a single core too. This
 //! container splits the body into fixed 256 KiB spans, each compressed (or
 //! stored raw when compression does not pay) as an *independent* frame, so:
 //!

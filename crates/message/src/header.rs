@@ -109,8 +109,8 @@ pub enum MessageKind {
     Control,
     /// Benchmark payload used by the dummy DRL algorithm (§5.1).
     Dummy,
-    /// Periodic liveness beacon from an endpoint's sender thread to the
-    /// deployment's failure detector. Tiny and control-plane prioritized:
+    /// Periodic liveness beacon, sent for each endpoint by its broker's
+    /// beacon thread, to the deployment's failure detector. Tiny and control-plane prioritized:
     /// a backpressured data plane must never delay liveness evidence.
     Heartbeat,
     /// A replay shard telling the learner that new transitions were ingested,
@@ -138,7 +138,7 @@ impl MessageKind {
     /// Whether bodies of this kind enter an object store on the *priority
     /// lane* — admitted without waiting for the segment's capacity gate and
     /// excluded from its data-plane occupancy — on every path into every
-    /// machine's store (inline submit, compression offload, remote arrival).
+    /// machine's store (local submit, remote arrival).
     ///
     /// The match is exhaustive on purpose: a new kind must choose its lane to
     /// compile. Everything on the priority lane must be bounded by something

@@ -149,10 +149,10 @@ proptest! {
         ),
     ) {
         // Lane x path x size: 64 B and incompressible 2 MiB bodies are
-        // admitted inline, compressible 2 MiB ones by the compression offload
-        // thread, remote ones once more on arrival. Receivers hold back, so
-        // what is resident — and on which lane the store booked it — can be
-        // read off exactly.
+        // admitted raw, compressible 2 MiB ones as the container their sender
+        // thread compressed them into, remote ones once more on arrival.
+        // Receivers hold back, so what is resident — and on which lane the
+        // store booked it — can be read off exactly.
         let cluster = Cluster::new(
             ClusterSpec::default().machines(2).nic_bandwidth(1e12).latency_secs(0.0),
         );
@@ -166,13 +166,13 @@ proptest! {
         connect_brokers(&brokers);
 
         // Each class is stored in the form `compress_body` gives it, on either
-        // machine: only the offloaded one as a smaller container.
-        const OFFLOADED: usize = 2;
+        // machine: only the compressible one as a smaller container.
+        const COMPRESSED: usize = 2;
         let bodies = [noise(64), noise(2 << 20), repeated_noise(2 << 20)];
         let stored: Vec<usize> =
             bodies.iter().map(|b| xingtian_message::compress_body(b.clone()).0.len()).collect();
-        prop_assert_eq!(&stored[..OFFLOADED], &[64, 2 << 20]);
-        prop_assert!(stored[OFFLOADED] < bodies[OFFLOADED].len() / 4);
+        prop_assert_eq!(&stored[..COMPRESSED], &[64, 2 << 20]);
+        prop_assert!(stored[COMPRESSED] < bodies[COMPRESSED].len() / 4);
         let mut inserts = [0u64; 2];
         let mut bound_for = [0usize; 2];
         for (seq, &(kind, class, from, remote)) in script.iter().enumerate() {
@@ -202,7 +202,7 @@ proptest! {
 
         let mut seen = vec![0usize; script.len()];
         for (m, receiver) in receivers.iter().enumerate() {
-            let mut last: HashMap<(ProcessId, bool), u64> = HashMap::new();
+            let mut last: HashMap<ProcessId, u64> = HashMap::new();
             let (mut resident, mut resident_data) = (0usize, 0usize);
             for rank in 0..bound_for[m] {
                 let msg = receiver.recv_timeout(Duration::from_secs(10));
@@ -214,11 +214,8 @@ proptest! {
                 prop_assert_eq!(&msg.body, &bodies[class]);
                 prop_assert_eq!(from as usize ^ remote as usize, m, "delivered to the wrong machine");
                 seen[seq] += 1;
-                // FIFO per (src, dst) among inline bodies of any size, and
-                // among offloaded ones (the offload path may reorder a
-                // sender's offloaded and inline bodies).
-                let offloaded = class == OFFLOADED;
-                if let Some(prev) = last.insert((msg.header.src, offloaded), msg.header.seq) {
+                // FIFO per (src, dst) across every size class.
+                if let Some(prev) = last.insert(msg.header.src, msg.header.seq) {
                     prop_assert!(prev < msg.header.seq, "order violated: {prev} before {seq}");
                 }
                 // The first two had already left the store at quiescence.
