@@ -123,6 +123,17 @@ echo "== chaos smoke: seeded kill-one-explorer run on the virtual clock =="
 # store leaks. Wall time is bounded by the controller deadline.
 cargo test --release -q -p xingtian --test chaos chaos_smoke_kill_one_explorer_virtual_clock
 
+echo "== flow control: IMPALA explorers wait on the learner's answers =="
+# Window tests, against a learner the test scripts by hand: four rollouts go
+# out unanswered and the fifth is held; each answer releases exactly one,
+# a stale version included; a silent learner is forgiven once, no sooner
+# than the failure detector's 500 ms floor, which reopens the whole window;
+# a shutdown reaches an explorer that is waiting for answers.
+cargo test --release -q -p xingtian --test process_loops answered_explorer
+# Surplus test: four unpaced CartPole explorers outrunning one learner may
+# generate at most 4 x (4 + 1) x 25 steps beyond the 20 000-step goal.
+cargo test --release -q --test e2e_training impala_explorers_generate_no_more_than_the_learner_consumes
+
 echo "== graph smoke: the one process graph and the one learner loop, both disciplines =="
 # Deployment::run and Deployment::run_supervised are one graph (run is the
 # unsupervised policy: zero budgets, no heartbeats), so the perf smoke above

@@ -17,8 +17,14 @@ pub enum SyncMode {
     /// On-policy: explorers must wait for fresh parameters after each batch
     /// (PPO).
     OnPolicy,
-    /// Off-policy: explorers keep rolling with stale parameters (DQN, IMPALA).
+    /// Off-policy: explorers keep rolling with stale parameters (DQN,
+    /// REINFORCE).
     OffPolicy,
+    /// Off-policy, and the learner answers every rollout it takes with
+    /// parameters sent back to the rollout's source, shed ones included
+    /// (IMPALA). An answer is what paces the explorer: it may have only a few
+    /// rollouts unanswered.
+    Answered,
 }
 
 /// Outcome of one training session.

@@ -204,9 +204,11 @@ pub fn run_raylite_with_telemetry(
         let _ = tx.send(WorkerRequest::Shutdown);
     }
     let mut episode_returns = Vec::new();
+    let mut steps_generated = 0;
     for handle in worker_handles {
         let tracker: EpisodeTracker = handle.join().map_err(|_| "worker panicked".to_string())?;
         episode_returns.extend_from_slice(tracker.returns());
+        steps_generated += tracker.total_steps();
     }
 
     let mean_train_time = if driver.train_sessions > 0 {
@@ -218,10 +220,13 @@ pub fn run_raylite_with_telemetry(
         algorithm: format!("{} (raylite)", config.algorithm.name()),
         env: config.env,
         steps_consumed: driver.steps_consumed,
+        steps_generated,
         wall_time,
         timeline: driver.timeline,
         learner_wait: driver.wait_stats,
         rollout_latency: driver.pull_stats,
+        policy_lag: Default::default(),
+        rollouts_by_explorer: Default::default(),
         episode_returns,
         train_sessions: driver.train_sessions,
         mean_train_time,

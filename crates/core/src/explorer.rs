@@ -6,22 +6,37 @@
 //! the environment otherwise, and pushes a rollout batch into its send buffer
 //! the instant `rollout_len` steps have accumulated — the sender thread of the
 //! endpoint takes it from there, so transmission overlaps the very next
-//! environment step.
+//! environment step. The one exception is flow control
+//! ([`MAX_INFLIGHT_BATCHES`]): an explorer already as far ahead of the
+//! learner as its [`SyncMode`] allows holds the finished rollout until it
+//! may send.
 
 use crate::assignment::AssignmentTable;
 use crate::messages::{ControlCommand, StatsMsg};
 use crate::parameters::ParamReceiver;
 use bytes::Bytes;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use gymlite::{Environment, EpisodeTracker};
 use xingtian_algos::api::{Agent, SyncMode};
 use xingtian_algos::payload::{RolloutBatch, RolloutStep};
 use xingtian_comm::Endpoint;
 use xingtian_message::codec::{Decode, Encode};
 use xingtian_message::{Message, MessageKind, ProcessId};
+use xt_fault::{Accrual, DetectorConfig};
+use xt_telemetry::CounterHandle;
 
-/// How many rollout batches an explorer may have staged in its send buffer
-/// before it pauses generation (source-side flow control).
+/// How many rollouts an explorer may have in flight before it pauses
+/// generation (source-side flow control), holding the next one in hand.
+///
+/// What "in flight" means follows the deployment's [`SyncMode`]. Under
+/// [`SyncMode::Answered`] (IMPALA) it is rollouts sent that the learner has
+/// not yet answered with parameters, which bounds the rollouts parked
+/// anywhere between explorer and learner and, with them, the policy lag of
+/// what the learner trains on. Under [`SyncMode::OffPolicy`] (DQN,
+/// REINFORCE), whose learners answer no particular rollout, it is rollouts
+/// staged in the explorer's own send buffer, which the store's capacity gate
+/// backs up.
 pub const MAX_INFLIGHT_BATCHES: usize = 4;
 
 /// Where an explorer's rollout batches go.
@@ -81,18 +96,44 @@ pub struct ExplorerOutcome {
     pub batches_sent: u64,
 }
 
+/// What arriving messages and the flow control change over one run.
+struct Inbox {
+    /// Parameter-plane decoder: the current reconstruction, updated in place
+    /// from delta/quantized frames (or plain blobs).
+    params: ParamReceiver,
+    /// Rollouts sent and not yet answered by a `Parameters` message, applied
+    /// or stale. Counted in every mode; only [`SyncMode::Answered`] waits on
+    /// it.
+    unanswered: usize,
+    /// The failure detector's accrual rule over the gaps between answers,
+    /// under the detector's default tuning (`leash`): how long a live
+    /// learner may leave this explorer waiting.
+    answers: Accrual,
+    leash: DetectorConfig,
+    /// One count per stalled rollout, not per spin: the gauge the elastic
+    /// supervisor and the scale sweeps read is "how often did generation
+    /// outpace what its discipline allows".
+    backpressure_waits: CounterHandle,
+    answers_forgiven: CounterHandle,
+}
+
 impl ExplorerProcess {
     /// Runs the explorer until the controller broadcasts shutdown.
     pub fn run(mut self) -> ExplorerOutcome {
         let controller = ProcessId::controller(0);
         let mut tracker = EpisodeTracker::new(100);
-        // Parameter-plane decoder: the current reconstruction, updated in
-        // place from delta/quantized frames (or plain blobs).
-        let mut params = ParamReceiver::new();
+        let telemetry = self.endpoint.telemetry().clone();
+        let mut inbox = Inbox {
+            params: ParamReceiver::new(),
+            unanswered: 0,
+            answers: Accrual::new(Instant::now()),
+            leash: DetectorConfig::default(),
+            backpressure_waits: telemetry.counter("explorer.backpressure_waits"),
+            answers_forgiven: telemetry.counter("explorer.answers_forgiven"),
+        };
         let mut steps: Vec<RolloutStep> = Vec::with_capacity(self.rollout_len);
-        let batches_counter = self.endpoint.telemetry().counter("explorer.batches_sent");
-        let backpressure_counter = self.endpoint.telemetry().counter("explorer.backpressure_waits");
-        let infer_hist = self.endpoint.telemetry().histogram("learn.infer_ns");
+        let batches_counter = telemetry.counter("explorer.batches_sent");
+        let infer_hist = telemetry.histogram("learn.infer_ns");
         let mut batches_sent = 0u64;
         let mut steps_since_stats = 0u64;
         let mut returns_since_stats: Vec<f32> = Vec::new();
@@ -103,7 +144,7 @@ impl ExplorerProcess {
             // React to everything that has already arrived (parameters,
             // control commands) without blocking.
             while let Some(msg) = self.endpoint.try_recv() {
-                if self.handle_message(&msg, &mut params) {
+                if self.handle_message(&msg, &mut inbox) {
                     return ExplorerOutcome { tracker, batches_sent };
                 }
             }
@@ -140,24 +181,8 @@ impl ExplorerProcess {
             obs = if step.done { self.env.reset() } else { step.observation };
 
             if steps.len() >= self.rollout_len {
-                // Flow control: an explorer may run at most a few rollouts
-                // ahead of the channel. Beyond that it would only burn CPU
-                // producing data the saturated learner cannot consume yet
-                // (paper Fig. 11: throughput *plateaus* at saturation). The
-                // wait is idle, and control traffic stays live.
-                if self.endpoint.send_backlog() >= MAX_INFLIGHT_BATCHES {
-                    // One count per stalled rollout, not per spin: the gauge
-                    // the elastic supervisor and the scale sweeps read is
-                    // "how often did generation outpace the channel".
-                    backpressure_counter.inc();
-                }
-                while self.endpoint.send_backlog() >= MAX_INFLIGHT_BATCHES {
-                    while let Some(msg) = self.endpoint.try_recv() {
-                        if self.handle_message(&msg, &mut params) {
-                            return ExplorerOutcome { tracker, batches_sent };
-                        }
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(1));
+                if self.wait_for_room(&mut inbox) {
+                    return ExplorerOutcome { tracker, batches_sent };
                 }
                 let sent_version = self.agent.param_version();
                 let batch = RolloutBatch {
@@ -175,6 +200,7 @@ impl ExplorerProcess {
                     Bytes::from(batch.to_bytes()),
                 );
                 batches_sent += 1;
+                inbox.unanswered += 1;
                 batches_counter.inc();
                 steps.reserve(self.rollout_len);
 
@@ -193,7 +219,7 @@ impl ExplorerProcess {
                         let Some(msg) = self.endpoint.recv() else {
                             return ExplorerOutcome { tracker, batches_sent };
                         };
-                        if self.handle_message(&msg, &mut params) {
+                        if self.handle_message(&msg, &mut inbox) {
                             return ExplorerOutcome { tracker, batches_sent };
                         }
                         if self.agent.param_version() > sent_version {
@@ -205,12 +231,71 @@ impl ExplorerProcess {
         }
     }
 
+    /// Source-side flow control before a rollout goes out: blocks while this
+    /// explorer is as far ahead as its discipline allows, handling what
+    /// arrives meanwhile. Beyond that it would only burn CPU producing data
+    /// the saturated learner cannot consume yet (paper Fig. 11: throughput
+    /// *plateaus* at saturation). Returns `true` on shutdown.
+    fn wait_for_room(&mut self, inbox: &mut Inbox) -> bool {
+        match self.sync {
+            // Its gate follows the send: parameters newer than the batch.
+            SyncMode::OnPolicy => false,
+            // At most MAX_INFLIGHT_BATCHES rollouts the learner has not
+            // answered, waited for in `recv`. An answer can be lost — to a
+            // dropped message, a partition, a learner restored from a
+            // checkpoint — so a wait longer than the failure detector's
+            // leash over the gaps between answers forgives them all.
+            SyncMode::Answered => {
+                if inbox.unanswered < MAX_INFLIGHT_BATCHES {
+                    return false;
+                }
+                inbox.backpressure_waits.inc();
+                let forgive_at = Instant::now() + inbox.answers.timeout(&inbox.leash);
+                while inbox.unanswered >= MAX_INFLIGHT_BATCHES {
+                    let left = forgive_at.saturating_duration_since(Instant::now());
+                    match self.endpoint.recv_timeout(left) {
+                        Some(msg) if self.handle_message(&msg, inbox) => return true,
+                        Some(_) => {}
+                        // Closed before the deadline: nobody will answer.
+                        None if Instant::now() < forgive_at => return true,
+                        None => {
+                            inbox.unanswered = 0;
+                            inbox.answers_forgiven.inc();
+                        }
+                    }
+                }
+                false
+            }
+            // At most MAX_INFLIGHT_BATCHES rollouts staged in the send
+            // buffer, polled every millisecond.
+            SyncMode::OffPolicy => {
+                if self.endpoint.send_backlog() < MAX_INFLIGHT_BATCHES {
+                    return false;
+                }
+                inbox.backpressure_waits.inc();
+                while self.endpoint.send_backlog() >= MAX_INFLIGHT_BATCHES {
+                    while let Some(msg) = self.endpoint.try_recv() {
+                        if self.handle_message(&msg, inbox) {
+                            return true;
+                        }
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                false
+            }
+        }
+    }
+
     /// Processes one incoming message. Returns `true` on shutdown.
-    fn handle_message(&mut self, msg: &Message, params: &mut ParamReceiver) -> bool {
+    fn handle_message(&mut self, msg: &Message, inbox: &mut Inbox) -> bool {
         match msg.header.kind {
             MessageKind::Parameters => {
+                inbox.unanswered = inbox.unanswered.saturating_sub(1);
+                inbox.answers.arrive(Instant::now(), &inbox.leash);
                 let agent = &mut self.agent;
-                params.on_parameters(&self.endpoint, self.index, msg, |blob| agent.apply_params(blob));
+                inbox.params.on_parameters(&self.endpoint, self.index, msg, |blob| {
+                    agent.apply_params(blob)
+                });
                 false
             }
             MessageKind::Control => {

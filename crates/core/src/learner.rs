@@ -31,13 +31,15 @@ use crate::parameters::ParamBroadcaster;
 use crate::shard::{Lockstep, DEAD_PEER_TIMEOUT};
 use crate::stats::ThroughputTimeline;
 use bytes::Bytes;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xingtian_algos::api::{Algorithm, ShardedSync};
-use xingtian_algos::payload::BatchDecoder;
+use xingtian_algos::payload::{BatchDecoder, RolloutBatch};
 use xingtian_comm::{Endpoint, ParamCompression, TransmissionStats};
 use xingtian_message::codec::{Decode, Encode};
 use xingtian_message::{Message, MessageKind, ProcessId};
+use xt_telemetry::Histogram;
 
 /// How many already-arrived messages one pass decodes before it trains (or
 /// opens a lockstep round). At saturation every decoded rollout releases a
@@ -86,6 +88,11 @@ pub struct LearnerOutcome {
     pub train_time: Duration,
     /// Final trained parameters (flat), for PBT weight inheritance.
     pub final_params: Vec<f32>,
+    /// Policy lag of every rollout decoded: the learner's parameter version
+    /// at decode minus the version that generated the rollout.
+    pub policy_lag: Histogram,
+    /// Rollouts decoded, per source explorer.
+    pub rollouts_by_explorer: BTreeMap<u32, u64>,
 }
 
 /// Per-run mutable state every discipline shares.
@@ -105,6 +112,8 @@ pub(crate) struct LearnerRun {
     /// deletes it: the learner then receives only ReplayNotice wakeups and
     /// this histogram stays empty.
     decode_hist: xt_telemetry::HistogramHandle,
+    /// `learner.policy_lag`, the telemetry twin of `outcome.policy_lag`.
+    lag_hist: xt_telemetry::HistogramHandle,
     /// Parameter-plane encoder: ring of delta bases, per-explorer sent
     /// versions, error feedback for the quantized modes.
     broadcaster: ParamBroadcaster,
@@ -115,6 +124,15 @@ impl LearnerRun {
     pub(crate) fn trained(&mut self, dt: Duration) {
         self.outcome.train_time += dt;
         self.train_hist.record_duration(dt);
+    }
+
+    /// Accounts one decoded rollout: its source, and its policy lag against
+    /// the learner's parameter `version`.
+    fn decoded(&mut self, batch: &RolloutBatch, version: u64) {
+        let lag = version.saturating_sub(batch.param_version);
+        self.outcome.policy_lag.record(lag);
+        self.lag_hist.record(lag);
+        *self.outcome.rollouts_by_explorer.entry(batch.explorer).or_insert(0) += 1;
     }
 }
 
@@ -165,6 +183,8 @@ impl LearnerProcess {
                 train_sessions: 0,
                 train_time: Duration::ZERO,
                 final_params: Vec::new(),
+                policy_lag: Histogram::new(),
+                rollouts_by_explorer: BTreeMap::new(),
             },
             waited: Duration::ZERO,
             wait_hist: telemetry.histogram("learner.wait_ns"),
@@ -172,6 +192,7 @@ impl LearnerProcess {
             sessions_counter: telemetry.counter("learner.train_sessions"),
             decoder: BatchDecoder::new(),
             decode_hist: telemetry.histogram("learn.decode_ns"),
+            lag_hist: telemetry.histogram("learner.policy_lag"),
             broadcaster: ParamBroadcaster::new(self.param_compression, &telemetry),
         };
 
@@ -294,6 +315,7 @@ impl LearnerProcess {
             (MessageKind::Rollout, _) => {
                 let t0 = Instant::now();
                 if let Ok(batch) = run.decoder.decode(&msg.body) {
+                    run.decoded(&batch, self.algorithm.version());
                     self.algorithm.on_rollout(batch);
                 }
                 run.decode_hist.record_duration(t0.elapsed());

@@ -4,8 +4,10 @@
 //! with the baseline drivers and the bench harness); it is re-exported here
 //! so existing `xingtian::stats::ThroughputTimeline` users keep compiling.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 use xingtian_comm::TransmissionStats;
+use xt_telemetry::Histogram;
 
 pub use xt_telemetry::ThroughputTimeline;
 
@@ -33,6 +35,9 @@ pub struct RunReport {
     pub env: String,
     /// Rollout steps the learner consumed.
     pub steps_consumed: u64,
+    /// Environment steps the explorers reported taking, as the controller
+    /// tallied their stats: generated, against `steps_consumed`.
+    pub steps_generated: u64,
     /// Wall-clock duration of the run.
     pub wall_time: Duration,
     /// Learner consumption timeline.
@@ -42,6 +47,13 @@ pub struct RunReport {
     pub learner_wait: TransmissionStats,
     /// Producer-to-learner transmission latency of rollout messages.
     pub rollout_latency: std::sync::Arc<TransmissionStats>,
+    /// Policy lag of the rollouts the learner decoded: its parameter version
+    /// at decode minus the version that generated the rollout. With sharded
+    /// or restored learners, shard 0's last incarnation, like `timeline`.
+    pub policy_lag: Histogram,
+    /// Rollouts the learner decoded per source explorer (shard 0's last
+    /// incarnation): an explorer missing here sent it nothing.
+    pub rollouts_by_explorer: BTreeMap<u32, u64>,
     /// Returns of all completed episodes, in arrival order at the controller.
     pub episode_returns: Vec<f32>,
     /// Training sessions completed.
@@ -165,10 +177,13 @@ mod tests {
             algorithm: "PPO".into(),
             env: "CartPole".into(),
             steps_consumed: 0,
+            steps_generated: 0,
             wall_time: Duration::from_secs(1),
             timeline: ThroughputTimeline::new(),
             learner_wait: TransmissionStats::new(),
             rollout_latency: std::sync::Arc::new(TransmissionStats::new()),
+            policy_lag: Histogram::new(),
+            rollouts_by_explorer: BTreeMap::new(),
             episode_returns: vec![1.0, 2.0, 3.0, 4.0],
             train_sessions: 0,
             mean_train_time: Duration::ZERO,
@@ -189,10 +204,13 @@ mod tests {
             algorithm: "IMPALA".into(),
             env: "CartPole".into(),
             steps_consumed: 100,
+            steps_generated: 100,
             wall_time: Duration::from_secs(2),
             timeline,
             learner_wait: TransmissionStats::new(),
             rollout_latency: std::sync::Arc::new(TransmissionStats::new()),
+            policy_lag: Histogram::new(),
+            rollouts_by_explorer: BTreeMap::new(),
             episode_returns: vec![10.0, 20.0],
             train_sessions: 1,
             mean_train_time: Duration::from_millis(5),

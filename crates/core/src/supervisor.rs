@@ -786,7 +786,8 @@ impl Deployment {
         if fatal.is_some() {
             send_shutdown(vec![ProcessId::controller(0)]);
         }
-        let controller_died = controller_handle.join().is_err();
+        let controller = controller_handle.join();
+        let controller_died = controller.is_err();
         if controller_died {
             fatal.get_or_insert(DeployError::new("controller thread panicked"));
         }
@@ -891,7 +892,7 @@ impl Deployment {
         }
 
         // The aggregate sums work across shards and incarnations; the
-        // report's timeline/wait views and final parameters are those of
+        // report's timeline/wait/lag views and final parameters are those of
         // shard 0's last incarnation (one representative stream).
         let incarnations = || learner_slots.iter().flat_map(|s| &s.outcomes);
         let steps_consumed: u64 = incarnations().map(|o| o.steps_consumed).sum();
@@ -933,10 +934,13 @@ impl Deployment {
             algorithm: algo_name,
             env: config.env.clone(),
             steps_consumed,
+            steps_generated: controller.map_or(0, |c| c.explorer_steps),
             wall_time,
             timeline: last.timeline,
             learner_wait: last.wait_stats,
             rollout_latency: rollout_latency_src,
+            policy_lag: last.policy_lag,
+            rollouts_by_explorer: last.rollouts_by_explorer,
             episode_returns,
             train_sessions,
             mean_train_time,

@@ -10,6 +10,7 @@ use std::time::Duration;
 use xingtian::checkpoint::CheckpointConfig;
 use xingtian::config::{AlgorithmSpec, DeploymentConfig};
 use xingtian::deployment::Deployment;
+use xingtian::explorer::MAX_INFLIGHT_BATCHES;
 use xingtian::supervisor::SupervisionConfig;
 use xingtian_message::{MessageKind, ProcessId};
 use xt_fault::{FaultPlan, KillTrigger, Liveness, LivenessTransition, RouteRule};
@@ -140,6 +141,18 @@ fn learner_restored_from_checkpoint_after_kill() {
     // steps across incarnations; the report counts joined incarnations).
     assert!(report.train_sessions >= 1);
     assert!(report.steps_consumed > 0);
+    // The dead incarnation took the answers owed to every explorer's
+    // in-flight rollouts with it. No explorer stays wedged on them: each
+    // sent the restored learner more than the at most MAX_INFLIGHT_BATCHES
+    // rollouts it could have had in flight at the kill.
+    for e in 0..4 {
+        let heard = report.rollouts_by_explorer.get(&e).copied().unwrap_or(0);
+        assert!(
+            heard > MAX_INFLIGHT_BATCHES as u64,
+            "explorer {e} sent the restored learner {heard} rollouts: {:?}",
+            report.rollouts_by_explorer
+        );
+    }
     assert!(recovery.down_at_exit.is_empty(), "down at exit: {:?}", recovery.down_at_exit);
     assert_eq!(recovery.leaked_objects, 0, "object store leak");
     let _ = std::fs::remove_dir_all(&dir);
@@ -154,11 +167,12 @@ fn supervised_run_without_faults_is_quiet() {
         .with_goal_steps(1_500)
         .with_max_seconds(30.0)
         .with_seed(3);
+    let telemetry = xt_telemetry::Telemetry::with_capacity(1 << 12);
     let (report, recovery) = Deployment::run_supervised(
         config,
         SupervisionConfig::default(),
         FaultPlan::seeded(3),
-        xt_telemetry::Telemetry::with_capacity(1 << 12),
+        telemetry.clone(),
     )
     .expect("supervised run completes");
 
@@ -169,6 +183,8 @@ fn supervised_run_without_faults_is_quiet() {
     assert!(recovery.down_at_exit.is_empty());
     assert_eq!(recovery.leaked_objects, 0);
     assert_eq!(report.dropped_messages, 0, "a quiet run drops nothing");
+    // Every rollout was answered before the leash ran out.
+    assert_eq!(telemetry.counter("explorer.answers_forgiven").get(), 0);
 }
 
 /// Every endpoint a process can address is registered before that process

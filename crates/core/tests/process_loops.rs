@@ -1,5 +1,7 @@
 //! Unit-level tests of the explorer and learner process loops, driven with
-//! scripted agents/algorithms over a real channel.
+//! scripted agents/algorithms over a real channel. The `answered_explorer_*`
+//! tests script the learner side by hand: it is the test that answers, or
+//! does not answer, an IMPALA explorer's rollouts.
 
 use bytes::Bytes;
 use netsim::Cluster;
@@ -540,6 +542,136 @@ fn on_policy_explorer_waits_for_fresh_parameters() {
     let outcome = explorer_thread.join().unwrap();
     assert!(outcome.batches_sent >= 2);
     drop(learner_ep);
+    broker.shutdown();
+}
+
+/// How long a scripted learner watches for a rollout that must not come:
+/// half the failure detector's 500 ms floor, which is the answer leash until
+/// the explorer has seen two answers.
+const HOLD: Duration = Duration::from_millis(250);
+
+/// An IMPALA-discipline explorer on CartPole, 10-step rollouts, addressed to
+/// `learner(0)` — which the test scripts, and must register first.
+fn answered_explorer(broker: &Broker) -> std::thread::JoinHandle<xingtian::explorer::ExplorerOutcome> {
+    let explorer = ExplorerProcess {
+        index: 0,
+        endpoint: broker.endpoint(ProcessId::explorer(0)),
+        env: Box::new(gymlite::CartPole::new(2)),
+        agent: Box::new(ScriptedAgent { version: 0 }),
+        rollout_len: 10,
+        route: RolloutRoute::Fixed(ProcessId::learner(0)),
+        sync: SyncMode::Answered,
+        probe: None,
+    };
+    std::thread::spawn(move || explorer.run())
+}
+
+/// The next rollout to reach `learner` within `within` (the explorer's
+/// `ParamAck`s arrive here too and are skipped).
+fn next_rollout(learner: &xingtian_comm::Endpoint, within: Duration) -> Option<xingtian_message::Message> {
+    let deadline = Instant::now() + within;
+    std::iter::from_fn(|| learner.recv_timeout(deadline.saturating_duration_since(Instant::now())))
+        .find(|m| m.header.kind == MessageKind::Rollout)
+}
+
+/// The scripted learner's answer: parameters of `version` to explorer 0.
+fn answer(learner: &xingtian_comm::Endpoint, version: u64) {
+    let blob = ParamBlob { version, params: vec![0.0; 4] };
+    learner.send_to(vec![ProcessId::explorer(0)], MessageKind::Parameters, Bytes::from(blob.to_bytes()));
+}
+
+fn shut_down(learner: &xingtian_comm::Endpoint) {
+    let body = Bytes::from(ControlCommand::Shutdown.to_bytes());
+    learner.send_to(vec![ProcessId::explorer(0)], MessageKind::Control, body);
+}
+
+fn telemetry_broker() -> (Broker, xt_telemetry::Telemetry) {
+    let telemetry = xt_telemetry::Telemetry::enabled();
+    let broker = Broker::with_telemetry(0, Cluster::single(), CommConfig::default(), telemetry.clone());
+    (broker, telemetry)
+}
+
+#[test]
+fn answered_explorer_sends_four_then_one_per_answer_stale_or_not() {
+    let (broker, telemetry) = telemetry_broker();
+    let learner = broker.endpoint(ProcessId::learner(0));
+    let explorer = answered_explorer(&broker);
+
+    for i in 0..MAX_INFLIGHT_BATCHES {
+        assert!(next_rollout(&learner, Duration::from_secs(10)).is_some(), "rollout {i} never came");
+    }
+    assert!(next_rollout(&learner, HOLD).is_none(), "a fifth rollout went out with four unanswered");
+    // Version 2 is applied; version 1 is then stale at the explorer and
+    // still answers a rollout.
+    for version in [2, 1] {
+        answer(&learner, version);
+        assert!(
+            next_rollout(&learner, Duration::from_secs(10)).is_some(),
+            "the answer carrying v{version} released nothing"
+        );
+        assert!(next_rollout(&learner, HOLD).is_none(), "the answer carrying v{version} released two");
+    }
+
+    shut_down(&learner);
+    let outcome = explorer.join().unwrap();
+    assert_eq!(outcome.batches_sent, MAX_INFLIGHT_BATCHES as u64 + 2);
+    // The fifth, sixth and seventh rollouts each stalled once.
+    assert_eq!(telemetry.counter("explorer.backpressure_waits").get(), 3);
+    assert_eq!(telemetry.counter("explorer.answers_forgiven").get(), 0);
+    drop(learner);
+    broker.shutdown();
+}
+
+#[test]
+fn answered_explorer_forgives_a_silent_learner_once_per_leash() {
+    let (broker, telemetry) = telemetry_broker();
+    let learner = broker.endpoint(ProcessId::learner(0));
+    let explorer = answered_explorer(&broker);
+
+    for _ in 0..MAX_INFLIGHT_BATCHES {
+        next_rollout(&learner, Duration::from_secs(10)).expect("the window's rollouts");
+    }
+    let waiting = Instant::now();
+    next_rollout(&learner, Duration::from_secs(10)).expect("forgiveness releases the fifth");
+    // With no answer gaps yet, the leash is the detector's 500 ms floor
+    // (less the fourth rollout's own delivery time).
+    let waited = waiting.elapsed();
+    assert!(waited >= Duration::from_millis(400), "forgiven after only {waited:?}");
+    assert_eq!(telemetry.counter("explorer.answers_forgiven").get(), 1);
+    // The reset reopened the whole window.
+    for i in 1..MAX_INFLIGHT_BATCHES {
+        assert!(next_rollout(&learner, HOLD).is_some(), "rollout {i} of the reopened window never came");
+    }
+    assert_eq!(telemetry.counter("explorer.answers_forgiven").get(), 1, "forgiven again within the leash");
+
+    shut_down(&learner);
+    explorer.join().unwrap();
+    drop(learner);
+    broker.shutdown();
+}
+
+#[test]
+fn answered_explorer_shuts_down_while_waiting_for_answers() {
+    let (broker, telemetry) = telemetry_broker();
+    let learner = broker.endpoint(ProcessId::learner(0));
+    let explorer = answered_explorer(&broker);
+
+    for _ in 0..MAX_INFLIGHT_BATCHES {
+        next_rollout(&learner, Duration::from_secs(10)).expect("the window's rollouts");
+    }
+    // It counts the stalled fifth rollout as it starts to wait.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while telemetry.counter("explorer.backpressure_waits").get() == 0 {
+        assert!(Instant::now() < deadline, "the explorer never stalled");
+        std::thread::yield_now();
+    }
+    shut_down(&learner);
+    let outcome = explorer.join().unwrap();
+    // Had it waited out the leash it would have forgiven the four and sent
+    // a fifth before reading the shutdown.
+    assert_eq!(outcome.batches_sent, MAX_INFLIGHT_BATCHES as u64);
+    assert_eq!(telemetry.counter("explorer.answers_forgiven").get(), 0);
+    drop(learner);
     broker.shutdown();
 }
 

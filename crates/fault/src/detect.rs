@@ -9,6 +9,8 @@
 //! down once its silence exceeds `max(base_timeout, accrual_factor × EWMA)` —
 //! a slow-beaconing process earns a proportionally longer leash, while the
 //! base timeout keeps fast beacons from producing a hair-trigger detector.
+//! That rule is [`Accrual`], one per watched stream; an IMPALA explorer
+//! applies the same one to the parameter answers its rollouts are owed.
 //!
 //! Liveness transitions are published two ways: as
 //! [`EventKind::ProcessDown`]/[`EventKind::ProcessUp`] telemetry events
@@ -82,14 +84,70 @@ pub struct LivenessTransition {
     pub incident: u64,
 }
 
+/// The accrual rule over one stream of arrivals — a process's heartbeats, or
+/// the parameter answers an IMPALA explorer's rollouts earn: an
+/// exponentially-weighted moving average of the gaps between arrivals, and
+/// the silence a live stream may keep, `max(base_timeout, accrual_factor ×
+/// EWMA)`.
+#[derive(Debug, Clone, Copy)]
+pub struct Accrual {
+    last: Instant,
+    /// EWMA of the gaps between arrivals, in nanoseconds (0 until the second
+    /// arrival).
+    ewma_gap_ns: f64,
+    arrivals: u64,
+}
+
+impl Accrual {
+    /// A stream with no arrivals yet, silent since `since`.
+    pub fn new(since: Instant) -> Self {
+        Accrual { last: since, ewma_gap_ns: 0.0, arrivals: 0 }
+    }
+
+    /// Records an arrival at `now`. Every gap after the first arrival folds
+    /// into the EWMA with weight `config.ewma_alpha`.
+    pub fn arrive(&mut self, now: Instant, config: &DetectorConfig) {
+        if self.arrivals > 0 {
+            let gap = now.duration_since(self.last).as_nanos() as f64;
+            self.ewma_gap_ns = if self.ewma_gap_ns == 0.0 {
+                gap
+            } else {
+                config.ewma_alpha * gap + (1.0 - config.ewma_alpha) * self.ewma_gap_ns
+            };
+        }
+        self.last = now;
+        self.arrivals += 1;
+    }
+
+    /// Arrivals recorded so far.
+    pub fn arrivals(&self) -> u64 {
+        self.arrivals
+    }
+
+    /// How long the stream may stay silent before it counts as stopped.
+    pub fn timeout(&self, config: &DetectorConfig) -> Duration {
+        let accrual = config.accrual_factor * self.ewma_gap_ns;
+        let base = Duration::from_millis(config.base_timeout_ms).as_nanos() as f64;
+        Duration::from_nanos(accrual.max(base) as u64)
+    }
+
+    /// Whether the silence since the last arrival has outlasted
+    /// [`Accrual::timeout`] at `now`.
+    pub fn expired(&self, now: Instant, config: &DetectorConfig) -> bool {
+        now.duration_since(self.last) > self.timeout(config)
+    }
+}
+
 #[derive(Debug)]
 struct Watched {
-    last_beat: Instant,
-    /// EWMA of heartbeat inter-arrival time, in nanoseconds (0 until the
-    /// second beat).
-    ewma_interval_ns: f64,
-    beats: u64,
+    beats: Accrual,
     down: bool,
+}
+
+impl Watched {
+    fn since(now: Instant) -> Self {
+        Watched { beats: Accrual::new(now), down: false }
+    }
 }
 
 /// The deployment-level failure detector.
@@ -125,12 +183,7 @@ impl FailureDetector {
     /// slow-starting process is not declared down before its first beat is
     /// even due. Idempotent.
     pub fn watch(&self, pid: ProcessId) {
-        self.watched.lock().entry(pid).or_insert_with(|| Watched {
-            last_beat: Instant::now(),
-            ewma_interval_ns: 0.0,
-            beats: 0,
-            down: false,
-        });
+        self.watched.lock().entry(pid).or_insert_with(|| Watched::since(Instant::now()));
     }
 
     /// Starts watching every pid in `pids` under one lock acquisition — the
@@ -141,12 +194,7 @@ impl FailureDetector {
         let mut watched = self.watched.lock();
         let now = Instant::now();
         for pid in pids {
-            watched.entry(pid).or_insert_with(|| Watched {
-                last_beat: now,
-                ewma_interval_ns: 0.0,
-                beats: 0,
-                down: false,
-            });
+            watched.entry(pid).or_insert_with(|| Watched::since(now));
         }
     }
 
@@ -162,23 +210,8 @@ impl FailureDetector {
     pub fn observe(&self, pid: ProcessId) {
         let mut watched = self.watched.lock();
         let now = Instant::now();
-        let entry = watched.entry(pid).or_insert_with(|| Watched {
-            last_beat: now,
-            ewma_interval_ns: 0.0,
-            beats: 0,
-            down: false,
-        });
-        if entry.beats > 0 {
-            let interval = now.duration_since(entry.last_beat).as_nanos() as f64;
-            entry.ewma_interval_ns = if entry.ewma_interval_ns == 0.0 {
-                interval
-            } else {
-                self.config.ewma_alpha * interval
-                    + (1.0 - self.config.ewma_alpha) * entry.ewma_interval_ns
-            };
-        }
-        entry.last_beat = now;
-        entry.beats += 1;
+        let entry = watched.entry(pid).or_insert_with(|| Watched::since(now));
+        entry.beats.arrive(now, &self.config);
         if entry.down {
             entry.down = false;
             drop(watched);
@@ -198,14 +231,6 @@ impl FailureDetector {
         }
     }
 
-    /// The adaptive timeout currently applied to a process with the given
-    /// EWMA inter-arrival time.
-    fn timeout_ns(&self, ewma_interval_ns: f64) -> u64 {
-        let accrual = self.config.accrual_factor * ewma_interval_ns;
-        let base = Duration::from_millis(self.config.base_timeout_ms).as_nanos() as f64;
-        accrual.max(base) as u64
-    }
-
     /// Checks every watched process's silence against its adaptive timeout,
     /// publishing a [`EventKind::ProcessDown`] event per new suspect.
     /// Returns the processes that transitioned to down *in this sweep*.
@@ -215,11 +240,7 @@ impl FailureDetector {
             let mut watched = self.watched.lock();
             let now = Instant::now();
             for (&pid, entry) in watched.iter_mut() {
-                if entry.down {
-                    continue;
-                }
-                let silence = now.duration_since(entry.last_beat).as_nanos() as u64;
-                if silence > self.timeout_ns(entry.ewma_interval_ns) {
+                if !entry.down && entry.beats.expired(now, &self.config) {
                     entry.down = true;
                     newly_down.push(pid);
                 }
@@ -273,7 +294,7 @@ impl FailureDetector {
 
     /// Heartbeats observed from `pid` so far.
     pub fn beats(&self, pid: ProcessId) -> u64 {
-        self.watched.lock().get(&pid).map_or(0, |w| w.beats)
+        self.watched.lock().get(&pid).map_or(0, |w| w.beats.arrivals())
     }
 
     /// The liveness transition log, in publication order.
@@ -348,6 +369,25 @@ mod tests {
         }
         std::thread::sleep(Duration::from_millis(60));
         assert!(d.sweep().is_empty(), "one missed beat is within the accrual leash");
+    }
+
+    #[test]
+    fn accrual_leash_is_the_base_until_gaps_outgrow_it() {
+        let config = DetectorConfig::default(); // 500 ms floor, 6 × EWMA, α = 0.2
+        let ms = Duration::from_millis;
+        let t0 = Instant::now();
+        let mut a = Accrual::new(t0);
+        assert_eq!(a.timeout(&config), ms(500), "no arrivals: the floor");
+        a.arrive(t0 + ms(100), &config);
+        assert_eq!(a.timeout(&config), ms(500), "one arrival is no gap");
+        a.arrive(t0 + ms(300), &config);
+        assert_eq!(a.timeout(&config), ms(1_200), "a 200 ms gap earns 6 × 200 ms");
+        // A 100 ms gap pulls the EWMA to 180 ms: silent from 400 ms, the
+        // stream stops counting as live just after 400 + 1 080 ms.
+        a.arrive(t0 + ms(400), &config);
+        assert_eq!(a.arrivals(), 3);
+        assert!(!a.expired(t0 + ms(1_470), &config));
+        assert!(a.expired(t0 + ms(1_490), &config));
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   tracks per-process inter-arrival times and declares a process down when
 //!   its silence exceeds an adaptive timeout, publishing
 //!   [`xt_telemetry::EventKind::ProcessDown`]/[`ProcessUp`] events and
-//!   counters.
+//!   counters. Its timeout rule, [`Accrual`], is also what tells an IMPALA
+//!   explorer that the answers it waits for were lost.
 //! * **Recovery support** ([`probe`]) — [`ProcessProbe`] kill switches that
 //!   workhorse loops pulse; a triggered probe panics the process exactly the
 //!   way an organic bug would, which is what the supervisor catches and
@@ -33,13 +34,14 @@
 //! [`ProcessUp`]: xt_telemetry::EventKind::ProcessUp
 //! [`FaultPlan`]: plan::FaultPlan
 //! [`ProcessProbe`]: probe::ProcessProbe
+//! [`Accrual`]: detect::Accrual
 
 pub mod detect;
 pub mod inject;
 pub mod plan;
 pub mod probe;
 
-pub use detect::{DetectorConfig, FailureDetector, Liveness, LivenessTransition};
+pub use detect::{Accrual, DetectorConfig, FailureDetector, Liveness, LivenessTransition};
 pub use inject::PlanInjector;
 pub use plan::{FaultPlan, KillSpec, KillTrigger, RouteRule};
 pub use probe::ProcessProbe;

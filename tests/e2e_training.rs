@@ -3,6 +3,7 @@
 //! the controller to a step goal.
 
 use xingtian::config::{AlgorithmSpec, DeploymentConfig};
+use xingtian::explorer::MAX_INFLIGHT_BATCHES;
 use xingtian::Deployment;
 
 /// Mean CartPole return of a uniform-random policy (measured ≈ 20-25).
@@ -117,6 +118,40 @@ fn on_policy_learner_waits_are_recorded() {
     assert!(report.learner_wait.len() as u64 >= report.train_sessions);
     assert!(!report.rollout_latency.is_empty());
     assert!(report.mean_train_time.as_nanos() > 0);
+}
+
+/// IMPALA explorers generate only what the learner trains on. Four unpaced
+/// explorers outrun one learner here; each may hold `MAX_INFLIGHT_BATCHES`
+/// rollouts the learner has not answered plus the one in hand, so that is
+/// all the generated steps may exceed the consumed ones by.
+///
+/// The bound is on the goal, not on `steps_consumed`: `steps_generated` is
+/// the controller's tally at the moment the learner reached the goal, and
+/// the learner goes on to train whatever is queued ahead of its shutdown.
+/// Explorers paced only by their send buffers, which empty at once into the
+/// store, generate 1.5–3.3 times this goal in an optimised build, and the
+/// learner trains on all of it before it reads the shutdown, so
+/// `steps_consumed` keeps up.
+#[test]
+fn impala_explorers_generate_no_more_than_the_learner_consumes() {
+    const EXPLORERS: u64 = 4;
+    const ROLLOUT_LEN: u64 = 25;
+    const GOAL: u64 = 20_000;
+    let report = finish(
+        DeploymentConfig::cartpole(AlgorithmSpec::impala(), EXPLORERS as u32)
+            .with_rollout_len(ROLLOUT_LEN as usize)
+            .with_step_latency_us(0)
+            .with_goal_steps(GOAL)
+            .with_max_seconds(60.0),
+    );
+    assert!(report.steps_consumed >= GOAL);
+    let slack = EXPLORERS * (MAX_INFLIGHT_BATCHES as u64 + 1) * ROLLOUT_LEN;
+    assert!(
+        report.steps_generated <= GOAL + slack,
+        "generated {} steps for a {GOAL}-step goal (allowed {slack} more; {} consumed by shutdown)",
+        report.steps_generated,
+        report.steps_consumed
+    );
 }
 
 #[test]
