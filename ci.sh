@@ -60,7 +60,9 @@ cargo test --release -q --test channel_props
 
 echo "== release smoke: pinned A2C/PPO/IMPALA/DQN parameter digests and the allocation bound on the optimised kernels =="
 # A2C/PPO/IMPALA and uniform/prioritized/double DQN must stay bit-identical
-# to the digests pinned in determinism.rs, and the warmed training steps (DQN
+# to the digests pinned in determinism.rs. The in-learner and lockstep DQN
+# digests come from one gradient (`staged_grad`: a session is a one-slot
+# round). The warmed training steps (DQN
 # under uniform and prioritized replay included) must stay allocation-free,
 # on the release kernels the deployments actually run. The kernels' own
 # suite runs there too: the AVX2/AVX-512 bitwise differential in every

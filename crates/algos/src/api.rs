@@ -116,7 +116,7 @@ pub trait Algorithm: Send {
 ///
 /// One **round** replaces one training session: the round's global batch is
 /// partitioned into a fixed number of *gradient slots* (independent of the
-/// shard count; see `xingtian::allreduce`), each shard computes one raw
+/// shard count; see `xingtian::shard`), each shard computes one raw
 /// pre-optimizer gradient per owned slot, the slot gradients are allgathered
 /// and folded in slot order, and exactly one optimizer step applies the fold.
 /// Because every float operation happens in the same order regardless of how

@@ -14,6 +14,11 @@
 //! (structure-of-arrays), targets and gradients are computed in reused
 //! buffers, and after warmup a session — uniform or prioritized — performs
 //! zero heap allocations.
+//!
+//! A gradient is computed in one place, `staged_grad`: a session is a
+//! lockstep round of one slot (its gradient at `1 / n` scale, then
+//! [`ShardedSync::apply_reduced_grad`]), so a single learner and a sharded
+//! sync round run the same arithmetic.
 
 use crate::api::{ActionSelection, Agent, Algorithm, ShardedSync, SyncMode, TrainReport};
 use crate::par::ParGrad;
@@ -121,16 +126,12 @@ struct TrainBufs {
     dones: Vec<bool>,
     /// Bellman targets, one per row.
     targets: Vec<f32>,
-    /// dL/dQ, `(n, num_actions)`, sparse (one entry per row).
-    dout: Vec<f32>,
     /// |TD error| per row — the new priorities under prioritized replay.
     td: Vec<f32>,
     /// Flat parameter gradients for the online network.
     grads: Vec<f32>,
     /// Importance weights (prioritized replay only).
     weights: Vec<f32>,
-    /// Workspace for the online network's cached training pass.
-    q_ws: Workspace,
     /// Workspace for the target network's bootstrap forward.
     tgt_ws: Workspace,
     /// Workspace for the online network's bootstrap forward (Double DQN).
@@ -324,40 +325,18 @@ impl DqnAlgorithm {
     pub fn train_on_steps(&mut self, sampled: &[RolloutStep]) -> TrainReport {
         assert!(!sampled.is_empty(), "cannot stack an empty batch");
         self.bufs.stage_steps(sampled, self.config.obs_dim);
-        self.train_staged(sampled.len(), false)
+        self.one_slot_round(sampled.len(), false)
     }
 
-    /// One update over the `n` staged transitions, reading importance weights
-    /// from `bufs.weights` when `weighted`. Leaves per-row |TD error| in
-    /// `bufs.td` for re-prioritization. Allocation-free after warmup.
-    fn train_staged(&mut self, n: usize, weighted: bool) -> TrainReport {
-        let DqnAlgorithm { config, q, target, opt, bufs, .. } = self;
-        bellman_targets(config, q, target, bufs, n);
-        let TrainBufs { obs, actions, targets, dout, td, grads, weights, q_ws, .. } = bufs;
-        let na = config.num_actions;
-
-        let q_values = q.forward_ws(obs, n, q_ws);
-        let nf = n as f32;
-        dout.clear();
-        dout.resize(n * na, 0.0);
-        td.clear();
-        let mut loss = 0.0f32;
-        for i in 0..n {
-            let a = actions[i] as usize;
-            let w = if weighted { weights[i] } else { 1.0 };
-            let diff = q_values[i * na + a] - targets[i];
-            td.push(diff.abs());
-            loss += w * diff * diff;
-            dout[i * na + a] = 2.0 * w * diff / nf;
-        }
-        loss /= nf;
-        let nparams = q.num_params();
-        if grads.len() < nparams {
-            grads.resize(nparams, 0.0);
-        }
-        q.backward_ws(obs, n, dout, q_ws, &mut grads[..nparams]);
-        opt.step(q.params_mut(), &grads[..nparams]);
-        self.finish_update(n, loss)
+    /// A training session over the `n` staged transitions, run as a lockstep
+    /// round of one slot: the slot gradient at `1 / n` scale, then the one
+    /// optimizer step every round takes. Allocation-free after warmup.
+    fn one_slot_round(&mut self, n: usize, weighted: bool) -> TrainReport {
+        let mut grad = std::mem::take(&mut self.bufs.grads);
+        let loss = self.staged_grad(n, n, weighted, &mut grad);
+        let report = self.apply_reduced_grad(&grad, n, loss);
+        self.bufs.grads = grad;
+        report
     }
 
     /// Gathers a sampled minibatch of `batch_size` transitions straight into
@@ -378,23 +357,6 @@ impl DqnAlgorithm {
         self.sample_hist.record_duration(t_sample.elapsed());
     }
 
-    /// Bookkeeping after an optimizer step, however its gradient was made:
-    /// session and version bump, target sync, and the broadcast schedule.
-    fn finish_update(&mut self, steps_consumed: usize, loss: f32) -> TrainReport {
-        let DqnAlgorithm { config, q, target, sessions, version, .. } = self;
-        *sessions += 1;
-        *version += 1;
-        if sessions.is_multiple_of(config.target_sync_every) {
-            target.set_params(q.params());
-        }
-        let notify = if sessions.is_multiple_of(config.broadcast_every) {
-            (0..config.num_explorers).collect()
-        } else {
-            Vec::new()
-        };
-        TrainReport { steps_consumed, loss, version: *version, notify }
-    }
-
     /// Computes the raw gradient of `steps` at the current parameters into
     /// `out` (resized to the parameter count), every element scaled by
     /// `1 / global_rows`, and returns the loss contribution at the same
@@ -408,11 +370,15 @@ impl DqnAlgorithm {
         out: &mut Vec<f32>,
     ) -> f32 {
         self.bufs.stage_steps(steps, self.config.obs_dim);
-        self.staged_grad(steps.len(), global_rows, out)
+        self.staged_grad(steps.len(), global_rows, false, out)
     }
 
-    /// The slot gradient over the `n` staged transitions.
-    fn staged_grad(&mut self, n: usize, global_rows: usize, out: &mut Vec<f32>) -> f32 {
+    /// The one DQN gradient, over the `n` staged transitions: a session's
+    /// (`global_rows == n`) and a lockstep slot's alike. Each row's squared TD
+    /// error is weighted by its importance weight from `bufs.weights` when
+    /// `weighted`, and each row's |TD error| is left in `bufs.td` for
+    /// re-prioritization.
+    fn staged_grad(&mut self, n: usize, global_rows: usize, weighted: bool, out: &mut Vec<f32>) -> f32 {
         assert!(n > 0, "cannot take a gradient of an empty slot");
         assert!(global_rows >= n, "global rows cover the slot");
         let DqnAlgorithm { config, q, target, bufs, par, .. } = self;
@@ -421,15 +387,14 @@ impl DqnAlgorithm {
         let na = config.num_actions;
         let nparams = q.num_params();
         out.resize(nparams, 0.0);
-        let obs = &bufs.obs;
-        let actions = &bufs.actions;
-        let targets = &bufs.targets;
+        let TrainBufs { obs, actions, targets, weights, td, .. } = bufs;
+        td.resize(n, 0.0);
         let scale = 1.0 / global_rows as f32;
         let q_ref: &Mlp = q;
-        // ParGrad's fixed-order reduction keeps the slot gradient bitwise
-        // stable for any worker count; the slot batch (≤ 64 rows) runs the
-        // single-shard short circuit, writing straight into `out`.
-        par.run(None, n, &mut [], 0, Some(&mut out[..nparams]), |rows, _o, shard, g| {
+        // ParGrad's fixed-order reduction keeps the gradient bitwise stable
+        // for any worker count; a batch of ≤ 64 rows runs the single-shard
+        // short circuit, writing straight into `out`.
+        par.run(None, n, td, 1, Some(&mut out[..nparams]), |rows, td_rows, shard, g| {
             let m = rows.len();
             let obs_rows = &obs[rows.start * dim..rows.end * dim];
             let (ws_a, _, dout) = shard.scratch_for(m * na);
@@ -438,9 +403,11 @@ impl DqnAlgorithm {
             let mut loss = 0.0f32;
             for (j, i) in rows.clone().enumerate() {
                 let a = actions[i] as usize;
+                let w = if weighted { weights[i] } else { 1.0 };
                 let diff = q_values[j * na + a] - targets[i];
-                loss += diff * diff * scale;
-                dout[j * na + a] = 2.0 * diff * scale;
+                td_rows[j] = diff.abs();
+                loss += w * diff * diff * scale;
+                dout[j * na + a] = 2.0 * w * diff * scale;
             }
             q_ref.backward_ws(obs_rows, m, dout, ws_a, g);
             loss
@@ -462,7 +429,7 @@ impl Algorithm for DqnAlgorithm {
         }
         let prioritized = self.plane.prioritized();
         self.stage_sample(prioritized);
-        let report = self.train_staged(self.config.batch_size, prioritized);
+        let report = self.one_slot_round(self.config.batch_size, prioritized);
         if prioritized {
             // Re-prioritize by the fresh TD errors (wraparound-stale picks
             // are skipped by the store).
@@ -543,18 +510,31 @@ impl ShardedSync for DqnAlgorithm {
         // shard's private TD history and would break slot interchangeability
         // (DeploymentConfig::validate rejects prioritized + sync shards).
         self.stage_sample(false);
-        self.staged_grad(self.config.batch_size, global_rows, out)
+        self.staged_grad(self.config.batch_size, global_rows, false, out)
     }
 
+    /// The optimizer step, then session and version bump, target sync, and
+    /// the broadcast schedule.
     fn apply_reduced_grad(
         &mut self,
         grad: &[f32],
         steps_represented: usize,
         loss: f32,
     ) -> TrainReport {
-        assert_eq!(grad.len(), self.q.num_params(), "reduced gradient width");
-        self.opt.step(self.q.params_mut(), grad);
-        self.finish_update(steps_represented, loss)
+        let DqnAlgorithm { config, q, target, opt, sessions, version, .. } = self;
+        assert_eq!(grad.len(), q.num_params(), "reduced gradient width");
+        opt.step(q.params_mut(), grad);
+        *sessions += 1;
+        *version += 1;
+        if sessions.is_multiple_of(config.target_sync_every) {
+            target.set_params(q.params());
+        }
+        let notify = if sessions.is_multiple_of(config.broadcast_every) {
+            (0..config.num_explorers).collect()
+        } else {
+            Vec::new()
+        };
+        TrainReport { steps_consumed: steps_represented, loss, version: *version, notify }
     }
 }
 
@@ -780,10 +760,11 @@ mod tests {
     }
 
     #[test]
-    fn train_on_steps_matches_try_train_math() {
-        // The externally-sampled entry point must run the same staged update
-        // as the in-learner path: two identical learners fed the same batch
-        // through the two entry points end with identical parameters.
+    fn train_on_steps_is_a_one_slot_round_on_caller_rows() {
+        // The externally-sampled entry point runs the lockstep round's math:
+        // two identical learners fed the same batch, one through
+        // `train_on_steps`, one through `grad_on_steps` + `apply_reduced_grad`,
+        // end with identical parameters.
         let mut c = tiny_config();
         c.warmup_steps = 0;
         c.broadcast_every = 1_000_000;
@@ -793,10 +774,48 @@ mod tests {
         assert_eq!(report.steps_consumed, 8);
         assert_eq!(report.version, 1);
         let mut b = DqnAlgorithm::new(c);
-        b.bufs.stage_steps(&steps, 4);
-        let r2 = b.train_staged(8, false);
+        let mut grad = Vec::new();
+        let loss = b.grad_on_steps(&steps, 8, &mut grad);
+        let r2 = b.apply_reduced_grad(&grad, 8, loss);
         assert_eq!(report.loss, r2.loss);
         assert_eq!(a.q.params(), b.q.params(), "entry points share update math");
+    }
+
+    #[test]
+    fn a_session_is_a_one_slot_round() {
+        // Two identically seeded learners take the same rollouts; one trains
+        // through `try_train`, the other through the lockstep surface with a
+        // single slot. At batch 24, `1 / 24` is inexact, so a session that
+        // divided by `n` where the slot multiplies by `1 / n` would diverge.
+        for batch_size in [32, 24] {
+            let mut c = tiny_config();
+            c.batch_size = batch_size;
+            c.target_sync_every = 3;
+            let mut session = DqnAlgorithm::new(c.clone());
+            let mut round = DqnAlgorithm::new(c);
+            let mut grad = Vec::new();
+            for salt in 0..6 {
+                let mut rollout = batch(40);
+                for (i, s) in rollout.steps.iter_mut().enumerate() {
+                    let x = ((i * 7 + salt * 13) % 17) as f32 / 17.0;
+                    s.observation = vec![x, 1.0 - x, x * x, -x];
+                    s.next_observation = Some(vec![1.0 - x, x, -x, x * x]);
+                    s.action = (i % 2) as u32;
+                }
+                session.on_rollout(rollout.clone());
+                round.on_rollout(rollout);
+                while let Some(report) = session.try_train() {
+                    assert!(round.take_round_credit());
+                    let loss = round.slot_grad(batch_size, &mut grad);
+                    let r2 = round.apply_reduced_grad(&grad, batch_size, loss);
+                    assert_eq!((report.loss.to_bits(), report.version), (r2.loss.to_bits(), r2.version));
+                }
+                assert!(!round.take_round_credit(), "both learners hold the same credit");
+            }
+            assert!(session.sessions() > 30, "a real training run");
+            let bits = |alg: &DqnAlgorithm| alg.q.params().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&session), bits(&round), "batch {batch_size}");
+        }
     }
 
     #[test]

@@ -145,8 +145,9 @@ fn dqn_params(prioritized: Option<(f64, f64)>, double: bool) -> Vec<u32> {
 
 /// The same seeded DQN driven through the lockstep surface in one process:
 /// every round credit buys four sampled slot gradients, folded flat in slot
-/// order with the loss as the trailing element (what `GradExchange::reduce`
-/// does), and one optimizer step.
+/// order with the loss as the trailing element (what the slot table in
+/// `xingtian::shard` does), and one optimizer step. The in-learner digests
+/// above come from the same gradient: a session is a one-slot round.
 fn dqn_lockstep_params() -> Vec<u32> {
     let mut c = DqnConfig::new(DIM, NA);
     c.hidden = vec![32];

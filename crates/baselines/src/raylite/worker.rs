@@ -54,7 +54,7 @@ pub struct RolloutWorker {
 impl RolloutWorker {
     /// Serves sampling tasks until shutdown, returning episode statistics.
     pub fn run(mut self) -> EpisodeTracker {
-        let mut tracker = EpisodeTracker::new(100);
+        let mut tracker = EpisodeTracker::default();
         let mut obs = self.env.reset();
         while let Ok(request) = self.requests.recv() {
             let WorkerRequest::Sample { weights, steps } = request else { break };
@@ -163,7 +163,7 @@ mod tests {
     fn generate_rollout_spans_episode_boundaries() {
         let mut env = CartPole::new(2);
         let mut agent = tiny_agent();
-        let mut tracker = EpisodeTracker::new(10);
+        let mut tracker = EpisodeTracker::default();
         let mut obs = env.reset();
         let batch = generate_rollout(0, &mut env, agent.as_mut(), &mut tracker, &mut obs, 300);
         assert_eq!(batch.len(), 300);

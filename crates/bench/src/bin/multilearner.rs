@@ -24,9 +24,8 @@
 
 use netsim::Cluster;
 use std::time::{Duration, Instant};
-use xingtian::allreduce::GRAD_SLOTS;
 use xingtian::config::{AllreduceMode, AlgorithmSpec, DeploymentConfig};
-use xingtian::shard::Lockstep;
+use xingtian::shard::{Lockstep, GRAD_SLOTS};
 use xingtian::Deployment;
 use xingtian_algos::api::Algorithm;
 use xingtian_algos::payload::RolloutStep;

@@ -19,7 +19,7 @@
 
 use crate::endpoint::Endpoint;
 use crate::inject::{InjectionStats, RouteInjector};
-use crate::pool::{compress_chunked_parallel, shared_pool};
+use crate::pool::compress_for_transport;
 use crate::router::{Hub, RemoteEnvelope, RouterCmd, Uplinks};
 use crate::store::ObjectStore;
 use crate::{CommConfig, Compression, HeartbeatConfig};
@@ -48,9 +48,11 @@ pub(crate) struct BrokerShared {
     router_txs: Vec<Sender<RouterCmd>>,
     /// Set first thing in `shutdown`; `submit` refuses new messages once set.
     closed: AtomicBool,
-    /// Over-threshold bodies the compressibility probe sent raw.
+    /// Over-threshold bodies sent raw: the compressibility probe rejected
+    /// them, or their container came out no smaller.
     compress_skipped: xt_telemetry::CounterHandle,
-    /// Full compression passes: time, and stored size in percent of raw.
+    /// Bodies sent compressed: probe and full pass time, and stored size in
+    /// percent of raw.
     compress_ns: xt_telemetry::HistogramHandle,
     compress_ratio: xt_telemetry::HistogramHandle,
     uplinks: Arc<Uplinks>,
@@ -260,15 +262,13 @@ impl Broker {
 
     /// Accepts a message on the calling (sender) thread: splits its
     /// destinations against the routing snapshot (once — the router reuses
-    /// the plan), compresses the body if it passes
-    /// [`xingtian_message::should_compress`], and dispatches it — admitted on
+    /// the plan), stores the body in the form
+    /// [`compress_for_transport`] gives it, and dispatches it — admitted on
     /// its kind's lane with the plan's fan-out, delivery enqueued for the
     /// router. Returns `false` if the broker is shut down or the message has
     /// no routable destination.
     ///
-    /// The full pass is chunk-parallel over the shared worker pool, with the
-    /// caller taking its share, and the container is kept only if it is
-    /// smaller. It delays only this sender's later messages, which
+    /// A compression pass delays only this sender's later messages, which
     /// per-(src,dst) FIFO holds behind it anyway.
     pub fn submit(&self, msg: Message) -> bool {
         if self.shared.closed.load(Ordering::Acquire) {
@@ -290,18 +290,13 @@ impl Broker {
             _ => usize::MAX,
         };
         if body.len() > threshold {
-            if xingtian_message::should_compress(&body, threshold) {
-                let raw_len = body.len();
-                let start = Instant::now();
-                let container = compress_chunked_parallel(shared_pool(), &body);
-                shared.compress_ns.record_duration(start.elapsed());
-                if container.len() < raw_len {
-                    header.compression = CompressionKind::Lz4Chunked;
-                    body = Body::from(container);
-                }
-                shared.compress_ratio.record((body.len() * 100 / raw_len) as u64);
-            } else {
+            let (raw_len, start) = (body.len(), Instant::now());
+            (body, header.compression) = compress_for_transport(body, threshold);
+            if header.compression == CompressionKind::None {
                 shared.compress_skipped.inc();
+            } else {
+                shared.compress_ns.record_duration(start.elapsed());
+                shared.compress_ratio.record((body.len() * 100 / raw_len) as u64);
             }
         }
         shared.hub.dispatch(&shared.router_txs, header, body, plan)
@@ -559,48 +554,6 @@ mod tests {
         let _learner = broker.endpoint(ProcessId::learner(0));
         broker.shutdown();
         assert!(!broker.submit(rollout_msg(b"late")), "closed broker refuses messages");
-    }
-
-    #[test]
-    fn submit_and_compress_body_make_the_same_decision() {
-        // Both call `xingtian_message::should_compress`, so what `submit`
-        // stores is what `compress_body_with_threshold` returns, kind and
-        // length, and every over-threshold body sent raw is counted skipped.
-        let telemetry = Telemetry::with_capacity(1 << 8);
-        let broker =
-            Broker::with_telemetry(0, Cluster::single(), CommConfig::default(), telemetry.clone());
-        let learner = broker.endpoint(ProcessId::learner(0));
-        let t = xingtian_message::COMPRESSION_THRESHOLD;
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let random: Vec<u8> = (0..2 * t)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state as u8
-            })
-            .collect();
-        let mut random_head = random[..xingtian_message::COMPRESSION_PROBE_BYTES].to_vec();
-        random_head.resize(2 * t, 0);
-        let raw = telemetry.counter("comm.bytes_on_wire.none");
-        let lz4 = telemetry.counter("comm.bytes_on_wire.lz4_chunked");
-        for body in [random, vec![0u8; 2 * t], random_head, vec![0u8; t]] {
-            let body = Bytes::from(body);
-            let (stored, kind) = xingtian_message::compress_body_with_threshold(body.clone(), t);
-            let before = (raw.get(), lz4.get());
-            let h = Header::new(ProcessId::explorer(0), vec![learner.pid()], MessageKind::Rollout);
-            assert!(broker.submit(Message::new(h, body.clone())));
-            assert!(learner.recv().expect("delivered").body == body, "arrives intact");
-            let on_wire = (raw.get() - before.0, lz4.get() - before.1);
-            let len = stored.len() as u64;
-            match kind {
-                CompressionKind::None => assert_eq!(on_wire, (len, 0)),
-                _ => assert_eq!((kind, on_wire), (CompressionKind::Lz4Chunked, (0, len))),
-            }
-        }
-        assert_eq!(telemetry.counter("comm.compress_skipped").get(), 2, "random, random head");
-        drop(learner);
-        broker.shutdown();
     }
 
     #[test]

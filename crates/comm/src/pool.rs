@@ -18,7 +18,7 @@ use bytes::Bytes;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use std::sync::OnceLock;
 use xingtian_message::chunk::{self, ChunkError, ChunkedBuilder};
-use xingtian_message::lz4;
+use xingtian_message::{lz4, CompressionKind};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -157,6 +157,23 @@ pub fn compress_chunked_parallel(pool: &WorkPool, body: &Bytes) -> Vec<u8> {
         builder.push_chunk(&body[span.clone()], frame.as_deref());
     }
     builder.finish()
+}
+
+/// The stored form of a message body, and the [`CompressionKind`] to record
+/// in its header: the one transport-compression step. A body that passes
+/// [`xingtian_message::should_compress`] is compressed chunk-parallel over
+/// [`shared_pool`], with the caller taking its share, and the container is
+/// kept only if it is smaller; any other body is stored raw. This mirrors the
+/// paper's default of compressing bodies larger than 1 MiB as they enter the
+/// shared-memory object store (§4.1).
+pub fn compress_for_transport(body: Bytes, threshold: usize) -> (Bytes, CompressionKind) {
+    if xingtian_message::should_compress(&body, threshold) {
+        let container = compress_chunked_parallel(shared_pool(), &body);
+        if container.len() < body.len() {
+            return (Bytes::from(container), CompressionKind::Lz4Chunked);
+        }
+    }
+    (body, CompressionKind::None)
 }
 
 /// Decompresses a chunk container, fanning compressed frames across `pool`

@@ -269,13 +269,6 @@ impl ObjectStore {
             .is_ok()
     }
 
-    /// Reads the object without consuming a fetch credit. Used by routers that
-    /// forward a body to a remote machine while local destinations still hold
-    /// credits.
-    pub fn peek(&self, id: ObjectId) -> Option<Bytes> {
-        self.shard(id).lock().get(&id).map(|e| e.body.clone())
-    }
-
     /// Number of objects currently resident.
     pub fn len(&self) -> usize {
         self.resident.load(Ordering::Relaxed)
@@ -394,16 +387,6 @@ mod tests {
         assert_eq!(s.live_bytes(), 0);
         assert_eq!(s.peak_bytes(), 150, "peak is sticky");
         assert_eq!(s.inserted(), 2);
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let s = ObjectStore::new();
-        let id = s.insert(Bytes::from_static(b"x"), 1);
-        assert!(s.peek(id).is_some());
-        assert!(s.peek(id).is_some());
-        assert!(s.fetch(id).is_some());
-        assert!(s.peek(id).is_none());
     }
 
     #[test]

@@ -349,7 +349,12 @@ fn parameters_of_any_size_stay_out_of_data_occupancy() {
         (incompressible_payload(64 << 10), false),
     ] {
         let len = body.len();
-        let stored = xingtian_message::compress_body(body.clone()).0.len();
+        let stored = xingtian_comm::pool::compress_for_transport(
+            body.clone(),
+            xingtian_message::COMPRESSION_THRESHOLD,
+        )
+        .0
+        .len();
         assert_eq!(stored < len, compressed, "{len} B stored as {stored} B");
         let config = CommConfig { endpoint_recv_bytes: Some(1), ..CommConfig::default() };
         let broker = Broker::new(0, Cluster::single(), config);

@@ -1,4 +1,4 @@
-//! Relaxed explorer→learner-shard assignment (ROADMAP item 2).
+//! Explorer→learner-shard assignment.
 //!
 //! With a single learner every rollout's destination is the fixed
 //! `ProcessId::learner(0)`, resolved once when the deployment is built. With
@@ -7,20 +7,13 @@
 //! predecessor owned. The [`AssignmentTable`] is the indirection that fixes
 //! both — a shared map from explorer index to owning learner shard that
 //! explorers re-read *per rollout send* and learner shards re-read *per
-//! parameter broadcast*.
-//!
-//! The table is deliberately **relaxed** ("Highly Parallelized RL Training
-//! with Relaxed Assignment Dependencies", arXiv:2502.20190): readers take an
-//! unsynchronized snapshot, so a rebalance does not fence any sender. An
-//! explorer may address one more rollout to its old shard after a move; the
-//! old shard still ingests it (off-policy algorithms train on it, on-policy
-//! algorithms shed it through `Algorithm::take_spent`). The only invariants
-//! are that every explorer always has exactly one owner and that ownership
+//! parameter broadcast*. Elastic growth registers new explorers while those
+//! reads go on. The invariants are that every explorer always has exactly one
+//! owner, that a registration never moves an existing one, and that ownership
 //! slices stay disjoint — which keeps each shard's `ParamBroadcaster`
 //! base-ring private to the explorers it owns.
 
 use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU64, Ordering};
 use xingtian_message::ProcessId;
 
 /// Shared explorer→learner-shard ownership map.
@@ -30,8 +23,6 @@ use xingtian_message::ProcessId;
 pub struct AssignmentTable {
     /// `owner[e]` = learner shard owning explorer `e`.
     owner: RwLock<Vec<u32>>,
-    /// Bumped on every rebalance; readers can cheaply detect staleness.
-    epoch: AtomicU64,
     shards: u32,
 }
 
@@ -49,7 +40,7 @@ impl AssignmentTable {
         let owner = (0..num_explorers)
             .map(|e| ((e as u64 * shards as u64) / num_explorers as u64) as u32)
             .collect();
-        AssignmentTable { owner: RwLock::new(owner), epoch: AtomicU64::new(0), shards }
+        AssignmentTable { owner: RwLock::new(owner), shards }
     }
 
     /// Number of learner shards the table spreads over.
@@ -90,18 +81,12 @@ impl AssignmentTable {
             .collect()
     }
 
-    /// Current rebalance epoch (0 until the first [`Self::rebalance`]).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
     /// Registers explorers up through index `explorer`, growing the table if
     /// needed (elastic pool growth: the supervisor spawns explorers beyond
     /// the configured count and each must have an owner before its first
     /// rollout resolves). Every new index joins the currently least-loaded
-    /// shard, so elastic growth also evens out any skew a prior
-    /// [`Self::rebalance`] introduced. Returns the shard owning `explorer`.
-    /// Idempotent for indices already in the table.
+    /// shard, and no existing owner moves. Returns the shard owning
+    /// `explorer`. Idempotent for indices already in the table.
     pub fn register(&self, explorer: u32) -> u32 {
         let mut owner = self.owner.write();
         if (explorer as usize) < owner.len() {
@@ -121,43 +106,7 @@ impl AssignmentTable {
             counts[target as usize] += 1;
             owner.push(target);
         }
-        self.epoch.fetch_add(1, Ordering::Release);
         owner[explorer as usize]
-    }
-
-    /// Moves up to `count` explorers from `from` to `to` (backpressure
-    /// relief: a shard whose ingest queue is growing sheds owners to an idle
-    /// peer). Returns the explorers actually moved. The move is atomic with
-    /// respect to other rebalances but intentionally *not* with respect to
-    /// readers — in-flight rollouts keep their already-resolved destination.
-    pub fn rebalance(&self, from: u32, to: u32, count: usize) -> Vec<u32> {
-        if from == to || count == 0 || to >= self.shards {
-            return Vec::new();
-        }
-        let mut owner = self.owner.write();
-        // Donate from the high end of the slice so the remaining owners stay
-        // contiguous-ish and a later move in the other direction undoes this
-        // one first.
-        let moved: Vec<u32> = owner
-            .iter()
-            .enumerate()
-            .rev()
-            .filter(|&(_, &s)| s == from)
-            .take(count.min(owner.len()))
-            .map(|(e, _)| e as u32)
-            .collect();
-        // Never strip a shard of its last explorer: a shard that owns nobody
-        // would stop receiving rollouts entirely and stall the sync ring.
-        let donor_size = owner.iter().filter(|&&s| s == from).count();
-        let movable = donor_size.saturating_sub(1).min(moved.len());
-        let moved = &moved[..movable];
-        for &e in moved {
-            owner[e as usize] = to;
-        }
-        if !moved.is_empty() {
-            self.epoch.fetch_add(1, Ordering::Release);
-        }
-        moved.to_vec()
     }
 }
 
@@ -190,89 +139,53 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_moves_ownership_and_bumps_epoch() {
-        let t = AssignmentTable::contiguous(8, 2);
-        assert_eq!(t.epoch(), 0);
-        let moved = t.rebalance(0, 1, 2);
-        assert_eq!(moved, vec![3, 2], "donates from the high end");
-        assert_eq!(t.epoch(), 1);
-        assert_eq!(t.owned(0), vec![0, 1]);
-        assert_eq!(t.owned(1), vec![2, 3, 4, 5, 6, 7]);
-        assert_eq!(t.rollout_dst(3), ProcessId::learner(1));
-    }
-
-    #[test]
-    fn rebalance_never_empties_a_shard() {
-        let t = AssignmentTable::contiguous(4, 2);
-        let moved = t.rebalance(0, 1, 99);
-        assert_eq!(moved.len(), 1, "one owner must stay behind");
-        assert_eq!(t.owned(0).len(), 1);
-        // No-op moves do not bump the epoch.
-        let epoch = t.epoch();
-        assert!(t.rebalance(0, 1, 99).is_empty());
-        assert_eq!(t.epoch(), epoch);
-        assert!(t.rebalance(0, 0, 5).is_empty());
-        assert!(t.rebalance(0, 7, 5).is_empty(), "unknown target shard");
-    }
-
-    #[test]
     fn register_grows_onto_least_loaded_shard() {
-        let t = AssignmentTable::contiguous(4, 2);
-        t.rebalance(0, 1, 1); // shard 0 owns {0}, shard 1 owns {1,2,3}
-        let epoch = t.epoch();
-        assert_eq!(t.register(4), 0, "new explorer joins the lighter shard");
-        assert_eq!(t.register(5), 0, "still lighter: 2 vs 3");
-        assert_eq!(t.num_explorers(), 6);
-        assert!(t.epoch() > epoch, "growth is visible to epoch watchers");
-        // Idempotent for known indices, no epoch bump.
-        let epoch = t.epoch();
-        assert_eq!(t.register(1), 1);
-        assert_eq!(t.epoch(), epoch);
+        let t = AssignmentTable::contiguous(3, 2); // shard 0 owns {0,1}, shard 1 owns {2}
+        assert_eq!(t.register(3), 1, "new explorer joins the lighter shard");
+        assert_eq!(t.register(4), 0, "a tie goes to the lower shard");
+        assert_eq!(t.num_explorers(), 5);
+        // Idempotent for known indices.
+        assert_eq!(t.register(1), 0);
+        assert_eq!(t.num_explorers(), 5);
         // A gap registers every intermediate index too.
-        assert_eq!(t.num_explorers(), 6);
         t.register(9);
         assert_eq!(t.num_explorers(), 10);
     }
 
-    /// Satellite coverage: `rebalance` racing concurrent explorer sends.
-    /// Readers resolve destinations while a writer thread rebalances and
-    /// grows the table. Invariants: every resolved destination is a valid
-    /// shard (no rollout is ever lost to an unowned index), and an epoch
-    /// snapshot taken around a stable read pair is consistent — if the epoch
-    /// did not move, the two reads agree.
+    /// Elastic growth racing concurrent explorer sends and learner
+    /// broadcasts: readers resolve destinations and owned slices while a
+    /// writer thread registers explorers. Invariants: every resolved
+    /// destination is a valid shard (no rollout is ever lost to an unowned
+    /// index), a registration never moves an existing owner, and a newly
+    /// registered explorer resolves at once.
     #[test]
-    fn rebalance_races_concurrent_sends_without_losing_rollouts() {
-        use std::sync::atomic::AtomicBool;
+    fn register_races_concurrent_sends_without_losing_rollouts() {
+        use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
 
+        const GROWTH: u32 = 2_000;
         let t = Arc::new(AssignmentTable::contiguous(16, 4));
+        let initial: Vec<u32> = (0..16).map(|e| t.shard_of(e)).collect();
         let stop = Arc::new(AtomicBool::new(false));
 
         let writer = {
             let t = Arc::clone(&t);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let mut next = 16u32;
-                for i in 0..2_000u32 {
-                    let from = i % 4;
-                    let to = (i + 1) % 4;
-                    t.rebalance(from, to, 2);
-                    if i % 64 == 0 {
-                        t.register(next);
-                        next += 1;
-                    }
+                for e in 16..16 + GROWTH {
+                    assert!(t.register(e) < 4);
                 }
                 stop.store(true, Ordering::Release);
             })
         };
 
-        let readers: Vec<_> = (0..3)
+        let readers: Vec<_> = (0..3u32)
             .map(|r| {
                 let t = Arc::clone(&t);
                 let stop = Arc::clone(&stop);
+                let initial = initial.clone();
                 std::thread::spawn(move || {
                     let mut resolved = 0u64;
-                    let mut stable_pairs = 0u64;
                     // A single core can run the whole writer before a reader
                     // is scheduled: always take a minimum number of passes so
                     // both the contended and the quiescent regimes are
@@ -281,47 +194,32 @@ mod tests {
                     while passes < 50 || !stop.load(Ordering::Acquire) {
                         passes += 1;
                         for e in 0..16u32 {
-                            let epoch_before = t.epoch();
-                            let first = t.shard_of(e);
                             let dst = t.rollout_dst((e + r) % 16);
-                            let second = t.shard_of(e);
-                            let epoch_after = t.epoch();
-                            // Every send resolves to a live shard: the
-                            // rollout always has somewhere to go.
-                            assert!(first < 4 && second < 4);
                             assert!(matches!(dst.role, xingtian_message::ProcessRole::Learner));
                             assert!(dst.index < 4);
-                            // Epoch snapshot consistency: a quiescent epoch
-                            // means the assignment could not have changed.
-                            if epoch_before == epoch_after {
-                                assert_eq!(first, second, "stable epoch, stable owner");
-                                stable_pairs += 1;
-                            }
+                            assert_eq!(t.shard_of(e), initial[e as usize], "explorer {e} moved");
                             resolved += 1;
                         }
+                        let newest = t.num_explorers() - 1;
+                        assert!(t.rollout_dst(newest).index < 4, "explorer {newest} resolves");
+                        let owned = t.owned(r);
+                        assert!(owned.windows(2).all(|w| w[0] < w[1]), "shard {r} owns an ascending set");
+                        let original = (0..16).filter(|&e| initial[e as usize] == r);
+                        assert!(original.into_iter().all(|e| owned.contains(&e)), "shard {r} kept its slice");
                     }
-                    (resolved, stable_pairs)
+                    resolved
                 })
             })
             .collect();
 
         writer.join().unwrap();
-        let mut total = 0u64;
-        let mut stable = 0u64;
-        for r in readers {
-            let (resolved, stable_pairs) = r.join().unwrap();
-            total += resolved;
-            stable += stable_pairs;
-        }
+        let total: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
         assert!(total > 0, "readers made progress under contention");
-        assert!(stable > 0, "some reads landed in quiescent epochs");
-        // After the race: still exactly one owner per explorer, no shard
-        // emptied, and the elastic registrations all landed.
-        assert!(t.num_explorers() >= 16 + 2_000 / 64);
-        for s in 0..4 {
-            assert!(!t.owned(s).is_empty(), "shard {s} kept at least one owner");
-        }
-        let owned_total: usize = (0..4).map(|s| t.owned(s).len()).sum();
-        assert_eq!(owned_total as u32, t.num_explorers(), "ownership stays a partition");
+        // After the race: exactly one owner per explorer, every registration
+        // landed, and least-loaded growth kept the shards balanced.
+        assert_eq!(t.num_explorers(), 16 + GROWTH);
+        let sizes: Vec<usize> = (0..4).map(|s| t.owned(s).len()).collect();
+        assert_eq!(sizes.iter().sum::<usize>() as u32, t.num_explorers(), "ownership stays a partition");
+        assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1, "balanced: {sizes:?}");
     }
 }

@@ -6,6 +6,7 @@
 //! structure; `serde` impls make it loadable from any serde format.
 
 use crate::checkpoint::CheckpointConfig;
+use crate::shard::GRAD_SLOTS;
 use netsim::ClusterSpec;
 use serde::{Deserialize, Serialize};
 use xingtian_algos::{A2cConfig, DqnConfig, ImpalaConfig, PpoConfig, ReinforceConfig};
@@ -388,13 +389,13 @@ impl DeploymentConfig {
         }
         if self.learner_shards > 1 {
             // The sync allreduce partitions each round into a fixed number of
-            // gradient slots (crate::allreduce::GRAD_SLOTS = 4) that the shard
-            // count must divide, or slot ownership would differ across counts
-            // and the cross-count bit-identity guarantee would not hold.
-            if !matches!(self.learner_shards, 2 | 4) {
+            // gradient slots (crate::shard::GRAD_SLOTS) that the shard count
+            // must divide, or slot ownership would differ across counts and
+            // the cross-count bit-identity guarantee would not hold.
+            if !GRAD_SLOTS.is_multiple_of(self.learner_shards) {
                 return Err(format!(
-                    "learner_shards must be 1, 2, or 4 (got {}): the sync \
-                     allreduce partitions rounds into 4 fixed gradient slots",
+                    "learner_shards must divide {GRAD_SLOTS} (got {}): the sync \
+                     allreduce partitions rounds into {GRAD_SLOTS} fixed gradient slots",
                     self.learner_shards
                 ));
             }
@@ -508,9 +509,12 @@ mod tests {
             .with_learner_shards(4)
             .with_allreduce(AllreduceMode::Relaxed);
         assert!(ok4.validate().is_ok());
-        // Shard counts outside {1, 2, 4} break the fixed-slot partition.
-        let bad = DeploymentConfig::cartpole(AlgorithmSpec::dqn(), 8).with_learner_shards(3);
-        assert!(bad.validate().unwrap_err().contains("gradient slots"));
+        // Shard counts that do not divide GRAD_SLOTS break the fixed-slot
+        // partition.
+        for shards in [3, 8] {
+            let bad = DeploymentConfig::cartpole(AlgorithmSpec::dqn(), 8).with_learner_shards(shards);
+            assert!(bad.validate().unwrap_err().contains("gradient slots"), "{shards} shards");
+        }
         let zero = DeploymentConfig::cartpole(AlgorithmSpec::dqn(), 8).with_learner_shards(0);
         assert!(zero.validate().is_err());
         // Sync lockstep is DQN-only; relaxed delta exchange takes any algorithm.

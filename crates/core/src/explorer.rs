@@ -43,9 +43,9 @@ pub const MAX_INFLIGHT_BATCHES: usize = 4;
 ///
 /// The classic deployments froze one [`ProcessId`] at build time; with
 /// sharded learners the destination is re-read from the live
-/// [`AssignmentTable`] before *every* send, so a rebalance (or a learner
-/// shard respawning under supervision) redirects the very next batch without
-/// restarting the explorer.
+/// [`AssignmentTable`] before *every* send, so the table is the one source
+/// of ownership and a learner shard respawning under supervision keeps its
+/// traffic without restarting the explorer.
 #[derive(Clone)]
 pub enum RolloutRoute {
     /// Destination resolved once at deployment build (single learner, or the
@@ -121,7 +121,7 @@ impl ExplorerProcess {
     /// Runs the explorer until the controller broadcasts shutdown.
     pub fn run(mut self) -> ExplorerOutcome {
         let controller = ProcessId::controller(0);
-        let mut tracker = EpisodeTracker::new(100);
+        let mut tracker = EpisodeTracker::default();
         let telemetry = self.endpoint.telemetry().clone();
         let mut inbox = Inbox {
             params: ParamReceiver::new(),

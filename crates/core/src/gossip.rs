@@ -10,7 +10,6 @@
 //! anything staler is shed (`learn.grad_shed`), trading determinism for never
 //! stalling the ring.
 
-use crate::allreduce::within_skew;
 use bytes::Bytes;
 use xingtian_algos::api::Algorithm;
 use xingtian_algos::payload::ParamBlob;
@@ -23,6 +22,13 @@ use xt_telemetry::{CounterHandle, Telemetry};
 /// Maximum parameter-version distance a relaxed-mode delta may carry before
 /// the receiving shard sheds it instead of applying it.
 pub const MAX_SKEW: u64 = 8;
+
+/// True when a delta computed at `remote` version may still be applied by a
+/// shard at `local` version; anything farther apart is shed (the sender's
+/// gate residual means the mass is deferred, not lost).
+fn within_skew(local: u64, remote: u64, max_skew: u64) -> bool {
+    local.abs_diff(remote) <= max_skew
+}
 
 /// One shard's delta gossip toward its peers.
 pub(crate) struct Gossip {
@@ -96,5 +102,17 @@ impl Gossip {
             }
         }
         self.applied_counter.inc();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn skew_gate() {
+        assert!(within_skew(10, 8, 2));
+        assert!(within_skew(8, 10, 2));
+        assert!(!within_skew(10, 7, 2));
     }
 }

@@ -18,8 +18,8 @@
 //! * [`explorer`] / [`learner`] — the two workhorse processes. One learner
 //!   process and one learner loop serve every shard count and both allreduce
 //!   modes; peer shards only add an exchange discipline the loop advances —
-//!   [`gossip`] (relaxed parameter deltas) or [`shard`] (lockstep rounds over
-//!   [`allreduce`]'s slot exchange);
+//!   [`gossip`] (relaxed parameter deltas) or [`shard`] (lockstep rounds of
+//!   fixed gradient slots, folded in slot order);
 //! * [`controller`] — the center controller: statistics collection and
 //!   goal-driven shutdown (paper §3.2.2);
 //! * [`deployment`] — the environment/algorithm/agent builders and the plain
@@ -51,7 +51,6 @@
 //! println!("throughput: {:.0} steps/s", report.mean_throughput());
 //! ```
 
-pub mod allreduce;
 pub mod assignment;
 pub mod checkpoint;
 pub mod config;

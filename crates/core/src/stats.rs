@@ -94,57 +94,6 @@ impl RunReport {
         let tail = &self.episode_returns[self.episode_returns.len().saturating_sub(window)..];
         Some(tail.iter().sum::<f32>() / tail.len() as f32)
     }
-
-    /// Exports the run's statistics as CSV files into `dir` (created if
-    /// absent): `summary.csv` (one row of aggregates), `throughput.csv`
-    /// (steps/s series in `bucket_secs`-wide buckets), and `returns.csv`
-    /// (per-episode returns in arrival order). The paper's center controller
-    /// "collects and visualizes statistics"; these files feed any plotting
-    /// tool.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error encountered.
-    pub fn write_csv(&self, dir: impl AsRef<std::path::Path>, bucket_secs: f64) -> std::io::Result<()> {
-        use std::io::Write;
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-
-        let mut summary = std::fs::File::create(dir.join("summary.csv"))?;
-        writeln!(
-            summary,
-            "algorithm,env,steps_consumed,wall_time_s,mean_throughput,train_sessions,\
-             mean_train_time_ms,mean_wait_ms,mean_rollout_latency_ms,episodes,final_return_100"
-        )?;
-        writeln!(
-            summary,
-            "{},{},{},{:.3},{:.1},{},{:.3},{:.3},{:.3},{},{}",
-            self.algorithm,
-            self.env,
-            self.steps_consumed,
-            self.wall_time.as_secs_f64(),
-            self.mean_throughput(),
-            self.train_sessions,
-            self.mean_train_time.as_secs_f64() * 1e3,
-            self.learner_wait.mean().as_secs_f64() * 1e3,
-            self.rollout_latency.mean().as_secs_f64() * 1e3,
-            self.episode_returns.len(),
-            self.final_return(100).map_or(String::from(""), |r| format!("{r:.2}")),
-        )?;
-
-        let mut throughput = std::fs::File::create(dir.join("throughput.csv"))?;
-        writeln!(throughput, "time_s,steps_per_s")?;
-        for (t, v) in self.timeline.series(bucket_secs) {
-            writeln!(throughput, "{t:.1},{v:.1}")?;
-        }
-
-        let mut returns = std::fs::File::create(dir.join("returns.csv"))?;
-        writeln!(returns, "episode,return")?;
-        for (i, r) in self.episode_returns.iter().enumerate() {
-            writeln!(returns, "{i},{r}")?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -194,39 +143,5 @@ mod tests {
         };
         assert_eq!(report.final_return(2), Some(3.5));
         assert_eq!(report.final_return(100), Some(2.5));
-    }
-
-    #[test]
-    fn csv_export_writes_three_files() {
-        let mut timeline = ThroughputTimeline::new();
-        timeline.record(100);
-        let report = RunReport {
-            algorithm: "IMPALA".into(),
-            env: "CartPole".into(),
-            steps_consumed: 100,
-            steps_generated: 100,
-            wall_time: Duration::from_secs(2),
-            timeline,
-            learner_wait: TransmissionStats::new(),
-            rollout_latency: std::sync::Arc::new(TransmissionStats::new()),
-            policy_lag: Histogram::new(),
-            rollouts_by_explorer: BTreeMap::new(),
-            episode_returns: vec![10.0, 20.0],
-            train_sessions: 1,
-            mean_train_time: Duration::from_millis(5),
-            final_params: Vec::new(),
-            learner_shard_params: Vec::new(),
-            replay: None,
-            dropped_messages: 0,
-        };
-        let dir = std::env::temp_dir().join(format!("xt-csv-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        report.write_csv(&dir, 1.0).unwrap();
-        let summary = std::fs::read_to_string(dir.join("summary.csv")).unwrap();
-        assert!(summary.contains("IMPALA,CartPole,100"));
-        let returns = std::fs::read_to_string(dir.join("returns.csv")).unwrap();
-        assert!(returns.contains("1,20"));
-        assert!(dir.join("throughput.csv").exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -442,8 +442,8 @@ impl Deployment {
             };
         };
         // Rollouts follow the live assignment table when learners are
-        // sharded: the destination is resolved per batch, so a rebalance or
-        // a shard respawn redirects traffic without restarting explorers.
+        // sharded: the destination is resolved per batch, so elastic growth
+        // and shard respawns need no explorer restart.
         let table = Arc::new(AssignmentTable::contiguous(num_explorers, shards));
         let route = if plane.is_some() {
             RolloutRoute::Fixed(ProcessId::replay(0))

@@ -13,9 +13,8 @@ use xingtian::config::AllreduceMode;
 use xingtian::controller::ControllerProcess;
 use xingtian::explorer::{ExplorerProcess, RolloutRoute, MAX_INFLIGHT_BATCHES};
 use xingtian::learner::LearnerProcess;
-use xingtian::allreduce::GRAD_SLOTS;
 use xingtian::messages::ControlCommand;
-use xingtian::shard::FAREWELL;
+use xingtian::shard::{FAREWELL, GRAD_SLOTS};
 use xingtian_algos::api::{ActionSelection, Agent, Algorithm, ShardedSync, SyncMode, TrainReport};
 use xingtian_algos::payload::{ParamBlob, RolloutBatch, RolloutStep};
 use xingtian_algos::{DqnAlgorithm, DqnConfig, GradBlob};

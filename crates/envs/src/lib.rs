@@ -15,8 +15,8 @@
 //!   sizes), whose reward structure is *learnable* (returns genuinely improve
 //!   with training), and whose per-game reward scales mimic the published
 //!   magnitudes. See DESIGN.md §2 for the substitution argument.
-//! * [`stats::EpisodeTracker`] — rolling episode-return statistics used for
-//!   the convergence figures.
+//! * [`stats::EpisodeTracker`] — episode-return statistics used for the
+//!   convergence figures.
 //!
 //! # Examples
 //!

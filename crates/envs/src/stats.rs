@@ -1,41 +1,26 @@
-//! Rolling episode-return statistics.
+//! Episode-return statistics.
 //!
 //! The paper measures convergence as "the average episode return received by
 //! the explorers after the learner trains the DNNs consuming a certain number
-//! of rollout steps" (§5.2.1). [`EpisodeTracker`] accumulates per-episode
-//! returns and reports windowed averages for exactly that metric.
+//! of rollout steps" (§5.2.1). [`EpisodeTracker`] accumulates the per-episode
+//! returns that metric averages.
 
-/// Accumulates episode returns and reports rolling averages.
-#[derive(Debug, Clone)]
+/// Accumulates episode returns.
+#[derive(Debug, Clone, Default)]
 pub struct EpisodeTracker {
     returns: Vec<f32>,
-    window: usize,
     current_return: f32,
-    current_len: u32,
     total_steps: u64,
 }
 
 impl EpisodeTracker {
-    /// Creates a tracker whose rolling average spans the last `window`
-    /// episodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "window must be positive");
-        EpisodeTracker { returns: Vec::new(), window, current_return: 0.0, current_len: 0, total_steps: 0 }
-    }
-
     /// Records one environment step of the in-progress episode.
     pub fn record_step(&mut self, reward: f32, done: bool) {
         self.current_return += reward;
-        self.current_len += 1;
         self.total_steps += 1;
         if done {
             self.returns.push(self.current_return);
             self.current_return = 0.0;
-            self.current_len = 0;
         }
     }
 
@@ -49,40 +34,9 @@ impl EpisodeTracker {
         self.total_steps
     }
 
-    /// Mean return over the last `window` completed episodes, or `None` before
-    /// the first episode completes.
-    pub fn rolling_mean(&self) -> Option<f32> {
-        if self.returns.is_empty() {
-            return None;
-        }
-        let tail = &self.returns[self.returns.len().saturating_sub(self.window)..];
-        Some(tail.iter().sum::<f32>() / tail.len() as f32)
-    }
-
-    /// Mean return over all completed episodes, or `None` if none completed.
-    pub fn overall_mean(&self) -> Option<f32> {
-        if self.returns.is_empty() {
-            return None;
-        }
-        Some(self.returns.iter().sum::<f32>() / self.returns.len() as f32)
-    }
-
     /// All completed episode returns, in order.
     pub fn returns(&self) -> &[f32] {
         &self.returns
-    }
-
-    /// Merges another tracker's completed episodes into this one (used to
-    /// aggregate per-explorer trackers at the center controller).
-    pub fn merge(&mut self, other: &EpisodeTracker) {
-        self.returns.extend_from_slice(&other.returns);
-        self.total_steps += other.total_steps;
-    }
-}
-
-impl Default for EpisodeTracker {
-    fn default() -> Self {
-        EpisodeTracker::new(100)
     }
 }
 
@@ -91,42 +45,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rolling_mean_windows() {
-        let mut t = EpisodeTracker::new(2);
-        assert!(t.rolling_mean().is_none());
-        t.record_step(1.0, true);
-        t.record_step(3.0, true);
-        t.record_step(5.0, true);
-        assert_eq!(t.rolling_mean(), Some(4.0), "last two: 3 and 5");
-        assert_eq!(t.overall_mean(), Some(3.0));
-        assert_eq!(t.episodes(), 3);
-    }
-
-    #[test]
     fn partial_episode_not_counted() {
-        let mut t = EpisodeTracker::new(10);
+        let mut t = EpisodeTracker::default();
         t.record_step(1.0, false);
         t.record_step(1.0, false);
         assert_eq!(t.episodes(), 0);
         assert_eq!(t.total_steps(), 2);
         t.record_step(1.0, true);
         assert_eq!(t.returns(), &[3.0]);
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = EpisodeTracker::new(10);
-        a.record_step(1.0, true);
-        let mut b = EpisodeTracker::new(10);
-        b.record_step(2.0, true);
-        a.merge(&b);
-        assert_eq!(a.episodes(), 2);
-        assert_eq!(a.total_steps(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be positive")]
-    fn zero_window_rejected() {
-        let _ = EpisodeTracker::new(0);
+        t.record_step(5.0, true);
+        assert_eq!(t.returns(), &[3.0, 5.0]);
+        assert_eq!(t.episodes(), 2);
     }
 }

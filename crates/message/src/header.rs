@@ -217,11 +217,6 @@ pub enum CompressionKind {
 }
 
 impl CompressionKind {
-    /// True if the stored body differs from the logical body.
-    pub fn is_compressed(self) -> bool {
-        !matches!(self, CompressionKind::None)
-    }
-
     /// True for transport compression the channel itself removes before
     /// delivery (receiving endpoints decompress these and hand the workhorse
     /// the logical body).
@@ -439,7 +434,7 @@ mod tests {
             assert_eq!(CompressionKind::from_discriminant(kind.discriminant()), Ok(kind));
             // Exactly one of the two classes (or neither, for None).
             assert!(!(kind.is_transport() && kind.is_param_plane()));
-            assert_eq!(kind.is_compressed(), kind.is_transport() || kind.is_param_plane());
+            assert_eq!(kind == CompressionKind::None, !kind.is_transport() && !kind.is_param_plane());
         }
     }
 

@@ -64,36 +64,11 @@ pub fn should_compress(body: &[u8], threshold: usize) -> bool {
     lz4::compress(head).len() < head.len()
 }
 
-/// Compress `body` if [`should_compress`] says so.
-///
-/// Such bodies are encoded as a chunked LZ4 container ([`chunk`]) so they can
-/// be (de)compressed in parallel and decoded with an exact pre-sized
-/// allocation. Returns the (possibly compressed) body and the
-/// [`CompressionKind`] to record in the header. Mirrors the paper's default
-/// policy of compressing message bodies larger than 1 MiB when they enter the
-/// shared-memory object store (§4.1).
-pub fn compress_body_with_threshold(body: Bytes, threshold: usize) -> (Bytes, CompressionKind) {
-    if should_compress(&body, threshold) {
-        let compressed = chunk::compress_chunked(&body);
-        // Only keep the compressed form if it actually saved space; incompressible
-        // payloads (already-compressed or random data) are sent verbatim.
-        if compressed.len() < body.len() {
-            return (Bytes::from(compressed), CompressionKind::Lz4Chunked);
-        }
-    }
-    (body, CompressionKind::None)
-}
-
-/// Compress `body` with the paper's default 1 MiB threshold.
-pub fn compress_body(body: Bytes) -> (Bytes, CompressionKind) {
-    compress_body_with_threshold(body, COMPRESSION_THRESHOLD)
-}
-
 /// Decompress a stored body according to its header's [`CompressionKind`].
 ///
-/// Handles both the chunked container written by [`compress_body`] and legacy
-/// single-block LZ4 bodies produced before the chunked format existed.
-/// Parameter-plane kinds ([`CompressionKind::is_param_plane`]) pass through
+/// Handles both the chunked container ([`chunk`]) the channel compresses
+/// into and legacy single-block LZ4 bodies produced before the chunked format
+/// existed. Parameter-plane kinds ([`CompressionKind::is_param_plane`]) pass through
 /// *unchanged*: they are stateful encodings that only the consuming workhorse
 /// (which holds the base version and error-feedback state) can decode — see
 /// [`param`].
@@ -117,20 +92,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn compress_small_body_is_identity() {
-        let body = Bytes::from(vec![7u8; 64]);
-        let (out, kind) = compress_body(body.clone());
-        assert_eq!(kind, CompressionKind::None);
-        assert_eq!(out, body);
-    }
-
-    #[test]
-    fn compress_large_body_round_trips() {
+    fn chunked_body_round_trips() {
         let body = Bytes::from(vec![42u8; 2 * 1024 * 1024]);
-        let (out, kind) = compress_body(body.clone());
-        assert_eq!(kind, CompressionKind::Lz4Chunked);
+        let out = Bytes::from(chunk::compress_chunked(&body));
         assert!(out.len() < body.len());
-        let restored = decompress_body(&out, kind).unwrap();
+        let restored = decompress_body(&out, CompressionKind::Lz4Chunked).unwrap();
         assert_eq!(restored, body);
     }
 
@@ -161,18 +127,13 @@ mod tests {
     #[test]
     fn incompressible_body_is_left_alone() {
         // A pseudo-random payload larger than the threshold should be kept verbatim.
-        let body = Bytes::from(random_bytes(2 * MIB));
-        assert!(!should_compress(&body, COMPRESSION_THRESHOLD), "the probe rejects it");
-        let (out, kind) = compress_body(body.clone());
-        assert_eq!(kind, CompressionKind::None);
-        assert_eq!(out, body);
+        assert!(!should_compress(&random_bytes(2 * MIB), COMPRESSION_THRESHOLD), "the probe rejects it");
     }
 
     #[test]
     fn zeros_pass_the_probe() {
         let body = vec![0u8; 2 * MIB];
         assert!(should_compress(&body, COMPRESSION_THRESHOLD));
-        assert_eq!(compress_body(Bytes::from(body)).1, CompressionKind::Lz4Chunked);
     }
 
     #[test]
@@ -200,8 +161,6 @@ mod tests {
         }
         assert!(body.len() > COMPRESSION_THRESHOLD, "{} bytes", body.len());
         assert!(!should_compress(&body, COMPRESSION_THRESHOLD));
-        let body = Bytes::from(body);
-        assert_eq!(compress_body(body.clone()), (body, CompressionKind::None));
     }
 
     #[test]
@@ -212,16 +171,13 @@ mod tests {
         body.resize(COMPRESSION_PROBE_BYTES + 2 * MIB, 0);
         assert!(chunk::compress_chunked(&body).len() < body.len() / 8);
         assert!(!should_compress(&body, COMPRESSION_THRESHOLD));
-        assert_eq!(compress_body(Bytes::from(body)).1, CompressionKind::None);
     }
 
     #[test]
     fn a_body_at_or_under_the_threshold_is_never_compressed() {
         for len in [0, 1, COMPRESSION_PROBE_BYTES, COMPRESSION_THRESHOLD - 1, COMPRESSION_THRESHOLD]
         {
-            let body = Bytes::from(vec![0u8; len]);
-            assert!(!should_compress(&body, COMPRESSION_THRESHOLD), "{len} bytes");
-            assert_eq!(compress_body(body.clone()), (body, CompressionKind::None), "{len} bytes");
+            assert!(!should_compress(&vec![0u8; len], COMPRESSION_THRESHOLD), "{len} bytes");
         }
         assert!(should_compress(&vec![0u8; COMPRESSION_THRESHOLD + 1], COMPRESSION_THRESHOLD));
     }

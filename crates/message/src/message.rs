@@ -17,7 +17,7 @@ pub const COMPRESSION_THRESHOLD: usize = 1024 * 1024;
 pub struct Message {
     /// Routing metadata.
     pub header: Header,
-    /// Payload bytes (possibly compressed; see [`Header::compressed`]).
+    /// Payload bytes (possibly compressed; see [`Header::compression`]).
     pub body: Body,
 }
 
@@ -26,12 +26,6 @@ impl Message {
     pub fn new(mut header: Header, body: Body) -> Self {
         header.len = body.len();
         Message { header, body }
-    }
-
-    /// Total size in bytes accounted for transmission (body only; headers are
-    /// considered lightweight metadata, as in the paper).
-    pub fn wire_len(&self) -> usize {
-        self.body.len()
     }
 }
 
@@ -45,7 +39,6 @@ mod tests {
         let h = Header::new(ProcessId::explorer(0), vec![ProcessId::learner(0)], MessageKind::Rollout);
         let m = Message::new(h, Bytes::from(vec![1u8; 300]));
         assert_eq!(m.header.len, 300);
-        assert_eq!(m.wire_len(), 300);
     }
 
     #[test]

@@ -1,22 +1,16 @@
 //! First-order optimizers operating on flat parameter/gradient slices.
 
-/// Stochastic gradient descent with optional momentum.
+/// Plain stochastic gradient descent.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
-    momentum: f32,
-    velocity: Vec<f32>,
+    num_params: usize,
 }
 
 impl Sgd {
     /// Plain SGD with learning rate `lr` for `num_params` parameters.
     pub fn new(num_params: usize, lr: f32) -> Self {
-        Sgd { lr, momentum: 0.0, velocity: vec![0.0; num_params] }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(num_params: usize, lr: f32, momentum: f32) -> Self {
-        Sgd { lr, momentum, velocity: vec![0.0; num_params] }
+        Sgd { lr, num_params }
     }
 
     /// Current learning rate.
@@ -29,17 +23,16 @@ impl Sgd {
         self.lr = lr;
     }
 
-    /// Applies one update: `params -= lr * (momentum-filtered grads)`.
+    /// Applies one update: `params -= lr * grads`.
     ///
     /// # Panics
     ///
     /// Panics if slice lengths disagree with `num_params`.
     pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
-        assert_eq!(params.len(), self.velocity.len(), "param count mismatch");
-        assert_eq!(grads.len(), self.velocity.len(), "grad count mismatch");
-        for i in 0..params.len() {
-            self.velocity[i] = self.momentum * self.velocity[i] + grads[i];
-            params[i] -= self.lr * self.velocity[i];
+        assert_eq!(params.len(), self.num_params, "param count mismatch");
+        assert_eq!(grads.len(), self.num_params, "grad count mismatch");
+        for (p, g) in params.iter_mut().zip(grads) {
+            *p -= self.lr * g;
         }
     }
 }
@@ -117,15 +110,6 @@ mod tests {
         let mut p = vec![1.0f32, -1.0];
         opt.step(&mut p, &[1.0, -1.0]);
         assert_eq!(p, vec![0.9, -0.9]);
-    }
-
-    #[test]
-    fn momentum_accumulates() {
-        let mut opt = Sgd::with_momentum(1, 0.1, 0.9);
-        let mut p = vec![0.0f32];
-        opt.step(&mut p, &[1.0]); // v=1, p=-0.1
-        opt.step(&mut p, &[1.0]); // v=1.9, p=-0.29
-        assert!((p[0] + 0.29).abs() < 1e-6);
     }
 
     #[test]

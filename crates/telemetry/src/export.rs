@@ -8,33 +8,9 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use crate::hist::{bucket_hi, bucket_lo, Histogram};
+use crate::hist::Histogram;
 use crate::metrics::Registry;
-use crate::span::{MessageSpan, StageBreakdown};
-
-fn opt(v: Option<u64>) -> String {
-    v.map_or(String::new(), |v| v.to_string())
-}
-
-/// Per-message stage table: one row per assembled span.
-pub fn spans_csv(spans: &[MessageSpan]) -> String {
-    let mut out =
-        String::from("msg_id,serialize_ns,store_ns,route_ns,nic_ns,wait_ns,total_ns\n");
-    for s in spans {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{}",
-            s.msg_id,
-            opt(s.serialize_nanos),
-            opt(s.store_nanos),
-            opt(s.route_nanos),
-            opt(s.nic_nanos),
-            opt(s.wait_nanos),
-            s.total_nanos,
-        );
-    }
-    out
-}
+use crate::span::StageBreakdown;
 
 /// Stage-summary table: one row per lifecycle stage with count, exact mean,
 /// and interpolated quantiles (µs).
@@ -53,24 +29,6 @@ pub fn stage_summary_csv(breakdown: &StageBreakdown) -> String {
             us(h.quantile(0.99)),
             us(h.max()),
         );
-    }
-    out
-}
-
-/// Raw bucket dump of one histogram: `bucket_lo_ns,bucket_hi_ns,count,
-/// cum_fraction` for every non-empty bucket.
-pub fn histogram_csv(h: &Histogram) -> String {
-    let counts = h.bucket_counts();
-    let total: u64 = counts.iter().sum();
-    let mut out = String::from("bucket_lo_ns,bucket_hi_ns,count,cum_fraction\n");
-    let mut cum = 0u64;
-    for (b, &count) in counts.iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        cum += count;
-        let frac = if total == 0 { 0.0 } else { cum as f64 / total as f64 };
-        let _ = writeln!(out, "{},{},{},{:.6}", bucket_lo(b), bucket_hi(b), count, frac);
     }
     out
 }
@@ -156,7 +114,7 @@ pub fn write_file(path: impl AsRef<Path>, content: &str) -> std::io::Result<()> 
 mod tests {
     use super::*;
     use crate::event::{Event, EventKind};
-    use crate::span::assemble;
+    use crate::span::{assemble, MessageSpan};
 
     fn sample_spans() -> Vec<MessageSpan> {
         let events = vec![
@@ -170,34 +128,12 @@ mod tests {
     }
 
     #[test]
-    fn spans_csv_has_one_row_per_span() {
-        let csv = spans_csv(&sample_spans());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("msg_id,serialize_ns"));
-        assert_eq!(lines[1], "1,1000,500,1500,,7000,10000");
-    }
-
-    #[test]
     fn stage_summary_covers_all_stages() {
         let breakdown = StageBreakdown::from_spans(&sample_spans());
         let csv = stage_summary_csv(&breakdown);
         for stage in ["serialize", "store", "route", "nic", "wait", "total"] {
             assert!(csv.lines().any(|l| l.starts_with(stage)), "missing {stage}: {csv}");
         }
-    }
-
-    #[test]
-    fn histogram_csv_skips_empty_buckets_and_cumulates() {
-        let h = Histogram::new();
-        for v in [10u64, 10, 1000] {
-            h.record(v);
-        }
-        let csv = histogram_csv(&h);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3, "header + two occupied buckets: {csv}");
-        assert!(lines[1].ends_with(",2,0.666667"));
-        assert!(lines[2].ends_with(",1,1.000000"));
     }
 
     #[test]

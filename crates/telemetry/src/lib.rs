@@ -122,12 +122,6 @@ impl Telemetry {
         }
     }
 
-    /// True when this handle actually records.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Records a lifecycle event stamped with the handle's time source.
     /// Wait-free when enabled; a dead branch when disabled.
     #[inline]
@@ -302,7 +296,6 @@ mod tests {
         t.counter("x").inc();
         t.histogram("h").record(9);
         t.gauge("g").set(5);
-        assert!(!t.is_enabled());
         assert!(t.events().is_empty());
         assert!(t.spans().is_empty());
         assert_eq!(t.counter("x").get(), 0);

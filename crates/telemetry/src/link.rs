@@ -38,16 +38,6 @@ impl LinkStats {
     pub fn busy_nanos(&self) -> u64 {
         self.busy_nanos.load(Ordering::Relaxed)
     }
-
-    /// Average achieved bandwidth in bytes/second over occupied time, or 0.0
-    /// if nothing has been transferred.
-    pub fn mean_bandwidth(&self) -> f64 {
-        let busy = self.busy_nanos();
-        if busy == 0 {
-            return 0.0;
-        }
-        self.bytes() as f64 / (busy as f64 / 1e9)
-    }
 }
 
 #[cfg(test)]
@@ -62,12 +52,5 @@ mod tests {
         assert_eq!(s.bytes(), 4000);
         assert_eq!(s.transfers(), 2);
         assert_eq!(s.busy_nanos(), 4_000_000);
-        let bw = s.mean_bandwidth();
-        assert!((bw - 1e6).abs() < 1.0, "bw {bw}");
-    }
-
-    #[test]
-    fn empty_stats_report_zero_bandwidth() {
-        assert_eq!(LinkStats::new().mean_bandwidth(), 0.0);
     }
 }

@@ -7,8 +7,9 @@ use netsim::{Cluster, ClusterSpec};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
+use xingtian_comm::pool::compress_for_transport;
 use xingtian_comm::{connect_brokers, Broker, CommConfig, Compression};
-use xingtian_message::{Header, Message, MessageKind, ProcessId};
+use xingtian_message::{Header, Message, MessageKind, ProcessId, COMPRESSION_THRESHOLD};
 
 #[derive(Debug, Clone)]
 struct Traffic {
@@ -165,12 +166,14 @@ proptest! {
             (0..2).map(|m| brokers[m].endpoint(ProcessId::learner(m as u32))).collect();
         connect_brokers(&brokers);
 
-        // Each class is stored in the form `compress_body` gives it, on either
-        // machine: only the compressible one as a smaller container.
+        // Each class is stored in the form `compress_for_transport` gives it,
+        // on either machine: only the compressible one as a smaller container.
         const COMPRESSED: usize = 2;
         let bodies = [noise(64), noise(2 << 20), repeated_noise(2 << 20)];
-        let stored: Vec<usize> =
-            bodies.iter().map(|b| xingtian_message::compress_body(b.clone()).0.len()).collect();
+        let stored: Vec<usize> = bodies
+            .iter()
+            .map(|b| compress_for_transport(b.clone(), COMPRESSION_THRESHOLD).0.len())
+            .collect();
         prop_assert_eq!(&stored[..COMPRESSED], &[64, 2 << 20]);
         prop_assert!(stored[COMPRESSED] < bodies[COMPRESSED].len() / 4);
         let mut inserts = [0u64; 2];
