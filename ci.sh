@@ -52,7 +52,8 @@ echo "== release smoke: the channel's lane, settlement and head-of-line tests on
 # an undecodable body is a counted drop; FIFO for every size: a 2 MiB body,
 # compressible or not, arrives ahead of the 100 smalls sent after it; beacons
 # survive the gate and a pass: a sender parked at a full store or inside
-# three 32 MiB compression passes still beats with no gap of 4 intervals.
+# three 32 MiB compression passes is still listed in its broker's one beat
+# per interval, with no gap of 4 intervals.
 # Then the lane x path x size table property over a 2-machine fabric, with
 # per-(src,dst) FIFO across all three size classes.
 cargo test --release -q -p xingtian-comm --test integration
@@ -119,11 +120,19 @@ echo "== elastic smoke: pool grows under induced store backpressure, drains afte
 # and zero leaks asserted inside.
 cargo test --release -q -p xingtian --test elastic_pool
 
-echo "== chaos smoke: seeded kill-one-explorer run on the virtual clock =="
-# Deterministic fault plan (seed 42): one explorer killed mid-run in a
-# 2-machine deployment, detected by heartbeat silence, respawned, zero
-# store leaks. Wall time is bounded by the controller deadline.
+echo "== chaos smoke: seeded kills and a partition, detected from per-machine beacons =="
+# Deterministic fault plans. One explorer killed mid-run in a 2-machine
+# deployment on the virtual clock (seed 42): its broker stops listing it, the
+# detector declares it down, it is respawned, zero store leaks. A kill plus a
+# partition of the second machine (seed 7): the victim is respawned, the
+# partitioned explorers are declared down and back up without a respawn. And
+# a PPO and an A2C learner killed after session 5: the restored learner
+# announces its checkpointed parameters, so the on-policy explorers resume
+# and the run ends at its goal, not its deadline. Wall time is bounded by the
+# controller deadlines.
 cargo test --release -q -p xingtian --test chaos chaos_smoke_kill_one_explorer_virtual_clock
+cargo test --release -q -p xingtian --test chaos kill_and_partition_two_machine_deployment
+cargo test --release -q -p xingtian --test chaos on_policy_learner_restored_from_checkpoint_reaches_the_goal
 
 echo "== flow control: IMPALA explorers wait on the learner's answers =="
 # Window tests, against a learner the test scripts by hand: four rollouts go
@@ -138,7 +147,7 @@ cargo test --release -q --test e2e_training impala_explorers_generate_no_more_th
 
 echo "== graph smoke: the one process graph and the one learner loop, both disciplines =="
 # Deployment::run and Deployment::run_supervised are one graph (run is the
-# unsupervised policy: zero budgets, no heartbeats), so the perf smoke above
+# unsupervised policy: no heartbeats, hence zero budgets), so the perf smoke above
 # and the chaos smoke both exercise it. Here: the explorer/learner loops over
 # a real channel (bounded drain under a never-empty inbox for the relaxed and
 # the lockstep discipline, and the lockstep farewell handshake under a slow

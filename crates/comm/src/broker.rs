@@ -31,6 +31,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
+use xingtian_message::codec::Encode;
 use xingtian_message::{Body, CompressionKind, Header, Message, MessageKind, ProcessId, ProcessRole};
 use xt_telemetry::{EventKind, Telemetry};
 
@@ -360,13 +361,14 @@ impl Broker {
     }
 }
 
-/// The broker's liveness beacon: each interval, one `Heartbeat` for every
-/// local endpoint that is not itself a monitor (`Broker` role) to its monitor
-/// shard, submitted like any message. An endpoint's beats stop when its ID
-/// queue is removed — its close, or its drop while a workhorse unwinds — and
-/// nothing its sender thread waits on, a full store or a compression pass,
-/// can delay them. Holds the broker weakly, the rule `Hub` follows; returns
-/// when `stop`'s sender is dropped or the broker is gone.
+/// The broker's liveness beacon: each interval, one `Heartbeat` from the
+/// broker to the monitor listing every local endpoint not in the `Broker` role
+/// (a monitor's own), submitted like any message; nothing when there is none.
+/// A pid leaves the list when its ID queue is removed — its close, or its drop
+/// while a workhorse unwinds — and nothing its sender thread waits on, a full
+/// store or a compression pass, can keep it off. Holds the broker weakly, the
+/// rule `Hub` follows; returns when `stop`'s sender is dropped or the broker is
+/// gone.
 fn run_beacon(shared: Weak<BrokerShared>, hb: HeartbeatConfig, stop: Receiver<()>) {
     let mut due = Instant::now();
     for seq in 0.. {
@@ -376,14 +378,15 @@ fn run_beacon(shared: Weak<BrokerShared>, hb: HeartbeatConfig, stop: Receiver<()
             return;
         }
         let Some(shared) = shared.upgrade() else { return };
-        let beaconing: Vec<ProcessId> = shared.hub.table.id_queues.with(|queues| {
+        let live: Vec<ProcessId> = shared.hub.table.id_queues.with(|queues| {
             queues.keys().copied().filter(|pid| pid.role != ProcessRole::Broker).collect()
         });
-        let broker = Broker { shared };
-        for pid in beaconing {
-            let header = Header::new(pid, vec![hb.monitor_for(pid)], MessageKind::Heartbeat);
-            broker.submit(Message::new(header.with_seq(seq), Body::new()));
+        if live.is_empty() {
+            continue;
         }
+        let src = ProcessId::broker(shared.machine as u32);
+        let header = Header::new(src, vec![hb.monitor], MessageKind::Heartbeat).with_seq(seq);
+        Broker { shared }.submit(Message::new(header, Body::from(live.to_bytes())));
     }
 }
 

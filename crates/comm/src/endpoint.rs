@@ -394,21 +394,30 @@ mod tests {
         broker.shutdown();
     }
 
+    /// The pids a heartbeat lists, sorted.
+    fn listed(beat: &Message) -> Vec<ProcessId> {
+        use xingtian_message::codec::Decode;
+        assert_eq!(beat.header.kind, MessageKind::Heartbeat);
+        let mut pids = Vec::<ProcessId>::from_bytes(&beat.body).expect("a pid list");
+        pids.sort();
+        pids
+    }
+
     #[test]
     fn heartbeats_flow_to_the_monitor() {
-        let monitor = ProcessId::broker(0);
+        let monitor = ProcessId::broker(u32::MAX);
         let config = CommConfig::default().with_heartbeat(5, monitor);
         let broker = Broker::new(0, Cluster::single(), config);
         // Monitor first so no beat is ever unroutable; its own (Broker-role)
-        // endpoint does not beacon.
+        // endpoint is never listed, so nothing beats until the explorer exists.
         let mon = broker.endpoint(monitor);
         let e = broker.endpoint(ProcessId::explorer(0));
         let beat = mon.recv_timeout(Duration::from_secs(5)).expect("initial heartbeat");
-        assert_eq!(beat.header.kind, MessageKind::Heartbeat);
-        assert_eq!(beat.header.src, ProcessId::explorer(0));
+        assert_eq!(beat.header.src, ProcessId::broker(0), "the broker beats");
+        assert_eq!(listed(&beat), vec![ProcessId::explorer(0)]);
         let beat2 = mon.recv_timeout(Duration::from_secs(5)).expect("periodic heartbeat");
         assert!(beat2.header.seq > beat.header.seq, "beats carry increasing seq");
-        // Closing the endpoint stops the beacon.
+        // With nothing left to list, the broker stops beating.
         e.close();
         while mon.recv_timeout(Duration::from_millis(100)).is_some() {}
         assert!(mon.recv_timeout(Duration::from_millis(100)).is_none(), "no beats after close");
@@ -419,39 +428,39 @@ mod tests {
     }
 
     #[test]
-    fn heartbeats_spread_across_monitor_shards() {
-        // Sharded heartbeat sink: each beaconing endpoint feeds exactly one
-        // monitor shard, chosen by a stable hash of its own pid, and the
-        // union of shards sees every endpoint.
-        let monitor = ProcessId { role: xingtian_message::ProcessRole::Broker, index: u32::MAX };
-        let shards = 4u32;
-        let config = CommConfig::default().with_heartbeat(5, monitor).with_monitor_shards(shards);
-        let hb = config.heartbeat.unwrap();
-        let broker = Broker::new(0, Cluster::single(), config);
-        // All monitor shards first so no beat is ever unroutable.
-        let mons: Vec<_> = hb.monitor_pids().into_iter().map(|p| broker.endpoint(p)).collect();
-        let n = 16u32;
-        let eps: Vec<_> = (0..n).map(|i| broker.endpoint(ProcessId::explorer(i))).collect();
-        let mut seen: std::collections::HashSet<ProcessId> = std::collections::HashSet::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while seen.len() < n as usize && std::time::Instant::now() < deadline {
-            for (s, mon) in mons.iter().enumerate() {
-                while let Some(beat) = mon.try_recv() {
-                    assert_eq!(beat.header.kind, MessageKind::Heartbeat);
-                    assert_eq!(
-                        hb.monitor_for(beat.header.src),
-                        mon.pid(),
-                        "explorer {} beaconed to shard {s}, not its hash-chosen shard",
-                        beat.header.src,
-                    );
-                    seen.insert(beat.header.src);
-                }
-            }
-            std::thread::sleep(Duration::from_millis(2));
+    fn one_beacon_per_interval_lists_every_live_endpoint() {
+        // Sixteen endpoints, one heartbeat per interval naming them all; an
+        // endpoint closed between two beats is missing from every beat the
+        // broker takes after the close.
+        let monitor = ProcessId::broker(u32::MAX);
+        let broker = Broker::new(0, Cluster::single(), CommConfig::default().with_heartbeat(5, monitor));
+        let mon = broker.endpoint(monitor);
+        let mut eps: Vec<_> = (0..16).map(|i| broker.endpoint(ProcessId::explorer(i))).collect();
+        let mut last_seq = None;
+        let mut next = || {
+            let beat = mon.recv_timeout(Duration::from_secs(5)).expect("a beat every interval");
+            assert_eq!(beat.header.src, ProcessId::broker(0));
+            assert!(last_seq < Some(beat.header.seq), "one heartbeat per interval");
+            last_seq = Some(beat.header.seq);
+            listed(&beat)
+        };
+        let all: Vec<ProcessId> = (0..16).map(ProcessId::explorer).collect();
+        // Registration may straddle the first beat.
+        assert!((0..3).any(|_| next() == all), "a beat lists all 16");
+        for _ in 0..10 {
+            assert_eq!(next(), all, "every later beat lists all 16");
         }
-        assert_eq!(seen.len(), n as usize, "every endpoint's beats reached its shard");
-        drop(eps);
-        drop(mons);
+        let closed = eps.remove(3);
+        closed.close();
+        let rest: Vec<ProcessId> = all.iter().copied().filter(|&p| p != closed.pid()).collect();
+        // Beats taken before the close may still be on their way, then the
+        // pid is gone for good.
+        assert!((0..3).any(|_| next() == rest), "the closed endpoint drops out");
+        for _ in 0..10 {
+            assert_eq!(next(), rest, "and stays out");
+        }
+        drop((eps, closed));
+        drop(mon);
         broker.shutdown();
         assert_eq!(broker.dropped(), 0, "every heartbeat was routable");
     }

@@ -127,34 +127,23 @@ pub enum ParamCompression {
     DeltaQuantizedI8,
 }
 
-/// Liveness-beacon configuration for the endpoints of a broker.
+/// Liveness-beacon configuration of a broker.
 ///
-/// When set, one beacon thread per broker sends `monitor` a
-/// [`xingtian_message::MessageKind::Heartbeat`] every `interval_ms` for each
-/// local endpoint not in the `Broker` role, the first within one interval of
-/// its registration. Heartbeats ride the ordinary channel (store → router →
-/// uplink), so they stop for exactly the failures a detector should see — a
-/// dead process (its endpoint is gone), a closed endpoint, a severed link to
-/// the monitor's machine — never for a sender compressing or back-pressured.
+/// When set, one beacon thread per broker sends `monitor` one
+/// [`xingtian_message::MessageKind::Heartbeat`] every `interval_ms` whose `src`
+/// is the broker and whose body lists its local endpoints not in the `Broker`
+/// role; a broker with none sends nothing. An endpoint is listed from the
+/// first beat after its registration until its close. Heartbeats ride the
+/// ordinary channel (store → router → uplink), so a pid goes unlisted for
+/// exactly the failures a detector should see — a dead process (its endpoint
+/// is gone), a closed endpoint, a severed link to the monitor's machine —
+/// never for a sender compressing or back-pressured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HeartbeatConfig {
     /// Beacon period in milliseconds.
     pub interval_ms: u64,
     /// The process that aggregates liveness (the failure detector's inbox).
-    /// With `monitor_shards > 1` this is shard 0; shard `s` is the process
-    /// with index `monitor.index - s` and the same role.
     pub monitor: ProcessId,
-    /// Number of monitor sink endpoints liveness fan-in is spread over.
-    /// One inbox melts under 1K+ beaconing endpoints; each beaconer picks
-    /// its shard by a stable hash of its own pid (see
-    /// [`HeartbeatConfig::monitor_for`]).
-    #[serde(default = "default_monitor_shards")]
-    pub monitor_shards: u32,
-}
-
-#[allow(dead_code)]
-fn default_monitor_shards() -> u32 {
-    1
 }
 
 impl HeartbeatConfig {
@@ -162,30 +151,11 @@ impl HeartbeatConfig {
     pub fn interval(&self) -> std::time::Duration {
         std::time::Duration::from_millis(self.interval_ms)
     }
-
-    /// The monitor shard pid a process beacons to: a stable hash of `pid`
-    /// over the shard count, so one beaconer always feeds the same inbox
-    /// (its inter-arrival statistics stay meaningful to the detector).
-    pub fn monitor_for(&self, pid: ProcessId) -> ProcessId {
-        let shards = self.monitor_shards.max(1);
-        if shards == 1 {
-            return self.monitor;
-        }
-        let shard = (pid_hash(pid) % u64::from(shards)) as u32;
-        ProcessId { role: self.monitor.role, index: self.monitor.index - shard }
-    }
-
-    /// Every monitor shard pid, in shard order (`monitor.index - s`).
-    pub fn monitor_pids(&self) -> Vec<ProcessId> {
-        (0..self.monitor_shards.max(1))
-            .map(|s| ProcessId { role: self.monitor.role, index: self.monitor.index - s })
-            .collect()
-    }
 }
 
 /// Stable 64-bit mix of a process id (splitmix64 finalizer over role+index).
-/// Shared by router sharding and monitor-shard selection so both spread
-/// deterministically and independently of `HashMap` seeding.
+/// Router sharding and the serve fleet's client-to-replica assignment use it
+/// to spread deterministically and independently of `HashMap` seeding.
 pub fn pid_hash(pid: ProcessId) -> u64 {
     let mut x = ((pid.role as u64) << 32) ^ u64::from(pid.index) ^ 0x9E37_79B9_7F4A_7C15;
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -204,8 +174,8 @@ pub struct CommConfig {
     /// the channel end to end; `Some(1)` means one message at a time, `None`
     /// restores unbounded buffers. Control-plane endpoints are always unbounded.
     pub endpoint_recv_bytes: Option<usize>,
-    /// Endpoint liveness beacons (off by default: heartbeats to an
-    /// unregistered monitor would tally as routing drops).
+    /// Liveness beacons (off by default: heartbeats to an unregistered
+    /// monitor would tally as routing drops).
     pub heartbeat: Option<HeartbeatConfig>,
     /// Parameter-broadcast encoding (defaults to full f32 blobs). Consumed by
     /// the learner/explorer workhorses, not the channel itself: the channel
@@ -254,16 +224,7 @@ impl CommConfig {
     /// Enables liveness beacons to `monitor` every `interval_ms` milliseconds
     /// (builder style).
     pub fn with_heartbeat(mut self, interval_ms: u64, monitor: ProcessId) -> Self {
-        self.heartbeat = Some(HeartbeatConfig { interval_ms, monitor, monitor_shards: 1 });
-        self
-    }
-
-    /// Spreads heartbeat fan-in over `shards` monitor endpoints (builder
-    /// style; no-op unless a heartbeat is configured).
-    pub fn with_monitor_shards(mut self, shards: u32) -> Self {
-        if let Some(hb) = &mut self.heartbeat {
-            hb.monitor_shards = shards.max(1);
-        }
+        self.heartbeat = Some(HeartbeatConfig { interval_ms, monitor });
         self
     }
 

@@ -6,6 +6,7 @@ use bytes::Bytes;
 use netsim::{Cluster, ClusterSpec};
 use std::time::{Duration, Instant};
 use xingtian_comm::{connect_brokers, Broker, CommConfig, Compression, Endpoint};
+use xingtian_message::codec::Decode;
 use xingtian_message::{CompressionKind, Header, Message, MessageKind, ProcessId};
 use xt_telemetry::Telemetry;
 
@@ -403,15 +404,16 @@ fn an_undecodable_body_is_a_counted_drop() {
 const BEAT: Duration = Duration::from_millis(15);
 
 /// Over at least 600 ms and until `done()` holds, the longest `monitor` went
-/// without a heartbeat from `pid` — window start to first beat, beat to beat,
-/// last beat to window end — and the number of beats.
+/// without a heartbeat listing `pid` — window start to first beat, beat to
+/// beat, last beat to window end — and the number of such beats.
 fn largest_beat_gap(monitor: &Endpoint, pid: ProcessId, done: impl Fn() -> bool) -> (Duration, usize) {
     while monitor.try_recv().is_some() {}
     let start = Instant::now();
     let (mut last, mut gap, mut beats) = (start, Duration::ZERO, 0);
     while start.elapsed() < Duration::from_millis(600) || !done() {
         let Some(m) = monitor.recv_timeout(Duration::from_millis(1)) else { continue };
-        if m.header.kind == MessageKind::Heartbeat && m.header.src == pid {
+        let listed = || Vec::<ProcessId>::from_bytes(&m.body).expect("a beat lists pids");
+        if m.header.kind == MessageKind::Heartbeat && listed().contains(&pid) {
             gap = gap.max(last.elapsed());
             last = Instant::now();
             beats += 1;
@@ -425,7 +427,7 @@ fn a_sender_parked_at_a_full_store_keeps_beating() {
     // The explorer's sender thread is parked in the store's capacity gate
     // behind a learner that is not receiving: it is live and back-pressured,
     // and its beats must keep coming, or the detector declares it down.
-    let monitor = ProcessId::broker(0);
+    let monitor = ProcessId::broker(u32::MAX);
     let config = CommConfig { endpoint_recv_bytes: Some(1), ..CommConfig::default() }
         .with_store_capacity(4096)
         .with_heartbeat(BEAT.as_millis() as u64, monitor);
@@ -472,7 +474,7 @@ fn a_sender_inside_a_compression_pass_keeps_beating() {
     const PASSES: usize = 3;
     let body = slow_to_compress(32 << 20);
     assert!(xingtian_message::should_compress(&body, xingtian_message::COMPRESSION_THRESHOLD));
-    let monitor = ProcessId::broker(0);
+    let monitor = ProcessId::broker(u32::MAX);
     let telemetry = Telemetry::with_capacity(1 << 8);
     let config = CommConfig::default().with_heartbeat(BEAT.as_millis() as u64, monitor);
     let broker = Broker::with_telemetry(0, Cluster::single(), config, telemetry.clone());

@@ -11,8 +11,8 @@
 //! toward the configured ceiling; once it clears below the low watermark the
 //! pool drains back to its base size. Explorers spawned this way are real
 //! supervised slots: they register in the assignment table before their
-//! first rollout resolves, beacon heartbeats like everyone else, and retire
-//! through the ordinary shutdown path.
+//! first rollout resolves, are watched by the failure detector before their
+//! broker first lists them, and retire through the ordinary shutdown path.
 //!
 //! Two standard control-loop guards keep the policy stable:
 //!

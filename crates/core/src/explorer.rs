@@ -151,7 +151,7 @@ impl ExplorerProcess {
 
             // Chaos hook: an armed probe panics here, mid-loop, exactly like
             // an organic crash would — the endpoint drops during unwind and
-            // heartbeats stop.
+            // its broker's heartbeats stop listing it.
             if let Some(probe) = &self.probe {
                 probe.pulse();
             }

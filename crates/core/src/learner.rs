@@ -195,6 +195,15 @@ impl LearnerProcess {
             lag_hist: telemetry.histogram("learner.policy_lag"),
             broadcaster: ParamBroadcaster::new(self.param_compression, &telemetry),
         };
+        // Above version 0 at start means restored from a checkpoint. The
+        // broadcast the dead incarnation owed may have died with it, and an
+        // on-policy explorer sends nothing until parameters newer than its
+        // last rollout's arrive: announce the restored ones before waiting.
+        if self.algorithm.version() > 0 {
+            let owned = self.table.owned(self.shard);
+            let dst = owned.iter().map(|&e| ProcessId::explorer(e)).collect();
+            run.broadcaster.encode(&self.algorithm.param_blob(), &owned).send(&self.endpoint, dst);
+        }
 
         let mut shutdown = false;
         while !shutdown {

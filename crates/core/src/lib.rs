@@ -35,7 +35,7 @@
 //!   builds brokers and processes, supervises them (heartbeat-driven failure
 //!   detection, respawn, checkpoint restore, injected faults) and joins them.
 //!   The plain entry points are this graph under
-//!   [`SupervisionConfig::unsupervised`]: zero budgets, no heartbeats.
+//!   [`SupervisionConfig::unsupervised`]: no heartbeats, hence zero budgets.
 //!
 //! # Examples
 //!

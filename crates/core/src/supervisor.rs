@@ -5,14 +5,15 @@
 //! built — the paper's launch sequence (§3.2.2: brokers, fabric, learner,
 //! explorers, controller, run until the controller broadcasts shutdown) —
 //! and it carries the fault-tolerance layer the paper attributes to the
-//! framework (§4.2): the calling thread owns every workhorse `JoinHandle`, a
-//! broker-level heartbeat stream feeds an [`xt_fault::FailureDetector`], and
-//! dead processes are respawned onto fresh endpoints whose routes propagate
-//! live through the broker fabric. What a given run gets of that is set by
-//! the values of its [`SupervisionConfig`], not by a second code path: a zero
-//! budget never respawns, a zero heartbeat period creates no beacons, monitor
-//! endpoints or detector ([`SupervisionConfig::unsupervised`], which is
-//! [`Deployment::run`]).
+//! framework (§4.2): the calling thread owns every workhorse `JoinHandle`,
+//! one heartbeat per broker per period — the pids of its live endpoints —
+//! reaches the [`MONITOR`] endpoint and feeds an [`xt_fault::FailureDetector`]
+//! that watches the learners and explorers, and dead processes are respawned
+//! onto fresh endpoints whose routes propagate live through the broker
+//! fabric. What a given run gets of that is set by its heartbeat period, not
+//! by a second code path: a zero period creates no beacons and no detector
+//! and leaves a zero budget, which never respawns
+//! ([`SupervisionConfig::unsupervised`], which is [`Deployment::run`]).
 //!
 //! Division of authority, deliberately split:
 //!
@@ -69,34 +70,35 @@ use xingtian_message::codec::Encode;
 use xingtian_message::{MessageKind, ProcessId, ProcessRole};
 use xt_fault::{DetectorConfig, FailureDetector, FaultPlan, LivenessTransition};
 
-/// The failure detector's inbox. Broker-role endpoints do not beacon, so the
-/// monitor watches everyone without watching itself; the index keeps it clear
-/// of real broker-facing ids.
+/// The supervisor's endpoint, registered on every run: the failure
+/// detector's inbox (each broker's beacon lists its live endpoints here) and
+/// the sender of every `Shutdown` the supervisor issues. Brokers never list
+/// a `Broker`-role endpoint, so the monitor never appears in a beat; the
+/// index keeps it clear of the brokers' own ids, which the beats carry as
+/// their `src`.
 pub const MONITOR: ProcessId = ProcessId { role: ProcessRole::Broker, index: u32::MAX };
 
-/// Supervision policy for [`Deployment::run_supervised`].
+/// How many times one explorer may be respawned, and one learner shard
+/// restored from checkpoint, in a supervised run (an unsupervised one: 0).
+const RECOVERY_BUDGET: u32 = 2;
+
+/// The tick of a run without beacons: as often as a default-period run's.
+const UNSUPERVISED_POLL_MS: u64 = 5;
+
+/// Supervision policy for [`Deployment::run_supervised`]. Everything else —
+/// detector tuning, poll period, respawn and restore budgets — follows from
+/// the heartbeat period.
 #[derive(Debug, Clone)]
 pub struct SupervisionConfig {
-    /// Heartbeat beacon period for every endpoint (milliseconds). Zero means
-    /// no beacons: no monitor endpoints are registered, no failure detector
-    /// runs, and a respawn waits only for proof of death.
+    /// Heartbeat beacon period (milliseconds). Nonzero: every broker beacons
+    /// its live endpoints to [`MONITOR`] at this period, a failure detector
+    /// tuned to it ([`DetectorConfig::for_interval_ms`]) watches the learners
+    /// and explorers, the supervisor ticks four times per period, and each
+    /// explorer may be respawned and each learner shard restored
+    /// [`RECOVERY_BUDGET`] times. Zero: no beacons and no detector, a 5 ms
+    /// tick, and no respawn or restore — a respawn would wait only for proof
+    /// of death, and there is no budget for one.
     pub heartbeat_interval_ms: u64,
-    /// Failure-detector tuning. Defaults match `heartbeat_interval_ms`.
-    pub detector: DetectorConfig,
-    /// How many times one explorer may be respawned before the deployment
-    /// degrades to running without it.
-    pub max_respawns_per_explorer: u32,
-    /// How many times the learner may be restored from checkpoint.
-    pub max_learner_restores: u32,
-    /// Supervisor poll period (milliseconds): heartbeat drain, detector
-    /// sweep, and join-handle reaping happen once per tick (the controller
-    /// ending the run is noticed at once, not at a tick).
-    pub poll_interval_ms: u64,
-    /// Monitor heartbeat-sink shards. Every beacon hashes onto one of this
-    /// many monitor endpoints (stable per sender, so inter-arrival stays
-    /// meaningful), letting the heartbeat fan-in scale past one inbox at
-    /// 1K+ explorers.
-    pub monitor_shards: u32,
     /// Elastic explorer-pool policy (`None` = the pool stays at the
     /// configured size).
     pub elastic: Option<ElasticConfig>,
@@ -109,18 +111,9 @@ impl Default for SupervisionConfig {
 }
 
 impl SupervisionConfig {
-    /// A policy built around a heartbeat period, with the detector timeout
-    /// derived from it.
+    /// A supervised policy beaconing every `interval_ms`.
     pub fn with_heartbeat_interval_ms(interval_ms: u64) -> Self {
-        SupervisionConfig {
-            heartbeat_interval_ms: interval_ms,
-            detector: DetectorConfig::for_interval_ms(interval_ms),
-            max_respawns_per_explorer: 2,
-            max_learner_restores: 2,
-            poll_interval_ms: (interval_ms / 4).max(1),
-            monitor_shards: 1,
-            elastic: None,
-        }
+        SupervisionConfig { heartbeat_interval_ms: interval_ms, elastic: None }
     }
 
     /// The policy with nothing to supervise — what [`Deployment::run`] runs
@@ -128,18 +121,7 @@ impl SupervisionConfig {
     /// explorer death degrades the run ([`RecoveryReport::degraded_explorers`])
     /// and a learner death ends it, reported within a poll period.
     pub fn unsupervised() -> Self {
-        SupervisionConfig {
-            heartbeat_interval_ms: 0,
-            max_respawns_per_explorer: 0,
-            max_learner_restores: 0,
-            ..SupervisionConfig::default()
-        }
-    }
-
-    /// Shards the monitor heartbeat sink (builder style; clamped to ≥ 1).
-    pub fn with_monitor_shards(mut self, shards: u32) -> Self {
-        self.monitor_shards = shards.max(1);
-        self
+        SupervisionConfig::with_heartbeat_interval_ms(0)
     }
 
     /// Enables the elastic explorer pool (builder style).
@@ -335,12 +317,11 @@ impl Deployment {
 
         let cluster = Cluster::new(config.cluster.clone());
         // A zero beacon period is the field's degenerate value: no beacons,
-        // hence no monitor to address them to and no detector to feed.
+        // hence no detector to feed.
+        let interval_ms = supervision.heartbeat_interval_ms;
         let mut comm = config.comm.clone();
-        if supervision.heartbeat_interval_ms > 0 {
-            comm = comm
-                .with_heartbeat(supervision.heartbeat_interval_ms, MONITOR)
-                .with_monitor_shards(supervision.monitor_shards);
+        if interval_ms > 0 {
+            comm = comm.with_heartbeat(interval_ms, MONITOR);
         }
         let brokers: Vec<Broker> = (0..cluster.len())
             .map(|m| Broker::with_telemetry(m, cluster.clone(), comm.clone(), telemetry.clone()))
@@ -362,27 +343,21 @@ impl Deployment {
 
         // Every endpoint a process can address is registered before that
         // process is spawned, or its first message is an unknown-destination
-        // drop. Monitor shards come first of all: the broker's beacon beats
-        // for every endpoint it finds registered, within one interval of its
-        // creation (beacons hash onto shards per sender pid). Then the
-        // controller (every process reports stats to it), the replay
-        // service, the learner shards (which greet their peers at startup),
-        // and the explorers. Threads start in the
-        // paper's order — (replay service,) learners, explorers, controller —
-        // and only the replay service, which speaks when spoken to, starts
-        // before the registrations are complete.
+        // drop. The monitor comes first of all: a broker beacons as soon as
+        // it has a live endpoint to list, within one interval of its
+        // registration. Then the controller (every process reports stats to
+        // it), the replay service, the learner shards (which greet their
+        // peers at startup), and the explorers. Threads start in the paper's
+        // order — (replay service,) learners, explorers, controller — and
+        // only the replay service, which speaks when spoken to, starts before
+        // the registrations are complete.
         let start = Instant::now();
-        let monitor_eps: Vec<Endpoint> = comm
-            .heartbeat
-            .iter()
-            .flat_map(|hb| hb.monitor_pids())
-            .map(|pid| learner_broker.endpoint(pid))
-            .collect();
+        let monitor = learner_broker.endpoint(MONITOR);
         let controller_ep = learner_broker.endpoint(ProcessId::controller(0));
         // Store-resident replay: the shard service lives beside the learner's
         // broker and outlives learner incarnations — experience survives a
-        // learner crash. Its endpoint beacons like every other, so a detector
-        // auto-registers it on the first heartbeat.
+        // learner crash. Beacons list its endpoint like every other, but the
+        // detector does not watch it: there is no respawning it.
         let plane = build_replay_plane(&config, obs_dim, &telemetry);
         let replay_service = match &plane {
             Some(plane) => {
@@ -403,11 +378,14 @@ impl Deployment {
             .collect();
         plan.install(&cluster, &brokers);
 
-        // The detector exists exactly when something beacons to it. Without
-        // one there is nothing to drain, sweep, or forget, and proof of death
-        // (a join that returned `Err`) is all a respawn waits for.
-        let detector = (!monitor_eps.is_empty())
-            .then(|| FailureDetector::new(supervision.detector, telemetry.clone()));
+        // The detector exists exactly when something beacons to it, and
+        // watches what the supervisor can respawn: the learner shards and the
+        // explorers. Without one there is nothing to drain, sweep, or forget,
+        // and proof of death (a join that returned `Err`) is all a respawn
+        // waits for.
+        let detector = (interval_ms > 0).then(|| {
+            FailureDetector::new(DetectorConfig::for_interval_ms(interval_ms), telemetry.clone())
+        });
         if let Some(detector) = &detector {
             detector.watch_many(
                 (0..shards)
@@ -415,12 +393,10 @@ impl Deployment {
                     .chain((0..num_explorers).map(ProcessId::explorer)),
             );
         }
-        let drain_monitors = || {
+        let drain_monitor = || {
             let Some(detector) = &detector else { return };
-            for ep in &monitor_eps {
-                while let Some(msg) = ep.try_recv() {
-                    detector.observe_message(&msg.header);
-                }
+            while let Some(msg) = monitor.try_recv() {
+                detector.observe_message(&msg);
             }
         };
         let forget = |pid: ProcessId| {
@@ -431,15 +407,10 @@ impl Deployment {
         let death_published = |pid: ProcessId| {
             detector.as_ref().is_none_or(|d| d.liveness(pid) == Some(xt_fault::Liveness::Down))
         };
-        // The supervisor's own voice on the channel: monitor shard 0 when it
-        // exists, otherwise an endpoint registered for the one send (closing
-        // it flushes the send buffer).
+        // The supervisor's own voice on the channel.
         let send_shutdown = |dst: Vec<ProcessId>| {
             let body = Bytes::from(ControlCommand::Shutdown.to_bytes());
-            match monitor_eps.first() {
-                Some(ep) => ep.send_to(dst, MessageKind::Control, body),
-                None => learner_broker.endpoint(MONITOR).send_to(dst, MessageKind::Control, body),
-            };
+            monitor.send_to(dst, MessageKind::Control, body);
         };
         // Rollouts follow the live assignment table when learners are
         // sharded: the destination is resolved per batch, so elastic growth
@@ -601,23 +572,21 @@ impl Deployment {
         let mut elastic_spawns = 0u32;
         let mut elastic_retires = 0u32;
         let mut peak_explorer_pool = num_explorers;
-        // Retired explorers keep beaconing until their targeted shutdown
-        // lands, and `observe` auto-registers unknown pids — so a retiree's
-        // trailing beats would re-enter the detector after the reap's
-        // `forget` and later sweep to a spurious Down. Re-forgetting every
-        // tick keeps them out for good.
-        let mut retired_pids: Vec<ProcessId> = Vec::new();
 
         // ---- Supervision loop -------------------------------------------
-        let poll = Duration::from_millis(supervision.poll_interval_ms.max(1));
+        // Heartbeat drain, detector sweep and join-handle reaping happen once
+        // per tick (the controller ending the run is noticed at once, not at
+        // a tick); `budget` is the respawns per explorer and the restores per
+        // learner shard.
+        let (poll_ms, budget) = match interval_ms {
+            0 => (UNSUPERVISED_POLL_MS, 0),
+            interval => ((interval / 4).max(1), RECOVERY_BUDGET),
+        };
+        let poll = Duration::from_millis(poll_ms);
         'supervise: loop {
-            // 1. Feed the detector: drain every monitor shard, sweep for
-            // silence.
-            drain_monitors();
+            // 1. Feed the detector: drain the monitor, sweep for silence.
+            drain_monitor();
             if let Some(detector) = &detector {
-                for &pid in &retired_pids {
-                    detector.forget(pid);
-                }
                 detector.sweep();
             }
 
@@ -628,7 +597,6 @@ impl Deployment {
             for (i, slot) in slots.iter_mut().enumerate() {
                 let i_u32 = i as u32;
                 let pid = ProcessId::explorer(i_u32);
-                let budget = supervision.max_respawns_per_explorer;
                 match slot.reap(budget, |_| false, || death_published(pid)) {
                     Reap::Unchanged => {}
                     // Normal exit (shutdown reached it).
@@ -664,7 +632,6 @@ impl Deployment {
             for (s, slot) in learner_slots.iter_mut().enumerate() {
                 let s_u32 = s as u32;
                 let pid = ProcessId::learner(s_u32);
-                let budget = supervision.max_learner_restores;
                 match slot.reap(budget, |_| false, || death_published(pid)) {
                     Reap::Unchanged => continue,
                     Reap::Left => {
@@ -751,8 +718,10 @@ impl Deployment {
                     }
                     ElasticDecision::Shrink(n) => {
                         // Retire the highest-index live elastic explorers
-                        // with a targeted shutdown; the ordinary reap path
-                        // joins them and forgets their pids.
+                        // with a targeted shutdown, unwatched from now on:
+                        // the beats their brokers list until the shutdown
+                        // lands are ignored, and the ordinary reap path
+                        // joins them.
                         let mut remaining = n;
                         for i in (num_explorers as usize..slots.len()).rev() {
                             if remaining == 0 {
@@ -765,7 +734,7 @@ impl Deployment {
                             slot.retired = true;
                             elastic_retires += 1;
                             remaining -= 1;
-                            retired_pids.push(ProcessId::explorer(i as u32));
+                            forget(ProcessId::explorer(i as u32));
                             send_shutdown(vec![ProcessId::explorer(i as u32)]);
                         }
                     }
@@ -791,7 +760,6 @@ impl Deployment {
         if controller_died {
             fatal.get_or_insert(DeployError::new("controller thread panicked"));
         }
-        forget(ProcessId::controller(0));
 
         // A process spawned *after* the controller broadcast shutdown never
         // saw the command — and elastic explorers have indices beyond the
@@ -831,9 +799,7 @@ impl Deployment {
         let replay = match replay_service {
             Some((stop, handle)) => {
                 stop.store(true, Ordering::Release);
-                let joined = handle.join();
-                forget(ProcessId::replay(0));
-                match joined {
+                match handle.join() {
                     Ok(outcome) => {
                         let integrity =
                             plane.as_ref().expect("replay service implies a plane").integrity();
@@ -859,21 +825,16 @@ impl Deployment {
         // they are declared a leak.
         let drain_deadline = Instant::now() + Duration::from_secs(2);
         let leaked_objects = loop {
-            drain_monitors();
+            drain_monitor();
             let remaining: usize = brokers.iter().map(|b| b.store().len()).sum();
             if remaining == 0 || Instant::now() >= drain_deadline {
                 break remaining;
             }
             std::thread::sleep(Duration::from_millis(2));
         };
-        for &pid in &retired_pids {
-            forget(pid);
-        }
         let down_at_exit = detector.as_ref().map_or_else(Vec::new, FailureDetector::down);
         let transitions = detector.as_ref().map_or_else(Vec::new, FailureDetector::transitions);
-        for ep in &monitor_eps {
-            ep.close();
-        }
+        monitor.close();
         for b in &brokers {
             b.shutdown();
         }

@@ -158,6 +158,60 @@ fn learner_restored_from_checkpoint_after_kill() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// On-policy learner recovery: a PPO or A2C explorer blocks after every
+/// rollout until parameters newer than that rollout's arrive, and the
+/// learner killed after its fifth session took that session's broadcast
+/// with it. The restored learner announces its checkpointed parameters
+/// before it waits for rollouts, so the explorers resume and the run ends at
+/// its goal, not at its deadline.
+#[test]
+fn on_policy_learner_restored_from_checkpoint_reaches_the_goal() {
+    const GOAL: u64 = 4_000;
+    const DEADLINE: f64 = 20.0;
+    for (name, algorithm) in [("ppo", AlgorithmSpec::ppo()), ("a2c", AlgorithmSpec::a2c())] {
+        let dir = tmpdir(&format!("on-policy-restore-{name}"));
+        let config = DeploymentConfig::cartpole(algorithm, 2)
+            .with_rollout_len(25)
+            .with_goal_steps(GOAL)
+            .with_max_seconds(DEADLINE)
+            .with_seed(17)
+            .with_checkpoint(CheckpointConfig::new(&dir, 1));
+        let plan =
+            FaultPlan::seeded(17).with_kill(ProcessId::learner(0), KillTrigger::AfterSteps(5));
+
+        let (report, recovery) = Deployment::run_supervised(
+            config,
+            SupervisionConfig::with_heartbeat_interval_ms(15),
+            plan,
+            xt_telemetry::Telemetry::with_capacity(1 << 14),
+        )
+        .expect("supervised run completes");
+
+        assert_eq!(recovery.learner_restores, 1, "{name}");
+        assert_eq!(recovery.restored_param_version, Some(5), "{name}: the session-5 checkpoint");
+        assert!(
+            down_then_up(&recovery.transitions, ProcessId::learner(0)),
+            "{name}: learner must be seen down then up: {:?}",
+            recovery.transitions
+        );
+        // The killed incarnation's five sessions (2 explorers × 25 steps
+        // each) died with its thread; the restored one trained the rest.
+        assert!(
+            report.steps_consumed >= GOAL - 5 * 2 * 25,
+            "{name}: the restored learner consumed {} steps",
+            report.steps_consumed
+        );
+        assert!(
+            report.wall_time.as_secs_f64() < DEADLINE / 2.0,
+            "{name}: the run took {:?} of its {DEADLINE} s deadline",
+            report.wall_time
+        );
+        assert!(recovery.down_at_exit.is_empty(), "{name}: down at exit: {:?}", recovery.down_at_exit);
+        assert_eq!(recovery.leaked_objects, 0, "{name}: object store leak");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// A supervised run with an empty fault plan behaves exactly like a plain
 /// run: no respawns, no liveness transitions, no leaks.
 #[test]

@@ -43,7 +43,6 @@ fn pool_grows_under_store_backpressure_and_drains_after() {
         // set stays under the low watermark.
         .with_store_capacity(16 * 1024);
     let supervision = SupervisionConfig::with_heartbeat_interval_ms(15)
-        .with_monitor_shards(2) // exercise the sharded heartbeat sink end to end
         .with_elastic(ElasticConfig {
             high_watermark: 0.25,
             low_watermark: 0.10,

@@ -1,9 +1,10 @@
 //! Heartbeat-fed failure detection.
 //!
-//! Every endpoint of a broker configured with
-//! `xingtian_comm::HeartbeatConfig` beacons
-//! [`MessageKind::Heartbeat`] messages to a monitor endpoint; the supervisor
-//! drains that endpoint into a [`FailureDetector`]. The detector is a
+//! Every broker configured with `xingtian_comm::HeartbeatConfig` sends a
+//! monitor endpoint one [`MessageKind::Heartbeat`] per interval listing its
+//! live endpoints; the supervisor drains that endpoint into a
+//! [`FailureDetector`], which watches only the pids it is told to watch and
+//! counts a listing as one beat from each of them. The detector is a
 //! timeout/accrual hybrid: it tracks an exponentially-weighted moving average
 //! of each process's heartbeat inter-arrival time and declares the process
 //! down once its silence exceeds `max(base_timeout, accrual_factor × EWMA)` —
@@ -30,7 +31,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-use xingtian_message::{Header, MessageKind, ProcessId};
+use xingtian_message::codec::Decode;
+use xingtian_message::{Message, MessageKind, ProcessId};
 use xt_telemetry::{EventKind, Telemetry};
 
 /// Tuning of the accrual failure detector.
@@ -183,13 +185,12 @@ impl FailureDetector {
     /// slow-starting process is not declared down before its first beat is
     /// even due. Idempotent.
     pub fn watch(&self, pid: ProcessId) {
-        self.watched.lock().entry(pid).or_insert_with(|| Watched::since(Instant::now()));
+        self.watch_many([pid]);
     }
 
-    /// Starts watching every pid in `pids` under one lock acquisition — the
-    /// bulk path for deployments registering 1K+ explorers at launch, where
-    /// per-pid locking would contend with the monitor drain already feeding
-    /// `observe`. Idempotent per pid, like [`FailureDetector::watch`].
+    /// Starts watching every pid in `pids` under one lock acquisition, each
+    /// as [`FailureDetector::watch`] does — the bulk path for 1K+ explorers
+    /// at launch. Idempotent per pid.
     pub fn watch_many(&self, pids: impl IntoIterator<Item = ProcessId>) {
         let mut watched = self.watched.lock();
         let now = Instant::now();
@@ -199,36 +200,38 @@ impl FailureDetector {
     }
 
     /// Stops watching `pid` (deliberate teardown must not read as failure).
+    /// Later beats listing it are ignored until it is watched again.
     pub fn forget(&self, pid: ProcessId) {
         self.watched.lock().remove(&pid);
     }
 
-    /// Feeds one heartbeat arrival from `pid`. A beat from a down process
-    /// flips it back to [`Liveness::Alive`] and publishes a
-    /// [`EventKind::ProcessUp`] event — that is how recovery (respawn or
-    /// partition heal) becomes visible.
-    pub fn observe(&self, pid: ProcessId) {
+    /// Feeds one heartbeat arrival from each watched pid in `pids`, under one
+    /// lock; a pid not watched is ignored. A beat from a down process flips
+    /// it back to [`Liveness::Alive`] and publishes a [`EventKind::ProcessUp`]
+    /// event — that is how recovery (respawn or partition heal) becomes
+    /// visible.
+    pub fn observe(&self, pids: &[ProcessId]) {
         let mut watched = self.watched.lock();
         let now = Instant::now();
-        let entry = watched.entry(pid).or_insert_with(|| Watched::since(now));
-        entry.beats.arrive(now, &self.config);
-        if entry.down {
-            entry.down = false;
-            drop(watched);
-            self.publish(pid, Liveness::Alive);
+        for &pid in pids {
+            let Some(entry) = watched.get_mut(&pid) else { continue };
+            entry.beats.arrive(now, &self.config);
+            if std::mem::take(&mut entry.down) {
+                self.publish(pid, Liveness::Alive);
+            }
         }
     }
 
-    /// Feeds one message received by the monitor endpoint; heartbeats are
-    /// observed, everything else ignored. Returns `true` if it was a
-    /// heartbeat.
-    pub fn observe_message(&self, header: &Header) -> bool {
-        if header.kind == MessageKind::Heartbeat {
-            self.observe(header.src);
-            true
-        } else {
-            false
+    /// Feeds one message received by the monitor endpoint: a heartbeat whose
+    /// body decodes to a pid list is observed, anything else ignored. Returns
+    /// `true` if it was observed.
+    pub fn observe_message(&self, msg: &Message) -> bool {
+        if msg.header.kind != MessageKind::Heartbeat {
+            return false;
         }
+        let Ok(pids) = Vec::<ProcessId>::from_bytes(&msg.body) else { return false };
+        self.observe(&pids);
+        true
     }
 
     /// Checks every watched process's silence against its adaptive timeout,
@@ -265,8 +268,8 @@ impl FailureDetector {
         };
         self.telemetry.counter(stem).inc();
         // Role-tagged twin beside the aggregate: learner-shard liveness
-        // transitions are distinguishable from explorer ones (heartbeats of
-        // both fan into the same MONITOR endpoint).
+        // transitions are distinguishable from explorer ones (both are
+        // listed in the same beacons).
         self.telemetry.counter(&format!("{stem}.{}", pid.role)).inc();
         self.transitions.lock().push(LivenessTransition {
             pid,
@@ -306,6 +309,7 @@ impl FailureDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xingtian_message::Header;
 
     fn fast_config() -> DetectorConfig {
         DetectorConfig { base_timeout_ms: 40, accrual_factor: 4.0, ewma_alpha: 0.3 }
@@ -343,7 +347,7 @@ mod tests {
         d.watch(pid);
         std::thread::sleep(Duration::from_millis(80));
         assert_eq!(d.sweep(), vec![pid]);
-        d.observe(pid);
+        d.observe(&[pid]);
         assert_eq!(d.liveness(pid), Some(Liveness::Alive));
         assert_eq!(telemetry.counter("fault.process_up").get(), 1);
         assert_eq!(telemetry.counter("fault.process_up.explorer").get(), 1);
@@ -364,7 +368,7 @@ mod tests {
         d.watch(pid);
         for _ in 0..4 {
             std::thread::sleep(Duration::from_millis(30));
-            d.observe(pid);
+            d.observe(&[pid]);
             assert!(d.sweep().is_empty(), "regular (if slow) beacons stay alive");
         }
         std::thread::sleep(Duration::from_millis(60));
@@ -390,25 +394,48 @@ mod tests {
         assert!(a.expired(t0 + ms(1_490), &config));
     }
 
+    fn beacon(pids: Vec<ProcessId>) -> Message {
+        use xingtian_message::codec::Encode;
+        let header = Header::new(ProcessId::broker(0), vec![ProcessId::broker(9)], MessageKind::Heartbeat);
+        Message::new(header, pids.to_bytes().into())
+    }
+
     #[test]
-    fn observe_message_filters_heartbeats() {
+    fn observe_message_reads_the_listed_pids_of_heartbeats_only() {
         let d = FailureDetector::new(fast_config(), Telemetry::disabled());
-        let beat = Header::new(
-            ProcessId::explorer(1),
-            vec![ProcessId::broker(0)],
-            MessageKind::Heartbeat,
-        );
+        d.watch_many([ProcessId::explorer(1), ProcessId::learner(0)]);
+        assert!(d.observe_message(&beacon(vec![ProcessId::explorer(1), ProcessId::learner(0)])));
         let rollout =
             Header::new(ProcessId::explorer(1), vec![ProcessId::learner(0)], MessageKind::Rollout);
-        assert!(d.observe_message(&beat));
-        assert!(!d.observe_message(&rollout));
+        assert!(!d.observe_message(&Message::new(rollout, beacon(Vec::new()).body)));
+        // One explorer listed, but its index cut short.
+        let torn = Message::new(beacon(Vec::new()).header, vec![1u8, 0, 1].into());
+        assert!(!d.observe_message(&torn), "a malformed body is not a beat");
         assert_eq!(d.beats(ProcessId::explorer(1)), 1);
+        assert_eq!(d.beats(ProcessId::learner(0)), 1);
+        assert_eq!(d.beats(ProcessId::broker(0)), 0, "the beating broker is not a watched pid");
+    }
+
+    #[test]
+    fn only_watched_pids_are_observed_and_a_forgotten_one_stays_forgotten() {
+        let d = FailureDetector::new(fast_config(), Telemetry::disabled());
+        let (watched, stranger) = (ProcessId::explorer(0), ProcessId::replay(0));
+        d.watch(watched);
+        d.observe(&[watched, stranger]);
+        assert_eq!(d.liveness(stranger), None, "a beat never registers a pid");
+        d.forget(watched);
+        d.observe(&[watched]);
+        assert_eq!(d.liveness(watched), None, "a forgotten pid's trailing beats are ignored");
+        std::thread::sleep(Duration::from_millis(80));
+        assert!(d.sweep().is_empty());
+        assert!(d.down().is_empty());
     }
 
     #[test]
     fn watch_many_registers_in_bulk() {
         let d = FailureDetector::new(fast_config(), Telemetry::disabled());
-        d.observe(ProcessId::explorer(0)); // pre-existing entry survives the bulk add
+        d.watch(ProcessId::explorer(0));
+        d.observe(&[ProcessId::explorer(0)]); // pre-existing entry survives the bulk add
         d.watch_many((0..1024).map(ProcessId::explorer));
         assert_eq!(d.beats(ProcessId::explorer(0)), 1, "watch_many is idempotent");
         assert_eq!(d.liveness(ProcessId::explorer(1023)), Some(Liveness::Alive));

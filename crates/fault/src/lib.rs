@@ -15,10 +15,11 @@
 //!   produces the same chaos, so chaos runs are reproducible and their
 //!   regressions bisectable.
 //! * **Detection** ([`detect`]) — a heartbeat-fed accrual failure detector.
-//!   Endpoints beacon [`xingtian_message::MessageKind::Heartbeat`] messages to
-//!   a monitor endpoint (see `xingtian_comm::HeartbeatConfig`); the detector
-//!   tracks per-process inter-arrival times and declares a process down when
-//!   its silence exceeds an adaptive timeout, publishing
+//!   Each broker sends a monitor endpoint one
+//!   [`xingtian_message::MessageKind::Heartbeat`] per interval listing its live
+//!   endpoints (see `xingtian_comm::HeartbeatConfig`); the detector tracks
+//!   the inter-arrival times of the pids it watches and declares one down
+//!   when its silence exceeds an adaptive timeout, publishing
 //!   [`xt_telemetry::EventKind::ProcessDown`]/[`ProcessUp`] events and
 //!   counters. Its timeout rule, [`Accrual`], is also what tells an IMPALA
 //!   explorer that the answers it waits for were lost.

@@ -55,7 +55,8 @@ pub struct RouteRule {
     /// explicitly, or every drop rule would double as a false-positive
     /// generator for the failure detector).
     pub kind: Option<MessageKind>,
-    /// Match only messages from processes of this role.
+    /// Match only messages from processes of this role. A heartbeat's
+    /// source is its broker (`ProcessRole::Broker`), whatever it lists.
     pub src_role: Option<ProcessRole>,
     /// Match only deliveries to processes of this role.
     pub dst_role: Option<ProcessRole>,
@@ -360,12 +361,16 @@ mod tests {
     fn unqualified_rules_spare_heartbeats() {
         let rule = RouteRule::any().dropping(1.0);
         assert!(rule.matches(MessageKind::Rollout, ProcessId::explorer(0), ProcessId::learner(0)));
+        // A heartbeat goes from a broker to the monitor, a Broker-role pid.
+        let (src, monitor) = (ProcessId::broker(0), ProcessId::broker(u32::MAX));
         assert!(
-            !rule.matches(MessageKind::Heartbeat, ProcessId::explorer(0), ProcessId::broker(0)),
+            !rule.matches(MessageKind::Heartbeat, src, monitor),
             "catch-all rules must not forge liveness failures"
         );
         let explicit = RouteRule::any().on_kind(MessageKind::Heartbeat).dropping(1.0);
-        assert!(explicit.matches(MessageKind::Heartbeat, ProcessId::explorer(0), ProcessId::broker(0)));
+        assert!(explicit.matches(MessageKind::Heartbeat, src, monitor));
+        let from_explorers = explicit.from_role(ProcessRole::Explorer);
+        assert!(!from_explorers.matches(MessageKind::Heartbeat, src, monitor));
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! step, the learner once per training session, and when the armed trigger
 //! matches, the probe panics — from the deployment's point of view this is
 //! indistinguishable from an organic crash (the thread unwinds, its endpoint
-//! drops and deregisters, heartbeats stop), which is exactly what the
-//! supervisor must be able to recover from. Unarmed probes are a relaxed
-//! atomic increment, cheap enough to leave in production loops.
+//! drops and deregisters, its broker's heartbeats stop listing it), which is
+//! exactly what the supervisor must be able to recover from. Unarmed probes
+//! are a relaxed atomic increment, cheap enough to leave in production loops.
 
 use crate::plan::KillTrigger;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

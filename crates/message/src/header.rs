@@ -7,6 +7,7 @@
 //! vector (a rollout goes to the single learner; a parameter broadcast fans out
 //! to many explorers).
 
+use crate::codec::{varint_len, write_varint, Decode, DecodeError, Encode, Reader};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,6 +96,39 @@ impl fmt::Display for ProcessId {
     }
 }
 
+/// Every role in declaration order; a role's wire tag is its position here.
+const ROLES: [ProcessRole; 6] = {
+    use ProcessRole::*;
+    [Explorer, Learner, Controller, Broker, Replay, Server]
+};
+
+/// A pid list, the body of a liveness beacon: a varint count, then per pid
+/// its role tag (one byte) and its index (`u32` LE).
+impl Encode for Vec<ProcessId> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        write_varint(out, self.len() as u64);
+        for pid in self {
+            out.push(pid.role as u8);
+            out.extend_from_slice(&pid.index.to_le_bytes());
+        }
+    }
+    fn encoded_size(&self) -> usize {
+        varint_len(self.len() as u64) + self.len() * 5
+    }
+}
+
+impl Decode for Vec<ProcessId> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        (0..r.length()?)
+            .map(|_| {
+                let tag = r.u8()?;
+                let role = *ROLES.get(usize::from(tag)).ok_or(DecodeError::InvalidTag(tag))?;
+                Ok(ProcessId { role, index: u32::decode(r)? })
+            })
+            .collect()
+    }
+}
+
 /// What a message carries. The router does not inspect bodies; the kind lets
 /// endpoints dispatch without deserializing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -109,9 +143,10 @@ pub enum MessageKind {
     Control,
     /// Benchmark payload used by the dummy DRL algorithm (§5.1).
     Dummy,
-    /// Periodic liveness beacon, sent for each endpoint by its broker's
-    /// beacon thread, to the deployment's failure detector. Tiny and control-plane prioritized:
-    /// a backpressured data plane must never delay liveness evidence.
+    /// Periodic liveness beacon from a broker (`src`) to the deployment's
+    /// failure detector; its body is the `Vec<ProcessId>` of the broker's
+    /// live endpoints. Control-plane prioritized: a backpressured data plane
+    /// must never delay liveness evidence.
     Heartbeat,
     /// A replay shard telling the learner that new transitions were ingested,
     /// so its event-driven training loop wakes without polling. Carries only
@@ -153,7 +188,7 @@ impl MessageKind {
             // be shut down. Tiny, and paced by the controller.
             MessageKind::Control | MessageKind::Stats => true,
             // A backpressured data plane must never delay liveness evidence.
-            // Empty bodies, one per endpoint per interval.
+            // One pid list per machine per interval.
             MessageKind::Heartbeat => true,
             // The learner's wake-up from a replay shard; carries a count.
             MessageKind::ReplayNotice => true,
@@ -426,6 +461,32 @@ mod tests {
     fn process_id_display_is_stable() {
         assert_eq!(ProcessId::explorer(3).to_string(), "explorer-3");
         assert_eq!(ProcessId::learner(0).to_string(), "learner-0");
+    }
+
+    #[test]
+    fn pid_lists_round_trip_and_every_truncation_is_an_error() {
+        use crate::codec::{Decode, Encode};
+        // 200 pids: a two-byte count, every role, indices up to u32::MAX.
+        let pids: Vec<ProcessId> = (0..200u32)
+            .map(|i| ProcessId { role: ROLES[i as usize % ROLES.len()], index: i.wrapping_mul(0x0101_0101) })
+            .chain([ProcessId::server(u32::MAX)])
+            .collect();
+        let body = pids.to_bytes();
+        assert_eq!(body.len(), pids.encoded_size());
+        assert_eq!(Vec::<ProcessId>::from_bytes(&body), Ok(pids));
+        for cut in 0..body.len() {
+            assert!(Vec::<ProcessId>::from_bytes(&body[..cut]).is_err(), "cut at {cut}");
+        }
+        assert_eq!(Vec::<ProcessId>::from_bytes(&[0]), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn an_unknown_role_tag_is_a_typed_error() {
+        use crate::codec::{Decode, DecodeError};
+        for tag in ROLES.len() as u8..=u8::MAX {
+            let body = [1, tag, 0, 0, 0, 0];
+            assert_eq!(Vec::<ProcessId>::from_bytes(&body), Err(DecodeError::InvalidTag(tag)));
+        }
     }
 
     #[test]

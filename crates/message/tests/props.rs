@@ -26,6 +26,12 @@ proptest! {
     }
 
     #[test]
+    fn pid_list_decode_never_panics_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..512)) {
+        // A beacon body off the wire: a list or an error, never a panic.
+        let _ = Vec::<xingtian_message::ProcessId>::from_bytes(&data);
+    }
+
+    #[test]
     fn lz4_decompress_never_panics_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..512)) {
         // Malformed input must produce an error or some output, never a panic.
         let _ = lz4::decompress(&data);
