@@ -134,16 +134,26 @@ cargo test --release -q -p xingtian --test chaos chaos_smoke_kill_one_explorer_v
 cargo test --release -q -p xingtian --test chaos kill_and_partition_two_machine_deployment
 cargo test --release -q -p xingtian --test chaos on_policy_learner_restored_from_checkpoint_reaches_the_goal
 
-echo "== flow control: IMPALA explorers wait on the learner's answers =="
-# Window tests, against a learner the test scripts by hand: four rollouts go
-# out unanswered and the fifth is held; each answer releases exactly one,
-# a stale version included; a silent learner is forgiven once, no sooner
-# than the failure detector's 500 ms floor, which reopens the whole window;
-# a shutdown reaches an explorer that is waiting for answers.
-cargo test --release -q -p xingtian --test process_loops answered_explorer
+echo "== flow control: every algorithm's explorers wait on the answers to their rollouts =="
+# Window table, against a learner the test scripts by hand, at window 1
+# (on-policy) and window 4 (off-policy): the window's rollouts go out and the
+# next is held; Parameters alone release nothing; each answer releases
+# exactly one; a silent learner is forgiven once, no sooner than the failure
+# detector's 500 ms floor, which reopens the whole window; a shutdown reaches
+# a waiting explorer. Quiet loop: IMPALA, PPO, A2C, REINFORCE and DQN on both
+# replay placements, supervised and fault-free, forgive no answer, drop
+# nothing and leak nothing.
+cargo test --release -q -p xingtian --test process_loops explorer_window
+cargo test --release -q -p xingtian --test chaos supervised_run_without_faults_is_quiet
 # Surplus test: four unpaced CartPole explorers outrunning one learner may
-# generate at most 4 x (4 + 1) x 25 steps beyond the 20 000-step goal.
+# generate at most 4 x 4 x 25 steps beyond the 20 000-step goal.
 cargo test --release -q --test e2e_training impala_explorers_generate_no_more_than_the_learner_consumes
+# PPO on two router shards decodes every rollout at policy lag 0: the
+# broadcast reaches an explorer ahead of the answer that releases it.
+# Store-resident DQN under 32 explorers, whose answers keep the learner's
+# inbox busy, still trains to its goal.
+cargo test --release -q --test e2e_training on_policy_rollouts_are_fresh_on_a_sharded_router
+cargo test --release -q --test e2e_training store_resident_replay_trains_under_32_explorers
 
 echo "== graph smoke: the one process graph and the one learner loop, both disciplines =="
 # Deployment::run and Deployment::run_supervised are one graph (run is the

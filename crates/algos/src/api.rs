@@ -11,20 +11,19 @@
 
 use crate::payload::{ParamBlob, RolloutBatch};
 
-/// How the learner and explorers synchronize.
+/// How the learner and explorers synchronize: how many rollouts an explorer
+/// may have unanswered. A rollout is answered when the process that took it
+/// hands it back for recycling ([`Algorithm::take_spent`]), so the mode
+/// chooses only the window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncMode {
-    /// On-policy: explorers must wait for fresh parameters after each batch
-    /// (PPO).
+    /// On-policy (PPO, A2C): one rollout at a time. The session that
+    /// consumes it broadcasts its parameters before the rollout is handed
+    /// back, so the next rollout is generated with them.
     OnPolicy,
-    /// Off-policy: explorers keep rolling with stale parameters (DQN,
-    /// REINFORCE).
+    /// Off-policy (IMPALA, DQN, REINFORCE): a few rollouts ahead, generated
+    /// with whatever parameters the explorer holds.
     OffPolicy,
-    /// Off-policy, and the learner answers every rollout it takes with
-    /// parameters sent back to the rollout's source, shed ones included
-    /// (IMPALA). An answer is what paces the explorer: it may have only a few
-    /// rollouts unanswered.
-    Answered,
 }
 
 /// Outcome of one training session.
@@ -53,14 +52,13 @@ pub trait Algorithm: Send {
     /// on-policy batch incomplete, ...).
     fn try_train(&mut self) -> Option<TrainReport>;
 
-    /// Hands back one rollout batch whose step data has been fully consumed,
-    /// so the framework can recycle its allocations into the receive path
-    /// (see `BatchDecoder`). `None` when nothing is spent. Algorithms that
-    /// retain step storage (replay buffers) never return batches; the
-    /// default does exactly that.
-    fn take_spent(&mut self) -> Option<RolloutBatch> {
-        None
-    }
+    /// Hands back one rollout batch the algorithm is done with — trained,
+    /// shed, discarded as stale, or copied into its own storage — so the
+    /// framework can recycle its allocations into the receive path (see
+    /// `BatchDecoder`) and answer the batch's source. Every batch given to
+    /// [`Algorithm::on_rollout`] comes back exactly once. `None` when nothing
+    /// is spent.
+    fn take_spent(&mut self) -> Option<RolloutBatch>;
 
     /// Snapshot of all trainable parameters for broadcast.
     fn param_blob(&self) -> ParamBlob;

@@ -5,9 +5,10 @@
 //! steps) and sends updated parameters back to exactly that explorer. Because
 //! V-trace corrects for policy lag, explorers keep generating with stale
 //! parameters — the asynchrony XingTian's aggressive push exploits for its
-//! +70.71% throughput headline (paper Fig. 8). The answer is also what paces
-//! them ([`SyncMode::Answered`]): an explorer runs only a few unanswered
-//! rollouts ahead, so a batch shed at `max_queue` is answered too.
+//! +70.71% throughput headline (paper Fig. 8). What paces them is the
+//! framework's answer to each rollout, sent when the batch is handed back
+//! through `take_spent`: a batch shed at `max_queue` is handed back at once,
+//! so its explorer is answered without parameters.
 
 use crate::actor_critic::{ActorCritic, Activations, SoftmaxAgent, Spec};
 use crate::api::{Algorithm, SyncMode, TrainReport};
@@ -44,8 +45,8 @@ pub struct ImpalaConfig {
     /// Maximum rollout batches queued at the learner. When production
     /// outruns training, the *oldest* (most stale) batch is dropped first —
     /// V-trace tolerates staleness, but unbounded queues would grow memory
-    /// and policy lag without bound. A shed batch's source still gets the
-    /// next session's parameters, as a trained batch's does.
+    /// and policy lag without bound. A shed batch is handed back at once,
+    /// which answers its explorer.
     pub max_queue: usize,
     /// RNG / initialization seed.
     pub seed: u64,
@@ -91,9 +92,6 @@ pub struct ImpalaAlgorithm {
     core: ActorCritic,
     queue: VecDeque<RolloutBatch>,
     dropped_batches: u64,
-    /// Sources of shed batches, one entry per batch, each owed the answer a
-    /// trained batch gets: its explorer counts unanswered rollouts.
-    owed: Vec<u32>,
     spent: Vec<RolloutBatch>,
     staging: Staging,
 }
@@ -130,7 +128,6 @@ impl ImpalaAlgorithm {
             core,
             queue: VecDeque::new(),
             dropped_batches: 0,
-            owed: Vec::new(),
             spent: Vec::new(),
             staging: Staging::default(),
         }
@@ -156,7 +153,6 @@ impl Algorithm for ImpalaAlgorithm {
         self.queue.push_back(batch);
         while self.queue.len() > self.config.max_queue {
             if let Some(dropped) = self.queue.pop_front() {
-                self.owed.push(dropped.explorer);
                 self.spent.push(dropped);
             }
             self.dropped_batches += 1;
@@ -236,14 +232,8 @@ impl Algorithm for ImpalaAlgorithm {
 
         let version = core.advance_version();
         // Paper: "sends updated DNN parameters exactly to the explorers it
-        // gets rollouts from" — the trained batch's source, and the source of
-        // every batch shed since. A broadcast reaches each destination once,
-        // so a source already listed keeps its debt for a later session.
-        let mut notify = vec![batch.explorer];
-        self.owed.retain(|&e| notify.contains(&e) || {
-            notify.push(e);
-            false
-        });
+        // gets rollouts from".
+        let notify = vec![batch.explorer];
         self.spent.push(batch);
         Some(TrainReport { steps_consumed: n, loss, version, notify })
     }
@@ -269,7 +259,7 @@ impl Algorithm for ImpalaAlgorithm {
     }
 
     fn sync_mode(&self) -> SyncMode {
-        SyncMode::Answered
+        SyncMode::OffPolicy
     }
 
     fn name(&self) -> &str {
@@ -379,34 +369,12 @@ mod tests {
         }
         assert_eq!(alg.queue_depth(), 2);
         assert_eq!(alg.dropped_batches(), 3);
-        // The two newest batches (explorers 3 and 4) survive, and the next
-        // session also answers the sources of the three shed ones.
-        assert_eq!(alg.try_train().unwrap().notify, vec![3, 0, 1, 2]);
+        // The two newest batches (explorers 3 and 4) survive; the three shed
+        // ones are already handed back.
+        let shed: Vec<u32> = std::iter::from_fn(|| alg.take_spent()).map(|b| b.explorer).collect();
+        assert_eq!(shed, vec![2, 1, 0]);
+        assert_eq!(alg.try_train().unwrap().notify, vec![3]);
         assert_eq!(alg.try_train().unwrap().notify, vec![4]);
-    }
-
-    #[test]
-    fn a_shed_source_is_answered_once_per_shed_batch() {
-        let mut c = tiny_config();
-        c.max_queue = 1;
-        let mut alg = ImpalaAlgorithm::new(c);
-        // Explorer 8's batch pushes out the last of three from explorer 7.
-        for e in [7, 7, 7, 8] {
-            alg.on_rollout(rollout(e, 0, 4));
-        }
-        assert_eq!(alg.dropped_batches(), 3);
-        // A broadcast reaches a destination once, so each session pays
-        // explorer 7 one of its three answers, and none while the session
-        // already answers 7 for its own batch.
-        assert_eq!(alg.try_train().unwrap().notify, vec![8, 7]);
-        let mut next = |e: u32| {
-            alg.on_rollout(rollout(e, 0, 4));
-            alg.try_train().unwrap().notify
-        };
-        assert_eq!(next(7), vec![7]);
-        assert_eq!(next(9), vec![9, 7]);
-        assert_eq!(next(9), vec![9, 7]);
-        assert_eq!(next(9), vec![9]);
     }
 
     #[test]

@@ -84,6 +84,8 @@ pub struct ReinforceAlgorithm {
     partial: HashMap<u32, Vec<RolloutStep>>,
     /// Completed episodes, oldest first.
     complete: Vec<Vec<RolloutStep>>,
+    /// Batches emptied into episodes, waiting to be handed back.
+    spent: Vec<RolloutBatch>,
     baseline: f32,
     baseline_initialized: bool,
     // Persistent session buffers.
@@ -109,6 +111,7 @@ impl ReinforceAlgorithm {
             core,
             partial: HashMap::new(),
             complete: Vec::new(),
+            spent: Vec::new(),
             baseline: 0.0,
             baseline_initialized: false,
             obs: Vec::new(),
@@ -129,15 +132,16 @@ impl ReinforceAlgorithm {
 }
 
 impl Algorithm for ReinforceAlgorithm {
-    fn on_rollout(&mut self, batch: RolloutBatch) {
+    fn on_rollout(&mut self, mut batch: RolloutBatch) {
         let partial = self.partial.entry(batch.explorer).or_default();
-        for step in batch.steps {
+        for step in batch.steps.drain(..) {
             let done = step.done;
             partial.push(step);
             if done {
                 self.complete.push(std::mem::take(partial));
             }
         }
+        self.spent.push(batch);
     }
 
     fn try_train(&mut self) -> Option<TrainReport> {
@@ -201,6 +205,10 @@ impl Algorithm for ReinforceAlgorithm {
         })
     }
 
+    fn take_spent(&mut self) -> Option<RolloutBatch> {
+        self.spent.pop()
+    }
+
     fn param_blob(&self) -> ParamBlob {
         self.core.param_blob()
     }
@@ -218,9 +226,9 @@ impl Algorithm for ReinforceAlgorithm {
     }
 
     fn sync_mode(&self) -> SyncMode {
-        // Explorers keep rolling: REINFORCE tolerates mild lag in practice
-        // because parameters are broadcast after every session; blocking
-        // explorers on episode boundaries would deadlock mid-episode.
+        // Explorers keep a few rollouts ahead: REINFORCE tolerates mild lag
+        // in practice because parameters are broadcast after every session,
+        // and a session needs whole episodes, which span several rollouts.
         SyncMode::OffPolicy
     }
 

@@ -75,6 +75,25 @@ impl Driver {
         self.wait_stats.record(wait);
         self.wait_hist.record_duration(wait);
     }
+
+    /// Trains every session `alg` can run now, charging `wait` and the
+    /// elapsed time to the first, then drops the batches it is done with:
+    /// raylite decodes every pull afresh, so nothing recycles them, and a
+    /// batch left with the algorithm stays alive until the run ends. Returns
+    /// whether any session asked for a broadcast.
+    fn train_ready(&mut self, alg: &mut dyn Algorithm, wait: Duration) -> bool {
+        let t = Instant::now();
+        let mut first = true;
+        let mut notify = false;
+        while let Some(report) = alg.try_train() {
+            let elapsed = if first { t.elapsed() } else { Duration::ZERO };
+            self.record_train(report.steps_consumed, if first { wait } else { Duration::ZERO }, elapsed);
+            first = false;
+            notify |= !report.notify.is_empty();
+        }
+        while alg.take_spent().is_some() {}
+        notify
+    }
 }
 
 /// Runs a DRL algorithm under the RLLib-style architecture.
@@ -262,16 +281,8 @@ fn run_sync_iterations(driver: &mut Driver, mut alg: Box<dyn Algorithm>) -> Resu
         }
         // Everything since the iteration started — worker compute plus all
         // transmission — stood between the learner and this training session.
-        let wait = iteration_start.elapsed();
-        let t = Instant::now();
-        let mut first = true;
-        while let Some(report) = alg.try_train() {
-            let elapsed = if first { t.elapsed() } else { Duration::ZERO };
-            driver.record_train(report.steps_consumed, if first { wait } else { Duration::ZERO }, elapsed);
-            first = false;
-            if !report.notify.is_empty() {
-                pending_weights = Some(Bytes::from(alg.param_blob().to_bytes()));
-            }
+        if driver.train_ready(alg.as_mut(), iteration_start.elapsed()) {
+            pending_weights = Some(Bytes::from(alg.param_blob().to_bytes()));
         }
     }
     Ok(())
@@ -295,13 +306,7 @@ fn run_async_loop(driver: &mut Driver, mut alg: Box<dyn Algorithm>) -> Result<()
         let batch = RolloutBatch::from_bytes(&bytes).map_err(|e| e.to_string())?;
         let wait = t0.elapsed();
         alg.on_rollout(batch);
-        let t = Instant::now();
-        let mut first = true;
-        while let Some(report) = alg.try_train() {
-            let elapsed = if first { t.elapsed() } else { Duration::ZERO };
-            driver.record_train(report.steps_consumed, if first { wait } else { Duration::ZERO }, elapsed);
-            first = false;
-        }
+        driver.train_ready(alg.as_mut(), wait);
         // Push fresh weights to the worker we just consumed, then reschedule
         // it — both on the critical path.
         let blob = Bytes::from(alg.param_blob().to_bytes());
@@ -471,5 +476,84 @@ mod tests {
         let report = run_raylite(config, CostModel::zero_overhead()).unwrap();
         assert!(report.steps_consumed >= 256);
         assert!(report.train_sessions >= 8);
+    }
+
+    /// Trains one batch per session and hands each back.
+    #[derive(Default)]
+    struct HandsBack {
+        queued: Vec<RolloutBatch>,
+        spent: Vec<RolloutBatch>,
+    }
+
+    impl Algorithm for HandsBack {
+        fn on_rollout(&mut self, batch: RolloutBatch) {
+            self.queued.push(batch);
+        }
+
+        fn try_train(&mut self) -> Option<xingtian_algos::TrainReport> {
+            let batch = self.queued.pop()?;
+            let notify = vec![batch.explorer];
+            self.spent.push(batch);
+            Some(xingtian_algos::TrainReport { steps_consumed: 1, loss: 0.0, version: 0, notify })
+        }
+
+        fn take_spent(&mut self) -> Option<RolloutBatch> {
+            self.spent.pop()
+        }
+
+        fn param_blob(&self) -> xingtian_algos::payload::ParamBlob {
+            xingtian_algos::payload::ParamBlob { version: 0, params: Vec::new() }
+        }
+
+        fn load_params(&mut self, _params: &[f32]) {}
+
+        fn version(&self) -> u64 {
+            0
+        }
+
+        fn sync_mode(&self) -> xingtian_algos::SyncMode {
+            xingtian_algos::SyncMode::OffPolicy
+        }
+
+        fn name(&self) -> &str {
+            "hands-back"
+        }
+    }
+
+    /// Regression: both driver loops trained without collecting what the
+    /// algorithm was done with, so every batch of a run stayed alive until
+    /// the run ended.
+    #[test]
+    fn trained_batches_are_not_kept_alive() {
+        let telemetry = Telemetry::disabled();
+        let mut driver = Driver {
+            cluster: Cluster::single(),
+            costs: CostModel::zero_overhead(),
+            learner_machine: 0,
+            worker_machines: Vec::new(),
+            requests: Vec::new(),
+            responses: unbounded().1,
+            goal_steps: u64::MAX,
+            deadline: Instant::now(),
+            rollout_len: 1,
+            timeline: ThroughputTimeline::new(),
+            wait_stats: TransmissionStats::new(),
+            pull_stats: Arc::new(TransmissionStats::new()),
+            next_msg_id: std::sync::atomic::AtomicU64::new(1),
+            wait_hist: telemetry.histogram("learner.wait_ns"),
+            pull_hist: telemetry.histogram("raylite.pull_ns"),
+            telemetry,
+            steps_consumed: 0,
+            train_sessions: 0,
+            train_time: Duration::ZERO,
+        };
+        let mut alg = HandsBack::default();
+        for explorer in 0..3 {
+            let batch = RolloutBatch { explorer, param_version: 0, steps: Vec::new(), bootstrap_observation: Vec::new() };
+            alg.on_rollout(batch);
+        }
+        assert!(driver.train_ready(&mut alg, Duration::ZERO), "the sessions asked for a broadcast");
+        assert_eq!(driver.train_sessions, 3);
+        assert!(alg.spent.is_empty(), "{} spent batches left with the algorithm", alg.spent.len());
     }
 }

@@ -754,7 +754,7 @@ mod tests {
         let mut shard_hit = [false; 4];
         for i in 0..n {
             let dst = vec![ProcessId::explorer(i)];
-            shard_hit[crate::router::shard_for(&dst, 4)] = true;
+            shard_hit[crate::router::shard_for(dst[0], 4)] = true;
             let h = Header::new(ProcessId::learner(0), dst, MessageKind::Dummy);
             // Submit directly (no sender thread) so the deliveries are
             // guaranteed to be in shard queues when shutdown lands.

@@ -250,12 +250,6 @@ impl Endpoint {
         self.recv_buf.len()
     }
 
-    /// Messages staged for sending but not yet handed to the broker. Producers
-    /// can use this for flow control when the channel is congested.
-    pub fn send_backlog(&self) -> usize {
-        self.send_buf.len()
-    }
-
     /// The telemetry handle shared with this endpoint's broker. Disabled
     /// (zero-cost) unless the broker was built with `Broker::with_telemetry`.
     pub fn telemetry(&self) -> &Telemetry {

@@ -184,8 +184,9 @@ pub struct CommConfig {
     pub param_compression: ParamCompression,
     /// Router shards per broker. One router thread saturates around the
     /// fanout the paper measures; sharding by destination hash lets routing
-    /// throughput scale with cores while preserving per-destination FIFO
-    /// (every message for a given first destination takes the same shard).
+    /// throughput scale with cores while preserving per-(src,dst) FIFO
+    /// (every message to a given destination takes the shard that owns it,
+    /// a broadcast split over the shards its destinations hash to).
     #[serde(default = "default_router_shards")]
     pub router_shards: usize,
     /// Object-store segment capacity in bytes (`None` = the default

@@ -290,10 +290,10 @@ impl Hub {
     }
 
     /// Source side, for a body in its stored form (from `submit`, after any
-    /// compression): counts it, admits it, and hands the delivery to its
-    /// router shard — the hash of the destination list, so a sender's
-    /// messages to one destination stay FIFO.
-    /// Returns `false`, every credit of the plan settled, if that shard is
+    /// compression): counts it, admits it, and hands the delivery to the
+    /// router shards its destinations hash to ([`by_shard`]), so a sender's
+    /// messages to one destination stay FIFO however they are addressed.
+    /// Returns `false`, every credit of a refused part settled, if a shard is
     /// gone (a broker shutting down refuses; it does not tally a drop).
     pub(crate) fn dispatch(
         &self,
@@ -309,10 +309,25 @@ impl Hub {
         }
         self.admit(&mut header, body, plan.fanout());
         self.telemetry.emit(EventKind::StoreInserted, header.id, stored_len);
-        let shard = shard_for(&header.dst, router_txs.len());
-        let delivery = Delivery { header: Arc::new(header), plan };
+        let header = Arc::new(header);
+        // One shard owns everything: no split.
+        if let [tx] = router_txs {
+            return self.enqueue(tx, header, plan);
+        }
+        let mut accepted = true;
+        for (tx, part) in router_txs.iter().zip(by_shard(plan, router_txs.len())) {
+            if part.fanout() > 0 {
+                accepted &= self.enqueue(tx, Arc::clone(&header), part);
+            }
+        }
+        accepted
+    }
+
+    /// Hands one delivery to a router shard; `false`, its credits settled, if
+    /// the shard is gone.
+    fn enqueue(&self, tx: &Sender<RouterCmd>, header: Arc<Header>, plan: SplitPlan) -> bool {
         self.queue_depth.add(1);
-        let Err(SendError(refused)) = router_txs[shard].send(RouterCmd::Deliver(delivery)) else {
+        let Err(SendError(refused)) = tx.send(RouterCmd::Deliver(Delivery { header, plan })) else {
             return true;
         };
         self.queue_depth.add(-1);
@@ -504,17 +519,25 @@ impl Hub {
 /// is loaded once.
 const DRAIN_BATCH: usize = 64;
 
-/// Picks the router shard for a destination list: a stable hash of the
-/// *first* destination over the shard count. Every message with the same
-/// leading destination lands on the same shard, so per-sender-per-destination
-/// FIFO (the ordering the channel guarantees) survives sharding; broadcasts
-/// with identical destination lists likewise stay ordered among themselves.
-pub(crate) fn shard_for(dst: &[ProcessId], shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
+/// The router shard that owns `pid`: a stable hash over the shard count.
+pub(crate) fn shard_for(pid: ProcessId, shards: usize) -> usize {
+    (crate::pid_hash(pid) % shards as u64) as usize
+}
+
+/// Splits `plan` by router shard (indexed by shard): a local destination goes
+/// to the shard that owns it, a remote machine's group to the shard that owns
+/// that machine's broker, so the body still crosses the wire once per machine.
+/// Every message to one destination thus takes one shard, whatever else it is
+/// addressed to: per-(src,dst) FIFO holds under sharding.
+fn by_shard(plan: SplitPlan, shards: usize) -> Vec<SplitPlan> {
+    let mut parts: Vec<SplitPlan> = (0..shards).map(|_| SplitPlan::default()).collect();
+    for d in plan.local {
+        parts[shard_for(d, shards)].local.push(d);
     }
-    let Some(&first) = dst.first() else { return 0 };
-    (crate::pid_hash(first) % shards as u64) as usize
+    for (machine, group) in plan.remote {
+        parts[shard_for(ProcessId::broker(machine as u32), shards)].remote.push((machine, group));
+    }
+    parts
 }
 
 #[cfg(test)]
@@ -615,20 +638,36 @@ mod tests {
 
     #[test]
     fn shard_for_is_stable_and_spreads() {
-        // Same destination list → same shard, always (FIFO preservation).
-        let dst = vec![ProcessId::learner(0), ProcessId::explorer(3)];
-        let s = shard_for(&dst, 4);
+        // Same destination → same shard, always (FIFO preservation).
+        let pid = ProcessId::explorer(3);
+        let s = shard_for(pid, 4);
         for _ in 0..8 {
-            assert_eq!(shard_for(&dst, 4), s);
+            assert_eq!(shard_for(pid, 4), s);
         }
-        assert_eq!(shard_for(&[], 4), 0, "empty destination list is shard 0");
-        assert_eq!(shard_for(&dst, 1), 0);
+        assert_eq!(shard_for(pid, 1), 0);
         // 256 distinct destinations must not all collapse onto one shard.
         let mut hit = [false; 4];
         for i in 0..256 {
-            hit[shard_for(&[ProcessId::explorer(i)], 4)] = true;
+            hit[shard_for(ProcessId::explorer(i), 4)] = true;
         }
         assert!(hit.iter().all(|&h| h), "every shard owns some destinations");
+    }
+
+    #[test]
+    fn by_shard_sends_each_destination_to_its_own_shard() {
+        let local: Vec<ProcessId> = (0..16).map(ProcessId::explorer).collect();
+        let remote = vec![(1, vec![ProcessId::explorer(16), ProcessId::explorer(17)])];
+        let plan = SplitPlan { local: local.clone(), remote: remote.clone(), unknown: 0 };
+        let parts = by_shard(plan, 4);
+        assert!(parts.iter().filter(|p| p.fanout() > 0).count() > 1, "sixteen destinations span shards");
+        for (shard, part) in parts.iter().enumerate() {
+            assert!(part.local.iter().all(|&d| shard_for(d, 4) == shard));
+            assert!(part.remote.iter().all(|(m, _)| shard_for(ProcessId::broker(*m as u32), 4) == shard));
+        }
+        let fanout: usize = parts.iter().map(SplitPlan::fanout).sum();
+        assert_eq!(fanout, local.len() + remote.len(), "the credits are the plan's, split");
+        let groups: Vec<_> = parts.into_iter().flat_map(|p| p.remote).collect();
+        assert_eq!(groups, remote, "a machine's group crosses the wire once");
     }
 
     #[test]

@@ -189,6 +189,47 @@ fn a_large_body_keeps_its_place_ahead_of_later_smalls() {
 }
 
 #[test]
+fn a_broadcast_stays_ahead_of_later_unicasts_on_a_sharded_router() {
+    // Per-(src,dst) FIFO whatever the destination list: a learner's broadcast
+    // to eight explorers, then one answer to each, on 4 router shards. The
+    // explorers after the first hash to other shards than it does, and on 2
+    // machines they sit across the wire, behind one uplink.
+    const ROUNDS: u8 = 50;
+    for machines in [1, 2] {
+        let cluster = Cluster::new(
+            ClusterSpec::default().machines(machines).nic_bandwidth(1e9).latency_secs(0.0),
+        );
+        let config = CommConfig::default().with_router_shards(4);
+        let brokers: Vec<_> = (0..machines).map(|m| Broker::new(m, cluster.clone(), config.clone())).collect();
+        let learner = brokers[0].endpoint(ProcessId::learner(0));
+        let explorers: Vec<_> = (0..8).map(|i| brokers[machines - 1].endpoint(ProcessId::explorer(i))).collect();
+        connect_brokers(&brokers);
+        let all: Vec<ProcessId> = explorers.iter().map(Endpoint::pid).collect();
+        for round in 0..ROUNDS {
+            learner.send_to(all.clone(), MessageKind::Parameters, Bytes::from(vec![round, 0]));
+            for &e in &all {
+                learner.send_to(vec![e], MessageKind::RolloutAnswer, Bytes::from(vec![round, 1]));
+            }
+        }
+        for (i, e) in explorers.iter().enumerate() {
+            for round in 0..ROUNDS {
+                for (kind, tag) in [(MessageKind::Parameters, 0), (MessageKind::RolloutAnswer, 1)] {
+                    let got = e.recv_timeout(Duration::from_secs(10)).expect("delivered");
+                    let case = format!("explorer {i}, round {round}, {machines} machines");
+                    assert_eq!((got.header.kind, &got.body[..]), (kind, &[round, tag][..]), "{case}");
+                }
+            }
+        }
+        drop((learner, explorers));
+        for b in &brokers {
+            b.shutdown();
+            assert_eq!(b.dropped(), 0, "machine {}", b.machine());
+            assert!(b.store().is_empty(), "machine {}", b.machine());
+        }
+    }
+}
+
+#[test]
 fn chunk_parallel_channel_matches_serial_decode() {
     // Differential check at the channel level: a body large enough for many
     // chunks arrives byte-identical whether decompressed by the receiver's
@@ -308,11 +349,11 @@ fn control_passes_a_full_store_from_either_machine() {
 
     // One rollout lands in the learner's one-message receive buffer, one is held
     // by its receiver thread, one fills the store, one parks the explorer's
-    // sender thread at the gate, two wait in its send buffer.
+    // sender thread at the gate, two wait in its send buffer: three inserted.
     for i in 0..6u8 {
         explorer.send_to(vec![ProcessId::learner(0)], MessageKind::Rollout, Bytes::from(vec![i; 4000]));
     }
-    let full = eventually(10, || b1.store().live_bytes() == 4000 && explorer.send_backlog() == 2);
+    let full = eventually(10, || b1.store().live_bytes() == 4000 && b1.store().inserted() == 3);
 
     near.send_to(vec![watcher.pid()], MessageKind::Control, Bytes::from(vec![1u8; 200]));
     let from_near = watcher.recv_timeout(Duration::from_secs(2));
@@ -436,13 +477,16 @@ fn a_sender_parked_at_a_full_store_keeps_beating() {
     let learner = broker.endpoint(ProcessId::learner(0));
     let explorer = broker.endpoint(ProcessId::explorer(0));
     // As in `control_passes_a_full_store_from_either_machine`: the fourth
-    // rollout parks the sender thread at the gate, two wait behind it.
+    // rollout parks the sender thread at the gate, two wait behind it. Beats
+    // are inserted too, on the priority lane, so only the data lane tells.
     for i in 0..6u8 {
         explorer.send_to(vec![learner.pid()], MessageKind::Rollout, Bytes::from(vec![i; 4000]));
     }
-    let parked = eventually(10, || broker.store().live_bytes() == 4000 && explorer.send_backlog() == 2);
+    let store = broker.store();
+    let data_full = || store.data_occupancy() * store.capacity() as f64 == 4000.0;
+    let parked = eventually(10, data_full);
     let (gap, beats) = largest_beat_gap(&mon, explorer.pid(), || true);
-    let still_parked = explorer.send_backlog() == 2;
+    let still_parked = data_full();
     for i in 0..6u8 {
         let m = learner.recv_timeout(Duration::from_secs(10)).expect("rollout drains");
         assert_eq!(m.body[0], i);

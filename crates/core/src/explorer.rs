@@ -6,17 +6,18 @@
 //! the environment otherwise, and pushes a rollout batch into its send buffer
 //! the instant `rollout_len` steps have accumulated — the sender thread of the
 //! endpoint takes it from there, so transmission overlaps the very next
-//! environment step. The one exception is flow control
-//! ([`MAX_INFLIGHT_BATCHES`]): an explorer already as far ahead of the
-//! learner as its [`SyncMode`] allows holds the finished rollout until it
-//! may send.
+//! environment step. The one exception is flow control: every rollout is
+//! answered once, with a [`MessageKind::RolloutAnswer`] from the learner when
+//! the batch is handed back for recycling, and an explorer with its window of
+//! rollouts unanswered ([`MAX_INFLIGHT_BATCHES`], or one under
+//! [`SyncMode::OnPolicy`]) waits for an answer before it steps again.
 
 use crate::assignment::AssignmentTable;
 use crate::messages::{ControlCommand, StatsMsg};
 use crate::parameters::ParamReceiver;
 use bytes::Bytes;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use gymlite::{Environment, EpisodeTracker};
 use xingtian_algos::api::{Agent, SyncMode};
 use xingtian_algos::payload::{RolloutBatch, RolloutStep};
@@ -26,17 +27,14 @@ use xingtian_message::{Message, MessageKind, ProcessId};
 use xt_fault::{Accrual, DetectorConfig};
 use xt_telemetry::CounterHandle;
 
-/// How many rollouts an explorer may have in flight before it pauses
-/// generation (source-side flow control), holding the next one in hand.
+/// How many rollouts an off-policy explorer may have unanswered before it
+/// waits (source-side flow control); an on-policy explorer's window is one.
 ///
-/// What "in flight" means follows the deployment's [`SyncMode`]. Under
-/// [`SyncMode::Answered`] (IMPALA) it is rollouts sent that the learner has
-/// not yet answered with parameters, which bounds the rollouts parked
-/// anywhere between explorer and learner and, with them, the policy lag of
-/// what the learner trains on. Under [`SyncMode::OffPolicy`] (DQN,
-/// REINFORCE), whose learners answer no particular rollout, it is rollouts
-/// staged in the explorer's own send buffer, which the store's capacity gate
-/// backs up.
+/// A rollout is answered when the process that took it hands it back for
+/// recycling, whether it was trained, shed, discarded or ingested; a replay
+/// shard's answer reaches the explorer through the learner. The window
+/// bounds the rollouts parked anywhere between explorer and learner and,
+/// with them, the policy lag of what the learner trains on.
 pub const MAX_INFLIGHT_BATCHES: usize = 4;
 
 /// Where an explorer's rollout batches go.
@@ -80,7 +78,7 @@ pub struct ExplorerProcess {
     /// Where rollout batches go: a fixed destination (classic), or the live
     /// assignment table (sharded learners).
     pub route: RolloutRoute,
-    /// The deployment's synchronization discipline.
+    /// The deployment's synchronization discipline: it chooses the window.
     pub sync: SyncMode,
     /// Fault-injection kill switch, pulsed once per environment step
     /// (`None` = not under chaos).
@@ -101,18 +99,18 @@ struct Inbox {
     /// Parameter-plane decoder: the current reconstruction, updated in place
     /// from delta/quantized frames (or plain blobs).
     params: ParamReceiver,
-    /// Rollouts sent and not yet answered by a `Parameters` message, applied
-    /// or stale. Counted in every mode; only [`SyncMode::Answered`] waits on
-    /// it.
+    /// Rollouts sent and not yet answered.
     unanswered: usize,
+    /// How many may be unanswered before the explorer waits.
+    window: usize,
     /// The failure detector's accrual rule over the gaps between answers,
     /// under the detector's default tuning (`leash`): how long a live
     /// learner may leave this explorer waiting.
     answers: Accrual,
     leash: DetectorConfig,
-    /// One count per stalled rollout, not per spin: the gauge the elastic
-    /// supervisor and the scale sweeps read is "how often did generation
-    /// outpace what its discipline allows".
+    /// One count per wait, not per message handled during it: the gauge the
+    /// elastic supervisor and the scale sweeps read is "how often did
+    /// generation outpace its window".
     backpressure_waits: CounterHandle,
     answers_forgiven: CounterHandle,
 }
@@ -126,6 +124,10 @@ impl ExplorerProcess {
         let mut inbox = Inbox {
             params: ParamReceiver::new(),
             unanswered: 0,
+            window: match self.sync {
+                SyncMode::OnPolicy => 1,
+                SyncMode::OffPolicy => MAX_INFLIGHT_BATCHES,
+            },
             answers: Accrual::new(Instant::now()),
             leash: DetectorConfig::default(),
             backpressure_waits: telemetry.counter("explorer.backpressure_waits"),
@@ -142,7 +144,7 @@ impl ExplorerProcess {
 
         loop {
             // React to everything that has already arrived (parameters,
-            // control commands) without blocking.
+            // answers, control commands) without blocking.
             while let Some(msg) = self.endpoint.try_recv() {
                 if self.handle_message(&msg, &mut inbox) {
                     return ExplorerOutcome { tracker, batches_sent };
@@ -181,13 +183,9 @@ impl ExplorerProcess {
             obs = if step.done { self.env.reset() } else { step.observation };
 
             if steps.len() >= self.rollout_len {
-                if self.wait_for_room(&mut inbox) {
-                    return ExplorerOutcome { tracker, batches_sent };
-                }
-                let sent_version = self.agent.param_version();
                 let batch = RolloutBatch {
                     explorer: self.index,
-                    param_version: sent_version,
+                    param_version: self.agent.param_version(),
                     steps: std::mem::take(&mut steps),
                     bootstrap_observation: obs.clone(),
                 };
@@ -212,86 +210,52 @@ impl ExplorerProcess {
                 self.endpoint.send_to(vec![controller], MessageKind::Stats, Bytes::from(stats.to_bytes()));
                 steps_since_stats = 0;
 
-                if self.sync == SyncMode::OnPolicy {
-                    // On-policy gate: wait for parameters newer than the ones
-                    // that produced the batch just sent.
-                    loop {
-                        let Some(msg) = self.endpoint.recv() else {
-                            return ExplorerOutcome { tracker, batches_sent };
-                        };
-                        if self.handle_message(&msg, &mut inbox) {
-                            return ExplorerOutcome { tracker, batches_sent };
-                        }
-                        if self.agent.param_version() > sent_version {
-                            break;
-                        }
-                    }
+                if self.wait_for_answers(&mut inbox) {
+                    return ExplorerOutcome { tracker, batches_sent };
                 }
             }
         }
     }
 
-    /// Source-side flow control before a rollout goes out: blocks while this
-    /// explorer is as far ahead as its discipline allows, handling what
-    /// arrives meanwhile. Beyond that it would only burn CPU producing data
-    /// the saturated learner cannot consume yet (paper Fig. 11: throughput
-    /// *plateaus* at saturation). Returns `true` on shutdown.
-    fn wait_for_room(&mut self, inbox: &mut Inbox) -> bool {
-        match self.sync {
-            // Its gate follows the send: parameters newer than the batch.
-            SyncMode::OnPolicy => false,
-            // At most MAX_INFLIGHT_BATCHES rollouts the learner has not
-            // answered, waited for in `recv`. An answer can be lost — to a
-            // dropped message, a partition, a learner restored from a
-            // checkpoint — so a wait longer than the failure detector's
-            // leash over the gaps between answers forgives them all.
-            SyncMode::Answered => {
-                if inbox.unanswered < MAX_INFLIGHT_BATCHES {
-                    return false;
+    /// Source-side flow control after a rollout goes out: while the window
+    /// is full, blocks in `recv`, handling what arrives meanwhile. Beyond it
+    /// the explorer would only burn CPU producing data the saturated learner
+    /// cannot consume yet (paper Fig. 11: throughput *plateaus* at
+    /// saturation). An answer can be lost — to a dropped message, a
+    /// partition, a learner restored from a checkpoint — so a wait longer
+    /// than the failure detector's leash over the gaps between answers
+    /// forgives them all. Returns `true` on shutdown.
+    fn wait_for_answers(&mut self, inbox: &mut Inbox) -> bool {
+        if inbox.unanswered < inbox.window {
+            return false;
+        }
+        inbox.backpressure_waits.inc();
+        let forgive_at = Instant::now() + inbox.answers.timeout(&inbox.leash);
+        while inbox.unanswered >= inbox.window {
+            let left = forgive_at.saturating_duration_since(Instant::now());
+            match self.endpoint.recv_timeout(left) {
+                Some(msg) if self.handle_message(&msg, inbox) => return true,
+                Some(_) => {}
+                // Closed before the deadline: nobody will answer.
+                None if Instant::now() < forgive_at => return true,
+                None => {
+                    inbox.unanswered = 0;
+                    inbox.answers_forgiven.inc();
                 }
-                inbox.backpressure_waits.inc();
-                let forgive_at = Instant::now() + inbox.answers.timeout(&inbox.leash);
-                while inbox.unanswered >= MAX_INFLIGHT_BATCHES {
-                    let left = forgive_at.saturating_duration_since(Instant::now());
-                    match self.endpoint.recv_timeout(left) {
-                        Some(msg) if self.handle_message(&msg, inbox) => return true,
-                        Some(_) => {}
-                        // Closed before the deadline: nobody will answer.
-                        None if Instant::now() < forgive_at => return true,
-                        None => {
-                            inbox.unanswered = 0;
-                            inbox.answers_forgiven.inc();
-                        }
-                    }
-                }
-                false
-            }
-            // At most MAX_INFLIGHT_BATCHES rollouts staged in the send
-            // buffer, polled every millisecond.
-            SyncMode::OffPolicy => {
-                if self.endpoint.send_backlog() < MAX_INFLIGHT_BATCHES {
-                    return false;
-                }
-                inbox.backpressure_waits.inc();
-                while self.endpoint.send_backlog() >= MAX_INFLIGHT_BATCHES {
-                    while let Some(msg) = self.endpoint.try_recv() {
-                        if self.handle_message(&msg, inbox) {
-                            return true;
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                false
             }
         }
+        false
     }
 
     /// Processes one incoming message. Returns `true` on shutdown.
     fn handle_message(&mut self, msg: &Message, inbox: &mut Inbox) -> bool {
         match msg.header.kind {
-            MessageKind::Parameters => {
+            MessageKind::RolloutAnswer => {
                 inbox.unanswered = inbox.unanswered.saturating_sub(1);
                 inbox.answers.arrive(Instant::now(), &inbox.leash);
+                false
+            }
+            MessageKind::Parameters => {
                 let agent = &mut self.agent;
                 inbox.params.on_parameters(&self.endpoint, self.index, msg, |blob| {
                     agent.apply_params(blob)

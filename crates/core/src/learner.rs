@@ -9,7 +9,12 @@
 //! One process and one loop serve every shard count and both
 //! [`AllreduceMode`]s: block for a message, dispatch it and a bounded burst
 //! of what else has arrived through the one `on_message`, complete every
-//! session that is now possible, recycle spent batches. A learner is shard
+//! session that is now possible, recycle spent batches. Recycling is where a
+//! rollout is answered: every batch the algorithm hands back — trained, shed,
+//! discarded as stale or copied into DQN's replay plane — sends its explorer
+//! one [`MessageKind::RolloutAnswer`], the credit the explorer's flow control
+//! waits on. A session's broadcast goes out before its batches are recycled,
+//! so an explorer meets the parameters ahead of the answer. A learner is shard
 //! `shard` of the `table.shards()` the [`AssignmentTable`] spreads the
 //! explorer pool over; the classic single learner is shard 0 of 1. Peer
 //! shards add an exchange discipline over the ordinary comm channel
@@ -109,7 +114,7 @@ pub(crate) struct LearnerRun {
     /// the next decode without reallocating.
     decoder: BatchDecoder,
     /// The classic fetch→decode→re-insert stage. Store-resident replay
-    /// deletes it: the learner then receives only ReplayNotice wakeups and
+    /// deletes it: the learner then receives only `RolloutAnswer` wakeups and
     /// this histogram stays empty.
     decode_hist: xt_telemetry::HistogramHandle,
     /// `learner.policy_lag`, the telemetry twin of `outcome.policy_lag`.
@@ -197,8 +202,8 @@ impl LearnerProcess {
         };
         // Above version 0 at start means restored from a checkpoint. The
         // broadcast the dead incarnation owed may have died with it, and an
-        // on-policy explorer sends nothing until parameters newer than its
-        // last rollout's arrive: announce the restored ones before waiting.
+        // on-policy learner discards every rollout generated with older
+        // parameters: announce the restored ones before waiting.
         if self.algorithm.version() > 0 {
             let owned = self.table.owned(self.shard);
             let dst = owned.iter().map(|&e| ProcessId::explorer(e)).collect();
@@ -209,8 +214,9 @@ impl LearnerProcess {
         while !shutdown {
             // Block for the next message, accounting the blocked time as
             // wait. Everything that can advance a discipline is a message — a
-            // rollout grants credit, a peer blob completes a round, a
-            // snapshot fast-forwards it — so nothing below polls.
+            // rollout or a replay shard's answer grants credit, a peer blob
+            // completes a round, a snapshot fast-forwards it — so nothing
+            // below polls.
             let t0 = Instant::now();
             let Some(msg) = self.endpoint.recv() else { break };
             run.waited += t0.elapsed();
@@ -231,8 +237,11 @@ impl LearnerProcess {
                     self.finish_session(&mut run, steps, notify);
                 }
             }
-            // Recycle the step storage of batches the algorithm is done with.
+            // Recycle the step storage of batches the algorithm is done with,
+            // answering each one's source.
             while let Some(spent) = self.algorithm.take_spent() {
+                let source = vec![ProcessId::explorer(spent.explorer)];
+                self.endpoint.send_to(source, MessageKind::RolloutAnswer, Bytes::from(spent.explorer.to_bytes()));
                 run.decoder.recycle(spent);
             }
         }
@@ -289,8 +298,8 @@ impl LearnerProcess {
             probe.pulse();
         }
         // The one place the shard count is consulted. A lone learner numbers
-        // explorers as the deployment does, so the algorithm's answer stands
-        // (IMPALA answers only the sender). A peer shard's replica numbers
+        // explorers as the deployment does, so the algorithm's list stands
+        // (IMPALA broadcasts only to the sender). A peer shard's replica numbers
         // its slice locally (`0..owned`), so a due broadcast goes to whatever
         // the table says the shard owns *right now* instead.
         let notify = if self.table.shards() > 1 && !notify.is_empty() {
@@ -341,9 +350,13 @@ impl LearnerProcess {
             (MessageKind::Control, _) => {
                 return ControlCommand::from_bytes(&msg.body) == Ok(ControlCommand::Shutdown);
             }
-            // ReplayNotice (store-resident replay: the shard ingested a batch
-            // on our behalf) carries nothing to decode — receiving it woke the
-            // loop, which samples straight from the shared plane.
+            // A replay shard ingested a rollout for us: nothing to decode, and
+            // its answer goes on to the source at the learner's pace.
+            (MessageKind::RolloutAnswer, _) => {
+                if let Ok(source) = u32::from_bytes(&msg.body) {
+                    self.endpoint.send_to(vec![ProcessId::explorer(source)], MessageKind::RolloutAnswer, msg.body);
+                }
+            }
             _ => {}
         }
         false

@@ -213,32 +213,49 @@ fn on_policy_learner_restored_from_checkpoint_reaches_the_goal() {
 }
 
 /// A supervised run with an empty fault plan behaves exactly like a plain
-/// run: no respawns, no liveness transitions, no leaks.
+/// run, for every algorithm and both DQN replay placements: no respawns, no
+/// liveness transitions, no drops, no leaks, and every rollout answered
+/// before the leash ran out.
 #[test]
 fn supervised_run_without_faults_is_quiet() {
-    let config = DeploymentConfig::cartpole(AlgorithmSpec::impala(), 2)
-        .with_rollout_len(25)
-        .with_goal_steps(1_500)
-        .with_max_seconds(30.0)
-        .with_seed(3);
-    let telemetry = xt_telemetry::Telemetry::with_capacity(1 << 12);
-    let (report, recovery) = Deployment::run_supervised(
-        config,
-        SupervisionConfig::default(),
-        FaultPlan::seeded(3),
-        telemetry.clone(),
-    )
-    .expect("supervised run completes");
+    let mut dqn = xingtian_algos::DqnConfig::new(0, 0);
+    dqn.hidden = vec![32];
+    dqn.warmup_steps = 200;
+    let runs = [
+        ("impala", AlgorithmSpec::impala(), false),
+        ("ppo", AlgorithmSpec::ppo(), false),
+        ("a2c", AlgorithmSpec::a2c(), false),
+        ("reinforce", AlgorithmSpec::reinforce(), false),
+        ("dqn", AlgorithmSpec::Dqn(dqn.clone()), false),
+        ("dqn store-resident", AlgorithmSpec::Dqn(dqn), true),
+    ];
+    for (name, algorithm, store_resident) in runs {
+        let mut config = DeploymentConfig::cartpole(algorithm, 2)
+            .with_rollout_len(25)
+            .with_goal_steps(1_500)
+            .with_max_seconds(30.0)
+            .with_seed(3);
+        if store_resident {
+            config = config.with_store_resident_replay();
+        }
+        let telemetry = xt_telemetry::Telemetry::with_capacity(1 << 12);
+        let (report, recovery) = Deployment::run_supervised(
+            config,
+            SupervisionConfig::default(),
+            FaultPlan::seeded(3),
+            telemetry.clone(),
+        )
+        .expect("supervised run completes");
 
-    assert!(report.steps_consumed >= 1_500);
-    assert!(recovery.explorer_respawns.is_empty());
-    assert_eq!(recovery.learner_restores, 0);
-    assert!(recovery.transitions.is_empty(), "transitions: {:?}", recovery.transitions);
-    assert!(recovery.down_at_exit.is_empty());
-    assert_eq!(recovery.leaked_objects, 0);
-    assert_eq!(report.dropped_messages, 0, "a quiet run drops nothing");
-    // Every rollout was answered before the leash ran out.
-    assert_eq!(telemetry.counter("explorer.answers_forgiven").get(), 0);
+        assert!(report.steps_consumed >= 1_500, "{name}: consumed {}", report.steps_consumed);
+        assert!(recovery.explorer_respawns.is_empty(), "{name}");
+        assert_eq!(recovery.learner_restores, 0, "{name}");
+        assert!(recovery.transitions.is_empty(), "{name}: transitions: {:?}", recovery.transitions);
+        assert!(recovery.down_at_exit.is_empty(), "{name}");
+        assert_eq!(recovery.leaked_objects, 0, "{name}");
+        assert_eq!(report.dropped_messages, 0, "{name}: a quiet run drops nothing");
+        assert_eq!(telemetry.counter("explorer.answers_forgiven").get(), 0, "{name}");
+    }
 }
 
 /// Every endpoint a process can address is registered before that process
@@ -378,8 +395,10 @@ fn store_resident_replay_survives_kills_without_leaks() {
         .with_checkpoint(CheckpointConfig::new(&dir, 1))
         .with_store_resident_replay();
     let supervision = SupervisionConfig::with_heartbeat_interval_ms(15);
+    // The explorers generate only what the learner answers, about 8 rollouts
+    // each toward this goal, so the explorer dies inside its first window.
     let plan = FaultPlan::seeded(13)
-        .with_kill(ProcessId::explorer(VICTIM), KillTrigger::AfterSteps(400))
+        .with_kill(ProcessId::explorer(VICTIM), KillTrigger::AfterSteps(60))
         .with_kill(ProcessId::learner(0), KillTrigger::AfterSteps(5));
     let telemetry = xt_telemetry::Telemetry::with_capacity(1 << 16);
 

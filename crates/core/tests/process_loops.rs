@@ -1,7 +1,7 @@
 //! Unit-level tests of the explorer and learner process loops, driven with
-//! scripted agents/algorithms over a real channel. The `answered_explorer_*`
-//! tests script the learner side by hand: it is the test that answers, or
-//! does not answer, an IMPALA explorer's rollouts.
+//! scripted agents/algorithms over a real channel. The window tests script
+//! the learner side by hand: it is the test that answers, or does not
+//! answer, an explorer's rollouts.
 
 use bytes::Bytes;
 use netsim::Cluster;
@@ -11,16 +11,16 @@ use std::time::{Duration, Instant};
 use xingtian::assignment::AssignmentTable;
 use xingtian::config::AllreduceMode;
 use xingtian::controller::ControllerProcess;
-use xingtian::explorer::{ExplorerProcess, RolloutRoute, MAX_INFLIGHT_BATCHES};
+use xingtian::explorer::{ExplorerOutcome, ExplorerProcess, RolloutRoute, MAX_INFLIGHT_BATCHES};
 use xingtian::learner::LearnerProcess;
 use xingtian::messages::ControlCommand;
 use xingtian::shard::{FAREWELL, GRAD_SLOTS};
 use xingtian_algos::api::{ActionSelection, Agent, Algorithm, ShardedSync, SyncMode, TrainReport};
 use xingtian_algos::payload::{ParamBlob, RolloutBatch, RolloutStep};
 use xingtian_algos::{DqnAlgorithm, DqnConfig, GradBlob};
-use xingtian_comm::{Broker, CommConfig, InjectDecision, RouteInjector};
+use xingtian_comm::{Broker, CommConfig, Endpoint, InjectDecision, RouteInjector};
 use xingtian_message::codec::{Decode, Encode};
-use xingtian_message::{Header, MessageKind, ProcessId};
+use xingtian_message::{Header, Message, MessageKind, ProcessId};
 
 /// An agent that always picks action 0 and tracks applied parameter versions.
 struct ScriptedAgent {
@@ -46,13 +46,35 @@ impl Agent for ScriptedAgent {
 /// An algorithm that counts consumed batches and replies to the source.
 struct CountingAlgorithm {
     queued: Vec<RolloutBatch>,
+    spent: Vec<RolloutBatch>,
     version: u64,
     consumed: Arc<AtomicUsize>,
-    sync: SyncMode,
     /// Batches received so far, and how many of them had been received when
     /// the first session trained (`usize::MAX` until one does).
     received: usize,
     received_at_first_train: Arc<AtomicUsize>,
+}
+
+impl CountingAlgorithm {
+    fn new(consumed: &Arc<AtomicUsize>, received_at_first_train: &Arc<AtomicUsize>) -> Self {
+        CountingAlgorithm {
+            queued: Vec::new(),
+            spent: Vec::new(),
+            version: 0,
+            consumed: Arc::clone(consumed),
+            received: 0,
+            received_at_first_train: Arc::clone(received_at_first_train),
+        }
+    }
+
+    fn first_train(&self) {
+        let _ = self.received_at_first_train.compare_exchange(
+            usize::MAX,
+            self.received,
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        );
+    }
 }
 
 impl Algorithm for CountingAlgorithm {
@@ -63,20 +85,21 @@ impl Algorithm for CountingAlgorithm {
 
     fn try_train(&mut self) -> Option<TrainReport> {
         let batch = self.queued.pop()?;
-        let _ = self.received_at_first_train.compare_exchange(
-            usize::MAX,
-            self.received,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
+        self.first_train();
         self.version += 1;
         self.consumed.fetch_add(batch.len(), Ordering::Relaxed);
-        Some(TrainReport {
+        let report = TrainReport {
             steps_consumed: batch.len(),
             loss: 0.0,
             version: self.version,
             notify: vec![batch.explorer],
-        })
+        };
+        self.spent.push(batch);
+        Some(report)
+    }
+
+    fn take_spent(&mut self) -> Option<RolloutBatch> {
+        self.spent.pop()
     }
 
     fn param_blob(&self) -> ParamBlob {
@@ -90,7 +113,7 @@ impl Algorithm for CountingAlgorithm {
     }
 
     fn sync_mode(&self) -> SyncMode {
-        self.sync
+        SyncMode::OffPolicy
     }
 
     fn name(&self) -> &str {
@@ -109,16 +132,13 @@ impl ShardedSync for CountingAlgorithm {
     }
 
     fn take_round_credit(&mut self) -> bool {
-        self.queued.pop().is_some()
+        let Some(batch) = self.queued.pop() else { return false };
+        self.spent.push(batch);
+        true
     }
 
     fn slot_grad(&mut self, _global_rows: usize, out: &mut Vec<f32>) -> f32 {
-        let _ = self.received_at_first_train.compare_exchange(
-            usize::MAX,
-            self.received,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
+        self.first_train();
         out.resize(4, 0.0);
         0.0
     }
@@ -140,14 +160,7 @@ fn explorer_learner_pair_round_trips_until_shutdown() {
     let learner = LearnerProcess {
         shard: 0,
         endpoint: learner_ep,
-        algorithm: Box::new(CountingAlgorithm {
-            queued: Vec::new(),
-            version: 0,
-            consumed: Arc::clone(&consumed),
-            sync: SyncMode::OffPolicy,
-            received: 0,
-            received_at_first_train: Arc::new(AtomicUsize::new(usize::MAX)),
-        }),
+        algorithm: Box::new(CountingAlgorithm::new(&consumed, &Arc::new(AtomicUsize::new(usize::MAX)))),
         table: Arc::new(AssignmentTable::contiguous(1, 1)),
         mode: AllreduceMode::Sync, // the config default: no peers, so no lockstep rounds
         checkpointer: None,
@@ -212,7 +225,7 @@ fn shard_under_a_never_empty_inbox(mode: AllreduceMode) {
     let broker = Broker::new(0, Cluster::single(), comm);
     let learner_ep = broker.endpoint(ProcessId::learner(0));
     // Everything the shard addresses has a route: its peer, the controller
-    // it reports to, the explorer it owns.
+    // it reports to, the explorer it owns and answers.
     let peer_ep = broker.endpoint(ProcessId::learner(1));
     let _controller_ep = broker.endpoint(ProcessId::controller(0));
     let producer_ep = broker.endpoint(ProcessId::explorer(0));
@@ -252,14 +265,7 @@ fn shard_under_a_never_empty_inbox(mode: AllreduceMode) {
     let outcome = LearnerProcess {
         shard: 0,
         endpoint: learner_ep,
-        algorithm: Box::new(CountingAlgorithm {
-            queued: Vec::new(),
-            version: 0,
-            consumed: Arc::clone(&consumed),
-            sync: SyncMode::OffPolicy,
-            received: 0,
-            received_at_first_train: Arc::clone(&received_at_first_train),
-        }),
+        algorithm: Box::new(CountingAlgorithm::new(&consumed, &received_at_first_train)),
         table: Arc::new(AssignmentTable::contiguous(2, 2)),
         mode,
         checkpointer: None,
@@ -363,7 +369,8 @@ impl ShardedSync for HoardingSync {
 /// Regression: the lockstep loop handed rollouts to the algorithm and never
 /// collected what it was done with, so an algorithm that sheds every batch
 /// through `take_spent` (DQN: its store copies out at ingest) kept every
-/// decoded rollout for the life of the shard.
+/// decoded rollout for the life of the shard. Each collected batch is also
+/// answered, once.
 #[test]
 fn sync_shard_collects_spent_batches() {
     const ROLLOUTS: usize = 64;
@@ -407,6 +414,10 @@ fn sync_shard_collects_spent_batches() {
     .run();
 
     assert_eq!(held.load(Ordering::Relaxed), 0, "spent batches left with the algorithm at shutdown");
+    let answers = std::iter::from_fn(|| producer_ep.recv_timeout(Duration::from_millis(200)))
+        .filter(|m| m.header.kind == MessageKind::RolloutAnswer)
+        .count();
+    assert_eq!(answers, ROLLOUTS, "one answer per rollout");
     drop(producer_ep);
     broker.shutdown();
 }
@@ -494,64 +505,18 @@ fn sync_shards_leave_the_ring_together_when_gradients_are_slow() {
     broker.shutdown();
 }
 
-#[test]
-fn on_policy_explorer_waits_for_fresh_parameters() {
-    let broker = Broker::new(0, Cluster::single(), CommConfig::default());
-    let learner_ep = broker.endpoint(ProcessId::learner(0));
-    let explorer_ep = broker.endpoint(ProcessId::explorer(0));
-
-    let explorer = ExplorerProcess {
-        index: 0,
-        endpoint: explorer_ep,
-        env: Box::new(gymlite::CartPole::new(1)),
-        agent: Box::new(ScriptedAgent { version: 0 }),
-        rollout_len: 10,
-        route: RolloutRoute::Fixed(ProcessId::learner(0)),
-        sync: SyncMode::OnPolicy,
-        probe: None,
-    };
-    let explorer_thread = std::thread::spawn(move || explorer.run());
-
-    // Exactly one batch arrives, then the explorer blocks on parameters.
-    let first = learner_ep.recv_timeout(Duration::from_secs(10)).expect("first batch");
-    assert_eq!(first.header.kind, MessageKind::Rollout);
-    assert!(
-        learner_ep.recv_timeout(Duration::from_millis(300)).is_none(),
-        "on-policy gate must hold without new parameters"
-    );
-
-    // Fresh parameters release the gate for exactly one more batch.
-    let blob = ParamBlob { version: 1, params: vec![0.0; 4] };
-    learner_ep.send_to(vec![ProcessId::explorer(0)], MessageKind::Parameters, Bytes::from(blob.to_bytes()));
-    // The explorer's `ParamAck` arrives on this endpoint too: only a rollout
-    // shows the gate opened (and must be in hand before the shutdown below,
-    // which could otherwise overtake the second batch).
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let released =
-        std::iter::from_fn(|| learner_ep.recv_timeout(deadline.saturating_duration_since(Instant::now())))
-            .any(|m| m.header.kind == MessageKind::Rollout);
-    assert!(released, "gate released by the broadcast");
-
-    // Shutdown ends the explorer even while it is gated.
-    learner_ep.send_to(
-        vec![ProcessId::explorer(0)],
-        MessageKind::Control,
-        Bytes::from(ControlCommand::Shutdown.to_bytes()),
-    );
-    let outcome = explorer_thread.join().unwrap();
-    assert!(outcome.batches_sent >= 2);
-    drop(learner_ep);
-    broker.shutdown();
-}
-
 /// How long a scripted learner watches for a rollout that must not come:
 /// half the failure detector's 500 ms floor, which is the answer leash until
 /// the explorer has seen two answers.
 const HOLD: Duration = Duration::from_millis(250);
 
-/// An IMPALA-discipline explorer on CartPole, 10-step rollouts, addressed to
-/// `learner(0)` — which the test scripts, and must register first.
-fn answered_explorer(broker: &Broker) -> std::thread::JoinHandle<xingtian::explorer::ExplorerOutcome> {
+/// The window each discipline gives an explorer.
+const WINDOWS: [(SyncMode, usize); 2] =
+    [(SyncMode::OnPolicy, 1), (SyncMode::OffPolicy, MAX_INFLIGHT_BATCHES)];
+
+/// An explorer on CartPole, 10-step rollouts, addressed to `learner(0)` —
+/// which the test scripts, and must register first.
+fn scripted_explorer(broker: &Broker, sync: SyncMode) -> std::thread::JoinHandle<ExplorerOutcome> {
     let explorer = ExplorerProcess {
         index: 0,
         endpoint: broker.endpoint(ProcessId::explorer(0)),
@@ -559,7 +524,7 @@ fn answered_explorer(broker: &Broker) -> std::thread::JoinHandle<xingtian::explo
         agent: Box::new(ScriptedAgent { version: 0 }),
         rollout_len: 10,
         route: RolloutRoute::Fixed(ProcessId::learner(0)),
-        sync: SyncMode::Answered,
+        sync,
         probe: None,
     };
     std::thread::spawn(move || explorer.run())
@@ -567,19 +532,24 @@ fn answered_explorer(broker: &Broker) -> std::thread::JoinHandle<xingtian::explo
 
 /// The next rollout to reach `learner` within `within` (the explorer's
 /// `ParamAck`s arrive here too and are skipped).
-fn next_rollout(learner: &xingtian_comm::Endpoint, within: Duration) -> Option<xingtian_message::Message> {
+fn next_rollout(learner: &Endpoint, within: Duration) -> Option<Message> {
     let deadline = Instant::now() + within;
     std::iter::from_fn(|| learner.recv_timeout(deadline.saturating_duration_since(Instant::now())))
         .find(|m| m.header.kind == MessageKind::Rollout)
 }
 
-/// The scripted learner's answer: parameters of `version` to explorer 0.
-fn answer(learner: &xingtian_comm::Endpoint, version: u64) {
+/// The scripted learner hands one rollout back: explorer 0's answer.
+fn answer(learner: &Endpoint) {
+    learner.send_to(vec![ProcessId::explorer(0)], MessageKind::RolloutAnswer, Bytes::from_static(&[0; 4]));
+}
+
+/// Parameters of `version` to explorer 0, which answer nothing.
+fn announce(learner: &Endpoint, version: u64) {
     let blob = ParamBlob { version, params: vec![0.0; 4] };
     learner.send_to(vec![ProcessId::explorer(0)], MessageKind::Parameters, Bytes::from(blob.to_bytes()));
 }
 
-fn shut_down(learner: &xingtian_comm::Endpoint) {
+fn shut_down(learner: &Endpoint) {
     let body = Bytes::from(ControlCommand::Shutdown.to_bytes());
     learner.send_to(vec![ProcessId::explorer(0)], MessageKind::Control, body);
 }
@@ -591,57 +561,103 @@ fn telemetry_broker() -> (Broker, xt_telemetry::Telemetry) {
 }
 
 #[test]
-fn answered_explorer_sends_four_then_one_per_answer_stale_or_not() {
-    let (broker, telemetry) = telemetry_broker();
+fn on_policy_explorer_waits_for_fresh_parameters() {
+    let broker = Broker::new(0, Cluster::single(), CommConfig::default());
     let learner = broker.endpoint(ProcessId::learner(0));
-    let explorer = answered_explorer(&broker);
+    let explorer = scripted_explorer(&broker, SyncMode::OnPolicy);
 
-    for i in 0..MAX_INFLIGHT_BATCHES {
-        assert!(next_rollout(&learner, Duration::from_secs(10)).is_some(), "rollout {i} never came");
-    }
-    assert!(next_rollout(&learner, HOLD).is_none(), "a fifth rollout went out with four unanswered");
-    // Version 2 is applied; version 1 is then stale at the explorer and
-    // still answers a rollout.
-    for version in [2, 1] {
-        answer(&learner, version);
-        assert!(
-            next_rollout(&learner, Duration::from_secs(10)).is_some(),
-            "the answer carrying v{version} released nothing"
-        );
-        assert!(next_rollout(&learner, HOLD).is_none(), "the answer carrying v{version} released two");
-    }
+    // Exactly one batch arrives, then the explorer waits for its answer.
+    let first = next_rollout(&learner, Duration::from_secs(10)).expect("first batch");
+    assert_eq!(RolloutBatch::from_bytes(&first.body).unwrap().param_version, 0);
+    assert!(next_rollout(&learner, HOLD).is_none(), "on-policy gate must hold without an answer");
 
+    // A session broadcasts before it hands its batches back, and
+    // per-(src,dst) FIFO delivers the parameters ahead of the answer: the
+    // rollout the answer releases is generated with them.
+    announce(&learner, 1);
+    answer(&learner);
+    let second = next_rollout(&learner, Duration::from_secs(10)).expect("gate released by the answer");
+    assert_eq!(RolloutBatch::from_bytes(&second.body).unwrap().param_version, 1, "generated with v1");
+
+    // Shutdown ends the explorer even while it is gated.
     shut_down(&learner);
     let outcome = explorer.join().unwrap();
-    assert_eq!(outcome.batches_sent, MAX_INFLIGHT_BATCHES as u64 + 2);
-    // The fifth, sixth and seventh rollouts each stalled once.
-    assert_eq!(telemetry.counter("explorer.backpressure_waits").get(), 3);
-    assert_eq!(telemetry.counter("explorer.answers_forgiven").get(), 0);
+    assert_eq!(outcome.batches_sent, 2);
     drop(learner);
     broker.shutdown();
 }
 
+/// The flow-control window against a learner the test scripts, at window 1
+/// (on-policy) and window 4 (off-policy): the window's rollouts go out and
+/// the next is held; a `Parameters` message alone releases nothing; each
+/// answer releases exactly one; a silent learner is forgiven once, no sooner
+/// than 400 ms, which reopens the whole window; a shutdown reaches a waiting
+/// explorer.
 #[test]
-fn answered_explorer_forgives_a_silent_learner_once_per_leash() {
+fn explorer_window_table() {
+    for (sync, window) in WINDOWS {
+        each_answer_releases_one_rollout(sync, window);
+        a_silent_learner_is_forgiven_once_per_leash(sync, window);
+        a_waiting_explorer_shuts_down(sync, window);
+    }
+}
+
+fn each_answer_releases_one_rollout(sync: SyncMode, window: usize) {
     let (broker, telemetry) = telemetry_broker();
     let learner = broker.endpoint(ProcessId::learner(0));
-    let explorer = answered_explorer(&broker);
+    let explorer = scripted_explorer(&broker, sync);
 
-    for _ in 0..MAX_INFLIGHT_BATCHES {
+    for i in 0..window {
+        assert!(next_rollout(&learner, Duration::from_secs(10)).is_some(), "window {window}: rollout {i} never came");
+    }
+    announce(&learner, 2);
+    assert!(next_rollout(&learner, HOLD).is_none(), "window {window}: a rollout went out past a full window");
+    for i in 0..2 {
+        answer(&learner);
+        assert!(
+            next_rollout(&learner, Duration::from_secs(10)).is_some(),
+            "window {window}: answer {i} released nothing"
+        );
+        assert!(next_rollout(&learner, HOLD).is_none(), "window {window}: answer {i} released two");
+    }
+
+    shut_down(&learner);
+    let outcome = explorer.join().unwrap();
+    assert_eq!(outcome.batches_sent, window as u64 + 2, "window {window}");
+    // The window's last rollout and each one an answer released waited once.
+    assert_eq!(telemetry.counter("explorer.backpressure_waits").get(), 3, "window {window}");
+    assert_eq!(telemetry.counter("explorer.answers_forgiven").get(), 0, "window {window}");
+    drop(learner);
+    broker.shutdown();
+}
+
+fn a_silent_learner_is_forgiven_once_per_leash(sync: SyncMode, window: usize) {
+    let (broker, telemetry) = telemetry_broker();
+    let learner = broker.endpoint(ProcessId::learner(0));
+    let explorer = scripted_explorer(&broker, sync);
+
+    for _ in 0..window {
         next_rollout(&learner, Duration::from_secs(10)).expect("the window's rollouts");
     }
     let waiting = Instant::now();
-    next_rollout(&learner, Duration::from_secs(10)).expect("forgiveness releases the fifth");
+    next_rollout(&learner, Duration::from_secs(10)).expect("forgiveness releases the next");
     // With no answer gaps yet, the leash is the detector's 500 ms floor
-    // (less the fourth rollout's own delivery time).
+    // (less the window's last rollout's own delivery time).
     let waited = waiting.elapsed();
-    assert!(waited >= Duration::from_millis(400), "forgiven after only {waited:?}");
-    assert_eq!(telemetry.counter("explorer.answers_forgiven").get(), 1);
+    assert!(waited >= Duration::from_millis(400), "window {window}: forgiven after only {waited:?}");
+    assert_eq!(telemetry.counter("explorer.answers_forgiven").get(), 1, "window {window}");
     // The reset reopened the whole window.
-    for i in 1..MAX_INFLIGHT_BATCHES {
-        assert!(next_rollout(&learner, HOLD).is_some(), "rollout {i} of the reopened window never came");
+    for i in 1..window {
+        assert!(
+            next_rollout(&learner, HOLD).is_some(),
+            "window {window}: rollout {i} of the reopened window never came"
+        );
     }
-    assert_eq!(telemetry.counter("explorer.answers_forgiven").get(), 1, "forgiven again within the leash");
+    assert_eq!(
+        telemetry.counter("explorer.answers_forgiven").get(),
+        1,
+        "window {window}: forgiven again within the leash"
+    );
 
     shut_down(&learner);
     explorer.join().unwrap();
@@ -649,77 +665,26 @@ fn answered_explorer_forgives_a_silent_learner_once_per_leash() {
     broker.shutdown();
 }
 
-#[test]
-fn answered_explorer_shuts_down_while_waiting_for_answers() {
+fn a_waiting_explorer_shuts_down(sync: SyncMode, window: usize) {
     let (broker, telemetry) = telemetry_broker();
     let learner = broker.endpoint(ProcessId::learner(0));
-    let explorer = answered_explorer(&broker);
+    let explorer = scripted_explorer(&broker, sync);
 
-    for _ in 0..MAX_INFLIGHT_BATCHES {
+    for _ in 0..window {
         next_rollout(&learner, Duration::from_secs(10)).expect("the window's rollouts");
     }
-    // It counts the stalled fifth rollout as it starts to wait.
+    // It counts the wait as it starts it.
     let deadline = Instant::now() + Duration::from_secs(10);
     while telemetry.counter("explorer.backpressure_waits").get() == 0 {
-        assert!(Instant::now() < deadline, "the explorer never stalled");
+        assert!(Instant::now() < deadline, "window {window}: the explorer never waited");
         std::thread::yield_now();
     }
     shut_down(&learner);
     let outcome = explorer.join().unwrap();
-    // Had it waited out the leash it would have forgiven the four and sent
-    // a fifth before reading the shutdown.
-    assert_eq!(outcome.batches_sent, MAX_INFLIGHT_BATCHES as u64);
-    assert_eq!(telemetry.counter("explorer.answers_forgiven").get(), 0);
+    // Had it waited out the leash it would have forgiven the window and
+    // sent one more before reading the shutdown.
+    assert_eq!(outcome.batches_sent, window as u64, "window {window}");
+    assert_eq!(telemetry.counter("explorer.answers_forgiven").get(), 0, "window {window}");
     drop(learner);
-    broker.shutdown();
-}
-
-#[test]
-fn explorer_flow_control_caps_the_send_backlog() {
-    // No learner consumes, so the store fills and the backlog must plateau at
-    // the flow-control limit instead of growing unboundedly.
-    let broker = Broker::new(0, Cluster::single(), CommConfig::uncompressed());
-    // A learner endpoint exists (so routing works) but never receives.
-    let learner_ep = broker.endpoint(ProcessId::learner(0));
-    let explorer_ep = broker.endpoint(ProcessId::explorer(0));
-
-    // Atari observations make batches big enough to fill the 128 MiB store.
-    let env = gymlite::SynthAtari::with_config(
-        gymlite::AtariGame::Qbert.config().with_obs_dim(84 * 84).with_step_latency_us(0),
-        0,
-    );
-    let explorer = ExplorerProcess {
-        index: 0,
-        endpoint: explorer_ep,
-        env: Box::new(env),
-        agent: Box::new(ScriptedAgent { version: 0 }),
-        rollout_len: 500,
-        route: RolloutRoute::Fixed(ProcessId::learner(0)),
-        sync: SyncMode::OffPolicy,
-        probe: None,
-    };
-    let explorer_thread = std::thread::spawn(move || explorer.run());
-
-    // Give it time to run far ahead if flow control were broken (an
-    // unbounded pipeline generates roughly 10 batches/s here).
-    std::thread::sleep(Duration::from_secs(8));
-    learner_ep.send_to(
-        vec![ProcessId::explorer(0)],
-        MessageKind::Control,
-        Bytes::from(ControlCommand::Shutdown.to_bytes()),
-    );
-    // "Kill" the wedged learner: closing its endpoint drains the credits it
-    // was sitting on, releasing any sender blocked on the full store so the
-    // explorer can shut down cleanly.
-    drop(learner_ep);
-    let outcome = explorer_thread.join().unwrap();
-    // The store admits ~9 × 14 MiB bodies, the learner's 16 MiB receive
-    // buffer one more, the send-side gate 4; allow slack for in-hand messages.
-    let ceiling = (128 / 14) + 1 + MAX_INFLIGHT_BATCHES as u64 + 4;
-    assert!(
-        outcome.batches_sent <= ceiling,
-        "explorer ran ahead: {} batches (ceiling {ceiling})",
-        outcome.batches_sent
-    );
     broker.shutdown();
 }

@@ -148,10 +148,11 @@ pub enum MessageKind {
     /// live endpoints. Control-plane prioritized: a backpressured data plane
     /// must never delay liveness evidence.
     Heartbeat,
-    /// A replay shard telling the learner that new transitions were ingested,
-    /// so its event-driven training loop wakes without polling. Carries only
-    /// the insert count.
-    ReplayNotice,
+    /// The answer to a rollout, naming its source explorer (a codec `u32`): the
+    /// process that took it has handed it back for recycling. The learner
+    /// answers the explorer; a replay shard answers the learner, which wakes
+    /// and passes the answer on.
+    RolloutAnswer,
     /// An explorer confirming (or refusing) a parameter broadcast: carries the
     /// parameter version the explorer now holds, so the learner's delta-base
     /// bookkeeping tracks what each receiver can actually decode against.
@@ -190,8 +191,10 @@ impl MessageKind {
             // A backpressured data plane must never delay liveness evidence.
             // One pid list per machine per interval.
             MessageKind::Heartbeat => true,
-            // The learner's wake-up from a replay shard; carries a count.
-            MessageKind::ReplayNotice => true,
+            // One per rollout taken (two under store-resident replay: shard to
+            // learner, learner to explorer): bounded by window × explorers,
+            // since an explorer sends nothing past its window unanswered.
+            MessageKind::RolloutAnswer => true,
             // Delta-base bookkeeping going stale behind a backed-up data
             // plane would force full-f32 fallbacks exactly when the wire is
             // busiest. One small ack per applied broadcast.
@@ -446,7 +449,7 @@ mod tests {
             (Control, true),
             (Dummy, false),
             (Heartbeat, true),
-            (ReplayNotice, true),
+            (RolloutAnswer, true),
             (ParamAck, true),
             (Gradient, false),
             (InferRequest, true),

@@ -14,8 +14,8 @@
 //!
 //! * [`run_replay_service`] ingests each rollout batch **once**, straight
 //!   off the wire (decoded with the same recycled-buffer
-//!   [`xingtian_algos::BatchDecoder`] the learner uses), and wakes the
-//!   learner with a payload-free notice;
+//!   [`xingtian_algos::BatchDecoder`] the learner uses), and answers each to
+//!   the learner, which wakes and passes the answer on to the explorer;
 //! * the learner's DQN samples the shared plane directly — a single copy
 //!   from arena slots into its training buffers.
 

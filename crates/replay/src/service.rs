@@ -4,10 +4,13 @@
 //! of the learner. The service pops each batch from its receive buffer
 //! (already staged by the asynchronous channel), decodes it once into the
 //! shared [`ReplayPlane`], and recycles the decode buffers — this is the one
-//! and only decode the batch ever gets. It then nudges the learner with a
-//! tiny control-plane [`MessageKind::ReplayNotice`] carrying the insert
-//! count, so the learner's training loop wakes without receiving any rollout
-//! payload at all.
+//! and only decode the batch ever gets. Recycling is where the rollout is
+//! answered: one tiny control-plane [`MessageKind::RolloutAnswer`] naming
+//! the rollout's source goes to the learner. It wakes the learner, whose
+//! training loop runs without receiving any rollout payload at all, and the
+//! learner passes the answer on to the source when it reads it. The shard
+//! ingests as fast as explorers send, so an answer sent from here would let
+//! them run ahead of training: the surplus is ingested and never trained.
 
 use bytes::Bytes;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -16,6 +19,7 @@ use std::time::Duration;
 use xingtian_algos::payload::BatchDecoder;
 use xingtian_algos::ReplayPlane;
 use xingtian_comm::Endpoint;
+use xingtian_message::codec::Encode;
 use xingtian_message::{MessageKind, ProcessId};
 
 /// What the service reports when it stops.
@@ -36,7 +40,7 @@ pub struct ReplayOutcome {
 pub fn run_replay_service(
     endpoint: Endpoint,
     plane: Arc<ReplayPlane>,
-    notify: ProcessId,
+    learner: ProcessId,
     stop: Arc<AtomicBool>,
 ) -> ReplayOutcome {
     let mut decoder = BatchDecoder::new();
@@ -55,10 +59,9 @@ pub fn run_replay_service(
                 decoder.recycle(batch);
                 outcome.batches_ingested += 1;
                 outcome.steps_ingested += inserted as u64;
-                // Wake the learner with the insert count (the body must be
-                // non-empty; endpoints reject empty sends).
-                let count = (inserted as u32).to_le_bytes();
-                endpoint.send_to(vec![notify], MessageKind::ReplayNotice, Bytes::copy_from_slice(&count));
+                // The answer names the source explorer.
+                let body = Bytes::from(msg.header.src.index.to_bytes());
+                endpoint.send_to(vec![learner], MessageKind::RolloutAnswer, body);
             }
             // Any control message means the deployment is coming down.
             MessageKind::Control => break,
@@ -76,7 +79,7 @@ mod tests {
     use xingtian_algos::payload::{RolloutBatch, RolloutStep};
     use xingtian_algos::ReplayConfig;
     use xingtian_comm::{Broker, CommConfig};
-    use xingtian_message::codec::Encode;
+    use xingtian_message::codec::Decode;
     use xt_telemetry::Telemetry;
 
     fn rollout(n: usize) -> RolloutBatch {
@@ -102,7 +105,6 @@ mod tests {
     fn service_ingests_and_notifies() {
         let broker = Broker::new(0, Cluster::single(), CommConfig::default());
         let learner = broker.endpoint(ProcessId::learner(0));
-        let explorer = broker.endpoint(ProcessId::explorer(0));
         let replay_ep = broker.endpoint(ProcessId::replay(0));
 
         let telemetry = Telemetry::enabled();
@@ -116,20 +118,24 @@ mod tests {
         // Explorer pushes rollouts to the replay shard, not the learner. The
         // first is ragged (regression: its observations reached the arena's
         // dimension assert and panicked the ingester); the service must stay
-        // alive for the good one behind it.
+        // alive for the good one behind it, and answer both, once each.
         let mut ragged = rollout(6);
         ragged.steps[0].observation = vec![0.0; 3];
         ragged.steps[1].next_observation = Some(Vec::new());
-        for (batch, landed) in [(ragged, 4), (rollout(10), 10)] {
+        let source = ProcessId::explorer(7);
+        let explorer = broker.endpoint(source);
+        for (batch, total) in [(ragged, 4), (rollout(10), 14)] {
             assert!(explorer.send_to(
                 vec![ProcessId::replay(0)],
                 MessageKind::Rollout,
                 Bytes::from(batch.to_bytes())
             ));
             let notice = learner.recv().expect("learner woken by the shard");
-            assert_eq!(notice.header.kind, MessageKind::ReplayNotice);
-            assert_eq!(u32::from_le_bytes(notice.body[..4].try_into().unwrap()), landed);
+            assert_eq!(notice.header.kind, MessageKind::RolloutAnswer);
+            assert_eq!(u32::from_bytes(&notice.body).ok(), Some(source.index), "the answer names the source");
+            assert_eq!(plane.total_inserted(), total, "answered after the ingest");
         }
+        assert!(learner.recv_timeout(Duration::from_millis(50)).is_none(), "one answer per batch");
         assert_eq!(plane.total_inserted(), 14);
         assert_eq!(telemetry.counter("replay.rejected").get(), 2);
 

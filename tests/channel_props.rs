@@ -36,7 +36,7 @@ const KINDS: [MessageKind; 11] = [
     MessageKind::Heartbeat,
     MessageKind::ParamAck,
     MessageKind::Parameters,
-    MessageKind::ReplayNotice,
+    MessageKind::RolloutAnswer,
     MessageKind::InferRequest,
     MessageKind::InferReply,
 ];
@@ -300,8 +300,6 @@ fn a_stalled_consumer_backpressures_in_bytes_through_the_store() {
             // most one in hand, the rest staged) insert nothing.
             std::thread::sleep(Duration::from_millis(50));
             assert_eq!(store.inserted(), absorbed as u64, "{cell}: a sender got past a full store");
-            let held_back: usize = explorers.iter().map(|e| e.send_backlog()).sum();
-            assert!(held_back >= total - absorbed - explorers.len(), "{cell}: {held_back} held back");
             assert_eq!(learner.pending(), buffered, "{cell}: receive buffer over budget");
             assert_eq!(store.len(), resident, "{cell}");
             assert_eq!(store.data_occupancy() * store.capacity() as f64, (resident * len) as f64, "{cell}");

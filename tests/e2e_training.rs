@@ -40,11 +40,17 @@ fn ppo_learns_cartpole_end_to_end() {
     assert!(ret > RANDOM_BASELINE, "PPO should beat random play, got {ret}");
 }
 
+/// DQN's goals: the explorer waits on the learner's answers, so it steps the
+/// environment about once per consumed row ÷ 8 (32 rows per session, one
+/// session per 4 inserts). 60 000 rows is ≈ 7 500 environment steps, past
+/// the 4 000-step exploration decay.
+const DQN_GOAL: u64 = 60_000;
+
 #[test]
 fn dqn_learns_cartpole_end_to_end() {
     let mut config = DeploymentConfig::cartpole(AlgorithmSpec::dqn(), 1)
         .with_rollout_len(4)
-        .with_goal_steps(30_000)
+        .with_goal_steps(DQN_GOAL)
         .with_max_seconds(180.0);
     if let AlgorithmSpec::Dqn(c) = &mut config.algorithm {
         c.warmup_steps = 500;
@@ -52,7 +58,7 @@ fn dqn_learns_cartpole_end_to_end() {
         c.epsilon_decay_steps = 4_000;
     }
     let report = finish(config);
-    assert!(report.steps_consumed >= 30_000);
+    assert!(report.steps_consumed >= DQN_GOAL);
     let ret = report.final_return(100).expect("episodes completed");
     assert!(ret > RANDOM_BASELINE, "DQN should beat random play, got {ret}");
 }
@@ -90,7 +96,7 @@ fn reinforce_learns_cartpole_end_to_end() {
 fn double_dqn_with_prioritized_replay_learns_cartpole() {
     let mut config = DeploymentConfig::cartpole(AlgorithmSpec::dqn(), 1)
         .with_rollout_len(4)
-        .with_goal_steps(30_000)
+        .with_goal_steps(DQN_GOAL)
         .with_max_seconds(180.0);
     if let AlgorithmSpec::Dqn(c) = &mut config.algorithm {
         c.double = true;
@@ -100,7 +106,7 @@ fn double_dqn_with_prioritized_replay_learns_cartpole() {
         c.epsilon_decay_steps = 4_000;
     }
     let report = finish(config);
-    assert!(report.steps_consumed >= 30_000);
+    assert!(report.steps_consumed >= DQN_GOAL);
     let ret = report.final_return(100).expect("episodes completed");
     assert!(ret > RANDOM_BASELINE, "DDQN+PER should beat random play, got {ret}");
 }
@@ -120,10 +126,51 @@ fn on_policy_learner_waits_are_recorded() {
     assert!(report.mean_train_time.as_nanos() > 0);
 }
 
+/// Store-resident replay with many explorers: each answer the learner passes
+/// on lets an explorer send another rollout, which the shard ingests and
+/// answers back, so the learner's inbox may never empty. Its drain counts
+/// those answers against the per-pass bound, so it still trains, and the run
+/// reaches its goal long before the deadline.
+#[test]
+fn store_resident_replay_trains_under_32_explorers() {
+    let mut config = DeploymentConfig::cartpole(AlgorithmSpec::dqn(), 32)
+        .with_rollout_len(4)
+        .with_step_latency_us(0)
+        .with_goal_steps(20_000)
+        .with_max_seconds(60.0)
+        .with_store_resident_replay();
+    if let AlgorithmSpec::Dqn(c) = &mut config.algorithm {
+        c.hidden = vec![32];
+        c.warmup_steps = 500;
+    }
+    let report = finish(config);
+    assert!(report.steps_consumed >= 20_000, "consumed {}", report.steps_consumed);
+    assert!(report.wall_time.as_secs_f64() < 30.0, "took {:?}", report.wall_time);
+}
+
+/// An on-policy explorer is released by the learner's answer alone, so the
+/// parameters broadcast ahead of that answer must reach it first on a
+/// sharded router too. Otherwise it generates its next rollout with the old
+/// parameters, and PPO discards it as stale: every rollout decoded here is
+/// generated by the learner's current parameters.
+#[test]
+fn on_policy_rollouts_are_fresh_on_a_sharded_router() {
+    let report = finish(
+        DeploymentConfig::cartpole(AlgorithmSpec::ppo(), 2)
+            .with_router_shards(2)
+            .with_rollout_len(50)
+            .with_goal_steps(5_000)
+            .with_max_seconds(60.0),
+    );
+    assert!(report.steps_consumed >= 5_000);
+    assert!(!report.policy_lag.is_empty());
+    assert_eq!(report.policy_lag.max(), 0, "a rollout was generated with stale parameters");
+}
+
 /// IMPALA explorers generate only what the learner trains on. Four unpaced
-/// explorers outrun one learner here; each may hold `MAX_INFLIGHT_BATCHES`
-/// rollouts the learner has not answered plus the one in hand, so that is
-/// all the generated steps may exceed the consumed ones by.
+/// explorers outrun one learner here; each may have `MAX_INFLIGHT_BATCHES`
+/// rollouts the learner has not answered, so that is all the generated steps
+/// may exceed the consumed ones by.
 ///
 /// The bound is on the goal, not on `steps_consumed`: `steps_generated` is
 /// the controller's tally at the moment the learner reached the goal, and
@@ -145,7 +192,7 @@ fn impala_explorers_generate_no_more_than_the_learner_consumes() {
             .with_max_seconds(60.0),
     );
     assert!(report.steps_consumed >= GOAL);
-    let slack = EXPLORERS * (MAX_INFLIGHT_BATCHES as u64 + 1) * ROLLOUT_LEN;
+    let slack = EXPLORERS * MAX_INFLIGHT_BATCHES as u64 * ROLLOUT_LEN;
     assert!(
         report.steps_generated <= GOAL + slack,
         "generated {} steps for a {GOAL}-step goal (allowed {slack} more; {} consumed by shutdown)",
