@@ -51,11 +51,14 @@ echo "== release smoke: the channel's lane, settlement and head-of-line tests on
 # Parameters stay out of data occupancy at 2 MiB as at 64 KiB; one settlement:
 # an undecodable body is a counted drop; FIFO for every size: a 2 MiB body,
 # compressible or not, arrives ahead of the 100 smalls sent after it; beacons
-# survive the gate and a pass: a sender parked at a full store or inside
-# three 32 MiB compression passes is still listed in its broker's one beat
-# per interval, with no gap of 4 intervals.
+# survive the gate and a pass: a producer parked in `send` at a full store or
+# inside three 32 MiB compression passes is still listed in its broker's one
+# beat per interval, with no gap of 4 intervals. The gate counts data-lane
+# bytes only: parameters resident for an explorer that is not reading do not
+# keep another explorer's rollout from the learner.
 # Then the lane x path x size table property over a 2-machine fabric, with
-# per-(src,dst) FIFO across all three size classes.
+# per-(src,dst) FIFO across all three size classes, and the stalled-consumer
+# table: producers held inside `send`, nothing staged outside the store.
 cargo test --release -q -p xingtian-comm --test integration
 cargo test --release -q --test channel_props
 
@@ -168,6 +171,16 @@ echo "== graph smoke: the one process graph and the one learner loop, both disci
 cargo test --release -q -p xingtian --test process_loops
 cargo test --release -q -p xingtian --test multi_learner
 cargo test --release -q -p xingtian --test chaos fault_free_supervised_runs_drop_nothing
+
+echo "== producers wait in send: no drain ever waits at the data-lane gate =="
+# A producer submits on its own thread and waits at the store's gate while the
+# store is full. A two-shard lockstep run whose store a few rollouts fill, with
+# one-message receive buffers, closes its rounds (Gradient rides the priority
+# lane; on the data lane the shards wedge). Eight IMPALA explorers parked at a
+# store of two rollouts still reach the goal and leave within seconds, with no
+# drop and no leak.
+cargo test --release -q -p xingtian --test multi_learner lockstep_rounds_close_when_rollouts_fill_the_store
+cargo test --release -q -p xingtian --test chaos explorers_parked_at_a_full_store_still_leave
 
 echo "== serve smoke: hot swap under live traffic, fleet supervision, swap determinism =="
 # hot_swap: two-replica fleet under pinned open-loop load while a publisher

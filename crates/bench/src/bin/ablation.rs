@@ -64,15 +64,19 @@ fn ablation_compression() {
         let body = Bytes::from(compressible.clone());
         let rounds = 10;
         let t0 = Instant::now();
-        for _ in 0..rounds {
+        // One thread per explorer: a producer waits in `send` while the store
+        // is full, and 40 raw 4 MiB bodies overfill it.
+        let bytes: u64 = std::thread::scope(|s| {
             for e in &explorers {
-                e.send_to(vec![ProcessId::learner(0)], MessageKind::Dummy, body.clone());
+                let body = &body;
+                s.spawn(move || {
+                    for _ in 0..rounds {
+                        e.send_to(vec![ProcessId::learner(0)], MessageKind::Dummy, body.clone());
+                    }
+                });
             }
-        }
-        let mut bytes = 0u64;
-        for _ in 0..rounds * explorers.len() {
-            bytes += learner.recv().expect("delivered").body.len() as u64;
-        }
+            (0..rounds * explorers.len()).map(|_| learner.recv().expect("delivered").body.len() as u64).sum()
+        });
         let elapsed = t0.elapsed();
         println!(
             "{:<24} {:>12.0} {:>11.0}ms",

@@ -234,7 +234,7 @@ impl Broker {
     }
 
     /// Creates the communication endpoint for local process `pid`: its ID
-    /// queue, buffers, and sender/receiver monitoring threads.
+    /// queue, receive buffer, and receiver thread.
     ///
     /// # Panics
     ///
@@ -261,7 +261,7 @@ impl Broker {
         self.shared.hub.table.remove_id_queue(pid);
     }
 
-    /// Accepts a message on the calling (sender) thread: splits its
+    /// Accepts a message on the calling (producer's) thread: splits its
     /// destinations against the routing snapshot (once — the router reuses
     /// the plan), stores the body in the form
     /// [`compress_for_transport`] gives it, and dispatches it — admitted on
@@ -365,10 +365,10 @@ impl Broker {
 /// broker to the monitor listing every local endpoint not in the `Broker` role
 /// (a monitor's own), submitted like any message; nothing when there is none.
 /// A pid leaves the list when its ID queue is removed — its close, or its drop
-/// while a workhorse unwinds — and nothing its sender thread waits on, a full
-/// store or a compression pass, can keep it off. Holds the broker weakly, the
-/// rule `Hub` follows; returns when `stop`'s sender is dropped or the broker is
-/// gone.
+/// while a workhorse unwinds — and nothing its producer waits on inside
+/// `send`, a full store or a compression pass, can keep it off. Holds the
+/// broker weakly, the rule `Hub` follows; returns when `stop`'s sender is
+/// dropped or the broker is gone.
 fn run_beacon(shared: Weak<BrokerShared>, hb: HeartbeatConfig, stop: Receiver<()>) {
     let mut due = Instant::now();
     for seq in 0.. {
@@ -756,8 +756,8 @@ mod tests {
             let dst = vec![ProcessId::explorer(i)];
             shard_hit[crate::router::shard_for(dst[0], 4)] = true;
             let h = Header::new(ProcessId::learner(0), dst, MessageKind::Dummy);
-            // Submit directly (no sender thread) so the deliveries are
-            // guaranteed to be in shard queues when shutdown lands.
+            // Submit directly so the deliveries are guaranteed to be in
+            // shard queues when shutdown lands.
             assert!(broker.submit(Message::new(h, Bytes::from(vec![i as u8]))));
         }
         assert!(shard_hit.iter().all(|&h| h), "test must exercise every shard");

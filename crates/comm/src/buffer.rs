@@ -1,10 +1,9 @@
-//! Intra-process send/receive buffers.
+//! The intra-process receive buffer.
 //!
-//! A [`Buffer`] is the paper's send-buffer / receive-buffer structure: the
-//! staging area between a workhorse thread (rollout worker or trainer) and the
-//! monitoring threads of the channel. Workhorse threads only ever touch these
-//! local buffers; the monitoring threads move data between buffers and the
-//! shared-memory communicator.
+//! A [`Buffer`] is the paper's receive-buffer structure: the staging area
+//! between an endpoint's receiver thread, which moves delivered messages out
+//! of the shared-memory communicator, and the workhorse thread (rollout
+//! worker or trainer) that consumes them.
 //!
 //! The buffer owns its queue: whole [`Message`]s in a `VecDeque` under one
 //! mutex, with the byte count and the closed flag beside it, so `push` and

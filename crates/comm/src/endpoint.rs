@@ -1,18 +1,20 @@
-//! Process endpoints: send/receive buffers plus the monitoring threads.
+//! Process endpoints: an inbox plus its receiver thread.
 //!
 //! An [`Endpoint`] is everything a workhorse thread (rollout worker or
-//! trainer) sees of the communication channel: `send` stages a message in the
-//! local send buffer and returns immediately; `recv` pops the local receive
-//! buffer. Two monitoring threads per endpoint keep data flowing:
+//! trainer) sees of the communication channel. `send` submits the message to
+//! the broker on the caller's own thread (compression, object-store
+//! insertion, header enqueue) and returns once the body is in the store; a
+//! data-lane body waits at the store's capacity gate while the store is full,
+//! and that wait is the channel's back-pressure on the producer. `recv` pops
+//! the local receive buffer, which one monitoring thread per endpoint fills:
 //!
-//! * the **sender thread** pops the send buffer and submits each message to
-//!   the broker (compression + object-store insertion + header enqueue), and
 //! * the **receiver thread** pops the endpoint's ID queue, fetches the body
 //!   from the object store (zero-copy), decompresses if needed, and pushes the
 //!   complete message into the receive buffer.
 //!
-//! Both threads are event-driven (blocking pops), so transmission starts the
-//! instant data are ready — the paper's aggressive-push behavior.
+//! The receiver thread is event-driven (a blocking pop), and the producer
+//! submits the instant a message exists, so transmission starts as soon as
+//! data are ready — the paper's aggressive-push behavior.
 
 use crate::broker::Broker;
 use crate::buffer::Buffer;
@@ -20,7 +22,7 @@ use crate::router::IdQueueMsg;
 use crate::stats::TransmissionStats;
 use crossbeam_channel::Receiver;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -32,7 +34,8 @@ use xt_telemetry::{EventKind, Telemetry};
 pub struct Endpoint {
     pid: ProcessId,
     broker: Broker,
-    send_buf: Arc<Buffer>,
+    /// Set by [`Endpoint::close`]; `send` refuses once set.
+    closed: AtomicBool,
     recv_buf: Arc<Buffer>,
     /// Latency from message creation (at the producer) to arrival in this
     /// endpoint's receive buffer.
@@ -40,12 +43,11 @@ pub struct Endpoint {
     bytes_received: Arc<AtomicU64>,
     messages_received: Arc<AtomicU64>,
     telemetry: Telemetry,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    receiver: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Endpoint {
     pub(crate) fn spawn(pid: ProcessId, broker: Broker, id_rx: Receiver<IdQueueMsg>) -> Self {
-        let send_buf = Arc::new(Buffer::new());
         // Workhorse endpoints get byte-bounded receive buffers so that a
         // stalled consumer backpressures the whole channel (receiver thread
         // blocks → object store fills → senders block) instead of buffering
@@ -63,26 +65,8 @@ impl Endpoint {
         let messages_received = Arc::new(AtomicU64::new(0));
         let telemetry = broker.telemetry().clone();
 
-        let mut threads = Vec::with_capacity(2);
-
-        // Sender monitoring thread: send buffer -> broker, until the buffer
-        // is closed and drained.
-        {
-            let send_buf = Arc::clone(&send_buf);
-            let broker = broker.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("xt-send-{pid}"))
-                .spawn(move || {
-                    while let Some(msg) = send_buf.pop() {
-                        broker.submit(msg);
-                    }
-                })
-                .expect("spawn sender thread");
-            threads.push(handle);
-        }
-
         // Receiver monitoring thread: ID queue -> object store -> receive buffer.
-        {
+        let receiver = {
             let recv_buf = Arc::clone(&recv_buf);
             // The receiver thread holds only the hub, not the broker, so a
             // broker is never kept alive by one of its own tracked threads.
@@ -93,7 +77,7 @@ impl Endpoint {
             let telemetry = telemetry.clone();
             let delivery_hist = telemetry.histogram("comm.delivery_ns");
             let decompress_hist = telemetry.histogram("comm.decompress_ns");
-            let handle = std::thread::Builder::new()
+            std::thread::Builder::new()
                 .name(format!("xt-recv-{pid}"))
                 .spawn(move || {
                     while let Ok(msg) = id_rx.recv() {
@@ -180,20 +164,19 @@ impl Endpoint {
                     // (`Broker::close_endpoint`) unblock a stuck consumer.
                     recv_buf.close();
                 })
-                .expect("spawn receiver thread");
-            threads.push(handle);
-        }
+                .expect("spawn receiver thread")
+        };
 
         Endpoint {
             pid,
             broker,
-            send_buf,
+            closed: AtomicBool::new(false),
             recv_buf,
             delivery_stats,
             bytes_received,
             messages_received,
             telemetry,
-            threads: Mutex::new(threads),
+            receiver: Mutex::new(Some(receiver)),
         }
     }
 
@@ -202,18 +185,19 @@ impl Endpoint {
         self.pid
     }
 
-    /// Stages `msg` for asynchronous transmission and returns immediately.
+    /// Submits `msg` to the broker on the calling thread and returns once
+    /// the body is in the store; waits at the data-lane gate while it is
+    /// full.
     ///
     /// Returns `false` if the endpoint has been closed.
     pub fn send(&self, msg: Message) -> bool {
+        if self.closed.load(Ordering::Acquire) {
+            return false;
+        }
         let (id, len) = (msg.header.id, msg.body.len() as u64);
-        // Stamp before the push: once the message is in the buffer the drain
-        // thread can complete the whole lifecycle (advancing the virtual
-        // clock across the NIC) before this thread runs again, which would
-        // give SendEnqueued a later timestamp than StoreInserted..Fetched.
-        // A closed endpoint leaves one stray SendEnqueued (incomplete span).
         self.telemetry.emit(EventKind::SendEnqueued, id, len);
-        self.send_buf.push(msg)
+        self.broker.submit(msg);
+        true
     }
 
     /// Convenience: builds and sends a message from this endpoint.
@@ -278,20 +262,19 @@ impl Endpoint {
         self.messages_received.load(Ordering::Relaxed)
     }
 
-    /// Closes the endpoint: the send buffer stops accepting messages (the
-    /// sender thread drains and exits), the ID queue is removed and the
-    /// receive buffer closed (the receiver thread exits, even if it was
-    /// blocked on a full bounded buffer), and the monitoring threads are
-    /// joined. Idempotent.
+    /// Closes the endpoint: later sends are refused, the ID queue is
+    /// removed and the receive buffer closed (the receiver thread exits, even
+    /// if it was blocked on a full bounded buffer), and the receiver thread
+    /// is joined. A thread parked in `send` at the store's gate is not waited
+    /// for. Idempotent.
     pub fn close(&self) {
-        self.send_buf.close();
+        self.closed.store(true, Ordering::Release);
         self.broker.close_endpoint(self.pid);
         // Close the receive buffer *before* joining: a receiver thread
         // blocked pushing into a full bounded buffer unblocks on closure.
         self.recv_buf.close();
-        let threads: Vec<_> = self.threads.lock().drain(..).collect();
-        for t in threads {
-            let _ = t.join();
+        if let Some(receiver) = self.receiver.lock().take() {
+            let _ = receiver.join();
         }
     }
 }
@@ -310,7 +293,7 @@ mod tests {
     use netsim::Cluster;
 
     #[test]
-    fn send_returns_immediately_recv_blocks_until_delivery() {
+    fn send_stores_the_body_and_recv_blocks_until_delivery() {
         let broker = Broker::new(0, Cluster::single(), CommConfig::default());
         let e = broker.endpoint(ProcessId::explorer(0));
         let l = broker.endpoint(ProcessId::learner(0));

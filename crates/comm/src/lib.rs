@@ -4,22 +4,21 @@
 //! sender-initiated, aggressive push pipeline:
 //!
 //! ```text
-//! workhorse thread ──▶ send buffer ──▶ sender thread ──▶ shared-memory
-//!                                                        communicator
-//!                                                        (object store +
-//!                                                         header queue)
-//!                                                              │
-//!                                                   algorithm-agnostic router
-//!                                                     │               │
-//!                                              local ID queues   remote broker
-//!                                                     │           (via netsim)
-//!                                             receiver thread ──▶ receive buffer
-//!                                                                ──▶ workhorse
+//! workhorse thread ──▶ send ──▶ shared-memory communicator
+//!                               (object store + header queue)
+//!                                          │
+//!                               algorithm-agnostic router
+//!                                 │               │
+//!                          local ID queues   remote broker
+//!                                 │           (via netsim)
+//!                         receiver thread ──▶ receive buffer ──▶ workhorse
 //! ```
 //!
-//! Every hop is event-driven: each monitoring thread blocks on a queue `pop`
-//! and reacts the moment a message header appears, so data transmission starts
-//! as soon as the data exist and overlaps with the computation of both
+//! Every hop is event-driven: `send` writes the body into the store on the
+//! producer's own thread, waiting at the capacity gate while the store is
+//! full (the back-pressure), and each monitoring thread blocks on a queue
+//! `pop` and reacts the moment a message header appears, so data transmission
+//! starts as soon as the data exist and overlaps with the computation of both
 //! endpoints. Bodies live in the [`store::ObjectStore`] and move by reference
 //! (O(1) `Bytes` clones); only headers flow through queues.
 //!
@@ -39,12 +38,12 @@
 //!
 //! The public surface:
 //!
-//! * [`Buffer`] — intra-process send/receive staging.
+//! * [`Buffer`] — the intra-process receive buffer.
 //! * [`ObjectStore`] — zero-copy shared body store with fan-out refcounts.
 //! * [`Broker`] — per-machine communication hub: communicator, router thread,
 //!   and fabric links to peer brokers over a [`netsim::Cluster`].
-//! * [`Endpoint`] — what an explorer/learner process holds: its buffers plus
-//!   the sender/receiver monitoring threads.
+//! * [`Endpoint`] — what an explorer/learner process holds: `send`, plus its
+//!   receive buffer and the receiver thread that fills it.
 //! * [`SnapshotCell`] — the one lock-free-read publish cell (epoch
 //!   reclamation): the routing tables here, the hot-swapped policy in
 //!   `xt-serve`.

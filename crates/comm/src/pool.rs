@@ -4,11 +4,11 @@
 //! a large body an independent LZ4 frame; this module supplies the threads
 //! that crunch those frames concurrently. One process-wide [`WorkPool`]
 //! (sized to the machine, capped at 8) is shared by all brokers — compression
-//! jobs from every endpoint sender thread and decompression jobs from every
-//! endpoint receiver thread interleave on the same workers.
+//! jobs from every producer inside `Endpoint::send` and decompression jobs
+//! from every endpoint receiver thread interleave on the same workers.
 //!
 //! Only *leaf* chunk jobs ever enter the pool; the orchestrating thread
-//! (sender or receiver) never blocks inside a pool slot. Instead it
+//! (producer or receiver) never blocks inside a pool slot. Instead it
 //! participates in the partition itself ([`WorkPool::run_scoped`]: every
 //! `(workers + 1)`-th job runs inline on the caller) — so a pool saturated by
 //! another message can delay a caller but never deadlock it, and on a

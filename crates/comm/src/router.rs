@@ -23,10 +23,11 @@
 //!   snapshots: [`RoutingTable::split`] and [`Hub::push_headers`] take zero
 //!   locks per message; the rare writers (endpoint registration, fabric
 //!   merges) pay the copy instead.
-//! * **Split once.** The sender thread computes the local/remote split and
-//!   ships the resulting [`Delivery`] plan to the router, so the destination
-//!   list is resolved exactly once per message and store fetch credits always
-//!   match the plan (no re-split drift between submission and routing).
+//! * **Split once.** `Broker::submit` computes the local/remote split on the
+//!   producer's thread and ships the resulting [`Delivery`] plan to the
+//!   router, so the destination list is resolved exactly once per message and
+//!   store fetch credits always match the plan (no re-split drift between
+//!   submission and routing).
 //! * **O(n) broadcast.** ID queues carry `Arc<Header>`: an n-way broadcast
 //!   enqueues n pointer clones of one header instead of n deep copies of an
 //!   n-entry destination list.

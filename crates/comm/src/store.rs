@@ -171,12 +171,15 @@ impl ObjectStore {
         assert!(fanout > 0, "fanout must be at least 1");
         let len = body.len();
         // Check-and-reserve atomically under the gate so concurrent waiters
-        // cannot all observe free space and collectively overshoot. An object
-        // that can never fit is admitted once the store drains (live == 0), so
-        // oversized messages cannot deadlock the channel.
+        // cannot all observe free space and collectively overshoot. Only
+        // data-lane bytes hold the gate: priority-lane bodies addressed to a
+        // producer parked here could otherwise keep it shut with nobody left
+        // to drain them. An object that can never fit is admitted once the
+        // data lane drains (data == 0), so oversized messages cannot deadlock
+        // the channel.
         {
             let mut gate = self.gate.lock();
-            while wait_for_capacity && gate.live > 0 && gate.live + len > self.capacity {
+            while wait_for_capacity && gate.data > 0 && gate.data + len > self.capacity {
                 self.space.wait(&mut gate);
             }
             gate.live += len;
@@ -289,11 +292,10 @@ impl ObjectStore {
         self.peak_bytes.load(Ordering::Relaxed)
     }
 
-    /// Fraction of capacity occupied by resident bodies. This is the
-    /// channel's back-pressure signal: sustained occupancy near 1.0 means
-    /// producers are stalling in `insert` waiting for consumers. Oversized
-    /// lone objects (admitted despite exceeding capacity) can push it past
-    /// 1.0 transiently.
+    /// Fraction of capacity occupied by resident bodies of either lane.
+    /// Oversized lone objects (admitted despite exceeding capacity) and
+    /// priority-lane bodies can push it past 1.0. The gate waits on
+    /// [`data_occupancy`](ObjectStore::data_occupancy), not on this.
     pub fn occupancy(&self) -> f64 {
         self.live_bytes() as f64 / self.capacity as f64
     }

@@ -1,9 +1,10 @@
 //! Channel integration tests: compression over the simulated NIC, fabric
 //! reconfiguration, memory accounting under broadcast fan-out, and liveness
-//! beacons that no sender thread can hold up.
+//! beacons that no producer parked in `send` can hold up.
 
 use bytes::Bytes;
 use netsim::{Cluster, ClusterSpec};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xingtian_comm::{connect_brokers, Broker, CommConfig, Compression, Endpoint};
 use xingtian_message::codec::Decode;
@@ -162,7 +163,7 @@ fn body_then_smalls(machines: usize, body: &Bytes) -> (Vec<Message>, Telemetry) 
 #[test]
 fn a_large_body_keeps_its_place_ahead_of_later_smalls() {
     // Per-(src,dst) FIFO for every size: an over-threshold body is compressed
-    // (or, failing the probe, left raw) on the sender thread that submits it,
+    // (or, failing the probe, left raw) on the producer's thread inside `send`,
     // so the 100 smalls sent after it arrive after it, on one machine or
     // across the wire, and the counters book exactly one of the two forms.
     for compresses in [false, true] {
@@ -348,12 +349,17 @@ fn control_passes_a_full_store_from_either_machine() {
     connect_brokers(&[b0.clone(), b1.clone()]);
 
     // One rollout lands in the learner's one-message receive buffer, one is held
-    // by its receiver thread, one fills the store, one parks the explorer's
-    // sender thread at the gate, two wait in its send buffer: three inserted.
-    for i in 0..6u8 {
-        explorer.send_to(vec![ProcessId::learner(0)], MessageKind::Rollout, Bytes::from(vec![i; 4000]));
-    }
+    // by its receiver thread, one fills the store, and the fourth parks the
+    // explorer's producer in `send` at the gate, two more behind it on that
+    // thread: three inserted.
+    let producer = std::thread::spawn(move || {
+        for i in 0..6u8 {
+            explorer.send_to(vec![ProcessId::learner(0)], MessageKind::Rollout, Bytes::from(vec![i; 4000]));
+        }
+        explorer
+    });
     let full = eventually(10, || b1.store().live_bytes() == 4000 && b1.store().inserted() == 3);
+    let held = !producer.is_finished();
 
     near.send_to(vec![watcher.pid()], MessageKind::Control, Bytes::from(vec![1u8; 200]));
     let from_near = watcher.recv_timeout(Duration::from_secs(2));
@@ -361,12 +367,14 @@ fn control_passes_a_full_store_from_either_machine() {
     let from_far = watcher.recv_timeout(Duration::from_secs(2));
     let data_share = b1.store().data_occupancy();
 
-    // Unwedge before asserting: closing an endpoint joins its sender thread,
-    // which here is parked on the full store until the learner drains it.
+    // Unwedge before asserting: the producer is parked on the full store
+    // until the learner drains it.
     for i in 0..6u8 {
         let m = learner.recv_timeout(Duration::from_secs(10)).expect("rollout drains");
         assert_eq!(m.body[0], i, "rollouts stay FIFO through the back-pressure");
     }
+    let explorer = producer.join().expect("producer");
+    assert!(held, "the producer was held in send while the store was full");
     assert!(full, "the rollouts filled machine 1's store");
     assert_eq!(from_near.expect("local control passes the full store").body[0], 1);
     assert_eq!(from_far.expect("remote control passes the full store").body[0], 2);
@@ -376,6 +384,41 @@ fn control_passes_a_full_store_from_either_machine() {
     b1.shutdown();
     assert_eq!(b0.dropped() + b1.dropped(), 0);
     assert!(b0.store().is_empty() && b1.store().is_empty());
+}
+
+#[test]
+fn parameters_parked_for_a_busy_explorer_do_not_hold_the_data_lane() {
+    // An explorer parked in `send` cannot drain its own inbox, so parameters
+    // addressed to it stay resident. The gate counts data-lane bytes only:
+    // those parameters must not keep another explorer's rollout from the
+    // learner, or the learner starves and nobody frees space.
+    let config = CommConfig { endpoint_recv_bytes: Some(1), ..CommConfig::default() }
+        .with_store_capacity(4096);
+    let broker = Broker::new(0, Cluster::single(), config);
+    let learner = broker.endpoint(ProcessId::learner(0));
+    // Declared before `busy`, so a failed assertion closes `busy` first,
+    // which frees the store for a producer still parked at the gate.
+    let other = Arc::new(broker.endpoint(ProcessId::explorer(1)));
+    let busy = broker.endpoint(ProcessId::explorer(0));
+    // One in the busy explorer's receive buffer, one with its receiver
+    // thread, one resident: 3 000 B of a 4 096 B store.
+    for round in 0..3u8 {
+        assert!(learner.send_to(vec![busy.pid()], MessageKind::Parameters, Bytes::from(vec![round; 3000])));
+    }
+    assert!(eventually(10, || broker.store().inserted() == 3 && broker.store().live_bytes() == 3000));
+    let (producer, to) = (Arc::clone(&other), learner.pid());
+    let sent =
+        std::thread::spawn(move || producer.send_to(vec![to], MessageKind::Rollout, Bytes::from(vec![7u8; 2000])));
+    let rollout = learner.recv_timeout(Duration::from_secs(2));
+    assert_eq!(rollout.expect("the rollout passes parked parameters").body, Bytes::from(vec![7u8; 2000]));
+    assert!(sent.join().expect("producer"));
+    for round in 0..3u8 {
+        assert_eq!(busy.recv_timeout(Duration::from_secs(10)).expect("parameters kept").body[0], round);
+    }
+    drop((other, busy, learner));
+    broker.shutdown();
+    assert_eq!(broker.dropped(), 0);
+    assert!(broker.store().is_empty());
 }
 
 #[test]
@@ -465,9 +508,10 @@ fn largest_beat_gap(monitor: &Endpoint, pid: ProcessId, done: impl Fn() -> bool)
 
 #[test]
 fn a_sender_parked_at_a_full_store_keeps_beating() {
-    // The explorer's sender thread is parked in the store's capacity gate
-    // behind a learner that is not receiving: it is live and back-pressured,
-    // and its beats must keep coming, or the detector declares it down.
+    // The explorer's producer is parked in `send` at the store's capacity
+    // gate behind a learner that is not receiving: it is live and
+    // back-pressured, and its beats must keep coming, or the detector
+    // declares it down.
     let monitor = ProcessId::broker(u32::MAX);
     let config = CommConfig { endpoint_recv_bytes: Some(1), ..CommConfig::default() }
         .with_store_capacity(4096)
@@ -476,22 +520,27 @@ fn a_sender_parked_at_a_full_store_keeps_beating() {
     let mon = broker.endpoint(monitor);
     let learner = broker.endpoint(ProcessId::learner(0));
     let explorer = broker.endpoint(ProcessId::explorer(0));
+    let (pid, to) = (explorer.pid(), learner.pid());
     // As in `control_passes_a_full_store_from_either_machine`: the fourth
-    // rollout parks the sender thread at the gate, two wait behind it. Beats
+    // rollout parks the producer at the gate, two wait behind it. Beats
     // are inserted too, on the priority lane, so only the data lane tells.
-    for i in 0..6u8 {
-        explorer.send_to(vec![learner.pid()], MessageKind::Rollout, Bytes::from(vec![i; 4000]));
-    }
+    let producer = std::thread::spawn(move || {
+        for i in 0..6u8 {
+            explorer.send_to(vec![to], MessageKind::Rollout, Bytes::from(vec![i; 4000]));
+        }
+        explorer
+    });
     let store = broker.store();
     let data_full = || store.data_occupancy() * store.capacity() as f64 == 4000.0;
     let parked = eventually(10, data_full);
-    let (gap, beats) = largest_beat_gap(&mon, explorer.pid(), || true);
-    let still_parked = data_full();
+    let (gap, beats) = largest_beat_gap(&mon, pid, || true);
+    let still_parked = data_full() && !producer.is_finished();
     for i in 0..6u8 {
         let m = learner.recv_timeout(Duration::from_secs(10)).expect("rollout drains");
         assert_eq!(m.body[0], i);
     }
-    assert!(parked && still_parked, "the sender thread sat at the gate for the whole window");
+    let explorer = producer.join().expect("producer");
+    assert!(parked && still_parked, "the producer sat at the gate for the whole window");
     assert!(gap < 4 * BEAT, "{beats} beats in 600 ms, largest gap {gap:?}");
     drop((explorer, learner, mon));
     broker.shutdown();
@@ -499,7 +548,7 @@ fn a_sender_parked_at_a_full_store_keeps_beating() {
 }
 
 /// Passes the compressibility probe, but LZ4 takes long over it and saves
-/// under a third: a slow full pass on the sender thread.
+/// under a third: a slow full pass on the producer's thread.
 fn slow_to_compress(len: usize) -> Bytes {
     let mut state = 0x2545_f491_4f6c_dd1du64;
     let v = (0..len)
@@ -528,9 +577,12 @@ fn a_sender_inside_a_compression_pass_keeps_beating() {
     let (gap, beats) = std::thread::scope(|s| {
         let intact = || learner.recv_timeout(Duration::from_secs(60)).is_some_and(|m| m.body == body);
         let received = s.spawn(move || (0..PASSES).all(|_| intact()));
-        for _ in 0..PASSES {
-            explorer.send_to(vec![learner.pid()], MessageKind::Rollout, body.clone());
-        }
+        // The passes run inside `send`, on the producer's own thread.
+        s.spawn(|| {
+            for _ in 0..PASSES {
+                explorer.send_to(vec![learner.pid()], MessageKind::Rollout, body.clone());
+            }
+        });
         let gap = largest_beat_gap(&mon, explorer.pid(), || received.is_finished());
         assert!(received.join().unwrap(), "every body arrives intact");
         gap

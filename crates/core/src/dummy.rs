@@ -119,13 +119,10 @@ pub fn run_dummy(config: DummyConfig) -> DummyResult {
         let payload = payload.clone();
         explorer_threads.push(std::thread::spawn(move || {
             for _ in 0..rounds {
-                // Aggressive push: stage every message immediately; the
-                // channel transmits them while we stage the next.
+                // Aggressive push: each message enters the store at once,
+                // and the channel routes it while we send the next.
                 ep.send_to(vec![ProcessId::learner(0)], MessageKind::Dummy, payload.clone());
             }
-            // Keep the endpoint alive until everything is drained out of the
-            // send buffer (close() joins the sender thread).
-            ep.close();
         }));
     }
 

@@ -3,14 +3,15 @@
 //! An explorer owns one environment instance and one agent (the paper's
 //! `Agent` class holding DNN copies). Its workhorse loop is fully
 //! decentralized: it reacts to parameter messages whenever they arrive, steps
-//! the environment otherwise, and pushes a rollout batch into its send buffer
-//! the instant `rollout_len` steps have accumulated — the sender thread of the
-//! endpoint takes it from there, so transmission overlaps the very next
-//! environment step. The one exception is flow control: every rollout is
-//! answered once, with a [`MessageKind::RolloutAnswer`] from the learner when
-//! the batch is handed back for recycling, and an explorer with its window of
-//! rollouts unanswered ([`MAX_INFLIGHT_BATCHES`], or one under
-//! [`SyncMode::OnPolicy`]) waits for an answer before it steps again.
+//! the environment otherwise, and puts a rollout batch into the object store
+//! the instant `rollout_len` steps have accumulated — the router takes it from
+//! there, so transmission overlaps the very next environment step (while the
+//! store is full, the explorer waits in `send`). The one exception is flow
+//! control: every rollout is answered once, with a
+//! [`MessageKind::RolloutAnswer`] from the learner when the batch is handed
+//! back for recycling, and an explorer with its window of rollouts unanswered
+//! ([`MAX_INFLIGHT_BATCHES`], or one under [`SyncMode::OnPolicy`]) waits for
+//! an answer before it steps again.
 
 use crate::assignment::AssignmentTable;
 use crate::messages::{ControlCommand, StatsMsg};
@@ -189,8 +190,9 @@ impl ExplorerProcess {
                     steps: std::mem::take(&mut steps),
                     bootstrap_observation: obs.clone(),
                 };
-                // Aggressive push: the message is staged and the workhorse
-                // keeps going; the sender thread transmits concurrently. The
+                // Aggressive push: the body goes into the store on this
+                // thread (waiting at the gate while it is full) and the
+                // router delivers it while the workhorse keeps going. The
                 // destination is resolved now, not at build time.
                 self.endpoint.send_to(
                     vec![self.route.resolve(self.index)],

@@ -258,6 +258,38 @@ fn supervised_run_without_faults_is_quiet() {
     }
 }
 
+/// Explorers parked in `send` at a full store still leave. Eight IMPALA
+/// explorers share a store that holds a few rollouts, so most of them wait
+/// at the data-lane gate while the learner keeps broadcasting parameters to
+/// them; the run reaches its goal, every process exits well inside
+/// `max_seconds`, and nothing is dropped or left in a store.
+#[test]
+fn explorers_parked_at_a_full_store_still_leave() {
+    let config = DeploymentConfig::cartpole(AlgorithmSpec::impala(), 8)
+        .with_rollout_len(25)
+        .with_goal_steps(20_000)
+        .with_max_seconds(30.0)
+        .with_seed(5)
+        .with_store_capacity(4 << 10);
+    let telemetry = xt_telemetry::Telemetry::with_capacity(1 << 16);
+    let started = std::time::Instant::now();
+    let (report, recovery) =
+        Deployment::run_supervised(config, SupervisionConfig::default(), FaultPlan::seeded(5), telemetry.clone())
+            .expect("supervised run completes");
+    let elapsed = started.elapsed();
+
+    assert!(report.steps_consumed >= 20_000, "consumed {}", report.steps_consumed);
+    assert!(elapsed < Duration::from_secs(10), "processes took {elapsed:?} to leave");
+    // A send's serialize span runs from `send` to the store insert, so it
+    // includes any wait at the gate; a 2 KiB rollout takes microseconds.
+    let held = telemetry.stage_breakdown().serialize.max();
+    assert!(held > 1_000_000, "no explorer waited at the gate: longest send {held} ns");
+    assert_eq!(report.dropped_messages, 0, "a parked explorer's rollout was dropped");
+    assert_eq!(recovery.leaked_objects, 0, "object store leak");
+    assert!(recovery.transitions.is_empty(), "a parked explorer looked down: {:?}", recovery.transitions);
+    assert!(recovery.down_at_exit.is_empty());
+}
+
 /// Every endpoint a process can address is registered before that process
 /// is spawned, so a fault-free run drops nothing — however early its first
 /// message goes out. Store-resident DQN with 4-step rollouts and unpaced

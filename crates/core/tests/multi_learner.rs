@@ -164,6 +164,30 @@ fn deployment_sync_shards_agree_bitwise_at_exit() {
     assert_eq!(bits(a), bits(b), "sync shards must exit bit-identical");
 }
 
+/// A lockstep shard is the only drain of the rollouts addressed to it, so it
+/// must never wait at the data-lane gate to hand its gradient to the ring.
+/// With a store that a few rollouts fill and one-message receive buffers, so
+/// explorers park in `send`, a two-shard sync run still closes its rounds and
+/// exits; a wedged run is reported, not waited out.
+#[test]
+fn lockstep_rounds_close_when_rollouts_fill_the_store() {
+    let mut config = sharded_dqn(2, AllreduceMode::Sync).with_max_seconds(30.0).with_store_capacity(8 << 10);
+    config.comm.endpoint_recv_bytes = Some(1);
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let _ = done_tx.send(Deployment::run(config).expect("2-shard sync deployment runs"));
+    });
+    let report = done
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the run wedged: a shard is parked at the gate with its own rollouts");
+    runner.join().expect("the deployment thread");
+    assert!(report.steps_consumed >= 2_000, "consumed {}", report.steps_consumed);
+    assert!(report.wall_time < Duration::from_secs(20), "took {:?}", report.wall_time);
+    assert_eq!(report.dropped_messages, 0);
+    let [a, b] = &report.learner_shard_params[..] else { panic!("two shards") };
+    assert_eq!(bits(a), bits(b), "sync shards must exit bit-identical");
+}
+
 fn mean(xs: &[f32]) -> f32 {
     assert!(!xs.is_empty(), "run produced no complete episodes");
     xs.iter().sum::<f32>() / xs.len() as f32

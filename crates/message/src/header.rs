@@ -158,8 +158,9 @@ pub enum MessageKind {
     /// bookkeeping tracks what each receiver can actually decode against.
     /// Tiny and control-plane prioritized.
     ParamAck,
-    /// An explorer-side gradient upload for communication-efficient training
-    /// (LAPG, arXiv:1812.03239). Data plane: gradients are bulky.
+    /// A gradient between learner shards: a lockstep round's slot blob, or a
+    /// relaxed round's LAPG-gated upload (arXiv:1812.03239). Priority lane:
+    /// paced by the learners' own training.
     Gradient,
     /// A client's observation batch bound for a policy-serving replica
     /// (xt-serve). Rides the priority lane: a latency-SLO inference query
@@ -183,7 +184,7 @@ impl MessageKind {
         match self {
             // Data plane: bulky, produced at explorer fan-in rate. Waiting at
             // the gate *is* the channel's back-pressure on these.
-            MessageKind::Rollout | MessageKind::Dummy | MessageKind::Gradient => false,
+            MessageKind::Rollout | MessageKind::Dummy => false,
             // Lifecycle commands and statistics must flow even when the data
             // plane is fully back-pressured, or a stalled learner could never
             // be shut down. Tiny, and paced by the controller.
@@ -205,6 +206,13 @@ impl MessageKind {
             // capacity. In-flight volume is bounded by the learner's own
             // training pace, not by explorer fan-in, so it cannot run away.
             MessageKind::Parameters => true,
+            // Learner to learner, and a shard is the drain of the rollouts
+            // addressed to it: blocked admitting its own gradient into a store
+            // full of them, a lockstep shard would wedge the round. Bounded
+            // like `Parameters`, by the learners' own training: `GRAD_SLOTS`
+            // blobs per lockstep round, one LAPG-gated upload per peer per
+            // gossip round.
+            MessageKind::Gradient => true,
             // Latency-SLO bound: a millisecond-budget query must never queue
             // behind a back-pressured rollout stream. Serving replicas bound
             // their own admission with explicit sheds, so the lane stays
@@ -346,9 +354,9 @@ static NEXT_MESSAGE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Routing metadata attached to every message.
 ///
-/// Headers travel through the header queue of the send buffer, the shared
-/// communicator queue, the per-destination ID queues, and the receive buffer;
-/// the body itself stays in the object store until the final hop.
+/// Headers travel through the shared communicator queue, the per-destination
+/// ID queues, and the receive buffer; the body itself stays in the object
+/// store until the final hop.
 #[derive(Debug, Clone)]
 pub struct Header {
     /// Globally unique message identifier.
@@ -362,9 +370,10 @@ pub struct Header {
     pub dst: Arc<[ProcessId]>,
     /// Payload kind.
     pub kind: MessageKind,
-    /// Object-store id of the body, attached by the sender thread once the body
-    /// has been inserted into the shared-memory communicator. `None` while the
-    /// message is still inside the producing process.
+    /// Object-store id of the body, attached by `Broker::submit` on the
+    /// producer's thread once the body has been inserted into the
+    /// shared-memory communicator. `None` while the message is still inside
+    /// the producing process.
     pub object_id: Option<u64>,
     /// Uncompressed body length in bytes.
     pub len: usize,
@@ -451,7 +460,7 @@ mod tests {
             (Heartbeat, true),
             (RolloutAnswer, true),
             (ParamAck, true),
-            (Gradient, false),
+            (Gradient, true),
             (InferRequest, true),
             (InferReply, true),
         ];

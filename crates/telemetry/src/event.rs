@@ -17,7 +17,9 @@ use std::fmt;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum EventKind {
-    /// Producer handed the message to its send buffer.
+    /// The producer called `send`. The span from here to `StoreInserted`
+    /// (serialize) is compression, any wait at the store's gate and the
+    /// store copy, all on the producer's thread.
     SendEnqueued = 1,
     /// Message body landed in the broker's object store (serialization and
     /// the single copy into shared memory are done).

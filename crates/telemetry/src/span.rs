@@ -5,7 +5,7 @@
 //!
 //! | stage       | from            | to              | meaning                               |
 //! |-------------|-----------------|-----------------|---------------------------------------|
-//! | `serialize` | `SendEnqueued`  | `StoreInserted` | encode + the single copy into store   |
+//! | `serialize` | `SendEnqueued`  | `StoreInserted` | compress, gate wait, copy into store  |
 //! | `store`     | `StoreInserted` | `Routed`        | header queueing until routing decision|
 //! | `route`     | `Routed`        | `Fetched`       | delivery (includes any NIC hop)       |
 //! | `nic`       | `NicTxStart`    | `NicTxEnd`      | NIC occupancy, summed over hops       |

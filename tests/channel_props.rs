@@ -6,6 +6,8 @@ use bytes::Bytes;
 use netsim::{Cluster, ClusterSpec};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xingtian_comm::pool::compress_for_transport;
 use xingtian_comm::{connect_brokers, Broker, CommConfig, Compression};
@@ -30,12 +32,12 @@ fn traffic_strategy() -> impl Strategy<Value = Traffic> {
 const KINDS: [MessageKind; 11] = [
     MessageKind::Rollout,
     MessageKind::Dummy,
-    MessageKind::Gradient,
     MessageKind::Control,
     MessageKind::Stats,
     MessageKind::Heartbeat,
     MessageKind::ParamAck,
     MessageKind::Parameters,
+    MessageKind::Gradient,
     MessageKind::RolloutAnswer,
     MessageKind::InferRequest,
     MessageKind::InferReply,
@@ -150,8 +152,8 @@ proptest! {
         ),
     ) {
         // Lane x path x size: 64 B and incompressible 2 MiB bodies are
-        // admitted raw, compressible 2 MiB ones as the container their sender
-        // thread compressed them into, remote ones once more on arrival.
+        // admitted raw, compressible 2 MiB ones as the container `send`
+        // compressed them into, remote ones once more on arrival.
         // Receivers hold back, so what is resident — and on which lane the
         // store booked it — can be read off exactly.
         let cluster = Cluster::new(
@@ -247,9 +249,10 @@ proptest! {
 
 /// Back-pressure is measured in bytes: body size x receive budget, every cell.
 /// With the consumer stalled the receive buffer holds `max(budget, one
-/// message)` and no more, the store's data lane then fills, and the senders
-/// stop in `insert`; once the consumer resumes, everything drains in
-/// per-sender FIFO and nothing is dropped, discarded or left behind.
+/// message)` and no more, the store's data lane then fills, and the producers
+/// stop inside `send`, each holding the one message it is submitting and
+/// nothing staged outside the store; once the consumer resumes, everything
+/// drains in per-sender FIFO and nothing is dropped, discarded or left behind.
 #[test]
 fn a_stalled_consumer_backpressures_in_bytes_through_the_store() {
     let default_budget = CommConfig::default().endpoint_recv_bytes.expect("bounded by default");
@@ -268,9 +271,10 @@ fn a_stalled_consumer_backpressures_in_bytes_through_the_store() {
             .with_store_capacity(resident * len + len / 2);
             let broker = Broker::new(0, Cluster::single(), config);
             // The learner is declared last, so it is dropped first: a failed
-            // assertion below then releases the stalled senders instead of
-            // hanging the unwind on joining them.
-            let explorers: Vec<_> = (0..2).map(|i| broker.endpoint(ProcessId::explorer(i))).collect();
+            // assertion below then frees the store, and the producers parked
+            // in `send` (spawned, never joined on the unwind) finish.
+            let explorers: Vec<_> =
+                (0..2).map(|i| Arc::new(broker.endpoint(ProcessId::explorer(i)))).collect();
             let learner = broker.endpoint(ProcessId::learner(0));
 
             // The receive buffer, the receiver thread's hand and the store
@@ -279,14 +283,26 @@ fn a_stalled_consumer_backpressures_in_bytes_through_the_store() {
             let per_sender = (absorbed + 4).div_ceil(2);
             let total = 2 * per_sender;
             let pattern = noise(len);
-            for seq in 0..per_sender {
-                for (e, explorer) in explorers.iter().enumerate() {
-                    let mut body = pattern.to_vec();
-                    body[0] = e as u8;
-                    body[1..9].copy_from_slice(&(seq as u64).to_le_bytes());
-                    assert!(explorer.send_to(vec![learner.pid()], MessageKind::Rollout, body.into()));
-                }
-            }
+            // Sends that have returned, over both producers.
+            let returned = Arc::new(AtomicUsize::new(0));
+            let producers: Vec<_> = explorers
+                .iter()
+                .enumerate()
+                .map(|(e, explorer)| {
+                    let (explorer, returned, pattern) = (Arc::clone(explorer), Arc::clone(&returned), pattern.clone());
+                    let to = learner.pid();
+                    std::thread::spawn(move || {
+                        (0..per_sender).all(|seq| {
+                            let mut body = pattern.to_vec();
+                            body[0] = e as u8;
+                            body[1..9].copy_from_slice(&(seq as u64).to_le_bytes());
+                            let sent = explorer.send_to(vec![to], MessageKind::Rollout, body.into());
+                            returned.fetch_add(1, Ordering::SeqCst);
+                            sent
+                        })
+                    })
+                })
+                .collect();
 
             let store = broker.store();
             let deadline = Instant::now() + Duration::from_secs(60);
@@ -296,10 +312,13 @@ fn a_stalled_consumer_backpressures_in_bytes_through_the_store() {
                 std::thread::sleep(Duration::from_millis(1));
             }
             // Full and stuck: the data lane has no room for one more body,
-            // and senders that still hold messages (each sender thread has at
-            // most one in hand, the rest staged) insert nothing.
+            // and producers that still hold messages insert nothing. Every
+            // send that returned put its body in the store, and one has not
+            // returned: the producer itself is held, nothing is staged.
             std::thread::sleep(Duration::from_millis(50));
             assert_eq!(store.inserted(), absorbed as u64, "{cell}: a sender got past a full store");
+            assert_eq!(returned.load(Ordering::SeqCst), absorbed, "{cell}: a send returned without storing");
+            assert!(producers.iter().any(|p| !p.is_finished()), "{cell}: no producer is held in send");
             assert_eq!(learner.pending(), buffered, "{cell}: receive buffer over budget");
             assert_eq!(store.len(), resident, "{cell}");
             assert_eq!(store.data_occupancy() * store.capacity() as f64, (resident * len) as f64, "{cell}");
@@ -316,6 +335,10 @@ fn a_stalled_consumer_backpressures_in_bytes_through_the_store() {
                 assert_eq!(msg.body[9..], pattern[9..], "{cell}: body corrupted");
             }
             assert!(learner.try_recv().is_none(), "{cell}: duplicate");
+            for p in producers {
+                assert!(p.join().expect("producer"), "{cell}: a send was refused");
+            }
+            assert_eq!(returned.load(Ordering::SeqCst), total, "{cell}");
             assert!(store.is_empty(), "{cell}: object store leaked");
             drop(explorers);
             drop(learner);

@@ -175,8 +175,8 @@ fn on_policy_rollouts_are_fresh_on_a_sharded_router() {
 /// The bound is on the goal, not on `steps_consumed`: `steps_generated` is
 /// the controller's tally at the moment the learner reached the goal, and
 /// the learner goes on to train whatever is queued ahead of its shutdown.
-/// Explorers paced only by their send buffers, which empty at once into the
-/// store, generate 1.5–3.3 times this goal in an optimised build, and the
+/// Explorers paced only by the store's capacity gate generate 1.5–3.3 times
+/// this goal in an optimised build, and the
 /// learner trains on all of it before it reads the shutdown, so
 /// `steps_consumed` keeps up.
 #[test]

@@ -4,6 +4,8 @@
 
 use bytes::Bytes;
 use netsim::Cluster;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 use xingtian_comm::{Broker, CommConfig};
 use xingtian_message::{MessageKind, ProcessId};
@@ -64,22 +66,35 @@ fn broadcast_to_a_dead_explorer_does_not_leak_the_store() {
 
 #[test]
 fn slow_consumer_backpressures_instead_of_oom() {
-    // A learner that never drains: senders must block on the store capacity
-    // rather than queueing unbounded bytes.
+    // A learner that never drains: the producer must block in `send` on the
+    // store capacity rather than queueing unbounded bytes anywhere.
     let config = CommConfig::uncompressed();
     let broker = Broker::new(0, Cluster::single(), config);
     let learner = broker.endpoint(ProcessId::learner(0));
-    let explorer = broker.endpoint(ProcessId::explorer(0));
+    let explorer = Arc::new(broker.endpoint(ProcessId::explorer(0)));
     let payload = Bytes::from(vec![0u8; 8 * 1024 * 1024]);
-    // Stage far more than the 128 MiB segment without consuming.
-    for _ in 0..64 {
-        explorer.send_to(vec![ProcessId::learner(0)], MessageKind::Rollout, payload.clone());
-    }
+    // Offer far more than the 128 MiB segment without consuming.
+    let returned = Arc::new(AtomicU64::new(0));
+    let producer = {
+        let (explorer, returned, payload) = (Arc::clone(&explorer), Arc::clone(&returned), payload.clone());
+        std::thread::spawn(move || {
+            for _ in 0..64 {
+                explorer.send_to(vec![ProcessId::learner(0)], MessageKind::Rollout, payload.clone());
+                returned.fetch_add(1, Ordering::SeqCst);
+            }
+        })
+    };
     std::thread::sleep(Duration::from_millis(300));
     let resident = broker.store().live_bytes();
     assert!(
         resident <= broker.store().capacity() + payload.len(),
         "store stayed within its segment: {resident} bytes resident"
+    );
+    assert!(!producer.is_finished(), "the producer is held in send while the store is full");
+    assert_eq!(
+        returned.load(Ordering::SeqCst),
+        broker.store().inserted(),
+        "every send that returned put its body in the store: nothing staged outside it"
     );
     // Draining the learner releases the backlog.
     let mut got = 0;
@@ -90,6 +105,7 @@ fn slow_consumer_backpressures_instead_of_oom() {
         }
     }
     assert_eq!(got, 64, "backpressure released once the consumer drained");
+    producer.join().expect("producer");
     drop(explorer);
     drop(learner);
     broker.shutdown();
