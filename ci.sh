@@ -56,6 +56,10 @@ echo "== release smoke: the channel's lane, settlement and head-of-line tests on
 # beat per interval, with no gap of 4 intervals. The gate counts data-lane
 # bytes only: parameters resident for an explorer that is not reading do not
 # keep another explorer's rollout from the learner.
+# Fan-out: 4 producers routing on their own threads, round-robin over 1 024
+# destinations, every destination its exact count in per-sender order;
+# coalescing: 200 back-to-back sends over a 5 ms link leave in well under 200
+# transfers, in order. Both with zero drops and empty stores.
 # Then the lane x path x size table property over a 2-machine fabric, with
 # per-(src,dst) FIFO across all three size classes, and the stalled-consumer
 # table: producers held inside `send`, nothing staged outside the store.
@@ -107,15 +111,6 @@ echo "== multi-learner gate: fanout-256 sync allreduce shard scaling =="
 # learn.allreduce_ns and comm.grad_skips.
 cargo run --release -p xt-bench --bin multilearner -- --gate 1.6
 
-echo "== scale gate: fanout-1024 sharded router-fabric throughput =="
-# The sharded comm fabric must deliver >= 1.6x the single-router throughput at
-# 4 shards on a fanout-1024 point-to-point stream (ideal ~4x), each shard
-# charged its router thread's CPU time (/proc schedstat), with zero drops, an
-# empty object store, and a drained router-backlog gauge asserted inside every
-# run. Bound 1.6: the parent of PR 25 read 2.46-3.87x on 12 runs and 2.05-3.15x
-# on 9 more, so no parent run fails it (EXPERIMENTS.md, PR 25).
-cargo run --release -p xt-bench --bin routerscale -- --gate 1.6
-
 echo "== elastic smoke: pool grows under induced store backpressure, drains after =="
 # Windowed delay rule parks rollout deliveries so their store credits pin the
 # learner-machine arena: occupancy crosses the high watermark, the supervisor
@@ -151,11 +146,11 @@ cargo test --release -q -p xingtian --test chaos supervised_run_without_faults_i
 # Surplus test: four unpaced CartPole explorers outrunning one learner may
 # generate at most 4 x 4 x 25 steps beyond the 20 000-step goal.
 cargo test --release -q --test e2e_training impala_explorers_generate_no_more_than_the_learner_consumes
-# PPO on two router shards decodes every rollout at policy lag 0: the
-# broadcast reaches an explorer ahead of the answer that releases it.
+# PPO decodes every rollout at policy lag 0: the broadcast reaches an
+# explorer ahead of the answer that releases it.
 # Store-resident DQN under 32 explorers, whose answers keep the learner's
 # inbox busy, still trains to its goal.
-cargo test --release -q --test e2e_training on_policy_rollouts_are_fresh_on_a_sharded_router
+cargo test --release -q --test e2e_training on_policy_rollouts_are_fresh
 cargo test --release -q --test e2e_training store_resident_replay_trains_under_32_explorers
 
 echo "== graph smoke: the one process graph and the one learner loop, both disciplines =="

@@ -41,9 +41,8 @@ fn bench_store(c: &mut Criterion) {
     group.finish();
 }
 
-/// Messages sent back-to-back before draining, so the router sees a burst
-/// (the regime the batched drain targets) while bounded receive buffers
-/// (16 MiB by default) never fill.
+/// Messages sent back-to-back before draining, so receiver threads see a
+/// burst while bounded receive buffers (16 MiB by default) never fill.
 const BURST: usize = 4;
 
 /// Broadcast fan-out on one machine: one learner pushes a parameter message

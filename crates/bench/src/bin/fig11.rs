@@ -50,18 +50,14 @@ fn main() {
          note this host is single-core, so absolute scaling saturates much earlier)"
     );
 
-    // ── Extension: the sharded router fabric at the paper's deployment
-    // scale. The base table runs the default single-shard fabric; here the
-    // 256-explorer / 4-machine point re-runs with the fabric sharded 4 ways
-    // per broker, against the same raylite baseline. On this single-core
-    // host the shards timeshare, so the interesting observables are drops
-    // (must stay zero under 256-way fan-in) and the XT-vs-pull gap; the
-    // per-shard busy split that shows the parallel speedup is the
-    // `routerscale` harness's job.
+    // ── Extension: the paper's deployment scale, 256 explorers on 4
+    // machines, against the same raylite baseline. The interesting
+    // observables are drops (must stay zero under 256-way fan-in) and the
+    // XT-vs-pull gap.
     let ext_seconds = args.seconds.unwrap_or(if args.full { 120.0 } else { 10.0 });
     let (_, latency_us) = xt_bench::paper_regime("IMPALA");
-    header(&format!("Fig. 11 extension: sharded fabric, 256 explorers / 4 machines ({ext_seconds:.0}s per point)"));
-    println!("{:>10} {:>14} {:>14} {:>10}", "shards", "XT steps/s", "ray steps/s", "XT adv");
+    header(&format!("Fig. 11 extension: 256 explorers / 4 machines ({ext_seconds:.0}s per point)"));
+    println!("{:>14} {:>14} {:>10}", "XT steps/s", "ray steps/s", "XT adv");
     // Observations shrink to 64 floats at this scale: 256 paced explorers'
     // inference on the paper-size observation wants ~3 cores, and on this
     // single-core host that measures scheduler thrash, not the fabric. The
@@ -73,26 +69,23 @@ fn main() {
         .with_max_seconds(ext_seconds)
         .spread_across(4);
     let ray = run_raylite(big.clone(), CostModel::default()).expect("raylite 256x4");
-    for shards in [1usize, 4] {
-        let xt = Deployment::run(big.clone().with_router_shards(shards)).expect("XT 256x4");
-        assert_eq!(xt.dropped_messages, 0, "256x4 with {shards} shard(s) must not drop");
-        println!(
-            "{:>10} {:>14.0} {:>14.0} {:>9.1}%",
-            shards,
-            xt.mean_throughput(),
-            ray.mean_throughput(),
-            (xt.mean_throughput() / ray.mean_throughput() - 1.0) * 100.0
-        );
-    }
+    let xt = Deployment::run(big).expect("XT 256x4");
+    assert_eq!(xt.dropped_messages, 0, "256x4 must not drop");
+    println!(
+        "{:>14.0} {:>14.0} {:>9.1}%",
+        xt.mean_throughput(),
+        ray.mean_throughput(),
+        (xt.mean_throughput() / ray.mean_throughput() - 1.0) * 100.0
+    );
 
     // ── Extension: the 1K-explorer fleet. Past the paper's largest
     // deployment, what matters is that the fabric keeps absorbing fan-in
-    // without dropping: 512 and 1024 explorers across 4 machines on the
-    // 4-shard fabric. Observations are kept small (64 floats) — fan-in
-    // scale is the variable here, body size is `routerscale`'s — and
-    // producers self-regulate through store backpressure, so zero drops is
-    // a real claim about the channel, not about the learner keeping up.
-    header(&format!("Fig. 11 extension: 1K-explorer fleet, 4 machines, 4 shards ({ext_seconds:.0}s per point)"));
+    // without dropping: 512 and 1024 explorers across 4 machines.
+    // Observations are kept small (64 floats) — fan-in scale is the
+    // variable here, not body size — and producers self-regulate through
+    // store backpressure, so zero drops is a real claim about the channel,
+    // not about the learner keeping up.
+    header(&format!("Fig. 11 extension: 1K-explorer fleet, 4 machines ({ext_seconds:.0}s per point)"));
     println!("{:>10} {:>14} {:>12} {:>10}", "explorers", "XT steps/s", "rollouts/s", "dropped");
     for explorers in [512u32, 1024] {
         // Slow environments (20 ms/step) and short rollouts (50 steps): each
@@ -104,8 +97,7 @@ fn main() {
             .with_step_latency_us(20_000)
             .with_goal_steps(u64::MAX / 2)
             .with_max_seconds(ext_seconds)
-            .spread_across(4)
-            .with_router_shards(4);
+            .spread_across(4);
         let xt = Deployment::run(config).expect("XT 1K sweep");
         assert_eq!(xt.dropped_messages, 0, "{explorers}-explorer fleet must not drop");
         println!(

@@ -1,5 +1,4 @@
-//! The broker process: object store, communicator queue, router thread, and
-//! the inter-machine fabric.
+//! The broker: object store, routing table, and the inter-machine fabric.
 //!
 //! One [`Broker`] runs per machine. Explorer and learner processes obtain an
 //! [`Endpoint`] from their machine's broker; endpoints on
@@ -9,18 +8,17 @@
 //!
 //! # Control-plane fast path
 //!
-//! [`Broker::submit`] is lock-free: it resolves the destination split from a
-//! routing snapshot and hands the message to its machine's `Hub::dispatch`
-//! (the one admission into the sharded store, then a [`RouterCmd`] on a
-//! channel sender the broker holds directly) — no per-message mutex anywhere
-//! on the submit path. Shutdown is signalled with an explicit
-//! [`RouterCmd::Shutdown`] sentinel instead of tearing the sender out from
-//! under concurrent submitters.
+//! [`Broker::submit`] routes on the sender's thread: it resolves the
+//! destination split from a routing snapshot and hands the message to its
+//! machine's `Hub::dispatch`, which admits the body into the lock-striped
+//! store, pushes the header into the local ID queues and feeds the uplink of
+//! each remote machine. Only a message with remote destinations takes a lock
+//! (the uplink map's); local delivery takes none.
 
 use crate::endpoint::Endpoint;
 use crate::inject::{InjectionStats, RouteInjector};
 use crate::pool::compress_for_transport;
-use crate::router::{Hub, RemoteEnvelope, RouterCmd, Uplinks};
+use crate::router::{Hub, RemoteEnvelope, Uplinks};
 use crate::store::ObjectStore;
 use crate::{CommConfig, Compression, HeartbeatConfig};
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -42,11 +40,6 @@ pub(crate) struct BrokerShared {
     pub(crate) config: CommConfig,
     /// This machine's store, routing table and counters.
     pub(crate) hub: Arc<Hub>,
-    /// One command sender per router shard, held directly (not behind a
-    /// mutex): `submit` hashes the destination to a shard and sends
-    /// lock-free; shutdown sends every shard the `RouterCmd::Shutdown`
-    /// sentinel instead of tearing senders out from under submitters.
-    router_txs: Vec<Sender<RouterCmd>>,
     /// Set first thing in `shutdown`; `submit` refuses new messages once set.
     closed: AtomicBool,
     /// Over-threshold bodies sent raw: the compressibility probe rejected
@@ -56,13 +49,14 @@ pub(crate) struct BrokerShared {
     /// percent of raw.
     compress_ns: xt_telemetry::HistogramHandle,
     compress_ratio: xt_telemetry::HistogramHandle,
-    uplinks: Arc<Uplinks>,
+    /// Feeds into this machine's uplink threads (populated by
+    /// [`connect_brokers`]); `submit` sends remote envelopes here.
+    uplinks: Uplinks,
     /// Hubs of connected peer brokers: routes registered after the fabric
     /// exists still propagate into their tables, and this machine's uplink
     /// threads deliver into them (holding hubs, not peer `Broker`s, avoids
     /// reference cycles between mutually-connected brokers).
     peers: Mutex<HashMap<MachineId, Arc<Hub>>>,
-    router_threads: Mutex<Vec<JoinHandle<()>>>,
     /// The liveness beacon (only with `CommConfig::heartbeat`): dropping the
     /// sender stops the thread at once.
     beacon: Mutex<Option<(Sender<()>, JoinHandle<()>)>>,
@@ -81,7 +75,7 @@ pub struct Broker {
 }
 
 impl Broker {
-    /// Creates a broker for `machine` of `cluster` and starts its router thread.
+    /// Creates a broker for `machine` of `cluster`.
     ///
     /// # Panics
     ///
@@ -107,26 +101,8 @@ impl Broker {
         telemetry: Telemetry,
     ) -> Self {
         assert!(machine < cluster.len(), "machine {machine} out of range");
-        let shards = config.router_shards.max(1);
         let capacity = config.store_capacity.unwrap_or(crate::store::DEFAULT_CAPACITY);
         let hub = Arc::new(Hub::new(capacity, telemetry));
-        let uplinks: Arc<Uplinks> = Arc::default();
-        // One router thread per shard, each draining its own command queue in
-        // bursts. All shards share the hub and the uplink map (each still
-        // groups remote envelopes per machine per burst), so the only thing
-        // sharding changes is which thread a delivery drains on.
-        let mut router_txs = Vec::with_capacity(shards);
-        let mut router_threads = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let (comm_tx, comm_rx) = unbounded();
-            router_txs.push(comm_tx);
-            let (hub, uplinks) = (Arc::clone(&hub), Arc::clone(&uplinks));
-            let handle = std::thread::Builder::new()
-                .name(format!("xt-router-m{machine}-s{s}"))
-                .spawn(move || hub.run_router(s, comm_rx, &uplinks))
-                .expect("spawn router thread");
-            router_threads.push(handle);
-        }
         let broker = Broker {
             shared: Arc::new(BrokerShared {
                 machine,
@@ -136,11 +112,9 @@ impl Broker {
                 compress_ns: hub.telemetry.histogram("comm.compress_ns"),
                 compress_ratio: hub.telemetry.histogram("comm.compress_ratio"),
                 hub,
-                router_txs,
                 closed: AtomicBool::new(false),
-                uplinks,
+                uplinks: Mutex::new(HashMap::new()),
                 peers: Mutex::new(HashMap::new()),
-                router_threads: Mutex::new(router_threads),
                 beacon: Mutex::new(None),
                 delay_thread: Mutex::new(None),
                 threads: Mutex::new(Vec::new()),
@@ -197,7 +171,7 @@ impl Broker {
     /// final-hop delivery of this broker — local destinations of local
     /// senders plus remote messages arriving for this machine. Lazily starts
     /// the broker's delay-line thread, which executes
-    /// [`crate::inject::InjectDecision::Delay`] verdicts off the router
+    /// [`crate::inject::InjectDecision::Delay`] verdicts off the sending
     /// thread.
     pub fn set_injector(&self, injector: Arc<dyn RouteInjector>) {
         {
@@ -261,13 +235,13 @@ impl Broker {
         self.shared.hub.table.remove_id_queue(pid);
     }
 
-    /// Accepts a message on the calling (producer's) thread: splits its
-    /// destinations against the routing snapshot (once — the router reuses
-    /// the plan), stores the body in the form
-    /// [`compress_for_transport`] gives it, and dispatches it — admitted on
-    /// its kind's lane with the plan's fan-out, delivery enqueued for the
-    /// router. Returns `false` if the broker is shut down or the message has
-    /// no routable destination.
+    /// Accepts and routes a message on the calling (producer's) thread:
+    /// splits its destinations against the routing snapshot once, stores the
+    /// body in the form [`compress_for_transport`] gives it, and dispatches
+    /// it — admitted on its kind's lane with the plan's fan-out, its header
+    /// pushed to the local destinations, its body sent once to each remote
+    /// machine's uplink. Returns `false` if the broker is shut down or the
+    /// message has no routable destination.
     ///
     /// A compression pass delays only this sender's later messages, which
     /// per-(src,dst) FIFO holds behind it anyway.
@@ -300,18 +274,8 @@ impl Broker {
                 shared.compress_ratio.record((body.len() * 100 / raw_len) as u64);
             }
         }
-        shared.hub.dispatch(&shared.router_txs, header, body, plan)
-    }
-
-    /// Number of router shards this broker runs.
-    pub fn router_shards(&self) -> usize {
-        self.shared.router_txs.len()
-    }
-
-    /// Deliveries submitted but not yet drained by a router shard (0 when
-    /// telemetry is disabled). The `comm.router_queue_depth` gauge.
-    pub fn router_queue_depth(&self) -> i64 {
-        self.shared.hub.queue_depth.get()
+        shared.hub.dispatch(&shared.uplinks, header, body, plan);
+        true
     }
 
     pub(crate) fn hub(&self) -> Arc<Hub> {
@@ -322,32 +286,21 @@ impl Broker {
         &self.shared.config
     }
 
-    /// Shuts the broker down: stops the beacon, sends *every* router shard
-    /// its drain-then-exit sentinel and joins them all, then closes all
-    /// uplinks and joins the uplink threads. In-flight messages already
-    /// routed to ID queues remain fetchable by receivers. Idempotent.
+    /// Shuts the broker down: refuses new messages, stops the beacon, flushes
+    /// the delay line, then closes all uplinks and joins the uplink threads,
+    /// which forward everything already queued first. A message whose
+    /// `submit` returned was routed by then: its headers sit in ID queues and
+    /// stay fetchable by receivers. Idempotent.
     pub fn shutdown(&self) {
         self.shared.closed.store(true, Ordering::Release);
         if let Some((stop, handle)) = self.shared.beacon.lock().take() {
             drop(stop);
             let _ = handle.join();
         }
-        // Symmetric drain: each shard gets its own sentinel and drains its own
-        // queue before exiting. Sentinels go out to all shards before any
-        // join so the shards drain concurrently, and a message submitted to a
-        // non-zero shard can never be stranded behind a shard-0-only close.
-        for tx in &self.shared.router_txs {
-            let _ = tx.send(RouterCmd::Shutdown);
-        }
-        let routers: Vec<_> = self.shared.router_threads.lock().drain(..).collect();
-        for h in routers {
-            let _ = h.join();
-        }
-        // Delay line after the router: the router is the only local producer
-        // of delayed deliveries. Taking the sender disconnects the thread,
-        // which flushes everything still parked before exiting (no stranded
-        // store credits). Uplink threads that outlive it fall back to
-        // immediate delivery.
+        // Taking the delay-line sender disconnects the thread, which flushes
+        // everything still parked before exiting (no stranded store credits).
+        // A sender or uplink thread that finds the line gone delivers at
+        // once.
         self.shared.hub.table.delay_tx.lock().take();
         if let Some(h) = self.shared.delay_thread.lock().take() {
             let _ = h.join();
@@ -403,7 +356,7 @@ const UPLINK_COALESCE_ENVELOPES: usize = 256;
 /// connected machine automatically (no reconnection required).
 ///
 /// For every ordered pair `(a, b)` an uplink thread is started on `a` that
-/// forwards bursts of [`RemoteEnvelope`]s over the simulated NIC link and
+/// forwards coalesced [`RemoteEnvelope`]s over the simulated NIC link and
 /// delivers them into `b`'s object store and ID queues.
 ///
 /// # Panics
@@ -443,7 +396,7 @@ pub fn connect_brokers(brokers: &[Broker]) {
             if a.shared.uplinks.lock().contains_key(&b.shared.machine) {
                 continue;
             }
-            let (tx, rx) = unbounded::<Vec<RemoteEnvelope>>();
+            let (tx, rx) = unbounded::<RemoteEnvelope>();
             a.shared.uplinks.lock().insert(b.shared.machine, tx);
             let cluster = a.shared.cluster.clone();
             let from = a.shared.machine;
@@ -463,15 +416,13 @@ pub fn connect_brokers(brokers: &[Broker]) {
                     loop {
                         if pending.is_empty() {
                             match rx.recv() {
-                                Ok(burst) => pending.extend(burst),
+                                Ok(envelope) => pending.push_back(envelope),
                                 Err(_) => break,
                             }
                         }
-                        while let Ok(burst) = rx.try_recv() {
-                            pending.extend(burst);
-                            if pending.len() >= UPLINK_COALESCE_ENVELOPES {
-                                break;
-                            }
+                        while pending.len() < UPLINK_COALESCE_ENVELOPES {
+                            let Ok(envelope) = rx.try_recv() else { break };
+                            pending.push_back(envelope);
                         }
                         // Take one wire batch off the front: always at least
                         // one envelope, then more while under both caps.
@@ -492,7 +443,7 @@ pub fn connect_brokers(brokers: &[Broker]) {
                         // admission and final hop as local traffic there. A
                         // partitioned link loses the batch on the
                         // wire: the machine's store credits were already spent
-                        // by the router's fetches, so nothing leaks — every
+                        // by the senders' fetches, so nothing leaks — every
                         // destination behind the severed link counts as
                         // dropped.
                         let receipt = match cluster.transfer_checked(from, to, bytes) {
@@ -557,28 +508,6 @@ mod tests {
         let _learner = broker.endpoint(ProcessId::learner(0));
         broker.shutdown();
         assert!(!broker.submit(rollout_msg(b"late")), "closed broker refuses messages");
-    }
-
-    #[test]
-    fn submit_that_loses_the_race_with_router_shutdown_settles_its_body() {
-        // The routers are gone but `closed` is not set yet — the window a
-        // concurrent `shutdown` leaves open. The body is already admitted by
-        // the time the shard refuses the delivery, so the refusal must settle
-        // every credit or the object stays resident forever.
-        let telemetry = Telemetry::with_capacity(1 << 8);
-        let broker =
-            Broker::with_telemetry(0, Cluster::single(), CommConfig::default(), telemetry);
-        let _learner = broker.endpoint(ProcessId::learner(0));
-        for tx in &broker.shared.router_txs {
-            tx.send(RouterCmd::Shutdown).unwrap();
-        }
-        for h in broker.shared.router_threads.lock().drain(..) {
-            h.join().unwrap();
-        }
-        assert!(!broker.submit(rollout_msg(b"raced")), "a refused message reports false");
-        assert!(broker.store().is_empty(), "refused body settled, not leaked");
-        assert_eq!(broker.router_queue_depth(), 0);
-        broker.shutdown();
     }
 
     #[test]
@@ -717,86 +646,25 @@ mod tests {
     }
 
     #[test]
-    fn sharded_router_delivers_end_to_end() {
-        let broker =
-            Broker::new(0, Cluster::single(), CommConfig::default().with_router_shards(4));
-        assert_eq!(broker.router_shards(), 4);
-        let eps: Vec<_> = (0..16).map(|i| broker.endpoint(ProcessId::explorer(i))).collect();
-        let sender = broker.endpoint(ProcessId::learner(0));
-        for i in 0..16u32 {
-            let h = Header::new(
-                ProcessId::learner(0),
-                vec![ProcessId::explorer(i)],
-                MessageKind::Dummy,
-            );
-            sender.send(Message::new(h, Bytes::from(vec![i as u8])));
-        }
-        for (i, e) in eps.iter().enumerate() {
-            let m = e.recv().expect("delivered through some shard");
-            assert_eq!(&m.body[..], &[i as u8]);
-        }
-        drop(eps);
-        drop(sender);
-        broker.shutdown();
-        assert_eq!(broker.dropped(), 0);
-        assert!(broker.store().is_empty());
-    }
-
-    #[test]
-    fn shutdown_drains_every_router_shard_symmetrically() {
-        // Regression: a message submitted to a *non-zero* shard immediately
-        // before shutdown must still be delivered (and its store credit
-        // settled) — the drain has to close all shard queues, not just one.
-        let broker =
-            Broker::new(0, Cluster::single(), CommConfig::default().with_router_shards(4));
+    fn messages_submitted_before_shutdown_are_delivered() {
+        // A message whose `submit` returned is already routed: a shutdown
+        // right behind it strands nothing and leaks no store credit.
+        let broker = Broker::new(0, Cluster::single(), CommConfig::default());
         let n = 64u32;
         let eps: Vec<_> = (0..n).map(|i| broker.endpoint(ProcessId::explorer(i))).collect();
-        let mut shard_hit = [false; 4];
         for i in 0..n {
-            let dst = vec![ProcessId::explorer(i)];
-            shard_hit[crate::router::shard_for(dst[0], 4)] = true;
-            let h = Header::new(ProcessId::learner(0), dst, MessageKind::Dummy);
-            // Submit directly so the deliveries are guaranteed to be in
-            // shard queues when shutdown lands.
+            let h = Header::new(ProcessId::learner(0), vec![ProcessId::explorer(i)], MessageKind::Dummy);
             assert!(broker.submit(Message::new(h, Bytes::from(vec![i as u8]))));
         }
-        assert!(shard_hit.iter().all(|&h| h), "test must exercise every shard");
         broker.shutdown();
         for (i, e) in eps.iter().enumerate() {
             let m = e
                 .recv_timeout(std::time::Duration::from_secs(10))
-                .expect("message drained from its shard at shutdown");
+                .expect("message submitted before shutdown is delivered");
             assert_eq!(&m.body[..], &[i as u8]);
         }
-        assert_eq!(broker.dropped(), 0, "no message stranded in any shard");
+        assert_eq!(broker.dropped(), 0, "no message stranded by shutdown");
         assert!(broker.store().is_empty(), "every store credit settled");
-    }
-
-    #[test]
-    fn router_queue_depth_gauge_returns_to_zero() {
-        let telemetry = xt_telemetry::Telemetry::with_capacity(1 << 12);
-        let broker = Broker::with_telemetry(
-            0,
-            Cluster::single(),
-            CommConfig::default().with_router_shards(2),
-            telemetry.clone(),
-        );
-        let learner = broker.endpoint(ProcessId::learner(0));
-        let explorer = broker.endpoint(ProcessId::explorer(0));
-        for _ in 0..32 {
-            explorer.send(rollout_msg(b"depth"));
-        }
-        for _ in 0..32 {
-            let _ = learner.recv().expect("delivered");
-        }
-        drop(explorer);
-        drop(learner);
-        broker.shutdown();
-        assert_eq!(broker.router_queue_depth(), 0, "all submissions drained");
-        let bursts: u64 = (0..2)
-            .map(|s| telemetry.counter(&format!("comm.router.{s}.bursts")).get())
-            .sum();
-        assert!(bursts > 0, "shards recorded their drain bursts");
     }
 
     #[test]

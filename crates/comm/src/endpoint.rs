@@ -3,7 +3,7 @@
 //! An [`Endpoint`] is everything a workhorse thread (rollout worker or
 //! trainer) sees of the communication channel. `send` submits the message to
 //! the broker on the caller's own thread (compression, object-store
-//! insertion, header enqueue) and returns once the body is in the store; a
+//! insertion, routing) and returns once the message is routed; a
 //! data-lane body waits at the store's capacity gate while the store is full,
 //! and that wait is the channel's back-pressure on the producer. `recv` pops
 //! the local receive buffer, which one monitoring thread per endpoint fills:

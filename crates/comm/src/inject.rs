@@ -1,15 +1,16 @@
 //! Router-level fault injection hooks.
 //!
-//! The router consults an installed [`RouteInjector`] exactly once per
+//! An installed [`RouteInjector`] is consulted exactly once per
 //! *(message, destination)* pair, at the message's final-hop broker: local
-//! destinations at the source broker, remote destinations at the broker of
-//! the machine that hosts them (the uplink's `Hub::arrive`). The injector
-//! returns an [`InjectDecision`] and the router executes it with the same
+//! destinations by the producer inside `Hub::dispatch`, remote destinations
+//! by the uplink thread delivering into the machine that hosts them
+//! (`Hub::arrive`). The injector returns an [`InjectDecision`] and that
+//! thread executes it with the same
 //! credit discipline as organic failures — a dropped delivery spends the
 //! destination's store fetch credit through the same `Hub::settle` an
 //! unreachable destination does, a duplicated delivery mints the extra
 //! credits before the copies are enqueued, and a delayed delivery parks the
-//! header on the broker's delay line without holding up the router thread.
+//! header on the broker's delay line without holding up the thread routing it.
 //!
 //! The hooks are deliberately mechanism-only: *policy* (which routes, which
 //! probabilities, which seed) lives in `xt-fault`, which implements
@@ -33,20 +34,21 @@ pub enum InjectDecision {
     Drop,
     /// Deliver the original plus `n` duplicate copies.
     Duplicate(u32),
-    /// Deliver after the given delay, off the router thread.
+    /// Deliver after the given delay, off the routing thread.
     Delay(Duration),
 }
 
 /// A fault-injection policy consulted per (message, destination).
 ///
-/// Implementations must be cheap and thread-safe: the router calls `decide`
-/// inline on its delivery path (and uplink threads call it on the final hop).
+/// Implementations must be cheap and thread-safe: producers call `decide`
+/// inline on their send path, uplink threads on the final hop of remote
+/// deliveries, concurrently and in scheduling-dependent order.
 pub trait RouteInjector: Send + Sync + std::fmt::Debug {
     /// Decides the fate of delivering `header` to `dst`.
     fn decide(&self, header: &Header, dst: ProcessId) -> InjectDecision;
 }
 
-/// Counts of injected faults actually executed by a broker's router.
+/// Counts of injected faults actually executed by a broker.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InjectionStats {
     /// Deliveries dropped by injection.
@@ -69,9 +71,9 @@ impl Hub {
     /// Runs a broker's delay line: parks delayed deliveries until they come due,
     /// then pushes them into the destination ID queue *without* re-consulting the
     /// injector (a delayed message is not re-dropped or re-delayed) but with the
-    /// router's own failed-delivery accounting. When the broker shuts the line
-    /// down (sender dropped), everything still pending is flushed immediately so
-    /// no store credit is ever stranded.
+    /// failed-delivery accounting of any delivery. When the broker shuts the
+    /// line down (sender dropped), everything still pending is flushed
+    /// immediately so no store credit is ever stranded.
     pub(crate) fn run_delay_line(&self, rx: Receiver<DelayedDelivery>) {
         let deliver_now = |d: DelayedDelivery| {
             self.table.id_queues.with(|queues| self.push_one(queues, &d.header, d.dst))

@@ -4,29 +4,30 @@
 //! sender-initiated, aggressive push pipeline:
 //!
 //! ```text
-//! workhorse thread ──▶ send ──▶ shared-memory communicator
-//!                               (object store + header queue)
-//!                                          │
-//!                               algorithm-agnostic router
+//! workhorse thread ──▶ send ──▶ object store (shared-memory communicator)
+//!                        │
+//!                        └──▶ algorithm-agnostic router (same thread)
 //!                                 │               │
-//!                          local ID queues   remote broker
-//!                                 │           (via netsim)
+//!                          local ID queues   uplink ──▶ remote broker
+//!                                 │                      (via netsim)
 //!                         receiver thread ──▶ receive buffer ──▶ workhorse
 //! ```
 //!
-//! Every hop is event-driven: `send` writes the body into the store on the
-//! producer's own thread, waiting at the capacity gate while the store is
-//! full (the back-pressure), and each monitoring thread blocks on a queue
-//! `pop` and reacts the moment a message header appears, so data transmission
-//! starts as soon as the data exist and overlaps with the computation of both
-//! endpoints. Bodies live in the [`store::ObjectStore`] and move by reference
-//! (O(1) `Bytes` clones); only headers flow through queues.
+//! Every hop is event-driven: `send` writes the body into the store and
+//! routes its header on the producer's own thread, waiting at the capacity
+//! gate while the store is full (the back-pressure), and each monitoring
+//! thread blocks on a queue `pop` and reacts the moment a message header
+//! appears, so data transmission starts as soon as the data exist and
+//! overlaps with the computation of both endpoints. Bodies live in the
+//! [`store::ObjectStore`] and move by reference (O(1) `Bytes` clones); only
+//! headers flow through queues.
 //!
 //! The control plane is built for fan-out: the object store is lock-striped
 //! with per-entry atomic fetch credits, the routing tables are read-mostly
 //! [`snapshot::SnapshotCell`] snapshots borrowed without locks on every message,
-//! broadcasts enqueue one shared `Arc<Header>` per destination, and the router
-//! drains its queue in batches, grouping remote traffic per machine per burst.
+//! broadcasts enqueue one shared `Arc<Header>` per destination, and each
+//! uplink thread coalesces the envelopes queued for its link into bounded
+//! wire batches.
 //!
 //! Each mechanism on that path is written once, as a method of the
 //! per-machine hub in [`router`]: one admission into the store, which picks
@@ -40,7 +41,7 @@
 //!
 //! * [`Buffer`] — the intra-process receive buffer.
 //! * [`ObjectStore`] — zero-copy shared body store with fan-out refcounts.
-//! * [`Broker`] — per-machine communication hub: communicator, router thread,
+//! * [`Broker`] — per-machine communication hub: object store, routing table,
 //!   and fabric links to peer brokers over a [`netsim::Cluster`].
 //! * [`Endpoint`] — what an explorer/learner process holds: `send`, plus its
 //!   receive buffer and the receiver thread that fills it.
@@ -133,7 +134,7 @@ pub enum ParamCompression {
 /// is the broker and whose body lists its local endpoints not in the `Broker`
 /// role; a broker with none sends nothing. An endpoint is listed from the
 /// first beat after its registration until its close. Heartbeats ride the
-/// ordinary channel (store → router → uplink), so a pid goes unlisted for
+/// ordinary channel (store → ID queue or uplink), so a pid goes unlisted for
 /// exactly the failures a detector should see — a dead process (its endpoint
 /// is gone), a closed endpoint, a severed link to the monitor's machine —
 /// never for a sender compressing or back-pressured.
@@ -150,16 +151,6 @@ impl HeartbeatConfig {
     pub fn interval(&self) -> std::time::Duration {
         std::time::Duration::from_millis(self.interval_ms)
     }
-}
-
-/// Stable 64-bit mix of a process id (splitmix64 finalizer over role+index).
-/// Router sharding and the serve fleet's client-to-replica assignment use it
-/// to spread deterministically and independently of `HashMap` seeding.
-pub fn pid_hash(pid: ProcessId) -> u64 {
-    let mut x = ((pid.role as u64) << 32) ^ u64::from(pid.index) ^ 0x9E37_79B9_7F4A_7C15;
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Configuration of the communication channel.
@@ -181,24 +172,12 @@ pub struct CommConfig {
     /// just carries the pre-encoded bodies through untouched.
     #[serde(default)]
     pub param_compression: ParamCompression,
-    /// Router shards per broker. One router thread saturates around the
-    /// fanout the paper measures; sharding by destination hash lets routing
-    /// throughput scale with cores while preserving per-(src,dst) FIFO
-    /// (every message to a given destination takes the shard that owns it,
-    /// a broadcast split over the shards its destinations hash to).
-    #[serde(default = "default_router_shards")]
-    pub router_shards: usize,
     /// Object-store segment capacity in bytes (`None` = the default
     /// 128 MiB). Small capacities back-pressure aggressive senders sooner —
     /// the elastic supervisor's occupancy signal, and a test's lever for
     /// inducing it.
     #[serde(default)]
     pub store_capacity: Option<usize>,
-}
-
-#[allow(dead_code)]
-fn default_router_shards() -> usize {
-    1
 }
 
 impl Default for CommConfig {
@@ -208,7 +187,6 @@ impl Default for CommConfig {
             endpoint_recv_bytes: Some(16 << 20),
             heartbeat: None,
             param_compression: ParamCompression::default(),
-            router_shards: 1,
             store_capacity: None,
         }
     }
@@ -225,13 +203,6 @@ impl CommConfig {
     /// (builder style).
     pub fn with_heartbeat(mut self, interval_ms: u64, monitor: ProcessId) -> Self {
         self.heartbeat = Some(HeartbeatConfig { interval_ms, monitor });
-        self
-    }
-
-    /// Sets the number of router shards per broker (builder style; clamped
-    /// to at least one).
-    pub fn with_router_shards(mut self, shards: usize) -> Self {
-        self.router_shards = shards.max(1);
         self
     }
 

@@ -1,11 +1,11 @@
 //! The algorithm-agnostic router, and the per-machine state it routes over.
 //!
-//! The router is the thread inside every broker that watches the shared
-//! communicator's header queue and dispatches each message to its
-//! destinations: local destinations get the header (with its object id)
-//! pushed into their ID queues; destinations on other machines get the body
-//! forwarded once per machine over the inter-broker fabric. The router never
-//! inspects or interprets bodies — it is *algorithm agnostic* (paper §3.2.1).
+//! Routing is not a thread: it is [`Hub::dispatch`], run by the sender on its
+//! own thread once the body is in the store. Local destinations get the
+//! header (with its object id) pushed into their ID queues; destinations on
+//! other machines get the body forwarded once per machine through that
+//! machine's uplink. The router never inspects or interprets bodies — it is
+//! *algorithm agnostic* (paper §3.2.1).
 //!
 //! A [`Hub`] is one machine's object store, routing table and counters, and
 //! what happens to a message at a machine is each one method of it:
@@ -23,23 +23,20 @@
 //!   snapshots: [`RoutingTable::split`] and [`Hub::push_headers`] take zero
 //!   locks per message; the rare writers (endpoint registration, fabric
 //!   merges) pay the copy instead.
-//! * **Split once.** `Broker::submit` computes the local/remote split on the
-//!   producer's thread and ships the resulting [`Delivery`] plan to the
-//!   router, so the destination list is resolved exactly once per message and
-//!   store fetch credits always match the plan (no re-split drift between
-//!   submission and routing).
+//! * **Split once.** `Broker::submit` computes the local/remote split once
+//!   per message and `dispatch` routes by that [`SplitPlan`], so store fetch
+//!   credits always match the destinations served.
 //! * **O(n) broadcast.** ID queues carry `Arc<Header>`: an n-way broadcast
 //!   enqueues n pointer clones of one header instead of n deep copies of an
 //!   n-entry destination list.
 //!
-//! The router also drains the command queue in bursts, grouping remote
-//! envelopes per target machine per burst so each uplink is located once per
-//! burst rather than once per message.
+//! A producer routes its own messages in the order it sends them, so
+//! per-(src,dst) FIFO holds whatever the destination lists are.
 
 use crate::inject::{DelayedDelivery, InjectDecision, InjectionStats, RouteInjector};
 use crate::snapshot::SnapshotCell;
 use crate::store::ObjectStore;
-use crossbeam_channel::{Receiver, SendError, Sender, TryRecvError};
+use crossbeam_channel::Sender;
 use netsim::MachineId;
 use parking_lot::Mutex;
 use std::collections::hash_map::{Entry, HashMap};
@@ -60,22 +57,6 @@ pub(crate) enum IdQueueMsg {
     Close,
 }
 
-/// A command for the router thread.
-#[derive(Debug)]
-pub(crate) enum RouterCmd {
-    /// Route one message according to its pre-computed plan.
-    Deliver(Delivery),
-    /// Drain whatever is already queued, then exit.
-    Shutdown,
-}
-
-/// A message plus its split plan, computed once by the submitting thread.
-#[derive(Debug)]
-pub(crate) struct Delivery {
-    pub(crate) header: Arc<Header>,
-    pub(crate) plan: SplitPlan,
-}
-
 /// The local/remote partition of a destination list.
 #[derive(Debug, Default)]
 pub struct SplitPlan {
@@ -94,8 +75,9 @@ impl SplitPlan {
         self.local.len() + self.remote.len()
     }
 }
-/// Routing state shared between a broker, its router thread, and (after
-/// [`crate::connect_brokers`]) peer brokers that propagate route updates.
+/// Routing state shared between a broker, its endpoints' receiver threads,
+/// its delay line, and (after [`crate::connect_brokers`]) peer brokers that
+/// propagate route updates.
 #[derive(Debug, Default)]
 pub struct RoutingTable {
     /// Process → hosting machine. Read lock-free on every submit.
@@ -209,7 +191,7 @@ impl RoutingTable {
         self.departed_discards.load(Ordering::Relaxed)
     }
 
-    /// Injected-fault tallies executed by this table's routers.
+    /// Injected-fault tallies executed on this table's machine.
     pub fn injection_stats(&self) -> InjectionStats {
         InjectionStats {
             dropped: self.injected_dropped.load(Ordering::Relaxed),
@@ -232,21 +214,20 @@ pub struct RemoteEnvelope {
 }
 
 /// The feeds into a machine's uplink threads, one per connected peer.
-pub(crate) type Uplinks = Mutex<HashMap<MachineId, Sender<Vec<RemoteEnvelope>>>>;
+pub(crate) type Uplinks = Mutex<HashMap<MachineId, Sender<RemoteEnvelope>>>;
 
 /// One machine's half of the channel: its object store, its routing table and
-/// the counters every hop reports into. Shared by the broker, its router,
-/// delay-line and receiver threads, and the uplink threads of peers
-/// delivering into this machine; it owns no thread handle and no command
-/// sender, so none of those threads keeps itself or a broker alive through it.
+/// the counters every hop reports into. Shared by the broker, its delay-line
+/// and receiver threads, and the uplink threads of peers delivering into this
+/// machine; it owns no thread handle and no uplink sender, so none of those
+/// threads keeps itself or a broker alive through it.
 #[derive(Debug)]
 pub(crate) struct Hub {
     pub(crate) store: ObjectStore,
     pub(crate) table: RoutingTable,
     pub(crate) telemetry: Telemetry,
-    /// Broker-wide routing backlog: deliveries dispatched but not yet taken
-    /// off a shard queue. Observable back-pressure before it becomes drops.
-    pub(crate) queue_depth: xt_telemetry::GaugeHandle,
+    /// Messages routed at their source (`comm.routed_messages`).
+    routed_messages: xt_telemetry::CounterHandle,
     /// Bytes entering the store at their source per [`CompressionKind`],
     /// indexed by discriminant. Pre-created handles so `dispatch` never
     /// touches the metrics registry lock.
@@ -261,7 +242,7 @@ impl Hub {
         Hub {
             store: ObjectStore::with_capacity(store_capacity),
             table: RoutingTable::default(),
-            queue_depth: telemetry.gauge("comm.router_queue_depth"),
+            routed_messages: telemetry.counter("comm.routed_messages"),
             wire_bytes: CompressionKind::ALL
                 .map(|k| telemetry.counter(&format!("comm.bytes_on_wire.{}", k.name()))),
             broadcast_bytes: telemetry.histogram("comm.broadcast_bytes"),
@@ -291,18 +272,17 @@ impl Hub {
     }
 
     /// Source side, for a body in its stored form (from `submit`, after any
-    /// compression): counts it, admits it, and hands the delivery to the
-    /// router shards its destinations hash to ([`by_shard`]), so a sender's
-    /// messages to one destination stay FIFO however they are addressed.
-    /// Returns `false`, every credit of a refused part settled, if a shard is
-    /// gone (a broker shutting down refuses; it does not tally a drop).
+    /// compression), run on the submitting thread: counts the body, admits it
+    /// with the plan's fan-out, pushes its header to the local destinations
+    /// and sends each remote machine its envelope through that machine's
+    /// uplink, whose thread pays the NIC cost.
     pub(crate) fn dispatch(
         &self,
-        router_txs: &[Sender<RouterCmd>],
+        uplinks: &Uplinks,
         mut header: Header,
         body: bytes::Bytes,
         plan: SplitPlan,
-    ) -> bool {
+    ) {
         let stored_len = body.len() as u64;
         self.wire_bytes[header.compression.discriminant() as usize].add(stored_len);
         if header.kind == MessageKind::Parameters {
@@ -310,32 +290,27 @@ impl Hub {
         }
         self.admit(&mut header, body, plan.fanout());
         self.telemetry.emit(EventKind::StoreInserted, header.id, stored_len);
+        self.telemetry.emit(EventKind::Routed, header.id, plan.fanout() as u64);
+        self.routed_messages.inc();
         let header = Arc::new(header);
-        // One shard owns everything: no split.
-        if let [tx] = router_txs {
-            return self.enqueue(tx, header, plan);
+        self.table.id_queues.with(|queues| self.push_headers(queues, &header, &plan.local));
+        if plan.remote.is_empty() {
+            return;
         }
-        let mut accepted = true;
-        for (tx, part) in router_txs.iter().zip(by_shard(plan, router_txs.len())) {
-            if part.fanout() > 0 {
-                accepted &= self.enqueue(tx, Arc::clone(&header), part);
+        // The sender is each remote group's consumer: its fetch spends the
+        // machine's credit, so a group that cannot be forwarded has nothing
+        // left to settle, only drops to count.
+        let uplinks = uplinks.lock();
+        for (machine, dst) in plan.remote {
+            let n_dst = dst.len() as u64;
+            let sent = header.object_id.and_then(|id| self.store.fetch(id)).is_some_and(|body| {
+                let envelope = RemoteEnvelope { header: (*header).clone(), body, dst };
+                uplinks.get(&machine).is_some_and(|tx| tx.send(envelope).is_ok())
+            });
+            if !sent {
+                self.table.add_dropped(n_dst);
             }
         }
-        accepted
-    }
-
-    /// Hands one delivery to a router shard; `false`, its credits settled, if
-    /// the shard is gone.
-    fn enqueue(&self, tx: &Sender<RouterCmd>, header: Arc<Header>, plan: SplitPlan) -> bool {
-        self.queue_depth.add(1);
-        let Err(SendError(refused)) = tx.send(RouterCmd::Deliver(Delivery { header, plan })) else {
-            return true;
-        };
-        self.queue_depth.add(-1);
-        if let RouterCmd::Deliver(Delivery { header, plan }) = refused {
-            (0..plan.fanout()).for_each(|_| self.settle(&header));
-        }
-        false
     }
 
     /// Far side of an uplink: re-homes a body that crossed the wire into this
@@ -430,115 +405,6 @@ impl Hub {
             self.settle(header);
         }
     }
-
-    /// Runs one router-shard loop until it receives [`RouterCmd::Shutdown`] or
-    /// every command sender disconnects. `shard` names the per-shard burst
-    /// counter (`comm.router.{shard}.bursts`); the broker-wide backlog gauge is
-    /// decremented here for every command taken off a shard queue.
-    pub(crate) fn run_router(&self, shard: usize, comm_rx: Receiver<RouterCmd>, uplinks: &Uplinks) {
-        let routed_messages = self.telemetry.counter("comm.routed_messages");
-        let bursts = self.telemetry.counter(&format!("comm.router.{shard}.bursts"));
-        let mut batch: Vec<RouterCmd> = Vec::with_capacity(DRAIN_BATCH);
-        let mut per_machine: HashMap<MachineId, Vec<RemoteEnvelope>> = HashMap::new();
-        loop {
-            // Block for the first command, then opportunistically drain a burst.
-            match comm_rx.recv() {
-                Ok(cmd) => batch.push(cmd),
-                Err(_) => return,
-            }
-            loop {
-                if batch.len() >= DRAIN_BATCH {
-                    break;
-                }
-                match comm_rx.try_recv() {
-                    Ok(cmd) => batch.push(cmd),
-                    Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-                }
-            }
-            bursts.inc();
-            // The gauge counts deliveries only (the shutdown sentinel was never
-            // counted in), so the broker-wide depth returns to zero at drain.
-            let delivers =
-                batch.iter().filter(|c| matches!(c, RouterCmd::Deliver(_))).count() as i64;
-            self.queue_depth.add(-delivers);
-            // One ID-queue snapshot per burst, borrowed for the local pushes.
-            let mut shutdown = false;
-            self.table.id_queues.with(|queues| {
-                for cmd in batch.drain(..) {
-                    let Delivery { header, plan } = match cmd {
-                        RouterCmd::Deliver(d) => d,
-                        RouterCmd::Shutdown => {
-                            // Keep draining: FIFO guarantees every message submitted
-                            // before shutdown precedes the sentinel, and racing
-                            // stragglers behind it still have store credits to settle.
-                            shutdown = true;
-                            continue;
-                        }
-                    };
-                    self.telemetry.emit(EventKind::Routed, header.id, plan.fanout() as u64);
-                    routed_messages.inc();
-                    // Local destinations: hand the object id straight to their ID
-                    // queues (one Arc clone each).
-                    self.push_headers(queues, &header, &plan.local);
-                    // Remote machines: the router is each group's consumer — its
-                    // fetch spends the machine's credit, so a group that cannot be
-                    // forwarded has nothing left to settle, only drops to count.
-                    // Envelopes group under their uplink; the burst flushes below.
-                    for (machine, dst) in plan.remote {
-                        match header.object_id.and_then(|id| self.store.fetch(id)) {
-                            Some(body) => per_machine.entry(machine).or_default().push(
-                                RemoteEnvelope { header: (*header).clone(), body, dst },
-                            ),
-                            None => self.table.add_dropped(dst.len() as u64),
-                        }
-                    }
-                }
-            });
-            // Flush remote groups: one uplink lookup per machine per burst. The
-            // uplink thread pays the NIC cost so routing of subsequent local
-            // traffic is never blocked behind a slow link.
-            if !per_machine.is_empty() {
-                let uplinks = uplinks.lock();
-                for (machine, envelopes) in per_machine.drain() {
-                    let n_dst: u64 = envelopes.iter().map(|e| e.dst.len() as u64).sum();
-                    let sent =
-                        uplinks.get(&machine).map(|tx| tx.send(envelopes).is_ok()).unwrap_or(false);
-                    if !sent {
-                        self.table.add_dropped(n_dst);
-                    }
-                }
-            }
-            if shutdown {
-                return;
-            }
-        }
-    }
-}
-
-/// How many queued commands the router folds into one drain burst. Within a
-/// burst remote envelopes are grouped per machine and each ID-queue snapshot
-/// is loaded once.
-const DRAIN_BATCH: usize = 64;
-
-/// The router shard that owns `pid`: a stable hash over the shard count.
-pub(crate) fn shard_for(pid: ProcessId, shards: usize) -> usize {
-    (crate::pid_hash(pid) % shards as u64) as usize
-}
-
-/// Splits `plan` by router shard (indexed by shard): a local destination goes
-/// to the shard that owns it, a remote machine's group to the shard that owns
-/// that machine's broker, so the body still crosses the wire once per machine.
-/// Every message to one destination thus takes one shard, whatever else it is
-/// addressed to: per-(src,dst) FIFO holds under sharding.
-fn by_shard(plan: SplitPlan, shards: usize) -> Vec<SplitPlan> {
-    let mut parts: Vec<SplitPlan> = (0..shards).map(|_| SplitPlan::default()).collect();
-    for d in plan.local {
-        parts[shard_for(d, shards)].local.push(d);
-    }
-    for (machine, group) in plan.remote {
-        parts[shard_for(ProcessId::broker(machine as u32), shards)].remote.push((machine, group));
-    }
-    parts
 }
 
 #[cfg(test)]
@@ -612,63 +478,22 @@ mod tests {
         // must spend the machine's store credit and count every destination
         // behind it as dropped — no store leak either way.
         let hub = hub();
-        let (dead_tx, dead_rx) = unbounded::<Vec<RemoteEnvelope>>();
+        let (dead_tx, dead_rx) = unbounded::<RemoteEnvelope>();
         drop(dead_rx); // uplink thread gone
         let uplinks = Mutex::new(HashMap::from([(1, dead_tx)]));
-        let (tx, rx) = unbounded();
         // Machine 1: closed uplink. Machine 2: no uplink registered at all.
-        let mut header = Header::new(
+        let header = Header::new(
             ProcessId::learner(0),
             vec![ProcessId::explorer(0), ProcessId::explorer(1)],
             MessageKind::Parameters,
         );
-        header.object_id = Some(hub.store.insert(bytes::Bytes::from_static(b"w"), 2));
-        tx.send(RouterCmd::Deliver(Delivery {
-            header: Arc::new(header),
-            plan: SplitPlan {
-                remote: vec![(1, vec![ProcessId::explorer(0)]), (2, vec![ProcessId::explorer(1)])],
-                ..SplitPlan::default()
-            },
-        }))
-        .unwrap();
-        tx.send(RouterCmd::Shutdown).unwrap();
-        hub.run_router(0, rx, &uplinks);
+        let plan = SplitPlan {
+            remote: vec![(1, vec![ProcessId::explorer(0)]), (2, vec![ProcessId::explorer(1)])],
+            ..SplitPlan::default()
+        };
+        hub.dispatch(&uplinks, header, bytes::Bytes::from_static(b"w"), plan);
         assert_eq!(hub.table.dropped(), 2, "one drop per unreachable destination");
         assert!(hub.store.is_empty(), "both machine credits settled; no leak");
-    }
-
-    #[test]
-    fn shard_for_is_stable_and_spreads() {
-        // Same destination → same shard, always (FIFO preservation).
-        let pid = ProcessId::explorer(3);
-        let s = shard_for(pid, 4);
-        for _ in 0..8 {
-            assert_eq!(shard_for(pid, 4), s);
-        }
-        assert_eq!(shard_for(pid, 1), 0);
-        // 256 distinct destinations must not all collapse onto one shard.
-        let mut hit = [false; 4];
-        for i in 0..256 {
-            hit[shard_for(ProcessId::explorer(i), 4)] = true;
-        }
-        assert!(hit.iter().all(|&h| h), "every shard owns some destinations");
-    }
-
-    #[test]
-    fn by_shard_sends_each_destination_to_its_own_shard() {
-        let local: Vec<ProcessId> = (0..16).map(ProcessId::explorer).collect();
-        let remote = vec![(1, vec![ProcessId::explorer(16), ProcessId::explorer(17)])];
-        let plan = SplitPlan { local: local.clone(), remote: remote.clone(), unknown: 0 };
-        let parts = by_shard(plan, 4);
-        assert!(parts.iter().filter(|p| p.fanout() > 0).count() > 1, "sixteen destinations span shards");
-        for (shard, part) in parts.iter().enumerate() {
-            assert!(part.local.iter().all(|&d| shard_for(d, 4) == shard));
-            assert!(part.remote.iter().all(|(m, _)| shard_for(ProcessId::broker(*m as u32), 4) == shard));
-        }
-        let fanout: usize = parts.iter().map(SplitPlan::fanout).sum();
-        assert_eq!(fanout, local.len() + remote.len(), "the credits are the plan's, split");
-        let groups: Vec<_> = parts.into_iter().flat_map(|p| p.remote).collect();
-        assert_eq!(groups, remote, "a machine's group crosses the wire once");
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //! publish.
 //!
 //! * A reader pins every snapshot for the length of its closure, so the
-//!   closure must be short (one routing split, one router burst, one forward
-//!   pass). A reader that never returns costs memory, never safety.
+//!   closure must be short (one routing split, one message's header pushes,
+//!   one forward pass). A reader that never returns costs memory, never safety.
 //! * Retention is the published snapshot plus one per publish that raced an
 //!   in-flight reader since the last quiescent publish — 1 whenever a publish
 //!   finds no reader mid-borrow, not O(writes).

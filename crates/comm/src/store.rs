@@ -239,7 +239,7 @@ impl ObjectStore {
         Some(body)
     }
 
-    /// Spends one fetch credit without returning the body. Used by the router
+    /// Spends one fetch credit without returning the body. Used by routing
     /// to reclaim the credit of a destination that can no longer take
     /// delivery (closed ID queue, unroutable destination), so the entry does
     /// not leak. Returns `false` for unknown ids.

@@ -190,18 +190,16 @@ fn a_large_body_keeps_its_place_ahead_of_later_smalls() {
 }
 
 #[test]
-fn a_broadcast_stays_ahead_of_later_unicasts_on_a_sharded_router() {
+fn a_broadcast_stays_ahead_of_later_unicasts() {
     // Per-(src,dst) FIFO whatever the destination list: a learner's broadcast
-    // to eight explorers, then one answer to each, on 4 router shards. The
-    // explorers after the first hash to other shards than it does, and on 2
-    // machines they sit across the wire, behind one uplink.
+    // to eight explorers, then one answer to each. On 2 machines the
+    // explorers sit across the wire, behind one uplink.
     const ROUNDS: u8 = 50;
     for machines in [1, 2] {
         let cluster = Cluster::new(
             ClusterSpec::default().machines(machines).nic_bandwidth(1e9).latency_secs(0.0),
         );
-        let config = CommConfig::default().with_router_shards(4);
-        let brokers: Vec<_> = (0..machines).map(|m| Broker::new(m, cluster.clone(), config.clone())).collect();
+        let brokers: Vec<_> = (0..machines).map(|m| Broker::new(m, cluster.clone(), CommConfig::default())).collect();
         let learner = brokers[0].endpoint(ProcessId::learner(0));
         let explorers: Vec<_> = (0..8).map(|i| brokers[machines - 1].endpoint(ProcessId::explorer(i))).collect();
         connect_brokers(&brokers);
@@ -227,6 +225,81 @@ fn a_broadcast_stays_ahead_of_later_unicasts_on_a_sharded_router() {
             assert_eq!(b.dropped(), 0, "machine {}", b.machine());
             assert!(b.store().is_empty(), "machine {}", b.machine());
         }
+    }
+}
+
+#[test]
+fn four_producers_fan_out_to_1024_destinations_in_order() {
+    // Point-to-point fan-out on one broker: 4 producers, each routing on its
+    // own thread, send round-robin over 1 024 destinations. Every destination
+    // gets each producer's messages exactly once and in the order sent.
+    const DESTINATIONS: u32 = 1024;
+    const PRODUCERS: u32 = 4;
+    const ROUNDS: u32 = 8;
+    let broker = Broker::new(0, Cluster::single(), CommConfig::default());
+    let dsts: Vec<_> = (0..DESTINATIONS).map(|i| broker.endpoint(ProcessId::explorer(i))).collect();
+    let producers: Vec<_> = (0..PRODUCERS)
+        .map(|p| {
+            let endpoint = broker.endpoint(ProcessId::learner(p));
+            std::thread::spawn(move || {
+                for round in 0..ROUNDS {
+                    for d in 0..DESTINATIONS {
+                        let mut body = vec![0u8; 64];
+                        body[..4].copy_from_slice(&round.to_le_bytes());
+                        endpoint.send_to(vec![ProcessId::explorer(d)], MessageKind::Rollout, Bytes::from(body));
+                    }
+                }
+            })
+        })
+        .collect();
+    for e in &dsts {
+        let mut next = [0u32; PRODUCERS as usize];
+        for _ in 0..PRODUCERS * ROUNDS {
+            let m = e.recv_timeout(Duration::from_secs(30)).unwrap_or_else(|| panic!("{} starved", e.pid()));
+            let round = u32::from_le_bytes(m.body[..4].try_into().unwrap());
+            let from = m.header.src.index as usize;
+            assert_eq!(round, next[from], "{} out of order from {}", e.pid(), m.header.src);
+            next[from] += 1;
+        }
+        assert!(e.try_recv().is_none(), "exactly its count at {}", e.pid());
+    }
+    for p in producers {
+        p.join().unwrap();
+    }
+    drop(dsts);
+    broker.shutdown();
+    assert_eq!(broker.dropped(), 0);
+    assert!(broker.store().is_empty());
+}
+
+#[test]
+fn an_uplink_coalesces_back_to_back_sends() {
+    // The uplink thread is the only batching of remote traffic: while one
+    // 5 ms transfer is on the wire, the sends queued behind it leave together
+    // in the next one.
+    const SENDS: u32 = 200;
+    let cluster =
+        Cluster::new(ClusterSpec::default().machines(2).nic_bandwidth(1e9).latency_secs(0.005));
+    let brokers: Vec<_> = (0..2).map(|m| Broker::new(m, cluster.clone(), CommConfig::default())).collect();
+    let explorer = brokers[0].endpoint(ProcessId::explorer(0));
+    let learner = brokers[1].endpoint(ProcessId::learner(0));
+    connect_brokers(&brokers);
+    for i in 0..SENDS {
+        let mut body = vec![0u8; 64];
+        body[..4].copy_from_slice(&i.to_le_bytes());
+        explorer.send_to(vec![ProcessId::learner(0)], MessageKind::Rollout, Bytes::from(body));
+    }
+    for i in 0..SENDS {
+        let m = learner.recv_timeout(Duration::from_secs(10)).expect("delivered");
+        assert_eq!(u32::from_le_bytes(m.body[..4].try_into().unwrap()), i, "in order");
+    }
+    let transfers = cluster.machine(0).tx().stats().transfers();
+    assert!(transfers < 50, "{SENDS} sends took {transfers} transfers");
+    drop((explorer, learner));
+    for b in &brokers {
+        b.shutdown();
+        assert_eq!(b.dropped(), 0, "machine {}", b.machine());
+        assert!(b.store().is_empty(), "machine {}", b.machine());
     }
 }
 

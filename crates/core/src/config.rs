@@ -285,14 +285,6 @@ impl DeploymentConfig {
         self
     }
 
-    /// Shards each broker's router fabric `shards` ways (builder style).
-    /// Destinations hash onto shards, so per-sender-per-destination ordering
-    /// is preserved while command drains proceed in parallel.
-    pub fn with_router_shards(mut self, shards: usize) -> Self {
-        self.comm = self.comm.with_router_shards(shards);
-        self
-    }
-
     /// Caps each broker's object-store arena in bytes (builder style). Small
     /// caps are the deterministic backpressure lever for elastic-supervision
     /// tests: a full store parks senders and raises occupancy telemetry.

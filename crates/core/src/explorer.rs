@@ -4,9 +4,10 @@
 //! `Agent` class holding DNN copies). Its workhorse loop is fully
 //! decentralized: it reacts to parameter messages whenever they arrive, steps
 //! the environment otherwise, and puts a rollout batch into the object store
-//! the instant `rollout_len` steps have accumulated — the router takes it from
-//! there, so transmission overlaps the very next environment step (while the
-//! store is full, the explorer waits in `send`). The one exception is flow
+//! the instant `rollout_len` steps have accumulated, and `send` routes it on
+//! this thread before returning — the receiver and uplink threads take it
+//! from there, so transmission overlaps the very next environment step
+//! (while the store is full, the explorer waits in `send`). The one exception is flow
 //! control: every rollout is answered once, with a
 //! [`MessageKind::RolloutAnswer`] from the learner when the batch is handed
 //! back for recycling, and an explorer with its window of rollouts unanswered
@@ -190,10 +191,12 @@ impl ExplorerProcess {
                     steps: std::mem::take(&mut steps),
                     bootstrap_observation: obs.clone(),
                 };
-                // Aggressive push: the body goes into the store on this
-                // thread (waiting at the gate while it is full) and the
-                // router delivers it while the workhorse keeps going. The
-                // destination is resolved now, not at build time.
+                // Aggressive push: the body goes into the store and its
+                // header to the learner's ID queue (or uplink) on this
+                // thread, waiting at the gate while the store is full; the
+                // learner's receiver thread delivers it while the workhorse
+                // keeps going. The destination is resolved now, not at
+                // build time.
                 self.endpoint.send_to(
                     vec![self.route.resolve(self.index)],
                     MessageKind::Rollout,

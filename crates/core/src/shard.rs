@@ -41,10 +41,10 @@
 //! every shard, since closing `r` earlier needed every shard's blobs too —
 //! waiting for those blobs as long as the channel takes (they are already
 //! submitted), and abandons it at once otherwise. The farewell says only
-//! *whether* to wait, not that the stream has ended: the channel orders a
-//! sender's messages per destination list, and the blobs a shard resends to
-//! a rejoiner travel unicast while its farewell goes to every peer, which on
-//! a sharded router is another queue.
+//! *whether* to wait, not that the stream has ended. The channel keeps a
+//! sender's messages to one destination in order whatever lists they are
+//! addressed to, so the blobs a shard resends to a rejoiner unicast still
+//! precede its farewell to every peer; the protocol does not rely on it.
 
 use crate::learner::LearnerRun;
 use bytes::Bytes;

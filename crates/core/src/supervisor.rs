@@ -819,8 +819,8 @@ impl Deployment {
             None => None,
         };
 
-        // Everything has exited; the stores should drain to empty as routers
-        // finish in-flight work. The first look comes before any sleep (a
+        // Everything has exited; the stores should drain to empty as receiver
+        // and uplink threads finish in-flight work. The first look comes before any sleep (a
         // quiet run is already empty); leftovers get a bounded moment before
         // they are declared a leak.
         let drain_deadline = Instant::now() + Duration::from_secs(2);

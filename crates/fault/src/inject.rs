@@ -2,7 +2,7 @@
 //! installs on brokers.
 //!
 //! Determinism is the design constraint: chaos regressions are only
-//! bisectable if the same plan makes the same messages fail. Router and
+//! bisectable if the same plan makes the same messages fail. Producer and
 //! uplink threads consult the injector concurrently and in
 //! scheduling-dependent order, so stateful RNG (whose output depends on call
 //! order) would not be reproducible. Instead every probability roll is a pure

@@ -9,8 +9,8 @@
 //! * **Injection** ([`plan`], [`inject`]) — a seeded, deterministic
 //!   [`FaultPlan`]: scheduled link partitions/degradations that
 //!   [`netsim::Cluster`] executes on the virtual clock, per-route
-//!   drop/duplicate/delay rules the comm router executes through its
-//!   [`xingtian_comm::RouteInjector`] hook, and kill switches that take
+//!   drop/duplicate/delay rules the comm channel executes through its
+//!   [`xingtian_comm::RouteInjector`] hook on producer and uplink threads, and kill switches that take
 //!   processes down at a precise point ([`probe`]). The same seed always
 //!   produces the same chaos, so chaos runs are reproducible and their
 //!   regressions bisectable.

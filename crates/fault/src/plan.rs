@@ -2,7 +2,8 @@
 //!
 //! A [`FaultPlan`] is the single artifact a chaos run is configured with: it
 //! bundles the scheduled link faults netsim executes on the virtual clock,
-//! the per-route injection rules the comm router executes, and the kill
+//! the per-route injection rules the comm channel's producer and uplink
+//! threads execute, and the kill
 //! switches that take processes down at a precise point. Everything is
 //! derived from one `u64` seed — rerunning the same plan against the same
 //! deployment produces the same chaos, which is what makes chaos regressions

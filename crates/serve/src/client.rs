@@ -16,10 +16,11 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use xingtian_comm::{pid_hash, Broker, Endpoint};
+use xingtian_comm::{Broker, Endpoint};
 use xingtian_message::codec::{Decode, Encode};
 use xingtian_message::{InferReply, InferRequest, MessageKind, ProcessId};
 
+use crate::fleet::pid_hash;
 use crate::CLIENT_OFFSET;
 
 /// One inference client. See the module docs.

@@ -2,9 +2,9 @@
 //!
 //! [`ServeFleet::start`] boots `replicas` serving processes from one
 //! parameter blob (typically `checkpoint::load_latest`). Clients pick their
-//! replica with the same splitmix hash the comm router uses for shard
-//! assignment ([`xingtian_comm::pid_hash`]), so a client sticks to one
-//! replica and the fleet spreads load without coordination.
+//! replica with a stable splitmix hash of its process id ([`pid_hash`]), so a
+//! client sticks to one replica and the fleet spreads load without
+//! coordination.
 //!
 //! Supervision is the training plane's: a replica's serve loop and its
 //! parameter sink are each a [`xingtian::supervisor::Slot`], and [`poll`]
@@ -36,7 +36,7 @@ use xingtian::messages::ControlCommand;
 use xingtian::supervisor::{Reap, Slot};
 use xingtian::ParamBroadcaster;
 use xingtian_algos::ParamBlob;
-use xingtian_comm::{pid_hash, Broker, Endpoint, ParamCompression, SnapshotCell};
+use xingtian_comm::{Broker, Endpoint, ParamCompression, SnapshotCell};
 use xingtian_message::codec::Encode;
 use xingtian_message::{MessageKind, ProcessId};
 
@@ -49,6 +49,16 @@ const FLEET_CONTROL: u32 = CLIENT_OFFSET - 1;
 /// Controller index of the [`ParamPublisher`] endpoint (unbounded recv, so
 /// a burst of acks from a large fleet can never back-pressure the sender).
 const PUBLISHER: u32 = CLIENT_OFFSET - 2;
+
+/// Stable 64-bit mix of a process id (splitmix64 finalizer over role+index).
+/// The fleet's client-to-replica assignment uses it to spread
+/// deterministically and independently of `HashMap` seeding.
+pub fn pid_hash(pid: ProcessId) -> u64 {
+    let mut x = ((pid.role as u64) << 32) ^ u64::from(pid.index) ^ 0x9E37_79B9_7F4A_7C15;
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
 
 /// Aggregate outcome of a fleet's lifetime.
 #[derive(Debug, Default, Clone, Copy)]

@@ -16,7 +16,7 @@
 //!   plane's shared subscriber, as explorers do) swap weights mid-traffic
 //!   without ever stalling an inference pass.
 //! * [`ServeFleet`] — N replicas behind the consistent-hash router
-//!   ([`xingtian_comm::pid_hash`]) under the training plane's `Slot`
+//!   ([`fleet::pid_hash`]) under the training plane's `Slot`
 //!   reap/respawn state machine: serve loops respawn from the latest
 //!   checkpoint, sinks from the policy being served; drain-on-shutdown.
 //! * Graceful degradation — replicas bound their admission queue and answer

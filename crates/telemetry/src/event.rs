@@ -24,8 +24,9 @@ pub enum EventKind {
     /// Message body landed in the broker's object store (serialization and
     /// the single copy into shared memory are done).
     StoreInserted = 2,
-    /// Router matched the header against the routing table and queued the
-    /// object id toward its destination(s).
+    /// The sender's thread routed the message right after admitting it:
+    /// headers pushed to the local ID queues next, the body handed to each
+    /// remote machine's uplink (`aux` = destination count).
     Routed = 3,
     /// A cross-machine hop started occupying the NIC.
     NicTxStart = 4,

@@ -6,7 +6,7 @@
 //! | stage       | from            | to              | meaning                               |
 //! |-------------|-----------------|-----------------|---------------------------------------|
 //! | `serialize` | `SendEnqueued`  | `StoreInserted` | compress, gate wait, copy into store  |
-//! | `store`     | `StoreInserted` | `Routed`        | header queueing until routing decision|
+//! | `store`     | `StoreInserted` | `Routed`        | admission until routing (same thread) |
 //! | `route`     | `Routed`        | `Fetched`       | delivery (includes any NIC hop)       |
 //! | `nic`       | `NicTxStart`    | `NicTxEnd`      | NIC occupancy, summed over hops       |
 //! | `wait`      | `Fetched`       | `Consumed`      | sat in the receive buffer unconsumed  |

@@ -149,15 +149,14 @@ fn store_resident_replay_trains_under_32_explorers() {
 }
 
 /// An on-policy explorer is released by the learner's answer alone, so the
-/// parameters broadcast ahead of that answer must reach it first on a
-/// sharded router too. Otherwise it generates its next rollout with the old
-/// parameters, and PPO discards it as stale: every rollout decoded here is
-/// generated by the learner's current parameters.
+/// parameters broadcast ahead of that answer must reach it first. Otherwise
+/// it generates its next rollout with the old parameters, and PPO discards
+/// it as stale: every rollout decoded here is generated by the learner's
+/// current parameters.
 #[test]
-fn on_policy_rollouts_are_fresh_on_a_sharded_router() {
+fn on_policy_rollouts_are_fresh() {
     let report = finish(
         DeploymentConfig::cartpole(AlgorithmSpec::ppo(), 2)
-            .with_router_shards(2)
             .with_rollout_len(50)
             .with_goal_steps(5_000)
             .with_max_seconds(60.0),
