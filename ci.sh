@@ -126,8 +126,8 @@ echo "== chaos smoke: seeded kills and a partition, detected from per-machine be
 # partitioned explorers are declared down and back up without a respawn. And
 # a PPO and an A2C learner killed after session 5: the restored learner
 # announces its checkpointed parameters, so the on-policy explorers resume
-# and the run ends at its goal, not its deadline. Wall time is bounded by the
-# controller deadlines.
+# and the run ends at its goal, not its deadline. Wall time is bounded by each
+# run's max_seconds deadline, which the supervisor checks every tick.
 cargo test --release -q -p xingtian --test chaos chaos_smoke_kill_one_explorer_virtual_clock
 cargo test --release -q -p xingtian --test chaos kill_and_partition_two_machine_deployment
 cargo test --release -q -p xingtian --test chaos on_policy_learner_restored_from_checkpoint_reaches_the_goal
@@ -162,10 +162,16 @@ echo "== graph smoke: the one process graph and the one learner loop, both disci
 # gradient channel), the sharded deployments (sync shards bit-identical at
 # exit, relaxed in the reward band — a single run, no retries), and 64
 # fault-free supervised deployments that must drop no message — endpoints
-# are registered before the processes that address them are spawned.
+# are registered before the processes that address them are spawned, and the
+# beats share the supervisor's inbox with one Stats per 4-step rollout. One
+# thread ends every run, the supervisor, which is the center controller: at
+# the goal, at the deadline (a 3 s cap must end the run in [3, 4) s), or at a
+# death past its budget (an unsupervised learner death is an error in < 5 s).
 cargo test --release -q -p xingtian --test process_loops
 cargo test --release -q -p xingtian --test multi_learner
 cargo test --release -q -p xingtian --test chaos fault_free_supervised_runs_drop_nothing
+cargo test --release -q -p xingtian --test chaos unsupervised_learner_death_is_reported_promptly
+cargo test --release -q --test e2e_training deployment_respects_wall_clock_cap
 
 echo "== producers wait in send: no drain ever waits at the data-lane gate =="
 # A producer submits on its own thread and waits at the store's gate while the

@@ -351,6 +351,17 @@ impl DeploymentConfig {
         if self.rollout_len == 0 {
             return Err("rollout_len must be positive".into());
         }
+        // The supervisor ends the run this long after it starts, so the value
+        // must be a duration the clock can reach.
+        let deadline = std::time::Duration::try_from_secs_f64(self.max_seconds)
+            .ok()
+            .and_then(|d| std::time::Instant::now().checked_add(d));
+        if deadline.is_none() {
+            return Err(format!(
+                "max_seconds must be a reachable, non-negative number of seconds (got {})",
+                self.max_seconds
+            ));
+        }
         // Algorithm configs arrive through serde unchecked, and a zero here
         // panics or livelocks the learner thread mid-run: `chunks(0)`; a
         // training gate that never closes; a session over zero rows; a queue
@@ -457,6 +468,21 @@ mod tests {
         let mut c2 = DeploymentConfig::cartpole(AlgorithmSpec::ppo(), 0);
         c2.explorers_per_machine = vec![0];
         assert!(c2.validate().is_err());
+    }
+
+    #[test]
+    fn max_seconds_that_cannot_be_a_deadline_is_rejected() {
+        // NaN, a negative and an infinite value are no duration at all; 1e19 s
+        // is one, but no clock reaches it.
+        for secs in [f64::NAN, -1.0, f64::INFINITY, 1e19] {
+            let c = DeploymentConfig::cartpole(AlgorithmSpec::impala(), 1).with_max_seconds(secs);
+            let err = c.validate().expect_err("an unreachable deadline must be rejected");
+            assert!(err.contains("max_seconds"), "the error names the field: {err}");
+        }
+        for secs in [0.0, 3.0] {
+            let c = DeploymentConfig::cartpole(AlgorithmSpec::impala(), 1).with_max_seconds(secs);
+            assert!(c.validate().is_ok(), "{secs} s is a deadline");
+        }
     }
 
     #[test]

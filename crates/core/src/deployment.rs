@@ -1,9 +1,9 @@
 //! The pieces every deployment is built from, and the plain entry points.
 //!
 //! The paper's launch sequence (§3.2.2) — create a broker per machine,
-//! connect the broker fabric, start the learner, the explorers, and the
-//! center controller, then run until the controller broadcasts shutdown — is
-//! built in exactly one place, [`Deployment::run_supervised`]
+//! connect the broker fabric, start the learner and the explorers, then run
+//! until the center controller (the supervising thread itself) broadcasts
+//! shutdown — is built in exactly one place, [`Deployment::run_supervised`]
 //! ([`crate::supervisor`]). [`Deployment::run`] is that graph under a policy
 //! with nothing to supervise. "Processes" are threads here (see DESIGN.md §2
 //! on the substitution), but the communication between them flows

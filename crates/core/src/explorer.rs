@@ -15,7 +15,7 @@
 //! an answer before it steps again.
 
 use crate::assignment::AssignmentTable;
-use crate::messages::{ControlCommand, StatsMsg};
+use crate::messages::ControlCommand;
 use crate::parameters::ParamReceiver;
 use bytes::Bytes;
 use std::sync::Arc;
@@ -118,9 +118,10 @@ struct Inbox {
 }
 
 impl ExplorerProcess {
-    /// Runs the explorer until the controller broadcasts shutdown.
+    /// Runs the explorer until the supervisor sends it `Shutdown`.
     pub fn run(mut self) -> ExplorerOutcome {
         let controller = ProcessId::controller(0);
+        let rollout_steps = Bytes::from((self.rollout_len as u64).to_bytes());
         let mut tracker = EpisodeTracker::default();
         let telemetry = self.endpoint.telemetry().clone();
         let mut inbox = Inbox {
@@ -139,9 +140,6 @@ impl ExplorerProcess {
         let batches_counter = telemetry.counter("explorer.batches_sent");
         let infer_hist = telemetry.histogram("learn.infer_ns");
         let mut batches_sent = 0u64;
-        let mut steps_since_stats = 0u64;
-        let mut returns_since_stats: Vec<f32> = Vec::new();
-        let mut episodes_before = 0usize;
         let mut obs = self.env.reset();
 
         loop {
@@ -165,11 +163,6 @@ impl ExplorerProcess {
             infer_hist.record_duration(t_act.elapsed());
             let step = self.env.step(selection.action);
             tracker.record_step(step.reward, step.done);
-            steps_since_stats += 1;
-            if tracker.episodes() > episodes_before {
-                returns_since_stats.extend_from_slice(&tracker.returns()[episodes_before..]);
-                episodes_before = tracker.episodes();
-            }
             steps.push(RolloutStep {
                 observation: std::mem::take(&mut obs),
                 action: selection.action as u32,
@@ -207,13 +200,7 @@ impl ExplorerProcess {
                 batches_counter.inc();
                 steps.reserve(self.rollout_len);
 
-                let stats = StatsMsg {
-                    source: self.index,
-                    steps: steps_since_stats,
-                    episode_returns: std::mem::take(&mut returns_since_stats),
-                };
-                self.endpoint.send_to(vec![controller], MessageKind::Stats, Bytes::from(stats.to_bytes()));
-                steps_since_stats = 0;
+                self.endpoint.send_to(vec![controller], MessageKind::Stats, rollout_steps.clone());
 
                 if self.wait_for_answers(&mut inbox) {
                     return ExplorerOutcome { tracker, batches_sent };

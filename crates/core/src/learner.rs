@@ -31,7 +31,7 @@ use crate::assignment::AssignmentTable;
 use crate::checkpoint::Checkpointer;
 use crate::config::AllreduceMode;
 use crate::gossip::Gossip;
-use crate::messages::{ControlCommand, StatsMsg};
+use crate::messages::ControlCommand;
 use crate::parameters::ParamBroadcaster;
 use crate::shard::{Lockstep, DEAD_PEER_TIMEOUT};
 use crate::stats::ThroughputTimeline;
@@ -153,7 +153,7 @@ enum Discipline {
 }
 
 impl LearnerProcess {
-    /// Runs the learner until the controller broadcasts shutdown: block for a
+    /// Runs the learner until the supervisor sends it `Shutdown`: block for a
     /// message, dispatch it and a bounded burst of what else has arrived,
     /// complete every session the discipline can now produce, recycle.
     pub fn run(mut self) -> LearnerOutcome {
@@ -231,7 +231,7 @@ impl LearnerProcess {
                 shutdown = self.on_message(extra, &mut run, &mut discipline);
             }
             // Complete every session that is now possible (none on shutdown:
-            // the controller has its goal, the explorers are leaving).
+            // the supervisor has its goal, the explorers are leaving).
             if !shutdown {
                 while let Some((steps, notify)) = self.next_session(&mut run, &mut discipline) {
                     self.finish_session(&mut run, steps, notify);
@@ -284,8 +284,8 @@ impl LearnerProcess {
     }
 
     /// Post-session bookkeeping: instruments, outcome, the checkpoint→probe
-    /// ordering, the parameter broadcast, and the stats report to the
-    /// controller. `notify` is the session's `TrainReport::notify`.
+    /// ordering, the parameter broadcast, and the step count reported to the
+    /// supervisor. `notify` is the session's `TrainReport::notify`.
     fn finish_session(&mut self, run: &mut LearnerRun, steps_consumed: usize, notify: Vec<u32>) {
         run.wait_hist.record_duration(run.waited);
         run.sessions_counter.inc();
@@ -312,15 +312,10 @@ impl LearnerProcess {
             let dst = notify.iter().map(|&e| ProcessId::explorer(e)).collect();
             run.broadcaster.encode(&blob, &notify).send(&self.endpoint, dst);
         }
-        let stats = StatsMsg {
-            source: StatsMsg::LEARNER,
-            steps: steps_consumed as u64,
-            episode_returns: Vec::new(),
-        };
         self.endpoint.send_to(
             vec![ProcessId::controller(0)],
             MessageKind::Stats,
-            Bytes::from(stats.to_bytes()),
+            Bytes::from((steps_consumed as u64).to_bytes()),
         );
     }
 
@@ -376,8 +371,8 @@ impl LearnerProcess {
                 lockstep.on_gradient(&msg, &self.endpoint, self.algorithm.as_ref());
             }
         }
-        // Bookkeeping only: the controller and the explorers are already
-        // shutting down, so no broadcast and no stats send.
+        // Bookkeeping only: the supervisor has ended the run and the
+        // explorers are shutting down, so no broadcast and no stats send.
         if lockstep.close_round(sync(self.algorithm.as_mut())).is_some() {
             self.record_session(run, lockstep.local_rows);
         }

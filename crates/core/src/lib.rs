@@ -20,8 +20,6 @@
 //!   modes; peer shards only add an exchange discipline the loop advances —
 //!   [`gossip`] (relaxed parameter deltas) or [`shard`] (lockstep rounds of
 //!   fixed gradient slots, folded in slot order);
-//! * [`controller`] — the center controller: statistics collection and
-//!   goal-driven shutdown (paper §3.2.2);
 //! * [`deployment`] — the environment/algorithm/agent builders and the plain
 //!   entry points [`Deployment::run`] / [`Deployment::run_with_telemetry`],
 //!   which return a [`stats::RunReport`];
@@ -32,8 +30,10 @@
 //! * [`checkpoint`] — periodic DNN checkpoints for fault tolerance (paper
 //!   §4.2);
 //! * [`supervisor`] — the one process graph: [`Deployment::run_supervised`]
-//!   builds brokers and processes, supervises them (heartbeat-driven failure
-//!   detection, respawn, checkpoint restore, injected faults) and joins them.
+//!   builds brokers and processes, is their center controller (it counts the
+//!   statistics toward the goal and sends the one shutdown, paper §3.2.2),
+//!   supervises them (heartbeat-driven failure detection, respawn, checkpoint
+//!   restore, injected faults) and joins them.
 //!   The plain entry points are this graph under
 //!   [`SupervisionConfig::unsupervised`]: no heartbeats, hence zero budgets.
 //!
@@ -54,7 +54,6 @@
 pub mod assignment;
 pub mod checkpoint;
 pub mod config;
-pub mod controller;
 pub mod deployment;
 pub mod dummy;
 pub mod elastic;
@@ -73,4 +72,4 @@ pub use elastic::{ElasticConfig, ElasticController, ElasticDecision};
 pub use deployment::Deployment;
 pub use parameters::{EncodedBroadcast, IngestOutcome, ParamBroadcaster, ParamReceiver};
 pub use stats::RunReport;
-pub use supervisor::{RecoveryReport, SupervisionConfig, MONITOR};
+pub use supervisor::{RecoveryReport, SupervisionConfig};

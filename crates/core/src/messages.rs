@@ -1,8 +1,12 @@
-//! Control and statistics payloads exchanged with the center controller.
+//! Small payloads exchanged between processes: the [`ControlCommand`] the
+//! supervisor sends as the center controller, and the explorers'
+//! [`ParamAck`]s. A `Stats` body has no type of its own: it is one codec
+//! `u64` step count, and the role of its `header.src` says whose count it is.
 
 use xingtian_message::codec::{Decode, DecodeError, Encode, Reader};
 
-/// Lifecycle commands broadcast by the center controller (paper §3.2.2).
+/// Lifecycle commands the supervisor sends as the center controller
+/// (paper §3.2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControlCommand {
     /// Stop all processes and release resources.
@@ -26,46 +30,6 @@ impl Decode for ControlCommand {
             0 => Ok(ControlCommand::Shutdown),
             t => Err(DecodeError::InvalidTag(t)),
         }
-    }
-}
-
-/// Periodic statistics pushed by workhorse threads to the center controller.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StatsMsg {
-    /// Producing explorer index, or `u32::MAX` for the learner.
-    pub source: u32,
-    /// Environment steps taken (explorers) or consumed (learner) since the
-    /// previous stats message.
-    pub steps: u64,
-    /// Returns of episodes completed since the previous stats message.
-    pub episode_returns: Vec<f32>,
-}
-
-impl StatsMsg {
-    /// Marker value for learner-originated stats.
-    pub const LEARNER: u32 = u32::MAX;
-}
-
-impl Encode for StatsMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.source.encode(out);
-        self.steps.encode(out);
-        self.episode_returns.encode(out);
-    }
-    fn encoded_size(&self) -> usize {
-        self.source.encoded_size()
-            + self.steps.encoded_size()
-            + self.episode_returns.encoded_size()
-    }
-}
-
-impl Decode for StatsMsg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(StatsMsg {
-            source: u32::decode(r)?,
-            steps: u64::decode(r)?,
-            episode_returns: Vec::<f32>::decode(r)?,
-        })
     }
 }
 
@@ -122,13 +86,6 @@ mod tests {
     #[test]
     fn control_rejects_unknown_tag() {
         assert!(ControlCommand::from_bytes(&[9]).is_err());
-    }
-
-    #[test]
-    fn stats_round_trips() {
-        let s = StatsMsg { source: 3, steps: 12345, episode_returns: vec![1.5, -2.0] };
-        let bytes = s.to_bytes();
-        assert_eq!(StatsMsg::from_bytes(&bytes).unwrap(), s);
     }
 
     #[test]

@@ -186,7 +186,7 @@ pub struct Lockstep {
     global_rows: usize,
     /// This shard's share of them, for step accounting: every shard applies
     /// the same global batch, so reporting the full count S times would make
-    /// goal semantics (and the controller's step sum) depend on the shard
+    /// goal semantics (and the supervisor's step sum) depend on the shard
     /// count.
     pub(crate) local_rows: usize,
     /// Set while this shard has announced its slots for the current round and

@@ -35,8 +35,9 @@ pub struct RunReport {
     pub env: String,
     /// Rollout steps the learner consumed.
     pub steps_consumed: u64,
-    /// Environment steps the explorers reported taking, as the controller
-    /// tallied their stats: generated, against `steps_consumed`.
+    /// Environment steps the explorers reported taking, as the supervisor
+    /// tallied their stats when the run ended (at the goal, the moment it
+    /// was met): generated, against `steps_consumed`.
     pub steps_generated: u64,
     /// Wall-clock duration of the run.
     pub wall_time: Duration,
@@ -54,7 +55,8 @@ pub struct RunReport {
     /// Rollouts the learner decoded per source explorer (shard 0's last
     /// incarnation): an explorer missing here sent it nothing.
     pub rollouts_by_explorer: BTreeMap<u32, u64>,
-    /// Returns of all completed episodes, in arrival order at the controller.
+    /// Returns of all completed episodes, from the explorers' own trackers:
+    /// explorer slots in index order, each slot's incarnations oldest first.
     pub episode_returns: Vec<f32>,
     /// Training sessions completed.
     pub train_sessions: u64,

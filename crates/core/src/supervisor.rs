@@ -1,25 +1,32 @@
-//! The deployment graph and its supervisor: spawn, failure detection,
-//! process recovery, join.
+//! The deployment graph and its supervisor: spawn, the center controller,
+//! failure detection, process recovery, join.
 //!
 //! [`Deployment::run_supervised`] is the one place the training plane is
 //! built — the paper's launch sequence (§3.2.2: brokers, fabric, learner,
-//! explorers, controller, run until the controller broadcasts shutdown) —
-//! and it carries the fault-tolerance layer the paper attributes to the
+//! explorers, run until the center controller broadcasts shutdown) — and its
+//! calling thread is that center controller. Its one endpoint,
+//! `ProcessId::controller(0)`, receives every process's `Stats` (a learner's
+//! steps count toward the goal, an explorer's toward
+//! [`RunReport::steps_generated`]), and the same thread sends the one
+//! `Shutdown` to every explorer and learner shard when the run ends: at the
+//! goal, at the `max_seconds` deadline, or at a death past its budget.
+//!
+//! It also carries the fault-tolerance layer the paper attributes to the
 //! framework (§4.2): the calling thread owns every workhorse `JoinHandle`,
 //! one heartbeat per broker per period — the pids of its live endpoints —
-//! reaches the [`MONITOR`] endpoint and feeds an [`xt_fault::FailureDetector`]
-//! that watches the learners and explorers, and dead processes are respawned
-//! onto fresh endpoints whose routes propagate live through the broker
-//! fabric. What a given run gets of that is set by its heartbeat period, not
-//! by a second code path: a zero period creates no beacons and no detector
-//! and leaves a zero budget, which never respawns
+//! reaches the same endpoint and feeds an [`xt_fault::FailureDetector`] that
+//! watches the learners and explorers, and dead processes are respawned onto
+//! fresh endpoints whose routes propagate live through the broker fabric.
+//! What a given run gets of that is set by its heartbeat period, not by a
+//! second code path: a zero period creates no beacons and no detector and
+//! leaves a zero budget, which never respawns
 //! ([`SupervisionConfig::unsupervised`], which is [`Deployment::run`]).
 //!
 //! Division of authority, deliberately split:
 //!
 //! * the **detector** is advisory — it watches heartbeat silence and publishes
 //!   liveness transitions to telemetry. Silence can mean a dead process *or* a
-//!   severed link; the two are indistinguishable from the monitor's chair.
+//!   severed link; the two are indistinguishable from the supervisor's chair.
 //! * the **supervisor** respawns only on proof of death: a `JoinHandle` that
 //!   joins with `Err` (the thread panicked and fully unwound, so its endpoint
 //!   is deregistered). Respawning a merely-partitioned process would register
@@ -46,7 +53,6 @@
 use crate::assignment::AssignmentTable;
 use crate::checkpoint::{load_latest, CheckpointConfig, Checkpointer};
 use crate::config::DeploymentConfig;
-use crate::controller::ControllerProcess;
 use crate::deployment::{
     build_agent, build_algorithm_with_replay, build_env, build_replay_plane, spawn_process,
     DeployError,
@@ -61,22 +67,13 @@ use bytes::Bytes;
 use netsim::Cluster;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xingtian_comm::{connect_brokers, Broker, Endpoint};
-use xingtian_message::codec::Encode;
-use xingtian_message::{MessageKind, ProcessId, ProcessRole};
+use xingtian_message::codec::{Decode, Encode};
+use xingtian_message::{Message, MessageKind, ProcessId, ProcessRole};
 use xt_fault::{DetectorConfig, FailureDetector, FaultPlan, LivenessTransition};
-
-/// The supervisor's endpoint, registered on every run: the failure
-/// detector's inbox (each broker's beacon lists its live endpoints here) and
-/// the sender of every `Shutdown` the supervisor issues. Brokers never list
-/// a `Broker`-role endpoint, so the monitor never appears in a beat; the
-/// index keeps it clear of the brokers' own ids, which the beats carry as
-/// their `src`.
-pub const MONITOR: ProcessId = ProcessId { role: ProcessRole::Broker, index: u32::MAX };
 
 /// How many times one explorer may be respawned, and one learner shard
 /// restored from checkpoint, in a supervised run (an unsupervised one: 0).
@@ -91,7 +88,8 @@ const UNSUPERVISED_POLL_MS: u64 = 5;
 #[derive(Debug, Clone)]
 pub struct SupervisionConfig {
     /// Heartbeat beacon period (milliseconds). Nonzero: every broker beacons
-    /// its live endpoints to [`MONITOR`] at this period, a failure detector
+    /// its live endpoints to the supervisor's endpoint,
+    /// `ProcessId::controller(0)`, at this period, a failure detector
     /// tuned to it ([`DetectorConfig::for_interval_ms`]) watches the learners
     /// and explorers, the supervisor ticks four times per period, and each
     /// explorer may be respawned and each learner shard restored
@@ -283,9 +281,10 @@ impl<T> Slot<T> {
 
 impl Deployment {
     /// Builds the deployment graph for `config` — brokers, fabric, replay
-    /// service, learner shards, explorers, controller — and runs it under
-    /// `supervision`: failure detection, panic recovery with respawn, and
-    /// fault injection from `plan`. This is the only code that spawns and
+    /// service, learner shards, explorers — and runs it with the calling
+    /// thread as its center controller, under `supervision`: failure
+    /// detection, panic recovery with respawn, and fault injection from
+    /// `plan`. This is the only code that spawns and
     /// joins the training-plane processes; [`Deployment::run`] calls it with
     /// [`SupervisionConfig::unsupervised`] and an empty plan.
     ///
@@ -298,8 +297,7 @@ impl Deployment {
     /// # Errors
     ///
     /// Returns [`DeployError`] if the configuration is invalid, a process
-    /// cannot be (re)spawned, a learner dies past its restore budget, or the
-    /// controller itself dies.
+    /// cannot be (re)spawned, or a learner dies past its restore budget.
     pub fn run_supervised(
         config: DeploymentConfig,
         supervision: SupervisionConfig,
@@ -321,7 +319,7 @@ impl Deployment {
         let interval_ms = supervision.heartbeat_interval_ms;
         let mut comm = config.comm.clone();
         if interval_ms > 0 {
-            comm = comm.with_heartbeat(interval_ms, MONITOR);
+            comm = comm.with_heartbeat(interval_ms, ProcessId::controller(0));
         }
         let brokers: Vec<Broker> = (0..cluster.len())
             .map(|m| Broker::with_telemetry(m, cluster.clone(), comm.clone(), telemetry.clone()))
@@ -343,17 +341,16 @@ impl Deployment {
 
         // Every endpoint a process can address is registered before that
         // process is spawned, or its first message is an unknown-destination
-        // drop. The monitor comes first of all: a broker beacons as soon as
-        // it has a live endpoint to list, within one interval of its
-        // registration. Then the controller (every process reports stats to
-        // it), the replay service, the learner shards (which greet their
+        // drop. The supervisor's own comes first of all: every process
+        // reports stats to it, and a broker beacons to it as soon as it has a
+        // live endpoint to list, within one interval of its registration.
+        // Then the replay service, the learner shards (which greet their
         // peers at startup), and the explorers. Threads start in the paper's
-        // order — (replay service,) learners, explorers, controller — and
-        // only the replay service, which speaks when spoken to, starts before
-        // the registrations are complete.
+        // order — (replay service,) learners, explorers — and only the replay
+        // service, which speaks when spoken to, starts before the
+        // registrations are complete.
         let start = Instant::now();
-        let monitor = learner_broker.endpoint(MONITOR);
-        let controller_ep = learner_broker.endpoint(ProcessId::controller(0));
+        let inbox = learner_broker.endpoint(ProcessId::controller(0));
         // Store-resident replay: the shard service lives beside the learner's
         // broker and outlives learner incarnations — experience survives a
         // learner crash. Beacons list its endpoint like every other, but the
@@ -393,10 +390,9 @@ impl Deployment {
                     .chain((0..num_explorers).map(ProcessId::explorer)),
             );
         }
-        let drain_monitor = || {
-            let Some(detector) = &detector else { return };
-            while let Some(msg) = monitor.try_recv() {
-                detector.observe_message(&msg);
+        let observe = |msg: &Message| {
+            if let Some(detector) = &detector {
+                detector.observe_message(msg);
             }
         };
         let forget = |pid: ProcessId| {
@@ -410,7 +406,7 @@ impl Deployment {
         // The supervisor's own voice on the channel.
         let send_shutdown = |dst: Vec<ProcessId>| {
             let body = Bytes::from(ControlCommand::Shutdown.to_bytes());
-            monitor.send_to(dst, MessageKind::Control, body);
+            inbox.send_to(dst, MessageKind::Control, body);
         };
         // Rollouts follow the live assignment table when learners are
         // sharded: the destination is resolved per batch, so elastic growth
@@ -542,20 +538,6 @@ impl Deployment {
             let probe = Some(plan.probe_for(ProcessId::explorer(i), Some(cluster.time_source())));
             slots.push(Slot::new(spawn_explorer(i, 0, endpoint, probe)?));
         }
-        // The controller thread drops `controller_done` when it returns (or
-        // unwinds), which is what the supervision loop below waits on.
-        let (controller_done, controller_exit) = std::sync::mpsc::channel::<()>();
-        let controller_handle = spawn_process("xt-controller".into(), move || {
-            let _done = controller_done;
-            ControllerProcess {
-                endpoint: controller_ep,
-                goal_steps: config.goal_steps,
-                max_duration: Duration::from_secs_f64(config.max_seconds),
-                num_explorers,
-                num_learner_shards: shards,
-            }
-            .run()
-        })?;
 
         let mut explorer_respawns: Vec<u32> = Vec::new();
         let mut degraded_explorers: Vec<u32> = Vec::new();
@@ -564,9 +546,15 @@ impl Deployment {
         // A death the policy cannot absorb: supervision stops, the graph is
         // wound down and joined as usual, and this is what the run returns.
         let mut fatal: Option<DeployError> = None;
+        // The center controller's tallies: learner steps toward the goal, and
+        // explorer steps generated until the run ends.
+        let mut learner_steps = 0u64;
+        let mut steps_generated = 0u64;
+        // `validate` has checked that this is a duration.
+        let max_duration = Duration::from_secs_f64(config.max_seconds);
 
-        // Elastic pool state: the controller tracks intent; `slots` beyond
-        // `num_explorers` are the elastic incarnations it materialized.
+        // Elastic pool state: the elastic controller tracks intent; `slots`
+        // beyond `num_explorers` are the elastic incarnations it materialized.
         let mut elastic =
             supervision.elastic.clone().map(|cfg| ElasticController::new(cfg, num_explorers));
         let mut elastic_spawns = 0u32;
@@ -574,23 +562,50 @@ impl Deployment {
         let mut peak_explorer_pool = num_explorers;
 
         // ---- Supervision loop -------------------------------------------
-        // Heartbeat drain, detector sweep and join-handle reaping happen once
-        // per tick (the controller ending the run is noticed at once, not at
-        // a tick); `budget` is the respawns per explorer and the restores per
-        // learner shard.
+        // The inbox is read until each tick, and the goal is checked on every
+        // learner report, so the run ends the moment the goal is met; the
+        // deadline, detector sweep, join-handle reaping and elastic control
+        // happen once per tick. `budget` is the respawns per explorer and the
+        // restores per learner shard.
         let (poll_ms, budget) = match interval_ms {
             0 => (UNSUPERVISED_POLL_MS, 0),
             interval => ((interval / 4).max(1), RECOVERY_BUDGET),
         };
         let poll = Duration::from_millis(poll_ms);
         'supervise: loop {
-            // 1. Feed the detector: drain the monitor, sweep for silence.
-            drain_monitor();
+            // 1. Read the inbox until the tick: a `Stats` body is one step
+            // count, and its sender's role says whose; beats feed the detector.
+            let tick = Instant::now() + poll;
+            let until_tick = || tick.saturating_duration_since(Instant::now());
+            while let Some(msg) = inbox.recv_timeout(until_tick()) {
+                if msg.header.kind == MessageKind::Stats {
+                    let steps = u64::from_bytes(&msg.body).unwrap_or(0);
+                    if msg.header.src.role == ProcessRole::Learner {
+                        learner_steps += steps;
+                        if learner_steps >= config.goal_steps {
+                            break 'supervise;
+                        }
+                    } else {
+                        steps_generated += steps;
+                    }
+                } else {
+                    observe(&msg);
+                }
+                if until_tick().is_zero() {
+                    break;
+                }
+            }
+
+            // 2. The deadline ends the run like the goal does; otherwise
+            // sweep for silence.
+            if start.elapsed() >= max_duration {
+                break;
+            }
             if let Some(detector) = &detector {
                 detector.sweep();
             }
 
-            // 2. Reap dead explorers. The respawn of a proven death is
+            // 3. Reap dead explorers. The respawn of a proven death is
             // deferred until the detector (if any) publishes it. A zero
             // budget never respawns: the explorer is recorded as degraded
             // and training continues on the survivors.
@@ -623,7 +638,7 @@ impl Deployment {
                 }
             }
 
-            // 3. Reap dead learner shards: once the death is published,
+            // 4. Reap dead learner shards: once the death is published,
             // restore that shard from its own checkpoint directory and
             // respawn it. Surviving shards keep training meanwhile; the
             // rejoiner re-enters the gradient exchange on its first send
@@ -680,7 +695,7 @@ impl Deployment {
                 }
             }
 
-            // 4. Elastic pool control: fold the brokers' *data-plane* store
+            // 5. Elastic pool control: fold the brokers' *data-plane* store
             // occupancy — the channel's in-flight backpressure signal — into
             // the watermark policy and execute its decision. Control-plane
             // traffic (parameter broadcasts, stats) bypasses the capacity
@@ -741,39 +756,14 @@ impl Deployment {
                     ElasticDecision::Hold => {}
                 }
             }
-
-            // 5. The controller ending the run ends supervision — at the
-            // instant it returns, not at the next tick: the wait is on the
-            // channel its thread drops.
-            if controller_exit.recv_timeout(poll) != Err(RecvTimeoutError::Timeout) {
-                break;
-            }
         }
 
-        // Giving up is the controller's broadcast too: told to shut down, it
-        // stops waiting for the goal and winds every process down.
-        if fatal.is_some() {
-            send_shutdown(vec![ProcessId::controller(0)]);
-        }
-        let controller = controller_handle.join();
-        let controller_died = controller.is_err();
-        if controller_died {
-            fatal.get_or_insert(DeployError::new("controller thread panicked"));
-        }
-
-        // A process spawned *after* the controller broadcast shutdown never
-        // saw the command — and elastic explorers have indices beyond the
-        // count the controller knew about — so when anything was spawned
-        // late (or the controller died before its broadcast), one more
-        // broadcast over the *peak* pool guarantees every live process gets
-        // it (shutdown is idempotent). Otherwise nobody is left to tell.
-        let late_spawns = explorer_respawns.len() as u32 + learner_restores + elastic_spawns;
-        if controller_died || late_spawns > 0 {
-            let mut dst: Vec<ProcessId> =
-                (0..slots.len() as u32).map(ProcessId::explorer).collect();
-            dst.extend((0..shards).map(ProcessId::learner));
-            send_shutdown(dst);
-        }
+        // The one broadcast, whatever ended the run: every explorer slot —
+        // respawned and elastic ones included, none is spawned after this —
+        // and every learner shard.
+        let mut dst: Vec<ProcessId> = (0..slots.len() as u32).map(ProcessId::explorer).collect();
+        dst.extend((0..shards).map(ProcessId::learner));
+        send_shutdown(dst);
 
         // Final joins. Post-shutdown panics are possible (a probe can fire on
         // the last pulse before the command is handled) — they degrade, never
@@ -825,7 +815,9 @@ impl Deployment {
         // they are declared a leak.
         let drain_deadline = Instant::now() + Duration::from_secs(2);
         let leaked_objects = loop {
-            drain_monitor();
+            while let Some(msg) = inbox.try_recv() {
+                observe(&msg);
+            }
             let remaining: usize = brokers.iter().map(|b| b.store().len()).sum();
             if remaining == 0 || Instant::now() >= drain_deadline {
                 break remaining;
@@ -834,7 +826,7 @@ impl Deployment {
         };
         let down_at_exit = detector.as_ref().map_or_else(Vec::new, FailureDetector::down);
         let transitions = detector.as_ref().map_or_else(Vec::new, FailureDetector::transitions);
-        monitor.close();
+        inbox.close();
         for b in &brokers {
             b.shutdown();
         }
@@ -843,8 +835,7 @@ impl Deployment {
         }
         let dropped_messages: u64 = brokers.iter().map(Broker::dropped).sum();
 
-        // Episode returns: authoritative from explorer trackers (the
-        // controller's copy may miss in-flight tails at shutdown).
+        // Episode returns come from the explorers' own trackers.
         let mut episode_returns = Vec::new();
         for slot in &slots {
             for o in &slot.outcomes {
@@ -895,7 +886,7 @@ impl Deployment {
             algorithm: algo_name,
             env: config.env.clone(),
             steps_consumed,
-            steps_generated: controller.map_or(0, |c| c.explorer_steps),
+            steps_generated,
             wall_time,
             timeline: last.timeline,
             learner_wait: last.wait_stats,

@@ -137,7 +137,7 @@ fn learner_restored_from_checkpoint_after_kill() {
         "learner must be seen down then up: {:?}",
         recovery.transitions
     );
-    // The second incarnation trained on to the goal (the controller sums
+    // The second incarnation trained on to the goal (the supervisor sums
     // steps across incarnations; the report counts joined incarnations).
     assert!(report.train_sessions >= 1);
     assert!(report.steps_consumed > 0);
@@ -293,9 +293,9 @@ fn explorers_parked_at_a_full_store_still_leave() {
 /// Every endpoint a process can address is registered before that process
 /// is spawned, so a fault-free run drops nothing — however early its first
 /// message goes out. Store-resident DQN with 4-step rollouts and unpaced
-/// steps sends its first `Stats` to the controller within microseconds of
-/// the explorer thread starting; when the controller's endpoint was
-/// registered after the explorers were spawned, that message could find no
+/// steps sends its first `Stats` to the supervisor within microseconds of
+/// the explorer thread starting; were the supervisor's endpoint registered
+/// after the explorers were spawned, that message could find no
 /// route and count as an unknown-destination drop. The wide observation and
 /// the four explorers are what make the old ordering lose the race often
 /// (about three deployments in four here, one in thirteen at 512 wide); the
@@ -377,7 +377,7 @@ fn unsupervised_explorer_death_degrades_and_fails_a_plain_run() {
 
 /// Zero restore budget: a learner death ends the run, and the error comes
 /// back within a few poll periods — the graph is wound down at once, not
-/// when the controller's deadline (30 s here) finally expires.
+/// when the run's `max_seconds` deadline (30 s here) finally expires.
 #[test]
 fn unsupervised_learner_death_is_reported_promptly() {
     let config = DeploymentConfig::cartpole(AlgorithmSpec::impala(), 2)
@@ -496,7 +496,7 @@ fn killed_learner_shard_rejoins_sync_allreduce_ring() {
         Deployment::run_supervised(config, supervision, plan, telemetry.clone())
             .expect("supervised run completes");
 
-    // The ring resumed after the restore: the controller's step sum reached
+    // The ring resumed after the restore: the supervisor's step sum reached
     // the goal. (The report's own sum runs slightly short of the goal: the
     // killed incarnation's share died with its thread.)
     assert!(report.steps_consumed >= 1_500, "consumed {}", report.steps_consumed);
@@ -568,7 +568,7 @@ fn killed_learner_shard_relaxed_peers_keep_training() {
 
 /// The CI `chaos` smoke stage: a seeded kill-one-explorer run on the virtual
 /// clock (cross-machine transfers advance simulated time instead of
-/// sleeping), bounded in wall time by the controller deadline.
+/// sleeping), bounded in wall time by the run's `max_seconds` deadline.
 #[test]
 fn chaos_smoke_kill_one_explorer_virtual_clock() {
     const VICTIM: u32 = 2;

@@ -10,7 +10,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xingtian::assignment::AssignmentTable;
 use xingtian::config::AllreduceMode;
-use xingtian::controller::ControllerProcess;
 use xingtian::explorer::{ExplorerOutcome, ExplorerProcess, RolloutRoute, MAX_INFLIGHT_BATCHES};
 use xingtian::learner::LearnerProcess;
 use xingtian::messages::ControlCommand;
@@ -181,16 +180,25 @@ fn explorer_learner_pair_round_trips_until_shutdown() {
     };
     let explorer_thread = std::thread::spawn(move || explorer.run());
 
-    // The controller stops the run once the learner reports 500 steps.
-    let outcome = ControllerProcess {
-        endpoint: controller_ep,
-        goal_steps: 500,
-        max_duration: Duration::from_secs(30),
-        num_explorers: 1,
-        num_learner_shards: 1,
+    // The test is the center controller: it sums the learner's `Stats` until
+    // they report 500 steps, then sends both processes `Shutdown`.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut learner_steps = 0u64;
+    while learner_steps < 500 && Instant::now() < deadline {
+        let Some(msg) = controller_ep.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+        else {
+            continue;
+        };
+        if (msg.header.kind, msg.header.src) == (MessageKind::Stats, ProcessId::learner(0)) {
+            learner_steps += u64::from_bytes(&msg.body).expect("a Stats body is one step count");
+        }
     }
-    .run();
-    assert!(outcome.goal_reached, "goal should be reached well before the deadline");
+    assert!(learner_steps >= 500, "goal should be reached well before the deadline");
+    controller_ep.send_to(
+        vec![ProcessId::explorer(0), ProcessId::learner(0)],
+        MessageKind::Control,
+        Bytes::from(ControlCommand::Shutdown.to_bytes()),
+    );
 
     let learner_outcome = learner_thread.join().unwrap();
     let explorer_outcome = explorer_thread.join().unwrap();

@@ -137,7 +137,8 @@ pub enum MessageKind {
     Rollout,
     /// Updated DNN parameters broadcast from the learner to explorers.
     Parameters,
-    /// Periodic statistics destined for the center controller.
+    /// A step count (one codec `u64`) for the center controller: a learner
+    /// reports the steps a session consumed, an explorer those a rollout took.
     Stats,
     /// Lifecycle/control command from a controller.
     Control,
@@ -187,7 +188,8 @@ impl MessageKind {
             MessageKind::Rollout | MessageKind::Dummy => false,
             // Lifecycle commands and statistics must flow even when the data
             // plane is fully back-pressured, or a stalled learner could never
-            // be shut down. Tiny, and paced by the controller.
+            // be shut down. Tiny: a shutdown per process, a step count per
+            // rollout or training session.
             MessageKind::Control | MessageKind::Stats => true,
             // A backpressured data plane must never delay liveness evidence.
             // One pid list per machine per interval.

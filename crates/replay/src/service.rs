@@ -33,7 +33,7 @@ pub struct ReplayOutcome {
 
 /// Runs a replay shard until `stop` is raised or a `Control` message arrives.
 ///
-/// The controller's shutdown broadcast targets explorers and the learner;
+/// The supervisor's shutdown broadcast targets explorers and the learner;
 /// the deployment stops the replay service explicitly via `stop` once the
 /// learner has joined (the service must outlive the learner, which may keep
 /// sampling until its last training session).
