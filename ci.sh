@@ -72,10 +72,18 @@ echo "== release smoke: pinned A2C/PPO/IMPALA/DQN parameter digests and the allo
 # digests come from one gradient (`staged_grad`: a session is a one-slot
 # round). The warmed training steps (DQN
 # under uniform and prioritized replay included) must stay allocation-free,
-# on the release kernels the deployments actually run. The kernels' own
-# suite runs there too: the AVX2/AVX-512 bitwise differential in every
-# orientation, row invariance and the tanh-epilogue bit test.
+# on the release kernels the deployments actually run. The digests were last
+# re-pinned once, for the optimizer arithmetic alone (one-division Adam,
+# 16-lane gradient norm); the 64-byte-aligned parameter storage that landed
+# with it moved no bit.
 cargo test --release -q -p xingtian-algos --test determinism --test no_alloc
+# The kernels' own suite runs there too: the AVX2/AVX-512 bitwise
+# differential in every orientation, row invariance and the tanh-epilogue bit
+# test; the alignment contract (parameters on a 64-byte line after new, clone
+# and set_params for the four benchmark nets and a tiny one); and the
+# optimizer tests (Adam within 1e-6 of the textbook three-division form over
+# 1 000 seeded steps, the gradient norm within 1e-6 of an f64 sum, and the
+# same bits on an aligned and a 4-byte-offset slice).
 cargo test --release -q -p tinynn
 
 echo "== benchmark smoke: every xt-perf workload builds, runs and checks its outputs =="

@@ -11,13 +11,19 @@
 //! digests are recorded here and asserted on the kernels they were recorded
 //! on.
 //!
-//! Every digest was re-pinned once, for one reason: the x86 kernels' backward
-//! edges joined the FMA tile family. The `gemm_tn` column tails (the 3-wide
-//! heads here), the ragged `gemm_nt` panels and the rows past the last 4-row
-//! block (the 6-wide input here) moved from the portable multiply-then-add to
-//! the fused chain `acc = fma(a, b, acc)`, which rounds once per step instead
-//! of twice. The forward pass already ran that chain, so only training bits
-//! moved. The AVX2 and AVX-512 instantiations produce these same digests.
+//! Every digest has been re-pinned twice, each time for one reason. First, the
+//! x86 kernels' backward edges joined the FMA tile family. The `gemm_tn`
+//! column tails (the 3-wide heads here), the ragged `gemm_nt` panels and the
+//! rows past the last 4-row block (the 6-wide input here) moved from the
+//! portable multiply-then-add to the fused chain `acc = fma(a, b, acc)`, which
+//! rounds once per step instead of twice. The forward pass already ran that
+//! chain, so only training bits moved. Second, the optimizer arithmetic:
+//! `Adam::step` folds its two bias-correction divisions into per-call scalars
+//! (one division and one square root per parameter instead of three divisions
+//! and a square root), and `clip_global_norm` sums its squares in 16 fixed
+//! lanes instead of one serial chain. Storing the parameters on 64-byte cache
+//! lines, which landed just before, held every digest bit for bit. The AVX2
+//! and AVX-512 instantiations produce these same digests.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -221,12 +227,13 @@ fn assert_pinned(got: &[(&str, u64, u64)]) {
 fn parameters_match_their_pinned_digests() {
     // These functions were first pinned at commit c164c6a, before the shared
     // actor-critic core existed, and held bit for bit through it; re-pinned
-    // when the backward edges joined the FMA tile family (see the top of
-    // this file and `tinynn::kernel`).
+    // when the backward edges joined the FMA tile family, and again for the
+    // one-division Adam and the 16-lane gradient norm (see the top of this
+    // file and `tinynn::kernel`).
     assert_pinned(&[
-        ("ppo", digest(&ppo_params(None)), 0x5493_1a31_c8c9_07f3),
-        ("a2c", digest(&a2c_params(None)), 0xb563_64d6_7d77_aad8),
-        ("impala", digest(&impala_params(None)), 0x02d8_9a47_640e_0eab),
+        ("ppo", digest(&ppo_params(None)), 0x0873_5b04_cf49_b53b),
+        ("a2c", digest(&a2c_params(None)), 0x2ed3_6e7b_d811_649c),
+        ("impala", digest(&impala_params(None)), 0x8e25_fc14_4b7c_a5fe),
     ]);
 }
 
@@ -234,11 +241,12 @@ fn parameters_match_their_pinned_digests() {
 fn dqn_parameters_match_their_pinned_digests() {
     // First pinned at commit 4db9aa2, where DQN sampled the AoS in-learner
     // buffers the SoA store has since replaced, and held through that
-    // change; re-pinned when the backward edges joined the FMA tile family.
+    // change; re-pinned when the backward edges joined the FMA tile family,
+    // and again for the one-division Adam.
     assert_pinned(&[
-        ("dqn uniform", digest(&dqn_params(None, false)), 0x35f5_3b7d_1cb1_6568),
-        ("dqn prioritized", digest(&dqn_params(Some((0.6, 0.4)), false)), 0x6451_5461_5a90_491c),
-        ("dqn double", digest(&dqn_params(None, true)), 0x1839_5554_1e2f_a30c),
+        ("dqn uniform", digest(&dqn_params(None, false)), 0x1d2b_9b05_3a43_9938),
+        ("dqn prioritized", digest(&dqn_params(Some((0.6, 0.4)), false)), 0x7e56_aaae_9b73_3302),
+        ("dqn double", digest(&dqn_params(None, true)), 0xc846_d31e_ee7e_714a),
     ]);
 }
 
@@ -247,8 +255,9 @@ fn dqn_lockstep_parameters_match_their_pinned_digest() {
     // First pinned at commit a6539d4 by this same loop with the trait's old
     // `sample_slot` + `grad_on_steps` pair (which materialised every sampled
     // row as a `RolloutStep`) in place of `slot_grad`: 42 rounds. Re-pinned
-    // when the backward edges joined the FMA tile family.
-    assert_pinned(&[("dqn lockstep", digest(&dqn_lockstep_params()), 0xd855_e05e_238a_8b9d)]);
+    // when the backward edges joined the FMA tile family, and again for the
+    // one-division Adam.
+    assert_pinned(&[("dqn lockstep", digest(&dqn_lockstep_params()), 0xd0c8_b8af_3d94_9aba)]);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! the learner actually runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tinynn::optim::Adam;
+use tinynn::optim::{clip_global_norm, Adam};
 use tinynn::{Activation, Mlp, Workspace};
 use xingtian_algos::par::ParGrad;
 use xingtian_comm::pool::shared_pool;
@@ -92,12 +92,19 @@ fn bench_train_step(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two per-parameter passes after the gradient: the norm clip the
+/// policy-gradient algorithms run, then the Adam step every algorithm runs.
 fn bench_optim(c: &mut Criterion) {
     let mut net = Mlp::new(&[1024, 64, 64, 9], Activation::Tanh, 0);
-    let grads = vec![0.01f32; net.num_params()];
+    let mut grads = vec![0.01f32; net.num_params()];
     let mut opt = Adam::new(net.num_params(), 1e-3);
     c.bench_function("adam_step_70k_params", |b| {
         b.iter(|| opt.step(net.params_mut(), &grads))
+    });
+    // A max norm above the gradient's, so every iteration sums the same
+    // squares and scales nothing.
+    c.bench_function("clip_global_norm_70k_params", |b| {
+        b.iter(|| clip_global_norm(&mut grads, 1e3))
     });
 }
 

@@ -1,4 +1,6 @@
-//! Shared worker pool for chunk-parallel LZ4 (de)compression.
+//! Shared worker pool for chunk-parallel LZ4 (de)compression, which is also
+//! the pool PPO, IMPALA, A2C and REINFORCE compute their gradient shards on
+//! (`xingtian_algos::par::ParGrad` over [`shared_pool`]).
 //!
 //! The chunk container (`xingtian_message::chunk`) makes every 256 KiB span of
 //! a large body an independent LZ4 frame; this module supplies the threads
@@ -37,20 +39,21 @@ impl std::fmt::Debug for WorkPool {
 }
 
 impl WorkPool {
-    /// Starts `workers.max(1)` worker threads named `xt-lz4-{i}`.
+    /// Starts `workers.max(1)` worker threads named `xt-pool-{i}`. They run
+    /// the channel's chunk codecs and the algorithms' gradient shards alike.
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let (tx, rx) = unbounded::<Job>();
         for w in 0..workers {
             let rx: Receiver<Job> = rx.clone();
             std::thread::Builder::new()
-                .name(format!("xt-lz4-{w}"))
+                .name(format!("xt-pool-{w}"))
                 .spawn(move || {
                     while let Ok(job) = rx.recv() {
                         job();
                     }
                 })
-                .expect("spawn lz4 worker thread");
+                .expect("spawn xt-pool worker thread");
         }
         WorkPool { tx, workers }
     }
@@ -61,7 +64,7 @@ impl WorkPool {
     }
 
     fn submit(&self, job: Job) {
-        assert!(self.tx.send(job).is_ok(), "lz4 worker pool alive");
+        assert!(self.tx.send(job).is_ok(), "worker pool alive");
     }
 
     /// Runs a batch of borrowing jobs to completion across the pool, with

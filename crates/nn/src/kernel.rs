@@ -35,7 +35,12 @@
 //! already ran that chain at every shape; the backward edges — the
 //! `n mod 16` column tails of `gemm_tn`, the ragged `gemm_nt` panels and the
 //! rows past the last 4-row block — used the portable multiply-then-add until
-//! they joined the family, which changed training bits once.
+//! they joined the family, which changed training bits once. The optimizer
+//! changed them a second time, outside this module: `optim::Adam::step`
+//! moved to one division per parameter and `optim::clip_global_norm` to a
+//! 16-lane sum, and the pinned digests were re-pinned for that reason alone.
+//! Storing `Mlp` parameters on 64-byte lines, which the tiles stream as `B`,
+//! changed no bit.
 //!
 //! The portable microkernels are the implementation everywhere else and the
 //! differential reference in the tests. Every kernel writes its full output

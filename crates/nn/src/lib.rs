@@ -13,7 +13,7 @@
 //!   (allocation-free after warmup: activations and scratch live in a
 //!   caller-owned [`mlp::Workspace`]), and flat parameter (de)serialization
 //!   for parameter-broadcast messages,
-//! * [`optim`] — SGD (with momentum) and Adam,
+//! * [`optim`] — plain SGD, Adam and global-norm gradient clipping,
 //! * [`ops`] — fused per-row softmax statistics (log-partition, entropy,
 //!   probabilities) and related numerics.
 //!
