@@ -98,6 +98,10 @@ echo "== replay placement: the one replay store trains identically whoever inges
 # bit-identical losses, versions, and final parameters (uniform and
 # prioritized), plus an end-to-end store-resident deployment smoke.
 cargo test --release -q -p xingtian --test replay_differential
+# The shard service stops when its endpoint is closed: the close sentinel
+# queues behind every rollout already routed to it, so 50 rollouts sent just
+# before the close are all ingested, with no dangling slot, within 1 s.
+cargo test --release -q -p xt-replay
 
 echo "== param-plane smoke: delta chain bit-lossless, quantized error-bounded, goldens decode =="
 # Differential over real endpoints (release: the seeded DQN/PPO deployments

@@ -11,11 +11,10 @@
 use crate::actor_critic::{ActorCritic, Activations, GaeStage, SoftmaxAgent, Spec};
 use crate::api::{Algorithm, SyncMode, TrainReport};
 use crate::payload::{ParamBlob, RolloutBatch};
-use serde::{Deserialize, Serialize};
 use xingtian_comm::pool::{shared_pool, WorkPool};
 
 /// A2C hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct A2cConfig {
     /// Observation dimensionality.
     pub obs_dim: usize,

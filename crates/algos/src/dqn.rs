@@ -26,7 +26,6 @@ use crate::payload::{ParamBlob, RolloutBatch, RolloutStep};
 use crate::replay::{PlanePick, ReplayConfig, ReplayPlane, SampleSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 use tinynn::ops::argmax;
@@ -35,7 +34,7 @@ use tinynn::{Activation, Mlp, Workspace};
 use xt_telemetry::HistogramHandle;
 
 /// DQN hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DqnConfig {
     /// Observation dimensionality.
     pub obs_dim: usize,

@@ -15,12 +15,11 @@ use crate::api::{Algorithm, SyncMode, TrainReport};
 use crate::batch::behavior_log_probs_into;
 use crate::payload::{ParamBlob, RolloutBatch};
 use crate::vtrace::{vtrace_into, VtraceInput};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use xingtian_comm::pool::{shared_pool, WorkPool};
 
 /// IMPALA hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ImpalaConfig {
     /// Observation dimensionality.
     pub obs_dim: usize,

@@ -12,12 +12,11 @@ use crate::actor_critic::{ActorCritic, Activations, SoftmaxAgent, Spec};
 use crate::api::{Algorithm, SyncMode, TrainReport};
 use crate::gae::normalize;
 use crate::payload::{ParamBlob, RolloutBatch, RolloutStep};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use xingtian_comm::pool::{shared_pool, WorkPool};
 
 /// REINFORCE hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReinforceConfig {
     /// Observation dimensionality.
     pub obs_dim: usize,

@@ -6,11 +6,10 @@
 //! stacks, which this module captures as explicit, documented constants.
 //! Everything is configurable so ablations can zero any component.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Tunable overheads of the baseline communication stacks.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostModel {
     /// One-way software overhead of a Ray-style RPC (task submission or
     /// `ray.get`): scheduler hop + protocol handling. Calibrated to the

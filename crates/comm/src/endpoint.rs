@@ -22,7 +22,7 @@ use crate::router::IdQueueMsg;
 use crate::stats::TransmissionStats;
 use crossbeam_channel::Receiver;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -40,8 +40,6 @@ pub struct Endpoint {
     /// Latency from message creation (at the producer) to arrival in this
     /// endpoint's receive buffer.
     delivery_stats: Arc<TransmissionStats>,
-    bytes_received: Arc<AtomicU64>,
-    messages_received: Arc<AtomicU64>,
     telemetry: Telemetry,
     receiver: Mutex<Option<JoinHandle<()>>>,
 }
@@ -61,8 +59,6 @@ impl Endpoint {
             _ => Buffer::new(),
         });
         let delivery_stats = Arc::new(TransmissionStats::new());
-        let bytes_received = Arc::new(AtomicU64::new(0));
-        let messages_received = Arc::new(AtomicU64::new(0));
         let telemetry = broker.telemetry().clone();
 
         // Receiver monitoring thread: ID queue -> object store -> receive buffer.
@@ -72,8 +68,6 @@ impl Endpoint {
             // broker is never kept alive by one of its own tracked threads.
             let hub = broker.hub();
             let delivery_stats = Arc::clone(&delivery_stats);
-            let bytes_received = Arc::clone(&bytes_received);
-            let messages_received = Arc::clone(&messages_received);
             let telemetry = telemetry.clone();
             let delivery_hist = telemetry.histogram("comm.delivery_ns");
             let decompress_hist = telemetry.histogram("comm.decompress_ns");
@@ -141,8 +135,6 @@ impl Endpoint {
                         delivery_stats.record(in_flight);
                         delivery_hist.record_duration(in_flight);
                         telemetry.emit(EventKind::Fetched, header.id, body.len() as u64);
-                        bytes_received.fetch_add(body.len() as u64, Ordering::Relaxed);
-                        messages_received.fetch_add(1, Ordering::Relaxed);
                         if !recv_buf.push(Message { header, body }) {
                             break; // receive buffer closed: stop delivering
                         }
@@ -173,8 +165,6 @@ impl Endpoint {
             closed: AtomicBool::new(false),
             recv_buf,
             delivery_stats,
-            bytes_received,
-            messages_received,
             telemetry,
             receiver: Mutex::new(Some(receiver)),
         }
@@ -240,26 +230,11 @@ impl Endpoint {
         &self.telemetry
     }
 
-    /// Producer-to-receive-buffer latency statistics for messages delivered to
-    /// this endpoint.
-    pub fn delivery_stats(&self) -> &TransmissionStats {
-        &self.delivery_stats
-    }
-
-    /// Shared handle to the delivery statistics, usable after the endpoint
-    /// has been moved into its process thread.
+    /// Producer-to-receive-buffer latency statistics for messages delivered
+    /// to this endpoint, as a shared handle usable after the endpoint has been
+    /// moved into its process thread.
     pub fn delivery_stats_arc(&self) -> Arc<TransmissionStats> {
         Arc::clone(&self.delivery_stats)
-    }
-
-    /// Total body bytes delivered to this endpoint.
-    pub fn bytes_received(&self) -> u64 {
-        self.bytes_received.load(Ordering::Relaxed)
-    }
-
-    /// Total messages delivered to this endpoint.
-    pub fn messages_received(&self) -> u64 {
-        self.messages_received.load(Ordering::Relaxed)
     }
 
     /// Closes the endpoint: later sends are refused, the ID queue is
@@ -300,9 +275,7 @@ mod tests {
         assert!(e.send_to(vec![ProcessId::learner(0)], MessageKind::Rollout, Bytes::from_static(b"r1")));
         let m = l.recv_timeout(Duration::from_secs(5)).expect("delivered");
         assert_eq!(&m.body[..], b"r1");
-        assert_eq!(l.messages_received(), 1);
-        assert_eq!(l.bytes_received(), 2);
-        assert!(!l.delivery_stats().is_empty());
+        assert!(!l.delivery_stats_arc().is_empty());
         broker.shutdown();
     }
 

@@ -89,11 +89,10 @@ pub use snapshot::SnapshotCell;
 pub use stats::TransmissionStats;
 pub use store::{ObjectId, ObjectStore};
 
-use serde::{Deserialize, Serialize};
 use xingtian_message::ProcessId;
 
 /// Compression policy for message bodies entering the object store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Compression {
     /// Never compress.
     Off,
@@ -112,8 +111,7 @@ impl Default for Compression {
 /// `xingtian_message::param`). Transport compression (the [`Compression`]
 /// threshold) handles arbitrary bodies; this picks the *stateful* codec the
 /// learner uses for `MessageKind::Parameters` specifically.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ParamCompression {
     /// Full f32 blobs every broadcast (the pre-parameter-plane behavior).
     #[default]
@@ -138,7 +136,7 @@ pub enum ParamCompression {
 /// exactly the failures a detector should see — a dead process (its endpoint
 /// is gone), a closed endpoint, a severed link to the monitor's machine —
 /// never for a sender compressing or back-pressured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeartbeatConfig {
     /// Beacon period in milliseconds.
     pub interval_ms: u64,
@@ -154,7 +152,7 @@ impl HeartbeatConfig {
 }
 
 /// Configuration of the communication channel.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CommConfig {
     /// Body compression policy (paper §4.1).
     pub compression: Compression,
@@ -170,13 +168,11 @@ pub struct CommConfig {
     /// Parameter-broadcast encoding (defaults to full f32 blobs). Consumed by
     /// the learner/explorer workhorses, not the channel itself: the channel
     /// just carries the pre-encoded bodies through untouched.
-    #[serde(default)]
     pub param_compression: ParamCompression,
     /// Object-store segment capacity in bytes (`None` = the default
     /// 128 MiB). Small capacities back-pressure aggressive senders sooner —
     /// the elastic supervisor's occupancy signal, and a test's lever for
     /// inducing it.
-    #[serde(default)]
     pub store_capacity: Option<usize>,
 }
 

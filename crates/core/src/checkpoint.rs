@@ -7,7 +7,6 @@
 //! `every_sessions` training sessions; [`load_latest`] restores one into a
 //! new deployment via `DeploymentConfig::initial_params`.
 
-use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -15,7 +14,7 @@ use xingtian_algos::payload::ParamBlob;
 use xingtian_message::codec::{Decode, Encode};
 
 /// Checkpointing policy for a deployment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CheckpointConfig {
     /// Directory checkpoints are written into (created if absent).
     pub dir: PathBuf,

@@ -3,17 +3,16 @@
 //! The paper's configuration file names the machines, where the learner runs,
 //! how many explorers each machine hosts, and which algorithm classes to
 //! instantiate (§3.2.2, §4.2). [`DeploymentConfig`] is the equivalent
-//! structure; `serde` impls make it loadable from any serde format.
+//! structure, built in Rust and checked by [`DeploymentConfig::validate`].
 
 use crate::checkpoint::CheckpointConfig;
 use crate::shard::GRAD_SLOTS;
 use netsim::ClusterSpec;
-use serde::{Deserialize, Serialize};
 use xingtian_algos::{A2cConfig, DqnConfig, ImpalaConfig, PpoConfig, ReinforceConfig};
 use xingtian_comm::CommConfig;
 
 /// Which DRL algorithm to deploy, with its hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum AlgorithmSpec {
     /// Deep Q-Networks (value-based, off-policy).
     Dqn(DqnConfig),
@@ -67,7 +66,7 @@ impl AlgorithmSpec {
 
 /// Who ingests into DQN's replay store (the store itself is the same
 /// `xingtian_algos::ReplayPlane` either way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplayPlacement {
     /// The learner's trainer thread (classic XingTian, paper §3.2.1): every
     /// rollout message is fetched, decoded, and ingested into the learner's
@@ -81,7 +80,7 @@ pub enum ReplayPlacement {
 }
 
 /// How learner shards exchange gradients when `learner_shards > 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AllreduceMode {
     /// Deterministic lockstep: every shard contributes its slice of the
     /// round's fixed gradient-slot partition, all shards reduce the slots in
@@ -106,16 +105,8 @@ impl AllreduceMode {
     }
 }
 
-// Referenced by `#[serde(default = "default_learner_shards")]`; the vendored
-// offline serde_derive expands derives to nothing, so without the allow the
-// compiler sees no caller.
-#[allow(dead_code)]
-fn default_learner_shards() -> usize {
-    1
-}
-
 /// Complete description of one XingTian deployment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeploymentConfig {
     /// The simulated cluster to deploy onto.
     pub cluster: ClusterSpec,
@@ -138,18 +129,15 @@ pub struct DeploymentConfig {
     /// The algorithm and its hyperparameters.
     pub algorithm: AlgorithmSpec,
     /// Where DQN's replay buffer lives (ignored by on-policy algorithms).
-    #[serde(default)]
     pub replay: ReplayPlacement,
     /// Number of learner shards. 1 is the classic single learner (the same
     /// process, with no peers to exchange gradients with); more than 1
     /// splits the learner across shards that each own a slice
     /// of the explorer pool (via the relaxed assignment table) and exchange
     /// gradients per [`AllreduceMode`]. All shards run on `learner_machine`.
-    #[serde(default = "default_learner_shards")]
     pub learner_shards: usize,
     /// Gradient-exchange discipline between learner shards (ignored when
     /// `learner_shards == 1`).
-    #[serde(default)]
     pub allreduce: AllreduceMode,
     /// Steps per rollout message (paper: 200 for CartPole, 500 for Atari).
     pub rollout_len: usize,
@@ -163,7 +151,6 @@ pub struct DeploymentConfig {
     pub checkpoint: Option<CheckpointConfig>,
     /// Optional initial learner parameters (PBT seeds new populations with the
     /// best population's weights, paper §4.3).
-    #[serde(skip)]
     pub initial_params: Option<Vec<f32>>,
 }
 
@@ -362,8 +349,8 @@ impl DeploymentConfig {
                 self.max_seconds
             ));
         }
-        // Algorithm configs arrive through serde unchecked, and a zero here
-        // panics or livelocks the learner thread mid-run: `chunks(0)`; a
+        // Algorithm configs are public structs that nothing checks before
+        // this point, and a zero here panics or livelocks the learner thread mid-run: `chunks(0)`; a
         // training gate that never closes; a session over zero rows; a queue
         // that sheds every batch on arrival.
         let zero = match &self.algorithm {

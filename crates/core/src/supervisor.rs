@@ -66,7 +66,6 @@ use crate::Deployment;
 use bytes::Bytes;
 use netsim::Cluster;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -359,12 +358,10 @@ impl Deployment {
         let replay_service = match &plane {
             Some(plane) => {
                 let ep = learner_broker.endpoint(ProcessId::replay(0));
-                let stop = Arc::new(AtomicBool::new(false));
-                let (plane, stop2) = (plane.clone(), stop.clone());
-                let handle = spawn_process("xt-replay-0".into(), move || {
-                    xt_replay::run_replay_service(ep, plane, ProcessId::learner(0), stop2)
-                })?;
-                Some((stop, handle))
+                let plane = plane.clone();
+                Some(spawn_process("xt-replay-0".into(), move || {
+                    xt_replay::run_replay_service(ep, plane, ProcessId::learner(0))
+                })?)
             }
             None => None,
         };
@@ -784,11 +781,12 @@ impl Deployment {
         let wall_time = start.elapsed();
 
         // The replay service stops only after every producer and consumer has
-        // joined: rollouts still in the channel get ingested, and the plane's
-        // torn-write audit runs on the final state.
+        // joined: closing its endpoint queues the close sentinel behind every
+        // rollout already routed to it, so those get ingested, and the
+        // plane's torn-write audit runs on the final state.
         let replay = match replay_service {
-            Some((stop, handle)) => {
-                stop.store(true, Ordering::Release);
+            Some(handle) => {
+                learner_broker.close_endpoint(ProcessId::replay(0));
                 match handle.join() {
                     Ok(outcome) => {
                         let integrity =

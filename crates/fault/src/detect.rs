@@ -27,7 +27,6 @@
 //! liveness evidence stopped — and bookkeeping, not authority.
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -36,7 +35,7 @@ use xingtian_message::{Message, MessageKind, ProcessId};
 use xt_telemetry::{EventKind, Telemetry};
 
 /// Tuning of the accrual failure detector.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DetectorConfig {
     /// Minimum silence, in milliseconds, before any process is suspected.
     pub base_timeout_ms: u64,

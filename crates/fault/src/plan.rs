@@ -14,14 +14,13 @@ use crate::probe::ProcessProbe;
 use netsim::{Cluster, LinkFault, LinkFaultSchedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use xingtian_comm::Broker;
 use xingtian_message::{MessageKind, ProcessId, ProcessRole};
 use xt_telemetry::TimeSource;
 
 /// When a kill switch fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillTrigger {
     /// Fire once the deployment's clock (the probe's [`TimeSource`]) passes
     /// this many nanoseconds.
@@ -33,7 +32,7 @@ pub enum KillTrigger {
 }
 
 /// One scheduled process kill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KillSpec {
     /// The process to take down.
     pub target: ProcessId,
@@ -49,7 +48,7 @@ pub struct KillSpec {
 /// each roll is a pure hash of `(seed, message id, destination, salt)`, so a
 /// given message/destination pair gets the same verdict regardless of thread
 /// interleaving or delivery order.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouteRule {
     /// Match only messages of this kind (`None` = any kind except heartbeats;
     /// injecting on liveness beacons is possible but must be asked for
@@ -192,7 +191,7 @@ impl RouteRule {
 }
 
 /// A complete, reproducible chaos scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FaultPlan {
     seed: u64,
     links: LinkFaultSchedule,

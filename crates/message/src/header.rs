@@ -8,14 +8,13 @@
 //! to many explorers).
 
 use crate::codec::{varint_len, write_varint, Decode, DecodeError, Encode, Reader};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// The role a process plays in a DRL algorithm deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ProcessRole {
     /// Interacts with the environment and generates rollouts.
     Explorer,
@@ -50,7 +49,7 @@ impl fmt::Display for ProcessRole {
 ///
 /// Indices are global across machines; the broker's routing table maps each
 /// `ProcessId` to the machine hosting it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProcessId {
     /// Role of the process.
     pub role: ProcessRole,
@@ -131,7 +130,7 @@ impl Decode for Vec<ProcessId> {
 
 /// What a message carries. The router does not inspect bodies; the kind lets
 /// endpoints dispatch without deserializing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MessageKind {
     /// A batch of rollout steps from an explorer to the learner.
     Rollout,
@@ -242,7 +241,7 @@ impl MessageKind {
 ///   decoding needs the receiver's reconstruction state (its last applied
 ///   parameter vector), so the channel passes these bodies through untouched
 ///   and the consuming workhorse decodes them ([`crate::param`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum CompressionKind {
     /// Body stored verbatim.
     #[default]

@@ -4,7 +4,6 @@ use crate::clock::{Clock, ClockMode};
 use crate::faults::{LinkCondition, LinkDown, LinkFaultSchedule};
 use crate::nic::Nic;
 use crate::{DEFAULT_LATENCY_SECS, GBE_BANDWIDTH};
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
@@ -12,7 +11,7 @@ use std::time::Duration;
 pub type MachineId = usize;
 
 /// Configuration for a simulated cluster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterSpec {
     /// Number of machines.
     pub machines: usize,

@@ -15,10 +15,9 @@
 //! [`crate::Cluster::transfer_checked`].
 
 use crate::cluster::MachineId;
-use serde::{Deserialize, Serialize};
 
 /// What a fault window does to its link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinkFaultKind {
     /// The link is severed: transfers inside the window fail.
     Partition,
@@ -32,7 +31,7 @@ pub enum LinkFaultKind {
 /// A fault applies to transfers from `from` to `to` whose *start instant*
 /// falls inside `[start_nanos, end_nanos)` on the cluster clock. Use
 /// [`LinkFault::symmetric`] to produce the reverse direction as well.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFault {
     /// Sending machine.
     pub from: MachineId,
@@ -100,7 +99,7 @@ pub enum LinkCondition {
 }
 
 /// A deterministic schedule of link faults for one cluster.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinkFaultSchedule {
     faults: Vec<LinkFault>,
 }

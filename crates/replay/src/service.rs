@@ -13,9 +13,7 @@
 //! them run ahead of training: the surplus is ingested and never trained.
 
 use bytes::Bytes;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 use xingtian_algos::payload::BatchDecoder;
 use xingtian_algos::ReplayPlane;
 use xingtian_comm::Endpoint;
@@ -31,44 +29,30 @@ pub struct ReplayOutcome {
     pub steps_ingested: u64,
 }
 
-/// Runs a replay shard until `stop` is raised or a `Control` message arrives.
+/// Runs a replay shard until its endpoint is closed.
 ///
 /// The supervisor's shutdown broadcast targets explorers and the learner;
-/// the deployment stops the replay service explicitly via `stop` once the
-/// learner has joined (the service must outlive the learner, which may keep
-/// sampling until its last training session).
-pub fn run_replay_service(
-    endpoint: Endpoint,
-    plane: Arc<ReplayPlane>,
-    learner: ProcessId,
-    stop: Arc<AtomicBool>,
-) -> ReplayOutcome {
+/// the deployment closes this service's endpoint from the broker side
+/// (`Broker::close_endpoint`) once the learner has joined (the service must
+/// outlive the learner, which may keep sampling until its last training
+/// session). The close sentinel queues behind every rollout already routed
+/// here, so each of them is ingested before `recv` returns `None`.
+pub fn run_replay_service(endpoint: Endpoint, plane: Arc<ReplayPlane>, learner: ProcessId) -> ReplayOutcome {
     let mut decoder = BatchDecoder::new();
     let mut outcome = ReplayOutcome::default();
-    loop {
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        let Some(msg) = endpoint.recv_timeout(Duration::from_millis(20)) else {
+    while let Some(msg) = endpoint.recv() {
+        if msg.header.kind != MessageKind::Rollout {
             continue;
-        };
-        match msg.header.kind {
-            MessageKind::Rollout => {
-                let Ok(batch) = decoder.decode(&msg.body) else { continue };
-                let inserted = plane.ingest_batch(&batch);
-                decoder.recycle(batch);
-                outcome.batches_ingested += 1;
-                outcome.steps_ingested += inserted as u64;
-                // The answer names the source explorer.
-                let body = Bytes::from(msg.header.src.index.to_bytes());
-                endpoint.send_to(vec![learner], MessageKind::RolloutAnswer, body);
-            }
-            // Any control message means the deployment is coming down.
-            MessageKind::Control => break,
-            _ => {}
         }
+        let Ok(batch) = decoder.decode(&msg.body) else { continue };
+        let inserted = plane.ingest_batch(&batch);
+        decoder.recycle(batch);
+        outcome.batches_ingested += 1;
+        outcome.steps_ingested += inserted as u64;
+        // The answer names the source explorer.
+        let body = Bytes::from(msg.header.src.index.to_bytes());
+        endpoint.send_to(vec![learner], MessageKind::RolloutAnswer, body);
     }
-    endpoint.close();
     outcome
 }
 
@@ -76,6 +60,7 @@ pub fn run_replay_service(
 mod tests {
     use super::*;
     use netsim::Cluster;
+    use std::time::Duration;
     use xingtian_algos::payload::{RolloutBatch, RolloutStep};
     use xingtian_algos::ReplayConfig;
     use xingtian_comm::{Broker, CommConfig};
@@ -109,10 +94,9 @@ mod tests {
 
         let telemetry = Telemetry::enabled();
         let plane = Arc::new(ReplayPlane::new(ReplayConfig::uniform(64, 1), &telemetry));
-        let stop = Arc::new(AtomicBool::new(false));
         let service = {
-            let (plane, stop) = (plane.clone(), stop.clone());
-            std::thread::spawn(move || run_replay_service(replay_ep, plane, ProcessId::learner(0), stop))
+            let plane = plane.clone();
+            std::thread::spawn(move || run_replay_service(replay_ep, plane, ProcessId::learner(0)))
         };
 
         // Explorer pushes rollouts to the replay shard, not the learner. The
@@ -135,16 +119,50 @@ mod tests {
             assert_eq!(u32::from_bytes(&notice.body).ok(), Some(source.index), "the answer names the source");
             assert_eq!(plane.total_inserted(), total, "answered after the ingest");
         }
-        assert!(learner.recv_timeout(Duration::from_millis(50)).is_none(), "one answer per batch");
         assert_eq!(plane.total_inserted(), 14);
         assert_eq!(telemetry.counter("replay.rejected").get(), 2);
 
-        stop.store(true, Ordering::Release);
+        broker.close_endpoint(ProcessId::replay(0));
         let outcome = service.join().expect("service thread must not panic");
         assert_eq!(outcome, ReplayOutcome { batches_ingested: 2, steps_ingested: 14 });
+        // Every answer was routed before the join returned, so a marker sent
+        // now queues behind any extra one in the learner's ID queue.
+        assert!(explorer.send_to(vec![ProcessId::learner(0)], MessageKind::Rollout, Bytes::from_static(b"end")));
+        let next = learner.recv().expect("the marker arrives");
+        assert_eq!(&next.body[..], b"end", "one answer per batch");
         assert_eq!(plane.integrity().dangling_slots, 0);
         learner.close();
         explorer.close();
         broker.shutdown();
+    }
+
+    #[test]
+    fn closing_the_endpoint_ingests_every_rollout_routed_before_it() {
+        // The close sentinel queues behind the headers already routed to the
+        // shard, so a close issued right after the last send still lets the
+        // service ingest all of them before `recv` returns `None`.
+        let broker = Broker::new(0, Cluster::single(), CommConfig::default());
+        let learner = broker.endpoint(ProcessId::learner(0));
+        let replay_ep = broker.endpoint(ProcessId::replay(0));
+        let plane = Arc::new(ReplayPlane::new(ReplayConfig::uniform(1024, 1), &Telemetry::disabled()));
+        let service = {
+            let plane = plane.clone();
+            std::thread::spawn(move || run_replay_service(replay_ep, plane, ProcessId::learner(0)))
+        };
+        let explorer = broker.endpoint(ProcessId::explorer(0));
+        for _ in 0..50 {
+            let body = Bytes::from(rollout(4).to_bytes());
+            assert!(explorer.send_to(vec![ProcessId::replay(0)], MessageKind::Rollout, body));
+        }
+        let start = std::time::Instant::now();
+        broker.close_endpoint(ProcessId::replay(0));
+        let outcome = service.join().expect("service thread must not panic");
+        assert!(start.elapsed() < Duration::from_secs(1), "joined in {:?}", start.elapsed());
+        assert_eq!(outcome.batches_ingested, 50);
+        assert_eq!(plane.integrity().dangling_slots, 0);
+        learner.close();
+        explorer.close();
+        broker.shutdown();
+        assert_eq!(broker.dropped(), 0);
     }
 }

@@ -1,9 +1,9 @@
 //! CSV and JSON exporters.
 //!
-//! Everything is rendered by hand into `String`s (the vendored serde is
-//! inert offline) in stable column orders, so the fig8/fig9/fig10 bench
-//! binaries — and any external plotting script — can regenerate the paper's
-//! transmission-time panels from files alone.
+//! Everything is rendered by hand into `String`s in stable column orders,
+//! so the fig8/fig9/fig10 bench binaries — and any external plotting
+//! script — can regenerate the paper's transmission-time panels from files
+//! alone.
 
 use std::fmt::Write as _;
 use std::path::Path;
