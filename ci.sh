@@ -35,6 +35,20 @@ echo "== release smoke: the one publish cell's reclamation hammer on the optimis
 # publish prunes retention to 1 — on the build whose reordering matters.
 cargo test --release -q -p xingtian-comm snapshot
 
+echo "== release smoke: the store's fetch credits and the injection hooks on the optimised build =="
+# A fetch credit only ever goes down: insert sets it to the fan-out and
+# `fetch`'s `checked_sub` is the one read-modify-write on it, so exactly one
+# fetcher frees each entry. That, the capacity gate's check-and-reserve and
+# the delay line's flush at shutdown are races, and they must hold on the
+# build whose reordering matters — the reason the snapshot and buffer
+# hammers run in release too. Store: concurrent fetchers spend each credit
+# once and over-fetch frees nothing twice, the gate never overshoots under
+# contention, and a release wakes every parked inserter. Inject: drops burn
+# their credits, delays defer without loss on one broker and at the far end
+# of an uplink, and a delivery still parked at shutdown is flushed, with
+# every store empty.
+cargo test --release -q -p xingtian-comm --lib -- store:: inject::
+
 echo "== release smoke: no lost wake-up in the queues every hop hands off through =="
 # The stand-in `parking_lot::Condvar` skips the futex wake when it counts no
 # waiter, and the stand-in channel, the store's gate and `Buffer` all sleep on

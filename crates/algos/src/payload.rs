@@ -185,7 +185,8 @@ impl BatchDecoder {
     ///
     /// # Errors
     ///
-    /// Any [`DecodeError`] if the input is truncated or malformed.
+    /// Any [`DecodeError`] if the input is truncated or malformed, and
+    /// [`DecodeError::TrailingBytes`] if the batch ends before `buf` does.
     pub fn decode(&mut self, buf: &[u8]) -> Result<RolloutBatch, DecodeError> {
         let mut r = Reader::new(buf);
         let explorer = u32::decode(&mut r)?;
@@ -203,6 +204,7 @@ impl BatchDecoder {
         }
         let mut bootstrap_observation = self.f32_bufs.pop().unwrap_or_default();
         decode_f32s_into(&mut r, &mut bootstrap_observation)?;
+        r.finish()?;
         Ok(RolloutBatch { explorer, param_version, steps, bootstrap_observation })
     }
 
@@ -313,6 +315,23 @@ mod tests {
         let bytes = b.to_bytes();
         let mut dec = BatchDecoder::new();
         assert!(dec.decode(&bytes[..bytes.len() - 3]).is_err());
+        assert_eq!(dec.decode(&bytes).unwrap(), b);
+    }
+
+    #[test]
+    fn both_decoders_reject_a_batch_with_a_byte_appended() {
+        let b = RolloutBatch {
+            explorer: 1,
+            param_version: 2,
+            steps: vec![step(4, true), step(3, false)],
+            bootstrap_observation: vec![0.5],
+        };
+        let mut bytes = b.to_bytes();
+        bytes.push(0);
+        assert_eq!(RolloutBatch::from_bytes(&bytes), Err(DecodeError::TrailingBytes(1)));
+        let mut dec = BatchDecoder::new();
+        assert_eq!(dec.decode(&bytes), Err(DecodeError::TrailingBytes(1)));
+        bytes.pop();
         assert_eq!(dec.decode(&bytes).unwrap(), b);
     }
 

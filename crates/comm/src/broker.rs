@@ -344,9 +344,10 @@ fn run_beacon(shared: Weak<BrokerShared>, hb: HeartbeatConfig, stop: Receiver<()
 }
 
 /// Caps on one coalesced uplink wire batch. The byte cap bounds the worst-
-/// case link occupancy of a single transfer (a degraded link multiplies its
-/// duration, and the whole batch rides one receipt); the envelope cap bounds
-/// far-side delivery burstiness when bodies are tiny.
+/// case link occupancy of a single transfer (the whole batch rides one
+/// receipt, so one batch holds the NIC for its full size over the link's
+/// bandwidth); the envelope cap bounds far-side delivery burstiness when
+/// bodies are tiny.
 const UPLINK_COALESCE_BYTES: usize = 32 * 1024;
 const UPLINK_COALESCE_ENVELOPES: usize = 256;
 

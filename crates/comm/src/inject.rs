@@ -8,9 +8,10 @@
 //! thread executes it with the same
 //! credit discipline as organic failures — a dropped delivery spends the
 //! destination's store fetch credit through the same `Hub::settle` an
-//! unreachable destination does, a duplicated delivery mints the extra
-//! credits before the copies are enqueued, and a delayed delivery parks the
-//! header on the broker's delay line without holding up the thread routing it.
+//! unreachable destination does, and a delayed delivery parks the header on
+//! the broker's delay line without holding up the thread routing it. Neither
+//! raises a credit: an injected fault can only lose or defer a delivery,
+//! never copy one, since the channel it models never duplicates a message.
 //!
 //! The hooks are deliberately mechanism-only: *policy* (which routes, which
 //! probabilities, which seed) lives in `xt-fault`, which implements
@@ -32,8 +33,6 @@ pub enum InjectDecision {
     /// so nothing leaks; the drop is tallied in
     /// [`InjectionStats::dropped`]).
     Drop,
-    /// Deliver the original plus `n` duplicate copies.
-    Duplicate(u32),
     /// Deliver after the given delay, off the routing thread.
     Delay(Duration),
 }
@@ -53,8 +52,6 @@ pub trait RouteInjector: Send + Sync + std::fmt::Debug {
 pub struct InjectionStats {
     /// Deliveries dropped by injection.
     pub dropped: u64,
-    /// Extra duplicate copies delivered.
-    pub duplicated: u64,
     /// Deliveries routed through the delay line.
     pub delayed: u64,
 }
@@ -116,10 +113,11 @@ impl Hub {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::broker::Broker;
+    use crate::broker::{connect_brokers, Broker};
+    use crate::endpoint::Endpoint;
     use crate::CommConfig;
     use bytes::Bytes;
-    use netsim::Cluster;
+    use netsim::{Cluster, ClusterSpec};
     use std::sync::atomic::{AtomicU64, Ordering};
     use xingtian_message::{Message, MessageKind};
 
@@ -181,25 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_duplicates_mint_matching_credits() {
-        let broker = Broker::new(0, Cluster::single(), CommConfig::default());
-        broker.set_injector(Arc::new(Always(InjectDecision::Duplicate(2))));
-        let e = broker.endpoint(ProcessId::explorer(0));
-        let l = broker.endpoint(ProcessId::learner(0));
-        e.send(rollout(b"dup"));
-        for _ in 0..3 {
-            let m = l.recv_timeout(Duration::from_secs(5)).expect("original + 2 duplicates");
-            assert_eq!(&m.body[..], b"dup");
-        }
-        assert!(l.try_recv().is_none(), "exactly 3 copies");
-        assert_eq!(broker.injection_stats().duplicated, 2);
-        drop(e);
-        drop(l);
-        broker.shutdown();
-        assert!(broker.store().is_empty(), "every minted credit was spent");
-    }
-
-    #[test]
     fn injected_delay_defers_delivery_without_losing_it() {
         let broker = Broker::new(0, Cluster::single(), CommConfig::default());
         broker.set_injector(Arc::new(Always(InjectDecision::Delay(Duration::from_millis(50)))));
@@ -236,5 +215,60 @@ mod tests {
         drop(l);
         broker.shutdown();
         assert!(broker.store().is_empty(), "flush on shutdown settles the credit");
+    }
+
+    /// An explorer on machine 0 and a learner on machine 1, with `decision`
+    /// installed on machine 1 only: the far end of the uplink executes it,
+    /// in `Hub::arrive`'s final hop.
+    fn across_an_uplink(decision: InjectDecision) -> (Broker, Broker, Endpoint, Endpoint) {
+        let spec = ClusterSpec::default().machines(2).nic_bandwidth(1e9).latency_secs(0.0);
+        let cluster = Cluster::new(spec);
+        let b0 = Broker::new(0, cluster.clone(), CommConfig::default());
+        let b1 = Broker::new(1, cluster, CommConfig::default());
+        b1.set_injector(Arc::new(Always(decision)));
+        let e = b0.endpoint(ProcessId::explorer(0));
+        let l = b1.endpoint(ProcessId::learner(0));
+        connect_brokers(&[b0.clone(), b1.clone()]);
+        (b0, b1, e, l)
+    }
+
+    fn shut_down_empty_and_dropless(brokers: [Broker; 2]) {
+        for b in &brokers {
+            b.shutdown();
+        }
+        for b in &brokers {
+            assert!(b.store().is_empty(), "machine {} leaked a store entry", b.machine());
+            assert_eq!(b.dropped(), 0, "machine {} dropped a delivery", b.machine());
+        }
+    }
+
+    #[test]
+    fn the_far_end_of_an_uplink_delays_remote_arrivals() {
+        let (b0, b1, e, l) = across_an_uplink(InjectDecision::Delay(Duration::from_millis(50)));
+        let t0 = Instant::now();
+        e.send(rollout(b"remote"));
+        let got = l.recv_timeout(Duration::from_secs(5)).expect("delayed on arrival, not lost");
+        assert_eq!(&got.body[..], b"remote");
+        assert!(t0.elapsed() >= Duration::from_millis(50), "delivery was actually deferred");
+        assert_eq!(b1.injection_stats().delayed, 1, "the receiving broker ran the delay");
+        assert_eq!(b0.injection_stats(), InjectionStats::default(), "the sender has no injector");
+        drop(e);
+        drop(l);
+        shut_down_empty_and_dropless([b0, b1]);
+    }
+
+    #[test]
+    fn shutdown_flushes_a_far_end_parked_delivery() {
+        let (b0, b1, e, l) = across_an_uplink(InjectDecision::Delay(Duration::from_secs(300)));
+        e.send(rollout(b"parked"));
+        let t0 = Instant::now();
+        while b1.injection_stats().delayed == 0 && t0.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(b1.injection_stats().delayed, 1, "the arrival reached the far delay line");
+        assert!(l.try_recv().is_none(), "still parked");
+        drop(e);
+        drop(l);
+        shut_down_empty_and_dropless([b0, b1]);
     }
 }

@@ -103,9 +103,8 @@ pub struct RoutingTable {
     /// snapshot) so shutdown can take it out and disconnect the thread at
     /// that instant, not whenever the last snapshot naming it is pruned.
     pub(crate) delay_tx: Mutex<Option<Sender<DelayedDelivery>>>,
-    /// Injected-fault tallies (drops / extra duplicates / delays executed).
+    /// Injected-fault tallies (drops / delays executed).
     pub(crate) injected_dropped: AtomicU64,
-    pub(crate) injected_duplicated: AtomicU64,
     pub(crate) injected_delayed: AtomicU64,
 }
 
@@ -195,7 +194,6 @@ impl RoutingTable {
     pub fn injection_stats(&self) -> InjectionStats {
         InjectionStats {
             dropped: self.injected_dropped.load(Ordering::Relaxed),
-            duplicated: self.injected_duplicated.load(Ordering::Relaxed),
             delayed: self.injected_delayed.load(Ordering::Relaxed),
         }
     }
@@ -342,18 +340,6 @@ impl Hub {
                     InjectDecision::Drop => {
                         table.injected_dropped.fetch_add(1, Ordering::Relaxed);
                         self.settle(header);
-                    }
-                    InjectDecision::Duplicate(n) => {
-                        // Mint the extra credits *before* enqueuing any copy: each
-                        // copy spends one credit at fetch time. If the credits cannot
-                        // be minted (entry already spent), fall back to one delivery.
-                        let minted =
-                            header.object_id.is_some_and(|id| self.store.add_credit(id, n as usize));
-                        let extra = if minted { n } else { 0 };
-                        table.injected_duplicated.fetch_add(extra as u64, Ordering::Relaxed);
-                        for _ in 0..=extra {
-                            self.push_one(queues, header, d);
-                        }
                     }
                     InjectDecision::Delay(delay) => {
                         let parked = {

@@ -18,7 +18,11 @@
 //!   a fetch holds its shard lock only long enough to clone the entry `Arc`,
 //!   then spends the credit with one atomic decrement, so 256 destinations
 //!   fetching the same broadcast body never serialize behind a mutex while
-//!   the payload handle is cloned;
+//!   the payload handle is cloned. A credit only ever goes down: insert
+//!   sets it to the fan-out, and [`ObjectStore::fetch`]'s `checked_sub` is
+//!   the one read-modify-write on it ([`ObjectStore::drop_credit`] is a
+//!   fetch), so exactly one fetcher takes it from 1 to 0 and removes the
+//!   entry;
 //! * the capacity gate is a dedicated mutex: a waiter re-checks *and
 //!   reserves* while holding it, so concurrent inserts can no longer all pass
 //!   the check before any of them reserves (the old overshoot race that let
@@ -223,7 +227,7 @@ impl ObjectStore {
         let entry = self.shard(id).lock().get(&id).map(Arc::clone)?;
         // Spend one credit without the lock. `checked_sub` refuses to go
         // below zero, so an over-fetch racing the final removal cannot
-        // double-free or resurrect the entry.
+        // double-free the entry.
         let prev = entry
             .remaining
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |r| r.checked_sub(1))
@@ -245,31 +249,6 @@ impl ObjectStore {
     /// not leak. Returns `false` for unknown ids.
     pub fn drop_credit(&self, id: ObjectId) -> bool {
         self.fetch(id).is_some()
-    }
-
-    /// Grants `extra` additional fetch credits to a live entry. Used by
-    /// fault injection when a delivery is duplicated: every extra copy pushed
-    /// into an ID queue will spend a credit at fetch time, so the credits
-    /// must be minted *before* the copies are enqueued or the entry would be
-    /// freed early (or underflow). Returns `false` — granting nothing — for
-    /// unknown ids or entries whose last credit is already spent.
-    pub fn add_credit(&self, id: ObjectId, extra: usize) -> bool {
-        if extra == 0 {
-            return true;
-        }
-        let Some(entry) = self.shard(id).lock().get(&id).map(Arc::clone) else { return false };
-        // Refuse to resurrect an entry racing its final fetch: credits may
-        // only grow while at least one is still outstanding.
-        entry
-            .remaining
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |r| {
-                if r == 0 {
-                    None
-                } else {
-                    Some(r + extra)
-                }
-            })
-            .is_ok()
     }
 
     /// Number of objects currently resident.
@@ -401,20 +380,6 @@ mod tests {
         assert!(s.is_empty(), "last credit frees the entry");
         assert_eq!(s.live_bytes(), 0);
         assert!(!s.drop_credit(id), "no double-free");
-    }
-
-    #[test]
-    fn add_credit_extends_live_entries_only() {
-        let s = ObjectStore::new();
-        let id = s.insert(Bytes::from(vec![0u8; 16]), 1);
-        assert!(s.add_credit(id, 2), "live entry accepts extra credits");
-        assert!(s.fetch(id).is_some());
-        assert!(s.fetch(id).is_some());
-        assert!(s.fetch(id).is_some(), "original + 2 minted credits");
-        assert!(s.is_empty(), "last credit frees the entry");
-        assert!(!s.add_credit(id, 1), "spent entry cannot be resurrected");
-        assert!(s.fetch(id).is_none());
-        assert!(!s.add_credit(9999, 1), "unknown id refused");
     }
 
     #[test]

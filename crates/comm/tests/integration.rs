@@ -86,7 +86,7 @@ fn endpoints_added_after_connection_become_routable() {
     connect_brokers(&[b0.clone(), b1.clone()]);
 
     // New processes join after the fabric exists; re-running connect_brokers
-    // merges the fresh routes without duplicating uplinks.
+    // merges the fresh routes without starting a second uplink per pair.
     let learner = b0.endpoint(ProcessId::learner(0));
     let explorer = b1.endpoint(ProcessId::explorer(0));
     connect_brokers(&[b0.clone(), b1.clone()]);

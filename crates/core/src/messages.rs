@@ -89,6 +89,11 @@ mod tests {
     }
 
     #[test]
+    fn control_rejects_trailing_bytes() {
+        assert_eq!(ControlCommand::from_bytes(&[0, 0]), Err(DecodeError::TrailingBytes(1)));
+    }
+
+    #[test]
     fn param_ack_round_trips() {
         for applied in [true, false] {
             let a = ParamAck { explorer: 17, version: 42, applied };

@@ -59,18 +59,17 @@ impl RouteInjector for PlanInjector {
         let Some(rule) = self
             .rules
             .iter()
-            .find(|r| r.active_at(elapsed_ms) && r.matches(header.kind, header.src, dst))
+            .find(|r| r.active_at(elapsed_ms) && r.matches(header.kind, dst))
         else {
             return InjectDecision::Deliver;
         };
-        // Fixed evaluation order (drop, duplicate, delay) with distinct
-        // salts: the three outcomes are independent coins, and a delivery's
-        // fate never depends on which other deliveries were consulted first.
+        // Fixed evaluation order (drop, then delay) with distinct salts: the
+        // two outcomes are independent coins, and a delivery's fate never
+        // depends on which other deliveries were consulted first. The salts
+        // are part of a seed's meaning: changing one changes which
+        // deliveries every seeded plan drops or delays.
         if rule.drop_prob > 0.0 && self.roll(header.id, dst, 1) < rule.drop_prob {
             return InjectDecision::Drop;
-        }
-        if rule.duplicate_prob > 0.0 && self.roll(header.id, dst, 2) < rule.duplicate_prob {
-            return InjectDecision::Duplicate(rule.duplicate_copies);
         }
         if rule.delay_prob > 0.0 && self.roll(header.id, dst, 3) < rule.delay_prob {
             return InjectDecision::Delay(Duration::from_millis(rule.delay_ms));
@@ -128,7 +127,7 @@ mod tests {
     fn first_matching_rule_wins() {
         let injector = PlanInjector::new(3, vec![
             RouteRule::any().on_kind(MessageKind::Stats).dropping(1.0),
-            RouteRule::any().duplicating(1.0, 2),
+            RouteRule::any().delaying(1.0, 7),
         ]);
         assert_eq!(
             injector.decide(&header(MessageKind::Stats), ProcessId::controller(0)),
@@ -136,7 +135,37 @@ mod tests {
         );
         assert_eq!(
             injector.decide(&header(MessageKind::Rollout), ProcessId::learner(0)),
-            InjectDecision::Duplicate(2)
+            InjectDecision::Delay(Duration::from_millis(7))
+        );
+    }
+
+    #[test]
+    fn seeded_verdicts_are_pinned() {
+        // Drop rolls salt 1 and delay rolls salt 3: a seed names the same
+        // chaos in every build, so these verdicts must never move.
+        let verdicts = |injector: &PlanInjector, ids: u64, dst: fn(u64) -> ProcessId| -> String {
+            (0..ids)
+                .map(|id| {
+                    let mut h = header(MessageKind::Rollout);
+                    h.id = id;
+                    match injector.decide(&h, dst(id)) {
+                        InjectDecision::Deliver => '.',
+                        InjectDecision::Drop => 'x',
+                        InjectDecision::Delay(_) => 'd',
+                    }
+                })
+                .collect()
+        };
+        let both = PlanInjector::new(99, vec![RouteRule::any().dropping(0.5).delaying(0.5, 10)]);
+        assert_eq!(
+            verdicts(&both, 48, |_| ProcessId::learner(0)),
+            "x.xxxx..xxxddx.dxdxx.x.ddxxxx.xxxxx..xxxdx.x.x.x"
+        );
+        let rollouts =
+            PlanInjector::new(7, vec![RouteRule::any().on_kind(MessageKind::Rollout).dropping(0.05)]);
+        assert_eq!(
+            verdicts(&rollouts, 64, |id| ProcessId::learner(id as u32 % 3)),
+            "..............x..........xx.x..................................."
         );
     }
 

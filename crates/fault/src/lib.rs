@@ -7,13 +7,14 @@
 //! `xingtian::supervisor` is built from:
 //!
 //! * **Injection** ([`plan`], [`inject`]) — a seeded, deterministic
-//!   [`FaultPlan`]: scheduled link partitions/degradations that
-//!   [`netsim::Cluster`] executes on the virtual clock, per-route
-//!   drop/duplicate/delay rules the comm channel executes through its
-//!   [`xingtian_comm::RouteInjector`] hook on producer and uplink threads, and kill switches that take
-//!   processes down at a precise point ([`probe`]). The same seed always
-//!   produces the same chaos, so chaos runs are reproducible and their
-//!   regressions bisectable.
+//!   [`FaultPlan`] of the four faults the chaos suite runs: machine
+//!   partitions that [`netsim::Cluster`] executes on the virtual clock,
+//!   per-route drop and (optionally windowed) delay rules the comm channel
+//!   executes through its [`xingtian_comm::RouteInjector`] hook on producer
+//!   and uplink threads, and kill switches that take processes down at a
+//!   precise point ([`probe`]). The same seed always produces the same
+//!   chaos, so chaos runs are reproducible and their regressions
+//!   bisectable.
 //! * **Detection** ([`detect`]) — a heartbeat-fed accrual failure detector.
 //!   Each broker sends a monitor endpoint one
 //!   [`xingtian_message::MessageKind::Heartbeat`] per interval listing its live

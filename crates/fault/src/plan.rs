@@ -1,19 +1,16 @@
 //! Seeded, deterministic fault plans.
 //!
 //! A [`FaultPlan`] is the single artifact a chaos run is configured with: it
-//! bundles the scheduled link faults netsim executes on the virtual clock,
-//! the per-route injection rules the comm channel's producer and uplink
-//! threads execute, and the kill
-//! switches that take processes down at a precise point. Everything is
-//! derived from one `u64` seed — rerunning the same plan against the same
-//! deployment produces the same chaos, which is what makes chaos regressions
-//! reproducible and bisectable.
+//! bundles the machine partitions netsim executes on the virtual clock, the
+//! per-route drop and delay rules the comm channel's producer and uplink
+//! threads execute, and the kill switches that take processes down at a
+//! precise point. Every roll derives from one `u64` seed — rerunning the
+//! same plan against the same deployment produces the same chaos, which is
+//! what makes chaos regressions reproducible and bisectable.
 
 use crate::inject::PlanInjector;
 use crate::probe::ProcessProbe;
-use netsim::{Cluster, LinkFault, LinkFaultSchedule};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use netsim::{Cluster, LinkFaultSchedule};
 use std::sync::Arc;
 use xingtian_comm::Broker;
 use xingtian_message::{MessageKind, ProcessId, ProcessRole};
@@ -44,7 +41,7 @@ pub struct KillSpec {
 ///
 /// Rules are consulted in plan order; the first rule whose pattern matches a
 /// *(message, destination)* pair decides its fate. Within a rule the rolls
-/// are evaluated in a fixed order — drop, then duplicate, then delay — and
+/// are evaluated in a fixed order — drop, then delay — and
 /// each roll is a pure hash of `(seed, message id, destination, salt)`, so a
 /// given message/destination pair gets the same verdict regardless of thread
 /// interleaving or delivery order.
@@ -55,19 +52,11 @@ pub struct RouteRule {
     /// explicitly, or every drop rule would double as a false-positive
     /// generator for the failure detector).
     pub kind: Option<MessageKind>,
-    /// Match only messages from processes of this role. A heartbeat's
-    /// source is its broker (`ProcessRole::Broker`), whatever it lists.
-    pub src_role: Option<ProcessRole>,
     /// Match only deliveries to processes of this role.
     pub dst_role: Option<ProcessRole>,
     /// Probability a matched delivery is dropped.
     pub drop_prob: f64,
-    /// Probability a matched (non-dropped) delivery is duplicated.
-    pub duplicate_prob: f64,
-    /// Extra copies delivered when the duplicate roll hits.
-    pub duplicate_copies: u32,
-    /// Probability a matched (non-dropped, non-duplicated) delivery is
-    /// delayed.
+    /// Probability a matched (non-dropped) delivery is delayed.
     pub delay_prob: f64,
     /// How long a delayed delivery is parked, in milliseconds.
     pub delay_ms: u64,
@@ -85,11 +74,8 @@ impl RouteRule {
     pub fn any() -> Self {
         RouteRule {
             kind: None,
-            src_role: None,
             dst_role: None,
             drop_prob: 0.0,
-            duplicate_prob: 0.0,
-            duplicate_copies: 1,
             delay_prob: 0.0,
             delay_ms: 0,
             active_from_ms: None,
@@ -127,13 +113,6 @@ impl RouteRule {
         self
     }
 
-    /// Restricts the rule to messages sent by `role` processes (builder
-    /// style).
-    pub fn from_role(mut self, role: ProcessRole) -> Self {
-        self.src_role = Some(role);
-        self
-    }
-
     /// Restricts the rule to deliveries to `role` processes (builder style).
     pub fn to_role(mut self, role: ProcessRole) -> Self {
         self.dst_role = Some(role);
@@ -151,19 +130,6 @@ impl RouteRule {
         self
     }
 
-    /// Sets the duplicate probability and copy count (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prob` is not in `[0, 1]` or `copies` is zero.
-    pub fn duplicating(mut self, prob: f64, copies: u32) -> Self {
-        assert!((0.0..=1.0).contains(&prob), "duplicate probability must be in [0, 1]");
-        assert!(copies > 0, "duplicating zero copies is a no-op; use probability 0 instead");
-        self.duplicate_prob = prob;
-        self.duplicate_copies = copies;
-        self
-    }
-
     /// Sets the delay probability and duration (builder style).
     ///
     /// # Panics
@@ -176,17 +142,14 @@ impl RouteRule {
         self
     }
 
-    /// Whether this rule applies to delivering a message from `src` of
-    /// `kind` to `dst`.
-    pub fn matches(&self, kind: MessageKind, src: ProcessId, dst: ProcessId) -> bool {
+    /// Whether this rule applies to delivering a message of `kind` to `dst`.
+    pub fn matches(&self, kind: MessageKind, dst: ProcessId) -> bool {
         let kind_ok = match self.kind {
             Some(k) => k == kind,
             // Unqualified rules never touch liveness beacons.
             None => kind != MessageKind::Heartbeat,
         };
-        kind_ok
-            && self.src_role.is_none_or(|r| r == src.role)
-            && self.dst_role.is_none_or(|r| r == dst.role)
+        kind_ok && self.dst_role.is_none_or(|r| r == dst.role)
     }
 }
 
@@ -208,12 +171,6 @@ impl FaultPlan {
     /// The plan's seed.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Adds a scheduled link fault in both directions (builder style).
-    pub fn with_symmetric_link_fault(mut self, fault: LinkFault) -> Self {
-        self.links = self.links.with_symmetric(fault);
-        self
     }
 
     /// Partitions `machine` from all `machines` others during
@@ -292,40 +249,6 @@ impl FaultPlan {
             None => ProcessProbe::inert(target),
         }
     }
-
-    /// A randomized but fully seed-determined chaos scenario for a
-    /// deployment of `machines` machines and `explorers` explorers: one
-    /// explorer is killed partway through its expected `horizon_steps`
-    /// lifetime, one non-learner machine (when the cluster has one) is
-    /// partitioned for a window of the virtual clock, and rollout deliveries
-    /// get a small drop probability. The same `(seed, shape)` always yields
-    /// the same scenario.
-    pub fn random_chaos(
-        seed: u64,
-        machines: usize,
-        explorers: u32,
-        horizon_steps: u64,
-        horizon_nanos: u64,
-    ) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let victim = rng.gen_range(0..explorers.max(1));
-        let kill_at = horizon_steps / 4 + rng.gen_range(0..horizon_steps.max(4) / 2);
-        let mut plan = FaultPlan::seeded(seed)
-            .with_kill(ProcessId::explorer(victim), KillTrigger::AfterSteps(kill_at))
-            .with_rule(
-                RouteRule::any().on_kind(MessageKind::Rollout).dropping(0.02 + rng.gen::<f64>() * 0.03),
-            );
-        if machines > 1 {
-            // Never isolate machine 0 (the conventional learner machine):
-            // partitioning the learner away from everything stalls training
-            // for the whole window, which is a different experiment.
-            let island = 1 + rng.gen_range(0..machines - 1);
-            let start = horizon_nanos / 4 + rng.gen_range(0..horizon_nanos.max(4) / 4);
-            let width = horizon_nanos / 8;
-            plan = plan.isolating_machine(island, machines, start, start + width);
-        }
-        plan
-    }
 }
 
 #[cfg(test)]
@@ -335,14 +258,10 @@ mod tests {
 
     #[test]
     fn rules_match_on_kind_and_roles() {
-        let rule = RouteRule::any()
-            .on_kind(MessageKind::Rollout)
-            .from_role(ProcessRole::Explorer)
-            .to_role(ProcessRole::Learner);
-        assert!(rule.matches(MessageKind::Rollout, ProcessId::explorer(2), ProcessId::learner(0)));
-        assert!(!rule.matches(MessageKind::Stats, ProcessId::explorer(2), ProcessId::learner(0)));
-        assert!(!rule.matches(MessageKind::Rollout, ProcessId::learner(0), ProcessId::learner(0)));
-        assert!(!rule.matches(MessageKind::Rollout, ProcessId::explorer(2), ProcessId::controller(0)));
+        let rule = RouteRule::any().on_kind(MessageKind::Rollout).to_role(ProcessRole::Learner);
+        assert!(rule.matches(MessageKind::Rollout, ProcessId::learner(0)));
+        assert!(!rule.matches(MessageKind::Stats, ProcessId::learner(0)));
+        assert!(!rule.matches(MessageKind::Rollout, ProcessId::controller(0)));
     }
 
     #[test]
@@ -360,23 +279,23 @@ mod tests {
     #[test]
     fn unqualified_rules_spare_heartbeats() {
         let rule = RouteRule::any().dropping(1.0);
-        assert!(rule.matches(MessageKind::Rollout, ProcessId::explorer(0), ProcessId::learner(0)));
-        // A heartbeat goes from a broker to the monitor, a Broker-role pid.
-        let (src, monitor) = (ProcessId::broker(0), ProcessId::broker(u32::MAX));
+        assert!(rule.matches(MessageKind::Rollout, ProcessId::learner(0)));
+        // A heartbeat goes to the supervisor's endpoint.
+        let monitor = ProcessId::controller(0);
         assert!(
-            !rule.matches(MessageKind::Heartbeat, src, monitor),
+            !rule.matches(MessageKind::Heartbeat, monitor),
             "catch-all rules must not forge liveness failures"
         );
         let explicit = RouteRule::any().on_kind(MessageKind::Heartbeat).dropping(1.0);
-        assert!(explicit.matches(MessageKind::Heartbeat, src, monitor));
-        let from_explorers = explicit.from_role(ProcessRole::Explorer);
-        assert!(!from_explorers.matches(MessageKind::Heartbeat, src, monitor));
+        assert!(explicit.matches(MessageKind::Heartbeat, monitor));
+        let to_explorers = explicit.to_role(ProcessRole::Explorer);
+        assert!(!to_explorers.matches(MessageKind::Heartbeat, monitor));
     }
 
     #[test]
     fn plan_builder_accumulates_faults() {
         let plan = FaultPlan::seeded(7)
-            .with_symmetric_link_fault(LinkFault::partition(0, 1, 100, 200))
+            .isolating_machine(1, 2, 100, 200)
             .with_rule(RouteRule::any().dropping(0.5))
             .with_kill(ProcessId::explorer(3), KillTrigger::AfterSteps(50));
         assert!(!plan.is_empty());
@@ -399,30 +318,5 @@ mod tests {
         let bystander = plan.probe_for(ProcessId::explorer(1), None);
         assert!(victim.is_armed());
         assert!(!bystander.is_armed());
-    }
-
-    #[test]
-    fn random_chaos_is_seed_deterministic() {
-        let a = FaultPlan::random_chaos(42, 2, 8, 1_000, 1_000_000);
-        let b = FaultPlan::random_chaos(42, 2, 8, 1_000, 1_000_000);
-        assert_eq!(a.kills(), b.kills());
-        assert_eq!(a.rules(), b.rules());
-        assert_eq!(a.link_schedule().faults(), b.link_schedule().faults());
-        let c = FaultPlan::random_chaos(43, 2, 8, 1_000, 1_000_000);
-        assert!(a.kills() != c.kills() || a.rules() != c.rules(), "different seeds differ");
-    }
-
-    #[test]
-    fn random_chaos_never_isolates_the_learner_machine() {
-        for seed in 0..32 {
-            let plan = FaultPlan::random_chaos(seed, 3, 6, 1_000, 1_000_000);
-            let faults = plan.link_schedule().faults();
-            let keeps_a_link = (1..3).any(|m| {
-                !faults
-                    .iter()
-                    .any(|f| (f.from == 0 && f.to == m) || (f.from == m && f.to == 0))
-            });
-            assert!(keeps_a_link, "machine 0 must keep at least one healthy link (seed {seed})");
-        }
     }
 }

@@ -24,6 +24,8 @@ pub enum DecodeError {
     LengthOverflow { declared: usize, remaining: usize },
     /// String data was not valid UTF-8.
     InvalidUtf8,
+    /// A value that must span its whole buffer ended this many bytes early.
+    TrailingBytes(usize),
 }
 
 impl fmt::Display for DecodeError {
@@ -36,6 +38,7 @@ impl fmt::Display for DecodeError {
                 write!(f, "declared length {declared} exceeds remaining {remaining} bytes")
             }
             DecodeError::InvalidUtf8 => write!(f, "string data was not valid UTF-8"),
+            DecodeError::TrailingBytes(n) => write!(f, "{n} bytes left after the value"),
         }
     }
 }
@@ -63,6 +66,18 @@ impl<'a> Reader<'a> {
     /// True when every byte has been consumed.
     pub fn is_empty(&self) -> bool {
         self.remaining() == 0
+    }
+
+    /// Ends a read that must span the whole buffer.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::TrailingBytes`] if any byte is left unconsumed.
+    pub fn finish(&self) -> Result<(), DecodeError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(DecodeError::TrailingBytes(n)),
+        }
     }
 
     /// Consumes exactly `n` bytes.
@@ -167,9 +182,16 @@ pub trait Decode: Sized {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
 
     /// Convenience: decodes a value that must span the whole of `buf`.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode`](Decode::decode), or [`DecodeError::TrailingBytes`] if
+    /// the value ends before `buf` does.
     fn from_bytes(buf: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(buf);
-        Self::decode(&mut r)
+        let value = Self::decode(&mut r)?;
+        r.finish()?;
+        Ok(value)
     }
 }
 
@@ -637,5 +659,14 @@ mod tests {
         assert_eq!(String::decode(&mut r).unwrap(), "x");
         assert_eq!(Vec::<f32>::decode(&mut r).unwrap(), vec![1.0]);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn from_bytes_rejects_trailing_bytes() {
+        assert_eq!(u64::from_bytes(&[0; 8]), Ok(0));
+        assert_eq!(u64::from_bytes(&[0; 9]), Err(DecodeError::TrailingBytes(1)));
+        let mut buf = String::from("x").to_bytes();
+        buf.extend_from_slice(&[1, 2, 3]);
+        assert_eq!(String::from_bytes(&buf), Err(DecodeError::TrailingBytes(3)));
     }
 }

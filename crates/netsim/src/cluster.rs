@@ -195,7 +195,26 @@ impl Cluster {
     ///
     /// Panics if `from` or `to` is out of range.
     pub fn transfer(&self, from: MachineId, to: MachineId, bytes: usize) -> TransferReceipt {
-        self.do_transfer(from, to, bytes, 1.0)
+        let clock = &self.inner.clock;
+        let now = clock.now_nanos();
+        if from == to {
+            return TransferReceipt { start_nanos: now, end_nanos: now, duration: Duration::ZERO };
+        }
+        let tx = self.inner.machines[from].tx();
+        let rx = self.inner.machines[to].rx();
+        // Reserve the sender's port, then the receiver's port no earlier than
+        // the sender can supply the bytes. This couples the two resources the
+        // way a store-and-forward switch would.
+        let (tx_start, tx_end) = tx.reserve(now, bytes);
+        let (_rx_start, rx_end) = rx.reserve(tx_start, bytes);
+        let latency = (self.inner.spec.latency_secs * 1e9) as u64;
+        let end = tx_end.max(rx_end) + latency;
+        clock.wait_until(end);
+        TransferReceipt {
+            start_nanos: tx_start,
+            end_nanos: end,
+            duration: Duration::from_nanos(end.saturating_sub(now)),
+        }
     }
 
     /// Installs (replaces) the cluster's link-fault schedule. Only
@@ -214,9 +233,7 @@ impl Cluster {
     /// [`LinkFaultSchedule`]: a partitioned link refuses the transfer with
     /// [`LinkDown`] (after charging one propagation latency for the failed
     /// attempt — the cost of discovering the link is dead, and a guarantee
-    /// that virtual time advances even when every send is failing), and a
-    /// degraded link stretches the modeled duration by the inverse of its
-    /// bandwidth factor.
+    /// that virtual time advances even when every send is failing).
     pub fn transfer_checked(
         &self,
         from: MachineId,
@@ -224,45 +241,14 @@ impl Cluster {
         bytes: usize,
     ) -> Result<TransferReceipt, LinkDown> {
         let now = self.inner.clock.now_nanos();
-        if from == to {
-            return Ok(TransferReceipt { start_nanos: now, end_nanos: now, duration: Duration::ZERO });
-        }
-        let schedule = self.faults();
-        match schedule.condition(from, to, now) {
-            LinkCondition::Partitioned { heal_nanos } => {
+        if from != to {
+            if let LinkCondition::Partitioned { heal_nanos } = self.faults().condition(from, to, now) {
                 let latency = (self.inner.spec.latency_secs * 1e9) as u64;
                 self.inner.clock.wait_until(now + latency.max(1));
-                Err(LinkDown { heal_nanos })
+                return Err(LinkDown { heal_nanos });
             }
-            LinkCondition::Degraded { factor } => Ok(self.do_transfer(from, to, bytes, factor)),
-            LinkCondition::Healthy => Ok(self.do_transfer(from, to, bytes, 1.0)),
         }
-    }
-
-    fn do_transfer(&self, from: MachineId, to: MachineId, bytes: usize, factor: f64) -> TransferReceipt {
-        let clock = &self.inner.clock;
-        let now = clock.now_nanos();
-        if from == to {
-            return TransferReceipt { start_nanos: now, end_nanos: now, duration: Duration::ZERO };
-        }
-        // A degraded link is modeled as the same NIC carrying proportionally
-        // more bytes: occupancy and completion both stretch by 1/factor.
-        let effective = if factor < 1.0 { ((bytes as f64) / factor).ceil() as usize } else { bytes };
-        let tx = self.inner.machines[from].tx();
-        let rx = self.inner.machines[to].rx();
-        // Reserve the sender's port, then the receiver's port no earlier than
-        // the sender can supply the bytes. This couples the two resources the
-        // way a store-and-forward switch would.
-        let (tx_start, tx_end) = tx.reserve(now, effective);
-        let (_rx_start, rx_end) = rx.reserve(tx_start, effective);
-        let latency = (self.inner.spec.latency_secs * 1e9) as u64;
-        let end = tx_end.max(rx_end) + latency;
-        clock.wait_until(end);
-        TransferReceipt {
-            start_nanos: tx_start,
-            end_nanos: end,
-            duration: Duration::from_nanos(end.saturating_sub(now)),
-        }
+        Ok(self.transfer(from, to, bytes))
     }
 }
 
@@ -350,18 +336,6 @@ mod tests {
         let heal = c.transfer_checked(0, 1, 1_000).unwrap_err().heal_nanos;
         c.clock().wait_until(heal);
         assert!(c.transfer_checked(0, 1, 1_000).is_ok());
-    }
-
-    #[test]
-    fn degraded_link_stretches_duration() {
-        use crate::faults::{LinkFault, LinkFaultSchedule};
-        let c = virtual_cluster(2, 1e6);
-        c.install_faults(
-            LinkFaultSchedule::new().with(LinkFault::degrade(0, 1, 0.25, 0, u64::MAX)),
-        );
-        // 1 MB at a quarter of 1 MB/s -> 4 s instead of 1 s.
-        let r = c.transfer_checked(0, 1, 1_000_000).expect("degraded link still delivers");
-        assert_eq!(r.duration, Duration::from_secs(4));
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Scheduled link faults: partitions, degradation, and machine isolation.
+//! Scheduled link faults: partitions and machine isolation.
 //!
 //! Chaos runs need the *network* to misbehave on the same timeline as
 //! everything else, deterministically. A [`LinkFaultSchedule`] is a set of
-//! time-windowed [`LinkFault`]s evaluated against the cluster clock at
-//! transfer time: while a partition window covers a link, transfers on it
-//! fail; while a degradation window covers it, transfers take
-//! `1/factor` times longer. Windows are plain data — installing a schedule
-//! is what makes a chaos run reproducible: the same schedule against the
-//! same (virtual) clock produces the same failures at the same instants.
+//! time-windowed [`LinkFault`]s, each a partition of one directed link,
+//! evaluated against the cluster clock at transfer time: while a window
+//! covers a link, transfers on it fail. Windows are plain data — installing
+//! a schedule is what makes a chaos run reproducible: the same schedule
+//! against the same (virtual) clock produces the same failures at the same
+//! instants.
 //!
 //! The schedule is installed on a [`crate::Cluster`] with
 //! [`crate::Cluster::install_faults`]; callers that want to observe failures
@@ -16,20 +16,10 @@
 
 use crate::cluster::MachineId;
 
-/// What a fault window does to its link.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LinkFaultKind {
-    /// The link is severed: transfers inside the window fail.
-    Partition,
-    /// The link carries traffic at `factor` of its nominal bandwidth
-    /// (`0 < factor < 1`; e.g. `0.1` = a 10× slowdown).
-    Degrade(f64),
-}
-
-/// One time-windowed fault on one directed link.
+/// One time-windowed partition of one directed link.
 ///
-/// A fault applies to transfers from `from` to `to` whose *start instant*
-/// falls inside `[start_nanos, end_nanos)` on the cluster clock. Use
+/// Transfers from `from` to `to` whose *start instant* falls inside
+/// `[start_nanos, end_nanos)` on the cluster clock fail. Use
 /// [`LinkFault::symmetric`] to produce the reverse direction as well.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFault {
@@ -41,31 +31,12 @@ pub struct LinkFault {
     pub start_nanos: u64,
     /// Window end on the cluster clock, exclusive (`u64::MAX` = forever).
     pub end_nanos: u64,
-    /// What happens to transfers inside the window.
-    pub kind: LinkFaultKind,
 }
 
 impl LinkFault {
     /// A one-directional partition of `from → to` over `[start, end)`.
     pub fn partition(from: MachineId, to: MachineId, start_nanos: u64, end_nanos: u64) -> Self {
-        LinkFault { from, to, start_nanos, end_nanos, kind: LinkFaultKind::Partition }
-    }
-
-    /// A one-directional slowdown of `from → to` to `factor` of nominal
-    /// bandwidth over `[start, end)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < factor <= 1`.
-    pub fn degrade(
-        from: MachineId,
-        to: MachineId,
-        factor: f64,
-        start_nanos: u64,
-        end_nanos: u64,
-    ) -> Self {
-        assert!(factor > 0.0 && factor <= 1.0, "degrade factor must be in (0, 1]");
-        LinkFault { from, to, start_nanos, end_nanos, kind: LinkFaultKind::Degrade(factor) }
+        LinkFault { from, to, start_nanos, end_nanos }
     }
 
     /// This fault plus its mirror image (`to → from`), for symmetric cuts.
@@ -89,12 +60,6 @@ pub enum LinkCondition {
     Partitioned {
         /// When the covering partition window(s) end.
         heal_nanos: u64,
-    },
-    /// Degradation windows cover it; bandwidth is scaled by `factor`
-    /// (the product of all covering windows' factors).
-    Degraded {
-        /// Effective bandwidth multiplier in `(0, 1]`.
-        factor: f64,
     },
 }
 
@@ -140,39 +105,21 @@ impl LinkFaultSchedule {
         self
     }
 
-    /// The fault windows, in insertion order.
-    pub fn faults(&self) -> &[LinkFault] {
-        &self.faults
-    }
-
     /// True when no fault windows are scheduled at all.
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
     }
 
     /// Evaluates the condition of the directed link `from → to` at
-    /// `now_nanos`. Partition dominates degradation; overlapping partitions
-    /// heal at the latest covering window's end; overlapping degradations
-    /// multiply.
+    /// `now_nanos`. Overlapping partitions heal at the latest covering
+    /// window's end.
     pub fn condition(&self, from: MachineId, to: MachineId, now_nanos: u64) -> LinkCondition {
-        let mut heal: Option<u64> = None;
-        let mut factor = 1.0f64;
-        for f in &self.faults {
-            if !f.covers(from, to, now_nanos) {
-                continue;
-            }
-            match f.kind {
-                LinkFaultKind::Partition => {
-                    heal = Some(heal.map_or(f.end_nanos, |h| h.max(f.end_nanos)));
-                }
-                LinkFaultKind::Degrade(x) => factor *= x,
-            }
-        }
-        match heal {
-            Some(heal_nanos) => LinkCondition::Partitioned { heal_nanos },
-            None if factor < 1.0 => LinkCondition::Degraded { factor },
-            None => LinkCondition::Healthy,
-        }
+        self.faults
+            .iter()
+            .filter(|f| f.covers(from, to, now_nanos))
+            .map(|f| f.end_nanos)
+            .max()
+            .map_or(LinkCondition::Healthy, |heal_nanos| LinkCondition::Partitioned { heal_nanos })
     }
 }
 
@@ -234,19 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn degradations_multiply_and_partition_dominates() {
-        let s = LinkFaultSchedule::new()
-            .with(LinkFault::degrade(0, 1, 0.5, 0, 100))
-            .with(LinkFault::degrade(0, 1, 0.5, 0, 100));
-        match s.condition(0, 1, 10) {
-            LinkCondition::Degraded { factor } => assert!((factor - 0.25).abs() < 1e-12),
-            other => panic!("expected degraded, got {other:?}"),
-        }
-        let s = s.with(LinkFault::partition(0, 1, 0, 100));
-        assert_eq!(s.condition(0, 1, 10), LinkCondition::Partitioned { heal_nanos: 100 });
-    }
-
-    #[test]
     fn isolate_machine_cuts_every_pair() {
         let s = LinkFaultSchedule::new().isolate_machine(1, 3, 10, 20);
         for other in [0usize, 2] {
@@ -254,11 +188,5 @@ mod tests {
             assert_ne!(s.condition(other, 1, 15), LinkCondition::Healthy);
         }
         assert_eq!(s.condition(0, 2, 15), LinkCondition::Healthy);
-    }
-
-    #[test]
-    #[should_panic(expected = "degrade factor")]
-    fn degrade_factor_validated() {
-        let _ = LinkFault::degrade(0, 1, 0.0, 0, 1);
     }
 }

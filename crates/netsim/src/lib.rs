@@ -35,7 +35,7 @@ pub mod stats;
 
 pub use clock::{Clock, ClockMode};
 pub use cluster::{Cluster, ClusterSpec, MachineId, TransferReceipt};
-pub use faults::{LinkCondition, LinkDown, LinkFault, LinkFaultKind, LinkFaultSchedule};
+pub use faults::{LinkCondition, LinkDown, LinkFault, LinkFaultSchedule};
 pub use nic::Nic;
 pub use stats::LinkStats;
 
