@@ -22,9 +22,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== bench gate: every bench target compiles =="
 cargo bench --no-run --workspace
 
-echo "== bench smoke: channel + telemetry micro-benches compile and run =="
+echo "== bench smoke: channel + telemetry + envs micro-benches compile and run =="
 cargo bench -p xt-bench --bench channel -- --test
 cargo bench -p xt-bench --bench telemetry -- --test
+cargo bench -p xt-bench --bench envs -- --test
 
 echo "== release smoke: lz4/chunk differential round-trip tests =="
 cargo test --release -q -p xingtian-message --test differential

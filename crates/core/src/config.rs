@@ -118,7 +118,7 @@ pub struct DeploymentConfig {
     pub learner_machine: usize,
     /// Communication-channel configuration.
     pub comm: CommConfig,
-    /// Environment name (see [`gymlite::make_env`]).
+    /// Environment name (see [`crate::deployment::build_env`]).
     pub env: String,
     /// Observation size override for synthetic environments (None = the
     /// environment's default; tests shrink it for speed).

@@ -53,7 +53,14 @@ pub fn spawn_process<T: Send + 'static>(
 }
 
 /// Builds the environment for one explorer, honoring the observation
-/// override for synthetic games.
+/// override for synthetic games. This is the one name → environment table:
+/// `CartPole`, `MountainCar`, `BeamRider`, `Breakout`, `Qbert`,
+/// `SpaceInvaders` (case-insensitive).
+///
+/// # Errors
+///
+/// Returns an error if `name` is unknown, or if `obs_dim_override` is too
+/// small to hold the game's latent state.
 pub fn build_env(
     name: &str,
     seed: u64,
@@ -81,6 +88,12 @@ pub fn build_env(
     };
     let mut cfg = game.config();
     if let Some(dim) = obs_dim_override {
+        if dim < cfg.latent_dim {
+            return Err(format!(
+                "{name}: obs_dim {dim} cannot hold the game's {}-float latent state",
+                cfg.latent_dim
+            ));
+        }
         cfg = cfg.with_obs_dim(dim);
     }
     if let Some(us) = step_latency_us {
@@ -269,8 +282,30 @@ mod tests {
     }
 
     #[test]
+    fn build_env_builds_all_five() {
+        for name in ["CartPole", "MountainCar", "BeamRider", "Breakout", "Qbert", "SpaceInvaders"] {
+            let mut env = build_env(name, 0, None, Some(0)).unwrap();
+            let obs = env.reset();
+            assert_eq!(obs.len(), env.observation_dim(), "{name}");
+            assert!(env.num_actions() >= 2, "{name}");
+        }
+    }
+
+    #[test]
     fn build_env_unknown_errors() {
         assert!(build_env("Pong", 0, None, None).is_err());
+    }
+
+    #[test]
+    fn an_observation_smaller_than_the_latent_state_is_an_error() {
+        let err = build_env("BeamRider", 0, Some(8), Some(0)).err().unwrap();
+        assert!(err.contains("BeamRider: obs_dim 8") && err.contains("16-float"), "{err}");
+        assert!(build_env("BeamRider", 0, Some(16), Some(0)).is_ok());
+        let config = DeploymentConfig::atari("BeamRider", AlgorithmSpec::impala(), 1)
+            .with_obs_dim(8)
+            .with_step_latency_us(0);
+        let err = Deployment::run(config).unwrap_err();
+        assert!(err.to_string().contains("obs_dim 8"), "{err}");
     }
 
     #[test]

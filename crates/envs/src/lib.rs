@@ -41,45 +41,3 @@ pub use env::{Environment, StepResult};
 pub use mountain_car::MountainCar;
 pub use stats::EpisodeTracker;
 pub use synth_atari::{AtariGame, SynthAtari, SynthAtariConfig};
-
-/// Constructs one of the five benchmark environments by name.
-///
-/// Recognized names: `CartPole`, `MountainCar`, `BeamRider`, `Breakout`,
-/// `Qbert`, `SpaceInvaders` (case-insensitive).
-///
-/// # Errors
-///
-/// Returns an error string listing valid names if `name` is unknown.
-pub fn make_env(name: &str, seed: u64) -> Result<Box<dyn Environment>, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "cartpole" => Ok(Box::new(CartPole::new(seed))),
-        "mountaincar" => Ok(Box::new(MountainCar::new(seed))),
-        "beamrider" => Ok(Box::new(SynthAtari::game(AtariGame::BeamRider, seed))),
-        "breakout" => Ok(Box::new(SynthAtari::game(AtariGame::Breakout, seed))),
-        "qbert" => Ok(Box::new(SynthAtari::game(AtariGame::Qbert, seed))),
-        "spaceinvaders" => Ok(Box::new(SynthAtari::game(AtariGame::SpaceInvaders, seed))),
-        _ => Err(format!(
-            "unknown environment `{name}` (expected CartPole, MountainCar, BeamRider, Breakout, Qbert, or SpaceInvaders)"
-        )),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn make_env_builds_all_five() {
-        for name in ["CartPole", "MountainCar", "BeamRider", "Breakout", "Qbert", "SpaceInvaders"] {
-            let mut env = make_env(name, 0).unwrap();
-            let obs = env.reset();
-            assert_eq!(obs.len(), env.observation_dim(), "{name}");
-            assert!(env.num_actions() >= 2, "{name}");
-        }
-    }
-
-    #[test]
-    fn make_env_rejects_unknown() {
-        assert!(make_env("Pong", 0).is_err());
-    }
-}

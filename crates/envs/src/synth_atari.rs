@@ -20,6 +20,11 @@
 //! * **Episode structure** — a lives mechanic ends episodes after repeated
 //!   bad actions, giving random policies short episodes and trained policies
 //!   long ones.
+//!
+//! With the emulation sleep off, a step costs its arithmetic: `obs_dim`
+//! multiplies to expand the frame, `latent_dim²` multiply-adds and
+//! `latent_dim` `tanh`s for the latent transition, and one allocation, the
+//! observation it returns.
 
 use crate::env::{Environment, StepResult};
 use rand::rngs::StdRng;
@@ -140,8 +145,10 @@ impl SynthAtariConfig {
 #[derive(Debug, Clone)]
 pub struct SynthAtari {
     config: SynthAtariConfig,
-    /// Latent transition matrix (latent_dim × latent_dim), spectral-norm damped.
-    dynamics: Vec<f32>,
+    /// Latent transition matrix A (latent_dim × latent_dim), spectral-norm
+    /// damped, stored transposed: row `j` holds column `j` of A, the weights
+    /// of `latent[j]` in every next-state channel.
+    dynamics_t: Vec<f32>,
     /// Per-action drift vectors (num_actions × latent_dim).
     action_drift: Vec<f32>,
     /// Per-action reward vectors (num_actions × latent_dim).
@@ -149,6 +156,8 @@ pub struct SynthAtari {
     /// Fixed texture used to expand the latent into the full observation.
     texture: Vec<f32>,
     latent: Vec<f32>,
+    /// Scratch for the transition's row sums `A s` (latent_dim).
+    row_sums: Vec<f32>,
     steps: u32,
     lives_left: u32,
     done: bool,
@@ -166,10 +175,14 @@ impl SynthAtari {
     /// `config.dynamics_seed` so parallel instances share them.
     pub fn with_config(config: SynthAtariConfig, seed: u64) -> Self {
         let l = config.latent_dim;
+        assert!(config.obs_dim >= l, "observation must fit the latent state");
         let mut dyn_rng = StdRng::seed_from_u64(config.dynamics_seed);
-        let mut dynamics = vec![0.0f32; l * l];
-        for v in &mut dynamics {
-            *v = dyn_rng.gen_range(-1.0..1.0) / (l as f32).sqrt();
+        // Drawn row by row of A, stored column by column.
+        let mut dynamics_t = vec![0.0f32; l * l];
+        for i in 0..l {
+            for j in 0..l {
+                dynamics_t[j * l + i] = dyn_rng.gen_range(-1.0..1.0) / (l as f32).sqrt();
+            }
         }
         let mut action_drift = vec![0.0f32; config.num_actions * l];
         for v in &mut action_drift {
@@ -187,12 +200,13 @@ impl SynthAtari {
         }
         SynthAtari {
             latent: vec![0.0; l],
+            row_sums: vec![0.0; l],
             steps: 0,
             lives_left: 0,
             done: true,
             rng: StdRng::seed_from_u64(seed ^ 0xA7A21),
             config,
-            dynamics,
+            dynamics_t,
             action_drift,
             reward_vectors,
             texture,
@@ -213,16 +227,17 @@ impl SynthAtari {
         rv.iter().zip(&self.latent).map(|(a, b)| a * b).sum::<f32>() / l as f32
     }
 
-    #[allow(clippy::needless_range_loop)] // texel index is semantically meaningful
     fn observation(&self) -> Vec<f32> {
         let l = self.config.latent_dim;
-        let mut obs = vec![0.0f32; self.config.obs_dim];
-        obs[..l].copy_from_slice(&self.latent);
-        // Expand the latent over the rest of the frame: each texel modulates
-        // one latent channel. Linear in the latent, so the structure stays
-        // learnable while costing a realistic amount of per-step work.
-        for i in l..self.config.obs_dim {
-            obs[i] = self.texture[i] * self.latent[i % l];
+        let mut obs = Vec::with_capacity(self.config.obs_dim);
+        obs.extend_from_slice(&self.latent);
+        // Expand the latent over the rest of the frame: texel `i` modulates
+        // latent channel `i % l`, so each `l`-wide chunk of the texture is
+        // zipped with the latent (the zip stops at a ragged last chunk).
+        // Linear in the latent, so the structure stays learnable; the frame
+        // costs one multiply per texel and its one allocation.
+        for chunk in self.texture[l..].chunks(l) {
+            obs.extend(chunk.iter().zip(&self.latent).map(|(t, x)| t * x));
         }
         obs
     }
@@ -259,16 +274,21 @@ impl Environment for SynthAtari {
         if raw < 0.0 && self.rng.gen_bool(self.config.hazard) {
             self.lives_left -= 1;
         }
-        // Latent transition: s' = tanh(A s + drift_a + noise).
-        let drift = &self.action_drift[action * l..(action + 1) * l];
-        let mut next = vec![0.0f32; l];
-        for (i, n) in next.iter_mut().enumerate() {
-            let row = &self.dynamics[i * l..(i + 1) * l];
-            let acc: f32 =
-                drift[i] + row.iter().zip(&self.latent).map(|(a, b)| a * b).sum::<f32>();
-            *n = (acc + self.rng.gen_range(-0.1..0.1)).tanh();
+        // Latent transition: s' = tanh(A s + drift_a + noise). The row sums
+        // of `A s` advance together, one column of A per latent channel, but
+        // each is still its own chain over `j` in order from -0.0 (the exact
+        // additive identity), so every sum has the bits of a row-serial dot
+        // product. The noise is drawn in row order.
+        self.row_sums.fill(-0.0);
+        for (col, &x) in self.dynamics_t.chunks_exact(l).zip(&self.latent) {
+            for (acc, &a) in self.row_sums.iter_mut().zip(col) {
+                *acc += a * x;
+            }
         }
-        self.latent = next;
+        let drift = &self.action_drift[action * l..(action + 1) * l];
+        for ((v, &d), &sum) in self.latent.iter_mut().zip(drift).zip(&self.row_sums) {
+            *v = (d + sum + self.rng.gen_range(-0.1..0.1)).tanh();
+        }
         self.steps += 1;
         self.done = self.lives_left == 0 || self.steps >= self.config.max_steps;
         StepResult { observation: self.observation(), reward, done: self.done }
@@ -343,7 +363,7 @@ mod tests {
     fn instances_share_game_dynamics() {
         let a = tiny(AtariGame::Qbert, 1);
         let b = tiny(AtariGame::Qbert, 999);
-        assert_eq!(a.dynamics, b.dynamics);
+        assert_eq!(a.dynamics_t, b.dynamics_t);
         assert_eq!(a.reward_vectors, b.reward_vectors);
     }
 
