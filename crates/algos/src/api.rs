@@ -132,10 +132,12 @@ pub trait ShardedSync {
     fn take_round_credit(&mut self) -> bool;
 
     /// Samples one slot minibatch of [`Self::slot_rows`] transitions from
-    /// local storage and computes its raw gradient at the current parameters
-    /// into `out` (resized to the parameter count), every element scaled by
-    /// `1 / global_rows`; returns the loss contribution at the same scale.
-    /// No optimizer state is touched.
+    /// local storage, in the storage's own sampling mode, and computes its
+    /// raw gradient at the current parameters into `out` (resized to the
+    /// parameter count), every element scaled by `1 / global_rows`; returns
+    /// the loss contribution at the same scale. No optimizer state is
+    /// touched; sampling state may be (DQN under prioritized replay weights
+    /// the rows and re-prioritizes them by their TD errors).
     fn slot_grad(&mut self, global_rows: usize, out: &mut Vec<f32>) -> f32;
 
     /// Applies one optimizer step with the fully folded round gradient and

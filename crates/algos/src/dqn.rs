@@ -323,16 +323,10 @@ impl DqnAlgorithm {
     /// batch to this method, so both run byte-identical update math.
     pub fn train_on_steps(&mut self, sampled: &[RolloutStep]) -> TrainReport {
         assert!(!sampled.is_empty(), "cannot stack an empty batch");
+        let n = sampled.len();
         self.bufs.stage_steps(sampled, self.config.obs_dim);
-        self.one_slot_round(sampled.len(), false)
-    }
-
-    /// A training session over the `n` staged transitions, run as a lockstep
-    /// round of one slot: the slot gradient at `1 / n` scale, then the one
-    /// optimizer step every round takes. Allocation-free after warmup.
-    fn one_slot_round(&mut self, n: usize, weighted: bool) -> TrainReport {
         let mut grad = std::mem::take(&mut self.bufs.grads);
-        let loss = self.staged_grad(n, n, weighted, &mut grad);
+        let loss = self.staged_grad(n, n, false, &mut grad);
         let report = self.apply_reduced_grad(&grad, n, loss);
         self.bufs.grads = grad;
         report
@@ -422,18 +416,18 @@ impl Algorithm for DqnAlgorithm {
         self.spent.push(batch);
     }
 
+    /// A lockstep round of one slot: the credit gate, the slot gradient at
+    /// `1 / batch_size` scale, then the one optimizer step every round takes.
+    /// Allocation-free after warmup.
     fn try_train(&mut self) -> Option<TrainReport> {
         if !self.take_round_credit() {
             return None;
         }
-        let prioritized = self.plane.prioritized();
-        self.stage_sample(prioritized);
-        let report = self.one_slot_round(self.config.batch_size, prioritized);
-        if prioritized {
-            // Re-prioritize by the fresh TD errors (wraparound-stale picks
-            // are skipped by the store).
-            self.plane.update_priorities(&self.picks, &self.bufs.td);
-        }
+        let n = self.config.batch_size;
+        let mut grad = std::mem::take(&mut self.bufs.grads);
+        let loss = self.slot_grad(n, &mut grad);
+        let report = self.apply_reduced_grad(&grad, n, loss);
+        self.bufs.grads = grad;
         Some(report)
     }
 
@@ -504,12 +498,18 @@ impl ShardedSync for DqnAlgorithm {
         true
     }
 
+    /// Samples in the plane's own mode. Under prioritized replay the rows
+    /// are importance-weighted and re-prioritized by their fresh TD errors
+    /// before this returns (wraparound-stale picks are skipped by the store);
+    /// the optimizer step that follows never reads the plane.
     fn slot_grad(&mut self, global_rows: usize, out: &mut Vec<f32>) -> f32 {
-        // Slot sampling is uniform: prioritized weights depend on each
-        // shard's private TD history and would break slot interchangeability
-        // (DeploymentConfig::validate rejects prioritized + sync shards).
-        self.stage_sample(false);
-        self.staged_grad(self.config.batch_size, global_rows, false, out)
+        let prioritized = self.plane.prioritized();
+        self.stage_sample(prioritized);
+        let loss = self.staged_grad(self.config.batch_size, global_rows, prioritized, out);
+        if prioritized {
+            self.plane.update_priorities(&self.picks, &self.bufs.td);
+        }
+        loss
     }
 
     /// The optimizer step, then session and version bump, target sync, and
@@ -786,9 +786,11 @@ mod tests {
         // through `try_train`, the other through the lockstep surface with a
         // single slot. At batch 24, `1 / 24` is inexact, so a session that
         // divided by `n` where the slot multiplies by `1 / n` would diverge.
-        for batch_size in [32, 24] {
+        // Under prioritized replay both re-prioritize from the slot.
+        for (batch_size, prioritized) in [(32, None), (24, None), (24, Some((0.6, 0.4)))] {
             let mut c = tiny_config();
             c.batch_size = batch_size;
+            c.prioritized = prioritized;
             c.target_sync_every = 3;
             let mut session = DqnAlgorithm::new(c.clone());
             let mut round = DqnAlgorithm::new(c);
@@ -813,7 +815,7 @@ mod tests {
             }
             assert!(session.sessions() > 30, "a real training run");
             let bits = |alg: &DqnAlgorithm| alg.q.params().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&session), bits(&round), "batch {batch_size}");
+            assert_eq!(bits(&session), bits(&round), "batch {batch_size}, {prioritized:?}");
         }
     }
 

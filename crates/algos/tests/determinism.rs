@@ -153,8 +153,10 @@ fn dqn_params(prioritized: Option<(f64, f64)>, double: bool) -> Vec<u32> {
 /// every round credit buys four sampled slot gradients, folded flat in slot
 /// order with the loss as the trailing element (what the slot table in
 /// `xingtian::shard` does), and one optimizer step. The in-learner digests
-/// above come from the same gradient: a session is a one-slot round.
-fn dqn_lockstep_params() -> Vec<u32> {
+/// above come from the same gradient: a session is a one-slot round. Under
+/// prioritized replay every slot samples importance-weighted rows and
+/// re-prioritizes them before the next slot samples.
+fn dqn_lockstep_params(prioritized: Option<(f64, f64)>) -> Vec<u32> {
     let mut c = DqnConfig::new(DIM, NA);
     c.hidden = vec![32];
     c.buffer_capacity = 256;
@@ -162,6 +164,7 @@ fn dqn_lockstep_params() -> Vec<u32> {
     c.train_every_inserts = 16;
     c.batch_size = 16;
     c.target_sync_every = 5;
+    c.prioritized = prioritized;
     let mut alg = DqnAlgorithm::new(c);
     let mut rng = StdRng::seed_from_u64(901);
     let mut rounds = 0;
@@ -257,7 +260,18 @@ fn dqn_lockstep_parameters_match_their_pinned_digest() {
     // row as a `RolloutStep`) in place of `slot_grad`: 42 rounds. Re-pinned
     // when the backward edges joined the FMA tile family, and again for the
     // one-division Adam.
-    assert_pinned(&[("dqn lockstep", digest(&dqn_lockstep_params()), 0xd0c8_b8af_3d94_9aba)]);
+    assert_pinned(&[("dqn lockstep", digest(&dqn_lockstep_params(None)), 0xd0c8_b8af_3d94_9aba)]);
+}
+
+#[test]
+fn dqn_lockstep_prioritized_parameters_match_their_pinned_digest() {
+    // Pinned when sync rounds first took prioritized replay: each slot
+    // samples, weights and re-prioritizes in the plane's own mode.
+    assert_pinned(&[(
+        "dqn lockstep prioritized",
+        digest(&dqn_lockstep_params(Some((0.6, 0.4)))),
+        0xc75c_688b_8dc5_4ccd,
+    )]);
 }
 
 #[test]

@@ -237,8 +237,10 @@ pub(crate) struct Hub {
 
 impl Hub {
     pub(crate) fn new(store_capacity: usize, telemetry: Telemetry) -> Self {
+        let mut store = ObjectStore::with_capacity(store_capacity);
+        store.gate_waits = telemetry.counter("comm.gate_waits");
         Hub {
-            store: ObjectStore::with_capacity(store_capacity),
+            store,
             table: RoutingTable::default(),
             routed_messages: telemetry.counter("comm.routed_messages"),
             wire_bytes: CompressionKind::ALL

@@ -33,6 +33,7 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use xt_telemetry::CounterHandle;
 
 /// Identifier of a body held in an [`ObjectStore`].
 pub type ObjectId = u64;
@@ -97,6 +98,10 @@ pub struct ObjectStore {
     peak_bytes: AtomicUsize,
     resident: AtomicUsize,
     inserted: AtomicU64,
+    /// `comm.gate_waits`: inserts that found the data lane full and waited
+    /// at the gate, once each however long they waited (a store its hub did
+    /// not give the counter counts nothing).
+    pub(crate) gate_waits: CounterHandle,
 }
 
 impl Default for ObjectStore {
@@ -131,6 +136,7 @@ impl ObjectStore {
             peak_bytes: AtomicUsize::new(0),
             resident: AtomicUsize::new(0),
             inserted: AtomicU64::new(0),
+            gate_waits: CounterHandle::default(),
         }
     }
 
@@ -183,8 +189,12 @@ impl ObjectStore {
         // the channel.
         {
             let mut gate = self.gate.lock();
-            while wait_for_capacity && gate.data > 0 && gate.data + len > self.capacity {
-                self.space.wait(&mut gate);
+            let full = |gate: &Gate| wait_for_capacity && gate.data > 0 && gate.data + len > self.capacity;
+            if full(&gate) {
+                self.gate_waits.inc();
+                while full(&gate) {
+                    self.space.wait(&mut gate);
+                }
             }
             gate.live += len;
             if wait_for_capacity {
@@ -505,8 +515,14 @@ mod tests {
         // `space` skips the wake when it counts no waiter, so the count has
         // to be right: two inserters park behind a full store, the one fetch
         // that empties it lets both through.
-        let s = Arc::new(ObjectStore::with_capacity(100));
+        let telemetry = xt_telemetry::Telemetry::enabled();
+        let waits = telemetry.counter("comm.gate_waits");
+        let mut s = ObjectStore::with_capacity(100);
+        s.gate_waits = waits.clone();
+        let s = Arc::new(s);
         let held = s.insert(Bytes::from(vec![0u8; 80]), 1);
+        assert!(s.fetch(s.insert_priority(Bytes::from(vec![2u8; 80]), 1)).is_some());
+        assert_eq!(waits.get(), 0, "neither insert waited");
         let parked: Vec<_> = (0..2)
             .map(|_| {
                 let s = Arc::clone(&s);
@@ -522,6 +538,7 @@ mod tests {
             assert!(s.fetch(t.join().unwrap()).is_some());
         }
         assert_eq!(s.space.waiters(), 0);
+        assert_eq!(waits.get(), 2, "one count per insert that waited");
         assert!(s.is_empty());
     }
 

@@ -1,20 +1,20 @@
 //! Explorer→learner-shard assignment.
 //!
-//! With a single learner every rollout's destination is the fixed
-//! `ProcessId::learner(0)`, resolved once when the deployment is built. With
-//! sharded learners that coupling breaks twice over: rollouts must spread
-//! across shards, and a respawned shard must keep receiving the traffic its
-//! predecessor owned. The [`AssignmentTable`] is the indirection that fixes
-//! both — a shared map from explorer index to owning learner shard that
-//! explorers re-read *per rollout send* and learner shards re-read *per
-//! parameter broadcast*. Elastic growth registers new explorers while those
+//! Rollouts must spread across learner shards, and a respawned shard must
+//! keep receiving the traffic its predecessor owned. The [`AssignmentTable`]
+//! is the indirection that does both — a shared map from explorer index to
+//! owning learner shard that explorers re-read *per rollout send* (the one
+//! route for every shard count; a single learner is the one-shard table, and
+//! under store-resident replay the owner's replay shard takes the rollout)
+//! and learner shards re-read *per parameter broadcast*. Stable across shard
+//! respawns: a restored shard re-binds the same `ProcessId`, so senders never
+//! need to learn about the respawn. Elastic growth registers new explorers while those
 //! reads go on. The invariants are that every explorer always has exactly one
 //! owner, that a registration never moves an existing one, and that ownership
 //! slices stay disjoint — which keeps each shard's `ParamBroadcaster`
 //! base-ring private to the explorers it owns.
 
 use parking_lot::RwLock;
-use xingtian_message::ProcessId;
 
 /// Shared explorer→learner-shard ownership map.
 ///
@@ -60,14 +60,6 @@ impl AssignmentTable {
     /// Panics if `explorer` is out of range.
     pub fn shard_of(&self, explorer: u32) -> u32 {
         self.owner.read()[explorer as usize]
-    }
-
-    /// The learner-shard ProcessId rollouts from `explorer` should address
-    /// *right now*. Stable across shard respawns: a restored shard re-binds
-    /// the same `ProcessId::learner(s)` endpoint, so senders never need to
-    /// learn about the respawn.
-    pub fn rollout_dst(&self, explorer: u32) -> ProcessId {
-        ProcessId::learner(self.shard_of(explorer))
     }
 
     /// Explorer indices currently owned by `shard`, ascending.
@@ -135,7 +127,7 @@ mod tests {
     fn single_shard_owns_everything() {
         let t = AssignmentTable::contiguous(5, 1);
         assert_eq!(t.owned(0), vec![0, 1, 2, 3, 4]);
-        assert_eq!(t.rollout_dst(3), ProcessId::learner(0));
+        assert_eq!(t.shard_of(3), 0);
     }
 
     #[test]
@@ -194,14 +186,12 @@ mod tests {
                     while passes < 50 || !stop.load(Ordering::Acquire) {
                         passes += 1;
                         for e in 0..16u32 {
-                            let dst = t.rollout_dst((e + r) % 16);
-                            assert!(matches!(dst.role, xingtian_message::ProcessRole::Learner));
-                            assert!(dst.index < 4);
+                            assert!(t.shard_of((e + r) % 16) < 4);
                             assert_eq!(t.shard_of(e), initial[e as usize], "explorer {e} moved");
                             resolved += 1;
                         }
                         let newest = t.num_explorers() - 1;
-                        assert!(t.rollout_dst(newest).index < 4, "explorer {newest} resolves");
+                        assert!(t.shard_of(newest) < 4, "explorer {newest} resolves");
                         let owned = t.owned(r);
                         assert!(owned.windows(2).all(|w| w[0] < w[1]), "shard {r} owns an ascending set");
                         let original = (0..16).filter(|&e| initial[e as usize] == r);

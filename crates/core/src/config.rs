@@ -75,7 +75,9 @@ pub enum ReplayPlacement {
     InLearner,
     /// The communication layer, beside the object store: a replay shard
     /// service (`xt-replay`) ingests rollouts once into a shared store and
-    /// the learner only samples it.
+    /// the learner only samples it. Each learner shard has its own service
+    /// and store: explorers owned by shard `s` address `ProcessId::replay(s)`,
+    /// which feeds learner shard `s`.
     StoreResident,
 }
 
@@ -85,13 +87,17 @@ pub enum AllreduceMode {
     /// Deterministic lockstep: every shard contributes its slice of the
     /// round's fixed gradient-slot partition, all shards reduce the slots in
     /// the same fixed order, and one optimizer step is applied per round.
-    /// Same seed → bit-identical parameters for 1, 2, and 4 shards.
+    /// Same seed and slot data → bit-identical parameters for 1, 2, and 4
+    /// shards, and every shard of a run exits with the same parameters. DQN
+    /// only (its `ShardedSync` surface), under either replay placement and
+    /// either sampling mode; the shard count must divide the slot count.
     #[default]
     Sync,
     /// Stale-tolerant delta exchange: each shard trains locally and gossips
     /// parameter deltas through a [`xingtian_algos::LazyGradGate`]; deltas
     /// arriving with too much version skew are shed. Trades the bitwise
-    /// determinism story for near-linear throughput scaling.
+    /// determinism story for near-linear throughput scaling. Any algorithm
+    /// and any shard count up to the explorer count.
     Relaxed,
 }
 
@@ -251,8 +257,8 @@ impl DeploymentConfig {
     }
 
     /// Moves DQN's replay buffer into the communication layer (builder
-    /// style): explorers address rollouts to the replay shard and the
-    /// learner samples from the shared plane.
+    /// style): explorers address rollouts to their owning learner shard's
+    /// replay service, and each shard samples its service's plane.
     pub fn with_store_resident_replay(mut self) -> Self {
         self.replay = ReplayPlacement::StoreResident;
         self
@@ -377,46 +383,35 @@ impl DeploymentConfig {
         if self.learner_shards == 0 {
             return Err("learner_shards must be positive".into());
         }
-        if self.learner_shards > 1 {
-            // The sync allreduce partitions each round into a fixed number of
-            // gradient slots (crate::shard::GRAD_SLOTS) that the shard count
-            // must divide, or slot ownership would differ across counts and
-            // the cross-count bit-identity guarantee would not hold.
+        if self.learner_shards > self.total_explorers() as usize {
+            return Err(format!(
+                "{} learner shards need at least as many explorers (got {}): every shard \
+                 trains on the rollouts of the explorers it owns",
+                self.learner_shards,
+                self.total_explorers()
+            ));
+        }
+        if self.learner_shards > 1 && self.allreduce == AllreduceMode::Sync {
+            // Lockstep rounds are taken through `ShardedSync`, which only
+            // DQN implements.
+            if !matches!(self.algorithm, AlgorithmSpec::Dqn(_)) {
+                return Err(format!(
+                    "sync allreduce requires DQN (got {}): only DQN takes lockstep rounds; \
+                     use AllreduceMode::Relaxed",
+                    self.algorithm.name()
+                ));
+            }
+            // Each round is partitioned into a fixed number of gradient slots
+            // (crate::shard::GRAD_SLOTS) that the shard count must divide, or
+            // slot ownership would differ across counts and the cross-count
+            // bit-identity guarantee would not hold. Relaxed gossip has no
+            // slots.
             if !GRAD_SLOTS.is_multiple_of(self.learner_shards) {
                 return Err(format!(
-                    "learner_shards must divide {GRAD_SLOTS} (got {}): the sync \
-                     allreduce partitions rounds into {GRAD_SLOTS} fixed gradient slots",
+                    "learner_shards must divide {GRAD_SLOTS} under sync allreduce (got {}): \
+                     it partitions rounds into {GRAD_SLOTS} fixed gradient slots",
                     self.learner_shards
                 ));
-            }
-            if self.learner_shards > self.total_explorers() as usize {
-                return Err(format!(
-                    "{} learner shards need at least as many explorers (got {})",
-                    self.learner_shards,
-                    self.total_explorers()
-                ));
-            }
-            if self.allreduce == AllreduceMode::Sync {
-                match &self.algorithm {
-                    AlgorithmSpec::Dqn(c) if c.prioritized.is_none() => {}
-                    AlgorithmSpec::Dqn(_) => {
-                        return Err("sync allreduce requires uniform replay: priority \
-                                    weights are shard-private and would break slot \
-                                    interchangeability; use AllreduceMode::Relaxed"
-                            .into());
-                    }
-                    _ => {
-                        return Err(format!(
-                            "sync allreduce requires DQN (got {}); use AllreduceMode::Relaxed",
-                            self.algorithm.name()
-                        ));
-                    }
-                }
-            }
-            if self.replay == ReplayPlacement::StoreResident {
-                return Err("store-resident replay supports a single learner shard: the \
-                            replay service owns one plane and notifies exactly learner 0"
-                    .into());
             }
         }
         Ok(())
@@ -514,11 +509,17 @@ mod tests {
             .with_learner_shards(4)
             .with_allreduce(AllreduceMode::Relaxed);
         assert!(ok4.validate().is_ok());
-        // Shard counts that do not divide GRAD_SLOTS break the fixed-slot
-        // partition.
+        // Under sync, shard counts that do not divide GRAD_SLOTS break the
+        // fixed-slot partition; relaxed gossip has no slots.
         for shards in [3, 8] {
             let bad = DeploymentConfig::cartpole(AlgorithmSpec::dqn(), 8).with_learner_shards(shards);
             assert!(bad.validate().unwrap_err().contains("gradient slots"), "{shards} shards");
+            for spec in [AlgorithmSpec::dqn(), AlgorithmSpec::ppo()] {
+                let relaxed = DeploymentConfig::cartpole(spec, 8)
+                    .with_learner_shards(shards)
+                    .with_allreduce(AllreduceMode::Relaxed);
+                assert!(relaxed.validate().is_ok(), "{shards} relaxed shards");
+            }
         }
         let zero = DeploymentConfig::cartpole(AlgorithmSpec::dqn(), 8).with_learner_shards(0);
         assert!(zero.validate().is_err());
@@ -529,15 +530,27 @@ mod tests {
             .with_learner_shards(2)
             .with_allreduce(AllreduceMode::Relaxed);
         assert!(relaxed_ppo.validate().is_ok());
-        // Each shard needs at least one explorer to own.
-        let starved = DeploymentConfig::cartpole(AlgorithmSpec::dqn(), 1).with_learner_shards(2);
-        assert!(starved.validate().unwrap_err().contains("at least as many explorers"));
-        // The store-resident replay plane still assumes one learner.
-        let replayed = DeploymentConfig::cartpole(AlgorithmSpec::dqn(), 4)
-            .with_learner_shards(2)
-            .with_store_resident_replay();
-        let err = replayed.validate().unwrap_err();
-        assert!(err.contains("single learner shard") && err.contains("notifies exactly learner 0"), "{err}");
+        // Each shard needs at least one explorer to own, in either mode.
+        for mode in [AllreduceMode::Sync, AllreduceMode::Relaxed] {
+            let starved =
+                DeploymentConfig::cartpole(AlgorithmSpec::dqn(), 1).with_learner_shards(2).with_allreduce(mode);
+            assert!(starved.validate().unwrap_err().contains("at least as many explorers"));
+        }
+        // Sync rounds take prioritized replay: each slot samples, weights and
+        // re-prioritizes in its shard's plane.
+        let mut per = DqnConfig::new(0, 0);
+        per.prioritized = Some((0.6, 0.4));
+        let sync_per = DeploymentConfig::cartpole(AlgorithmSpec::Dqn(per), 4).with_learner_shards(2);
+        assert!(sync_per.validate().is_ok());
+        // Store-resident replay shards with the learner: one service and
+        // plane per shard, in either mode.
+        for mode in [AllreduceMode::Sync, AllreduceMode::Relaxed] {
+            let replayed = DeploymentConfig::cartpole(AlgorithmSpec::dqn(), 4)
+                .with_learner_shards(2)
+                .with_allreduce(mode)
+                .with_store_resident_replay();
+            assert!(replayed.validate().is_ok(), "{mode:?}");
+        }
     }
 
     #[test]

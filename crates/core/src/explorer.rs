@@ -25,7 +25,7 @@ use xingtian_algos::api::{Agent, SyncMode};
 use xingtian_algos::payload::{RolloutBatch, RolloutStep};
 use xingtian_comm::Endpoint;
 use xingtian_message::codec::{Decode, Encode};
-use xingtian_message::{Message, MessageKind, ProcessId};
+use xingtian_message::{Message, MessageKind, ProcessId, ProcessRole};
 use xt_fault::{Accrual, DetectorConfig};
 use xt_telemetry::CounterHandle;
 
@@ -39,29 +39,25 @@ use xt_telemetry::CounterHandle;
 /// with them, the policy lag of what the learner trains on.
 pub const MAX_INFLIGHT_BATCHES: usize = 4;
 
-/// Where an explorer's rollout batches go.
-///
-/// The classic deployments froze one [`ProcessId`] at build time; with
-/// sharded learners the destination is re-read from the live
-/// [`AssignmentTable`] before *every* send, so the table is the one source
-/// of ownership and a learner shard respawning under supervision keeps its
-/// traffic without restarting the explorer.
+/// Where an explorer's rollout batches go: the shard that owns the explorer
+/// in the live [`AssignmentTable`], re-read before *every* send, so the table
+/// is the one source of ownership and a shard respawning under supervision
+/// keeps its traffic without restarting the explorer. A single learner is the
+/// one-shard table.
 #[derive(Clone)]
-pub enum RolloutRoute {
-    /// Destination resolved once at deployment build (single learner, or the
-    /// store-resident replay shard).
-    Fixed(ProcessId),
-    /// Destination looked up per batch in the shared assignment table.
-    Assigned(Arc<AssignmentTable>),
+pub struct RolloutRoute {
+    /// Live explorer→shard ownership.
+    pub table: Arc<AssignmentTable>,
+    /// Role of the shard process that takes the rollouts:
+    /// [`ProcessRole::Learner`], or [`ProcessRole::Replay`] under
+    /// store-resident replay (replay shard `s` feeds learner shard `s`).
+    pub role: ProcessRole,
 }
 
 impl RolloutRoute {
     /// The destination for `explorer`'s next batch.
     pub fn resolve(&self, explorer: u32) -> ProcessId {
-        match self {
-            RolloutRoute::Fixed(dst) => *dst,
-            RolloutRoute::Assigned(table) => table.rollout_dst(explorer),
-        }
+        ProcessId { role: self.role, index: self.table.shard_of(explorer) }
     }
 }
 
@@ -77,8 +73,7 @@ pub struct ExplorerProcess {
     pub agent: Box<dyn Agent>,
     /// Steps per rollout message.
     pub rollout_len: usize,
-    /// Where rollout batches go: a fixed destination (classic), or the live
-    /// assignment table (sharded learners).
+    /// Where rollout batches go.
     pub route: RolloutRoute,
     /// The deployment's synchronization discipline: it chooses the window.
     pub sync: SyncMode,

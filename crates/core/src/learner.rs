@@ -164,7 +164,7 @@ impl LearnerProcess {
         let shards = self.table.shards();
         // Lockstep rounds need someone to be in step with (and a
         // `ShardedSync` algorithm, which validation demands only of sharded
-        // deployments); `Sync` is the config default, so a lone learner of
+        // sync deployments); `Sync` is the config default, so a lone learner of
         // any algorithm trains on arrival.
         let mut discipline = match self.mode {
             _ if shards == 1 => Discipline::Alone,

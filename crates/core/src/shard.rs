@@ -28,10 +28,12 @@
 //! Nothing here polls: a rollout grants the credit that opens a round, a peer
 //! blob completes it, a snapshot fast-forwards it — all messages, so the
 //! loop's blocking receive is the only wait. A shard that rejoins after a
-//! crash announces itself with a hello (or slot blobs for an old round); any
-//! peer answers with a full parameter snapshot (`MessageKind::Parameters`,
+//! crash announces itself with a hello, and only a hello does; any peer
+//! answers with a full parameter snapshot (`MessageKind::Parameters`,
 //! shard→shard) and a retransmission of its current round's slot blobs, and
-//! the rejoiner adopts the snapshot and jumps to its round.
+//! the rejoiner adopts the snapshot and jumps to its round. A slot blob for a
+//! round already closed is late, not a rejoin — those retransmissions do
+//! arrive after their round closed — and the slot table drops it.
 //!
 //! Shutdown is symmetric without a wall clock: a round must close on every
 //! shard or on none, or the shards exit one optimizer step apart. On shutdown
@@ -59,15 +61,15 @@ use xingtian_message::codec::{Decode, Encode};
 use xingtian_message::{Message, MessageKind, ProcessId, ProcessRole};
 use xt_telemetry::{CounterHandle, HistogramHandle, Telemetry};
 
-/// Fixed number of gradient slots per sync round. The shard count must
-/// divide it (`DeploymentConfig::validate` derives the legal counts from it),
-/// so the legal counts are 1, 2, and 4.
+/// Fixed number of gradient slots per sync round. A sync deployment's shard
+/// count must divide it (`DeploymentConfig::validate` derives the legal
+/// counts from it), so the legal counts are 1, 2, and 4.
 pub const GRAD_SLOTS: usize = 4;
 
 /// Sentinel slot index of the startup announcement (`version` = the sender's
-/// round). Out of slot range, so the slot table never mistakes it for a
-/// gradient.
-const HELLO: u32 = u32::MAX;
+/// round), the one rejoin signal. Out of slot range, so the slot table never
+/// mistakes it for a gradient.
+pub const HELLO: u32 = u32::MAX;
 /// Sentinel slot index of the shutdown announcement (`version` = the first
 /// round the sender did not announce).
 pub const FAREWELL: u32 = u32::MAX - 1;
@@ -298,13 +300,14 @@ impl Lockstep {
                 self.farewells.insert(src.index, blob.version);
                 return;
             }
-            // A hello or a blob for a round the ring already finished
-            // identifies a (re)joining peer — in steady state every blob is
-            // needed to close its round, so nothing arrives late. Answer as
+            // A hello identifies a (re)joining peer. A slot blob for a round
+            // this shard already closed does not: the blobs that answer the
+            // startup hellos arrive late by design, and a snapshot sent for
+            // one would be adopted by a peer one round behind, which would
+            // then train on without the optimizer state behind it. Answer as
             // `hello` expects, once per (peer, round).
             let round = self.table.round;
-            let rejoining = blob.worker as usize >= GRAD_SLOTS || blob.version < round;
-            if rejoining && self.snapshot_sent.insert(src.index, round) != Some(round) {
+            if blob.worker == HELLO && self.snapshot_sent.insert(src.index, round) != Some(round) {
                 let snap = Bytes::from(algorithm.param_blob().to_bytes());
                 endpoint.send_to(vec![src], MessageKind::Parameters, snap);
                 for local in self.table.local_blobs() {

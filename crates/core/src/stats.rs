@@ -11,11 +11,12 @@ use xt_telemetry::Histogram;
 
 pub use xt_telemetry::ThroughputTimeline;
 
-/// What the store-resident replay plane did over one run (`None` on the
-/// classic in-learner placement).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What the store-resident replay plane did over one run, summed over the
+/// learner shards' replay services (`None` on the classic in-learner
+/// placement).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplayReport {
-    /// Rollout batches the replay shard ingested.
+    /// Rollout batches the replay shards ingested.
     pub batches_ingested: u64,
     /// Transitions ingested (post eligibility filter).
     pub steps_ingested: u64,

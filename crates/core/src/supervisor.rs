@@ -69,6 +69,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use xingtian_algos::ReplayPlane;
 use xingtian_comm::{connect_brokers, Broker, Endpoint};
 use xingtian_message::codec::{Decode, Encode};
 use xingtian_message::{Message, MessageKind, ProcessId, ProcessRole};
@@ -350,21 +351,22 @@ impl Deployment {
         // registrations are complete.
         let start = Instant::now();
         let inbox = learner_broker.endpoint(ProcessId::controller(0));
-        // Store-resident replay: the shard service lives beside the learner's
-        // broker and outlives learner incarnations — experience survives a
-        // learner crash. Beacons list its endpoint like every other, but the
-        // detector does not watch it: there is no respawning it.
-        let plane = build_replay_plane(&config, obs_dim, &telemetry);
-        let replay_service = match &plane {
-            Some(plane) => {
-                let ep = learner_broker.endpoint(ProcessId::replay(0));
-                let plane = plane.clone();
-                Some(spawn_process("xt-replay-0".into(), move || {
-                    xt_replay::run_replay_service(ep, plane, ProcessId::learner(0))
-                })?)
-            }
-            None => None,
-        };
+        // Store-resident replay: one service per learner shard, beside the
+        // learner's broker. Replay shard `s` ingests into plane `s`, which
+        // learner shard `s` samples, and answers learner `s`. A service
+        // outlives learner incarnations — experience survives a learner
+        // crash. Beacons list its endpoint like every other, but the detector
+        // does not watch it: there is no respawning it.
+        let planes: Vec<Arc<ReplayPlane>> =
+            (0..shards).filter_map(|_| build_replay_plane(&config, obs_dim, &telemetry)).collect();
+        let mut replay_services = Vec::with_capacity(planes.len());
+        for (s, plane) in (0..shards).zip(&planes) {
+            let ep = learner_broker.endpoint(ProcessId::replay(s));
+            let plane = plane.clone();
+            replay_services.push(spawn_process(format!("xt-replay-{s}"), move || {
+                xt_replay::run_replay_service(ep, plane, ProcessId::learner(s))
+            })?);
+        }
         let learner_eps: Vec<Endpoint> =
             (0..shards).map(|s| learner_broker.endpoint(ProcessId::learner(s))).collect();
         let explorer_eps: Vec<Endpoint> = (0..num_explorers)
@@ -405,25 +407,21 @@ impl Deployment {
             let body = Bytes::from(ControlCommand::Shutdown.to_bytes());
             inbox.send_to(dst, MessageKind::Control, body);
         };
-        // Rollouts follow the live assignment table when learners are
-        // sharded: the destination is resolved per batch, so elastic growth
-        // and shard respawns need no explorer restart.
+        // Rollouts follow the live assignment table to the owning shard's
+        // learner, or its replay service: the destination is resolved per
+        // batch, so elastic growth and shard respawns need no explorer
+        // restart.
         let table = Arc::new(AssignmentTable::contiguous(num_explorers, shards));
-        let route = if plane.is_some() {
-            RolloutRoute::Fixed(ProcessId::replay(0))
-        } else if shards > 1 {
-            RolloutRoute::Assigned(table.clone())
-        } else {
-            RolloutRoute::Fixed(ProcessId::learner(0))
-        };
+        let role = if planes.is_empty() { ProcessRole::Learner } else { ProcessRole::Replay };
+        let route = RolloutRoute { table: table.clone(), role };
 
         // Algorithm replica for one learner shard, at first spawn and on
         // every restore. Replicas are all seeded identically (the sync
         // allreduce requires identical initial parameters) and sized to the
         // explorer slice the shard owns at build — the whole pool for one
-        // shard. A restored learner re-attaches to the surviving replay
-        // plane: everything ingested before the crash is still sampleable
-        // the moment the restore completes.
+        // shard. A restored learner re-attaches to its shard's surviving
+        // replay plane: everything ingested before the crash is still
+        // sampleable the moment the restore completes.
         let slice_sizes: Vec<u32> = (0..shards).map(|s| table.owned(s).len() as u32).collect();
         let build_shard_algorithm = |shard: u32| -> Box<dyn xingtian_algos::api::Algorithm> {
             let mut algorithm = build_algorithm_with_replay(
@@ -433,7 +431,7 @@ impl Deployment {
                 slice_sizes[shard as usize],
                 config.rollout_len,
                 config.seed,
-                plane.as_ref(),
+                planes.get(shard as usize),
             );
             if let Some(params) = &config.initial_params {
                 algorithm.load_params(params);
@@ -780,32 +778,25 @@ impl Deployment {
         }
         let wall_time = start.elapsed();
 
-        // The replay service stops only after every producer and consumer has
-        // joined: closing its endpoint queues the close sentinel behind every
-        // rollout already routed to it, so those get ingested, and the
-        // plane's torn-write audit runs on the final state.
-        let replay = match replay_service {
-            Some(handle) => {
-                learner_broker.close_endpoint(ProcessId::replay(0));
-                match handle.join() {
-                    Ok(outcome) => {
-                        let integrity =
-                            plane.as_ref().expect("replay service implies a plane").integrity();
-                        Some(ReplayReport {
-                            batches_ingested: outcome.batches_ingested,
-                            steps_ingested: outcome.steps_ingested,
-                            resident: integrity.resident,
-                            dangling_slots: integrity.dangling_slots,
-                        })
-                    }
-                    Err(_) => {
-                        fatal.get_or_insert(DeployError::new("replay service thread panicked"));
-                        None
-                    }
-                }
-            }
-            None => None,
-        };
+        // The replay services stop only after every producer and consumer
+        // has joined: closing an endpoint queues the close sentinel behind
+        // every rollout already routed to it, so those get ingested, and each
+        // plane's torn-write audit runs on its final state. The report sums
+        // the shards.
+        let mut replay: Option<ReplayReport> = None;
+        for ((s, handle), plane) in (0..shards).zip(replay_services).zip(&planes) {
+            learner_broker.close_endpoint(ProcessId::replay(s));
+            let Ok(outcome) = handle.join() else {
+                fatal.get_or_insert(DeployError::new("replay service thread panicked"));
+                continue;
+            };
+            let integrity = plane.integrity();
+            let total = replay.get_or_insert_with(ReplayReport::default);
+            total.batches_ingested += outcome.batches_ingested;
+            total.steps_ingested += outcome.steps_ingested;
+            total.resident += integrity.resident;
+            total.dangling_slots += integrity.dangling_slots;
+        }
 
         // Everything has exited; the stores should drain to empty as receiver
         // and uplink threads finish in-flight work. The first look comes before any sleep (a

@@ -280,10 +280,9 @@ fn explorers_parked_at_a_full_store_still_leave() {
 
     assert!(report.steps_consumed >= 20_000, "consumed {}", report.steps_consumed);
     assert!(elapsed < Duration::from_secs(10), "processes took {elapsed:?} to leave");
-    // A send's serialize span runs from `send` to the store insert, so it
-    // includes any wait at the gate; a 2 KiB rollout takes microseconds.
-    let held = telemetry.stage_breakdown().serialize.max();
-    assert!(held > 1_000_000, "no explorer waited at the gate: longest send {held} ns");
+    // The store counts every insert that found the data lane full, once.
+    let waits = telemetry.counter("comm.gate_waits").get();
+    assert!(waits > 0, "no explorer waited at the gate");
     assert_eq!(report.dropped_messages, 0, "a parked explorer's rollout was dropped");
     assert_eq!(recovery.leaked_objects, 0, "object store leak");
     assert!(recovery.transitions.is_empty(), "a parked explorer looked down: {:?}", recovery.transitions);

@@ -12,16 +12,21 @@
 //! that the opt-in relaxed mode stays in the same reward band as the classic
 //! single learner.
 
+use bytes::Bytes;
 use netsim::Cluster;
 use std::time::Duration;
 use xingtian::config::{AllreduceMode, AlgorithmSpec, DeploymentConfig};
-use xingtian::shard::Lockstep;
+use xingtian::shard::{Lockstep, HELLO};
+use xingtian::stats::RunReport;
+use xingtian::supervisor::{RecoveryReport, SupervisionConfig};
 use xingtian::Deployment;
 use xingtian_algos::api::Algorithm;
 use xingtian_algos::payload::RolloutStep;
-use xingtian_algos::{DqnAlgorithm, DqnConfig};
+use xingtian_algos::{DqnAlgorithm, DqnConfig, GradBlob};
 use xingtian_comm::{Broker, CommConfig};
+use xingtian_message::codec::Encode;
 use xingtian_message::{MessageKind, ProcessId};
+use xt_fault::FaultPlan;
 use xt_telemetry::Telemetry;
 
 const OBS_DIM: usize = 6;
@@ -134,6 +139,40 @@ fn sync_allreduce_is_bit_identical_across_1_2_4_shards() {
     }
 }
 
+/// A slot blob for a round this shard has already closed is late, not a
+/// rejoin: the blobs that answer the startup hellos arrive after their round
+/// closed. Answering one with a snapshot let a peer one round behind adopt
+/// parameters without the optimizer state and target net behind them, and
+/// the sync shards exited with different bits. Only a hello is answered.
+#[test]
+fn only_a_hello_is_answered_with_a_snapshot() {
+    let broker = Broker::new(0, Cluster::single(), CommConfig::default());
+    let peer = broker.endpoint(ProcessId::learner(0));
+    let shard = broker.endpoint(ProcessId::learner(1));
+    let algorithm = shard_algorithm();
+    let mut ring = Lockstep::new(1, 2, BATCH, 1, &Telemetry::disabled());
+    let deliver = |ring: &mut Lockstep, blob: GradBlob| {
+        assert!(peer.send_to(vec![ProcessId::learner(1)], MessageKind::Gradient, Bytes::from(blob.to_bytes())));
+        let msg = shard.recv_timeout(Duration::from_secs(5)).expect("the blob arrives");
+        ring.on_gradient(&msg, &shard, &algorithm);
+    };
+
+    // A late round-0 slot blob from learner(0): answered with nothing, so a
+    // marker sent after it is learner(0)'s next message.
+    deliver(&mut ring, GradBlob { worker: 0, version: 0, grad: vec![0.5; 4] });
+    assert!(shard.send_to(vec![ProcessId::learner(0)], MessageKind::Rollout, Bytes::from_static(b"marker")));
+    let next = peer.recv_timeout(Duration::from_secs(5)).expect("the marker arrives");
+    assert_eq!(next.header.kind, MessageKind::Rollout, "a late blob was answered");
+    assert_eq!(&next.body[..], b"marker");
+
+    // A hello at round 0 still gets the snapshot.
+    deliver(&mut ring, GradBlob { worker: HELLO, version: 0, grad: Vec::new() });
+    let answer = peer.recv_timeout(Duration::from_secs(5)).expect("the snapshot arrives");
+    assert_eq!(answer.header.kind, MessageKind::Parameters);
+    drop((peer, shard));
+    broker.shutdown();
+}
+
 fn sharded_dqn(shards: usize, mode: AllreduceMode) -> DeploymentConfig {
     let mut c = DqnConfig::new(0, 0); // dimensions filled in at deployment
     c.buffer_capacity = 8_192;
@@ -162,6 +201,66 @@ fn deployment_sync_shards_agree_bitwise_at_exit() {
     let [a, b] = &report.learner_shard_params[..] else { unreachable!() };
     assert!(!a.is_empty());
     assert_eq!(bits(a), bits(b), "sync shards must exit bit-identical");
+}
+
+/// Sync rounds take prioritized replay: every slot samples importance-
+/// weighted rows from its shard's private plane and re-prioritizes them, and
+/// the one reduced step keeps the shards bit-identical.
+#[test]
+fn sync_shards_with_prioritized_replay_agree_bitwise_at_exit() {
+    let mut config = sharded_dqn(2, AllreduceMode::Sync);
+    if let AlgorithmSpec::Dqn(c) = &mut config.algorithm {
+        c.prioritized = Some((0.6, 0.4));
+    }
+    let report = Deployment::run(config).expect("2-shard sync PER deployment runs");
+    assert!(report.steps_consumed >= 2_000, "consumed {}", report.steps_consumed);
+    let [a, b] = &report.learner_shard_params[..] else { panic!("two shards") };
+    assert!(!a.is_empty());
+    assert_eq!(bits(a), bits(b), "sync shards must exit bit-identical");
+}
+
+/// A run with nothing to supervise that reports its leaks too.
+fn run_quiet(config: DeploymentConfig) -> (RunReport, RecoveryReport) {
+    Deployment::run_supervised(config, SupervisionConfig::unsupervised(), FaultPlan::seeded(1), Telemetry::disabled())
+        .expect("deployment runs")
+}
+
+/// Store-resident replay shards with the learner: learner shard `s` samples
+/// the plane its own replay service ingests. A sync round needs a credit
+/// from both planes, so reaching the goal proves both services ingested.
+#[test]
+fn store_resident_replay_runs_one_service_per_shard() {
+    for mode in [AllreduceMode::Sync, AllreduceMode::Relaxed] {
+        let (report, recovery) = run_quiet(sharded_dqn(2, mode).with_store_resident_replay());
+        assert!(report.steps_consumed >= 2_000, "{mode:?}: consumed {}", report.steps_consumed);
+        assert_eq!(report.dropped_messages, 0, "{mode:?}");
+        assert_eq!(recovery.leaked_objects, 0, "{mode:?}");
+        assert_eq!(recovery.dangling_replay_slots, 0, "{mode:?}");
+        let replay = report.replay.expect("store-resident runs report replay");
+        assert!(replay.batches_ingested > 0 && replay.resident > 0, "{mode:?}: {replay:?}");
+        let [a, b] = &report.learner_shard_params[..] else { panic!("two shards") };
+        if mode == AllreduceMode::Sync {
+            assert_eq!(bits(a), bits(b), "sync shards must exit bit-identical");
+        }
+    }
+}
+
+/// Relaxed gossip has no gradient slots, so any shard count up to the
+/// explorer count runs: three shards over four explorers, PPO and DQN.
+#[test]
+fn three_relaxed_shards_reach_the_goal() {
+    let mut ppo = sharded_ppo(3);
+    ppo.allreduce = AllreduceMode::Relaxed;
+    for config in [sharded_dqn(3, AllreduceMode::Relaxed), ppo] {
+        let name = config.algorithm.name();
+        let (report, recovery) = run_quiet(config);
+        assert!(report.steps_consumed >= 2_000, "{name}: consumed {}", report.steps_consumed);
+        assert!(report.train_sessions > 0, "{name}");
+        assert_eq!(report.dropped_messages, 0, "{name}");
+        assert_eq!(recovery.leaked_objects, 0, "{name}");
+        assert_eq!(report.learner_shard_params.len(), 3, "{name}");
+        assert!(report.learner_shard_params.iter().flatten().all(|p| p.is_finite()), "{name}");
+    }
 }
 
 /// A lockstep shard is the only drain of the rollouts addressed to it, so it

@@ -19,7 +19,7 @@ use xingtian_algos::payload::{ParamBlob, RolloutBatch, RolloutStep};
 use xingtian_algos::{DqnAlgorithm, DqnConfig, GradBlob};
 use xingtian_comm::{Broker, CommConfig, Endpoint, InjectDecision, RouteInjector};
 use xingtian_message::codec::{Decode, Encode};
-use xingtian_message::{Header, Message, MessageKind, ProcessId};
+use xingtian_message::{Header, Message, MessageKind, ProcessId, ProcessRole};
 
 /// An agent that always picks action 0 and tracks applied parameter versions.
 struct ScriptedAgent {
@@ -174,7 +174,7 @@ fn explorer_learner_pair_round_trips_until_shutdown() {
         env: Box::new(gymlite::CartPole::new(0)),
         agent: Box::new(ScriptedAgent { version: 0 }),
         rollout_len: 25,
-        route: RolloutRoute::Fixed(ProcessId::learner(0)),
+        route: RolloutRoute { table: Arc::new(AssignmentTable::contiguous(1, 1)), role: ProcessRole::Learner },
         sync: SyncMode::OffPolicy,
         probe: None,
     };
@@ -531,7 +531,7 @@ fn scripted_explorer(broker: &Broker, sync: SyncMode) -> std::thread::JoinHandle
         env: Box::new(gymlite::CartPole::new(2)),
         agent: Box::new(ScriptedAgent { version: 0 }),
         rollout_len: 10,
-        route: RolloutRoute::Fixed(ProcessId::learner(0)),
+        route: RolloutRoute { table: Arc::new(AssignmentTable::contiguous(1, 1)), role: ProcessRole::Learner },
         sync,
         probe: None,
     };

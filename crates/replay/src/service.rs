@@ -1,7 +1,7 @@
 //! The replay shard service: the channel-side process that owns ingestion.
 //!
-//! Explorers address their rollout messages to `ProcessId::replay(i)` instead
-//! of the learner. The service pops each batch from its receive buffer
+//! Explorers address their rollout messages to `ProcessId::replay(s)`, the
+//! service of the learner shard `s` that owns them, instead of the learner. The service pops each batch from its receive buffer
 //! (already staged by the asynchronous channel), decodes it once into the
 //! shared [`ReplayPlane`], and recycles the decode buffers — this is the one
 //! and only decode the batch ever gets. Recycling is where the rollout is
@@ -29,12 +29,14 @@ pub struct ReplayOutcome {
     pub steps_ingested: u64,
 }
 
-/// Runs a replay shard until its endpoint is closed.
+/// Runs a replay shard until its endpoint is closed, answering every
+/// ingested rollout to `learner`, the one learner shard that samples
+/// `plane` (a deployment runs one service and one plane per learner shard).
 ///
-/// The supervisor's shutdown broadcast targets explorers and the learner;
+/// The supervisor's shutdown broadcast targets explorers and learner shards;
 /// the deployment closes this service's endpoint from the broker side
-/// (`Broker::close_endpoint`) once the learner has joined (the service must
-/// outlive the learner, which may keep sampling until its last training
+/// (`Broker::close_endpoint`) once every learner has joined (the service
+/// must outlive its learner, which may keep sampling until its last training
 /// session). The close sentinel queues behind every rollout already routed
 /// here, so each of them is ingested before `recv` returns `None`.
 pub fn run_replay_service(endpoint: Endpoint, plane: Arc<ReplayPlane>, learner: ProcessId) -> ReplayOutcome {
