@@ -83,10 +83,12 @@ cargo test --release -q --test channel_props
 
 echo "== release smoke: pinned A2C/PPO/IMPALA/DQN parameter digests and the allocation bound on the optimised kernels =="
 # A2C/PPO/IMPALA and uniform/prioritized/double DQN must stay bit-identical
-# to the digests pinned in determinism.rs. The in-learner and lockstep DQN
-# digests, uniform and prioritized, come from one gradient entry (`slot_grad`
-# over `staged_grad`: a session is a one-slot round in the plane's own
-# sampling mode). The warmed training steps (DQN
+# to the digests pinned in determinism.rs. Every algorithm trains through
+# one round surface (`take_round_credit`, `slot_grad`,
+# `apply_reduced_grad`) and `Algorithm::try_train` is written once over it:
+# a session is a run of one-slot rounds, so the in-learner digests and the
+# four-slot lockstep digests (DQN uniform and prioritized, A2C, IMPALA) come
+# from the same gradient entry, `slot_grad`. The warmed training steps (DQN
 # under uniform and prioritized replay included) must stay allocation-free,
 # on the release kernels the deployments actually run. The digests were last
 # re-pinned once, for the optimizer arithmetic alone (one-division Adam,
@@ -136,8 +138,11 @@ echo "== multi-learner gate: fanout-256 sync allreduce shard scaling =="
 # Splitting the fixed 4-slot round across 2 learner shards must deliver
 # >= 1.6x the 1-shard aggregate gradient throughput (bit-identical params
 # across 1/2/4 shards asserted inside), and the relaxed delta gossip must
-# actually skip uploads (comm.grad_skips > 0). The stage summary exports
-# learn.allreduce_ns and comm.grad_skips.
+# actually skip uploads (comm.grad_skips > 0). Stage 1 drives the learner
+# loop's own `Lockstep` round and times each shard's busy sections in on-CPU
+# nanoseconds of the driving thread (`CLOCK_THREAD_CPUTIME_ID`), so time the
+# host's scheduler gives to other threads is not counted as work. The stage
+# summary exports learn.allreduce_ns and comm.grad_skips.
 cargo run --release -p xt-bench --bin multilearner -- --gate 1.6
 
 echo "== elastic smoke: pool grows under induced store backpressure, drains after =="
@@ -190,7 +195,8 @@ echo "== graph smoke: the one process graph and the one learner loop, both disci
 # the lockstep discipline, and the lockstep farewell handshake under a slow
 # gradient channel), the sharded deployments (sync shards bit-identical at
 # exit under uniform and prioritized replay, one store-resident replay
-# service per shard under sync and relaxed, three relaxed PPO and DQN shards,
+# service per shard under sync and relaxed, two sync A2C and IMPALA shards
+# bit-identical at exit, three relaxed PPO and DQN shards,
 # relaxed in the reward band), and 64
 # fault-free supervised deployments that must drop no message — endpoints
 # are registered before the processes that address them are spawned, and the

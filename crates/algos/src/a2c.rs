@@ -7,10 +7,14 @@
 //! policy-gradient step on GAE advantages instead of PPO's clipped multi-
 //! epoch surrogate — a useful ablation of how much the communication layer
 //! contributes independent of the optimizer sophistication.
+//! A round's slots are fixed by explorer index: explorer `e` of `E` lands in
+//! slot `e · slots / E`, the floor formula of the contiguous shard
+//! assignment, so a lockstep shard's slots hold exactly its own explorers.
 
 use crate::actor_critic::{ActorCritic, Activations, GaeStage, SoftmaxAgent, Spec};
 use crate::api::{Algorithm, SyncMode, TrainReport};
 use crate::payload::{ParamBlob, RolloutBatch};
+use std::ops::Range;
 use xingtian_comm::pool::{shared_pool, WorkPool};
 
 /// A2C hyperparameters.
@@ -80,10 +84,9 @@ impl A2cConfig {
 pub struct A2cAlgorithm {
     config: A2cConfig,
     core: ActorCritic,
-    staged: Vec<RolloutBatch>,
-    staged_steps: usize,
-    spent: Vec<RolloutBatch>,
     stage: GaeStage,
+    /// The credited round's slot count.
+    slots: usize,
 }
 
 impl A2cAlgorithm {
@@ -100,63 +103,70 @@ impl A2cAlgorithm {
         A2cAlgorithm {
             config,
             core,
-            staged: Vec::new(),
-            staged_steps: 0,
-            spent: Vec::new(),
             stage: GaeStage::default(),
+            slots: 1,
         }
     }
 
-    fn iteration_batch(&self) -> usize {
-        self.config.num_explorers as usize * self.config.rollout_len
+    /// `explorer`'s slot of `slots` (one grown past `num_explorers` joins the last).
+    fn slot_of(&self, explorer: u32, slots: usize) -> usize {
+        let e = explorer as usize;
+        (e * slots / self.config.num_explorers as usize).min(slots - 1)
     }
 }
 
 impl Algorithm for A2cAlgorithm {
     fn on_rollout(&mut self, batch: RolloutBatch) {
-        if batch.param_version != self.core.version() {
-            // On-policy: stale rollouts are unusable, but their storage is
-            // recyclable.
-            self.spent.push(batch);
-            return;
-        }
-        self.staged_steps += batch.len();
-        self.staged.push(batch);
+        self.stage.offer(batch, self.core.version());
     }
 
-    fn try_train(&mut self) -> Option<TrainReport> {
-        if self.staged_steps < self.iteration_batch() {
-            return None;
-        }
-        let steps_consumed = std::mem::take(&mut self.staged_steps);
-        let Self { config, core, staged, spent, stage, .. } = self;
-        let n = stage.fill(staged, core, config.gamma, config.lambda);
-        // Everything needed has been copied out; the batches' step storage
-        // goes back to the framework for decode recycling.
-        spent.append(staged);
+    /// Open once every explorer of the `local` slots can have delivered.
+    fn take_round_credit(&mut self, local: Range<usize>, slots: usize) -> bool {
+        let explorers = (0..self.config.num_explorers).filter(|&e| local.contains(&self.slot_of(e, slots))).count();
+        self.slots = slots;
+        self.stage.rows >= explorers * self.config.rollout_len
+    }
 
-        // Single vanilla policy-gradient step, -Â log π(a|s) − c_e H, then
-        // the critic regression to the GAE returns.
+    /// The vanilla policy gradient, −Â log π(a|s) − c_e H, and the critic
+    /// regression to the GAE returns over the slot's explorers, advantages
+    /// whitened per slot. A round's rows are one rollout per explorer (all
+    /// staged, when one slot holds them); an empty slot is `-0.0`, a no-op.
+    fn slot_grad(&mut self, slot: usize, out: &mut Vec<f32>) -> f32 {
+        let slots = self.slots;
+        let start = self.stage.batches.partition_point(|b| self.slot_of(b.explorer, slots) < slot);
+        let end = self.stage.batches.partition_point(|b| self.slot_of(b.explorer, slots) <= slot);
+        let Self { config, core, stage, .. } = self;
+        if start == end {
+            out.clear();
+            out.resize(core.num_params(), -0.0);
+            return -0.0;
+        }
+        let global_rows = if slots == 1 { stage.rows } else { config.num_explorers as usize * config.rollout_len };
+        stage.fill(start..end, core, config.gamma, config.lambda);
         let GaeStage { obs, actions, advantages, returns, .. } = &*stage;
-        let loss = core.step(
+        core.grad(
             obs,
-            n,
+            global_rows,
             Activations::Fresh,
             |i| actions[i] as usize,
             |i, log_prob| (advantages[i] * log_prob, advantages[i]),
             |i| returns[i],
-        );
+            out,
+        )
+    }
 
+    fn apply_reduced_grad(&mut self, grad: &mut [f32], loss: f32) -> Option<TrainReport> {
+        self.core.apply(grad);
         Some(TrainReport {
-            steps_consumed,
+            steps_consumed: self.stage.hand_back(),
             loss,
-            version: core.advance_version(),
-            notify: (0..config.num_explorers).collect(),
+            version: self.core.advance_version(),
+            notify: (0..self.config.num_explorers).collect(),
         })
     }
 
     fn take_spent(&mut self) -> Option<RolloutBatch> {
-        self.spent.pop()
+        self.stage.spent.pop()
     }
 
     fn param_blob(&self) -> ParamBlob {
@@ -171,8 +181,10 @@ impl Algorithm for A2cAlgorithm {
         self.core.version()
     }
 
+    /// Staged rollouts are stale once their parameters are replaced.
     fn adopt_params(&mut self, params: &[f32], version: u64) {
         self.core.adopt_params(params, version);
+        self.stage.hand_back();
     }
 
     fn sync_mode(&self) -> SyncMode {
@@ -241,7 +253,7 @@ mod tests {
     fn rejects_stale_rollouts() {
         let mut alg = A2cAlgorithm::new(tiny_config());
         alg.on_rollout(rollout(0, 42, 1, 8));
-        assert_eq!(alg.staged_steps, 0);
+        assert_eq!(alg.stage.rows, 0);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The four algorithms are one family: a softmax policy, optionally a critic,
 //! a policy-gradient step, a critic regression. Everything they share lives
 //! here exactly once — the networks and their optimizers, the
-//! `[policy | value]` flat parameter layout, the pool-sharded gradient step
-//! (`ActorCritic::step` / `ActorCritic::policy_step`), GAE staging
+//! `[policy | value]` flat parameter layout, the pool-sharded raw gradient
+//! (`ActorCritic::grad` / `ActorCritic::policy_grad`) and its optimizer step
+//! (`ActorCritic::apply`), GAE staging
 //! (`GaeStage`) and the explorer-side [`SoftmaxAgent`]. What an algorithm
 //! contributes is its rollout bookkeeping and one per-row expression: the
 //! surrogate objective and the coefficient that multiplies `(δ_a − π)` in the
@@ -19,6 +20,7 @@ use crate::par::{ParGrad, Shard};
 use crate::payload::{ParamBlob, RolloutBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 use tinynn::ops::{row_stats, sample_categorical, softmax_row_into};
 use tinynn::optim::{clip_global_norm, Adam};
 use tinynn::{Activation, Mlp, Workspace};
@@ -67,10 +69,6 @@ impl Nets {
         self.value.as_ref().expect("this algorithm was built without a critic")
     }
 
-    fn critic_mut(&mut self) -> &mut Mlp {
-        self.value.as_mut().expect("this algorithm was built without a critic")
-    }
-
     fn flat(&self) -> Vec<f32> {
         let mut params = self.policy.params().to_vec();
         if let Some(value) = &self.value {
@@ -103,7 +101,8 @@ pub(crate) enum Activations {
 }
 
 /// Learner-side state of a softmax-policy algorithm: networks, optimizers,
-/// parameter version, and the pool-sharded training step.
+/// parameter version, and the pool-sharded training step, split into a
+/// slot's raw gradient and the optimizer step on a round's.
 #[derive(Debug)]
 pub(crate) struct ActorCritic {
     nets: Nets,
@@ -118,8 +117,6 @@ pub(crate) struct ActorCritic {
     /// Learner-level workspace for single-row forwards; the shard workspaces
     /// must keep their batch activations alive between phases.
     ws: Workspace,
-    pgrads: Vec<f32>,
-    vgrads: Vec<f32>,
 }
 
 impl ActorCritic {
@@ -140,8 +137,6 @@ impl ActorCritic {
             pool,
             par: ParGrad::new(),
             ws: Workspace::new(),
-            pgrads: Vec::new(),
-            vgrads: Vec::new(),
         }
     }
 
@@ -180,7 +175,7 @@ impl ActorCritic {
     /// Forwards both networks over `n` rows of `obs` (parallel over shards),
     /// writing `[V(s_t), log π(a_t|s_t)]` per row into `out` (`n × 2`) and
     /// leaving the activations in the shard workspaces for a following
-    /// [`ActorCritic::step`] with [`Activations::Cached`].
+    /// [`ActorCritic::grad`] with [`Activations::Cached`].
     pub(crate) fn evaluate<A>(&mut self, obs: &[f32], n: usize, action: A, out: &mut [f32])
     where
         A: Fn(usize) -> usize + Sync,
@@ -203,34 +198,39 @@ impl ActorCritic {
         });
     }
 
-    /// One policy-gradient step over `n` rows of `obs`, sharded over the pool
-    /// with deterministic gradient reduction, then global-norm clip and Adam.
+    /// Parameters of the flat `[policy | value]` layout.
+    pub(crate) fn num_params(&self) -> usize {
+        self.nets.policy.num_params() + self.nets.value.as_ref().map_or(0, Mlp::num_params)
+    }
+
+    /// The raw policy gradient over the rows of `obs` into `out`, sharded over
+    /// the pool with deterministic reduction.
     ///
     /// `action(i)` is row `i`'s taken action. `surrogate(i, log π(a_i|s_i))`
     /// returns `(objective, coef)`: the row's term of the maximized objective
     /// and its derivative with respect to that log-probability. The minimized
-    /// loss is `−(1/n) Σ objective_i − c_e (1/n) Σ H_i`, whose logit gradient
-    /// is `−coef·(δ_a − π) + c_e·π(log π + H)` per row. Returns the loss.
-    pub(crate) fn policy_step<A, S>(
+    /// loss is `−(1/N) Σ objective_i − c_e (1/N) Σ H_i` over the round's
+    /// `N = global_rows` rows, whose logit gradient is
+    /// `−coef·(δ_a − π) + c_e·π(log π + H)` per row. Returns these rows' terms.
+    pub(crate) fn policy_grad<A, S>(
         &mut self,
         obs: &[f32],
-        n: usize,
+        global_rows: usize,
         activations: Activations,
         action: A,
         surrogate: S,
+        out: &mut [f32],
     ) -> f32
     where
         A: Fn(usize) -> usize + Sync,
         S: Fn(usize, f32) -> (f32, f32) + Sync,
     {
-        let Self { nets, opt_policy, entropy_coef: ec, max_grad_norm, pool, par, pgrads, .. } = self;
+        let Self { nets, entropy_coef: ec, pool, par, .. } = self;
         let pnet: &Mlp = &nets.policy;
         let (dim, na) = (pnet.input_dim(), pnet.output_dim());
-        assert_eq!(obs.len(), n * dim, "ragged observations");
-        let ec = *ec;
-        let inv_n = 1.0 / n as f32;
-        pgrads.resize(pnet.num_params(), 0.0);
-        let loss = par.run(*pool, n, &mut [], 0, Some(pgrads), |rows, _out, shard, grads| {
+        let (n, ec) = (obs.len() / dim, *ec);
+        let inv_n = 1.0 / global_rows as f32;
+        par.run(*pool, n, &mut [], 0, Some(out), |rows, _out, shard, grads| {
             let x = &obs[rows.start * dim..rows.end * dim];
             let rn = rows.len();
             let (ws_a, _, dlogits) = shard.scratch_for(rn * na);
@@ -261,31 +261,46 @@ impl ActorCritic {
             }
             pnet.backward_ws(x, rn, dlogits, ws_a, grads);
             loss
-        });
-        clip_global_norm(pgrads, *max_grad_norm);
-        opt_policy.step(nets.policy.params_mut(), pgrads);
-        loss
+        })
     }
 
-    /// Critic regression of `V(s_i)` to `target(i)`; returns the mean squared
-    /// error (the gradient carries `value_coef`, the returned loss does not).
-    fn value_step<T>(&mut self, obs: &[f32], n: usize, activations: Activations, target: T) -> f32
+    /// The gradient half of one actor-critic step: [`ActorCritic::policy_grad`],
+    /// then the critic regression of `V(s_i)` to `target(i)` (its gradient
+    /// carries `value_coef`), into `out` in the `[policy | value]` layout. The
+    /// critic's gradient never reads the policy's parameters, so taking both
+    /// before either net steps changes no bit. Returns
+    /// `policy_loss + value_coef · value_loss`, the latter a mean squared error.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn grad<A, S, T>(
+        &mut self,
+        obs: &[f32],
+        global_rows: usize,
+        activations: Activations,
+        action: A,
+        surrogate: S,
+        target: T,
+        out: &mut Vec<f32>,
+    ) -> f32
     where
+        A: Fn(usize) -> usize + Sync,
+        S: Fn(usize, f32) -> (f32, f32) + Sync,
         T: Fn(usize) -> f32 + Sync,
     {
-        let Self { nets, opt_value, value_coef: vc, max_grad_norm, pool, par, vgrads, .. } = self;
+        out.resize(self.num_params(), 0.0);
+        let (pgrad, vgrad) = out.split_at_mut(self.nets.policy.num_params());
+        let policy_loss = self.policy_grad(obs, global_rows, activations, action, surrogate, pgrad);
+        let Self { nets, value_coef: vc, pool, par, .. } = self;
         let vnet = nets.critic();
-        let dim = vnet.input_dim();
-        let vc = *vc;
-        let inv_n = 1.0 / n as f32;
-        vgrads.resize(vnet.num_params(), 0.0);
-        let loss = par.run(*pool, n, &mut [], 0, Some(vgrads), |rows, _out, shard, grads| {
+        let (dim, vc) = (vnet.input_dim(), *vc);
+        let n = obs.len() / dim;
+        let inv_n = 1.0 / global_rows as f32;
+        let value_loss = par.run(*pool, n, &mut [], 0, Some(vgrad), |rows, _out, shard, grads| {
             let x = &obs[rows.start * dim..rows.end * dim];
             let rn = rows.len();
             let (ws_a, ws_b, dv) = shard.scratch_for(rn);
             // A cached value forward lives in `ws_b` (`ws_a` holds the
-            // policy's); a fresh one reuses the workspace the policy step
-            // just finished with.
+            // policy's); a fresh one reuses the workspace the policy
+            // gradient just finished with.
             let ws = match activations {
                 Activations::Fresh => {
                     vnet.forward_ws(x, rn, ws_a);
@@ -303,39 +318,31 @@ impl ActorCritic {
             vnet.backward_ws(x, rn, dv, ws, grads);
             loss
         });
-        clip_global_norm(vgrads, *max_grad_norm);
-        opt_value.step(nets.critic_mut().params_mut(), vgrads);
-        loss
+        policy_loss + vc * value_loss
     }
 
-    /// One actor-critic step: [`ActorCritic::policy_step`], then the critic
-    /// regression of `V(s_i)` to `target(i)`. Returns
-    /// `policy_loss + value_coef · value_loss`.
-    pub(crate) fn step<A, S, T>(
-        &mut self,
-        obs: &[f32],
-        n: usize,
-        activations: Activations,
-        action: A,
-        surrogate: S,
-        target: T,
-    ) -> f32
-    where
-        A: Fn(usize) -> usize + Sync,
-        S: Fn(usize, f32) -> (f32, f32) + Sync,
-        T: Fn(usize) -> f32 + Sync,
-    {
-        let policy_loss = self.policy_step(obs, n, activations, action, surrogate);
-        let value_loss = self.value_step(obs, n, activations, target);
-        policy_loss + self.value_coef * value_loss
+    /// The apply half: per-net global-norm clip (in place), then Adam.
+    pub(crate) fn apply(&mut self, grad: &mut [f32]) {
+        let Self { nets, opt_policy, opt_value, max_grad_norm, .. } = self;
+        let (pgrad, vgrad) = grad.split_at_mut(nets.policy.num_params());
+        clip_global_norm(pgrad, *max_grad_norm);
+        opt_policy.step(nets.policy.params_mut(), pgrad);
+        if let Some(value) = &mut nets.value {
+            clip_global_norm(vgrad, *max_grad_norm);
+            opt_value.step(value.params_mut(), vgrad);
+        }
     }
 }
 
-/// Persistent staging buffers for the on-policy algorithms: the iteration's
-/// observations and actions flattened, and per-segment GAE advantages and
-/// returns — allocation-free once grown to the iteration size.
+/// On-policy staging: a session's rollouts (in explorer order, whatever order
+/// they arrived in) and `rows` until it completes, those handed back since,
+/// and the flattened observations and actions with per-segment GAE
+/// advantages and returns — allocation-free once grown to the iteration size.
 #[derive(Debug, Default)]
 pub(crate) struct GaeStage {
+    pub batches: Vec<RolloutBatch>,
+    pub rows: usize,
+    pub spent: Vec<RolloutBatch>,
     pub obs: Vec<f32>,
     pub actions: Vec<u32>,
     /// Normalized over the whole iteration.
@@ -347,22 +354,33 @@ pub(crate) struct GaeStage {
 }
 
 impl GaeStage {
-    /// Stages `batches` (one GAE segment each, with the behavior values the
-    /// rollout recorded and the bootstrap value from `core`'s current value
-    /// net) and returns the row count.
-    pub(crate) fn fill(
-        &mut self,
-        batches: &[RolloutBatch],
-        core: &mut ActorCritic,
-        gamma: f32,
-        lambda: f32,
-    ) -> usize {
+    /// Stages a rollout generated at `version`, after those of no higher
+    /// explorer index; a stale one is unusable on-policy and goes back.
+    pub(crate) fn offer(&mut self, batch: RolloutBatch, version: u64) {
+        if batch.param_version != version {
+            return self.spent.push(batch);
+        }
+        self.rows += batch.len();
+        let at = self.batches.partition_point(|b| b.explorer <= batch.explorer);
+        self.batches.insert(at, batch);
+    }
+
+    /// Hands every staged rollout back; returns their rows.
+    pub(crate) fn hand_back(&mut self) -> usize {
+        self.spent.append(&mut self.batches);
+        std::mem::take(&mut self.rows)
+    }
+
+    /// Flattens `batches[range]` (one GAE segment each, with the behavior
+    /// values the rollout recorded and the bootstrap value from `core`'s
+    /// current value net) and returns the row count.
+    pub(crate) fn fill(&mut self, range: Range<usize>, core: &mut ActorCritic, gamma: f32, lambda: f32) -> usize {
         let dim = core.nets.policy.input_dim();
         self.obs.clear();
         self.actions.clear();
         self.advantages.clear();
         self.returns.clear();
-        for b in batches {
+        for b in &self.batches[range] {
             self.seg_rewards.clear();
             self.seg_values.clear();
             self.seg_dones.clear();
@@ -484,8 +502,7 @@ pub(crate) mod tests {
         probs[action]
     }
 
-    // lr = 0 keeps the parameters where the test put them; the clip bound is
-    // out of reach so the gradient buffers hold the raw gradient.
+    // The clip bound is out of reach, so an applied step is unclipped.
     const SPEC: Spec<'static> = Spec {
         obs_dim: 3,
         num_actions: 4,
@@ -537,23 +554,31 @@ pub(crate) mod tests {
         // the entropy bonus.
         let (obs, actions, adv) = batch();
         let mut core = ActorCritic::new(SPEC, None);
+        let mut analytic = vec![0.0; core.nets.policy.num_params()];
+        let surrogate = |i: usize, lp: f32| (adv[i] * lp, adv[i]);
+        core.policy_grad(&obs, N, Activations::Fresh, |i| actions[i], surrogate, &mut analytic);
         let loss = |core: &mut ActorCritic| {
-            core.policy_step(&obs, N, Activations::Fresh, |i| actions[i], |i, lp| (adv[i] * lp, adv[i]))
+            let mut scratch = vec![0.0; core.nets.policy.num_params()];
+            core.policy_grad(&obs, N, Activations::Fresh, |i| actions[i], surrogate, &mut scratch)
         };
-        loss(&mut core);
-        let analytic = core.pgrads.clone();
         assert_matches_finite_differences(&mut core, |c| c.nets.policy.params_mut(), loss, &analytic, 1.0);
     }
 
     #[test]
     fn critic_gradient_matches_finite_differences() {
-        let (obs, _, targets) = batch();
+        let (obs, actions, targets) = batch();
         let mut core = ActorCritic::new(SPEC, None);
-        let loss = |core: &mut ActorCritic| core.value_step(&obs, N, Activations::Fresh, |i| targets[i]);
-        loss(&mut core);
-        let analytic = core.vgrads.clone();
-        // The gradient carries `value_coef`; the returned loss does not.
-        assert_matches_finite_differences(&mut core, |c| c.nets.critic_mut().params_mut(), loss, &analytic, 0.5);
+        let np = core.nets.policy.num_params();
+        let loss = |core: &mut ActorCritic| {
+            let mut grad = Vec::new();
+            core.grad(&obs, N, Activations::Fresh, |i| actions[i], |_, _| (0.0, 0.0), |i| targets[i], &mut grad)
+        };
+        let mut analytic = Vec::new();
+        core.grad(&obs, N, Activations::Fresh, |i| actions[i], |_, _| (0.0, 0.0), |i| targets[i], &mut analytic);
+        // The critic's gradient and its share of the loss both carry
+        // `value_coef`; the policy's share does not depend on the critic.
+        let critic: fn(&mut ActorCritic) -> &mut [f32] = |c| c.nets.value.as_mut().expect("a critic").params_mut();
+        assert_matches_finite_differences(&mut core, critic, loss, &analytic[np..], 1.0);
     }
 
     #[test]
@@ -565,7 +590,9 @@ pub(crate) mod tests {
                 core.evaluate(&obs, N, |i| actions[i], &mut [0.0; N * 2]);
             }
             let surrogate = |i: usize, lp: f32| (adv[i] * lp, adv[i]);
-            let loss = core.step(&obs, N, activations, |i| actions[i], surrogate, |i| adv[i]);
+            let mut grad = Vec::new();
+            let loss = core.grad(&obs, N, activations, |i| actions[i], surrogate, |i| adv[i], &mut grad);
+            core.apply(&mut grad);
             (loss, core.param_blob().params)
         };
         assert_eq!(run(Activations::Fresh), run(Activations::Cached));

@@ -8,8 +8,15 @@
 //! consumed by *both* the XingTian framework and the baseline frameworks, so
 //! every framework runs byte-identical algorithm logic and differs only in
 //! communication management.
+//!
+//! `train` is [`Algorithm::try_train`], written once over the round every
+//! algorithm implements: a credit, one raw gradient per slot, one optimizer
+//! step on their sum. A single learner's rounds have one slot; sync-sharded
+//! learners (`xingtian::shard`) split a round's fixed slots between them.
 
 use crate::payload::{ParamBlob, RolloutBatch};
+use std::cell::Cell;
+use std::ops::Range;
 
 /// How the learner and explorers synchronize: how many rollouts an explorer
 /// may have unanswered. A rollout is answered when the process that took it
@@ -46,11 +53,6 @@ pub trait Algorithm: Send {
     /// Ingests a rollout batch (the paper's `prepare_data`): replay-buffer
     /// insertion for DQN, accumulation for PPO/IMPALA.
     fn on_rollout(&mut self, batch: RolloutBatch);
-
-    /// Runs one training session if enough data is staged, returning a report
-    /// (the paper's `train`). Returns `None` when not ready (warmup not met,
-    /// on-policy batch incomplete, ...).
-    fn try_train(&mut self) -> Option<TrainReport>;
 
     /// Hands back one rollout batch the algorithm is done with — trained,
     /// shed, discarded as stale, or copied into its own storage — so the
@@ -99,52 +101,45 @@ pub trait Algorithm: Send {
     /// Human-readable algorithm name.
     fn name(&self) -> &str;
 
-    /// Access to the lockstep multi-shard training surface, when the
-    /// algorithm supports the deterministic cross-learner allreduce. The
-    /// default opts out (sharded deployments then require the relaxed
-    /// delta-exchange mode, which works through plain
-    /// [`Algorithm::param_blob`] / [`Algorithm::load_params`]).
-    fn sharded_sync(&mut self) -> Option<&mut dyn ShardedSync> {
-        None
+    /// Consumes one round credit when this learner holds the data of its
+    /// `local` slots of a round of `slots` — warmup met, a full on-policy
+    /// batch, enough queued rollouts — and fixes that data for the round;
+    /// false (consuming nothing) when a round cannot start yet. A single
+    /// learner's round is `(0..1, 1)`. Slots are assigned by the data (DQN's
+    /// samples, A2C's explorer index, IMPALA's rollouts), not the shard count.
+    fn take_round_credit(&mut self, local: Range<usize>, slots: usize) -> bool;
+
+    /// Computes the raw, pre-optimizer gradient of the credited round's slot
+    /// `slot` at the current parameters into `out` (resized to the parameter
+    /// count), scaled by `1 / the round's global rows`, and returns its loss
+    /// at the same scale. No optimizer state is touched; sampling state may
+    /// be (DQN under prioritized replay re-prioritizes the rows).
+    fn slot_grad(&mut self, slot: usize, out: &mut Vec<f32>) -> f32;
+
+    /// Takes one optimizer step on the round's folded gradient (its slot
+    /// gradients summed in slot order; the step may clip it in place) and
+    /// summed `loss`. Returns the report of the session this round completes
+    /// — `steps_consumed` is this learner's share of its rows — or `None`
+    /// while the session has rounds left (PPO's has one per minibatch). A
+    /// session's batches are handed back ([`Algorithm::take_spent`]) only
+    /// after its last step, so an on-policy broadcast precedes the answers.
+    fn apply_reduced_grad(&mut self, grad: &mut [f32], loss: f32) -> Option<TrainReport>;
+
+    /// Runs one training session if enough data is staged, returning a report
+    /// (the paper's `train`): one-slot rounds until one completes a session.
+    /// Returns `None` when not ready (warmup not met, on-policy batch
+    /// incomplete, ...). A warmed session reuses this thread's gradient
+    /// buffer, so it allocates nothing itself.
+    fn try_train(&mut self) -> Option<TrainReport> {
+        thread_local!(static GRAD: Cell<Vec<f32>> = const { Cell::new(Vec::new()) });
+        let (mut grad, mut report) = (GRAD.take(), None);
+        while report.is_none() && self.take_round_credit(0..1, 1) {
+            let loss = self.slot_grad(0, &mut grad);
+            report = self.apply_reduced_grad(&mut grad, loss);
+        }
+        GRAD.set(grad);
+        report
     }
-}
-
-/// The lockstep surface a sharded sync-allreduce learner drives instead of
-/// [`Algorithm::try_train`].
-///
-/// One **round** replaces one training session: the round's global batch is
-/// partitioned into a fixed number of *gradient slots* (independent of the
-/// shard count; see `xingtian::shard`), each shard computes one raw
-/// pre-optimizer gradient per owned slot, the slot gradients are allgathered
-/// and folded in slot order, and exactly one optimizer step applies the fold.
-/// Because every float operation happens in the same order regardless of how
-/// slots were distributed, the same seed produces bit-identical parameters
-/// for every legal shard count.
-pub trait ShardedSync {
-    /// Rows in one slot minibatch (the global round batch is
-    /// `slot_rows × GRAD_SLOTS`).
-    fn slot_rows(&self) -> usize;
-
-    /// Consumes one round credit when enough data is staged (warmup met,
-    /// enough fresh inserts, replay large enough) — the sharded analogue of
-    /// the `try_train` gate. Returns false (consuming nothing) when a round
-    /// cannot start yet.
-    fn take_round_credit(&mut self) -> bool;
-
-    /// Samples one slot minibatch of [`Self::slot_rows`] transitions from
-    /// local storage, in the storage's own sampling mode, and computes its
-    /// raw gradient at the current parameters into `out` (resized to the
-    /// parameter count), every element scaled by `1 / global_rows`; returns
-    /// the loss contribution at the same scale. No optimizer state is
-    /// touched; sampling state may be (DQN under prioritized replay weights
-    /// the rows and re-prioritizes them by their TD errors).
-    fn slot_grad(&mut self, global_rows: usize, out: &mut Vec<f32>) -> f32;
-
-    /// Applies one optimizer step with the fully folded round gradient and
-    /// advances the session/version bookkeeping. `steps_represented` is the
-    /// round's global row count; `loss` the folded loss.
-    fn apply_reduced_grad(&mut self, grad: &[f32], steps_represented: usize, loss: f32)
-        -> TrainReport;
 }
 
 /// An action choice plus the behavior-policy side information the learner

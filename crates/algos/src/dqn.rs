@@ -15,17 +15,18 @@
 //! buffers, and after warmup a session — uniform or prioritized — performs
 //! zero heap allocations.
 //!
-//! A gradient is computed in one place, `staged_grad`: a session is a
-//! lockstep round of one slot (its gradient at `1 / n` scale, then
-//! [`ShardedSync::apply_reduced_grad`]), so a single learner and a sharded
-//! sync round run the same arithmetic.
+//! A gradient is computed in one place, `staged_grad`: every slot of a
+//! round samples its own `batch_size` rows, so a single learner's session
+//! (one slot, `1 / batch_size` scale) and a lockstep shard's slot run the
+//! same arithmetic.
 
-use crate::api::{ActionSelection, Agent, Algorithm, ShardedSync, SyncMode, TrainReport};
+use crate::api::{ActionSelection, Agent, Algorithm, SyncMode, TrainReport};
 use crate::par::ParGrad;
 use crate::payload::{ParamBlob, RolloutBatch, RolloutStep};
 use crate::replay::{PlanePick, ReplayConfig, ReplayPlane, SampleSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 use tinynn::ops::argmax;
@@ -259,6 +260,8 @@ pub struct DqnAlgorithm {
     sample_hist: HistogramHandle,
     /// Fixed-order sharded gradient engine for the multi-learner slot path.
     par: ParGrad,
+    /// The credited round: this learner's slots, and the round's slot count.
+    round: (Range<usize>, usize),
 }
 
 impl DqnAlgorithm {
@@ -302,12 +305,8 @@ impl DqnAlgorithm {
             spent: Vec::new(),
             sample_hist: HistogramHandle::default(),
             par: ParGrad::new(),
+            round: (0..1, 1),
         }
-    }
-
-    /// Resident transitions in the replay store.
-    pub fn replay_len(&self) -> usize {
-        self.plane.len()
     }
 
     /// Training sessions completed.
@@ -322,14 +321,11 @@ impl DqnAlgorithm {
     /// a separate replay actor (as RLLib does) sample remotely and hand the
     /// batch to this method, so both run byte-identical update math.
     pub fn train_on_steps(&mut self, sampled: &[RolloutStep]) -> TrainReport {
-        assert!(!sampled.is_empty(), "cannot stack an empty batch");
-        let n = sampled.len();
-        self.bufs.stage_steps(sampled, self.config.obs_dim);
         let mut grad = std::mem::take(&mut self.bufs.grads);
-        let loss = self.staged_grad(n, n, false, &mut grad);
-        let report = self.apply_reduced_grad(&grad, n, loss);
+        let loss = self.grad_on_steps(sampled, sampled.len(), &mut grad);
+        let report = self.apply_reduced_grad(&mut grad, loss).expect("a DQN round is a session");
         self.bufs.grads = grad;
-        report
+        TrainReport { steps_consumed: sampled.len(), ..report }
     }
 
     /// Gathers a sampled minibatch of `batch_size` transitions straight into
@@ -353,7 +349,7 @@ impl DqnAlgorithm {
     /// Computes the raw gradient of `steps` at the current parameters into
     /// `out` (resized to the parameter count), every element scaled by
     /// `1 / global_rows`, and returns the loss contribution at the same
-    /// scale — [`ShardedSync::slot_grad`] on caller-chosen rows instead of
+    /// scale — [`Algorithm::slot_grad`] on caller-chosen rows instead of
     /// sampled ones, for harnesses that must hold slot data constant across
     /// shard counts. No optimizer state is touched.
     pub fn grad_on_steps(
@@ -416,21 +412,6 @@ impl Algorithm for DqnAlgorithm {
         self.spent.push(batch);
     }
 
-    /// A lockstep round of one slot: the credit gate, the slot gradient at
-    /// `1 / batch_size` scale, then the one optimizer step every round takes.
-    /// Allocation-free after warmup.
-    fn try_train(&mut self) -> Option<TrainReport> {
-        if !self.take_round_credit() {
-            return None;
-        }
-        let n = self.config.batch_size;
-        let mut grad = std::mem::take(&mut self.bufs.grads);
-        let loss = self.slot_grad(n, &mut grad);
-        let report = self.apply_reduced_grad(&grad, n, loss);
-        self.bufs.grads = grad;
-        Some(report)
-    }
-
     fn take_spent(&mut self) -> Option<RolloutBatch> {
         self.spent.pop()
     }
@@ -470,23 +451,13 @@ impl Algorithm for DqnAlgorithm {
         "DQN"
     }
 
-    fn sharded_sync(&mut self) -> Option<&mut dyn ShardedSync> {
-        Some(self)
-    }
-}
-
-impl ShardedSync for DqnAlgorithm {
-    fn slot_rows(&self) -> usize {
-        self.config.batch_size
-    }
-
-    /// The one credit gate, `try_train`'s too (paper: one session per
-    /// `train_every_inserts` new steps): open once warmup is met, enough
-    /// fresh inserts arrived and a batch's worth is resident. Arriving rollout
-    /// batches can be larger than the gate, in which case several sessions
-    /// run back to back — exactly what the paper's learner does when it
-    /// catches up.
-    fn take_round_credit(&mut self) -> bool {
+    /// The one credit gate (paper: one session per `train_every_inserts`
+    /// new steps): open once warmup is met, enough fresh inserts arrived and
+    /// a batch's worth is resident, whatever slots this learner grades.
+    /// Arriving rollout batches can be larger than the gate, in which case
+    /// several sessions run back to back — exactly what the paper's learner
+    /// does when it catches up.
+    fn take_round_credit(&mut self, local: Range<usize>, slots: usize) -> bool {
         let total_inserted = self.plane.total_inserted();
         if total_inserted < self.config.warmup_steps
             || total_inserted - self.inserts_consumed < self.config.train_every_inserts
@@ -495,17 +466,20 @@ impl ShardedSync for DqnAlgorithm {
             return false;
         }
         self.inserts_consumed += self.config.train_every_inserts;
+        self.round = (local, slots);
         true
     }
 
-    /// Samples in the plane's own mode. Under prioritized replay the rows
-    /// are importance-weighted and re-prioritized by their fresh TD errors
-    /// before this returns (wraparound-stale picks are skipped by the store);
-    /// the optimizer step that follows never reads the plane.
-    fn slot_grad(&mut self, global_rows: usize, out: &mut Vec<f32>) -> f32 {
+    /// Samples `batch_size` rows in the plane's own mode, whichever slot it
+    /// is. Under prioritized replay the rows are importance-weighted and
+    /// re-prioritized by their fresh TD errors before this returns
+    /// (wraparound-stale picks are skipped by the store); the optimizer step
+    /// that follows never reads the plane.
+    fn slot_grad(&mut self, _slot: usize, out: &mut Vec<f32>) -> f32 {
         let prioritized = self.plane.prioritized();
         self.stage_sample(prioritized);
-        let loss = self.staged_grad(self.config.batch_size, global_rows, prioritized, out);
+        let n = self.config.batch_size;
+        let loss = self.staged_grad(n, n * self.round.1, prioritized, out);
         if prioritized {
             self.plane.update_priorities(&self.picks, &self.bufs.td);
         }
@@ -513,14 +487,9 @@ impl ShardedSync for DqnAlgorithm {
     }
 
     /// The optimizer step, then session and version bump, target sync, and
-    /// the broadcast schedule.
-    fn apply_reduced_grad(
-        &mut self,
-        grad: &[f32],
-        steps_represented: usize,
-        loss: f32,
-    ) -> TrainReport {
-        let DqnAlgorithm { config, q, target, opt, sessions, version, .. } = self;
+    /// the broadcast schedule: every round is a session.
+    fn apply_reduced_grad(&mut self, grad: &mut [f32], loss: f32) -> Option<TrainReport> {
+        let DqnAlgorithm { config, q, target, opt, sessions, version, round, .. } = self;
         assert_eq!(grad.len(), q.num_params(), "reduced gradient width");
         opt.step(q.params_mut(), grad);
         *sessions += 1;
@@ -533,7 +502,8 @@ impl ShardedSync for DqnAlgorithm {
         } else {
             Vec::new()
         };
-        TrainReport { steps_consumed: steps_represented, loss, version: *version, notify }
+        let steps_consumed = config.batch_size * round.0.len();
+        Some(TrainReport { steps_consumed, loss, version: *version, notify })
     }
 }
 
@@ -651,7 +621,7 @@ mod tests {
         ragged.steps[3].observation.pop();
         ragged.steps[5].next_observation = Some(vec![0.0; 9]);
         alg.on_rollout(ragged);
-        assert_eq!(alg.replay_len(), 46, "the two ragged steps never land");
+        assert_eq!(alg.plane.len(), 46, "the two ragged steps never land");
         assert_eq!(telemetry.counter("replay.rejected").get(), 2, "and the learner's telemetry says so");
         for _ in 0..11 {
             assert!(alg.try_train().is_some());
@@ -755,7 +725,7 @@ mod tests {
         }
         assert!(last.is_finite());
         assert!(last < 1.0, "PER training should reduce loss, got {last}");
-        assert_eq!(alg.replay_len(), 100);
+        assert_eq!(alg.plane.len(), 100);
     }
 
     #[test]
@@ -775,7 +745,7 @@ mod tests {
         let mut b = DqnAlgorithm::new(c);
         let mut grad = Vec::new();
         let loss = b.grad_on_steps(&steps, 8, &mut grad);
-        let r2 = b.apply_reduced_grad(&grad, 8, loss);
+        let r2 = b.apply_reduced_grad(&mut grad, loss).expect("a round is a session");
         assert_eq!(report.loss, r2.loss);
         assert_eq!(a.q.params(), b.q.params(), "entry points share update math");
     }
@@ -806,12 +776,12 @@ mod tests {
                 session.on_rollout(rollout.clone());
                 round.on_rollout(rollout);
                 while let Some(report) = session.try_train() {
-                    assert!(round.take_round_credit());
-                    let loss = round.slot_grad(batch_size, &mut grad);
-                    let r2 = round.apply_reduced_grad(&grad, batch_size, loss);
+                    assert!(round.take_round_credit(0..1, 1));
+                    let loss = round.slot_grad(0, &mut grad);
+                    let r2 = round.apply_reduced_grad(&mut grad, loss).expect("a round is a session");
                     assert_eq!((report.loss.to_bits(), report.version), (r2.loss.to_bits(), r2.version));
                 }
-                assert!(!round.take_round_credit(), "both learners hold the same credit");
+                assert!(!round.take_round_credit(0..1, 1), "both learners hold the same credit");
             }
             assert!(session.sessions() > 30, "a real training run");
             let bits = |alg: &DqnAlgorithm| alg.q.params().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
@@ -823,14 +793,14 @@ mod tests {
     fn sharded_round_credit_mirrors_try_train_gate() {
         let mut alg = DqnAlgorithm::new(tiny_config());
         alg.on_rollout(batch(39));
-        assert!(!alg.take_round_credit(), "warmup not met");
+        assert!(!alg.take_round_credit(0..2, 4), "warmup not met");
         alg.on_rollout(batch(9));
-        assert!(alg.take_round_credit());
+        assert!(alg.take_round_credit(0..2, 4));
         // 48 inserts at one credit per 4 = 12 credits total, 11 left.
         for _ in 0..11 {
-            assert!(alg.take_round_credit());
+            assert!(alg.take_round_credit(2..4, 4));
         }
-        assert!(!alg.take_round_credit(), "credits exhausted");
+        assert!(!alg.take_round_credit(0..1, 1), "credits exhausted");
     }
 
     #[test]
@@ -860,15 +830,15 @@ mod tests {
         let mut alg = DqnAlgorithm::new(tiny_config());
         alg.on_rollout(batch(60));
         let params0 = alg.q.params().to_vec();
+        let rows = alg.config.batch_size;
         for round in 1..=2u64 {
-            assert!(alg.take_round_credit());
+            assert!(alg.take_round_credit(0..4, 4));
             let mut folded: Vec<f32> = Vec::new();
             let mut loss = 0.0f32;
-            let global = 4 * alg.slot_rows();
-            for _ in 0..4 {
+            for slot in 0..4 {
                 let mut g = Vec::new();
-                loss += alg.slot_grad(global, &mut g);
-                assert_eq!(alg.bufs.actions.len(), alg.slot_rows(), "one slot's rows were staged");
+                loss += alg.slot_grad(slot, &mut g);
+                assert_eq!(alg.bufs.actions.len(), rows, "one slot's rows were staged");
                 if folded.is_empty() {
                     folded = g;
                 } else {
@@ -877,9 +847,9 @@ mod tests {
                     }
                 }
             }
-            let report = alg.apply_reduced_grad(&folded, global, loss);
+            let report = alg.apply_reduced_grad(&mut folded, loss).expect("a round is a session");
             assert_eq!(report.version, round);
-            assert_eq!(report.steps_consumed, global);
+            assert_eq!(report.steps_consumed, 4 * rows, "all four slots are this learner's");
             assert!(report.loss.is_finite());
         }
         assert_ne!(alg.q.params(), &params0[..], "parameters moved");

@@ -9,6 +9,8 @@
 //! framework's answer to each rollout, sent when the batch is handed back
 //! through `take_spent`: a batch shed at `max_queue` is handed back at once,
 //! so its explorer is answered without parameters.
+//! A round's slot is one queued rollout, scaled by `1 / (slots × its rows)`,
+//! so a round trains on the mean of its rollouts' mean gradients.
 
 use crate::actor_critic::{ActorCritic, Activations, SoftmaxAgent, Spec};
 use crate::api::{Algorithm, SyncMode, TrainReport};
@@ -16,6 +18,7 @@ use crate::batch::behavior_log_probs_into;
 use crate::payload::{ParamBlob, RolloutBatch};
 use crate::vtrace::{vtrace_into, VtraceInput};
 use std::collections::VecDeque;
+use std::ops::Range;
 use xingtian_comm::pool::{shared_pool, WorkPool};
 
 /// IMPALA hyperparameters.
@@ -90,9 +93,11 @@ pub struct ImpalaAlgorithm {
     config: ImpalaConfig,
     core: ActorCritic,
     queue: VecDeque<RolloutBatch>,
-    dropped_batches: u64,
     spent: Vec<RolloutBatch>,
     staging: Staging,
+    /// The credited round's slot count, and the rollouts its slots took.
+    slots: usize,
+    round: Vec<RolloutBatch>,
 }
 
 /// Persistent staging buffers (SoA view of the current batch plus the
@@ -126,20 +131,11 @@ impl ImpalaAlgorithm {
             config,
             core,
             queue: VecDeque::new(),
-            dropped_batches: 0,
             spent: Vec::new(),
             staging: Staging::default(),
+            slots: 1,
+            round: Vec::new(),
         }
-    }
-
-    /// Rollout batches waiting to be consumed.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Batches discarded because the queue overflowed (staleness shedding).
-    pub fn dropped_batches(&self) -> u64 {
-        self.dropped_batches
     }
 }
 
@@ -154,14 +150,21 @@ impl Algorithm for ImpalaAlgorithm {
             if let Some(dropped) = self.queue.pop_front() {
                 self.spent.push(dropped);
             }
-            self.dropped_batches += 1;
         }
     }
 
-    fn try_train(&mut self) -> Option<TrainReport> {
-        let batch = self.queue.pop_front()?;
+    fn take_round_credit(&mut self, local: Range<usize>, slots: usize) -> bool {
+        // A round abandoned for a peer's snapshot hands its rollouts back.
+        self.spent.append(&mut self.round);
+        self.slots = slots;
+        self.queue.len() >= local.len()
+    }
+
+    /// The V-trace actor-critic gradient of the oldest queued rollout.
+    fn slot_grad(&mut self, _slot: usize, out: &mut Vec<f32>) -> f32 {
+        let batch = self.queue.pop_front().expect("a credited rollout");
         let n = batch.len();
-        let Self { config, core, staging, .. } = self;
+        let Self { config, core, staging, slots, .. } = self;
         let Staging { obs, actions, rewards, dones, behavior_lp, values, target_lp, vs, pg_adv, fwd_out } =
             staging;
 
@@ -220,21 +223,27 @@ impl Algorithm for ImpalaAlgorithm {
         // Phase 3 (parallel): policy gradient on the V-trace advantage and
         // critic regression to the V-trace targets, both back-propagated over
         // the phase-1 activations.
-        let loss = core.step(
+        let loss = core.grad(
             obs,
-            n,
+            n * *slots,
             Activations::Cached,
             |i| actions[i] as usize,
             |i, log_prob| (pg_adv[i] * log_prob, pg_adv[i]),
             |i| vs[i],
+            out,
         );
+        self.round.push(batch);
+        loss
+    }
 
-        let version = core.advance_version();
+    fn apply_reduced_grad(&mut self, grad: &mut [f32], loss: f32) -> Option<TrainReport> {
+        self.core.apply(grad);
         // Paper: "sends updated DNN parameters exactly to the explorers it
         // gets rollouts from".
-        let notify = vec![batch.explorer];
-        self.spent.push(batch);
-        Some(TrainReport { steps_consumed: n, loss, version, notify })
+        let notify = self.round.iter().map(|b| b.explorer).collect();
+        let steps_consumed = self.round.iter().map(RolloutBatch::len).sum();
+        self.spent.append(&mut self.round);
+        Some(TrainReport { steps_consumed, loss, version: self.core.advance_version(), notify })
     }
 
     fn take_spent(&mut self) -> Option<RolloutBatch> {
@@ -324,7 +333,7 @@ mod tests {
         let mut alg = ImpalaAlgorithm::new(tiny_config());
         alg.on_rollout(rollout(1, 0, 4));
         alg.on_rollout(rollout(2, 0, 4));
-        assert_eq!(alg.queue_depth(), 2);
+        assert_eq!(alg.queue.len(), 2);
         assert_eq!(alg.try_train().unwrap().notify, vec![1]);
         assert_eq!(alg.try_train().unwrap().notify, vec![2]);
     }
@@ -366,8 +375,7 @@ mod tests {
         for e in 0..5 {
             alg.on_rollout(rollout(e, 0, 4));
         }
-        assert_eq!(alg.queue_depth(), 2);
-        assert_eq!(alg.dropped_batches(), 3);
+        assert_eq!(alg.queue.len(), 2);
         // The two newest batches (explorers 3 and 4) survive; the three shed
         // ones are already handed back.
         let shed: Vec<u32> = std::iter::from_fn(|| alg.take_spent()).map(|b| b.explorer).collect();
@@ -385,6 +393,6 @@ mod tests {
             steps: vec![],
             bootstrap_observation: vec![],
         });
-        assert_eq!(alg.queue_depth(), 0);
+        assert_eq!(alg.queue.len(), 0);
     }
 }

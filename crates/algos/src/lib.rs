@@ -53,7 +53,7 @@ pub mod vtrace;
 
 pub use a2c::{A2cAlgorithm, A2cConfig};
 pub use actor_critic::SoftmaxAgent;
-pub use api::{ActionSelection, Agent, Algorithm, ShardedSync, SyncMode, TrainReport};
+pub use api::{ActionSelection, Agent, Algorithm, SyncMode, TrainReport};
 pub use dqn::{DqnAgent, DqnAlgorithm, DqnConfig};
 pub use impala::{ImpalaAlgorithm, ImpalaConfig};
 pub use lazy::{GradBlob, LazyGradConfig, LazyGradGate};

@@ -76,15 +76,9 @@ impl RolloutStep {
 
 impl Decode for RolloutStep {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(RolloutStep {
-            observation: Vec::<f32>::decode(r)?,
-            action: u32::decode(r)?,
-            reward: f32::decode(r)?,
-            done: bool::decode(r)?,
-            behavior_logits: Vec::<f32>::decode(r)?,
-            value: f32::decode(r)?,
-            next_observation: Option::<Vec<f32>>::decode(r)?,
-        })
+        let mut step = RolloutStep::default();
+        step.decode_into(r)?;
+        Ok(step)
     }
 }
 
@@ -135,17 +129,7 @@ impl Encode for RolloutBatch {
 
 impl Decode for RolloutBatch {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let explorer = u32::decode(r)?;
-        let param_version = u64::decode(r)?;
-        let n = usize::decode(r)?;
-        if n > r.remaining() {
-            return Err(DecodeError::LengthOverflow { declared: n, remaining: r.remaining() });
-        }
-        let mut steps = Vec::with_capacity(n);
-        for _ in 0..n {
-            steps.push(RolloutStep::decode(r)?);
-        }
-        Ok(RolloutBatch { explorer, param_version, steps, bootstrap_observation: Vec::<f32>::decode(r)? })
+        BatchDecoder::new().decode_body(r)
     }
 }
 
@@ -189,9 +173,16 @@ impl BatchDecoder {
     /// [`DecodeError::TrailingBytes`] if the batch ends before `buf` does.
     pub fn decode(&mut self, buf: &[u8]) -> Result<RolloutBatch, DecodeError> {
         let mut r = Reader::new(buf);
-        let explorer = u32::decode(&mut r)?;
-        let param_version = u64::decode(&mut r)?;
-        let n = usize::decode(&mut r)?;
+        let batch = self.decode_body(&mut r)?;
+        r.finish()?;
+        Ok(batch)
+    }
+
+    /// The one [`RolloutBatch`] decoder; leaves in `r` whatever follows.
+    fn decode_body(&mut self, r: &mut Reader<'_>) -> Result<RolloutBatch, DecodeError> {
+        let explorer = u32::decode(r)?;
+        let param_version = u64::decode(r)?;
+        let n = usize::decode(r)?;
         if n > r.remaining() {
             return Err(DecodeError::LengthOverflow { declared: n, remaining: r.remaining() });
         }
@@ -199,12 +190,11 @@ impl BatchDecoder {
         steps.reserve(n);
         for _ in 0..n {
             let mut s = self.steps.pop().unwrap_or_default();
-            s.decode_into(&mut r)?;
+            s.decode_into(r)?;
             steps.push(s);
         }
         let mut bootstrap_observation = self.f32_bufs.pop().unwrap_or_default();
-        decode_f32s_into(&mut r, &mut bootstrap_observation)?;
-        r.finish()?;
+        decode_f32s_into(r, &mut bootstrap_observation)?;
         Ok(RolloutBatch { explorer, param_version, steps, bootstrap_observation })
     }
 

@@ -8,6 +8,8 @@
 //! were waiting for them. XingTian still accelerates this on-policy loop
 //! because fast explorers' transmissions overlap slow explorers' environment
 //! interaction (paper §3.2.1).
+//! A session is `epochs × ⌈rows / minibatch⌉` one-slot rounds, one optimizer
+//! step per minibatch.
 
 use crate::actor_critic::{ActorCritic, Activations, GaeStage, SoftmaxAgent, Spec};
 use crate::api::{Algorithm, SyncMode, TrainReport};
@@ -16,6 +18,7 @@ use crate::payload::{ParamBlob, RolloutBatch};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::ops::Range;
 use xingtian_comm::pool::{shared_pool, WorkPool};
 
 /// PPO hyperparameters.
@@ -95,15 +98,14 @@ impl PpoConfig {
 pub struct PpoAlgorithm {
     config: PpoConfig,
     core: ActorCritic,
-    staged: Vec<RolloutBatch>,
-    staged_steps: usize,
-    spent: Vec<RolloutBatch>,
     rng: StdRng,
     // Persistent iteration buffers — allocation-free after warmup.
     stage: GaeStage,
     behavior_lp: Vec<f32>,
     indices: Vec<usize>,
     mb_obs: Vec<f32>,
+    /// Rounds done of the session in progress.
+    session_round: Option<usize>,
 }
 
 impl PpoAlgorithm {
@@ -121,106 +123,110 @@ impl PpoAlgorithm {
         PpoAlgorithm {
             config,
             core,
-            staged: Vec::new(),
-            staged_steps: 0,
-            spent: Vec::new(),
             rng,
             stage: GaeStage::default(),
             behavior_lp: Vec::new(),
             indices: Vec::new(),
             mb_obs: Vec::new(),
+            session_round: None,
         }
-    }
-
-    /// Steps currently staged, waiting for the iteration batch to fill.
-    pub fn staged_steps(&self) -> usize {
-        self.staged_steps
     }
 
     fn iteration_batch(&self) -> usize {
         self.config.num_explorers as usize * self.config.rollout_len
     }
+
+    /// Minibatch rounds per epoch of the staged session.
+    fn minibatches(&self) -> usize {
+        self.indices.len().div_ceil(self.config.minibatch)
+    }
 }
 
 impl Algorithm for PpoAlgorithm {
     fn on_rollout(&mut self, batch: RolloutBatch) {
-        // On-policy: rollouts generated by stale parameters cannot be used —
-        // but their storage can (straight to the spent pool).
-        if batch.param_version != self.core.version() {
-            self.spent.push(batch);
-            return;
-        }
-        self.staged_steps += batch.len();
-        self.staged.push(batch);
+        self.stage.offer(batch, self.core.version());
     }
 
-    fn try_train(&mut self) -> Option<TrainReport> {
-        if self.staged_steps < self.iteration_batch() {
-            return None;
+    /// Starts a session once the iteration batch is staged; every round of
+    /// it then has a credit, and an epoch's first draws its shuffle.
+    fn take_round_credit(&mut self, local: Range<usize>, slots: usize) -> bool {
+        assert_eq!((local, slots), (0..1, 1), "PPO takes one-slot rounds");
+        let round = match self.session_round {
+            Some(round) => round,
+            None if self.stage.rows < self.iteration_batch() => return false,
+            None => {
+                let Self { config, core, stage, behavior_lp, indices, .. } = self;
+                let n = stage.fill(0..stage.batches.len(), core, config.gamma, config.lambda);
+                behavior_lp.clear();
+                for b in &stage.batches {
+                    behavior_log_probs_into(&b.steps, behavior_lp);
+                }
+                indices.clear();
+                indices.extend(0..n);
+                0
+            }
+        };
+        if round.is_multiple_of(self.minibatches()) {
+            self.indices.shuffle(&mut self.rng);
         }
-        let steps_consumed = std::mem::take(&mut self.staged_steps);
-        let Self { config, core, staged, spent, rng, stage, behavior_lp, indices, mb_obs, .. } = self;
+        self.session_round = Some(round);
+        true
+    }
 
-        // Per-segment GAE with the behavior values recorded in the rollout;
-        // the bootstrap value comes from the current value net.
-        let n = stage.fill(staged, core, config.gamma, config.lambda);
-        behavior_lp.clear();
-        for b in staged.iter() {
-            behavior_log_probs_into(&b.steps, behavior_lp);
-        }
-        // Everything needed has been copied out; the batches' step storage
-        // goes back to the framework for decode recycling.
-        spent.append(staged);
-
+    /// The clipped-surrogate gradient of the round's minibatch.
+    fn slot_grad(&mut self, _slot: usize, out: &mut Vec<f32>) -> f32 {
+        let round = self.session_round.expect("a credited round");
+        let mb = round % self.minibatches();
+        let Self { config, core, stage, behavior_lp, indices, mb_obs, .. } = self;
+        let idx = indices.chunks(config.minibatch).nth(mb).expect("minibatch in range");
         let GaeStage { obs, actions, advantages, returns, .. } = &*stage;
         let behavior_lp: &[f32] = behavior_lp;
         let (dim, clip) = (config.obs_dim, config.clip);
-        let mut last_loss = 0.0f32;
-        indices.clear();
-        indices.extend(0..n);
-        for _ in 0..config.epochs {
-            indices.shuffle(rng);
-            for idx in indices.chunks(config.minibatch) {
-                // Gather the minibatch observations once; the shards then run
-                // fused forward → loss-gradient → backward over contiguous
-                // rows of it.
-                mb_obs.clear();
-                for &i in idx {
-                    mb_obs.extend_from_slice(&obs[i * dim..(i + 1) * dim]);
-                }
-                last_loss = core.step(
-                    mb_obs,
-                    idx.len(),
-                    Activations::Fresh,
-                    |row| actions[idx[row]] as usize,
-                    // Clipped surrogate min(ratio · Â, clip(ratio) · Â).
-                    |row, log_prob| {
-                        let i = idx[row];
-                        let adv = advantages[i];
-                        let ratio = (log_prob - behavior_lp[i]).exp();
-                        let clipped = ratio.clamp(1.0 - clip, 1.0 + clip);
-                        // Gradient flows through the unclipped ratio only when
-                        // the clipping is not actively binding against the
-                        // objective: d(ratio · Â)/d log π = Â · ratio.
-                        let active = !((ratio > 1.0 + clip && adv > 0.0)
-                            || (ratio < 1.0 - clip && adv < 0.0));
-                        ((ratio * adv).min(clipped * adv), if active { adv * ratio } else { 0.0 })
-                    },
-                    |row| returns[idx[row]],
-                );
-            }
+        mb_obs.clear();
+        for &i in idx {
+            mb_obs.extend_from_slice(&obs[i * dim..(i + 1) * dim]);
         }
+        core.grad(
+            mb_obs,
+            idx.len(),
+            Activations::Fresh,
+            |row| actions[idx[row]] as usize,
+            // Clipped surrogate min(ratio · Â, clip(ratio) · Â).
+            |row, log_prob| {
+                let i = idx[row];
+                let adv = advantages[i];
+                let ratio = (log_prob - behavior_lp[i]).exp();
+                let clipped = ratio.clamp(1.0 - clip, 1.0 + clip);
+                // Gradient flows through the unclipped ratio only when the
+                // clipping is not actively binding against the objective:
+                // d(ratio · Â)/d log π = Â · ratio.
+                let active = !((ratio > 1.0 + clip && adv > 0.0) || (ratio < 1.0 - clip && adv < 0.0));
+                ((ratio * adv).min(clipped * adv), if active { adv * ratio } else { 0.0 })
+            },
+            |row| returns[idx[row]],
+            out,
+        )
+    }
 
+    /// The session completes with its last minibatch, reporting its loss.
+    fn apply_reduced_grad(&mut self, grad: &mut [f32], loss: f32) -> Option<TrainReport> {
+        self.core.apply(grad);
+        let round = self.session_round.expect("a credited round") + 1;
+        if round < self.config.epochs * self.minibatches() {
+            self.session_round = Some(round);
+            return None;
+        }
+        self.session_round = None;
         Some(TrainReport {
-            steps_consumed,
-            loss: last_loss,
-            version: core.advance_version(),
-            notify: (0..config.num_explorers).collect(),
+            steps_consumed: self.stage.hand_back(),
+            loss,
+            version: self.core.advance_version(),
+            notify: (0..self.config.num_explorers).collect(),
         })
     }
 
     fn take_spent(&mut self) -> Option<RolloutBatch> {
-        self.spent.pop()
+        self.stage.spent.pop()
     }
 
     fn param_blob(&self) -> ParamBlob {
@@ -310,7 +316,7 @@ mod tests {
         let c = tiny_config();
         let mut alg = PpoAlgorithm::new(c.clone());
         alg.on_rollout(rollout(&c, 0, 99, 1));
-        assert_eq!(alg.staged_steps(), 0, "wrong-version rollouts dropped");
+        assert_eq!(alg.stage.rows, 0, "wrong-version rollouts dropped");
     }
 
     #[test]

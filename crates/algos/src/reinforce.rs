@@ -13,6 +13,7 @@ use crate::api::{Algorithm, SyncMode, TrainReport};
 use crate::gae::normalize;
 use crate::payload::{ParamBlob, RolloutBatch, RolloutStep};
 use std::collections::HashMap;
+use std::ops::Range;
 use xingtian_comm::pool::{shared_pool, WorkPool};
 
 /// REINFORCE hyperparameters.
@@ -118,16 +119,6 @@ impl ReinforceAlgorithm {
             advantages: Vec::new(),
         }
     }
-
-    /// Completed episodes waiting for a training session.
-    pub fn pending_episodes(&self) -> usize {
-        self.complete.len()
-    }
-
-    /// Current scalar return baseline.
-    pub fn baseline(&self) -> f32 {
-        self.baseline
-    }
 }
 
 impl Algorithm for ReinforceAlgorithm {
@@ -143,15 +134,15 @@ impl Algorithm for ReinforceAlgorithm {
         self.spent.push(batch);
     }
 
-    fn try_train(&mut self) -> Option<TrainReport> {
+    /// Stages a session's episodes once enough are complete: Monte-Carlo
+    /// returns-to-go, less a moving-average baseline updated in episode
+    /// order, whitened over the whole session.
+    fn take_round_credit(&mut self, local: Range<usize>, slots: usize) -> bool {
+        assert_eq!((local, slots), (0..1, 1), "REINFORCE takes one-slot rounds");
         if self.complete.len() < self.config.episodes_per_train {
-            return None;
+            return false;
         }
-        let Self { config, core, complete, baseline, baseline_initialized, obs, actions, advantages, .. } =
-            self;
-
-        // Monte-Carlo returns-to-go per episode, with a scalar moving-average
-        // baseline over episode returns.
+        let Self { config, complete, baseline, baseline_initialized, obs, actions, advantages, .. } = self;
         obs.clear();
         actions.clear();
         advantages.clear();
@@ -184,23 +175,31 @@ impl Algorithm for ReinforceAlgorithm {
         // return-to-go declines toward the end, which would systematically
         // penalize late-episode actions without this normalization.
         normalize(advantages);
-        let steps_consumed = actions.len();
+        true
+    }
 
-        // -Â log π(a|s) − c_e H: the vanilla policy gradient, no critic.
+    /// −Â log π(a|s) − c_e H: the vanilla policy gradient, no critic.
+    fn slot_grad(&mut self, _slot: usize, out: &mut Vec<f32>) -> f32 {
+        let Self { core, obs, actions, advantages, .. } = self;
         let (actions, advantages): (&[u32], &[f32]) = (actions, advantages);
-        let loss = core.policy_step(
+        out.resize(core.num_params(), 0.0);
+        core.policy_grad(
             obs,
-            steps_consumed,
+            actions.len(),
             Activations::Fresh,
             |i| actions[i] as usize,
             |i, log_prob| (advantages[i] * log_prob, advantages[i]),
-        );
+            out,
+        )
+    }
 
+    fn apply_reduced_grad(&mut self, grad: &mut [f32], loss: f32) -> Option<TrainReport> {
+        self.core.apply(grad);
         Some(TrainReport {
-            steps_consumed,
+            steps_consumed: self.actions.len(),
             loss,
-            version: core.advance_version(),
-            notify: (0..config.num_explorers).collect(),
+            version: self.core.advance_version(),
+            notify: (0..self.config.num_explorers).collect(),
         })
     }
 
@@ -280,9 +279,9 @@ mod tests {
     fn episodes_assemble_across_batches() {
         let mut alg = ReinforceAlgorithm::new(tiny_config());
         alg.on_rollout(episode_batch(0, 1, 4, false)); // first half
-        assert_eq!(alg.pending_episodes(), 0);
+        assert_eq!(alg.complete.len(), 0);
         alg.on_rollout(episode_batch(0, 1, 4, true)); // completes one episode
-        assert_eq!(alg.pending_episodes(), 1);
+        assert_eq!(alg.complete.len(), 1);
         assert!(alg.try_train().is_none(), "needs 2 episodes");
         alg.on_rollout(episode_batch(1, 1, 8, true));
         let report = alg.try_train().expect("two complete episodes");
@@ -297,7 +296,7 @@ mod tests {
         alg.on_rollout(episode_batch(1, 1, 3, false));
         alg.on_rollout(episode_batch(0, 1, 3, true));
         alg.on_rollout(episode_batch(1, 1, 3, true));
-        assert_eq!(alg.pending_episodes(), 2);
+        assert_eq!(alg.complete.len(), 2);
         let report = alg.try_train().unwrap();
         assert_eq!(report.steps_consumed, 12, "both episodes are 6 steps long");
     }
@@ -310,7 +309,7 @@ mod tests {
         alg.try_train().unwrap();
         // γ=0 ⇒ episode return-to-go at t=0 equals the first reward (-1 for
         // action 0). The baseline must have moved off zero.
-        assert!(alg.baseline() != 0.0);
+        assert!(alg.baseline != 0.0);
     }
 
     #[test]

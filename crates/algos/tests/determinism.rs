@@ -7,7 +7,8 @@
 //! The same parameters are also pinned *across commits*: a refactor of the
 //! shared policy-gradient core must leave A2C, PPO and IMPALA bit-identical,
 //! and a refactor of the replay store must leave uniform, prioritized and
-//! double DQN bit-identical — on the lockstep slot surface too — so their
+//! double DQN bit-identical — on the four-slot lockstep round too, as A2C
+//! and IMPALA are — so their
 //! digests are recorded here and asserted on the kernels they were recorded
 //! on.
 //!
@@ -149,13 +150,37 @@ fn dqn_params(prioritized: Option<(f64, f64)>, double: bool) -> Vec<u32> {
     bits(&alg.param_blob().params)
 }
 
-/// The same seeded DQN driven through the lockstep surface in one process:
-/// every round credit buys four sampled slot gradients, folded flat in slot
-/// order with the loss as the trailing element (what the slot table in
-/// `xingtian::shard` does), and one optimizer step. The in-learner digests
-/// above come from the same gradient: a session is a one-slot round. Under
-/// prioritized replay every slot samples importance-weighted rows and
-/// re-prioritizes them before the next slot samples.
+/// One four-slot lockstep round in one process, if the algorithm grants a
+/// credit for all four slots: every slot gradient with its loss as the
+/// trailing element, folded flat in slot order (what the slot table in
+/// `xingtian::shard` does), and one optimizer step.
+fn lockstep_round(alg: &mut dyn Algorithm, grad: &mut Vec<f32>) -> bool {
+    if !alg.take_round_credit(0..4, 4) {
+        return false;
+    }
+    let mut folded: Vec<f32> = Vec::new();
+    for slot in 0..4 {
+        let loss = alg.slot_grad(slot, grad);
+        grad.push(loss);
+        if slot == 0 {
+            folded.clone_from(grad);
+        } else {
+            for (a, g) in folded.iter_mut().zip(grad.iter()) {
+                *a += g;
+            }
+        }
+    }
+    let loss = folded.pop().expect("trailing loss element");
+    alg.apply_reduced_grad(&mut folded, loss).expect("a lockstep round is a session");
+    true
+}
+
+/// The same seeded DQN driven through four-slot lockstep rounds: every round
+/// credit buys four sampled slot gradients and one optimizer step. The
+/// in-learner digests above come from the same gradient: a session is a
+/// one-slot round. Under prioritized replay every slot samples
+/// importance-weighted rows and re-prioritizes them before the next slot
+/// samples.
 fn dqn_lockstep_params(prioritized: Option<(f64, f64)>) -> Vec<u32> {
     let mut c = DqnConfig::new(DIM, NA);
     c.hidden = vec![32];
@@ -177,29 +202,49 @@ fn dqn_lockstep_params(prioritized: Option<(f64, f64)>) -> Vec<u32> {
             }
         }
         alg.on_rollout(RolloutBatch { explorer: 0, param_version: 0, steps, bootstrap_observation: vec![] });
-        let sync = alg.sharded_sync().expect("DQN is ShardedSync");
-        let global = 4 * sync.slot_rows();
-        while sync.take_round_credit() {
-            let mut folded: Vec<f32> = Vec::new();
-            for slot in 0..4 {
-                let loss = sync.slot_grad(global, &mut grad);
-                grad.push(loss);
-                if slot == 0 {
-                    folded.clone_from(&grad);
-                } else {
-                    for (a, g) in folded.iter_mut().zip(&grad) {
-                        *a += g;
-                    }
-                }
-            }
-            let loss = folded.pop().expect("trailing loss element");
-            sync.apply_reduced_grad(&folded, global, loss);
+        while lockstep_round(&mut alg, &mut grad) {
             rounds += 1;
         }
         while alg.take_spent().is_some() {}
     }
     assert!(rounds >= 20, "a real lockstep run: {rounds} rounds");
     bits(&alg.param_blob().params)
+}
+
+/// `sessions` four-slot lockstep rounds, each fed `explorers` rollouts of
+/// `steps` steps at the current version: A2C's six explorers land in slots
+/// 0, 0, 1, 2, 2, 3; IMPALA's four rollouts are one slot each.
+fn lockstep_bits(mut alg: impl Algorithm, sessions: u64, seed: u64, explorers: u32, steps: usize) -> Vec<u32> {
+    let mut grad = Vec::new();
+    for iter in 0..sessions {
+        let v = alg.version();
+        let mut rng = StdRng::seed_from_u64(seed + iter);
+        for e in 0..explorers {
+            alg.on_rollout(RolloutBatch {
+                explorer: e,
+                param_version: v,
+                steps: make_steps(&mut rng, steps),
+                bootstrap_observation: bootstrap(&mut rng),
+            });
+        }
+        assert!(lockstep_round(&mut alg, &mut grad), "a full round is staged");
+        while alg.take_spent().is_some() {}
+    }
+    bits(&alg.param_blob().params)
+}
+
+fn a2c_lockstep_params() -> Vec<u32> {
+    let mut c = A2cConfig::new(DIM, NA);
+    c.hidden = vec![32];
+    c.num_explorers = 6;
+    c.rollout_len = 40;
+    lockstep_bits(A2cAlgorithm::with_pool(c, None), 3, 310, 6, 40)
+}
+
+fn impala_lockstep_params() -> Vec<u32> {
+    let mut c = ImpalaConfig::new(DIM, NA);
+    c.hidden = vec![32];
+    lockstep_bits(ImpalaAlgorithm::with_pool(c, None), 3, 510, 4, 80)
 }
 
 /// FNV-1a-64 over the little-endian parameter bits.
@@ -257,7 +302,8 @@ fn dqn_parameters_match_their_pinned_digests() {
 fn dqn_lockstep_parameters_match_their_pinned_digest() {
     // First pinned at commit a6539d4 by this same loop with the trait's old
     // `sample_slot` + `grad_on_steps` pair (which materialised every sampled
-    // row as a `RolloutStep`) in place of `slot_grad`: 42 rounds. Re-pinned
+    // row as a `RolloutStep`) in place of `slot_grad`: 42 rounds. Held when
+    // the round surface moved from a DQN-only trait onto `Algorithm`. Re-pinned
     // when the backward edges joined the FMA tile family, and again for the
     // one-division Adam.
     assert_pinned(&[("dqn lockstep", digest(&dqn_lockstep_params(None)), 0xd0c8_b8af_3d94_9aba)]);
@@ -275,6 +321,16 @@ fn dqn_lockstep_prioritized_parameters_match_their_pinned_digest() {
 }
 
 #[test]
+fn actor_critic_lockstep_parameters_match_their_pinned_digests() {
+    // Pinned when sync rounds first took A2C and IMPALA: A2C's slots by
+    // explorer index, IMPALA's one queued rollout each.
+    assert_pinned(&[
+        ("a2c lockstep", digest(&a2c_lockstep_params()), 0x7b17_6a06_2a4f_c171),
+        ("impala lockstep", digest(&impala_lockstep_params()), 0xa573_5bf7_398c_7c76),
+    ]);
+}
+
+#[test]
 fn training_is_bitwise_deterministic_across_worker_counts() {
     type Params = fn(Option<&'static WorkPool>) -> Vec<u32>;
     let cases: [(&str, Params); 4] = [
@@ -288,6 +344,41 @@ fn training_is_bitwise_deterministic_across_worker_counts() {
         for workers in [1, 2, 5] {
             assert_eq!(params(Some(leaked_pool(workers))), reference, "{name}, workers = {workers}");
         }
+    }
+}
+
+/// An on-policy session stages its batches by explorer index, so the bits
+/// do not depend on which explorer's rollout the learner met first.
+#[test]
+fn on_policy_sessions_do_not_depend_on_arrival_order() {
+    let session = |mut alg: Box<dyn Algorithm>, order: &[u32]| {
+        let mut rng = StdRng::seed_from_u64(41);
+        let rollouts: Vec<RolloutBatch> = (0..3)
+            .map(|e| RolloutBatch {
+                explorer: e,
+                param_version: 0,
+                steps: make_steps(&mut rng, 50),
+                bootstrap_observation: bootstrap(&mut rng),
+            })
+            .collect();
+        for &e in order {
+            alg.on_rollout(rollouts[e as usize].clone());
+        }
+        alg.try_train().expect("a full session is staged");
+        bits(&alg.param_blob().params)
+    };
+    let mut ppo = PpoConfig::new(DIM, NA);
+    (ppo.hidden, ppo.num_explorers, ppo.rollout_len, ppo.minibatch, ppo.epochs) = (vec![16], 3, 50, 64, 2);
+    let mut a2c = A2cConfig::new(DIM, NA);
+    (a2c.hidden, a2c.num_explorers, a2c.rollout_len) = (vec![16], 3, 50);
+    let build = |name: &str| -> Box<dyn Algorithm> {
+        match name {
+            "ppo" => Box::new(PpoAlgorithm::with_pool(ppo.clone(), None)),
+            _ => Box::new(A2cAlgorithm::with_pool(a2c.clone(), None)),
+        }
+    };
+    for name in ["ppo", "a2c"] {
+        assert_eq!(session(build(name), &[0, 1, 2]), session(build(name), &[2, 0, 1]), "{name}");
     }
 }
 

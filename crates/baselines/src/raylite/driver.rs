@@ -16,13 +16,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xingtian::config::{AlgorithmSpec, DeploymentConfig};
 use xingtian::deployment::{build_agent, build_algorithm, build_env};
-use xingtian::stats::{RunReport, ThroughputTimeline};
+use xingtian::stats::RunReport;
 use xingtian_algos::api::Algorithm;
 use xingtian_algos::payload::RolloutBatch;
 use xingtian_algos::{DqnAlgorithm, ReplayConfig, ReplayPlane, StepSink};
 use xingtian_comm::TransmissionStats;
 use xingtian_message::codec::{Decode, Encode};
-use xt_telemetry::{EventKind, HistogramHandle, Telemetry};
+use xt_telemetry::{EventKind, HistogramHandle, Telemetry, ThroughputTimeline};
 
 struct Driver {
     cluster: Cluster,
@@ -490,8 +490,16 @@ mod tests {
             self.queued.push(batch);
         }
 
-        fn try_train(&mut self) -> Option<xingtian_algos::TrainReport> {
-            let batch = self.queued.pop()?;
+        fn take_round_credit(&mut self, _local: std::ops::Range<usize>, _slots: usize) -> bool {
+            !self.queued.is_empty()
+        }
+
+        fn slot_grad(&mut self, _slot: usize, _out: &mut Vec<f32>) -> f32 {
+            0.0
+        }
+
+        fn apply_reduced_grad(&mut self, _grad: &mut [f32], _loss: f32) -> Option<xingtian_algos::TrainReport> {
+            let batch = self.queued.pop().expect("a credited round");
             let notify = vec![batch.explorer];
             self.spent.push(batch);
             Some(xingtian_algos::TrainReport { steps_consumed: 1, loss: 0.0, version: 0, notify })

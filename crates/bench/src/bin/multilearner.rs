@@ -6,9 +6,10 @@
 //! DQN over real broker endpoints, fixed slot data in place of sampling —
 //! on a fanout-256 workload: every round is a 256-row global batch split
 //! into `GRAD_SLOTS` fixed 64-row slot minibatches, independent of the shard
-//! count. The driver is single-threaded (the container has one core), so
-//! per-shard *busy time* is measured directly and a round's makespan is the
-//! maximum over shards — what wall clock would be with one core per shard.
+//! count. The driver is single-threaded, so per-shard *busy time* (the
+//! driving thread's CPU time, preemption excluded) is measured directly and
+//! a round's makespan is the maximum over shards — what wall clock would be
+//! with one core per shard.
 //! Aggregate throughput is global rows over summed makespans; the run also
 //! asserts the tentpole contract (bit-identical parameters across shard
 //! counts) and reports the `learn.allreduce_ns` collect-phase latency.
@@ -23,7 +24,8 @@
 //! one gradient upload (the CI regression gate).
 
 use netsim::Cluster;
-use std::time::{Duration, Instant};
+use std::ffi::{c_int, c_long};
+use std::time::Duration;
 use xingtian::config::{AllreduceMode, AlgorithmSpec, DeploymentConfig};
 use xingtian::shard::{Lockstep, GRAD_SLOTS};
 use xingtian::Deployment;
@@ -78,6 +80,20 @@ fn shard_algorithm() -> DqnAlgorithm {
     DqnAlgorithm::new(c)
 }
 
+/// On-CPU time of the calling thread, to the nanosecond: unlike `Instant`, a
+/// preempted stretch does not count. (`/proc/thread-self/schedstat` counts the
+/// same but advances only at scheduler ticks, coarser than a slot gradient.)
+fn thread_cpu() -> Duration {
+    extern "C" {
+        fn clock_gettime(clock: c_int, ts: *mut [c_long; 2]) -> c_int;
+    }
+    const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+    let mut ts: [c_long; 2] = [0; 2];
+    // SAFETY: two longs are Linux's `struct timespec`, writable for the call.
+    assert_eq!(unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) }, 0, "clock_gettime failed");
+    Duration::new(ts[0] as u64, ts[1] as u32)
+}
+
 struct SyncOutcome {
     /// Sum over rounds of the slowest shard's busy time (compute + reduce +
     /// apply; receive *wait* excluded — the driver is single-threaded).
@@ -100,8 +116,7 @@ fn measure_sync(shards: u32, rounds: u64) -> SyncOutcome {
     let broker = Broker::with_telemetry(0, cluster, CommConfig::default(), telemetry.clone());
     let eps: Vec<_> = (0..shards).map(|s| broker.endpoint(ProcessId::learner(s))).collect();
     let mut algs: Vec<DqnAlgorithm> = (0..shards).map(|_| shard_algorithm()).collect();
-    let mut rings: Vec<Lockstep> =
-        (0..shards).map(|s| Lockstep::new(s, shards, SLOT_ROWS, 0, &telemetry)).collect();
+    let mut rings: Vec<Lockstep> = (0..shards).map(|s| Lockstep::new(s, shards, 0, &telemetry)).collect();
     let slots: Vec<Vec<RolloutStep>> = (0..GRAD_SLOTS).map(slot_steps).collect();
 
     let mut makespan = Duration::ZERO;
@@ -109,20 +124,20 @@ fn measure_sync(shards: u32, rounds: u64) -> SyncOutcome {
         let mut busy = vec![Duration::ZERO; shards as usize];
         // Compute phase: every shard grades its own slots and allgathers.
         for s in 0..shards as usize {
-            let t0 = Instant::now();
+            let t0 = thread_cpu();
             let alg = &mut algs[s];
-            rings[s].open_round(&eps[s], |slot, rows, grad| {
-                alg.grad_on_steps(&slots[slot], rows, grad)
+            rings[s].open_round(&eps[s], |slot, grad| {
+                alg.grad_on_steps(&slots[slot], SLOT_ROWS * GRAD_SLOTS, grad)
             });
-            busy[s] += t0.elapsed();
+            busy[s] += thread_cpu() - t0;
         }
         // Collect phase: drain until the round closes (fold, one optimizer
         // step). Receive *wait* is not busy time; fold and apply are.
         for s in 0..shards as usize {
             loop {
-                let t0 = Instant::now();
+                let t0 = thread_cpu();
                 if rings[s].close_round(&mut algs[s]).is_some() {
-                    busy[s] += t0.elapsed();
+                    busy[s] += thread_cpu() - t0;
                     break;
                 }
                 let msg = eps[s]

@@ -11,7 +11,8 @@ use netsim::ClusterSpec;
 use xingtian_algos::{A2cConfig, DqnConfig, ImpalaConfig, PpoConfig, ReinforceConfig};
 use xingtian_comm::CommConfig;
 
-/// Which DRL algorithm to deploy, with its hyperparameters.
+/// Which DRL algorithm to deploy, with its hyperparameters (all five train in
+/// lockstep rounds; sync learner sharding takes DQN, A2C and IMPALA).
 #[derive(Debug, Clone)]
 pub enum AlgorithmSpec {
     /// Deep Q-Networks (value-based, off-policy).
@@ -89,8 +90,8 @@ pub enum AllreduceMode {
     /// the same fixed order, and one optimizer step is applied per round.
     /// Same seed and slot data → bit-identical parameters for 1, 2, and 4
     /// shards, and every shard of a run exits with the same parameters. DQN
-    /// only (its `ShardedSync` surface), under either replay placement and
-    /// either sampling mode; the shard count must divide the slot count.
+    /// (under either replay placement and either sampling mode), A2C and
+    /// IMPALA; the shard count must divide the slot count.
     #[default]
     Sync,
     /// Stale-tolerant delta exchange: each shard trains locally and gossips
@@ -363,6 +364,7 @@ impl DeploymentConfig {
             AlgorithmSpec::Dqn(c) if c.train_every_inserts == 0 => Some("DqnConfig.train_every_inserts"),
             AlgorithmSpec::Dqn(c) if c.batch_size == 0 => Some("DqnConfig.batch_size"),
             AlgorithmSpec::Ppo(c) if c.minibatch == 0 => Some("PpoConfig.minibatch"),
+            AlgorithmSpec::Ppo(c) if c.epochs == 0 => Some("PpoConfig.epochs"),
             AlgorithmSpec::Impala(c) if c.max_queue == 0 => Some("ImpalaConfig.max_queue"),
             AlgorithmSpec::Reinforce(c) if c.episodes_per_train == 0 => {
                 Some("ReinforceConfig.episodes_per_train")
@@ -392,12 +394,16 @@ impl DeploymentConfig {
             ));
         }
         if self.learner_shards > 1 && self.allreduce == AllreduceMode::Sync {
-            // Lockstep rounds are taken through `ShardedSync`, which only
-            // DQN implements.
-            if !matches!(self.algorithm, AlgorithmSpec::Dqn(_)) {
+            let reason = match self.algorithm {
+                AlgorithmSpec::Ppo(_) => "a session is several optimizer steps, a lockstep round is one \
+                     and its id is the parameter version a rejoining shard adopts",
+                AlgorithmSpec::Reinforce(_) => "its advantages are whitened over every episode of a session \
+                     and its baseline runs over them in order, but a slot sees only its own episodes",
+                _ => "",
+            };
+            if !reason.is_empty() {
                 return Err(format!(
-                    "sync allreduce requires DQN (got {}): only DQN takes lockstep rounds; \
-                     use AllreduceMode::Relaxed",
+                    "sync allreduce cannot shard {}: {reason}; use AllreduceMode::Relaxed",
                     self.algorithm.name()
                 ));
             }
@@ -475,6 +481,8 @@ mod tests {
         dqn_batch.batch_size = 0;
         let mut ppo = PpoConfig::new(0, 0);
         ppo.minibatch = 0;
+        let mut ppo_epochs = PpoConfig::new(0, 0);
+        ppo_epochs.epochs = 0;
         let mut impala = ImpalaConfig::new(0, 0);
         impala.max_queue = 0;
         let mut reinforce = ReinforceConfig::new(0, 0);
@@ -483,6 +491,7 @@ mod tests {
             (AlgorithmSpec::Dqn(dqn_every), "DqnConfig.train_every_inserts"),
             (AlgorithmSpec::Dqn(dqn_batch), "DqnConfig.batch_size"),
             (AlgorithmSpec::Ppo(ppo), "PpoConfig.minibatch"),
+            (AlgorithmSpec::Ppo(ppo_epochs), "PpoConfig.epochs"),
             (AlgorithmSpec::Impala(impala), "ImpalaConfig.max_queue"),
             (AlgorithmSpec::Reinforce(reinforce), "ReinforceConfig.episodes_per_train"),
         ] {
@@ -523,13 +532,24 @@ mod tests {
         }
         let zero = DeploymentConfig::cartpole(AlgorithmSpec::dqn(), 8).with_learner_shards(0);
         assert!(zero.validate().is_err());
-        // Sync lockstep is DQN-only; relaxed delta exchange takes any algorithm.
-        let sync_ppo = DeploymentConfig::cartpole(AlgorithmSpec::ppo(), 4).with_learner_shards(2);
-        assert!(sync_ppo.validate().unwrap_err().contains("requires DQN"));
-        let relaxed_ppo = DeploymentConfig::cartpole(AlgorithmSpec::ppo(), 4)
-            .with_learner_shards(2)
-            .with_allreduce(AllreduceMode::Relaxed);
-        assert!(relaxed_ppo.validate().is_ok());
+        // Sync lockstep shards DQN, A2C and IMPALA; PPO and REINFORCE only
+        // take one-slot rounds, each for its own reason. Relaxed delta
+        // exchange takes any algorithm.
+        for spec in [AlgorithmSpec::dqn(), AlgorithmSpec::a2c(), AlgorithmSpec::impala()] {
+            let sync = DeploymentConfig::cartpole(spec, 4).with_learner_shards(2);
+            assert!(sync.validate().is_ok(), "{}", sync.algorithm.name());
+        }
+        for (spec, reason) in
+            [(AlgorithmSpec::ppo(), "several optimizer steps"), (AlgorithmSpec::reinforce(), "its own episodes")]
+        {
+            let sync = DeploymentConfig::cartpole(spec.clone(), 4).with_learner_shards(2);
+            let err = sync.validate().unwrap_err();
+            assert!(err.contains("cannot shard") && err.contains(reason), "{err}");
+            let relaxed = DeploymentConfig::cartpole(spec, 4)
+                .with_learner_shards(2)
+                .with_allreduce(AllreduceMode::Relaxed);
+            assert!(relaxed.validate().is_ok());
+        }
         // Each shard needs at least one explorer to own, in either mode.
         for mode in [AllreduceMode::Sync, AllreduceMode::Relaxed] {
             let starved =

@@ -23,9 +23,12 @@
 //! means, and the startup and shutdown handshakes:
 //!
 //! * **alone** (no peers, either mode) — sessions come from
-//!   [`Algorithm::try_train`]; no gate, no delta, no `Gradient` traffic;
+//!   [`Algorithm::try_train`], one-slot rounds; no gate, no delta, no
+//!   `Gradient` traffic;
 //! * **relaxed** — the same, plus delta gossip ([`crate::gossip`]);
-//! * **sync** — a session is a lockstep round ([`crate::shard`]).
+//! * **sync** — the same round surface, with this shard's slots of a
+//!   [`crate::shard::GRAD_SLOTS`]-slot round folded with its peers'
+//!   ([`crate::shard`]).
 
 use crate::assignment::AssignmentTable;
 use crate::checkpoint::Checkpointer;
@@ -34,17 +37,16 @@ use crate::gossip::Gossip;
 use crate::messages::ControlCommand;
 use crate::parameters::ParamBroadcaster;
 use crate::shard::{Lockstep, DEAD_PEER_TIMEOUT};
-use crate::stats::ThroughputTimeline;
 use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xingtian_algos::api::{Algorithm, ShardedSync};
+use xingtian_algos::api::{Algorithm, TrainReport};
 use xingtian_algos::payload::{BatchDecoder, RolloutBatch};
 use xingtian_comm::{Endpoint, ParamCompression, TransmissionStats};
 use xingtian_message::codec::{Decode, Encode};
 use xingtian_message::{Message, MessageKind, ProcessId};
-use xt_telemetry::Histogram;
+use xt_telemetry::{Histogram, ThroughputTimeline};
 
 /// How many already-arrived messages one pass decodes before it trains (or
 /// opens a lockstep round). At saturation every decoded rollout releases a
@@ -162,10 +164,8 @@ impl LearnerProcess {
         self.algorithm.attach_telemetry(self.endpoint.telemetry());
         let telemetry = self.endpoint.telemetry().clone();
         let shards = self.table.shards();
-        // Lockstep rounds need someone to be in step with (and a
-        // `ShardedSync` algorithm, which validation demands only of sharded
-        // sync deployments); `Sync` is the config default, so a lone learner of
-        // any algorithm trains on arrival.
+        // Lockstep rounds need someone to be in step with; `Sync` is the
+        // config default, so a lone learner trains on arrival.
         let mut discipline = match self.mode {
             _ if shards == 1 => Discipline::Alone,
             AllreduceMode::Relaxed => {
@@ -173,9 +173,7 @@ impl LearnerProcess {
                 Discipline::Gossip(Gossip::new(self.shard, shards, params, &telemetry))
             }
             AllreduceMode::Sync => {
-                let slot_rows = sync(self.algorithm.as_mut()).slot_rows();
-                let round = self.algorithm.version();
-                let lockstep = Lockstep::new(self.shard, shards, slot_rows, round, &telemetry);
+                let lockstep = Lockstep::new(self.shard, shards, self.algorithm.version(), &telemetry);
                 lockstep.hello(&self.endpoint);
                 Discipline::Lockstep(lockstep)
             }
@@ -205,9 +203,7 @@ impl LearnerProcess {
         // on-policy learner discards every rollout generated with older
         // parameters: announce the restored ones before waiting.
         if self.algorithm.version() > 0 {
-            let owned = self.table.owned(self.shard);
-            let dst = owned.iter().map(|&e| ProcessId::explorer(e)).collect();
-            run.broadcaster.encode(&self.algorithm.param_blob(), &owned).send(&self.endpoint, dst);
+            self.announce(&mut run);
         }
 
         let mut shutdown = false;
@@ -233,8 +229,8 @@ impl LearnerProcess {
             // Complete every session that is now possible (none on shutdown:
             // the supervisor has its goal, the explorers are leaving).
             if !shutdown {
-                while let Some((steps, notify)) = self.next_session(&mut run, &mut discipline) {
-                    self.finish_session(&mut run, steps, notify);
+                while let Some(report) = self.next_session(&mut run, &mut discipline) {
+                    self.finish_session(&mut run, report);
                 }
             }
             // Recycle the step storage of batches the algorithm is done with,
@@ -252,15 +248,11 @@ impl LearnerProcess {
         run.outcome
     }
 
-    /// Produces the next training session if the discipline can: the steps
-    /// it consumed on this shard and the session's `TrainReport::notify`.
-    fn next_session(
-        &mut self,
-        run: &mut LearnerRun,
-        discipline: &mut Discipline,
-    ) -> Option<(usize, Vec<u32>)> {
+    /// Produces the next training session if the discipline can; its
+    /// `steps_consumed` is this shard's share.
+    fn next_session(&mut self, run: &mut LearnerRun, discipline: &mut Discipline) -> Option<TrainReport> {
         if let Discipline::Lockstep(lockstep) = discipline {
-            return lockstep.step(&self.endpoint, sync(self.algorithm.as_mut()), run);
+            return lockstep.step(&self.endpoint, self.algorithm.as_mut(), run);
         }
         let t = Instant::now();
         let report = self.algorithm.try_train()?;
@@ -268,7 +260,14 @@ impl LearnerProcess {
         if let Discipline::Gossip(gossip) = discipline {
             gossip.offer(&self.endpoint, self.algorithm.param_blob());
         }
-        Some((report.steps_consumed, report.notify))
+        Some(report)
+    }
+
+    /// Broadcasts the current parameters to every explorer this shard owns.
+    fn announce(&self, run: &mut LearnerRun) {
+        let owned = self.table.owned(self.shard);
+        let dst = owned.iter().map(|&e| ProcessId::explorer(e)).collect();
+        run.broadcaster.encode(&self.algorithm.param_blob(), &owned).send(&self.endpoint, dst);
     }
 
     /// A completed session's share of the outcome, and its checkpoint hook.
@@ -285,8 +284,8 @@ impl LearnerProcess {
 
     /// Post-session bookkeeping: instruments, outcome, the checkpoint→probe
     /// ordering, the parameter broadcast, and the step count reported to the
-    /// supervisor. `notify` is the session's `TrainReport::notify`.
-    fn finish_session(&mut self, run: &mut LearnerRun, steps_consumed: usize, notify: Vec<u32>) {
+    /// supervisor.
+    fn finish_session(&mut self, run: &mut LearnerRun, TrainReport { steps_consumed, notify, .. }: TrainReport) {
         run.wait_hist.record_duration(run.waited);
         run.sessions_counter.inc();
         self.record_session(run, steps_consumed);
@@ -339,8 +338,13 @@ impl LearnerProcess {
             (MessageKind::Gradient, Discipline::Lockstep(lockstep)) => {
                 lockstep.on_gradient(&msg, &self.endpoint, self.algorithm.as_ref());
             }
+            // A rejoined shard's explorers hold the checkpoint's parameters,
+            // and an on-policy rollout made with those is discarded.
             (MessageKind::Parameters, Discipline::Lockstep(lockstep)) => {
-                lockstep.on_snapshot(&msg, self.algorithm.as_mut());
+                let adopted = lockstep.on_snapshot(&msg, self.algorithm.as_mut());
+                if adopted {
+                    self.announce(run);
+                }
             }
             (MessageKind::Control, _) => {
                 return ControlCommand::from_bytes(&msg.body) == Ok(ControlCommand::Shutdown);
@@ -373,15 +377,8 @@ impl LearnerProcess {
         }
         // Bookkeeping only: the supervisor has ended the run and the
         // explorers are shutting down, so no broadcast and no stats send.
-        if lockstep.close_round(sync(self.algorithm.as_mut())).is_some() {
-            self.record_session(run, lockstep.local_rows);
+        if let Some(report) = lockstep.close_round(self.algorithm.as_mut()) {
+            self.record_session(run, report.steps_consumed);
         }
     }
-}
-
-/// The lockstep surface of a sharded sync deployment's algorithm.
-fn sync(algorithm: &mut dyn Algorithm) -> &mut dyn ShardedSync {
-    algorithm
-        .sharded_sync()
-        .expect("sync allreduce requires a ShardedSync algorithm (checked by config validation)")
 }

@@ -387,6 +387,12 @@ impl ParamReceiver {
             if version < held {
                 return IngestOutcome::Stale;
             }
+            // The parameters must end the body (as for `ParamBlob::from_bytes`);
+            // checked first, since the decode writes over the held ones.
+            let mut len = r.clone();
+            if len.varint().ok().and_then(|n| usize::try_from(n).ok()?.checked_mul(4)) != Some(len.remaining()) {
+                return IngestOutcome::Rejected { held };
+            }
             match decode_f32s_into(&mut r, &mut self.blob.params) {
                 Ok(()) => {
                     self.blob.version = version;
@@ -465,6 +471,19 @@ mod tests {
         // Now both hold v2; the next broadcast deltas.
         let b3 = drift(&b2, 1e-3);
         assert_eq!(tx.encode(&b3, &[0, 1]).compression, CompressionKind::DeltaF32);
+    }
+
+    /// A full-blob body is a `ParamBlob` to its last byte: one more byte is a
+    /// rejection, and the held parameters stay as they were.
+    #[test]
+    fn a_full_blob_with_trailing_bytes_is_rejected() {
+        let mut rx = ParamReceiver::new();
+        let b1 = blob(1, 64, 7);
+        assert_eq!(rx.ingest(CompressionKind::None, &b1.to_bytes()), IngestOutcome::Applied(1));
+        let mut body = blob(2, 64, 8).to_bytes();
+        body.push(0);
+        assert_eq!(rx.ingest(CompressionKind::None, &body), IngestOutcome::Rejected { held: 1 });
+        assert_eq!(rx.blob(), &b1, "the held parameters are untouched");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! [`crate::config::AllreduceMode::Sync`] **with peers**, and the round
 //! itself, written once — the loop, the determinism harness
 //! (`tests/multi_learner.rs`) and the `multilearner` bench all call
-//! [`Lockstep::open_round`] and [`Lockstep::close_round`].
+//! [`Lockstep::open_round`] and [`Lockstep::close_round`] over the round every
+//! algorithm implements ([`Algorithm::slot_grad`] and its two siblings).
 //!
 //! The sync mode's obligation is bitwise determinism across shard counts: the
 //! same seed must produce bit-identical parameters for 1, 2, and 4 shards.
@@ -15,7 +16,9 @@
 //!
 //! * shard `s` of `S` computes one raw (pre-optimizer) gradient per slot it
 //!   owns, scaled by the round's *global* row count, with the loss
-//!   contribution carried as one trailing element;
+//!   contribution carried as one trailing element. The algorithm assigns
+//!   rows to slots by the data, so a slot holds the same rows whichever
+//!   shard grades it;
 //! * the shards allgather the slot gradients as `GradBlob`s
 //!   (`MessageKind::Gradient`, `worker` = slot index, `version` = round);
 //! * every shard folds the slots flat, left to right, in slot order, and
@@ -23,7 +26,7 @@
 //!
 //! The same float additions happen in the same order on every shard and for
 //! every legal shard count. A single learner's training session is the
-//! one-slot case of the same round (`DqnAlgorithm::try_train`).
+//! one-slot case of the same round ([`Algorithm::try_train`]).
 //!
 //! Nothing here polls: a rollout grants the credit that opens a round, a peer
 //! blob completes it, a snapshot fast-forwards it — all messages, so the
@@ -53,7 +56,7 @@ use bytes::Bytes;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::time::{Duration, Instant};
-use xingtian_algos::api::{Algorithm, ShardedSync, TrainReport};
+use xingtian_algos::api::{Algorithm, TrainReport};
 use xingtian_algos::payload::ParamBlob;
 use xingtian_algos::GradBlob;
 use xingtian_comm::Endpoint;
@@ -184,13 +187,6 @@ impl SlotTable {
 pub struct Lockstep {
     table: SlotTable,
     peers: Vec<ProcessId>,
-    /// Rows in a round's global batch (`slot_rows × GRAD_SLOTS`).
-    global_rows: usize,
-    /// This shard's share of them, for step accounting: every shard applies
-    /// the same global batch, so reporting the full count S times would make
-    /// goal semantics (and the supervisor's step sum) depend on the shard
-    /// count.
-    pub(crate) local_rows: usize,
     /// Set while this shard has announced its slots for the current round and
     /// is waiting on peers: the collect-phase start.
     open: Option<Instant>,
@@ -205,19 +201,21 @@ pub struct Lockstep {
 impl Lockstep {
     /// The state of `shard` of `shards`, whose first round is `round` (the
     /// algorithm's parameter version).
-    pub fn new(shard: u32, shards: u32, slot_rows: usize, round: u64, telemetry: &Telemetry) -> Self {
-        let global_rows = slot_rows * GRAD_SLOTS;
+    pub fn new(shard: u32, shards: u32, round: u64, telemetry: &Telemetry) -> Self {
         Lockstep {
             table: SlotTable::new(shard, shards, round),
             peers: (0..shards).filter(|&p| p != shard).map(ProcessId::learner).collect(),
-            global_rows,
-            local_rows: global_rows / shards as usize,
             open: None,
             snapshot_sent: HashMap::new(),
             farewells: HashMap::new(),
             allreduce_hist: telemetry.histogram("learn.allreduce_ns"),
             rounds_counter: telemetry.counter(&format!("learn.shard{shard}.rounds")),
         }
+    }
+
+    /// The slots this shard grades every round (its credit's `local`).
+    pub fn local_slots(&self) -> Range<usize> {
+        self.table.local.clone()
     }
 
     fn tell_peers(&self, endpoint: &Endpoint, blob: &GradBlob) {
@@ -236,18 +234,14 @@ impl Lockstep {
         self.tell_peers(endpoint, &hello);
     }
 
-    /// The compute phase: grades every owned slot with
-    /// `slot_grad(slot, global_rows, out)` (the slot's raw gradient at
-    /// `1 / global_rows` scale into `out`, its loss contribution returned),
-    /// announces each to the peers and offers it to the local slot table.
-    pub fn open_round(
-        &mut self,
-        endpoint: &Endpoint,
-        mut slot_grad: impl FnMut(usize, usize, &mut Vec<f32>) -> f32,
-    ) {
+    /// The compute phase, after a credit for [`Lockstep::local_slots`]:
+    /// grades every owned slot with `slot_grad(slot, out)` (as
+    /// [`Algorithm::slot_grad`]), announces each to the peers and offers it
+    /// to the local slot table.
+    pub fn open_round(&mut self, endpoint: &Endpoint, mut slot_grad: impl FnMut(usize, &mut Vec<f32>) -> f32) {
         for slot in self.table.local.clone() {
             let mut grad = Vec::new();
-            let loss = slot_grad(slot, self.global_rows, &mut grad);
+            let loss = slot_grad(slot, &mut grad);
             // The loss rides as one trailing element, so the flat fold
             // reduces it bit-identically alongside the gradient.
             grad.push(loss);
@@ -259,15 +253,16 @@ impl Lockstep {
     }
 
     /// The collect phase's end: once every slot (local and peer) is present,
-    /// folds them and takes exactly one optimizer step. `None` until then.
-    pub fn close_round(&mut self, sync: &mut dyn ShardedSync) -> Option<TrainReport> {
+    /// folds them and takes exactly one optimizer step. The report of the
+    /// session that step completes; `None` until then.
+    pub fn close_round(&mut self, algorithm: &mut dyn Algorithm) -> Option<TrainReport> {
         let mut folded = self.table.reduce()?;
         let loss = folded.pop().expect("trailing loss element");
         if let Some(t_open) = self.open.take() {
             self.allreduce_hist.record_duration(t_open.elapsed());
         }
         self.rounds_counter.inc();
-        Some(sync.apply_reduced_grad(&folded, self.global_rows, loss))
+        algorithm.apply_reduced_grad(&mut folded, loss)
     }
 
     /// The loop's session producer: opens the next round once the algorithm
@@ -276,18 +271,19 @@ impl Lockstep {
     pub(crate) fn step(
         &mut self,
         endpoint: &Endpoint,
-        sync: &mut dyn ShardedSync,
+        algorithm: &mut dyn Algorithm,
         run: &mut LearnerRun,
-    ) -> Option<(usize, Vec<u32>)> {
-        if self.open.is_none() && self.farewells.is_empty() && sync.take_round_credit() {
+    ) -> Option<TrainReport> {
+        let idle = self.open.is_none() && self.farewells.is_empty();
+        if idle && algorithm.take_round_credit(self.local_slots(), GRAD_SLOTS) {
             let t = Instant::now();
-            self.open_round(endpoint, |_, rows, out| sync.slot_grad(rows, out));
+            self.open_round(endpoint, |slot, out| algorithm.slot_grad(slot, out));
             run.trained(t.elapsed());
         }
         let t = Instant::now();
-        let report = self.close_round(sync)?;
+        let report = self.close_round(algorithm)?;
         run.trained(t.elapsed());
-        Some((self.local_rows, report.notify))
+        Some(report)
     }
 
     /// A `Gradient` message: a peer's farewell, a (re)join announcement to
@@ -323,14 +319,16 @@ impl Lockstep {
     /// learner, so from a peer it is a snapshot answering our stale
     /// announcement: adopt it and jump to the ring's round. A round we had
     /// opened is gone with the jump, so the gate re-arms instead of waiting on
-    /// a round that can never close.
-    pub(crate) fn on_snapshot(&mut self, msg: &Message, algorithm: &mut dyn Algorithm) {
-        let Ok(blob) = ParamBlob::from_bytes(&msg.body) else { return };
-        if msg.header.src.role == ProcessRole::Learner && blob.version > self.table.round {
-            algorithm.adopt_params(&blob.params, blob.version);
-            self.table.fast_forward(blob.version);
-            self.open = None;
+    /// a round that can never close. True when the snapshot was adopted.
+    pub(crate) fn on_snapshot(&mut self, msg: &Message, algorithm: &mut dyn Algorithm) -> bool {
+        let Ok(blob) = ParamBlob::from_bytes(&msg.body) else { return false };
+        if msg.header.src.role != ProcessRole::Learner || blob.version <= self.table.round {
+            return false;
         }
+        algorithm.adopt_params(&blob.params, blob.version);
+        self.table.fast_forward(blob.version);
+        self.open = None;
+        true
     }
 
     /// Tells the peers, once, the first round this shard did not announce.

@@ -1,15 +1,10 @@
-//! Run-level measurements: throughput timelines and run reports.
-//!
-//! The throughput timeline implementation lives in `xt-telemetry` (shared
-//! with the baseline drivers and the bench harness); it is re-exported here
-//! so existing `xingtian::stats::ThroughputTimeline` users keep compiling.
+//! Run-level measurements: run reports over `xt-telemetry`'s throughput
+//! timelines.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 use xingtian_comm::TransmissionStats;
-use xt_telemetry::Histogram;
-
-pub use xt_telemetry::ThroughputTimeline;
+use xt_telemetry::{Histogram, ThroughputTimeline};
 
 /// What the store-resident replay plane did over one run, summed over the
 /// learner shards' replay services (`None` on the classic in-learner

@@ -52,7 +52,7 @@
 
 use crate::assignment::AssignmentTable;
 use crate::checkpoint::{load_latest, CheckpointConfig, Checkpointer};
-use crate::config::DeploymentConfig;
+use crate::config::{AllreduceMode, DeploymentConfig};
 use crate::deployment::{
     build_agent, build_algorithm_with_replay, build_env, build_replay_plane, spawn_process,
     DeployError,
@@ -418,17 +418,19 @@ impl Deployment {
         // Algorithm replica for one learner shard, at first spawn and on
         // every restore. Replicas are all seeded identically (the sync
         // allreduce requires identical initial parameters) and sized to the
-        // explorer slice the shard owns at build — the whole pool for one
-        // shard. A restored learner re-attaches to its shard's surviving
-        // replay plane: everything ingested before the crash is still
-        // sampleable the moment the restore completes.
-        let slice_sizes: Vec<u32> = (0..shards).map(|s| table.owned(s).len() as u32).collect();
+        // explorer slice the shard owns at build — under sync, the whole pool,
+        // whose explorer indices fix a round's slots (A2C). A restored learner
+        // re-attaches to its shard's surviving replay plane: everything
+        // ingested before the crash is sampleable the moment it completes.
+        let sync = config.allreduce == AllreduceMode::Sync;
+        let sized_to: Vec<u32> =
+            (0..shards).map(|s| if sync { num_explorers } else { table.owned(s).len() as u32 }).collect();
         let build_shard_algorithm = |shard: u32| -> Box<dyn xingtian_algos::api::Algorithm> {
             let mut algorithm = build_algorithm_with_replay(
                 &config.algorithm,
                 obs_dim,
                 num_actions,
-                slice_sizes[shard as usize],
+                sized_to[shard as usize],
                 config.rollout_len,
                 config.seed,
                 planes.get(shard as usize),

@@ -481,11 +481,23 @@ fn sharded_dqn_chaos(mode: xingtian::config::AllreduceMode, dir: &std::path::Pat
 /// surviving shard answers with a parameter snapshot plus a retransmission
 /// of its open round's slot blobs, and lockstep resumes. (Recovery restores
 /// parameters, not optimizer state, so post-crash runs do not claim the
-/// fault-free bitwise guarantee — `multi_learner.rs` covers that one.)
+/// fault-free bitwise guarantee — `multi_learner.rs` covers that one.) DQN,
+/// and on-policy A2C checkpointing every other round: its restored shard is
+/// a round behind the ring, adopts the snapshot, and must hand its explorers
+/// the adopted parameters, or every rollout they make is stale.
 #[test]
 fn killed_learner_shard_rejoins_sync_allreduce_ring() {
     let dir = tmpdir("shard-sync-rejoin");
-    let config = sharded_dqn_chaos(xingtian::config::AllreduceMode::Sync, &dir);
+    let dqn = sharded_dqn_chaos(xingtian::config::AllreduceMode::Sync, &dir);
+    let a2c_dir = tmpdir("shard-sync-rejoin-a2c");
+    let a2c = DeploymentConfig { algorithm: AlgorithmSpec::a2c(), ..dqn.clone() }
+        .with_checkpoint(CheckpointConfig::new(&a2c_dir, 2));
+    for (config, dir) in [(dqn, dir), (a2c, a2c_dir)] {
+        shard_rejoins_sync_allreduce_ring(config, dir);
+    }
+}
+
+fn shard_rejoins_sync_allreduce_ring(config: DeploymentConfig, dir: std::path::PathBuf) {
     let supervision = SupervisionConfig::with_heartbeat_interval_ms(15);
     let plan = FaultPlan::seeded(19)
         .with_kill(ProcessId::learner(1), KillTrigger::AfterSteps(3));

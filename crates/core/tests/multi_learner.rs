@@ -1,28 +1,30 @@
 //! Multi-learner sharded training: the determinism and equivalence contracts.
 //!
-//! The sync allreduce's core promise is PR 4's bitwise-determinism story
+//! The sync allreduce's core promise is the bitwise-determinism story
 //! extended across shard counts: the same seed and the same round data must
 //! produce bit-identical parameters whether 1, 2, or 4 shards split the
 //! work. That is proven here at the harness level — the learner loop's own
-//! lockstep round (`Lockstep` + DQN) driven over real broker endpoints with
-//! controlled slot data, in the style of `tests/param_plane.rs` — because an end-to-end
-//! deployment cannot hold replay contents constant across shard counts
-//! (each shard owns a different explorer slice). What a deployment *can*
+//! lockstep round (`Lockstep` + DQN, A2C or IMPALA) driven over real broker
+//! endpoints with controlled slot data, in the style of
+//! `tests/param_plane.rs` — because an end-to-end deployment cannot hold
+//! replay contents or arrival order constant across shard counts (each shard
+//! owns a different explorer slice). What a deployment *can*
 //! promise is that all shards of one sync run agree bitwise at exit, and
 //! that the opt-in relaxed mode stays in the same reward band as the classic
 //! single learner.
 
 use bytes::Bytes;
 use netsim::Cluster;
+use std::ops::Range;
 use std::time::Duration;
 use xingtian::config::{AllreduceMode, AlgorithmSpec, DeploymentConfig};
-use xingtian::shard::{Lockstep, HELLO};
+use xingtian::shard::{Lockstep, GRAD_SLOTS, HELLO};
 use xingtian::stats::RunReport;
 use xingtian::supervisor::{RecoveryReport, SupervisionConfig};
 use xingtian::Deployment;
 use xingtian_algos::api::Algorithm;
-use xingtian_algos::payload::RolloutStep;
-use xingtian_algos::{DqnAlgorithm, DqnConfig, GradBlob};
+use xingtian_algos::payload::{RolloutBatch, RolloutStep};
+use xingtian_algos::{A2cAlgorithm, A2cConfig, DqnAlgorithm, DqnConfig, GradBlob, ImpalaAlgorithm, ImpalaConfig};
 use xingtian_comm::{Broker, CommConfig};
 use xingtian_message::codec::Encode;
 use xingtian_message::{MessageKind, ProcessId};
@@ -75,25 +77,44 @@ fn shard_algorithm() -> DqnAlgorithm {
     DqnAlgorithm::new(c)
 }
 
+/// Explorers of the A2C harness: two per slot (`e · 4 / 8`).
+const EXPLORERS: u32 = 8;
+
+/// The controlled actor-critic rollout of `explorer` for `round`.
+fn rollout(round: u64, explorer: u32, param_version: u64) -> RolloutBatch {
+    let steps = slot_steps(round, explorer as usize)
+        .into_iter()
+        .map(|s| RolloutStep {
+            behavior_logits: s.observation[..N_ACTIONS].to_vec(),
+            value: s.reward * 0.1,
+            next_observation: None,
+            ..s
+        })
+        .collect();
+    RolloutBatch { explorer, param_version, steps, bootstrap_observation: seeded(OBS_DIM, round + 7) }
+}
+
 /// Runs `ROUNDS` sync-allreduce rounds across `shards` learner replicas over
 /// real broker endpoints — the rounds a deployment's learner loop runs
-/// (`Lockstep::open_round` / `close_round`), graded on the controlled slot
-/// data instead of sampled slots — and returns every replica's final
-/// parameters.
-fn run_sync_harness(shards: u32) -> Vec<Vec<f32>> {
+/// (`Lockstep::open_round` / `close_round`) — and returns every replica's
+/// final parameters. `stage(replica, round, local)` hands a shard the data of
+/// its slots; `grade(replica, round, slot, out)` computes a slot gradient.
+fn run_sync_harness<A: Algorithm>(
+    shards: u32,
+    build: impl Fn() -> A,
+    stage: impl Fn(&mut A, u64, Range<usize>),
+    grade: impl Fn(&mut A, u64, usize, &mut Vec<f32>) -> f32,
+) -> Vec<Vec<f32>> {
     let broker = Broker::new(0, Cluster::single(), CommConfig::default());
     let eps: Vec<_> = (0..shards).map(|s| broker.endpoint(ProcessId::learner(s))).collect();
-    let mut algs: Vec<DqnAlgorithm> = (0..shards).map(|_| shard_algorithm()).collect();
-    let mut rings: Vec<Lockstep> = (0..shards)
-        .map(|s| Lockstep::new(s, shards, BATCH, 0, &Telemetry::disabled()))
-        .collect();
+    let mut algs: Vec<A> = (0..shards).map(|_| build()).collect();
+    let mut rings: Vec<Lockstep> = (0..shards).map(|s| Lockstep::new(s, shards, 0, &Telemetry::disabled())).collect();
 
     for round in 0..ROUNDS {
         for s in 0..shards as usize {
             let alg = &mut algs[s];
-            rings[s].open_round(&eps[s], |slot, rows, grad| {
-                alg.grad_on_steps(&slot_steps(round, slot), rows, grad)
-            });
+            stage(alg, round, rings[s].local_slots());
+            rings[s].open_round(&eps[s], |slot, grad| grade(alg, round, slot, grad));
         }
         for s in 0..shards as usize {
             while rings[s].close_round(&mut algs[s]).is_none() {
@@ -103,6 +124,7 @@ fn run_sync_harness(shards: u32) -> Vec<Vec<f32>> {
                 assert_eq!(msg.header.kind, MessageKind::Gradient);
                 rings[s].on_gradient(&msg, &eps[s], &algs[s]);
             }
+            while algs[s].take_spent().is_some() {}
         }
     }
     let params: Vec<Vec<f32>> = algs.iter().map(|a| a.param_blob().params).collect();
@@ -111,30 +133,73 @@ fn run_sync_harness(shards: u32) -> Vec<Vec<f32>> {
     params
 }
 
+/// DQN graded on the controlled slot minibatch instead of sampled slots.
+fn dqn_harness(shards: u32) -> Vec<Vec<f32>> {
+    run_sync_harness(
+        shards,
+        shard_algorithm,
+        |_, _, _| {},
+        |alg, round, slot, grad| alg.grad_on_steps(&slot_steps(round, slot), BATCH * GRAD_SLOTS, grad),
+    )
+}
+
+/// A2C over eight explorers: a shard receives the rollouts of the explorers
+/// of its slots, latest explorer first, and grades through the round surface.
+fn a2c_harness(shards: u32) -> Vec<Vec<f32>> {
+    let build = || {
+        let mut c = A2cConfig::new(OBS_DIM, N_ACTIONS);
+        (c.num_explorers, c.rollout_len, c.seed) = (EXPLORERS, BATCH, 23);
+        A2cAlgorithm::with_pool(c, None)
+    };
+    let stage = |alg: &mut A2cAlgorithm, round, local: Range<usize>| {
+        for e in (0..EXPLORERS).rev().filter(|&e| local.contains(&(e as usize * GRAD_SLOTS / EXPLORERS as usize))) {
+            alg.on_rollout(rollout(round, e, alg.version()));
+        }
+        assert!(alg.take_round_credit(local, GRAD_SLOTS), "the slots' explorers have all delivered");
+    };
+    run_sync_harness(shards, build, stage, |alg, _, slot, grad| alg.slot_grad(slot, grad))
+}
+
+/// IMPALA: a shard queues one rollout per slot it owns, in slot order.
+fn impala_harness(shards: u32) -> Vec<Vec<f32>> {
+    let build = || {
+        let mut c = ImpalaConfig::new(OBS_DIM, N_ACTIONS);
+        c.seed = 23;
+        ImpalaAlgorithm::with_pool(c, None)
+    };
+    let stage = |alg: &mut ImpalaAlgorithm, round, local: Range<usize>| {
+        for slot in local.clone() {
+            alg.on_rollout(rollout(round, slot as u32, 0));
+        }
+        assert!(alg.take_round_credit(local, GRAD_SLOTS), "one rollout per slot is queued");
+    };
+    run_sync_harness(shards, build, stage, |alg, _, slot, grad| alg.slot_grad(slot, grad))
+}
+
 fn bits(params: &[f32]) -> Vec<u32> {
     params.iter().map(|p| p.to_bits()).collect()
 }
 
 /// The tentpole determinism contract: the same seed and the same round data
 /// yield bit-identical parameters for 1, 2, and 4 shards, and every shard of
-/// one run agrees with every other.
+/// one run agrees with every other — for DQN, A2C and IMPALA.
 #[test]
 fn sync_allreduce_is_bit_identical_across_1_2_4_shards() {
-    let mut reference: Option<Vec<u32>> = None;
-    for shards in [1u32, 2, 4] {
-        let all = run_sync_harness(shards);
-        assert_eq!(all.len(), shards as usize);
-        for (s, params) in all.iter().enumerate() {
-            assert!(!params.is_empty());
-            assert_eq!(
-                bits(params),
-                bits(&all[0]),
-                "shard {s} of {shards} diverged from shard 0"
-            );
-        }
-        match &reference {
-            None => reference = Some(bits(&all[0])),
-            Some(r) => assert_eq!(&bits(&all[0]), r, "{shards} shards diverged from 1 shard"),
+    type Harness = fn(u32) -> Vec<Vec<f32>>;
+    let harnesses: [(&str, Harness); 3] = [("dqn", dqn_harness), ("a2c", a2c_harness), ("impala", impala_harness)];
+    for (name, harness) in harnesses {
+        let mut reference: Option<Vec<u32>> = None;
+        for shards in [1u32, 2, 4] {
+            let all = harness(shards);
+            assert_eq!(all.len(), shards as usize);
+            for (s, params) in all.iter().enumerate() {
+                assert!(!params.is_empty());
+                assert_eq!(bits(params), bits(&all[0]), "{name}: shard {s} of {shards} diverged from shard 0");
+            }
+            match &reference {
+                None => reference = Some(bits(&all[0])),
+                Some(r) => assert_eq!(&bits(&all[0]), r, "{name}: {shards} shards diverged from 1 shard"),
+            }
         }
     }
 }
@@ -150,7 +215,7 @@ fn only_a_hello_is_answered_with_a_snapshot() {
     let peer = broker.endpoint(ProcessId::learner(0));
     let shard = broker.endpoint(ProcessId::learner(1));
     let algorithm = shard_algorithm();
-    let mut ring = Lockstep::new(1, 2, BATCH, 1, &Telemetry::disabled());
+    let mut ring = Lockstep::new(1, 2, 1, &Telemetry::disabled());
     let deliver = |ring: &mut Lockstep, blob: GradBlob| {
         assert!(peer.send_to(vec![ProcessId::learner(1)], MessageKind::Gradient, Bytes::from(blob.to_bytes())));
         let msg = shard.recv_timeout(Duration::from_secs(5)).expect("the blob arrives");
@@ -223,6 +288,30 @@ fn sync_shards_with_prioritized_replay_agree_bitwise_at_exit() {
 fn run_quiet(config: DeploymentConfig) -> (RunReport, RecoveryReport) {
     Deployment::run_supervised(config, SupervisionConfig::unsupervised(), FaultPlan::seeded(1), Telemetry::disabled())
         .expect("deployment runs")
+}
+
+/// Sync rounds take A2C and IMPALA: A2C's slots group explorers by index,
+/// so each shard's round waits for exactly the explorers it owns; IMPALA's
+/// take one queued rollout each. Both reach the goal with nothing dropped or
+/// leaked, and their shards exit bit-identical.
+#[test]
+fn sync_a2c_and_impala_shards_agree_bitwise_at_exit() {
+    for spec in [AlgorithmSpec::a2c(), AlgorithmSpec::impala()] {
+        let config = DeploymentConfig::cartpole(spec, 4)
+            .with_rollout_len(25)
+            .with_goal_steps(2_000)
+            .with_max_seconds(60.0)
+            .with_seed(37)
+            .with_learner_shards(2);
+        let name = config.algorithm.name();
+        let (report, recovery) = run_quiet(config);
+        assert!(report.steps_consumed >= 2_000, "{name}: consumed {}", report.steps_consumed);
+        assert_eq!(report.dropped_messages, 0, "{name}");
+        assert_eq!(recovery.leaked_objects, 0, "{name}");
+        let [a, b] = &report.learner_shard_params[..] else { panic!("{name}: two shards") };
+        assert!(!a.is_empty());
+        assert_eq!(bits(a), bits(b), "{name}: sync shards must exit bit-identical");
+    }
 }
 
 /// Store-resident replay shards with the learner: learner shard `s` samples

@@ -5,6 +5,7 @@
 
 use bytes::Bytes;
 use netsim::Cluster;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -14,7 +15,7 @@ use xingtian::explorer::{ExplorerOutcome, ExplorerProcess, RolloutRoute, MAX_INF
 use xingtian::learner::LearnerProcess;
 use xingtian::messages::ControlCommand;
 use xingtian::shard::{FAREWELL, GRAD_SLOTS};
-use xingtian_algos::api::{ActionSelection, Agent, Algorithm, ShardedSync, SyncMode, TrainReport};
+use xingtian_algos::api::{ActionSelection, Agent, Algorithm, SyncMode, TrainReport};
 use xingtian_algos::payload::{ParamBlob, RolloutBatch, RolloutStep};
 use xingtian_algos::{DqnAlgorithm, DqnConfig, GradBlob};
 use xingtian_comm::{Broker, CommConfig, Endpoint, InjectDecision, RouteInjector};
@@ -42,9 +43,12 @@ impl Agent for ScriptedAgent {
     }
 }
 
-/// An algorithm that counts consumed batches and replies to the source.
+/// An algorithm that counts consumed batches and replies to the source: every
+/// received batch grants one round credit, whatever the round's slots.
 struct CountingAlgorithm {
     queued: Vec<RolloutBatch>,
+    /// The credited round's batch, until its round applies.
+    round: Option<RolloutBatch>,
     spent: Vec<RolloutBatch>,
     version: u64,
     consumed: Arc<AtomicUsize>,
@@ -58,6 +62,7 @@ impl CountingAlgorithm {
     fn new(consumed: &Arc<AtomicUsize>, received_at_first_train: &Arc<AtomicUsize>) -> Self {
         CountingAlgorithm {
             queued: Vec::new(),
+            round: None,
             spent: Vec::new(),
             version: 0,
             consumed: Arc::clone(consumed),
@@ -82,17 +87,23 @@ impl Algorithm for CountingAlgorithm {
         self.queued.push(batch);
     }
 
-    fn try_train(&mut self) -> Option<TrainReport> {
-        let batch = self.queued.pop()?;
+    fn take_round_credit(&mut self, _local: Range<usize>, _slots: usize) -> bool {
+        self.round = self.queued.pop();
+        self.round.is_some()
+    }
+
+    fn slot_grad(&mut self, _slot: usize, out: &mut Vec<f32>) -> f32 {
         self.first_train();
+        out.resize(4, 0.0);
+        0.0
+    }
+
+    fn apply_reduced_grad(&mut self, _grad: &mut [f32], loss: f32) -> Option<TrainReport> {
+        let batch = self.round.take().expect("a credited round");
         self.version += 1;
         self.consumed.fetch_add(batch.len(), Ordering::Relaxed);
-        let report = TrainReport {
-            steps_consumed: batch.len(),
-            loss: 0.0,
-            version: self.version,
-            notify: vec![batch.explorer],
-        };
+        let report =
+            TrainReport { steps_consumed: batch.len(), loss, version: self.version, notify: vec![batch.explorer] };
         self.spent.push(batch);
         Some(report)
     }
@@ -117,34 +128,6 @@ impl Algorithm for CountingAlgorithm {
 
     fn name(&self) -> &str {
         "counting"
-    }
-
-    fn sharded_sync(&mut self) -> Option<&mut dyn ShardedSync> {
-        Some(self)
-    }
-}
-
-/// The lockstep script: every received batch grants one round credit.
-impl ShardedSync for CountingAlgorithm {
-    fn slot_rows(&self) -> usize {
-        1
-    }
-
-    fn take_round_credit(&mut self) -> bool {
-        let Some(batch) = self.queued.pop() else { return false };
-        self.spent.push(batch);
-        true
-    }
-
-    fn slot_grad(&mut self, _global_rows: usize, out: &mut Vec<f32>) -> f32 {
-        self.first_train();
-        out.resize(4, 0.0);
-        0.0
-    }
-
-    fn apply_reduced_grad(&mut self, _grad: &[f32], steps_represented: usize, loss: f32) -> TrainReport {
-        self.version += 1;
-        TrainReport { steps_consumed: steps_represented, loss, version: self.version, notify: Vec::new() }
     }
 }
 
@@ -323,8 +306,16 @@ impl Algorithm for HoardingSync {
         self.held.store(self.spent.len(), Ordering::Relaxed);
     }
 
-    fn try_train(&mut self) -> Option<TrainReport> {
-        None
+    fn take_round_credit(&mut self, _local: Range<usize>, _slots: usize) -> bool {
+        false
+    }
+
+    fn slot_grad(&mut self, _slot: usize, _out: &mut Vec<f32>) -> f32 {
+        unreachable!("no round ever opens")
+    }
+
+    fn apply_reduced_grad(&mut self, _grad: &mut [f32], _loss: f32) -> Option<TrainReport> {
+        unreachable!("no round ever opens")
     }
 
     fn take_spent(&mut self) -> Option<RolloutBatch> {
@@ -349,28 +340,6 @@ impl Algorithm for HoardingSync {
 
     fn name(&self) -> &str {
         "hoarding"
-    }
-
-    fn sharded_sync(&mut self) -> Option<&mut dyn ShardedSync> {
-        Some(self)
-    }
-}
-
-impl ShardedSync for HoardingSync {
-    fn slot_rows(&self) -> usize {
-        1
-    }
-
-    fn take_round_credit(&mut self) -> bool {
-        false
-    }
-
-    fn slot_grad(&mut self, _global_rows: usize, _out: &mut Vec<f32>) -> f32 {
-        unreachable!("no round ever opens")
-    }
-
-    fn apply_reduced_grad(&mut self, _grad: &[f32], _steps_represented: usize, _loss: f32) -> TrainReport {
-        unreachable!("no round ever opens")
     }
 }
 

@@ -46,7 +46,7 @@ impl fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Sequential reader over a byte slice.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -369,16 +369,9 @@ impl Encode for Vec<f32> {
 
 impl Decode for Vec<f32> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let len = r.varint()? as usize;
-        let need = len.checked_mul(4).ok_or(DecodeError::LengthOverflow {
-            declared: len,
-            remaining: r.remaining(),
-        })?;
-        if need > r.remaining() {
-            return Err(DecodeError::LengthOverflow { declared: need, remaining: r.remaining() });
-        }
-        let bytes = r.take(need)?;
-        Ok(decode_words_le!(f32, bytes, len))
+        let mut out = Vec::new();
+        decode_f32s_into(r, &mut out)?;
+        Ok(out)
     }
 }
 

@@ -31,13 +31,11 @@ pub mod clock;
 pub mod cluster;
 pub mod faults;
 pub mod nic;
-pub mod stats;
 
 pub use clock::{Clock, ClockMode};
 pub use cluster::{Cluster, ClusterSpec, MachineId, TransferReceipt};
 pub use faults::{LinkCondition, LinkDown, LinkFault, LinkFaultSchedule};
 pub use nic::Nic;
-pub use stats::LinkStats;
 
 /// iperf-measured bandwidth of the paper's 1 GbE NIC, in bytes per second
 /// (118.04 MB/s, the dashed line of Fig. 5(a)).

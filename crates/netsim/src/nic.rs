@@ -1,7 +1,7 @@
 //! A simulated network interface: a serialized, bandwidth-limited resource.
 
 use crate::clock::Clock;
-use crate::stats::LinkStats;
+use xt_telemetry::LinkStats;
 use parking_lot::Mutex;
 
 /// One direction (tx or rx) of a machine's network port.

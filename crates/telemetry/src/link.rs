@@ -1,5 +1,4 @@
-//! Cumulative transfer counters for NICs and links (moved here from
-//! `netsim::stats`; netsim re-exports them).
+//! Cumulative transfer counters for NICs and links.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
