@@ -43,8 +43,11 @@ echo "== release smoke: the store's fetch credits and the injection hooks on the
 # the delay line's flush at shutdown are races, and they must hold on the
 # build whose reordering matters — the reason the snapshot and buffer
 # hammers run in release too. Store: concurrent fetchers spend each credit
-# once and over-fetch frees nothing twice, the gate never overshoots under
-# contention, and a release wakes every parked inserter. Inject: drops burn
+# once and over-fetch frees nothing twice (a unicast's one fetch removes it
+# in one critical section), the gate never overshoots under contention, a
+# release wakes every parked inserter, and a reservation dropped unsealed by
+# a panicking sender gives back its bytes and slab and wakes a parked
+# inserter. Inject: drops burn
 # their credits, delays defer without loss on one broker and at the far end
 # of an uplink, and a delivery still parked at shutdown is flushed, with
 # every store empty.
@@ -59,6 +62,10 @@ echo "== release smoke: no lost wake-up in the queues every hop hands off throug
 # instead of hanging it; plus disconnect and `close()` waking every blocked
 # thread.
 cargo test --release -q -p parking_lot -p crossbeam-channel
+# The vendored `Bytes` shares one owner between views that drop on different
+# threads: the owner must be dropped exactly once, after the last view, and
+# that is a reordering question too, so it runs on the optimised build.
+cargo test --release -q -p bytes
 cargo test --release -q -p xingtian-comm buffer
 
 echo "== release smoke: the channel's lane, settlement and head-of-line tests on the optimised build =="
@@ -79,6 +86,9 @@ echo "== release smoke: the channel's lane, settlement and head-of-line tests on
 # per-(src,dst) FIFO across all three size classes, and the stalled-consumer
 # table: producers held inside `send`, nothing staged outside the store.
 cargo test --release -q -p xingtian-comm --test integration
+# A warm 1 KiB send_to -> recv makes at most 3 allocations per message and
+# none of 1 KiB or more: the body lives in a recycled store slab.
+cargo test --release -q -p xingtian-comm --test no_alloc
 cargo test --release -q --test channel_props
 
 echo "== release smoke: pinned A2C/PPO/IMPALA/DQN parameter digests and the allocation bound on the optimised kernels =="

@@ -17,7 +17,7 @@
 
 use crate::endpoint::Endpoint;
 use crate::inject::{InjectionStats, RouteInjector};
-use crate::pool::compress_for_transport;
+use crate::pool::{compress_for_transport, transport_container};
 use crate::router::{Hub, RemoteEnvelope, Uplinks};
 use crate::store::ObjectStore;
 use crate::{CommConfig, Compression, HeartbeatConfig};
@@ -236,23 +236,36 @@ impl Broker {
     }
 
     /// Accepts and routes a message on the calling (producer's) thread:
-    /// splits its destinations against the routing snapshot once, stores the
-    /// body in the form [`compress_for_transport`] gives it, and dispatches
-    /// it — admitted on its kind's lane with the plan's fan-out, its header
-    /// pushed to the local destinations, its body sent once to each remote
-    /// machine's uplink. Returns `false` if the broker is shut down or the
-    /// message has no routable destination.
+    /// splits its destinations against the routing snapshot once, writes the
+    /// body into a store reservation in the form [`compress_for_transport`]
+    /// gives it, and dispatches it — sealed with the plan's fan-out, its
+    /// header pushed to the local destinations, its body sent once to each
+    /// remote machine's uplink. Returns `false` if the broker is shut down or
+    /// the message has no routable destination.
     ///
     /// A compression pass delays only this sender's later messages, which
     /// per-(src,dst) FIFO holds behind it anyway.
     pub fn submit(&self, msg: Message) -> bool {
+        let Message { header, body } = msg;
+        self.route(header, Source::Bytes(body))
+    }
+
+    /// [`submit`](Broker::submit) for a body that is still a value: it is
+    /// encoded once, straight into its store reservation, after the
+    /// reservation has passed the gate.
+    pub fn submit_encoded(&self, mut header: Header, value: &dyn Encode) -> bool {
+        header.len = value.encoded_size();
+        self.route(header, Source::Encode(value))
+    }
+
+    fn route(&self, mut header: Header, body: Source<'_>) -> bool {
         if self.shared.closed.load(Ordering::Acquire) {
             return false;
         }
-        let Message { mut header, mut body } = msg;
         let shared = &*self.shared;
-        let plan = shared.hub.table.split(shared.machine, &header.dst);
-        shared.hub.table.add_dropped(plan.unknown as u64);
+        let hub = &*shared.hub;
+        let plan = hub.table.split(shared.machine, &header.dst);
+        hub.table.add_dropped(plan.unknown as u64);
         if plan.fanout() == 0 {
             return false;
         }
@@ -264,18 +277,54 @@ impl Broker {
             Compression::Threshold(t) if header.compression == CompressionKind::None => t,
             _ => usize::MAX,
         };
-        if body.len() > threshold {
-            let (raw_len, start) = (body.len(), Instant::now());
-            (body, header.compression) = compress_for_transport(body, threshold);
-            if header.compression == CompressionKind::None {
-                shared.compress_skipped.inc();
-            } else {
-                shared.compress_ns.record_duration(start.elapsed());
-                shared.compress_ratio.record((body.len() * 100 / raw_len) as u64);
+        let kind = header.kind;
+        let stored = match body {
+            Source::Bytes(body) if body.len() > threshold => {
+                let (raw_len, start) = (body.len(), Instant::now());
+                let stored;
+                (stored, header.compression) = compress_for_transport(body, threshold);
+                self.count_pass(raw_len, stored.len(), header.compression, start);
+                hub.admit_copy(kind, &stored)
             }
-        }
-        shared.hub.dispatch(&shared.uplinks, header, body, plan);
+            Source::Bytes(body) => hub.admit_copy(kind, &body),
+            Source::Encode(value) => {
+                let mut raw = hub.admit(kind, header.len);
+                value.encode(raw.body_mut());
+                if raw.len() <= threshold {
+                    raw
+                } else {
+                    let start = Instant::now();
+                    match transport_container(raw.written(), threshold) {
+                        Some(container) => {
+                            // Give the raw bytes back to the gate before the
+                            // container waits at it.
+                            let raw_len = raw.len();
+                            drop(raw);
+                            header.compression = CompressionKind::Lz4Chunked;
+                            self.count_pass(raw_len, container.len(), header.compression, start);
+                            hub.admit_copy(kind, &container)
+                        }
+                        None => {
+                            self.count_pass(raw.len(), raw.len(), CompressionKind::None, start);
+                            raw
+                        }
+                    }
+                }
+            }
+        };
+        hub.dispatch(&shared.uplinks, header, stored, plan);
         true
+    }
+
+    /// Counts one body over the compression threshold: skipped when it is
+    /// stored raw, otherwise its pass time and stored share.
+    fn count_pass(&self, raw_len: usize, stored_len: usize, kind: CompressionKind, start: Instant) {
+        if kind == CompressionKind::None {
+            self.shared.compress_skipped.inc();
+        } else {
+            self.shared.compress_ns.record_duration(start.elapsed());
+            self.shared.compress_ratio.record((stored_len * 100 / raw_len) as u64);
+        }
     }
 
     pub(crate) fn hub(&self) -> Arc<Hub> {
@@ -314,6 +363,12 @@ impl Broker {
     }
 }
 
+/// A body as a sender hands it over.
+enum Source<'a> {
+    Bytes(Body),
+    Encode(&'a dyn Encode),
+}
+
 /// The broker's liveness beacon: each interval, one `Heartbeat` from the
 /// broker to the monitor listing every local endpoint not in the `Broker` role
 /// (a monitor's own), submitted like any message; nothing when there is none.
@@ -339,7 +394,7 @@ fn run_beacon(shared: Weak<BrokerShared>, hb: HeartbeatConfig, stop: Receiver<()
         }
         let src = ProcessId::broker(shared.machine as u32);
         let header = Header::new(src, vec![hb.monitor], MessageKind::Heartbeat).with_seq(seq);
-        Broker { shared }.submit(Message::new(header, Body::from(live.to_bytes())));
+        Broker { shared }.submit_encoded(header, &live);
     }
 }
 

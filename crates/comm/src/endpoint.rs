@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+use xingtian_message::codec::Encode;
 use xingtian_message::{decompress_body, Body, CompressionKind, Header, Message, MessageKind, ProcessId};
 use xt_telemetry::{EventKind, Telemetry};
 
@@ -76,14 +77,13 @@ impl Endpoint {
                 .spawn(move || {
                     while let Ok(msg) = id_rx.recv() {
                         // The queue delivers shared headers (one Arc per
-                        // destination, not one deep copy); this endpoint takes
-                        // its own mutable copy only here, at the final hop.
-                        let shared = match msg {
-                            IdQueueMsg::Deliver(h) => h,
+                        // destination, not one deep copy). A unicast's is this
+                        // thread's alone and moves out; only a broadcast's is
+                        // copied, here at the final hop.
+                        let mut header = match msg {
+                            IdQueueMsg::Deliver(h) => Arc::unwrap_or_clone(h),
                             IdQueueMsg::Close => break,
                         };
-                        let mut header = (*shared).clone();
-                        drop(shared);
                         // A header this thread cannot turn into a message is a
                         // drop at the last hop, counted like any other. (Its
                         // credit needs no settling: there was no object, or
@@ -196,6 +196,22 @@ impl Endpoint {
         self.send(Message::new(header, body))
     }
 
+    /// Sends `value` as the body of a `kind` message to `dst`, encoded once,
+    /// straight into the object store: the sender waits at the gate for the
+    /// space, then writes the body in place. The bytes are those of
+    /// [`Encode::to_bytes`], so this and `send_to` with them are one message.
+    ///
+    /// Returns `false` if the endpoint has been closed.
+    pub fn send_encoded(&self, dst: Vec<ProcessId>, kind: MessageKind, value: &dyn Encode) -> bool {
+        if self.closed.load(Ordering::Acquire) {
+            return false;
+        }
+        let header = Header::new(self.pid, dst, kind);
+        self.telemetry.emit(EventKind::SendEnqueued, header.id, value.encoded_size() as u64);
+        self.broker.submit_encoded(header, value);
+        true
+    }
+
     /// Blocks until a message arrives or the endpoint is closed.
     pub fn recv(&self) -> Option<Message> {
         self.consumed(self.recv_buf.pop())
@@ -277,6 +293,33 @@ mod tests {
         assert_eq!(&m.body[..], b"r1");
         assert!(!l.delivery_stats_arc().is_empty());
         broker.shutdown();
+    }
+
+    #[test]
+    fn send_encoded_is_send_to_of_the_encoded_bytes() {
+        // Written once into the store, the body and the header's length are
+        // those `to_bytes` gives, raw below the compression threshold and
+        // compressed (then restored) above it.
+        let broker = Broker::with_telemetry(0, Cluster::single(), CommConfig::default(), Telemetry::enabled());
+        let e = broker.endpoint(ProcessId::explorer(0));
+        let l = broker.endpoint(ProcessId::learner(0));
+        let small: Vec<u8> = (0..300).map(|i| i as u8).collect();
+        let large: Vec<u8> = (0..3 << 20).map(|i| (i % 7) as u8).collect();
+        for value in [&small, &large] {
+            assert!(e.send_encoded(vec![l.pid()], MessageKind::Rollout, value));
+            assert!(e.send_to(vec![l.pid()], MessageKind::Rollout, Bytes::from(value.to_bytes())));
+            let encoded = l.recv_timeout(Duration::from_secs(5)).expect("delivered");
+            let sent = l.recv_timeout(Duration::from_secs(5)).expect("delivered");
+            assert_eq!(encoded.body, sent.body);
+            assert_eq!(encoded.header.len, value.encoded_size());
+            assert_eq!((encoded.header.len, encoded.header.compression), (sent.header.len, sent.header.compression));
+        }
+        let compressed = broker.telemetry().histogram("comm.compress_ratio");
+        assert_eq!(compressed.histogram().map(|h| h.count()), Some(2), "both large bodies compressed");
+        drop((e, l));
+        broker.shutdown();
+        assert!(broker.store().is_empty());
+        assert_eq!(broker.store().live_bytes(), 0);
     }
 
     #[test]
@@ -413,6 +456,57 @@ mod tests {
         drop(mon);
         broker.shutdown();
         assert_eq!(broker.dropped(), 0, "every heartbeat was routable");
+    }
+
+    #[test]
+    fn a_stalled_consumer_holds_at_most_its_budget_of_slabs() {
+        // Fetched bodies staged in a stalled consumer's receive buffer are
+        // slab memory outside the gate: at most the buffer's budget plus the
+        // one body its receiver thread holds, and all of it comes back.
+        let (len, budget) = (1024, 64 << 10);
+        let config = CommConfig {
+            compression: crate::Compression::Off,
+            endpoint_recv_bytes: Some(budget),
+            ..CommConfig::default()
+        }
+        .with_store_capacity(8 * len);
+        let broker = Broker::new(0, Cluster::single(), config);
+        let explorer = Arc::new(broker.endpoint(ProcessId::explorer(0)));
+        // Declared last, dropped first: a failed assertion frees the store
+        // and the producer parked in `send` finishes.
+        let learner = broker.endpoint(ProcessId::learner(0));
+        let buffered = budget / (len + std::mem::size_of::<Message>());
+        let absorbed = buffered + 1 + 8;
+        let total = absorbed + 4;
+        let producer = {
+            let explorer = Arc::clone(&explorer);
+            std::thread::spawn(move || {
+                for seq in 0..total {
+                    let body = Bytes::from(vec![seq as u8; len]);
+                    assert!(explorer.send_to(vec![ProcessId::learner(0)], MessageKind::Rollout, body));
+                }
+            })
+        };
+        let store = broker.store();
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while store.inserted() != absorbed as u64 || learner.pending() != buffered {
+            assert!(std::time::Instant::now() < deadline, "never filled");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        let staged = store.slab_bytes_outstanding() - store.live_bytes();
+        assert_eq!(staged, (buffered + 1) * len, "the buffer and the receiver's hand");
+        assert!(staged <= budget, "{staged} B of slabs staged past a {budget} B budget");
+        for seq in 0..total {
+            let msg = learner.recv_timeout(Duration::from_secs(10)).expect("drains");
+            assert_eq!(msg.body[0], seq as u8);
+        }
+        producer.join().unwrap();
+        assert!(store.is_empty());
+        assert_eq!(store.slab_bytes_outstanding(), 0, "every slab is back");
+        let free = store.free_slabs()[crate::store::class_of(len).unwrap()];
+        assert!(free >= absorbed && free * len <= crate::store::CLASS_RETAIN_BYTES, "{free} free 1 KiB slabs");
+        broker.shutdown();
     }
 
     #[test]

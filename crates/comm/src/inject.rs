@@ -73,7 +73,7 @@ impl Hub {
     /// immediately so no store credit is ever stranded.
     pub(crate) fn run_delay_line(&self, rx: Receiver<DelayedDelivery>) {
         let deliver_now = |d: DelayedDelivery| {
-            self.table.id_queues.with(|queues| self.push_one(queues, &d.header, d.dst))
+            self.table.id_queues.with(|queues| self.push_one(queues, d.header, d.dst))
         };
         let mut pending: Vec<DelayedDelivery> = Vec::new();
         loop {

@@ -40,7 +40,8 @@
 //! The public surface:
 //!
 //! * [`Buffer`] — the intra-process receive buffer.
-//! * [`ObjectStore`] — zero-copy shared body store with fan-out refcounts.
+//! * [`ObjectStore`] — zero-copy shared body store with fan-out refcounts:
+//!   create → write → seal over recycled size-class slabs.
 //! * [`Broker`] — per-machine communication hub: object store, routing table,
 //!   and fabric links to peer brokers over a [`netsim::Cluster`].
 //! * [`Endpoint`] — what an explorer/learner process holds: `send`, plus its
@@ -87,7 +88,7 @@ pub use pool::WorkPool;
 pub use router::SplitPlan;
 pub use snapshot::SnapshotCell;
 pub use stats::TransmissionStats;
-pub use store::{ObjectId, ObjectStore};
+pub use store::{ObjectId, ObjectStore, Reservation};
 
 use xingtian_message::ProcessId;
 

@@ -141,7 +141,7 @@ pub fn shared_pool() -> &'static WorkPool {
 /// span. Like the serial path, the container is returned even when it is not
 /// smaller than `body` (per-chunk raw fallback bounds the overhead); callers
 /// decide whether to keep it.
-pub fn compress_chunked_parallel(pool: &WorkPool, body: &Bytes) -> Vec<u8> {
+pub fn compress_chunked_parallel(pool: &WorkPool, body: &[u8]) -> Vec<u8> {
     let spans: Vec<_> = chunk::chunk_spans(body.len()).collect();
     if spans.len() <= 1 {
         return chunk::compress_chunked(body);
@@ -170,13 +170,20 @@ pub fn compress_chunked_parallel(pool: &WorkPool, body: &Bytes) -> Vec<u8> {
 /// paper's default of compressing bodies larger than 1 MiB as they enter the
 /// shared-memory object store (§4.1).
 pub fn compress_for_transport(body: Bytes, threshold: usize) -> (Bytes, CompressionKind) {
-    if xingtian_message::should_compress(&body, threshold) {
-        let container = compress_chunked_parallel(shared_pool(), &body);
-        if container.len() < body.len() {
-            return (Bytes::from(container), CompressionKind::Lz4Chunked);
-        }
+    match transport_container(&body, threshold) {
+        Some(container) => (Bytes::from(container), CompressionKind::Lz4Chunked),
+        None => (body, CompressionKind::None),
     }
-    (body, CompressionKind::None)
+}
+
+/// The chunk container [`compress_for_transport`] stores `raw` as, or
+/// `None` when `raw` is stored as it is.
+pub(crate) fn transport_container(raw: &[u8], threshold: usize) -> Option<Vec<u8>> {
+    if !xingtian_message::should_compress(raw, threshold) {
+        return None;
+    }
+    let container = compress_chunked_parallel(shared_pool(), raw);
+    (container.len() < raw.len()).then_some(container)
 }
 
 /// Decompresses a chunk container, fanning compressed frames across `pool`

@@ -9,11 +9,11 @@
 //!
 //! A [`Hub`] is one machine's object store, routing table and counters, and
 //! what happens to a message at a machine is each one method of it:
-//! [`Hub::admit`] is the only way a body enters the store (the lane comes
-//! from [`MessageKind::priority_lane`] on every path), [`Hub::dispatch`] the
-//! source side, [`Hub::arrive`] the far side of an uplink, and
-//! [`Hub::settle`] the only way a fetch credit is given back for a header
-//! nobody will consume.
+//! [`Hub::admit`] is the only way space for a body is reserved in the store
+//! (the lane comes from [`MessageKind::priority_lane`] on every path),
+//! [`Hub::dispatch`] the source side, which seals the written body,
+//! [`Hub::arrive`] the far side of an uplink, and [`Hub::settle`] the only
+//! way a fetch credit is given back for a header nobody will consume.
 //!
 //! # Control-plane fast path
 //!
@@ -35,7 +35,7 @@
 
 use crate::inject::{DelayedDelivery, InjectDecision, InjectionStats, RouteInjector};
 use crate::snapshot::SnapshotCell;
-use crate::store::ObjectStore;
+use crate::store::{ObjectStore, Reservation};
 use crossbeam_channel::Sender;
 use netsim::MachineId;
 use parking_lot::Mutex;
@@ -60,8 +60,9 @@ pub(crate) enum IdQueueMsg {
 /// The local/remote partition of a destination list.
 #[derive(Debug, Default)]
 pub struct SplitPlan {
-    /// Destinations hosted on this machine.
-    pub local: Vec<ProcessId>,
+    /// Destinations hosted on this machine: the header's own list when every
+    /// destination is local, so the common plan allocates nothing.
+    pub local: Arc<[ProcessId]>,
     /// Destinations grouped by hosting remote machine.
     pub remote: Vec<(MachineId, Vec<ProcessId>)>,
     /// Destinations with no registered route.
@@ -114,12 +115,12 @@ impl RoutingTable {
     /// routing snapshot (no locks). Unroutable
     /// destinations are tallied in the plan; the caller decides whether that
     /// counts as a drop.
-    pub fn split(&self, here: MachineId, dst: &[ProcessId]) -> SplitPlan {
+    pub fn split(&self, here: MachineId, dst: &Arc<[ProcessId]>) -> SplitPlan {
         self.routes.with(|routes| {
             let mut plan = SplitPlan::default();
-            for &d in dst {
+            for &d in dst.iter() {
                 match routes.get(&d) {
-                    Some(&m) if m == here => plan.local.push(d),
+                    Some(&m) if m == here => {}
                     Some(&m) => match plan.remote.iter_mut().find(|(rm, _)| *rm == m) {
                         Some((_, group)) => group.push(d),
                         None => plan.remote.push((m, vec![d])),
@@ -127,6 +128,11 @@ impl RoutingTable {
                     None => plan.unknown += 1,
                 }
             }
+            plan.local = if plan.remote.is_empty() && plan.unknown == 0 {
+                Arc::clone(dst)
+            } else {
+                dst.iter().copied().filter(|d| routes.get(d) == Some(&here)).collect()
+            };
             plan
         })
     }
@@ -250,16 +256,20 @@ impl Hub {
         }
     }
 
-    /// The one admission into this machine's store: the lane comes from the
-    /// message's kind, whichever path brought the body here. Data kinds wait
-    /// at the capacity gate — on remote arrival too, which is the cross-machine
-    /// back-pressure a finite shared segment gives; priority kinds never do.
-    pub(crate) fn admit(&self, header: &mut Header, body: bytes::Bytes, fanout: usize) {
-        header.object_id = Some(if header.kind.priority_lane() {
-            self.store.insert_priority(body, fanout)
-        } else {
-            self.store.insert(body, fanout)
-        });
+    /// The one admission into this machine's store: reserves `len` bytes for
+    /// a body of `kind`, on the lane the kind names, whichever path brought
+    /// the body here. Data kinds wait at the capacity gate — on remote arrival
+    /// too, which is the cross-machine back-pressure a finite shared segment
+    /// gives; priority kinds never do.
+    pub(crate) fn admit(&self, kind: MessageKind, len: usize) -> Reservation<'_> {
+        self.store.create(len, kind.priority_lane())
+    }
+
+    /// [`admit`](Hub::admit) for a body that already exists, copied in once.
+    pub(crate) fn admit_copy(&self, kind: MessageKind, body: &[u8]) -> Reservation<'_> {
+        let mut reservation = self.admit(kind, body.len());
+        reservation.body_mut().extend_from_slice(body);
+        reservation
     }
 
     /// The one settlement: spends the fetch credit of one destination that
@@ -271,16 +281,16 @@ impl Hub {
         }
     }
 
-    /// Source side, for a body in its stored form (from `submit`, after any
-    /// compression), run on the submitting thread: counts the body, admits it
-    /// with the plan's fan-out, pushes its header to the local destinations
-    /// and sends each remote machine its envelope through that machine's
-    /// uplink, whose thread pays the NIC cost.
+    /// Source side, for a body written in its stored form (from `submit`,
+    /// after any compression), run on the submitting thread: counts the
+    /// body, seals it with the plan's fan-out, pushes its header to the local
+    /// destinations and sends each remote machine its envelope through that
+    /// machine's uplink, whose thread pays the NIC cost.
     pub(crate) fn dispatch(
         &self,
         uplinks: &Uplinks,
         mut header: Header,
-        body: bytes::Bytes,
+        body: Reservation<'_>,
         plan: SplitPlan,
     ) {
         let stored_len = body.len() as u64;
@@ -288,15 +298,18 @@ impl Hub {
         if header.kind == MessageKind::Parameters {
             self.broadcast_bytes.record(stored_len);
         }
-        self.admit(&mut header, body, plan.fanout());
+        header.object_id = Some(body.seal(plan.fanout()));
         self.telemetry.emit(EventKind::StoreInserted, header.id, stored_len);
         self.telemetry.emit(EventKind::Routed, header.id, plan.fanout() as u64);
         self.routed_messages.inc();
         let header = Arc::new(header);
-        self.table.id_queues.with(|queues| self.push_headers(queues, &header, &plan.local));
         if plan.remote.is_empty() {
+            // The last queue takes the sender's reference, so a unicast's
+            // receiver holds the only one and moves the header out.
+            self.table.id_queues.with(|queues| self.push_headers(queues, header, &plan.local));
             return;
         }
+        self.table.id_queues.with(|queues| self.push_headers(queues, Arc::clone(&header), &plan.local));
         // The sender is each remote group's consumer: its fetch spends the
         // machine's credit, so a group that cannot be forwarded has nothing
         // left to settle, only drops to count.
@@ -313,59 +326,78 @@ impl Hub {
         }
     }
 
-    /// Far side of an uplink: re-homes a body that crossed the wire into this
-    /// machine's store and pushes its header to the destinations here.
+    /// Far side of an uplink: writes a body that crossed the wire once, into
+    /// a slab of this machine's store, and pushes its header to the
+    /// destinations here.
     pub(crate) fn arrive(&self, RemoteEnvelope { mut header, body, dst }: RemoteEnvelope) {
         if dst.is_empty() {
             return;
         }
-        self.admit(&mut header, body, dst.len());
-        self.table.id_queues.with(|queues| self.push_headers(queues, &Arc::new(header), &dst));
+        let reservation = self.admit_copy(header.kind, &body);
+        drop(body);
+        header.object_id = Some(reservation.seal(dst.len()));
+        self.table.id_queues.with(|queues| self.push_headers(queues, Arc::new(header), &dst));
     }
 
     /// Pushes `header` (whose object id already refers to this store) into
     /// the ID queue of every process in `dst`, using a pre-loaded queue
     /// snapshot. This is the final hop of every delivery, local or remote —
     /// the one place an installed [`RouteInjector`] is consulted (exactly
-    /// once per (message, destination) pair).
+    /// once per (message, destination) pair). The last destination takes
+    /// `header` itself, the others a clone of the reference.
     pub(crate) fn push_headers(
         &self,
         queues: &HashMap<ProcessId, Sender<IdQueueMsg>>,
-        header: &Arc<Header>,
+        header: Arc<Header>,
         dst: &[ProcessId],
     ) {
+        let Some((&last, rest)) = dst.split_last() else { return };
+        self.table.injector.with(|injector| {
+            let injector = injector.as_deref();
+            for &d in rest {
+                self.push_decided(queues, injector, Arc::clone(&header), d);
+            }
+            self.push_decided(queues, injector, header, last);
+        });
+    }
+
+    /// One (message, destination) pair of [`push_headers`](Hub::push_headers):
+    /// delivered, dropped or parked on the delay line as `injector` decides.
+    fn push_decided(
+        &self,
+        queues: &HashMap<ProcessId, Sender<IdQueueMsg>>,
+        injector: Option<&dyn RouteInjector>,
+        header: Arc<Header>,
+        d: ProcessId,
+    ) {
         let table = &self.table;
-        table.injector.with(|injector| {
-            for &d in dst {
-                match injector.as_deref().map_or(InjectDecision::Deliver, |i| i.decide(header, d)) {
-                    InjectDecision::Deliver => self.push_one(queues, header, d),
-                    InjectDecision::Drop => {
-                        table.injected_dropped.fetch_add(1, Ordering::Relaxed);
-                        self.settle(header);
-                    }
-                    InjectDecision::Delay(delay) => {
-                        let parked = {
-                            let guard = table.delay_tx.lock();
-                            guard.as_ref().is_some_and(|tx| {
-                                tx.send(DelayedDelivery {
-                                    header: Arc::clone(header),
-                                    dst: d,
-                                    deliver_at: Instant::now() + delay,
-                                })
-                                .is_ok()
-                            })
-                        };
-                        if parked {
-                            table.injected_delayed.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            // No delay line (or it's gone): deliver immediately
-                            // rather than lose the message.
-                            self.push_one(queues, header, d);
-                        }
-                    }
+        match injector.map_or(InjectDecision::Deliver, |i| i.decide(&header, d)) {
+            InjectDecision::Deliver => self.push_one(queues, header, d),
+            InjectDecision::Drop => {
+                table.injected_dropped.fetch_add(1, Ordering::Relaxed);
+                self.settle(&header);
+            }
+            InjectDecision::Delay(delay) => {
+                let parked = {
+                    let guard = table.delay_tx.lock();
+                    guard.as_ref().is_some_and(|tx| {
+                        tx.send(DelayedDelivery {
+                            header: Arc::clone(&header),
+                            dst: d,
+                            deliver_at: Instant::now() + delay,
+                        })
+                        .is_ok()
+                    })
+                };
+                if parked {
+                    table.injected_delayed.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    // No delay line (or it's gone): deliver immediately
+                    // rather than lose the message.
+                    self.push_one(queues, header, d);
                 }
             }
-        });
+        }
     }
 
     /// Delivers one header to one destination queue, settling the store credit if
@@ -373,14 +405,17 @@ impl Hub {
     pub(crate) fn push_one(
         &self,
         queues: &HashMap<ProcessId, Sender<IdQueueMsg>>,
-        header: &Arc<Header>,
+        header: Arc<Header>,
         d: ProcessId,
     ) {
-        let delivered = queues
-            .get(&d)
-            .map(|q| q.send(IdQueueMsg::Deliver(Arc::clone(header))).is_ok())
-            .unwrap_or(false);
-        if !delivered {
+        let undelivered = match queues.get(&d) {
+            Some(q) => q.send(IdQueueMsg::Deliver(header)).err().map(|e| match e.0 {
+                IdQueueMsg::Deliver(header) => header,
+                IdQueueMsg::Close => unreachable!("a delivery is sent"),
+            }),
+            None => Some(header),
+        };
+        if let Some(header) = undelivered {
             // A destination that deregistered its queue (retired explorer,
             // process that finished during coordinated shutdown) discards the
             // message without counting it as a drop; only a destination that was
@@ -390,7 +425,7 @@ impl Hub {
             } else {
                 self.table.add_dropped(1);
             }
-            self.settle(header);
+            self.settle(&header);
         }
     }
 }
@@ -412,18 +447,22 @@ mod tests {
         table.add_route(ProcessId::learner(0), 0);
         let plan = table.split(
             0,
-            &[ProcessId::explorer(0), ProcessId::explorer(1), ProcessId::learner(0)],
+            &Arc::from([ProcessId::explorer(0), ProcessId::explorer(1), ProcessId::learner(0)]),
         );
-        assert_eq!(plan.local, vec![ProcessId::explorer(0), ProcessId::learner(0)]);
+        assert_eq!(&plan.local[..], [ProcessId::explorer(0), ProcessId::learner(0)]);
         assert_eq!(plan.remote, vec![(1, vec![ProcessId::explorer(1)])]);
         assert_eq!(plan.unknown, 0);
         assert_eq!(plan.fanout(), 3);
+        let all_local: Arc<[ProcessId]> = Arc::from([ProcessId::learner(0), ProcessId::explorer(0)]);
+        let plan = table.split(0, &all_local);
+        assert!(Arc::ptr_eq(&plan.local, &all_local), "an all-local plan shares the header's list");
+        assert_eq!(plan.fanout(), 2);
     }
 
     #[test]
     fn split_counts_unknown_without_tallying_drops() {
         let table = RoutingTable::default();
-        let plan = table.split(0, &[ProcessId::explorer(9)]);
+        let plan = table.split(0, &Arc::from([ProcessId::explorer(9)]));
         assert!(plan.local.is_empty());
         assert!(plan.remote.is_empty());
         assert_eq!(plan.unknown, 1);
@@ -442,7 +481,7 @@ mod tests {
             Header::new(ProcessId::explorer(0), vec![ProcessId::learner(0)], MessageKind::Rollout);
         header.object_id = Some(id);
         let queues = hub.table.id_queues.load();
-        hub.push_headers(&queues, &Arc::new(header), &[ProcessId::learner(0)]);
+        hub.push_headers(&queues, Arc::new(header), &[ProcessId::learner(0)]);
         assert_eq!(hub.table.dropped(), 1);
         assert!(hub.store.is_empty(), "credit reclaimed; no leak");
     }
@@ -455,7 +494,7 @@ mod tests {
             Header::new(ProcessId::explorer(0), vec![ProcessId::learner(3)], MessageKind::Rollout);
         header.object_id = Some(id);
         let queues = hub.table.id_queues.load();
-        hub.push_headers(&queues, &Arc::new(header), &[ProcessId::learner(3)]);
+        hub.push_headers(&queues, Arc::new(header), &[ProcessId::learner(3)]);
         assert_eq!(hub.table.dropped(), 1);
         assert!(hub.store.is_empty(), "credit reclaimed; no leak");
     }
@@ -479,7 +518,8 @@ mod tests {
             remote: vec![(1, vec![ProcessId::explorer(0)]), (2, vec![ProcessId::explorer(1)])],
             ..SplitPlan::default()
         };
-        hub.dispatch(&uplinks, header, bytes::Bytes::from_static(b"w"), plan);
+        let body = hub.admit_copy(header.kind, b"w");
+        hub.dispatch(&uplinks, header, body, plan);
         assert_eq!(hub.table.dropped(), 2, "one drop per unreachable destination");
         assert!(hub.store.is_empty(), "both machine credits settled; no leak");
     }
@@ -500,7 +540,7 @@ mod tests {
         header.object_id = Some(hub.store.insert(bytes::Bytes::from_static(b"w"), 4));
         let header = Arc::new(header);
         let queues = hub.table.id_queues.load();
-        hub.push_headers(&queues, &header, &dst);
+        hub.push_headers(&queues, Arc::clone(&header), &dst);
         for rx in &rxs {
             match rx.try_recv().expect("delivered") {
                 IdQueueMsg::Deliver(h) => {

@@ -17,14 +17,13 @@
 use crate::assignment::AssignmentTable;
 use crate::messages::ControlCommand;
 use crate::parameters::ParamReceiver;
-use bytes::Bytes;
 use std::sync::Arc;
 use std::time::Instant;
 use gymlite::{Environment, EpisodeTracker};
 use xingtian_algos::api::{Agent, SyncMode};
 use xingtian_algos::payload::{RolloutBatch, RolloutStep};
 use xingtian_comm::Endpoint;
-use xingtian_message::codec::{Decode, Encode};
+use xingtian_message::codec::Decode;
 use xingtian_message::{Message, MessageKind, ProcessId, ProcessRole};
 use xt_fault::{Accrual, DetectorConfig};
 use xt_telemetry::CounterHandle;
@@ -116,7 +115,7 @@ impl ExplorerProcess {
     /// Runs the explorer until the supervisor sends it `Shutdown`.
     pub fn run(mut self) -> ExplorerOutcome {
         let controller = ProcessId::controller(0);
-        let rollout_steps = Bytes::from((self.rollout_len as u64).to_bytes());
+        let rollout_steps = self.rollout_len as u64;
         let mut tracker = EpisodeTracker::default();
         let telemetry = self.endpoint.telemetry().clone();
         let mut inbox = Inbox {
@@ -179,23 +178,23 @@ impl ExplorerProcess {
                     steps: std::mem::take(&mut steps),
                     bootstrap_observation: obs.clone(),
                 };
-                // Aggressive push: the body goes into the store and its
-                // header to the learner's ID queue (or uplink) on this
-                // thread, waiting at the gate while the store is full; the
-                // learner's receiver thread delivers it while the workhorse
-                // keeps going. The destination is resolved now, not at
-                // build time.
-                self.endpoint.send_to(
+                // Aggressive push: on this thread the batch waits at the
+                // gate while the store is full, is encoded straight into the
+                // store, and its header goes to the learner's ID queue (or
+                // uplink); the learner's receiver thread delivers it while
+                // the workhorse keeps going. The destination is resolved
+                // now, not at build time.
+                self.endpoint.send_encoded(
                     vec![self.route.resolve(self.index)],
                     MessageKind::Rollout,
-                    Bytes::from(batch.to_bytes()),
+                    &batch,
                 );
                 batches_sent += 1;
                 inbox.unanswered += 1;
                 batches_counter.inc();
                 steps.reserve(self.rollout_len);
 
-                self.endpoint.send_to(vec![controller], MessageKind::Stats, rollout_steps.clone());
+                self.endpoint.send_encoded(vec![controller], MessageKind::Stats, &rollout_steps);
 
                 if self.wait_for_answers(&mut inbox) {
                     return ExplorerOutcome { tracker, batches_sent };

@@ -10,12 +10,11 @@
 //! anything staler is shed (`learn.grad_shed`), trading determinism for never
 //! stalling the ring.
 
-use bytes::Bytes;
 use xingtian_algos::api::Algorithm;
 use xingtian_algos::payload::ParamBlob;
 use xingtian_algos::{GradBlob, LazyGradConfig, LazyGradGate};
 use xingtian_comm::Endpoint;
-use xingtian_message::codec::{Decode, Encode};
+use xingtian_message::codec::Decode;
 use xingtian_message::{Message, MessageKind, ProcessId};
 use xt_telemetry::{CounterHandle, Telemetry};
 
@@ -66,11 +65,7 @@ impl Gossip {
             let delta: Vec<f32> = blob.params.iter().zip(&self.prev).map(|(n, p)| n - p).collect();
             if let Some(up) = self.gate.offer(&delta) {
                 let gb = GradBlob { worker: self.shard, version: blob.version, grad: up };
-                endpoint.send_to(
-                    self.peers.clone(),
-                    MessageKind::Gradient,
-                    Bytes::from(gb.to_bytes()),
-                );
+                endpoint.send_encoded(self.peers.clone(), MessageKind::Gradient, &gb);
             }
         }
         self.prev = blob.params;

@@ -37,14 +37,13 @@ use crate::gossip::Gossip;
 use crate::messages::ControlCommand;
 use crate::parameters::ParamBroadcaster;
 use crate::shard::{Lockstep, DEAD_PEER_TIMEOUT};
-use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xingtian_algos::api::{Algorithm, TrainReport};
 use xingtian_algos::payload::{BatchDecoder, RolloutBatch};
 use xingtian_comm::{Endpoint, ParamCompression, TransmissionStats};
-use xingtian_message::codec::{Decode, Encode};
+use xingtian_message::codec::Decode;
 use xingtian_message::{Message, MessageKind, ProcessId};
 use xt_telemetry::{Histogram, ThroughputTimeline};
 
@@ -237,7 +236,7 @@ impl LearnerProcess {
             // answering each one's source.
             while let Some(spent) = self.algorithm.take_spent() {
                 let source = vec![ProcessId::explorer(spent.explorer)];
-                self.endpoint.send_to(source, MessageKind::RolloutAnswer, Bytes::from(spent.explorer.to_bytes()));
+                self.endpoint.send_encoded(source, MessageKind::RolloutAnswer, &spent.explorer);
                 run.decoder.recycle(spent);
             }
         }
@@ -311,11 +310,7 @@ impl LearnerProcess {
             let dst = notify.iter().map(|&e| ProcessId::explorer(e)).collect();
             run.broadcaster.encode(&blob, &notify).send(&self.endpoint, dst);
         }
-        self.endpoint.send_to(
-            vec![ProcessId::controller(0)],
-            MessageKind::Stats,
-            Bytes::from((steps_consumed as u64).to_bytes()),
-        );
+        self.endpoint.send_encoded(vec![ProcessId::controller(0)], MessageKind::Stats, &(steps_consumed as u64));
     }
 
     /// Processes one incoming message. Returns `true` on shutdown.

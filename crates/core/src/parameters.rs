@@ -352,7 +352,7 @@ impl ParamReceiver {
             IngestOutcome::Stale => return,
         };
         let ack = ParamAck { explorer: id, version, applied };
-        endpoint.send_to(vec![msg.header.src], MessageKind::ParamAck, Bytes::from(ack.to_bytes()));
+        endpoint.send_encoded(vec![msg.header.src], MessageKind::ParamAck, &ack);
     }
 
     /// Applies one `Parameters` body (full blob or param-plane frame,

@@ -52,7 +52,6 @@
 //! precede its farewell to every peer; the protocol does not rely on it.
 
 use crate::learner::LearnerRun;
-use bytes::Bytes;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -60,7 +59,7 @@ use xingtian_algos::api::{Algorithm, TrainReport};
 use xingtian_algos::payload::ParamBlob;
 use xingtian_algos::GradBlob;
 use xingtian_comm::Endpoint;
-use xingtian_message::codec::{Decode, Encode};
+use xingtian_message::codec::Decode;
 use xingtian_message::{Message, MessageKind, ProcessId, ProcessRole};
 use xt_telemetry::{CounterHandle, HistogramHandle, Telemetry};
 
@@ -220,7 +219,7 @@ impl Lockstep {
 
     fn tell_peers(&self, endpoint: &Endpoint, blob: &GradBlob) {
         if !self.peers.is_empty() {
-            endpoint.send_to(self.peers.clone(), MessageKind::Gradient, Bytes::from(blob.to_bytes()));
+            endpoint.send_encoded(self.peers.clone(), MessageKind::Gradient, blob);
         }
     }
 
@@ -304,11 +303,9 @@ impl Lockstep {
             // `hello` expects, once per (peer, round).
             let round = self.table.round;
             if blob.worker == HELLO && self.snapshot_sent.insert(src.index, round) != Some(round) {
-                let snap = Bytes::from(algorithm.param_blob().to_bytes());
-                endpoint.send_to(vec![src], MessageKind::Parameters, snap);
+                endpoint.send_encoded(vec![src], MessageKind::Parameters, &algorithm.param_blob());
                 for local in self.table.local_blobs() {
-                    let body = Bytes::from(local.to_bytes());
-                    endpoint.send_to(vec![src], MessageKind::Gradient, body);
+                    endpoint.send_encoded(vec![src], MessageKind::Gradient, &local);
                 }
             }
         }

@@ -63,7 +63,6 @@ use crate::learner::{LearnerOutcome, LearnerProcess};
 use crate::messages::ControlCommand;
 use crate::stats::{ReplayReport, RunReport};
 use crate::Deployment;
-use bytes::Bytes;
 use netsim::Cluster;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -71,7 +70,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xingtian_algos::ReplayPlane;
 use xingtian_comm::{connect_brokers, Broker, Endpoint};
-use xingtian_message::codec::{Decode, Encode};
+use xingtian_message::codec::Decode;
 use xingtian_message::{Message, MessageKind, ProcessId, ProcessRole};
 use xt_fault::{DetectorConfig, FailureDetector, FaultPlan, LivenessTransition};
 
@@ -404,8 +403,7 @@ impl Deployment {
         };
         // The supervisor's own voice on the channel.
         let send_shutdown = |dst: Vec<ProcessId>| {
-            let body = Bytes::from(ControlCommand::Shutdown.to_bytes());
-            inbox.send_to(dst, MessageKind::Control, body);
+            inbox.send_encoded(dst, MessageKind::Control, &ControlCommand::Shutdown);
         };
         // Rollouts follow the live assignment table to the owning shard's
         // learner, or its replay service: the destination is resolved per

@@ -12,12 +12,10 @@
 //! ingests as fast as explorers send, so an answer sent from here would let
 //! them run ahead of training: the surplus is ingested and never trained.
 
-use bytes::Bytes;
 use std::sync::Arc;
 use xingtian_algos::payload::BatchDecoder;
 use xingtian_algos::ReplayPlane;
 use xingtian_comm::Endpoint;
-use xingtian_message::codec::Encode;
 use xingtian_message::{MessageKind, ProcessId};
 
 /// What the service reports when it stops.
@@ -52,8 +50,7 @@ pub fn run_replay_service(endpoint: Endpoint, plane: Arc<ReplayPlane>, learner: 
         outcome.batches_ingested += 1;
         outcome.steps_ingested += inserted as u64;
         // The answer names the source explorer.
-        let body = Bytes::from(msg.header.src.index.to_bytes());
-        endpoint.send_to(vec![learner], MessageKind::RolloutAnswer, body);
+        endpoint.send_encoded(vec![learner], MessageKind::RolloutAnswer, &msg.header.src.index);
     }
     outcome
 }
@@ -61,6 +58,8 @@ pub fn run_replay_service(endpoint: Endpoint, plane: Arc<ReplayPlane>, learner: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use xingtian_message::codec::Encode;
     use netsim::Cluster;
     use std::time::Duration;
     use xingtian_algos::payload::{RolloutBatch, RolloutStep};
