@@ -55,13 +55,14 @@ cargo test --release -q -p xingtian-comm --lib -- store:: inject::
 
 echo "== release smoke: no lost wake-up in the queues every hop hands off through =="
 # The stand-in `parking_lot::Condvar` skips the futex wake when it counts no
-# waiter, and the stand-in channel, the store's gate and `Buffer` all sleep on
-# it; a suppressed wake that was needed is a reordering bug, and debug builds
-# hide those. 4 producers x 4 consumers over `bounded(1)`, `unbounded` and a
-# one-message `Buffer`, exact multiset received, a watchdog that fails the run
-# instead of hanging it; plus disconnect and `close()` waking every blocked
-# thread.
-cargo test --release -q -p parking_lot -p crossbeam-channel
+# waiter, and the store's gate and `Buffer` — the one queue every other hop
+# (receive buffers, ID queues, uplinks, delay line, worker pool) hands off
+# through — sleep on it; a suppressed wake that was needed is a reordering
+# bug, and debug builds hide those. 4 producers x 4 consumers through a
+# one-message `Buffer` and an unbounded one, exact multiset received, a
+# watchdog that fails the run instead of hanging it; plus `close()` waking
+# every blocked thread.
+cargo test --release -q -p parking_lot
 # The vendored `Bytes` shares one owner between views that drop on different
 # threads: the owner must be dropped exactly once, after the last view, and
 # that is a reordering question too, so it runs on the optimised build.
@@ -86,6 +87,11 @@ echo "== release smoke: the channel's lane, settlement and head-of-line tests on
 # per-(src,dst) FIFO across all three size classes, and the stalled-consumer
 # table: producers held inside `send`, nothing staged outside the store.
 cargo test --release -q -p xingtian-comm --test integration
+# An endpoint closed from the broker side while four senders keep sending
+# 1 KiB bodies to it: each is delivered (queued before the close) or a
+# departed discard (refused by the closed ID queue), never a drop, and the
+# store ends empty.
+cargo test --release -q -p xingtian-comm --lib -- closing_an_endpoint_mid_stream
 # A warm 1 KiB send_to -> recv makes at most 3 allocations per message and
 # none of 1 KiB or more: the body lives in a recycled store slab.
 cargo test --release -q -p xingtian-comm --test no_alloc
@@ -127,9 +133,9 @@ echo "== replay placement: the one replay store trains identically whoever inges
 # prioritized), plus an end-to-end store-resident deployment smoke.
 cargo test --release -q -p xingtian --test replay_differential
 # A replay shard's service (one per learner shard) stops when its endpoint is
-# closed: the close sentinel
-# queues behind every rollout already routed to it, so 50 rollouts sent just
-# before the close are all ingested, with no dangling slot, within 1 s.
+# closed: a closed ID queue still delivers every rollout already routed to
+# it, so 50 rollouts sent just before the close are all ingested, with no
+# dangling slot, within 1 s.
 cargo test --release -q -p xt-replay
 
 echo "== param-plane smoke: delta chain bit-lossless, quantized error-bounded, goldens decode =="

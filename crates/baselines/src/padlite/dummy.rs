@@ -3,7 +3,7 @@
 use crate::costs::CostModel;
 use crate::padlite::server::{BufferRequest, BufferServer};
 use bytes::Bytes;
-use crossbeam_channel::unbounded;
+use std::sync::mpsc::channel;
 use std::time::Instant;
 use xingtian::dummy::{DummyConfig, DummyResult};
 
@@ -35,8 +35,8 @@ pub fn run_pad_dummy(config: DummyConfig, costs: &CostModel, mode: PadMode) -> D
 
     match mode {
         PadMode::WithReverb => {
-            let (req_tx, req_rx) = unbounded();
-            let (sample_tx, sample_rx) = unbounded();
+            let (req_tx, req_rx) = channel();
+            let (sample_tx, sample_rx) = channel();
             let server = BufferServer { requests: req_rx, samples: sample_tx, costs: costs.clone() };
             let server_handle = std::thread::spawn(move || server.run());
 
@@ -84,7 +84,7 @@ pub fn run_pad_dummy(config: DummyConfig, costs: &CostModel, mode: PadMode) -> D
             DummyResult { total_bytes, elapsed, round_latencies }
         }
         PadMode::Direct => {
-            let (tx, rx) = unbounded::<Bytes>();
+            let (tx, rx) = channel::<Bytes>();
             let start = Instant::now();
             let mut producer_handles = Vec::new();
             for _ in 0..num_explorers {

@@ -2,8 +2,8 @@
 
 use crate::costs::CostModel;
 use bytes::Bytes;
-use crossbeam_channel::{Receiver, Sender};
 use std::collections::VecDeque;
+use std::sync::mpsc::{Receiver, Sender};
 
 /// A request to the buffer server.
 #[derive(Debug)]
@@ -82,11 +82,11 @@ impl BufferServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam_channel::unbounded;
+    use std::sync::mpsc::channel;
 
     fn spawn_server(costs: CostModel) -> (Sender<BufferRequest>, Receiver<Bytes>, std::thread::JoinHandle<u64>) {
-        let (req_tx, req_rx) = unbounded();
-        let (sample_tx, sample_rx) = unbounded();
+        let (req_tx, req_rx) = channel();
+        let (sample_tx, sample_rx) = channel();
         let server = BufferServer { requests: req_rx, samples: sample_tx, costs };
         let handle = std::thread::spawn(move || server.run());
         (req_tx, sample_rx, handle)

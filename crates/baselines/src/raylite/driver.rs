@@ -9,9 +9,9 @@ use crate::costs::CostModel;
 use crate::rpc;
 use crate::raylite::worker::{RolloutWorker, WorkerRequest, WorkerResponse};
 use bytes::Bytes;
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use gymlite::EpisodeTracker;
 use netsim::{Cluster, MachineId};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xingtian::config::{AlgorithmSpec, DeploymentConfig};
@@ -125,11 +125,11 @@ pub fn run_raylite_with_telemetry(
     let num_workers = config.total_explorers();
 
     let cluster = Cluster::new(config.cluster.clone());
-    let (resp_tx, resp_rx) = unbounded();
+    let (resp_tx, resp_rx) = channel();
     let mut requests = Vec::new();
     let mut worker_handles = Vec::new();
     for i in 0..num_workers {
-        let (req_tx, req_rx) = unbounded();
+        let (req_tx, req_rx) = channel();
         requests.push(req_tx);
         let worker = RolloutWorker {
             index: i,
@@ -334,8 +334,8 @@ fn run_replay_pipeline(driver: &mut Driver, config: xingtian_algos::DqnConfig) -
         Sample(usize),
         Shutdown,
     }
-    let (replay_tx, replay_rx) = unbounded::<ReplayRequest>();
-    let (sample_tx, sample_rx) = unbounded::<Bytes>();
+    let (replay_tx, replay_rx) = channel::<ReplayRequest>();
+    let (sample_tx, sample_rx) = channel::<Bytes>();
     let store = ReplayConfig::uniform(config.buffer_capacity, config.obs_dim);
     // The data lives with the actor; the driver reads only its counts (what
     // `add_batch` futures would tell a Ray driver) to gate training.
@@ -540,7 +540,7 @@ mod tests {
             learner_machine: 0,
             worker_machines: Vec::new(),
             requests: Vec::new(),
-            responses: unbounded().1,
+            responses: channel().1,
             goal_steps: u64::MAX,
             deadline: Instant::now(),
             rollout_len: 1,

@@ -10,8 +10,8 @@
 use crate::costs::CostModel;
 use crate::rpc;
 use bytes::Bytes;
-use crossbeam_channel::{bounded, unbounded};
 use netsim::Cluster;
+use std::sync::mpsc::{channel, sync_channel};
 use std::time::Instant;
 use xingtian::dummy::{DummyConfig, DummyResult};
 
@@ -35,13 +35,13 @@ pub fn run_ray_dummy(config: DummyConfig, costs: &CostModel) -> DummyResult {
 
     // Each worker waits for a per-round request, then stages its payload.
     let mut req_txs = Vec::new();
-    let (resp_tx, resp_rx) = unbounded::<(usize, Bytes)>();
+    let (resp_tx, resp_rx) = channel::<(usize, Bytes)>();
     let mut machines = Vec::new();
     let mut handles = Vec::new();
     let mut idx = 0usize;
     for (machine, &count) in config.explorers_per_machine.iter().enumerate() {
         for _ in 0..count {
-            let (tx, rx) = bounded::<()>(config.rounds);
+            let (tx, rx) = sync_channel::<()>(config.rounds);
             req_txs.push(tx);
             machines.push(machine);
             let resp_tx = resp_tx.clone();

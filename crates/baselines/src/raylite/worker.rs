@@ -1,7 +1,7 @@
 //! Passive rollout workers driven by the centralized driver.
 
 use bytes::Bytes;
-use crossbeam_channel::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use gymlite::{Environment, EpisodeTracker};
 use netsim::MachineId;
 use xingtian_algos::api::Agent;
@@ -125,7 +125,7 @@ pub fn generate_rollout(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam_channel::unbounded;
+    use std::sync::mpsc::channel;
     use gymlite::CartPole;
     use xingtian_algos::{DqnAgent, DqnConfig};
 
@@ -137,8 +137,8 @@ mod tests {
 
     #[test]
     fn worker_serves_sampling_tasks() {
-        let (req_tx, req_rx) = unbounded();
-        let (resp_tx, resp_rx) = unbounded();
+        let (req_tx, req_rx) = channel();
+        let (resp_tx, resp_rx) = channel();
         let worker = RolloutWorker {
             index: 3,
             machine: 0,

@@ -18,7 +18,7 @@ fn bench_buffer(c: &mut Criterion) {
     let buffer = Buffer::new();
     group.bench_function("push_pop_1k", |b| {
         b.iter(|| {
-            buffer.push(msg(1024));
+            assert!(buffer.push(msg(1024)).is_ok());
             buffer.pop().unwrap()
         })
     });

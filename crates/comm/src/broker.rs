@@ -15,13 +15,13 @@
 //! each remote machine. Only a message with remote destinations takes a lock
 //! (the uplink map's); local delivery takes none.
 
+use crate::buffer::Buffer;
 use crate::endpoint::Endpoint;
 use crate::inject::{InjectionStats, RouteInjector};
 use crate::pool::{compress_for_transport, transport_container};
-use crate::router::{Hub, RemoteEnvelope, Uplinks};
+use crate::router::{Hub, IdQueue, RemoteEnvelope, Uplinks};
 use crate::store::ObjectStore;
 use crate::{CommConfig, Compression, HeartbeatConfig};
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use netsim::{Cluster, MachineId};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -57,9 +57,10 @@ pub(crate) struct BrokerShared {
     /// threads deliver into them (holding hubs, not peer `Broker`s, avoids
     /// reference cycles between mutually-connected brokers).
     peers: Mutex<HashMap<MachineId, Arc<Hub>>>,
-    /// The liveness beacon (only with `CommConfig::heartbeat`): dropping the
-    /// sender stops the thread at once.
-    beacon: Mutex<Option<(Sender<()>, JoinHandle<()>)>>,
+    /// Closing it stops the liveness beacon at once.
+    beacon_stop: Arc<Buffer<()>>,
+    /// The beacon thread (only with `CommConfig::heartbeat`).
+    beacon: Mutex<Option<JoinHandle<()>>>,
     /// Delay-line thread, spawned lazily by the first [`Broker::set_injector`].
     delay_thread: Mutex<Option<JoinHandle<()>>>,
     /// Uplink forwarder threads (populated by [`connect_brokers`]).
@@ -115,19 +116,20 @@ impl Broker {
                 closed: AtomicBool::new(false),
                 uplinks: Mutex::new(HashMap::new()),
                 peers: Mutex::new(HashMap::new()),
+                beacon_stop: Arc::default(),
                 beacon: Mutex::new(None),
                 delay_thread: Mutex::new(None),
                 threads: Mutex::new(Vec::new()),
             }),
         };
         if let Some(hb) = broker.shared.config.heartbeat {
-            let (stop_tx, stop_rx) = unbounded();
             let shared = Arc::downgrade(&broker.shared);
+            let stop = Arc::clone(&broker.shared.beacon_stop);
             let handle = std::thread::Builder::new()
                 .name(format!("xt-beacon-m{machine}"))
-                .spawn(move || run_beacon(shared, hb, stop_rx))
+                .spawn(move || run_beacon(shared, hb, &stop))
                 .expect("spawn beacon thread");
-            *broker.shared.beacon.lock() = Some((stop_tx, handle));
+            *broker.shared.beacon.lock() = Some(handle);
         }
         broker
     }
@@ -177,12 +179,10 @@ impl Broker {
         {
             let mut delay_thread = self.shared.delay_thread.lock();
             if delay_thread.is_none() {
-                let (tx, rx) = unbounded();
-                *self.shared.hub.table.delay_tx.lock() = Some(tx);
                 let hub = Arc::clone(&self.shared.hub);
                 let handle = std::thread::Builder::new()
                     .name(format!("xt-delay-m{}", self.shared.machine))
-                    .spawn(move || hub.run_delay_line(rx))
+                    .spawn(move || hub.run_delay_line())
                     .expect("spawn delay-line thread");
                 *delay_thread = Some(handle);
             }
@@ -214,13 +214,13 @@ impl Broker {
     ///
     /// Panics if `pid` already has an endpoint on this broker.
     pub fn endpoint(&self, pid: ProcessId) -> Endpoint {
-        let (id_tx, id_rx) = unbounded();
+        let id_queue = IdQueue::default();
         assert!(
-            self.shared.hub.table.add_id_queue(pid, id_tx),
+            self.shared.hub.table.add_id_queue(pid, Arc::clone(&id_queue)),
             "endpoint for {pid} already exists"
         );
         self.register_route(pid, self.shared.machine);
-        Endpoint::spawn(pid, self.clone(), id_rx)
+        Endpoint::spawn(pid, self.clone(), id_queue)
     }
 
     /// Closes the endpoint of local process `pid` (what [`Endpoint::close`]
@@ -342,24 +342,33 @@ impl Broker {
     /// stay fetchable by receivers. Idempotent.
     pub fn shutdown(&self) {
         self.shared.closed.store(true, Ordering::Release);
-        if let Some((stop, handle)) = self.shared.beacon.lock().take() {
-            drop(stop);
+        self.shared.beacon_stop.close();
+        if let Some(handle) = self.shared.beacon.lock().take() {
             let _ = handle.join();
         }
-        // Taking the delay-line sender disconnects the thread, which flushes
-        // everything still parked before exiting (no stranded store credits).
-        // A sender or uplink thread that finds the line gone delivers at
-        // once.
-        self.shared.hub.table.delay_tx.lock().take();
+        // The closed delay line flushes everything still parked before its
+        // thread exits (no stranded store credits). A sender or uplink
+        // thread that finds the line closed delivers at once.
+        self.shared.hub.table.delay_line.close();
         if let Some(h) = self.shared.delay_thread.lock().take() {
             let _ = h.join();
         }
-        // Dropping the uplink senders disconnects the forwarder threads.
-        self.shared.uplinks.lock().clear();
+        // A closed uplink's thread forwards what is queued, then exits.
+        self.shared.uplinks.lock().values().for_each(|uplink| uplink.close());
         let threads: Vec<_> = self.shared.threads.lock().drain(..).collect();
         for t in threads {
             let _ = t.join();
         }
+    }
+}
+
+impl Drop for BrokerShared {
+    /// A broker dropped without [`Broker::shutdown`] still closes the queues
+    /// it owns, so its beacon, delay-line and uplink threads exit.
+    fn drop(&mut self) {
+        self.beacon_stop.close();
+        self.hub.table.delay_line.close();
+        self.uplinks.lock().values().for_each(|uplink| uplink.close());
     }
 }
 
@@ -375,14 +384,15 @@ enum Source<'a> {
 /// A pid leaves the list when its ID queue is removed — its close, or its drop
 /// while a workhorse unwinds — and nothing its producer waits on inside
 /// `send`, a full store or a compression pass, can keep it off. Holds the
-/// broker weakly, the rule `Hub` follows; returns when `stop`'s sender is
-/// dropped or the broker is gone.
-fn run_beacon(shared: Weak<BrokerShared>, hb: HeartbeatConfig, stop: Receiver<()>) {
+/// broker weakly, the rule `Hub` follows; returns when `stop` is closed or
+/// the broker is gone.
+fn run_beacon(shared: Weak<BrokerShared>, hb: HeartbeatConfig, stop: &Buffer<()>) {
     let mut due = Instant::now();
     for seq in 0.. {
         due = (due + hb.interval()).max(Instant::now());
-        let left = due.saturating_duration_since(Instant::now());
-        if stop.recv_timeout(left) != Err(RecvTimeoutError::Timeout) {
+        // Nothing is ever pushed: the wait ends at the interval or the close.
+        stop.pop_timeout(due.saturating_duration_since(Instant::now()));
+        if stop.is_closed() {
             return;
         }
         let Some(shared) = shared.upgrade() else { return };
@@ -452,8 +462,8 @@ pub fn connect_brokers(brokers: &[Broker]) {
             if a.shared.uplinks.lock().contains_key(&b.shared.machine) {
                 continue;
             }
-            let (tx, rx) = unbounded::<RemoteEnvelope>();
-            a.shared.uplinks.lock().insert(b.shared.machine, tx);
+            let uplink = Arc::new(Buffer::<RemoteEnvelope>::new());
+            a.shared.uplinks.lock().insert(b.shared.machine, Arc::clone(&uplink));
             let cluster = a.shared.cluster.clone();
             let from = a.shared.machine;
             let to = b.shared.machine;
@@ -471,13 +481,13 @@ pub fn connect_brokers(brokers: &[Broker]) {
                     let mut pending: VecDeque<RemoteEnvelope> = VecDeque::new();
                     loop {
                         if pending.is_empty() {
-                            match rx.recv() {
-                                Ok(envelope) => pending.push_back(envelope),
-                                Err(_) => break,
+                            match uplink.pop() {
+                                Some(envelope) => pending.push_back(envelope),
+                                None => break,
                             }
                         }
                         while pending.len() < UPLINK_COALESCE_ENVELOPES {
-                            let Ok(envelope) = rx.try_recv() else { break };
+                            let Some(envelope) = uplink.try_pop() else { break };
                             pending.push_back(envelope);
                         }
                         // Take one wire batch off the front: always at least

@@ -18,16 +18,15 @@
 
 use crate::broker::Broker;
 use crate::buffer::Buffer;
-use crate::router::IdQueueMsg;
+use crate::router::IdQueue;
 use crate::stats::TransmissionStats;
-use crossbeam_channel::Receiver;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use xingtian_message::codec::Encode;
-use xingtian_message::{decompress_body, Body, CompressionKind, Header, Message, MessageKind, ProcessId};
+use xingtian_message::{Body, CompressionKind, Header, Message, MessageKind, ProcessId};
 use xt_telemetry::{EventKind, Telemetry};
 
 /// A process's handle on the asynchronous communication channel.
@@ -46,7 +45,7 @@ pub struct Endpoint {
 }
 
 impl Endpoint {
-    pub(crate) fn spawn(pid: ProcessId, broker: Broker, id_rx: Receiver<IdQueueMsg>) -> Self {
+    pub(crate) fn spawn(pid: ProcessId, broker: Broker, id_queue: IdQueue) -> Self {
         // Workhorse endpoints get byte-bounded receive buffers so that a
         // stalled consumer backpressures the whole channel (receiver thread
         // blocks → object store fills → senders block) instead of buffering
@@ -75,15 +74,14 @@ impl Endpoint {
             std::thread::Builder::new()
                 .name(format!("xt-recv-{pid}"))
                 .spawn(move || {
-                    while let Ok(msg) = id_rx.recv() {
+                    // `pop` ends once the queue is closed and drained: every
+                    // header routed here before the close is delivered.
+                    while let Some(shared) = id_queue.pop() {
                         // The queue delivers shared headers (one Arc per
                         // destination, not one deep copy). A unicast's is this
                         // thread's alone and moves out; only a broadcast's is
                         // copied, here at the final hop.
-                        let mut header = match msg {
-                            IdQueueMsg::Deliver(h) => Arc::unwrap_or_clone(h),
-                            IdQueueMsg::Close => break,
-                        };
+                        let mut header = Arc::unwrap_or_clone(shared);
                         // A header this thread cannot turn into a message is a
                         // drop at the last hop, counted like any other. (Its
                         // credit needs no settling: there was no object, or
@@ -103,20 +101,11 @@ impl Endpoint {
                         // recycled buffers they decode against.
                         let body: Body = if header.compression.is_transport() {
                             let start = std::time::Instant::now();
-                            // Chunked bodies fan their frames across the
-                            // shared worker pool; legacy single-block bodies
-                            // (and any future kinds) take the serial decoder.
-                            let result = match header.compression {
-                                CompressionKind::Lz4Chunked => {
-                                    crate::pool::decompress_chunked_parallel(
-                                        crate::pool::shared_pool(),
-                                        &body,
-                                    )
-                                    .map(Body::from)
-                                }
-                                kind => decompress_body(&body, kind),
-                            };
-                            match result {
+                            // Chunked bodies, the one transport kind, fan
+                            // their frames across the shared worker pool.
+                            let result =
+                                crate::pool::decompress_chunked_parallel(crate::pool::shared_pool(), &body);
+                            match result.map(Body::from) {
                                 Ok(raw) => {
                                     decompress_hist.record_duration(start.elapsed());
                                     header.compression = CompressionKind::None;
@@ -135,17 +124,20 @@ impl Endpoint {
                         delivery_stats.record(in_flight);
                         delivery_hist.record_duration(in_flight);
                         telemetry.emit(EventKind::Fetched, header.id, body.len() as u64);
-                        if !recv_buf.push(Message { header, body }) {
-                            break; // receive buffer closed: stop delivering
+                        if recv_buf.push(Message { header, body }).is_err() {
+                            // Receive buffer closed: the endpoint departed.
+                            hub.table.departed_discards.fetch_add(1, Ordering::Relaxed);
+                            break;
                         }
                     }
-                    // On exit, settle the store credits of anything still queued
-                    // for this endpoint so a departed consumer cannot leave
-                    // the shared segment full (and senders blocked) forever.
-                    while let Ok(msg) = id_rx.try_recv() {
-                        if let IdQueueMsg::Deliver(h) = msg {
-                            hub.settle(&h);
-                        }
+                    // On exit, refuse further headers and settle the store
+                    // credits of anything still queued for this endpoint, so
+                    // a departed consumer cannot leave the shared segment
+                    // full (and senders blocked) forever.
+                    id_queue.close();
+                    while let Some(h) = id_queue.try_pop() {
+                        hub.table.departed_discards.fetch_add(1, Ordering::Relaxed);
+                        hub.settle(&h);
                     }
                     // The receiver thread is the only producer into recv_buf:
                     // once it exits, nothing will ever arrive again, so close
@@ -346,12 +338,61 @@ mod tests {
     }
 
     #[test]
+    fn closing_an_endpoint_mid_stream_accounts_for_every_message() {
+        // Four senders keep sending 1 KiB bodies to one endpoint while the
+        // broker side closes it. A header queued before the close is
+        // delivered; one routed after it, by a sender still holding the older
+        // routing snapshot, is refused by the closed ID queue and discarded
+        // as departed. None is a drop, none is settled uncounted, and the
+        // store ends empty.
+        let broker = Broker::new(0, Cluster::single(), CommConfig::default());
+        let learner = broker.endpoint(ProcessId::learner(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let senders: Vec<_> = (0..4)
+            .map(|i| {
+                let explorer = broker.endpoint(ProcessId::explorer(i));
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    let mut sent = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        let body = Bytes::from(vec![i as u8; 1024]);
+                        assert!(explorer.send_to(vec![ProcessId::learner(0)], MessageKind::Rollout, body));
+                        sent += 1;
+                    }
+                    sent
+                })
+            })
+            .collect();
+        let mut delivered = 0u64;
+        while delivered < 1_000 {
+            learner.recv_timeout(Duration::from_secs(10)).expect("delivered before the close");
+            delivered += 1;
+        }
+        broker.close_endpoint(learner.pid());
+        while learner.recv_timeout(Duration::from_secs(10)).is_some() {
+            delivered += 1;
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while broker.departed_discards() < 1_000 {
+            assert!(std::time::Instant::now() < deadline, "senders stopped reaching the closed queue");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        stop.store(true, Ordering::Relaxed);
+        let sent: u64 = senders.into_iter().map(|s| s.join().expect("sender")).sum();
+        drop(learner);
+        broker.shutdown();
+        assert_eq!(delivered + broker.departed_discards(), sent, "every message delivered or discarded");
+        assert_eq!(broker.dropped(), 0);
+        assert!(broker.store().is_empty());
+    }
+
+    #[test]
     fn blocked_recv_timeout_observes_broker_side_close_promptly() {
         // Satellite regression test: a workhorse blocked in `recv_timeout`
         // must observe endpoint teardown within milliseconds, not wait out
         // its full timeout. The broker-side path (`close_endpoint`) only
-        // sends the ID-queue close sentinel; the receiver thread must close
-        // the receive buffer on its way out for the blocked popper to wake.
+        // closes the ID queue; the receiver thread must close the receive
+        // buffer on its way out for the blocked popper to wake.
         let broker = Broker::new(0, Cluster::single(), CommConfig::default());
         let l = Arc::new(broker.endpoint(ProcessId::learner(0)));
         let l2 = Arc::clone(&l);

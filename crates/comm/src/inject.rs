@@ -19,7 +19,6 @@
 //! installed the hot path pays one lock-free snapshot load and nothing else.
 
 use crate::router::Hub;
-use crossbeam_channel::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xingtian_message::{Header, ProcessId};
@@ -68,28 +67,19 @@ impl Hub {
     /// Runs a broker's delay line: parks delayed deliveries until they come due,
     /// then pushes them into the destination ID queue *without* re-consulting the
     /// injector (a delayed message is not re-dropped or re-delayed) but with the
-    /// failed-delivery accounting of any delivery. When the broker shuts the
-    /// line down (sender dropped), everything still pending is flushed
-    /// immediately so no store credit is ever stranded.
-    pub(crate) fn run_delay_line(&self, rx: Receiver<DelayedDelivery>) {
+    /// failed-delivery accounting of any delivery. When the broker closes the
+    /// line, everything still pending is flushed immediately so no store
+    /// credit is ever stranded.
+    pub(crate) fn run_delay_line(&self) {
+        let line = &self.table.delay_line;
         let deliver_now = |d: DelayedDelivery| {
             self.table.id_queues.with(|queues| self.push_one(queues, d.header, d.dst))
         };
         let mut pending: Vec<DelayedDelivery> = Vec::new();
-        loop {
-            let next_due = pending.iter().map(|d| d.deliver_at).min();
-            let incoming = match next_due {
-                Some(due) => {
-                    match rx.recv_timeout(due.saturating_duration_since(Instant::now())) {
-                        Ok(d) => Some(d),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                None => match rx.recv() {
-                    Ok(d) => Some(d),
-                    Err(_) => break,
-                },
+        while !line.is_closed() {
+            let incoming = match pending.iter().map(|d| d.deliver_at).min() {
+                Some(due) => line.pop_timeout(due.saturating_duration_since(Instant::now())),
+                None => line.pop(),
             };
             pending.extend(incoming);
             let now = Instant::now();
@@ -103,9 +93,7 @@ impl Hub {
             }
         }
         // Shutdown flush: release everything still parked.
-        while let Ok(d) = rx.try_recv() {
-            pending.push(d);
-        }
+        pending.extend(std::iter::from_fn(|| line.try_pop()));
         pending.into_iter().for_each(deliver_now);
     }
 }

@@ -39,7 +39,8 @@
 //!
 //! The public surface:
 //!
-//! * [`Buffer`] — the intra-process receive buffer.
+//! * [`Buffer`] — the channel's one blocking queue: receive buffers, ID
+//!   queues, uplink feeds, the delay line and the worker pool's queues.
 //! * [`ObjectStore`] — zero-copy shared body store with fan-out refcounts:
 //!   create → write → seal over recycled size-class slabs.
 //! * [`Broker`] — per-machine communication hub: object store, routing table,

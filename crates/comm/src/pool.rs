@@ -16,19 +16,20 @@
 //! another message can delay a caller but never deadlock it, and on a
 //! single-core machine the caller simply does all the work itself.
 
+use crate::buffer::Buffer;
 use bytes::Bytes;
-use crossbeam_channel::{unbounded, Receiver, Sender};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use xingtian_message::chunk::{self, ChunkError, ChunkedBuilder};
 use xingtian_message::{lz4, CompressionKind};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A fixed set of detached worker threads consuming chunk jobs from an
-/// unbounded queue. Workers exit when the pool (all senders) is dropped;
-/// the process-wide [`shared_pool`] lives for the program's lifetime.
+/// unbounded queue. Dropping the pool closes the queue: workers finish the
+/// jobs already queued, then exit. The process-wide [`shared_pool`] lives for
+/// the program's lifetime.
 pub struct WorkPool {
-    tx: Sender<Job>,
+    jobs: Arc<Buffer<Job>>,
     workers: usize,
 }
 
@@ -43,28 +44,24 @@ impl WorkPool {
     /// the channel's chunk codecs and the algorithms' gradient shards alike.
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
-        let (tx, rx) = unbounded::<Job>();
+        let jobs = Arc::new(Buffer::<Job>::new());
         for w in 0..workers {
-            let rx: Receiver<Job> = rx.clone();
+            let jobs = Arc::clone(&jobs);
             std::thread::Builder::new()
                 .name(format!("xt-pool-{w}"))
                 .spawn(move || {
-                    while let Ok(job) = rx.recv() {
+                    while let Some(job) = jobs.pop() {
                         job();
                     }
                 })
                 .expect("spawn xt-pool worker thread");
         }
-        WorkPool { tx, workers }
+        WorkPool { jobs, workers }
     }
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    fn submit(&self, job: Job) {
-        assert!(self.tx.send(job).is_ok(), "worker pool alive");
     }
 
     /// Runs a batch of borrowing jobs to completion across the pool, with
@@ -74,17 +71,17 @@ impl WorkPool {
     /// the chunk codecs below and `xingtian_algos`' gradient shards both run
     /// through it.
     ///
-    /// Unlike [`WorkPool::submit`]'s fire-and-forget jobs, these closures may
-    /// borrow from the caller's stack (`'scope`): the method blocks until
-    /// every job has finished before returning, so the borrows cannot be
-    /// outlived. Job panics are caught (on workers and inline alike), all
-    /// remaining completions are drained, and the first panic is then
-    /// propagated on the calling thread — no job is left running with a
-    /// dangling borrow and no pool worker is lost to an unwinding job.
+    /// These closures may borrow from the caller's stack (`'scope`): the
+    /// method blocks until every job has finished before returning, so the
+    /// borrows cannot be outlived. Job panics are caught (on workers and
+    /// inline alike), all remaining completions are drained, and the first
+    /// panic is then propagated on the calling thread — no job is left
+    /// running with a dangling borrow and no pool worker is lost to an
+    /// unwinding job.
     pub fn run_scoped<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
         use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
         let stride = self.workers + 1;
-        let (done_tx, done_rx) = unbounded::<std::thread::Result<()>>();
+        let done = Arc::new(Buffer::<std::thread::Result<()>>::new());
         let mut offloaded = 0usize;
         let mut inline: Vec<Box<dyn FnOnce() + Send + 'scope>> = Vec::new();
         for (idx, job) in jobs.into_iter().enumerate() {
@@ -97,12 +94,14 @@ impl WorkPool {
             // completion messages — each sent after its job has returned or
             // unwound — before returning or propagating a panic.
             let job: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(job) };
-            let done_tx = done_tx.clone();
+            let done = Arc::clone(&done);
             offloaded += 1;
-            self.submit(Box::new(move || {
+            let offload: Job = Box::new(move || {
                 let result = catch_unwind(AssertUnwindSafe(job));
-                let _ = done_tx.send(result);
-            }));
+                let _ = done.push(result);
+            });
+            // Only the pool's drop closes its queue.
+            assert!(self.jobs.push(offload).is_ok(), "worker pool alive");
         }
         let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
         for job in inline {
@@ -111,7 +110,7 @@ impl WorkPool {
             }
         }
         for _ in 0..offloaded {
-            let result = done_rx.recv().expect("scoped worker delivered completion");
+            let result = done.pop().expect("scoped worker delivered completion");
             if let Err(p) = result {
                 first_panic.get_or_insert(p);
             }
@@ -119,6 +118,12 @@ impl WorkPool {
         if let Some(p) = first_panic {
             resume_unwind(p);
         }
+    }
+}
+
+impl Drop for WorkPool {
+    fn drop(&mut self) {
+        self.jobs.close();
     }
 }
 

@@ -33,10 +33,10 @@
 //! A producer routes its own messages in the order it sends them, so
 //! per-(src,dst) FIFO holds whatever the destination lists are.
 
+use crate::buffer::Buffer;
 use crate::inject::{DelayedDelivery, InjectDecision, InjectionStats, RouteInjector};
 use crate::snapshot::SnapshotCell;
 use crate::store::{ObjectStore, Reservation};
-use crossbeam_channel::Sender;
 use netsim::MachineId;
 use parking_lot::Mutex;
 use std::collections::hash_map::{Entry, HashMap};
@@ -46,16 +46,10 @@ use std::time::Instant;
 use xingtian_message::{CompressionKind, Header, MessageKind, ProcessId};
 use xt_telemetry::{EventKind, Telemetry};
 
-/// What flows through a per-process ID queue.
-#[derive(Debug)]
-pub(crate) enum IdQueueMsg {
-    /// A delivered header whose object id refers to the local store.
-    Deliver(Arc<Header>),
-    /// Endpoint teardown: the receiver thread must exit now. (ID-queue
-    /// senders live inside routing snapshots a reader may still pin, so a
-    /// receiver cannot rely on sender-drop for a prompt shutdown signal.)
-    Close,
-}
+/// A per-process ID queue: delivered headers whose object ids refer to the
+/// local store. Routing snapshots a reader may still pin hold it too, so its
+/// end is the explicit close in [`RoutingTable::remove_id_queue`].
+pub(crate) type IdQueue = Arc<Buffer<Arc<Header>>>;
 
 /// The local/remote partition of a destination list.
 #[derive(Debug, Default)]
@@ -85,7 +79,7 @@ pub struct RoutingTable {
     pub(crate) routes: SnapshotCell<HashMap<ProcessId, MachineId>>,
     /// Local ID queues, one per local process. Read lock-free on every
     /// delivery.
-    pub(crate) id_queues: SnapshotCell<HashMap<ProcessId, Sender<IdQueueMsg>>>,
+    pub(crate) id_queues: SnapshotCell<HashMap<ProcessId, IdQueue>>,
     /// Dropped-message counter (destination unknown or queue closed).
     pub(crate) dropped: AtomicU64,
     /// Processes that deregistered their ID queue (graceful exit or retire).
@@ -100,10 +94,9 @@ pub struct RoutingTable {
     /// final hop. `None` (the default) costs one snapshot load per delivery
     /// batch and nothing else.
     pub(crate) injector: SnapshotCell<Option<Arc<dyn RouteInjector>>>,
-    /// Feed into the broker's delay-line thread. Lives here (not in a
-    /// snapshot) so shutdown can take it out and disconnect the thread at
-    /// that instant, not whenever the last snapshot naming it is pruned.
-    pub(crate) delay_tx: Mutex<Option<Sender<DelayedDelivery>>>,
+    /// Feed into the broker's delay-line thread, which `Broker::shutdown`
+    /// closes; a delivery it refuses is made at once.
+    pub(crate) delay_line: Buffer<DelayedDelivery>,
     /// Injected-fault tallies (drops / delays executed).
     pub(crate) injected_dropped: AtomicU64,
     pub(crate) injected_delayed: AtomicU64,
@@ -150,10 +143,10 @@ impl RoutingTable {
 
     /// Registers the ID queue of local process `pid`. Returns `false` (and
     /// registers nothing) if `pid` already has a queue.
-    pub(crate) fn add_id_queue(&self, pid: ProcessId, tx: Sender<IdQueueMsg>) -> bool {
+    pub(crate) fn add_id_queue(&self, pid: ProcessId, queue: IdQueue) -> bool {
         let added = self.id_queues.modify(|queues| match queues.entry(pid) {
             Entry::Vacant(slot) => {
-                slot.insert(tx);
+                slot.insert(queue);
                 true
             }
             Entry::Occupied(_) => false,
@@ -165,15 +158,14 @@ impl RoutingTable {
         added
     }
 
-    /// Unregisters `pid`'s ID queue, waking its receiver thread with a close
-    /// sentinel.
+    /// Unregisters `pid`'s ID queue and closes it: its receiver thread
+    /// delivers the headers already queued, then exits, and a sender still
+    /// holding an older snapshot has its header refused, a departed discard.
     pub(crate) fn remove_id_queue(&self, pid: ProcessId) {
         self.departed.lock().insert(pid);
-        self.id_queues.modify(|queues| {
-            if let Some(tx) = queues.remove(&pid) {
-                let _ = tx.send(IdQueueMsg::Close);
-            }
-        });
+        if let Some(queue) = self.id_queues.modify(|queues| queues.remove(&pid)) {
+            queue.close();
+        }
     }
 
     pub(crate) fn add_dropped(&self, n: u64) {
@@ -218,12 +210,12 @@ pub struct RemoteEnvelope {
 }
 
 /// The feeds into a machine's uplink threads, one per connected peer.
-pub(crate) type Uplinks = Mutex<HashMap<MachineId, Sender<RemoteEnvelope>>>;
+pub(crate) type Uplinks = Mutex<HashMap<MachineId, Arc<Buffer<RemoteEnvelope>>>>;
 
 /// One machine's half of the channel: its object store, its routing table and
 /// the counters every hop reports into. Shared by the broker, its delay-line
 /// and receiver threads, and the uplink threads of peers delivering into this
-/// machine; it owns no thread handle and no uplink sender, so none of those
+/// machine; it owns no thread handle and no uplink, so none of those
 /// threads keeps itself or a broker alive through it.
 #[derive(Debug)]
 pub(crate) struct Hub {
@@ -232,9 +224,9 @@ pub(crate) struct Hub {
     pub(crate) telemetry: Telemetry,
     /// Messages routed at their source (`comm.routed_messages`).
     routed_messages: xt_telemetry::CounterHandle,
-    /// Bytes entering the store at their source per [`CompressionKind`],
-    /// indexed by discriminant. Pre-created handles so `dispatch` never
-    /// touches the metrics registry lock.
+    /// Bytes entering the store at their source per [`CompressionKind`], in
+    /// the order of [`CompressionKind::ALL`]. Pre-created handles so
+    /// `dispatch` never touches the metrics registry lock.
     wire_bytes: [xt_telemetry::CounterHandle; CompressionKind::ALL.len()],
     /// Stored size of every `Parameters` broadcast body — the direct
     /// observable for the parameter plane's savings.
@@ -294,7 +286,8 @@ impl Hub {
         plan: SplitPlan,
     ) {
         let stored_len = body.len() as u64;
-        self.wire_bytes[header.compression.discriminant() as usize].add(stored_len);
+        let kind = CompressionKind::ALL.iter().position(|&k| k == header.compression);
+        self.wire_bytes[kind.expect("ALL lists every kind")].add(stored_len);
         if header.kind == MessageKind::Parameters {
             self.broadcast_bytes.record(stored_len);
         }
@@ -318,7 +311,7 @@ impl Hub {
             let n_dst = dst.len() as u64;
             let sent = header.object_id.and_then(|id| self.store.fetch(id)).is_some_and(|body| {
                 let envelope = RemoteEnvelope { header: (*header).clone(), body, dst };
-                uplinks.get(&machine).is_some_and(|tx| tx.send(envelope).is_ok())
+                uplinks.get(&machine).is_some_and(|uplink| uplink.push(envelope).is_ok())
             });
             if !sent {
                 self.table.add_dropped(n_dst);
@@ -347,7 +340,7 @@ impl Hub {
     /// `header` itself, the others a clone of the reference.
     pub(crate) fn push_headers(
         &self,
-        queues: &HashMap<ProcessId, Sender<IdQueueMsg>>,
+        queues: &HashMap<ProcessId, IdQueue>,
         header: Arc<Header>,
         dst: &[ProcessId],
     ) {
@@ -365,7 +358,7 @@ impl Hub {
     /// delivered, dropped or parked on the delay line as `injector` decides.
     fn push_decided(
         &self,
-        queues: &HashMap<ProcessId, Sender<IdQueueMsg>>,
+        queues: &HashMap<ProcessId, IdQueue>,
         injector: Option<&dyn RouteInjector>,
         header: Arc<Header>,
         d: ProcessId,
@@ -378,23 +371,14 @@ impl Hub {
                 self.settle(&header);
             }
             InjectDecision::Delay(delay) => {
-                let parked = {
-                    let guard = table.delay_tx.lock();
-                    guard.as_ref().is_some_and(|tx| {
-                        tx.send(DelayedDelivery {
-                            header: Arc::clone(&header),
-                            dst: d,
-                            deliver_at: Instant::now() + delay,
-                        })
-                        .is_ok()
-                    })
-                };
-                if parked {
-                    table.injected_delayed.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    // No delay line (or it's gone): deliver immediately
-                    // rather than lose the message.
-                    self.push_one(queues, header, d);
+                let parked = DelayedDelivery { header, dst: d, deliver_at: Instant::now() + delay };
+                match table.delay_line.push(parked) {
+                    Ok(()) => {
+                        table.injected_delayed.fetch_add(1, Ordering::Relaxed);
+                    }
+                    // The line is shut: deliver immediately rather than lose
+                    // the message.
+                    Err(refused) => self.push_one(queues, refused.header, d),
                 }
             }
         }
@@ -404,15 +388,12 @@ impl Hub {
     /// the destination is unreachable.
     pub(crate) fn push_one(
         &self,
-        queues: &HashMap<ProcessId, Sender<IdQueueMsg>>,
+        queues: &HashMap<ProcessId, IdQueue>,
         header: Arc<Header>,
         d: ProcessId,
     ) {
         let undelivered = match queues.get(&d) {
-            Some(q) => q.send(IdQueueMsg::Deliver(header)).err().map(|e| match e.0 {
-                IdQueueMsg::Deliver(header) => header,
-                IdQueueMsg::Close => unreachable!("a delivery is sent"),
-            }),
+            Some(q) => q.push(header).err(),
             None => Some(header),
         };
         if let Some(header) = undelivered {
@@ -433,7 +414,6 @@ impl Hub {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam_channel::unbounded;
 
     fn hub() -> Hub {
         Hub::new(crate::store::DEFAULT_CAPACITY, Telemetry::disabled())
@@ -473,9 +453,9 @@ mod tests {
     #[test]
     fn push_headers_reclaims_credits_for_closed_queues() {
         let hub = hub();
-        let (tx, rx) = unbounded();
-        drop(rx); // queue closed
-        assert!(hub.table.add_id_queue(ProcessId::learner(0), tx));
+        let queue = IdQueue::default();
+        queue.close(); // closed without deregistering
+        assert!(hub.table.add_id_queue(ProcessId::learner(0), queue));
         let id = hub.store.insert(bytes::Bytes::from_static(b"x"), 1);
         let mut header =
             Header::new(ProcessId::explorer(0), vec![ProcessId::learner(0)], MessageKind::Rollout);
@@ -505,9 +485,9 @@ mod tests {
         // must spend the machine's store credit and count every destination
         // behind it as dropped — no store leak either way.
         let hub = hub();
-        let (dead_tx, dead_rx) = unbounded::<RemoteEnvelope>();
-        drop(dead_rx); // uplink thread gone
-        let uplinks = Mutex::new(HashMap::from([(1, dead_tx)]));
+        let dead = Arc::new(Buffer::new());
+        dead.close(); // uplink shut
+        let uplinks = Mutex::new(HashMap::from([(1, dead)]));
         // Machine 1: closed uplink. Machine 2: no uplink registered at all.
         let header = Header::new(
             ProcessId::learner(0),
@@ -529,25 +509,20 @@ mod tests {
         // The O(n) broadcast property: every ID queue receives a clone of the
         // *same* header allocation.
         let hub = hub();
-        let mut rxs = Vec::new();
+        let mut queues = Vec::new();
         for i in 0..4 {
-            let (tx, rx) = unbounded();
-            assert!(hub.table.add_id_queue(ProcessId::explorer(i), tx));
-            rxs.push(rx);
+            let queue = IdQueue::default();
+            assert!(hub.table.add_id_queue(ProcessId::explorer(i), Arc::clone(&queue)));
+            queues.push(queue);
         }
         let dst: Vec<ProcessId> = (0..4).map(ProcessId::explorer).collect();
         let mut header = Header::new(ProcessId::learner(0), dst.clone(), MessageKind::Parameters);
         header.object_id = Some(hub.store.insert(bytes::Bytes::from_static(b"w"), 4));
         let header = Arc::new(header);
-        let queues = hub.table.id_queues.load();
-        hub.push_headers(&queues, Arc::clone(&header), &dst);
-        for rx in &rxs {
-            match rx.try_recv().expect("delivered") {
-                IdQueueMsg::Deliver(h) => {
-                    assert!(Arc::ptr_eq(&h, &header), "queues share one header allocation")
-                }
-                IdQueueMsg::Close => panic!("unexpected close"),
-            }
+        hub.push_headers(&hub.table.id_queues.load(), Arc::clone(&header), &dst);
+        for queue in &queues {
+            let h = queue.try_pop().expect("delivered");
+            assert!(Arc::ptr_eq(&h, &header), "queues share one header allocation");
         }
         assert_eq!(hub.table.dropped(), 0);
     }

@@ -35,8 +35,8 @@
 //!   finds no reader mid-borrow, not O(writes).
 //! * What a snapshot holds is dropped when the last snapshot naming it is
 //!   pruned — possibly some publishes after its removal. A resource whose
-//!   release is a signal (a channel sender whose disconnect means shutdown)
-//!   needs an explicit prompt signal on top, as the ID queues' close sentinel.
+//!   release would be a signal needs an explicit prompt one instead, as the
+//!   ID queues' `close`.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};

@@ -639,7 +639,7 @@ mod tests {
 
     #[test]
     fn an_unsealed_reservation_leaks_nothing_and_wakes_parked_inserters() {
-        use std::sync::mpsc;
+        use crate::buffer::Buffer;
         // A sender that panics between create and seal, with and without an
         // inserter parked behind it at the full data lane.
         let s = Arc::new(ObjectStore::with_capacity(4096));
@@ -656,19 +656,18 @@ mod tests {
         };
         let before = state(&s);
         for with_parked in [false, true] {
-            let (created_tx, created) = mpsc::channel();
-            let (go, go_rx) = mpsc::channel::<()>();
+            let (created, go) = (Arc::new(Buffer::new()), Arc::new(Buffer::new()));
             let sender = {
-                let s = Arc::clone(&s);
+                let (s, created, go) = (Arc::clone(&s), Arc::clone(&created), Arc::clone(&go));
                 std::thread::spawn(move || {
                     let mut reservation = s.create(1024, false);
                     reservation.body_mut().extend_from_slice(&[7u8; 100]);
-                    created_tx.send(()).unwrap();
-                    let _ = go_rx.recv();
+                    created.push(()).unwrap();
+                    go.pop();
                     panic!("the encoder failed between create and seal");
                 })
             };
-            created.recv().unwrap();
+            created.pop().unwrap();
             assert_eq!(s.live_bytes(), 3072, "the reservation is charged at the gate");
             // 2048 held + 1024 reserved + 2048 more > 4096: this one parks,
             // and only the reservation's release lets it in.
@@ -680,7 +679,7 @@ mod tests {
                 }
                 parked
             });
-            go.send(()).unwrap();
+            go.push(()).unwrap();
             assert!(sender.join().is_err(), "the sender panicked");
             if let Some(parked) = parked {
                 let id = parked.join().expect("woken by the release");

@@ -779,8 +779,8 @@ impl Deployment {
         let wall_time = start.elapsed();
 
         // The replay services stop only after every producer and consumer
-        // has joined: closing an endpoint queues the close sentinel behind
-        // every rollout already routed to it, so those get ingested, and each
+        // has joined: a closed endpoint still delivers every rollout already
+        // routed to it, so those get ingested, and each
         // plane's torn-write audit runs on its final state. The report sums
         // the shards.
         let mut replay: Option<ReplayReport> = None;

@@ -21,8 +21,8 @@
 //! ```
 //!
 //! The container carries no magic: the message [`Header`](crate::Header)
-//! distinguishes chunked bodies from legacy single-block ones via
-//! [`CompressionKind`](crate::CompressionKind).
+//! marks a chunked body with
+//! [`CompressionKind::Lz4Chunked`](crate::CompressionKind::Lz4Chunked).
 //!
 //! # Hostile-input guards
 //!

@@ -225,29 +225,26 @@ impl MessageKind {
 
 /// How a message body stored in the object store is compressed.
 ///
-/// Replaces the old `compressed: bool` header flag so receivers can tell a
-/// legacy single-block LZ4 body from the chunked container introduced by the
-/// data-plane fast path (and route each to the right decoder).
-///
 /// The kinds split into two classes:
 ///
-/// * **Transport** kinds ([`Lz4Block`](CompressionKind::Lz4Block),
-///   [`Lz4Chunked`](CompressionKind::Lz4Chunked)) are applied and removed by
-///   the channel itself — the receiving endpoint's monitoring thread restores
-///   the logical body before delivery.
+/// * The **transport** kind ([`Lz4Chunked`](CompressionKind::Lz4Chunked)) is
+///   applied and removed by the channel itself — the receiving endpoint's
+///   monitoring thread restores the logical body before delivery.
 /// * **Parameter-plane** kinds ([`DeltaF32`](CompressionKind::DeltaF32),
 ///   [`QuantizedI8`](CompressionKind::QuantizedI8),
 ///   [`DeltaQuantizedI8`](CompressionKind::DeltaQuantizedI8)) are stateful:
 ///   decoding needs the receiver's reconstruction state (its last applied
 ///   parameter vector), so the channel passes these bodies through untouched
 ///   and the consuming workhorse decodes them ([`crate::param`]).
+///
+/// Wire discriminant 1 is unclaimed: it named a single-LZ4-block body that
+/// nothing produces since the chunked container replaced it, and it now
+/// decodes to [`crate::codec::DecodeError::InvalidTag`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum CompressionKind {
     /// Body stored verbatim.
     #[default]
     None,
-    /// Legacy: the whole body is one LZ4 block (no length prefix).
-    Lz4Block,
     /// The body is a chunk container of independent LZ4 frames
     /// (`xingtian_message::chunk`).
     Lz4Chunked,
@@ -268,7 +265,7 @@ impl CompressionKind {
     /// delivery (receiving endpoints decompress these and hand the workhorse
     /// the logical body).
     pub fn is_transport(self) -> bool {
-        matches!(self, CompressionKind::Lz4Block | CompressionKind::Lz4Chunked)
+        self == CompressionKind::Lz4Chunked
     }
 
     /// True for parameter-plane encodings that need receiver state to decode;
@@ -287,7 +284,6 @@ impl CompressionKind {
     pub const fn discriminant(self) -> u8 {
         match self {
             CompressionKind::None => 0,
-            CompressionKind::Lz4Block => 1,
             CompressionKind::Lz4Chunked => 2,
             CompressionKind::DeltaF32 => 3,
             CompressionKind::QuantizedI8 => 4,
@@ -304,7 +300,6 @@ impl CompressionKind {
     pub const fn from_discriminant(d: u8) -> Result<Self, crate::codec::DecodeError> {
         Ok(match d {
             0 => CompressionKind::None,
-            1 => CompressionKind::Lz4Block,
             2 => CompressionKind::Lz4Chunked,
             3 => CompressionKind::DeltaF32,
             4 => CompressionKind::QuantizedI8,
@@ -314,9 +309,8 @@ impl CompressionKind {
     }
 
     /// Every kind, in discriminant order (test and telemetry enumeration).
-    pub const ALL: [CompressionKind; 6] = [
+    pub const ALL: [CompressionKind; 5] = [
         CompressionKind::None,
-        CompressionKind::Lz4Block,
         CompressionKind::Lz4Chunked,
         CompressionKind::DeltaF32,
         CompressionKind::QuantizedI8,
@@ -327,7 +321,6 @@ impl CompressionKind {
     pub const fn name(self) -> &'static str {
         match self {
             CompressionKind::None => "none",
-            CompressionKind::Lz4Block => "lz4_block",
             CompressionKind::Lz4Chunked => "lz4_chunked",
             CompressionKind::DeltaF32 => "delta_f32",
             CompressionKind::QuantizedI8 => "quantized_i8",
@@ -515,7 +508,7 @@ mod tests {
     #[test]
     fn unknown_compression_discriminant_is_a_typed_error() {
         use crate::codec::DecodeError;
-        for d in 6..=u8::MAX {
+        for d in std::iter::once(1).chain(6..=u8::MAX) {
             assert_eq!(CompressionKind::from_discriminant(d), Err(DecodeError::InvalidTag(d)));
         }
     }

@@ -66,9 +66,8 @@ pub fn should_compress(body: &[u8], threshold: usize) -> bool {
 
 /// Decompress a stored body according to its header's [`CompressionKind`].
 ///
-/// Handles both the chunked container ([`chunk`]) the channel compresses
-/// into and legacy single-block LZ4 bodies produced before the chunked format
-/// existed. Parameter-plane kinds ([`CompressionKind::is_param_plane`]) pass through
+/// Restores the chunked container ([`chunk`]) the channel compresses into.
+/// Parameter-plane kinds ([`CompressionKind::is_param_plane`]) pass through
 /// *unchanged*: they are stateful encodings that only the consuming workhorse
 /// (which holds the base version and error-feedback state) can decode — see
 /// [`param`].
@@ -79,7 +78,6 @@ pub fn should_compress(body: &[u8], threshold: usize) -> bool {
 pub fn decompress_body(body: &Bytes, kind: CompressionKind) -> Result<Bytes, ChunkError> {
     match kind {
         CompressionKind::None => Ok(body.clone()),
-        CompressionKind::Lz4Block => Ok(Bytes::from(lz4::decompress(body)?)),
         CompressionKind::Lz4Chunked => Ok(Bytes::from(chunk::decompress_chunked(body)?)),
         CompressionKind::DeltaF32
         | CompressionKind::QuantizedI8
@@ -97,16 +95,6 @@ mod tests {
         let out = Bytes::from(chunk::compress_chunked(&body));
         assert!(out.len() < body.len());
         let restored = decompress_body(&out, CompressionKind::Lz4Chunked).unwrap();
-        assert_eq!(restored, body);
-    }
-
-    #[test]
-    fn legacy_single_block_body_still_decodes() {
-        // Bodies compressed by pre-chunking versions were one bare LZ4 block;
-        // the descriptor keeps them decodable.
-        let body = Bytes::from(vec![42u8; 2 * 1024 * 1024]);
-        let legacy = Bytes::from(lz4::compress(&body));
-        let restored = decompress_body(&legacy, CompressionKind::Lz4Block).unwrap();
         assert_eq!(restored, body);
     }
 

@@ -3,11 +3,11 @@
 //! Two invariants protect wire/store compatibility:
 //!
 //! 1. For a corpus of rollout-like, parameter-like, and random payloads, the
-//!    chunked container path and the legacy single-block path both decompress
-//!    back to the original bytes (and agree with each other).
+//!    chunked container and the raw LZ4 block codec its frames are built from
+//!    both decompress back to the original bytes (and agree with each other).
 //! 2. An LZ4 block produced by the *pre-chunking* compressor (captured below
-//!    as a golden vector before the fast-path rewrite) still decodes via the
-//!    `CompressionKind::Lz4Block` descriptor.
+//!    as a golden vector before the fast-path rewrite) still decodes with the
+//!    block decoder every chunk frame goes through.
 
 use bytes::Bytes;
 use xingtian_message::{chunk, decompress_body, lz4, CompressionKind};
@@ -63,18 +63,17 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
 }
 
 #[test]
-fn chunked_and_legacy_paths_agree_on_corpus() {
+fn chunked_and_block_codecs_agree_on_corpus() {
     for (name, payload) in corpus() {
-        // Legacy single-block path.
-        let legacy = Bytes::from(lz4::compress(&payload));
-        let via_legacy = decompress_body(&legacy, CompressionKind::Lz4Block)
-            .unwrap_or_else(|e| panic!("{name}: legacy decode failed: {e}"));
+        // Raw single-block codec.
+        let via_block = lz4::decompress(&lz4::compress(&payload))
+            .unwrap_or_else(|e| panic!("{name}: block decode failed: {e}"));
         // Chunked container path.
         let container = Bytes::from(chunk::compress_chunked(&payload));
         let via_chunked = decompress_body(&container, CompressionKind::Lz4Chunked)
             .unwrap_or_else(|e| panic!("{name}: chunked decode failed: {e}"));
-        assert_eq!(&via_legacy[..], &payload[..], "{name}: legacy round trip");
-        assert_eq!(via_chunked, via_legacy, "{name}: paths disagree");
+        assert_eq!(via_block, payload, "{name}: block round trip");
+        assert_eq!(&via_chunked[..], &via_block[..], "{name}: codecs disagree");
     }
 }
 
@@ -101,9 +100,8 @@ fn chunked_container_survives_reparse() {
 
 /// LZ4 block emitted by the compressor as it existed *before* the fast-path
 /// rewrite (per-call hash table, byte-wise match extension), for the payload
-/// `rollout_like(2000)`. Captured by running that compressor; it must keep
-/// decoding forever, since brokers persist compressed bodies with
-/// `CompressionKind::Lz4Block` headers.
+/// `rollout_like(2000)`. Captured by running that compressor; the block
+/// decoder every chunk frame goes through must keep reading it.
 const GOLDEN_LEGACY_BLOCK: &str = "11000100f12f803e0000003f0000403f0000803f0000a03f\
 0000c03f0000e03f00000040000010400000204000003040000040400000504000006040000070400000804043001f00\
 4400ffffffffffffff75503f0000c03f";
@@ -119,8 +117,8 @@ fn from_hex(s: &str) -> Vec<u8> {
 fn golden_pre_rewrite_block_still_decodes() {
     let block = Bytes::from(from_hex(GOLDEN_LEGACY_BLOCK));
     let expected = rollout_like(2000);
-    let decoded = decompress_body(&block, CompressionKind::Lz4Block).expect("golden block decodes");
-    assert_eq!(&decoded[..], &expected[..]);
+    let decoded = lz4::decompress(&block).expect("golden block decodes");
+    assert_eq!(decoded, expected);
     // And the sized decoder agrees when told the true length.
     assert_eq!(lz4::decompress_sized(&block, 2000).unwrap(), expected);
 }

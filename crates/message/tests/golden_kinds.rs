@@ -14,7 +14,7 @@
 
 use bytes::Bytes;
 use std::path::PathBuf;
-use xingtian_message::{chunk, decompress_body, lz4, param, CompressionKind};
+use xingtian_message::{chunk, decompress_body, param, CompressionKind};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -67,15 +67,14 @@ fn from_le_bytes(bytes: &[u8]) -> Vec<f32> {
 
 // ---------------------------------------------------------------- transport
 
-/// `None`, `Lz4Block` (legacy), and `Lz4Chunked` all decode through
-/// [`decompress_body`] back to the exact raw payload.
+/// `None` and `Lz4Chunked` both decode through [`decompress_body`] back to
+/// the exact raw payload.
 #[test]
 fn transport_kinds_decode_committed_bodies() {
     let payload = le_bytes(&seeded_f32s(4096, 21));
 
-    let cases: [(&str, CompressionKind, Vec<u8>); 3] = [
+    let cases: [(&str, CompressionKind, Vec<u8>); 2] = [
         ("none", CompressionKind::None, payload.clone()),
-        ("lz4_block", CompressionKind::Lz4Block, lz4::compress(&payload)),
         ("lz4_chunked", CompressionKind::Lz4Chunked, chunk::compress_chunked(&payload)),
     ];
     for (name, kind, encoded) in cases {

@@ -35,8 +35,8 @@ pub struct ReplayOutcome {
 /// the deployment closes this service's endpoint from the broker side
 /// (`Broker::close_endpoint`) once every learner has joined (the service
 /// must outlive its learner, which may keep sampling until its last training
-/// session). The close sentinel queues behind every rollout already routed
-/// here, so each of them is ingested before `recv` returns `None`.
+/// session). Closing the ID queue still delivers every rollout already
+/// routed here, so each of them is ingested before `recv` returns `None`.
 pub fn run_replay_service(endpoint: Endpoint, plane: Arc<ReplayPlane>, learner: ProcessId) -> ReplayOutcome {
     let mut decoder = BatchDecoder::new();
     let mut outcome = ReplayOutcome::default();
@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn closing_the_endpoint_ingests_every_rollout_routed_before_it() {
-        // The close sentinel queues behind the headers already routed to the
+        // A closed ID queue still delivers the headers already routed to the
         // shard, so a close issued right after the last send still lets the
         // service ingest all of them before `recv` returns `None`.
         let broker = Broker::new(0, Cluster::single(), CommConfig::default());
