@@ -174,13 +174,21 @@ echo "== chaos smoke: seeded kills and a partition, detected from per-machine be
 # detector declares it down, it is respawned, zero store leaks. A kill plus a
 # partition of the second machine (seed 7): the victim is respawned, the
 # partitioned explorers are declared down and back up without a respawn. And
-# a PPO and an A2C learner killed after session 5: the restored learner
-# announces its checkpointed parameters, so the on-policy explorers resume
-# and the run ends at its goal, not its deadline. Wall time is bounded by each
-# run's max_seconds deadline, which the supervisor checks every tick.
+# a PPO and an A2C learner killed after session 5, checkpointed every session
+# and every third: the restored learner loads its checkpointed state and
+# announces it above every version its dead incarnation reported, so the
+# on-policy explorers resume even from the lagging v3 checkpoint and the run
+# ends at its goal, not its deadline. Wall time is bounded by each run's
+# max_seconds deadline, which the supervisor checks every tick.
 cargo test --release -q -p xingtian --test chaos chaos_smoke_kill_one_explorer_virtual_clock
 cargo test --release -q -p xingtian --test chaos kill_and_partition_two_machine_deployment
 cargo test --release -q -p xingtian --test chaos on_policy_learner_restored_from_checkpoint_reaches_the_goal
+# A sync shard killed after its third round, restored from its checkpoint and
+# rejoined by loading a peer's whole state: the ring resumes and both shards
+# exit bit-identical, for DQN and A2C. Ten runs, every one must pass.
+for run in $(seq 1 10); do
+  cargo test --release -q -p xingtian --test chaos killed_learner_shard_rejoins_sync_allreduce_ring
+done
 
 echo "== flow control: every algorithm's explorers wait on the answers to their rollouts =="
 # Window table, against a learner the test scripts by hand, at window 1

@@ -14,6 +14,7 @@
 use crate::actor_critic::{ActorCritic, Activations, GaeStage, SoftmaxAgent, Spec};
 use crate::api::{Algorithm, SyncMode, TrainReport};
 use crate::payload::{ParamBlob, RolloutBatch};
+use crate::state::{LearnerState, StateError};
 use std::ops::Range;
 use xingtian_comm::pool::{shared_pool, WorkPool};
 
@@ -181,10 +182,15 @@ impl Algorithm for A2cAlgorithm {
         self.core.version()
     }
 
+    fn save_state(&self) -> LearnerState {
+        self.core.save_state()
+    }
+
     /// Staged rollouts are stale once their parameters are replaced.
-    fn adopt_params(&mut self, params: &[f32], version: u64) {
-        self.core.adopt_params(params, version);
+    fn load_state(&mut self, state: &LearnerState) -> Result<(), StateError> {
+        self.core.load_state(state, 0, false)?;
         self.stage.hand_back();
+        Ok(())
     }
 
     fn sync_mode(&self) -> SyncMode {

@@ -18,6 +18,7 @@ use crate::api::{ActionSelection, Agent};
 use crate::gae::{gae_into, normalize, GaeInput};
 use crate::par::{ParGrad, Shard};
 use crate::payload::{ParamBlob, RolloutBatch};
+use crate::state::{Layout, LearnerState, OptimizerState, StateError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
@@ -158,9 +159,23 @@ impl ActorCritic {
         self.nets.load(params);
     }
 
-    pub(crate) fn adopt_params(&mut self, params: &[f32], version: u64) {
-        self.nets.load(params);
-        self.version = version;
+    /// The shared sections of every softmax-policy state: the blob and both
+    /// optimizers, policy first (REINFORCE's value optimizer is empty).
+    pub(crate) fn save_state(&self) -> LearnerState {
+        let optimizers = vec![OptimizerState::of(&self.opt_policy), OptimizerState::of(&self.opt_value)];
+        LearnerState { blob: self.param_blob(), optimizers, ..LearnerState::default() }
+    }
+
+    /// Loads `state` if it fits this core plus the algorithm's own `rngs`
+    /// streams and `baseline`, checked before anything is written.
+    pub(crate) fn load_state(&mut self, state: &LearnerState, rngs: usize, baseline: bool) -> Result<(), StateError> {
+        let widths = [self.opt_policy.moments().1.len(), self.opt_value.moments().1.len()];
+        Layout { params: self.num_params(), optimizers: &widths, target: false, rngs, baseline }.check(state)?;
+        self.nets.load(&state.blob.params);
+        self.version = state.blob.version;
+        state.optimizers[0].load_into(&mut self.opt_policy);
+        state.optimizers[1].load_into(&mut self.opt_value);
+        Ok(())
     }
 
     /// `V(s)` of the state a rollout segment stopped in, under the current
@@ -661,7 +676,9 @@ pub(crate) mod tests {
             (Box::new(ReinforceAlgorithm::new(reinforce.clone())), SoftmaxAgent::reinforce(&reinforce, 1)),
         ];
         for (mut alg, mut agent) in pairs {
-            alg.adopt_params(&vec![0.25; alg.param_blob().params.len()], 5);
+            let mut state = alg.save_state();
+            state.blob = ParamBlob { version: 5, params: vec![0.25; state.blob.params.len()] };
+            alg.load_state(&state).expect("its own layout");
             agent.apply_params(&alg.param_blob());
             assert_eq!(agent.param_version(), 5, "{}", alg.name());
             assert_eq!(agent.nets.flat(), alg.param_blob().params, "{}", alg.name());

@@ -15,6 +15,7 @@
 //! learners (`xingtian::shard`) split a round's fixed slots between them.
 
 use crate::payload::{ParamBlob, RolloutBatch};
+use crate::state::{LearnerState, StateError};
 use std::cell::Cell;
 use std::ops::Range;
 
@@ -65,9 +66,11 @@ pub trait Algorithm: Send {
     /// Snapshot of all trainable parameters for broadcast.
     fn param_blob(&self) -> ParamBlob;
 
-    /// Overwrites all trainable parameters (used by PBT to seed a new
-    /// population with the best population's weights, paper §4.3). The
-    /// version counter is left unchanged.
+    /// Overwrites all trainable parameters and nothing else: PBT seeding a
+    /// new population with the best one's weights (paper §4.3), and relaxed
+    /// gossip mixing in a peer's delta. The version counter is left
+    /// unchanged. A restore or a rejoin loads the whole state instead
+    /// ([`Algorithm::load_state`]).
     ///
     /// # Panics
     ///
@@ -77,17 +80,24 @@ pub trait Algorithm: Send {
     /// Current parameter version.
     fn version(&self) -> u64;
 
-    /// Like [`Algorithm::load_params`], but also jumps the version counter —
-    /// used when an algorithm *adopts* another replica's state wholesale: a
-    /// learner restored from a checkpoint, or a respawned learner shard
-    /// taking a peer's parameter snapshot to rejoin the ring. Without the
-    /// version jump the adopter would restart at version 0, its broadcasts
-    /// would look stale to every explorer, and relaxed-mode skew gating
-    /// would shed its gossip forever.
-    fn adopt_params(&mut self, params: &[f32], version: u64) {
-        self.load_params(params);
-        let _ = version;
-    }
+    /// This learner's whole state as one value ([`LearnerState`]): the
+    /// checkpoint file, and the snapshot a sync shard answers a rejoining
+    /// peer with.
+    fn save_state(&self) -> LearnerState;
+
+    /// Loads a state [`Algorithm::save_state`] wrote — this learner's own or
+    /// a peer replica's — so that training continues exactly as the saver's
+    /// would have: a learner restored from a checkpoint, or a respawned
+    /// learner shard rejoining the ring. Version included, so the loader's
+    /// broadcasts are not stale to explorers that heard the saver. Staged or
+    /// queued rollouts are handed back ([`Algorithm::take_spent`]); replay
+    /// contents stay as they are.
+    ///
+    /// # Errors
+    ///
+    /// A state whose sections do not fit this learner is refused before
+    /// anything is written.
+    fn load_state(&mut self, state: &LearnerState) -> Result<(), StateError>;
 
     /// Hands the algorithm a telemetry handle so it can publish per-stage
     /// timings (e.g. DQN's `learn.sample_ns`) into the same registry as the

@@ -24,6 +24,7 @@ use crate::api::{ActionSelection, Agent, Algorithm, SyncMode, TrainReport};
 use crate::par::ParGrad;
 use crate::payload::{ParamBlob, RolloutBatch, RolloutStep};
 use crate::replay::{PlanePick, ReplayConfig, ReplayPlane, SampleSink};
+use crate::state::{rng_at, Layout, LearnerState, OptimizerState, StateError, TargetState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
@@ -438,9 +439,28 @@ impl Algorithm for DqnAlgorithm {
         self.version
     }
 
-    fn adopt_params(&mut self, params: &[f32], version: u64) {
-        self.load_params(params);
-        self.version = version;
+    fn save_state(&self) -> LearnerState {
+        LearnerState {
+            blob: self.param_blob(),
+            optimizers: vec![OptimizerState::of(&self.opt)],
+            target: Some(TargetState { params: self.target.params().to_vec(), sessions: self.sessions }),
+            rngs: vec![self.rng.state()],
+            baseline: None,
+        }
+    }
+
+    /// The replay plane and the credit count that indexes it
+    /// (`inserts_consumed`) stay this learner's own.
+    fn load_state(&mut self, state: &LearnerState) -> Result<(), StateError> {
+        let n = self.q.num_params();
+        Layout { params: n, optimizers: &[n], target: true, rngs: 1, baseline: false }.check(state)?;
+        let target = state.target.as_ref().expect("a checked target net");
+        self.q.set_params(&state.blob.params);
+        self.target.set_params(&target.params);
+        state.optimizers[0].load_into(&mut self.opt);
+        (self.version, self.sessions) = (state.blob.version, target.sessions);
+        self.rng = rng_at(state.rngs[0]);
+        Ok(())
     }
 
     fn sync_mode(&self) -> SyncMode {

@@ -16,6 +16,7 @@ use crate::actor_critic::{ActorCritic, Activations, SoftmaxAgent, Spec};
 use crate::api::{Algorithm, SyncMode, TrainReport};
 use crate::batch::behavior_log_probs_into;
 use crate::payload::{ParamBlob, RolloutBatch};
+use crate::state::{LearnerState, StateError};
 use crate::vtrace::{vtrace_into, VtraceInput};
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -262,8 +263,16 @@ impl Algorithm for ImpalaAlgorithm {
         self.core.version()
     }
 
-    fn adopt_params(&mut self, params: &[f32], version: u64) {
-        self.core.adopt_params(params, version);
+    fn save_state(&self) -> LearnerState {
+        self.core.save_state()
+    }
+
+    /// Queued rollouts, and those of a round abandoned for the load, go back.
+    fn load_state(&mut self, state: &LearnerState) -> Result<(), StateError> {
+        self.core.load_state(state, 0, false)?;
+        self.spent.extend(self.queue.drain(..));
+        self.spent.append(&mut self.round);
+        Ok(())
     }
 
     fn sync_mode(&self) -> SyncMode {

@@ -48,6 +48,7 @@ pub mod payload;
 pub mod ppo;
 pub mod reinforce;
 pub mod replay;
+pub mod state;
 pub mod sumtree;
 pub mod vtrace;
 
@@ -61,4 +62,5 @@ pub use par::{ParGrad, Shard};
 pub use payload::{BatchDecoder, ParamBlob, RolloutBatch, RolloutStep};
 pub use ppo::{PpoAlgorithm, PpoConfig};
 pub use reinforce::{ReinforceAlgorithm, ReinforceConfig};
+pub use state::{LearnerState, OptimizerState, StateError, TargetState};
 pub use replay::{PlanePick, ReplayConfig, ReplayIntegrity, ReplayPlane, SampleSink, StepSink};

@@ -208,7 +208,7 @@ impl BatchDecoder {
 }
 
 /// A flat snapshot of every trainable parameter, broadcast by the learner.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ParamBlob {
     /// Monotonically increasing version number.
     pub version: u64,

@@ -15,6 +15,7 @@ use crate::actor_critic::{ActorCritic, Activations, GaeStage, SoftmaxAgent, Spec
 use crate::api::{Algorithm, SyncMode, TrainReport};
 use crate::batch::behavior_log_probs_into;
 use crate::payload::{ParamBlob, RolloutBatch};
+use crate::state::{rng_at, LearnerState, StateError};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -241,8 +242,17 @@ impl Algorithm for PpoAlgorithm {
         self.core.version()
     }
 
-    fn adopt_params(&mut self, params: &[f32], version: u64) {
-        self.core.adopt_params(params, version);
+    fn save_state(&self) -> LearnerState {
+        LearnerState { rngs: vec![self.rng.state()], ..self.core.save_state() }
+    }
+
+    /// A session in progress is abandoned: its staged rollouts go back.
+    fn load_state(&mut self, state: &LearnerState) -> Result<(), StateError> {
+        self.core.load_state(state, 1, false)?;
+        self.rng = rng_at(state.rngs[0]);
+        self.session_round = None;
+        self.stage.hand_back();
+        Ok(())
     }
 
     fn sync_mode(&self) -> SyncMode {

@@ -12,6 +12,7 @@ use crate::actor_critic::{ActorCritic, Activations, SoftmaxAgent, Spec};
 use crate::api::{Algorithm, SyncMode, TrainReport};
 use crate::gae::normalize;
 use crate::payload::{ParamBlob, RolloutBatch, RolloutStep};
+use crate::state::{LearnerState, StateError};
 use std::collections::HashMap;
 use std::ops::Range;
 use xingtian_comm::pool::{shared_pool, WorkPool};
@@ -219,8 +220,14 @@ impl Algorithm for ReinforceAlgorithm {
         self.core.version()
     }
 
-    fn adopt_params(&mut self, params: &[f32], version: u64) {
-        self.core.adopt_params(params, version);
+    fn save_state(&self) -> LearnerState {
+        LearnerState { baseline: self.baseline_initialized.then_some(self.baseline), ..self.core.save_state() }
+    }
+
+    fn load_state(&mut self, state: &LearnerState) -> Result<(), StateError> {
+        self.core.load_state(state, 0, true)?;
+        (self.baseline, self.baseline_initialized) = (state.baseline.unwrap_or(0.0), state.baseline.is_some());
+        Ok(())
     }
 
     fn sync_mode(&self) -> SyncMode {

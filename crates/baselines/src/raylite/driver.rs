@@ -519,6 +519,14 @@ mod tests {
             0
         }
 
+        fn save_state(&self) -> xingtian_algos::LearnerState {
+            xingtian_algos::LearnerState::default()
+        }
+
+        fn load_state(&mut self, _: &xingtian_algos::LearnerState) -> Result<(), xingtian_algos::StateError> {
+            Ok(())
+        }
+
         fn sync_mode(&self) -> xingtian_algos::SyncMode {
             xingtian_algos::SyncMode::OffPolicy
         }

@@ -1,16 +1,19 @@
-//! Periodic DNN checkpoints (paper §4.2).
+//! Periodic learner checkpoints (paper §4.2).
 //!
 //! The paper's `Algorithm` class "save[s] the checkpoints of the DNNs
 //! periodically to restore DNN parameters after failure, which provides
 //! sufficient fault tolerance for DRL algorithms without significant
-//! overheads". The learner process writes a [`ParamBlob`] snapshot every
-//! `every_sessions` training sessions; [`load_latest`] restores one into a
-//! new deployment via `DeploymentConfig::initial_params`.
+//! overheads". The learner process writes its whole [`LearnerState`] every
+//! `every_sessions` training sessions, one `checkpoint_v{N}.ckpt` file per
+//! version; [`load_latest_state`] is what the supervisor restores a learner
+//! from, and [`load_latest`] reads the same file's parameters for a new
+//! deployment (`DeploymentConfig::initial_params`) or a serving fleet.
 
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use xingtian_algos::payload::ParamBlob;
+use xingtian_algos::LearnerState;
 use xingtian_message::codec::{Decode, Encode};
 
 /// Checkpointing policy for a deployment.
@@ -20,8 +23,7 @@ pub struct CheckpointConfig {
     pub dir: PathBuf,
     /// Training sessions between checkpoints.
     pub every_sessions: u64,
-    /// How many versioned checkpoints to retain (oldest are deleted;
-    /// `latest.ckpt` always exists in addition).
+    /// How many versioned checkpoints to retain (oldest are deleted).
     pub keep: usize,
 }
 
@@ -51,18 +53,19 @@ impl Checkpointer {
         Ok(Checkpointer { config, written: Vec::new(), sessions_since: 0 })
     }
 
-    /// Notifies the checkpointer that a training session completed; persists
-    /// `blob` when the period elapses. Returns the path written, if any.
+    /// Notifies the checkpointer that a training session completed; when the
+    /// period elapses, persists the state `save` returns (called only then).
+    /// Returns the path written, if any.
     ///
     /// I/O failures are reported but intentionally non-fatal: losing a
     /// checkpoint must not kill training.
-    pub fn on_session(&mut self, blob: &ParamBlob) -> Option<PathBuf> {
+    pub fn on_session(&mut self, save: impl FnOnce() -> LearnerState) -> Option<PathBuf> {
         self.sessions_since += 1;
         if self.sessions_since < self.config.every_sessions {
             return None;
         }
         self.sessions_since = 0;
-        match self.write(blob) {
+        match self.write(&save()) {
             Ok(path) => Some(path),
             Err(e) => {
                 eprintln!("checkpoint write failed (continuing): {e}");
@@ -71,11 +74,19 @@ impl Checkpointer {
         }
     }
 
-    fn write(&mut self, blob: &ParamBlob) -> io::Result<PathBuf> {
-        let bytes = blob.to_bytes();
-        let path = self.config.dir.join(format!("checkpoint_v{}.ckpt", blob.version));
-        atomic_write(&path, &bytes)?;
-        atomic_write(&self.config.dir.join("latest.ckpt"), &bytes)?;
+    /// Writes `checkpoint_v{N}.ckpt` through a synced temporary file and a
+    /// rename, then syncs the directory: a crash leaves the old file or the
+    /// new one, never a torn one, and a written one stays written.
+    fn write(&mut self, state: &LearnerState) -> io::Result<PathBuf> {
+        let path = self.config.dir.join(format!("checkpoint_v{}.ckpt", state.blob.version));
+        let tmp = path.with_extension("tmp");
+        {
+            let mut f = fs::File::create(&tmp)?;
+            f.write_all(&state.to_bytes())?;
+            f.sync_all()?;
+        }
+        fs::rename(&tmp, &path)?;
+        fs::File::open(&self.config.dir)?.sync_all()?;
         self.written.push(path.clone());
         while self.written.len() > self.config.keep {
             let old = self.written.remove(0);
@@ -85,48 +96,30 @@ impl Checkpointer {
     }
 }
 
-fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
-}
-
 /// Loads a checkpoint file written by [`Checkpointer`].
 ///
 /// # Errors
 ///
 /// Returns an error if the file is unreadable or not a valid checkpoint.
-pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<ParamBlob, String> {
+pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<LearnerState, String> {
     let bytes = fs::read(path.as_ref())
         .map_err(|e| format!("cannot read {}: {e}", path.as_ref().display()))?;
-    ParamBlob::from_bytes(&bytes).map_err(|e| format!("corrupt checkpoint: {e}"))
+    LearnerState::from_bytes(&bytes).map_err(|e| format!("corrupt checkpoint: {e}"))
 }
 
-/// Loads the newest restorable checkpoint from a checkpoint directory.
-///
-/// Prefers `latest.ckpt`; if that file is missing, truncated, or corrupt
-/// (e.g. the writer died mid-rename or the disk flipped bits), falls back to
-/// the versioned `checkpoint_v{N}.ckpt` files in descending version order and
-/// returns the first one that decodes. A crash can cost at most the
-/// checkpoints that were themselves damaged — never the whole history.
+/// Loads the newest restorable checkpoint from a checkpoint directory: the
+/// `checkpoint_v{N}.ckpt` files in descending version order, the first one
+/// that decodes. A crash can cost at most the checkpoints that were
+/// themselves damaged — never the whole history.
 ///
 /// # Errors
 ///
 /// Returns an error if no file in the directory decodes as a checkpoint,
-/// naming the primary (`latest.ckpt`) failure.
-pub fn load_latest(dir: impl AsRef<Path>) -> Result<ParamBlob, String> {
+/// naming the newest one's failure.
+pub fn load_latest_state(dir: impl AsRef<Path>) -> Result<LearnerState, String> {
     let dir = dir.as_ref();
-    let primary = match load_checkpoint(dir.join("latest.ckpt")) {
-        Ok(blob) => return Ok(blob),
-        Err(e) => e,
-    };
-    // Fall back to versioned checkpoints, newest first.
     let mut versioned: Vec<(u64, PathBuf)> = fs::read_dir(dir)
-        .map_err(|e| format!("{primary}; cannot scan {}: {e}", dir.display()))?
+        .map_err(|e| format!("cannot scan {}: {e}", dir.display()))?
         .filter_map(|entry| {
             let path = entry.ok()?.path();
             let name = path.file_name()?.to_str()?;
@@ -136,16 +129,33 @@ pub fn load_latest(dir: impl AsRef<Path>) -> Result<ParamBlob, String> {
         })
         .collect();
     versioned.sort_by_key(|&(version, _)| std::cmp::Reverse(version));
+    let mut newest = None;
     for (version, path) in &versioned {
-        if let Ok(blob) = load_checkpoint(path) {
-            eprintln!(
-                "checkpoint: latest.ckpt unusable ({primary}); restored v{version} from {}",
-                path.display()
-            );
-            return Ok(blob);
+        match load_checkpoint(path) {
+            Ok(state) => {
+                if let Some(e) = &newest {
+                    eprintln!("checkpoint: newest unusable ({e}); restored v{version} from {}", path.display());
+                }
+                return Ok(state);
+            }
+            Err(e) => {
+                newest.get_or_insert(e);
+            }
         }
     }
-    Err(format!("{primary}; no versioned checkpoint in {} decodes either", dir.display()))
+    match newest {
+        Some(e) => Err(format!("{e}; no older checkpoint in {} decodes either", dir.display())),
+        None => Err(format!("no checkpoint in {}", dir.display())),
+    }
+}
+
+/// The parameters of [`load_latest_state`]'s checkpoint.
+///
+/// # Errors
+///
+/// As [`load_latest_state`].
+pub fn load_latest(dir: impl AsRef<Path>) -> Result<ParamBlob, String> {
+    load_latest_state(dir).map(|state| state.blob)
 }
 
 #[cfg(test)]
@@ -158,20 +168,23 @@ mod tests {
         dir
     }
 
-    fn blob(version: u64) -> ParamBlob {
-        ParamBlob { version, params: vec![version as f32; 16] }
+    fn state(version: u64) -> LearnerState {
+        let blob = ParamBlob { version, params: vec![version as f32; 16] };
+        LearnerState { blob, rngs: vec![[version, 1, 2, 3]], ..LearnerState::default() }
     }
 
     #[test]
     fn writes_on_period_and_round_trips() {
         let dir = tmpdir("rt");
         let mut c = Checkpointer::new(CheckpointConfig::new(&dir, 2)).unwrap();
-        assert!(c.on_session(&blob(1)).is_none(), "period not reached");
-        let path = c.on_session(&blob(2)).expect("period reached");
+        assert!(c.on_session(|| unreachable!("period not reached")).is_none());
+        let path = c.on_session(|| state(2)).expect("period reached");
         assert!(path.exists());
-        let restored = load_latest(&dir).unwrap();
-        assert_eq!(restored, blob(2));
-        assert_eq!(load_checkpoint(path).unwrap(), blob(2));
+        assert_eq!(load_latest_state(&dir).unwrap(), state(2));
+        assert_eq!(load_latest(&dir).unwrap(), state(2).blob);
+        assert_eq!(load_checkpoint(path).unwrap(), state(2));
+        let names: Vec<_> = fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, ["checkpoint_v2.ckpt"], "one file per checkpoint");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -182,7 +195,7 @@ mod tests {
         cfg.keep = 2;
         let mut c = Checkpointer::new(cfg).unwrap();
         for v in 1..=4 {
-            c.on_session(&blob(v)).expect("every session checkpoints");
+            c.on_session(|| state(v)).expect("every session checkpoints");
         }
         assert!(!dir.join("checkpoint_v1.ckpt").exists());
         assert!(!dir.join("checkpoint_v2.ckpt").exists());
@@ -195,13 +208,17 @@ mod tests {
     #[test]
     fn load_missing_is_an_error() {
         assert!(load_latest(tmpdir("missing")).is_err());
+        let empty = tmpdir("empty");
+        fs::create_dir_all(&empty).unwrap();
+        assert!(load_latest(&empty).unwrap_err().contains("no checkpoint"));
+        let _ = fs::remove_dir_all(&empty);
     }
 
     #[test]
     fn corrupt_checkpoint_is_an_error() {
         let dir = tmpdir("corrupt");
         fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("latest.ckpt"), b"\xff\xfe").unwrap();
+        fs::write(dir.join("checkpoint_v1.ckpt"), b"\xff\xfe").unwrap();
         assert!(load_latest(&dir).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -211,60 +228,57 @@ mod tests {
         let dir = tmpdir(tag);
         let mut c = Checkpointer::new(CheckpointConfig::new(&dir, 1)).unwrap();
         for v in 1..=3 {
-            c.on_session(&blob(v)).expect("every session checkpoints");
+            c.on_session(|| state(v)).expect("every session checkpoints");
         }
         dir
     }
 
     #[test]
-    fn bit_flipped_latest_falls_back_to_newest_versioned() {
+    fn bit_flipped_newest_falls_back_to_the_next() {
         let dir = dir_with_history("bitflip");
         // Flip a bit in the params-length varint: the decoder sees an
         // inflated length and fails with a short read.
-        let mut bytes = fs::read(dir.join("latest.ckpt")).unwrap();
+        let newest = dir.join("checkpoint_v3.ckpt");
+        let mut bytes = fs::read(&newest).unwrap();
         bytes[8] ^= 0x40;
-        fs::write(dir.join("latest.ckpt"), &bytes).unwrap();
-        assert!(load_checkpoint(dir.join("latest.ckpt")).is_err(), "corruption must bite");
-        let restored = load_latest(&dir).expect("versioned fallback");
-        assert_eq!(restored, blob(3));
+        fs::write(&newest, &bytes).unwrap();
+        assert!(load_checkpoint(&newest).is_err(), "corruption must bite");
+        assert_eq!(load_latest_state(&dir).expect("versioned fallback"), state(2));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn truncated_latest_falls_back_to_newest_versioned() {
+    fn truncated_newest_falls_back_to_the_next() {
         let dir = dir_with_history("trunc");
-        let bytes = fs::read(dir.join("latest.ckpt")).unwrap();
-        fs::write(dir.join("latest.ckpt"), &bytes[..bytes.len() / 2]).unwrap();
-        assert!(load_checkpoint(dir.join("latest.ckpt")).is_err(), "truncation must bite");
-        let restored = load_latest(&dir).expect("versioned fallback");
-        assert_eq!(restored, blob(3));
+        let newest = dir.join("checkpoint_v3.ckpt");
+        let bytes = fs::read(&newest).unwrap();
+        fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
+        assert!(load_checkpoint(&newest).is_err(), "truncation must bite");
+        assert_eq!(load_latest_state(&dir).expect("versioned fallback"), state(2));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn fallback_skips_corrupt_versioned_checkpoints() {
+    fn fallback_skips_every_corrupt_checkpoint() {
         let dir = dir_with_history("skip");
-        // Both latest and the newest versioned checkpoint are damaged; the
-        // loader must reach back to v2.
-        fs::write(dir.join("latest.ckpt"), b"").unwrap();
-        let mut bytes = fs::read(dir.join("checkpoint_v3.ckpt")).unwrap();
+        // The two newest are damaged; the loader must reach back to v1.
+        fs::write(dir.join("checkpoint_v3.ckpt"), b"").unwrap();
+        let mut bytes = fs::read(dir.join("checkpoint_v2.ckpt")).unwrap();
         bytes[8] ^= 0x40;
-        fs::write(dir.join("checkpoint_v3.ckpt"), &bytes).unwrap();
-        let restored = load_latest(&dir).expect("reaches back past damaged v3");
-        assert_eq!(restored, blob(2));
+        fs::write(dir.join("checkpoint_v2.ckpt"), &bytes).unwrap();
+        assert_eq!(load_latest_state(&dir).expect("reaches back past damaged v3 and v2"), state(1));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn all_checkpoints_corrupt_is_an_error_naming_the_primary() {
+    fn all_checkpoints_corrupt_is_an_error_naming_the_newest() {
         let dir = dir_with_history("hopeless");
-        for name in ["latest.ckpt", "checkpoint_v1.ckpt", "checkpoint_v2.ckpt", "checkpoint_v3.ckpt"]
-        {
+        for name in ["checkpoint_v1.ckpt", "checkpoint_v2.ckpt", "checkpoint_v3.ckpt"] {
             fs::write(dir.join(name), b"\x00").unwrap();
         }
         let err = load_latest(&dir).unwrap_err();
-        assert!(err.contains("corrupt checkpoint"), "primary failure named: {err}");
-        assert!(err.contains("no versioned checkpoint"), "fallback exhaustion named: {err}");
+        assert!(err.contains("corrupt checkpoint"), "newest failure named: {err}");
+        assert!(err.contains("no older checkpoint"), "fallback exhaustion named: {err}");
         let _ = fs::remove_dir_all(&dir);
     }
 }

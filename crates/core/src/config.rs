@@ -89,9 +89,10 @@ pub enum AllreduceMode {
     /// round's fixed gradient-slot partition, all shards reduce the slots in
     /// the same fixed order, and one optimizer step is applied per round.
     /// Same seed and slot data → bit-identical parameters for 1, 2, and 4
-    /// shards, and every shard of a run exits with the same parameters. DQN
-    /// (under either replay placement and either sampling mode), A2C and
-    /// IMPALA; the shard count must divide the slot count.
+    /// shards, and every shard of a run exits with the same parameters — a
+    /// run with a restored shard too, which rejoins by loading a peer's whole
+    /// state. DQN (under either replay placement and either sampling mode),
+    /// A2C and IMPALA; the shard count must divide the slot count.
     #[default]
     Sync,
     /// Stale-tolerant delta exchange: each shard trains locally and gossips
@@ -396,7 +397,7 @@ impl DeploymentConfig {
         if self.learner_shards > 1 && self.allreduce == AllreduceMode::Sync {
             let reason = match self.algorithm {
                 AlgorithmSpec::Ppo(_) => "a session is several optimizer steps, a lockstep round is one \
-                     and its id is the parameter version a rejoining shard adopts",
+                     and its id is the parameter version a rejoining shard loads the ring's state at",
                 AlgorithmSpec::Reinforce(_) => "its advantages are whitened over every episode of a session \
                      and its baseline runs over them in order, but a slot sees only its own episodes",
                 _ => "",

@@ -34,7 +34,7 @@ use crate::assignment::AssignmentTable;
 use crate::checkpoint::Checkpointer;
 use crate::config::AllreduceMode;
 use crate::gossip::Gossip;
-use crate::messages::ControlCommand;
+use crate::messages::{ControlCommand, LearnerStats};
 use crate::parameters::ParamBroadcaster;
 use crate::shard::{Lockstep, DEAD_PEER_TIMEOUT};
 use std::collections::BTreeMap;
@@ -277,14 +277,13 @@ impl LearnerProcess {
         run.outcome.wait_stats.record(run.waited);
         run.waited = Duration::ZERO;
         if let Some(ckpt) = &mut self.checkpointer {
-            ckpt.on_session(&self.algorithm.param_blob());
+            ckpt.on_session(|| self.algorithm.save_state());
         }
     }
 
     /// Post-session bookkeeping: instruments, outcome, the checkpoint→probe
-    /// ordering, the parameter broadcast, and the step count reported to the
-    /// supervisor.
-    fn finish_session(&mut self, run: &mut LearnerRun, TrainReport { steps_consumed, notify, .. }: TrainReport) {
+    /// ordering, the report to the supervisor, and the parameter broadcast.
+    fn finish_session(&mut self, run: &mut LearnerRun, TrainReport { steps_consumed, notify, version, .. }: TrainReport) {
         run.wait_hist.record_duration(run.waited);
         run.sessions_counter.inc();
         self.record_session(run, steps_consumed);
@@ -295,6 +294,10 @@ impl LearnerProcess {
         if let Some(probe) = &self.probe {
             probe.pulse();
         }
+        // The report precedes the broadcast, so the supervisor has heard of
+        // every version an explorer can hold from this incarnation.
+        let stats = LearnerStats { steps: steps_consumed as u64, version };
+        self.endpoint.send_encoded(vec![ProcessId::controller(0)], MessageKind::Stats, &stats);
         // The one place the shard count is consulted. A lone learner numbers
         // explorers as the deployment does, so the algorithm's list stands
         // (IMPALA broadcasts only to the sender). A peer shard's replica numbers
@@ -310,7 +313,6 @@ impl LearnerProcess {
             let dst = notify.iter().map(|&e| ProcessId::explorer(e)).collect();
             run.broadcaster.encode(&blob, &notify).send(&self.endpoint, dst);
         }
-        self.endpoint.send_encoded(vec![ProcessId::controller(0)], MessageKind::Stats, &(steps_consumed as u64));
     }
 
     /// Processes one incoming message. Returns `true` on shutdown.
@@ -336,8 +338,8 @@ impl LearnerProcess {
             // A rejoined shard's explorers hold the checkpoint's parameters,
             // and an on-policy rollout made with those is discarded.
             (MessageKind::Parameters, Discipline::Lockstep(lockstep)) => {
-                let adopted = lockstep.on_snapshot(&msg, self.algorithm.as_mut());
-                if adopted {
+                let loaded = lockstep.on_snapshot(&msg, self.algorithm.as_mut());
+                if loaded {
                     self.announce(run);
                 }
             }

@@ -1,7 +1,7 @@
 //! Small payloads exchanged between processes: the [`ControlCommand`] the
-//! supervisor sends as the center controller, and the explorers'
-//! [`ParamAck`]s. A `Stats` body has no type of its own: it is one codec
-//! `u64` step count, and the role of its `header.src` says whose count it is.
+//! supervisor sends as the center controller, the learners' session
+//! [`LearnerStats`], and the explorers' [`ParamAck`]s. An explorer's `Stats`
+//! body has no type of its own: it is one codec `u64` step count.
 
 use xingtian_message::codec::{Decode, DecodeError, Encode, Reader};
 
@@ -30,6 +30,34 @@ impl Decode for ControlCommand {
             0 => Ok(ControlCommand::Shutdown),
             t => Err(DecodeError::InvalidTag(t)),
         }
+    }
+}
+
+/// A learner's report of one training session (`MessageKind::Stats` from a
+/// learner), sent before the session's broadcast: the supervisor's goal
+/// tally, and the highest version the learner can have announced, which a
+/// restore must outrank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LearnerStats {
+    /// Rollout steps the session consumed.
+    pub steps: u64,
+    /// The learner's parameter version after the session.
+    pub version: u64,
+}
+
+impl Encode for LearnerStats {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.steps.encode(out);
+        self.version.encode(out);
+    }
+    fn encoded_size(&self) -> usize {
+        16
+    }
+}
+
+impl Decode for LearnerStats {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(LearnerStats { steps: u64::decode(r)?, version: u64::decode(r)? })
     }
 }
 
@@ -91,6 +119,13 @@ mod tests {
     #[test]
     fn control_rejects_trailing_bytes() {
         assert_eq!(ControlCommand::from_bytes(&[0, 0]), Err(DecodeError::TrailingBytes(1)));
+    }
+
+    #[test]
+    fn learner_stats_round_trip() {
+        let s = LearnerStats { steps: 100, version: 7 };
+        assert_eq!(LearnerStats::from_bytes(&s.to_bytes()).unwrap(), s);
+        assert!(LearnerStats::from_bytes(&100u64.to_bytes()).is_err(), "an explorer's body is not one");
     }
 
     #[test]

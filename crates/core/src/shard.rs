@@ -32,11 +32,14 @@
 //! blob completes it, a snapshot fast-forwards it — all messages, so the
 //! loop's blocking receive is the only wait. A shard that rejoins after a
 //! crash announces itself with a hello, and only a hello does; any peer
-//! answers with a full parameter snapshot (`MessageKind::Parameters`,
+//! answers with a full state snapshot (`MessageKind::Parameters`,
 //! shard→shard) and a retransmission of its current round's slot blobs, and
-//! the rejoiner adopts the snapshot and jumps to its round. A slot blob for a
-//! round already closed is late, not a rejoin — those retransmissions do
-//! arrive after their round closed — and the slot table drops it.
+//! the rejoiner loads the snapshot and jumps to its round. The snapshot is
+//! the peer's whole [`LearnerState`], the value a checkpoint holds, so from
+//! then on the rejoiner's optimizer steps are its peers', bit for bit. A
+//! slot blob for a round already closed is late, not a rejoin — those
+//! retransmissions do arrive after their round closed — and the slot table
+//! drops it.
 //!
 //! Shutdown is symmetric without a wall clock: a round must close on every
 //! shard or on none, or the shards exit one optimizer step apart. On shutdown
@@ -56,8 +59,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::time::{Duration, Instant};
 use xingtian_algos::api::{Algorithm, TrainReport};
-use xingtian_algos::payload::ParamBlob;
-use xingtian_algos::GradBlob;
+use xingtian_algos::{GradBlob, LearnerState};
 use xingtian_comm::Endpoint;
 use xingtian_message::codec::Decode;
 use xingtian_message::{Message, MessageKind, ProcessId, ProcessRole};
@@ -158,7 +160,7 @@ impl SlotTable {
     }
 
     /// Jumps to `round`, discarding anything buffered for earlier rounds
-    /// (a rejoining shard adopting a peer's snapshot). Never goes backwards.
+    /// (a rejoining shard loading a peer's snapshot). Never goes backwards.
     fn fast_forward(&mut self, round: u64) {
         if round > self.round {
             self.round = round;
@@ -226,7 +228,7 @@ impl Lockstep {
     /// Announces this shard to the ring. On a fresh start every shard is at
     /// the same round and the answers are no-ops; a shard respawned by the
     /// supervisor instead learns the ring's real position — the peers answer
-    /// with a parameter snapshot to adopt plus a retransmission of their
+    /// with a state snapshot to load plus a retransmission of their
     /// current round's slot blobs (the originals died with our old endpoint).
     pub(crate) fn hello(&self, endpoint: &Endpoint) {
         let hello = GradBlob { worker: HELLO, version: self.table.round, grad: Vec::new() };
@@ -297,13 +299,12 @@ impl Lockstep {
             }
             // A hello identifies a (re)joining peer. A slot blob for a round
             // this shard already closed does not: the blobs that answer the
-            // startup hellos arrive late by design, and a snapshot sent for
-            // one would be adopted by a peer one round behind, which would
-            // then train on without the optimizer state behind it. Answer as
-            // `hello` expects, once per (peer, round).
+            // startup hellos arrive late by design, and each would cost a
+            // whole state for a peer that needs none. Answer as `hello`
+            // expects, once per (peer, round).
             let round = self.table.round;
             if blob.worker == HELLO && self.snapshot_sent.insert(src.index, round) != Some(round) {
-                endpoint.send_encoded(vec![src], MessageKind::Parameters, &algorithm.param_blob());
+                endpoint.send_encoded(vec![src], MessageKind::Parameters, &algorithm.save_state());
                 for local in self.table.local_blobs() {
                     endpoint.send_encoded(vec![src], MessageKind::Gradient, &local);
                 }
@@ -313,17 +314,23 @@ impl Lockstep {
     }
 
     /// A `Parameters` message. Explorer-bound broadcasts never target a
-    /// learner, so from a peer it is a snapshot answering our stale
-    /// announcement: adopt it and jump to the ring's round. A round we had
-    /// opened is gone with the jump, so the gate re-arms instead of waiting on
-    /// a round that can never close. True when the snapshot was adopted.
+    /// learner, so from a peer it is a snapshot of its whole state answering
+    /// our stale announcement: load it and jump to the ring's round, after
+    /// which this shard takes the same optimizer steps as its peers. A round
+    /// we had opened is gone with the jump, so the gate re-arms instead of
+    /// waiting on a round that can never close. True when the snapshot was
+    /// loaded.
     pub(crate) fn on_snapshot(&mut self, msg: &Message, algorithm: &mut dyn Algorithm) -> bool {
-        let Ok(blob) = ParamBlob::from_bytes(&msg.body) else { return false };
-        if msg.header.src.role != ProcessRole::Learner || blob.version <= self.table.round {
+        let Ok(state) = LearnerState::from_bytes(&msg.body) else { return false };
+        let version = state.blob.version;
+        if msg.header.src.role != ProcessRole::Learner || version <= self.table.round {
             return false;
         }
-        algorithm.adopt_params(&blob.params, blob.version);
-        self.table.fast_forward(blob.version);
+        if let Err(e) = algorithm.load_state(&state) {
+            eprintln!("learner shard: peer snapshot refused: {e}");
+            return false;
+        }
+        self.table.fast_forward(version);
         self.open = None;
         true
     }

@@ -42,16 +42,17 @@
 //!   peer broker, so cross-machine senders recover automatically. Budget
 //!   exhausted → degrade: training continues on the survivors and the
 //!   explorer is listed in [`RecoveryReport::degraded_explorers`].
-//! * **Learner death** — rebuild the algorithm, restore parameters from the
-//!   newest restorable checkpoint ([`crate::checkpoint::load_latest`] falls
-//!   back through versioned files), respawn. Rollouts buffered for the dead
+//! * **Learner death** — rebuild the algorithm, load its whole state from the
+//!   newest restorable checkpoint ([`crate::checkpoint::load_latest_state`]
+//!   falls back through older files) at a version above every one the dead
+//!   incarnation reported, respawn. Rollouts buffered for the dead
 //!   incarnation are consumed by the new one; batches staler than the
 //!   restored parameters are ordinary off-policy data, and spent batches are
 //!   shed through `Algorithm::take_spent` recycling as usual. Budget
 //!   exhausted → the run is wound down and returns the error.
 
 use crate::assignment::AssignmentTable;
-use crate::checkpoint::{load_latest, CheckpointConfig, Checkpointer};
+use crate::checkpoint::{load_latest_state, CheckpointConfig, Checkpointer};
 use crate::config::{AllreduceMode, DeploymentConfig};
 use crate::deployment::{
     build_agent, build_algorithm_with_replay, build_env, build_replay_plane, spawn_process,
@@ -60,7 +61,7 @@ use crate::deployment::{
 use crate::elastic::{ElasticConfig, ElasticController, ElasticDecision};
 use crate::explorer::{ExplorerOutcome, ExplorerProcess, RolloutRoute};
 use crate::learner::{LearnerOutcome, LearnerProcess};
-use crate::messages::ControlCommand;
+use crate::messages::{ControlCommand, LearnerStats};
 use crate::stats::{ReplayReport, RunReport};
 use crate::Deployment;
 use netsim::Cluster;
@@ -143,7 +144,10 @@ pub struct RecoveryReport {
     /// Restore count per learner shard, in shard order (length 1 for the
     /// classic single-learner deployment).
     pub learner_shard_restores: Vec<u32>,
-    /// Parameter version of the last checkpoint a learner restore loaded.
+    /// Parameter version the last learner restored from a checkpoint started
+    /// at: the checkpoint's, or one above every version that shard had
+    /// reported, whichever is higher (a lockstep shard keeps the
+    /// checkpoint's and loads the ring's state on rejoining).
     pub restored_param_version: Option<u64>,
     /// Liveness transitions the failure detector published, in order.
     pub transitions: Vec<LivenessTransition>,
@@ -545,6 +549,10 @@ impl Deployment {
         // explorer steps generated until the run ends.
         let mut learner_steps = 0u64;
         let mut steps_generated = 0u64;
+        // Per shard, the highest version its incarnations reported or were
+        // restored at: every version an explorer can hold from it.
+        let mut announced = vec![0u64; shards as usize];
+        let lockstep = config.allreduce == AllreduceMode::Sync && shards > 1;
         // `validate` has checked that this is a duration.
         let max_duration = Duration::from_secs_f64(config.max_seconds);
 
@@ -574,14 +582,16 @@ impl Deployment {
             let until_tick = || tick.saturating_duration_since(Instant::now());
             while let Some(msg) = inbox.recv_timeout(until_tick()) {
                 if msg.header.kind == MessageKind::Stats {
-                    let steps = u64::from_bytes(&msg.body).unwrap_or(0);
                     if msg.header.src.role == ProcessRole::Learner {
-                        learner_steps += steps;
+                        let stats = LearnerStats::from_bytes(&msg.body).unwrap_or_default();
+                        let heard = &mut announced[msg.header.src.index as usize];
+                        *heard = (*heard).max(stats.version);
+                        learner_steps += stats.steps;
                         if learner_steps >= config.goal_steps {
                             break 'supervise;
                         }
                     } else {
-                        steps_generated += steps;
+                        steps_generated += u64::from_bytes(&msg.body).unwrap_or(0);
                     }
                 } else {
                     observe(&msg);
@@ -637,8 +647,8 @@ impl Deployment {
             // restore that shard from its own checkpoint directory and
             // respawn it. Surviving shards keep training meanwhile; the
             // rejoiner re-enters the gradient exchange on its first send
-            // (sync mode adopts a peer snapshot, relaxed mode just resumes
-            // gossip within the skew bound).
+            // (sync mode loads a peer's state snapshot, relaxed mode just
+            // resumes gossip within the skew bound).
             for (s, slot) in learner_slots.iter_mut().enumerate() {
                 let s_u32 = s as u32;
                 let pid = ProcessId::learner(s_u32);
@@ -656,26 +666,32 @@ impl Deployment {
                     }
                     Reap::Respawn { .. } => learner_restores += 1,
                 }
+                // The restored learner loads its checkpointed state, or its
+                // fresh one without a checkpoint. Its first announcement must
+                // outrank every version its dead incarnation reported, or
+                // explorers holding those ignore it and on-policy learners
+                // discard their rollouts as stale. A lockstep shard instead
+                // keeps the checkpoint's version and loads the ring's state
+                // from a peer's snapshot.
                 let mut algorithm = build_shard_algorithm(s_u32);
-                let restored =
-                    config.checkpoint.as_ref().map(|c| load_latest(checkpoint_dir(&c.dir, s_u32)));
-                match restored {
-                    Some(Ok(blob)) => {
-                        restored_param_version = Some(blob.version);
-                        algorithm.adopt_params(&blob.params, blob.version);
+                let restored = match &config.checkpoint {
+                    Some(c) => load_latest_state(checkpoint_dir(&c.dir, s_u32))
+                        .and_then(|state| algorithm.load_state(&state).map_err(|e| e.to_string())),
+                    None => Err("checkpointing disabled".to_string()),
+                };
+                if let Err(e) = &restored {
+                    eprintln!("supervisor: learner shard {s_u32} restarting from scratch ({e})");
+                }
+                if !lockstep {
+                    if algorithm.version() <= announced[s] {
+                        let mut state = algorithm.save_state();
+                        state.blob.version = announced[s] + 1;
+                        algorithm.load_state(&state).expect("a learner loads its own state");
                     }
-                    Some(Err(e)) => {
-                        eprintln!(
-                            "supervisor: learner shard {s_u32} restarting from scratch \
-                             (no restorable checkpoint: {e})"
-                        );
-                    }
-                    None => {
-                        eprintln!(
-                            "supervisor: learner shard {s_u32} restarting from scratch \
-                             (checkpointing disabled)"
-                        );
-                    }
+                    announced[s] = algorithm.version();
+                }
+                if restored.is_ok() {
+                    restored_param_version = Some(algorithm.version());
                 }
                 let endpoint = learner_broker.endpoint(pid);
                 if s_u32 == 0 {

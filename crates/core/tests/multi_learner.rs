@@ -24,9 +24,11 @@ use xingtian::supervisor::{RecoveryReport, SupervisionConfig};
 use xingtian::Deployment;
 use xingtian_algos::api::Algorithm;
 use xingtian_algos::payload::{RolloutBatch, RolloutStep};
-use xingtian_algos::{A2cAlgorithm, A2cConfig, DqnAlgorithm, DqnConfig, GradBlob, ImpalaAlgorithm, ImpalaConfig};
+use xingtian_algos::{
+    A2cAlgorithm, A2cConfig, DqnAlgorithm, DqnConfig, GradBlob, ImpalaAlgorithm, ImpalaConfig, LearnerState,
+};
 use xingtian_comm::{Broker, CommConfig};
-use xingtian_message::codec::Encode;
+use xingtian_message::codec::{Decode, Encode};
 use xingtian_message::{MessageKind, ProcessId};
 use xt_fault::FaultPlan;
 use xt_telemetry::Telemetry;
@@ -94,6 +96,16 @@ fn rollout(round: u64, explorer: u32, param_version: u64) -> RolloutBatch {
     RolloutBatch { explorer, param_version, steps, bootstrap_observation: seeded(OBS_DIM, round + 7) }
 }
 
+/// A replica replaced mid-run: before round `round`, shard `shard`'s replica
+/// is dropped, and a fresh build loads the state shard `from` saves then —
+/// its own (a restore) or a peer's (a rejoin).
+#[derive(Debug, Clone, Copy)]
+struct Restore {
+    round: u64,
+    shard: usize,
+    from: usize,
+}
+
 /// Runs `ROUNDS` sync-allreduce rounds across `shards` learner replicas over
 /// real broker endpoints — the rounds a deployment's learner loop runs
 /// (`Lockstep::open_round` / `close_round`) — and returns every replica's
@@ -101,6 +113,7 @@ fn rollout(round: u64, explorer: u32, param_version: u64) -> RolloutBatch {
 /// its slots; `grade(replica, round, slot, out)` computes a slot gradient.
 fn run_sync_harness<A: Algorithm>(
     shards: u32,
+    restore: Option<Restore>,
     build: impl Fn() -> A,
     stage: impl Fn(&mut A, u64, Range<usize>),
     grade: impl Fn(&mut A, u64, usize, &mut Vec<f32>) -> f32,
@@ -111,6 +124,11 @@ fn run_sync_harness<A: Algorithm>(
     let mut rings: Vec<Lockstep> = (0..shards).map(|s| Lockstep::new(s, shards, 0, &Telemetry::disabled())).collect();
 
     for round in 0..ROUNDS {
+        if let Some(Restore { shard, from, .. }) = restore.filter(|r| r.round == round) {
+            let state = LearnerState::from_bytes(&algs[from].save_state().to_bytes()).expect("a state decodes");
+            algs[shard] = build();
+            algs[shard].load_state(&state).expect("a replica's state loads into a fresh one");
+        }
         for s in 0..shards as usize {
             let alg = &mut algs[s];
             stage(alg, round, rings[s].local_slots());
@@ -134,9 +152,10 @@ fn run_sync_harness<A: Algorithm>(
 }
 
 /// DQN graded on the controlled slot minibatch instead of sampled slots.
-fn dqn_harness(shards: u32) -> Vec<Vec<f32>> {
+fn dqn_harness(shards: u32, restore: Option<Restore>) -> Vec<Vec<f32>> {
     run_sync_harness(
         shards,
+        restore,
         shard_algorithm,
         |_, _, _| {},
         |alg, round, slot, grad| alg.grad_on_steps(&slot_steps(round, slot), BATCH * GRAD_SLOTS, grad),
@@ -145,7 +164,7 @@ fn dqn_harness(shards: u32) -> Vec<Vec<f32>> {
 
 /// A2C over eight explorers: a shard receives the rollouts of the explorers
 /// of its slots, latest explorer first, and grades through the round surface.
-fn a2c_harness(shards: u32) -> Vec<Vec<f32>> {
+fn a2c_harness(shards: u32, restore: Option<Restore>) -> Vec<Vec<f32>> {
     let build = || {
         let mut c = A2cConfig::new(OBS_DIM, N_ACTIONS);
         (c.num_explorers, c.rollout_len, c.seed) = (EXPLORERS, BATCH, 23);
@@ -157,11 +176,11 @@ fn a2c_harness(shards: u32) -> Vec<Vec<f32>> {
         }
         assert!(alg.take_round_credit(local, GRAD_SLOTS), "the slots' explorers have all delivered");
     };
-    run_sync_harness(shards, build, stage, |alg, _, slot, grad| alg.slot_grad(slot, grad))
+    run_sync_harness(shards, restore, build, stage, |alg, _, slot, grad| alg.slot_grad(slot, grad))
 }
 
 /// IMPALA: a shard queues one rollout per slot it owns, in slot order.
-fn impala_harness(shards: u32) -> Vec<Vec<f32>> {
+fn impala_harness(shards: u32, restore: Option<Restore>) -> Vec<Vec<f32>> {
     let build = || {
         let mut c = ImpalaConfig::new(OBS_DIM, N_ACTIONS);
         c.seed = 23;
@@ -173,8 +192,11 @@ fn impala_harness(shards: u32) -> Vec<Vec<f32>> {
         }
         assert!(alg.take_round_credit(local, GRAD_SLOTS), "one rollout per slot is queued");
     };
-    run_sync_harness(shards, build, stage, |alg, _, slot, grad| alg.slot_grad(slot, grad))
+    run_sync_harness(shards, restore, build, stage, |alg, _, slot, grad| alg.slot_grad(slot, grad))
 }
+
+type Harness = fn(u32, Option<Restore>) -> Vec<Vec<f32>>;
+const HARNESSES: [(&str, Harness); 3] = [("dqn", dqn_harness), ("a2c", a2c_harness), ("impala", impala_harness)];
 
 fn bits(params: &[f32]) -> Vec<u32> {
     params.iter().map(|p| p.to_bits()).collect()
@@ -185,12 +207,10 @@ fn bits(params: &[f32]) -> Vec<u32> {
 /// one run agrees with every other — for DQN, A2C and IMPALA.
 #[test]
 fn sync_allreduce_is_bit_identical_across_1_2_4_shards() {
-    type Harness = fn(u32) -> Vec<Vec<f32>>;
-    let harnesses: [(&str, Harness); 3] = [("dqn", dqn_harness), ("a2c", a2c_harness), ("impala", impala_harness)];
-    for (name, harness) in harnesses {
+    for (name, harness) in HARNESSES {
         let mut reference: Option<Vec<u32>> = None;
         for shards in [1u32, 2, 4] {
-            let all = harness(shards);
+            let all = harness(shards, None);
             assert_eq!(all.len(), shards as usize);
             for (s, params) in all.iter().enumerate() {
                 assert!(!params.is_empty());
@@ -204,11 +224,30 @@ fn sync_allreduce_is_bit_identical_across_1_2_4_shards() {
     }
 }
 
+/// Restoring a learner and rejoining a ring are one operation: halfway
+/// through, the last shard's replica is replaced by a fresh build that loads
+/// (a) its own saved state or (b) a peer's, and every shard still ends bitwise
+/// equal to the fault-free run — for DQN, A2C and IMPALA at 2 and 4 shards.
+#[test]
+fn a_replica_restored_mid_run_ends_bitwise_equal_to_the_fault_free_run() {
+    for (name, harness) in HARNESSES {
+        for shards in [2u32, 4] {
+            let fault_free = bits(&harness(shards, None)[0]);
+            let shard = shards as usize - 1;
+            for (case, from) in [("its own state", shard), ("a peer's state", 0)] {
+                let restored = harness(shards, Some(Restore { round: ROUNDS / 2, shard, from }));
+                for (s, params) in restored.iter().enumerate() {
+                    assert_eq!(bits(params), fault_free, "{name}, {shards} shards, {case}: shard {s} diverged");
+                }
+            }
+        }
+    }
+}
+
 /// A slot blob for a round this shard has already closed is late, not a
 /// rejoin: the blobs that answer the startup hellos arrive after their round
-/// closed. Answering one with a snapshot let a peer one round behind adopt
-/// parameters without the optimizer state and target net behind them, and
-/// the sync shards exited with different bits. Only a hello is answered.
+/// closed, and answering each with a whole state would cost a snapshot per
+/// late blob. Only a hello is answered.
 #[test]
 fn only_a_hello_is_answered_with_a_snapshot() {
     let broker = Broker::new(0, Cluster::single(), CommConfig::default());

@@ -13,11 +13,11 @@ use xingtian::assignment::AssignmentTable;
 use xingtian::config::AllreduceMode;
 use xingtian::explorer::{ExplorerOutcome, ExplorerProcess, RolloutRoute, MAX_INFLIGHT_BATCHES};
 use xingtian::learner::LearnerProcess;
-use xingtian::messages::ControlCommand;
+use xingtian::messages::{ControlCommand, LearnerStats};
 use xingtian::shard::{FAREWELL, GRAD_SLOTS};
 use xingtian_algos::api::{ActionSelection, Agent, Algorithm, SyncMode, TrainReport};
 use xingtian_algos::payload::{ParamBlob, RolloutBatch, RolloutStep};
-use xingtian_algos::{DqnAlgorithm, DqnConfig, GradBlob};
+use xingtian_algos::{DqnAlgorithm, DqnConfig, GradBlob, LearnerState, StateError};
 use xingtian_comm::{Broker, CommConfig, Endpoint, InjectDecision, RouteInjector};
 use xingtian_message::codec::{Decode, Encode};
 use xingtian_message::{Header, Message, MessageKind, ProcessId, ProcessRole};
@@ -118,6 +118,14 @@ impl Algorithm for CountingAlgorithm {
 
     fn load_params(&mut self, _params: &[f32]) {}
 
+    fn save_state(&self) -> LearnerState {
+        LearnerState { blob: self.param_blob(), ..LearnerState::default() }
+    }
+
+    fn load_state(&mut self, _: &LearnerState) -> Result<(), StateError> {
+        Ok(())
+    }
+
     fn version(&self) -> u64 {
         self.version
     }
@@ -173,7 +181,7 @@ fn explorer_learner_pair_round_trips_until_shutdown() {
             continue;
         };
         if (msg.header.kind, msg.header.src) == (MessageKind::Stats, ProcessId::learner(0)) {
-            learner_steps += u64::from_bytes(&msg.body).expect("a Stats body is one step count");
+            learner_steps += LearnerStats::from_bytes(&msg.body).expect("a learner's Stats body").steps;
         }
     }
     assert!(learner_steps >= 500, "goal should be reached well before the deadline");
@@ -329,6 +337,14 @@ impl Algorithm for HoardingSync {
     }
 
     fn load_params(&mut self, _params: &[f32]) {}
+
+    fn save_state(&self) -> LearnerState {
+        LearnerState { blob: self.param_blob(), ..LearnerState::default() }
+    }
+
+    fn load_state(&mut self, _: &LearnerState) -> Result<(), StateError> {
+        Ok(())
+    }
 
     fn version(&self) -> u64 {
         0

@@ -65,6 +65,24 @@ impl Adam {
         self.lr = lr;
     }
 
+    /// The step count and the first and second moments: with the
+    /// hyperparameters, everything the next [`Adam::step`] reads.
+    pub fn moments(&self) -> (u64, &[f32], &[f32]) {
+        (self.t, &self.m, &self.v)
+    }
+
+    /// Restores what [`Adam::moments`] returned, so the next step is the one
+    /// that optimizer would have taken.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` or `v` disagrees with `num_params`.
+    pub fn set_moments(&mut self, t: u64, m: &[f32], v: &[f32]) {
+        self.t = t;
+        self.m.copy_from_slice(m);
+        self.v.copy_from_slice(v);
+    }
+
     /// Applies one Adam update.
     ///
     /// Per parameter this is one square root and one division,
@@ -169,6 +187,23 @@ mod tests {
         opt.step(&mut p, &[123.0]);
         // With bias correction the first step is ≈ lr regardless of grad scale.
         assert!((p[0] + 0.01).abs() < 1e-4);
+    }
+
+    #[test]
+    fn restored_moments_take_the_same_next_step() {
+        let mut a = Adam::new(2, 0.01);
+        let mut p = vec![0.5f32, -0.5];
+        for g in [[1.0, -2.0], [0.3, 0.1], [-0.7, 0.4]] {
+            a.step(&mut p, &g);
+        }
+        let (t, m, v) = a.moments();
+        let mut b = Adam::new(2, 0.01);
+        b.set_moments(t, m, v);
+        let mut q = p.clone();
+        a.step(&mut p, &[0.2, -0.9]);
+        b.step(&mut q, &[0.2, -0.9]);
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&p), bits(&q));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use netsim::Cluster;
 use tinynn::{Activation, Mlp};
 use xingtian::checkpoint::{load_latest, CheckpointConfig, Checkpointer};
-use xingtian_algos::ParamBlob;
+use xingtian_algos::{LearnerState, ParamBlob};
 use xingtian_comm::{Broker, CommConfig, ParamCompression};
 use xt_serve::{ParamPublisher, ServeClient, ServeConfig, ServeFleet};
 use xt_telemetry::Telemetry;
@@ -62,7 +62,8 @@ fn checkpoint_boot_and_hot_swap_answer_bit_identically() {
 
     // Replica A: booted from the checkpoint on disk.
     let mut ckpt = Checkpointer::new(CheckpointConfig::new(&dir, 1)).unwrap();
-    ckpt.on_session(&target).expect("version 5 should be written");
+    let state = LearnerState { blob: target.clone(), ..LearnerState::default() };
+    ckpt.on_session(|| state).expect("version 5 should be written");
     let loaded = load_latest(&dir).unwrap();
     assert_eq!(loaded.version, 5);
 

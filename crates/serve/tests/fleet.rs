@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use netsim::Cluster;
 use tinynn::{Activation, Mlp};
 use xingtian::checkpoint::{CheckpointConfig, Checkpointer};
-use xingtian_algos::ParamBlob;
+use xingtian_algos::{LearnerState, ParamBlob};
 use xingtian_comm::{Broker, CommConfig, ParamCompression};
 use xingtian_message::ProcessId;
 use xt_serve::{ParamPublisher, ServeClient, ServeConfig, ServeFleet, PARAM_SINK_OFFSET};
@@ -92,7 +92,8 @@ fn dead_replica_respawns_from_latest_checkpoint() {
     // The checkpoint on disk is *newer* than the blob the fleet booted
     // with, so a respawn visibly reloads rather than recycling memory.
     let mut ckpt = Checkpointer::new(CheckpointConfig::new(&dir, 1)).unwrap();
-    ckpt.on_session(&blob(3, 33)).expect("checkpoint written");
+    let state = LearnerState { blob: blob(3, 33), ..LearnerState::default() };
+    ckpt.on_session(|| state).expect("checkpoint written");
 
     let broker = Broker::new(0, Cluster::single(), CommConfig::default());
     let fleet_cfg = config().with_checkpoint_dir(&dir);
