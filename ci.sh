@@ -138,10 +138,17 @@ cargo test --release -q -p xingtian --test replay_differential
 # dangling slot, within 1 s.
 cargo test --release -q -p xt-replay
 
-echo "== param-plane smoke: delta chain bit-lossless, quantized error-bounded, goldens decode =="
-# Differential over real endpoints (release: the seeded DQN/PPO deployments
-# inside need the fast path) plus the committed golden wire fixtures for
-# every CompressionKind.
+echo "== param-plane smoke: nack-only replies, delta chain bit-lossless, quantized error-bounded, goldens decode =="
+# The parameter plane is sender-initiated: a receiver answers only a frame it
+# cannot apply, with a nack carrying the version it holds, and that nack
+# heals the chain with one full send. Over real endpoints (release: the
+# seeded DQN/PPO deployments inside need the fast path): a receiver that
+# applies every broadcast sends nothing back in any of the four
+# ParamCompression modes (the broker routes exactly the broadcasts; the
+# serve sink's twin runs in the serve smoke below), the delta chain stays
+# bit-lossless, the quantized chain error-bounded, and a respawned receiver's
+# nack heals the chain. Then the committed golden wire fixtures for every
+# CompressionKind.
 cargo test --release -q -p xingtian --test param_plane
 cargo test --release -q -p xingtian-message --test golden_kinds
 
@@ -188,6 +195,15 @@ cargo test --release -q -p xingtian --test chaos on_policy_learner_restored_from
 # exit bit-identical, for DQN and A2C. Ten runs, every one must pass.
 for run in $(seq 1 10); do
   cargo test --release -q -p xingtian --test chaos killed_learner_shard_rejoins_sync_allreduce_ring
+done
+# A store-resident DQN learner killed after its fifth session is restored
+# onto its shard's surviving replay plane: its credit starts at the plane's
+# inserts (no burst of sessions over data its dead incarnation trained on),
+# and the report counts the steps the dead incarnation reported, so the run
+# reaches its 1 500-step goal with no leak and no dangling slot. Ten runs,
+# every one must pass.
+for run in $(seq 1 10); do
+  cargo test --release -q -p xingtian --test chaos store_resident_replay_survives_kills_without_leaks
 done
 
 echo "== flow control: every algorithm's explorers wait on the answers to their rollouts =="
@@ -259,8 +275,9 @@ echo "== serve smoke: hot swap under live traffic, fleet supervision, swap deter
 # walks the fleet through five quantized delta versions — every request
 # answered or explicitly shed, >= 2 versions observed by clients mid-flight,
 # fleet converged to the final version, zero respawns. fleet: sheds, drain,
-# respawn from checkpoint, and a parameter sink that dies alone comes back
-# and rejoins the delta chain. determinism: checkpoint boot == delta hot swap,
+# respawn from checkpoint, a parameter sink that dies alone comes back and
+# rejoins the delta chain with at most one nack, and sinks that apply every
+# swap send nothing back in any compression mode. determinism: checkpoint boot == delta hot swap,
 # bit for bit. --lib carries the staggered-publish case (it reads replica
 # weights, which the public surface does not expose): a rolling swap under
 # DeltaQuantizedI8 leaves both replicas bit-identical at every version, and

@@ -280,7 +280,10 @@ impl DqnAlgorithm {
 
     /// Creates the learner state for `config` sampling a shared `plane` —
     /// the store-resident placement, where a replay service ingests. The
-    /// plane's sampling mode must match `config.prioritized`.
+    /// plane's sampling mode must match `config.prioritized`. The credit
+    /// starts at the plane's inserts: a learner restored onto its shard's
+    /// surviving plane trains on new data, not again on what its dead
+    /// incarnation already spent.
     pub fn with_plane(config: DqnConfig, plane: Arc<ReplayPlane>) -> Self {
         assert_eq!(
             plane.prioritized(),
@@ -291,6 +294,7 @@ impl DqnAlgorithm {
         let target = q.clone();
         let opt = Adam::new(q.num_params(), config.lr);
         let rng = StdRng::seed_from_u64(config.seed ^ 0xD0_0D);
+        let inserts_consumed = plane.total_inserted();
         DqnAlgorithm {
             config,
             q,
@@ -299,7 +303,7 @@ impl DqnAlgorithm {
             plane,
             picks: Vec::new(),
             bufs: TrainBufs::default(),
-            inserts_consumed: 0,
+            inserts_consumed,
             sessions: 0,
             version: 0,
             rng,
@@ -661,6 +665,22 @@ mod tests {
         alg.on_rollout(batch(4));
         assert!(alg.try_train().is_some());
         assert!(alg.try_train().is_none());
+    }
+
+    /// A DQN built over a plane already holding inserts (a restore onto its
+    /// shard's surviving store-resident plane) does not spend them again: no
+    /// session runs until `train_every_inserts` new inserts arrive.
+    #[test]
+    fn a_dqn_over_a_populated_plane_trains_only_on_new_inserts() {
+        let mut dead = DqnAlgorithm::new(tiny_config());
+        dead.on_rollout(batch(48));
+        let mut restored = DqnAlgorithm::with_plane(tiny_config(), dead.plane.clone());
+        assert!(restored.try_train().is_none(), "48 resident inserts are no credit");
+        restored.plane.ingest_batch(&batch(3));
+        assert!(restored.try_train().is_none(), "3 new inserts are not a session's worth");
+        restored.plane.ingest_batch(&batch(1));
+        assert!(restored.try_train().is_some(), "the 4th new insert is");
+        assert!(restored.try_train().is_none());
     }
 
     #[test]

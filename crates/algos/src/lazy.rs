@@ -18,13 +18,13 @@
 //! deferred, never lost, and the scheme provably matches the convergence
 //! rate of full uploads while cutting upload rounds dramatically.
 //!
-//! [`LazyGradGate`] is the worker-side gate. It is transport-agnostic: the
+//! [`LazyGradGate`] is the worker-side gate, and the gate of the relaxed
+//! learner shards' delta gossip (`AllreduceMode::Relaxed`, the core crate's
+//! `gossip` module): each shard offers its parameter deltas through one and
+//! sends its peers only what the gate accepts. It is transport-agnostic: the
 //! XingTian channel ships accepted uploads as [`GradBlob`] bodies under
-//! `MessageKind::Gradient`. It is *opt-in* plumbing beside [`crate::ParGrad`]
-//! — the stock training loop ships rollouts, not gradients; this seeds the
-//! multi-learner allreduce direction (ROADMAP item 2), and the skip/upload
-//! telemetry (`comm.grad_skips` / `comm.grad_uploads`) makes the savings
-//! observable today.
+//! `MessageKind::Gradient`, and the skip/upload telemetry (`comm.grad_skips`
+//! / `comm.grad_uploads`) counts the sends saved.
 
 use std::collections::VecDeque;
 use xingtian_message::codec::{Decode, DecodeError, Encode, Reader};

@@ -196,17 +196,17 @@ fn run_trial(args: &Args) -> Trial {
                 // inference batch window.
                 publisher.publish_staggered(&blob(version, version), Duration::from_millis(2));
             }
-            publisher.pump_acks();
-            let (acked, nacked) = (publisher.acked(), publisher.nacked());
+            publisher.pump_nacks();
+            let nacked = publisher.nacked();
             publisher.close();
-            (version, acked, nacked)
+            (version, nacked)
         })
     };
 
     let t0 = Instant::now();
     std::thread::sleep(Duration::from_secs_f64(args.seconds));
     swap_stop.store(true, Ordering::Relaxed);
-    let (last_version, acked, nacked) = publisher_thread.join().unwrap();
+    let (last_version, nacked) = publisher_thread.join().unwrap();
     stop.store(true, Ordering::Relaxed);
 
     let mut sent = 0u64;
@@ -264,7 +264,7 @@ fn run_trial(args: &Args) -> Trial {
         }
     }
     println!(
-        "swaps={swaps} (acked={acked} nacked={nacked}, final fleet versions {versions:?}, \
+        "swaps={swaps} (nacked={nacked}, final fleet versions {versions:?}, \
          target v{last_version})"
     );
     println!(

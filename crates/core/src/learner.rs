@@ -319,7 +319,7 @@ impl LearnerProcess {
     fn on_message(&mut self, msg: Message, run: &mut LearnerRun, discipline: &mut Discipline) -> bool {
         match (msg.header.kind, discipline) {
             (MessageKind::ParamAck, _) => {
-                run.broadcaster.on_ack_message(&msg);
+                run.broadcaster.on_nack_message(&msg);
             }
             (MessageKind::Rollout, _) => {
                 let t0 = Instant::now();

@@ -1,7 +1,7 @@
 //! Small payloads exchanged between processes: the [`ControlCommand`] the
 //! supervisor sends as the center controller, the learners' session
-//! [`LearnerStats`], and the explorers' [`ParamAck`]s. An explorer's `Stats`
-//! body has no type of its own: it is one codec `u64` step count.
+//! [`LearnerStats`], and a parameter receiver's [`ParamNack`]. An explorer's
+//! `Stats` body has no type of its own: it is one codec `u64` step count.
 
 use xingtian_message::codec::{Decode, DecodeError, Encode, Reader};
 
@@ -61,43 +61,33 @@ impl Decode for LearnerStats {
     }
 }
 
-/// An explorer confirming (or refusing) a parameter broadcast
-/// (`MessageKind::ParamAck`). The learner's delta-base bookkeeping tracks
-/// acks to know which base version each receiver can decode against; a
-/// refusal (`applied == false`, e.g. after a respawn lost the base) rebases
-/// the sender so its next broadcast falls back to full f32.
+/// A parameter receiver refusing a broadcast it could not apply
+/// (`MessageKind::ParamAck`, the plane's only reply): a delta against a base
+/// it does not hold (a respawn lost it) or a corrupt frame. It carries the
+/// version the receiver still holds, so the sender rebases its delta-base
+/// bookkeeping and its next broadcast to that receiver goes out full.
+/// Applied and stale frames are not answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParamAck {
-    /// The acking explorer's index.
-    pub explorer: u32,
-    /// The broadcast's parameter version.
-    pub version: u64,
-    /// Whether the explorer decoded and applied the broadcast.
-    pub applied: bool,
+pub struct ParamNack {
+    /// The refusing receiver's index, as its sender addresses it.
+    pub receiver: u32,
+    /// The parameter version the receiver still holds (0: none).
+    pub held: u64,
 }
 
-impl Encode for ParamAck {
+impl Encode for ParamNack {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.explorer.encode(out);
-        self.version.encode(out);
-        out.push(self.applied as u8);
+        self.receiver.encode(out);
+        self.held.encode(out);
     }
     fn encoded_size(&self) -> usize {
-        self.explorer.encoded_size() + self.version.encoded_size() + 1
+        self.receiver.encoded_size() + self.held.encoded_size()
     }
 }
 
-impl Decode for ParamAck {
+impl Decode for ParamNack {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(ParamAck {
-            explorer: u32::decode(r)?,
-            version: u64::decode(r)?,
-            applied: match r.u8()? {
-                0 => false,
-                1 => true,
-                t => return Err(DecodeError::InvalidTag(t)),
-            },
-        })
+        Ok(ParamNack { receiver: u32::decode(r)?, held: u64::decode(r)? })
     }
 }
 
@@ -129,11 +119,21 @@ mod tests {
     }
 
     #[test]
-    fn param_ack_round_trips() {
-        for applied in [true, false] {
-            let a = ParamAck { explorer: 17, version: 42, applied };
-            assert_eq!(ParamAck::from_bytes(&a.to_bytes()).unwrap(), a);
+    fn param_nack_round_trips() {
+        let n = ParamNack { receiver: 17, held: 42 };
+        assert_eq!(ParamNack::from_bytes(&n.to_bytes()).unwrap(), n);
+    }
+
+    /// Every truncation of a nack body and one trailing byte decode to a
+    /// typed error, never to a nack.
+    #[test]
+    fn param_nack_rejects_hostile_bytes() {
+        let bytes = ParamNack { receiver: u32::MAX, held: u64::MAX }.to_bytes();
+        for len in 0..bytes.len() {
+            assert_eq!(ParamNack::from_bytes(&bytes[..len]), Err(DecodeError::UnexpectedEof), "{len} bytes");
         }
-        assert!(ParamAck::from_bytes(&[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7]).is_err());
+        let mut long = bytes.clone();
+        long.push(0);
+        assert_eq!(ParamNack::from_bytes(&long), Err(DecodeError::TrailingBytes(1)));
     }
 }

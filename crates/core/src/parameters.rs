@@ -1,30 +1,35 @@
 //! The learner↔explorer parameter plane: delta bases, error feedback, and
-//! the broadcast/ack protocol.
+//! the broadcast/nack protocol.
 //!
 //! [`ParamBroadcaster`] lives beside the learner's training loop and turns
-//! each `param_blob` into the smallest frame every destination can decode:
+//! each `param_blob` into the smallest frame every destination can decode.
+//! In `FullF32` mode that is always the full blob and the broadcaster keeps
+//! nothing but its counters. The delta and quantized modes hold the state a
+//! delta needs ([`DeltaState`]):
 //!
-//! * It keeps a ring of the last [`RING_DEPTH`] *reconstructed* parameter
-//!   vectors (what receivers actually hold, bit-for-bit — for quantized modes
-//!   that is the dequantized form, not the learner's own weights) keyed by
-//!   version, as candidate delta bases.
-//! * Per explorer it tracks the last version `sent`; a delta frame is only
-//!   emitted when every destination of the broadcast was last sent the *same*
+//! * a ring of the last [`RING_DEPTH`] *reconstructed* parameter vectors
+//!   (what receivers actually hold, bit-for-bit — for quantized modes that is
+//!   the dequantized form, not the learner's own weights) keyed by version,
+//!   as candidate delta bases;
+//! * per receiver the last version `sent`; a delta frame is only emitted
+//!   when every destination of the broadcast was last sent the *same*
 //!   version and that version is still in the ring. Anything else — fresh
-//!   explorer, respawned explorer, destinations out of sync, delta bigger
+//!   receiver, respawned receiver, destinations out of sync, delta bigger
 //!   than full — falls back to a full-f32 blob (`CompressionKind::None`, so
-//!   the ordinary transport LZ4 path still applies to it).
-//! * For the quantized modes it carries an error-feedback accumulator
+//!   the ordinary transport LZ4 path still applies to it);
+//! * for the quantized modes, an error-feedback accumulator
 //!   (arXiv:1812.03239): quantization error is added back into the next
 //!   broadcast instead of being lost, so the explorers' policies track the
 //!   learner's weights without bias. Full sends are exact and zero it.
 //!
-//! Receivers answer with [`crate::messages::ParamAck`]. A *nack*
-//! (`applied == false`, carrying the version the receiver actually holds)
-//! rebases the sender's `sent` entry so the next broadcast self-heals to a
-//! full send — this is how a respawned explorer (which lost its base) rejoins
-//! the delta chain. Ordinary acks only feed telemetry/bookkeeping: under the
-//! channel's per-sender FIFO, `sent` is already the receiver's state.
+//! The channel is sender-initiated, and under its per-sender FIFO `sent` is
+//! already what each receiver holds, so a receiver that applies a frame (or
+//! drops a stale one) answers nothing. Only a frame it cannot apply is
+//! answered, with a [`crate::messages::ParamNack`] carrying the version it
+//! still holds: the nack rebases `sent`, so the next broadcast to it goes out
+//! full — this is how a respawned explorer (which lost its base) rejoins the
+//! delta chain. In `FullF32` mode every frame is a full blob, so a nack is
+//! only counted.
 //!
 //! [`ParamReceiver`] is the explorer half: it holds the single current
 //! reconstruction and applies frames *in place* into recycled buffers
@@ -33,15 +38,15 @@
 //! The hand-off over a channel is written once, for the learner, explorers
 //! and the serving fleet alike: [`EncodedBroadcast::send`] is the publish
 //! half (the one place a `Parameters` header is stamped),
-//! [`ParamReceiver::on_parameters`] the subscribe half (ingest, consume, ack
-//! or nack). A version is encoded **once**: a quantized encode consumes the
-//! previous one's error-feedback residual and reconstructs differently, and
-//! error feedback is only unbiased while the sender's model of each receiver
-//! is exact — so a sender with several destination groups (a rolling fleet
-//! swap) sends one frame to each, and a repeated encode of a version replaces
-//! its ring entry rather than shadow it.
+//! [`ParamReceiver::on_parameters`] the subscribe half (ingest, consume, nack
+//! what cannot be applied). A version is encoded **once**: a quantized encode
+//! consumes the previous one's error-feedback residual and reconstructs
+//! differently, and error feedback is only unbiased while the sender's model
+//! of each receiver is exact — so a sender with several destination groups (a
+//! rolling fleet swap) sends one frame to each, and a repeated encode of a
+//! version replaces its ring entry rather than shadow it.
 
-use crate::messages::ParamAck;
+use crate::messages::ParamNack;
 use bytes::Bytes;
 use std::collections::{HashMap, VecDeque};
 use xingtian_algos::payload::ParamBlob;
@@ -50,9 +55,11 @@ use xingtian_message::codec::{decode_f32s_into, Decode, Encode, Reader};
 use xingtian_message::{param, CompressionKind, Header, Message, MessageKind, ProcessId};
 use xt_telemetry::{CounterHandle, Telemetry};
 
-/// Recent parameter versions the learner keeps as candidate delta bases.
-/// Deep enough for the notify cadences of the algo zoo at typical ack lag;
-/// a destination older than the ring just gets a full send.
+/// Recent parameter versions a delta-mode broadcaster keeps as candidate
+/// delta bases. Deep enough for a destination group that was last sent a
+/// version a few broadcasts back (a rolling swap, an explorer outside an
+/// IMPALA notify list); a destination older than the ring just gets a full
+/// send.
 pub const RING_DEPTH: usize = 8;
 
 /// A parameter broadcast ready to send: the encoded body plus the
@@ -81,19 +88,11 @@ impl EncodedBroadcast {
     }
 }
 
-/// Learner-side encoder state for the parameter plane. See the module docs.
+/// Learner-side encoder for the parameter plane. See the module docs.
 #[derive(Debug)]
 pub struct ParamBroadcaster {
-    mode: ParamCompression,
-    /// `(version, receiver-visible reconstruction)`, oldest first.
-    ring: VecDeque<(u64, Vec<f32>)>,
-    /// Last version sent to each explorer (== what it holds, under FIFO
-    /// delivery, until a nack says otherwise).
-    sent: HashMap<u32, u64>,
-    /// Highest version each explorer has confirmed applying.
-    acked: HashMap<u32, u64>,
-    /// Error-feedback accumulator for the quantized modes.
-    err: Vec<f32>,
+    /// The delta and quantized modes' bookkeeping; `None` in `FullF32` mode.
+    delta: Option<DeltaState>,
     full_sends: CounterHandle,
     delta_sends: CounterHandle,
     nacks: CounterHandle,
@@ -103,79 +102,107 @@ impl ParamBroadcaster {
     /// Creates a broadcaster in `mode`, reporting into `telemetry`.
     pub fn new(mode: ParamCompression, telemetry: &Telemetry) -> Self {
         ParamBroadcaster {
-            mode,
-            ring: VecDeque::with_capacity(RING_DEPTH + 1),
-            sent: HashMap::new(),
-            acked: HashMap::new(),
-            err: Vec::new(),
+            delta: (mode != ParamCompression::FullF32).then(|| DeltaState {
+                mode,
+                ring: VecDeque::with_capacity(RING_DEPTH + 1),
+                sent: HashMap::new(),
+                err: Vec::new(),
+            }),
             full_sends: telemetry.counter("param.full_sends"),
             delta_sends: telemetry.counter("param.delta_sends"),
             nacks: telemetry.counter("param.nacks"),
         }
     }
 
-    /// The encoding mode this broadcaster runs in.
-    pub fn mode(&self) -> ParamCompression {
-        self.mode
-    }
-
-    /// Highest version `explorer` has confirmed applying.
-    pub fn acked(&self, explorer: u32) -> Option<u64> {
-        self.acked.get(&explorer).copied()
-    }
-
-    /// Encodes a broadcast of `blob` to `dst` and updates the delta-base
-    /// bookkeeping (each destination is now assumed to hold `blob.version`
-    /// until it nacks).
+    /// Encodes a broadcast of `blob` to `dst` and, in the delta modes, updates
+    /// the delta-base bookkeeping (each destination is now assumed to hold
+    /// `blob.version` until it nacks).
     pub fn encode(&mut self, blob: &ParamBlob, dst: &[u32]) -> EncodedBroadcast {
-        let version = blob.version;
-        let n = blob.params.len();
-        let enc = match self.mode {
-            ParamCompression::FullF32 => self.full(blob),
-            _ => {
-                // A resized network invalidates every old base and the
-                // error accumulator.
-                self.ring.retain(|(_, r)| r.len() == n);
-                if self.err.len() != n {
-                    self.err.clear();
-                    self.err.resize(n, 0.0);
-                }
-                let base = self.common_base(dst);
-                match self.mode {
-                    ParamCompression::DeltaF32 => self.encode_delta_f32(blob, base),
-                    ParamCompression::QuantizedI8 => self.encode_quant(blob),
-                    ParamCompression::DeltaQuantizedI8 => self.encode_delta_quant(blob, base),
-                    ParamCompression::FullF32 => unreachable!(),
+        match self.delta.as_mut().and_then(|state| state.encode(blob, dst)) {
+            Some(frame) => {
+                self.delta_sends.inc();
+                frame
+            }
+            None => {
+                self.full_sends.inc();
+                EncodedBroadcast {
+                    body: Bytes::from(blob.to_bytes()),
+                    compression: CompressionKind::None,
+                    version: blob.version,
                 }
             }
+        }
+    }
+
+    /// Folds a receiver's nack: it holds `nack.held`, possibly nothing after
+    /// a respawn. The delta modes rebase `sent` to that, so the next
+    /// broadcast either deltas from a ring entry it truly holds or finds no
+    /// common base and goes out full; `FullF32` only counts it.
+    pub fn on_nack(&mut self, nack: &ParamNack) {
+        self.nacks.inc();
+        if let Some(state) = &mut self.delta {
+            state.sent.insert(nack.receiver, nack.held);
+        }
+    }
+
+    /// Decodes a nack message and folds it ([`Self::on_nack`]); a malformed
+    /// body folds nothing. Returns what was folded.
+    pub fn on_nack_message(&mut self, msg: &Message) -> Option<ParamNack> {
+        let nack = ParamNack::from_bytes(&msg.body).ok()?;
+        self.on_nack(&nack);
+        Some(nack)
+    }
+}
+
+/// What a delta or quantized broadcaster knows about its receivers. See the
+/// module docs.
+#[derive(Debug)]
+struct DeltaState {
+    /// `DeltaF32`, `QuantizedI8` or `DeltaQuantizedI8`.
+    mode: ParamCompression,
+    /// `(version, receiver-visible reconstruction)`, oldest first.
+    ring: VecDeque<(u64, Vec<f32>)>,
+    /// Last version sent to each receiver (== what it holds, under FIFO
+    /// delivery, until a nack says otherwise).
+    sent: HashMap<u32, u64>,
+    /// Error-feedback accumulator for the quantized modes.
+    err: Vec<f32>,
+}
+
+/// A frame's body and compression kind, with what a receiver of it holds.
+type Frame = (Vec<u8>, CompressionKind, Vec<f32>);
+
+impl DeltaState {
+    /// The delta or quantized frame of `blob` for `dst`, or `None` where only
+    /// a full send will do; either way `dst` is now credited with
+    /// `blob.version` and the ring holds what they will reconstruct.
+    fn encode(&mut self, blob: &ParamBlob, dst: &[u32]) -> Option<EncodedBroadcast> {
+        let (version, n) = (blob.version, blob.params.len());
+        // A resized network invalidates every old base and the error
+        // accumulator.
+        self.ring.retain(|(_, r)| r.len() == n);
+        if self.err.len() != n {
+            self.err.clear();
+            self.err.resize(n, 0.0);
+        }
+        let base = self.common_base(dst);
+        let frame = match self.mode {
+            ParamCompression::DeltaF32 => base.and_then(|idx| self.delta_f32(blob, idx)),
+            ParamCompression::QuantizedI8 => self.quant(blob),
+            ParamCompression::DeltaQuantizedI8 => base.and_then(|idx| self.delta_quant(blob, idx)),
+            ParamCompression::FullF32 => unreachable!("a full-f32 broadcaster keeps no delta state"),
         };
         for &e in dst {
             self.sent.insert(e, version);
         }
-        enc
-    }
-
-    /// Folds an explorer's ack into the base bookkeeping.
-    pub fn on_ack(&mut self, ack: &ParamAck) {
-        if ack.applied {
-            let e = self.acked.entry(ack.explorer).or_insert(0);
-            *e = (*e).max(ack.version);
-        } else {
-            // The receiver reports the version it actually holds (possibly
-            // nothing, after a respawn). Rebase `sent` to that reality: the
-            // next broadcast either deltas from a ring entry it truly holds,
-            // or finds no common base and goes out full.
-            self.sent.insert(ack.explorer, ack.version);
-            self.nacks.inc();
-        }
-    }
-
-    /// Decodes a `ParamAck` message and folds it ([`Self::on_ack`]); a
-    /// malformed body folds nothing. Returns what was folded.
-    pub fn on_ack_message(&mut self, msg: &Message) -> Option<ParamAck> {
-        let ack = ParamAck::from_bytes(&msg.body).ok()?;
-        self.on_ack(&ack);
-        Some(ack)
+        let Some((body, compression, recon)) = frame else {
+            // A full send is exact: nothing is left to feed back.
+            self.err.fill(0.0);
+            self.push_ring(version, blob.params.clone());
+            return None;
+        };
+        self.push_ring(version, recon);
+        Some(EncodedBroadcast { body: Bytes::from(body), compression, version })
     }
 
     /// The delta base usable for *all* of `dst`: every destination was last
@@ -200,46 +227,15 @@ impl ParamBroadcaster {
         }
     }
 
-    /// Rings `recon` — what a receiver of this delta/quantized frame holds —
-    /// and wraps the frame.
-    fn ringed(
-        &mut self,
-        version: u64,
-        recon: Vec<f32>,
-        body: Vec<u8>,
-        compression: CompressionKind,
-    ) -> EncodedBroadcast {
-        self.push_ring(version, recon);
-        self.delta_sends.inc();
-        EncodedBroadcast { body: Bytes::from(body), compression, version }
-    }
-
-    /// Full-f32 fallback: exact, so the error accumulator resets.
-    fn full(&mut self, blob: &ParamBlob) -> EncodedBroadcast {
-        for e in &mut self.err {
-            *e = 0.0;
-        }
-        self.push_ring(blob.version, blob.params.clone());
-        self.full_sends.inc();
-        EncodedBroadcast {
-            body: Bytes::from(blob.to_bytes()),
-            compression: CompressionKind::None,
-            version: blob.version,
-        }
-    }
-
-    fn encode_delta_f32(&mut self, blob: &ParamBlob, base: Option<usize>) -> EncodedBroadcast {
-        let Some(idx) = base else { return self.full(blob) };
-        let (base_version, base_params) = &self.ring[idx];
+    fn delta_f32(&self, blob: &ParamBlob, base: usize) -> Option<Frame> {
+        let (base_version, base_params) = &self.ring[base];
         let body =
             param::encode_delta_f32(blob.version, *base_version, &blob.params, base_params);
-        if body.len() >= blob.encoded_size() {
-            return self.full(blob);
-        }
-        self.ringed(blob.version, blob.params.clone(), body, CompressionKind::DeltaF32)
+        (body.len() < blob.encoded_size())
+            .then(|| (body, CompressionKind::DeltaF32, blob.params.clone()))
     }
 
-    fn encode_quant(&mut self, blob: &ParamBlob) -> EncodedBroadcast {
+    fn quant(&mut self, blob: &ParamBlob) -> Option<Frame> {
         // Compensated values: re-inject the quantization error of every
         // previous broadcast.
         let values: Vec<f32> =
@@ -247,43 +243,48 @@ impl ParamBroadcaster {
         let mut recon = Vec::new();
         let body = param::encode_quantized_i8(blob.version, &values, &mut recon);
         if body.len() >= blob.encoded_size() {
-            return self.full(blob);
+            return None;
         }
-        for ((e, v), r) in self.err.iter_mut().zip(&values).zip(&recon) {
-            *e = v - r;
-        }
-        self.ringed(blob.version, recon, body, CompressionKind::QuantizedI8)
+        self.feed_back(&values, &recon);
+        Some((body, CompressionKind::QuantizedI8, recon))
     }
 
-    fn encode_delta_quant(&mut self, blob: &ParamBlob, base: Option<usize>) -> EncodedBroadcast {
-        let Some(idx) = base else { return self.full(blob) };
+    fn delta_quant(&mut self, blob: &ParamBlob, base: usize) -> Option<Frame> {
         let values: Vec<f32> =
             blob.params.iter().zip(&self.err).map(|(p, e)| p + e).collect();
-        let (base_version, base_params) = &self.ring[idx];
+        let (base_version, base_params) = &self.ring[base];
         let deltas: Vec<f32> = values.iter().zip(base_params).map(|(v, b)| v - b).collect();
         let mut recon_d = Vec::new();
         let body =
             param::encode_delta_quantized_i8(blob.version, *base_version, &deltas, &mut recon_d);
         if body.len() >= blob.encoded_size() {
-            return self.full(blob);
+            return None;
         }
         // The receiver computes `held[i] + dq[i]` — reproduce the identical
         // f32 add so the ring entry matches receiver state bit-for-bit.
         let recon: Vec<f32> =
             base_params.iter().zip(&recon_d).map(|(b, d)| b + d).collect();
-        for ((e, v), r) in self.err.iter_mut().zip(&values).zip(&recon) {
+        self.feed_back(&values, &recon);
+        Some((body, CompressionKind::DeltaQuantizedI8, recon))
+    }
+
+    /// What the receiver will not hold of the compensated `values` is carried
+    /// into the next broadcast.
+    fn feed_back(&mut self, values: &[f32], recon: &[f32]) {
+        for ((e, v), r) in self.err.iter_mut().zip(values).zip(recon) {
             *e = v - r;
         }
-        self.ringed(blob.version, recon, body, CompressionKind::DeltaQuantizedI8)
     }
 }
 
 /// What [`ParamReceiver::ingest`] did with a broadcast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestOutcome {
-    /// Applied; the receiver now holds this version. Ack it.
+    /// Applied; the receiver now holds this version. Not answered: the
+    /// sender already assumes it.
     Applied(u64),
-    /// Older than (or equal to) what the receiver already holds; ignored.
+    /// Older than (or equal to) what the receiver already holds; ignored
+    /// and not answered.
     Stale,
     /// Could not be decoded (missing base, count mismatch, corrupt frame).
     /// Nack with the held version so the sender rebases.
@@ -332,10 +333,10 @@ impl ParamReceiver {
 
     /// The subscribe half of the hand-off, for the receiver its sender knows
     /// as `id`: ingests the `Parameters` message `msg`. Applied ⇒ `consume`
-    /// gets the new reconstruction and the sender an ack; undecodable against
-    /// what is held (a respawn lost the base, a corrupt frame) ⇒ a nack with
-    /// the held version, so the sender rebases and resends full; stale ⇒
-    /// nothing.
+    /// gets the new reconstruction; undecodable against what is held (a
+    /// respawn lost the base, a corrupt frame) ⇒ a nack with the held
+    /// version, so the sender rebases and resends full; stale ⇒ nothing.
+    /// Only the nack is a reply.
     pub fn on_parameters(
         &mut self,
         endpoint: &Endpoint,
@@ -343,16 +344,14 @@ impl ParamReceiver {
         msg: &Message,
         consume: impl FnOnce(&ParamBlob),
     ) {
-        let (version, applied) = match self.ingest(msg.header.compression, &msg.body) {
-            IngestOutcome::Applied(version) => {
-                consume(&self.blob);
-                (version, true)
+        match self.ingest(msg.header.compression, &msg.body) {
+            IngestOutcome::Applied(_) => consume(&self.blob),
+            IngestOutcome::Stale => {}
+            IngestOutcome::Rejected { held } => {
+                let nack = ParamNack { receiver: id, held };
+                endpoint.send_encoded(vec![msg.header.src], MessageKind::ParamAck, &nack);
             }
-            IngestOutcome::Rejected { held } => (held, false),
-            IngestOutcome::Stale => return,
-        };
-        let ack = ParamAck { explorer: id, version, applied };
-        endpoint.send_encoded(vec![msg.header.src], MessageKind::ParamAck, &ack);
+        }
     }
 
     /// Applies one `Parameters` body (full blob or param-plane frame,
@@ -501,7 +500,7 @@ mod tests {
             fresh.ingest(enc.compression, &enc.body),
             IngestOutcome::Rejected { held: 0 }
         );
-        tx.on_ack(&ParamAck { explorer: 0, version: 0, applied: false });
+        tx.on_nack(&ParamNack { receiver: 0, held: 0 });
         b = drift(&b, 1e-3);
         let enc = tx.encode(&b, &[0]);
         assert_eq!(enc.compression, CompressionKind::None, "healed with a full send");
@@ -528,21 +527,17 @@ mod tests {
         let mut original = ParamReceiver::new();
 
         // Establish a chain to both destinations: one boot full send, then
-        // deltas, everyone acking.
+        // deltas, nobody answering.
         let mut b = blob(1, 512, 3);
         let enc = tx.encode(&b, &[0, 1]);
         assert_eq!(veteran.ingest(enc.compression, &enc.body), IngestOutcome::Applied(1));
         assert_eq!(original.ingest(enc.compression, &enc.body), IngestOutcome::Applied(1));
-        tx.on_ack(&ParamAck { explorer: 0, version: 1, applied: true });
-        tx.on_ack(&ParamAck { explorer: 1, version: 1, applied: true });
         for _ in 0..3 {
             b = drift(&b, 1e-3);
             let enc = tx.encode(&b, &[0, 1]);
             assert_eq!(enc.compression, CompressionKind::DeltaF32);
             assert_eq!(veteran.ingest(enc.compression, &enc.body), IngestOutcome::Applied(b.version));
             assert_eq!(original.ingest(enc.compression, &enc.body), IngestOutcome::Applied(b.version));
-            tx.on_ack(&ParamAck { explorer: 0, version: b.version, applied: true });
-            tx.on_ack(&ParamAck { explorer: 1, version: b.version, applied: true });
         }
         let boot_fulls = full_sends.get();
 
@@ -556,8 +551,7 @@ mod tests {
         assert_eq!(enc.compression, CompressionKind::DeltaF32, "stale bookkeeping still deltas");
         assert_eq!(veteran.ingest(enc.compression, &enc.body), IngestOutcome::Applied(b.version));
         assert_eq!(joiner.ingest(enc.compression, &enc.body), IngestOutcome::Rejected { held: 0 });
-        tx.on_ack(&ParamAck { explorer: 0, version: b.version, applied: true });
-        tx.on_ack(&ParamAck { explorer: 1, version: 0, applied: false });
+        tx.on_nack(&ParamNack { receiver: 1, held: 0 });
 
         // Self-heal: the send after the nack is full, both sides apply it...
         b = drift(&b, 1e-3);
@@ -565,8 +559,6 @@ mod tests {
         assert_eq!(enc.compression, CompressionKind::None, "nack forces a rebase");
         assert_eq!(veteran.ingest(enc.compression, &enc.body), IngestOutcome::Applied(b.version));
         assert_eq!(joiner.ingest(enc.compression, &enc.body), IngestOutcome::Applied(b.version));
-        tx.on_ack(&ParamAck { explorer: 0, version: b.version, applied: true });
-        tx.on_ack(&ParamAck { explorer: 1, version: b.version, applied: true });
         assert_eq!(full_sends.get(), boot_fulls + 1, "the join costs exactly one full send");
 
         // ...and the chain resumes as deltas for the whole group, bit-exact.
@@ -576,8 +568,6 @@ mod tests {
             assert_eq!(enc.compression, CompressionKind::DeltaF32);
             assert_eq!(veteran.ingest(enc.compression, &enc.body), IngestOutcome::Applied(b.version));
             assert_eq!(joiner.ingest(enc.compression, &enc.body), IngestOutcome::Applied(b.version));
-            tx.on_ack(&ParamAck { explorer: 0, version: b.version, applied: true });
-            tx.on_ack(&ParamAck { explorer: 1, version: b.version, applied: true });
         }
         assert_eq!(full_sends.get(), boot_fulls + 1, "no further full sends after healing");
         for (a, c) in joiner.blob().params.iter().zip(&b.params) {
@@ -626,8 +616,9 @@ mod tests {
         let b2 = drift(&b1, 1e-3);
         assert_eq!(tx.encode(&b2, &[0]).compression, CompressionKind::DeltaQuantizedI8);
         assert_eq!(tx.encode(&b2, &[1]).compression, CompressionKind::DeltaQuantizedI8);
-        assert_eq!(tx.ring.iter().filter(|(v, _)| *v == 2).count(), 1);
-        assert_eq!(tx.ring.len(), 2, "one entry per version");
+        let ring = &tx.delta.as_ref().expect("a delta mode keeps a ring").ring;
+        assert_eq!(ring.iter().filter(|(v, _)| *v == 2).count(), 1);
+        assert_eq!(ring.len(), 2, "one entry per version");
     }
 
     #[test]
@@ -653,5 +644,24 @@ mod tests {
         // Same explorer, different parameter count: must not delta.
         let b2 = blob(2, 256, 19);
         assert_eq!(tx.encode(&b2, &[0]).compression, CompressionKind::None);
+    }
+
+    /// `FullF32` keeps no ring, no `sent` map and no error accumulator: every
+    /// broadcast is the blob's own bytes, and a nack is only counted.
+    #[test]
+    fn a_full_f32_broadcaster_keeps_no_delta_state() {
+        let t = Telemetry::enabled();
+        let mut tx = ParamBroadcaster::new(ParamCompression::FullF32, &t);
+        let mut b = blob(1, 256, 29);
+        for _ in 0..3 {
+            let enc = tx.encode(&b, &[0, 1]);
+            assert_eq!(enc.compression, CompressionKind::None);
+            assert_eq!(&enc.body[..], &b.to_bytes()[..]);
+            b = drift(&b, 1e-3);
+        }
+        tx.on_nack(&ParamNack { receiver: 1, held: 0 });
+        assert!(tx.delta.is_none());
+        assert_eq!(t.counter("param.full_sends").get(), 3);
+        assert_eq!(t.counter("param.nacks").get(), 1);
     }
 }

@@ -29,7 +29,8 @@ pub struct RunReport {
     pub algorithm: String,
     /// Environment name.
     pub env: String,
-    /// Rollout steps the learner consumed.
+    /// Rollout steps the learners consumed: every shard and incarnation, a
+    /// killed one by the steps its `LearnerStats` reported.
     pub steps_consumed: u64,
     /// Environment steps the explorers reported taking, as the supervisor
     /// tallied their stats when the run ended (at the goal, the moment it

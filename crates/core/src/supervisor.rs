@@ -139,8 +139,6 @@ pub struct RecoveryReport {
     /// respawn budget, unspawnable, or panicked during shutdown. Training
     /// carried on without them.
     pub degraded_explorers: Vec<u32>,
-    /// How many times a learner (any shard) was restored from checkpoint.
-    pub learner_restores: u32,
     /// Restore count per learner shard, in shard order (length 1 for the
     /// classic single-learner deployment).
     pub learner_shard_restores: Vec<u32>,
@@ -158,10 +156,6 @@ pub struct RecoveryReport {
     /// Objects left in the brokers' stores after every process exited —
     /// anything nonzero is a leak.
     pub leaked_objects: usize,
-    /// Replay-arena slots whose write never completed when the run ended
-    /// (always 0 for in-learner replay) — anything nonzero is a torn ingest
-    /// left behind by a crash.
-    pub dangling_replay_slots: usize,
     /// Explorers the elastic mode spawned beyond the configured pool (0 when
     /// elastic supervision is off).
     pub elastic_spawns: u32,
@@ -540,14 +534,17 @@ impl Deployment {
 
         let mut explorer_respawns: Vec<u32> = Vec::new();
         let mut degraded_explorers: Vec<u32> = Vec::new();
-        let mut learner_restores = 0u32;
         let mut restored_param_version: Option<u64> = None;
         // A death the policy cannot absorb: supervision stops, the graph is
         // wound down and joined as usual, and this is what the run returns.
         let mut fatal: Option<DeployError> = None;
         // The center controller's tallies: learner steps toward the goal, and
-        // explorer steps generated until the run ends.
+        // explorer steps generated until the run ends. Per shard, the steps
+        // its live incarnation reported; a dead incarnation's share moves to
+        // `dead_steps` when it is reaped (it never joins with an outcome).
         let mut learner_steps = 0u64;
+        let mut reported = vec![0u64; shards as usize];
+        let mut dead_steps = 0u64;
         let mut steps_generated = 0u64;
         // Per shard, the highest version its incarnations reported or were
         // restored at: every version an explorer can hold from it.
@@ -584,8 +581,9 @@ impl Deployment {
                 if msg.header.kind == MessageKind::Stats {
                     if msg.header.src.role == ProcessRole::Learner {
                         let stats = LearnerStats::from_bytes(&msg.body).unwrap_or_default();
-                        let heard = &mut announced[msg.header.src.index as usize];
-                        *heard = (*heard).max(stats.version);
+                        let shard = msg.header.src.index as usize;
+                        announced[shard] = announced[shard].max(stats.version);
+                        reported[shard] += stats.steps;
                         learner_steps += stats.steps;
                         if learner_steps >= config.goal_steps {
                             break 'supervise;
@@ -664,7 +662,7 @@ impl Deployment {
                         )));
                         break 'supervise;
                     }
-                    Reap::Respawn { .. } => learner_restores += 1,
+                    Reap::Respawn { .. } => dead_steps += std::mem::take(&mut reported[s]),
                 }
                 // The restored learner loads its checkpointed state, or its
                 // fresh one without a checkpoint. Its first announcement must
@@ -848,11 +846,12 @@ impl Deployment {
             }
         }
 
-        // The aggregate sums work across shards and incarnations; the
-        // report's timeline/wait/lag views and final parameters are those of
-        // shard 0's last incarnation (one representative stream).
+        // The aggregate sums work across shards and incarnations (a dead one
+        // by what it reported); the report's timeline/wait/lag views and
+        // final parameters are those of shard 0's last incarnation (one
+        // representative stream).
         let incarnations = || learner_slots.iter().flat_map(|s| &s.outcomes);
-        let steps_consumed: u64 = incarnations().map(|o| o.steps_consumed).sum();
+        let steps_consumed = dead_steps + incarnations().map(|o| o.steps_consumed).sum::<u64>();
         let train_sessions: u64 = incarnations().map(|o| o.train_sessions).sum();
         let train_time: Duration = incarnations().map(|o| o.train_time).sum();
         let learner_shard_params: Vec<Vec<f32>> = if shards > 1 {
@@ -876,13 +875,11 @@ impl Deployment {
         let recovery = RecoveryReport {
             explorer_respawns,
             degraded_explorers,
-            learner_restores,
             learner_shard_restores,
             restored_param_version,
             transitions,
             down_at_exit,
             leaked_objects,
-            dangling_replay_slots: replay.as_ref().map_or(0, |r| r.dangling_slots),
             elastic_spawns,
             elastic_retires,
             peak_explorer_pool,

@@ -127,7 +127,7 @@ fn learner_restored_from_checkpoint_after_kill() {
         Deployment::run_supervised(config, supervision, plan, telemetry)
             .expect("supervised run completes");
 
-    assert_eq!(recovery.learner_restores, 1);
+    assert_eq!(recovery.learner_shard_restores.iter().sum::<u32>(), 1);
     // Checkpointing ran every session and the kill fired after session 5, so
     // the restore had a checkpoint to load.
     let restored = recovery.restored_param_version.expect("restored from a checkpoint");
@@ -193,7 +193,7 @@ fn on_policy_learner_restored_from_checkpoint_reaches_the_goal() {
         )
         .expect("supervised run completes");
 
-        assert_eq!(recovery.learner_restores, 1, "{name}");
+        assert_eq!(recovery.learner_shard_restores.iter().sum::<u32>(), 1, "{name}");
         // The session-5 checkpoint, or the v3 one announced above the v4 the
         // dead learner reported: v5 either way.
         assert_eq!(recovery.restored_param_version, Some(5), "{name}: restored at v5");
@@ -257,7 +257,7 @@ fn supervised_run_without_faults_is_quiet() {
 
         assert!(report.steps_consumed >= 1_500, "{name}: consumed {}", report.steps_consumed);
         assert!(recovery.explorer_respawns.is_empty(), "{name}");
-        assert_eq!(recovery.learner_restores, 0, "{name}");
+        assert_eq!(recovery.learner_shard_restores.iter().sum::<u32>(), 0, "{name}");
         assert!(recovery.transitions.is_empty(), "{name}: transitions: {:?}", recovery.transitions);
         assert!(recovery.down_at_exit.is_empty(), "{name}");
         assert_eq!(recovery.leaked_objects, 0, "{name}");
@@ -373,7 +373,7 @@ fn unsupervised_explorer_death_degrades_and_fails_a_plain_run() {
     assert!(report.steps_consumed >= 4_000, "consumed {}", report.steps_consumed);
     assert_eq!(recovery.degraded_explorers, vec![VICTIM]);
     assert!(recovery.explorer_respawns.is_empty(), "a zero budget never respawns");
-    assert_eq!(recovery.learner_restores, 0);
+    assert_eq!(recovery.learner_shard_restores.iter().sum::<u32>(), 0);
     // No beacons, so no detector: nothing to publish, nobody "down".
     assert!(recovery.transitions.is_empty());
     assert!(recovery.down_at_exit.is_empty());
@@ -448,7 +448,7 @@ fn store_resident_replay_survives_kills_without_leaks() {
     // Both victims were detected and recovered.
     assert_eq!(recovery.explorer_respawns, vec![VICTIM]);
     assert!(down_then_up(&recovery.transitions, ProcessId::explorer(VICTIM)));
-    assert_eq!(recovery.learner_restores, 1);
+    assert_eq!(recovery.learner_shard_restores.iter().sum::<u32>(), 1);
     assert!(down_then_up(&recovery.transitions, ProcessId::learner(0)));
     // The restored learner trained on experience that survived its
     // predecessor: the run reached its goal.
@@ -458,7 +458,6 @@ fn store_resident_replay_survives_kills_without_leaks() {
     assert!(replay.batches_ingested > 0);
     assert!(replay.resident > 0, "plane emptied");
     assert_eq!(replay.dangling_slots, 0, "torn ingest left dangling slots");
-    assert_eq!(recovery.dangling_replay_slots, 0, "dangling replay arena slots");
     // Nothing leaked anywhere: stores drained, no process still down.
     assert_eq!(recovery.leaked_objects, 0, "object store leak");
     assert!(recovery.down_at_exit.is_empty(), "down at exit: {:?}", recovery.down_at_exit);
@@ -521,7 +520,7 @@ fn shard_rejoins_sync_allreduce_ring(config: DeploymentConfig, dir: std::path::P
     // killed incarnation's share died with its thread.)
     assert!(report.steps_consumed >= 1_500, "consumed {}", report.steps_consumed);
     // Exactly shard 1 was restored, from a real checkpoint.
-    assert_eq!(recovery.learner_restores, 1);
+    assert_eq!(recovery.learner_shard_restores.iter().sum::<u32>(), 1);
     assert_eq!(recovery.learner_shard_restores, vec![0, 1]);
     assert!(recovery.restored_param_version.expect("restored from checkpoint") >= 1);
     assert!(
@@ -549,7 +548,7 @@ fn shard_rejoins_sync_allreduce_ring(config: DeploymentConfig, dir: std::path::P
     assert_eq!(differing, 0, "shards exit {differing} of {} parameters apart", p0.len());
     // Nothing leaked, nothing dangling, nobody down.
     assert_eq!(recovery.leaked_objects, 0, "object store leak");
-    assert_eq!(recovery.dangling_replay_slots, 0, "dangling replay arena slots");
+    assert_eq!(report.replay.as_ref().map_or(0, |r| r.dangling_slots), 0, "dangling replay arena slots");
     assert!(recovery.down_at_exit.is_empty(), "down at exit: {:?}", recovery.down_at_exit);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -577,7 +576,7 @@ fn killed_learner_shard_relaxed_peers_keep_training() {
 
     assert!(report.steps_consumed >= 1_500, "consumed {}", report.steps_consumed);
     assert!(report.train_sessions > 3, "peers kept training through the outage");
-    assert_eq!(recovery.learner_restores, 1);
+    assert_eq!(recovery.learner_shard_restores.iter().sum::<u32>(), 1);
     assert_eq!(recovery.learner_shard_restores, vec![0, 1]);
     assert!(down_then_up(&recovery.transitions, ProcessId::learner(1)));
     assert!(telemetry.counter("fault.process_down.learner").get() >= 1);
@@ -585,7 +584,7 @@ fn killed_learner_shard_relaxed_peers_keep_training() {
     // their rollouts to the (eventually restored) shard endpoint.
     assert!(recovery.explorer_respawns.is_empty());
     assert_eq!(recovery.leaked_objects, 0, "object store leak");
-    assert_eq!(recovery.dangling_replay_slots, 0, "dangling replay arena slots");
+    assert_eq!(report.replay.as_ref().map_or(0, |r| r.dangling_slots), 0, "dangling replay arena slots");
     assert!(recovery.down_at_exit.is_empty(), "down at exit: {:?}", recovery.down_at_exit);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -363,8 +363,8 @@ fn store_resident_replay_runs_one_service_per_shard() {
         assert!(report.steps_consumed >= 2_000, "{mode:?}: consumed {}", report.steps_consumed);
         assert_eq!(report.dropped_messages, 0, "{mode:?}");
         assert_eq!(recovery.leaked_objects, 0, "{mode:?}");
-        assert_eq!(recovery.dangling_replay_slots, 0, "{mode:?}");
         let replay = report.replay.expect("store-resident runs report replay");
+        assert_eq!(replay.dangling_slots, 0, "{mode:?}");
         assert!(replay.batches_ingested > 0 && replay.resident > 0, "{mode:?}: {replay:?}");
         let [a, b] = &report.learner_shard_params[..] else { panic!("two shards") };
         if mode == AllreduceMode::Sync {

@@ -1,14 +1,13 @@
 //! Differential tests of the parameter plane over real channel endpoints:
 //! the delta chain must be bit-lossless, the quantized chain error-bounded
-//! (thanks to error feedback), the ack/nack protocol must self-heal, and a
-//! seeded deployment under quantized broadcasts must learn like the
-//! full-precision baseline.
+//! (thanks to error feedback), a receiver must answer only what it cannot
+//! apply and that nack must self-heal the chain, and a seeded deployment under
+//! quantized broadcasts must learn like the full-precision baseline.
 
 use bytes::Bytes;
 use netsim::Cluster;
 use std::time::Duration;
 use xingtian::config::{AlgorithmSpec, DeploymentConfig};
-use xingtian::messages::ParamAck;
 use xingtian::{Deployment, ParamBroadcaster, ParamReceiver};
 use xingtian_algos::payload::ParamBlob;
 use xingtian_algos::{DqnConfig, GradBlob, LazyGradConfig, LazyGradGate};
@@ -38,8 +37,8 @@ fn drift(params: &[f32], round: u64, magnitude: f32) -> Vec<f32> {
     params.iter().zip(&noise).map(|(p, n)| p + n * magnitude).collect()
 }
 
-/// Sends one encoded broadcast from `learner` to `explorers` and returns the
-/// per-receiver ingest outcomes; each applied frame is acked back.
+/// Sends one encoded broadcast from `learner` to `explorers`, each of which
+/// takes it through `on_parameters`, and returns the frame's kind.
 fn broadcast_round(
     learner: &Endpoint,
     tx: &mut ParamBroadcaster,
@@ -56,13 +55,6 @@ fn broadcast_round(
             .unwrap_or_else(|| panic!("explorer {i} missed v{}", blob.version));
         assert_eq!(msg.header.kind, MessageKind::Parameters);
         rx.on_parameters(ep, i as u32, &msg, |_| {});
-    }
-    // Fold whatever acks have arrived back into the broadcaster (the real
-    // learner does this opportunistically between training sessions too).
-    while let Some(msg) = learner.recv_timeout(Duration::from_millis(50)) {
-        if msg.header.kind == MessageKind::ParamAck {
-            tx.on_ack(&ParamAck::from_bytes(&msg.body).expect("well-formed ack"));
-        }
     }
     enc.compression
 }
@@ -101,8 +93,46 @@ fn delta_chain_is_bit_lossless_over_real_endpoints() {
         }
     }
     assert!(deltas >= rounds as u32 - 2, "chain stayed on deltas: {deltas}/{rounds}");
-    assert_eq!(tx.acked(0), Some(rounds), "acks flowed back");
     broker.shutdown();
+}
+
+/// The channel is sender-initiated: a receiver that applies every broadcast
+/// sends nothing back, in every compression mode. A reply is routed on the
+/// receiver's thread inside `on_parameters`, so once the rounds are done the
+/// broker has routed exactly the broadcasts.
+#[test]
+fn a_receiver_that_applies_every_broadcast_sends_nothing_back() {
+    const ROUNDS: u64 = 12;
+    for mode in [
+        ParamCompression::FullF32,
+        ParamCompression::DeltaF32,
+        ParamCompression::QuantizedI8,
+        ParamCompression::DeltaQuantizedI8,
+    ] {
+        let telemetry = xt_telemetry::Telemetry::enabled();
+        let broker =
+            Broker::with_telemetry(0, Cluster::single(), CommConfig::default(), telemetry.clone());
+        let learner = broker.endpoint(ProcessId::learner(0));
+        let mut explorers: Vec<(Endpoint, ParamReceiver)> = (0..2)
+            .map(|e| (broker.endpoint(ProcessId::explorer(e)), ParamReceiver::new()))
+            .collect();
+        let mut tx = ParamBroadcaster::new(mode, learner.telemetry());
+        let mut params = seeded_params(2048, 19);
+        for version in 1..=ROUNDS {
+            params = drift(&params, version, 1e-3);
+            broadcast_round(&learner, &mut tx, &ParamBlob { version, params: params.clone() }, &mut explorers);
+            for (_, rx) in &explorers {
+                assert_eq!(rx.version(), version, "{mode:?}: every frame applied");
+            }
+        }
+        assert_eq!(
+            telemetry.counter("comm.routed_messages").get(),
+            ROUNDS,
+            "{mode:?}: only the broadcasts were routed"
+        );
+        assert!(learner.try_recv().is_none(), "{mode:?}: nothing came back");
+        broker.shutdown();
+    }
 }
 
 #[test]
@@ -161,6 +191,10 @@ fn respawned_receiver_nacks_and_the_chain_self_heals() {
     );
     assert_eq!(kind, CompressionKind::DeltaF32, "sender still believed the base");
     assert_eq!(explorers[0].1.version(), 0, "delta without a base was rejected");
+    let nack = learner.recv_timeout(Duration::from_secs(10)).expect("the rejection is answered");
+    assert_eq!(nack.header.kind, MessageKind::ParamAck);
+    let folded = tx.on_nack_message(&nack).expect("a well-formed nack");
+    assert_eq!((folded.receiver, folded.held), (0, 0), "it names the receiver and what it holds");
 
     params = drift(&params, 5, 1e-3);
     let kind = broadcast_round(

@@ -523,8 +523,8 @@ fn scripted_explorer(broker: &Broker, sync: SyncMode) -> std::thread::JoinHandle
     std::thread::spawn(move || explorer.run())
 }
 
-/// The next rollout to reach `learner` within `within` (the explorer's
-/// `ParamAck`s arrive here too and are skipped).
+/// The next rollout to reach `learner` within `within` (anything else that
+/// arrives is skipped).
 fn next_rollout(learner: &Endpoint, within: Duration) -> Option<Message> {
     let deadline = Instant::now() + within;
     std::iter::from_fn(|| learner.recv_timeout(deadline.saturating_duration_since(Instant::now())))

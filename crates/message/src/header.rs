@@ -153,10 +153,11 @@ pub enum MessageKind {
     /// answers the explorer; a replay shard answers the learner, which wakes
     /// and passes the answer on.
     RolloutAnswer,
-    /// An explorer confirming (or refusing) a parameter broadcast: carries the
-    /// parameter version the explorer now holds, so the learner's delta-base
-    /// bookkeeping tracks what each receiver can actually decode against.
-    /// Tiny and control-plane prioritized.
+    /// A parameter receiver's nack: a broadcast it could not apply (a delta
+    /// without its base, a corrupt frame), carrying the version it still
+    /// holds, so the sender's delta-base bookkeeping rebases and its next
+    /// frame goes out full. Applied broadcasts are not answered. Tiny and
+    /// control-plane prioritized.
     ParamAck,
     /// A gradient between learner shards: a lockstep round's slot blob, or a
     /// relaxed round's LAPG-gated upload (arXiv:1812.03239). Priority lane:
@@ -197,9 +198,10 @@ impl MessageKind {
             // learner, learner to explorer): bounded by window × explorers,
             // since an explorer sends nothing past its window unanswered.
             MessageKind::RolloutAnswer => true,
-            // Delta-base bookkeeping going stale behind a backed-up data
-            // plane would force full-f32 fallbacks exactly when the wire is
-            // busiest. One small ack per applied broadcast.
+            // A rebase stuck behind a backed-up data plane would keep a
+            // receiver without its base rejecting deltas exactly when the
+            // wire is busiest. At most one small nack per broadcast a
+            // receiver could not apply.
             MessageKind::ParamAck => true,
             // The learner is the data plane's drain: blocked admitting its
             // own broadcast into a rollout-saturated store it could never

@@ -47,7 +47,7 @@ use crate::{ServeConfig, CLIENT_OFFSET, PARAM_SINK_OFFSET};
 /// Controller index of the fleet's own control endpoint.
 const FLEET_CONTROL: u32 = CLIENT_OFFSET - 1;
 /// Controller index of the [`ParamPublisher`] endpoint (unbounded recv, so
-/// a burst of acks from a large fleet can never back-pressure the sender).
+/// a burst of nacks from a large fleet can never back-pressure the sender).
 const PUBLISHER: u32 = CLIENT_OFFSET - 2;
 
 /// Stable 64-bit mix of a process id (splitmix64 finalizer over role+index).
@@ -209,12 +209,14 @@ fn spawn_sink(
 }
 
 /// Learner-side attachment: broadcasts parameter versions to every replica's
-/// sink with the same delta/quantized encoder the training plane uses.
+/// sink with the same delta/quantized encoder the training plane uses. A sink
+/// answers only a frame it cannot apply, with a nack that rebases the
+/// encoder; whether a swap landed is read from the fleet
+/// ([`ServeFleet::versions`], `serve.swaps`).
 pub struct ParamPublisher {
     endpoint: Endpoint,
     broadcaster: ParamBroadcaster,
     sinks: Vec<u32>,
-    acked: u64,
     nacked: u64,
 }
 
@@ -227,14 +229,13 @@ impl ParamPublisher {
             endpoint,
             broadcaster,
             sinks: (0..replicas as u32).map(|i| PARAM_SINK_OFFSET + i).collect(),
-            acked: 0,
             nacked: 0,
         }
     }
 
     /// Broadcasts `blob` to every sink; returns the version sent.
     ///
-    /// Folds in pending acks first so the encoder's delta-base bookkeeping
+    /// Folds in pending nacks first so the encoder's delta-base bookkeeping
     /// is as fresh as possible when it picks a common base.
     pub fn publish(&mut self, blob: &ParamBlob) -> u64 {
         self.publish_staggered(blob, Duration::ZERO)
@@ -243,8 +244,8 @@ impl ParamPublisher {
     /// Like [`publish`], but pauses `gap` between per-sink sends.
     ///
     /// A zero gap is one fanned-out broadcast. A small positive gap turns
-    /// the swap into a rolling update: each replica's sink wakes, rebuilds,
-    /// and acks in its own scheduling quantum instead of all at once — on
+    /// the swap into a rolling update: each replica's sink wakes and
+    /// rebuilds in its own scheduling quantum instead of all at once — on
     /// core-starved hosts a simultaneous fleet-wide swap is exactly the
     /// kind of thundering herd that blows the inference tail latency.
     ///
@@ -254,7 +255,7 @@ impl ParamPublisher {
     ///
     /// [`publish`]: ParamPublisher::publish
     pub fn publish_staggered(&mut self, blob: &ParamBlob, gap: Duration) -> u64 {
-        self.pump_acks();
+        self.pump_nacks();
         let frame = self.broadcaster.encode(blob, &self.sinks);
         // One message to everyone, or one message per sink `gap` apart.
         let sinks = self.sinks.clone();
@@ -262,35 +263,23 @@ impl ParamPublisher {
         for (i, dst) in sinks.chunks(group).enumerate() {
             if i > 0 {
                 std::thread::sleep(gap);
-                self.pump_acks();
+                self.pump_nacks();
             }
             frame.send(&self.endpoint, dst.iter().map(|&s| ProcessId::server(s)).collect());
         }
         blob.version
     }
 
-    /// Drains ack/nack replies into the broadcaster. Returns acks folded.
-    pub fn pump_acks(&mut self) -> usize {
+    /// Drains the sinks' nacks into the broadcaster. Returns nacks folded.
+    pub fn pump_nacks(&mut self) -> usize {
         let mut n = 0;
         while let Some(msg) = self.endpoint.try_recv() {
-            if msg.header.kind != MessageKind::ParamAck {
-                continue;
-            }
-            if let Some(ack) = self.broadcaster.on_ack_message(&msg) {
-                if ack.applied {
-                    self.acked += 1;
-                } else {
-                    self.nacked += 1;
-                }
+            if msg.header.kind == MessageKind::ParamAck && self.broadcaster.on_nack_message(&msg).is_some() {
                 n += 1;
             }
         }
+        self.nacked += n as u64;
         n
-    }
-
-    /// Positive acks folded so far.
-    pub fn acked(&self) -> u64 {
-        self.acked
     }
 
     /// Nacks folded so far (each one forces a rebase toward a full send).
@@ -336,7 +325,6 @@ mod tests {
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
             while fleet.versions() != vec![version; 2] {
                 assert!(std::time::Instant::now() < deadline, "fleet never reached v{version}");
-                publisher.pump_acks();
                 std::thread::sleep(Duration::from_millis(1));
             }
             seen.push([0, 1].map(|r: usize| {

@@ -14,9 +14,9 @@
 //!   quantized frames). Every applied version is rebuilt into a fresh
 //!   [`Policy`] and published through the replica's `SnapshotCell<Policy>`, so the
 //!   serve loop picks up new weights at its next batch without ever
-//!   blocking on the swap. Acks/nacks flow back so the broadcaster's
-//!   delta-base bookkeeping self-heals (a sink joining mid-chain converges
-//!   after one full send).
+//!   blocking on the swap. Only a frame the sink cannot apply is answered,
+//!   with a nack that rebases the broadcaster's delta-base bookkeeping (a
+//!   sink joining mid-chain converges after one full send).
 //!
 //! [`InferRequest`]: xingtian_message::InferRequest
 

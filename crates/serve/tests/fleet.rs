@@ -131,7 +131,7 @@ fn swap_lands(publisher: &mut ParamPublisher, fleet: &ServeFleet, blob: &ParamBl
     publisher.publish(blob);
     let deadline = Instant::now() + Duration::from_secs(2);
     while fleet.versions() != vec![blob.version] && Instant::now() < deadline {
-        publisher.pump_acks();
+        publisher.pump_nacks();
         std::thread::sleep(Duration::from_millis(2));
     }
     fleet.versions() == vec![blob.version]
@@ -165,6 +165,45 @@ fn a_sink_that_dies_alone_respawns_and_rejoins_the_chain() {
     assert_eq!(report.respawns, 1);
     publisher.close();
     broker.shutdown();
+}
+
+/// A sink that applies every swap answers none of them, in every compression
+/// mode: once the fleet serves the last version, the broker has routed only
+/// the publisher's frames and the publisher's inbox is empty.
+#[test]
+fn a_sink_that_applies_every_swap_sends_nothing_back() {
+    const LAST: u64 = 6;
+    for mode in [
+        ParamCompression::FullF32,
+        ParamCompression::DeltaF32,
+        ParamCompression::QuantizedI8,
+        ParamCompression::DeltaQuantizedI8,
+    ] {
+        let telemetry = xt_telemetry::Telemetry::enabled();
+        let broker =
+            Broker::with_telemetry(0, Cluster::single(), CommConfig::default(), telemetry.clone());
+        let mut cfg = config();
+        cfg.replicas = 2;
+        let fleet = ServeFleet::start(&broker, cfg, &blob(1, 1));
+        let mut publisher = ParamPublisher::new(&broker, 2, mode);
+        let routed = telemetry.counter("comm.routed_messages");
+        let before = routed.get();
+        for version in 2..=LAST {
+            publisher.publish(&blob(version, version));
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while fleet.versions() != vec![version; 2] {
+                assert!(Instant::now() < deadline, "{mode:?}: fleet never reached v{version}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        // A reply would be routed right after the swap it answers.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(routed.get() - before, LAST - 1, "{mode:?}: only the frames were routed");
+        assert_eq!(publisher.pump_nacks(), 0, "{mode:?}: nothing came back");
+        fleet.shutdown();
+        publisher.close();
+        broker.shutdown();
+    }
 }
 
 #[test]

@@ -80,7 +80,6 @@ fn fleet_swaps_under_load_without_dropping_requests() {
         let deadline = Instant::now() + Duration::from_secs(5);
         while fleet.versions().iter().any(|&got| got < v) {
             assert!(Instant::now() < deadline, "fleet never reached version {v}");
-            publisher.pump_acks();
             std::thread::sleep(Duration::from_millis(2));
         }
         std::thread::sleep(Duration::from_millis(10));

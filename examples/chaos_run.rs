@@ -46,7 +46,7 @@ fn run(label: &str, plan: FaultPlan) -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "  recovery        {} explorer respawn(s), {} learner restore(s), {} leaked object(s)",
         recovery.explorer_respawns.len(),
-        recovery.learner_restores,
+        recovery.learner_shard_restores.iter().sum::<u32>(),
         recovery.leaked_objects
     );
     let t0 = recovery.transitions.first().map_or(0, |t| t.at_nanos);
