@@ -22,10 +22,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== bench gate: every bench target compiles =="
 cargo bench --no-run --workspace
 
-echo "== bench smoke: channel + telemetry + envs micro-benches compile and run =="
+echo "== bench smoke: channel + telemetry + envs + nn micro-benches compile and run =="
 cargo bench -p xt-bench --bench channel -- --test
 cargo bench -p xt-bench --bench telemetry -- --test
 cargo bench -p xt-bench --bench envs -- --test
+# nn includes adam_step_dqn_dead_units, the Adam step on dqn_replay's
+# subnormal first-moment mix.
+cargo bench -p xt-bench --bench nn -- --test
 
 echo "== release smoke: lz4/chunk differential round-trip tests =="
 cargo test --release -q -p xingtian-message --test differential
@@ -109,15 +112,24 @@ echo "== release smoke: pinned A2C/PPO/IMPALA/DQN parameter digests and the allo
 # on the release kernels the deployments actually run. The digests were last
 # re-pinned once, for the optimizer arithmetic alone (one-division Adam,
 # 16-lane gradient norm); the 64-byte-aligned parameter storage that landed
-# with it moved no bit.
-cargo test --release -q -p xingtian-algos --test determinism --test no_alloc
+# with it moved no bit, and neither did the Adam pass on the FMA lane family
+# with its subnormal flush (every digest and golden state held). subnormal:
+# 1 500 DQN sessions at dqn_replay's shape leave no subnormal Adam moment
+# (its first moments sat at 234 subnormals before the flush).
+cargo test --release -q -p xingtian-algos --test determinism --test no_alloc --test subnormal
 # The kernels' own suite runs there too: the AVX2/AVX-512 bitwise
 # differential in every orientation, row invariance and the tanh-epilogue bit
 # test; the alignment contract (parameters on a 64-byte line after new, clone
 # and set_params for the four benchmark nets and a tiny one); and the
 # optimizer tests (Adam within 1e-6 of the textbook three-division form over
 # 1 000 seeded steps, the gradient norm within 1e-6 of an f64 sum, and the
-# same bits on an aligned and a 4-byte-offset slice).
+# same bits on an aligned and a 4-byte-offset slice); the Adam differential
+# (every_adam_implementation_matches_the_portable_loop_bit_for_bit: portable,
+# AVX2 and AVX-512F store the same p, m and v over subnormal, zero and
+# boundary moments at six lengths and two alignments) and the flush tests
+# (dead_units_leave_no_subnormal_moment_and_move_no_parameter_bit: 2 000
+# dead-unit steps, no subnormal moment, every |p| > 2^-82 bit-equal to the
+# unflushed loop; a_step_count_past_i32_max_does_not_wrap).
 cargo test --release -q -p tinynn
 
 echo "== benchmark smoke: every xt-perf workload builds, runs and checks its outputs =="

@@ -4,6 +4,8 @@
 //! the learner actually runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use tinynn::optim::{clip_global_norm, Adam};
 use tinynn::{Activation, Mlp, Workspace};
 use xingtian_algos::par::ParGrad;
@@ -108,5 +110,31 @@ fn bench_optim(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_mlp, bench_train_step, bench_optim);
+/// Adam at the DQN net's 37 577 parameters on `dqn_replay`'s moment mix: a
+/// dead ReLU unit's gradient is exactly zero, and before the step flushed
+/// them, 74–500 of its first moments (0.6 % here) sat in the subnormal
+/// range, where every x86 vector touching one takes a microcode assist
+/// (`adam_step_70k_params`' dense gradients never show them). Each iteration
+/// restores the mix with `set_moments`, so every step starts from it.
+fn bench_adam_dead_units(c: &mut Criterion) {
+    let mut net = Mlp::new(&[512, 64, 64, 9], Activation::Relu, 0);
+    let n = net.num_params();
+    let mut rng = StdRng::seed_from_u64(49);
+    let dead: Vec<bool> = (0..n).map(|_| rng.gen_range(0..1_000) < 6).collect();
+    let grads: Vec<f32> = dead.iter().map(|&d| if d { 0.0 } else { rng.gen_range(-1e-2f32..1e-2) }).collect();
+    let m: Vec<f32> = dead
+        .iter()
+        .map(|&d| if d { f32::from_bits(rng.gen_range(1..0x0080_0000)) } else { rng.gen_range(-1e-3f32..1e-3) })
+        .collect();
+    let v: Vec<f32> = (0..n).map(|_| rng.gen_range(1e-8f32..1e-5)).collect();
+    let mut opt = Adam::new(n, 1e-3);
+    c.bench_function("adam_step_dqn_dead_units", |b| {
+        b.iter(|| {
+            opt.set_moments(5_000, &m, &v);
+            opt.step(net.params_mut(), &grads)
+        })
+    });
+}
+
+criterion_group!(benches, bench_mlp, bench_train_step, bench_optim, bench_adam_dead_units);
 criterion_main!(benches);

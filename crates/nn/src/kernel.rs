@@ -27,6 +27,19 @@
 //! instantiation once per process (AVX-512F where present, else AVX2+FMA);
 //! there is no option, feature flag or environment variable.
 //!
+//! **The optimizer.** The same family carries [`adam`], the one pass of
+//! `optim::Adam::step`: per element two products and a sum for each moment,
+//! a square root and a division for the update, in the order of the portable
+//! loop [`adam`] falls back to and is tested against, so every instantiation
+//! stores its bits. The pass stores a moment below `f32::MIN_POSITIVE` in
+//! magnitude as `+0.0`. That flush is explicit and ISA-independent, and it is
+//! the optimizer's alone: no kernel here flushes, and MXCSR's FTZ/DAZ stay
+//! off, so the forward pass the learner, the explorers and the serve fleet
+//! share keeps its bits. At `lr = 1e-3` a flushed first moment moves a
+//! parameter by under `2⁻¹⁰⁶`, so the flush changes a parameter's bits
+//! only where `|p| ≤ 2⁻⁸²` (`optim::Adam::step` derives the bound). CPUID
+//! picks AVX2 for this pass even where AVX-512F is present (see [`adam`]).
+//!
 //! **Bits.** In every instantiation and at every tile shape an output
 //! element is the single chain `acc = fma(a, b, acc)` over the reduction
 //! index from zero, then `+ bias`, then the activation, all lane-wise. So the
@@ -36,11 +49,12 @@
 //! `n mod 16` column tails of `gemm_tn`, the ragged `gemm_nt` panels and the
 //! rows past the last 4-row block — used the portable multiply-then-add until
 //! they joined the family, which changed training bits once. The optimizer
-//! changed them a second time, outside this module: `optim::Adam::step`
-//! moved to one division per parameter and `optim::clip_global_norm` to a
-//! 16-lane sum, and the pinned digests were re-pinned for that reason alone.
-//! Storing `Mlp` parameters on 64-byte lines, which the tiles stream as `B`,
-//! changed no bit.
+//! changed them a second time: `optim::Adam::step` moved to one division
+//! per parameter and `optim::clip_global_norm` to a 16-lane sum, and the
+//! pinned digests were re-pinned for that reason alone. Storing `Mlp`
+//! parameters on 64-byte lines, which the tiles stream as `B`, changed no
+//! bit, and neither did moving the Adam step into this family with its
+//! subnormal flush: every pinned digest and golden state held.
 //!
 //! The portable microkernels are the implementation everywhere else and the
 //! differential reference in the tests. Every kernel writes its full output
@@ -61,9 +75,9 @@ pub const NR: usize = 16;
 ///
 /// The portable microkernels compile against the x86-64 baseline (SSE2, no
 /// FMA), so autovectorization leaves most of a modern core idle. Here the
-/// tile, the loops that cover an output with it and the `tanh` epilogue are
-/// written once, generic over `Lanes` — the dozen vector primitives they
-/// use — and `isa!` wraps them in `#[target_feature]` entry points per
+/// tile, the loops that cover an output with it, the `tanh` epilogue and the
+/// Adam pass are written once, generic over `Lanes` — the vector primitives
+/// they use — and `isa!` wraps them in `#[target_feature]` entry points per
 /// instruction set, where the generic code is inlined and compiled for that
 /// set.
 #[cfg(target_arch = "x86_64")]
@@ -106,7 +120,10 @@ mod fma {
         unsafe fn fmadd(a: Self::V, b: Self::V, c: Self::V) -> Self::V;
         unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
         unsafe fn mul(a: Self::V, b: Self::V) -> Self::V;
+        unsafe fn sub(a: Self::V, b: Self::V) -> Self::V;
         unsafe fn div(a: Self::V, b: Self::V) -> Self::V;
+        /// Correctly rounded, as `f32::sqrt`.
+        unsafe fn sqrt(a: Self::V) -> Self::V;
         /// x86 `min`: the second operand when either is NaN.
         unsafe fn min(a: Self::V, b: Self::V) -> Self::V;
         /// x86 `max`: the second operand when either is NaN.
@@ -118,7 +135,8 @@ mod fma {
     }
 
     /// Declares an instruction set's marker type with its availability check
-    /// and its `#[target_feature]` entry points, one per orientation. Each
+    /// and its `#[target_feature]` entry points, one per orientation and one
+    /// for the Adam pass. Each
     /// entry point's body is the generic code, inlined and compiled with
     /// the set's features enabled.
     macro_rules! isa {
@@ -185,6 +203,23 @@ mod fma {
                     let g = Gemm { steps: m, a, a_row: 1, a_step: k, b, ldb: n, bias: None, act: None, ldc: n };
                     // SAFETY: this function's precondition is the set's.
                     unsafe { drive::<$isa>(&g, k, n, out) }
+                }
+
+                /// [`super::adam`] on this instruction set.
+                ///
+                /// # Safety
+                ///
+                /// As for [`Self::gemm_bias_act`].
+                #[target_feature($(enable = $feature),+)]
+                pub(super) unsafe fn adam(
+                    s: &super::AdamStep,
+                    params: &mut [f32],
+                    grads: &[f32],
+                    m: &mut [f32],
+                    v: &mut [f32],
+                ) {
+                    // SAFETY: this function's precondition is the set's.
+                    unsafe { adam_pass::<$isa>(s, params, grads, m, v) }
                 }
             }
         };
@@ -266,8 +301,16 @@ mod fma {
             _mm256_mul_ps(a, b)
         }
         #[inline(always)]
+        unsafe fn sub(a: __m256, b: __m256) -> __m256 {
+            _mm256_sub_ps(a, b)
+        }
+        #[inline(always)]
         unsafe fn div(a: __m256, b: __m256) -> __m256 {
             _mm256_div_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn sqrt(a: __m256) -> __m256 {
+            _mm256_sqrt_ps(a)
         }
         #[inline(always)]
         unsafe fn min(a: __m256, b: __m256) -> __m256 {
@@ -333,8 +376,16 @@ mod fma {
             _mm512_mul_ps(a, b)
         }
         #[inline(always)]
+        unsafe fn sub(a: __m512, b: __m512) -> __m512 {
+            _mm512_sub_ps(a, b)
+        }
+        #[inline(always)]
         unsafe fn div(a: __m512, b: __m512) -> __m512 {
             _mm512_div_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn sqrt(a: __m512) -> __m512 {
+            _mm512_sqrt_ps(a)
         }
         #[inline(always)]
         unsafe fn min(a: __m512, b: __m512) -> __m512 {
@@ -593,6 +644,77 @@ mod fma {
             let q = horner::<I>(c2, &BETA);
             I::select_lt(I::abs(x), I::splat(TINY), x, I::div(p, q))
         }
+    }
+
+    /// [`super::adam_portable`] lane-wise: the same operations in the same
+    /// order (two products then a sum for each moment, never `fmadd`), so
+    /// each lane holds the bits the portable loop stores. The last
+    /// `len mod LANES` elements go through one pass under a lane mask;
+    /// its disabled lanes compute on zeros and are never stored.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `I`'s instruction set. Slice lengths are
+    /// asserted.
+    #[inline(always)]
+    unsafe fn adam_pass<I: Lanes>(
+        s: &super::AdamStep,
+        params: &mut [f32],
+        grads: &[f32],
+        m: &mut [f32],
+        v: &mut [f32],
+    ) {
+        let n = params.len();
+        assert!(grads.len() == n && m.len() == n && v.len() == n, "adam slice lengths differ");
+        let (pp, gp, mp, vp) = (params.as_mut_ptr(), grads.as_ptr(), m.as_mut_ptr(), v.as_mut_ptr());
+        // SAFETY: the instruction set is this function's precondition; every
+        // full vector ends at or before `n`, and the tail pass touches only
+        // its first `n − i` lanes, all in bounds of the four slices.
+        unsafe {
+            let mut i = 0;
+            while i + I::LANES <= n {
+                let (mo, vo, p) =
+                    adam_lanes::<I>(s, I::load(gp.add(i)), I::load(mp.add(i)), I::load(vp.add(i)), I::load(pp.add(i)));
+                I::store(mp.add(i), mo);
+                I::store(vp.add(i), vo);
+                I::store(pp.add(i), p);
+                i += I::LANES;
+            }
+            if i < n {
+                let k = I::mask(n - i);
+                let (g, mo, vo, p) = (
+                    I::load_masked(gp.add(i), k),
+                    I::load_masked(mp.add(i), k),
+                    I::load_masked(vp.add(i), k),
+                    I::load_masked(pp.add(i), k),
+                );
+                let (mo, vo, p) = adam_lanes::<I>(s, g, mo, vo, p);
+                I::store_masked(mp.add(i), k, mo);
+                I::store_masked(vp.add(i), k, vo);
+                I::store_masked(pp.add(i), k, p);
+            }
+        }
+    }
+
+    /// One vector of [`adam_pass`]: the new first and second moments and
+    /// parameters from a gradient and the old ones.
+    #[inline(always)]
+    unsafe fn adam_lanes<I: Lanes>(s: &super::AdamStep, g: I::V, m: I::V, v: I::V, p: I::V) -> (I::V, I::V, I::V) {
+        // SAFETY: the caller's instruction set is `I`'s.
+        unsafe {
+            let m = flush::<I>(I::add(I::mul(I::splat(s.beta1), m), I::mul(I::splat(1.0 - s.beta1), g)));
+            let v = flush::<I>(I::add(I::mul(I::splat(s.beta2), v), I::mul(I::mul(I::splat(1.0 - s.beta2), g), g)));
+            let den = I::add(I::mul(I::sqrt(v), I::splat(s.r)), I::splat(s.eps));
+            (m, v, I::sub(p, I::div(I::mul(I::splat(s.step), m), den)))
+        }
+    }
+
+    /// [`super::flush`] lane-wise: `+0.0` where `|x| < f32::MIN_POSITIVE`
+    /// (ordered, so a NaN lane passes through).
+    #[inline(always)]
+    unsafe fn flush<I: Lanes>(x: I::V) -> I::V {
+        // SAFETY: the caller's instruction set is `I`'s.
+        unsafe { I::select_lt(I::abs(x), I::splat(f32::MIN_POSITIVE), I::zero(), x) }
     }
 
     /// `Σ coeffs[i] · x^i` by Horner's rule, one fused multiply-add a step.
@@ -980,6 +1102,102 @@ pub fn col_sums_into(m: usize, n: usize, src: &[f32], out: &mut [f32]) {
             *o += v;
         }
     }
+}
+
+/// One Adam step's coefficients: the decay rates, `eps`, and the two
+/// bias corrections folded into scalars once per call (see
+/// [`crate::optim::Adam::step`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AdamStep {
+    /// First-moment decay, β₁.
+    pub beta1: f32,
+    /// Second-moment decay, β₂.
+    pub beta2: f32,
+    /// Added to the denominator.
+    pub eps: f32,
+    /// `lr / (1 − β₁ᵗ)`.
+    pub step: f32,
+    /// `1 / sqrt(1 − β₂ᵗ)`.
+    pub r: f32,
+}
+
+/// One Adam pass over `params`, in place: per element,
+///
+/// ```text
+/// m = flush(β₁·m + (1 − β₁)·g)
+/// v = flush(β₂·v + ((1 − β₂)·g)·g)
+/// p = p − (step·m) / (sqrt(v)·r + eps)
+/// ```
+///
+/// each operation rounded on its own (no fused multiply-add), where
+/// `flush(x)` is `+0.0` for `|x| < f32::MIN_POSITIVE` and `x` otherwise.
+/// So no stored moment is ever subnormal, and no later step computes on one:
+/// with MXCSR's flush-to-zero off, as Rust leaves it, an x86 vector
+/// operation that reads or produces a subnormal takes a microcode assist.
+///
+/// Every implementation stores the same bits. On an x86-64 CPU with AVX2 it
+/// runs the FMA family's AVX2 instantiation, on one with AVX-512F too: the
+/// pass is bound by the divider, which takes a 16-lane `vdivps`/`vsqrtps`
+/// no faster than two 8-lane ones, so 512-bit vectors buy nothing here
+/// (37 577 parameters on a 2-vCPU AVX-512F Xeon: 17.5 µs AVX2, 18.6 µs
+/// AVX-512F, 27 µs portable).
+///
+/// # Panics
+///
+/// Panics if the four slices differ in length.
+pub fn adam(s: &AdamStep, params: &mut [f32], grads: &[f32], m: &mut [f32], v: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if fma::Avx2::available() {
+        // SAFETY: `available` reported the instruction set.
+        return unsafe { fma::Avx2::adam(s, params, grads, m, v) };
+    }
+    adam_portable(s, params, grads, m, v);
+}
+
+/// [`adam`] as a scalar loop: the implementation on CPUs without AVX2+FMA,
+/// and the reference every instantiation is held to bit for bit.
+fn adam_portable(s: &AdamStep, params: &mut [f32], grads: &[f32], m: &mut [f32], v: &mut [f32]) {
+    let n = params.len();
+    assert!(grads.len() == n && m.len() == n && v.len() == n, "adam slice lengths differ");
+    let (b1, b2, c1, c2) = (s.beta1, s.beta2, 1.0 - s.beta1, 1.0 - s.beta2);
+    for (((p, &g), m), v) in params.iter_mut().zip(grads).zip(m).zip(v) {
+        *m = flush(b1 * *m + c1 * g);
+        *v = flush(b2 * *v + c2 * g * g);
+        *p -= s.step * *m / (v.sqrt() * s.r + s.eps);
+    }
+}
+
+/// `+0.0` where `|x| < f32::MIN_POSITIVE` (subnormals and `−0.0`), else `x`.
+#[inline(always)]
+fn flush(x: f32) -> f32 {
+    if x.abs() < f32::MIN_POSITIVE {
+        0.0
+    } else {
+        x
+    }
+}
+
+/// The signature of [`adam`] and of each of its implementations.
+pub type AdamFn = fn(&AdamStep, &mut [f32], &[f32], &mut [f32], &mut [f32]);
+
+/// Every implementation of [`adam`] this CPU runs, named: the portable
+/// reference, then each FMA instantiation CPUID reports (the dispatching
+/// [`adam`] reaches only one). For the differential test.
+pub fn adam_implementations() -> Vec<(&'static str, AdamFn)> {
+    #[allow(unused_mut)] // off x86-64 only the portable loop is pushed
+    let mut all: Vec<(&'static str, AdamFn)> = vec![("portable", adam_portable)];
+    #[cfg(target_arch = "x86_64")]
+    {
+        if fma::Avx2::available() {
+            // SAFETY: pushed only when `available` reported the set.
+            all.push(("avx2", |s, p, g, m, v| unsafe { fma::Avx2::adam(s, p, g, m, v) }));
+        }
+        if fma::Avx512::available() {
+            // SAFETY: as above.
+            all.push(("avx512f", |s, p, g, m, v| unsafe { fma::Avx512::adam(s, p, g, m, v) }));
+        }
+    }
+    all
 }
 
 #[cfg(test)]

@@ -46,21 +46,22 @@ impl Activation {
     }
 }
 
-/// One cache line of parameters, the unit [`Params`] is allocated in.
+/// One cache line of floats, the unit [`Params`] is allocated in.
 #[derive(Clone, Copy)]
 #[repr(C, align(64))]
 struct Line([f32; 16]);
 
-/// The flat parameter buffer: `len` floats at the start of whole cache
-/// lines, so its first element sits on a 64-byte boundary.
+/// A flat `f32` buffer of `len` floats at the start of whole cache lines, so
+/// its first element sits on a 64-byte boundary: an `Mlp`'s parameters, and
+/// an `optim::Adam`'s two moment vectors.
 #[derive(Clone)]
-struct Params {
+pub(crate) struct Params {
     lines: Vec<Line>,
     len: usize,
 }
 
 impl Params {
-    fn zeroed(len: usize) -> Self {
+    pub(crate) fn zeroed(len: usize) -> Self {
         Params { lines: vec![Line([0.0; 16]); len.div_ceil(16)], len }
     }
 }

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tinynn::kernel::{adam_implementations, gemm_nn, AdamStep};
 use tinynn::optim::{clip_global_norm, Adam, Sgd};
-use tinynn::kernel::gemm_nn;
 use tinynn::{Activation, Mlp, Workspace};
 
 fn arb_sizes() -> impl Strategy<Value = Vec<usize>> {
@@ -240,4 +240,155 @@ fn optimizer_bits_do_not_depend_on_slice_alignment() {
     }
     assert!(runs[0].0 == runs[1].0, "Adam parameters differ between the aligned and the offset slice");
     assert_eq!(runs[0].1, runs[1].1, "gradient norms differ between the aligned and the offset slice");
+}
+
+/// The coefficients `Adam::step` passes its pass at step `t` (`lr = 1e-3`,
+/// default betas and `eps`).
+fn adam_coefficients(t: i32) -> AdamStep {
+    let (beta1, beta2) = (0.9f32, 0.999f32);
+    let step = 1e-3 / (1.0 - beta1.powi(t));
+    let r = 1.0 / (1.0 - beta2.powi(t)).sqrt();
+    AdamStep { beta1, beta2, eps: 1e-8, step, r }
+}
+
+fn is_subnormal(x: f32) -> bool {
+    x != 0.0 && x.abs() < f32::MIN_POSITIVE
+}
+
+/// The ISA differential of the optimizer pass: every implementation this
+/// CPU runs (the portable loop, AVX2, AVX-512F) stores the bits the
+/// portable loop stores in `p`, `m` and `v`, and nothing past its slices —
+/// at lengths around and past the 8- and 16-lane vectors (the DQN and PPO
+/// nets' 37 577 and 140 170 included), on windows at a cache line and 4 B
+/// past one, over moments at `±0`, subnormal, around `MIN_POSITIVE` and
+/// normal, gradients zero, tiny and large, at t = 1 and t = 3 217. Each
+/// run takes three successive steps, so a flushed moment is read back.
+#[test]
+fn every_adam_implementation_matches_the_portable_loop_bit_for_bit() {
+    const PAD: usize = 16;
+    let implementations = adam_implementations();
+    let names: Vec<&str> = implementations.iter().map(|(name, _)| *name).collect();
+    println!("adam implementations on this CPU: {names:?}");
+    let sub = f32::MIN_POSITIVE / 3.0;
+    let moments = [0.0, -0.0, sub, -sub, f32::from_bits(1), f32::MIN_POSITIVE, -f32::MIN_POSITIVE, 1.1e-38, 0.25];
+    let grads = [0.0, -0.0, 1e-30, -3e-20, 1e-7, 0.5, -40.0, 1e4];
+    let mut rng = StdRng::seed_from_u64(49);
+    for n in [1usize, 15, 17, 4_099, 37_577, 140_170] {
+        for shift in [0usize, 1] {
+            // `m` from the moment set, `v` its magnitude (or a normal value),
+            // parameters in (-1, 1), the gradient from the gradient set.
+            let m0: Vec<f32> = (0..n).map(|_| moments[rng.gen_range(0..moments.len())]).collect();
+            let v0: Vec<f32> = m0
+                .iter()
+                .map(|m| if rng.gen_range(0..4) == 0 { rng.gen_range(0.0f32..1.0) } else { m.abs() })
+                .collect();
+            let p0: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            let g: Vec<Vec<f32>> =
+                (0..3).map(|_| (0..n).map(|_| grads[rng.gen_range(0..grads.len())]).collect()).collect();
+            for t0 in [0, 3_216] {
+                let mut runs = Vec::new();
+                for (name, adam) in &implementations {
+                    // Each of the four slices in its own buffer, `shift`
+                    // floats past a 64-byte boundary, with sentinels around.
+                    let window = |buf: &[f32]| {
+                        let start = buf.as_ptr().align_offset(64) + shift;
+                        start..start + n
+                    };
+                    let place = |src: &[f32]| {
+                        let mut buf = vec![7.5f32; n + 2 * PAD + 16];
+                        let w = window(&buf);
+                        buf[w].copy_from_slice(src);
+                        buf
+                    };
+                    let (mut p, mut m, mut v) = (place(&p0), place(&m0), place(&v0));
+                    let mut gbuf = place(&g[0]);
+                    let (pw, mw, vw, gw) = (window(&p), window(&m), window(&v), window(&gbuf));
+                    assert_eq!(p[pw.clone()].as_ptr() as usize % 64, 4 * shift);
+                    for (i, gi) in g.iter().enumerate() {
+                        gbuf[gw.clone()].copy_from_slice(gi);
+                        let s = adam_coefficients(t0 + 1 + i as i32);
+                        adam(&s, &mut p[pw.clone()], &gbuf[gw.clone()], &mut m[mw.clone()], &mut v[vw.clone()]);
+                    }
+                    for (buf, w, what) in [(&p, &pw, "p"), (&m, &mw, "m"), (&v, &vw, "v")] {
+                        let outside = buf[..w.start].iter().chain(&buf[w.end..]);
+                        assert!(outside.into_iter().all(|&x| x == 7.5), "{name} n={n}: wrote outside {what}");
+                    }
+                    let stored = m[mw.clone()].iter().chain(&v[vw.clone()]);
+                    assert!(!stored.into_iter().any(|&x| is_subnormal(x)), "{name} n={n}: a subnormal moment");
+                    let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    runs.push((*name, bits(&p[pw]), bits(&m[mw]), bits(&v[vw])));
+                }
+                let (_, p_ref, m_ref, v_ref) = &runs[0];
+                for (name, p, m, v) in &runs[1..] {
+                    let what = format!("{name} n={n} shift={shift} t0={t0}");
+                    assert!(p == p_ref, "{what}: parameters differ from the portable loop");
+                    assert!(m == m_ref, "{what}: first moments differ from the portable loop");
+                    assert!(v == v_ref, "{what}: second moments differ from the portable loop");
+                }
+            }
+        }
+    }
+}
+
+/// The Adam loop as it was before the subnormal flush, verbatim: the
+/// reference the flushed step is compared with.
+struct UnflushedAdam {
+    t: i32,
+    m: Vec<f32>,
+    v: Vec<f32>,
+}
+
+impl UnflushedAdam {
+    fn step(&mut self, params: &mut [f32], grads: &[f32]) {
+        let (b1, b2, eps, lr) = (0.9f32, 0.999f32, 1e-8f32, 1e-3f32);
+        self.t += 1;
+        let step = lr / (1.0 - b1.powi(self.t));
+        let r = 1.0 / (1.0 - b2.powi(self.t)).sqrt();
+        for (((p, &g), m), v) in params.iter_mut().zip(grads).zip(&mut self.m).zip(&mut self.v) {
+            *m = b1 * *m + (1.0 - b1) * g;
+            *v = b2 * *v + (1.0 - b2) * g * g;
+            *p -= step * *m / (v.sqrt() * r + eps);
+        }
+    }
+}
+
+/// Dead units: from step 50 a fixed eighth of the gradients is exactly
+/// zero, for 2 000 steps, so those first moments decay by β₁ a step
+/// through the whole subnormal range. After every step no moment is
+/// subnormal, and every parameter with `|p| > 2⁻⁸²` has the bits the
+/// unflushed loop gives it (the bound `Adam::step`'s docs derive).
+#[test]
+fn dead_units_leave_no_subnormal_moment_and_move_no_parameter_bit() {
+    let n = 4_099;
+    let mut rng = StdRng::seed_from_u64(50);
+    let start: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let dead: Vec<bool> = (0..n).map(|i| i % 8 == 3).collect();
+    let (mut flushed, mut reference) = (start.clone(), start);
+    let mut opt = Adam::new(n, 1e-3);
+    let mut unflushed = UnflushedAdam { t: 0, m: vec![0.0; n], v: vec![0.0; n] };
+    let mut grads = grad_stream(n, 51);
+    let floor = 2f32.powi(-82);
+    let mut flushed_any = false;
+    for step in 0..2_050 {
+        let mut g = grads();
+        if step >= 50 {
+            for (g, &dead) in g.iter_mut().zip(&dead) {
+                if dead {
+                    *g = 0.0;
+                }
+            }
+        }
+        opt.step(&mut flushed, &g);
+        unflushed.step(&mut reference, &g);
+        let (_, m, v) = opt.moments();
+        let subnormal = m.iter().chain(v).filter(|&&x| is_subnormal(x)).count();
+        assert_eq!(subnormal, 0, "step {step}: {subnormal} subnormal moments");
+        flushed_any |= unflushed.m.iter().any(|&x| is_subnormal(x));
+        for (i, (&a, &b)) in flushed.iter().zip(&reference).enumerate() {
+            if b.abs() > floor {
+                assert_eq!(a.to_bits(), b.to_bits(), "step {step}: parameter {i} is {a:e}, unflushed {b:e}");
+            }
+        }
+    }
+    assert!(flushed_any, "the stream never drove an unflushed moment subnormal");
 }
